@@ -5,28 +5,23 @@
 //! Each instance maintains `COUNT(*)` and `SUM(<field>)` per group (or a
 //! single global group) in a B-tree keyed by the encoded group value.
 //! Maintenance is incremental: every relation modification applies a
-//! delta and logs the group's *before- and after-images* ([`A_DELTA`]);
-//! undo restores before-images in reverse log order and redo installs
-//! after-images in forward log order. Full images rather than deltas make
-//! both directions idempotent, which matters because numeric deltas are
-//! not presence-checkable the way index entries are: replaying a delta
-//! twice would double-count, installing an image twice cannot.
+//! delta and logs the group's *before- and after-images* ([`A_DELTA`]),
+//! which [`dmx_core::logged_tree`] replays in either direction.
 
 use std::sync::Arc;
 
-use dmx_btree::{BTree, OnDuplicate};
+use dmx_btree::BTree;
+use dmx_core::logged_tree::{self, Images};
 use dmx_core::{
-    AccessQuery, Attachment, AttachmentInstance, CommonServices, ExecCtx, RelationDescriptor,
-    ScanItem, ScanOps,
+    AccessQuery, Attachment, AttachmentInstance, CommonServices, ExecCtx, LoggedTree,
+    RelationDescriptor, Replay, ScanItem, ScanOps, TreeFile,
 };
 use dmx_types::{
     key::{decode_values, encode_values},
-    AttrList, DmxError, FieldId, FileId, Lsn, PageId, Record, RecordKey, Result, Schema, Value,
+    AttrList, DmxError, FieldId, FileId, Lsn, Record, RecordKey, Result, Schema, Value,
 };
 
-use crate::common::{
-    decode_att_payload, encode_att_payload, log_att, read_u16, read_u32, read_u64, A_DELTA,
-};
+use crate::common::{apply_logged, decode_att_payload, read_u16, read_u32, read_u64, A_DELTA};
 
 /// The maintained-aggregate attachment type.
 pub struct Aggregate;
@@ -75,10 +70,19 @@ impl AggDesc {
             group_field,
         })
     }
+
+    pub fn tree_file(&self) -> TreeFile {
+        TreeFile {
+            file: self.file,
+            root_page: self.root_page,
+        }
+    }
 }
 
+const CELL_BYTES: usize = 16;
+
 fn encode_cell(count: i64, sum: f64) -> Vec<u8> {
-    let mut v = Vec::with_capacity(16);
+    let mut v = Vec::with_capacity(CELL_BYTES);
     v.extend_from_slice(&count.to_le_bytes());
     v.extend_from_slice(&sum.to_le_bytes());
     v
@@ -91,59 +95,38 @@ fn decode_cell(b: &[u8]) -> Result<(i64, f64)> {
     ))
 }
 
-/// Before-image of a group's cell: `[0]` = absent, `[1] ∥ cell` = present.
-fn encode_before(cell: Option<(i64, f64)>) -> Vec<u8> {
+/// Appends one logged image of a group's cell: `[0]` = the group is
+/// absent, `[1] ∥ cell` = present.
+fn encode_image(out: &mut Vec<u8>, cell: Option<&[u8]>) {
     match cell {
-        None => vec![0],
-        Some((c, s)) => {
-            let mut v = vec![1];
-            v.extend_from_slice(&encode_cell(c, s));
-            v
+        None => out.push(0),
+        Some(c) => {
+            out.push(1);
+            out.extend_from_slice(c);
         }
     }
 }
 
-/// A group cell's logged image: `None` = the group was absent,
-/// `Some((count, sum))` otherwise.
-type CellImage = Option<(i64, f64)>;
-
-fn decode_before(b: &[u8]) -> Result<CellImage> {
+/// Splits one [`encode_image`] off the front of `b`.
+fn split_image(b: &[u8]) -> Result<(Option<&[u8]>, &[u8])> {
     match b.split_first() {
-        Some((0, _)) => Ok(None),
-        Some((1, rest)) => Ok(Some(decode_cell(rest)?)),
-        _ => Err(DmxError::Corrupt("bad aggregate before-image".into())),
+        Some((0, rest)) => Ok((None, rest)),
+        Some((1, rest)) if rest.len() >= CELL_BYTES => {
+            let (cell, rest) = rest.split_at(CELL_BYTES);
+            Ok((Some(cell), rest))
+        }
+        _ => Err(DmxError::Corrupt("bad aggregate image pair".into())),
     }
 }
 
-/// Logged images of a group's cell: before-image then after-image, each
-/// self-delimiting ([`encode_before`]).
-fn encode_images(before: Option<(i64, f64)>, after: Option<(i64, f64)>) -> Vec<u8> {
-    let mut v = encode_before(before);
-    v.extend_from_slice(&encode_before(after));
-    v
-}
-
-fn decode_images(b: &[u8]) -> Result<(CellImage, CellImage)> {
-    let first_len = match b.first() {
-        Some(0) => 1,
-        Some(1) => 17,
-        _ => return Err(DmxError::Corrupt("bad aggregate image pair".into())),
-    };
-    let rest = b
-        .get(first_len..)
-        .ok_or_else(|| DmxError::Corrupt("short aggregate image pair".into()))?;
-    Ok((decode_before(b)?, decode_before(rest)?))
+/// The logged before-image ∥ after-image pair, as cell bytes.
+fn decode_images(b: &[u8]) -> Result<Images<'_>> {
+    let (before, rest) = split_image(b)?;
+    let (after, _) = split_image(rest)?;
+    Ok((before, after))
 }
 
 impl Aggregate {
-    fn tree(services: &Arc<CommonServices>, d: &AggDesc) -> BTree {
-        BTree::open(
-            &services.pool,
-            PageId::new(d.file, d.root_page),
-            &services.latches,
-        )
-    }
-
     fn group_key(d: &AggDesc, record: &Record) -> Result<Vec<u8>> {
         match d.group_field {
             None => Ok(encode_values(&[Value::Int(0)])),
@@ -165,43 +148,6 @@ impl Aggregate {
         }
     }
 
-    /// Reads a group's before-image (for undo logging).
-    fn read_before(
-        services: &Arc<CommonServices>,
-        desc: &[u8],
-        group: &[u8],
-    ) -> Result<Option<(i64, f64)>> {
-        let d = AggDesc::decode(desc)?;
-        Ok(match Self::tree(services, &d).get(group)? {
-            Some(cell) => Some(decode_cell(&cell)?),
-            None => None,
-        })
-    }
-
-    /// Installs a group's cell image (undo restores before-images, redo
-    /// installs after-images; forward execution installs the after-image
-    /// it just computed). Every dirtied page is stamped with `lsn` so the
-    /// cell cannot reach disk before its log record (write-ahead).
-    fn install_image(
-        services: &Arc<CommonServices>,
-        desc: &[u8],
-        group: &[u8],
-        image: Option<(i64, f64)>,
-        lsn: Lsn,
-    ) -> Result<()> {
-        let d = AggDesc::decode(desc)?;
-        let tree = Self::tree(services, &d).with_wal_lsn(lsn);
-        match image {
-            None => {
-                tree.delete(group)?;
-            }
-            Some((c, s)) => {
-                tree.insert(group, &encode_cell(c, s), OnDuplicate::Replace)?;
-            }
-        }
-        Ok(())
-    }
-
     fn delta(
         &self,
         ctx: &ExecCtx<'_>,
@@ -213,27 +159,33 @@ impl Aggregate {
         let d = AggDesc::decode(&inst.desc)?;
         let group = Self::group_key(&d, record)?;
         let dsum = Self::sum_value(&d, record)? * sign as f64;
-        let before = Self::read_before(ctx.services(), &inst.desc, &group)?;
-        let (count, sum) = before.unwrap_or((0, 0.0));
-        let (nc, ns) = (count + sign, sum + dsum);
-        let after = if nc <= 0 { None } else { Some((nc, ns)) };
-        let att = rd
-            .attached_types()
-            .find(|(_, insts)| {
-                insts
-                    .iter()
-                    .any(|i| i.instance == inst.instance && i.name == inst.name)
-            })
-            .map(|(t, _)| t)
-            .unwrap_or_default();
-        let lsn = log_att(
-            ctx,
-            rd,
-            att,
-            A_DELTA,
-            encode_att_payload(&inst.desc, &group, &encode_images(before, after)),
-        );
-        Self::install_image(ctx.services(), &inst.desc, &group, after, lsn)
+        let cells = LoggedTree::attachment(ctx, rd, inst, d.tree_file().open_tree(ctx.services()));
+        let before = cells.tree().get(&group)?;
+        let (count, sum) = match &before {
+            Some(cell) => decode_cell(cell)?,
+            None => (0, 0.0),
+        };
+        let count = count + sign;
+        let after = (count > 0).then(|| encode_cell(count, sum + dsum));
+        let mut images = Vec::with_capacity(2 + 2 * CELL_BYTES);
+        encode_image(&mut images, before.as_deref());
+        encode_image(&mut images, after.as_deref());
+        apply_logged(&cells, inst, A_DELTA, &group, &images, after.as_deref())
+    }
+
+    fn replay(
+        services: &Arc<CommonServices>,
+        lsn: Lsn,
+        dir: Replay,
+        op: u8,
+        payload: &[u8],
+    ) -> Result<()> {
+        if op != A_DELTA {
+            return Err(DmxError::Corrupt(format!("bad aggregate op {op}")));
+        }
+        let (desc, group, images) = decode_att_payload(payload)?;
+        let tree = AggDesc::decode(desc)?.tree_file().open_tree(services);
+        logged_tree::replay(&tree, lsn, dir, group, decode_images(images)?)
     }
 }
 
@@ -263,12 +215,10 @@ impl Attachment for Aggregate {
             Some(g) => Some(rd.schema.field_id(g)?),
             None => None,
         };
-        let services = ctx.services();
-        let file = services.disk.create_file()?;
-        let tree = BTree::create(&services.pool, file, &services.latches)?;
+        let TreeFile { file, root_page } = TreeFile::create(ctx.services())?;
         Ok(AggDesc {
             file,
-            root_page: tree.root().page_no,
+            root_page,
             sum_field,
             group_field,
         }
@@ -276,10 +226,7 @@ impl Attachment for Aggregate {
     }
 
     fn destroy_instance(&self, services: &Arc<CommonServices>, inst_desc: &[u8]) -> Result<()> {
-        let d = AggDesc::decode(inst_desc)?;
-        services.latches.forget(PageId::new(d.file, d.root_page));
-        services.pool.discard_file(d.file);
-        services.disk.delete_file(d.file)
+        AggDesc::decode(inst_desc)?.tree_file().destroy(services)
     }
 
     fn on_insert(
@@ -335,14 +282,7 @@ impl Attachment for Aggregate {
         op: u8,
         payload: &[u8],
     ) -> Result<()> {
-        if op != A_DELTA {
-            return Err(DmxError::Corrupt(format!("bad aggregate op {op}")));
-        }
-        let (desc, group, images) = decode_att_payload(payload)?;
-        let (before, _) = decode_images(images)?;
-        // Restoring full before-images in reverse log order is correct
-        // regardless of which deltas actually reached disk.
-        Self::install_image(services, desc, group, before, lsn)
+        Self::replay(services, lsn, Replay::Undo, op, payload)
     }
 
     fn redo(
@@ -353,14 +293,7 @@ impl Attachment for Aggregate {
         op: u8,
         payload: &[u8],
     ) -> Result<()> {
-        if op != A_DELTA {
-            return Err(DmxError::Corrupt(format!("bad aggregate op {op}")));
-        }
-        let (desc, group, images) = decode_att_payload(payload)?;
-        let (_, after) = decode_images(images)?;
-        // Installing full after-images in forward log order converges on
-        // the committed cell values no matter how much reached disk.
-        Self::install_image(services, desc, group, after, lsn)
+        Self::replay(services, lsn, Replay::Redo, op, payload)
     }
 
     fn supports_access(&self) -> bool {
@@ -377,7 +310,7 @@ impl Attachment for Aggregate {
         query: &AccessQuery,
     ) -> Result<Box<dyn ScanOps>> {
         let d = AggDesc::decode(&instance.desc)?;
-        let tree = Self::tree(ctx.services(), &d);
+        let tree = d.tree_file().open_tree(ctx.services());
         let range = match query {
             AccessQuery::All => dmx_core::KeyRange::all(),
             AccessQuery::KeyEquals(k) => dmx_core::KeyRange::exact(k.clone()),

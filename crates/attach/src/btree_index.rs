@@ -14,22 +14,22 @@
 use std::ops::Bound;
 use std::sync::Arc;
 
-use dmx_btree::{BTree, OnDuplicate};
+use dmx_btree::BTree;
+use dmx_core::logged_tree::{self, entry_images, lock_delete_gaps, lock_insert_gap};
 use dmx_core::{
     AccessPath, AccessQuery, Attachment, AttachmentInstance, CommonServices, Cost, ExecCtx,
-    KeyRange, PathChoice, RelationDescriptor, ScanItem, ScanOps,
+    KeyRange, LoggedTree, PathChoice, RelationDescriptor, Replay, ScanItem, ScanOps, TreeFile,
 };
 use dmx_expr::{analyze, Expr, SargOp};
 use dmx_lock::{LockMode, LockName};
 use dmx_types::{
     key::{decode_values, encode_values},
-    AttrList, DmxError, FieldId, FileId, Lsn, PageId, Record, RecordKey, RelationId, Result,
-    Schema, Value,
+    AttrList, DmxError, FieldId, FileId, Lsn, Record, RecordKey, RelationId, Result, Schema, Value,
 };
 
 use crate::common::{
-    decode_att_payload, encode_att_payload, field_values, log_att, parse_fields, prefix_successor,
-    read_u16, read_u32, A_DELETE, A_INSERT,
+    apply_logged, decode_att_payload, field_values, parse_fields, prefix_successor, read_u16,
+    read_u32, A_DELETE, A_INSERT,
 };
 
 /// The B-tree index attachment type.
@@ -75,17 +75,16 @@ impl IxDesc {
             fields,
         })
     }
+
+    pub fn tree_file(&self) -> TreeFile {
+        TreeFile {
+            file: self.file,
+            root_page: self.root_page,
+        }
+    }
 }
 
 impl BTreeIndex {
-    fn tree(services: &Arc<CommonServices>, d: &IxDesc) -> BTree {
-        BTree::open(
-            &services.pool,
-            PageId::new(d.file, d.root_page),
-            &services.latches,
-        )
-    }
-
     fn prefix(d: &IxDesc, record: &Record) -> Result<Vec<u8>> {
         Ok(encode_values(&field_values(record, &d.fields)?))
     }
@@ -107,33 +106,18 @@ impl BTreeIndex {
     ) -> Result<()> {
         let d = IxDesc::decode(&inst.desc)?;
         let prefix = Self::prefix(&d, record)?;
-        let tree = Self::tree(ctx.services(), &d);
-        if d.unique && tree.contains_prefix(&prefix)? {
+        let index = LoggedTree::attachment(ctx, rd, inst, d.tree_file().open_tree(ctx.services()));
+        if d.unique && index.tree().contains_prefix(&prefix)? {
             return Err(DmxError::veto(
                 self.name(),
                 format!("unique index '{}' violated", inst.name),
             ));
         }
         let full = Self::full_key(&prefix, key);
-        // Fence the entry against locked index-range scans: X the gap
-        // the new entry splits (named by its in-tree successor).
-        let succ = tree.seek(Bound::Excluded(full.as_slice()))?.map(|(k, _)| k);
-        ctx.lock(LockName::gap(rd.id, d.file, succ.as_deref()), LockMode::X)?;
-        // Log first, then apply with the record's LSN stamped onto every
-        // page the tree op dirties: the flush hook forces the log through
-        // a page's LSN before writing it, so the entry can never reach
-        // disk ahead of the record that lets recovery undo it. (The undo
-        // handler tolerates the converse — logged but never applied.)
-        let lsn = log_att(
-            ctx,
-            rd,
-            find_type_id(rd, inst),
-            A_INSERT,
-            encode_att_payload(&inst.desc, &full, key.as_bytes()),
-        );
-        tree.with_wal_lsn(lsn)
-            .insert(&full, key.as_bytes(), OnDuplicate::Error)?;
-        Ok(())
+        // Fence the entry against locked index-range scans.
+        lock_insert_gap(ctx, rd.id, index.tree(), &full)?;
+        let rkey = key.as_bytes();
+        apply_logged(&index, inst, A_INSERT, &full, rkey, Some(rkey))
     }
 
     fn delete_entry(
@@ -147,28 +131,26 @@ impl BTreeIndex {
         let d = IxDesc::decode(&inst.desc)?;
         let prefix = Self::prefix(&d, record)?;
         let full = Self::full_key(&prefix, key);
-        let tree = Self::tree(ctx.services(), &d);
-        if tree.get(&full)?.is_none() {
+        let index = LoggedTree::attachment(ctx, rd, inst, d.tree_file().open_tree(ctx.services()));
+        if index.tree().get(&full)?.is_none() {
             return Ok(());
         }
-        // Deleting merges the entry's gap into its successor's: X both
-        // names so locked index-range scans spanning either conflict.
-        ctx.lock(
-            LockName::gap(rd.id, d.file, Some(full.as_slice())),
-            LockMode::X,
-        )?;
-        let succ = tree.seek(Bound::Excluded(full.as_slice()))?.map(|(k, _)| k);
-        ctx.lock(LockName::gap(rd.id, d.file, succ.as_deref()), LockMode::X)?;
-        // Write-ahead: log, then delete with the LSN stamped (see insert).
-        let lsn = log_att(
-            ctx,
-            rd,
-            find_type_id(rd, inst),
-            A_DELETE,
-            encode_att_payload(&inst.desc, &full, key.as_bytes()),
-        );
-        tree.with_wal_lsn(lsn).delete(&full)?;
-        Ok(())
+        lock_delete_gaps(ctx, rd.id, index.tree(), &full)?;
+        apply_logged(&index, inst, A_DELETE, &full, key.as_bytes(), None)
+    }
+
+    /// Index entries are `full key → record key`, logged as
+    /// `(desc, full key, record key)`.
+    fn replay(
+        services: &Arc<CommonServices>,
+        lsn: Lsn,
+        dir: Replay,
+        op: u8,
+        payload: &[u8],
+    ) -> Result<()> {
+        let (desc, key, rkey) = decode_att_payload(payload)?;
+        let tree = IxDesc::decode(desc)?.tree_file().open_tree(services);
+        logged_tree::replay(&tree, lsn, dir, key, entry_images(op, rkey)?)
     }
 }
 
@@ -192,12 +174,10 @@ impl Attachment for BTreeIndex {
     ) -> Result<Vec<u8>> {
         let fields = parse_fields(params, "fields", "btree index", &rd.schema)?;
         let unique = params.get_bool("unique", false)?;
-        let services = ctx.services();
-        let file = services.disk.create_file()?;
-        let tree = BTree::create(&services.pool, file, &services.latches)?;
+        let TreeFile { file, root_page } = TreeFile::create(ctx.services())?;
         Ok(IxDesc {
             file,
-            root_page: tree.root().page_no,
+            root_page,
             unique,
             fields,
         }
@@ -205,10 +185,7 @@ impl Attachment for BTreeIndex {
     }
 
     fn destroy_instance(&self, services: &Arc<CommonServices>, inst_desc: &[u8]) -> Result<()> {
-        let d = IxDesc::decode(inst_desc)?;
-        services.latches.forget(PageId::new(d.file, d.root_page));
-        services.pool.discard_file(d.file);
-        services.disk.delete_file(d.file)
+        IxDesc::decode(inst_desc)?.tree_file().destroy(services)
     }
 
     fn on_insert(
@@ -270,19 +247,7 @@ impl Attachment for BTreeIndex {
         op: u8,
         payload: &[u8],
     ) -> Result<()> {
-        let (desc, key, extra) = decode_att_payload(payload)?;
-        let d = IxDesc::decode(desc)?;
-        let tree = Self::tree(services, &d).with_wal_lsn(lsn);
-        match op {
-            A_INSERT => {
-                tree.delete(key)?;
-            }
-            A_DELETE => {
-                tree.insert(key, extra, OnDuplicate::Replace)?;
-            }
-            other => return Err(DmxError::Corrupt(format!("bad index op {other}"))),
-        }
-        Ok(())
+        Self::replay(services, lsn, Replay::Undo, op, payload)
     }
 
     fn redo(
@@ -293,21 +258,7 @@ impl Attachment for BTreeIndex {
         op: u8,
         payload: &[u8],
     ) -> Result<()> {
-        let (desc, key, extra) = decode_att_payload(payload)?;
-        let d = IxDesc::decode(desc)?;
-        let tree = Self::tree(services, &d).with_wal_lsn(lsn);
-        // Forward mirror of undo: replace/absent-tolerant, so replaying
-        // an entry already present in the checkpoint image is a no-op.
-        match op {
-            A_INSERT => {
-                tree.insert(key, extra, OnDuplicate::Replace)?;
-            }
-            A_DELETE => {
-                tree.delete(key)?;
-            }
-            other => return Err(DmxError::Corrupt(format!("bad index op {other}"))),
-        }
-        Ok(())
+        Self::replay(services, lsn, Replay::Redo, op, payload)
     }
 
     fn supports_access(&self) -> bool {
@@ -341,7 +292,7 @@ impl Attachment for BTreeIndex {
         query: &AccessQuery,
     ) -> Result<Box<dyn ScanOps>> {
         let d = IxDesc::decode(&instance.desc)?;
-        let tree = Self::tree(ctx.services(), &d);
+        let tree = d.tree_file().open_tree(ctx.services());
         let (lo, hi) = translate_prefix_range(query)?;
         Ok(Box::new(IndexScan {
             tree,
@@ -442,7 +393,7 @@ impl Attachment for BTreeIndex {
         let height = (records.max(2) as f64).log2() / 7.0 + 1.0;
         let leaf_pages = (rows / 100.0).ceil();
         Some(PathChoice {
-            path: AccessPath::Attachment(find_type_id(rd, instance), instance.instance),
+            path: AccessPath::Attachment(instance.att, instance.instance),
             query: AccessQuery::Range(KeyRange { lo, hi }),
             cost: Cost::new(height + leaf_pages, rows),
             rows_out: rows.max(0.001),
@@ -467,17 +418,6 @@ fn pred_index(preds: &[Expr], sarg_idx: usize, _sargs: &[analyze::Sarg]) -> usiz
         }
     }
     0
-}
-
-fn find_type_id(rd: &RelationDescriptor, instance: &AttachmentInstance) -> dmx_types::AttTypeId {
-    rd.attached_types()
-        .find(|(_, insts)| {
-            insts
-                .iter()
-                .any(|i| i.instance == instance.instance && i.name == instance.name)
-        })
-        .map(|(t, _)| t)
-        .unwrap_or_default()
 }
 
 fn prefix_hi(prefix: &[u8]) -> Bound<Vec<u8>> {

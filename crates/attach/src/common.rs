@@ -1,15 +1,13 @@
 //! Shared helpers for attachment implementations.
 
-use dmx_core::{ExecCtx, RelationDescriptor};
-use dmx_types::{AttrList, DmxError, FieldId, Lsn, Record, Result, Schema, Value};
-use dmx_wal::ExtKind;
+use dmx_core::{AttachmentInstance, LoggedTarget, LoggedTree};
+use dmx_types::{AttrList, DmxError, FieldId, Record, Result, Schema, Value};
 
-/// Attachment op code: an entry was added to an attachment's structure.
-pub const A_INSERT: u8 = 1;
-/// Attachment op code: an entry was removed.
-pub const A_DELETE: u8 = 2;
-/// Attachment op code: a numeric delta was applied (maintained
-/// aggregates).
+/// Attachment op codes: an entry was added to / removed from an
+/// attachment's structure.
+pub use dmx_core::logged_tree::{OP_DELETE as A_DELETE, OP_INSERT as A_INSERT};
+/// Attachment op code: a maintained cell changed; the payload carries
+/// its before- and after-images.
 pub const A_DELTA: u8 = 3;
 
 /// Encodes an attachment undo payload. The *instance descriptor* is
@@ -69,15 +67,17 @@ pub fn decode_att_payload(p: &[u8]) -> Result<(&[u8], &[u8], &[u8])> {
     Ok((desc, key, extra))
 }
 
-/// Logs an attachment operation on the transaction's undo chain.
-pub fn log_att(
-    ctx: &ExecCtx<'_>,
-    rd: &RelationDescriptor,
-    att: dmx_types::AttTypeId,
+/// The forward step of every attachment that keeps a tree: logs
+/// `(inst.desc, key, extra)` under `op`, then installs `image` at `key`.
+pub fn apply_logged<T: LoggedTarget>(
+    tree: &LoggedTree<'_, T>,
+    inst: &AttachmentInstance,
     op: u8,
-    payload: Vec<u8>,
-) -> Lsn {
-    ctx.log_ext_op(ExtKind::Attachment(att), rd.id, op, payload)
+    key: &[u8],
+    extra: &[u8],
+    image: Option<&[u8]>,
+) -> Result<()> {
+    tree.apply(op, encode_att_payload(&inst.desc, key, extra), key, image)
 }
 
 /// Parses a comma-separated field-name list attribute into field ids.

@@ -13,20 +13,21 @@ use std::hash::{Hash, Hasher};
 use std::ops::Bound;
 use std::sync::Arc;
 
-use dmx_btree::{BTree, OnDuplicate};
+use dmx_btree::BTree;
+use dmx_core::logged_tree::{self, entry_images};
 use dmx_core::{
     AccessPath, AccessQuery, Attachment, AttachmentInstance, CommonServices, Cost, ExecCtx,
-    PathChoice, RelationDescriptor, ScanItem, ScanOps,
+    LoggedTree, PathChoice, RelationDescriptor, Replay, ScanItem, ScanOps, TreeFile,
 };
 use dmx_expr::{analyze, Expr, SargOp};
 use dmx_types::{
-    key::encode_values, AttrList, DmxError, FieldId, FileId, Lsn, PageId, Record, RecordKey,
-    Result, Schema, Value,
+    key::encode_values, AttrList, DmxError, FieldId, FileId, Lsn, Record, RecordKey, Result,
+    Schema, Value,
 };
 
 use crate::common::{
-    decode_att_payload, encode_att_payload, field_values, log_att, parse_fields, prefix_successor,
-    read_u16, read_u32, tail, A_DELETE, A_INSERT,
+    apply_logged, decode_att_payload, field_values, parse_fields, prefix_successor, read_u16,
+    read_u32, tail, A_DELETE, A_INSERT,
 };
 
 /// The hash-index attachment type.
@@ -67,6 +68,13 @@ impl HashDesc {
             fields,
         })
     }
+
+    pub fn tree_file(&self) -> TreeFile {
+        TreeFile {
+            file: self.file,
+            root_page: self.root_page,
+        }
+    }
 }
 
 fn hash_bytes(values_enc: &[u8]) -> [u8; 8] {
@@ -84,14 +92,6 @@ fn probe_prefix(values_enc: &[u8]) -> Vec<u8> {
 }
 
 impl HashIndex {
-    fn tree(services: &Arc<CommonServices>, d: &HashDesc) -> BTree {
-        BTree::open(
-            &services.pool,
-            PageId::new(d.file, d.root_page),
-            &services.latches,
-        )
-    }
-
     fn entry_key(d: &HashDesc, record: &Record, rkey: &RecordKey) -> Result<Vec<u8>> {
         let enc = encode_values(&field_values(record, &d.fields)?);
         let mut full = probe_prefix(&enc);
@@ -99,15 +99,40 @@ impl HashIndex {
         Ok(full)
     }
 
-    fn type_id(rd: &RelationDescriptor, inst: &AttachmentInstance) -> dmx_types::AttTypeId {
-        rd.attached_types()
-            .find(|(_, insts)| {
-                insts
-                    .iter()
-                    .any(|i| i.instance == inst.instance && i.name == inst.name)
-            })
-            .map(|(t, _)| t)
-            .unwrap_or_default()
+    fn insert_entry(
+        index: &LoggedTree<'_>,
+        inst: &AttachmentInstance,
+        full: &[u8],
+        key: &RecordKey,
+    ) -> Result<()> {
+        let rkey = key.as_bytes();
+        apply_logged(index, inst, A_INSERT, full, rkey, Some(rkey))
+    }
+
+    fn delete_entry(
+        index: &LoggedTree<'_>,
+        inst: &AttachmentInstance,
+        full: &[u8],
+        key: &RecordKey,
+    ) -> Result<()> {
+        if index.tree().get(full)?.is_none() {
+            return Ok(());
+        }
+        apply_logged(index, inst, A_DELETE, full, key.as_bytes(), None)
+    }
+
+    /// Entries are `hash ∥ values ∥ record key → record key`, logged as
+    /// `(desc, entry key, record key)`.
+    fn replay(
+        services: &Arc<CommonServices>,
+        lsn: Lsn,
+        dir: Replay,
+        op: u8,
+        payload: &[u8],
+    ) -> Result<()> {
+        let (desc, key, rkey) = decode_att_payload(payload)?;
+        let tree = HashDesc::decode(desc)?.tree_file().open_tree(services);
+        logged_tree::replay(&tree, lsn, dir, key, entry_images(op, rkey)?)
     }
 }
 
@@ -129,22 +154,17 @@ impl Attachment for HashIndex {
         params: &AttrList,
     ) -> Result<Vec<u8>> {
         let fields = parse_fields(params, "fields", "hash index", &rd.schema)?;
-        let services = ctx.services();
-        let file = services.disk.create_file()?;
-        let tree = BTree::create(&services.pool, file, &services.latches)?;
+        let TreeFile { file, root_page } = TreeFile::create(ctx.services())?;
         Ok(HashDesc {
             file,
-            root_page: tree.root().page_no,
+            root_page,
             fields,
         }
         .encode())
     }
 
     fn destroy_instance(&self, services: &Arc<CommonServices>, inst_desc: &[u8]) -> Result<()> {
-        let d = HashDesc::decode(inst_desc)?;
-        services.latches.forget(PageId::new(d.file, d.root_page));
-        services.pool.discard_file(d.file);
-        services.disk.delete_file(d.file)
+        HashDesc::decode(inst_desc)?.tree_file().destroy(services)
     }
 
     fn on_insert(
@@ -157,21 +177,9 @@ impl Attachment for HashIndex {
     ) -> Result<()> {
         for inst in instances {
             let d = HashDesc::decode(&inst.desc)?;
-            let full = Self::entry_key(&d, new, key)?;
-            // Log first, then apply with the LSN stamped onto dirtied
-            // pages so the entry cannot reach disk before its log record.
-            let lsn = log_att(
-                ctx,
-                rd,
-                Self::type_id(rd, inst),
-                A_INSERT,
-                encode_att_payload(&inst.desc, &full, key.as_bytes()),
-            );
-            Self::tree(ctx.services(), &d).with_wal_lsn(lsn).insert(
-                &full,
-                key.as_bytes(),
-                OnDuplicate::Error,
-            )?;
+            let index =
+                LoggedTree::attachment(ctx, rd, inst, d.tree_file().open_tree(ctx.services()));
+            Self::insert_entry(&index, inst, &Self::entry_key(&d, new, key)?, key)?;
         }
         Ok(())
     }
@@ -193,26 +201,10 @@ impl Attachment for HashIndex {
             if old_full == new_full {
                 continue;
             }
-            let tree = Self::tree(ctx.services(), &d);
-            if tree.get(&old_full)?.is_some() {
-                let lsn = log_att(
-                    ctx,
-                    rd,
-                    Self::type_id(rd, inst),
-                    A_DELETE,
-                    encode_att_payload(&inst.desc, &old_full, old_key.as_bytes()),
-                );
-                tree.clone().with_wal_lsn(lsn).delete(&old_full)?;
-            }
-            let lsn = log_att(
-                ctx,
-                rd,
-                Self::type_id(rd, inst),
-                A_INSERT,
-                encode_att_payload(&inst.desc, &new_full, new_key.as_bytes()),
-            );
-            tree.with_wal_lsn(lsn)
-                .insert(&new_full, new_key.as_bytes(), OnDuplicate::Error)?;
+            let index =
+                LoggedTree::attachment(ctx, rd, inst, d.tree_file().open_tree(ctx.services()));
+            Self::delete_entry(&index, inst, &old_full, old_key)?;
+            Self::insert_entry(&index, inst, &new_full, new_key)?;
         }
         Ok(())
     }
@@ -227,18 +219,9 @@ impl Attachment for HashIndex {
     ) -> Result<()> {
         for inst in instances {
             let d = HashDesc::decode(&inst.desc)?;
-            let full = Self::entry_key(&d, old, key)?;
-            let tree = Self::tree(ctx.services(), &d);
-            if tree.get(&full)?.is_some() {
-                let lsn = log_att(
-                    ctx,
-                    rd,
-                    Self::type_id(rd, inst),
-                    A_DELETE,
-                    encode_att_payload(&inst.desc, &full, key.as_bytes()),
-                );
-                tree.with_wal_lsn(lsn).delete(&full)?;
-            }
+            let index =
+                LoggedTree::attachment(ctx, rd, inst, d.tree_file().open_tree(ctx.services()));
+            Self::delete_entry(&index, inst, &Self::entry_key(&d, old, key)?, key)?;
         }
         Ok(())
     }
@@ -251,19 +234,7 @@ impl Attachment for HashIndex {
         op: u8,
         payload: &[u8],
     ) -> Result<()> {
-        let (desc, key, extra) = decode_att_payload(payload)?;
-        let d = HashDesc::decode(desc)?;
-        let tree = Self::tree(services, &d).with_wal_lsn(lsn);
-        match op {
-            A_INSERT => {
-                tree.delete(key)?;
-            }
-            A_DELETE => {
-                tree.insert(key, extra, OnDuplicate::Replace)?;
-            }
-            other => return Err(DmxError::Corrupt(format!("bad hash op {other}"))),
-        }
-        Ok(())
+        Self::replay(services, lsn, Replay::Undo, op, payload)
     }
 
     fn redo(
@@ -274,20 +245,7 @@ impl Attachment for HashIndex {
         op: u8,
         payload: &[u8],
     ) -> Result<()> {
-        let (desc, key, extra) = decode_att_payload(payload)?;
-        let d = HashDesc::decode(desc)?;
-        let tree = Self::tree(services, &d).with_wal_lsn(lsn);
-        // Forward mirror of undo; idempotent by construction.
-        match op {
-            A_INSERT => {
-                tree.insert(key, extra, OnDuplicate::Replace)?;
-            }
-            A_DELETE => {
-                tree.delete(key)?;
-            }
-            other => return Err(DmxError::Corrupt(format!("bad hash op {other}"))),
-        }
-        Ok(())
+        Self::replay(services, lsn, Replay::Redo, op, payload)
     }
 
     fn supports_access(&self) -> bool {
@@ -318,7 +276,7 @@ impl Attachment for HashIndex {
         query: &AccessQuery,
     ) -> Result<Box<dyn ScanOps>> {
         let d = HashDesc::decode(&instance.desc)?;
-        let tree = Self::tree(ctx.services(), &d);
+        let tree = d.tree_file().open_tree(ctx.services());
         let prefix = match query {
             AccessQuery::KeyEquals(values_enc) => probe_prefix(values_enc),
             _ => {
@@ -380,7 +338,7 @@ impl Attachment for HashIndex {
             .unwrap_or(0.01);
         let rows = (records as f64 * frac).max(1.0);
         Some(PathChoice {
-            path: AccessPath::Attachment(Self::type_id(rd, instance), instance.instance),
+            path: AccessPath::Attachment(instance.att, instance.instance),
             query: AccessQuery::KeyEquals(enc),
             // a hash probe is ~1–2 page touches regardless of size
             cost: Cost::new(1.5, rows),

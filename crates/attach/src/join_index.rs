@@ -19,19 +19,20 @@
 use std::ops::Bound;
 use std::sync::Arc;
 
-use dmx_btree::{BTree, OnDuplicate};
+use dmx_btree::BTree;
+use dmx_core::logged_tree::{self, entry_images};
 use dmx_core::{
-    AccessQuery, Attachment, AttachmentInstance, CommonServices, ExecCtx, RelationDescriptor,
-    ScanItem, ScanOps,
+    AccessQuery, Attachment, AttachmentInstance, CommonServices, ExecCtx, LoggedTree,
+    RelationDescriptor, Replay, ScanItem, ScanOps, TreeFile,
 };
 use dmx_types::{
-    key::encode_values, AttrList, DmxError, FieldId, FileId, Lsn, PageId, Record, RecordKey,
-    Result, Schema, Value,
+    key::encode_values, AttrList, DmxError, FieldId, FileId, Lsn, Record, RecordKey, Result,
+    Schema, Value,
 };
 
 use crate::common::{
-    decode_att_payload, encode_att_payload, field_values, log_att, parse_fields, prefix_successor,
-    read_u16, read_u32, tail, A_DELETE, A_INSERT,
+    apply_logged, decode_att_payload, field_values, parse_fields, prefix_successor, read_u16,
+    read_u32, tail, A_DELETE, A_INSERT,
 };
 
 /// The join-index attachment type.
@@ -41,14 +42,20 @@ const TREE_PAIRS: u8 = 0;
 const TREE_LEFT: u8 = 1;
 const TREE_RIGHT: u8 = 2;
 
+/// Array filler until the three trees are created or decoded.
+const NO_TREE: TreeFile = TreeFile {
+    file: FileId(0),
+    root_page: 0,
+};
+
 /// Instance descriptor (mirrored on both relations, differing only in
 /// `is_left` and `fields`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct JiDesc {
     pub is_left: bool,
     pub fields: Vec<FieldId>,
-    /// (file, root) for pairs / left / right trees.
-    pub trees: [(FileId, u32); 3],
+    /// The pairs / left / right trees.
+    pub trees: [TreeFile; 3],
 }
 
 impl JiDesc {
@@ -58,9 +65,9 @@ impl JiDesc {
         for f in &self.fields {
             v.extend_from_slice(&f.to_le_bytes());
         }
-        for (file, root) in &self.trees {
-            v.extend_from_slice(&file.0.to_le_bytes());
-            v.extend_from_slice(&root.to_le_bytes());
+        for t in &self.trees {
+            v.extend_from_slice(&t.file.0.to_le_bytes());
+            v.extend_from_slice(&t.root_page.to_le_bytes());
         }
         v
     }
@@ -76,9 +83,12 @@ impl JiDesc {
             fields.push(read_u16(b, pos, WHAT)?);
             pos += 2;
         }
-        let mut trees = [(FileId(0), 0u32); 3];
+        let mut trees = [NO_TREE; 3];
         for t in &mut trees {
-            *t = (FileId(read_u32(b, pos, WHAT)?), read_u32(b, pos + 4, WHAT)?);
+            *t = TreeFile {
+                file: FileId(read_u32(b, pos, WHAT)?),
+                root_page: read_u32(b, pos + 4, WHAT)?,
+            };
             pos += 8;
         }
         Ok(JiDesc {
@@ -105,98 +115,77 @@ fn decode_pair_value(v: &[u8]) -> Result<(&[u8], &[u8])> {
     Ok((lkey, tail(v, 2 + n, "pair value")?))
 }
 
-impl JoinIndex {
-    fn tree(services: &Arc<CommonServices>, d: &JiDesc, which: u8) -> BTree {
-        let (file, root) = d.trees[which as usize];
-        BTree::open(&services.pool, PageId::new(file, root), &services.latches)
-    }
+/// One side's instance during a modification: the three shared trees as
+/// logged handles. Entries are logged as `(desc, key, [which] ∥ value)`.
+struct Link<'a> {
+    inst: &'a AttachmentInstance,
+    trees: [LoggedTree<'a>; 3],
+}
 
-    fn type_id(rd: &RelationDescriptor, inst: &AttachmentInstance) -> dmx_types::AttTypeId {
-        rd.attached_types()
-            .find(|(_, insts)| {
-                insts
-                    .iter()
-                    .any(|i| i.instance == inst.instance && i.name == inst.name)
-            })
-            .map(|(t, _)| t)
-            .unwrap_or_default()
-    }
-
-    // Internal helper mirroring the log-record payload; splitting the
-    // argument list into a struct would only restate `JiDesc`.
-    #[allow(clippy::too_many_arguments)]
-    fn logged_insert(
-        ctx: &ExecCtx<'_>,
+impl<'a> Link<'a> {
+    fn open(
+        ctx: &ExecCtx<'a>,
         rd: &RelationDescriptor,
-        att: dmx_types::AttTypeId,
-        desc: &[u8],
+        inst: &'a AttachmentInstance,
         d: &JiDesc,
+    ) -> Self {
+        Link {
+            inst,
+            trees: d
+                .trees
+                .map(|t| LoggedTree::attachment(ctx, rd, inst, t.open_tree(ctx.services()))),
+        }
+    }
+
+    fn apply(
+        &self,
+        op: u8,
         which: u8,
         key: &[u8],
         value: &[u8],
+        image: Option<&[u8]>,
     ) -> Result<()> {
-        // Log first, then apply with the LSN stamped onto dirtied pages
-        // so the entry cannot reach disk before its log record.
         let mut extra = vec![which];
         extra.extend_from_slice(value);
-        let lsn = log_att(
-            ctx,
-            rd,
-            att,
-            A_INSERT,
-            encode_att_payload(desc, key, &extra),
-        );
-        Self::tree(ctx.services(), d, which)
-            .with_wal_lsn(lsn)
-            .insert(key, value, OnDuplicate::Replace)?;
-        Ok(())
+        apply_logged(
+            &self.trees[which as usize],
+            self.inst,
+            op,
+            key,
+            &extra,
+            image,
+        )
     }
 
-    fn logged_delete(
-        ctx: &ExecCtx<'_>,
-        rd: &RelationDescriptor,
-        att: dmx_types::AttTypeId,
-        desc: &[u8],
-        d: &JiDesc,
-        which: u8,
-        key: &[u8],
-    ) -> Result<()> {
-        let tree = Self::tree(ctx.services(), d, which);
-        if let Some(old) = tree.get(key)? {
-            let mut extra = vec![which];
-            extra.extend_from_slice(&old);
-            let lsn = log_att(
-                ctx,
-                rd,
-                att,
-                A_DELETE,
-                encode_att_payload(desc, key, &extra),
-            );
-            tree.with_wal_lsn(lsn).delete(key)?;
+    fn insert(&self, which: u8, key: &[u8], value: &[u8]) -> Result<()> {
+        self.apply(A_INSERT, which, key, value, Some(value))
+    }
+
+    fn delete(&self, which: u8, key: &[u8]) -> Result<()> {
+        match self.trees[which as usize].tree().get(key)? {
+            Some(old) => self.apply(A_DELETE, which, key, &old, None),
+            None => Ok(()),
         }
-        Ok(())
     }
 
-    /// Keys in `tree` with prefix `p`, with their values.
-    fn prefix_entries(
-        services: &Arc<CommonServices>,
-        d: &JiDesc,
-        which: u8,
-        p: &[u8],
-    ) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        let tree = Self::tree(services, d, which);
+    /// Entries of tree `which` whose key starts with `p`.
+    fn prefix_entries(&self, which: u8, p: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
         let hi = match prefix_successor(p) {
             Some(s) => Bound::Excluded(s),
             None => Bound::Unbounded,
         };
-        let mut cur = tree.range(Bound::Included(p.to_vec()), hi);
+        let mut cur = self.trees[which as usize]
+            .tree()
+            .range(Bound::Included(p.to_vec()), hi);
         let mut out = Vec::new();
         while let Some(kv) = cur.next()? {
             out.push(kv);
         }
         Ok(out)
     }
+}
 
+impl JoinIndex {
     /// Maintains the index after a record appears on one side.
     fn side_insert(
         &self,
@@ -207,7 +196,6 @@ impl JoinIndex {
         record: &Record,
     ) -> Result<()> {
         let d = JiDesc::decode(&inst.desc)?;
-        let att = Self::type_id(rd, inst);
         let values = field_values(record, &d.fields)?;
         if values.iter().any(|v| v.is_null()) {
             return Ok(()); // NULL join values never match
@@ -218,21 +206,13 @@ impl JoinIndex {
         } else {
             (TREE_RIGHT, TREE_LEFT)
         };
+        let link = Link::open(ctx, rd, inst, &d);
         // 1. register this key under its join value
         let mut my_key = v.clone();
         my_key.extend_from_slice(key.as_bytes());
-        Self::logged_insert(
-            ctx,
-            rd,
-            att,
-            &inst.desc,
-            &d,
-            my_tree,
-            &my_key,
-            key.as_bytes(),
-        )?;
+        link.insert(my_tree, &my_key, key.as_bytes())?;
         // 2. pair with every matching key on the other side
-        for (_, other_key) in Self::prefix_entries(ctx.services(), &d, other_tree, &v)? {
+        for (_, other_key) in link.prefix_entries(other_tree, &v)? {
             let (lkey, rkey) = if d.is_left {
                 (key.as_bytes(), other_key.as_slice())
             } else {
@@ -241,16 +221,7 @@ impl JoinIndex {
             let mut pair_key = v.clone();
             pair_key.extend_from_slice(lkey);
             pair_key.extend_from_slice(rkey);
-            Self::logged_insert(
-                ctx,
-                rd,
-                att,
-                &inst.desc,
-                &d,
-                TREE_PAIRS,
-                &pair_key,
-                &encode_pair_value(lkey, rkey),
-            )?;
+            link.insert(TREE_PAIRS, &pair_key, &encode_pair_value(lkey, rkey))?;
         }
         Ok(())
     }
@@ -265,25 +236,50 @@ impl JoinIndex {
         record: &Record,
     ) -> Result<()> {
         let d = JiDesc::decode(&inst.desc)?;
-        let att = Self::type_id(rd, inst);
         let values = field_values(record, &d.fields)?;
         if values.iter().any(|v| v.is_null()) {
             return Ok(());
         }
         let v = encode_values(&values);
         let my_tree = if d.is_left { TREE_LEFT } else { TREE_RIGHT };
+        let link = Link::open(ctx, rd, inst, &d);
         let mut my_key = v.clone();
         my_key.extend_from_slice(key.as_bytes());
-        Self::logged_delete(ctx, rd, att, &inst.desc, &d, my_tree, &my_key)?;
+        link.delete(my_tree, &my_key)?;
         // drop every pair involving this key
-        for (pair_key, pair_val) in Self::prefix_entries(ctx.services(), &d, TREE_PAIRS, &v)? {
+        for (pair_key, pair_val) in link.prefix_entries(TREE_PAIRS, &v)? {
             let (lkey, rkey) = decode_pair_value(&pair_val)?;
             let mine = if d.is_left { lkey } else { rkey };
             if mine == key.as_bytes() {
-                Self::logged_delete(ctx, rd, att, &inst.desc, &d, TREE_PAIRS, &pair_key)?;
+                link.delete(TREE_PAIRS, &pair_key)?;
             }
         }
         Ok(())
+    }
+
+    fn replay(
+        services: &Arc<CommonServices>,
+        lsn: Lsn,
+        dir: Replay,
+        op: u8,
+        payload: &[u8],
+    ) -> Result<()> {
+        let (desc, key, extra) = decode_att_payload(payload)?;
+        let (&which, value) = extra
+            .split_first()
+            .ok_or_else(|| DmxError::Corrupt("short join-index log payload".into()))?;
+        let file = JiDesc::decode(desc)?
+            .trees
+            .get(which as usize)
+            .copied()
+            .ok_or_else(|| DmxError::Corrupt(format!("bad join-index tree {which}")))?;
+        logged_tree::replay(
+            &file.open_tree(services),
+            lsn,
+            dir,
+            key,
+            entry_images(op, value)?,
+        )
     }
 }
 
@@ -321,12 +317,9 @@ impl Attachment for JoinIndex {
             .eq_ignore_ascii_case("left");
         let trees = if is_left {
             // the left side creates the shared structures
-            let services = ctx.services();
-            let mut trees = [(FileId(0), 0u32); 3];
+            let mut trees = [NO_TREE; 3];
             for t in &mut trees {
-                let file = services.disk.create_file()?;
-                let tree = BTree::create(&services.pool, file, &services.latches)?;
-                *t = (file, tree.root().page_no);
+                *t = TreeFile::create(ctx.services())?;
             }
             trees
         } else {
@@ -353,10 +346,8 @@ impl Attachment for JoinIndex {
         let d = JiDesc::decode(inst_desc)?;
         // only the left (creator) side owns the physical trees
         if d.is_left {
-            for (file, root) in d.trees {
-                services.latches.forget(PageId::new(file, root));
-                services.pool.discard_file(file);
-                match services.disk.delete_file(file) {
+            for t in d.trees {
+                match t.destroy(services) {
                     Err(DmxError::NotFound(_)) | Ok(()) => {}
                     Err(e) => return Err(e),
                 }
@@ -424,22 +415,7 @@ impl Attachment for JoinIndex {
         op: u8,
         payload: &[u8],
     ) -> Result<()> {
-        let (desc, key, extra) = decode_att_payload(payload)?;
-        let d = JiDesc::decode(desc)?;
-        let (&which, value) = extra
-            .split_first()
-            .ok_or_else(|| DmxError::Corrupt("short join-index undo".into()))?;
-        let tree = Self::tree(services, &d, which).with_wal_lsn(lsn);
-        match op {
-            A_INSERT => {
-                tree.delete(key)?;
-            }
-            A_DELETE => {
-                tree.insert(key, value, OnDuplicate::Replace)?;
-            }
-            other => return Err(DmxError::Corrupt(format!("bad join-index op {other}"))),
-        }
-        Ok(())
+        Self::replay(services, lsn, Replay::Undo, op, payload)
     }
 
     fn redo(
@@ -450,23 +426,7 @@ impl Attachment for JoinIndex {
         op: u8,
         payload: &[u8],
     ) -> Result<()> {
-        let (desc, key, extra) = decode_att_payload(payload)?;
-        let d = JiDesc::decode(desc)?;
-        let (&which, value) = extra
-            .split_first()
-            .ok_or_else(|| DmxError::Corrupt("short join-index redo".into()))?;
-        let tree = Self::tree(services, &d, which).with_wal_lsn(lsn);
-        // Forward mirror of undo; idempotent by construction.
-        match op {
-            A_INSERT => {
-                tree.insert(key, value, OnDuplicate::Replace)?;
-            }
-            A_DELETE => {
-                tree.delete(key)?;
-            }
-            other => return Err(DmxError::Corrupt(format!("bad join-index op {other}"))),
-        }
-        Ok(())
+        Self::replay(services, lsn, Replay::Redo, op, payload)
     }
 
     fn supports_access(&self) -> bool {
@@ -490,7 +450,7 @@ impl Attachment for JoinIndex {
                 "join index serves full pair scans".into(),
             ));
         }
-        let tree = Self::tree(ctx.services(), &d, TREE_PAIRS);
+        let tree = d.trees[TREE_PAIRS as usize].open_tree(ctx.services());
         Ok(Box::new(PairScan {
             cursor_after: None,
             tree,

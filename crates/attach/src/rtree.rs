@@ -16,9 +16,11 @@
 use std::sync::Arc;
 
 use dmx_btree::{LatchTable, TreeLatch};
+use dmx_core::logged_tree::{self, entry_images};
 use dmx_core::{
     AccessPath, AccessQuery, Attachment, AttachmentInstance, CommonServices, Cost, ExecCtx,
-    PathChoice, RelationDescriptor, ScanItem, ScanOps, SpatialOp,
+    LoggedTarget, LoggedTree, PathChoice, RelationDescriptor, Replay, ScanItem, ScanOps, SpatialOp,
+    TreeFile,
 };
 use dmx_expr::{analyze, Expr, SargOp};
 use dmx_page::{BufferPool, Page, SlottedPage};
@@ -27,7 +29,7 @@ use dmx_types::{
     Value,
 };
 
-use crate::common::{decode_att_payload, encode_att_payload, log_att, A_DELETE, A_INSERT};
+use crate::common::{apply_logged, decode_att_payload, A_DELETE, A_INSERT};
 
 /// Page type tags.
 pub const PAGE_TYPE_RTREE_LEAF: u8 = 5;
@@ -75,6 +77,13 @@ impl RtDesc {
             root_page: u32_at(4)?,
             rect_field: u16_at(8)?,
         })
+    }
+
+    pub fn tree_file(&self) -> TreeFile {
+        TreeFile {
+            file: self.file,
+            root_page: self.root_page,
+        }
     }
 }
 
@@ -216,6 +225,7 @@ fn write_entries(page: &mut Page, page_type: u8, items: &[Vec<u8>]) -> Result<()
 }
 
 /// A handle to one R-tree.
+#[derive(Clone)]
 pub struct RTree {
     pool: Arc<BufferPool>,
     root: PageId,
@@ -547,17 +557,29 @@ impl RTree {
     }
 }
 
+/// Keys are whole leaf entries (`rect ∥ record key`); the image only says
+/// whether the entry is present. Presence-checked, because the tree would
+/// otherwise hold an entry twice when a replay meets one already there.
+impl LoggedTarget for RTree {
+    fn install_image(&self, lsn: Lsn, entry: &[u8], image: Option<&[u8]>) -> Result<()> {
+        let tree = self.clone().with_wal_lsn(lsn);
+        let rect = entry_rect(entry)?;
+        let rkey = entry_payload(entry);
+        match image {
+            Some(_) if tree.contains(&rect, rkey)? => Ok(()),
+            Some(_) => tree.insert(&rect, rkey),
+            None => tree.delete(&rect, rkey).map(drop),
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // the attachment
 // ---------------------------------------------------------------------
 
 impl RTreeIndex {
     fn tree(services: &Arc<CommonServices>, d: &RtDesc) -> RTree {
-        RTree::open(
-            &services.pool,
-            PageId::new(d.file, d.root_page),
-            &services.latches,
-        )
+        RTree::open(&services.pool, d.tree_file().root(), &services.latches)
     }
 
     fn rect_of(d: &RtDesc, record: &Record) -> Result<Option<Rect>> {
@@ -571,19 +593,40 @@ impl RTreeIndex {
         }
     }
 
-    fn type_id(rd: &RelationDescriptor, inst: &AttachmentInstance) -> dmx_types::AttTypeId {
-        rd.attached_types()
-            .find(|(_, insts)| {
-                insts
-                    .iter()
-                    .any(|i| i.instance == inst.instance && i.name == inst.name)
-            })
-            .map(|(t, _)| t)
-            .unwrap_or_default()
+    /// Entries are logged as `(desc, rect ∥ record key, ∅)`.
+    fn insert_entry(
+        index: &LoggedTree<'_, RTree>,
+        inst: &AttachmentInstance,
+        rect: &Rect,
+        key: &RecordKey,
+    ) -> Result<()> {
+        let entry = make_entry(rect, key.as_bytes());
+        apply_logged(index, inst, A_INSERT, &entry, &[], Some(&[]))
     }
 
-    fn payload(rect: &Rect, rkey: &RecordKey) -> Vec<u8> {
-        make_entry(rect, rkey.as_bytes())
+    fn delete_entry(
+        index: &LoggedTree<'_, RTree>,
+        inst: &AttachmentInstance,
+        rect: &Rect,
+        key: &RecordKey,
+    ) -> Result<()> {
+        if !index.tree().contains(rect, key.as_bytes())? {
+            return Ok(());
+        }
+        let entry = make_entry(rect, key.as_bytes());
+        apply_logged(index, inst, A_DELETE, &entry, &[], None)
+    }
+
+    fn replay(
+        services: &Arc<CommonServices>,
+        lsn: Lsn,
+        dir: Replay,
+        op: u8,
+        payload: &[u8],
+    ) -> Result<()> {
+        let (desc, entry, _) = decode_att_payload(payload)?;
+        let tree = Self::tree(services, &RtDesc::decode(desc)?);
+        logged_tree::replay(&tree, lsn, dir, entry, entry_images(op, &[])?)
     }
 }
 
@@ -623,10 +666,7 @@ impl Attachment for RTreeIndex {
     }
 
     fn destroy_instance(&self, services: &Arc<CommonServices>, inst_desc: &[u8]) -> Result<()> {
-        let d = RtDesc::decode(inst_desc)?;
-        services.latches.forget(PageId::new(d.file, d.root_page));
-        services.pool.discard_file(d.file);
-        services.disk.delete_file(d.file)
+        RtDesc::decode(inst_desc)?.tree_file().destroy(services)
     }
 
     fn on_insert(
@@ -639,21 +679,10 @@ impl Attachment for RTreeIndex {
     ) -> Result<()> {
         for inst in instances {
             let d = RtDesc::decode(&inst.desc)?;
-            let Some(rect) = Self::rect_of(&d, new)? else {
-                continue;
-            };
-            // Log first, then apply with the LSN stamped onto dirtied
-            // pages so the entry cannot reach disk before its log record.
-            let lsn = log_att(
-                ctx,
-                rd,
-                Self::type_id(rd, inst),
-                A_INSERT,
-                encode_att_payload(&inst.desc, &Self::payload(&rect, key), &[]),
-            );
-            Self::tree(ctx.services(), &d)
-                .with_wal_lsn(lsn)
-                .insert(&rect, key.as_bytes())?;
+            if let Some(rect) = Self::rect_of(&d, new)? {
+                let index = LoggedTree::attachment(ctx, rd, inst, Self::tree(ctx.services(), &d));
+                Self::insert_entry(&index, inst, &rect, key)?;
+            }
         }
         Ok(())
     }
@@ -675,30 +704,12 @@ impl Attachment for RTreeIndex {
             if old_rect == new_rect && old_key == new_key {
                 continue;
             }
+            let index = LoggedTree::attachment(ctx, rd, inst, Self::tree(ctx.services(), &d));
             if let Some(r) = old_rect {
-                let tree = Self::tree(ctx.services(), &d);
-                if tree.contains(&r, old_key.as_bytes())? {
-                    let lsn = log_att(
-                        ctx,
-                        rd,
-                        Self::type_id(rd, inst),
-                        A_DELETE,
-                        encode_att_payload(&inst.desc, &Self::payload(&r, old_key), &[]),
-                    );
-                    tree.with_wal_lsn(lsn).delete(&r, old_key.as_bytes())?;
-                }
+                Self::delete_entry(&index, inst, &r, old_key)?;
             }
             if let Some(r) = new_rect {
-                let lsn = log_att(
-                    ctx,
-                    rd,
-                    Self::type_id(rd, inst),
-                    A_INSERT,
-                    encode_att_payload(&inst.desc, &Self::payload(&r, new_key), &[]),
-                );
-                Self::tree(ctx.services(), &d)
-                    .with_wal_lsn(lsn)
-                    .insert(&r, new_key.as_bytes())?;
+                Self::insert_entry(&index, inst, &r, new_key)?;
             }
         }
         Ok(())
@@ -714,19 +725,9 @@ impl Attachment for RTreeIndex {
     ) -> Result<()> {
         for inst in instances {
             let d = RtDesc::decode(&inst.desc)?;
-            let Some(rect) = Self::rect_of(&d, old)? else {
-                continue;
-            };
-            let tree = Self::tree(ctx.services(), &d);
-            if tree.contains(&rect, key.as_bytes())? {
-                let lsn = log_att(
-                    ctx,
-                    rd,
-                    Self::type_id(rd, inst),
-                    A_DELETE,
-                    encode_att_payload(&inst.desc, &Self::payload(&rect, key), &[]),
-                );
-                tree.with_wal_lsn(lsn).delete(&rect, key.as_bytes())?;
+            if let Some(rect) = Self::rect_of(&d, old)? {
+                let index = LoggedTree::attachment(ctx, rd, inst, Self::tree(ctx.services(), &d));
+                Self::delete_entry(&index, inst, &rect, key)?;
             }
         }
         Ok(())
@@ -740,25 +741,7 @@ impl Attachment for RTreeIndex {
         op: u8,
         payload: &[u8],
     ) -> Result<()> {
-        let (desc, entry, _) = decode_att_payload(payload)?;
-        let d = RtDesc::decode(desc)?;
-        let rect = entry_rect(entry)?;
-        let rkey = entry_payload(entry);
-        let tree = Self::tree(services, &d).with_wal_lsn(lsn);
-        match op {
-            A_INSERT => {
-                tree.delete(&rect, rkey)?;
-            }
-            A_DELETE => {
-                // idempotent: at restart the delete may never have reached
-                // disk, leaving the entry in place
-                if !tree.contains(&rect, rkey)? {
-                    tree.insert(&rect, rkey)?;
-                }
-            }
-            other => return Err(DmxError::Corrupt(format!("bad rtree op {other}"))),
-        }
-        Ok(())
+        Self::replay(services, lsn, Replay::Undo, op, payload)
     }
 
     fn redo(
@@ -769,25 +752,7 @@ impl Attachment for RTreeIndex {
         op: u8,
         payload: &[u8],
     ) -> Result<()> {
-        let (desc, entry, _) = decode_att_payload(payload)?;
-        let d = RtDesc::decode(desc)?;
-        let rect = entry_rect(entry)?;
-        let rkey = entry_payload(entry);
-        let tree = Self::tree(services, &d).with_wal_lsn(lsn);
-        // Forward mirror of undo: presence-checked, so replaying against
-        // the checkpoint image is idempotent.
-        match op {
-            A_INSERT => {
-                if !tree.contains(&rect, rkey)? {
-                    tree.insert(&rect, rkey)?;
-                }
-            }
-            A_DELETE => {
-                tree.delete(&rect, rkey)?;
-            }
-            other => return Err(DmxError::Corrupt(format!("bad rtree op {other}"))),
-        }
-        Ok(())
+        Self::replay(services, lsn, Replay::Redo, op, payload)
     }
 
     fn supports_access(&self) -> bool {
@@ -842,7 +807,7 @@ impl Attachment for RTreeIndex {
         let rows = (records as f64 * 0.01).max(1.0);
         let height = (records.max(2) as f64).log2() / 6.0 + 1.0;
         Some(PathChoice {
-            path: AccessPath::Attachment(Self::type_id(rd, instance), instance.instance),
+            path: AccessPath::Attachment(instance.att, instance.instance),
             query: AccessQuery::Spatial(op, rect),
             cost: Cost::new(height + rows / 50.0, rows),
             rows_out: rows,

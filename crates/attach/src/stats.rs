@@ -9,9 +9,8 @@
 //! histogram. The whole state lives in **one cell** of a private B-tree
 //! (keyed by a constant), so maintenance is a read-modify-write of a
 //! single hot page; like [`crate::aggregate`], every change logs the
-//! cell's *before- and after-images* ([`A_DELTA`]) because numeric state
-//! is not presence-checkable: replaying a delta twice would double-count,
-//! installing an image twice cannot.
+//! cell's *before- and after-images* ([`A_DELTA`]), which
+//! [`dmx_core::logged_tree`] replays in either direction.
 //!
 //! After every installed image the attachment *publishes* an immutable
 //! [`TableStats`] snapshot into the relation descriptor's shared
@@ -29,16 +28,20 @@
 
 use std::sync::Arc;
 
-use dmx_btree::{BTree, OnDuplicate};
-use dmx_core::{Attachment, AttachmentInstance, CommonServices, ExecCtx, RelationDescriptor};
+use dmx_btree::BTree;
+use dmx_core::logged_tree::{self, Images};
+use dmx_core::{
+    Attachment, AttachmentInstance, CommonServices, ExecCtx, LoggedTree, RelationDescriptor,
+    Replay, TreeFile,
+};
 use dmx_expr::stats::{value_to_f64, ColumnStats, Histogram, TableStats};
 use dmx_types::{
     key::{decode_values, encode_values},
-    AttrList, DataType, DmxError, FileId, Lsn, PageId, Record, RecordKey, Result, Schema, Value,
+    AttrList, DataType, DmxError, FileId, Lsn, Record, RecordKey, Result, Schema, Value,
 };
 
 use crate::common::{
-    decode_att_payload, encode_att_payload, log_att, read_u16, read_u32, read_u64, tail, A_DELTA,
+    apply_logged, decode_att_payload, read_u16, read_u32, read_u64, tail, A_DELTA,
 };
 
 /// The maintained-statistics attachment type.
@@ -68,6 +71,13 @@ impl StatsDesc {
             file: FileId(read_u32(b, 0, WHAT)?),
             root_page: read_u32(b, 4, WHAT)?,
         })
+    }
+
+    pub fn tree_file(&self) -> TreeFile {
+        TreeFile {
+            file: self.file,
+            root_page: self.root_page,
+        }
     }
 }
 
@@ -386,7 +396,8 @@ fn encode_image(out: &mut Vec<u8>, cell: &Option<StatsCell>) {
     }
 }
 
-fn decode_image(b: &[u8], off: &mut usize) -> Result<Option<StatsCell>> {
+/// Splits one [`encode_image`] off `b` at `off`, as encoded cell bytes.
+fn split_image<'a>(b: &'a [u8], off: &mut usize) -> Result<Option<&'a [u8]>> {
     const WHAT: &str = "stats image";
     let corrupt = || DmxError::Corrupt(format!("short {WHAT}"));
     let tag = *b.get(*off).ok_or_else(corrupt)?;
@@ -398,7 +409,7 @@ fn decode_image(b: &[u8], off: &mut usize) -> Result<Option<StatsCell>> {
     *off += 4;
     let enc = b.get(*off..*off + len).ok_or_else(corrupt)?;
     *off += len;
-    Ok(Some(decode_cell(enc)?))
+    Ok(Some(enc))
 }
 
 fn encode_images(before: &Option<StatsCell>, after: &Option<StatsCell>) -> Vec<u8> {
@@ -408,55 +419,23 @@ fn encode_images(before: &Option<StatsCell>, after: &Option<StatsCell>) -> Vec<u
     v
 }
 
-fn decode_images(b: &[u8]) -> Result<(Option<StatsCell>, Option<StatsCell>)> {
+fn decode_images(b: &[u8]) -> Result<Images<'_>> {
     let mut off = 0;
-    let before = decode_image(b, &mut off)?;
-    let after = decode_image(b, &mut off)?;
+    let before = split_image(b, &mut off)?;
+    let after = split_image(b, &mut off)?;
     Ok((before, after))
 }
 
 impl Stats {
-    fn tree(services: &Arc<CommonServices>, d: &StatsDesc) -> BTree {
-        BTree::open(
-            &services.pool,
-            PageId::new(d.file, d.root_page),
-            &services.latches,
-        )
-    }
-
     /// The single cell's constant key.
     fn cell_key() -> Vec<u8> {
         encode_values(&[Value::Int(0)])
     }
 
-    fn read_cell(services: &Arc<CommonServices>, desc: &[u8]) -> Result<Option<StatsCell>> {
-        let d = StatsDesc::decode(desc)?;
-        Ok(match Self::tree(services, &d).get(&Self::cell_key())? {
-            Some(raw) => Some(decode_cell(&raw)?),
-            None => None,
-        })
-    }
-
-    /// Installs a cell image (forward execution installs the after-image
-    /// it computed, undo the before-image, redo the after-image). Dirty
-    /// pages are stamped with `lsn` (write-ahead rule).
-    fn install_image(
-        services: &Arc<CommonServices>,
-        desc: &[u8],
-        image: &Option<StatsCell>,
-        lsn: Lsn,
-    ) -> Result<()> {
-        let d = StatsDesc::decode(desc)?;
-        let tree = Self::tree(services, &d).with_wal_lsn(lsn);
-        match image {
-            None => {
-                tree.delete(&Self::cell_key())?;
-            }
-            Some(c) => {
-                tree.insert(&Self::cell_key(), &encode_cell(c), OnDuplicate::Replace)?;
-            }
-        }
-        Ok(())
+    fn read_cell(tree: &BTree) -> Result<Option<StatsCell>> {
+        tree.get(&Self::cell_key())?
+            .map(|raw| decode_cell(&raw))
+            .transpose()
     }
 
     /// Publishes the image's planner snapshot into the relation's shared
@@ -477,7 +456,8 @@ impl Stats {
         old: Option<&Record>,
         new: Option<&Record>,
     ) -> Result<()> {
-        let before = Self::read_cell(ctx.services(), &inst.desc)?;
+        let cells = Self::cells(ctx, rd, inst)?;
+        let before = Self::read_cell(cells.tree())?;
         let mut cell = match &before {
             Some(c) => c.clone(),
             None => StatsCell::new(&rd.schema),
@@ -488,37 +468,56 @@ impl Stats {
         if let Some(n) = new {
             cell.apply(n, 1);
         }
-        let after = Some(cell);
-        self.log_and_install(ctx, rd, inst, &before, &after)
+        Self::log_and_install(&cells, rd, inst, &before, &Some(cell))
+    }
+
+    fn cells<'a>(
+        ctx: &ExecCtx<'a>,
+        rd: &RelationDescriptor,
+        inst: &AttachmentInstance,
+    ) -> Result<LoggedTree<'a>> {
+        let file = StatsDesc::decode(&inst.desc)?.tree_file();
+        Ok(LoggedTree::attachment(
+            ctx,
+            rd,
+            inst,
+            file.open_tree(ctx.services()),
+        ))
     }
 
     /// Logs the image pair, installs the after-image and publishes it.
     fn log_and_install(
-        &self,
-        ctx: &ExecCtx<'_>,
+        cells: &LoggedTree<'_>,
         rd: &RelationDescriptor,
         inst: &AttachmentInstance,
         before: &Option<StatsCell>,
         after: &Option<StatsCell>,
     ) -> Result<()> {
-        let att = rd
-            .attached_types()
-            .find(|(_, insts)| {
-                insts
-                    .iter()
-                    .any(|i| i.instance == inst.instance && i.name == inst.name)
-            })
-            .map(|(t, _)| t)
-            .unwrap_or_default();
-        let lsn = log_att(
-            ctx,
-            rd,
-            att,
-            A_DELTA,
-            encode_att_payload(&inst.desc, &Self::cell_key(), &encode_images(before, after)),
-        );
-        Self::install_image(ctx.services(), &inst.desc, after, lsn)?;
+        let (key, images) = (Self::cell_key(), encode_images(before, after));
+        let image = after.as_ref().map(encode_cell);
+        apply_logged(cells, inst, A_DELTA, &key, &images, image.as_deref())?;
         Self::publish(rd, after);
+        Ok(())
+    }
+
+    /// Installs the logged image and re-publishes it, so aborts and
+    /// restarts never leave a stale planner snapshot behind.
+    fn replay(
+        services: &Arc<CommonServices>,
+        rd: &RelationDescriptor,
+        lsn: Lsn,
+        dir: Replay,
+        op: u8,
+        payload: &[u8],
+    ) -> Result<()> {
+        if op != A_DELTA {
+            return Err(DmxError::Corrupt(format!("bad stats op {op}")));
+        }
+        let (desc, key, images) = decode_att_payload(payload)?;
+        let images = decode_images(images)?;
+        let tree = StatsDesc::decode(desc)?.tree_file().open_tree(services);
+        logged_tree::replay(&tree, lsn, dir, key, images)?;
+        Self::publish(rd, &dir.pick(images).map(decode_cell).transpose()?);
         Ok(())
     }
 }
@@ -539,21 +538,12 @@ impl Attachment for Stats {
         _name: &str,
         _params: &AttrList,
     ) -> Result<Vec<u8>> {
-        let services = ctx.services();
-        let file = services.disk.create_file()?;
-        let tree = BTree::create(&services.pool, file, &services.latches)?;
-        Ok(StatsDesc {
-            file,
-            root_page: tree.root().page_no,
-        }
-        .encode())
+        let TreeFile { file, root_page } = TreeFile::create(ctx.services())?;
+        Ok(StatsDesc { file, root_page }.encode())
     }
 
     fn destroy_instance(&self, services: &Arc<CommonServices>, inst_desc: &[u8]) -> Result<()> {
-        let d = StatsDesc::decode(inst_desc)?;
-        services.latches.forget(PageId::new(d.file, d.root_page));
-        services.pool.discard_file(d.file);
-        services.disk.delete_file(d.file)
+        StatsDesc::decode(inst_desc)?.tree_file().destroy(services)
     }
 
     fn on_insert(
@@ -608,17 +598,7 @@ impl Attachment for Stats {
         op: u8,
         payload: &[u8],
     ) -> Result<()> {
-        if op != A_DELTA {
-            return Err(DmxError::Corrupt(format!("bad stats op {op}")));
-        }
-        let (desc, _key, images) = decode_att_payload(payload)?;
-        let (before, _) = decode_images(images)?;
-        // Full before-images in reverse log order are idempotent; the
-        // planner snapshot reverts with the durable cell so an abort
-        // never leaves inflated statistics published.
-        Self::install_image(services, desc, &before, lsn)?;
-        Self::publish(rd, &before);
-        Ok(())
+        Self::replay(services, rd, lsn, Replay::Undo, op, payload)
     }
 
     fn redo(
@@ -629,14 +609,7 @@ impl Attachment for Stats {
         op: u8,
         payload: &[u8],
     ) -> Result<()> {
-        if op != A_DELTA {
-            return Err(DmxError::Corrupt(format!("bad stats op {op}")));
-        }
-        let (desc, _key, images) = decode_att_payload(payload)?;
-        let (_, after) = decode_images(images)?;
-        Self::install_image(services, desc, &after, lsn)?;
-        Self::publish(rd, &after);
-        Ok(())
+        Self::replay(services, rd, lsn, Replay::Redo, op, payload)
     }
 
     /// Re-publishes the planner snapshot from durable state on database
@@ -647,8 +620,8 @@ impl Attachment for Stats {
         rd: &RelationDescriptor,
         instance: &AttachmentInstance,
     ) -> Result<()> {
-        let cell = Self::read_cell(services, &instance.desc)?;
-        Self::publish(rd, &cell);
+        let file = StatsDesc::decode(&instance.desc)?.tree_file();
+        Self::publish(rd, &Self::read_cell(&file.open_tree(services))?);
         Ok(())
     }
 
@@ -695,8 +668,9 @@ impl Attachment for Stats {
                 }
                 col.hist = Some(h);
             }
-            let before = Self::read_cell(ctx.services(), &inst.desc)?;
-            self.log_and_install(ctx, rd, inst, &before, &Some(cell))?;
+            let cells = Self::cells(ctx, rd, inst)?;
+            let before = Self::read_cell(cells.tree())?;
+            Self::log_and_install(&cells, rd, inst, &before, &Some(cell))?;
         }
         Ok(!instances.is_empty())
     }
@@ -788,9 +762,10 @@ mod tests {
         let decoded = decode_cell(&encode_cell(&cell)).unwrap();
         assert_eq!(decoded, cell);
         // image pair roundtrip, including the absent case
-        let (b, a) = decode_images(&encode_images(&None, &Some(cell.clone()))).unwrap();
+        let images = encode_images(&None, &Some(cell.clone()));
+        let (b, a) = decode_images(&images).unwrap();
         assert_eq!(b, None);
-        assert_eq!(a, Some(cell));
+        assert_eq!(a, Some(encode_cell(&cell).as_slice()));
         assert!(decode_cell(&[1, 2, 3]).is_err());
     }
 

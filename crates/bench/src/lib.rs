@@ -1,4 +1,4 @@
-//! Shared fixtures for the experiment harness and the Criterion benches.
+//! Shared fixtures for the experiment harness.
 //!
 //! The paper's evaluation is architectural (its figures are diagrams);
 //! every experiment here corresponds to an explicit performance claim or

@@ -1232,6 +1232,7 @@ impl Database {
         let backfill = (|| -> Result<()> {
             let sm = self.registry.storage(new_rd.sm)?;
             let slice = [AttachmentInstance {
+                att: att_id,
                 instance: inst,
                 name: att_name.to_string(),
                 desc: inst_desc.clone(),

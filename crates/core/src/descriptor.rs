@@ -23,10 +23,12 @@ use dmx_types::{AttInstanceId, AttTypeId, DmxError, RelationId, Result, Schema, 
 use crate::registry::MAX_ATTACHMENT_TYPES;
 use crate::stats::RelationStats;
 
-/// One attachment instance on a relation: its instance number, user
-/// name, and the attachment-interpreted descriptor bytes.
+/// One attachment instance on a relation: its type (the descriptor
+/// field it lives in), instance number, user name, and the
+/// attachment-interpreted descriptor bytes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AttachmentInstance {
+    pub att: AttTypeId,
     pub instance: AttInstanceId,
     pub name: String,
     pub desc: Vec<u8>,
@@ -131,6 +133,7 @@ impl RelationDescriptor {
         new.attachments[idx]
             .get_or_insert_with(Vec::new)
             .push(AttachmentInstance {
+                att,
                 instance: inst,
                 name,
                 desc,
@@ -258,6 +261,7 @@ impl RelationDescriptor {
                 let name = get_str(buf, &mut pos)?;
                 let desc = get_bytes(buf, &mut pos)?;
                 list.push(AttachmentInstance {
+                    att: AttTypeId(ty as u8),
                     instance,
                     name,
                     desc,

@@ -26,6 +26,8 @@
 //!   save/restore of positions;
 //! * [`services::CommonServices`] — the shared execution environment
 //!   (buffer pool, log, lock manager, predicate evaluator, latches);
+//! * [`logged_tree`] — the one write-ahead path (append → stamp → apply,
+//!   and the undo/redo mirror) every tree-backed extension goes through;
 //! * [`catalog`], [`deps`], [`auth`] — descriptor management, bound-plan
 //!   dependency tracking/invalidation and the uniform authorization
 //!   facility;
@@ -43,6 +45,7 @@ pub mod database;
 pub mod deps;
 pub mod descriptor;
 pub mod dml;
+pub mod logged_tree;
 pub mod registry;
 pub mod scrub;
 pub mod services;
@@ -63,6 +66,7 @@ pub use database::{
 pub use deps::{DepKey, DependencyRegistry, PlanId};
 pub use descriptor::{AttachmentInstance, RelationDescriptor};
 pub use dml::project_values;
+pub use logged_tree::{LoggedTarget, LoggedTree, Replay, TreeFile};
 pub use registry::ExtensionRegistry;
 pub use scrub::{
     repair_relation, scrub_all, scrub_relation, RepairAction, RepairOutcome, ScrubReport,

@@ -367,9 +367,6 @@ fn find_probe_path(
     // B-tree-organized storage with this leading key field
     if let Ok(sm) = db.registry().storage(rd.sm) {
         if sm.name() == "btree" {
-            if let Ok(d) = dmx_attach::btree_index::IxDesc::decode(&rd.sm_desc) {
-                let _ = d; // descriptor formats differ; use scan_ordering
-            }
             if let Some(ord) = sm.scan_ordering(rd) {
                 if ord.first() == Some(&field) {
                     return Some((AccessPath::StorageMethod, ProbeKind::SmKeyPrefix, None));

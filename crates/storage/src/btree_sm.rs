@@ -9,18 +9,18 @@
 use std::ops::Bound;
 use std::sync::Arc;
 
-use dmx_btree::{BTree, OnDuplicate};
+use dmx_btree::BTree;
+use dmx_core::logged_tree::{self, entry_images, lock_delete_gaps, lock_insert_gap};
 use dmx_core::{
-    project_values, AccessPath, AccessQuery, CommonServices, Cost, ExecCtx, KeyRange, PathChoice,
-    RelationDescriptor, ScanItem, ScanOps, StorageMethod,
+    project_values, AccessPath, AccessQuery, CommonServices, Cost, ExecCtx, KeyRange, LoggedTree,
+    PathChoice, RelationDescriptor, Replay, ScanItem, ScanOps, StorageMethod, TreeFile,
 };
 use dmx_expr::{analyze, CmpOp, Expr, SargOp};
 use dmx_lock::{LockMode, LockName};
 use dmx_types::{
-    key::encode_values, AttrList, DmxError, FieldId, FileId, Lsn, PageId, Record, RecordKey,
-    RelationId, Result, Schema, Value,
+    key::encode_values, AttrList, DmxError, FieldId, FileId, Lsn, Record, RecordKey, RelationId,
+    Result, Schema, Value,
 };
-use dmx_wal::ExtKind;
 
 use crate::ops::{
     decode_key, decode_old_new, encode_key_old_new, encode_key_record, OP_DELETE, OP_INSERT,
@@ -68,6 +68,13 @@ impl BtDesc {
             key_fields,
         })
     }
+
+    pub fn tree_file(&self) -> TreeFile {
+        TreeFile {
+            file: self.file,
+            root_page: self.root_page,
+        }
+    }
 }
 
 impl BTreeStorage {
@@ -75,12 +82,11 @@ impl BTreeStorage {
         BtDesc::decode(&rd.sm_desc)
     }
 
-    fn tree(services: &Arc<CommonServices>, d: &BtDesc) -> BTree {
-        BTree::open(
-            &services.pool,
-            PageId::new(d.file, d.root_page),
-            &services.latches,
-        )
+    /// The relation's tree inside `ctx`'s transaction. Records are
+    /// `record key → record bytes`, logged with the [`crate::ops`]
+    /// payloads.
+    fn records<'a>(ctx: &ExecCtx<'a>, rd: &RelationDescriptor, d: &BtDesc) -> LoggedTree<'a> {
+        LoggedTree::storage(ctx, rd, d.tree_file().open_tree(ctx.services()))
     }
 
     fn record_key(d: &BtDesc, record: &Record) -> Result<RecordKey> {
@@ -120,25 +126,23 @@ impl BTreeStorage {
         Ok(fields)
     }
 
-    fn log(ctx: &ExecCtx<'_>, rd: &RelationDescriptor, op: u8, payload: Vec<u8>) -> Lsn {
-        ctx.log_ext_op(ExtKind::Storage(rd.sm), rd.id, op, payload)
-    }
-
-    /// X-locks the gap a write at `key` splits (insert) or merges
-    /// (delete): the gap is named by the key's in-tree successor, with
-    /// an EOF sentinel past the last key. Conflicts with the S gap
-    /// locks a locking range scan leaves across the intervals it read,
-    /// fencing phantoms; snapshot readers take no gap locks and are
-    /// never blocked by this.
-    fn lock_successor_gap(
-        ctx: &ExecCtx<'_>,
+    fn replay(
+        services: &Arc<CommonServices>,
         rd: &RelationDescriptor,
-        d: &BtDesc,
-        tree: &BTree,
-        key: &[u8],
+        lsn: Lsn,
+        dir: Replay,
+        op: u8,
+        payload: &[u8],
     ) -> Result<()> {
-        let succ = tree.seek(Bound::Excluded(key))?.map(|(k, _)| k);
-        ctx.lock(LockName::gap(rd.id, d.file, succ.as_deref()), LockMode::X)
+        let (key, rest) = decode_key(payload)?;
+        let images = if op == OP_UPDATE {
+            let (old, new) = decode_old_new(rest)?;
+            (Some(old), Some(new))
+        } else {
+            entry_images(op, rest)?
+        };
+        let tree = Self::desc(rd)?.tree_file().open_tree(services);
+        logged_tree::replay(&tree, lsn, dir, key, images)
     }
 }
 
@@ -160,22 +164,17 @@ impl StorageMethod for BTreeStorage {
         params: &AttrList,
     ) -> Result<Vec<u8>> {
         let key_fields = Self::parse_key_fields(params, schema)?;
-        let services = ctx.services();
-        let file = services.disk.create_file()?;
-        let tree = BTree::create(&services.pool, file, &services.latches)?;
+        let TreeFile { file, root_page } = TreeFile::create(ctx.services())?;
         Ok(BtDesc {
             file,
-            root_page: tree.root().page_no,
+            root_page,
             key_fields,
         }
         .encode())
     }
 
     fn destroy_instance(&self, services: &Arc<CommonServices>, sm_desc: &[u8]) -> Result<()> {
-        let d = BtDesc::decode(sm_desc)?;
-        services.latches.forget(PageId::new(d.file, d.root_page));
-        services.pool.discard_file(d.file);
-        services.disk.delete_file(d.file)
+        BtDesc::decode(sm_desc)?.tree_file().destroy(services)
     }
 
     fn storage_files(&self, sm_desc: &[u8]) -> Vec<dmx_types::FileId> {
@@ -192,13 +191,11 @@ impl StorageMethod for BTreeStorage {
     ) -> Result<RecordKey> {
         let d = Self::desc(rd)?;
         let key = Self::record_key(&d, record)?;
-        let tree = Self::tree(ctx.services(), &d);
-        // Pre-check the duplicate so the log record is written only for
-        // operations that will apply (a logged-but-failed insert would
-        // make rollback delete the pre-existing record), while keeping
-        // the write-ahead order: the log record exists before the tree
-        // pages are dirtied, so any flush of those pages forces it first.
-        if tree.get(key.as_bytes())?.is_some() {
+        let records = Self::records(ctx, rd, &d);
+        // A present key is refused before anything is logged: a logged
+        // insert that then failed would make rollback delete the
+        // pre-existing record.
+        if records.tree().get(key.as_bytes())?.is_some() {
             return Err(DmxError::Duplicate(format!(
                 "btree storage key {key:?} already exists"
             )));
@@ -209,16 +206,14 @@ impl StorageMethod for BTreeStorage {
         // layer re-locks the key after this call returns; that is a
         // re-grant.
         ctx.lock_record(rd.id, &key, LockMode::X)?;
-        Self::lock_successor_gap(ctx, rd, &d, &tree, key.as_bytes())?;
+        lock_insert_gap(ctx, rd.id, records.tree(), key.as_bytes())?;
         let bytes = record.encode();
-        let lsn = Self::log(
-            ctx,
-            rd,
+        records.apply(
             OP_INSERT,
             encode_key_record(key.as_bytes(), &bytes),
-        );
-        tree.with_wal_lsn(lsn)
-            .insert(key.as_bytes(), &bytes, OnDuplicate::Replace)?;
+            key.as_bytes(),
+            Some(&bytes),
+        )?;
         Ok(key)
     }
 
@@ -230,28 +225,27 @@ impl StorageMethod for BTreeStorage {
         new: &Record,
     ) -> Result<(Record, RecordKey)> {
         let d = Self::desc(rd)?;
-        let tree = Self::tree(ctx.services(), &d);
-        let old_bytes = tree
+        let records = Self::records(ctx, rd, &d);
+        let old_bytes = records
+            .tree()
             .get(key.as_bytes())?
             .ok_or_else(|| DmxError::NotFound(format!("btree record {key:?}")))?;
         let old = Record::decode(&old_bytes)?;
         let new_key = Self::record_key(&d, new)?;
         let new_bytes = new.encode();
         if new_key == *key {
-            let lsn = Self::log(
-                ctx,
-                rd,
+            records.apply(
                 OP_UPDATE,
                 encode_key_old_new(key.as_bytes(), &old_bytes, &new_bytes),
-            );
-            tree.with_wal_lsn(lsn)
-                .insert(key.as_bytes(), &new_bytes, OnDuplicate::Replace)?;
+                key.as_bytes(),
+                Some(&new_bytes),
+            )?;
             return Ok((old, new_key));
         }
         // Key fields changed: the record moves ("the old record and record
         // key will be used to determine which key to delete … and the new
         // record and record key … inserted").
-        if tree.get(new_key.as_bytes())?.is_some() {
+        if records.tree().get(new_key.as_bytes())?.is_some() {
             return Err(DmxError::Duplicate(format!(
                 "btree storage key {new_key:?} already exists"
             )));
@@ -262,28 +256,20 @@ impl StorageMethod for BTreeStorage {
         // gap acquisition (the old key's record X is already held by the
         // DML layer); the DML layer's post-return lock is a re-grant.
         ctx.lock_record(rd.id, &new_key, LockMode::X)?;
-        ctx.lock(
-            LockName::gap(rd.id, d.file, Some(key.as_bytes())),
-            LockMode::X,
-        )?;
-        Self::lock_successor_gap(ctx, rd, &d, &tree, key.as_bytes())?;
-        Self::lock_successor_gap(ctx, rd, &d, &tree, new_key.as_bytes())?;
-        let lsn = Self::log(
-            ctx,
-            rd,
+        lock_delete_gaps(ctx, rd.id, records.tree(), key.as_bytes())?;
+        lock_insert_gap(ctx, rd.id, records.tree(), new_key.as_bytes())?;
+        records.apply(
             OP_DELETE,
             encode_key_record(key.as_bytes(), &old_bytes),
-        );
-        let tree = tree.with_wal_lsn(lsn);
-        tree.delete(key.as_bytes())?;
-        let lsn = Self::log(
-            ctx,
-            rd,
+            key.as_bytes(),
+            None,
+        )?;
+        records.apply(
             OP_INSERT,
             encode_key_record(new_key.as_bytes(), &new_bytes),
-        );
-        tree.with_wal_lsn(lsn)
-            .insert(new_key.as_bytes(), &new_bytes, OnDuplicate::Replace)?;
+            new_key.as_bytes(),
+            Some(&new_bytes),
+        )?;
         Ok((old, new_key))
     }
 
@@ -294,24 +280,18 @@ impl StorageMethod for BTreeStorage {
         key: &RecordKey,
     ) -> Result<Record> {
         let d = Self::desc(rd)?;
-        let tree = Self::tree(ctx.services(), &d);
-        let old_bytes = tree
+        let records = Self::records(ctx, rd, &d);
+        let old_bytes = records
+            .tree()
             .get(key.as_bytes())?
             .ok_or_else(|| DmxError::NotFound(format!("btree record {key:?}")))?;
-        // Deleting merges the gap named by `key` into its successor's:
-        // X both names so range scans spanning either interval conflict.
-        ctx.lock(
-            LockName::gap(rd.id, d.file, Some(key.as_bytes())),
-            LockMode::X,
-        )?;
-        Self::lock_successor_gap(ctx, rd, &d, &tree, key.as_bytes())?;
-        let lsn = Self::log(
-            ctx,
-            rd,
+        lock_delete_gaps(ctx, rd.id, records.tree(), key.as_bytes())?;
+        records.apply(
             OP_DELETE,
             encode_key_record(key.as_bytes(), &old_bytes),
-        );
-        tree.with_wal_lsn(lsn).delete(key.as_bytes())?;
+            key.as_bytes(),
+            None,
+        )?;
         Record::decode(&old_bytes)
     }
 
@@ -323,8 +303,7 @@ impl StorageMethod for BTreeStorage {
         fields: Option<&[FieldId]>,
         pred: Option<&Expr>,
     ) -> Result<Option<Vec<Value>>> {
-        let d = Self::desc(rd)?;
-        let tree = Self::tree(ctx.services(), &d);
+        let tree = Self::desc(rd)?.tree_file().open_tree(ctx.services());
         let Some(bytes) = tree.get(key.as_bytes())? else {
             return Ok(None);
         };
@@ -340,7 +319,7 @@ impl StorageMethod for BTreeStorage {
         fields: Option<Vec<FieldId>>,
     ) -> Result<Box<dyn ScanOps>> {
         let d = Self::desc(rd)?;
-        let tree = Self::tree(ctx.services(), &d);
+        let tree = d.tree_file().open_tree(ctx.services());
         Ok(Box::new(BtScan {
             tree,
             rel: rd.id,
@@ -412,24 +391,7 @@ impl StorageMethod for BTreeStorage {
         op: u8,
         payload: &[u8],
     ) -> Result<()> {
-        let d = Self::desc(rd)?;
-        let tree = Self::tree(services, &d).with_wal_lsn(lsn);
-        let (key, rest) = decode_key(payload)?;
-        match op {
-            // Logical undo with presence checks (idempotent).
-            OP_INSERT => {
-                tree.delete(key)?;
-            }
-            OP_DELETE => {
-                tree.insert(key, rest, OnDuplicate::Replace)?;
-            }
-            OP_UPDATE => {
-                let (old, _) = decode_old_new(rest)?;
-                tree.insert(key, old, OnDuplicate::Replace)?;
-            }
-            other => return Err(DmxError::Corrupt(format!("bad btree-sm op {other}"))),
-        }
-        Ok(())
+        Self::replay(services, rd, lsn, Replay::Undo, op, payload)
     }
 
     fn redo(
@@ -440,26 +402,7 @@ impl StorageMethod for BTreeStorage {
         op: u8,
         payload: &[u8],
     ) -> Result<()> {
-        let d = Self::desc(rd)?;
-        let tree = Self::tree(services, &d).with_wal_lsn(lsn);
-        let (key, rest) = decode_key(payload)?;
-        // Logical redo: the on-disk tree is the last checkpoint's
-        // (no-steal) consistent image, and replace/absent-tolerant ops
-        // make replay idempotent.
-        match op {
-            OP_INSERT => {
-                tree.insert(key, rest, OnDuplicate::Replace)?;
-            }
-            OP_DELETE => {
-                tree.delete(key)?;
-            }
-            OP_UPDATE => {
-                let (_, new) = decode_old_new(rest)?;
-                tree.insert(key, new, OnDuplicate::Replace)?;
-            }
-            other => return Err(DmxError::Corrupt(format!("bad btree-sm op {other}"))),
-        }
-        Ok(())
+        Self::replay(services, rd, lsn, Replay::Redo, op, payload)
     }
 
     fn scan_ordering(&self, rd: &RelationDescriptor) -> Option<Vec<FieldId>> {

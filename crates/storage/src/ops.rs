@@ -4,9 +4,9 @@ use dmx_types::{DmxError, Result};
 
 /// Op code: record inserted; payload = key + new record bytes (the new
 /// bytes feed restart redo under no-force).
-pub const OP_INSERT: u8 = 1;
+pub const OP_INSERT: u8 = dmx_core::logged_tree::OP_INSERT;
 /// Op code: record deleted; payload = key + old record bytes.
-pub const OP_DELETE: u8 = 2;
+pub const OP_DELETE: u8 = dmx_core::logged_tree::OP_DELETE;
 /// Op code: record updated in place; payload = key + old/new record
 /// bytes ([`encode_key_old_new`]): old drives undo, new drives redo.
 pub const OP_UPDATE: u8 = 3;

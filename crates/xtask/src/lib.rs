@@ -138,7 +138,7 @@ fn json_escape(s: &str) -> String {
 /// Renders the machine-readable report. Violations carry their stable
 /// DMX code; consumed waivers carry an `id` of the form
 /// `"DMXnnn Type::fn"`, which check.sh diffs shrink-only against the
-/// committed `VERIFY_pr6.json`.
+/// committed `VERIFY.json`.
 pub fn render_json(report: &Report) -> String {
     let mut out = String::from("{\n  \"violations\": [");
     for (i, v) in report.violations.iter().enumerate() {

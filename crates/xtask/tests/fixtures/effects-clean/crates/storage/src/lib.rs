@@ -16,10 +16,6 @@ pub fn append_record(pool: &Pool, log: impl Fn(u32, u16) -> Lsn) -> Result<()> {
 pub struct GoodStore;
 
 impl GoodStore {
-    fn tree(services: &Services) -> Tree {
-        services.open_tree()
-    }
-
     /// Entry point: the append happens inside `append_record`'s logging
     /// closure, strictly before the mutation applies.
     pub fn insert(&self, ctx: &Ctx) -> Result<()> {
@@ -27,19 +23,28 @@ impl GoodStore {
     }
 }
 
+pub struct LoggedTree;
+
+impl LoggedTree {
+    /// The one forward path of tree-backed extensions: append, then
+    /// install with every dirtied page stamped from the record's LSN.
+    pub fn apply(&self, op: u8, payload: &[u8], key: &[u8], image: Option<&[u8]>) -> Result<()> {
+        let lsn = self.ctx.log_ext_op(op, payload);
+        self.tree.install_image(lsn, key, image)
+    }
+}
+
 pub struct GoodIndex;
 
 impl GoodIndex {
-    fn tree(services: &Services) -> Tree {
-        services.open_tree()
-    }
-
-    /// Attachment entry: log first, then mutate through a handle whose
-    /// every dirtied page is stamped from the record's LSN.
+    /// Attachment entry: probe through the raw handle, change only
+    /// through the logged operation.
     pub fn on_insert(&self, ctx: &Ctx) -> Result<()> {
-        let lsn = log_att(ctx, b"payload");
-        Self::tree(ctx.services()).with_wal_lsn(lsn).insert(b"k")?;
-        Ok(())
+        let index = LoggedTree::attachment(ctx, file.open_tree(ctx.services()));
+        if index.tree().get(b"k")?.is_some() {
+            return Ok(());
+        }
+        index.apply(A_INSERT, b"payload", b"k", Some(b"v"))
     }
 }
 

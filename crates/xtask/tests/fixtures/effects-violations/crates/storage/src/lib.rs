@@ -5,18 +5,15 @@
 pub struct BadIndex;
 
 impl BadIndex {
-    fn tree(services: &Services) -> Tree {
-        services.open_tree()
-    }
-
-    /// The pre-fix PR 3 bug shape: the tree mutation completes before
-    /// the attachment's log record exists, and no dirtied page carries
+    /// The pre-fix PR 3 bug shape against the logged-tree call shape:
+    /// the raw probe handle is mutated before the logged operation
+    /// appends the attachment's record, and no page it dirties carries
     /// the record's LSN. Rule 8 must flag both defects.
     pub fn on_insert(&self, ctx: &Ctx) -> Result<()> {
-        let tree = Self::tree(ctx.services());
+        let index = LoggedTree::attachment(ctx, file.open_tree(ctx.services()));
+        let tree = index.tree();
         tree.insert(b"k")?;
-        log_att(ctx, b"payload");
-        Ok(())
+        index.apply(A_INSERT, b"payload", b"k", Some(b"v"))
     }
 }
 

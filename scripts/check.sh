@@ -17,23 +17,21 @@ fi
 echo "==> cargo fmt --all --check"
 cargo fmt --all --check
 
-echo "==> cargo xtask verify --json (vs committed VERIFY_pr7.json)"
+echo "==> cargo xtask verify --json (vs committed VERIFY.json)"
 cargo run -q -p xtask -- verify --json > /tmp/verify_now.json
 cargo run -q -p xtask -- verify   # human-readable pass/fail (exit code gates)
 
 # Effect-waiver ratchet: the set of consumed waivers (DMXnnn Site ids)
-# may only shrink relative to the committed snapshot. A new waiver id
-# means a new write-ahead / latch exception was added without burning
-# down the baseline — that is a review event, not a routine change.
-if [ -f VERIFY_pr7.json ]; then
-  new_waivers=$(comm -13 \
-    <(grep -oE '"id": "DMX[0-9]+ [^"]+"' VERIFY_pr7.json | sort -u) \
-    <(grep -oE '"id": "DMX[0-9]+ [^"]+"' /tmp/verify_now.json | sort -u))
-  if [ -n "$new_waivers" ]; then
-    echo "effect waivers not present in committed VERIFY_pr7.json:"
-    echo "$new_waivers"
-    exit 1
-  fi
+# may only shrink relative to the committed snapshot, which lists none.
+# A waiver id here means a write-ahead / latch exception was added —
+# that is a review event, not a routine change.
+new_waivers=$(comm -13 \
+  <(grep -oE '"id": "DMX[0-9]+ [^"]+"' VERIFY.json | sort -u) \
+  <(grep -oE '"id": "DMX[0-9]+ [^"]+"' /tmp/verify_now.json | sort -u))
+if [ -n "$new_waivers" ]; then
+  echo "effect waivers not present in committed VERIFY.json:"
+  echo "$new_waivers"
+  exit 1
 fi
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
@@ -44,6 +42,11 @@ cargo build --release
 
 echo "==> cargo test --workspace"
 cargo test -q --workspace
+
+# The repo benchmark is a package of its own, built against the public
+# engine API; its smoke test is what notices an API break there.
+echo "==> benchmark package tests"
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
 # Bounded crash-point sweep: every 16th I/O index by default; stride 1
 # (every index) under --thorough. The self-heal sweep re-runs the same
