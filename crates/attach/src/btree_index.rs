@@ -107,15 +107,18 @@ impl BTreeIndex {
         let d = IxDesc::decode(&inst.desc)?;
         let prefix = Self::prefix(&d, record)?;
         let index = LoggedTree::attachment(ctx, rd, inst, d.tree_file().open_tree(ctx.services()));
+        let full = Self::full_key(&prefix, key);
+        // Fence the entry against locked index-range scans.
+        lock_insert_gap(ctx, rd.id, index.tree(), &full)?;
+        // Uniqueness is probed under the gap lock: a deleter of the same
+        // index key holds that gap, and while this insert waited for it
+        // the deleter may have rolled back and put its entry back.
         if d.unique && index.tree().contains_prefix(&prefix)? {
             return Err(DmxError::veto(
                 self.name(),
                 format!("unique index '{}' violated", inst.name),
             ));
         }
-        let full = Self::full_key(&prefix, key);
-        // Fence the entry against locked index-range scans.
-        lock_insert_gap(ctx, rd.id, index.tree(), &full)?;
         let rkey = key.as_bytes();
         apply_logged(&index, inst, A_INSERT, &full, rkey, Some(rkey))
     }
@@ -132,6 +135,8 @@ impl BTreeIndex {
         let prefix = Self::prefix(&d, record)?;
         let full = Self::full_key(&prefix, key);
         let index = LoggedTree::attachment(ctx, rd, inst, d.tree_file().open_tree(ctx.services()));
+        // The entry belongs to the record whose X lock the dispatcher
+        // holds, so its presence is stable before the gap locks.
         if index.tree().get(&full)?.is_none() {
             return Ok(());
         }

@@ -192,14 +192,6 @@ impl StorageMethod for BTreeStorage {
         let d = Self::desc(rd)?;
         let key = Self::record_key(&d, record)?;
         let records = Self::records(ctx, rd, &d);
-        // A present key is refused before anything is logged: a logged
-        // insert that then failed would make rollback delete the
-        // pre-existing record.
-        if records.tree().get(key.as_bytes())?.is_some() {
-            return Err(DmxError::Duplicate(format!(
-                "btree storage key {key:?} already exists"
-            )));
-        }
         // Record before gap: the per-key acquisition order shared with
         // locking scans (record S, then gap S), so a writer and a scan
         // meeting on one key cannot deadlock across the pair. The DML
@@ -207,6 +199,16 @@ impl StorageMethod for BTreeStorage {
         // re-grant.
         ctx.lock_record(rd.id, &key, LockMode::X)?;
         lock_insert_gap(ctx, rd.id, records.tree(), key.as_bytes())?;
+        // Probe only now: while this insert waited for the record lock,
+        // a deleter of the key may have rolled back and put it back. A
+        // present key is refused before anything is logged — a logged
+        // insert that then failed would make rollback delete the
+        // pre-existing record.
+        if records.tree().get(key.as_bytes())?.is_some() {
+            return Err(DmxError::Duplicate(format!(
+                "btree storage key {key:?} already exists"
+            )));
+        }
         let bytes = record.encode();
         records.apply(
             OP_INSERT,
@@ -226,6 +228,7 @@ impl StorageMethod for BTreeStorage {
     ) -> Result<(Record, RecordKey)> {
         let d = Self::desc(rd)?;
         let records = Self::records(ctx, rd, &d);
+        // The DML layer holds `key`'s record X lock: this read is stable.
         let old_bytes = records
             .tree()
             .get(key.as_bytes())?
@@ -244,20 +247,21 @@ impl StorageMethod for BTreeStorage {
         }
         // Key fields changed: the record moves ("the old record and record
         // key will be used to determine which key to delete … and the new
-        // record and record key … inserted").
+        // record and record key … inserted"). The relocation deletes the
+        // old key (merging its gap into its successor's) and inserts the
+        // new one (splitting a gap). Record-before-gap order: X the
+        // destination key ahead of every gap acquisition (the old key's
+        // record X is already held by the DML layer); the DML layer's
+        // post-return lock is a re-grant.
+        ctx.lock_record(rd.id, &new_key, LockMode::X)?;
+        lock_delete_gaps(ctx, rd.id, records.tree(), key.as_bytes())?;
+        lock_insert_gap(ctx, rd.id, records.tree(), new_key.as_bytes())?;
+        // The destination is probed under its lock, as in `insert`.
         if records.tree().get(new_key.as_bytes())?.is_some() {
             return Err(DmxError::Duplicate(format!(
                 "btree storage key {new_key:?} already exists"
             )));
         }
-        // The relocation deletes the old key (merging its gap into its
-        // successor's) and inserts the new one (splitting a gap).
-        // Record-before-gap order: X the destination key ahead of every
-        // gap acquisition (the old key's record X is already held by the
-        // DML layer); the DML layer's post-return lock is a re-grant.
-        ctx.lock_record(rd.id, &new_key, LockMode::X)?;
-        lock_delete_gaps(ctx, rd.id, records.tree(), key.as_bytes())?;
-        lock_insert_gap(ctx, rd.id, records.tree(), new_key.as_bytes())?;
         records.apply(
             OP_DELETE,
             encode_key_record(key.as_bytes(), &old_bytes),
@@ -281,6 +285,7 @@ impl StorageMethod for BTreeStorage {
     ) -> Result<Record> {
         let d = Self::desc(rd)?;
         let records = Self::records(ctx, rd, &d);
+        // Stable for the same reason as in `update`.
         let old_bytes = records
             .tree()
             .get(key.as_bytes())?

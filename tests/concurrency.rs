@@ -327,3 +327,71 @@ fn readers_and_writers_through_indexes() {
     let brute = rows.iter().filter(|r| r[0] == Value::Int(0)).count() as i64;
     assert_eq!(via_index, brute);
 }
+
+/// Session 1 deletes row 5 of `t` and stays open; session 2 then inserts
+/// a row with the same key and blocks behind session 1's locks; session
+/// 1 rolls back — only once `lock.waits` shows session 2 enqueued, so
+/// the interleaving is forced, not slept for. Returns session 2's
+/// outcome and the rows with `id = 5` afterwards.
+///
+/// While session 2 waits, the key is physically absent; when it wakes,
+/// the rollback has put `(5, 0)` back. An insert that probed for the key
+/// before it held the lock acts on the stale answer.
+fn insert_blocked_behind_a_rolled_back_delete(
+    ddl: &[&str],
+) -> (Result<QueryResult>, Vec<Vec<Value>>) {
+    let db = open_db();
+    for sql in ddl {
+        db.execute_sql(sql).unwrap();
+    }
+    for id in [3, 5, 7] {
+        db.execute_sql(&format!("INSERT INTO t VALUES ({id}, 0)"))
+            .unwrap();
+    }
+    let s1 = Session::new(db.clone());
+    s1.execute("BEGIN").unwrap();
+    s1.execute("DELETE FROM t WHERE id = 5").unwrap();
+    let waits = || db.metrics_snapshot().counter("lock.waits");
+    let waits_before = waits();
+    let outcome = std::thread::scope(|s| {
+        let s2 = s.spawn(|| Session::new(db.clone()).execute("INSERT INTO t VALUES (5, 1)"));
+        while waits() == waits_before && !s2.is_finished() {
+            std::thread::yield_now();
+        }
+        assert!(!s2.is_finished(), "session 2 must block on session 1");
+        s1.execute("ROLLBACK").unwrap();
+        s2.join().unwrap()
+    });
+    let rows = db.query_sql("SELECT id, v FROM t WHERE id = 5").unwrap();
+    assert_eq!(
+        db.query_sql("SELECT COUNT(*) FROM t").unwrap()[0][0],
+        Value::Int(3)
+    );
+    (outcome, rows)
+}
+
+/// The B-tree storage method refuses the duplicate key and leaves the
+/// restored row alone (it used to overwrite it with `(5, 1)`).
+#[test]
+fn btree_storage_insert_probes_for_duplicates_under_its_lock() {
+    let (outcome, rows) = insert_blocked_behind_a_rolled_back_delete(&[
+        "CREATE TABLE t (id INT NOT NULL, v INT NOT NULL) USING btree WITH (key=id)",
+    ]);
+    assert!(
+        matches!(outcome, Err(DmxError::Duplicate(_))),
+        "{outcome:?}"
+    );
+    assert_eq!(rows, vec![vec![Value::Int(5), Value::Int(0)]]);
+}
+
+/// A unique B-tree index vetoes the second row with `id = 5` (it used to
+/// admit it, leaving two).
+#[test]
+fn unique_index_probes_for_duplicates_under_its_gap_lock() {
+    let (outcome, rows) = insert_blocked_behind_a_rolled_back_delete(&[
+        "CREATE TABLE t (id INT NOT NULL, v INT NOT NULL)",
+        "CREATE UNIQUE INDEX t_pk ON t (id)",
+    ]);
+    assert!(matches!(outcome, Err(DmxError::Veto { .. })), "{outcome:?}");
+    assert_eq!(rows, vec![vec![Value::Int(5), Value::Int(0)]]);
+}
