@@ -242,8 +242,11 @@ impl BufferPool {
 
     /// Allocates a fresh page in `file` and pins it, zeroed and dirty.
     pub fn new_page(self: &Arc<Self>, file: FileId) -> Result<PinnedPage> {
-        let pid = self.disk.allocate_page(file)?;
+        // Allocate under the map lock: once the disk reports the page, a
+        // concurrent `fetch` of it must find this frame, not miss and
+        // load a second copy of the page into another one.
         let mut map = self.map.lock();
+        let pid = self.disk.allocate_page(file)?;
         let idx = self.claim_victim(&mut map, pid)?;
         let frame = &self.frames[idx];
         frame.pin_count.store(1, Ordering::Release);

@@ -86,28 +86,37 @@ pub(crate) fn append_record(
         )));
     }
     let pages = pool.disk().page_count(file)?;
-    // Try the last page first.
-    if pages > 0 {
-        let pin = pool.fetch(PageId::new(file, pages - 1))?;
-        let mut page = pin.write();
-        let slot = SlottedPage::slot_count(&page);
-        if SlottedPage::free_space(&page) + SlottedPage::reclaimable(&page) >= bytes.len() + 4 {
-            let lsn = log(pages - 1, slot);
-            SlottedPage::insert_at(&mut page, slot, bytes)?;
-            page.set_lsn(lsn);
-            return Ok((pages - 1, slot, false));
+    // Try the last page first, then pages allocated here.
+    let mut target = match pages {
+        0 => None,
+        n => Some(pool.fetch(PageId::new(file, n - 1))?),
+    };
+    let mut allocated = false;
+    loop {
+        if let Some(pin) = target {
+            let mut page = pin.write();
+            // An allocated page stays all-zero until its first latch
+            // holder formats it: after a crash that is whoever appends
+            // next, and between concurrent appenders it need not be the
+            // one that allocated the page. Formatting only here, under
+            // the latch, is what keeps a second appender from writing
+            // into a page the first is about to wipe.
+            if page.page_type() != page_type {
+                SlottedPage::init(&mut page);
+                page.set_page_type(page_type);
+            }
+            let slot = SlottedPage::slot_count(&page);
+            if SlottedPage::free_space(&page) + SlottedPage::reclaimable(&page) >= bytes.len() + 4 {
+                let page_no = pin.id().page_no;
+                let lsn = log(page_no, slot);
+                SlottedPage::insert_at(&mut page, slot, bytes)?;
+                page.set_lsn(lsn);
+                return Ok((page_no, slot, allocated));
+            }
         }
+        target = Some(pool.new_page(file)?);
+        allocated = true;
     }
-    // Allocate a fresh page.
-    let pin = pool.new_page(file)?;
-    let mut page = pin.write();
-    SlottedPage::init(&mut page);
-    page.set_page_type(page_type);
-    let page_no = pin.id().page_no;
-    let lsn = log(page_no, 0);
-    SlottedPage::insert_at(&mut page, 0, bytes)?;
-    page.set_lsn(lsn);
-    Ok((page_no, 0, true))
 }
 
 /// Physiological undo shared with the read-only storage method.
