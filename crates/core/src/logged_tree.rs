@@ -85,7 +85,9 @@ impl TreeFile {
 /// key's in-tree successor, with an EOF sentinel past the last key.
 /// Conflicts with the S gap locks a locking range scan leaves across the
 /// intervals it read, fencing phantoms; snapshot readers take no gap
-/// locks and are never blocked by this.
+/// locks and are never blocked by this. (A free function, like
+/// [`lock_delete_gaps`], so that `xtask verify` resolves the call and
+/// sees the record-level lock in the caller's lock order.)
 pub fn lock_insert_gap(
     ctx: &ExecCtx<'_>,
     relation: RelationId,
