@@ -10,11 +10,10 @@
 
 use std::sync::Arc;
 
-use dmx_btree::BTree;
 use dmx_core::logged_tree::{self, Images};
 use dmx_core::{
-    AccessQuery, Attachment, AttachmentInstance, CommonServices, ExecCtx, LoggedTree,
-    RelationDescriptor, Replay, ScanItem, ScanOps, TreeFile,
+    AccessQuery, Attachment, AttachmentInstance, CommonServices, EntryDecoder, ExecCtx, LoggedTree,
+    RelationDescriptor, Replay, ScanItem, ScanOps, TreeCursor, TreeFile, TreeScan,
 };
 use dmx_types::{
     key::{decode_values, encode_values},
@@ -311,46 +310,19 @@ impl Attachment for Aggregate {
     ) -> Result<Box<dyn ScanOps>> {
         let d = AggDesc::decode(&instance.desc)?;
         let tree = d.tree_file().open_tree(ctx.services());
-        let range = match query {
-            AccessQuery::All => dmx_core::KeyRange::all(),
-            AccessQuery::KeyEquals(k) => dmx_core::KeyRange::exact(k.clone()),
-            AccessQuery::Range(r) => r.clone(),
-            AccessQuery::Spatial(_, _) => {
-                return Err(DmxError::Unsupported("aggregate: spatial query".into()))
-            }
-        };
-        Ok(Box::new(AggScan {
-            tree,
-            range,
-            after: None,
-        }))
+        Ok(TreeScan::open(
+            TreeCursor::new(&tree, query.key_range("aggregate")?),
+            GroupCells,
+        ))
     }
 }
 
-struct AggScan {
-    tree: BTree,
-    range: dmx_core::KeyRange,
-    after: Option<Vec<u8>>,
-}
+/// Decodes `enc(group value) → cell` entries into
+/// `(group, count, sum)` summaries.
+struct GroupCells;
 
-impl ScanOps for AggScan {
-    fn next(&mut self, _ctx: &ExecCtx<'_>) -> Result<Option<ScanItem>> {
-        use std::ops::Bound;
-        let bound = match &self.after {
-            Some(k) => Bound::Excluded(k.as_slice()),
-            None => match &self.range.lo {
-                Bound::Included(b) => Bound::Included(b.as_slice()),
-                Bound::Excluded(b) => Bound::Excluded(b.as_slice()),
-                Bound::Unbounded => Bound::Unbounded,
-            },
-        };
-        let Some((key, cell)) = self.tree.seek(bound)? else {
-            return Ok(None);
-        };
-        if !self.range.contains(&key) {
-            return Ok(None);
-        }
-        self.after = Some(key.clone());
+impl EntryDecoder for GroupCells {
+    fn item(&self, _ctx: &ExecCtx<'_>, key: Vec<u8>, cell: Vec<u8>) -> Result<Option<ScanItem>> {
         let group = decode_values(&key, 1)?
             .pop()
             .ok_or_else(|| DmxError::Corrupt("empty aggregate group key".into()))?;
@@ -359,15 +331,6 @@ impl ScanOps for AggScan {
             key: RecordKey::new(key),
             values: Some(vec![group, Value::Int(count), Value::Float(sum)]),
         }))
-    }
-
-    fn save_position(&self) -> Vec<u8> {
-        crate::common_position::encode(self.after.as_deref())
-    }
-
-    fn restore_position(&mut self, pos: &[u8]) -> Result<()> {
-        self.after = crate::common_position::decode(pos)?;
-        Ok(())
     }
 
     fn items_are_record_keys(&self) -> bool {

@@ -14,22 +14,22 @@
 use std::ops::Bound;
 use std::sync::Arc;
 
-use dmx_btree::BTree;
+use dmx_core::access::prefix_successor;
 use dmx_core::logged_tree::{self, entry_images, lock_delete_gaps, lock_insert_gap};
 use dmx_core::{
-    AccessPath, AccessQuery, Attachment, AttachmentInstance, CommonServices, Cost, ExecCtx,
-    KeyRange, LoggedTree, PathChoice, RelationDescriptor, Replay, ScanItem, ScanOps, TreeFile,
+    project_values, AccessPath, AccessQuery, Attachment, AttachmentInstance, CommonServices, Cost,
+    EntryDecoder, ExecCtx, KeyRange, LoggedTree, PathChoice, RecordKeyIn, RelationDescriptor,
+    Replay, ScanItem, ScanOps, TreeCursor, TreeFile, TreeScan,
 };
 use dmx_expr::{analyze, Expr, SargOp};
-use dmx_lock::{LockMode, LockName};
 use dmx_types::{
     key::{decode_values, encode_values},
-    AttrList, DmxError, FieldId, FileId, Lsn, Record, RecordKey, RelationId, Result, Schema, Value,
+    AttrList, DmxError, FieldId, FileId, Lsn, Record, RecordKey, Result, Schema, Value,
 };
 
 use crate::common::{
-    apply_logged, decode_att_payload, field_values, parse_fields, prefix_successor, read_u16,
-    read_u32, A_DELETE, A_INSERT,
+    apply_logged, decode_att_payload, field_values, parse_fields, read_u16, read_u32, A_DELETE,
+    A_INSERT,
 };
 
 /// The B-tree index attachment type.
@@ -298,18 +298,11 @@ impl Attachment for BTreeIndex {
     ) -> Result<Box<dyn ScanOps>> {
         let d = IxDesc::decode(&instance.desc)?;
         let tree = d.tree_file().open_tree(ctx.services());
-        let (lo, hi) = translate_prefix_range(query)?;
-        Ok(Box::new(IndexScan {
-            tree,
-            rel: rd.id,
-            file: d.file,
-            lo,
-            hi,
-            fields: d.fields,
-            after: None,
-            range_lock: false,
-            end_gap_locked: false,
-        }))
+        let range = translate_prefix_range(query.key_range("btree index")?);
+        Ok(TreeScan::open(
+            TreeCursor::new(&tree, range).gap_locked(rd.id, RecordKeyIn::Value),
+            IndexEntries { fields: d.fields },
+        ))
     }
 
     fn estimate(
@@ -361,33 +354,34 @@ impl Attachment for BTreeIndex {
             .zip(&eq_values)
             .map(|(&f, v)| dmx_expr::sarg_fraction(f, &SargOp::Eq(v.clone()), ts.as_deref()))
             .product();
-        let (lo, hi, frac) = match range_sarg {
+        let (range, frac) = match range_sarg {
             Some((i, s)) => {
                 if let SargOp::Range(op, v) = &s.op {
                     applied.push(preds[pred_index(preds, i, &sargs)].clone());
-                    let mut lo_b = prefix.clone();
-                    let mut hi_b = prefix.clone();
-                    lo_b.extend_from_slice(&encode_values(std::slice::from_ref(v)));
-                    hi_b.extend_from_slice(&encode_values(std::slice::from_ref(v)));
+                    let mut at = prefix.clone();
+                    at.extend_from_slice(&encode_values(std::slice::from_ref(v)));
                     use dmx_expr::CmpOp::*;
-                    let (lo, hi) = match op {
-                        Lt => (Bound::Included(prefix.clone()), Bound::Excluded(hi_b)),
-                        Le => (Bound::Included(prefix.clone()), Bound::Included(hi_b)),
-                        Gt => (Bound::Excluded(lo_b), prefix_hi(&prefix)),
-                        Ge => (Bound::Included(lo_b), prefix_hi(&prefix)),
-                        _ => (Bound::Included(prefix.clone()), prefix_hi(&prefix)),
-                    };
+                    let KeyRange { mut lo, mut hi } = KeyRange::prefix(prefix);
+                    match op {
+                        Lt => hi = Bound::Excluded(at),
+                        Le => hi = Bound::Included(at),
+                        Gt => lo = Bound::Excluded(at),
+                        Ge => lo = Bound::Included(at),
+                        _ => {}
+                    }
                     let range_frac =
                         dmx_expr::sarg_fraction(d.fields[eq_values.len()], &s.op, ts.as_deref())
                             .unwrap_or(1.0 / 3.0);
-                    (lo, hi, eq_stat_frac.unwrap_or(1.0) * range_frac)
+                    (
+                        KeyRange { lo, hi },
+                        eq_stat_frac.unwrap_or(1.0) * range_frac,
+                    )
                 } else {
                     unreachable!()
                 }
             }
             None => (
-                Bound::Included(prefix.clone()),
-                prefix_hi(&prefix),
+                KeyRange::prefix(prefix),
                 eq_stat_frac.unwrap_or_else(|| {
                     (1.0 / rd.stats.records().max(1) as f64).max(if d.unique { 0.0 } else { 0.01 })
                 }),
@@ -399,7 +393,7 @@ impl Attachment for BTreeIndex {
         let leaf_pages = (rows / 100.0).ceil();
         Some(PathChoice {
             path: AccessPath::Attachment(instance.att, instance.instance),
-            query: AccessQuery::Range(KeyRange { lo, hi }),
+            query: AccessQuery::Range(range),
             cost: Cost::new(height + leaf_pages, rows),
             rows_out: rows.max(0.001),
             covered: Some(d.fields.clone()),
@@ -425,123 +419,40 @@ fn pred_index(preds: &[Expr], sarg_idx: usize, _sargs: &[analyze::Sarg]) -> usiz
     0
 }
 
-fn prefix_hi(prefix: &[u8]) -> Bound<Vec<u8>> {
-    if prefix.is_empty() {
-        return Bound::Unbounded;
-    }
-    match prefix_successor(prefix) {
-        Some(s) => Bound::Excluded(s),
-        None => Bound::Unbounded,
-    }
-}
-
-/// A resolved `(low, high)` pair of full-key scan bounds.
-type KeyBounds = (Bound<Vec<u8>>, Bound<Vec<u8>>);
-
 /// Translates a planner range over index-key *prefixes* into a range over
 /// full keys (`prefix ∥ record_key`).
-fn translate_prefix_range(query: &AccessQuery) -> Result<KeyBounds> {
-    let owned;
-    let kr = match query {
-        AccessQuery::All => return Ok((Bound::Unbounded, Bound::Unbounded)),
-        AccessQuery::KeyEquals(k) => {
-            owned = KeyRange::exact(k.clone());
-            &owned
-        }
-        AccessQuery::Range(kr) => kr,
-        AccessQuery::Spatial(_, _) => {
-            return Err(DmxError::Unsupported("btree index: spatial query".into()))
-        }
-    };
-    let lo = match &kr.lo {
-        Bound::Unbounded => Bound::Unbounded,
-        Bound::Included(a) => Bound::Included(a.clone()),
+fn translate_prefix_range(kr: KeyRange) -> KeyRange {
+    let lo = match kr.lo {
         // exclude every full key with this exact prefix
-        Bound::Excluded(a) => match prefix_successor(a) {
+        Bound::Excluded(a) => match prefix_successor(&a) {
             Some(s) => Bound::Included(s),
-            None => Bound::Excluded(a.clone()),
+            None => Bound::Excluded(a),
         },
+        lo => lo,
     };
-    let hi = match &kr.hi {
-        Bound::Unbounded => Bound::Unbounded,
+    let hi = match kr.hi {
         // include every full key with this exact prefix
-        Bound::Included(b) => match prefix_successor(b) {
-            Some(s) => Bound::Excluded(s),
-            None => Bound::Unbounded,
-        },
-        Bound::Excluded(b) => Bound::Excluded(b.clone()),
+        Bound::Included(b) => KeyRange::prefix(b).hi,
+        hi => hi,
     };
-    Ok((lo, hi))
+    KeyRange { lo, hi }
 }
 
-/// Key-sequential access over an index: returns record keys plus the
-/// covered (indexed) field values decoded from the index key.
-struct IndexScan {
-    tree: BTree,
-    rel: RelationId,
-    file: FileId,
-    lo: Bound<Vec<u8>>,
-    hi: Bound<Vec<u8>>,
+/// Decodes `index key ∥ record key → record key` entries into record
+/// keys plus the covered (indexed) field values.
+struct IndexEntries {
     /// The indexed fields — prefix decode count for covered values, and
-    /// the projection [`ScanOps::item_from_version`] re-derives from a
-    /// record's current values.
+    /// the projection [`EntryDecoder::item_from_version`] re-derives from
+    /// a record's current values.
     fields: Vec<FieldId>,
-    after: Option<Vec<u8>>,
-    /// S-lock the gap below every index entry the scan passes
-    /// (locking-scan dispatch only; raw internal scans leave it off).
-    range_lock: bool,
-    end_gap_locked: bool,
 }
 
-impl ScanOps for IndexScan {
-    fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<ScanItem>> {
-        let bound = match &self.after {
-            Some(k) => Bound::Excluded(k.as_slice()),
-            None => match &self.lo {
-                Bound::Included(b) => Bound::Included(b.as_slice()),
-                Bound::Excluded(b) => Bound::Excluded(b.as_slice()),
-                Bound::Unbounded => Bound::Unbounded,
-            },
-        };
-        let Some((key, value)) = self.tree.seek(bound)? else {
-            if self.range_lock && !self.end_gap_locked {
-                self.end_gap_locked = true;
-                ctx.lock(LockName::gap(self.rel, self.file, None), LockMode::S)?;
-            }
-            return Ok(None);
-        };
-        let in_hi = match &self.hi {
-            Bound::Unbounded => true,
-            Bound::Included(h) => key <= *h,
-            Bound::Excluded(h) => key < *h,
-        };
-        if !in_hi {
-            if self.range_lock && !self.end_gap_locked {
-                self.end_gap_locked = true;
-                // Record before gap (see the in-range arm): the boundary
-                // entry's record may be mid-delete, and the deleter
-                // already holds its record X while acquiring gaps.
-                ctx.lock_record(self.rel, &RecordKey::new(value.clone()), LockMode::S)?;
-                ctx.lock(LockName::gap(self.rel, self.file, Some(&key)), LockMode::S)?;
-            }
-            return Ok(None);
-        }
-        if self.range_lock {
-            // Record S on the entry's record key ahead of the gap S:
-            // writers lock record X before entry gaps (the DML layer
-            // X-locks the record before attachment maintenance runs), so
-            // a shared per-key order keeps a range scan and a concurrent
-            // delete from deadlocking across the Record/Gap pair. The
-            // LockingScan wrapper's later record S is a re-grant.
-            ctx.lock_record(self.rel, &RecordKey::new(value.clone()), LockMode::S)?;
-            ctx.lock(LockName::gap(self.rel, self.file, Some(&key)), LockMode::S)?;
-        }
-        self.after = Some(key.clone());
+impl EntryDecoder for IndexEntries {
+    fn item(&self, _ctx: &ExecCtx<'_>, key: Vec<u8>, rkey: Vec<u8>) -> Result<Option<ScanItem>> {
         // the index key prefix covers the indexed fields
-        let covered = decode_values(&key, self.fields.len())?;
         Ok(Some(ScanItem {
-            key: RecordKey::new(value),
-            values: Some(covered),
+            key: RecordKey::new(rkey),
+            values: Some(decode_values(&key, self.fields.len())?),
         }))
     }
 
@@ -552,55 +463,20 @@ impl ScanOps for IndexScan {
     fn item_from_version(
         &self,
         _ctx: &ExecCtx<'_>,
+        range: &KeyRange,
         key: &RecordKey,
         values: &[Value],
     ) -> Result<Option<ScanItem>> {
         // Covered values re-derived from the record itself, not the
         // (possibly stale or uncommitted) index entry.
-        let covered = self
-            .fields
-            .iter()
-            .map(|&f| {
-                values
-                    .get(f as usize)
-                    .cloned()
-                    .ok_or_else(|| DmxError::InvalidArg(format!("no field {f}")))
-            })
-            .collect::<Result<Vec<_>>>()?;
+        let covered = project_values(values, Some(&self.fields))?;
         // The record's *current* indexed values decide range membership
         // (the entry that surfaced the item may describe older ones).
         let mut full = encode_values(&covered);
         full.extend_from_slice(key.as_bytes());
-        let in_lo = match &self.lo {
-            Bound::Unbounded => true,
-            Bound::Included(b) => full >= *b,
-            Bound::Excluded(b) => full > *b,
-        };
-        let in_hi = match &self.hi {
-            Bound::Unbounded => true,
-            Bound::Included(b) => full <= *b,
-            Bound::Excluded(b) => full < *b,
-        };
-        if !in_lo || !in_hi {
-            return Ok(None);
-        }
-        Ok(Some(ScanItem {
+        Ok(range.contains(&full).then(|| ScanItem {
             key: key.clone(),
             values: Some(covered),
         }))
-    }
-
-    fn set_range_locking(&mut self, on: bool) {
-        self.range_lock = on;
-    }
-
-    fn save_position(&self) -> Vec<u8> {
-        crate::common_position::encode(self.after.as_deref())
-    }
-
-    fn restore_position(&mut self, pos: &[u8]) -> Result<()> {
-        self.after = crate::common_position::decode(pos)?;
-        self.end_gap_locked = false;
-        Ok(())
     }
 }

@@ -120,19 +120,6 @@ pub fn field_values(record: &Record, fields: &[FieldId]) -> Result<Vec<Value>> {
         .collect()
 }
 
-/// Smallest byte string greater than every string with prefix `b`
-/// (`None` when `b` is all-0xFF, i.e. unbounded above).
-pub fn prefix_successor(b: &[u8]) -> Option<Vec<u8>> {
-    let mut v = b.to_vec();
-    while let Some(last) = v.pop() {
-        if last != 0xFF {
-            v.push(last + 1);
-            return Some(v);
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,19 +133,5 @@ mod tests {
         let (d, k, e) = decode_att_payload(&p2).unwrap();
         assert!(d.is_empty() && k.is_empty() && e.is_empty());
         assert!(decode_att_payload(&[1]).is_err());
-    }
-
-    #[test]
-    fn successor_orders_correctly() {
-        assert_eq!(prefix_successor(b"ab").unwrap(), b"ac");
-        assert_eq!(prefix_successor(&[1, 0xFF]).unwrap(), vec![2]);
-        assert_eq!(prefix_successor(&[0xFF, 0xFF]), None);
-        // every string with the prefix sorts below the successor
-        let p = vec![3u8, 0xFF, 7];
-        let succ = prefix_successor(&p).unwrap();
-        let mut extended = p.clone();
-        extended.extend_from_slice(&[0xFF; 8]);
-        assert!(extended < succ);
-        assert!(p < succ);
     }
 }

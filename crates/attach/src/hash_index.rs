@@ -10,24 +10,23 @@
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
-use std::ops::Bound;
 use std::sync::Arc;
 
-use dmx_btree::BTree;
 use dmx_core::logged_tree::{self, entry_images};
 use dmx_core::{
-    AccessPath, AccessQuery, Attachment, AttachmentInstance, CommonServices, Cost, ExecCtx,
-    LoggedTree, PathChoice, RelationDescriptor, Replay, ScanItem, ScanOps, TreeFile,
+    AccessPath, AccessQuery, Attachment, AttachmentInstance, CommonServices, Cost, EntryDecoder,
+    ExecCtx, KeyRange, LoggedTree, PathChoice, RelationDescriptor, Replay, ScanItem, ScanOps,
+    TreeCursor, TreeFile, TreeScan,
 };
 use dmx_expr::{analyze, Expr, SargOp};
 use dmx_types::{
-    key::encode_values, AttrList, DmxError, FieldId, FileId, Lsn, Record, RecordKey, Result,
-    Schema, Value,
+    key::{decode_values, encode_values},
+    AttrList, DmxError, FieldId, FileId, Lsn, Record, RecordKey, Result, Schema, Value,
 };
 
 use crate::common::{
-    apply_logged, decode_att_payload, field_values, parse_fields, prefix_successor, read_u16,
-    read_u32, tail, A_DELETE, A_INSERT,
+    apply_logged, decode_att_payload, field_values, parse_fields, read_u16, read_u32, tail,
+    A_DELETE, A_INSERT,
 };
 
 /// The hash-index attachment type.
@@ -285,17 +284,12 @@ impl Attachment for HashIndex {
                 ))
             }
         };
-        let hi = match prefix_successor(&prefix) {
-            Some(s) => Bound::Excluded(s),
-            None => Bound::Unbounded,
-        };
-        Ok(Box::new(HashScan {
-            tree,
-            lo: Bound::Included(prefix),
-            hi,
-            nfields: d.fields.len(),
-            after: None,
-        }))
+        Ok(TreeScan::open(
+            TreeCursor::new(&tree, KeyRange::prefix(prefix)),
+            BucketEntries {
+                nfields: d.fields.len(),
+            },
+        ))
     }
 
     fn estimate(
@@ -350,52 +344,18 @@ impl Attachment for HashIndex {
     }
 }
 
-struct HashScan {
-    tree: BTree,
-    lo: Bound<Vec<u8>>,
-    hi: Bound<Vec<u8>>,
+/// Decodes `hash(8) ∥ enc(values) ∥ record key → record key` entries:
+/// the indexed values are recoverable, so the probe covers them.
+struct BucketEntries {
     nfields: usize,
-    after: Option<Vec<u8>>,
 }
 
-impl ScanOps for HashScan {
-    fn next(&mut self, _ctx: &ExecCtx<'_>) -> Result<Option<ScanItem>> {
-        let bound = match &self.after {
-            Some(k) => Bound::Excluded(k.as_slice()),
-            None => match &self.lo {
-                Bound::Included(b) => Bound::Included(b.as_slice()),
-                Bound::Excluded(b) => Bound::Excluded(b.as_slice()),
-                Bound::Unbounded => Bound::Unbounded,
-            },
-        };
-        let Some((key, value)) = self.tree.seek(bound)? else {
-            return Ok(None);
-        };
-        let in_hi = match &self.hi {
-            Bound::Unbounded => true,
-            Bound::Included(h) => key <= *h,
-            Bound::Excluded(h) => key < *h,
-        };
-        if !in_hi {
-            return Ok(None);
-        }
-        // key = hash(8) ∥ enc(values) ∥ record_key: the indexed values are
-        // recoverable, so the probe covers them.
-        let covered =
-            dmx_types::key::decode_values(tail(&key, 8, "hash index key")?, self.nfields)?;
-        self.after = Some(key);
+impl EntryDecoder for BucketEntries {
+    fn item(&self, _ctx: &ExecCtx<'_>, key: Vec<u8>, rkey: Vec<u8>) -> Result<Option<ScanItem>> {
+        let covered = decode_values(tail(&key, 8, "hash index key")?, self.nfields)?;
         Ok(Some(ScanItem {
-            key: RecordKey::new(value),
+            key: RecordKey::new(rkey),
             values: Some(covered),
         }))
-    }
-
-    fn save_position(&self) -> Vec<u8> {
-        crate::common_position::encode(self.after.as_deref())
-    }
-
-    fn restore_position(&mut self, pos: &[u8]) -> Result<()> {
-        self.after = crate::common_position::decode(pos)?;
-        Ok(())
     }
 }

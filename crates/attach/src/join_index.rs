@@ -16,14 +16,12 @@
 //! Maintenance on either side is: update the side tree, then pair with
 //! every matching key from the opposite side tree.
 
-use std::ops::Bound;
 use std::sync::Arc;
 
-use dmx_btree::BTree;
 use dmx_core::logged_tree::{self, entry_images};
 use dmx_core::{
-    AccessQuery, Attachment, AttachmentInstance, CommonServices, ExecCtx, LoggedTree,
-    RelationDescriptor, Replay, ScanItem, ScanOps, TreeFile,
+    AccessQuery, Attachment, AttachmentInstance, CommonServices, EntryDecoder, ExecCtx, KeyRange,
+    LoggedTree, RelationDescriptor, Replay, ScanItem, ScanOps, TreeCursor, TreeFile, TreeScan,
 };
 use dmx_types::{
     key::encode_values, AttrList, DmxError, FieldId, FileId, Lsn, Record, RecordKey, Result,
@@ -31,8 +29,8 @@ use dmx_types::{
 };
 
 use crate::common::{
-    apply_logged, decode_att_payload, field_values, parse_fields, prefix_successor, read_u16,
-    read_u32, tail, A_DELETE, A_INSERT,
+    apply_logged, decode_att_payload, field_values, parse_fields, read_u16, read_u32, tail,
+    A_DELETE, A_INSERT,
 };
 
 /// The join-index attachment type.
@@ -169,16 +167,16 @@ impl<'a> Link<'a> {
     }
 
     /// Entries of tree `which` whose key starts with `p`.
-    fn prefix_entries(&self, which: u8, p: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        let hi = match prefix_successor(p) {
-            Some(s) => Bound::Excluded(s),
-            None => Bound::Unbounded,
-        };
-        let mut cur = self.trees[which as usize]
-            .tree()
-            .range(Bound::Included(p.to_vec()), hi);
+    fn prefix_entries(
+        &self,
+        ctx: &ExecCtx<'_>,
+        which: u8,
+        p: &[u8],
+    ) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
+        let tree = self.trees[which as usize].tree();
+        let mut cur = TreeCursor::new(tree, KeyRange::prefix(p.to_vec()));
         let mut out = Vec::new();
-        while let Some(kv) = cur.next()? {
+        while let Some(kv) = cur.next(ctx)? {
             out.push(kv);
         }
         Ok(out)
@@ -212,7 +210,7 @@ impl JoinIndex {
         my_key.extend_from_slice(key.as_bytes());
         link.insert(my_tree, &my_key, key.as_bytes())?;
         // 2. pair with every matching key on the other side
-        for (_, other_key) in link.prefix_entries(other_tree, &v)? {
+        for (_, other_key) in link.prefix_entries(ctx, other_tree, &v)? {
             let (lkey, rkey) = if d.is_left {
                 (key.as_bytes(), other_key.as_slice())
             } else {
@@ -247,7 +245,7 @@ impl JoinIndex {
         my_key.extend_from_slice(key.as_bytes());
         link.delete(my_tree, &my_key)?;
         // drop every pair involving this key
-        for (pair_key, pair_val) in link.prefix_entries(TREE_PAIRS, &v)? {
+        for (pair_key, pair_val) in link.prefix_entries(ctx, TREE_PAIRS, &v)? {
             let (lkey, rkey) = decode_pair_value(&pair_val)?;
             let mine = if d.is_left { lkey } else { rkey };
             if mine == key.as_bytes() {
@@ -451,41 +449,23 @@ impl Attachment for JoinIndex {
             ));
         }
         let tree = d.trees[TREE_PAIRS as usize].open_tree(ctx.services());
-        Ok(Box::new(PairScan {
-            cursor_after: None,
-            tree,
-        }))
+        Ok(TreeScan::open(
+            TreeCursor::new(&tree, KeyRange::all()),
+            PairEntries,
+        ))
     }
 }
 
-struct PairScan {
-    tree: BTree,
-    cursor_after: Option<Vec<u8>>,
-}
+/// Decodes `pairs` entries: the left record key as the item key, the
+/// right one as its value.
+struct PairEntries;
 
-impl ScanOps for PairScan {
-    fn next(&mut self, _ctx: &ExecCtx<'_>) -> Result<Option<ScanItem>> {
-        let bound = match &self.cursor_after {
-            Some(k) => Bound::Excluded(k.as_slice()),
-            None => Bound::Unbounded,
-        };
-        let Some((key, value)) = self.tree.seek(bound)? else {
-            return Ok(None);
-        };
-        self.cursor_after = Some(key);
+impl EntryDecoder for PairEntries {
+    fn item(&self, _ctx: &ExecCtx<'_>, _key: Vec<u8>, value: Vec<u8>) -> Result<Option<ScanItem>> {
         let (lkey, rkey) = decode_pair_value(&value)?;
         Ok(Some(ScanItem {
             key: RecordKey::new(lkey.to_vec()),
             values: Some(vec![Value::Bytes(rkey.to_vec())]),
         }))
-    }
-
-    fn save_position(&self) -> Vec<u8> {
-        crate::common_position::encode(self.cursor_after.as_deref())
-    }
-
-    fn restore_position(&mut self, pos: &[u8]) -> Result<()> {
-        self.cursor_after = crate::common_position::decode(pos)?;
-        Ok(())
     }
 }

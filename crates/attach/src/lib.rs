@@ -32,7 +32,6 @@ pub mod aggregate;
 pub mod btree_index;
 pub mod check;
 pub mod common;
-pub mod common_position;
 pub mod hash_index;
 pub mod join_index;
 pub mod refint;

@@ -374,18 +374,19 @@ impl BTree {
         })
     }
 
-    /// An ascending cursor over `[lo, hi]`.
-    pub fn range(&self, lo: Bound<Vec<u8>>, hi: Bound<Vec<u8>>) -> BTreeCursor {
+    /// An ascending cursor whose first step is the first entry within
+    /// `from`. Upper bounds belong to the caller: a range scan has to see
+    /// the first entry past its range to lock the boundary gap.
+    pub fn cursor_from(&self, from: Bound<Vec<u8>>) -> BTreeCursor {
         BTreeCursor {
             tree: self.clone(),
-            next_bound: lo,
-            hi,
+            next_bound: from,
         }
     }
 
     /// Cursor over every entry.
     pub fn iter_all(&self) -> BTreeCursor {
-        self.range(Bound::Unbounded, Bound::Unbounded)
+        self.cursor_from(Bound::Unbounded)
     }
 
     /// Walks the tree computing structural statistics.
@@ -429,33 +430,35 @@ impl BTree {
 pub struct BTreeCursor {
     tree: BTree,
     next_bound: Bound<Vec<u8>>,
-    hi: Bound<Vec<u8>>,
 }
 
 impl BTreeCursor {
-    /// Next entry within bounds, or `None` when exhausted. Not an
-    /// `Iterator`: positioning is fallible, and `Result<Option<..>>`
-    /// keeps the I/O error path explicit at every call site.
+    /// Next entry, or `None` when exhausted. Not an `Iterator`:
+    /// positioning is fallible, and `Result<Option<..>>` keeps the I/O
+    /// error path explicit at every call site.
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Result<Option<(Vec<u8>, Vec<u8>)>> {
+        let entry = self.peek()?;
+        if let Some((k, _)) = &entry {
+            self.advance(k);
+        }
+        Ok(entry)
+    }
+
+    /// The entry [`BTreeCursor::next`] would return, leaving the cursor
+    /// where it is.
+    pub fn peek(&self) -> Result<Option<(Vec<u8>, Vec<u8>)>> {
         let bound = match &self.next_bound {
             Bound::Included(k) => Bound::Included(k.as_slice()),
             Bound::Excluded(k) => Bound::Excluded(k.as_slice()),
             Bound::Unbounded => Bound::Unbounded,
         };
-        let Some((k, v)) = self.tree.seek(bound)? else {
-            return Ok(None);
-        };
-        let in_hi = match &self.hi {
-            Bound::Unbounded => true,
-            Bound::Included(h) => k.as_slice() <= h.as_slice(),
-            Bound::Excluded(h) => k.as_slice() < h.as_slice(),
-        };
-        if !in_hi {
-            return Ok(None);
-        }
-        self.next_bound = Bound::Excluded(k.clone());
-        Ok(Some((k, v)))
+        self.tree.seek(bound)
+    }
+
+    /// Moves the cursor onto `key`: the next step resumes after it.
+    pub fn advance(&mut self, key: &[u8]) {
+        self.next_bound = Bound::Excluded(key.to_vec());
     }
 
     /// The key the cursor will resume after (its saved position).
@@ -560,29 +563,29 @@ mod tests {
     }
 
     #[test]
-    fn range_scans_with_bounds() {
+    fn cursor_starts_within_its_lower_bound() {
         let (_p, t) = setup();
         for i in 0..100i64 {
             t.insert(&k(i), b"", OnDuplicate::Error).unwrap();
         }
-        let collect = |lo: Bound<Vec<u8>>, hi: Bound<Vec<u8>>| -> Vec<Vec<u8>> {
-            let mut cur = t.range(lo, hi);
+        let collect = |from: Bound<Vec<u8>>| -> Vec<Vec<u8>> {
+            let mut cur = t.cursor_from(from);
             let mut out = Vec::new();
             while let Some((key, _)) = cur.next().unwrap() {
                 out.push(key);
             }
             out
         };
-        assert_eq!(
-            collect(Bound::Included(k(10)), Bound::Excluded(k(15))).len(),
-            5
-        );
-        assert_eq!(
-            collect(Bound::Excluded(k(10)), Bound::Included(k(15))).len(),
-            5
-        );
-        assert_eq!(collect(Bound::Included(k(95)), Bound::Unbounded).len(), 5);
-        assert_eq!(collect(Bound::Unbounded, Bound::Excluded(k(0))).len(), 0);
+        assert_eq!(collect(Bound::Included(k(10)))[0], k(10));
+        assert_eq!(collect(Bound::Excluded(k(10)))[0], k(11));
+        assert_eq!(collect(Bound::Included(k(95))).len(), 5);
+        assert_eq!(collect(Bound::Excluded(k(99))).len(), 0);
+        // peeking does not move the cursor; advancing onto a key does
+        let mut cur = t.cursor_from(Bound::Unbounded);
+        assert_eq!(cur.peek().unwrap().unwrap().0, k(0));
+        assert_eq!(cur.peek().unwrap().unwrap().0, k(0));
+        cur.advance(&k(41));
+        assert_eq!(cur.next().unwrap().unwrap().0, k(42));
     }
 
     #[test]

@@ -58,6 +58,14 @@ impl KeyRange {
         }
     }
 
+    /// Every key that starts with `prefix` (all keys for an empty one).
+    pub fn prefix(prefix: Vec<u8>) -> Self {
+        KeyRange {
+            hi: prefix_successor(&prefix).map_or(Bound::Unbounded, Bound::Excluded),
+            lo: Bound::Included(prefix),
+        }
+    }
+
     /// True when `k` lies inside the range.
     pub fn contains(&self, k: &[u8]) -> bool {
         let lo_ok = match &self.lo {
@@ -71,6 +79,42 @@ impl KeyRange {
             Bound::Excluded(b) => k < b.as_slice(),
         };
         lo_ok && hi_ok
+    }
+}
+
+/// Smallest byte string greater than every string with prefix `b`
+/// (`None` when `b` is all-0xFF, i.e. unbounded above).
+pub fn prefix_successor(b: &[u8]) -> Option<Vec<u8>> {
+    let mut v = b.to_vec();
+    while let Some(last) = v.pop() {
+        if last != 0xFF {
+            v.push(last + 1);
+            return Some(v);
+        }
+    }
+    None
+}
+
+/// Serializes a key-ordered scan's position: `[0]` = at start,
+/// `[1] ∥ key` = after `key`.
+pub fn encode_position(after: Option<&[u8]>) -> Vec<u8> {
+    match after {
+        None => vec![0],
+        Some(k) => {
+            let mut v = Vec::with_capacity(1 + k.len());
+            v.push(1);
+            v.extend_from_slice(k);
+            v
+        }
+    }
+}
+
+/// Parses a position written by [`encode_position`].
+pub fn decode_position(pos: &[u8]) -> Result<Option<Vec<u8>>> {
+    match pos.split_first() {
+        Some((0, _)) => Ok(None),
+        Some((1, rest)) => Ok(Some(rest.to_vec())),
+        _ => Err(DmxError::Corrupt("bad scan position".into())),
     }
 }
 
@@ -96,6 +140,21 @@ pub enum AccessQuery {
     KeyEquals(Vec<u8>),
     /// Spatial predicate against the query rectangle.
     Spatial(SpatialOp, Rect),
+}
+
+impl AccessQuery {
+    /// The key range the query asks for; `what` names the access path
+    /// in the error a spatial query gets.
+    pub fn key_range(&self, what: &str) -> Result<KeyRange> {
+        match self {
+            AccessQuery::All => Ok(KeyRange::all()),
+            AccessQuery::Range(r) => Ok(r.clone()),
+            AccessQuery::KeyEquals(k) => Ok(KeyRange::exact(k.clone())),
+            AccessQuery::Spatial(_, _) => {
+                Err(DmxError::Unsupported(format!("{what}: spatial query")))
+            }
+        }
+    }
 }
 
 /// One item produced by a scan: the storage-method record key plus,
@@ -288,6 +347,35 @@ mod tests {
         let e = KeyRange::exact(vec![7]);
         assert!(e.contains(&[7]));
         assert!(!e.contains(&[7, 0]));
+        let p = KeyRange::prefix(vec![7]);
+        assert!(p.contains(&[7]) && p.contains(&[7, 0xFF]) && !p.contains(&[8]));
+        assert_eq!(KeyRange::prefix(vec![]).hi, Bound::Unbounded);
+        assert_eq!(KeyRange::prefix(vec![0xFF]).hi, Bound::Unbounded);
+    }
+
+    #[test]
+    fn successor_orders_correctly() {
+        assert_eq!(prefix_successor(b"ab").unwrap(), b"ac");
+        assert_eq!(prefix_successor(&[1, 0xFF]).unwrap(), vec![2]);
+        assert_eq!(prefix_successor(&[0xFF, 0xFF]), None);
+        // every string with the prefix sorts below the successor
+        let p = vec![3u8, 0xFF, 7];
+        let succ = prefix_successor(&p).unwrap();
+        let mut extended = p.clone();
+        extended.extend_from_slice(&[0xFF; 8]);
+        assert!(extended < succ);
+        assert!(p < succ);
+    }
+
+    #[test]
+    fn position_roundtrip() {
+        assert_eq!(decode_position(&encode_position(None)).unwrap(), None);
+        assert_eq!(
+            decode_position(&encode_position(Some(b"abc"))).unwrap(),
+            Some(b"abc".to_vec())
+        );
+        assert!(decode_position(&[]).is_err());
+        assert!(decode_position(&[7]).is_err());
     }
 
     // A scriptable scan over a vector of numbered items; position = index.

@@ -19,7 +19,7 @@ use dmx_lock::{LockMode, LockName};
 use dmx_txn::{Snapshot, Transaction, VersionImage};
 use dmx_types::{DmxError, FieldId, Record, RecordKey, RelationId, Result, ScanId, Value};
 
-use crate::access::{AccessPath, AccessQuery, KeyRange, ScanItem, ScanOps};
+use crate::access::{AccessPath, AccessQuery, ScanItem, ScanOps};
 use crate::context::ExecCtx;
 use crate::database::Database;
 use crate::descriptor::RelationDescriptor;
@@ -657,16 +657,7 @@ impl Database {
     ) -> Result<Box<dyn ScanOps>> {
         match path {
             AccessPath::StorageMethod => {
-                let range = match query {
-                    AccessQuery::All => KeyRange::all(),
-                    AccessQuery::Range(r) => r,
-                    AccessQuery::KeyEquals(k) => KeyRange::exact(k),
-                    AccessQuery::Spatial(_, _) => {
-                        return Err(DmxError::Unsupported(
-                            "storage methods do not serve spatial queries".into(),
-                        ))
-                    }
-                };
+                let range = query.key_range("storage method")?;
                 let sm = self.registry().storage(rd.sm)?;
                 sm.open_scan(ctx, rd, range, pred, fields)
             }

@@ -27,7 +27,9 @@
 //! * [`services::CommonServices`] — the shared execution environment
 //!   (buffer pool, log, lock manager, predicate evaluator, latches);
 //! * [`logged_tree`] — the one write-ahead path (append → stamp → apply,
-//!   and the undo/redo mirror) every tree-backed extension goes through;
+//!   and the undo/redo mirror) and the one range cursor (stepping,
+//!   bounds, next-key locks, position) every tree-backed extension goes
+//!   through;
 //! * [`catalog`], [`deps`], [`auth`] — descriptor management, bound-plan
 //!   dependency tracking/invalidation and the uniform authorization
 //!   facility;
@@ -66,7 +68,9 @@ pub use database::{
 pub use deps::{DepKey, DependencyRegistry, PlanId};
 pub use descriptor::{AttachmentInstance, RelationDescriptor};
 pub use dml::project_values;
-pub use logged_tree::{LoggedTarget, LoggedTree, Replay, TreeFile};
+pub use logged_tree::{
+    EntryDecoder, LoggedTarget, LoggedTree, RecordKeyIn, Replay, TreeCursor, TreeFile, TreeScan,
+};
 pub use registry::ExtensionRegistry;
 pub use scrub::{
     repair_relation, scrub_all, scrub_relation, RepairAction, RepairOutcome, ScrubReport,

@@ -18,6 +18,11 @@
 //!    it, so the change can never reach disk ahead of the record that
 //!    lets recovery undo it.
 //!
+//! The reader's half lives here too: [`TreeScan`] is the one
+//! key-sequential access over a tree file — stepping, range bound,
+//! next-key S locks and the saved position — and an extension supplies
+//! only the [`EntryDecoder`] that turns an entry into a scan item.
+//!
 //! Undo and redo are one mirror: a logged change is a `(before, after)`
 //! pair of images of one key, undo installs `before`, redo installs
 //! `after`. Installing an image is idempotent (replace, or
@@ -29,11 +34,12 @@
 use std::ops::Bound;
 use std::sync::Arc;
 
-use dmx_btree::{BTree, OnDuplicate};
+use dmx_btree::{BTree, BTreeCursor, OnDuplicate};
 use dmx_lock::{LockMode, LockName};
-use dmx_types::{DmxError, FileId, Lsn, PageId, RelationId, Result};
+use dmx_types::{DmxError, FileId, Lsn, PageId, RecordKey, RelationId, Result, Value};
 use dmx_wal::ExtKind;
 
+use crate::access::{decode_position, encode_position, KeyRange, ScanItem, ScanOps};
 use crate::context::ExecCtx;
 use crate::descriptor::{AttachmentInstance, RelationDescriptor};
 use crate::services::CommonServices;
@@ -110,6 +116,236 @@ pub fn lock_delete_gaps(
     let gap = LockName::gap(relation, tree.root().file, Some(key));
     ctx.lock(gap, LockMode::X)?;
     lock_insert_gap(ctx, relation, tree, key)
+}
+
+/// Which half of a tree entry is the record key its next-key locks name.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum RecordKeyIn {
+    /// `record key → record` (the B-tree storage method).
+    Key,
+    /// `index key → record key` (the B-tree index).
+    Value,
+}
+
+/// Next-key locking state of a cursor over a gap-lockable key space.
+struct GapLocks {
+    relation: RelationId,
+    record_key: RecordKeyIn,
+    /// Set by the dispatcher's locking protocol only; raw internal scans
+    /// (backfill, scrub, referential probes) leave it off.
+    on: bool,
+    /// The gap past the last in-range entry is locked once.
+    end_locked: bool,
+}
+
+/// The range cursor over a tree: resume-after-last-key stepping, the
+/// range's upper bound, the saved position and — for the structures
+/// writers fence with [`lock_insert_gap`] / [`lock_delete_gaps`] — the
+/// reader's side of next-key locking.
+pub struct TreeCursor {
+    cursor: BTreeCursor,
+    file: FileId,
+    range: KeyRange,
+    gaps: Option<GapLocks>,
+}
+
+impl TreeCursor {
+    /// A cursor over the entries of `tree` inside `range`. It takes no
+    /// locks: hash buckets, aggregate cells and join pairs are not
+    /// ordered record-key spaces, so their writers take no gap locks and
+    /// their scans stay covered by the relation lock.
+    pub fn new(tree: &BTree, range: KeyRange) -> Self {
+        TreeCursor {
+            cursor: tree.cursor_from(range.lo.clone()),
+            file: tree.root().file,
+            range,
+            gaps: None,
+        }
+    }
+
+    /// Makes the cursor gap-lockable: once the dispatcher turns range
+    /// locking on, it S-locks the record and then the gap below every
+    /// entry it passes, so concurrent inserts into the scanned range
+    /// conflict (phantom fencing).
+    pub fn gap_locked(mut self, relation: RelationId, record_key: RecordKeyIn) -> Self {
+        self.gaps = Some(GapLocks {
+            relation,
+            record_key,
+            on: false,
+            end_locked: false,
+        });
+        self
+    }
+
+    /// The range the cursor was opened over.
+    pub fn range(&self) -> &KeyRange {
+        &self.range
+    }
+
+    /// The entry after the current position, moving onto it; `None` past
+    /// the range or the last entry.
+    pub fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<(Vec<u8>, Vec<u8>)>> {
+        let Some((key, value)) = self.cursor.peek()? else {
+            // EOF: the gap from the last key to end-of-tree.
+            if let Some(g) = self.gaps.as_mut().filter(|g| g.on && !g.end_locked) {
+                g.end_locked = true;
+                ctx.lock(LockName::gap(g.relation, self.file, None), LockMode::S)?;
+            }
+            return Ok(None);
+        };
+        let in_range = self.range.contains(&key);
+        if let Some(g) = self
+            .gaps
+            .as_mut()
+            .filter(|g| g.on && (in_range || !g.end_locked))
+        {
+            // The gap below this entry (even when a predicate then
+            // filters it): an insert landing there is a phantom. Past the
+            // range it is the gap between the last in-range key and the
+            // first key beyond the boundary, taken once.
+            //
+            // Record S first: writers take record X then gap X on the
+            // same key (the DML layer X-locks a record before attachment
+            // maintenance runs; a delete of the boundary key holds its
+            // record X while asking for this gap), and a shared per-key
+            // order keeps a scan and a delete from deadlocking across
+            // the pair. The LockingScan wrapper's later record S is a
+            // re-grant.
+            g.end_locked |= !in_range;
+            let record = match g.record_key {
+                RecordKeyIn::Key => &key,
+                RecordKeyIn::Value => &value,
+            };
+            ctx.lock_record(g.relation, &RecordKey::new(record.clone()), LockMode::S)?;
+            ctx.lock(
+                LockName::gap(g.relation, self.file, Some(&key)),
+                LockMode::S,
+            )?;
+        }
+        if !in_range {
+            return Ok(None);
+        }
+        self.cursor.advance(&key);
+        Ok(Some((key, value)))
+    }
+
+    /// Range locking on or off ([`ScanOps::set_range_locking`]); a no-op
+    /// for a cursor that is not [`TreeCursor::gap_locked`].
+    pub fn set_range_locking(&mut self, on: bool) {
+        if let Some(g) = &mut self.gaps {
+            g.on = on;
+        }
+    }
+
+    /// [`ScanOps::save_position`]: at start, or after the last key
+    /// stepped onto.
+    pub fn save_position(&self) -> Vec<u8> {
+        match self.cursor.position() {
+            Bound::Excluded(k) if *self.cursor.position() != self.range.lo => {
+                encode_position(Some(k))
+            }
+            _ => encode_position(None),
+        }
+    }
+
+    /// [`ScanOps::restore_position`]. The end gap is locked again when
+    /// the scan re-reaches it: the partial rollback that restored the
+    /// position may have changed which entry is the boundary.
+    pub fn restore_position(&mut self, pos: &[u8]) -> Result<()> {
+        self.cursor.set_position(match decode_position(pos)? {
+            Some(k) => Bound::Excluded(k),
+            None => self.range.lo.clone(),
+        });
+        if let Some(g) = &mut self.gaps {
+            g.end_locked = false;
+        }
+        Ok(())
+    }
+}
+
+/// What a tree-backed access path supplies to [`TreeScan`]: how one
+/// entry becomes a scan item. The optional methods mirror the
+/// [`ScanOps`] ones of the same name.
+pub trait EntryDecoder: Send {
+    /// The item for entry `(key, value)`; `None` when a pushed-down
+    /// predicate filters it (the scan moves on).
+    fn item(&self, ctx: &ExecCtx<'_>, key: Vec<u8>, value: Vec<u8>) -> Result<Option<ScanItem>>;
+
+    fn items_are_record_keys(&self) -> bool {
+        true
+    }
+
+    fn supports_versioned_read(&self) -> bool {
+        false
+    }
+
+    /// `range` is the scan's: version-sourced items (the snapshot delta
+    /// sweep in particular) are not pre-filtered by the tree traversal.
+    fn item_from_version(
+        &self,
+        _ctx: &ExecCtx<'_>,
+        _range: &KeyRange,
+        _key: &RecordKey,
+        _values: &[Value],
+    ) -> Result<Option<ScanItem>> {
+        Err(DmxError::Unsupported(
+            "scan does not support versioned reads".into(),
+        ))
+    }
+}
+
+/// Key-sequential access over a tree file: a [`TreeCursor`] plus the
+/// extension's entry decoder.
+pub struct TreeScan<D> {
+    cursor: TreeCursor,
+    decoder: D,
+}
+
+impl<D: EntryDecoder + 'static> TreeScan<D> {
+    pub fn open(cursor: TreeCursor, decoder: D) -> Box<dyn ScanOps> {
+        Box::new(TreeScan { cursor, decoder })
+    }
+}
+
+impl<D: EntryDecoder> ScanOps for TreeScan<D> {
+    fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<ScanItem>> {
+        while let Some((key, value)) = self.cursor.next(ctx)? {
+            if let Some(item) = self.decoder.item(ctx, key, value)? {
+                return Ok(Some(item));
+            }
+        }
+        Ok(None)
+    }
+
+    fn save_position(&self) -> Vec<u8> {
+        self.cursor.save_position()
+    }
+
+    fn restore_position(&mut self, pos: &[u8]) -> Result<()> {
+        self.cursor.restore_position(pos)
+    }
+
+    fn items_are_record_keys(&self) -> bool {
+        self.decoder.items_are_record_keys()
+    }
+
+    fn supports_versioned_read(&self) -> bool {
+        self.decoder.supports_versioned_read()
+    }
+
+    fn item_from_version(
+        &self,
+        ctx: &ExecCtx<'_>,
+        key: &RecordKey,
+        values: &[Value],
+    ) -> Result<Option<ScanItem>> {
+        self.decoder
+            .item_from_version(ctx, self.cursor.range(), key, values)
+    }
+
+    fn set_range_locking(&mut self, on: bool) {
+        self.cursor.set_range_locking(on);
+    }
 }
 
 /// What the logged path needs from a tree handle.

@@ -229,14 +229,7 @@ impl<'p> AccessOp<'p> {
                     match p.kind {
                         ProbeKind::HashKey => AccessQuery::KeyEquals(enc),
                         ProbeKind::IndexPrefix | ProbeKind::SmKeyPrefix => {
-                            let hi = match dmx_attach::common::prefix_successor(&enc) {
-                                Some(s) => std::ops::Bound::Excluded(s),
-                                None => std::ops::Bound::Unbounded,
-                            };
-                            AccessQuery::Range(KeyRange {
-                                lo: std::ops::Bound::Included(enc),
-                                hi,
-                            })
+                            AccessQuery::Range(KeyRange::prefix(enc))
                         }
                     }
                 }

@@ -9,14 +9,14 @@
 use std::ops::Bound;
 use std::sync::Arc;
 
-use dmx_btree::BTree;
 use dmx_core::logged_tree::{self, entry_images, lock_delete_gaps, lock_insert_gap};
 use dmx_core::{
-    project_values, AccessPath, AccessQuery, CommonServices, Cost, ExecCtx, KeyRange, LoggedTree,
-    PathChoice, RelationDescriptor, Replay, ScanItem, ScanOps, StorageMethod, TreeFile,
+    project_values, AccessPath, AccessQuery, CommonServices, Cost, EntryDecoder, ExecCtx, KeyRange,
+    LoggedTree, PathChoice, RecordKeyIn, RelationDescriptor, Replay, ScanItem, ScanOps,
+    StorageMethod, TreeCursor, TreeFile, TreeScan,
 };
 use dmx_expr::{analyze, CmpOp, Expr, SargOp};
-use dmx_lock::{LockMode, LockName};
+use dmx_lock::LockMode;
 use dmx_types::{
     key::encode_values, AttrList, DmxError, FieldId, FileId, Lsn, Record, RecordKey, RelationId,
     Result, Schema, Value,
@@ -26,7 +26,7 @@ use crate::ops::{
     decode_key, decode_old_new, encode_key_old_new, encode_key_record, OP_DELETE, OP_INSERT,
     OP_UPDATE,
 };
-use crate::util::{decode_position, encode_position, filter_project};
+use crate::util::filter_project;
 
 /// The B-tree storage method singleton.
 pub struct BTreeStorage;
@@ -323,20 +323,11 @@ impl StorageMethod for BTreeStorage {
         pred: Option<Expr>,
         fields: Option<Vec<FieldId>>,
     ) -> Result<Box<dyn ScanOps>> {
-        let d = Self::desc(rd)?;
-        let tree = d.tree_file().open_tree(ctx.services());
-        Ok(Box::new(BtScan {
-            tree,
-            rel: rd.id,
-            file: d.file,
-            lo: range.lo,
-            hi: range.hi,
-            pred,
-            fields,
-            after: None,
-            range_lock: false,
-            end_gap_locked: false,
-        }))
+        let tree = Self::desc(rd)?.tree_file().open_tree(ctx.services());
+        Ok(TreeScan::open(
+            TreeCursor::new(&tree, range).gap_locked(rd.id, RecordKeyIn::Key),
+            RecordEntries { pred, fields },
+        ))
     }
 
     fn estimate(&self, rd: &RelationDescriptor, preds: &[Expr]) -> PathChoice {
@@ -452,80 +443,20 @@ fn range_for(op: CmpOp, v: &Value) -> KeyRange {
     }
 }
 
-struct BtScan {
-    tree: BTree,
-    rel: RelationId,
-    file: FileId,
-    lo: Bound<Vec<u8>>,
-    hi: Bound<Vec<u8>>,
+/// Decodes `record key → record` entries, filtering and projecting
+/// the record while it is still in the buffer pool's bytes.
+struct RecordEntries {
     pred: Option<Expr>,
     fields: Option<Vec<FieldId>>,
-    after: Option<Vec<u8>>,
-    /// When set (locking-scan dispatch only), S-lock the gap below each
-    /// key the scan passes so concurrent inserts into the scanned range
-    /// conflict (phantom fencing). Raw internal scans leave it off.
-    range_lock: bool,
-    /// The boundary gap past the last in-range key is locked once.
-    end_gap_locked: bool,
 }
 
-impl ScanOps for BtScan {
-    fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<ScanItem>> {
-        loop {
-            let bound = match &self.after {
-                Some(k) => Bound::Excluded(k.as_slice()),
-                None => match &self.lo {
-                    Bound::Included(b) => Bound::Included(b.as_slice()),
-                    Bound::Excluded(b) => Bound::Excluded(b.as_slice()),
-                    Bound::Unbounded => Bound::Unbounded,
-                },
-            };
-            let Some((key, bytes)) = self.tree.seek(bound)? else {
-                if self.range_lock && !self.end_gap_locked {
-                    self.end_gap_locked = true;
-                    // EOF: the gap from the last key to end-of-tree.
-                    ctx.lock(LockName::gap(self.rel, self.file, None), LockMode::S)?;
-                }
-                return Ok(None);
-            };
-            let in_hi = match &self.hi {
-                Bound::Unbounded => true,
-                Bound::Included(h) => key <= *h,
-                Bound::Excluded(h) => key < *h,
-            };
-            if !in_hi {
-                if self.range_lock && !self.end_gap_locked {
-                    self.end_gap_locked = true;
-                    // The gap between the last in-range key and the
-                    // first key beyond the range boundary. Record before
-                    // gap, matching the writers' per-key order (a delete
-                    // of the boundary key holds its record X while
-                    // asking for this gap).
-                    ctx.lock_record(self.rel, &RecordKey::new(key.clone()), LockMode::S)?;
-                    ctx.lock(LockName::gap(self.rel, self.file, Some(&key)), LockMode::S)?;
-                }
-                return Ok(None);
-            }
-            if self.range_lock {
-                // The gap below this key (even when the predicate then
-                // filters it): an insert landing there is a phantom.
-                // Record S first: writers take record X then gap X on
-                // the same key, and a shared per-key order keeps a scan
-                // and a delete from deadlocking across the pair. The
-                // LockingScan wrapper's later record S is a re-grant.
-                ctx.lock_record(self.rel, &RecordKey::new(key.clone()), LockMode::S)?;
-                ctx.lock(LockName::gap(self.rel, self.file, Some(&key)), LockMode::S)?;
-            }
-            self.after = Some(key.clone());
-            if let Some(values) =
-                filter_project(ctx, &bytes, self.fields.as_deref(), self.pred.as_ref())?
-            {
-                return Ok(Some(ScanItem {
-                    key: RecordKey::new(key),
-                    values: Some(values),
-                }));
-            }
-        }
+impl EntryDecoder for RecordEntries {
+    fn item(&self, ctx: &ExecCtx<'_>, key: Vec<u8>, bytes: Vec<u8>) -> Result<Option<ScanItem>> {
+        let values = filter_project(ctx, &bytes, self.fields.as_deref(), self.pred.as_ref())?;
+        Ok(values.map(|values| ScanItem {
+            key: RecordKey::new(key),
+            values: Some(values),
+        }))
     }
 
     fn supports_versioned_read(&self) -> bool {
@@ -535,23 +466,11 @@ impl ScanOps for BtScan {
     fn item_from_version(
         &self,
         ctx: &ExecCtx<'_>,
+        range: &KeyRange,
         key: &RecordKey,
         values: &[Value],
     ) -> Result<Option<ScanItem>> {
-        // Version-sourced items (the snapshot delta sweep in particular)
-        // are not pre-filtered by the tree traversal: re-check bounds.
-        let kb = key.as_bytes();
-        let in_lo = match &self.lo {
-            Bound::Unbounded => true,
-            Bound::Included(b) => kb >= b.as_slice(),
-            Bound::Excluded(b) => kb > b.as_slice(),
-        };
-        let in_hi = match &self.hi {
-            Bound::Unbounded => true,
-            Bound::Included(b) => kb <= b.as_slice(),
-            Bound::Excluded(b) => kb < b.as_slice(),
-        };
-        if !in_lo || !in_hi {
+        if !range.contains(key.as_bytes()) {
             return Ok(None);
         }
         if let Some(p) = &self.pred {
@@ -563,19 +482,5 @@ impl ScanOps for BtScan {
             key: key.clone(),
             values: Some(project_values(values, self.fields.as_deref())?),
         }))
-    }
-
-    fn set_range_locking(&mut self, on: bool) {
-        self.range_lock = on;
-    }
-
-    fn save_position(&self) -> Vec<u8> {
-        encode_position(self.after.as_deref())
-    }
-
-    fn restore_position(&mut self, pos: &[u8]) -> Result<()> {
-        self.after = decode_position(pos)?;
-        self.end_gap_locked = false;
-        Ok(())
     }
 }

@@ -15,6 +15,7 @@ use std::sync::Arc;
 
 use dmx_types::sync::RwLock;
 
+use dmx_core::access::{decode_position, encode_position};
 use dmx_core::{
     AccessPath, CommonServices, Cost, ExecCtx, KeyRange, PathChoice, RelationDescriptor, ScanItem,
     ScanOps, StorageMethod,
@@ -26,7 +27,6 @@ use dmx_types::{
 use dmx_wal::ExtKind;
 
 use crate::ops::{decode_key, encode_key, encode_key_record, OP_DELETE, OP_INSERT, OP_UPDATE};
-use crate::util::{decode_position, encode_position};
 
 /// Rows fetched per simulated round trip during scans.
 pub const SCAN_BATCH: u64 = 100;

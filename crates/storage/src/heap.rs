@@ -14,6 +14,7 @@
 
 use std::sync::Arc;
 
+use dmx_core::access::{decode_position, encode_position};
 use dmx_core::{
     AccessPath, CommonServices, ExecCtx, KeyRange, PathChoice, RelationDescriptor, SalvagedRecords,
     ScanItem, ScanOps, StorageMethod,
@@ -30,7 +31,7 @@ use crate::ops::{
     decode_key, decode_old_new, encode_key_old_new, encode_key_record, OP_DELETE, OP_INSERT,
     OP_UPDATE,
 };
-use crate::util::{decode_position, encode_position, filter_project};
+use crate::util::filter_project;
 
 /// Page type tag for heap data pages.
 pub const PAGE_TYPE_HEAP: u8 = 3;
@@ -387,13 +388,7 @@ impl StorageMethod for HeapStorage {
         pred: Option<Expr>,
         fields: Option<Vec<FieldId>>,
     ) -> Result<Box<dyn ScanOps>> {
-        Ok(Box::new(HeapScan {
-            file: Self::file(rd)?,
-            range,
-            pred,
-            fields,
-            after: None,
-        }))
+        Ok(RidScan::open(Self::file(rd)?, range, pred, fields))
     }
 
     fn estimate(&self, rd: &RelationDescriptor, preds: &[Expr]) -> PathChoice {
@@ -480,8 +475,10 @@ impl StorageMethod for HeapStorage {
     }
 }
 
-/// RID-order key-sequential access with buffer-resident filtering.
-struct HeapScan {
+/// RID-order key-sequential access over a file of slotted pages, with
+/// buffer-resident filtering: the scan of the heap and of the write-once
+/// storage method.
+pub(crate) struct RidScan {
     file: FileId,
     range: KeyRange,
     pred: Option<Expr>,
@@ -490,7 +487,24 @@ struct HeapScan {
     after: Option<(u32, u16)>,
 }
 
-impl ScanOps for HeapScan {
+impl RidScan {
+    pub(crate) fn open(
+        file: FileId,
+        range: KeyRange,
+        pred: Option<Expr>,
+        fields: Option<Vec<FieldId>>,
+    ) -> Box<dyn ScanOps> {
+        Box::new(RidScan {
+            file,
+            range,
+            pred,
+            fields,
+            after: None,
+        })
+    }
+}
+
+impl ScanOps for RidScan {
     fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<ScanItem>> {
         let pool = &ctx.services().pool;
         let page_count = pool.disk().page_count(self.file)?;
@@ -554,7 +568,7 @@ impl ScanOps for HeapScan {
         }))
     }
 
-    // No set_range_locking: heap RIDs are allocation order, not key
+    // No set_range_locking: RIDs are allocation order, not key
     // order, so next-key gap locks don't define a meaningful range;
     // phantom fencing for heaps stays at the relation lock.
 

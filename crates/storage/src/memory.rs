@@ -16,9 +16,10 @@ use std::sync::Arc;
 
 use dmx_types::sync::RwLock;
 
+use dmx_core::access::{decode_position, encode_position};
 use dmx_core::{
-    AccessPath, CommonServices, ExecCtx, KeyRange, PathChoice, RelationDescriptor, ScanItem,
-    ScanOps, StorageMethod,
+    project_values, AccessPath, CommonServices, ExecCtx, KeyRange, PathChoice, RelationDescriptor,
+    ScanItem, ScanOps, StorageMethod,
 };
 use dmx_expr::Expr;
 use dmx_types::{
@@ -27,7 +28,6 @@ use dmx_types::{
 use dmx_wal::ExtKind;
 
 use crate::ops::{decode_key, encode_key, encode_key_record, OP_DELETE, OP_INSERT, OP_UPDATE};
-use crate::util::{decode_position, encode_position};
 
 struct Table {
     rows: RwLock<BTreeMap<Vec<u8>, Record>>,
@@ -187,7 +187,7 @@ impl StorageMethod for MemoryStorage {
                 return Ok(None);
             }
         }
-        Ok(Some(project(rec, fields)?))
+        Ok(Some(project_values(&rec.values, fields)?))
     }
 
     fn open_scan(
@@ -248,21 +248,6 @@ impl StorageMethod for MemoryStorage {
     }
 }
 
-fn project(rec: &Record, fields: Option<&[FieldId]>) -> Result<Vec<Value>> {
-    match fields {
-        None => Ok(rec.values.clone()),
-        Some(ids) => ids
-            .iter()
-            .map(|&i| {
-                rec.values
-                    .get(i as usize)
-                    .cloned()
-                    .ok_or_else(|| DmxError::InvalidArg(format!("no field {i}")))
-            })
-            .collect(),
-    }
-}
-
 struct MemScan {
     table: Arc<Table>,
     range: KeyRange,
@@ -297,7 +282,7 @@ impl ScanOps for MemScan {
                     continue;
                 }
             }
-            let values = project(&rec, self.fields.as_deref())?;
+            let values = project_values(&rec.values, self.fields.as_deref())?;
             return Ok(Some(ScanItem {
                 key: RecordKey::new(key),
                 values: Some(values),

@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use dmx_core::{
-    AccessPath, ExecCtx, KeyRange, PathChoice, RelationDescriptor, ScanItem, ScanOps, StorageMethod,
+    AccessPath, ExecCtx, KeyRange, PathChoice, RelationDescriptor, ScanOps, StorageMethod,
 };
 use dmx_expr::Expr;
 use dmx_page::SlottedPage;
@@ -22,9 +22,11 @@ use dmx_types::{
 };
 use dmx_wal::ExtKind;
 
-use crate::heap::{decode_file_desc, encode_file_desc, parse_rid, redo_page_op, rid, undo_page_op};
+use crate::heap::{
+    decode_file_desc, encode_file_desc, parse_rid, redo_page_op, rid, undo_page_op, RidScan,
+};
 use crate::ops::{encode_key_record, OP_INSERT};
-use crate::util::{decode_position, encode_position, filter_project};
+use crate::util::filter_project;
 
 /// Page type tag for publishing pages.
 pub const PAGE_TYPE_WORM: u8 = 4;
@@ -159,13 +161,8 @@ impl StorageMethod for ReadOnlyStorage {
         pred: Option<Expr>,
         fields: Option<Vec<FieldId>>,
     ) -> Result<Box<dyn ScanOps>> {
-        Ok(Box::new(WormScan {
-            file: decode_file_desc(&rd.sm_desc)?,
-            range,
-            pred,
-            fields,
-            after: None,
-        }))
+        let file = decode_file_desc(&rd.sm_desc)?;
+        Ok(RidScan::open(file, range, pred, fields))
     }
 
     fn estimate(&self, rd: &RelationDescriptor, preds: &[Expr]) -> PathChoice {
@@ -216,67 +213,5 @@ impl StorageMethod for ReadOnlyStorage {
             op,
             payload,
         )
-    }
-}
-
-/// Sequential scan (identical position rules to the heap scan).
-struct WormScan {
-    file: dmx_types::FileId,
-    range: KeyRange,
-    pred: Option<Expr>,
-    fields: Option<Vec<FieldId>>,
-    after: Option<(u32, u16)>,
-}
-
-impl ScanOps for WormScan {
-    fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<ScanItem>> {
-        let pool = &ctx.services().pool;
-        let page_count = pool.disk().page_count(self.file)?;
-        let (mut page_no, mut next_slot) = match self.after {
-            None => (0, 0),
-            Some((p, s)) => (p, s as u32 + 1),
-        };
-        while page_no < page_count {
-            let pin = pool.fetch(PageId::new(self.file, page_no))?;
-            let page = pin.read();
-            let slots = SlottedPage::slot_count(&page) as u32;
-            while next_slot < slots {
-                let slot = next_slot as u16;
-                next_slot += 1;
-                let Some(bytes) = SlottedPage::get(&page, slot) else {
-                    continue;
-                };
-                let key = rid(page_no, slot);
-                if !self.range.contains(key.as_bytes()) {
-                    continue;
-                }
-                if let Some(values) =
-                    filter_project(ctx, bytes, self.fields.as_deref(), self.pred.as_ref())?
-                {
-                    self.after = Some((page_no, slot));
-                    return Ok(Some(ScanItem {
-                        key,
-                        values: Some(values),
-                    }));
-                }
-            }
-            self.after = Some((page_no, (slots.max(1) - 1) as u16));
-            page_no += 1;
-            next_slot = 0;
-        }
-        Ok(None)
-    }
-
-    fn save_position(&self) -> Vec<u8> {
-        let key = self.after.map(|(p, s)| rid(p, s));
-        encode_position(key.as_ref().map(|k| k.as_bytes()))
-    }
-
-    fn restore_position(&mut self, pos: &[u8]) -> Result<()> {
-        self.after = match decode_position(pos)? {
-            None => None,
-            Some(bytes) => Some(parse_rid(&bytes)?),
-        };
-        Ok(())
     }
 }

@@ -23,8 +23,8 @@ use std::sync::Arc;
 
 use dmx_core::sysrel;
 use dmx_core::{
-    AccessPath, AccessQuery, Cost, Database, ExecCtx, KeyRange, PathChoice, RelationDescriptor,
-    ScanItem, ScanOps, StorageMethod,
+    project_values, AccessPath, AccessQuery, Cost, Database, ExecCtx, KeyRange, PathChoice,
+    RelationDescriptor, ScanItem, ScanOps, StorageMethod,
 };
 use dmx_expr::Expr;
 use dmx_lock::LockName;
@@ -64,20 +64,6 @@ fn decode_row_key(key: &RecordKey) -> Result<usize> {
     }
     buf.copy_from_slice(bytes);
     Ok(u64::from_be_bytes(buf) as usize)
-}
-
-fn project(row: &[Value], fields: Option<&[FieldId]>) -> Result<Vec<Value>> {
-    match fields {
-        None => Ok(row.to_vec()),
-        Some(ids) => ids
-            .iter()
-            .map(|&i| {
-                row.get(i as usize)
-                    .cloned()
-                    .ok_or_else(|| DmxError::Internal(format!("system row field {i} out of range")))
-            })
-            .collect(),
-    }
 }
 
 fn s(v: impl Into<String>) -> Value {
@@ -416,7 +402,7 @@ impl StorageMethod for SystemStorage {
                 return Ok(None);
             }
         }
-        project(row, fields).map(Some)
+        project_values(row, fields).map(Some)
     }
 
     fn open_scan(
@@ -502,7 +488,7 @@ impl ScanOps for SysScan {
                     continue;
                 }
             }
-            let values = project(row, self.fields.as_deref())?;
+            let values = project_values(row, self.fields.as_deref())?;
             return Ok(Some(ScanItem {
                 key,
                 values: Some(values),

@@ -26,42 +26,3 @@ pub fn filter_project(
     };
     Ok(Some(values))
 }
-
-/// Serializes a scan position: `[0]` = at start, `[1] ++ key` = after
-/// `key`.
-pub fn encode_position(after: Option<&[u8]>) -> Vec<u8> {
-    match after {
-        None => vec![0],
-        Some(k) => {
-            let mut v = Vec::with_capacity(1 + k.len());
-            v.push(1);
-            v.extend_from_slice(k);
-            v
-        }
-    }
-}
-
-/// Parses a position written by [`encode_position`].
-pub fn decode_position(pos: &[u8]) -> Result<Option<Vec<u8>>> {
-    match pos.split_first() {
-        Some((0, _)) => Ok(None),
-        Some((1, rest)) => Ok(Some(rest.to_vec())),
-        _ => Err(dmx_types::DmxError::Corrupt("bad scan position".into())),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn position_roundtrip() {
-        assert_eq!(decode_position(&encode_position(None)).unwrap(), None);
-        assert_eq!(
-            decode_position(&encode_position(Some(b"abc"))).unwrap(),
-            Some(b"abc".to_vec())
-        );
-        assert!(decode_position(&[]).is_err());
-        assert!(decode_position(&[7]).is_err());
-    }
-}
