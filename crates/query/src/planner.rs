@@ -609,9 +609,17 @@ pub fn plan_select(db: &Arc<Database>, sel: &SelectStmt) -> Result<CompiledSelec
                         kind,
                     });
                     inner.use_covered = None; // probe rows fetch the record
-                    if let AccessPath::Attachment(a, ii) = inner.path {
-                        deps.push(dmx_core::DepKey::Attachment(t.rd.id, a, ii));
-                    }
+                                              // The pushed/residual split `plan_table` made belongs
+                                              // to the path the probe replaces; the probe path
+                                              // applies none of the table's own predicates itself.
+                    let local = combine(per_table[ti].clone());
+                    (inner.pushed, inner.residual) = match inner.path {
+                        AccessPath::StorageMethod => (local, None),
+                        AccessPath::Attachment(a, ii) => {
+                            deps.push(dmx_core::DepKey::Attachment(t.rd.id, a, ii));
+                            (None, local)
+                        }
+                    };
                     // probing applies the equi-join condition
                     cross.retain(|c| c != cond);
                 }

@@ -382,6 +382,83 @@ fn spatial_sql_with_rtree() {
     );
 }
 
+/// An index nested-loop join must keep the probed table's own
+/// predicates, whichever probe kind serves it, in either FROM order,
+/// with or without published statistics.
+#[test]
+fn probe_joins_keep_the_inner_tables_predicates() {
+    const EMP: i64 = 6000;
+    const DEPTS: i64 = 50;
+    let age = |id: i64| 20 + (id * 7) % 40;
+    let expected: Vec<Vec<Value>> = (0..EMP)
+        .filter(|&id| age(id) < 30)
+        .map(|id| vec![Value::Int(id)])
+        .collect();
+    let probes = [
+        (
+            "CREATE TABLE emp (id INT NOT NULL, dept INT NOT NULL, age INT NOT NULL)",
+            Some("CREATE INDEX emp_dept ON emp (dept)"),
+        ),
+        (
+            "CREATE TABLE emp (id INT NOT NULL, dept INT NOT NULL, age INT NOT NULL)",
+            Some("CREATE INDEX emp_dept ON emp USING hash (dept)"),
+        ),
+        (
+            "CREATE TABLE emp (id INT NOT NULL, dept INT NOT NULL, age INT NOT NULL) \
+          USING btree WITH (key = 'dept,id')",
+            None,
+        ),
+    ];
+    for (create_emp, index) in probes {
+        let db = open_db();
+        db.execute_sql("CREATE TABLE dept (id INT NOT NULL, dname STRING NOT NULL)")
+            .unwrap();
+        db.execute_sql(create_emp).unwrap();
+        if let Some(ddl) = index {
+            db.execute_sql(ddl).unwrap();
+        }
+        for d in 0..DEPTS {
+            db.execute_sql(&format!("INSERT INTO dept VALUES ({d}, 'dept{d}')"))
+                .unwrap();
+        }
+        for batch in (0..EMP).collect::<Vec<_>>().chunks(200) {
+            let rows: Vec<String> = batch
+                .iter()
+                .map(|&id| format!("({id}, {}, {})", id % DEPTS, age(id)))
+                .collect();
+            db.execute_sql(&format!("INSERT INTO emp VALUES {}", rows.join(", ")))
+                .unwrap();
+        }
+        for analyzed in [false, true] {
+            if analyzed {
+                db.execute_sql("ANALYZE TABLE emp").unwrap();
+                db.execute_sql("ANALYZE TABLE dept").unwrap();
+            }
+            let mut probed = false;
+            for from in ["emp e, dept d", "dept d, emp e"] {
+                let q = format!(
+                    "SELECT e.id FROM {from} WHERE e.dept = d.id AND e.age < 30 ORDER BY 1"
+                );
+                let plan: String = db
+                    .query_sql(&format!("EXPLAIN {q}"))
+                    .unwrap()
+                    .iter()
+                    .map(|r| r[0].as_str().unwrap().to_string() + "\n")
+                    .collect();
+                probed |= plan
+                    .lines()
+                    .any(|l| l.contains("Access emp") && l.contains("probe from outer"));
+                let rows = db.query_sql(&q).unwrap();
+                assert_eq!(
+                    rows, expected,
+                    "{index:?} analyzed={analyzed} FROM {from}:\n{plan}"
+                );
+            }
+            assert!(probed, "{index:?} analyzed={analyzed}: emp never probed");
+        }
+    }
+}
+
 #[test]
 fn storage_method_choice_via_sql() {
     let db = open_db();
