@@ -299,6 +299,23 @@ impl Attachment for Aggregate {
         true
     }
 
+    fn storage_files(&self, inst_desc: &[u8]) -> Vec<FileId> {
+        AggDesc::decode(inst_desc)
+            .map(|d| vec![d.file])
+            .unwrap_or_default()
+    }
+
+    fn reconstruct_params(&self, rd: &RelationDescriptor, inst_desc: &[u8]) -> Result<AttrList> {
+        let d = AggDesc::decode(inst_desc)?;
+        let mut pairs = vec![("sum", d.sum_field)];
+        pairs.extend(d.group_field.map(|g| ("group_by", g)));
+        let named: Vec<(&str, &str)> = pairs
+            .into_iter()
+            .map(|(attr, f)| Ok((attr, rd.schema.column(f)?.name.as_str())))
+            .collect::<Result<_>>()?;
+        AttrList::from_pairs(named)
+    }
+
     /// Reads the maintained aggregates: each item is
     /// `(group value, count, sum)`.
     fn open_scan(

@@ -431,6 +431,15 @@ impl Attachment for JoinIndex {
         true
     }
 
+    /// Both sides report the three shared trees. No `reconstruct_params`:
+    /// one instance cannot restate the two-relation DDL that links it to
+    /// its other side.
+    fn storage_files(&self, inst_desc: &[u8]) -> Vec<FileId> {
+        JiDesc::decode(inst_desc)
+            .map(|d| d.trees.iter().map(|t| t.file).collect())
+            .unwrap_or_default()
+    }
+
     /// Scans the materialized pairs: each item carries the **left**
     /// record key as `key` and `[Bytes(right record key), join value]`
     /// as values — the query layer's join-index join strategy consumes

@@ -759,6 +759,18 @@ impl Attachment for RTreeIndex {
         true
     }
 
+    fn storage_files(&self, inst_desc: &[u8]) -> Vec<FileId> {
+        RtDesc::decode(inst_desc)
+            .map(|d| vec![d.file])
+            .unwrap_or_default()
+    }
+
+    fn reconstruct_params(&self, rd: &RelationDescriptor, inst_desc: &[u8]) -> Result<AttrList> {
+        let d = RtDesc::decode(inst_desc)?;
+        let field = rd.schema.column(d.rect_field)?.name.clone();
+        AttrList::from_pairs([("field", field)])
+    }
+
     fn open_scan(
         &self,
         ctx: &ExecCtx<'_>,

@@ -872,9 +872,13 @@ mod tests {
     use super::*;
 
     fn sf(rel: &str, src: &str) -> SourceFile {
+        // Tests run on parallel threads and several share a `rel`: the
+        // sequence number keeps their temp files apart.
+        static SEQ: std::sync::atomic::AtomicU32 = std::sync::atomic::AtomicU32::new(0);
         let dir = std::env::temp_dir().join(format!(
-            "xtask-test-{}-{}",
+            "xtask-test-{}-{}-{}",
             std::process::id(),
+            SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
             rel.replace('/', "_")
         ));
         std::fs::write(&dir, src).expect("write temp");

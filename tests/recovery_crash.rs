@@ -216,6 +216,68 @@ fn attachments_and_aggregates_recover_consistently() {
     assert_eq!(total_count, 60);
 }
 
+/// A committed `CREATE` of every tree-backed extension survives a crash
+/// that no checkpoint precedes: the unlogged root-page bootstrap has to
+/// be on disk when the DDL commits, because restart replays the
+/// extension's log records against it.
+#[test]
+fn committed_create_of_every_tree_backed_extension_survives_a_crash() {
+    const T: &str = "CREATE TABLE t (id INT NOT NULL, v INT NOT NULL, area RECT)";
+    let cases: [(&str, &[&str]); 7] = [
+        (
+            "btree storage",
+            &[
+                "CREATE TABLE t (id INT NOT NULL, v INT NOT NULL, area RECT) \
+               USING btree WITH (key = id)",
+            ],
+        ),
+        ("btree index", &[T, "CREATE INDEX t_x ON t (v)"]),
+        ("hash index", &[T, "CREATE INDEX t_x ON t USING hash (v)"]),
+        (
+            "aggregate",
+            &[
+                T,
+                "CREATE ATTACHMENT t_x ON t USING aggregate WITH (sum = v, group_by = v)",
+            ],
+        ),
+        ("stats", &[T, "CREATE ATTACHMENT t_x ON t USING stats"]),
+        ("rtree", &[T, "CREATE INDEX t_x ON t USING rtree (area)"]),
+        (
+            "join index",
+            &[
+                T,
+                "CREATE TABLE u (id INT NOT NULL)",
+                "CREATE ATTACHMENT tu ON t USING joinindex WITH (side=left, fields=v)",
+                "CREATE ATTACHMENT tu ON u USING joinindex WITH (side=right, fields=id, other=t)",
+                "INSERT INTO u VALUES (0), (1), (2)",
+            ],
+        ),
+    ];
+    for (what, ddl) in cases {
+        let (env, db) = fresh();
+        for stmt in ddl {
+            db.execute_sql(stmt).unwrap();
+        }
+        for i in 0..50 {
+            db.execute_sql(&format!(
+                "INSERT INTO t VALUES ({i}, {}, RECT({i}, {i}, {}, {}))",
+                i % 5,
+                i + 1,
+                i + 2
+            ))
+            .unwrap();
+        }
+        // Crash: not even the clean-shutdown checkpoint runs.
+        std::mem::forget(db);
+        let db = reopen(&env);
+        assert_eq!(db.quarantined(), vec![], "{what}");
+        let n = db.query_sql("SELECT COUNT(*) FROM t").unwrap()[0][0]
+            .as_int()
+            .unwrap();
+        assert_eq!(n, 50, "{what}");
+    }
+}
+
 #[test]
 fn transaction_ids_never_repeat_across_restarts() {
     // The id allocator resumes past the highest txn id recorded in the

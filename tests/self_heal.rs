@@ -141,6 +141,73 @@ fn check_table_quarantines_proactively() {
     assert_eq!(db.quarantined().len(), 1);
 }
 
+/// `CHECK TABLE` walks the files of every tree-backed attachment, and a
+/// preventive `REPAIR TABLE` rebuilds the ones that can restate their
+/// DDL (aggregate and R-tree among them; a join index cannot — one side
+/// does not know the two-relation DDL — and is left as it is).
+#[test]
+fn check_and_repair_cover_aggregate_rtree_and_join_index_files() {
+    use starburst_dmx::attach::{aggregate::AggDesc, join_index::JiDesc, rtree::RtDesc};
+    let env = DatabaseEnv::fresh();
+    let db = reopen(&env);
+    for ddl in [
+        "CREATE TABLE t (id INT NOT NULL, v INT NOT NULL, area RECT NOT NULL)",
+        "CREATE TABLE u (id INT NOT NULL)",
+        "CREATE ATTACHMENT sums ON t USING aggregate WITH (sum = id, group_by = v)",
+        "CREATE INDEX t_area ON t USING rtree (area)",
+        "CREATE ATTACHMENT tu ON t USING joinindex WITH (side=left, fields=v)",
+        "CREATE ATTACHMENT tu ON u USING joinindex WITH (side=right, fields=id, other=t)",
+        "INSERT INTO u VALUES (0), (1), (2), (3), (4)",
+    ] {
+        db.execute_sql(ddl).expect("ddl");
+    }
+    for i in 0..200 {
+        let v = i % 5; // every row of t has its partner in u
+        db.execute_sql(&format!(
+            "INSERT INTO t VALUES ({i}, {v}, RECT({i}, {i}, {}, {}))",
+            i + 1,
+            i + 2
+        ))
+        .expect("dml");
+    }
+    // (aggregate file, R-tree file, the join index's three tree files)
+    let files = || {
+        let rd = db.catalog().get_by_name("t").unwrap();
+        let desc = |name: &str| rd.find_attachment(name).unwrap().1.desc.clone();
+        (
+            AggDesc::decode(&desc("sums")).unwrap().file,
+            RtDesc::decode(&desc("t_area")).unwrap().file,
+            JiDesc::decode(&desc("tu")).unwrap().trees.map(|t| t.file),
+        )
+    };
+    let (agg, rt, ji) = files();
+    let rd = db.catalog().get_by_name("t").unwrap();
+    let base = db
+        .registry()
+        .storage(rd.sm)
+        .unwrap()
+        .storage_files(&rd.sm_desc);
+    let pages: i64 = base
+        .iter()
+        .chain([agg, rt].iter())
+        .chain(ji.iter())
+        .map(|&f| env.disk.page_count(f).unwrap() as i64)
+        .sum();
+    let r = db.execute_sql("CHECK TABLE t").expect("check");
+    assert_eq!(r.rows[0][2], Value::from("healthy"), "{r:?}");
+    assert_eq!(r.rows[0][1], Value::Int(pages), "base + five tree files");
+
+    let window = "SELECT COUNT(*) FROM t WHERE area ENCLOSES RECT(50.2, 50.2, 50.8, 50.8)";
+    let before = db.query_sql(window).unwrap();
+    let r = db.execute_sql("REPAIR TABLE t").expect("repair");
+    assert_eq!(r.rows[0][1], Value::from("rebuild"));
+    assert_eq!(r.rows[0][2], Value::from("healthy"));
+    let (agg2, rt2, ji2) = files();
+    assert!(agg2 != agg && rt2 != rt, "aggregate and R-tree rebuilt");
+    assert_eq!(ji2, ji, "join index left in place");
+    assert_eq!(db.query_sql(window).unwrap(), before);
+}
+
 /// A damaged *base* is salvaged: every record on readable pages is
 /// recovered into a fresh instance, the unreadable ones are reported as
 /// lost, and the index is rebuilt on top of the salvaged base.
