@@ -192,8 +192,10 @@ pub trait ScanOps: Send {
     /// record image via [`ScanOps::item_from_version`] — the opt-in for
     /// lock-free snapshot scans. Scans whose per-item state is not a
     /// pure function of `(record key, record values)` (join pairs,
-    /// derived aggregates, spatial hits) keep the default `false` and
-    /// the dispatcher falls back to the locking protocol.
+    /// derived aggregates, spatial hits) keep the default `false`, as
+    /// does the hash index, which implements no `item_from_version`;
+    /// for all of them the dispatcher falls back to the locking
+    /// protocol.
     fn supports_versioned_read(&self) -> bool {
         false
     }
