@@ -307,13 +307,12 @@ impl Attachment for Aggregate {
 
     fn reconstruct_params(&self, rd: &RelationDescriptor, inst_desc: &[u8]) -> Result<AttrList> {
         let d = AggDesc::decode(inst_desc)?;
-        let mut pairs = vec![("sum", d.sum_field)];
-        pairs.extend(d.group_field.map(|g| ("group_by", g)));
-        let named: Vec<(&str, &str)> = pairs
-            .into_iter()
-            .map(|(attr, f)| Ok((attr, rd.schema.column(f)?.name.as_str())))
-            .collect::<Result<_>>()?;
-        AttrList::from_pairs(named)
+        let name = |f: FieldId| rd.schema.column(f).map(|c| c.name.as_str());
+        let mut pairs = vec![("sum", name(d.sum_field)?)];
+        if let Some(g) = d.group_field {
+            pairs.push(("group_by", name(g)?));
+        }
+        AttrList::from_pairs(pairs)
     }
 
     /// Reads the maintained aggregates: each item is
@@ -328,7 +327,7 @@ impl Attachment for Aggregate {
         let d = AggDesc::decode(&instance.desc)?;
         let tree = d.tree_file().open_tree(ctx.services());
         Ok(TreeScan::open(
-            TreeCursor::new(&tree, query.key_range("aggregate")?),
+            TreeCursor::new(&tree, query.clone().key_range("aggregate")?),
             GroupCells,
         ))
     }

@@ -298,7 +298,7 @@ impl Attachment for BTreeIndex {
     ) -> Result<Box<dyn ScanOps>> {
         let d = IxDesc::decode(&instance.desc)?;
         let tree = d.tree_file().open_tree(ctx.services());
-        let range = translate_prefix_range(query.key_range("btree index")?);
+        let range = translate_prefix_range(query.clone().key_range("btree index")?);
         Ok(TreeScan::open(
             TreeCursor::new(&tree, range).gap_locked(rd.id, RecordKeyIn::Value),
             IndexEntries { fields: d.fields },

@@ -145,11 +145,11 @@ pub enum AccessQuery {
 impl AccessQuery {
     /// The key range the query asks for; `what` names the access path
     /// in the error a spatial query gets.
-    pub fn key_range(&self, what: &str) -> Result<KeyRange> {
+    pub fn key_range(self, what: &str) -> Result<KeyRange> {
         match self {
             AccessQuery::All => Ok(KeyRange::all()),
-            AccessQuery::Range(r) => Ok(r.clone()),
-            AccessQuery::KeyEquals(k) => Ok(KeyRange::exact(k.clone())),
+            AccessQuery::Range(r) => Ok(r),
+            AccessQuery::KeyEquals(k) => Ok(KeyRange::exact(k)),
             AccessQuery::Spatial(_, _) => {
                 Err(DmxError::Unsupported(format!("{what}: spatial query")))
             }

@@ -237,13 +237,12 @@ impl TreeCursor {
         }
     }
 
-    /// [`ScanOps::save_position`]: at start, or after the last key
-    /// stepped onto.
+    /// [`ScanOps::save_position`]: after the last key stepped onto, or
+    /// at start while the cursor still sits on the range's own bound.
     pub fn save_position(&self) -> Vec<u8> {
-        match self.cursor.position() {
-            Bound::Excluded(k) if *self.cursor.position() != self.range.lo => {
-                encode_position(Some(k))
-            }
+        let at = self.cursor.position();
+        match at {
+            Bound::Excluded(k) if *at != self.range.lo => encode_position(Some(k)),
             _ => encode_position(None),
         }
     }

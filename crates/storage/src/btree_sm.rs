@@ -11,9 +11,9 @@ use std::sync::Arc;
 
 use dmx_core::logged_tree::{self, entry_images, lock_delete_gaps, lock_insert_gap};
 use dmx_core::{
-    project_values, AccessPath, AccessQuery, CommonServices, Cost, EntryDecoder, ExecCtx, KeyRange,
-    LoggedTree, PathChoice, RecordKeyIn, RelationDescriptor, Replay, ScanItem, ScanOps,
-    StorageMethod, TreeCursor, TreeFile, TreeScan,
+    AccessPath, AccessQuery, CommonServices, Cost, EntryDecoder, ExecCtx, KeyRange, LoggedTree,
+    PathChoice, RecordKeyIn, RelationDescriptor, Replay, ScanItem, ScanOps, StorageMethod,
+    TreeCursor, TreeFile, TreeScan,
 };
 use dmx_expr::{analyze, CmpOp, Expr, SargOp};
 use dmx_lock::LockMode;
@@ -26,7 +26,7 @@ use crate::ops::{
     decode_key, decode_old_new, encode_key_old_new, encode_key_record, OP_DELETE, OP_INSERT,
     OP_UPDATE,
 };
-use crate::util::filter_project;
+use crate::util::{filter_project, item_from_version};
 
 /// The B-tree storage method singleton.
 pub struct BTreeStorage;
@@ -470,17 +470,7 @@ impl EntryDecoder for RecordEntries {
         key: &RecordKey,
         values: &[Value],
     ) -> Result<Option<ScanItem>> {
-        if !range.contains(key.as_bytes()) {
-            return Ok(None);
-        }
-        if let Some(p) = &self.pred {
-            if !ctx.eval_predicate(p, &values)? {
-                return Ok(None);
-            }
-        }
-        Ok(Some(ScanItem {
-            key: key.clone(),
-            values: Some(project_values(values, self.fields.as_deref())?),
-        }))
+        let (fields, pred) = (self.fields.as_deref(), self.pred.as_ref());
+        item_from_version(ctx, range, fields, pred, key, values)
     }
 }

@@ -31,7 +31,7 @@ use crate::ops::{
     decode_key, decode_old_new, encode_key_old_new, encode_key_record, OP_DELETE, OP_INSERT,
     OP_UPDATE,
 };
-use crate::util::filter_project;
+use crate::util::{filter_project, item_from_version};
 
 /// Page type tag for heap data pages.
 pub const PAGE_TYPE_HEAP: u8 = 3;
@@ -554,18 +554,8 @@ impl ScanOps for RidScan {
         key: &RecordKey,
         values: &[Value],
     ) -> Result<Option<ScanItem>> {
-        if !self.range.contains(key.as_bytes()) {
-            return Ok(None);
-        }
-        if let Some(p) = &self.pred {
-            if !ctx.eval_predicate(p, &values)? {
-                return Ok(None);
-            }
-        }
-        Ok(Some(ScanItem {
-            key: key.clone(),
-            values: Some(dmx_core::project_values(values, self.fields.as_deref())?),
-        }))
+        let (fields, pred) = (self.fields.as_deref(), self.pred.as_ref());
+        item_from_version(ctx, &self.range, fields, pred, key, values)
     }
 
     // No set_range_locking: RIDs are allocation order, not key

@@ -1,8 +1,8 @@
 //! Shared helpers: projection + buffer-resident filtering.
 
-use dmx_core::ExecCtx;
+use dmx_core::{project_values, ExecCtx, KeyRange, ScanItem};
 use dmx_expr::Expr;
-use dmx_types::{FieldId, RecordRef, Result, Value};
+use dmx_types::{FieldId, RecordKey, RecordRef, Result, Value};
 
 /// Applies the filter predicate to an encoded record *in place* (no
 /// copy-out) and, when it passes, decodes the requested projection
@@ -25,4 +25,31 @@ pub fn filter_project(
         None => rr.to_record()?.values,
     };
     Ok(Some(values))
+}
+
+/// [`filter_project`]'s counterpart for a record image that comes from
+/// the version store instead of a page: a storage-method scan's item for
+/// `values`, or `None` when the record is outside the scan's range or
+/// fails its predicate. (Version-sourced records — the snapshot delta
+/// sweep in particular — are not pre-filtered by the scan's traversal.)
+pub fn item_from_version(
+    ctx: &ExecCtx<'_>,
+    range: &KeyRange,
+    fields: Option<&[FieldId]>,
+    pred: Option<&Expr>,
+    key: &RecordKey,
+    values: &[Value],
+) -> Result<Option<ScanItem>> {
+    if !range.contains(key.as_bytes()) {
+        return Ok(None);
+    }
+    if let Some(p) = pred {
+        if !ctx.eval_predicate(p, &values)? {
+            return Ok(None);
+        }
+    }
+    Ok(Some(ScanItem {
+        key: key.clone(),
+        values: Some(project_values(values, fields)?),
+    }))
 }
