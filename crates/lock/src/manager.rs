@@ -2,11 +2,13 @@
 //!
 //! One global table maps [`LockName`]s to entries holding a granted set
 //! (one converted mode per transaction) and a FIFO wait queue. Requests
-//! block on a condition variable; a waits-for-graph deadlock detector runs
-//! on every wait tick and aborts the youngest transaction in a cycle by
-//! flagging it a victim, which surfaces as [`DmxError::Deadlock`] from its
-//! pending request. Strict two-phase locking: transactions release
-//! everything at once via [`LockManager::unlock_all`] at commit/abort.
+//! block on a condition variable; a waits-for-graph deadlock detector (a
+//! waiter waits for its incompatible holders and for whoever is queued
+//! ahead of it) runs on every wait tick and aborts the youngest
+//! transaction in a cycle by flagging it a victim, which surfaces as
+//! [`DmxError::Deadlock`] from its pending request. Strict two-phase
+//! locking: transactions release everything at once via
+//! [`LockManager::unlock_all`] at commit/abort.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
@@ -92,14 +94,22 @@ impl State {
     /// Builds waits-for edges and aborts the youngest member of the first
     /// cycle found. Returns true when a victim was chosen.
     fn detect_deadlock(&mut self) -> bool {
-        // edges: waiter -> each incompatible granted holder
+        // edges: waiter -> each incompatible granted holder, and — the
+        // queue being FIFO for everything but conversions — every waiter
+        // queued ahead of it, compatible or not: it is not granted before
+        // they are.
         let mut edges: HashMap<TxnId, HashSet<TxnId>> = HashMap::new();
         for entry in self.table.values() {
-            for w in &entry.waiting {
+            for (i, w) in entry.waiting.iter().enumerate() {
                 let target = entry.target_mode(w);
                 for (holder, mode) in &entry.granted {
                     if *holder != w.txn && !target.compatible(*mode) {
                         edges.entry(w.txn).or_default().insert(*holder);
+                    }
+                }
+                if !entry.granted.contains_key(&w.txn) {
+                    for ahead in entry.waiting.iter().take(i).filter(|a| a.txn != w.txn) {
+                        edges.entry(w.txn).or_default().insert(ahead.txn);
                     }
                 }
             }
@@ -554,6 +564,42 @@ mod tests {
             assert_eq!(r1, Ok(()));
         });
         lm.unlock_all(TxnId(1));
+        assert_eq!(lm.table_len(), 0);
+    }
+
+    #[test]
+    fn cycle_through_a_queued_waiter_is_detected() {
+        // T1 holds r1 in S; T2 queues for X behind it; T3, holding r2,
+        // queues for S behind T2 — compatible with the holder, blocked by
+        // the FIFO queue alone. T1 → r2 then closes T1 → T3 → T2 → T1,
+        // whose middle edge no granted holder stands for.
+        let lm = Arc::new(LockManager::new(Duration::from_secs(10)));
+        lm.lock(TxnId(1), rel(1), LockMode::S).unwrap();
+        lm.lock(TxnId(3), rel(2), LockMode::X).unwrap();
+        let queued = |txn| {
+            while !lm.dump().iter().any(|r| r.waiting && r.txn == txn) {
+                std::thread::yield_now();
+            }
+        };
+        std::thread::scope(|s| {
+            let lm2 = lm.clone();
+            let h2 = s.spawn(move || lm2.lock(TxnId(2), rel(1), LockMode::X));
+            queued(TxnId(2));
+            let lm3 = lm.clone();
+            let h3 = s.spawn(move || lm3.lock(TxnId(3), rel(1), LockMode::S));
+            queued(TxnId(3));
+            let lm1 = lm.clone();
+            let h1 = s.spawn(move || lm1.lock(TxnId(1), rel(2), LockMode::X));
+            assert_eq!(
+                h3.join().unwrap(),
+                Err(DmxError::Deadlock { victim: TxnId(3) })
+            );
+            lm.unlock_all(TxnId(3));
+            assert_eq!(h1.join().unwrap(), Ok(()));
+            lm.unlock_all(TxnId(1));
+            assert_eq!(h2.join().unwrap(), Ok(()));
+        });
+        lm.unlock_all(TxnId(2));
         assert_eq!(lm.table_len(), 0);
     }
 

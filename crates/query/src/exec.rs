@@ -173,6 +173,20 @@ pub fn run_to_rows(plan: &Plan, ctx: &ExecCtx<'_>) -> Result<Vec<Vec<Value>>> {
     Ok(rows)
 }
 
+/// Drains one base-table access into `(record key, full row)` pairs: the
+/// targets of an `UPDATE`/`DELETE`, all materialized before the first
+/// write so the statement never meets its own effects. The caller runs
+/// it with snapshot reads off, so every target comes back S-locked and
+/// re-read under its lock, with the gaps the access passed fenced.
+pub fn run_targets(access: &AccessPlan, ctx: &ExecCtx<'_>) -> Result<Vec<(RecordKey, Vec<Value>)>> {
+    let mut op = AccessOp::open(access, ctx, None)?;
+    let mut targets = Vec::new();
+    while let Some(t) = op.next_keyed(ctx)? {
+        targets.push(t);
+    }
+    Ok(targets)
+}
+
 /// Drains a plan into materialized rows while counting the rows each
 /// node produced. Returns the rows and the per-node actual row counts in
 /// the pre-order of [`Plan::explain_rows`].
@@ -202,47 +216,40 @@ fn eval_pred(ctx: &ExecCtx<'_>, e: &Expr, row: &[Value]) -> Result<bool> {
 
 struct AccessOp<'p> {
     plan: &'p AccessPlan,
-    scan: ScanId,
+    /// `None` once exhausted, and from the start for a probe whose outer
+    /// value is NULL (NULL joins nothing: no scan is opened).
+    scan: Option<ScanId>,
     width: usize,
 }
 
 impl<'p> AccessOp<'p> {
     fn open(plan: &'p AccessPlan, ctx: &ExecCtx<'_>, outer: Option<&[Value]>) -> Result<Self> {
         let query = match &plan.probe {
-            None => plan.query.clone(),
+            None => Some(plan.query.clone()),
             Some(p) => {
                 let outer_row = outer.ok_or_else(|| {
                     DmxError::Internal("probe access opened without outer row".into())
                 })?;
                 let v = outer_row
                     .get(p.outer_offset)
-                    .cloned()
                     .ok_or_else(|| DmxError::Internal("probe offset out of range".into()))?;
-                if v.is_null() {
-                    // NULL joins nothing: an empty probe
-                    AccessQuery::Range(KeyRange {
-                        lo: std::ops::Bound::Excluded(vec![0xFF; 24]),
-                        hi: std::ops::Bound::Excluded(vec![0xFF; 24]),
-                    })
-                } else {
-                    let enc = encode_values(std::slice::from_ref(&v));
+                (!v.is_null()).then(|| {
+                    let enc = encode_values(std::slice::from_ref(v));
                     match p.kind {
                         ProbeKind::HashKey => AccessQuery::KeyEquals(enc),
                         ProbeKind::IndexPrefix | ProbeKind::SmKeyPrefix => {
                             AccessQuery::Range(KeyRange::prefix(enc))
                         }
                     }
-                }
+                })
             }
         };
-        let scan = ctx.db.open_scan(
-            ctx.txn,
-            plan.rd.id,
-            plan.path,
-            query,
-            plan.pushed.clone(),
-            None,
-        )?;
+        let scan = query
+            .map(|q| {
+                ctx.db
+                    .open_scan(ctx.txn, plan.rd.id, plan.path, q, plan.pushed.clone(), None)
+            })
+            .transpose()?;
         Ok(AccessOp {
             plan,
             scan,
@@ -250,11 +257,34 @@ impl<'p> AccessOp<'p> {
         })
     }
 
-    fn assemble(&self, ctx: &ExecCtx<'_>, item: ScanItem) -> Result<Option<Vec<Value>>> {
+    /// The next qualifying record with the storage-method record key it
+    /// lives under (what a write to it is addressed by).
+    fn next_keyed(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<(RecordKey, Vec<Value>)>> {
+        let Some(scan) = self.scan else {
+            return Ok(None);
+        };
+        loop {
+            let Some(ScanItem { key, values }) = ctx.db.scan_next(ctx.txn, scan)? else {
+                ctx.db.scan_close(ctx.txn, scan);
+                self.scan = None;
+                return Ok(None);
+            };
+            if let Some(row) = self.assemble(ctx, &key, values)? {
+                return Ok(Some((key, row)));
+            }
+        }
+    }
+
+    fn assemble(
+        &self,
+        ctx: &ExecCtx<'_>,
+        key: &RecordKey,
+        values: Option<Vec<Value>>,
+    ) -> Result<Option<Vec<Value>>> {
         if let Some(cov) = &self.plan.use_covered {
             // covering path: build the row from the access-path key alone
             let mut row = vec![Value::Null; self.width];
-            if let Some(values) = item.values {
+            if let Some(values) = values {
                 for (v, f) in values.into_iter().zip(cov) {
                     row[*f as usize] = v;
                 }
@@ -270,8 +300,7 @@ impl<'p> AccessOp<'p> {
             AccessPath::StorageMethod => {
                 // full row; the storage method already applied the pushed
                 // predicate in the buffer pool
-                let mut row = item
-                    .values
+                let mut row = values
                     .ok_or_else(|| DmxError::Internal("storage scan without fields".into()))?;
                 if let Some(res) = &self.plan.residual {
                     if !eval_pred(ctx, res, &row)? {
@@ -287,7 +316,7 @@ impl<'p> AccessOp<'p> {
                 ctx.db.fetch(
                     ctx.txn,
                     self.plan.rd.id,
-                    &item.key,
+                    key,
                     None,
                     self.plan.residual.as_ref(),
                 )
@@ -298,15 +327,7 @@ impl<'p> AccessOp<'p> {
 
 impl RowSource for AccessOp<'_> {
     fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<Vec<Value>>> {
-        loop {
-            let Some(item) = ctx.db.scan_next(ctx.txn, self.scan)? else {
-                ctx.db.scan_close(ctx.txn, self.scan);
-                return Ok(None);
-            };
-            if let Some(row) = self.assemble(ctx, item)? {
-                return Ok(Some(row));
-            }
-        }
+        Ok(self.next_keyed(ctx)?.map(|(_, row)| row))
     }
 }
 

@@ -15,7 +15,7 @@ use dmx_core::{AccessPath, AccessQuery, Cost, Database, PathChoice, RelationDesc
 use dmx_expr::{analyze, CmpOp, Expr};
 use dmx_types::{DmxError, FieldId, Result};
 
-use crate::ast::{OrderTarget, SelectStmt, Stmt};
+use crate::ast::{AstExpr, OrderTarget, SelectStmt, Stmt, TableRef};
 use crate::semantic::{AggKind, Binder, BoundItem, BoundTable};
 
 /// Per-probe I/O estimate for an index nested-loop join.
@@ -281,6 +281,43 @@ fn plan_table(
         rows_est: choice.rows_out,
         cost_est,
     })
+}
+
+/// Plans the target access of an `UPDATE`/`DELETE`: the statement's
+/// `WHERE`, split into conjuncts, goes through the same chooser as a
+/// one-table SELECT that reads every column. The binder comes back for
+/// the statement's other expressions (`SET` right-hand sides).
+pub fn plan_targets(
+    db: &Arc<Database>,
+    table: &str,
+    where_: Option<&AstExpr>,
+) -> Result<(Binder, AccessPlan)> {
+    let binder = Binder::new(
+        db,
+        &[TableRef {
+            table: table.to_string(),
+            alias: None,
+        }],
+    )?;
+    let rd = binder.tables[0].rd.clone();
+    let preds: Vec<Expr> = match where_ {
+        Some(w) => analyze::conjuncts(&binder.bind_expr(w)?)
+            .into_iter()
+            .cloned()
+            .collect(),
+        None => Vec::new(),
+    };
+    let whole_row: BTreeSet<FieldId> = (0..rd.schema.len() as FieldId).collect();
+    let mut access = plan_table(db, &rd, preds.clone(), &whole_row)?;
+    if let AccessPath::Attachment(_, _) = access.path {
+        // The write needs the record itself, and an entry read before
+        // its record lock was granted may describe a writer that has
+        // since rolled back: every conjunct is checked again on the
+        // record fetched under the lock, not only the path's residual.
+        access.use_covered = None;
+        access.residual = combine(preds);
+    }
+    Ok((binder, access))
 }
 
 fn combine(preds: Vec<Expr>) -> Option<Expr> {
@@ -769,8 +806,15 @@ impl Plan {
                 } else {
                     ""
                 };
+                let query = match (&a.probe, &a.query) {
+                    (Some(_), _) => "probe",
+                    (None, AccessQuery::All) => "all",
+                    (None, AccessQuery::Range(_)) => "range",
+                    (None, AccessQuery::KeyEquals(_)) => "key",
+                    (None, AccessQuery::Spatial(_, _)) => "spatial",
+                };
                 format!(
-                    "Access {} via {path} (~{:.0} rows{probe}{cov})",
+                    "Access {} via {path} [{query}] (~{:.0} rows{probe}{cov})",
                     a.rd.name, a.rows_est
                 )
             }

@@ -14,7 +14,7 @@ use crate::ast::Stmt;
 use crate::bind::PlanCache;
 use crate::exec;
 use crate::parser::parse;
-use crate::planner::plan_select;
+use crate::planner::{plan_select, plan_targets, Plan};
 use crate::semantic::Binder;
 
 /// The rows and column names a statement produced.
@@ -297,9 +297,9 @@ impl Session {
                             rows: text.lines().map(|l| vec![Value::from(l)]).collect(),
                         })
                     }
-                    Stmt::Insert { table, .. }
-                    | Stmt::Update { table, .. }
-                    | Stmt::Delete { table, .. } => self.explain_dml(inner, table),
+                    Stmt::Insert { .. } | Stmt::Update { .. } | Stmt::Delete { .. } => {
+                        self.explain_dml(inner)
+                    }
                     _ => Err(DmxError::Planning(
                         "EXPLAIN supports SELECT, INSERT, UPDATE and DELETE".into(),
                     )),
@@ -337,34 +337,26 @@ impl Session {
                 where_,
             } => {
                 self.check(table, Privilege::Update)?;
-                let rd = self.db.catalog().get_by_name(table)?;
-                let binder = Binder::new(
-                    &self.db,
-                    &[crate::ast::TableRef {
-                        table: table.clone(),
-                        alias: None,
-                    }],
-                )?;
-                let pred = match where_ {
-                    Some(w) => Some(binder.bind_expr(w)?),
-                    None => None,
-                };
+                let (binder, access) = plan_targets(&self.db, table, where_.as_ref())?;
+                let rd = &access.rd;
                 let assignments: Vec<(dmx_types::FieldId, dmx_expr::Expr)> = sets
                     .iter()
                     .map(|(col, e)| Ok((rd.schema.field_id(col)?, binder.bind_expr(e)?)))
                     .collect::<Result<_>>()?;
                 // collect targets first (no Halloween problem), then apply
-                let targets = self.collect_targets(txn, &rd, pred)?;
+                let ctx = dmx_core::ExecCtx { db: &self.db, txn };
+                let targets = exec::run_targets(&access, &ctx)?;
                 let n = targets.len();
                 let funcs = self.db.services().funcs.read();
                 let new_rows: Vec<(dmx_types::RecordKey, Record)> = targets
                     .into_iter()
-                    .map(|(key, mut row)| {
+                    .map(|(key, row)| {
+                        // every right-hand side sees the row as it was
+                        let mut new = row.clone();
                         for (f, e) in &assignments {
-                            let v = eval(e, &row, dmx_expr::EvalContext::new(&funcs))?;
-                            row[*f as usize] = v;
+                            new[*f as usize] = eval(e, &row, dmx_expr::EvalContext::new(&funcs))?;
                         }
-                        Ok((key, Record::new(row)))
+                        Ok((key, Record::new(new)))
                     })
                     .collect::<Result<_>>()?;
                 drop(funcs);
@@ -375,22 +367,12 @@ impl Session {
             }
             Stmt::Delete { table, where_ } => {
                 self.check(table, Privilege::Delete)?;
-                let rd = self.db.catalog().get_by_name(table)?;
-                let binder = Binder::new(
-                    &self.db,
-                    &[crate::ast::TableRef {
-                        table: table.clone(),
-                        alias: None,
-                    }],
-                )?;
-                let pred = match where_ {
-                    Some(w) => Some(binder.bind_expr(w)?),
-                    None => None,
-                };
-                let targets = self.collect_targets(txn, &rd, pred)?;
+                let (_, access) = plan_targets(&self.db, table, where_.as_ref())?;
+                let ctx = dmx_core::ExecCtx { db: &self.db, txn };
+                let targets = exec::run_targets(&access, &ctx)?;
                 let n = targets.len();
                 for (key, _) in targets {
-                    self.db.delete(txn, rd.id, &key)?;
+                    self.db.delete(txn, access.rd.id, &key)?;
                 }
                 Ok(QueryResult::affected(n))
             }
@@ -570,13 +552,18 @@ impl Session {
     }
 
     /// `EXPLAIN` for DML: describes the modification pipeline — the
-    /// target's storage method and every attachment instance the
-    /// two-step dispatcher will invoke — without executing anything.
-    fn explain_dml(&self, stmt: &Stmt, table: &str) -> Result<QueryResult> {
-        let (verb, privilege) = match stmt {
-            Stmt::Insert { .. } => ("Insert into", Privilege::Insert),
-            Stmt::Update { .. } => ("Update", Privilege::Update),
-            Stmt::Delete { .. } => ("Delete from", Privilege::Delete),
+    /// target's storage method, the planned target access of an
+    /// `UPDATE`/`DELETE` and every attachment instance the two-step
+    /// dispatcher will invoke — without executing anything.
+    fn explain_dml(&self, stmt: &Stmt) -> Result<QueryResult> {
+        let (verb, privilege, table, where_) = match stmt {
+            Stmt::Insert { table, .. } => ("Insert into", Privilege::Insert, table, None),
+            Stmt::Update { table, where_, .. } => {
+                ("Update", Privilege::Update, table, Some(where_))
+            }
+            Stmt::Delete { table, where_ } => {
+                ("Delete from", Privilege::Delete, table, Some(where_))
+            }
             _ => return Err(DmxError::Planning("EXPLAIN supports DML here".into())),
         };
         self.check(table, privilege)?;
@@ -588,8 +575,11 @@ impl Session {
             .map(|sm| sm.name().to_string())
             .unwrap_or_else(|_| format!("unknown({})", rd.sm.0));
         let mut lines = vec![format!("{verb} {} via {sm_name}", rd.name)];
-        if matches!(stmt, Stmt::Update { .. } | Stmt::Delete { .. }) {
-            lines.push("  collect targets via storage-method scan".into());
+        if let Some(where_) = where_ {
+            let (_, access) = plan_targets(&self.db, table, where_.as_ref())?;
+            let mut text = String::new();
+            Plan::Access(access).describe(1, &mut text);
+            lines.extend(text.lines().map(String::from));
         }
         let mut any = false;
         for (att_id, insts) in rd.attached_types() {
@@ -657,35 +647,6 @@ impl Session {
             columns: vec!["plan".into(), "estimated".into(), "actual".into()],
             rows,
         })
-    }
-
-    /// Collects `(record key, full row)` for every record matching `pred`
-    /// (storage-method scan with the predicate pushed to the buffer
-    /// pool).
-    fn collect_targets(
-        &self,
-        txn: &Arc<Transaction>,
-        rd: &Arc<dmx_core::RelationDescriptor>,
-        pred: Option<dmx_expr::Expr>,
-    ) -> Result<Vec<(dmx_types::RecordKey, Vec<Value>)>> {
-        let scan = self.db.open_scan(
-            txn,
-            rd.id,
-            dmx_core::AccessPath::StorageMethod,
-            dmx_core::AccessQuery::All,
-            pred,
-            None,
-        )?;
-        let mut out = Vec::new();
-        while let Some(item) = self.db.scan_next(txn, scan)? {
-            out.push((
-                item.key,
-                item.values
-                    .ok_or_else(|| DmxError::Internal("scan without values".into()))?,
-            ));
-        }
-        self.db.scan_close(txn, scan);
-        Ok(out)
     }
 }
 

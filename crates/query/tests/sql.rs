@@ -174,6 +174,75 @@ fn update_delete_with_predicates() {
 }
 
 #[test]
+fn update_evaluates_every_assignment_against_the_old_row() {
+    let db = open_db();
+    db.execute_sql("CREATE TABLE t (id INT NOT NULL, a INT, b INT)")
+        .unwrap();
+    db.execute_sql("INSERT INTO t VALUES (1, 10, 20), (2, 1, 2)")
+        .unwrap();
+    // a swap: the second assignment must not see the first one's result
+    db.execute_sql("UPDATE t SET a = b, b = a WHERE id = 1")
+        .unwrap();
+    db.execute_sql("UPDATE t SET a = a + 1, b = a WHERE id = 2")
+        .unwrap();
+    assert_eq!(
+        db.query_sql("SELECT id, a, b FROM t ORDER BY 1").unwrap(),
+        vec![
+            vec![Value::Int(1), Value::Int(20), Value::Int(10)],
+            vec![Value::Int(2), Value::Int(2), Value::Int(1)],
+        ]
+    );
+}
+
+#[test]
+fn null_outer_values_probe_nothing() {
+    // An index nested-loop join whose outer value is NULL opens no inner
+    // scan at all, whichever kind of probe the inner side takes.
+    let inners = [
+        (
+            "CREATE TABLE i (d INT, tag INT)",
+            Some("CREATE INDEX i_d ON i (d)"),
+        ),
+        (
+            "CREATE TABLE i (d INT, tag INT)",
+            Some("CREATE INDEX i_d ON i USING hash (d)"),
+        ),
+        (
+            "CREATE TABLE i (d INT NOT NULL, tag INT) USING btree WITH (key = d)",
+            None,
+        ),
+    ];
+    for (create_inner, index) in inners {
+        let db = open_db();
+        db.execute_sql("CREATE TABLE o (id INT NOT NULL, d INT)")
+            .unwrap();
+        db.execute_sql("INSERT INTO o VALUES (1, 7), (2, NULL), (3, 8), (4, 99)")
+            .unwrap();
+        db.execute_sql(create_inner).unwrap();
+        if let Some(ddl) = index {
+            db.execute_sql(ddl).unwrap();
+        }
+        db.execute_sql("INSERT INTO i VALUES (7, 70), (8, 80), (9, 90)")
+            .unwrap();
+        let q = "SELECT o.id, i.tag FROM o, i WHERE o.d = i.d ORDER BY 1";
+        let plan = format!("{:?}", db.query_sql(&format!("EXPLAIN {q}")).unwrap());
+        assert!(plan.contains("probe from outer"), "{index:?}: {plan}");
+        let opens = || db.metrics_snapshot().counter("scan.opens");
+        let before = opens();
+        assert_eq!(
+            db.query_sql(q).unwrap(),
+            vec![
+                vec![Value::Int(1), Value::Int(70)],
+                vec![Value::Int(3), Value::Int(80)],
+            ],
+            "{index:?}"
+        );
+        // the outer scan plus one probe per non-NULL outer value
+        assert_eq!(opens() - before, 1 + 3, "{index:?}");
+    }
+}
+
+#[test]
 fn joins_all_strategies_agree() {
     let db = open_db();
     db.execute_sql("CREATE TABLE dept (id INT NOT NULL, dname STRING NOT NULL)")

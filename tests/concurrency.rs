@@ -395,3 +395,142 @@ fn unique_index_probes_for_duplicates_under_its_gap_lock() {
     assert!(matches!(outcome, Err(DmxError::Veto { .. })), "{outcome:?}");
     assert_eq!(rows, vec![vec![Value::Int(5), Value::Int(0)]]);
 }
+
+// ---------------------------------------------------------------------
+// Keyed DML picks its targets through the planner: the lock footprint of
+// `UPDATE`/`DELETE … WHERE id = k` is the target key and its successor,
+// whatever the size of the relation.
+// ---------------------------------------------------------------------
+
+/// A B-tree relation `t(id, v)` holding the even ids below `2 * rows`.
+fn even_ids(rows: i64) -> Arc<Database> {
+    let db = open_db();
+    db.execute_sql("CREATE TABLE t (id INT NOT NULL, v INT NOT NULL) USING btree WITH (key=id)")
+        .unwrap();
+    for batch in (0..rows).collect::<Vec<_>>().chunks(200) {
+        let values: Vec<String> = batch.iter().map(|i| format!("({}, 0)", i * 2)).collect();
+        db.execute_sql(&format!("INSERT INTO t VALUES {}", values.join(", ")))
+            .unwrap();
+    }
+    db
+}
+
+/// Runs `sql` in an open transaction of its own; returns the lock
+/// requests it made and the names it holds afterwards (read through
+/// `sys.locks` inside the transaction, whose own relation lock is
+/// dropped from the answer), then rolls back.
+fn footprint(db: &Arc<Database>, sql: &str) -> (u64, std::collections::BTreeSet<String>) {
+    let sess = Session::new(db.clone());
+    sess.execute("BEGIN").unwrap();
+    let acquires = || db.metrics_snapshot().counter("lock.acquires");
+    let before = acquires();
+    assert_eq!(
+        sess.execute(sql).unwrap().scalar().unwrap(),
+        &Value::Int(1),
+        "{sql}"
+    );
+    let requests = acquires() - before;
+    let sys_locks = db.catalog().get_by_name("sys.locks").unwrap().id;
+    let held = sess
+        .execute("SELECT name FROM sys.locks WHERE state = 'held'")
+        .unwrap()
+        .rows
+        .into_iter()
+        .map(|r| r[0].as_str().unwrap().to_string())
+        .filter(|n| *n != format!("relation({})", sys_locks.0))
+        .collect();
+    sess.execute("ROLLBACK").unwrap();
+    (requests, held)
+}
+
+#[test]
+fn keyed_dml_locks_the_target_and_its_successor_whatever_the_size() {
+    use starburst_dmx::lock::LockName;
+    use starburst_dmx::types::key::encode_values;
+    let statements = [
+        "UPDATE t SET v = 1 WHERE id = 40",
+        "DELETE FROM t WHERE id = 40",
+    ];
+    let mut costs = Vec::new();
+    for rows in [100, 2_000] {
+        let db = even_ids(rows);
+        let rel = db.catalog().get_by_name("t").unwrap().id;
+        // the relation, then record and gap of the target and of the
+        // next key (the boundary the range access stops at)
+        let mut expected = std::collections::BTreeSet::from([format!("relation({})", rel.0)]);
+        for id in [40, 42] {
+            let key = encode_values(&[Value::Int(id)]);
+            let names = [
+                LockName::record(rel, &RecordKey::new(key.clone())),
+                LockName::gap(rel, starburst_dmx::types::FileId(0), Some(&key)),
+            ];
+            for name in names {
+                expected.insert(match name {
+                    LockName::Record(r, k) => format!("record({},{k})", r.0),
+                    LockName::Gap(r, k) => format!("gap({},{k})", r.0),
+                    other => panic!("unexpected {other:?}"),
+                });
+            }
+        }
+        let mut per_stmt = Vec::new();
+        for sql in statements {
+            let (requests, held) = footprint(&db, sql);
+            assert_eq!(held, expected, "{rows} rows: {sql}");
+            assert!(requests <= 12, "{rows} rows: {sql} took {requests} locks");
+            per_stmt.push(requests);
+        }
+        costs.push(per_stmt);
+    }
+    assert_eq!(costs[0], costs[1], "lock requests grew with the relation");
+}
+
+/// A's uncommitted range UPDATE fences its own key range against
+/// phantoms and nothing else: B's insert into the range waits for A,
+/// B's keyed UPDATE far from it does not.
+#[test]
+fn range_update_fences_its_range_and_nothing_else() {
+    let db = even_ids(400);
+    let a = Session::new(db.clone());
+    a.execute("BEGIN").unwrap();
+    // Upper bound first: the B-tree storage method makes its key range
+    // from the first sargable conjunct on the key alone (ROADMAP 2), so
+    // this reads — and fences — everything up to 22, `id >= 10 AND …`
+    // everything from 10 on.
+    assert_eq!(
+        a.execute("UPDATE t SET v = v + 1 WHERE id <= 20 AND id >= 10")
+            .unwrap()
+            .scalar()
+            .unwrap(),
+        &Value::Int(6)
+    );
+    let waits = || db.metrics_snapshot().counter("lock.waits");
+    let waits_before = waits();
+    let b = Session::new(db.clone());
+    assert_eq!(
+        b.execute("UPDATE t SET v = 7 WHERE id = 500")
+            .unwrap()
+            .scalar()
+            .unwrap(),
+        &Value::Int(1)
+    );
+    assert_eq!(waits(), waits_before, "the keyed UPDATE waited for A");
+    std::thread::scope(|s| {
+        let insert = s.spawn(|| b.execute("INSERT INTO t VALUES (15, 0)"));
+        while waits() == waits_before && !insert.is_finished() {
+            std::thread::yield_now();
+        }
+        assert!(!insert.is_finished(), "the phantom insert must wait for A");
+        a.execute("COMMIT").unwrap();
+        insert.join().unwrap().unwrap();
+    });
+    assert_eq!(
+        db.query_sql("SELECT id, v FROM t WHERE id >= 10 AND id <= 20")
+            .unwrap()
+            .len(),
+        7
+    );
+    assert_eq!(
+        db.query_sql("SELECT v FROM t WHERE id = 500").unwrap(),
+        vec![vec![Value::Int(7)]]
+    );
+}

@@ -30,6 +30,9 @@ fn open() -> Arc<Database> {
         .unwrap();
     db.execute_sql("CREATE UNIQUE INDEX th_pk ON th (id)")
         .unwrap();
+    db.execute_sql("CREATE INDEX th_dept ON th (dept)").unwrap();
+    db.execute_sql("CREATE INDEX th_name ON th USING hash (name)")
+        .unwrap();
     db.execute_sql(
         "CREATE TABLE tb (id INT NOT NULL, name STRING NOT NULL, dept INT NOT NULL) \
          USING btree WITH (key=id)",
@@ -66,37 +69,145 @@ fn model_rows(model: &Model) -> Vec<(i64, String, i64)> {
         .collect()
 }
 
-/// Applies one seeded batch to both tables and the model.
+/// A row's name: `tag`, then padding that leaves some eight rows to a
+/// heap page, so a few hundred statements leave the twin large enough
+/// for the chooser to prefer its indexes to a scan of the heap.
+fn padded(tag: String) -> String {
+    format!("{tag:_<1000}")
+}
+
+/// Runs `stmt` — `{t}` standing for the table — on the heap twin and on
+/// the B-tree relation. Each must report `expected` affected rows and
+/// have written exactly that many records: targets are collected before
+/// the first write, so a statement that moves rows forward in the very
+/// index or key order it selects them by still meets each of them once.
+fn on_both(db: &Arc<Database>, stmt: &str, expected: usize) {
+    let written = if stmt.starts_with("UPDATE") {
+        "dml.updates"
+    } else {
+        "dml.deletes"
+    };
+    for t in ["th", "tb"] {
+        let sql = stmt.replace("{t}", t);
+        let before = db.metrics_snapshot().counter(written);
+        let r = db.execute_sql(&sql).unwrap();
+        assert_eq!(r.scalar().unwrap(), &Value::Int(expected as i64), "{sql}");
+        assert_eq!(
+            db.metrics_snapshot().counter(written) - before,
+            expected as u64,
+            "{sql}: records written"
+        );
+    }
+}
+
+/// How far a key-range update moves its rows: past every id the stream
+/// can reach, so no moved row lands on a live one.
+const KEY_SHIFT: i64 = 10_000;
+
+/// Applies one seeded batch to both tables and the model. Besides the
+/// keyed statements, `UPDATE`/`DELETE` predicates land on the heap twin's
+/// secondary indexes (B-tree on `dept`: equality and range; hash on
+/// `name`: equality), some updates change the very column their index is
+/// on, and some change the B-tree relation's key.
 fn apply_batch(db: &Arc<Database>, model: &mut Model, rng: &mut TestRng, next_id: &mut i64) {
+    type Row = (String, i64);
     for _ in 0..OPS_PER_BATCH {
         let roll = rng.below(100);
-        if roll < 50 || model.is_empty() {
+        if roll < 40 || model.is_empty() {
             let id = *next_id;
             *next_id += 1;
             let dept = rng.range_i64(0, 10);
+            let name = padded(format!("r{id}"));
             for t in ["th", "tb"] {
-                db.execute_sql(&format!("INSERT INTO {t} VALUES ({id}, 'r{id}', {dept})"))
+                db.execute_sql(&format!("INSERT INTO {t} VALUES ({id}, '{name}', {dept})"))
                     .unwrap();
             }
-            model.insert(id, (format!("r{id}"), dept));
-        } else if roll < 80 {
-            let keys: Vec<i64> = model.keys().copied().collect();
-            let id = keys[rng.index(keys.len())];
-            let dept = rng.range_i64(0, 10);
-            for t in ["th", "tb"] {
-                db.execute_sql(&format!("UPDATE {t} SET dept = {dept} WHERE id = {id}"))
-                    .unwrap();
-            }
-            model.get_mut(&id).unwrap().1 = dept;
-        } else {
-            let keys: Vec<i64> = model.keys().copied().collect();
-            let id = keys[rng.index(keys.len())];
-            for t in ["th", "tb"] {
-                db.execute_sql(&format!("DELETE FROM {t} WHERE id = {id}"))
-                    .unwrap();
-            }
-            model.remove(&id);
+            model.insert(id, (name, dept));
+            continue;
         }
+        let keys: Vec<i64> = model.keys().copied().collect();
+        let id = keys[rng.index(keys.len())];
+        // four fifths up the live ids: bounds what a range statement hits
+        let high = keys[keys.len() * 4 / 5];
+        let name = model[&id].0.clone();
+        let dept = rng.range_i64(0, 10);
+        let to = rng.range_i64(0, 10);
+        let fresh = *next_id;
+        // the statement, the rows it selects, and what becomes of one
+        // (`None`: deleted)
+        type Hit = Box<dyn Fn(i64, &Row) -> bool>;
+        type Effect = Box<dyn Fn(i64, &Row) -> Option<(i64, Row)>>;
+        let (stmt, hit, effect): (String, Hit, Effect) = if roll < 55 {
+            (
+                format!("UPDATE {{t}} SET dept = {to} WHERE id = {id}"),
+                Box::new(move |i, _| i == id),
+                Box::new(move |i, r| Some((i, (r.0.clone(), to)))),
+            )
+        } else if roll < 63 {
+            (
+                format!("DELETE FROM {{t}} WHERE id = {id}"),
+                Box::new(move |i, _| i == id),
+                Box::new(|_, _| None),
+            )
+        } else if roll < 70 {
+            (
+                format!("UPDATE {{t}} SET dept = {to} WHERE dept = {dept}"),
+                Box::new(move |_, r| r.1 == dept),
+                Box::new(move |i, r| Some((i, (r.0.clone(), to)))),
+            )
+        } else if roll < 76 {
+            // every row moves forward in the index that finds it
+            (
+                format!("UPDATE {{t}} SET dept = dept + 1 WHERE dept >= {dept}"),
+                Box::new(move |_, r| r.1 >= dept),
+                Box::new(|i, r| Some((i, (r.0.clone(), r.1 + 1)))),
+            )
+        } else if roll < 81 {
+            (
+                format!("DELETE FROM {{t}} WHERE dept = {dept} AND id >= {high}"),
+                Box::new(move |i, r| r.1 == dept && i >= high),
+                Box::new(|_, _| None),
+            )
+        } else if roll < 87 {
+            let renamed = padded(format!("n{fresh}"));
+            *next_id += 1;
+            (
+                format!("UPDATE {{t}} SET name = '{renamed}' WHERE name = '{name}'"),
+                Box::new(move |_, r| r.0 == name),
+                Box::new(move |i, r| Some((i, (renamed.clone(), r.1)))),
+            )
+        } else if roll < 91 {
+            (
+                format!("DELETE FROM {{t}} WHERE name = '{name}'"),
+                Box::new(move |_, r| r.0 == name),
+                Box::new(|_, _| None),
+            )
+        } else if roll < 96 || keys.iter().any(|k| model.contains_key(&(k + KEY_SHIFT))) {
+            *next_id += 1;
+            (
+                format!("UPDATE {{t}} SET id = {fresh} WHERE id = {id}"),
+                Box::new(move |i, _| i == id),
+                Box::new(move |_, r| Some((fresh, r.clone()))),
+            )
+        } else {
+            // every row moves forward in the key order that finds it
+            (
+                format!("UPDATE {{t}} SET id = id + {KEY_SHIFT} WHERE id >= {high}"),
+                Box::new(move |i, _| i >= high),
+                Box::new(|i, r| Some((i + KEY_SHIFT, r.clone()))),
+            )
+        };
+        let targets: Vec<i64> = model
+            .iter()
+            .filter(|(i, r)| hit(**i, r))
+            .map(|(i, _)| *i)
+            .collect();
+        on_both(db, &stmt, targets.len());
+        let moved: Vec<(i64, Row)> = targets
+            .iter()
+            .filter_map(|i| model.remove(i).and_then(|r| effect(*i, &r)))
+            .collect();
+        model.extend(moved);
     }
 }
 
@@ -120,6 +231,20 @@ fn run_stream(seed: u64) -> (Vec<(i64, String, i64)>, MetricsSnapshot) {
             "btree diverged from model after batch {batch}"
         );
     }
+    // By now the heap twin is large enough that the chooser sends these
+    // predicates through its indexes, not through the heap.
+    for (stmt, query) in [
+        ("UPDATE th SET dept = 1 WHERE id = 5", "range"),
+        ("UPDATE th SET dept = dept + 1 WHERE dept >= 8", "range"),
+        ("DELETE FROM th WHERE dept = 3", "range"),
+        ("DELETE FROM th WHERE name = 'r5'", "key"),
+    ] {
+        let plan = format!("{:?}", db.query_sql(&format!("EXPLAIN {stmt}")).unwrap());
+        assert!(
+            plan.contains("Access th via attachment") && plan.contains(&format!("[{query}]")),
+            "{stmt}: {plan}"
+        );
+    }
     (model_rows(&model), db.metrics_snapshot())
 }
 
@@ -131,6 +256,9 @@ fn heap_btree_and_model_agree_after_every_batch() {
     assert!(metrics.counter("dml.inserts") > 0);
     assert!(metrics.counter("dml.updates") > 0);
     assert!(metrics.counter("dml.deletes") > 0);
+    // …and sent target accesses through the heap twin's indexes (nothing
+    // else in the stream opens an access-path scan).
+    assert!(metrics.counter("att.probes") > 100);
 }
 
 #[test]
@@ -585,12 +713,17 @@ const WRITERS: u64 = 3;
 const TXNS_PER_WRITER: usize = 30;
 const STRIPE: i64 = 1_000;
 
-/// One writer's seeded transaction stream over its own id stripe.
-/// Every committed row satisfies `b == -a`; inside an update
-/// transaction the invariant is deliberately broken between two
-/// statements. Deadlock/timeout victims (gap-lock collisions at stripe
-/// boundaries) retry the same logical op, keeping the stream a pure
-/// function of the seed.
+/// One writer's seeded transaction stream over its own id stripe, every
+/// statement run on the B-tree relation `tc` and on its heap twin `tch`
+/// (unique B-tree index on `id`, B-tree index on `a`, hash index on `b`)
+/// inside one transaction. `a` values are private to the stripe too, so
+/// a predicate on `a` or `b` selects the writer's own rows only.
+/// Every committed row satisfies `b == -a`; inside a two-statement
+/// update transaction the invariant is deliberately broken in between.
+/// Deadlock/timeout victims (gap-lock collisions at stripe boundaries,
+/// whole-relation scans of `tc` for the predicates it has no key for)
+/// retry the same logical op, keeping the stream a pure function of the
+/// seed.
 fn run_writer(db: &Arc<Database>, w: u64) -> BTreeMap<i64, i64> {
     /// A committed transaction's effect on the writer's model.
     type ModelApply = Box<dyn Fn(&mut BTreeMap<i64, i64>)>;
@@ -598,43 +731,96 @@ fn run_writer(db: &Arc<Database>, w: u64) -> BTreeMap<i64, i64> {
     let mut rng = TestRng::new(CONC_SEED ^ (w + 1));
     let mut model: BTreeMap<i64, i64> = BTreeMap::new(); // id -> a
     let mut next = w as i64 * STRIPE;
+    // the stripe's `a` values: [a_lo, a_hi)
+    let (a_lo, a_hi) = (w as i64 * 100 + 1, w as i64 * 100 + 100);
     for _ in 0..TXNS_PER_WRITER {
         let roll = rng.below(100);
-        let (stmts, apply): (Vec<String>, ModelApply) = if roll < 45 || model.is_empty() {
+        let a = rng.range_i64(a_lo, a_hi);
+        let keys: Vec<i64> = model.keys().copied().collect();
+        // an existing row, when there is one: its id and its `a`
+        let (id, old_a) = match keys.len() {
+            0 => (0, 0),
+            n => {
+                let id = keys[rng.index(n)];
+                (id, model[&id])
+            }
+        };
+        let (stmts, apply): (Vec<String>, ModelApply) = if roll < 40 || model.is_empty() {
             let id = next;
             next += 1;
-            let a = rng.range_i64(1, 100);
             (
-                vec![format!("INSERT INTO tc VALUES ({id}, {a}, {})", -a)],
+                vec![format!("INSERT INTO {{t}} VALUES ({id}, {a}, {})", -a)],
                 Box::new(move |m| {
                     m.insert(id, a);
                 }),
             )
-        } else if roll < 80 {
-            let keys: Vec<i64> = model.keys().copied().collect();
-            let id = keys[rng.index(keys.len())];
-            let a = rng.range_i64(1, 100);
+        } else if roll < 60 {
             (
                 // Two statements: between them the row violates
                 // b == -a, which no reader may ever observe.
                 vec![
-                    format!("UPDATE tc SET a = {a} WHERE id = {id}"),
-                    format!("UPDATE tc SET b = {} WHERE id = {id}", -a),
+                    format!("UPDATE {{t}} SET a = {a} WHERE id = {id}"),
+                    format!("UPDATE {{t}} SET b = {} WHERE id = {id}", -a),
                 ],
                 Box::new(move |m| {
                     m.insert(id, a);
                 }),
             )
-        } else {
-            let keys: Vec<i64> = model.keys().copied().collect();
-            let id = keys[rng.index(keys.len())];
+        } else if roll < 70 {
             (
-                vec![format!("DELETE FROM tc WHERE id = {id}")],
+                vec![format!("DELETE FROM {{t}} WHERE id = {id}")],
                 Box::new(move |m| {
                     m.remove(&id);
                 }),
             )
+        } else if roll < 78 {
+            // B-tree index equality; the update moves the entries it
+            // was found by
+            (
+                vec![format!(
+                    "UPDATE {{t}} SET a = {a}, b = {} WHERE a = {old_a}",
+                    -a
+                )],
+                Box::new(move |m| {
+                    m.values_mut().filter(|v| **v == old_a).for_each(|v| *v = a);
+                }),
+            )
+        } else if roll < 85 {
+            // B-tree index range; every entry moves forward in it
+            (
+                vec![format!(
+                    "UPDATE {{t}} SET a = a + 1, b = b - 1 WHERE a >= {a} AND a < {}",
+                    a_hi - 1
+                )],
+                Box::new(move |m| {
+                    m.values_mut()
+                        .filter(|v| **v >= a && **v < a_hi - 1)
+                        .for_each(|v| *v += 1);
+                }),
+            )
+        } else if roll < 92 {
+            // hash index equality
+            (
+                vec![format!("DELETE FROM {{t}} WHERE b = {}", -old_a)],
+                Box::new(move |m| m.retain(|_, v| *v != old_a)),
+            )
+        } else {
+            // the B-tree relation's key changes
+            let fresh = next;
+            next += 1;
+            (
+                vec![format!("UPDATE {{t}} SET id = {fresh} WHERE id = {id}")],
+                Box::new(move |m| {
+                    if let Some(v) = m.remove(&id) {
+                        m.insert(fresh, v);
+                    }
+                }),
+            )
         };
+        let stmts: Vec<String> = stmts
+            .iter()
+            .flat_map(|s| ["tc", "tch"].map(|t| s.replace("{t}", t)))
+            .collect();
         // Retry the whole transaction until it commits.
         'retry: loop {
             sess.execute("BEGIN").unwrap();
@@ -673,6 +859,13 @@ fn run_concurrent(check_repeatable: bool) -> Vec<(i64, i64, i64)> {
          USING btree WITH (key=id)",
     )
     .unwrap();
+    db.execute_sql("CREATE TABLE tch (id INT NOT NULL, a INT NOT NULL, b INT NOT NULL)")
+        .unwrap();
+    db.execute_sql("CREATE UNIQUE INDEX tch_pk ON tch (id)")
+        .unwrap();
+    db.execute_sql("CREATE INDEX tch_a ON tch (a)").unwrap();
+    db.execute_sql("CREATE INDEX tch_b ON tch USING hash (b)")
+        .unwrap();
     let done = std::sync::atomic::AtomicBool::new(false);
     let models = dmx_types::sync::Mutex::new(Vec::new());
     std::thread::scope(|s| {
@@ -686,13 +879,16 @@ fn run_concurrent(check_repeatable: bool) -> Vec<(i64, i64, i64)> {
         }
         // Invariant readers: every observed state is transaction-
         // consistent (b == -a on every row), reads never block.
-        for _ in 0..2 {
+        for t in ["tc", "tch"] {
             let db = db.clone();
             let done = &done;
             s.spawn(move || {
                 let sess = Session::new(db);
                 while !done.load(std::sync::atomic::Ordering::Acquire) {
-                    let rows = sess.execute("SELECT id, a, b FROM tc").unwrap().rows;
+                    let rows = sess
+                        .execute(&format!("SELECT id, a, b FROM {t}"))
+                        .unwrap()
+                        .rows;
                     for r in &rows {
                         assert_eq!(
                             r[1].as_int().unwrap(),
@@ -738,22 +934,24 @@ fn run_concurrent(check_repeatable: bool) -> Vec<(i64, i64, i64)> {
         .flat_map(|m| m.iter().map(|(&id, &a)| (id, a, -a)))
         .collect();
     expected.sort();
-    let mut rows: Vec<(i64, i64, i64)> = db
-        .query_sql("SELECT id, a, b FROM tc")
-        .unwrap()
-        .into_iter()
-        .map(|r| {
-            (
-                r[0].as_int().unwrap(),
-                r[1].as_int().unwrap(),
-                r[2].as_int().unwrap(),
-            )
-        })
-        .collect();
-    rows.sort();
-    assert_eq!(rows, expected, "table diverged from the writers' models");
+    for t in ["tc", "tch"] {
+        let mut rows: Vec<(i64, i64, i64)> = db
+            .query_sql(&format!("SELECT id, a, b FROM {t}"))
+            .unwrap()
+            .into_iter()
+            .map(|r| {
+                (
+                    r[0].as_int().unwrap(),
+                    r[1].as_int().unwrap(),
+                    r[2].as_int().unwrap(),
+                )
+            })
+            .collect();
+        rows.sort();
+        assert_eq!(rows, expected, "{t} diverged from the writers' models");
+    }
     assert_eq!(db.active_txns(), 0, "no leaked transactions");
-    rows
+    expected
 }
 
 #[test]

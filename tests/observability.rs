@@ -279,15 +279,29 @@ fn explain_describes_dml_pipelines_without_executing() {
         .unwrap();
     let text = render(&upd.rows);
     assert!(text.contains("Update emp via heap"), "{text}");
-    assert!(
-        text.contains("collect targets via storage-method scan"),
-        "{text}"
-    );
+    // The target access is the planner's: the line is the one EXPLAIN
+    // SELECT prints for the same predicate (path, query, estimate).
+    let sel = db
+        .execute_sql("EXPLAIN SELECT * FROM emp WHERE id = 1")
+        .unwrap();
+    let access = match &sel.rows[1][0] {
+        Value::Str(line) => line.clone(),
+        other => panic!("plan line came back as {other:?}"),
+    };
+    assert!(access.starts_with("  Access emp via "), "{access}");
+    assert_eq!(upd.rows[1][0], Value::Str(access.clone()), "{text}");
 
     let del = db
         .execute_sql("EXPLAIN DELETE FROM emp WHERE id = 1")
         .unwrap();
     assert!(render(&del.rows).contains("Delete from emp via heap"));
+    assert_eq!(del.rows[1][0], Value::Str(access));
+    // No WHERE, no usable index: the full storage-method scan.
+    let all = db.execute_sql("EXPLAIN DELETE FROM emp").unwrap();
+    assert!(
+        render(&all.rows).contains("Access emp via storage-method [all]"),
+        "{all:?}"
+    );
 
     // Nothing executed: row count unchanged.
     let after = db.query_sql("SELECT COUNT(*) FROM emp").unwrap();
