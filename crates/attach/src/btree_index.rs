@@ -312,34 +312,32 @@ impl Attachment for BTreeIndex {
         preds: &[Expr],
     ) -> Option<PathChoice> {
         let d = IxDesc::decode(&instance.desc).ok()?;
-        let sargs: Vec<_> = preds.iter().filter_map(analyze::sargable).collect();
+        // One pass: every sargable predicate beside its sarg, so what the
+        // index applies is the predicate the sarg came from.
+        let sargs: Vec<_> = preds
+            .iter()
+            .filter_map(|p| Some((p, analyze::sargable(p)?)))
+            .collect();
         // Match Eq sargs on the leading fields, then optionally one range
         // sarg on the next field.
         let mut eq_values = Vec::new();
         let mut applied = Vec::new();
         for &f in &d.fields {
-            if let Some((i, s)) = sargs
-                .iter()
-                .enumerate()
-                .find(|(_, s)| s.field == f && matches!(s.op, SargOp::Eq(_)))
-            {
-                if let SargOp::Eq(v) = &s.op {
-                    eq_values.push(v.clone());
-                    applied.push(preds[pred_index(preds, i, &sargs)].clone());
-                    continue;
-                }
-            }
-            break;
+            let Some((p, v)) = sargs.iter().find_map(|(p, s)| match &s.op {
+                SargOp::Eq(v) if s.field == f => Some((*p, v)),
+                _ => None,
+            }) else {
+                break;
+            };
+            eq_values.push(v.clone());
+            applied.push(p.clone());
         }
-        let range_sarg = if eq_values.len() < d.fields.len() {
-            let next = d.fields[eq_values.len()];
-            sargs
-                .iter()
-                .enumerate()
-                .find(|(_, s)| s.field == next && matches!(s.op, SargOp::Range(_, _)))
-        } else {
-            None
-        };
+        let range_sarg = d.fields.get(eq_values.len()).and_then(|&next| {
+            sargs.iter().find_map(|(p, s)| match &s.op {
+                SargOp::Range(op, v) if s.field == next => Some((*p, s, op, v)),
+                _ => None,
+            })
+        });
         if eq_values.is_empty() && range_sarg.is_none() {
             return None; // no relevant predicate → not an eligible path
         }
@@ -355,30 +353,25 @@ impl Attachment for BTreeIndex {
             .map(|(&f, v)| dmx_expr::sarg_fraction(f, &SargOp::Eq(v.clone()), ts.as_deref()))
             .product();
         let (range, frac) = match range_sarg {
-            Some((i, s)) => {
-                if let SargOp::Range(op, v) = &s.op {
-                    applied.push(preds[pred_index(preds, i, &sargs)].clone());
-                    let mut at = prefix.clone();
-                    at.extend_from_slice(&encode_values(std::slice::from_ref(v)));
-                    use dmx_expr::CmpOp::*;
-                    let KeyRange { mut lo, mut hi } = KeyRange::prefix(prefix);
-                    match op {
-                        Lt => hi = Bound::Excluded(at),
-                        Le => hi = Bound::Included(at),
-                        Gt => lo = Bound::Excluded(at),
-                        Ge => lo = Bound::Included(at),
-                        _ => {}
-                    }
-                    let range_frac =
-                        dmx_expr::sarg_fraction(d.fields[eq_values.len()], &s.op, ts.as_deref())
-                            .unwrap_or(1.0 / 3.0);
-                    (
-                        KeyRange { lo, hi },
-                        eq_stat_frac.unwrap_or(1.0) * range_frac,
-                    )
-                } else {
-                    unreachable!()
+            Some((p, s, op, v)) => {
+                applied.push(p.clone());
+                let mut at = prefix.clone();
+                at.extend_from_slice(&encode_values(std::slice::from_ref(v)));
+                use dmx_expr::CmpOp::*;
+                let KeyRange { mut lo, mut hi } = KeyRange::prefix(prefix);
+                match op {
+                    Lt => hi = Bound::Excluded(at),
+                    Le => hi = Bound::Included(at),
+                    Gt => lo = Bound::Excluded(at),
+                    Ge => lo = Bound::Included(at),
+                    _ => {}
                 }
+                let range_frac =
+                    dmx_expr::sarg_fraction(s.field, &s.op, ts.as_deref()).unwrap_or(1.0 / 3.0);
+                (
+                    KeyRange { lo, hi },
+                    eq_stat_frac.unwrap_or(1.0) * range_frac,
+                )
             }
             None => (
                 KeyRange::prefix(prefix),
@@ -401,22 +394,6 @@ impl Attachment for BTreeIndex {
             ordering: Some(d.fields.clone()),
         })
     }
-}
-
-/// Maps a sarg index back to the predicate that produced it (sargs are
-/// produced by filtering predicates, in order).
-fn pred_index(preds: &[Expr], sarg_idx: usize, _sargs: &[analyze::Sarg]) -> usize {
-    // sargable() is applied per-predicate in order; rebuild the mapping.
-    let mut n = 0;
-    for (i, p) in preds.iter().enumerate() {
-        if analyze::sargable(p).is_some() {
-            if n == sarg_idx {
-                return i;
-            }
-            n += 1;
-        }
-    }
-    0
 }
 
 /// Translates a planner range over index-key *prefixes* into a range over

@@ -300,23 +300,19 @@ impl Attachment for HashIndex {
     ) -> Option<PathChoice> {
         let d = HashDesc::decode(&instance.desc).ok()?;
         // relevant only when EVERY indexed field has an equality predicate
-        let sargs: Vec<_> = preds.iter().filter_map(analyze::sargable).collect();
+        let sargs: Vec<_> = preds
+            .iter()
+            .filter_map(|p| Some((p, analyze::sargable(p)?)))
+            .collect();
         let mut values: Vec<Value> = Vec::with_capacity(d.fields.len());
         let mut applied = Vec::new();
         for &f in &d.fields {
-            let found = sargs
-                .iter()
-                .find(|s| s.field == f && matches!(s.op, SargOp::Eq(_)))?;
-            if let SargOp::Eq(v) = &found.op {
-                values.push(v.clone());
-            }
-            // map back to the predicate
-            applied.push(
-                preds
-                    .iter()
-                    .find(|p| analyze::sargable(p).as_ref() == Some(found))?
-                    .clone(),
-            );
+            let (p, v) = sargs.iter().find_map(|(p, s)| match &s.op {
+                SargOp::Eq(v) if s.field == f => Some((*p, v)),
+                _ => None,
+            })?;
+            values.push(v.clone());
+            applied.push(p.clone());
         }
         let enc = encode_values(&values);
         let records = rd.stats.records();

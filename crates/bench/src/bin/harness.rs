@@ -6,11 +6,11 @@
 //! claim, the harness output, and whether the claimed *shape* holds.
 //!
 //! Run with: `cargo run --release -p dmx-bench --bin harness`
+//! (or a subset: `… --bin harness e1 e5`)
 
 // Same panic-discipline exemption as the bench library: the harness is
 // not a runtime crate, and a broken fixture should abort loudly.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
-//! (or a subset: `… --bin harness e1 e5`)
 
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
@@ -25,13 +25,8 @@ use dmx_types::{DmxError, Record, Value};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).map(|a| a.to_lowercase()).collect();
-    if args.iter().any(|a| a == "--smoke") {
-        pr3_smoke();
-        return;
-    }
-    let want = |name: &str| args.is_empty() || args.iter().any(|a| a == name);
-    let experiments: Vec<(&str, fn())> = vec![
-        ("e1", e1_dispatch as fn()),
+    let experiments: &[(&str, fn())] = &[
+        ("e1", e1_dispatch),
         ("e2", e2_attachments),
         ("e3", e3_filter),
         ("e4", e4_bind),
@@ -44,429 +39,26 @@ fn main() {
         ("e11", e11_cascade),
         ("e12", e12_concurrency),
     ];
+    if let Some(unknown) = args
+        .iter()
+        .find(|a| !experiments.iter().any(|(name, _)| name == a))
+    {
+        let names: Vec<&str> = experiments.iter().map(|(name, _)| *name).collect();
+        eprintln!(
+            "harness: no experiment named `{unknown}`; choose from {}",
+            names.join(" ")
+        );
+        std::process::exit(2);
+    }
     println!("starburst-dmx experiment harness");
     println!("(figures F1/F2 are executable scenarios: see tests/extension_registration.rs");
     println!(" and crates/attach/tests/attachments.rs::figure1_employee_configuration)\n");
-    for (name, f) in experiments {
-        if want(name) {
+    for &(name, f) in experiments {
+        if args.is_empty() || args.iter().any(|a| a == name) {
             f();
             println!();
         }
     }
-    if want("pr3") {
-        pr3_baseline();
-    }
-    if want("pr5") {
-        pr5_baseline();
-    }
-    if want("pr7") {
-        pr7_baseline();
-    }
-    if want("pr8") {
-        pr8_baseline();
-    }
-    if want("pr9") {
-        pr9_baseline();
-    }
-    if want("pr10") {
-        pr10_baseline();
-    }
-}
-
-// ---------------------------------------------------------------------
-// PR3: seeded observability scenarios -> BENCH_pr3.json
-// ---------------------------------------------------------------------
-
-/// Full-scale run: writes the `BENCH_pr3.json` baseline next to the
-/// workspace root (or the current directory when run elsewhere).
-fn pr3_baseline() {
-    banner(
-        "PR3",
-        "seeded observability scenarios: throughput + full metrics snapshot",
-    );
-    let scale = pr3::Scale::full();
-    let seed = pr3::DEFAULT_SEED;
-    let outcomes = pr3::run_timed(&scale, seed);
-    let w = [26, 12, 12, 12, 10];
-    println!(
-        "{}",
-        row(
-            &[
-                "scenario".into(),
-                "ops".into(),
-                "elapsed ms".into(),
-                "ops/sec".into(),
-                "metrics".into()
-            ],
-            &w
-        )
-    );
-    for o in &outcomes {
-        let names = pr3::assert_layer_coverage(&o.metrics, 12);
-        let secs = o.elapsed.as_secs_f64();
-        println!(
-            "{}",
-            row(
-                &[
-                    o.name.into(),
-                    o.ops.to_string(),
-                    ms(o.elapsed),
-                    format!("{:.0}", o.ops as f64 / secs.max(1e-9)),
-                    names.to_string()
-                ],
-                &w
-            )
-        );
-    }
-    let json = pr3::render_json(&outcomes, seed, &scale);
-    let path = if std::path::Path::new("Cargo.toml").exists() {
-        "BENCH_pr3.json".to_string()
-    } else {
-        // `cargo run -p …` from a subdirectory: walk up to the workspace
-        std::env::var("CARGO_MANIFEST_DIR")
-            .map(|d| format!("{d}/../../BENCH_pr3.json"))
-            .unwrap_or_else(|_| "BENCH_pr3.json".to_string())
-    };
-    std::fs::write(&path, json).expect("write BENCH_pr3.json");
-    println!("\nwrote {path}");
-}
-
-/// Full-scale run of the PR5 observability-extension scenarios; writes
-/// the `BENCH_pr5.json` baseline next to the workspace root.
-fn pr5_baseline() {
-    banner(
-        "PR5",
-        "sys.* relations, EXPLAIN ANALYZE and the flight recorder as seeded workloads",
-    );
-    let scale = pr3::Scale::full();
-    let seed = pr3::DEFAULT_SEED;
-    let outcomes = pr5::run_timed(&scale, seed);
-    let w = [26, 12, 12, 12, 10];
-    println!(
-        "{}",
-        row(
-            &[
-                "scenario".into(),
-                "ops".into(),
-                "elapsed ms".into(),
-                "ops/sec".into(),
-                "metrics".into()
-            ],
-            &w
-        )
-    );
-    for o in &outcomes {
-        let names = o.metrics.counters.len() + o.metrics.gauges.len() + o.metrics.histograms.len();
-        let secs = o.elapsed.as_secs_f64();
-        println!(
-            "{}",
-            row(
-                &[
-                    o.name.into(),
-                    o.ops.to_string(),
-                    ms(o.elapsed),
-                    format!("{:.0}", o.ops as f64 / secs.max(1e-9)),
-                    names.to_string()
-                ],
-                &w
-            )
-        );
-    }
-    let json = pr5::render_json(&outcomes, seed, &scale);
-    let path = if std::path::Path::new("Cargo.toml").exists() {
-        "BENCH_pr5.json".to_string()
-    } else {
-        // `cargo run -p …` from a subdirectory: walk up to the workspace
-        std::env::var("CARGO_MANIFEST_DIR")
-            .map(|d| format!("{d}/../../BENCH_pr5.json"))
-            .unwrap_or_else(|_| "BENCH_pr5.json".to_string())
-    };
-    std::fs::write(&path, json).expect("write BENCH_pr5.json");
-    println!("\nwrote {path}");
-}
-
-/// Full-scale run of the PR7 self-healing scenarios; writes the
-/// `BENCH_pr7.json` baseline next to the workspace root.
-fn pr7_baseline() {
-    banner(
-        "PR7",
-        "online scrub overhead and the quarantine-repair pipeline as seeded workloads",
-    );
-    let scale = pr3::Scale::full();
-    let seed = pr3::DEFAULT_SEED;
-    let outcomes = pr7::run_timed(&scale, seed);
-    let w = [26, 12, 12, 12, 10];
-    println!(
-        "{}",
-        row(
-            &[
-                "scenario".into(),
-                "ops".into(),
-                "elapsed ms".into(),
-                "ops/sec".into(),
-                "metrics".into()
-            ],
-            &w
-        )
-    );
-    for o in &outcomes {
-        let names = o.metrics.counters.len() + o.metrics.gauges.len() + o.metrics.histograms.len();
-        let secs = o.elapsed.as_secs_f64();
-        println!(
-            "{}",
-            row(
-                &[
-                    o.name.into(),
-                    o.ops.to_string(),
-                    ms(o.elapsed),
-                    format!("{:.0}", o.ops as f64 / secs.max(1e-9)),
-                    names.to_string()
-                ],
-                &w
-            )
-        );
-    }
-    let json = pr7::render_json(&outcomes, seed, &scale);
-    let path = if std::path::Path::new("Cargo.toml").exists() {
-        "BENCH_pr7.json".to_string()
-    } else {
-        // `cargo run -p …` from a subdirectory: walk up to the workspace
-        std::env::var("CARGO_MANIFEST_DIR")
-            .map(|d| format!("{d}/../../BENCH_pr7.json"))
-            .unwrap_or_else(|_| "BENCH_pr7.json".to_string())
-    };
-    std::fs::write(&path, json).expect("write BENCH_pr7.json");
-    println!("\nwrote {path}");
-}
-
-/// Full-scale run of the PR8 recovery-architecture scenarios; writes
-/// the `BENCH_pr8.json` baseline next to the workspace root. The
-/// bulk-insert and DML scenarios are the pr3 workloads rerun under
-/// steal/no-force commit, so `scripts/check.sh` can ratchet
-/// `bulk_insert_btree` against the `BENCH_pr3.json` figure.
-fn pr8_baseline() {
-    banner(
-        "PR8",
-        "no-force commit and group commit: pr3 workloads rerun + concurrent committers",
-    );
-    let scale = pr3::Scale::full();
-    let seed = pr3::DEFAULT_SEED;
-    let outcomes = pr8::run_timed(&scale, seed);
-    let w = [26, 12, 12, 12, 10];
-    println!(
-        "{}",
-        row(
-            &[
-                "scenario".into(),
-                "ops".into(),
-                "elapsed ms".into(),
-                "ops/sec".into(),
-                "metrics".into()
-            ],
-            &w
-        )
-    );
-    for o in &outcomes {
-        let names = o.metrics.counters.len() + o.metrics.gauges.len() + o.metrics.histograms.len();
-        let secs = o.elapsed.as_secs_f64();
-        println!(
-            "{}",
-            row(
-                &[
-                    o.name.into(),
-                    o.ops.to_string(),
-                    ms(o.elapsed),
-                    format!("{:.0}", o.ops as f64 / secs.max(1e-9)),
-                    names.to_string()
-                ],
-                &w
-            )
-        );
-    }
-    let json = pr8::render_json(&outcomes, seed, &scale);
-    let path = if std::path::Path::new("Cargo.toml").exists() {
-        "BENCH_pr8.json".to_string()
-    } else {
-        // `cargo run -p …` from a subdirectory: walk up to the workspace
-        std::env::var("CARGO_MANIFEST_DIR")
-            .map(|d| format!("{d}/../../BENCH_pr8.json"))
-            .unwrap_or_else(|_| "BENCH_pr8.json".to_string())
-    };
-    std::fs::write(&path, json).expect("write BENCH_pr8.json");
-    println!("\nwrote {path}");
-}
-
-/// Full-scale run of the PR9 MVCC scenarios; writes the
-/// `BENCH_pr9.json` baseline next to the workspace root. Both
-/// scenarios run the identical seeded read-mostly workload, so
-/// `scripts/check.sh` can ratchet the snapshot path's `lock.acquires`
-/// collapse against the locking baseline.
-fn pr9_baseline() {
-    banner(
-        "PR9",
-        "MVCC snapshot reads: read-mostly workload, locking vs snapshot scan path",
-    );
-    let scale = pr3::Scale::full();
-    let seed = pr3::DEFAULT_SEED;
-    let outcomes = pr9::run_timed(&scale, seed);
-    let w = [26, 12, 12, 12, 14];
-    println!(
-        "{}",
-        row(
-            &[
-                "scenario".into(),
-                "ops".into(),
-                "elapsed ms".into(),
-                "ops/sec".into(),
-                "lock.acquires".into()
-            ],
-            &w
-        )
-    );
-    for o in &outcomes {
-        let secs = o.elapsed.as_secs_f64();
-        println!(
-            "{}",
-            row(
-                &[
-                    o.name.into(),
-                    o.ops.to_string(),
-                    ms(o.elapsed),
-                    format!("{:.0}", o.ops as f64 / secs.max(1e-9)),
-                    o.metrics.counter("lock.acquires").to_string()
-                ],
-                &w
-            )
-        );
-    }
-    let json = pr9::render_json(&outcomes, seed, &scale);
-    let path = if std::path::Path::new("Cargo.toml").exists() {
-        "BENCH_pr9.json".to_string()
-    } else {
-        // `cargo run -p …` from a subdirectory: walk up to the workspace
-        std::env::var("CARGO_MANIFEST_DIR")
-            .map(|d| format!("{d}/../../BENCH_pr9.json"))
-            .unwrap_or_else(|_| "BENCH_pr9.json".to_string())
-    };
-    std::fs::write(&path, json).expect("write BENCH_pr9.json");
-    println!("\nwrote {path}");
-}
-
-/// Full-scale run of the PR10 maintained-statistics scenarios; writes
-/// the `BENCH_pr10.json` baseline next to the workspace root. The two
-/// misestimate lanes run the identical skewed query matrix, so
-/// `scripts/check.sh` can ratchet the p90 estimate-error shrink (and
-/// the DML lanes' maintenance overhead) against the guess baseline.
-fn pr10_baseline() {
-    banner(
-        "PR10",
-        "maintained statistics: misestimate shrink, plan flips and maintenance overhead",
-    );
-    let scale = pr3::Scale::full();
-    let seed = pr3::DEFAULT_SEED;
-    let outcomes = pr10::run_timed(&scale, seed);
-    let w = [26, 12, 12, 12, 14];
-    println!(
-        "{}",
-        row(
-            &[
-                "scenario".into(),
-                "ops".into(),
-                "elapsed ms".into(),
-                "ops/sec".into(),
-                "misest p90".into()
-            ],
-            &w
-        )
-    );
-    for o in &outcomes {
-        let secs = o.elapsed.as_secs_f64();
-        println!(
-            "{}",
-            row(
-                &[
-                    o.name.into(),
-                    o.ops.to_string(),
-                    ms(o.elapsed),
-                    format!("{:.0}", o.ops as f64 / secs.max(1e-9)),
-                    o.metrics.counter("bench.misest_p90").to_string()
-                ],
-                &w
-            )
-        );
-    }
-    let json = pr10::render_json(&outcomes, seed, &scale);
-    let path = if std::path::Path::new("Cargo.toml").exists() {
-        "BENCH_pr10.json".to_string()
-    } else {
-        // `cargo run -p …` from a subdirectory: walk up to the workspace
-        std::env::var("CARGO_MANIFEST_DIR")
-            .map(|d| format!("{d}/../../BENCH_pr10.json"))
-            .unwrap_or_else(|_| "BENCH_pr10.json".to_string())
-    };
-    std::fs::write(&path, json).expect("write BENCH_pr10.json");
-    println!("\nwrote {path}");
-}
-
-/// `--smoke`: small scale, every scenario run twice; asserts the two
-/// snapshots are identical (determinism) and that each covers the
-/// pagestore/wal/lock/txn/core layers. Used by scripts/check.sh.
-fn pr3_smoke() {
-    let scale = pr3::Scale::smoke();
-    let seed = pr3::DEFAULT_SEED;
-    for s in pr3::scenarios() {
-        let a = (s.run)(&scale, seed);
-        let b = (s.run)(&scale, seed);
-        assert_eq!(a.ops, b.ops, "{}: op count drifted between runs", s.name);
-        assert_eq!(
-            a.metrics, b.metrics,
-            "{}: same seed produced different snapshots",
-            s.name
-        );
-        let names = pr3::assert_layer_coverage(&a.metrics, 12);
-        println!("smoke {:<26} ok  ops={:<7} metrics={names}", s.name, a.ops);
-    }
-    for s in pr5::scenarios().into_iter().chain(pr7::scenarios()) {
-        let a = (s.run)(&scale, seed);
-        let b = (s.run)(&scale, seed);
-        assert_eq!(a.ops, b.ops, "{}: op count drifted between runs", s.name);
-        assert_eq!(
-            a.metrics, b.metrics,
-            "{}: same seed produced different snapshots",
-            s.name
-        );
-        println!("smoke {:<26} ok  ops={}", s.name, a.ops);
-    }
-    for s in pr8::scenarios() {
-        let a = (s.run)(&scale, seed);
-        // `concurrent_committers` races real threads, so its force/batch
-        // split is not seed-determined; its invariants (all commits land,
-        // forces < commits) are asserted inside the scenario itself.
-        if !pr8::is_deterministic(s.name) {
-            println!("smoke {:<26} ok  ops={} (invariants only)", s.name, a.ops);
-            continue;
-        }
-        let b = (s.run)(&scale, seed);
-        assert_eq!(a.ops, b.ops, "{}: op count drifted between runs", s.name);
-        assert_eq!(
-            a.metrics, b.metrics,
-            "{}: same seed produced different snapshots",
-            s.name
-        );
-        println!("smoke {:<26} ok  ops={}", s.name, a.ops);
-    }
-    for s in pr9::scenarios().into_iter().chain(pr10::scenarios()) {
-        let a = (s.run)(&scale, seed);
-        let b = (s.run)(&scale, seed);
-        assert_eq!(a.ops, b.ops, "{}: op count drifted between runs", s.name);
-        assert_eq!(
-            a.metrics, b.metrics,
-            "{}: same seed produced different snapshots",
-            s.name
-        );
-        println!("smoke {:<26} ok  ops={}", s.name, a.ops);
-    }
-    println!("bench smoke: all scenarios deterministic");
 }
 
 fn banner(id: &str, claim: &str) {

@@ -10,13 +10,6 @@
 //! the experiment loudly, not thread `Result` through every scenario.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-pub mod pr10;
-pub mod pr3;
-pub mod pr5;
-pub mod pr7;
-pub mod pr8;
-pub mod pr9;
-
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 

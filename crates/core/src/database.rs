@@ -633,7 +633,7 @@ impl Database {
             .ok_or_else(|| DmxError::NotFound(format!("hook {name}")))
     }
 
-    fn undo_dispatch(&self) -> UndoDispatch {
+    pub(crate) fn undo_dispatch(&self) -> UndoDispatch {
         UndoDispatch::new(
             self.registry.clone(),
             self.catalog.clone(),

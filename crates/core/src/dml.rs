@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use dmx_expr::Expr;
 use dmx_lock::{LockMode, LockName};
-use dmx_txn::{Snapshot, Transaction, VersionImage};
+use dmx_txn::{Transaction, VersionImage};
 use dmx_types::{DmxError, FieldId, Record, RecordKey, RelationId, Result, ScanId, Value};
 
 use crate::access::{AccessPath, AccessQuery, ScanItem, ScanOps};
@@ -41,157 +41,90 @@ pub fn project_values(values: &[Value], fields: Option<&[FieldId]>) -> Result<Ve
     }
 }
 
-/// Wraps a scan so every item's record is S-locked as it is returned
-/// (record-level locking maintains scan-position integrity, per the
-/// paper: "the access procedures use locking to maintain the integrity
-/// of the scan position").
-///
-/// Scans position optimistically (the inner scan decodes records in the
-/// buffer pool before any lock is granted), but every returned item is
-/// **re-read under its S lock**: a writer's entire X-hold can fit between
-/// the optimistic read and the lock grant, so "granted without waiting"
-/// does not imply the read was current. Storage-method scans re-fetch the
-/// record (re-applying predicate and projection); access-path scans
-/// re-check record existence (their per-entry values — index keys, join
-/// pairs — are immutable once present).
-struct LockingScan {
+/// The dispatcher's scan decorator: every scan [`Database::open_scan`]
+/// registers is the access procedure's own scan wrapped in this. It
+/// fences corruption, counts rows, passes derived items (e.g. aggregate
+/// groups, covered by the relation-level lock) through untouched, and
+/// hands each record-keyed item to the transaction's [`Protocol`].
+struct DispatchScan {
     inner: Box<dyn ScanOps>,
     rd: Arc<RelationDescriptor>,
-    /// True when the inner scan is a storage-method scan ("path zero").
-    sm_path: bool,
-    pred: Option<Expr>,
-    fields: Option<Vec<FieldId>>,
+    protocol: Protocol,
     /// Rows returned so far; flushed into the rows-per-scan histogram
     /// when the scan reports exhaustion.
     rows: u64,
     exhausted: bool,
 }
 
-impl LockingScan {
+/// What makes an item the inner scan read optimistically (it decodes
+/// records in the buffer pool before any lock is granted) safe to
+/// return, with the private state each protocol keeps per scan.
+enum Protocol {
+    /// Every item's record is S-locked as it is returned (record-level
+    /// locking maintains scan-position integrity, per the paper: "the
+    /// access procedures use locking to maintain the integrity of the
+    /// scan position") and **re-read under its S lock**: a writer's
+    /// entire X-hold can fit between the optimistic read and the lock
+    /// grant, so "granted without waiting" does not imply the read was
+    /// current. Storage-method scans re-fetch the record (re-applying
+    /// predicate and projection); access-path scans re-check record
+    /// existence (their per-entry values — index keys, join pairs — are
+    /// immutable once present).
+    Locking {
+        /// True when the inner scan is a storage-method scan ("path zero").
+        sm_path: bool,
+        pred: Option<Expr>,
+        fields: Option<Vec<FieldId>>,
+    },
+    /// A lock-free read-only scan against the transaction's snapshot:
+    /// **no record locks are taken**. Instead every item is checked
+    /// against the version store: when the record has a chain, the page
+    /// (or index-entry) bytes may belong to an in-flight or
+    /// recently-aborted writer, so the item is re-derived from the
+    /// chain's snapshot-visible image; when it has none, the page state
+    /// is committed for every live snapshot (the GC fence guarantees
+    /// chains outlive the snapshots that might need them) and the item
+    /// is trusted as read.
+    ///
+    /// When the inner scan exhausts, a *delta sweep* re-derives items for
+    /// snapshot-visible records the scan never surfaced — records whose
+    /// tree entries an in-flight writer deleted or moved. Delta items are
+    /// emitted after the regular stream in record-key order, so same-seed
+    /// runs are deterministic; under concurrent writers the scan's overall
+    /// key ordering is therefore best-effort (DESIGN.md §6.2).
+    Snapshot {
+        /// Record keys the inner scan surfaced to the decorator (whether
+        /// the chain probe then emitted or suppressed them). Double duty:
+        /// the regular stream dedupes against it — a concurrent update
+        /// can relocate a record's tree entry ahead of the scan position,
+        /// so the inner scan may surface the same record key twice — and
+        /// the delta sweep must not re-emit its members. Keys the inner
+        /// scan filtered *internally* (predicate/range) never reach this
+        /// set; the delta sweep intentionally re-derives those records
+        /// from their chains.
+        seen: HashSet<Vec<u8>>,
+        /// `seen`'s members in arrival order, so a savepoint position
+        /// restore can rewind the set in step with the inner scan (keys
+        /// surfaced after the saved position must be re-emittable).
+        surfaced: Vec<Vec<u8>>,
+        /// The delta sweep, once the inner scan exhausted.
+        delta: Option<VecDeque<(Vec<u8>, VersionImage)>>,
+    },
+}
+
+impl DispatchScan {
     fn next_inner(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<ScanItem>> {
+        let Self {
+            inner,
+            rd,
+            protocol,
+            ..
+        } = self;
         loop {
-            let Some(item) = self.inner.next(ctx)? else {
-                return Ok(None);
-            };
-            if !self.inner.items_are_record_keys() {
-                // derived items (e.g. aggregate groups): covered by the
-                // relation-level lock, nothing to re-read
-                return Ok(Some(item));
-            }
-            ctx.lock_record(self.rd.id, &item.key, LockMode::S)?;
-            // Re-read under the lock.
-            let sm = ctx.db.registry().storage(self.rd.sm)?;
-            if self.sm_path {
-                match sm.fetch(
-                    ctx,
-                    &self.rd,
-                    &item.key,
-                    self.fields.as_deref(),
-                    self.pred.as_ref(),
-                )? {
-                    Some(values) => {
-                        return Ok(Some(ScanItem {
-                            key: item.key,
-                            values: Some(values),
-                        }))
-                    }
-                    None => continue, // vanished or no longer qualifies
-                }
-            } else if self.inner.supports_versioned_read() {
-                // Re-derive the item from the record's current state:
-                // the optimistically-read entry values may belong to a
-                // concurrent writer that has since rolled back (the
-                // covered-scan staleness race), so the entry itself
-                // cannot be trusted even when the record exists.
-                match sm.fetch(ctx, &self.rd, &item.key, None, None)? {
-                    Some(values) => match self.inner.item_from_version(ctx, &item.key, &values)? {
-                        Some(fresh) => return Ok(Some(fresh)),
-                        None => continue, // no longer inside this scan
-                    },
-                    None => continue, // vanished
-                }
-            } else {
-                // existence check only (empty projection, no predicate)
-                match sm.fetch(ctx, &self.rd, &item.key, Some(&[]), None)? {
-                    Some(_) => return Ok(Some(item)),
-                    None => continue,
-                }
-            }
-        }
-    }
-}
-
-impl ScanOps for LockingScan {
-    fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<ScanItem>> {
-        let rel = self.rd.id;
-        let res = ctx.db.fence_corrupt(rel, self.next_inner(ctx));
-        match &res {
-            Ok(Some(_)) => {
-                self.rows += 1;
-                ctx.db.counters().scan_rows.incr();
-            }
-            Ok(None) if !self.exhausted => {
-                self.exhausted = true;
-                ctx.db.counters().rows_per_scan.record(self.rows);
-            }
-            _ => {}
-        }
-        res
-    }
-    fn save_position(&self) -> Vec<u8> {
-        self.inner.save_position()
-    }
-    fn restore_position(&mut self, pos: &[u8]) -> Result<()> {
-        self.inner.restore_position(pos)
-    }
-}
-
-/// A lock-free read-only scan against the transaction's snapshot.
-///
-/// The inner scan positions through the pages as usual, but **no record
-/// locks are taken**. Instead every record-keyed item is checked
-/// against the version store: when the record has a chain, the page (or
-/// index-entry) bytes may belong to an in-flight or recently-aborted
-/// writer, so the item is re-derived from the chain's snapshot-visible
-/// image; when it has none, the page state is committed for every live
-/// snapshot (the GC fence guarantees chains outlive the snapshots that
-/// might need them) and the item is trusted as read.
-///
-/// When the inner scan exhausts, a *delta sweep* re-derives items for
-/// snapshot-visible records the scan never surfaced — records whose
-/// tree entries an in-flight writer deleted or moved. Delta items are
-/// emitted after the regular stream in record-key order, so same-seed
-/// runs are deterministic; under concurrent writers the scan's overall
-/// key ordering is therefore best-effort (DESIGN.md §6.2).
-struct SnapshotScan {
-    inner: Box<dyn ScanOps>,
-    rd: Arc<RelationDescriptor>,
-    snap: Snapshot,
-    /// Record keys the inner scan surfaced to this wrapper (whether the
-    /// chain probe then emitted or suppressed them). Double duty: the
-    /// regular stream dedupes against it — a concurrent update can
-    /// relocate a record's tree entry ahead of the scan position, so
-    /// the inner scan may surface the same record key twice — and the
-    /// delta sweep must not re-emit its members. Keys the inner scan
-    /// filtered *internally* (predicate/range) never reach this set;
-    /// the delta sweep intentionally re-derives those records from
-    /// their chains.
-    seen: HashSet<Vec<u8>>,
-    /// `seen`'s members in arrival order, so a savepoint position
-    /// restore can rewind the set in step with the inner scan (keys
-    /// surfaced after the saved position must be re-emittable).
-    surfaced: Vec<Vec<u8>>,
-    /// The delta sweep, once the inner scan exhausted.
-    delta: Option<VecDeque<(Vec<u8>, VersionImage)>>,
-    rows: u64,
-    exhausted: bool,
-}
-
-impl SnapshotScan {
-    fn next_inner(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<ScanItem>> {
-        let me = ctx.txn.id();
-        loop {
-            if let Some(delta) = &mut self.delta {
+            if let Protocol::Snapshot {
+                delta: Some(delta), ..
+            } = protocol
+            {
                 let Some((key, image)) = delta.pop_front() else {
                     return Ok(None);
                 };
@@ -199,80 +132,106 @@ impl SnapshotScan {
                     continue;
                 };
                 let key = RecordKey::new(key);
-                if let Some(item) = self.inner.item_from_version(ctx, &key, &values)? {
+                if let Some(item) = inner.item_from_version(ctx, &key, &values)? {
                     return Ok(Some(item));
                 }
                 continue;
             }
-            let Some(item) = self.inner.next(ctx)? else {
+            let Some(item) = inner.next(ctx)? else {
+                let Protocol::Snapshot { seen, delta, .. } = protocol else {
+                    return Ok(None);
+                };
                 // Inner scan exhausted: sweep the chains for visible
                 // records it never surfaced.
-                let entries = ctx.db.versions().visible_entries(self.rd.id, self.snap, me);
-                let delta: VecDeque<_> = entries
+                let entries =
+                    ctx.db
+                        .versions()
+                        .visible_entries(rd.id, ctx.txn.snapshot(), ctx.txn.id());
+                let sweep: VecDeque<_> = entries
                     .into_iter()
-                    .filter(|(k, _)| !self.seen.contains(k))
+                    .filter(|(k, _)| !seen.contains(k))
                     .collect();
-                if !delta.is_empty() {
+                if !sweep.is_empty() {
                     // Observable: the sweep found snapshot-visible
                     // records the inner scan never surfaced.
                     ctx.db.counters().scan_delta_sweeps.incr();
                     ctx.db.metrics().emit(dmx_types::obs::ObsEvent {
                         layer: "scan",
                         op: "delta_sweep",
-                        target: self.rd.id.0 as u64,
-                        detail: delta.len() as u64,
+                        target: rd.id.0 as u64,
+                        detail: sweep.len() as u64,
                     });
                 }
-                self.delta = Some(delta);
+                *delta = Some(sweep);
                 continue;
             };
-            if !self.inner.items_are_record_keys() {
+            if !inner.items_are_record_keys() {
                 return Ok(Some(item));
             }
-            let key_bytes = item.key.as_bytes().to_vec();
-            if !self.seen.insert(key_bytes.clone()) {
-                // A concurrent writer relocated this record's tree
-                // entry past the scan position, resurfacing a key the
-                // stream already handled; both probes would re-derive
-                // the identical snapshot-visible image, so emit each
-                // record at most once.
-                continue;
-            }
-            self.surfaced.push(key_bytes.clone());
-            // Between the page read (inside `inner.next`) and the chain
-            // probe below, drain this relation's unstamped-write
-            // windows: a mutation the page read may have observed
-            // either still holds its window open (we wait out the
-            // stamp) or has already published its chain. Fast path: one
-            // atomic load.
-            ctx.db.versions().wait_unstamped(self.rd.id);
-            match ctx
-                .db
-                .versions()
-                .visible(self.rd.id, &key_bytes, self.snap, me)
-            {
-                // No chain: the page state is committed for this
-                // snapshot. The common case — zero overhead beyond one
-                // hash probe.
-                None => return Ok(Some(item)),
-                Some(image) => {
-                    ctx.db.counters().mvcc_version_reads.incr();
-                    match image {
-                        VersionImage::Absent => continue,
-                        VersionImage::Present(values) => {
-                            match self.inner.item_from_version(ctx, &item.key, &values)? {
-                                Some(fresh) => return Ok(Some(fresh)),
-                                None => continue,
-                            }
+            let kept = match protocol {
+                Protocol::Locking {
+                    sm_path,
+                    pred,
+                    fields,
+                } => {
+                    ctx.lock_record(rd.id, &item.key, LockMode::S)?;
+                    // Re-read under the lock.
+                    let sm = ctx.db.registry().storage(rd.sm)?;
+                    if *sm_path {
+                        // `None`: vanished or no longer qualifies
+                        sm.fetch(ctx, rd, &item.key, fields.as_deref(), pred.as_ref())?
+                            .map(|values| ScanItem {
+                                key: item.key,
+                                values: Some(values),
+                            })
+                    } else if inner.supports_versioned_read() {
+                        // Re-derive the item from the record's current
+                        // state: the optimistically-read entry values may
+                        // belong to a concurrent writer that has since
+                        // rolled back (the covered-scan staleness race),
+                        // so the entry itself cannot be trusted even when
+                        // the record exists. `None`: vanished, or no
+                        // longer inside this scan.
+                        match sm.fetch(ctx, rd, &item.key, None, None)? {
+                            Some(values) => inner.item_from_version(ctx, &item.key, &values)?,
+                            None => None,
+                        }
+                    } else {
+                        // existence check only (empty projection, no predicate)
+                        sm.fetch(ctx, rd, &item.key, Some(&[]), None)?.map(|_| item)
+                    }
+                }
+                Protocol::Snapshot { seen, surfaced, .. } => {
+                    let key_bytes = item.key.as_bytes().to_vec();
+                    if !seen.insert(key_bytes.clone()) {
+                        // A concurrent writer relocated this record's tree
+                        // entry past the scan position, resurfacing a key
+                        // the stream already handled; both probes would
+                        // re-derive the identical snapshot-visible image,
+                        // so emit each record at most once.
+                        continue;
+                    }
+                    surfaced.push(key_bytes);
+                    match ctx.db.visible_image(ctx.txn, rd.id, item.key.as_bytes()) {
+                        // No chain: the page state is committed for this
+                        // snapshot. The common case — zero overhead beyond
+                        // one hash probe.
+                        None => Some(item),
+                        Some(VersionImage::Absent) => None,
+                        Some(VersionImage::Present(values)) => {
+                            inner.item_from_version(ctx, &item.key, &values)?
                         }
                     }
                 }
+            };
+            if kept.is_some() {
+                return Ok(kept);
             }
         }
     }
 }
 
-impl ScanOps for SnapshotScan {
+impl ScanOps for DispatchScan {
     fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<ScanItem>> {
         let rel = self.rd.id;
         let res = ctx.db.fence_corrupt(rel, self.next_inner(ctx));
@@ -290,26 +249,38 @@ impl ScanOps for SnapshotScan {
         res
     }
     fn save_position(&self) -> Vec<u8> {
+        let inner = self.inner.save_position();
+        let Protocol::Snapshot { surfaced, .. } = &self.protocol else {
+            return inner;
+        };
         // Composite position: how many keys the regular stream had
         // surfaced, then the inner scan's own position. A restore must
         // shrink `seen` in step with the inner rewind, or re-surfaced
         // keys would be deduped away instead of re-emitted.
-        let mut pos = (self.surfaced.len() as u64).to_le_bytes().to_vec();
-        pos.extend_from_slice(&self.inner.save_position());
+        let mut pos = (surfaced.len() as u64).to_le_bytes().to_vec();
+        pos.extend_from_slice(&inner);
         pos
     }
     fn restore_position(&mut self, pos: &[u8]) -> Result<()> {
+        let Protocol::Snapshot {
+            seen,
+            surfaced,
+            delta,
+        } = &mut self.protocol
+        else {
+            return self.inner.restore_position(pos);
+        };
         let corrupt = || DmxError::Corrupt("bad snapshot-scan position".into());
         let n = dmx_types::bytes::le_u64(pos, 0).ok_or_else(corrupt)? as usize;
-        if n > self.surfaced.len() {
+        if n > surfaced.len() {
             return Err(corrupt());
         }
-        for key in self.surfaced.drain(n..) {
-            self.seen.remove(&key);
+        for key in surfaced.drain(n..) {
+            seen.remove(&key);
         }
         // A partial rollback rewinds the inner scan; the delta sweep (if
         // it had started) is discarded and rebuilt at re-exhaustion.
-        self.delta = None;
+        *delta = None;
         self.inner
             .restore_position(pos.get(8..).ok_or_else(corrupt)?)
     }
@@ -346,6 +317,29 @@ impl Database {
             None => VersionImage::Absent,
         })
     }
+
+    /// The chain image of `(rel, key)` visible to `txn`'s snapshot
+    /// (committed for it, or `txn`'s own write), which overrides
+    /// whatever a page read said. `None`: no chain, so the page state is
+    /// committed for this snapshot. Called *after* the page read: it
+    /// first drains the relation's unstamped-write windows, so a
+    /// mutation the page read may have observed either still holds its
+    /// window open (we wait out the stamp) or has already published its
+    /// chain. Fast path: one atomic load and one hash probe.
+    fn visible_image(
+        &self,
+        txn: &Transaction,
+        rel: RelationId,
+        key: &[u8],
+    ) -> Option<VersionImage> {
+        self.versions().wait_unstamped(rel);
+        let image = self
+            .versions()
+            .visible(rel, key, txn.snapshot(), txn.id())?;
+        self.counters().mvcc_version_reads.incr();
+        Some(image)
+    }
+
     /// Runs one relation operation as a statement: on failure, the
     /// common recovery log drives the undo of its partial effects back to
     /// the statement's entry point.
@@ -361,11 +355,7 @@ impl Database {
         match f(&ctx) {
             Ok(v) => Ok(v),
             Err(e) => {
-                let handler = crate::undo::UndoDispatch::new(
-                    self.registry().clone(),
-                    self.catalog().clone(),
-                    self.services().clone(),
-                );
+                let handler = self.undo_dispatch();
                 let new_last = dmx_wal::rollback_to(
                     &self.services().log,
                     &handler,
@@ -559,31 +549,18 @@ impl Database {
         ctx.lock(LockName::Relation(rel), LockMode::IS)?;
         self.counters().fetches.incr();
         if txn.snapshot_reads() {
-            // Snapshot read: no record lock. Page read first, then —
-            // after draining unstamped-write windows, so a racing
-            // insert's stamp is visible — the chain probe. A chain
-            // image (committed for this snapshot, or our own write)
-            // overrides whatever the page said; a chainless record's
-            // page state is committed everywhere.
+            // Snapshot read: no record lock. Page read first, then the
+            // chain probe.
             let sm = self.registry().storage(rd.sm)?;
             let page = self.fence_corrupt(rel, sm.fetch(&ctx, &rd, key, fields, pred))?;
-            self.versions().wait_unstamped(rel);
-            let Some(image) =
-                self.versions()
-                    .visible(rel, key.as_bytes(), txn.snapshot(), txn.id())
-            else {
-                return Ok(page);
+            return match self.visible_image(txn, rel, key.as_bytes()) {
+                None => Ok(page),
+                Some(VersionImage::Absent) => Ok(None),
+                Some(VersionImage::Present(values)) => match pred {
+                    Some(p) if !ctx.eval_predicate(p, &values)? => Ok(None),
+                    _ => Ok(Some(project_values(&values, fields)?)),
+                },
             };
-            self.counters().mvcc_version_reads.incr();
-            let VersionImage::Present(values) = image else {
-                return Ok(None);
-            };
-            if let Some(p) = pred {
-                if !ctx.eval_predicate(p, &values)? {
-                    return Ok(None);
-                }
-            }
-            return Ok(Some(project_values(&values, fields)?));
         }
         ctx.lock_record(rel, key, LockMode::S)?;
         let sm = self.registry().storage(rd.sm)?;
@@ -613,31 +590,29 @@ impl Database {
             self.open_scan_raw(&ctx, &rd, path, query, pred.clone(), fields.clone()),
         )?;
         self.counters().scan_opens.incr();
-        if txn.snapshot_reads() && inner.supports_versioned_read() {
+        let protocol = if txn.snapshot_reads() && inner.supports_versioned_read() {
             // Snapshot scan: zero record locks, zero range locks;
             // visibility comes from the version store.
             self.counters().mvcc_snapshot_scans.incr();
-            let scan = Box::new(SnapshotScan {
-                inner,
-                rd,
-                snap: txn.snapshot(),
+            Protocol::Snapshot {
                 seen: HashSet::new(),
                 surfaced: Vec::new(),
                 delta: None,
-                rows: 0,
-                exhausted: false,
-            });
-            return Ok(self.scans().open(txn.id(), scan));
-        }
-        // Locking scan: range locks fence phantoms at the key gaps the
-        // scan traverses (only meaningful for ordered record-key scans).
-        inner.set_range_locking(true);
-        let scan = Box::new(LockingScan {
+            }
+        } else {
+            // Locking scan: range locks fence phantoms at the key gaps the
+            // scan traverses (only meaningful for ordered record-key scans).
+            inner.set_range_locking(true);
+            Protocol::Locking {
+                sm_path: matches!(path, AccessPath::StorageMethod),
+                pred,
+                fields,
+            }
+        };
+        let scan = Box::new(DispatchScan {
             inner,
-            sm_path: matches!(path, AccessPath::StorageMethod),
             rd,
-            pred,
-            fields,
+            protocol,
             rows: 0,
             exhausted: false,
         });

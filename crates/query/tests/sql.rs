@@ -155,6 +155,55 @@ fn index_is_chosen_and_correct() {
     assert_eq!(rows.len(), 5);
 }
 
+/// An index estimator hands back the conjunct its sarg came from, not
+/// the one at the sarg's position: with a non-sargable conjunct written
+/// first, the index applies exactly `id = 5` (the residual is what the
+/// chosen path did not apply) and the filter keeps exactly `name <> 'x'`.
+#[test]
+fn index_applies_the_conjunct_its_sarg_came_from() {
+    use dmx_expr::{CmpOp, Expr};
+    use dmx_query::planner::{plan_select, Plan};
+    let q = "SELECT name FROM emp WHERE name <> 'x' AND id = 5";
+    let dmx_query::ast::Stmt::Select(sel) = dmx_query::parser::parse(q).unwrap() else {
+        panic!("not a SELECT");
+    };
+    for ddl in [
+        "CREATE INDEX emp_id ON emp (id)",
+        "CREATE INDEX emp_id ON emp USING hash (id)",
+    ] {
+        let db = open_db();
+        setup_emp_n(&db, 2000);
+        db.execute_sql("INSERT INTO emp VALUES (5, 'x', 0, 0.0)")
+            .unwrap();
+        let unindexed = db.query_sql(q).unwrap();
+        assert_eq!(unindexed, vec![vec![Value::from("emp5")]]);
+
+        db.execute_sql(ddl).unwrap();
+        let compiled = plan_select(&db, &sel).unwrap();
+        let mut node = &compiled.plan;
+        let access = loop {
+            match node {
+                Plan::Access(a) => break a,
+                other => node = other.children()[0],
+            }
+        };
+        assert!(
+            matches!(access.path, dmx_core::AccessPath::Attachment(..)),
+            "{ddl}: planner did not pick the index"
+        );
+        assert_eq!(
+            access.residual,
+            Some(Expr::Cmp(
+                CmpOp::Ne,
+                Box::new(Expr::Column(1)),
+                Box::new(Expr::Const(Value::from("x")))
+            )),
+            "{ddl}"
+        );
+        assert_eq!(db.query_sql(q).unwrap(), unindexed, "{ddl}");
+    }
+}
+
 #[test]
 fn update_delete_with_predicates() {
     let db = open_db();

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # One-command gate for the workspace: formatting, the static-analysis
-# verify pass, an offline release build, and the test suite. CI and
-# pre-push hooks should run exactly this.
+# verify pass, an offline release build, the test suite, the repo
+# benchmark's own tests (the determinism gate), the crash-point sweeps
+# and the differential oracle. CI and pre-push hooks should run exactly
+# this.
 #
 # `check.sh --thorough` additionally runs the crash-point sweeps at
 # stride 1 (every single I/O index, including the points inside the
@@ -44,8 +46,10 @@ echo "==> cargo test --workspace"
 cargo test -q --workspace
 
 # The repo benchmark is a package of its own, built against the public
-# engine API; its smoke test is what notices an API break there.
-echo "==> benchmark package tests"
+# engine API; its smoke test is what notices an API break there. It is
+# also the determinism gate: the whole matrix runs twice on one seed and
+# every counted metric must repeat byte for byte.
+echo "==> benchmark package tests (determinism gate)"
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
 # Bounded crash-point sweep: every 16th I/O index by default; stride 1
@@ -61,10 +65,5 @@ FAULT_SWEEP_STRIDE=$STRIDE cargo test -q --test self_heal crash_sweep
 # over seeded statement streams.
 echo "==> differential oracle"
 cargo test -q --test differential
-
-# Deterministic bench smoke: scaled-down seeded scenarios run twice;
-# any metric-snapshot divergence between the runs fails the gate.
-echo "==> bench smoke (determinism gate)"
-cargo run -q --release -p dmx-bench --bin harness -- --smoke
 
 echo "check.sh: all gates passed"

@@ -147,6 +147,12 @@ fn sys_trace_drains_events_and_reports_eviction() {
         ))
         .unwrap();
     }
+    // No-force: page write-back does not scale with the commit count.
+    let flushes = db.metrics_snapshot().counter("pool.flushes");
+    assert!(
+        flushes <= 16,
+        "{flushes} page flushes across 380 commits: commit is writing pages back"
+    );
     let trace = db.execute_sql("SELECT * FROM sys.trace").unwrap();
     assert_eq!(
         trace.columns,
