@@ -5,12 +5,13 @@
 //! Each instance maintains `COUNT(*)` and `SUM(<field>)` per group (or a
 //! single global group) in a B-tree keyed by the encoded group value.
 //! Maintenance is incremental: every relation modification applies a
-//! delta and logs the group's *before- and after-images* ([`A_DELTA`]),
-//! which [`dmx_core::logged_tree`] replays in either direction.
+//! delta through [`LoggedTree::update_cell`], which locks the group's
+//! cell, logs its *before- and after-images* and replays them in either
+//! direction.
 
 use std::sync::Arc;
 
-use dmx_core::logged_tree::{self, Images};
+use dmx_core::logged_tree;
 use dmx_core::{
     AccessQuery, Attachment, AttachmentInstance, CommonServices, EntryDecoder, ExecCtx, LoggedTree,
     RelationDescriptor, Replay, ScanItem, ScanOps, TreeCursor, TreeFile, TreeScan,
@@ -20,7 +21,7 @@ use dmx_types::{
     AttrList, DmxError, FieldId, FileId, Lsn, Record, RecordKey, Result, Schema, Value,
 };
 
-use crate::common::{apply_logged, decode_att_payload, read_u16, read_u32, read_u64, A_DELTA};
+use crate::common::{read_u16, read_u32, read_u64};
 
 /// The maintained-aggregate attachment type.
 pub struct Aggregate;
@@ -78,10 +79,8 @@ impl AggDesc {
     }
 }
 
-const CELL_BYTES: usize = 16;
-
 fn encode_cell(count: i64, sum: f64) -> Vec<u8> {
-    let mut v = Vec::with_capacity(CELL_BYTES);
+    let mut v = Vec::with_capacity(16);
     v.extend_from_slice(&count.to_le_bytes());
     v.extend_from_slice(&sum.to_le_bytes());
     v
@@ -92,37 +91,6 @@ fn decode_cell(b: &[u8]) -> Result<(i64, f64)> {
         read_u64(b, 0, "aggregate cell")? as i64,
         f64::from_bits(read_u64(b, 8, "aggregate cell")?),
     ))
-}
-
-/// Appends one logged image of a group's cell: `[0]` = the group is
-/// absent, `[1] ∥ cell` = present.
-fn encode_image(out: &mut Vec<u8>, cell: Option<&[u8]>) {
-    match cell {
-        None => out.push(0),
-        Some(c) => {
-            out.push(1);
-            out.extend_from_slice(c);
-        }
-    }
-}
-
-/// Splits one [`encode_image`] off the front of `b`.
-fn split_image(b: &[u8]) -> Result<(Option<&[u8]>, &[u8])> {
-    match b.split_first() {
-        Some((0, rest)) => Ok((None, rest)),
-        Some((1, rest)) if rest.len() >= CELL_BYTES => {
-            let (cell, rest) = rest.split_at(CELL_BYTES);
-            Ok((Some(cell), rest))
-        }
-        _ => Err(DmxError::Corrupt("bad aggregate image pair".into())),
-    }
-}
-
-/// The logged before-image ∥ after-image pair, as cell bytes.
-fn decode_images(b: &[u8]) -> Result<Images<'_>> {
-    let (before, rest) = split_image(b)?;
-    let (after, _) = split_image(rest)?;
-    Ok((before, after))
 }
 
 impl Aggregate {
@@ -159,32 +127,14 @@ impl Aggregate {
         let group = Self::group_key(&d, record)?;
         let dsum = Self::sum_value(&d, record)? * sign as f64;
         let cells = LoggedTree::attachment(ctx, rd, inst, d.tree_file().open_tree(ctx.services()));
-        let before = cells.tree().get(&group)?;
-        let (count, sum) = match &before {
-            Some(cell) => decode_cell(cell)?,
-            None => (0, 0.0),
-        };
-        let count = count + sign;
-        let after = (count > 0).then(|| encode_cell(count, sum + dsum));
-        let mut images = Vec::with_capacity(2 + 2 * CELL_BYTES);
-        encode_image(&mut images, before.as_deref());
-        encode_image(&mut images, after.as_deref());
-        apply_logged(&cells, inst, A_DELTA, &group, &images, after.as_deref())
-    }
-
-    fn replay(
-        services: &Arc<CommonServices>,
-        lsn: Lsn,
-        dir: Replay,
-        op: u8,
-        payload: &[u8],
-    ) -> Result<()> {
-        if op != A_DELTA {
-            return Err(DmxError::Corrupt(format!("bad aggregate op {op}")));
-        }
-        let (desc, group, images) = decode_att_payload(payload)?;
-        let tree = AggDesc::decode(desc)?.tree_file().open_tree(services);
-        logged_tree::replay(&tree, lsn, dir, group, decode_images(images)?)
+        cells.update_cell(&group, |before| {
+            let (count, sum) = match before {
+                Some(cell) => decode_cell(cell)?,
+                None => (0, 0.0),
+            };
+            let count = count + sign;
+            Ok((count > 0).then(|| encode_cell(count, sum + dsum)))
+        })
     }
 }
 
@@ -273,26 +223,17 @@ impl Attachment for Aggregate {
         Ok(())
     }
 
-    fn undo(
+    fn replay(
         &self,
         services: &Arc<CommonServices>,
         _rd: &RelationDescriptor,
         lsn: Lsn,
+        dir: Replay,
         op: u8,
         payload: &[u8],
     ) -> Result<()> {
-        Self::replay(services, lsn, Replay::Undo, op, payload)
-    }
-
-    fn redo(
-        &self,
-        services: &Arc<CommonServices>,
-        _rd: &RelationDescriptor,
-        lsn: Lsn,
-        op: u8,
-        payload: &[u8],
-    ) -> Result<()> {
-        Self::replay(services, lsn, Replay::Redo, op, payload)
+        let (file, change) = TreeFile::named_by(payload)?;
+        logged_tree::replay(&file.open_tree(services), lsn, dir, op, change).map(drop)
     }
 
     fn supports_access(&self) -> bool {

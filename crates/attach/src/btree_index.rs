@@ -15,7 +15,7 @@ use std::ops::Bound;
 use std::sync::Arc;
 
 use dmx_core::access::prefix_successor;
-use dmx_core::logged_tree::{self, entry_images, lock_delete_gaps, lock_insert_gap};
+use dmx_core::logged_tree::{self, lock_delete_gaps, lock_insert_gap};
 use dmx_core::{
     project_values, AccessPath, AccessQuery, Attachment, AttachmentInstance, CommonServices, Cost,
     EntryDecoder, ExecCtx, KeyRange, LoggedTree, PathChoice, RecordKeyIn, RelationDescriptor,
@@ -27,10 +27,7 @@ use dmx_types::{
     AttrList, DmxError, FieldId, FileId, Lsn, Record, RecordKey, Result, Schema, Value,
 };
 
-use crate::common::{
-    apply_logged, decode_att_payload, field_values, parse_fields, read_u16, read_u32, A_DELETE,
-    A_INSERT,
-};
+use crate::common::{field_values, parse_fields, read_u16, read_u32};
 
 /// The B-tree index attachment type.
 pub struct BTreeIndex;
@@ -119,8 +116,7 @@ impl BTreeIndex {
                 format!("unique index '{}' violated", inst.name),
             ));
         }
-        let rkey = key.as_bytes();
-        apply_logged(&index, inst, A_INSERT, &full, rkey, Some(rkey))
+        index.apply(&full, None, Some(key.as_bytes()))
     }
 
     fn delete_entry(
@@ -141,21 +137,7 @@ impl BTreeIndex {
             return Ok(());
         }
         lock_delete_gaps(ctx, rd.id, index.tree(), &full)?;
-        apply_logged(&index, inst, A_DELETE, &full, key.as_bytes(), None)
-    }
-
-    /// Index entries are `full key → record key`, logged as
-    /// `(desc, full key, record key)`.
-    fn replay(
-        services: &Arc<CommonServices>,
-        lsn: Lsn,
-        dir: Replay,
-        op: u8,
-        payload: &[u8],
-    ) -> Result<()> {
-        let (desc, key, rkey) = decode_att_payload(payload)?;
-        let tree = IxDesc::decode(desc)?.tree_file().open_tree(services);
-        logged_tree::replay(&tree, lsn, dir, key, entry_images(op, rkey)?)
+        index.apply(&full, Some(key.as_bytes()), None)
     }
 }
 
@@ -244,26 +226,17 @@ impl Attachment for BTreeIndex {
         Ok(())
     }
 
-    fn undo(
+    fn replay(
         &self,
         services: &Arc<CommonServices>,
         _rd: &RelationDescriptor,
         lsn: Lsn,
+        dir: Replay,
         op: u8,
         payload: &[u8],
     ) -> Result<()> {
-        Self::replay(services, lsn, Replay::Undo, op, payload)
-    }
-
-    fn redo(
-        &self,
-        services: &Arc<CommonServices>,
-        _rd: &RelationDescriptor,
-        lsn: Lsn,
-        op: u8,
-        payload: &[u8],
-    ) -> Result<()> {
-        Self::replay(services, lsn, Replay::Redo, op, payload)
+        let (file, change) = TreeFile::named_by(payload)?;
+        logged_tree::replay(&file.open_tree(services), lsn, dir, op, change).map(drop)
     }
 
     fn supports_access(&self) -> bool {

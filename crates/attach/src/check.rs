@@ -12,7 +12,9 @@ use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use dmx_core::{Attachment, AttachmentInstance, CommonServices, ExecCtx, RelationDescriptor};
+use dmx_core::{
+    Attachment, AttachmentInstance, CommonServices, ExecCtx, RelationDescriptor, Replay,
+};
 use dmx_expr::{decode_expr, encode_expr, expr_from_hex, Expr};
 use dmx_txn::TxnEvent;
 use dmx_types::{AttrList, DmxError, Lsn, Record, RecordKey, Result, Schema};
@@ -207,14 +209,15 @@ impl Attachment for CheckConstraint {
         Ok(()) // deleting a record cannot violate an intra-record predicate
     }
 
-    fn undo(
+    fn replay(
         &self,
         _services: &Arc<CommonServices>,
         _rd: &RelationDescriptor,
         _lsn: Lsn,
+        _dir: Replay,
         _op: u8,
         _payload: &[u8],
     ) -> Result<()> {
-        Ok(()) // checks have no state to undo
+        Ok(()) // checks have no state to replay
     }
 }

@@ -1,27 +1,6 @@
 //! Shared helpers for attachment implementations.
 
-use dmx_core::{AttachmentInstance, LoggedTarget, LoggedTree};
 use dmx_types::{AttrList, DmxError, FieldId, Record, Result, Schema, Value};
-
-/// Attachment op codes: an entry was added to / removed from an
-/// attachment's structure.
-pub use dmx_core::logged_tree::{OP_DELETE as A_DELETE, OP_INSERT as A_INSERT};
-/// Attachment op code: a maintained cell changed; the payload carries
-/// its before- and after-images.
-pub const A_DELTA: u8 = 3;
-
-/// Encodes an attachment undo payload. The *instance descriptor* is
-/// embedded so undo never needs a catalog lookup (the instance may even
-/// have been dropped by the time restart runs).
-pub fn encode_att_payload(desc: &[u8], key: &[u8], extra: &[u8]) -> Vec<u8> {
-    let mut v = Vec::with_capacity(4 + desc.len() + key.len() + extra.len());
-    v.extend_from_slice(&(desc.len() as u16).to_le_bytes());
-    v.extend_from_slice(desc);
-    v.extend_from_slice(&(key.len() as u16).to_le_bytes());
-    v.extend_from_slice(key);
-    v.extend_from_slice(extra);
-    v
-}
 
 /// Reads a little-endian `u16` at `off`, or a `Corrupt("short {what}")`
 /// error when the buffer is too small.
@@ -53,31 +32,6 @@ pub fn read_u64(b: &[u8], off: usize, what: &str) -> Result<u64> {
 pub fn tail<'a>(b: &'a [u8], off: usize, what: &str) -> Result<&'a [u8]> {
     b.get(off..)
         .ok_or_else(|| DmxError::Corrupt(format!("short {what}")))
-}
-
-/// Decodes `(desc, key, extra)` from [`encode_att_payload`].
-pub fn decode_att_payload(p: &[u8]) -> Result<(&[u8], &[u8], &[u8])> {
-    let corrupt = || DmxError::Corrupt("short attachment payload".into());
-    let dlen = read_u16(p, 0, "attachment payload")? as usize;
-    let desc = p.get(2..2 + dlen).ok_or_else(corrupt)?;
-    let rest = tail(p, 2 + dlen, "attachment payload")?;
-    let klen = read_u16(rest, 0, "attachment payload")? as usize;
-    let key = rest.get(2..2 + klen).ok_or_else(corrupt)?;
-    let extra = tail(rest, 2 + klen, "attachment payload")?;
-    Ok((desc, key, extra))
-}
-
-/// The forward step of every attachment that keeps a tree: logs
-/// `(inst.desc, key, extra)` under `op`, then installs `image` at `key`.
-pub fn apply_logged<T: LoggedTarget>(
-    tree: &LoggedTree<'_, T>,
-    inst: &AttachmentInstance,
-    op: u8,
-    key: &[u8],
-    extra: &[u8],
-    image: Option<&[u8]>,
-) -> Result<()> {
-    tree.apply(op, encode_att_payload(&inst.desc, key, extra), key, image)
 }
 
 /// Parses a comma-separated field-name list attribute into field ids.
@@ -118,20 +72,4 @@ pub fn field_values(record: &Record, fields: &[FieldId]) -> Result<Vec<Value>> {
                 .ok_or_else(|| DmxError::InvalidArg(format!("no field {f}")))
         })
         .collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn att_payload_roundtrip() {
-        let p = encode_att_payload(b"desc", b"key", b"extra");
-        let (d, k, e) = decode_att_payload(&p).unwrap();
-        assert_eq!((d, k, e), (&b"desc"[..], &b"key"[..], &b"extra"[..]));
-        let p2 = encode_att_payload(b"", b"", b"");
-        let (d, k, e) = decode_att_payload(&p2).unwrap();
-        assert!(d.is_empty() && k.is_empty() && e.is_empty());
-        assert!(decode_att_payload(&[1]).is_err());
-    }
 }

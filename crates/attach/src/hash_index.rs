@@ -12,7 +12,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use dmx_core::logged_tree::{self, entry_images};
+use dmx_core::logged_tree;
 use dmx_core::{
     AccessPath, AccessQuery, Attachment, AttachmentInstance, CommonServices, Cost, EntryDecoder,
     ExecCtx, KeyRange, LoggedTree, PathChoice, RelationDescriptor, Replay, ScanItem, ScanOps,
@@ -24,10 +24,7 @@ use dmx_types::{
     AttrList, DmxError, FieldId, FileId, Lsn, Record, RecordKey, Result, Schema, Value,
 };
 
-use crate::common::{
-    apply_logged, decode_att_payload, field_values, parse_fields, read_u16, read_u32, tail,
-    A_DELETE, A_INSERT,
-};
+use crate::common::{field_values, parse_fields, read_u16, read_u32, tail};
 
 /// The hash-index attachment type.
 pub struct HashIndex;
@@ -98,40 +95,10 @@ impl HashIndex {
         Ok(full)
     }
 
-    fn insert_entry(
-        index: &LoggedTree<'_>,
-        inst: &AttachmentInstance,
-        full: &[u8],
-        key: &RecordKey,
-    ) -> Result<()> {
-        let rkey = key.as_bytes();
-        apply_logged(index, inst, A_INSERT, full, rkey, Some(rkey))
-    }
-
-    fn delete_entry(
-        index: &LoggedTree<'_>,
-        inst: &AttachmentInstance,
-        full: &[u8],
-        key: &RecordKey,
-    ) -> Result<()> {
-        if index.tree().get(full)?.is_none() {
-            return Ok(());
-        }
-        apply_logged(index, inst, A_DELETE, full, key.as_bytes(), None)
-    }
-
-    /// Entries are `hash ∥ values ∥ record key → record key`, logged as
-    /// `(desc, entry key, record key)`.
-    fn replay(
-        services: &Arc<CommonServices>,
-        lsn: Lsn,
-        dir: Replay,
-        op: u8,
-        payload: &[u8],
-    ) -> Result<()> {
-        let (desc, key, rkey) = decode_att_payload(payload)?;
-        let tree = HashDesc::decode(desc)?.tree_file().open_tree(services);
-        logged_tree::replay(&tree, lsn, dir, key, entry_images(op, rkey)?)
+    /// Entries are `hash ∥ values ∥ record key → record key`; deleting
+    /// an absent one logs nothing.
+    fn delete_entry(index: &LoggedTree<'_>, full: &[u8]) -> Result<()> {
+        index.apply(full, index.tree().get(full)?.as_deref(), None)
     }
 }
 
@@ -178,7 +145,7 @@ impl Attachment for HashIndex {
             let d = HashDesc::decode(&inst.desc)?;
             let index =
                 LoggedTree::attachment(ctx, rd, inst, d.tree_file().open_tree(ctx.services()));
-            Self::insert_entry(&index, inst, &Self::entry_key(&d, new, key)?, key)?;
+            index.apply(&Self::entry_key(&d, new, key)?, None, Some(key.as_bytes()))?;
         }
         Ok(())
     }
@@ -202,8 +169,8 @@ impl Attachment for HashIndex {
             }
             let index =
                 LoggedTree::attachment(ctx, rd, inst, d.tree_file().open_tree(ctx.services()));
-            Self::delete_entry(&index, inst, &old_full, old_key)?;
-            Self::insert_entry(&index, inst, &new_full, new_key)?;
+            Self::delete_entry(&index, &old_full)?;
+            index.apply(&new_full, None, Some(new_key.as_bytes()))?;
         }
         Ok(())
     }
@@ -220,31 +187,22 @@ impl Attachment for HashIndex {
             let d = HashDesc::decode(&inst.desc)?;
             let index =
                 LoggedTree::attachment(ctx, rd, inst, d.tree_file().open_tree(ctx.services()));
-            Self::delete_entry(&index, inst, &Self::entry_key(&d, old, key)?, key)?;
+            Self::delete_entry(&index, &Self::entry_key(&d, old, key)?)?;
         }
         Ok(())
     }
 
-    fn undo(
+    fn replay(
         &self,
         services: &Arc<CommonServices>,
         _rd: &RelationDescriptor,
         lsn: Lsn,
+        dir: Replay,
         op: u8,
         payload: &[u8],
     ) -> Result<()> {
-        Self::replay(services, lsn, Replay::Undo, op, payload)
-    }
-
-    fn redo(
-        &self,
-        services: &Arc<CommonServices>,
-        _rd: &RelationDescriptor,
-        lsn: Lsn,
-        op: u8,
-        payload: &[u8],
-    ) -> Result<()> {
-        Self::replay(services, lsn, Replay::Redo, op, payload)
+        let (file, change) = TreeFile::named_by(payload)?;
+        logged_tree::replay(&file.open_tree(services), lsn, dir, op, change).map(drop)
     }
 
     fn supports_access(&self) -> bool {

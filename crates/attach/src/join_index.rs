@@ -18,7 +18,7 @@
 
 use std::sync::Arc;
 
-use dmx_core::logged_tree::{self, entry_images};
+use dmx_core::logged_tree;
 use dmx_core::{
     AccessQuery, Attachment, AttachmentInstance, CommonServices, EntryDecoder, ExecCtx, KeyRange,
     LoggedTree, RelationDescriptor, Replay, ScanItem, ScanOps, TreeCursor, TreeFile, TreeScan,
@@ -28,10 +28,7 @@ use dmx_types::{
     Schema, Value,
 };
 
-use crate::common::{
-    apply_logged, decode_att_payload, field_values, parse_fields, read_u16, read_u32, tail,
-    A_DELETE, A_INSERT,
-};
+use crate::common::{field_values, parse_fields, read_u16, read_u32, tail};
 
 /// The join-index attachment type.
 pub struct JoinIndex;
@@ -114,9 +111,8 @@ fn decode_pair_value(v: &[u8]) -> Result<(&[u8], &[u8])> {
 }
 
 /// One side's instance during a modification: the three shared trees as
-/// logged handles. Entries are logged as `(desc, key, [which] ∥ value)`.
+/// logged handles (each record names the tree it changed).
 struct Link<'a> {
-    inst: &'a AttachmentInstance,
     trees: [LoggedTree<'a>; 3],
 }
 
@@ -124,46 +120,24 @@ impl<'a> Link<'a> {
     fn open(
         ctx: &ExecCtx<'a>,
         rd: &RelationDescriptor,
-        inst: &'a AttachmentInstance,
+        inst: &AttachmentInstance,
         d: &JiDesc,
     ) -> Self {
         Link {
-            inst,
             trees: d
                 .trees
                 .map(|t| LoggedTree::attachment(ctx, rd, inst, t.open_tree(ctx.services()))),
         }
     }
 
-    fn apply(
-        &self,
-        op: u8,
-        which: u8,
-        key: &[u8],
-        value: &[u8],
-        image: Option<&[u8]>,
-    ) -> Result<()> {
-        let mut extra = vec![which];
-        extra.extend_from_slice(value);
-        apply_logged(
-            &self.trees[which as usize],
-            self.inst,
-            op,
-            key,
-            &extra,
-            image,
-        )
-    }
-
     fn insert(&self, which: u8, key: &[u8], value: &[u8]) -> Result<()> {
-        self.apply(A_INSERT, which, key, value, Some(value))
+        self.trees[which as usize].apply(key, None, Some(value))
     }
 
     fn delete(&self, which: u8, key: &[u8]) -> Result<()> {
-        match self.trees[which as usize].tree().get(key)? {
-            Some(old) => self.apply(A_DELETE, which, key, &old, None),
-            None => Ok(()),
-        }
+        let tree = &self.trees[which as usize];
+        let old = tree.tree().get(key)?;
+        tree.apply(key, old.as_deref(), None)
     }
 
     /// Entries of tree `which` whose key starts with `p`.
@@ -253,31 +227,6 @@ impl JoinIndex {
             }
         }
         Ok(())
-    }
-
-    fn replay(
-        services: &Arc<CommonServices>,
-        lsn: Lsn,
-        dir: Replay,
-        op: u8,
-        payload: &[u8],
-    ) -> Result<()> {
-        let (desc, key, extra) = decode_att_payload(payload)?;
-        let (&which, value) = extra
-            .split_first()
-            .ok_or_else(|| DmxError::Corrupt("short join-index log payload".into()))?;
-        let file = JiDesc::decode(desc)?
-            .trees
-            .get(which as usize)
-            .copied()
-            .ok_or_else(|| DmxError::Corrupt(format!("bad join-index tree {which}")))?;
-        logged_tree::replay(
-            &file.open_tree(services),
-            lsn,
-            dir,
-            key,
-            entry_images(op, value)?,
-        )
     }
 }
 
@@ -405,26 +354,17 @@ impl Attachment for JoinIndex {
         Ok(())
     }
 
-    fn undo(
+    fn replay(
         &self,
         services: &Arc<CommonServices>,
         _rd: &RelationDescriptor,
         lsn: Lsn,
+        dir: Replay,
         op: u8,
         payload: &[u8],
     ) -> Result<()> {
-        Self::replay(services, lsn, Replay::Undo, op, payload)
-    }
-
-    fn redo(
-        &self,
-        services: &Arc<CommonServices>,
-        _rd: &RelationDescriptor,
-        lsn: Lsn,
-        op: u8,
-        payload: &[u8],
-    ) -> Result<()> {
-        Self::replay(services, lsn, Replay::Redo, op, payload)
+        let (file, change) = TreeFile::named_by(payload)?;
+        logged_tree::replay(&file.open_tree(services), lsn, dir, op, change).map(drop)
     }
 
     fn supports_access(&self) -> bool {

@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use dmx_core::{
     AccessPath, AccessQuery, Attachment, AttachmentInstance, CommonServices, ExecCtx,
-    RelationDescriptor,
+    RelationDescriptor, Replay,
 };
 use dmx_expr::{CmpOp, Expr};
 
@@ -358,11 +358,12 @@ impl Attachment for RefIntegrity {
         Ok(())
     }
 
-    fn undo(
+    fn replay(
         &self,
         _services: &Arc<CommonServices>,
         _rd: &RelationDescriptor,
         _lsn: Lsn,
+        _dir: Replay,
         _op: u8,
         _payload: &[u8],
     ) -> Result<()> {

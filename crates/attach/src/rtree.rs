@@ -16,7 +16,7 @@
 use std::sync::Arc;
 
 use dmx_btree::{LatchTable, TreeLatch};
-use dmx_core::logged_tree::{self, entry_images};
+use dmx_core::logged_tree;
 use dmx_core::{
     AccessPath, AccessQuery, Attachment, AttachmentInstance, CommonServices, Cost, ExecCtx,
     LoggedTarget, LoggedTree, PathChoice, RelationDescriptor, Replay, ScanItem, ScanOps, SpatialOp,
@@ -28,8 +28,6 @@ use dmx_types::{
     AttrList, DmxError, FieldId, FileId, Lsn, PageId, Record, RecordKey, Rect, Result, Schema,
     Value,
 };
-
-use crate::common::{apply_logged, decode_att_payload, A_DELETE, A_INSERT};
 
 /// Page type tags.
 pub const PAGE_TYPE_RTREE_LEAF: u8 = 5;
@@ -561,6 +559,10 @@ impl RTree {
 /// whether the entry is present. Presence-checked, because the tree would
 /// otherwise hold an entry twice when a replay meets one already there.
 impl LoggedTarget for RTree {
+    fn root(&self) -> PageId {
+        self.root
+    }
+
     fn install_image(&self, lsn: Lsn, entry: &[u8], image: Option<&[u8]>) -> Result<()> {
         let tree = self.clone().with_wal_lsn(lsn);
         let rect = entry_rect(entry)?;
@@ -578,8 +580,8 @@ impl LoggedTarget for RTree {
 // ---------------------------------------------------------------------
 
 impl RTreeIndex {
-    fn tree(services: &Arc<CommonServices>, d: &RtDesc) -> RTree {
-        RTree::open(&services.pool, d.tree_file().root(), &services.latches)
+    fn tree(services: &Arc<CommonServices>, file: TreeFile) -> RTree {
+        RTree::open(&services.pool, file.root(), &services.latches)
     }
 
     fn rect_of(d: &RtDesc, record: &Record) -> Result<Option<Rect>> {
@@ -593,40 +595,17 @@ impl RTreeIndex {
         }
     }
 
-    /// Entries are logged as `(desc, rect ∥ record key, ∅)`.
-    fn insert_entry(
-        index: &LoggedTree<'_, RTree>,
-        inst: &AttachmentInstance,
-        rect: &Rect,
-        key: &RecordKey,
-    ) -> Result<()> {
-        let entry = make_entry(rect, key.as_bytes());
-        apply_logged(index, inst, A_INSERT, &entry, &[], Some(&[]))
+    /// Entries are logged under the key `rect ∥ record key`, with an
+    /// empty image.
+    fn insert_entry(index: &LoggedTree<'_, RTree>, rect: &Rect, key: &RecordKey) -> Result<()> {
+        index.apply(&make_entry(rect, key.as_bytes()), None, Some(&[]))
     }
 
-    fn delete_entry(
-        index: &LoggedTree<'_, RTree>,
-        inst: &AttachmentInstance,
-        rect: &Rect,
-        key: &RecordKey,
-    ) -> Result<()> {
+    fn delete_entry(index: &LoggedTree<'_, RTree>, rect: &Rect, key: &RecordKey) -> Result<()> {
         if !index.tree().contains(rect, key.as_bytes())? {
             return Ok(());
         }
-        let entry = make_entry(rect, key.as_bytes());
-        apply_logged(index, inst, A_DELETE, &entry, &[], None)
-    }
-
-    fn replay(
-        services: &Arc<CommonServices>,
-        lsn: Lsn,
-        dir: Replay,
-        op: u8,
-        payload: &[u8],
-    ) -> Result<()> {
-        let (desc, entry, _) = decode_att_payload(payload)?;
-        let tree = Self::tree(services, &RtDesc::decode(desc)?);
-        logged_tree::replay(&tree, lsn, dir, entry, entry_images(op, &[])?)
+        index.apply(&make_entry(rect, key.as_bytes()), Some(&[]), None)
     }
 }
 
@@ -680,8 +659,13 @@ impl Attachment for RTreeIndex {
         for inst in instances {
             let d = RtDesc::decode(&inst.desc)?;
             if let Some(rect) = Self::rect_of(&d, new)? {
-                let index = LoggedTree::attachment(ctx, rd, inst, Self::tree(ctx.services(), &d));
-                Self::insert_entry(&index, inst, &rect, key)?;
+                let index = LoggedTree::attachment(
+                    ctx,
+                    rd,
+                    inst,
+                    Self::tree(ctx.services(), d.tree_file()),
+                );
+                Self::insert_entry(&index, &rect, key)?;
             }
         }
         Ok(())
@@ -704,12 +688,13 @@ impl Attachment for RTreeIndex {
             if old_rect == new_rect && old_key == new_key {
                 continue;
             }
-            let index = LoggedTree::attachment(ctx, rd, inst, Self::tree(ctx.services(), &d));
+            let index =
+                LoggedTree::attachment(ctx, rd, inst, Self::tree(ctx.services(), d.tree_file()));
             if let Some(r) = old_rect {
-                Self::delete_entry(&index, inst, &r, old_key)?;
+                Self::delete_entry(&index, &r, old_key)?;
             }
             if let Some(r) = new_rect {
-                Self::insert_entry(&index, inst, &r, new_key)?;
+                Self::insert_entry(&index, &r, new_key)?;
             }
         }
         Ok(())
@@ -726,33 +711,29 @@ impl Attachment for RTreeIndex {
         for inst in instances {
             let d = RtDesc::decode(&inst.desc)?;
             if let Some(rect) = Self::rect_of(&d, old)? {
-                let index = LoggedTree::attachment(ctx, rd, inst, Self::tree(ctx.services(), &d));
-                Self::delete_entry(&index, inst, &rect, key)?;
+                let index = LoggedTree::attachment(
+                    ctx,
+                    rd,
+                    inst,
+                    Self::tree(ctx.services(), d.tree_file()),
+                );
+                Self::delete_entry(&index, &rect, key)?;
             }
         }
         Ok(())
     }
 
-    fn undo(
+    fn replay(
         &self,
         services: &Arc<CommonServices>,
         _rd: &RelationDescriptor,
         lsn: Lsn,
+        dir: Replay,
         op: u8,
         payload: &[u8],
     ) -> Result<()> {
-        Self::replay(services, lsn, Replay::Undo, op, payload)
-    }
-
-    fn redo(
-        &self,
-        services: &Arc<CommonServices>,
-        _rd: &RelationDescriptor,
-        lsn: Lsn,
-        op: u8,
-        payload: &[u8],
-    ) -> Result<()> {
-        Self::replay(services, lsn, Replay::Redo, op, payload)
+        let (file, change) = TreeFile::named_by(payload)?;
+        logged_tree::replay(&Self::tree(services, file), lsn, dir, op, change).map(drop)
     }
 
     fn supports_access(&self) -> bool {
@@ -779,7 +760,7 @@ impl Attachment for RTreeIndex {
         query: &AccessQuery,
     ) -> Result<Box<dyn ScanOps>> {
         let d = RtDesc::decode(&instance.desc)?;
-        let tree = Self::tree(ctx.services(), &d);
+        let tree = Self::tree(ctx.services(), d.tree_file());
         let results = match query {
             AccessQuery::Spatial(op, rect) => tree.search(*op, rect)?,
             AccessQuery::All => tree.all()?,

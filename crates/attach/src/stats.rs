@@ -8,16 +8,16 @@
 //! `ANALYZE TABLE` froze bucket bounds — a fixed-bucket equi-width
 //! histogram. The whole state lives in **one cell** of a private B-tree
 //! (keyed by a constant), so maintenance is a read-modify-write of a
-//! single hot page; like [`crate::aggregate`], every change logs the
-//! cell's *before- and after-images* ([`A_DELTA`]), which
-//! [`dmx_core::logged_tree`] replays in either direction.
+//! single hot page; like [`crate::aggregate`], every change goes through
+//! [`LoggedTree::update_cell`], which locks the cell, logs its *before-
+//! and after-images* and replays them in either direction.
 //!
 //! After every installed image the attachment *publishes* an immutable
 //! [`TableStats`] snapshot into the relation descriptor's shared
 //! [`dmx_core::RelationStats`] handle, which every storage method's
 //! `estimate` and the planner consult ([`dmx_expr::stats::selectivity`]).
 //! [`Attachment::activate`] re-publishes from durable state on database
-//! open; `undo`/`redo` re-publish the image they install so aborts and
+//! open; `replay` re-publishes the image it installs so aborts and
 //! restarts never leave a stale snapshot behind.
 //!
 //! Accuracy contract (documented in DESIGN.md §10.4): row and NULL
@@ -29,7 +29,7 @@
 use std::sync::Arc;
 
 use dmx_btree::BTree;
-use dmx_core::logged_tree::{self, Images};
+use dmx_core::logged_tree;
 use dmx_core::{
     Attachment, AttachmentInstance, CommonServices, ExecCtx, LoggedTree, RelationDescriptor,
     Replay, TreeFile,
@@ -40,9 +40,7 @@ use dmx_types::{
     AttrList, DataType, DmxError, FileId, Lsn, Record, RecordKey, Result, Schema, Value,
 };
 
-use crate::common::{
-    apply_logged, decode_att_payload, read_u16, read_u32, read_u64, tail, A_DELTA,
-};
+use crate::common::{read_u16, read_u32, read_u64, tail};
 
 /// The maintained-statistics attachment type.
 pub struct Stats;
@@ -382,50 +380,6 @@ fn decode_cell(b: &[u8]) -> Result<StatsCell> {
     Ok(StatsCell { rows, cols })
 }
 
-/// Before/after image of the cell: `[0]` = absent, `[1] ∥ u32 len ∥
-/// cell` = present (length-prefixed because cells are variable-size).
-fn encode_image(out: &mut Vec<u8>, cell: &Option<StatsCell>) {
-    match cell {
-        None => out.push(0),
-        Some(c) => {
-            out.push(1);
-            let enc = encode_cell(c);
-            out.extend_from_slice(&(enc.len() as u32).to_le_bytes());
-            out.extend_from_slice(&enc);
-        }
-    }
-}
-
-/// Splits one [`encode_image`] off `b` at `off`, as encoded cell bytes.
-fn split_image<'a>(b: &'a [u8], off: &mut usize) -> Result<Option<&'a [u8]>> {
-    const WHAT: &str = "stats image";
-    let corrupt = || DmxError::Corrupt(format!("short {WHAT}"));
-    let tag = *b.get(*off).ok_or_else(corrupt)?;
-    *off += 1;
-    if tag == 0 {
-        return Ok(None);
-    }
-    let len = read_u32(b, *off, WHAT)? as usize;
-    *off += 4;
-    let enc = b.get(*off..*off + len).ok_or_else(corrupt)?;
-    *off += len;
-    Ok(Some(enc))
-}
-
-fn encode_images(before: &Option<StatsCell>, after: &Option<StatsCell>) -> Vec<u8> {
-    let mut v = Vec::new();
-    encode_image(&mut v, before);
-    encode_image(&mut v, after);
-    v
-}
-
-fn decode_images(b: &[u8]) -> Result<Images<'_>> {
-    let mut off = 0;
-    let before = split_image(b, &mut off)?;
-    let after = split_image(b, &mut off)?;
-    Ok((before, after))
-}
-
 impl Stats {
     /// The single cell's constant key.
     fn cell_key() -> Vec<u8> {
@@ -440,9 +394,9 @@ impl Stats {
 
     /// Publishes the image's planner snapshot into the relation's shared
     /// statistics handle.
-    fn publish(rd: &RelationDescriptor, image: &Option<StatsCell>) {
+    fn publish(rd: &RelationDescriptor, image: Option<&StatsCell>) {
         rd.stats
-            .publish_table_stats(image.as_ref().map(|c| Arc::new(c.to_table_stats())));
+            .publish_table_stats(image.map(|c| Arc::new(c.to_table_stats())));
     }
 
     /// One maintained change: `old`/`new` follow the DML op (insert =
@@ -456,68 +410,36 @@ impl Stats {
         old: Option<&Record>,
         new: Option<&Record>,
     ) -> Result<()> {
-        let cells = Self::cells(ctx, rd, inst)?;
-        let before = Self::read_cell(cells.tree())?;
-        let mut cell = match &before {
-            Some(c) => c.clone(),
-            None => StatsCell::new(&rd.schema),
-        };
-        if let Some(o) = old {
-            cell.apply(o, -1);
-        }
-        if let Some(n) = new {
-            cell.apply(n, 1);
-        }
-        Self::log_and_install(&cells, rd, inst, &before, &Some(cell))
+        Self::update(ctx, rd, inst, |before| {
+            let mut cell = before.unwrap_or_else(|| StatsCell::new(&rd.schema));
+            if let Some(o) = old {
+                cell.apply(o, -1);
+            }
+            if let Some(n) = new {
+                cell.apply(n, 1);
+            }
+            cell
+        })
     }
 
-    fn cells<'a>(
-        ctx: &ExecCtx<'a>,
+    /// Replaces the cell with what `change` makes of it, under the cell's
+    /// lock, and publishes the result.
+    fn update(
+        ctx: &ExecCtx<'_>,
         rd: &RelationDescriptor,
         inst: &AttachmentInstance,
-    ) -> Result<LoggedTree<'a>> {
+        change: impl FnOnce(Option<StatsCell>) -> StatsCell,
+    ) -> Result<()> {
         let file = StatsDesc::decode(&inst.desc)?.tree_file();
-        Ok(LoggedTree::attachment(
-            ctx,
-            rd,
-            inst,
-            file.open_tree(ctx.services()),
-        ))
-    }
-
-    /// Logs the image pair, installs the after-image and publishes it.
-    fn log_and_install(
-        cells: &LoggedTree<'_>,
-        rd: &RelationDescriptor,
-        inst: &AttachmentInstance,
-        before: &Option<StatsCell>,
-        after: &Option<StatsCell>,
-    ) -> Result<()> {
-        let (key, images) = (Self::cell_key(), encode_images(before, after));
-        let image = after.as_ref().map(encode_cell);
-        apply_logged(cells, inst, A_DELTA, &key, &images, image.as_deref())?;
-        Self::publish(rd, after);
-        Ok(())
-    }
-
-    /// Installs the logged image and re-publishes it, so aborts and
-    /// restarts never leave a stale planner snapshot behind.
-    fn replay(
-        services: &Arc<CommonServices>,
-        rd: &RelationDescriptor,
-        lsn: Lsn,
-        dir: Replay,
-        op: u8,
-        payload: &[u8],
-    ) -> Result<()> {
-        if op != A_DELTA {
-            return Err(DmxError::Corrupt(format!("bad stats op {op}")));
-        }
-        let (desc, key, images) = decode_att_payload(payload)?;
-        let images = decode_images(images)?;
-        let tree = StatsDesc::decode(desc)?.tree_file().open_tree(services);
-        logged_tree::replay(&tree, lsn, dir, key, images)?;
-        Self::publish(rd, &dir.pick(images).map(decode_cell).transpose()?);
+        let cells = LoggedTree::attachment(ctx, rd, inst, file.open_tree(ctx.services()));
+        let mut after = None;
+        cells.update_cell(&Self::cell_key(), |before| {
+            let cell = change(before.map(decode_cell).transpose()?);
+            let image = encode_cell(&cell);
+            after = Some(cell);
+            Ok(Some(image))
+        })?;
+        Self::publish(rd, after.as_ref());
         Ok(())
     }
 }
@@ -590,26 +512,21 @@ impl Attachment for Stats {
         Ok(())
     }
 
-    fn undo(
+    /// Installs the logged image and re-publishes it, so aborts and
+    /// restarts never leave a stale planner snapshot behind.
+    fn replay(
         &self,
         services: &Arc<CommonServices>,
         rd: &RelationDescriptor,
         lsn: Lsn,
+        dir: Replay,
         op: u8,
         payload: &[u8],
     ) -> Result<()> {
-        Self::replay(services, rd, lsn, Replay::Undo, op, payload)
-    }
-
-    fn redo(
-        &self,
-        services: &Arc<CommonServices>,
-        rd: &RelationDescriptor,
-        lsn: Lsn,
-        op: u8,
-        payload: &[u8],
-    ) -> Result<()> {
-        Self::replay(services, rd, lsn, Replay::Redo, op, payload)
+        let (file, change) = TreeFile::named_by(payload)?;
+        let image = logged_tree::replay(&file.open_tree(services), lsn, dir, op, change)?;
+        Self::publish(rd, image.map(decode_cell).transpose()?.as_ref());
+        Ok(())
     }
 
     /// Re-publishes the planner snapshot from durable state on database
@@ -621,7 +538,7 @@ impl Attachment for Stats {
         instance: &AttachmentInstance,
     ) -> Result<()> {
         let file = StatsDesc::decode(&instance.desc)?.tree_file();
-        Self::publish(rd, &Self::read_cell(&file.open_tree(services))?);
+        Self::publish(rd, Self::read_cell(&file.open_tree(services))?.as_ref());
         Ok(())
     }
 
@@ -668,9 +585,7 @@ impl Attachment for Stats {
                 }
                 col.hist = Some(h);
             }
-            let cells = Self::cells(ctx, rd, inst)?;
-            let before = Self::read_cell(cells.tree())?;
-            Self::log_and_install(&cells, rd, inst, &before, &Some(cell))?;
+            Self::update(ctx, rd, inst, |_| cell)?;
         }
         Ok(!instances.is_empty())
     }
@@ -761,11 +676,6 @@ mod tests {
         });
         let decoded = decode_cell(&encode_cell(&cell)).unwrap();
         assert_eq!(decoded, cell);
-        // image pair roundtrip, including the absent case
-        let images = encode_images(&None, &Some(cell.clone()));
-        let (b, a) = decode_images(&images).unwrap();
-        assert_eq!(b, None);
-        assert_eq!(a, Some(encode_cell(&cell).as_slice()));
         assert!(decode_cell(&[1, 2, 3]).is_err());
     }
 

@@ -11,7 +11,9 @@
 use std::sync::Arc;
 
 use dmx_core::HookArgs;
-use dmx_core::{Attachment, AttachmentInstance, CommonServices, ExecCtx, RelationDescriptor};
+use dmx_core::{
+    Attachment, AttachmentInstance, CommonServices, ExecCtx, RelationDescriptor, Replay,
+};
 
 use crate::common::tail;
 use dmx_types::{AttrList, DmxError, Lsn, Record, RecordKey, Result, Schema, Value};
@@ -216,11 +218,12 @@ impl Attachment for Trigger {
         Ok(())
     }
 
-    fn undo(
+    fn replay(
         &self,
         _services: &Arc<CommonServices>,
         _rd: &RelationDescriptor,
         _lsn: Lsn,
+        _dir: Replay,
         _op: u8,
         _payload: &[u8],
     ) -> Result<()> {

@@ -23,6 +23,7 @@ use crate::access::{AccessQuery, ScanOps};
 use crate::context::ExecCtx;
 use crate::cost::PathChoice;
 use crate::descriptor::{AttachmentInstance, RelationDescriptor};
+use crate::logged_tree::Replay;
 use crate::services::CommonServices;
 
 /// An attachment type: access path, integrity constraint or trigger.
@@ -87,35 +88,22 @@ pub trait Attachment: Send + Sync {
         old: &Record,
     ) -> Result<()>;
 
-    /// Undoes a logged operation (idempotent; `lsn` is the undone
-    /// record's LSN for page-LSN checks where applicable).
-    fn undo(
+    /// Replays a logged operation: `dir` says whether rollback / restart's
+    /// undo pass takes it back or restart's redo pass re-applies it
+    /// (under no-force a committed side effect may never have reached
+    /// disk). Must be idempotent in both directions — presence-checked or
+    /// page-LSN-guarded against `lsn`, the replayed record's LSN.
+    /// Attachments without storage (checks, triggers, referential
+    /// constraints) answer `Ok(())`: their effects are vetoes, not state.
+    fn replay(
         &self,
         services: &Arc<CommonServices>,
         rd: &RelationDescriptor,
         lsn: dmx_types::Lsn,
+        dir: Replay,
         op: u8,
         payload: &[u8],
     ) -> Result<()>;
-
-    /// Re-applies a logged operation during restart's redo pass (the
-    /// forward mirror of [`Attachment::undo`]). Under no-force a
-    /// committed side effect may never have reached disk, so attachments
-    /// with associated storage must replay it idempotently —
-    /// presence-checked or page-LSN-guarded. Default no-op: correct for
-    /// attachments without storage (checks, triggers, referential
-    /// constraints), whose effects are vetoes, not state.
-    fn redo(
-        &self,
-        services: &Arc<CommonServices>,
-        rd: &RelationDescriptor,
-        lsn: dmx_types::Lsn,
-        op: u8,
-        payload: &[u8],
-    ) -> Result<()> {
-        let _ = (services, rd, lsn, op, payload);
-        Ok(())
-    }
 
     /// Called once per instance when a database (re)opens, after restart
     /// recovery, so attachments that publish derived *in-memory* state

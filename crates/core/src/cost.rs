@@ -11,6 +11,7 @@ use dmx_expr::Expr;
 use dmx_types::FieldId;
 
 use crate::access::{AccessPath, AccessQuery};
+use crate::stats::RelationStats;
 
 /// Cost model weights: one page transfer costs `IO_UNIT`, one record
 /// touched costs `CPU_UNIT`, one extension procedure call costs
@@ -80,15 +81,24 @@ pub struct PathChoice {
 }
 
 impl PathChoice {
-    /// A full-scan baseline choice for a storage method.
-    pub fn full_scan(path: AccessPath, pages: u64, records: u64) -> PathChoice {
+    /// The storage method's full scan of `records` records (the
+    /// relation's count, or a nominal one where none is maintained): every
+    /// page read, every record touched, every pushed-down predicate
+    /// applied in the pool and `rows_out` scaled by their selectivity
+    /// under `stats`. A storage method then states only what differs.
+    pub fn full_scan(records: u64, stats: &RelationStats, preds: &[Expr]) -> PathChoice {
+        let ts = stats.table_stats();
+        let sel: f64 = preds
+            .iter()
+            .map(|p| dmx_expr::selectivity(p, ts.as_deref()))
+            .product();
         PathChoice {
-            path,
+            path: AccessPath::StorageMethod,
             query: AccessQuery::All,
-            cost: Cost::new(pages as f64, records as f64),
-            rows_out: records as f64,
+            cost: Cost::new(stats.pages() as f64, records as f64),
+            rows_out: records as f64 * sel,
             covered: None,
-            applied: Vec::new(),
+            applied: preds.to_vec(),
             ordering: None,
         }
     }
@@ -118,7 +128,9 @@ mod tests {
 
     #[test]
     fn full_scan_baseline() {
-        let c = PathChoice::full_scan(AccessPath::StorageMethod, 100, 5000);
+        let stats = RelationStats::default();
+        stats.reset(5000, 100, 0);
+        let c = PathChoice::full_scan(5000, &stats, &[]);
         assert_eq!(c.cost.io, 100.0);
         assert_eq!(c.rows_out, 5000.0);
         assert!(matches!(c.query, AccessQuery::All));

@@ -9,7 +9,10 @@
 //! replays it through [`replay`], so the contract is kept in one place:
 //!
 //! 1. the caller holds the locks that make its presence probe stable
-//!    (record X from the dispatcher, plus any gap locks of its own);
+//!    (record X from the dispatcher, plus any gap locks of its own). A
+//!    maintained cell is shared by every record of its group, so no
+//!    record lock covers it: [`LoggedTree::update_cell`] X-locks the
+//!    cell's own name until end of transaction before it reads;
 //! 2. it probes through [`LoggedTree::tree`] and decides the entry's
 //!    after-image;
 //! 3. `apply` appends the `ExtOp` record, stamps the returned LSN on
@@ -25,17 +28,25 @@
 //!
 //! Undo and redo are one mirror: a logged change is a `(before, after)`
 //! pair of images of one key, undo installs `before`, redo installs
-//! `after`. Installing an image is idempotent (replace, or
-//! absent-tolerant delete), which covers "logged but never applied" and
-//! redo over an entry the checkpoint image already holds. Numeric cells
-//! log full images rather than deltas for the same reason: replaying a
-//! delta twice would double-count, installing an image twice cannot.
+//! `after`. Three ops spell every pair — [`OP_INSERT`] `(∅, v)` and
+//! [`OP_DELETE`] `(v, ∅)` carry `v`, [`OP_REPLACE`] `(a, b)` carries
+//! `u32 len(a) ∥ a ∥ b` — after `u16 len(key) ∥ key`; an attachment's
+//! record first names its tree (the 8-byte [`TreeFile`]), so replay
+//! needs no descriptor and outlives a dropped instance. Installing an
+//! image is idempotent (replace, or absent-tolerant delete), which
+//! covers "logged but never applied" and redo over an entry the
+//! checkpoint image already holds. Numeric cells log full images rather
+//! than deltas for the same reason: replaying a delta twice would
+//! double-count, installing an image twice cannot.
 
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
 use std::ops::Bound;
 use std::sync::Arc;
 
 use dmx_btree::{BTree, BTreeCursor, OnDuplicate};
 use dmx_lock::{LockMode, LockName};
+use dmx_types::bytes::{le_u16, le_u32};
 use dmx_types::{DmxError, FileId, Lsn, PageId, RecordKey, RelationId, Result, Value};
 use dmx_wal::ExtKind;
 
@@ -50,6 +61,9 @@ pub const OP_INSERT: u8 = 1;
 /// Op code of an entry delete (`before` = the logged value, `after`
 /// absent).
 pub const OP_DELETE: u8 = 2;
+/// Op code of a replacement: both images present, logged as
+/// `u32 len(before) ∥ before ∥ after`.
+pub const OP_REPLACE: u8 = 3;
 
 /// The `(file, root page)` pair a descriptor stores for one tree.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -84,6 +98,21 @@ impl TreeFile {
         services.latches.forget(self.root());
         services.pool.discard_file(self.file);
         services.disk.delete_file(self.file)
+    }
+
+    /// Splits the tree an attachment's log record names off the front of
+    /// its payload; the rest is the change [`replay`] takes.
+    pub fn named_by(payload: &[u8]) -> Result<(TreeFile, &[u8])> {
+        match (le_u32(payload, 0), le_u32(payload, 4), payload.get(8..)) {
+            (Some(file), Some(root_page), Some(change)) => Ok((
+                TreeFile {
+                    file: FileId(file),
+                    root_page,
+                },
+                change,
+            )),
+            _ => Err(DmxError::Corrupt("short attachment log payload".into())),
+        }
     }
 }
 
@@ -349,12 +378,19 @@ impl<D: EntryDecoder> ScanOps for TreeScan<D> {
 
 /// What the logged path needs from a tree handle.
 pub trait LoggedTarget {
+    /// The tree's fixed root page: what an attachment's record names.
+    fn root(&self) -> PageId;
+
     /// Makes `key` hold `image` (`None` = absent), idempotently, stamping
     /// every page it dirties with `lsn`.
     fn install_image(&self, lsn: Lsn, key: &[u8], image: Option<&[u8]>) -> Result<()>;
 }
 
 impl LoggedTarget for BTree {
+    fn root(&self) -> PageId {
+        BTree::root(self)
+    }
+
     fn install_image(&self, lsn: Lsn, key: &[u8], image: Option<&[u8]>) -> Result<()> {
         let tree = self.clone().with_wal_lsn(lsn);
         match image {
@@ -370,6 +406,9 @@ pub struct LoggedTree<'a, T = BTree> {
     ctx: ExecCtx<'a>,
     ext: ExtKind,
     relation: RelationId,
+    /// An attachment's records name their tree; the storage method's is
+    /// in the relation descriptor replay is handed.
+    names_tree: bool,
     tree: T,
 }
 
@@ -385,6 +424,7 @@ impl<'a, T: LoggedTarget> LoggedTree<'a, T> {
             ctx: *ctx,
             ext: ExtKind::Attachment(inst.att),
             relation: rd.id,
+            names_tree: true,
             tree,
         }
     }
@@ -395,6 +435,7 @@ impl<'a, T: LoggedTarget> LoggedTree<'a, T> {
             ctx: *ctx,
             ext: ExtKind::Storage(rd.sm),
             relation: rd.id,
+            names_tree: false,
             tree,
         }
     }
@@ -404,12 +445,83 @@ impl<'a, T: LoggedTarget> LoggedTree<'a, T> {
         &self.tree
     }
 
-    /// Logs `(op, payload)` on the transaction's undo chain, then
-    /// installs `image` at `key` with the record's LSN stamped. The only
-    /// place that sequences append → stamp → apply.
-    pub fn apply(&self, op: u8, payload: Vec<u8>, key: &[u8], image: Option<&[u8]>) -> Result<()> {
+    /// Logs the change of `key` from `before` to `after` (`None` =
+    /// absent) on the transaction's undo chain, then installs `after`
+    /// with the record's LSN stamped. The only place that sequences
+    /// append → stamp → apply.
+    pub fn apply(&self, key: &[u8], before: Option<&[u8]>, after: Option<&[u8]>) -> Result<()> {
+        let named = self.names_tree.then(|| self.tree.root());
+        let Some((op, payload)) = encode_change(named, key, before, after)? else {
+            return Ok(()); // absent stays absent: nothing to log
+        };
         let lsn = self.ctx.log_ext_op(self.ext, self.relation, op, payload);
-        self.tree.install_image(lsn, key, image)
+        self.tree.install_image(lsn, key, after)
+    }
+}
+
+/// The `(op, payload)` of a logged change, the inverse of
+/// [`TreeFile::named_by`] + [`replay`]; `None` when nothing changes.
+fn encode_change(
+    named: Option<PageId>,
+    key: &[u8],
+    before: Option<&[u8]>,
+    after: Option<&[u8]>,
+) -> Result<Option<(u8, Vec<u8>)>> {
+    let too_long = |what: &str| DmxError::InvalidArg(format!("tree {what} too long to log"));
+    let klen = u16::try_from(key.len()).map_err(|_| too_long("key"))?;
+    let images = before.map_or(0, <[u8]>::len) + after.map_or(0, <[u8]>::len);
+    let mut payload = Vec::with_capacity(14 + key.len() + images);
+    if let Some(root) = named {
+        payload.extend_from_slice(&root.file.0.to_le_bytes());
+        payload.extend_from_slice(&root.page_no.to_le_bytes());
+    }
+    payload.extend_from_slice(&klen.to_le_bytes());
+    payload.extend_from_slice(key);
+    let op = match (before, after) {
+        (None, None) => return Ok(None),
+        (None, Some(v)) => {
+            payload.extend_from_slice(v);
+            OP_INSERT
+        }
+        (Some(v), None) => {
+            payload.extend_from_slice(v);
+            OP_DELETE
+        }
+        (Some(a), Some(b)) => {
+            let alen = u32::try_from(a.len()).map_err(|_| too_long("image"))?;
+            payload.extend_from_slice(&alen.to_le_bytes());
+            payload.extend_from_slice(a);
+            payload.extend_from_slice(b);
+            OP_REPLACE
+        }
+    };
+    Ok(Some((op, payload)))
+}
+
+impl LoggedTree<'_> {
+    /// The read-modify-write of a maintained cell (an aggregate group, a
+    /// relation's statistics): X-locks the cell until end of
+    /// transaction, reads it, lets `decide` turn the image it finds into
+    /// the one to leave (`None` = absent), then logs and installs that.
+    /// The lock is what makes the read stable and keeps a rollback's
+    /// before-image from erasing a concurrent writer's update; writers to
+    /// one cell serialise on it until commit.
+    pub fn update_cell(
+        &self,
+        key: &[u8],
+        decide: impl FnOnce(Option<&[u8]>) -> Result<Option<Vec<u8>>>,
+    ) -> Result<()> {
+        // The name hashes the tree file with the key, so it never equals
+        // the key-only hash a base record and its gap share (the lock
+        // manager pairs those two for its record-before-gap assertion).
+        let mut h = DefaultHasher::new();
+        self.tree.root().file.hash(&mut h);
+        key.hash(&mut h);
+        self.ctx
+            .lock(LockName::Record(self.relation, h.finish()), LockMode::X)?;
+        let before = self.tree.get(key)?;
+        let after = decide(before.as_deref())?;
+        self.apply(key, before.as_deref(), after.as_deref())
     }
 }
 
@@ -422,35 +534,118 @@ pub enum Replay {
     Redo,
 }
 
-/// `(before, after)` images of one key; `None` = the key is absent.
-pub type Images<'a> = (Option<&'a [u8]>, Option<&'a [u8]>);
-
-impl Replay {
-    /// The image this direction installs.
-    pub fn pick<'a>(self, (before, after): Images<'a>) -> Option<&'a [u8]> {
-        match self {
-            Replay::Undo => before,
-            Replay::Redo => after,
-        }
-    }
-}
-
-/// The images of a logged entry insert or delete of `value`.
-pub fn entry_images(op: u8, value: &[u8]) -> Result<Images<'_>> {
-    match op {
-        OP_INSERT => Ok((None, Some(value))),
-        OP_DELETE => Ok((Some(value), None)),
-        other => Err(DmxError::Corrupt(format!("bad logged tree op {other}"))),
-    }
-}
-
-/// Replays the logged change of `key` at `lsn` in direction `dir`.
-pub fn replay<T: LoggedTarget>(
+/// Replays the change `(op, change)` logged at `lsn` by
+/// [`LoggedTree::apply`] — `change` is the payload, past the tree name
+/// of an attachment's record — in direction `dir`: turns it back into
+/// the key's `(before, after)` images and installs the one `dir` picks,
+/// which it returns.
+pub fn replay<'p, T: LoggedTarget>(
     tree: &T,
     lsn: Lsn,
     dir: Replay,
-    key: &[u8],
-    images: Images<'_>,
-) -> Result<()> {
-    tree.install_image(lsn, key, dir.pick(images))
+    op: u8,
+    change: &'p [u8],
+) -> Result<Option<&'p [u8]>> {
+    let corrupt = || DmxError::Corrupt("short logged tree change".into());
+    let klen = le_u16(change, 0).ok_or_else(corrupt)? as usize;
+    let (key, body) = change
+        .get(2..)
+        .and_then(|rest| rest.split_at_checked(klen))
+        .ok_or_else(corrupt)?;
+    let (before, after) = match op {
+        OP_INSERT => (None, Some(body)),
+        OP_DELETE => (Some(body), None),
+        OP_REPLACE => {
+            let alen = le_u32(body, 0).ok_or_else(corrupt)? as usize;
+            let (a, b) = body
+                .get(4..)
+                .and_then(|images| images.split_at_checked(alen))
+                .ok_or_else(corrupt)?;
+            (Some(a), Some(b))
+        }
+        other => return Err(DmxError::Corrupt(format!("bad logged tree op {other}"))),
+    };
+    let image = match dir {
+        Replay::Undo => before,
+        Replay::Redo => after,
+    };
+    tree.install_image(lsn, key, image)?;
+    Ok(image)
+}
+
+#[cfg(test)]
+mod tests {
+    use std::cell::RefCell;
+    use std::collections::BTreeMap;
+
+    use super::*;
+
+    const ROOT: PageId = PageId {
+        file: FileId(9),
+        page_no: 3,
+    };
+
+    #[derive(Default)]
+    struct Model(RefCell<BTreeMap<Vec<u8>, Vec<u8>>>);
+
+    impl LoggedTarget for Model {
+        fn root(&self) -> PageId {
+            ROOT
+        }
+
+        fn install_image(&self, _lsn: Lsn, key: &[u8], image: Option<&[u8]>) -> Result<()> {
+            match image {
+                Some(v) => self.0.borrow_mut().insert(key.to_vec(), v.to_vec()),
+                None => self.0.borrow_mut().remove(key),
+            };
+            Ok(())
+        }
+    }
+
+    /// The logged layout: an attachment payload is `8 + 2 + len(key) +
+    /// len(body)` bytes (a storage method's has no tree name), a pair
+    /// body `4 + len(a) + len(b)`, and every truncation is `Corrupt`.
+    #[test]
+    fn payload_layout_is_pinned_and_truncation_is_corrupt() {
+        let (key, a, b) = (&b"key"[..], &b"before"[..], &b"after-image"[..]);
+        let cases = [
+            (None, Some(b), OP_INSERT, b.len()),
+            (Some(a), None, OP_DELETE, a.len()),
+            (Some(a), Some(b), OP_REPLACE, 4 + a.len() + b.len()),
+        ];
+        for (before, after, want_op, body) in cases {
+            let (op, payload) = encode_change(Some(ROOT), key, before, after)
+                .unwrap()
+                .unwrap();
+            assert_eq!(op, want_op);
+            assert_eq!(payload.len(), 8 + 2 + key.len() + body);
+            let (_, unnamed) = encode_change(None, key, before, after).unwrap().unwrap();
+            assert_eq!(unnamed.len(), 2 + key.len() + body);
+
+            let (file, change) = TreeFile::named_by(&payload).unwrap();
+            assert_eq!(file.root(), ROOT);
+            assert_eq!(change, &unnamed[..]);
+            let tree = Model::default();
+            for (dir, image) in [(Replay::Redo, after), (Replay::Undo, before)] {
+                assert_eq!(replay(&tree, Lsn::NULL, dir, op, change).unwrap(), image);
+                assert_eq!(tree.0.borrow().get(key).map(Vec::as_slice), image);
+            }
+            // A cut inside the tree name, the key or a pair's first image
+            // is an error (an entry's value may legitimately be empty).
+            let cuts = if op == OP_REPLACE {
+                0..8 + 2 + key.len() + 4 + a.len()
+            } else {
+                0..8 + 2 + key.len()
+            };
+            for cut in cuts {
+                let short = payload.get(..cut).unwrap();
+                let res = TreeFile::named_by(short)
+                    .and_then(|(_, change)| replay(&tree, Lsn::NULL, Replay::Redo, op, change));
+                assert!(matches!(res, Err(DmxError::Corrupt(_))), "cut at {cut}");
+            }
+        }
+        assert_eq!(encode_change(Some(ROOT), key, None, None).unwrap(), None);
+        let res = replay(&Model::default(), Lsn::NULL, Replay::Undo, 9, &[0, 0]);
+        assert!(matches!(res, Err(DmxError::Corrupt(_))), "unknown op");
+    }
 }

@@ -229,14 +229,15 @@ mod tests {
         ) -> Result<Box<dyn crate::access::ScanOps>> {
             Err(DmxError::Unsupported("stub".into()))
         }
-        fn estimate(&self, _: &RelationDescriptor, _: &[Expr]) -> PathChoice {
-            PathChoice::full_scan(crate::access::AccessPath::StorageMethod, 1, 0)
+        fn estimate(&self, rd: &RelationDescriptor, preds: &[Expr]) -> PathChoice {
+            PathChoice::full_scan(0, &rd.stats, preds)
         }
-        fn undo(
+        fn replay(
             &self,
             _: &Arc<CommonServices>,
             _: &RelationDescriptor,
             _: Lsn,
+            _: crate::logged_tree::Replay,
             _: u8,
             _: &[u8],
         ) -> Result<()> {

@@ -19,6 +19,7 @@ use crate::access::{KeyRange, ScanOps};
 use crate::context::ExecCtx;
 use crate::cost::PathChoice;
 use crate::descriptor::RelationDescriptor;
+use crate::logged_tree::Replay;
 use crate::services::CommonServices;
 
 /// What a storage method's salvage scan recovered from a damaged
@@ -117,37 +118,25 @@ pub trait StorageMethod: Send + Sync {
     /// constrained by `preds` ("access path zero").
     fn estimate(&self, rd: &RelationDescriptor, preds: &[Expr]) -> PathChoice;
 
-    /// Undoes a logged operation during rollback/abort/restart. `lsn` is
-    /// the undone record's LSN, for page-LSN idempotency checks: under
-    /// the no-steal/force policy a loser's changes may never have reached
-    /// disk, so undo must verify the operation actually applied.
-    fn undo(
+    /// Replays a logged operation: `dir` says whether rollback / abort /
+    /// restart's undo pass takes it back or restart's redo pass
+    /// re-applies it. `lsn` is the replayed record's LSN, for page-LSN
+    /// idempotency checks: under steal/no-force a loser's change may
+    /// never have reached disk (undo must verify the operation actually
+    /// applied), a committed one may have missed it while other pages of
+    /// the same operation were stolen (redo skips pages whose LSN is
+    /// already ≥ `lsn`), and restart may crash and repeat either.
+    /// Non-recoverable storage and methods whose durable state lives
+    /// outside the buffer pool (foreign) have nothing to redo.
+    fn replay(
         &self,
         services: &Arc<CommonServices>,
         rd: &RelationDescriptor,
         lsn: dmx_types::Lsn,
+        dir: Replay,
         op: u8,
         payload: &[u8],
     ) -> Result<()>;
-
-    /// Re-applies a logged operation during restart's redo pass. Under
-    /// steal/no-force a committed operation's pages may have missed disk
-    /// entirely (no-force) while other pages of the same operation were
-    /// stolen — redo must be idempotent, typically via a page-LSN check
-    /// (skip pages whose LSN is already ≥ `lsn`). Default no-op: correct
-    /// for non-recoverable storage and for methods whose durable state is
-    /// maintained outside the buffer pool (foreign).
-    fn redo(
-        &self,
-        services: &Arc<CommonServices>,
-        rd: &RelationDescriptor,
-        lsn: dmx_types::Lsn,
-        op: u8,
-        payload: &[u8],
-    ) -> Result<()> {
-        let _ = (services, rd, lsn, op, payload);
-        Ok(())
-    }
 
     /// False for non-recoverable storage (the temporary storage method):
     /// operations are not logged and instances vanish at restart.

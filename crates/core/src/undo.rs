@@ -13,6 +13,7 @@ use dmx_types::{DmxError, RelationId, Result};
 use dmx_wal::{ExtKind, LogBody, LogRecord, UndoHandler};
 
 use crate::catalog::Catalog;
+use crate::logged_tree::Replay;
 use crate::registry::ExtensionRegistry;
 use crate::services::CommonServices;
 
@@ -79,10 +80,10 @@ impl UndoDispatch {
     pub fn take_damaged(&self) -> Vec<(RelationId, String)> {
         std::mem::take(&mut *self.damaged.lock())
     }
-}
 
-impl UndoHandler for UndoDispatch {
-    fn undo(&self, rec: &LogRecord) -> Result<()> {
+    /// Routes a logged extension operation back to the extension that
+    /// wrote it, through the procedure vectors.
+    fn replay(&self, rec: &LogRecord, dir: Replay) -> Result<()> {
         let LogBody::ExtOp {
             ext,
             relation,
@@ -92,57 +93,14 @@ impl UndoHandler for UndoDispatch {
         else {
             return Ok(());
         };
-        // A relation missing from the catalog means the same transaction
-        // created it (loser DDL, never persisted): its state is being
-        // discarded wholesale, so record-level undo is moot.
-        let Ok(rd) = self.catalog.get(*relation) else {
-            return Ok(());
-        };
-        match ext {
-            ExtKind::Storage(id) => {
-                self.registry
-                    .storage(*id)?
-                    .undo(&self.services, &rd, rec.lsn, *op, payload)
-            }
-            ExtKind::Attachment(id) => {
-                let res =
-                    self.registry
-                        .attachment(*id)?
-                        .undo(&self.services, &rd, rec.lsn, *op, payload);
-                match res {
-                    // Attachment state too damaged for record-level undo
-                    // (e.g. a crash left the instance's pages unwritten)
-                    // needs a rebuild, not a failed restart: attachment
-                    // state is derivable from the base, so note the
-                    // relation for quarantine and report the record as
-                    // undone. Storage (base) undo gets no such tolerance
-                    // — base state is not derivable from anything.
-                    Err(DmxError::Corrupt(reason)) => {
-                        self.damaged.lock().push((*relation, reason));
-                        Ok(())
-                    }
-                    other => other,
-                }
-            }
-        }
-    }
-
-    fn redo(&self, rec: &LogRecord) -> Result<()> {
-        let LogBody::ExtOp {
-            ext,
-            relation,
-            op,
-            payload,
-        } = &rec.body
-        else {
-            return Ok(());
-        };
-        // Missing relation: the op belongs to a committed transaction, so
-        // this means a *later* committed transaction dropped it — its
-        // deferred drop already released the storage, and replaying into
-        // freed files would be wrong. (Restart re-drives committed
-        // catalog-image intents before this pass, so committed CREATEs
-        // are visible here.)
+        // A relation missing from the catalog. Undo: the same transaction
+        // created it (loser DDL, never persisted) — its state is being
+        // discarded wholesale, so record-level undo is moot. Redo: the op
+        // belongs to a committed transaction, so a *later* committed
+        // transaction dropped it — its deferred drop already released the
+        // storage, and replaying into freed files would be wrong.
+        // (Restart re-drives committed catalog-image intents before the
+        // redo pass, so committed CREATEs are visible there.)
         let Ok(rd) = self.catalog.get(*relation) else {
             return Ok(());
         };
@@ -150,27 +108,45 @@ impl UndoHandler for UndoDispatch {
             ExtKind::Storage(id) => {
                 self.registry
                     .storage(*id)?
-                    .redo(&self.services, &rd, rec.lsn, *op, payload)
+                    .replay(&self.services, &rd, rec.lsn, dir, *op, payload)
             }
-            ExtKind::Attachment(id) => {
-                self.registry
-                    .attachment(*id)?
-                    .redo(&self.services, &rd, rec.lsn, *op, payload)
-            }
+            ExtKind::Attachment(id) => self.registry.attachment(*id)?.replay(
+                &self.services,
+                &rd,
+                rec.lsn,
+                dir,
+                *op,
+                payload,
+            ),
         };
         match res {
-            // Corrupt state blocks redo of this relation only; fence it
-            // and keep restarting. For attachments the state is derivable
-            // from the base; for storage the committed ops remain in the
-            // log, so quarantine-and-repair beats failing the whole
-            // database open over one rotten relation. (Undo gives storage
-            // no such tolerance: an un-undone loser would silently stand.)
-            Err(DmxError::Corrupt(reason)) => {
+            // Corrupt state blocks replay into this relation only: note
+            // it for quarantine, report the record as replayed and keep
+            // going. Attachment state is derivable from the base, so a
+            // rebuild beats a failed restart in either direction; a
+            // storage method's committed ops remain in the log, so
+            // quarantine-and-repair beats failing the whole database
+            // open over one rotten relation. Storage *undo* alone gets
+            // no such tolerance — base state is not derivable from
+            // anything, and an un-undone loser would silently stand.
+            Err(DmxError::Corrupt(reason))
+                if dir == Replay::Redo || matches!(ext, ExtKind::Attachment(_)) =>
+            {
                 self.damaged.lock().push((*relation, reason));
                 Ok(())
             }
             other => other,
         }
+    }
+}
+
+impl UndoHandler for UndoDispatch {
+    fn undo(&self, rec: &LogRecord) -> Result<()> {
+        self.replay(rec, Replay::Undo)
+    }
+
+    fn redo(&self, rec: &LogRecord) -> Result<()> {
+        self.replay(rec, Replay::Redo)
     }
 
     fn redo_deferred(&self, rec: &LogRecord) -> Result<()> {

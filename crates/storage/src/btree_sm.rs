@@ -9,11 +9,11 @@
 use std::ops::Bound;
 use std::sync::Arc;
 
-use dmx_core::logged_tree::{self, entry_images, lock_delete_gaps, lock_insert_gap};
+use dmx_core::logged_tree::{self, lock_delete_gaps, lock_insert_gap};
 use dmx_core::{
-    AccessPath, AccessQuery, CommonServices, Cost, EntryDecoder, ExecCtx, KeyRange, LoggedTree,
-    PathChoice, RecordKeyIn, RelationDescriptor, Replay, ScanItem, ScanOps, StorageMethod,
-    TreeCursor, TreeFile, TreeScan,
+    AccessQuery, CommonServices, Cost, EntryDecoder, ExecCtx, KeyRange, LoggedTree, PathChoice,
+    RecordKeyIn, RelationDescriptor, Replay, ScanItem, ScanOps, StorageMethod, TreeCursor,
+    TreeFile, TreeScan,
 };
 use dmx_expr::{analyze, CmpOp, Expr, SargOp};
 use dmx_lock::LockMode;
@@ -22,10 +22,6 @@ use dmx_types::{
     Result, Schema, Value,
 };
 
-use crate::ops::{
-    decode_key, decode_old_new, encode_key_old_new, encode_key_record, OP_DELETE, OP_INSERT,
-    OP_UPDATE,
-};
 use crate::util::{filter_project, item_from_version};
 
 /// The B-tree storage method singleton.
@@ -83,8 +79,7 @@ impl BTreeStorage {
     }
 
     /// The relation's tree inside `ctx`'s transaction. Records are
-    /// `record key → record bytes`, logged with the [`crate::ops`]
-    /// payloads.
+    /// `record key → record bytes`.
     fn records<'a>(ctx: &ExecCtx<'a>, rd: &RelationDescriptor, d: &BtDesc) -> LoggedTree<'a> {
         LoggedTree::storage(ctx, rd, d.tree_file().open_tree(ctx.services()))
     }
@@ -124,25 +119,6 @@ impl BTreeStorage {
             return Err(DmxError::InvalidArg("empty key field list".into()));
         }
         Ok(fields)
-    }
-
-    fn replay(
-        services: &Arc<CommonServices>,
-        rd: &RelationDescriptor,
-        lsn: Lsn,
-        dir: Replay,
-        op: u8,
-        payload: &[u8],
-    ) -> Result<()> {
-        let (key, rest) = decode_key(payload)?;
-        let images = if op == OP_UPDATE {
-            let (old, new) = decode_old_new(rest)?;
-            (Some(old), Some(new))
-        } else {
-            entry_images(op, rest)?
-        };
-        let tree = Self::desc(rd)?.tree_file().open_tree(services);
-        logged_tree::replay(&tree, lsn, dir, key, images)
     }
 }
 
@@ -210,12 +186,7 @@ impl StorageMethod for BTreeStorage {
             )));
         }
         let bytes = record.encode();
-        records.apply(
-            OP_INSERT,
-            encode_key_record(key.as_bytes(), &bytes),
-            key.as_bytes(),
-            Some(&bytes),
-        )?;
+        records.apply(key.as_bytes(), None, Some(&bytes))?;
         Ok(key)
     }
 
@@ -237,12 +208,7 @@ impl StorageMethod for BTreeStorage {
         let new_key = Self::record_key(&d, new)?;
         let new_bytes = new.encode();
         if new_key == *key {
-            records.apply(
-                OP_UPDATE,
-                encode_key_old_new(key.as_bytes(), &old_bytes, &new_bytes),
-                key.as_bytes(),
-                Some(&new_bytes),
-            )?;
+            records.apply(key.as_bytes(), Some(&old_bytes), Some(&new_bytes))?;
             return Ok((old, new_key));
         }
         // Key fields changed: the record moves ("the old record and record
@@ -262,18 +228,8 @@ impl StorageMethod for BTreeStorage {
                 "btree storage key {new_key:?} already exists"
             )));
         }
-        records.apply(
-            OP_DELETE,
-            encode_key_record(key.as_bytes(), &old_bytes),
-            key.as_bytes(),
-            None,
-        )?;
-        records.apply(
-            OP_INSERT,
-            encode_key_record(new_key.as_bytes(), &new_bytes),
-            new_key.as_bytes(),
-            Some(&new_bytes),
-        )?;
+        records.apply(key.as_bytes(), Some(&old_bytes), None)?;
+        records.apply(new_key.as_bytes(), None, Some(&new_bytes))?;
         Ok((old, new_key))
     }
 
@@ -291,12 +247,7 @@ impl StorageMethod for BTreeStorage {
             .get(key.as_bytes())?
             .ok_or_else(|| DmxError::NotFound(format!("btree record {key:?}")))?;
         lock_delete_gaps(ctx, rd.id, records.tree(), key.as_bytes())?;
-        records.apply(
-            OP_DELETE,
-            encode_key_record(key.as_bytes(), &old_bytes),
-            key.as_bytes(),
-            None,
-        )?;
+        records.apply(key.as_bytes(), Some(&old_bytes), None)?;
         Record::decode(&old_bytes)
     }
 
@@ -331,32 +282,25 @@ impl StorageMethod for BTreeStorage {
     }
 
     fn estimate(&self, rd: &RelationDescriptor, preds: &[Expr]) -> PathChoice {
-        let d = match Self::desc(rd) {
-            Ok(d) => d,
-            Err(_) => return PathChoice::full_scan(AccessPath::StorageMethod, 1, 0),
-        };
-        let pages = rd.stats.pages().max(rd.stats.records() / 40 + 1);
         let records = rd.stats.records();
-        let ts = rd.stats.table_stats();
-        let sel: f64 = preds
-            .iter()
-            .map(|p| dmx_expr::selectivity(p, ts.as_deref()))
-            .product();
+        let mut choice = PathChoice::full_scan(records, &rd.stats, preds);
+        let Ok(d) = Self::desc(rd) else {
+            return choice;
+        };
+        let pages = rd.stats.pages().max(records / 40 + 1);
+        choice.cost.io = pages as f64;
+        choice.ordering = Some(d.key_fields.clone());
         // Recognize a sargable constraint on the leading key field: the
         // tree then serves a range rather than a full scan.
-        let sargs = preds
+        let sarg = preds
             .iter()
             .filter_map(analyze::sargable)
-            .filter(|s| s.field == d.key_fields[0])
-            .collect::<Vec<_>>();
-        let mut choice = PathChoice::full_scan(AccessPath::StorageMethod, pages, records);
-        choice.applied = preds.to_vec();
-        choice.rows_out = records as f64 * sel;
-        choice.ordering = Some(d.key_fields.clone());
-        if let Some(s) = sargs.first() {
+            .find(|s| s.field == d.key_fields[0]);
+        if let Some(s) = sarg {
             let height = (records.max(2) as f64).log2() / 7.0 + 1.0; // ~fan-out 128
-                                                                     // Key-range fraction: maintained statistics when published,
-                                                                     // structural guesses (unique probe / one-third) otherwise.
+            let ts = rd.stats.table_stats();
+            // Key-range fraction: maintained statistics when published,
+            // structural guesses (unique probe / one-third) otherwise.
             let stat_frac = dmx_expr::sarg_fraction(s.field, &s.op, ts.as_deref());
             let (frac, query) = match &s.op {
                 SargOp::Eq(v) => (
@@ -374,31 +318,22 @@ impl StorageMethod for BTreeStorage {
             choice.cost = Cost::new(height + leaf_pages, records as f64 * frac);
             // overall output is bounded by both the key-range fraction and
             // the residual predicate selectivity
-            choice.rows_out = records as f64 * sel.min(frac);
+            choice.rows_out = choice.rows_out.min(records as f64 * frac);
         }
         choice
     }
 
-    fn undo(
+    fn replay(
         &self,
         services: &Arc<CommonServices>,
         rd: &RelationDescriptor,
         lsn: Lsn,
+        dir: Replay,
         op: u8,
         payload: &[u8],
     ) -> Result<()> {
-        Self::replay(services, rd, lsn, Replay::Undo, op, payload)
-    }
-
-    fn redo(
-        &self,
-        services: &Arc<CommonServices>,
-        rd: &RelationDescriptor,
-        lsn: Lsn,
-        op: u8,
-        payload: &[u8],
-    ) -> Result<()> {
-        Self::replay(services, rd, lsn, Replay::Redo, op, payload)
+        let tree = Self::desc(rd)?.tree_file().open_tree(services);
+        logged_tree::replay(&tree, lsn, dir, op, payload).map(drop)
     }
 
     fn scan_ordering(&self, rd: &RelationDescriptor) -> Option<Vec<FieldId>> {

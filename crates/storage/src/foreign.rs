@@ -8,39 +8,33 @@
 //! system does not share our log), which is exactly the latitude the
 //! paper gives extension implementors in choosing recovery techniques.
 
-use std::collections::{BTreeMap, HashMap};
-use std::ops::Bound;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dmx_types::sync::RwLock;
 
-use dmx_core::access::{decode_position, encode_position};
 use dmx_core::{
-    AccessPath, CommonServices, Cost, ExecCtx, KeyRange, PathChoice, RelationDescriptor, ScanItem,
-    ScanOps, StorageMethod,
+    CommonServices, ExecCtx, KeyRange, PathChoice, RelationDescriptor, Replay, ScanOps,
+    StorageMethod,
 };
 use dmx_expr::Expr;
 use dmx_types::{
     AttrList, DmxError, FieldId, Lsn, Record, RecordKey, RelationId, Result, Schema, Value,
 };
-use dmx_wal::ExtKind;
 
-use crate::ops::{decode_key, encode_key, encode_key_record, OP_DELETE, OP_INSERT, OP_UPDATE};
+use crate::memory::Table;
 
 /// Rows fetched per simulated round trip during scans.
 pub const SCAN_BATCH: u64 = 100;
 
-/// One simulated remote table: an ordered key -> record map behind its
-/// own lock, shared between the server and open scans.
-type RemoteTable = Arc<RwLock<BTreeMap<Vec<u8>, Record>>>;
-
 /// A simulated foreign database server.
 pub struct RemoteServer {
     name: String,
-    tables: RwLock<HashMap<u64, RemoteTable>>,
+    tables: RwLock<HashMap<u64, Arc<Table>>>,
     next_table: AtomicU64,
-    next_key: AtomicU64,
+    /// Record keys are synthesized per server, across its tables.
+    next_key: Arc<AtomicU64>,
     round_trips: AtomicU64,
 }
 
@@ -50,7 +44,7 @@ impl RemoteServer {
             name: name.to_string(),
             tables: RwLock::new(HashMap::new()),
             next_table: AtomicU64::new(0),
-            next_key: AtomicU64::new(0),
+            next_key: Arc::default(),
             round_trips: AtomicU64::new(0),
         })
     }
@@ -69,7 +63,7 @@ impl RemoteServer {
         self.round_trips.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn table(&self, id: u64) -> Result<RemoteTable> {
+    fn table(&self, id: u64) -> Result<Arc<Table>> {
         self.tables
             .read()
             .get(&id)
@@ -119,9 +113,11 @@ impl ForeignStorage {
             .ok_or_else(|| DmxError::NotFound(format!("foreign server '{name}'")))
     }
 
-    fn resolve(&self, rd: &RelationDescriptor) -> Result<(Arc<RemoteServer>, u64)> {
+    fn resolve(&self, rd: &RelationDescriptor) -> Result<(Arc<RemoteServer>, Arc<Table>)> {
         let (server, table) = decode_desc(&rd.sm_desc)?;
-        Ok((self.server(&server)?, table))
+        let server = self.server(&server)?;
+        let table = server.table(table)?;
+        Ok((server, table))
     }
 }
 
@@ -149,7 +145,7 @@ impl StorageMethod for ForeignStorage {
         server
             .tables
             .write()
-            .insert(table, Arc::new(RwLock::new(BTreeMap::new())));
+            .insert(table, Table::new(server.next_key.clone()));
         server.trip();
         Ok(encode_desc(name, table))
     }
@@ -170,23 +166,8 @@ impl StorageMethod for ForeignStorage {
         record: &Record,
     ) -> Result<RecordKey> {
         let (server, table) = self.resolve(rd)?;
-        let key = RecordKey::new(
-            (server.next_key.fetch_add(1, Ordering::Relaxed) + 1)
-                .to_be_bytes()
-                .to_vec(),
-        );
-        ctx.log_ext_op(
-            ExtKind::Storage(rd.sm),
-            rd.id,
-            OP_INSERT,
-            encode_key(key.as_bytes()),
-        );
         server.trip();
-        server
-            .table(table)?
-            .write()
-            .insert(key.as_bytes().to_vec(), record.clone());
-        Ok(key)
+        Ok(table.insert(ctx, rd, record))
     }
 
     fn update(
@@ -197,21 +178,9 @@ impl StorageMethod for ForeignStorage {
         new: &Record,
     ) -> Result<(Record, RecordKey)> {
         let (server, table) = self.resolve(rd)?;
-        let t = server.table(table)?;
-        server.trip();
-        let old = t
-            .read()
-            .get(key.as_bytes())
-            .cloned()
-            .ok_or_else(|| DmxError::NotFound(format!("remote record {key:?}")))?;
-        ctx.log_ext_op(
-            ExtKind::Storage(rd.sm),
-            rd.id,
-            OP_UPDATE,
-            encode_key_record(key.as_bytes(), &old.encode()),
-        );
-        server.trip();
-        t.write().insert(key.as_bytes().to_vec(), new.clone());
+        server.trip(); // read the old record…
+        let old = table.update(ctx, rd, key, new)?;
+        server.trip(); // …write the new one
         Ok((old, key.clone()))
     }
 
@@ -222,21 +191,9 @@ impl StorageMethod for ForeignStorage {
         key: &RecordKey,
     ) -> Result<Record> {
         let (server, table) = self.resolve(rd)?;
-        let t = server.table(table)?;
-        server.trip();
-        let old = t
-            .read()
-            .get(key.as_bytes())
-            .cloned()
-            .ok_or_else(|| DmxError::NotFound(format!("remote record {key:?}")))?;
-        ctx.log_ext_op(
-            ExtKind::Storage(rd.sm),
-            rd.id,
-            OP_DELETE,
-            encode_key_record(key.as_bytes(), &old.encode()),
-        );
-        server.trip();
-        t.write().remove(key.as_bytes());
+        server.trip(); // read the old record…
+        let old = table.delete(ctx, rd, key)?;
+        server.trip(); // …remove it
         Ok(old)
     }
 
@@ -250,29 +207,7 @@ impl StorageMethod for ForeignStorage {
     ) -> Result<Option<Vec<Value>>> {
         let (server, table) = self.resolve(rd)?;
         server.trip();
-        let t = server.table(table)?;
-        let rows = t.read();
-        let Some(rec) = rows.get(key.as_bytes()) else {
-            return Ok(None);
-        };
-        if let Some(p) = pred {
-            if !ctx.eval_predicate(p, &rec.values)? {
-                return Ok(None);
-            }
-        }
-        match fields {
-            None => Ok(Some(rec.values.clone())),
-            Some(ids) => ids
-                .iter()
-                .map(|&i| {
-                    rec.values
-                        .get(i as usize)
-                        .cloned()
-                        .ok_or_else(|| DmxError::InvalidArg(format!("no field {i}")))
-                })
-                .collect::<Result<Vec<_>>>()
-                .map(Some),
-        }
+        table.fetch(ctx, key, fields, pred)
     }
 
     fn open_scan(
@@ -284,133 +219,41 @@ impl StorageMethod for ForeignStorage {
         fields: Option<Vec<FieldId>>,
     ) -> Result<Box<dyn ScanOps>> {
         let (server, table) = self.resolve(rd)?;
-        Ok(Box::new(ForeignScan {
-            server: server.clone(),
-            table: server.table(table)?,
-            range,
-            pred,
-            fields,
-            after: None,
-            fetched_since_trip: 0,
+        let mut fetched_since_trip = 0u64;
+        Ok(table.scan(range, pred, fields, move || {
+            if fetched_since_trip.is_multiple_of(SCAN_BATCH) {
+                server.trip(); // fetch the next remote batch
+            }
+            fetched_since_trip += 1;
         }))
     }
 
     fn estimate(&self, rd: &RelationDescriptor, preds: &[Expr]) -> PathChoice {
         let records = rd.stats.records();
-        let ts = rd.stats.table_stats();
-        let sel: f64 = preds
-            .iter()
-            .map(|p| dmx_expr::selectivity(p, ts.as_deref()))
-            .product();
-        let trips = (records / SCAN_BATCH + 1) as f64;
-        PathChoice {
-            path: AccessPath::StorageMethod,
-            query: dmx_core::AccessQuery::All,
-            // model a round trip as ~4 page transfers of latency
-            cost: Cost::new(trips * 4.0, records as f64),
-            rows_out: records as f64 * sel,
-            covered: None,
-            applied: preds.to_vec(),
-            ordering: None,
-        }
+        let mut c = PathChoice::full_scan(records, &rd.stats, preds);
+        // model a round trip as ~4 page transfers of latency
+        c.cost.io = (records / SCAN_BATCH + 1) as f64 * 4.0;
+        c
     }
 
-    fn undo(
+    fn replay(
         &self,
         _services: &Arc<CommonServices>,
         rd: &RelationDescriptor,
         _lsn: Lsn,
+        dir: Replay,
         op: u8,
         payload: &[u8],
     ) -> Result<()> {
-        // Compensating remote operations.
-        let Ok((server, table)) = self.resolve(rd) else {
-            return Ok(());
-        };
-        let Ok(t) = server.table(table) else {
-            return Ok(());
-        };
-        let (key, old_bytes) = decode_key(payload)?;
-        server.trip();
-        let mut rows = t.write();
-        match op {
-            OP_INSERT => {
-                rows.remove(key);
+        match (dir, self.resolve(rd)) {
+            // Compensating remote operations.
+            (Replay::Undo, Ok((server, table))) => {
+                server.trip();
+                table.undo(op, payload)
             }
-            OP_DELETE | OP_UPDATE => {
-                rows.insert(key.to_vec(), Record::decode(old_bytes)?);
-            }
-            other => return Err(DmxError::Corrupt(format!("bad foreign op {other}"))),
+            // The remote system keeps its own durable state: nothing to
+            // redo, and nothing to undo in a table it no longer has.
+            _ => Ok(()),
         }
-        Ok(())
-    }
-}
-
-struct ForeignScan {
-    server: Arc<RemoteServer>,
-    table: Arc<RwLock<BTreeMap<Vec<u8>, Record>>>,
-    range: KeyRange,
-    pred: Option<Expr>,
-    fields: Option<Vec<FieldId>>,
-    after: Option<Vec<u8>>,
-    fetched_since_trip: u64,
-}
-
-impl ScanOps for ForeignScan {
-    fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<ScanItem>> {
-        loop {
-            if self.fetched_since_trip.is_multiple_of(SCAN_BATCH) {
-                self.server.trip(); // fetch the next remote batch
-            }
-            self.fetched_since_trip += 1;
-            let lo: Bound<Vec<u8>> = match &self.after {
-                Some(k) => Bound::Excluded(k.clone()),
-                None => match &self.range.lo {
-                    Bound::Included(b) => Bound::Included(b.clone()),
-                    Bound::Excluded(b) => Bound::Excluded(b.clone()),
-                    Bound::Unbounded => Bound::Unbounded,
-                },
-            };
-            let rows = self.table.read();
-            let Some((key, rec)) = rows.range((lo, Bound::Unbounded)).next() else {
-                return Ok(None);
-            };
-            if !self.range.contains(key) {
-                return Ok(None);
-            }
-            let (key, rec) = (key.clone(), rec.clone());
-            drop(rows);
-            self.after = Some(key.clone());
-            if let Some(p) = &self.pred {
-                if !ctx.eval_predicate(p, &rec.values)? {
-                    continue;
-                }
-            }
-            let values = match &self.fields {
-                None => rec.values.clone(),
-                Some(ids) => ids
-                    .iter()
-                    .map(|&i| {
-                        rec.values
-                            .get(i as usize)
-                            .cloned()
-                            .ok_or_else(|| DmxError::InvalidArg(format!("no field {i}")))
-                    })
-                    .collect::<Result<Vec<_>>>()?,
-            };
-            return Ok(Some(ScanItem {
-                key: RecordKey::new(key),
-                values: Some(values),
-            }));
-        }
-    }
-
-    fn save_position(&self) -> Vec<u8> {
-        encode_position(self.after.as_deref())
-    }
-
-    fn restore_position(&mut self, pos: &[u8]) -> Result<()> {
-        self.after = decode_position(pos)?;
-        Ok(())
     }
 }

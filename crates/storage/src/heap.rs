@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use dmx_core::access::{decode_position, encode_position};
 use dmx_core::{
-    AccessPath, CommonServices, ExecCtx, KeyRange, PathChoice, RelationDescriptor, SalvagedRecords,
+    CommonServices, ExecCtx, KeyRange, PathChoice, RelationDescriptor, Replay, SalvagedRecords,
     ScanItem, ScanOps, StorageMethod,
 };
 use dmx_expr::Expr;
@@ -392,40 +392,23 @@ impl StorageMethod for HeapStorage {
     }
 
     fn estimate(&self, rd: &RelationDescriptor, preds: &[Expr]) -> PathChoice {
-        let pages = rd.stats.pages();
-        let records = rd.stats.records();
-        let ts = rd.stats.table_stats();
-        let sel: f64 = preds
-            .iter()
-            .map(|p| dmx_expr::selectivity(p, ts.as_deref()))
-            .product();
-        let mut c = PathChoice::full_scan(AccessPath::StorageMethod, pages, records);
-        c.rows_out = (records as f64 * sel).max(0.0);
-        // The heap applies the whole pushed-down predicate in the pool.
-        c.applied = preds.to_vec();
-        c
+        PathChoice::full_scan(rd.stats.records(), &rd.stats, preds)
     }
 
-    fn undo(
+    fn replay(
         &self,
         services: &Arc<CommonServices>,
         rd: &RelationDescriptor,
         lsn: Lsn,
+        dir: Replay,
         op: u8,
         payload: &[u8],
     ) -> Result<()> {
-        undo_page_op(services, Self::file(rd)?, lsn, op, payload)
-    }
-
-    fn redo(
-        &self,
-        services: &Arc<CommonServices>,
-        rd: &RelationDescriptor,
-        lsn: Lsn,
-        op: u8,
-        payload: &[u8],
-    ) -> Result<()> {
-        redo_page_op(services, Self::file(rd)?, PAGE_TYPE_HEAP, lsn, op, payload)
+        let file = Self::file(rd)?;
+        match dir {
+            Replay::Undo => undo_page_op(services, file, lsn, op, payload),
+            Replay::Redo => redo_page_op(services, file, PAGE_TYPE_HEAP, lsn, op, payload),
+        }
     }
 
     fn stealable_page_types(&self) -> &[u8] {

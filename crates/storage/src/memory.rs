@@ -18,7 +18,7 @@ use dmx_types::sync::RwLock;
 
 use dmx_core::access::{decode_position, encode_position};
 use dmx_core::{
-    project_values, AccessPath, CommonServices, ExecCtx, KeyRange, PathChoice, RelationDescriptor,
+    project_values, CommonServices, ExecCtx, KeyRange, PathChoice, RelationDescriptor, Replay,
     ScanItem, ScanOps, StorageMethod,
 };
 use dmx_expr::Expr;
@@ -29,9 +29,134 @@ use dmx_wal::ExtKind;
 
 use crate::ops::{decode_key, encode_key, encode_key_record, OP_DELETE, OP_INSERT, OP_UPDATE};
 
-struct Table {
+/// An ordered `record key → record` table outside the buffer pool, with
+/// its logged modifications and their undo: the store under this storage
+/// method and under the foreign gateway's simulated server.
+pub(crate) struct Table {
     rows: RwLock<BTreeMap<Vec<u8>, Record>>,
-    next_key: AtomicU64,
+    /// Source of synthesized record keys; tables may share one.
+    next_key: Arc<AtomicU64>,
+}
+
+impl Table {
+    pub(crate) fn new(next_key: Arc<AtomicU64>) -> Arc<Table> {
+        Arc::new(Table {
+            rows: RwLock::new(BTreeMap::new()),
+            next_key,
+        })
+    }
+
+    fn log(ctx: &ExecCtx<'_>, rd: &RelationDescriptor, op: u8, payload: Vec<u8>) {
+        ctx.log_ext_op(ExtKind::Storage(rd.sm), rd.id, op, payload);
+    }
+
+    fn get(&self, rd: &RelationDescriptor, key: &RecordKey) -> Result<Record> {
+        self.rows
+            .read()
+            .get(key.as_bytes())
+            .cloned()
+            .ok_or_else(|| DmxError::NotFound(format!("record {key:?} of {}", rd.name)))
+    }
+
+    pub(crate) fn insert(
+        &self,
+        ctx: &ExecCtx<'_>,
+        rd: &RelationDescriptor,
+        record: &Record,
+    ) -> RecordKey {
+        let n = self.next_key.fetch_add(1, Ordering::Relaxed) + 1;
+        let key = RecordKey::new(n.to_be_bytes().to_vec());
+        Self::log(ctx, rd, OP_INSERT, encode_key(key.as_bytes()));
+        self.rows
+            .write()
+            .insert(key.as_bytes().to_vec(), record.clone());
+        key
+    }
+
+    /// Replaces the record at `key`, returning the old one.
+    pub(crate) fn update(
+        &self,
+        ctx: &ExecCtx<'_>,
+        rd: &RelationDescriptor,
+        key: &RecordKey,
+        new: &Record,
+    ) -> Result<Record> {
+        let old = self.get(rd, key)?;
+        let payload = encode_key_record(key.as_bytes(), &old.encode());
+        Self::log(ctx, rd, OP_UPDATE, payload);
+        self.rows
+            .write()
+            .insert(key.as_bytes().to_vec(), new.clone());
+        Ok(old)
+    }
+
+    pub(crate) fn delete(
+        &self,
+        ctx: &ExecCtx<'_>,
+        rd: &RelationDescriptor,
+        key: &RecordKey,
+    ) -> Result<Record> {
+        let old = self.get(rd, key)?;
+        let payload = encode_key_record(key.as_bytes(), &old.encode());
+        Self::log(ctx, rd, OP_DELETE, payload);
+        self.rows.write().remove(key.as_bytes());
+        Ok(old)
+    }
+
+    pub(crate) fn fetch(
+        &self,
+        ctx: &ExecCtx<'_>,
+        key: &RecordKey,
+        fields: Option<&[FieldId]>,
+        pred: Option<&Expr>,
+    ) -> Result<Option<Vec<Value>>> {
+        let rows = self.rows.read();
+        let Some(rec) = rows.get(key.as_bytes()) else {
+            return Ok(None);
+        };
+        if let Some(p) = pred {
+            if !ctx.eval_predicate(p, &rec.values)? {
+                return Ok(None);
+            }
+        }
+        Ok(Some(project_values(&rec.values, fields)?))
+    }
+
+    /// Takes a logged operation back: these tables share no log with
+    /// their pages, so undo is the compensating operation.
+    pub(crate) fn undo(&self, op: u8, payload: &[u8]) -> Result<()> {
+        let (key, old_bytes) = decode_key(payload)?;
+        let mut rows = self.rows.write();
+        match op {
+            OP_INSERT => {
+                rows.remove(key);
+            }
+            OP_DELETE | OP_UPDATE => {
+                rows.insert(key.to_vec(), Record::decode(old_bytes)?);
+            }
+            other => return Err(DmxError::Corrupt(format!("bad table op {other}"))),
+        }
+        Ok(())
+    }
+
+    /// A key-sequential access; `on_row` runs before each row is examined
+    /// (the foreign gateway counts its round trips there).
+    pub(crate) fn scan(
+        self: Arc<Self>,
+        range: KeyRange,
+        pred: Option<Expr>,
+        fields: Option<Vec<FieldId>>,
+        on_row: impl FnMut() + Send + 'static,
+    ) -> Box<dyn ScanOps> {
+        Box::new(TableScan {
+            table: self,
+            range,
+            pred,
+            fields,
+            after: None,
+            on_row,
+        })
+    }
 }
 
 /// The temporary storage method. Per-instance state lives in the
@@ -51,19 +176,11 @@ impl MemoryStorage {
             .cloned()
             .ok_or_else(|| DmxError::NotFound(format!("temporary relation {}", rd.name)))
     }
-
-    fn log(ctx: &ExecCtx<'_>, rd: &RelationDescriptor, op: u8, payload: Vec<u8>) -> Lsn {
-        ctx.log_ext_op(ExtKind::Storage(rd.sm), rd.id, op, payload)
-    }
 }
 
 fn decode_token(desc: &[u8]) -> Result<u64> {
     dmx_types::bytes::le_u64(desc, 0)
         .ok_or_else(|| DmxError::Corrupt("short memory descriptor".into()))
-}
-
-fn synth_key(n: u64) -> RecordKey {
-    RecordKey::new(n.to_be_bytes().to_vec())
 }
 
 impl StorageMethod for MemoryStorage {
@@ -87,13 +204,9 @@ impl StorageMethod for MemoryStorage {
         _params: &AttrList,
     ) -> Result<Vec<u8>> {
         let token = self.next_token.fetch_add(1, Ordering::Relaxed) + 1;
-        self.tables.write().insert(
-            token,
-            Arc::new(Table {
-                rows: RwLock::new(BTreeMap::new()),
-                next_key: AtomicU64::new(0),
-            }),
-        );
+        self.tables
+            .write()
+            .insert(token, Table::new(Arc::default()));
         Ok(token.to_le_bytes().to_vec())
     }
 
@@ -109,14 +222,7 @@ impl StorageMethod for MemoryStorage {
         rd: &RelationDescriptor,
         record: &Record,
     ) -> Result<RecordKey> {
-        let table = self.table(rd)?;
-        let key = synth_key(table.next_key.fetch_add(1, Ordering::Relaxed) + 1);
-        Self::log(ctx, rd, OP_INSERT, encode_key(key.as_bytes()));
-        table
-            .rows
-            .write()
-            .insert(key.as_bytes().to_vec(), record.clone());
-        Ok(key)
+        Ok(self.table(rd)?.insert(ctx, rd, record))
     }
 
     fn update(
@@ -126,23 +232,7 @@ impl StorageMethod for MemoryStorage {
         key: &RecordKey,
         new: &Record,
     ) -> Result<(Record, RecordKey)> {
-        let table = self.table(rd)?;
-        let mut rows = table.rows.write();
-        let slot = rows
-            .get_mut(key.as_bytes())
-            .ok_or_else(|| DmxError::NotFound(format!("temporary record {key:?}")))?;
-        let old = slot.clone();
-        drop(rows);
-        Self::log(
-            ctx,
-            rd,
-            OP_UPDATE,
-            encode_key_record(key.as_bytes(), &old.encode()),
-        );
-        table
-            .rows
-            .write()
-            .insert(key.as_bytes().to_vec(), new.clone());
+        let old = self.table(rd)?.update(ctx, rd, key, new)?;
         Ok((old, key.clone()))
     }
 
@@ -152,21 +242,7 @@ impl StorageMethod for MemoryStorage {
         rd: &RelationDescriptor,
         key: &RecordKey,
     ) -> Result<Record> {
-        let table = self.table(rd)?;
-        let old = table
-            .rows
-            .read()
-            .get(key.as_bytes())
-            .cloned()
-            .ok_or_else(|| DmxError::NotFound(format!("temporary record {key:?}")))?;
-        Self::log(
-            ctx,
-            rd,
-            OP_DELETE,
-            encode_key_record(key.as_bytes(), &old.encode()),
-        );
-        table.rows.write().remove(key.as_bytes());
-        Ok(old)
+        self.table(rd)?.delete(ctx, rd, key)
     }
 
     fn fetch(
@@ -177,17 +253,7 @@ impl StorageMethod for MemoryStorage {
         fields: Option<&[FieldId]>,
         pred: Option<&Expr>,
     ) -> Result<Option<Vec<Value>>> {
-        let table = self.table(rd)?;
-        let rows = table.rows.read();
-        let Some(rec) = rows.get(key.as_bytes()) else {
-            return Ok(None);
-        };
-        if let Some(p) = pred {
-            if !ctx.eval_predicate(p, &rec.values)? {
-                return Ok(None);
-            }
-        }
-        Ok(Some(project_values(&rec.values, fields)?))
+        self.table(rd)?.fetch(ctx, key, fields, pred)
     }
 
     fn open_scan(
@@ -198,74 +264,49 @@ impl StorageMethod for MemoryStorage {
         pred: Option<Expr>,
         fields: Option<Vec<FieldId>>,
     ) -> Result<Box<dyn ScanOps>> {
-        Ok(Box::new(MemScan {
-            table: self.table(rd)?,
-            range,
-            pred,
-            fields,
-            after: None,
-        }))
+        Ok(self.table(rd)?.scan(range, pred, fields, || {}))
     }
 
     fn estimate(&self, rd: &RelationDescriptor, preds: &[Expr]) -> PathChoice {
-        let records = rd.stats.records();
-        let ts = rd.stats.table_stats();
-        let sel: f64 = preds
-            .iter()
-            .map(|p| dmx_expr::selectivity(p, ts.as_deref()))
-            .product();
-        let mut c = PathChoice::full_scan(AccessPath::StorageMethod, 0, records);
+        let mut c = PathChoice::full_scan(rd.stats.records(), &rd.stats, preds);
         c.cost.io = 0.0; // main memory: no page transfers
-        c.rows_out = records as f64 * sel;
-        c.applied = preds.to_vec();
         c
     }
 
-    fn undo(
+    fn replay(
         &self,
         _services: &Arc<CommonServices>,
         rd: &RelationDescriptor,
         _lsn: Lsn,
+        dir: Replay,
         op: u8,
         payload: &[u8],
     ) -> Result<()> {
-        // The table may already be gone (dropped); nothing to undo then.
-        let Ok(table) = self.table(rd) else {
-            return Ok(());
-        };
-        let (key, old_bytes) = decode_key(payload)?;
-        let mut rows = table.rows.write();
-        match op {
-            OP_INSERT => {
-                rows.remove(key);
-            }
-            OP_DELETE | OP_UPDATE => {
-                rows.insert(key.to_vec(), Record::decode(old_bytes)?);
-            }
-            other => return Err(DmxError::Corrupt(format!("bad memory op {other}"))),
+        match (dir, self.table(rd)) {
+            (Replay::Undo, Ok(table)) => table.undo(op, payload),
+            // Nothing survives a restart to redo into, and a dropped
+            // table has nothing left to undo.
+            _ => Ok(()),
         }
-        Ok(())
     }
 }
 
-struct MemScan {
+struct TableScan<F> {
     table: Arc<Table>,
     range: KeyRange,
     pred: Option<Expr>,
     fields: Option<Vec<FieldId>>,
     after: Option<Vec<u8>>,
+    on_row: F,
 }
 
-impl ScanOps for MemScan {
+impl<F: FnMut() + Send> ScanOps for TableScan<F> {
     fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<ScanItem>> {
         loop {
+            (self.on_row)();
             let lo: Bound<Vec<u8>> = match &self.after {
                 Some(k) => Bound::Excluded(k.clone()),
-                None => match &self.range.lo {
-                    Bound::Included(b) => Bound::Included(b.clone()),
-                    Bound::Excluded(b) => Bound::Excluded(b.clone()),
-                    Bound::Unbounded => Bound::Unbounded,
-                },
+                None => self.range.lo.clone(),
             };
             let rows = self.table.rows.read();
             let Some((key, rec)) = rows.range((lo, Bound::Unbounded)).next() else {

@@ -9,7 +9,7 @@ pub const OP_INSERT: u8 = dmx_core::logged_tree::OP_INSERT;
 pub const OP_DELETE: u8 = dmx_core::logged_tree::OP_DELETE;
 /// Op code: record updated in place; payload = key + old/new record
 /// bytes ([`encode_key_old_new`]): old drives undo, new drives redo.
-pub const OP_UPDATE: u8 = 3;
+pub const OP_UPDATE: u8 = dmx_core::logged_tree::OP_REPLACE;
 
 /// Encodes `key` alone.
 pub fn encode_key(key: &[u8]) -> Vec<u8> {

@@ -11,9 +11,7 @@
 
 use std::sync::Arc;
 
-use dmx_core::{
-    AccessPath, ExecCtx, KeyRange, PathChoice, RelationDescriptor, ScanOps, StorageMethod,
-};
+use dmx_core::{ExecCtx, KeyRange, PathChoice, RelationDescriptor, Replay, ScanOps, StorageMethod};
 use dmx_expr::Expr;
 use dmx_page::SlottedPage;
 use dmx_types::PageId;
@@ -166,52 +164,30 @@ impl StorageMethod for ReadOnlyStorage {
     }
 
     fn estimate(&self, rd: &RelationDescriptor, preds: &[Expr]) -> PathChoice {
-        let pages = rd.stats.pages();
-        let records = rd.stats.records();
-        let ts = rd.stats.table_stats();
-        let sel: f64 = preds
-            .iter()
-            .map(|p| dmx_expr::selectivity(p, ts.as_deref()))
-            .product();
-        let mut c = PathChoice::full_scan(AccessPath::StorageMethod, pages, records);
+        let mut c = PathChoice::full_scan(rd.stats.records(), &rd.stats, preds);
         // dense packing: slightly cheaper per-record processing
         c.cost.cpu *= 0.5;
-        c.rows_out = records as f64 * sel;
-        c.applied = preds.to_vec();
         c
     }
 
-    fn undo(
+    fn replay(
         &self,
         services: &Arc<dmx_core::CommonServices>,
         rd: &RelationDescriptor,
         lsn: Lsn,
+        dir: Replay,
         op: u8,
         payload: &[u8],
     ) -> Result<()> {
-        // Only inserts exist; rollback of an aborted load tombstones the
-        // appended record (an internal operation — the *user-facing*
-        // delete remains unsupported).
-        undo_page_op(services, decode_file_desc(&rd.sm_desc)?, lsn, op, payload)
-    }
-
-    fn redo(
-        &self,
-        services: &Arc<dmx_core::CommonServices>,
-        rd: &RelationDescriptor,
-        lsn: Lsn,
-        op: u8,
-        payload: &[u8],
-    ) -> Result<()> {
-        // Write-once pages are never stolen, but no-force means a
-        // committed load's pages may have missed disk entirely.
-        redo_page_op(
-            services,
-            decode_file_desc(&rd.sm_desc)?,
-            PAGE_TYPE_WORM,
-            lsn,
-            op,
-            payload,
-        )
+        let file = decode_file_desc(&rd.sm_desc)?;
+        match dir {
+            // Only inserts exist; rollback of an aborted load tombstones
+            // the appended record (an internal operation — the
+            // *user-facing* delete remains unsupported).
+            Replay::Undo => undo_page_op(services, file, lsn, op, payload),
+            // Write-once pages are never stolen, but no-force means a
+            // committed load's pages may have missed disk entirely.
+            Replay::Redo => redo_page_op(services, file, PAGE_TYPE_WORM, lsn, op, payload),
+        }
     }
 }

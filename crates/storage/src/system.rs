@@ -23,8 +23,8 @@ use std::sync::Arc;
 
 use dmx_core::sysrel;
 use dmx_core::{
-    project_values, AccessPath, AccessQuery, Cost, Database, ExecCtx, KeyRange, PathChoice,
-    RelationDescriptor, ScanItem, ScanOps, StorageMethod,
+    project_values, Database, ExecCtx, KeyRange, PathChoice, RelationDescriptor, Replay, ScanItem,
+    ScanOps, StorageMethod,
 };
 use dmx_expr::Expr;
 use dmx_lock::LockName;
@@ -425,28 +425,17 @@ impl StorageMethod for SystemStorage {
     fn estimate(&self, rd: &RelationDescriptor, preds: &[Expr]) -> PathChoice {
         // Stats are never maintained for published state; assume a small
         // in-memory relation (one "page", a nominal row count).
-        let records = rd.stats.records().max(32);
-        let ts = rd.stats.table_stats();
-        let sel: f64 = preds
-            .iter()
-            .map(|p| dmx_expr::selectivity(p, ts.as_deref()))
-            .product();
-        PathChoice {
-            path: AccessPath::StorageMethod,
-            query: AccessQuery::All,
-            cost: Cost::new(1.0, records as f64),
-            rows_out: records as f64 * sel,
-            covered: None,
-            applied: preds.to_vec(),
-            ordering: None,
-        }
+        let mut c = PathChoice::full_scan(rd.stats.records().max(32), &rd.stats, preds);
+        c.cost.io = 1.0;
+        c
     }
 
-    fn undo(
+    fn replay(
         &self,
         _services: &Arc<dmx_core::CommonServices>,
         _rd: &RelationDescriptor,
         _lsn: Lsn,
+        _dir: Replay,
         _op: u8,
         _payload: &[u8],
     ) -> Result<()> {

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use dmx_core::{
     AccessPath, AccessQuery, Attachment, AttachmentInstance, CommonServices, Database,
-    DatabaseConfig, DatabaseEnv, ExecCtx, ExtensionRegistry, RelationDescriptor,
+    DatabaseConfig, DatabaseEnv, ExecCtx, ExtensionRegistry, RelationDescriptor, Replay,
 };
 use dmx_expr::{CmpOp, Expr};
 use dmx_storage::register_builtin_storage;
@@ -502,11 +502,12 @@ impl Attachment for VetoBigIds {
     ) -> Result<()> {
         Ok(())
     }
-    fn undo(
+    fn replay(
         &self,
         _s: &Arc<CommonServices>,
         _rd: &RelationDescriptor,
         _lsn: Lsn,
+        _dir: Replay,
         _op: u8,
         _payload: &[u8],
     ) -> Result<()> {

@@ -691,12 +691,12 @@ pub const STORAGE_OPS: &[&str] = &[
     "fetch",
     "open_scan",
     "estimate",
-    "undo",
+    "replay",
 ];
 
 /// Methods every registered attachment must implement — including the
 /// veto-capable side-effect entry points (`on_insert`/`on_update`/
-/// `on_delete`) and undo.
+/// `on_delete`) and replay.
 pub const ATTACH_OPS: &[&str] = &[
     "name",
     "validate_params",
@@ -705,7 +705,7 @@ pub const ATTACH_OPS: &[&str] = &[
     "on_insert",
     "on_update",
     "on_delete",
-    "undo",
+    "replay",
 ];
 
 /// Checks that every type registered in the extension crate's `lib.rs`

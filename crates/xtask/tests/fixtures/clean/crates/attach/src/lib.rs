@@ -1,5 +1,5 @@
 //! Clean fixture: a registered attachment with every veto-capable
-//! entry point and undo.
+//! entry point and replay.
 
 pub fn register(reg: &mut Registry) {
     reg.register_attachment(Arc::new(Watcher));
@@ -17,5 +17,5 @@ impl Attachment for Watcher {
     fn on_insert(&self) {}
     fn on_update(&self) {}
     fn on_delete(&self) {}
-    fn undo(&self) {}
+    fn replay(&self) {}
 }

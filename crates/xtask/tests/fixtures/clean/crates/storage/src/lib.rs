@@ -20,5 +20,5 @@ impl StorageMethod for Complete {
     fn fetch(&self) {}
     fn open_scan(&self) {}
     fn estimate(&self) {}
-    fn undo(&self) {}
+    fn replay(&self) {}
 }

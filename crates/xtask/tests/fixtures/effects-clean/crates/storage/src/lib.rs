@@ -28,9 +28,17 @@ pub struct LoggedTree;
 impl LoggedTree {
     /// The one forward path of tree-backed extensions: append, then
     /// install with every dirtied page stamped from the record's LSN.
-    pub fn apply(&self, op: u8, payload: &[u8], key: &[u8], image: Option<&[u8]>) -> Result<()> {
-        let lsn = self.ctx.log_ext_op(op, payload);
-        self.tree.install_image(lsn, key, image)
+    pub fn apply(&self, key: &[u8], before: Option<&[u8]>, after: Option<&[u8]>) -> Result<()> {
+        let lsn = self.ctx.log_ext_op(key, before, after);
+        self.tree.install_image(lsn, key, after)
+    }
+
+    /// The one read-modify-write of a maintained cell: lock, read,
+    /// decide, then the logged operation.
+    pub fn update_cell(&self, key: &[u8], decide: impl FnOnce() -> Image) -> Result<()> {
+        self.ctx.lock_record(self.relation, key, X)?;
+        let before = self.tree.get(key)?;
+        self.apply(key, before, decide())
     }
 }
 
@@ -44,7 +52,7 @@ impl GoodIndex {
         if index.tree().get(b"k")?.is_some() {
             return Ok(());
         }
-        index.apply(A_INSERT, b"payload", b"k", Some(b"v"))
+        index.apply(b"k", None, Some(b"v"))
     }
 }
 

@@ -13,7 +13,7 @@ impl BadIndex {
         let index = LoggedTree::attachment(ctx, file.open_tree(ctx.services()));
         let tree = index.tree();
         tree.insert(b"k")?;
-        index.apply(A_INSERT, b"payload", b"k", Some(b"v"))
+        index.apply(b"k", None, Some(b"v"))
     }
 }
 

@@ -396,6 +396,73 @@ fn unique_index_probes_for_duplicates_under_its_gap_lock() {
     assert_eq!(rows, vec![vec![Value::Int(5), Value::Int(0)]]);
 }
 
+/// Two writers, one maintained cell. Session 1 inserts a row of group 7
+/// and stays open; session 2 inserts another row of group 7 and must
+/// wait for the cell's lock (`lock.waits` shows it enqueued, so the
+/// interleaving is forced, not slept for); session 1 rolls back; session
+/// 2 commits. Both maintained cells — the group's `(count, sum)` and the
+/// statistics row count — then equal recomputation from the base.
+///
+/// Unlocked, session 2 read-modify-writes the cell over session 1's
+/// uncommitted image, and session 1's rollback reinstalls a before-image
+/// that erases session 2's row from both.
+#[test]
+fn writers_to_one_maintained_cell_serialise_until_commit() {
+    let db = open_db();
+    for sql in [
+        "CREATE TABLE t (id INT NOT NULL, g INT NOT NULL, v INT NOT NULL)",
+        "CREATE ATTACHMENT t_sums ON t USING aggregate WITH (sum = v, group_by = g)",
+        "CREATE ATTACHMENT t_stats ON t USING stats",
+        "INSERT INTO t VALUES (1, 7, 10)",
+    ] {
+        db.execute_sql(sql).unwrap();
+    }
+    let s1 = Session::new(db.clone());
+    s1.execute("BEGIN").unwrap();
+    s1.execute("INSERT INTO t VALUES (2, 7, 20)").unwrap();
+    let waits = || db.metrics_snapshot().counter("lock.waits");
+    let waits_before = waits();
+    std::thread::scope(|s| {
+        let s2 = s.spawn(|| Session::new(db.clone()).execute("INSERT INTO t VALUES (3, 7, 30)"));
+        while waits() == waits_before && !s2.is_finished() {
+            std::thread::yield_now();
+        }
+        assert!(!s2.is_finished(), "session 2 must wait for the cell");
+        s1.execute("ROLLBACK").unwrap();
+        s2.join().unwrap().unwrap();
+    });
+    assert_eq!(waits(), waits_before + 1, "one wait, on the first cell");
+
+    let base = db
+        .query_sql("SELECT g, COUNT(*), SUM(v) FROM t GROUP BY g")
+        .unwrap();
+    assert_eq!(
+        base,
+        vec![vec![Value::Int(7), Value::Int(2), Value::Int(40)]]
+    );
+    let rd = db.catalog().get_by_name("t").unwrap();
+    let (att, inst) = rd.find_attachment("t_sums").unwrap();
+    let cells = db
+        .with_txn(|txn| {
+            let path = AccessPath::Attachment(att, inst.instance);
+            let scan = db.open_scan(txn, rd.id, path, AccessQuery::All, None, None)?;
+            let mut cells = Vec::new();
+            while let Some(item) = db.scan_next(txn, scan)? {
+                cells.push(item.values.unwrap());
+            }
+            Ok(cells)
+        })
+        .unwrap();
+    assert_eq!(
+        cells,
+        vec![vec![Value::Int(7), Value::Int(2), Value::Float(40.0)]]
+    );
+    let stats = db
+        .query_sql("SELECT rows FROM sys.statistics WHERE relation = 't' AND field = '*'")
+        .unwrap();
+    assert_eq!(stats, vec![vec![Value::Int(2)]]);
+}
+
 // ---------------------------------------------------------------------
 // Keyed DML picks its targets through the planner: the lock footprint of
 // `UPDATE`/`DELETE … WHERE id = k` is the target key and its successor,

@@ -866,6 +866,15 @@ fn run_concurrent(check_repeatable: bool) -> Vec<(i64, i64, i64)> {
     db.execute_sql("CREATE INDEX tch_a ON tch (a)").unwrap();
     db.execute_sql("CREATE INDEX tch_b ON tch USING hash (b)")
         .unwrap();
+    // Maintained cells under concurrent writers: a group per `a` value
+    // (each private to one stripe, created and deleted as rows come and
+    // go) and, once analyzed, the one statistics cell every writer
+    // shares.
+    db.execute_sql(
+        "CREATE ATTACHMENT tch_sums ON tch USING aggregate WITH (sum = b, group_by = a)",
+    )
+    .unwrap();
+    db.execute_sql("ANALYZE TABLE tch").unwrap();
     let done = std::sync::atomic::AtomicBool::new(false);
     let models = dmx_types::sync::Mutex::new(Vec::new());
     std::thread::scope(|s| {
@@ -950,6 +959,35 @@ fn run_concurrent(check_repeatable: bool) -> Vec<(i64, i64, i64)> {
         rows.sort();
         assert_eq!(rows, expected, "{t} diverged from the writers' models");
     }
+    // Every maintained cell equals recomputation from the base.
+    let mut groups: BTreeMap<i64, (i64, f64)> = BTreeMap::new();
+    for &(_, a, b) in &expected {
+        let g = groups.entry(a).or_default();
+        *g = (g.0 + 1, g.1 + b as f64);
+    }
+    let rd = db.catalog().get_by_name("tch").unwrap();
+    let (att, inst) = rd.find_attachment("tch_sums").unwrap();
+    let cells: BTreeMap<i64, (i64, f64)> = db
+        .with_txn(|txn| {
+            let path = AccessPath::Attachment(att, inst.instance);
+            let scan = db.open_scan(txn, rd.id, path, AccessQuery::All, None, None)?;
+            let mut cells = BTreeMap::new();
+            while let Some(item) = db.scan_next(txn, scan)? {
+                let v = item.values.unwrap();
+                cells.insert(v[0].as_int()?, (v[1].as_int()?, v[2].as_float()?));
+            }
+            Ok(cells)
+        })
+        .unwrap();
+    assert_eq!(cells, groups, "tch's group cells diverged from its rows");
+    let stat_rows = db
+        .query_sql("SELECT rows FROM sys.statistics WHERE relation = 'tch' AND field = '*'")
+        .unwrap();
+    assert_eq!(
+        stat_rows,
+        vec![vec![Value::Int(expected.len() as i64)]],
+        "tch's statistics row count diverged from its rows"
+    );
     assert_eq!(db.active_txns(), 0, "no leaked transactions");
     expected
 }

@@ -27,8 +27,8 @@ use std::sync::Arc;
 use std::sync::RwLock;
 
 use starburst_dmx::core::{
-    AccessPath, Attachment, AttachmentInstance, CommonServices, Database, ExecCtx, KeyRange,
-    PathChoice, RelationDescriptor, ScanItem, ScanOps, StorageMethod,
+    Attachment, AttachmentInstance, CommonServices, Database, ExecCtx, KeyRange, PathChoice,
+    RelationDescriptor, Replay, ScanItem, ScanOps, StorageMethod,
 };
 use starburst_dmx::expr::Expr;
 use starburst_dmx::prelude::*;
@@ -196,18 +196,22 @@ impl StorageMethod for VecStore {
         }))
     }
     fn estimate(&self, rd: &RelationDescriptor, preds: &[Expr]) -> PathChoice {
-        let mut c = PathChoice::full_scan(AccessPath::StorageMethod, 0, rd.stats.records());
-        c.applied = preds.to_vec();
+        let mut c = PathChoice::full_scan(rd.stats.records(), &rd.stats, preds);
+        c.cost.io = 0.0;
         c
     }
-    fn undo(
+    fn replay(
         &self,
         _s: &Arc<CommonServices>,
         rd: &RelationDescriptor,
         _lsn: dmx_types::Lsn,
+        dir: Replay,
         op: u8,
         payload: &[u8],
     ) -> Result<()> {
+        if dir == Replay::Redo {
+            return Ok(()); // volatile: nothing survives a restart to redo into
+        }
         let Some(t) = self
             .tables
             .read()
@@ -380,14 +384,18 @@ impl Attachment for QuotaGuard {
     ) -> Result<()> {
         self.bump(ctx, rd, insts)
     }
-    fn undo(
+    fn replay(
         &self,
         _s: &Arc<CommonServices>,
         rd: &RelationDescriptor,
         _lsn: dmx_types::Lsn,
+        dir: Replay,
         _op: u8,
         _payload: &[u8],
     ) -> Result<()> {
+        if dir == Replay::Redo {
+            return Ok(()); // the counter is volatile
+        }
         let mut counts = self.counts.write().unwrap();
         if let Some(n) = counts.get_mut(&rd.id) {
             *n = n.saturating_sub(1);

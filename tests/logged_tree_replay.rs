@@ -4,7 +4,7 @@
 //! Each case runs real DML so the extension logs its own records, and
 //! snapshots its trees into a `BTreeMap` model before and after every
 //! statement. The statement's records are then replayed through the
-//! extension's `undo` / `redo` from both physical starting points a
+//! extension's `replay` from both physical starting points a
 //! crash can leave behind — applied, and logged but never applied:
 //!
 //! | tree starts | direction | tree must end |
@@ -227,7 +227,9 @@ fn cases() -> Vec<Case> {
                 Del("t", 1),
                 Del("t", 0),
             ],
-            ops: &[OP_IMAGES],
+            // a group's first row creates its cell, its last row's
+            // removal deletes it
+            ops: &[OP_INSERT, OP_DELETE, OP_IMAGES],
         },
         Case {
             name: "stats",
@@ -235,7 +237,8 @@ fn cases() -> Vec<Case> {
             target: ("t", Some("t_x")),
             trees: |db, _, d| one_btree(db, StatsDesc::decode(d.unwrap()).unwrap().tree_file()),
             script: entry_script(),
-            ops: &[OP_IMAGES],
+            // the cell's first image, then replacements
+            ops: &[OP_INSERT, OP_IMAGES],
         },
         Case {
             name: "btree_sm",
@@ -273,23 +276,15 @@ fn replay(db: &Arc<Database>, recs: &[LogRecord], dir: Replay) {
         };
         let rd = db.catalog().get(*relation).unwrap();
         let (services, reg) = (db.services(), db.registry());
-        match (ext, dir) {
-            (ExtKind::Attachment(id), Replay::Undo) => reg
+        match ext {
+            ExtKind::Attachment(id) => reg
                 .attachment(*id)
                 .unwrap()
-                .undo(services, &rd, rec.lsn, *op, payload),
-            (ExtKind::Attachment(id), Replay::Redo) => reg
-                .attachment(*id)
-                .unwrap()
-                .redo(services, &rd, rec.lsn, *op, payload),
-            (ExtKind::Storage(id), Replay::Undo) => reg
+                .replay(services, &rd, rec.lsn, dir, *op, payload),
+            ExtKind::Storage(id) => reg
                 .storage(*id)
                 .unwrap()
-                .undo(services, &rd, rec.lsn, *op, payload),
-            (ExtKind::Storage(id), Replay::Redo) => reg
-                .storage(*id)
-                .unwrap()
-                .redo(services, &rd, rec.lsn, *op, payload),
+                .replay(services, &rd, rec.lsn, dir, *op, payload),
         }
         .unwrap();
     }
