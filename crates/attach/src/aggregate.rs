@@ -14,7 +14,7 @@ use std::sync::Arc;
 use dmx_core::logged_tree;
 use dmx_core::{
     AccessQuery, Attachment, AttachmentInstance, CommonServices, EntryDecoder, ExecCtx, LoggedTree,
-    RelationDescriptor, Replay, ScanItem, ScanOps, TreeCursor, TreeFile, TreeScan,
+    Modification, RelationDescriptor, Replay, ScanItem, ScanOps, TreeCursor, TreeFile, TreeScan,
 };
 use dmx_types::{
     key::{decode_values, encode_values},
@@ -114,28 +114,6 @@ impl Aggregate {
             Some(v) => v.as_float(),
         }
     }
-
-    fn delta(
-        &self,
-        ctx: &ExecCtx<'_>,
-        rd: &RelationDescriptor,
-        inst: &AttachmentInstance,
-        record: &Record,
-        sign: i64,
-    ) -> Result<()> {
-        let d = AggDesc::decode(&inst.desc)?;
-        let group = Self::group_key(&d, record)?;
-        let dsum = Self::sum_value(&d, record)? * sign as f64;
-        let cells = LoggedTree::attachment(ctx, rd, inst, d.tree_file().open_tree(ctx.services()));
-        cells.update_cell(&group, |before| {
-            let (count, sum) = match before {
-                Some(cell) => decode_cell(cell)?,
-                None => (0, 0.0),
-            };
-            let count = count + sign;
-            Ok((count > 0).then(|| encode_cell(count, sum + dsum)))
-        })
-    }
 }
 
 impl Attachment for Aggregate {
@@ -178,47 +156,30 @@ impl Attachment for Aggregate {
         AggDesc::decode(inst_desc)?.tree_file().destroy(services)
     }
 
-    fn on_insert(
+    fn on_modify(
         &self,
         ctx: &ExecCtx<'_>,
         rd: &RelationDescriptor,
         instances: &[AttachmentInstance],
-        _key: &RecordKey,
-        new: &Record,
+        m: &Modification<'_>,
     ) -> Result<()> {
         for inst in instances {
-            self.delta(ctx, rd, inst, new, 1)?;
-        }
-        Ok(())
-    }
-
-    fn on_update(
-        &self,
-        ctx: &ExecCtx<'_>,
-        rd: &RelationDescriptor,
-        instances: &[AttachmentInstance],
-        _old_key: &RecordKey,
-        _new_key: &RecordKey,
-        old: &Record,
-        new: &Record,
-    ) -> Result<()> {
-        for inst in instances {
-            self.delta(ctx, rd, inst, old, -1)?;
-            self.delta(ctx, rd, inst, new, 1)?;
-        }
-        Ok(())
-    }
-
-    fn on_delete(
-        &self,
-        ctx: &ExecCtx<'_>,
-        rd: &RelationDescriptor,
-        instances: &[AttachmentInstance],
-        _key: &RecordKey,
-        old: &Record,
-    ) -> Result<()> {
-        for inst in instances {
-            self.delta(ctx, rd, inst, old, -1)?;
+            let d = AggDesc::decode(&inst.desc)?;
+            let cells =
+                LoggedTree::attachment(ctx, rd, inst, d.tree_file().open_tree(ctx.services()));
+            // −old, then +new: one cell update per present side.
+            for (side, sign) in [(m.old(), -1), (m.new(), 1)] {
+                let Some((_, record)) = side else { continue };
+                let dsum = Self::sum_value(&d, record)? * sign as f64;
+                cells.update_cell(&Self::group_key(&d, record)?, |before| {
+                    let (count, sum) = match before {
+                        Some(cell) => decode_cell(cell)?,
+                        None => (0, 0.0),
+                    };
+                    let count = count + sign;
+                    Ok((count > 0).then(|| encode_cell(count, sum + dsum)))
+                })?;
+            }
         }
         Ok(())
     }
@@ -234,10 +195,6 @@ impl Attachment for Aggregate {
     ) -> Result<()> {
         let (file, change) = TreeFile::named_by(payload)?;
         logged_tree::replay(&file.open_tree(services), lsn, dir, op, change).map(drop)
-    }
-
-    fn supports_access(&self) -> bool {
-        true
     }
 
     fn storage_files(&self, inst_desc: &[u8]) -> Vec<FileId> {

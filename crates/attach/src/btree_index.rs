@@ -18,8 +18,8 @@ use dmx_core::access::prefix_successor;
 use dmx_core::logged_tree::{self, lock_delete_gaps, lock_insert_gap};
 use dmx_core::{
     project_values, AccessPath, AccessQuery, Attachment, AttachmentInstance, CommonServices, Cost,
-    EntryDecoder, ExecCtx, KeyRange, LoggedTree, PathChoice, RecordKeyIn, RelationDescriptor,
-    Replay, ScanItem, ScanOps, TreeCursor, TreeFile, TreeScan,
+    EntryDecoder, ExecCtx, KeyRange, LoggedTree, Modification, PathChoice, RecordKeyIn,
+    RelationDescriptor, Replay, ScanItem, ScanOps, TreeCursor, TreeFile, TreeScan,
 };
 use dmx_expr::{analyze, Expr, SargOp};
 use dmx_types::{
@@ -82,62 +82,15 @@ impl IxDesc {
 }
 
 impl BTreeIndex {
-    fn prefix(d: &IxDesc, record: &Record) -> Result<Vec<u8>> {
-        Ok(encode_values(&field_values(record, &d.fields)?))
-    }
-
-    fn full_key(prefix: &[u8], rkey: &RecordKey) -> Vec<u8> {
-        let mut v = Vec::with_capacity(prefix.len() + rkey.len());
-        v.extend_from_slice(prefix);
-        v.extend_from_slice(rkey.as_bytes());
-        v
-    }
-
-    fn insert_entry(
-        &self,
-        ctx: &ExecCtx<'_>,
-        rd: &RelationDescriptor,
-        inst: &AttachmentInstance,
-        key: &RecordKey,
-        record: &Record,
-    ) -> Result<()> {
-        let d = IxDesc::decode(&inst.desc)?;
-        let prefix = Self::prefix(&d, record)?;
-        let index = LoggedTree::attachment(ctx, rd, inst, d.tree_file().open_tree(ctx.services()));
-        let full = Self::full_key(&prefix, key);
-        // Fence the entry against locked index-range scans.
-        lock_insert_gap(ctx, rd.id, index.tree(), &full)?;
-        // Uniqueness is probed under the gap lock: a deleter of the same
-        // index key holds that gap, and while this insert waited for it
-        // the deleter may have rolled back and put its entry back.
-        if d.unique && index.tree().contains_prefix(&prefix)? {
-            return Err(DmxError::veto(
-                self.name(),
-                format!("unique index '{}' violated", inst.name),
-            ));
-        }
-        index.apply(&full, None, Some(key.as_bytes()))
-    }
-
-    fn delete_entry(
-        &self,
-        ctx: &ExecCtx<'_>,
-        rd: &RelationDescriptor,
-        inst: &AttachmentInstance,
-        key: &RecordKey,
-        record: &Record,
-    ) -> Result<()> {
-        let d = IxDesc::decode(&inst.desc)?;
-        let prefix = Self::prefix(&d, record)?;
-        let full = Self::full_key(&prefix, key);
-        let index = LoggedTree::attachment(ctx, rd, inst, d.tree_file().open_tree(ctx.services()));
-        // The entry belongs to the record whose X lock the dispatcher
-        // holds, so its presence is stable before the gap locks.
-        if index.tree().get(&full)?.is_none() {
-            return Ok(());
-        }
-        lock_delete_gaps(ctx, rd.id, index.tree(), &full)?;
-        index.apply(&full, Some(key.as_bytes()), None)
+    /// A record's entry: the index-key prefix, the full entry key
+    /// `prefix ∥ record key`, and the record key it maps to.
+    fn entry<'a>(
+        d: &IxDesc,
+        (rkey, record): (&'a RecordKey, &Record),
+    ) -> Result<(Vec<u8>, Vec<u8>, &'a RecordKey)> {
+        let prefix = encode_values(&field_values(record, &d.fields)?);
+        let full = [prefix.as_slice(), rkey.as_bytes()].concat();
+        Ok((prefix, full, rkey))
     }
 }
 
@@ -175,53 +128,46 @@ impl Attachment for BTreeIndex {
         IxDesc::decode(inst_desc)?.tree_file().destroy(services)
     }
 
-    fn on_insert(
+    fn on_modify(
         &self,
         ctx: &ExecCtx<'_>,
         rd: &RelationDescriptor,
         instances: &[AttachmentInstance],
-        key: &RecordKey,
-        new: &Record,
-    ) -> Result<()> {
-        for inst in instances {
-            self.insert_entry(ctx, rd, inst, key, new)?;
-        }
-        Ok(())
-    }
-
-    fn on_update(
-        &self,
-        ctx: &ExecCtx<'_>,
-        rd: &RelationDescriptor,
-        instances: &[AttachmentInstance],
-        old_key: &RecordKey,
-        new_key: &RecordKey,
-        old: &Record,
-        new: &Record,
+        m: &Modification<'_>,
     ) -> Result<()> {
         for inst in instances {
             let d = IxDesc::decode(&inst.desc)?;
-            let old_prefix = Self::prefix(&d, old)?;
-            let new_prefix = Self::prefix(&d, new)?;
-            if old_prefix == new_prefix && old_key == new_key {
+            let old = m.old().map(|side| Self::entry(&d, side)).transpose()?;
+            let new = m.new().map(|side| Self::entry(&d, side)).transpose()?;
+            if old == new {
                 continue; // no indexed field modified
             }
-            self.delete_entry(ctx, rd, inst, old_key, old)?;
-            self.insert_entry(ctx, rd, inst, new_key, new)?;
-        }
-        Ok(())
-    }
-
-    fn on_delete(
-        &self,
-        ctx: &ExecCtx<'_>,
-        rd: &RelationDescriptor,
-        instances: &[AttachmentInstance],
-        key: &RecordKey,
-        old: &Record,
-    ) -> Result<()> {
-        for inst in instances {
-            self.delete_entry(ctx, rd, inst, key, old)?;
+            let index =
+                LoggedTree::attachment(ctx, rd, inst, d.tree_file().open_tree(ctx.services()));
+            if let Some((_, full, rkey)) = old {
+                // The entry belongs to the record whose X lock the
+                // dispatcher holds, so its presence is stable before the
+                // gap locks.
+                if index.tree().get(&full)?.is_some() {
+                    lock_delete_gaps(ctx, rd.id, index.tree(), &full)?;
+                    index.apply(&full, Some(rkey.as_bytes()), None)?;
+                }
+            }
+            if let Some((prefix, full, rkey)) = new {
+                // Fence the entry against locked index-range scans.
+                lock_insert_gap(ctx, rd.id, index.tree(), &full)?;
+                // Uniqueness is probed under the gap lock: a deleter of the
+                // same index key holds that gap, and while this insert
+                // waited for it the deleter may have rolled back and put
+                // its entry back.
+                if d.unique && index.tree().contains_prefix(&prefix)? {
+                    return Err(DmxError::veto(
+                        self.name(),
+                        format!("unique index '{}' violated", inst.name),
+                    ));
+                }
+                index.apply(&full, None, Some(rkey.as_bytes()))?;
+            }
         }
         Ok(())
     }
@@ -237,10 +183,6 @@ impl Attachment for BTreeIndex {
     ) -> Result<()> {
         let (file, change) = TreeFile::named_by(payload)?;
         logged_tree::replay(&file.open_tree(services), lsn, dir, op, change).map(drop)
-    }
-
-    fn supports_access(&self) -> bool {
-        true
     }
 
     fn storage_files(&self, inst_desc: &[u8]) -> Vec<FileId> {

@@ -13,11 +13,12 @@ use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use dmx_core::{
-    Attachment, AttachmentInstance, CommonServices, ExecCtx, RelationDescriptor, Replay,
+    Attachment, AttachmentInstance, CommonServices, ExecCtx, Modification, RelationDescriptor,
+    Replay,
 };
 use dmx_expr::{decode_expr, encode_expr, expr_from_hex, Expr};
 use dmx_txn::TxnEvent;
-use dmx_types::{AttrList, DmxError, Lsn, Record, RecordKey, Result, Schema};
+use dmx_types::{AttrList, DmxError, Lsn, RecordKey, Result, Schema};
 
 /// The CHECK-constraint attachment type.
 pub struct CheckConstraint;
@@ -70,23 +71,6 @@ impl CheckConstraint {
         })
     }
 
-    fn test_record(
-        &self,
-        ctx: &ExecCtx<'_>,
-        inst: &AttachmentInstance,
-        record: &Record,
-    ) -> Result<()> {
-        let d = CheckDesc::decode(&inst.desc)?;
-        if ctx.eval_predicate(&d.expr, &record.values)? {
-            Ok(())
-        } else {
-            Err(DmxError::veto(
-                self.name(),
-                format!("check constraint '{}' violated", inst.name),
-            ))
-        }
-    }
-
     /// Queues a deferred re-check of `(relation, key)` at before-prepare.
     fn defer_check(
         &self,
@@ -130,25 +114,6 @@ impl CheckConstraint {
             }),
         );
     }
-
-    fn handle(
-        &self,
-        ctx: &ExecCtx<'_>,
-        rd: &RelationDescriptor,
-        instances: &[AttachmentInstance],
-        key: &RecordKey,
-        record: &Record,
-    ) -> Result<()> {
-        for inst in instances {
-            let d = CheckDesc::decode(&inst.desc)?;
-            if d.deferred {
-                self.defer_check(ctx, rd, inst, key);
-            } else {
-                self.test_record(ctx, inst, record)?;
-            }
-        }
-        Ok(())
-    }
 }
 
 impl Attachment for CheckConstraint {
@@ -174,39 +139,30 @@ impl Attachment for CheckConstraint {
         Ok(()) // constraints have no associated storage
     }
 
-    fn on_insert(
+    fn on_modify(
         &self,
         ctx: &ExecCtx<'_>,
         rd: &RelationDescriptor,
         instances: &[AttachmentInstance],
-        key: &RecordKey,
-        new: &Record,
+        m: &Modification<'_>,
     ) -> Result<()> {
-        self.handle(ctx, rd, instances, key, new)
-    }
-
-    fn on_update(
-        &self,
-        ctx: &ExecCtx<'_>,
-        rd: &RelationDescriptor,
-        instances: &[AttachmentInstance],
-        _old_key: &RecordKey,
-        new_key: &RecordKey,
-        _old: &Record,
-        new: &Record,
-    ) -> Result<()> {
-        self.handle(ctx, rd, instances, new_key, new)
-    }
-
-    fn on_delete(
-        &self,
-        _ctx: &ExecCtx<'_>,
-        _rd: &RelationDescriptor,
-        _instances: &[AttachmentInstance],
-        _key: &RecordKey,
-        _old: &Record,
-    ) -> Result<()> {
-        Ok(()) // deleting a record cannot violate an intra-record predicate
+        // The predicate judges the record as it is afterwards; a delete
+        // cannot violate an intra-record predicate.
+        let Some((key, new)) = m.new() else {
+            return Ok(());
+        };
+        for inst in instances {
+            let d = CheckDesc::decode(&inst.desc)?;
+            if d.deferred {
+                self.defer_check(ctx, rd, inst, key);
+            } else if !ctx.eval_predicate(&d.expr, &new.values)? {
+                return Err(DmxError::veto(
+                    self.name(),
+                    format!("check constraint '{}' violated", inst.name),
+                ));
+            }
+        }
+        Ok(())
     }
 
     fn replay(

@@ -15,8 +15,8 @@ use std::sync::Arc;
 use dmx_core::logged_tree;
 use dmx_core::{
     AccessPath, AccessQuery, Attachment, AttachmentInstance, CommonServices, Cost, EntryDecoder,
-    ExecCtx, KeyRange, LoggedTree, PathChoice, RelationDescriptor, Replay, ScanItem, ScanOps,
-    TreeCursor, TreeFile, TreeScan,
+    ExecCtx, KeyRange, LoggedTree, Modification, PathChoice, RelationDescriptor, Replay, ScanItem,
+    ScanOps, TreeCursor, TreeFile, TreeScan,
 };
 use dmx_expr::{analyze, Expr, SargOp};
 use dmx_types::{
@@ -88,17 +88,16 @@ fn probe_prefix(values_enc: &[u8]) -> Vec<u8> {
 }
 
 impl HashIndex {
-    fn entry_key(d: &HashDesc, record: &Record, rkey: &RecordKey) -> Result<Vec<u8>> {
+    /// A record's entry: the key `hash ∥ values ∥ record key` and the
+    /// record key it maps to.
+    fn entry<'a>(
+        d: &HashDesc,
+        (rkey, record): (&'a RecordKey, &Record),
+    ) -> Result<(Vec<u8>, &'a RecordKey)> {
         let enc = encode_values(&field_values(record, &d.fields)?);
         let mut full = probe_prefix(&enc);
         full.extend_from_slice(rkey.as_bytes());
-        Ok(full)
-    }
-
-    /// Entries are `hash ∥ values ∥ record key → record key`; deleting
-    /// an absent one logs nothing.
-    fn delete_entry(index: &LoggedTree<'_>, full: &[u8]) -> Result<()> {
-        index.apply(full, index.tree().get(full)?.as_deref(), None)
+        Ok((full, rkey))
     }
 }
 
@@ -133,61 +132,29 @@ impl Attachment for HashIndex {
         HashDesc::decode(inst_desc)?.tree_file().destroy(services)
     }
 
-    fn on_insert(
+    fn on_modify(
         &self,
         ctx: &ExecCtx<'_>,
         rd: &RelationDescriptor,
         instances: &[AttachmentInstance],
-        key: &RecordKey,
-        new: &Record,
+        m: &Modification<'_>,
     ) -> Result<()> {
         for inst in instances {
             let d = HashDesc::decode(&inst.desc)?;
-            let index =
-                LoggedTree::attachment(ctx, rd, inst, d.tree_file().open_tree(ctx.services()));
-            index.apply(&Self::entry_key(&d, new, key)?, None, Some(key.as_bytes()))?;
-        }
-        Ok(())
-    }
-
-    fn on_update(
-        &self,
-        ctx: &ExecCtx<'_>,
-        rd: &RelationDescriptor,
-        instances: &[AttachmentInstance],
-        old_key: &RecordKey,
-        new_key: &RecordKey,
-        old: &Record,
-        new: &Record,
-    ) -> Result<()> {
-        for inst in instances {
-            let d = HashDesc::decode(&inst.desc)?;
-            let old_full = Self::entry_key(&d, old, old_key)?;
-            let new_full = Self::entry_key(&d, new, new_key)?;
-            if old_full == new_full {
+            let old = m.old().map(|side| Self::entry(&d, side)).transpose()?;
+            let new = m.new().map(|side| Self::entry(&d, side)).transpose()?;
+            if old == new {
                 continue;
             }
             let index =
                 LoggedTree::attachment(ctx, rd, inst, d.tree_file().open_tree(ctx.services()));
-            Self::delete_entry(&index, &old_full)?;
-            index.apply(&new_full, None, Some(new_key.as_bytes()))?;
-        }
-        Ok(())
-    }
-
-    fn on_delete(
-        &self,
-        ctx: &ExecCtx<'_>,
-        rd: &RelationDescriptor,
-        instances: &[AttachmentInstance],
-        key: &RecordKey,
-        old: &Record,
-    ) -> Result<()> {
-        for inst in instances {
-            let d = HashDesc::decode(&inst.desc)?;
-            let index =
-                LoggedTree::attachment(ctx, rd, inst, d.tree_file().open_tree(ctx.services()));
-            Self::delete_entry(&index, &Self::entry_key(&d, old, key)?)?;
+            if let Some((full, _)) = old {
+                // Taking out an absent entry logs nothing.
+                index.apply(&full, index.tree().get(&full)?.as_deref(), None)?;
+            }
+            if let Some((full, rkey)) = new {
+                index.apply(&full, None, Some(rkey.as_bytes()))?;
+            }
         }
         Ok(())
     }
@@ -203,10 +170,6 @@ impl Attachment for HashIndex {
     ) -> Result<()> {
         let (file, change) = TreeFile::named_by(payload)?;
         logged_tree::replay(&file.open_tree(services), lsn, dir, op, change).map(drop)
-    }
-
-    fn supports_access(&self) -> bool {
-        true
     }
 
     fn storage_files(&self, inst_desc: &[u8]) -> Vec<FileId> {

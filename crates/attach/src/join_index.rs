@@ -21,7 +21,8 @@ use std::sync::Arc;
 use dmx_core::logged_tree;
 use dmx_core::{
     AccessQuery, Attachment, AttachmentInstance, CommonServices, EntryDecoder, ExecCtx, KeyRange,
-    LoggedTree, RelationDescriptor, Replay, ScanItem, ScanOps, TreeCursor, TreeFile, TreeScan,
+    LoggedTree, Modification, RelationDescriptor, Replay, ScanItem, ScanOps, TreeCursor, TreeFile,
+    TreeScan,
 };
 use dmx_types::{
     key::encode_values, AttrList, DmxError, FieldId, FileId, Lsn, Record, RecordKey, Result,
@@ -158,75 +159,16 @@ impl<'a> Link<'a> {
 }
 
 impl JoinIndex {
-    /// Maintains the index after a record appears on one side.
-    fn side_insert(
-        &self,
-        ctx: &ExecCtx<'_>,
-        rd: &RelationDescriptor,
-        inst: &AttachmentInstance,
-        key: &RecordKey,
-        record: &Record,
-    ) -> Result<()> {
-        let d = JiDesc::decode(&inst.desc)?;
+    /// A record's entry on its side: the encoded join value and the
+    /// record key registered under it; `None` when a join field is NULL.
+    fn entry<'a>(
+        d: &JiDesc,
+        (rkey, record): (&'a RecordKey, &Record),
+    ) -> Result<Option<(Vec<u8>, &'a [u8])>> {
         let values = field_values(record, &d.fields)?;
-        if values.iter().any(|v| v.is_null()) {
-            return Ok(()); // NULL join values never match
-        }
-        let v = encode_values(&values);
-        let (my_tree, other_tree) = if d.is_left {
-            (TREE_LEFT, TREE_RIGHT)
-        } else {
-            (TREE_RIGHT, TREE_LEFT)
-        };
-        let link = Link::open(ctx, rd, inst, &d);
-        // 1. register this key under its join value
-        let mut my_key = v.clone();
-        my_key.extend_from_slice(key.as_bytes());
-        link.insert(my_tree, &my_key, key.as_bytes())?;
-        // 2. pair with every matching key on the other side
-        for (_, other_key) in link.prefix_entries(ctx, other_tree, &v)? {
-            let (lkey, rkey) = if d.is_left {
-                (key.as_bytes(), other_key.as_slice())
-            } else {
-                (other_key.as_slice(), key.as_bytes())
-            };
-            let mut pair_key = v.clone();
-            pair_key.extend_from_slice(lkey);
-            pair_key.extend_from_slice(rkey);
-            link.insert(TREE_PAIRS, &pair_key, &encode_pair_value(lkey, rkey))?;
-        }
-        Ok(())
-    }
-
-    /// Maintains the index after a record disappears from one side.
-    fn side_delete(
-        &self,
-        ctx: &ExecCtx<'_>,
-        rd: &RelationDescriptor,
-        inst: &AttachmentInstance,
-        key: &RecordKey,
-        record: &Record,
-    ) -> Result<()> {
-        let d = JiDesc::decode(&inst.desc)?;
-        let values = field_values(record, &d.fields)?;
-        if values.iter().any(|v| v.is_null()) {
-            return Ok(());
-        }
-        let v = encode_values(&values);
-        let my_tree = if d.is_left { TREE_LEFT } else { TREE_RIGHT };
-        let link = Link::open(ctx, rd, inst, &d);
-        let mut my_key = v.clone();
-        my_key.extend_from_slice(key.as_bytes());
-        link.delete(my_tree, &my_key)?;
-        // drop every pair involving this key
-        for (pair_key, pair_val) in link.prefix_entries(ctx, TREE_PAIRS, &v)? {
-            let (lkey, rkey) = decode_pair_value(&pair_val)?;
-            let mine = if d.is_left { lkey } else { rkey };
-            if mine == key.as_bytes() {
-                link.delete(TREE_PAIRS, &pair_key)?;
-            }
-        }
-        Ok(())
+        // NULL join values never match
+        let joins = !values.iter().any(|v| v.is_null());
+        Ok(joins.then(|| (encode_values(&values), rkey.as_bytes())))
     }
 }
 
@@ -303,53 +245,51 @@ impl Attachment for JoinIndex {
         Ok(())
     }
 
-    fn on_insert(
+    fn on_modify(
         &self,
         ctx: &ExecCtx<'_>,
         rd: &RelationDescriptor,
         instances: &[AttachmentInstance],
-        key: &RecordKey,
-        new: &Record,
-    ) -> Result<()> {
-        for inst in instances {
-            self.side_insert(ctx, rd, inst, key, new)?;
-        }
-        Ok(())
-    }
-
-    fn on_update(
-        &self,
-        ctx: &ExecCtx<'_>,
-        rd: &RelationDescriptor,
-        instances: &[AttachmentInstance],
-        old_key: &RecordKey,
-        new_key: &RecordKey,
-        old: &Record,
-        new: &Record,
+        m: &Modification<'_>,
     ) -> Result<()> {
         for inst in instances {
             let d = JiDesc::decode(&inst.desc)?;
-            let old_v = field_values(old, &d.fields)?;
-            let new_v = field_values(new, &d.fields)?;
-            if old_v == new_v && old_key == new_key {
+            let old = m.old().map(|side| Self::entry(&d, side)).transpose()?;
+            let new = m.new().map(|side| Self::entry(&d, side)).transpose()?;
+            if old == new {
                 continue;
             }
-            self.side_delete(ctx, rd, inst, old_key, old)?;
-            self.side_insert(ctx, rd, inst, new_key, new)?;
-        }
-        Ok(())
-    }
-
-    fn on_delete(
-        &self,
-        ctx: &ExecCtx<'_>,
-        rd: &RelationDescriptor,
-        instances: &[AttachmentInstance],
-        key: &RecordKey,
-        old: &Record,
-    ) -> Result<()> {
-        for inst in instances {
-            self.side_delete(ctx, rd, inst, key, old)?;
+            let (my_tree, other_tree) = if d.is_left {
+                (TREE_LEFT, TREE_RIGHT)
+            } else {
+                (TREE_RIGHT, TREE_LEFT)
+            };
+            let link = Link::open(ctx, rd, inst, &d);
+            if let Some((v, key)) = old.flatten() {
+                // the record leaves its join value, and every pair it is in
+                link.delete(my_tree, &[&v, key].concat())?;
+                for (pair_key, pair_val) in link.prefix_entries(ctx, TREE_PAIRS, &v)? {
+                    let (lkey, rkey) = decode_pair_value(&pair_val)?;
+                    let mine = if d.is_left { lkey } else { rkey };
+                    if mine == key {
+                        link.delete(TREE_PAIRS, &pair_key)?;
+                    }
+                }
+            }
+            if let Some((v, key)) = new.flatten() {
+                // 1. register the key under its join value
+                link.insert(my_tree, &[&v, key].concat(), key)?;
+                // 2. pair it with every matching key on the other side
+                for (_, other_key) in link.prefix_entries(ctx, other_tree, &v)? {
+                    let (lkey, rkey) = if d.is_left {
+                        (key, other_key.as_slice())
+                    } else {
+                        (other_key.as_slice(), key)
+                    };
+                    let pair_key = [&v, lkey, rkey].concat();
+                    link.insert(TREE_PAIRS, &pair_key, &encode_pair_value(lkey, rkey))?;
+                }
+            }
         }
         Ok(())
     }
@@ -365,10 +305,6 @@ impl Attachment for JoinIndex {
     ) -> Result<()> {
         let (file, change) = TreeFile::named_by(payload)?;
         logged_tree::replay(&file.open_tree(services), lsn, dir, op, change).map(drop)
-    }
-
-    fn supports_access(&self) -> bool {
-        true
     }
 
     /// Both sides report the three shared trees. No `reconstruct_params`:

@@ -19,7 +19,7 @@
 use std::sync::Arc;
 
 use dmx_core::{
-    AccessPath, AccessQuery, Attachment, AttachmentInstance, CommonServices, ExecCtx,
+    AccessPath, AccessQuery, Attachment, AttachmentInstance, CommonServices, ExecCtx, Modification,
     RelationDescriptor, Replay,
 };
 use dmx_expr::{CmpOp, Expr};
@@ -203,30 +203,6 @@ impl RefIntegrity {
         }
         Ok(keys)
     }
-
-    fn check_child_side(
-        &self,
-        ctx: &ExecCtx<'_>,
-        inst: &AttachmentInstance,
-        record: &Record,
-    ) -> Result<()> {
-        let d = RefDesc::decode(&inst.desc)?;
-        if !d.is_child {
-            return Ok(());
-        }
-        let values = crate::common::field_values(record, &d.fields)?;
-        if values.iter().any(|v| v.is_null()) {
-            return Ok(()); // SQL rule: NULL foreign keys reference nothing
-        }
-        if Self::other_has_match(ctx, &d, &values)? {
-            Ok(())
-        } else {
-            Err(DmxError::veto(
-                self.name(),
-                format!("'{}': no matching parent record", inst.name),
-            ))
-        }
-    }
 }
 
 impl Attachment for RefIntegrity {
@@ -274,74 +250,56 @@ impl Attachment for RefIntegrity {
         Ok(())
     }
 
-    fn on_insert(
+    fn on_modify(
         &self,
         ctx: &ExecCtx<'_>,
         _rd: &RelationDescriptor,
         instances: &[AttachmentInstance],
-        _key: &RecordKey,
-        new: &Record,
+        m: &Modification<'_>,
     ) -> Result<()> {
-        for inst in instances {
-            self.check_child_side(ctx, inst, new)?;
-        }
-        Ok(())
-    }
-
-    fn on_update(
-        &self,
-        ctx: &ExecCtx<'_>,
-        _rd: &RelationDescriptor,
-        instances: &[AttachmentInstance],
-        _old_key: &RecordKey,
-        _new_key: &RecordKey,
-        old: &Record,
-        new: &Record,
-    ) -> Result<()> {
+        let veto = |inst: &AttachmentInstance, why: &str| {
+            Err(DmxError::veto(
+                self.name(),
+                format!("'{}': {why}", inst.name),
+            ))
+        };
         for inst in instances {
             let d = RefDesc::decode(&inst.desc)?;
+            let side = |(_, r): (&RecordKey, &Record)| crate::common::field_values(r, &d.fields);
             if d.is_child {
-                self.check_child_side(ctx, inst, new)?;
-            } else {
-                // Parent-side: changing referenced key fields while
-                // children point at them is restricted.
-                let old_vals = crate::common::field_values(old, &d.fields)?;
-                let new_vals = crate::common::field_values(new, &d.fields)?;
-                if old_vals != new_vals && Self::other_has_match(ctx, &d, &old_vals)? {
-                    return Err(DmxError::veto(
-                        self.name(),
-                        format!("'{}': referenced key in use by child records", inst.name),
-                    ));
+                // The child side judges the record as it is afterwards
+                // (deleting a child never violates): its foreign key must
+                // reference a parent.
+                let Some(values) = m.new().map(side).transpose()? else {
+                    continue;
+                };
+                // SQL rule: NULL foreign keys reference nothing
+                if !values.iter().any(|v| v.is_null()) && !Self::other_has_match(ctx, &d, &values)?
+                {
+                    return veto(inst, "no matching parent record");
                 }
+                continue;
             }
-        }
-        Ok(())
-    }
-
-    fn on_delete(
-        &self,
-        ctx: &ExecCtx<'_>,
-        _rd: &RelationDescriptor,
-        instances: &[AttachmentInstance],
-        _key: &RecordKey,
-        old: &Record,
-    ) -> Result<()> {
-        for inst in instances {
-            let d = RefDesc::decode(&inst.desc)?;
-            if d.is_child {
-                continue; // deleting a child never violates
+            // The parent side judges the referenced key that goes away (a
+            // new parent violates nothing).
+            let Some(old_vals) = m.old().map(side).transpose()? else {
+                continue;
+            };
+            if let Some(new_vals) = m.new().map(side).transpose()? {
+                // Changing referenced key fields while children point at
+                // them is restricted.
+                if old_vals != new_vals && Self::other_has_match(ctx, &d, &old_vals)? {
+                    return veto(inst, "referenced key in use by child records");
+                }
+                continue;
             }
-            let values = crate::common::field_values(old, &d.fields)?;
-            if values.iter().any(|v| v.is_null()) {
+            if old_vals.iter().any(|v| v.is_null()) {
                 continue;
             }
             match d.rule {
                 DeleteRule::Restrict => {
-                    if Self::other_has_match(ctx, &d, &values)? {
-                        return Err(DmxError::veto(
-                            self.name(),
-                            format!("'{}': child records exist", inst.name),
-                        ));
+                    if Self::other_has_match(ctx, &d, &old_vals)? {
+                        return veto(inst, "child records exist");
                     }
                 }
                 DeleteRule::Cascade => {
@@ -349,7 +307,7 @@ impl Attachment for RefIntegrity {
                     // database by calling the appropriate storage method or
                     // attachment routines. In this manner, modifications
                     // may cascade in the database."
-                    for child_key in Self::matching_other_keys(ctx, &d, &values)? {
+                    for child_key in Self::matching_other_keys(ctx, &d, &old_vals)? {
                         ctx.db.delete(ctx.txn, d.other, &child_key)?;
                     }
                 }

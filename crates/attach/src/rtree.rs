@@ -19,8 +19,8 @@ use dmx_btree::{LatchTable, TreeLatch};
 use dmx_core::logged_tree;
 use dmx_core::{
     AccessPath, AccessQuery, Attachment, AttachmentInstance, CommonServices, Cost, ExecCtx,
-    LoggedTarget, LoggedTree, PathChoice, RelationDescriptor, Replay, ScanItem, ScanOps, SpatialOp,
-    TreeFile,
+    LoggedTarget, LoggedTree, Modification, PathChoice, RelationDescriptor, Replay, ScanItem,
+    ScanOps, SpatialOp, TreeFile,
 };
 use dmx_expr::{analyze, Expr, SargOp};
 use dmx_page::{BufferPool, Page, SlottedPage};
@@ -584,28 +584,21 @@ impl RTreeIndex {
         RTree::open(&services.pool, file.root(), &services.latches)
     }
 
-    fn rect_of(d: &RtDesc, record: &Record) -> Result<Option<Rect>> {
+    /// The two halves of a record's leaf entry `rect ∥ record key` (the
+    /// key it is logged under, with an empty image); `None` when its
+    /// rectangle is NULL.
+    fn entry<'a>(
+        d: &RtDesc,
+        (rkey, record): (&'a RecordKey, &Record),
+    ) -> Result<Option<(Rect, &'a RecordKey)>> {
         match record.values.get(d.rect_field as usize) {
-            Some(Value::Rect(r)) => Ok(Some(*r)),
+            Some(Value::Rect(r)) => Ok(Some((*r, rkey))),
             Some(Value::Null) => Ok(None), // NULL rectangles are not indexed
             Some(other) => Err(DmxError::TypeMismatch(format!(
                 "rtree field holds {other}, expected RECT"
             ))),
             None => Err(DmxError::InvalidArg("rtree field out of range".into())),
         }
-    }
-
-    /// Entries are logged under the key `rect ∥ record key`, with an
-    /// empty image.
-    fn insert_entry(index: &LoggedTree<'_, RTree>, rect: &Rect, key: &RecordKey) -> Result<()> {
-        index.apply(&make_entry(rect, key.as_bytes()), None, Some(&[]))
-    }
-
-    fn delete_entry(index: &LoggedTree<'_, RTree>, rect: &Rect, key: &RecordKey) -> Result<()> {
-        if !index.tree().contains(rect, key.as_bytes())? {
-            return Ok(());
-        }
-        index.apply(&make_entry(rect, key.as_bytes()), Some(&[]), None)
     }
 }
 
@@ -648,76 +641,29 @@ impl Attachment for RTreeIndex {
         RtDesc::decode(inst_desc)?.tree_file().destroy(services)
     }
 
-    fn on_insert(
+    fn on_modify(
         &self,
         ctx: &ExecCtx<'_>,
         rd: &RelationDescriptor,
         instances: &[AttachmentInstance],
-        key: &RecordKey,
-        new: &Record,
+        m: &Modification<'_>,
     ) -> Result<()> {
         for inst in instances {
             let d = RtDesc::decode(&inst.desc)?;
-            if let Some(rect) = Self::rect_of(&d, new)? {
-                let index = LoggedTree::attachment(
-                    ctx,
-                    rd,
-                    inst,
-                    Self::tree(ctx.services(), d.tree_file()),
-                );
-                Self::insert_entry(&index, &rect, key)?;
-            }
-        }
-        Ok(())
-    }
-
-    fn on_update(
-        &self,
-        ctx: &ExecCtx<'_>,
-        rd: &RelationDescriptor,
-        instances: &[AttachmentInstance],
-        old_key: &RecordKey,
-        new_key: &RecordKey,
-        old: &Record,
-        new: &Record,
-    ) -> Result<()> {
-        for inst in instances {
-            let d = RtDesc::decode(&inst.desc)?;
-            let old_rect = Self::rect_of(&d, old)?;
-            let new_rect = Self::rect_of(&d, new)?;
-            if old_rect == new_rect && old_key == new_key {
+            let old = m.old().map(|side| Self::entry(&d, side)).transpose()?;
+            let new = m.new().map(|side| Self::entry(&d, side)).transpose()?;
+            if old == new {
                 continue;
             }
             let index =
                 LoggedTree::attachment(ctx, rd, inst, Self::tree(ctx.services(), d.tree_file()));
-            if let Some(r) = old_rect {
-                Self::delete_entry(&index, &r, old_key)?;
+            if let Some((rect, rkey)) = old.flatten() {
+                if index.tree().contains(&rect, rkey.as_bytes())? {
+                    index.apply(&make_entry(&rect, rkey.as_bytes()), Some(&[]), None)?;
+                }
             }
-            if let Some(r) = new_rect {
-                Self::insert_entry(&index, &r, new_key)?;
-            }
-        }
-        Ok(())
-    }
-
-    fn on_delete(
-        &self,
-        ctx: &ExecCtx<'_>,
-        rd: &RelationDescriptor,
-        instances: &[AttachmentInstance],
-        key: &RecordKey,
-        old: &Record,
-    ) -> Result<()> {
-        for inst in instances {
-            let d = RtDesc::decode(&inst.desc)?;
-            if let Some(rect) = Self::rect_of(&d, old)? {
-                let index = LoggedTree::attachment(
-                    ctx,
-                    rd,
-                    inst,
-                    Self::tree(ctx.services(), d.tree_file()),
-                );
-                Self::delete_entry(&index, &rect, key)?;
+            if let Some((rect, rkey)) = new.flatten() {
+                index.apply(&make_entry(&rect, rkey.as_bytes()), None, Some(&[]))?;
             }
         }
         Ok(())
@@ -734,10 +680,6 @@ impl Attachment for RTreeIndex {
     ) -> Result<()> {
         let (file, change) = TreeFile::named_by(payload)?;
         logged_tree::replay(&Self::tree(services, file), lsn, dir, op, change).map(drop)
-    }
-
-    fn supports_access(&self) -> bool {
-        true
     }
 
     fn storage_files(&self, inst_desc: &[u8]) -> Vec<FileId> {

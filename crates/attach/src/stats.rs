@@ -31,13 +31,13 @@ use std::sync::Arc;
 use dmx_btree::BTree;
 use dmx_core::logged_tree;
 use dmx_core::{
-    Attachment, AttachmentInstance, CommonServices, ExecCtx, LoggedTree, RelationDescriptor,
-    Replay, TreeFile,
+    Attachment, AttachmentInstance, CommonServices, ExecCtx, LoggedTree, Modification,
+    RelationDescriptor, Replay, TreeFile,
 };
 use dmx_expr::stats::{value_to_f64, ColumnStats, Histogram, TableStats};
 use dmx_types::{
     key::{decode_values, encode_values},
-    AttrList, DataType, DmxError, FileId, Lsn, Record, RecordKey, Result, Schema, Value,
+    AttrList, DataType, DmxError, FileId, Lsn, Record, Result, Schema, Value,
 };
 
 use crate::common::{read_u16, read_u32, read_u64, tail};
@@ -399,29 +399,6 @@ impl Stats {
             .publish_table_stats(image.map(|c| Arc::new(c.to_table_stats())));
     }
 
-    /// One maintained change: `old`/`new` follow the DML op (insert =
-    /// new only, delete = old only, update = both — one logged image
-    /// pair per op, not one per side).
-    fn delta(
-        &self,
-        ctx: &ExecCtx<'_>,
-        rd: &RelationDescriptor,
-        inst: &AttachmentInstance,
-        old: Option<&Record>,
-        new: Option<&Record>,
-    ) -> Result<()> {
-        Self::update(ctx, rd, inst, |before| {
-            let mut cell = before.unwrap_or_else(|| StatsCell::new(&rd.schema));
-            if let Some(o) = old {
-                cell.apply(o, -1);
-            }
-            if let Some(n) = new {
-                cell.apply(n, 1);
-            }
-            cell
-        })
-    }
-
     /// Replaces the cell with what `change` makes of it, under the cell's
     /// lock, and publishes the result.
     fn update(
@@ -468,46 +445,25 @@ impl Attachment for Stats {
         StatsDesc::decode(inst_desc)?.tree_file().destroy(services)
     }
 
-    fn on_insert(
+    /// One logged image pair per modification, not one per side.
+    fn on_modify(
         &self,
         ctx: &ExecCtx<'_>,
         rd: &RelationDescriptor,
         instances: &[AttachmentInstance],
-        _key: &RecordKey,
-        new: &Record,
+        m: &Modification<'_>,
     ) -> Result<()> {
         for inst in instances {
-            self.delta(ctx, rd, inst, None, Some(new))?;
-        }
-        Ok(())
-    }
-
-    fn on_update(
-        &self,
-        ctx: &ExecCtx<'_>,
-        rd: &RelationDescriptor,
-        instances: &[AttachmentInstance],
-        _old_key: &RecordKey,
-        _new_key: &RecordKey,
-        old: &Record,
-        new: &Record,
-    ) -> Result<()> {
-        for inst in instances {
-            self.delta(ctx, rd, inst, Some(old), Some(new))?;
-        }
-        Ok(())
-    }
-
-    fn on_delete(
-        &self,
-        ctx: &ExecCtx<'_>,
-        rd: &RelationDescriptor,
-        instances: &[AttachmentInstance],
-        _key: &RecordKey,
-        old: &Record,
-    ) -> Result<()> {
-        for inst in instances {
-            self.delta(ctx, rd, inst, Some(old), None)?;
+            Self::update(ctx, rd, inst, |before| {
+                let mut cell = before.unwrap_or_else(|| StatsCell::new(&rd.schema));
+                if let Some((_, old)) = m.old() {
+                    cell.apply(old, -1);
+                }
+                if let Some((_, new)) = m.new() {
+                    cell.apply(new, 1);
+                }
+                cell
+            })?;
         }
         Ok(())
     }

@@ -12,11 +12,12 @@ use std::sync::Arc;
 
 use dmx_core::HookArgs;
 use dmx_core::{
-    Attachment, AttachmentInstance, CommonServices, ExecCtx, RelationDescriptor, Replay,
+    Attachment, AttachmentInstance, CommonServices, ExecCtx, Modification, RelationDescriptor,
+    Replay,
 };
 
 use crate::common::tail;
-use dmx_types::{AttrList, DmxError, Lsn, Record, RecordKey, Result, Schema, Value};
+use dmx_types::{AttrList, DmxError, Lsn, Record, Result, Schema, Value};
 
 /// The trigger attachment type.
 pub struct Trigger;
@@ -94,61 +95,6 @@ impl Trigger {
         }
         Ok(TriggerDesc { on, action })
     }
-
-    #[allow(clippy::too_many_arguments)]
-    fn fire(
-        &self,
-        ctx: &ExecCtx<'_>,
-        rd: &RelationDescriptor,
-        inst: &AttachmentInstance,
-        event: &str,
-        key: &RecordKey,
-        old: Option<&Record>,
-        new: Option<&Record>,
-    ) -> Result<()> {
-        let d = TriggerDesc::decode(&inst.desc)?;
-        let fires = match event {
-            "insert" => d.on.insert,
-            "update" => d.on.update,
-            _ => d.on.delete,
-        };
-        if !fires {
-            return Ok(());
-        }
-        if let Some(hook_name) = d.action.strip_prefix("hook:") {
-            let hook = ctx.db.hook(hook_name)?;
-            return hook(
-                ctx,
-                &HookArgs {
-                    event,
-                    relation: rd.id,
-                    key,
-                    old,
-                    new,
-                },
-            );
-        }
-        if let Some(target) = d.action.strip_prefix("audit:") {
-            let target_rd = ctx.db.catalog().get_by_name(target)?;
-            // audit relations have schema (event STRING, relation STRING,
-            // info STRING)
-            let info = new
-                .or(old)
-                .map(|r| format!("{:?}", r.values))
-                .unwrap_or_default();
-            let audit = Record::new(vec![
-                Value::from(event),
-                Value::from(rd.name.as_str()),
-                Value::from(info),
-            ]);
-            ctx.db.insert(ctx.txn, target_rd.id, audit)?;
-            return Ok(());
-        }
-        Err(DmxError::Corrupt(format!(
-            "bad trigger action {}",
-            d.action
-        )))
-    }
 }
 
 impl Attachment for Trigger {
@@ -174,46 +120,55 @@ impl Attachment for Trigger {
         Ok(())
     }
 
-    fn on_insert(
+    fn on_modify(
         &self,
         ctx: &ExecCtx<'_>,
         rd: &RelationDescriptor,
         instances: &[AttachmentInstance],
-        key: &RecordKey,
-        new: &Record,
+        m: &Modification<'_>,
     ) -> Result<()> {
+        let event = m.event();
+        let (old, new) = (m.old().map(|(_, r)| r), m.new().map(|(_, r)| r));
         for inst in instances {
-            self.fire(ctx, rd, inst, "insert", key, None, Some(new))?;
-        }
-        Ok(())
-    }
-
-    fn on_update(
-        &self,
-        ctx: &ExecCtx<'_>,
-        rd: &RelationDescriptor,
-        instances: &[AttachmentInstance],
-        _old_key: &RecordKey,
-        new_key: &RecordKey,
-        old: &Record,
-        new: &Record,
-    ) -> Result<()> {
-        for inst in instances {
-            self.fire(ctx, rd, inst, "update", new_key, Some(old), Some(new))?;
-        }
-        Ok(())
-    }
-
-    fn on_delete(
-        &self,
-        ctx: &ExecCtx<'_>,
-        rd: &RelationDescriptor,
-        instances: &[AttachmentInstance],
-        key: &RecordKey,
-        old: &Record,
-    ) -> Result<()> {
-        for inst in instances {
-            self.fire(ctx, rd, inst, "delete", key, Some(old), None)?;
+            let d = TriggerDesc::decode(&inst.desc)?;
+            let fires = match event {
+                "insert" => d.on.insert,
+                "update" => d.on.update,
+                _ => d.on.delete,
+            };
+            if !fires {
+                continue;
+            }
+            if let Some(hook_name) = d.action.strip_prefix("hook:") {
+                let hook = ctx.db.hook(hook_name)?;
+                let args = HookArgs {
+                    event,
+                    relation: rd.id,
+                    key: m.key(),
+                    old,
+                    new,
+                };
+                hook(ctx, &args)?;
+            } else if let Some(target) = d.action.strip_prefix("audit:") {
+                let target_rd = ctx.db.catalog().get_by_name(target)?;
+                // audit relations have schema (event STRING, relation STRING,
+                // info STRING)
+                let info = new
+                    .or(old)
+                    .map(|r| format!("{:?}", r.values))
+                    .unwrap_or_default();
+                let audit = Record::new(vec![
+                    Value::from(event),
+                    Value::from(rd.name.as_str()),
+                    Value::from(info),
+                ]);
+                ctx.db.insert(ctx.txn, target_rd.id, audit)?;
+            } else {
+                return Err(DmxError::Corrupt(format!(
+                    "bad trigger action {}",
+                    d.action
+                )));
+            }
         }
         Ok(())
     }

@@ -7,15 +7,18 @@
 // discipline: a broken fixture should abort loudly.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+use std::ops::Bound;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use dmx_attach::{check_params, register_builtin_attachments};
 use dmx_core::{
-    AccessPath, AccessQuery, Database, DatabaseConfig, DatabaseEnv, ExtensionRegistry, SpatialOp,
+    AccessPath, AccessQuery, Database, DatabaseConfig, DatabaseEnv, ExtensionRegistry, KeyRange,
+    SpatialOp,
 };
 use dmx_expr::{CmpOp, Expr};
 use dmx_storage::register_builtin_storage;
+use dmx_types::key::encode_values;
 use dmx_types::{
     AttrList, ColumnDef, DataType, DmxError, Record, RecordKey, Rect, RelationId, Schema, Value,
 };
@@ -1072,4 +1075,236 @@ fn multiple_attachment_types_compose() {
         Ok(())
     })
     .unwrap();
+}
+
+// ---------------------------------------------------------------------
+// The one modification call: what `on_modify(old, new)` must keep doing
+// ---------------------------------------------------------------------
+
+const ACCESS_PATHS: [&str; 4] = ["btree", "hash", "rtree", "joinindex"];
+
+fn plot(id: i64, name: &str, dept: Option<i64>, area: Option<Rect>, note: &str) -> Record {
+    Record::new(vec![
+        Value::Int(id),
+        Value::from(name),
+        dept.map_or(Value::Null, Value::Int),
+        area.map_or(Value::Null, Value::Rect),
+        Value::from(note),
+    ])
+}
+
+/// A heap of plots `(id, name, dept, area, note)` with one instance,
+/// named after its type, of each attachment type in `attach`: the
+/// B-tree indexes `id`, the hash `name`, the R-tree `area`, the join
+/// index links `dept` to the three rows of `<name>_depts`, the aggregate
+/// sums `id` by `dept`. No instance reads `note`.
+fn create_plots(db: &Arc<Database>, name: &str, attach: &[&str]) -> RelationId {
+    let schema = Schema::new(vec![
+        ColumnDef::not_null("id", DataType::Int),
+        ColumnDef::not_null("name", DataType::Str),
+        ColumnDef::new("dept", DataType::Int),
+        ColumnDef::new("area", DataType::Rect),
+        ColumnDef::not_null("note", DataType::Str),
+    ])
+    .unwrap();
+    let depts = format!("{name}_depts");
+    let dept_schema = Schema::new(vec![ColumnDef::not_null("id", DataType::Int)]).unwrap();
+    db.with_txn(|txn| {
+        let rel = db.create_relation(txn, name, schema, "heap", &AttrList::new())?;
+        let dept_rel = db.create_relation(txn, &depts, dept_schema, "heap", &AttrList::new())?;
+        for &ty in attach {
+            let params = match ty {
+                "btree" => "fields=id",
+                "hash" => "fields=name",
+                "rtree" => "field=area",
+                "joinindex" => "side=left, fields=dept",
+                "aggregate" => "sum=id, group_by=dept",
+                _ => "",
+            };
+            db.create_attachment(txn, name, ty, ty, &AttrList::parse(params).unwrap())?;
+            if ty == "joinindex" {
+                let right = format!("side=right, fields=id, other={name}");
+                db.create_attachment(txn, &depts, ty, ty, &AttrList::parse(&right).unwrap())?;
+            }
+        }
+        for d in 1..=3 {
+            db.insert(txn, dept_rel, Record::new(vec![Value::Int(d)]))?;
+        }
+        Ok(rel)
+    })
+    .unwrap()
+}
+
+/// "The B-tree update operation should be able to detect when no indexed
+/// fields for a given index are modified": an update no access path
+/// cares about appends the heap's log record and nothing else.
+#[test]
+fn update_of_an_unindexed_field_logs_nothing_for_the_indexes() {
+    let db = open_db();
+    let rels = [
+        create_plots(&db, "indexed", &ACCESS_PATHS),
+        create_plots(&db, "bare", &[]),
+    ];
+    let area = Rect::new(0.0, 0.0, 1.0, 1.0);
+    let keys = rels.map(|rel| {
+        db.with_txn(|txn| db.insert(txn, rel, plot(1, "a", Some(2), Some(area), "old note")))
+            .unwrap()
+    });
+    // WAL records each twin appends for the same update of its one record.
+    let appends = |to: Record| {
+        [0, 1].map(|i| {
+            db.with_txn(|txn| {
+                let before = db.metrics_snapshot().counter("wal.appends");
+                assert_eq!(db.update(txn, rels[i], &keys[i], to.clone())?, keys[i]);
+                Ok(db.metrics_snapshot().counter("wal.appends") - before)
+            })
+            .unwrap()
+        })
+    };
+    let [indexed, bare] = appends(plot(1, "a", Some(2), Some(area), "new note"));
+    assert_eq!(indexed, bare, "no entry changed, so no index may log");
+    assert!(bare > 0);
+    // Every indexed field changes: each path takes its old entry out and
+    // puts the new one in.
+    let moved = Rect::new(5.0, 5.0, 6.0, 6.0);
+    let [indexed, bare] = appends(plot(7, "b", Some(3), Some(moved), "new note"));
+    assert!(
+        indexed >= bare + 2 * ACCESS_PATHS.len() as u64,
+        "{indexed} vs {bare}"
+    );
+}
+
+/// What every access path of plots relation `name` returns, and the row
+/// count its maintained statistics publish (what `sys.statistics.rows`
+/// renders) — by field values, because the twins' record keys differ.
+fn observe(db: &Arc<Database>, name: &str) -> Vec<(String, Vec<Vec<Value>>)> {
+    let rd = db.catalog().get_by_name(name).unwrap();
+    let depts = db.catalog().get_by_name(&format!("{name}_depts")).unwrap();
+    let by_name = |n: &str| AccessQuery::KeyEquals(encode_values(&[Value::from(n)]));
+    let from_id_2 = AccessQuery::Range(KeyRange {
+        lo: Bound::Included(encode_values(&[Value::Int(2)])),
+        hi: Bound::Unbounded,
+    });
+    let everywhere = Rect::new(-1e6, -1e6, 1e6, 1e6);
+    let questions = [
+        ("btree", "btree range", from_id_2, true),
+        ("hash", "hash probe n0", by_name("n0"), false),
+        ("hash", "hash probe n1", by_name("n1"), false),
+        ("hash", "hash probe renamed", by_name("renamed"), false),
+        (
+            "rtree",
+            "rtree intersects",
+            AccessQuery::Spatial(SpatialOp::Intersects, everywhere),
+            false,
+        ),
+        ("joinindex", "join pairs", AccessQuery::All, false),
+        ("aggregate", "aggregate groups", AccessQuery::All, false),
+    ];
+    let mut seen = Vec::new();
+    db.with_txn(|txn| {
+        for (ty, what, query, ordered) in questions {
+            let (t, inst) = rd.find_attachment(ty).unwrap();
+            let path = AccessPath::Attachment(t, inst.instance);
+            let scan = db.open_scan(txn, rd.id, path, query, None, None)?;
+            let mut rows = Vec::new();
+            while let Some(item) = db.scan_next(txn, scan)? {
+                let values = item.values.unwrap_or_default();
+                rows.push(match ty {
+                    // (group, count, sum) summaries stand for themselves
+                    "aggregate" => values,
+                    // a pair is (left record key, right record key)
+                    "joinindex" => {
+                        let Value::Bytes(right) = &values[0] else {
+                            panic!("join pair without a right key: {values:?}")
+                        };
+                        let right = RecordKey::new(right.clone());
+                        let mut pair = db.fetch(txn, rd.id, &item.key, None, None)?.unwrap();
+                        pair.extend(db.fetch(txn, depts.id, &right, None, None)?.unwrap());
+                        pair
+                    }
+                    _ => db.fetch(txn, rd.id, &item.key, None, None)?.unwrap(),
+                });
+            }
+            if !ordered {
+                rows.sort_by_key(|row| format!("{row:?}"));
+            }
+            seen.push((what.to_string(), rows));
+        }
+        Ok(())
+    })
+    .unwrap();
+    let rows = rd.stats.table_stats().unwrap().rows as i64;
+    seen.push(("statistics rows".into(), vec![vec![Value::Int(rows)]]));
+    seen
+}
+
+/// An update is its delete followed by its insert, to every attachment:
+/// twin relations, one taking `update(k, r')` and the other
+/// `delete(k); insert(r')`, answer every access path alike afterwards.
+#[test]
+fn update_equals_delete_then_insert_for_every_access_path() {
+    let db = open_db();
+    let all = [&ACCESS_PATHS[..], &["aggregate", "stats"]].concat();
+    let twins = ["updated", "reinserted"].map(|name| create_plots(&db, name, &all));
+    let square = |at: i64| {
+        Some(Rect::new(
+            at as f64,
+            at as f64,
+            at as f64 + 2.0,
+            at as f64 + 2.0,
+        ))
+    };
+    let keys = twins.map(|rel| {
+        db.with_txn(|txn| {
+            (0..8i64)
+                .map(|i| {
+                    let name = format!("n{}", i % 3);
+                    db.insert(txn, rel, plot(i, &name, Some(i % 3 + 1), square(i), "v0"))
+                })
+                .collect::<dmx_types::Result<Vec<RecordKey>>>()
+        })
+        .unwrap()
+    });
+    let changes = [
+        (0, plot(0, "n0", Some(1), square(0), "only the note")),
+        (1, plot(101, "n1", Some(2), square(1), "v0")),
+        (2, plot(2, "renamed", Some(1), square(2), "v0")),
+        (3, plot(3, "n0", Some(1), None, "area to NULL")),
+        (4, plot(4, "n1", None, square(4), "dept to NULL")),
+        (5, plot(105, "renamed", Some(9), square(50), "everything")),
+        // outgrows its page: the update relocates, like a re-insert
+        (6, plot(6, "n0", Some(1), square(6), &"wide".repeat(2000))),
+    ];
+    db.with_txn(|txn| {
+        for (i, to) in &changes {
+            db.update(txn, twins[0], &keys[0][*i], to.clone())?;
+            db.delete(txn, twins[1], &keys[1][*i])?;
+            db.insert(txn, twins[1], to.clone())?;
+        }
+        Ok(())
+    })
+    .unwrap();
+    let (updated, reinserted) = (observe(&db, "updated"), observe(&db, "reinserted"));
+    for ((what, a), (_, b)) in updated.iter().zip(&reinserted) {
+        assert_eq!(a, b, "{what}");
+    }
+    // and the paths are not vacuously alike
+    let answer = |what: &str| &updated.iter().find(|(w, _)| w == what).unwrap().1;
+    let ids = |what: &str| -> Vec<&Value> { answer(what).iter().map(|r| &r[0]).collect() };
+    let int = Value::Int;
+    assert_eq!(
+        ids("btree range"),
+        [2, 3, 4, 6, 7, 101, 105]
+            .map(int)
+            .iter()
+            .collect::<Vec<_>>()
+    );
+    assert_eq!(ids("hash probe renamed").len(), 2);
+    assert_eq!(answer("rtree intersects").len(), 7, "one area is NULL");
+    assert_eq!(
+        answer("join pairs").len(),
+        6,
+        "dept NULL and 9 pair with none"
+    );
+    assert_eq!(answer("statistics rows"), &[vec![Value::Int(8)]]);
 }

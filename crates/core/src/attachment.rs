@@ -10,9 +10,14 @@
 //! "supply a mapping from an input key to a record key" and support
 //! direct-by-key and key-sequential accesses plus cost estimation.
 //!
-//! One implementation per attachment *type*; the dispatcher invokes each
-//! type **once** per relation modification, passing every instance of the
-//! type defined on the relation.
+//! One implementation per attachment *type*; the dispatcher makes **one
+//! call** per relation modification, [`Attachment::on_modify`], passing
+//! every instance of the type defined on the relation and the paper's
+//! "(record key, old record, new record)" as one [`Modification`]:
+//! an insert has only a new side, a delete only an old side, an update
+//! both (under two record keys when the storage method relocated the
+//! record). The rule every implementation follows is *old side out
+//! before new side in*.
 
 use std::sync::Arc;
 
@@ -26,6 +31,80 @@ use crate::descriptor::{AttachmentInstance, RelationDescriptor};
 use crate::logged_tree::Replay;
 use crate::services::CommonServices;
 
+/// One relation modification as attachments see it: the record as it
+/// was (`old`) and as it is now (`new`), each under the record key it
+/// lives at. Built only by [`Modification::insert`],
+/// [`Modification::update`] and [`Modification::delete`], so at least one
+/// side is always present.
+#[derive(Debug, Clone, Copy)]
+pub struct Modification<'a> {
+    old: Option<(&'a RecordKey, &'a Record)>,
+    new: Option<(&'a RecordKey, &'a Record)>,
+}
+
+impl<'a> Modification<'a> {
+    /// `new` appeared at `key`.
+    pub fn insert(key: &'a RecordKey, new: &'a Record) -> Self {
+        Modification {
+            old: None,
+            new: Some((key, new)),
+        }
+    }
+
+    /// `old` at `old_key` became `new` at `new_key` (the keys differ when
+    /// the storage method relocated the record).
+    pub fn update(
+        old_key: &'a RecordKey,
+        old: &'a Record,
+        new_key: &'a RecordKey,
+        new: &'a Record,
+    ) -> Self {
+        Modification {
+            old: Some((old_key, old)),
+            new: Some((new_key, new)),
+        }
+    }
+
+    /// `old` disappeared from `key`.
+    pub fn delete(key: &'a RecordKey, old: &'a Record) -> Self {
+        Modification {
+            old: Some((key, old)),
+            new: None,
+        }
+    }
+
+    /// The record before the modification; `None` for an insert.
+    pub fn old(&self) -> Option<(&'a RecordKey, &'a Record)> {
+        self.old
+    }
+
+    /// The record after the modification; `None` for a delete. (The
+    /// accessor beside [`Modification::old`], not a constructor.)
+    #[allow(clippy::new_ret_no_self)]
+    pub fn new(&self) -> Option<(&'a RecordKey, &'a Record)> {
+        self.new
+    }
+
+    /// `"insert"`, `"update"` or `"delete"`: what a trigger's `on=` list
+    /// and a hook's `event` name.
+    pub fn event(&self) -> &'static str {
+        match (self.old, self.new) {
+            (None, _) => "insert",
+            (Some(_), Some(_)) => "update",
+            (Some(_), None) => "delete",
+        }
+    }
+
+    /// Where the record is afterwards, or where it was when it is gone:
+    /// the key a trigger reports and a deferred check re-fetches.
+    pub fn key(&self) -> &'a RecordKey {
+        match (self.new, self.old) {
+            (Some((key, _)), _) | (None, Some((key, _))) => key,
+            (None, None) => unreachable!("a modification has a side"),
+        }
+    }
+}
+
 /// An attachment type: access path, integrity constraint or trigger.
 pub trait Attachment: Send + Sync {
     /// The type's registered name (used in DDL: `CREATE ATTACHMENT …
@@ -38,8 +117,8 @@ pub trait Attachment: Send + Sync {
     /// Creates an instance on `rd` (allocating any associated storage —
     /// attachments "may have associated storage", unlike mere triggers),
     /// returning the instance descriptor bytes. The common system
-    /// backfills existing records by driving [`Attachment::on_insert`]
-    /// afterwards.
+    /// backfills existing records by driving [`Attachment::on_modify`]
+    /// with [`Modification::insert`] afterwards.
     fn create_instance(
         &self,
         ctx: &ExecCtx<'_>,
@@ -52,40 +131,24 @@ pub trait Attachment: Send + Sync {
     /// it must be idempotent.
     fn destroy_instance(&self, services: &Arc<CommonServices>, inst_desc: &[u8]) -> Result<()>;
 
-    /// Side effect of a record insert. `Err` (typically
-    /// [`DmxError::Veto`]) aborts the relation operation, which the
-    /// common recovery facility then partially rolls back.
-    fn on_insert(
+    /// The side effect of one relation modification on every instance
+    /// of this type: called once, after the storage method has made the
+    /// change `m` describes. `Err` (typically [`DmxError::Veto`]) aborts
+    /// the relation operation, which the common recovery facility then
+    /// partially rolls back.
+    ///
+    /// An access path derives its entry from each present side, does
+    /// nothing when the two are equal ("detect when no indexed fields …
+    /// are modified"), and otherwise takes the old side's entry out
+    /// **before** it puts the new side's in; a maintained cell subtracts
+    /// the old side, then adds the new one. A constraint reads the side
+    /// it judges.
+    fn on_modify(
         &self,
         ctx: &ExecCtx<'_>,
         rd: &RelationDescriptor,
         instances: &[AttachmentInstance],
-        key: &RecordKey,
-        new: &Record,
-    ) -> Result<()>;
-
-    /// Side effect of a record update. `old_key`/`new_key` differ when
-    /// the storage method relocated the record.
-    #[allow(clippy::too_many_arguments)]
-    fn on_update(
-        &self,
-        ctx: &ExecCtx<'_>,
-        rd: &RelationDescriptor,
-        instances: &[AttachmentInstance],
-        old_key: &RecordKey,
-        new_key: &RecordKey,
-        old: &Record,
-        new: &Record,
-    ) -> Result<()>;
-
-    /// Side effect of a record delete.
-    fn on_delete(
-        &self,
-        ctx: &ExecCtx<'_>,
-        rd: &RelationDescriptor,
-        instances: &[AttachmentInstance],
-        key: &RecordKey,
-        old: &Record,
+        m: &Modification<'_>,
     ) -> Result<()>;
 
     /// Replays a logged operation: `dir` says whether rollback / restart's
@@ -152,11 +215,6 @@ pub trait Attachment: Send + Sync {
     // keep the defaults.
     // ------------------------------------------------------------------
 
-    /// True when instances of this type can serve data accesses.
-    fn supports_access(&self) -> bool {
-        false
-    }
-
     /// Opens a key-sequential access over the path. Items carry the
     /// mapped storage-method record keys and, for covering paths, field
     /// values decoded from the access-path key.
@@ -207,5 +265,34 @@ pub trait Attachment: Send + Sync {
             "attachment {} cannot reconstruct its creation parameters",
             self.name()
         )))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dmx_types::Value;
+
+    #[test]
+    fn modification_has_three_shapes_and_reports_where_the_record_is() {
+        let (k1, k2) = (RecordKey::new(vec![1]), RecordKey::new(vec![2]));
+        let (r1, r2) = (
+            Record::new(vec![Value::Int(1)]),
+            Record::new(vec![Value::Int(2)]),
+        );
+
+        let m = Modification::insert(&k1, &r1);
+        assert_eq!((m.old(), m.new()), (None, Some((&k1, &r1))));
+        assert_eq!((m.event(), m.key()), ("insert", &k1));
+
+        // A relocating update: the record is at the new side's key.
+        let m = Modification::update(&k1, &r1, &k2, &r2);
+        assert_eq!((m.old(), m.new()), (Some((&k1, &r1)), Some((&k2, &r2))));
+        assert_eq!((m.event(), m.key()), ("update", &k2));
+
+        // Gone: the key it was at.
+        let m = Modification::delete(&k2, &r2);
+        assert_eq!((m.old(), m.new()), (Some((&k2, &r2)), None));
+        assert_eq!((m.event(), m.key()), ("delete", &k2));
     }
 }

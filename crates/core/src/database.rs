@@ -28,6 +28,7 @@ use dmx_types::{
 use dmx_wal::{LogBody, LogManager, StableLog};
 
 use crate::access::{KeyRange, ScanManager};
+use crate::attachment::Modification;
 use crate::auth::AuthManager;
 use crate::catalog::{Catalog, CATALOG_FILE};
 use crate::context::ExecCtx;
@@ -649,6 +650,21 @@ impl Database {
         }
     }
 
+    /// The one log-driven rollback: undoes `txn`'s logged work back to
+    /// (not including) the record at `stop` — `Lsn::NULL` for all of it —
+    /// through the extensions' replay handlers, fences what an undo found
+    /// corrupt, and rewinds the transaction's undo-chain head. Version
+    /// stamps are retracted separately ([`Database::take_back`]), after
+    /// the pages are restored.
+    pub(crate) fn undo_to(&self, txn: &Transaction, stop: Lsn) -> Result<()> {
+        let handler = self.undo_dispatch();
+        let new_last =
+            dmx_wal::rollback_to(&self.services.log, &handler, txn.id(), txn.last_lsn(), stop)?;
+        self.fence_undo_damage(&handler);
+        txn.set_last_lsn(new_last);
+        Ok(())
+    }
+
     // -- transaction control --------------------------------------------
 
     /// Begins a transaction.
@@ -795,16 +811,7 @@ impl Database {
             }
             TxnState::Active => {}
         }
-        let handler = self.undo_dispatch();
-        let new_last = dmx_wal::rollback_to(
-            &self.services.log,
-            &handler,
-            txn.id(),
-            txn.last_lsn(),
-            Lsn::NULL,
-        )?;
-        self.fence_undo_damage(&handler);
-        txn.set_last_lsn(new_last);
+        self.undo_to(txn, Lsn::NULL)?;
         txn.abort_point();
         txn.finish(TxnState::Aborted);
         self.counters.aborts.incr();
@@ -824,9 +831,11 @@ impl Database {
         // A transaction that did not commit unwinds its chain stamps now
         // — after the WAL undo restored the pages, so a reader that
         // raced the rollback kept resolving through the chains the whole
-        // time. No-op when the transaction never wrote (or committed).
+        // time — and the relations' record counts give back what those
+        // stamps had added. No-op when the transaction never wrote (or
+        // committed).
         if txn.state() != TxnState::Committed {
-            self.txns.versions().abort(txn.id());
+            self.take_back(self.txns.versions().abort(txn.id()));
         }
         self.services.locks.unlock_all(txn.id());
         self.txns.deregister(txn.id());
@@ -1109,23 +1118,14 @@ impl Database {
     pub fn rollback_to_savepoint(&self, txn: &Arc<Transaction>, name: &str) -> Result<()> {
         txn.check_active()?;
         let sp = txn.pop_savepoint(name)?;
-        let handler = self.undo_dispatch();
-        let new_last = dmx_wal::rollback_to(
-            &self.services.log,
-            &handler,
-            txn.id(),
-            txn.last_lsn(),
-            sp.lsn,
-        )?;
-        self.fence_undo_damage(&handler);
-        txn.set_last_lsn(new_last);
+        self.undo_to(txn, sp.lsn)?;
         if let Some(payload) = sp.payload {
             let state = payload
                 .downcast::<SavepointState>()
                 .map_err(|_| DmxError::Internal("savepoint payload type".into()))?;
             // The pages are restored; retract the chain stamps of the
             // undone writes so snapshot readers don't keep serving them.
-            self.txns.versions().rollback_to_mark(txn.id(), state.vmark);
+            self.take_back(self.txns.versions().rollback_to_mark(txn.id(), state.vmark));
             self.scans.restore_positions(txn.id(), &state.positions)?;
         }
         Ok(())
@@ -1226,9 +1226,9 @@ impl Database {
         let (new_rd, inst) = old_rd.with_attachment(att_id, att_name, inst_desc.clone())?;
         let new_rd = self.catalog.replace(new_rd)?;
 
-        // Backfill: drive the new instance's on_insert for every existing
-        // record; any veto (e.g. a unique violation, a failed constraint)
-        // aborts the DDL statement with a partial rollback.
+        // Backfill: drive the new instance's on_modify with every existing
+        // record as an insert; any veto (e.g. a unique violation, a failed
+        // constraint) aborts the DDL statement with a partial rollback.
         let backfill = (|| -> Result<()> {
             let sm = self.registry.storage(new_rd.sm)?;
             let slice = [AttachmentInstance {
@@ -1242,23 +1242,20 @@ impl Database {
                 let values = item
                     .values
                     .ok_or_else(|| DmxError::Internal("storage scan returned no fields".into()))?;
-                att.on_insert(&ctx, &new_rd, &slice, &item.key, &Record::new(values))?;
+                let record = Record::new(values);
+                att.on_modify(
+                    &ctx,
+                    &new_rd,
+                    &slice,
+                    &Modification::insert(&item.key, &record),
+                )?;
             }
             Ok(())
         })();
         if let Err(e) = backfill {
             // Undo logged backfill work, restore the descriptor, release
             // the instance's storage.
-            let handler = self.undo_dispatch();
-            let new_last = dmx_wal::rollback_to(
-                &self.services.log,
-                &handler,
-                txn.id(),
-                txn.last_lsn(),
-                start_lsn,
-            )?;
-            self.fence_undo_damage(&handler);
-            txn.set_last_lsn(new_last);
+            self.undo_to(txn, start_lsn)?;
             self.catalog.replace((*old_rd).clone())?;
             let _ = att.destroy_instance(&self.services, &inst_desc);
             return Err(e);

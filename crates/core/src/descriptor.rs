@@ -433,7 +433,7 @@ mod tests {
             .with_attachment(AttTypeId(3), "idx_a", vec![9, 9])
             .unwrap();
         let (d, _) = d.with_attachment(AttTypeId(5), "chk", vec![]).unwrap();
-        d.stats.on_insert(120);
+        d.stats.apply(1, 120);
         d.stats.on_page_allocated();
         let back = RelationDescriptor::decode(&d.encode()).unwrap();
         assert_eq!(back.id, d.id);

@@ -16,10 +16,12 @@ use std::sync::Arc;
 
 use dmx_expr::Expr;
 use dmx_lock::{LockMode, LockName};
-use dmx_txn::{Transaction, VersionImage};
+use dmx_txn::{Footprint, Transaction, VersionImage};
+use dmx_types::obs::Counter;
 use dmx_types::{DmxError, FieldId, Record, RecordKey, RelationId, Result, ScanId, Value};
 
 use crate::access::{AccessPath, AccessQuery, ScanItem, ScanOps};
+use crate::attachment::Modification;
 use crate::context::ExecCtx;
 use crate::database::Database;
 use crate::descriptor::RelationDescriptor;
@@ -289,18 +291,32 @@ impl ScanOps for DispatchScan {
 impl Database {
     /// Stamps a write's after-image into the version store (called by
     /// the DML paths *before* the page mutation they describe, under the
-    /// record X lock).
+    /// record X lock) and adds the write's share to the relation's
+    /// record and byte counts — here, so that whatever retracts the stamp
+    /// takes exactly that share back.
     fn stamp(
         &self,
         txn: &Arc<Transaction>,
-        rel: RelationId,
+        rd: &RelationDescriptor,
         key: &RecordKey,
         base: VersionImage,
         image: VersionImage,
     ) {
         self.counters().mvcc_versions_recorded.incr();
-        self.versions()
-            .record_write(txn.id(), rel, key.as_bytes(), base, image);
+        let added = self
+            .versions()
+            .record_write(txn.id(), rd.id, key.as_bytes(), base, image);
+        rd.stats.apply(added.records, added.bytes);
+    }
+
+    /// Takes back from each relation's counts what retracted version
+    /// stamps had added (a relation dropped meanwhile has none to fix).
+    pub(crate) fn take_back(&self, retracted: Vec<(RelationId, Footprint)>) {
+        for (rel, added) in retracted {
+            if let Ok(rd) = self.catalog().get(rel) {
+                rd.stats.apply(-added.records, -added.bytes);
+            }
+        }
     }
 
     /// The committed on-page state of `(rel, key)` as a version image,
@@ -355,19 +371,10 @@ impl Database {
         match f(&ctx) {
             Ok(v) => Ok(v),
             Err(e) => {
-                let handler = self.undo_dispatch();
-                let new_last = dmx_wal::rollback_to(
-                    &self.services().log,
-                    &handler,
-                    txn.id(),
-                    txn.last_lsn(),
-                    start_lsn,
-                )?;
-                self.fence_undo_damage(&handler);
-                txn.set_last_lsn(new_last);
+                self.undo_to(txn, start_lsn)?;
                 // The pages are back to their pre-statement state; the
                 // chain stamps describing the undone writes follow.
-                self.versions().rollback_to_mark(txn.id(), vmark);
+                self.take_back(self.versions().rollback_to_mark(txn.id(), vmark));
                 // The statement is cleanly undone; if it died of
                 // out-of-space, degrade to read-only so later writes
                 // fail fast instead of tearing a commit.
@@ -377,24 +384,33 @@ impl Database {
         }
     }
 
-    /// Runs one attachment side-effect invocation, counting it and —
-    /// when the attachment vetoes (returns any error) — counting the
-    /// veto with an event naming the vetoed relation.
-    fn invoke_attachment<T>(&self, rel: RelationId, f: impl FnOnce() -> Result<T>) -> Result<T> {
-        self.counters().att_invocations.incr();
-        match f() {
-            Ok(v) => Ok(v),
-            Err(e) => {
+    /// Step two of every modification: each attachment type with
+    /// instances on `rd` is invoked once with `m` — counted, and when it
+    /// vetoes (returns any error) the veto is counted with an event
+    /// naming the vetoed relation — then `done` counts the operation.
+    fn run_attachments(
+        &self,
+        ctx: &ExecCtx<'_>,
+        rd: &RelationDescriptor,
+        m: &Modification<'_>,
+        done: &Counter,
+    ) -> Result<()> {
+        for (att_id, insts) in rd.attached_types() {
+            let att = self.registry().attachment(att_id)?;
+            self.counters().att_invocations.incr();
+            if let Err(e) = att.on_modify(ctx, rd, insts, m) {
                 self.counters().att_vetoes.incr();
                 self.metrics().emit(dmx_types::obs::ObsEvent {
                     layer: "att",
                     op: "veto",
-                    target: rel.0 as u64,
+                    target: rd.id.0 as u64,
                     detail: 0,
                 });
-                Err(e)
+                return Err(e);
             }
         }
+        done.incr();
+        Ok(())
     }
 
     /// Converts a [`DmxError::Corrupt`] escaping a relation operation
@@ -433,18 +449,14 @@ impl Database {
             ctx.lock_record(rel, &key, LockMode::X)?;
             self.stamp(
                 txn,
-                rel,
+                &rd,
                 &key,
                 VersionImage::Absent,
                 VersionImage::Present(record.values.clone()),
             );
             drop(window);
-            for (att_id, insts) in rd.attached_types() {
-                let att = self.registry().attachment(att_id)?;
-                self.invoke_attachment(rel, || att.on_insert(ctx, &rd, insts, &key, &record))?;
-            }
-            rd.stats.on_insert(record.encode().len());
-            self.counters().inserts.incr();
+            let m = Modification::insert(&key, &record);
+            self.run_attachments(ctx, &rd, &m, &self.counters().inserts)?;
             Ok(key)
         });
         self.fence_corrupt(rel, res)
@@ -471,7 +483,7 @@ impl Database {
             // races the update finds the chain and reads the committed
             // base image instead of trusting the half-updated page.
             let base = self.base_image(ctx, &rd, key)?;
-            self.stamp(txn, rel, key, base, VersionImage::Absent);
+            self.stamp(txn, &rd, key, base, VersionImage::Absent);
             let sm = self.registry().storage(rd.sm)?;
             // The (possibly relocated) new key is the mutation's output;
             // same unstamped window as insert until its stamp lands.
@@ -483,20 +495,14 @@ impl Database {
             // Now the final location is known: stamp the after-image.
             self.stamp(
                 txn,
-                rel,
+                &rd,
                 &new_key,
                 VersionImage::Absent,
                 VersionImage::Present(new.values.clone()),
             );
             drop(window);
-            for (att_id, insts) in rd.attached_types() {
-                let att = self.registry().attachment(att_id)?;
-                self.invoke_attachment(rel, || {
-                    att.on_update(ctx, &rd, insts, key, &new_key, &old, &new)
-                })?;
-            }
-            rd.stats.on_update(old.encode().len(), new.encode().len());
-            self.counters().updates.incr();
+            let m = Modification::update(key, &old, &new_key, &new);
+            self.run_attachments(ctx, &rd, &m, &self.counters().updates)?;
             Ok(new_key)
         });
         self.fence_corrupt(rel, res)
@@ -517,16 +523,11 @@ impl Database {
             ctx.lock(LockName::Relation(rel), LockMode::IX)?;
             ctx.lock_record(rel, key, LockMode::X)?;
             let base = self.base_image(ctx, &rd, key)?;
-            self.stamp(txn, rel, key, base, VersionImage::Absent);
+            self.stamp(txn, &rd, key, base, VersionImage::Absent);
             let sm = self.registry().storage(rd.sm)?;
             let old = sm.delete(ctx, &rd, key)?;
-            for (att_id, insts) in rd.attached_types() {
-                let att = self.registry().attachment(att_id)?;
-                self.invoke_attachment(rel, || att.on_delete(ctx, &rd, insts, key, &old))?;
-            }
-            rd.stats.on_delete(old.encode().len());
-            self.counters().deletes.incr();
-            Ok(())
+            let m = Modification::delete(key, &old);
+            self.run_attachments(ctx, &rd, &m, &self.counters().deletes)
         });
         self.fence_corrupt(rel, res)
     }

@@ -57,7 +57,7 @@ pub mod sysrel;
 pub mod undo;
 
 pub use access::{AccessPath, AccessQuery, KeyRange, ScanItem, ScanManager, ScanOps, SpatialOp};
-pub use attachment::Attachment;
+pub use attachment::{Attachment, Modification};
 pub use auth::{AuthManager, Privilege};
 pub use catalog::Catalog;
 pub use context::ExecCtx;

@@ -241,9 +241,6 @@ pub fn scrub_relation(
         let base_keys = base_key_set(&ctx, &rd)?;
         for (att_id, insts) in rd.attached_types() {
             let att = db.registry().attachment(att_id)?;
-            if !att.supports_access() {
-                continue;
-            }
             for inst in insts {
                 if let Some(keys) = attachment_key_set(&ctx, &rd, &*att, inst)? {
                     if keys != base_keys {
@@ -350,9 +347,6 @@ fn witness_record_count(
     let ctx = ExecCtx { db, txn };
     for (att_id, insts) in rd.attached_types() {
         let att = db.registry().attachment(att_id)?;
-        if !att.supports_access() {
-            continue;
-        }
         for inst in insts {
             let files = att.storage_files(&inst.desc);
             if files.is_empty() || files_damaged(db, &files)? {

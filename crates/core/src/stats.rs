@@ -3,9 +3,13 @@
 //! The paper allows attachments "to maintain statistics about relations";
 //! the core also keeps a baseline record/page count per relation, shared
 //! (by `Arc`) between the catalog and every bound plan so cached plans see
-//! fresh statistics without re-reading the catalog.
+//! fresh statistics without re-reading the catalog. The record and byte
+//! counts follow the version stamps: the dispatcher adds a write's share
+//! where it records the stamp, and every rollback takes back the shares
+//! of the stamps it retracts, so the planner is never costed on rows of
+//! rolled-back work.
 
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
 use dmx_expr::stats::TableStats;
@@ -16,11 +20,9 @@ use dmx_types::sync::RwLock;
 pub struct RelationStats {
     records: AtomicI64,
     pages: AtomicI64,
-    /// Sum of encoded record bytes ever inserted minus deleted (record
-    /// width estimate = bytes / records).
+    /// Sum of the encoded bytes of the records counted (`sys.relations`
+    /// reports it).
     bytes: AtomicI64,
-    /// Modification counter (diagnostics / staleness heuristics).
-    modifications: AtomicU64,
     /// Field-level statistics published by the statistics attachment
     /// (`None` until an instance exists and has observed the relation).
     /// Immutable snapshots behind an `Arc`: the estimator clones the
@@ -33,7 +35,6 @@ impl std::fmt::Debug for RelationStats {
         f.debug_struct("RelationStats")
             .field("records", &self.records())
             .field("pages", &self.pages())
-            .field("modifications", &self.modifications())
             .field("field_stats", &self.table_stats().is_some())
             .finish()
     }
@@ -50,39 +51,11 @@ impl RelationStats {
         self.pages.load(Ordering::Relaxed).max(1) as u64
     }
 
-    /// Average encoded record width in bytes (defaults to 64 when empty).
-    pub fn avg_record_bytes(&self) -> u64 {
-        let n = self.records();
-        if n == 0 {
-            return 64;
-        }
-        (self.bytes.load(Ordering::Relaxed).max(0) as u64 / n).max(1)
-    }
-
-    /// Total modifications observed.
-    pub fn modifications(&self) -> u64 {
-        self.modifications.load(Ordering::Relaxed)
-    }
-
-    /// Records an insert of `bytes` encoded bytes.
-    pub fn on_insert(&self, bytes: usize) {
-        self.records.fetch_add(1, Ordering::Relaxed);
-        self.bytes.fetch_add(bytes as i64, Ordering::Relaxed);
-        self.modifications.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a delete.
-    pub fn on_delete(&self, bytes: usize) {
-        self.records.fetch_sub(1, Ordering::Relaxed);
-        self.bytes.fetch_sub(bytes as i64, Ordering::Relaxed);
-        self.modifications.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records an update (size change only).
-    pub fn on_update(&self, old_bytes: usize, new_bytes: usize) {
-        self.bytes
-            .fetch_add(new_bytes as i64 - old_bytes as i64, Ordering::Relaxed);
-        self.modifications.fetch_add(1, Ordering::Relaxed);
+    /// Adds a write's share of the record count and encoded bytes — or,
+    /// negated, takes a rolled-back write's share back.
+    pub fn apply(&self, records_delta: i64, bytes_delta: i64) {
+        self.records.fetch_add(records_delta, Ordering::Relaxed);
+        self.bytes.fetch_add(bytes_delta, Ordering::Relaxed);
     }
 
     /// Page-count maintenance (called by storage methods on allocation).
@@ -124,25 +97,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_track_modifications() {
+    fn counters_track_applied_deltas() {
         let s = RelationStats::default();
-        assert_eq!(s.records(), 0);
-        assert_eq!(s.avg_record_bytes(), 64, "default width when empty");
-        s.on_insert(100);
-        s.on_insert(200);
-        assert_eq!(s.records(), 2);
-        assert_eq!(s.avg_record_bytes(), 150);
-        s.on_update(200, 100);
-        assert_eq!(s.avg_record_bytes(), 100);
-        s.on_delete(100);
-        assert_eq!(s.records(), 1);
-        assert_eq!(s.modifications(), 4);
+        s.apply(1, 100);
+        s.apply(1, 200);
+        s.apply(0, -100); // an update that shrank a record
+        assert_eq!(s.snapshot(), (2, 1, 200));
+        s.apply(-1, -100);
+        assert_eq!(s.snapshot(), (1, 1, 100));
     }
 
     #[test]
     fn never_negative_and_pages_floor() {
         let s = RelationStats::default();
-        s.on_delete(50); // spurious delete must not underflow the API
+        s.apply(-1, -50); // a spurious delete must not underflow the API
         assert_eq!(s.records(), 0);
         assert_eq!(s.pages(), 1);
         s.on_page_allocated();
@@ -169,6 +137,5 @@ mod tests {
         let s = RelationStats::default();
         s.reset(10, 3, 640);
         assert_eq!(s.snapshot(), (10, 3, 640));
-        assert_eq!(s.avg_record_bytes(), 64);
     }
 }

@@ -189,9 +189,6 @@ pub fn choose_path(
         let Ok(att) = db.registry().attachment(att_id) else {
             continue;
         };
-        if !att.supports_access() {
-            continue;
-        }
         for inst in insts {
             if let Some(choice) = att.estimate(rd, inst, eligible) {
                 let surcharge = fetch_surcharge(&choice, eligible, needed_fields);

@@ -11,7 +11,8 @@ use std::sync::Arc;
 
 use dmx_core::{
     AccessPath, AccessQuery, Attachment, AttachmentInstance, CommonServices, Database,
-    DatabaseConfig, DatabaseEnv, ExecCtx, ExtensionRegistry, RelationDescriptor, Replay,
+    DatabaseConfig, DatabaseEnv, ExecCtx, ExtensionRegistry, Modification, RelationDescriptor,
+    Replay,
 };
 use dmx_expr::{CmpOp, Expr};
 use dmx_storage::register_builtin_storage;
@@ -461,46 +462,23 @@ impl Attachment for VetoBigIds {
     fn destroy_instance(&self, _s: &Arc<CommonServices>, _d: &[u8]) -> Result<()> {
         Ok(())
     }
-    fn on_insert(
+    fn on_modify(
         &self,
         _ctx: &ExecCtx<'_>,
         _rd: &RelationDescriptor,
         instances: &[AttachmentInstance],
-        _key: &RecordKey,
-        new: &Record,
+        m: &Modification<'_>,
     ) -> Result<()> {
         // invoked once per modification, servicing all instances
         self.calls.fetch_add(1, Ordering::SeqCst);
         assert!(!instances.is_empty());
-        if new.values[0].as_int()? > 1000 {
-            return Err(DmxError::veto(self.name(), "id too large"));
+        // judges the record as it is afterwards; a delete leaves none
+        match m.new() {
+            Some((_, new)) if new.values[0].as_int()? > 1000 => {
+                Err(DmxError::veto(self.name(), "id too large"))
+            }
+            _ => Ok(()),
         }
-        Ok(())
-    }
-    fn on_update(
-        &self,
-        _ctx: &ExecCtx<'_>,
-        _rd: &RelationDescriptor,
-        _i: &[AttachmentInstance],
-        _ok: &RecordKey,
-        _nk: &RecordKey,
-        _old: &Record,
-        new: &Record,
-    ) -> Result<()> {
-        if new.values[0].as_int()? > 1000 {
-            return Err(DmxError::veto(self.name(), "id too large"));
-        }
-        Ok(())
-    }
-    fn on_delete(
-        &self,
-        _ctx: &ExecCtx<'_>,
-        _rd: &RelationDescriptor,
-        _i: &[AttachmentInstance],
-        _k: &RecordKey,
-        _old: &Record,
-    ) -> Result<()> {
-        Ok(())
     }
     fn replay(
         &self,

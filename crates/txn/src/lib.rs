@@ -20,6 +20,6 @@ pub mod retry;
 pub mod txn;
 
 pub use deferred::{DeferredQueues, TxnEvent};
-pub use mvcc::{GcOutcome, Snapshot, VersionImage, VersionStore};
+pub use mvcc::{Footprint, GcOutcome, Snapshot, VersionImage, VersionStore};
 pub use retry::{run_with_retries, DEFAULT_DEADLOCK_RETRIES};
 pub use txn::{Savepoint, Transaction, TxnManager, TxnState};

@@ -27,7 +27,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use dmx_types::sync::{Condvar, Mutex};
-use dmx_types::{RelationId, TxnId, Value};
+use dmx_types::{record, RelationId, TxnId, Value};
 
 /// A record image as of some version: the full record values, or the
 /// record's absence (deleted / not yet inserted).
@@ -45,6 +45,26 @@ impl VersionImage {
             VersionImage::Absent => None,
         }
     }
+
+    fn footprint(&self) -> Footprint {
+        match self {
+            VersionImage::Present(v) => Footprint {
+                records: 1,
+                bytes: record::encoded_len(v) as i64,
+            },
+            VersionImage::Absent => Footprint::default(),
+        }
+    }
+}
+
+/// What a write adds to its relation's record count and encoded record
+/// bytes: `image` minus `base`. The embedding layer keeps the running
+/// sums; [`VersionStore::record_write`] reports each write's share and a
+/// rollback hands back the shares of the stamps it retracts.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct Footprint {
+    pub records: i64,
+    pub bytes: i64,
 }
 
 /// A transaction-consistent read position: every version committed at
@@ -108,6 +128,7 @@ struct WriteUndo {
     /// The chain's `uncommitted` slot before this write (None when this
     /// write created the stamp).
     prev: Option<VersionImage>,
+    added: Footprint,
 }
 
 #[derive(Default)]
@@ -238,7 +259,7 @@ impl VersionStore {
     /// mutation it describes, while the writer holds the record X lock.
     /// `base` is the committed on-page state the writer observed (used
     /// as the chain's base version when the chain does not exist yet;
-    /// ignored otherwise).
+    /// ignored otherwise). Returns what the write adds to the relation.
     pub fn record_write(
         &self,
         txn: TxnId,
@@ -246,7 +267,12 @@ impl VersionStore {
         key: &[u8],
         base: VersionImage,
         image: VersionImage,
-    ) {
+    ) -> Footprint {
+        let (was, is) = (base.footprint(), image.footprint());
+        let added = Footprint {
+            records: is.records - was.records,
+            bytes: is.bytes - was.bytes,
+        };
         let touch = self.bump();
         let mut chains = self.chains.lock();
         let per_rel = chains.by_rel.entry(rel).or_default();
@@ -281,7 +307,9 @@ impl VersionStore {
                 rel,
                 key: key.to_vec(),
                 prev,
+                added,
             });
+        added
     }
 
     /// The current length of `txn`'s write log — a rollback mark.
@@ -291,18 +319,27 @@ impl VersionStore {
 
     /// Unwinds `txn`'s chain stamps back to `mark` (statement or
     /// savepoint rollback). The page-level WAL undo runs separately;
-    /// this only restores the chains.
-    pub fn rollback_to_mark(&self, txn: TxnId, mark: usize) {
+    /// this only restores the chains. Returns, per relation, the sum of
+    /// what the retracted stamps had added, for the caller to take back.
+    pub fn rollback_to_mark(&self, txn: TxnId, mark: usize) -> Vec<(RelationId, Footprint)> {
         let undone: Vec<WriteUndo> = {
             let mut logs = self.write_logs.lock();
             match logs.get_mut(&txn) {
                 Some(log) if log.len() > mark => log.split_off(mark),
-                _ => return,
+                _ => return Vec::new(),
             }
         };
+        let mut retracted: Vec<(RelationId, Footprint)> = Vec::new();
         let touch = self.bump();
         let mut chains = self.chains.lock();
         for u in undone.into_iter().rev() {
+            match retracted.iter_mut().find(|(rel, _)| *rel == u.rel) {
+                Some((_, sum)) => {
+                    sum.records += u.added.records;
+                    sum.bytes += u.added.bytes;
+                }
+                None => retracted.push((u.rel, u.added)),
+            }
             let Some(per_rel) = chains.by_rel.get_mut(&u.rel) else {
                 continue;
             };
@@ -325,6 +362,7 @@ impl VersionStore {
                 }
             }
         }
+        retracted
     }
 
     /// Commits `txn`: stamps every chain it wrote with `commit_seq + 1`
@@ -378,10 +416,12 @@ impl VersionStore {
     /// Aborts `txn`: unwinds every chain stamp. Call after the WAL undo
     /// restored the pages, so readers that raced the undo keep finding
     /// the chains (the GC fence keeps them alive until every snapshot
-    /// born before this abort has ended).
-    pub fn abort(&self, txn: TxnId) {
-        self.rollback_to_mark(txn, 0);
+    /// born before this abort has ended). Returns what
+    /// [`VersionStore::rollback_to_mark`] does.
+    pub fn abort(&self, txn: TxnId) -> Vec<(RelationId, Footprint)> {
+        let retracted = self.rollback_to_mark(txn, 0);
         self.write_logs.lock().remove(&txn);
+        retracted
     }
 
     /// The visible image for `(rel, key)`, or None when no chain exists
@@ -532,7 +572,8 @@ mod tests {
     fn abort_restores_the_base_image() {
         let vs = VersionStore::new();
         vs.record_write(TxnId(1), REL, b"k", present(1), present(2));
-        vs.abort(TxnId(1));
+        let none = Footprint::default();
+        assert_eq!(vs.abort(TxnId(1)), vec![(REL, none)], "an update adds none");
         let snap = vs.capture();
         // chain may or may not survive the rollback; if it does, the
         // base image must be what readers see
@@ -548,8 +589,15 @@ mod tests {
         vs.record_write(t, REL, b"a", VersionImage::Absent, present(1));
         let mark = vs.mark(t);
         vs.record_write(t, REL, b"a", VersionImage::Absent, present(2));
-        vs.record_write(t, REL, b"b", VersionImage::Absent, present(3));
-        vs.rollback_to_mark(t, mark);
+        let added = vs.record_write(t, REL, b"b", VersionImage::Absent, present(3));
+        assert_eq!(added.records, 1);
+        // The retraction hands back what the two unwound stamps added.
+        let twice = Footprint {
+            records: 2,
+            bytes: 2 * added.bytes,
+        };
+        assert_eq!(vs.rollback_to_mark(t, mark), vec![(REL, twice)]);
+        assert_eq!(vs.rollback_to_mark(t, mark), vec![], "nothing left");
         let snap = vs.capture();
         assert_eq!(vs.visible(REL, b"a", snap, t), Some(present(1)));
         // The unwound chain stays (readers that copied the pre-undo

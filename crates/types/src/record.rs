@@ -100,6 +100,19 @@ fn encode_value(v: &Value, out: &mut Vec<u8>) {
     }
 }
 
+/// The length [`Record::encode`] gives a record of `values`, without
+/// building it.
+pub fn encoded_len(values: &[Value]) -> usize {
+    let field = |v: &Value| match v {
+        Value::Null | Value::Bool(_) => 1,
+        Value::Int(_) | Value::Float(_) => 9,
+        Value::Str(s) => 5 + s.len(),
+        Value::Bytes(b) => 5 + b.len(),
+        Value::Rect(_) => 33,
+    };
+    2 + values.iter().map(field).sum::<usize>()
+}
+
 /// A borrowed view over an encoded record that decodes fields lazily.
 ///
 /// `field(i)` walks the encoding, skipping earlier fields without
@@ -267,6 +280,8 @@ mod tests {
         let r = sample();
         let bytes = r.encode();
         assert_eq!(Record::decode(&bytes).unwrap(), r);
+        assert_eq!(encoded_len(&r.values), bytes.len());
+        assert_eq!(encoded_len(&[]), Record::default().encode().len());
     }
 
     #[test]

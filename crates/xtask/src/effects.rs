@@ -964,7 +964,7 @@ call = "Self::tree"
 kind = "tree"
 
 [[entry]]
-fn = "*::on_insert"
+fn = "*::on_modify"
 
 [[entry]]
 fn = "Store::insert"
@@ -999,7 +999,7 @@ fn = "Store::insert"
         // the PR 3 bug shape: the tree mutation completes before the
         // attachment's WAL append
         let (_, f) = analyze(
-            "impl Ix {\n    fn on_insert(&self, ctx: &C) {\n        \
+            "impl Ix {\n    fn on_modify(&self, ctx: &C) {\n        \
              let tree = Self::tree(s, &d);\n        tree.insert(k);\n        \
              log_att(ctx, rd);\n    }\n}\n",
         );
@@ -1007,7 +1007,7 @@ fn = "Store::insert"
         assert!(
             codes
                 .iter()
-                .filter(|(s, c)| *s == "Ix::on_insert" && *c == "DMX008")
+                .filter(|(s, c)| *s == "Ix::on_modify" && *c == "DMX008")
                 .count()
                 == 2,
             "unlogged + unstamped: {f:?}"
@@ -1017,7 +1017,7 @@ fn = "Store::insert"
     #[test]
     fn wal_lsn_chain_stamps_and_logs() {
         let (_, f) = analyze(
-            "impl Ix {\n    fn on_insert(&self, ctx: &C) {\n        \
+            "impl Ix {\n    fn on_modify(&self, ctx: &C) {\n        \
              let lsn = log_att(ctx, rd);\n        \
              Self::tree(s, &d).with_wal_lsn(lsn).insert(k);\n    }\n}\n",
         );

@@ -16,7 +16,7 @@
 //!   function `f`, when exactly one exists workspace-wide;
 //! - everything else (plain `.m(..)` on a non-`self` receiver) is
 //!   unresolved: that shape is dominated by std-collection and trait-
-//!   object calls (`map.insert`, `sm.update`, `att.on_insert`), where a
+//!   object calls (`map.insert`, `sm.update`, `att.on_modify`), where a
 //!   name-only guess would alias unrelated workspace methods.
 
 use std::collections::HashMap;

@@ -695,16 +695,13 @@ pub const STORAGE_OPS: &[&str] = &[
 ];
 
 /// Methods every registered attachment must implement — including the
-/// veto-capable side-effect entry points (`on_insert`/`on_update`/
-/// `on_delete`) and replay.
+/// veto-capable side-effect entry point (`on_modify`) and replay.
 pub const ATTACH_OPS: &[&str] = &[
     "name",
     "validate_params",
     "create_instance",
     "destroy_instance",
-    "on_insert",
-    "on_update",
-    "on_delete",
+    "on_modify",
     "replay",
 ];
 

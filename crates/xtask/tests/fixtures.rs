@@ -198,7 +198,7 @@ fn contract_rule_reports_missing_ops_and_missing_impls() {
     assert!(
         contracts
             .iter()
-            .any(|x| x.msg.contains("Half") && x.msg.contains("on_update")),
+            .any(|x| x.msg.contains("Half") && x.msg.contains("on_modify")),
         "missing attachment entry points not reported:\n{}",
         xtask::render(&v)
     );
@@ -221,12 +221,12 @@ fn write_ahead_rule_flags_the_pr3_regression_shape() {
     // domination and the missing LSN stamp are reported at the entry.
     let hits: Vec<&Violation> = v
         .iter()
-        .filter(|x| x.code() == "DMX008" && x.msg.contains("BadIndex::on_insert"))
+        .filter(|x| x.code() == "DMX008" && x.msg.contains("BadIndex::on_modify"))
         .collect();
     assert_eq!(
         hits.len(),
         2,
-        "expected unlogged + unstamped at BadIndex::on_insert:\n{}",
+        "expected unlogged + unstamped at BadIndex::on_modify:\n{}",
         xtask::render(&v)
     );
 }

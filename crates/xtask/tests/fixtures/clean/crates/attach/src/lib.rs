@@ -14,8 +14,6 @@ impl Attachment for Watcher {
     fn validate_params(&self) {}
     fn create_instance(&self) {}
     fn destroy_instance(&self) {}
-    fn on_insert(&self) {}
-    fn on_update(&self) {}
-    fn on_delete(&self) {}
+    fn on_modify(&self) {}
     fn replay(&self) {}
 }

@@ -47,7 +47,7 @@ pub struct GoodIndex;
 impl GoodIndex {
     /// Attachment entry: probe through the raw handle, change only
     /// through the logged operation.
-    pub fn on_insert(&self, ctx: &Ctx) -> Result<()> {
+    pub fn on_modify(&self, ctx: &Ctx) -> Result<()> {
         let index = LoggedTree::attachment(ctx, file.open_tree(ctx.services()));
         if index.tree().get(b"k")?.is_some() {
             return Ok(());

@@ -9,7 +9,7 @@ impl BadIndex {
     /// the raw probe handle is mutated before the logged operation
     /// appends the attachment's record, and no page it dirties carries
     /// the record's LSN. Rule 8 must flag both defects.
-    pub fn on_insert(&self, ctx: &Ctx) -> Result<()> {
+    pub fn on_modify(&self, ctx: &Ctx) -> Result<()> {
         let index = LoggedTree::attachment(ctx, file.open_tree(ctx.services()));
         let tree = index.tree();
         tree.insert(b"k")?;

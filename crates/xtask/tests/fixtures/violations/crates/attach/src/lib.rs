@@ -1,4 +1,4 @@
-//! Violation fixture: an attachment missing veto entry points and undo.
+//! Violation fixture: an attachment missing its veto entry point and undo.
 
 pub fn register(reg: &mut Registry) {
     reg.register_attachment(Arc::new(Half));
@@ -13,5 +13,4 @@ impl Attachment for Half {
     fn validate_params(&self) {}
     fn create_instance(&self) {}
     fn destroy_instance(&self) {}
-    fn on_insert(&self) {}
 }

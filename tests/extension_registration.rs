@@ -27,8 +27,8 @@ use std::sync::Arc;
 use std::sync::RwLock;
 
 use starburst_dmx::core::{
-    Attachment, AttachmentInstance, CommonServices, Database, ExecCtx, KeyRange, PathChoice,
-    RelationDescriptor, Replay, ScanItem, ScanOps, StorageMethod,
+    Attachment, AttachmentInstance, CommonServices, Database, ExecCtx, KeyRange, Modification,
+    PathChoice, RelationDescriptor, Replay, ScanItem, ScanOps, StorageMethod,
 };
 use starburst_dmx::expr::Expr;
 use starburst_dmx::prelude::*;
@@ -299,31 +299,6 @@ struct QuotaGuard {
     invocations: AtomicU64,
 }
 
-impl QuotaGuard {
-    fn bump(
-        &self,
-        ctx: &ExecCtx<'_>,
-        rd: &RelationDescriptor,
-        insts: &[AttachmentInstance],
-    ) -> Result<()> {
-        self.invocations.fetch_add(1, Ordering::SeqCst);
-        let quota = insts
-            .iter()
-            .map(|i| u64::from_le_bytes(i.desc[..8].try_into().unwrap()))
-            .min()
-            .unwrap_or(u64::MAX);
-        let mut counts = self.counts.write().unwrap();
-        let n = counts.entry(rd.id).or_insert(0);
-        if *n >= quota {
-            return Err(DmxError::veto("audit_count", "modification quota exceeded"));
-        }
-        *n += 1;
-        // log so rollback restores the count
-        ctx.log_ext_op(ExtKind::Attachment(find_self(rd)), rd.id, 1, Vec::new());
-        Ok(())
-    }
-}
-
 fn find_self(rd: &RelationDescriptor) -> dmx_types::AttTypeId {
     rd.attached_types()
         .find(|(_, insts)| !insts.is_empty())
@@ -352,37 +327,29 @@ impl Attachment for QuotaGuard {
     fn destroy_instance(&self, _s: &Arc<CommonServices>, _d: &[u8]) -> Result<()> {
         Ok(())
     }
-    fn on_insert(
+    /// Every modification counts the same, whichever sides it has.
+    fn on_modify(
         &self,
         ctx: &ExecCtx<'_>,
         rd: &RelationDescriptor,
         insts: &[AttachmentInstance],
-        _key: &RecordKey,
-        _new: &Record,
+        _m: &Modification<'_>,
     ) -> Result<()> {
-        self.bump(ctx, rd, insts)
-    }
-    fn on_update(
-        &self,
-        ctx: &ExecCtx<'_>,
-        rd: &RelationDescriptor,
-        insts: &[AttachmentInstance],
-        _ok: &RecordKey,
-        _nk: &RecordKey,
-        _old: &Record,
-        _new: &Record,
-    ) -> Result<()> {
-        self.bump(ctx, rd, insts)
-    }
-    fn on_delete(
-        &self,
-        ctx: &ExecCtx<'_>,
-        rd: &RelationDescriptor,
-        insts: &[AttachmentInstance],
-        _key: &RecordKey,
-        _old: &Record,
-    ) -> Result<()> {
-        self.bump(ctx, rd, insts)
+        self.invocations.fetch_add(1, Ordering::SeqCst);
+        let quota = insts
+            .iter()
+            .map(|i| u64::from_le_bytes(i.desc[..8].try_into().unwrap()))
+            .min()
+            .unwrap_or(u64::MAX);
+        let mut counts = self.counts.write().unwrap();
+        let n = counts.entry(rd.id).or_insert(0);
+        if *n >= quota {
+            return Err(DmxError::veto("audit_count", "modification quota exceeded"));
+        }
+        *n += 1;
+        // log so rollback restores the count
+        ctx.log_ext_op(ExtKind::Attachment(find_self(rd)), rd.id, 1, Vec::new());
+        Ok(())
     }
     fn replay(
         &self,

@@ -354,6 +354,100 @@ fn statistics_survive_reopen() {
 const CRASH_SEED: u64 = 0x5CA7_7E2E;
 const CRASH_OPS: usize = 14;
 
+/// `rd.stats.records()` (what every plan is costed on) and
+/// `sys.relations` must equal what `t` holds, whatever was rolled back
+/// on the way there.
+fn assert_row_count_is_true(db: &Arc<Database>, at: &str) {
+    let count = db.query_sql("SELECT COUNT(*) FROM t").unwrap()[0][0]
+        .as_int()
+        .unwrap();
+    let rd = db.catalog().get_by_name("t").unwrap();
+    assert_eq!(rd.stats.records() as i64, count, "{at}: rd.stats.records()");
+    let bytes: usize = db
+        .query_sql("SELECT * FROM t")
+        .unwrap()
+        .into_iter()
+        .map(|row| Record::new(row).encode().len())
+        .sum();
+    let sys = db
+        .query_sql("SELECT records, bytes FROM sys.relations WHERE name = 't'")
+        .unwrap();
+    assert_eq!(
+        sys[0],
+        vec![Value::Int(count), Value::Int(bytes as i64)],
+        "{at}: sys.relations (records, bytes)"
+    );
+}
+
+#[test]
+fn rolled_back_writes_leave_the_planner_row_count_alone() {
+    let db = starburst_dmx::open_default().unwrap();
+    db.execute_sql("CREATE TABLE t (id INT NOT NULL, pad STRING NOT NULL)")
+        .unwrap();
+    db.execute_sql("CREATE UNIQUE INDEX t_id ON t (id)")
+        .unwrap();
+    let sess = Session::new(db.clone());
+    let insert = |ids: std::ops::Range<i64>| {
+        for id in ids {
+            sess.execute(&format!("INSERT INTO t VALUES ({id}, 'p{id}')"))
+                .unwrap();
+        }
+    };
+
+    // (a) inserts rolled back
+    sess.execute("BEGIN").unwrap();
+    insert(0..100);
+    sess.execute("ROLLBACK").unwrap();
+    assert_row_count_is_true(&db, "ROLLBACK of 100 inserts");
+
+    // (b) deletes (and an update) rolled back
+    insert(0..100);
+    assert_row_count_is_true(&db, "100 committed inserts");
+    sess.execute("BEGIN").unwrap();
+    sess.execute("DELETE FROM t WHERE id < 50").unwrap();
+    sess.execute("UPDATE t SET pad = 'longer than it was' WHERE id = 70")
+        .unwrap();
+    sess.execute("ROLLBACK").unwrap();
+    assert_row_count_is_true(&db, "ROLLBACK of 50 deletes");
+
+    // (c) a savepoint taken mid-transaction: what precedes it commits
+    sess.execute("BEGIN").unwrap();
+    insert(100..110);
+    sess.execute("SAVEPOINT s").unwrap();
+    insert(110..130);
+    sess.execute("DELETE FROM t WHERE id < 5").unwrap();
+    sess.execute("ROLLBACK TO SAVEPOINT s").unwrap();
+    sess.execute("COMMIT").unwrap();
+    assert_row_count_is_true(&db, "ROLLBACK TO a savepoint, then COMMIT");
+    assert_eq!(db.catalog().get_by_name("t").unwrap().stats.records(), 110);
+
+    // (d) a veto in the third row of an autocommit statement takes the
+    // first two back with it
+    let err = db
+        .execute_sql("INSERT INTO t VALUES (200, 'a'), (201, 'b'), (7, 'dup'), (202, 'c')")
+        .unwrap_err();
+    assert!(matches!(err, DmxError::Veto { .. }), "{err}");
+    assert_row_count_is_true(&db, "unique-index veto inside a multi-row INSERT");
+
+    // (e) committed work still counts: an update that outgrows its page
+    // relocates the record (two stamps under two keys) and adds no row
+    let rel = db.catalog().get_by_name("t").unwrap().id;
+    let row = |id: i64, pad: &str| Record::new(vec![Value::Int(id), Value::from(pad)]);
+    let moved = db
+        .with_txn(|txn| {
+            let mut moved = 0;
+            for id in 300..304 {
+                let key = db.insert(txn, rel, row(id, "narrow"))?;
+                let new_key = db.update(txn, rel, &key, row(id, &"w".repeat(3000)))?;
+                moved += usize::from(new_key != key);
+            }
+            Ok(moved)
+        })
+        .unwrap();
+    assert!(moved > 0, "no update relocated its record");
+    assert_row_count_is_true(&db, "relocating heap updates, committed");
+}
+
 fn sweep_stride() -> u64 {
     std::env::var("FAULT_SWEEP_STRIDE")
         .ok()
