@@ -253,7 +253,16 @@ impl Attachment for BTreeIndex {
                 _ => None,
             })
         });
-        if eq_values.is_empty() && range_sarg.is_none() {
+        // The leading field equal to a value bound at open (a join's outer
+        // row) is looked up by key like a constant would be.
+        let param = sargs
+            .iter()
+            .find_map(|(p, s)| match s.op {
+                SargOp::EqParam(n) if d.fields.first() == Some(&s.field) => Some((*p, s, n)),
+                _ => None,
+            })
+            .filter(|_| eq_values.is_empty());
+        if eq_values.is_empty() && range_sarg.is_none() && param.is_none() {
             return None; // no relevant predicate → not an eligible path
         }
         let prefix = encode_values(&eq_values);
@@ -267,8 +276,18 @@ impl Attachment for BTreeIndex {
             .zip(&eq_values)
             .map(|(&f, v)| dmx_expr::sarg_fraction(f, &SargOp::Eq(v.clone()), ts.as_deref()))
             .product();
-        let (range, frac) = match range_sarg {
-            Some((p, s, op, v)) => {
+        let records = rd.stats.records();
+        // One key's share of the entries when no statistics say.
+        let one_key = || (1.0 / records.max(1) as f64).max(if d.unique { 0.0 } else { 0.01 });
+        let (query, frac) = match (param, range_sarg) {
+            (Some((p, s, n)), _) => {
+                applied.push(p.clone());
+                (
+                    AccessQuery::KeyEqualsParam(n),
+                    dmx_expr::sarg_fraction(s.field, &s.op, ts.as_deref()).unwrap_or_else(one_key),
+                )
+            }
+            (None, Some((p, s, op, v))) => {
                 applied.push(p.clone());
                 let mut at = prefix.clone();
                 at.extend_from_slice(&encode_values(std::slice::from_ref(v)));
@@ -284,24 +303,22 @@ impl Attachment for BTreeIndex {
                 let range_frac =
                     dmx_expr::sarg_fraction(s.field, &s.op, ts.as_deref()).unwrap_or(1.0 / 3.0);
                 (
-                    KeyRange { lo, hi },
+                    AccessQuery::Range(KeyRange { lo, hi }),
                     eq_stat_frac.unwrap_or(1.0) * range_frac,
                 )
             }
-            None => (
-                KeyRange::prefix(prefix),
-                eq_stat_frac.unwrap_or_else(|| {
-                    (1.0 / rd.stats.records().max(1) as f64).max(if d.unique { 0.0 } else { 0.01 })
-                }),
+            (None, None) => (
+                AccessQuery::Range(KeyRange::prefix(prefix)),
+                eq_stat_frac.unwrap_or_else(one_key),
             ),
         };
-        let records = rd.stats.records();
-        let rows = (records as f64 * frac).max(if eq_values.is_empty() { 1.0 } else { 0.0 });
+        let keyed = !eq_values.is_empty() || param.is_some();
+        let rows = (records as f64 * frac).max(if keyed { 0.0 } else { 1.0 });
         let height = (records.max(2) as f64).log2() / 7.0 + 1.0;
         let leaf_pages = (rows / 100.0).ceil();
         Some(PathChoice {
             path: AccessPath::Attachment(instance.att, instance.instance),
-            query: AccessQuery::Range(range),
+            query,
             cost: Cost::new(height + leaf_pages, rows),
             rows_out: rows.max(0.001),
             covered: Some(d.fields.clone()),

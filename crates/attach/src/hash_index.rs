@@ -21,7 +21,7 @@ use dmx_core::{
 use dmx_expr::{analyze, Expr, SargOp};
 use dmx_types::{
     key::{decode_values, encode_values},
-    AttrList, DmxError, FieldId, FileId, Lsn, Record, RecordKey, Result, Schema, Value,
+    AttrList, DmxError, FieldId, FileId, Lsn, Record, RecordKey, Result, Schema,
 };
 
 use crate::common::{field_values, parse_fields, read_u16, read_u32, tail};
@@ -220,37 +220,48 @@ impl Attachment for HashIndex {
         preds: &[Expr],
     ) -> Option<PathChoice> {
         let d = HashDesc::decode(&instance.desc).ok()?;
-        // relevant only when EVERY indexed field has an equality predicate
+        // relevant only when EVERY indexed field has an equality predicate;
+        // a single hashed field may also equal a value bound at open (a
+        // join's outer row)
         let sargs: Vec<_> = preds
             .iter()
             .filter_map(|p| Some((p, analyze::sargable(p)?)))
             .collect();
-        let mut values: Vec<Value> = Vec::with_capacity(d.fields.len());
+        let single = d.fields.len() == 1;
+        let mut matched = Vec::with_capacity(d.fields.len());
         let mut applied = Vec::new();
+        let (mut values, mut param) = (Vec::new(), None);
         for &f in &d.fields {
-            let (p, v) = sargs.iter().find_map(|(p, s)| match &s.op {
-                SargOp::Eq(v) if s.field == f => Some((*p, v)),
-                _ => None,
+            let (p, s) = sargs.iter().find(|(_, s)| {
+                s.field == f
+                    && (matches!(s.op, SargOp::Eq(_))
+                        || single && matches!(s.op, SargOp::EqParam(_)))
             })?;
-            values.push(v.clone());
-            applied.push(p.clone());
+            match &s.op {
+                SargOp::EqParam(n) => param = Some(*n),
+                SargOp::Eq(v) => values.push(v.clone()),
+                _ => {}
+            }
+            matched.push(s);
+            applied.push((*p).clone());
         }
-        let enc = encode_values(&values);
+        let query = match param {
+            Some(n) => AccessQuery::KeyEqualsParam(n),
+            None => AccessQuery::KeyEquals(encode_values(&values)),
+        };
         let records = rd.stats.records();
         // Matched fraction from maintained statistics when they cover
         // every hashed field; the flat 1% guess otherwise.
         let ts = rd.stats.table_stats();
-        let frac: f64 = d
-            .fields
+        let frac: f64 = matched
             .iter()
-            .zip(&values)
-            .map(|(&f, v)| dmx_expr::sarg_fraction(f, &SargOp::Eq(v.clone()), ts.as_deref()))
+            .map(|s| dmx_expr::sarg_fraction(s.field, &s.op, ts.as_deref()))
             .product::<Option<f64>>()
             .unwrap_or(0.01);
         let rows = (records as f64 * frac).max(1.0);
         Some(PathChoice {
             path: AccessPath::Attachment(instance.att, instance.instance),
-            query: AccessQuery::KeyEquals(enc),
+            query,
             // a hash probe is ~1–2 page touches regardless of size
             cost: Cost::new(1.5, rows),
             rows_out: rows,

@@ -18,7 +18,8 @@ use std::sync::Arc;
 use dmx_types::sync::Mutex;
 
 use dmx_types::{
-    AttInstanceId, AttTypeId, DmxError, RecordKey, Rect, Result, ScanId, TxnId, Value,
+    key::encode_values, AttInstanceId, AttTypeId, DmxError, RecordKey, Rect, Result, ScanId, TxnId,
+    Value,
 };
 
 use crate::context::ExecCtx;
@@ -47,14 +48,6 @@ impl KeyRange {
         KeyRange {
             lo: Bound::Unbounded,
             hi: Bound::Unbounded,
-        }
-    }
-
-    /// The exact-key range `[k, k]`.
-    pub fn exact(k: Vec<u8>) -> Self {
-        KeyRange {
-            lo: Bound::Included(k.clone()),
-            hi: Bound::Included(k),
         }
     }
 
@@ -136,20 +129,43 @@ pub enum AccessQuery {
     All,
     /// Entries within an encoded-key range.
     Range(KeyRange),
-    /// Entries with exactly this access key (hash paths).
+    /// Entries whose access key is, or for a composite key starts with,
+    /// these encoded values — on every path, ordered or hashed.
     KeyEquals(Vec<u8>),
+    /// `KeyEquals` of one value known only when the access is opened:
+    /// slot `n` of the row handed to [`AccessQuery::bind`] (a join's
+    /// outer row). What an `estimate` answers `field = $n` with when it
+    /// can look the value up by key.
+    KeyEqualsParam(usize),
     /// Spatial predicate against the query rectangle.
     Spatial(SpatialOp, Rect),
 }
 
 impl AccessQuery {
+    /// The query to open with `params` in hand: `KeyEqualsParam(n)`
+    /// becomes `KeyEquals` of `params[n]`, anything else is cloned. `None`
+    /// when that value is NULL or missing — it equals no key, so there is
+    /// nothing to open.
+    pub fn bind(&self, params: &[Value]) -> Option<AccessQuery> {
+        match self {
+            AccessQuery::KeyEqualsParam(n) => params
+                .get(*n)
+                .filter(|v| !v.is_null())
+                .map(|v| AccessQuery::KeyEquals(encode_values(std::slice::from_ref(v)))),
+            q => Some(q.clone()),
+        }
+    }
+
     /// The key range the query asks for; `what` names the access path
-    /// in the error a spatial query gets.
+    /// in the error a spatial or still-unbound query gets.
     pub fn key_range(self, what: &str) -> Result<KeyRange> {
         match self {
             AccessQuery::All => Ok(KeyRange::all()),
             AccessQuery::Range(r) => Ok(r),
-            AccessQuery::KeyEquals(k) => Ok(KeyRange::exact(k)),
+            AccessQuery::KeyEquals(k) => Ok(KeyRange::prefix(k)),
+            AccessQuery::KeyEqualsParam(n) => {
+                Err(DmxError::Internal(format!("{what}: ${n} opened unbound")))
+            }
             AccessQuery::Spatial(_, _) => {
                 Err(DmxError::Unsupported(format!("{what}: spatial query")))
             }
@@ -346,13 +362,32 @@ mod tests {
         assert!(!r.contains(&[9]));
         assert!(!r.contains(&[1]));
         assert!(KeyRange::all().contains(&[]));
-        let e = KeyRange::exact(vec![7]);
-        assert!(e.contains(&[7]));
-        assert!(!e.contains(&[7, 0]));
         let p = KeyRange::prefix(vec![7]);
         assert!(p.contains(&[7]) && p.contains(&[7, 0xFF]) && !p.contains(&[8]));
         assert_eq!(KeyRange::prefix(vec![]).hi, Bound::Unbounded);
         assert_eq!(KeyRange::prefix(vec![0xFF]).hi, Bound::Unbounded);
+    }
+
+    #[test]
+    fn queries_bind_their_parameter_and_name_a_prefix_range() {
+        let row = [Value::Int(4), Value::Null];
+        let enc = encode_values(&[Value::Int(4)]);
+        let probe = AccessQuery::KeyEqualsParam(0);
+        assert_eq!(probe.bind(&row), Some(AccessQuery::KeyEquals(enc.clone())));
+        // NULL equals no key, and neither does a slot the row lacks
+        assert_eq!(AccessQuery::KeyEqualsParam(1).bind(&row), None);
+        assert_eq!(AccessQuery::KeyEqualsParam(2).bind(&row), None);
+        let range = AccessQuery::Range(KeyRange::prefix(vec![7]));
+        assert_eq!(range.bind(&[]), Some(range.clone()));
+        assert_eq!(AccessQuery::All.bind(&row), Some(AccessQuery::All));
+
+        // a key, or the leading values of a composite one
+        assert_eq!(
+            AccessQuery::KeyEquals(enc.clone()).key_range("t").unwrap(),
+            KeyRange::prefix(enc)
+        );
+        // opened unbound is an error, never a scan of everything
+        assert!(probe.key_range("t").is_err());
     }
 
     #[test]

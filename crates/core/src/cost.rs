@@ -6,6 +6,16 @@
 //! I/O and CPU costs to return the record fields or keys that satisfy the
 //! predicates." An extension answers with a [`PathChoice`]; the planner
 //! compares [`Cost`]s across access paths (path 0 = the storage method).
+//!
+//! The eligible list may contain `field = $n`: the table is the inner
+//! side of a join and `$n` is a value of the outer row, known only when
+//! the access is opened. A path that can look that value up by key
+//! answers with the query [`AccessQuery::KeyEqualsParam`]`(n)` and lists
+//! the conjunct in `applied`; the executor binds it to
+//! [`AccessQuery::KeyEquals`] — "the key is, or for a composite key starts
+//! with, these encoded values" on every path — before it opens the
+//! access. A path that cannot needs no code for it: the conjunct is one
+//! more predicate, pushed down or left as residual with the value in it.
 
 use dmx_expr::Expr;
 use dmx_types::FieldId;

@@ -115,7 +115,13 @@ pub trait StorageMethod: Send + Sync {
     ) -> Result<Box<dyn ScanOps>>;
 
     /// Cost estimation: how this storage method would satisfy an access
-    /// constrained by `preds` ("access path zero").
+    /// constrained by `preds` ("access path zero"). `preds` may contain
+    /// `field = $n`, a join's outer value ([`crate::cost`]): a keyed
+    /// method answers it on its leading key field with
+    /// [`AccessQuery::KeyEqualsParam`](crate::AccessQuery::KeyEqualsParam)
+    /// (opened as the `KeyEquals` prefix range); for any other,
+    /// [`PathChoice::full_scan`] applies it like every pushed-down
+    /// predicate, with the value in it by the time the scan is opened.
     fn estimate(&self, rd: &RelationDescriptor, preds: &[Expr]) -> PathChoice;
 
     /// Replays a logged operation: `dir` says whether rollback / abort /

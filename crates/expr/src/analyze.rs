@@ -4,8 +4,9 @@
 //! "eligible" predicates; the extension determines their *relevance* to
 //! its instance and estimates cost. This module provides the shared
 //! analysis: conjunct extraction, referenced columns, and recognition of
-//! *sargable* predicates (`field op constant`, plus the spatial
-//! `ENCLOSES` / `INTERSECTS` forms the R-tree recognizes).
+//! *sargable* predicates (`field op constant`, `field = $n` for a value
+//! bound when the access is opened, plus the spatial `ENCLOSES` /
+//! `INTERSECTS` forms the R-tree recognizes).
 
 use std::collections::BTreeSet;
 
@@ -26,6 +27,9 @@ pub struct Sarg {
 pub enum SargOp {
     /// `field = v`
     Eq(Value),
+    /// `field = $n`: a value known only when the access is opened (slot
+    /// `n` of a join's outer row).
+    EqParam(usize),
     /// `field op v` for an ordering comparison (Lt/Le/Gt/Ge).
     Range(CmpOp, Value),
     /// `field ENCLOSES rect-const` — the record's rectangle encloses the
@@ -81,6 +85,12 @@ pub fn sargable(expr: &Expr) -> Option<Sarg> {
             let (field, op, v) = match (l.as_ref(), r.as_ref()) {
                 (Expr::Column(f), Expr::Const(v)) => (*f, *op, v.clone()),
                 (Expr::Const(v), Expr::Column(f)) => (*f, op.flipped(), v.clone()),
+                (Expr::Column(f), Expr::Param(n)) | (Expr::Param(n), Expr::Column(f)) => {
+                    return (*op == CmpOp::Eq).then_some(Sarg {
+                        field: *f,
+                        op: SargOp::EqParam(*n),
+                    });
+                }
                 _ => return None,
             };
             if v.is_null() {
@@ -190,6 +200,19 @@ mod tests {
         );
         let s = sargable(&e).unwrap();
         assert_eq!(s.op, SargOp::Range(CmpOp::Gt, Value::Int(5)));
+    }
+
+    #[test]
+    fn parameter_equality_is_sargable_in_both_orders() {
+        let (col, param) = (|| Box::new(Expr::Column(3)), || Box::new(Expr::Param(7)));
+        for e in [
+            Expr::Cmp(CmpOp::Eq, col(), param()),
+            Expr::Cmp(CmpOp::Eq, param(), col()),
+        ] {
+            let s = sargable(&e).unwrap();
+            assert_eq!((s.field, s.op), (3, SargOp::EqParam(7)));
+        }
+        assert!(sargable(&Expr::Cmp(CmpOp::Lt, col(), param())).is_none());
     }
 
     #[test]

@@ -151,6 +151,38 @@ impl Expr {
         }
     }
 
+    /// A copy of the expression with every leaf (`Const`, `Column`,
+    /// `Param`) replaced by `leaf(that leaf)`.
+    pub fn map_leaves(&self, leaf: &dyn Fn(&Expr) -> Expr) -> Expr {
+        let one = |e: &Expr| Box::new(e.map_leaves(leaf));
+        let all = |v: &[Expr]| v.iter().map(|e| e.map_leaves(leaf)).collect();
+        match self {
+            Expr::Const(_) | Expr::Column(_) | Expr::Param(_) => leaf(self),
+            Expr::Cmp(op, l, r) => Expr::Cmp(*op, one(l), one(r)),
+            Expr::And(v) => Expr::And(all(v)),
+            Expr::Or(v) => Expr::Or(all(v)),
+            Expr::Not(i) => Expr::Not(one(i)),
+            Expr::Arith(op, l, r) => Expr::Arith(*op, one(l), one(r)),
+            Expr::Neg(i) => Expr::Neg(one(i)),
+            Expr::IsNull(i, n) => Expr::IsNull(one(i), *n),
+            Expr::Like(i, p) => Expr::Like(one(i), p.clone()),
+            Expr::Encloses(l, r) => Expr::Encloses(one(l), one(r)),
+            Expr::Intersects(l, r) => Expr::Intersects(one(l), one(r)),
+            Expr::Func(n, args) => Expr::Func(n.clone(), all(args)),
+        }
+    }
+
+    /// Substitutes `params[n]` for every `$n`; a `$n` past the end stays
+    /// and fails when evaluated.
+    pub fn bind(&self, params: &[Value]) -> Expr {
+        self.map_leaves(&|leaf| match leaf {
+            Expr::Param(n) => params
+                .get(*n)
+                .map_or(Expr::Param(*n), |v| Expr::Const(v.clone())),
+            other => other.clone(),
+        })
+    }
+
     /// The always-true predicate.
     pub fn always_true() -> Expr {
         Expr::Const(Value::Bool(true))

@@ -461,6 +461,17 @@ mod tests {
         assert_eq!(eval(&e2, &row(), ctx).unwrap(), Value::Int(3));
         assert!(eval(&Expr::Param(3), &row(), ctx).is_err());
         assert!(eval(&Expr::Func("nope".into(), vec![]), &row(), ctx).is_err());
+        // Bound, the same predicate needs no parameters; a slot the values
+        // do not reach stays and fails when evaluated.
+        let unbound = EvalContext::new(&funcs);
+        let both = e.clone().and(Expr::Not(Box::new(Expr::Param(3))));
+        let bound = both.bind(&params);
+        assert_eq!(
+            bound,
+            Expr::col_eq(0, 7i64).and(Expr::Not(Box::new(Expr::Param(3))))
+        );
+        assert!(eval_predicate(&e.bind(&params), &row(), unbound).unwrap());
+        assert!(eval_predicate(&bound, &row(), unbound).is_err());
     }
 
     #[test]

@@ -143,6 +143,8 @@ impl ColumnStats {
             return Some(0.0);
         }
         let nn = self.non_null_fraction(rows);
+        // one distinct value's share of the non-null rows
+        let one_value = (nn / self.distinct.max(1) as f64).clamp(0.0, 1.0);
         match op {
             SargOp::Eq(v) => {
                 let x = value_to_f64(v)?;
@@ -168,8 +170,10 @@ impl ColumnStats {
                         return Some((bfrac / per_bucket).clamp(0.0, 1.0));
                     }
                 }
-                Some((nn / self.distinct.max(1) as f64).clamp(0.0, 1.0))
+                Some(one_value)
             }
+            // which value is unknown until the access is opened
+            SargOp::EqParam(_) => Some(one_value),
             SargOp::Range(cmp, v) => {
                 let x = value_to_f64(v)?;
                 let below = self.fraction_below(x)?;
@@ -369,6 +373,13 @@ mod tests {
         // Eq is scaled by the non-null fraction: 0.75 / 5 distinct
         let sel = selectivity(&Expr::col_eq(0, 5i64), Some(&st));
         assert!((sel - 0.15).abs() < 1e-9, "{sel}");
+        // ... and so is equality with a value bound at open
+        let param = Expr::Cmp(
+            CmpOp::Eq,
+            Box::new(Expr::Column(0)),
+            Box::new(Expr::Param(2)),
+        );
+        assert!((selectivity(&param, Some(&st)) - 0.15).abs() < 1e-9);
     }
 
     #[test]

@@ -10,11 +10,11 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use dmx_core::{AccessPath, AccessQuery, ExecCtx, KeyRange, RelationDescriptor, ScanItem};
+use dmx_core::{AccessPath, AccessQuery, ExecCtx, RelationDescriptor, ScanItem};
 use dmx_expr::{eval, eval_predicate, EvalContext, Expr};
 use dmx_types::{key::encode_values, DmxError, RecordKey, Result, ScanId, Value};
 
-use crate::planner::{AccessPlan, Plan, PlannedItem, ProbeKind};
+use crate::planner::{AccessPlan, Plan, PlannedItem};
 use crate::semantic::AggKind;
 
 /// A stream of rows.
@@ -79,7 +79,7 @@ impl RowSource for Profiled<'_> {
 }
 
 /// Instantiates a plan subtree. `outer` supplies the accumulated outer
-/// row for probe-parameterized inner accesses.
+/// row an inner access may be parameterised by.
 pub fn build<'p>(
     plan: &'p Plan,
     ctx: &ExecCtx<'_>,
@@ -216,43 +216,43 @@ fn eval_pred(ctx: &ExecCtx<'_>, e: &Expr, row: &[Value]) -> Result<bool> {
 
 struct AccessOp<'p> {
     plan: &'p AccessPlan,
-    /// `None` once exhausted, and from the start for a probe whose outer
-    /// value is NULL (NULL joins nothing: no scan is opened).
+    /// `None` once exhausted, and from the start when the access is
+    /// parameterised by an outer value that is NULL (NULL joins nothing:
+    /// no scan is opened).
     scan: Option<ScanId>,
+    /// The plan's residual with the outer row's values in it.
+    residual: Option<Expr>,
     width: usize,
 }
 
 impl<'p> AccessOp<'p> {
+    /// Opens on a copy of the plan's query and predicates bound to the
+    /// outer row; the plan itself may be cached and shared.
     fn open(plan: &'p AccessPlan, ctx: &ExecCtx<'_>, outer: Option<&[Value]>) -> Result<Self> {
-        let query = match &plan.probe {
-            None => Some(plan.query.clone()),
-            Some(p) => {
-                let outer_row = outer.ok_or_else(|| {
-                    DmxError::Internal("probe access opened without outer row".into())
+        let (params, joins_nothing) = match plan.outer_param {
+            None => (&[] as &[Value], false),
+            Some(slot) => {
+                let row = outer.ok_or_else(|| {
+                    DmxError::Internal("parameterised access opened without outer row".into())
                 })?;
-                let v = outer_row
-                    .get(p.outer_offset)
-                    .ok_or_else(|| DmxError::Internal("probe offset out of range".into()))?;
-                (!v.is_null()).then(|| {
-                    let enc = encode_values(std::slice::from_ref(v));
-                    match p.kind {
-                        ProbeKind::HashKey => AccessQuery::KeyEquals(enc),
-                        ProbeKind::IndexPrefix | ProbeKind::SmKeyPrefix => {
-                            AccessQuery::Range(KeyRange::prefix(enc))
-                        }
-                    }
-                })
+                (row, row.get(slot).is_none_or(Value::is_null))
             }
         };
-        let scan = query
+        let bound = |e: &Option<Expr>| e.as_ref().map(|e| e.bind(params));
+        let scan = plan
+            .query
+            .bind(params)
+            .filter(|_| !joins_nothing)
             .map(|q| {
+                let pushed = bound(&plan.pushed);
                 ctx.db
-                    .open_scan(ctx.txn, plan.rd.id, plan.path, q, plan.pushed.clone(), None)
+                    .open_scan(ctx.txn, plan.rd.id, plan.path, q, pushed, None)
             })
             .transpose()?;
         Ok(AccessOp {
             plan,
             scan,
+            residual: bound(&plan.residual),
             width: plan.rd.schema.len(),
         })
     }
@@ -289,7 +289,7 @@ impl<'p> AccessOp<'p> {
                     row[*f as usize] = v;
                 }
             }
-            if let Some(res) = &self.plan.residual {
+            if let Some(res) = &self.residual {
                 if !eval_pred(ctx, res, &row)? {
                     return Ok(None);
                 }
@@ -302,7 +302,7 @@ impl<'p> AccessOp<'p> {
                 // predicate in the buffer pool
                 let mut row = values
                     .ok_or_else(|| DmxError::Internal("storage scan without fields".into()))?;
-                if let Some(res) = &self.plan.residual {
+                if let Some(res) = &self.residual {
                     if !eval_pred(ctx, res, &row)? {
                         return Ok(None);
                     }
@@ -313,13 +313,8 @@ impl<'p> AccessOp<'p> {
             AccessPath::Attachment(_, _) => {
                 // two-step access: record key from the path, record from
                 // the storage method (residual filtered in the pool)
-                ctx.db.fetch(
-                    ctx.txn,
-                    self.plan.rd.id,
-                    key,
-                    None,
-                    self.plan.residual.as_ref(),
-                )
+                ctx.db
+                    .fetch(ctx.txn, self.plan.rd.id, key, None, self.residual.as_ref())
             }
         }
     }

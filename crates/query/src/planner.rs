@@ -4,43 +4,28 @@
 //! For every base table the planner hands the eligible predicates to the
 //! storage method ("access path zero") and to each access-path attachment
 //! instance; each returns a [`PathChoice`] with its estimated cost, and
-//! the cheapest (plus the cost of fetching uncovered fields) wins. Joins
-//! prefer a join index linking the two relations, then an index
-//! nested-loop probe, then a plain nested loop.
+//! the cheapest (plus the cost of fetching uncovered fields) wins. The
+//! inner side of a join goes through the same chooser: the conjunct that
+//! links it to the tables already joined becomes its own predicate
+//! `field = $n`, `n` a slot of the outer row, which any path may answer
+//! with a lookup by key (a *probe*). A join index linking two relations
+//! is a pair scan, a different operator, and wins outright.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use dmx_core::{AccessPath, AccessQuery, Cost, Database, PathChoice, RelationDescriptor};
+use dmx_core::{AccessPath, AccessQuery, Database, DepKey, PathChoice, RelationDescriptor};
 use dmx_expr::{analyze, CmpOp, Expr};
 use dmx_types::{DmxError, FieldId, Result};
 
-use crate::ast::{AstExpr, OrderTarget, SelectStmt, Stmt, TableRef};
+use crate::ast::{AstExpr, OrderTarget, SelectStmt, TableRef};
 use crate::semantic::{AggKind, Binder, BoundItem, BoundTable};
 
-/// Per-probe I/O estimate for an index nested-loop join.
+/// What one probe — a lookup of the outer row's value by key — is taken
+/// to cost, whatever path serves it. A probe is preferred to an
+/// alternative that costs more than this, or to any when the inner
+/// relation has no statistics, and join order charges it per outer row.
 const PROBE_COST: f64 = 3.0;
-
-/// How an inner-join access builds its query from the outer row.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ProbeKind {
-    /// Encode the outer value and range-scan the index prefix.
-    IndexPrefix,
-    /// Encode the outer value as a hash probe.
-    HashKey,
-    /// Encode the outer value as the storage method's record-key prefix
-    /// (B-tree-organized relations).
-    SmKeyPrefix,
-}
-
-/// A parameterized probe: the inner access's query is built from one
-/// outer-row value at execution time.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProbeSpec {
-    /// Offset of the join value in the *outer* (accumulated) row.
-    pub outer_offset: usize,
-    pub kind: ProbeKind,
-}
 
 /// One base-table access.
 #[derive(Clone)]
@@ -56,7 +41,11 @@ pub struct AccessPlan {
     /// Fields the chosen path covers, when the plan can skip the
     /// storage-method fetch entirely.
     pub use_covered: Option<Vec<FieldId>>,
-    pub probe: Option<ProbeSpec>,
+    /// Set on the inner side of a join whose linking conjunct became this
+    /// table's predicate `field = $n`: slot `n` of the outer row. Query
+    /// and predicates are bound to that row at open, and a NULL there
+    /// joins nothing, so nothing is opened.
+    pub outer_param: Option<usize>,
     /// Estimated rows out (for join ordering decisions & EXPLAIN).
     pub rows_est: f64,
     /// Total estimated access cost including the uncovered-fetch
@@ -69,7 +58,7 @@ pub enum Plan {
     Access(AccessPlan),
     NlJoin {
         left: Box<Plan>,
-        /// Re-instantiated per outer row (may carry a probe).
+        /// Re-instantiated per outer row (may be parameterised by it).
         right: Box<Plan>,
         /// Cross-table predicate over the concatenated row.
         filter: Option<Expr>,
@@ -117,57 +106,23 @@ pub enum PlannedItem {
 pub struct CompiledSelect {
     pub plan: Plan,
     pub columns: Vec<String>,
-    pub deps: Vec<dmx_core::DepKey>,
+    pub deps: Vec<DepKey>,
 }
 
 /// Rewrites column offsets through `f`.
 pub fn remap_columns(e: &Expr, f: &dyn Fn(FieldId) -> FieldId) -> Expr {
-    match e {
-        Expr::Const(v) => Expr::Const(v.clone()),
+    e.map_leaves(&|leaf| match leaf {
         Expr::Column(c) => Expr::Column(f(*c)),
-        Expr::Param(p) => Expr::Param(*p),
-        Expr::Cmp(op, l, r) => Expr::Cmp(
-            *op,
-            Box::new(remap_columns(l, f)),
-            Box::new(remap_columns(r, f)),
-        ),
-        Expr::And(v) => Expr::And(v.iter().map(|e| remap_columns(e, f)).collect()),
-        Expr::Or(v) => Expr::Or(v.iter().map(|e| remap_columns(e, f)).collect()),
-        Expr::Not(i) => Expr::Not(Box::new(remap_columns(i, f))),
-        Expr::Arith(op, l, r) => Expr::Arith(
-            *op,
-            Box::new(remap_columns(l, f)),
-            Box::new(remap_columns(r, f)),
-        ),
-        Expr::Neg(i) => Expr::Neg(Box::new(remap_columns(i, f))),
-        Expr::IsNull(i, n) => Expr::IsNull(Box::new(remap_columns(i, f)), *n),
-        Expr::Like(i, p) => Expr::Like(Box::new(remap_columns(i, f)), p.clone()),
-        Expr::Encloses(l, r) => {
-            Expr::Encloses(Box::new(remap_columns(l, f)), Box::new(remap_columns(r, f)))
-        }
-        Expr::Intersects(l, r) => {
-            Expr::Intersects(Box::new(remap_columns(l, f)), Box::new(remap_columns(r, f)))
-        }
-        Expr::Func(n, args) => Expr::Func(
-            n.clone(),
-            args.iter().map(|e| remap_columns(e, f)).collect(),
-        ),
-    }
+        other => other.clone(),
+    })
 }
 
 /// Which tables (by index into the binder) an expression references.
 fn tables_of(e: &Expr, tables: &[BoundTable]) -> BTreeSet<usize> {
-    let cols = analyze::columns(e);
-    let mut out = BTreeSet::new();
-    for c in cols {
-        let c = c as usize;
-        for (i, t) in tables.iter().enumerate() {
-            if c >= t.offset && c < t.offset + t.rd.schema.len() {
-                out.insert(i);
-            }
-        }
-    }
-    out
+    analyze::columns(e)
+        .into_iter()
+        .filter_map(|c| table_of_col(c, tables))
+        .collect()
 }
 
 /// Chooses the cheapest access path for one table. `eligible` uses local
@@ -176,37 +131,64 @@ fn tables_of(e: &Expr, tables: &[BoundTable]) -> BTreeSet<usize> {
 /// for projected columns, not just filtered ones. Returns the winning
 /// choice, the residual predicates, and the total estimated cost
 /// (access plus uncovered-fetch surcharge).
+///
+/// Among the offers there may be *probes* (the query is
+/// [`AccessQuery::KeyEqualsParam`]: a join's inner side looked up by the
+/// outer row's value). Every estimate prices a single opening, and the
+/// units are too coarse to rank a few-page rescan against a probe, so
+/// when the cheapest offer is not a probe the cheapest probe still
+/// replaces it unless statistics show it costs at most [`PROBE_COST`].
 pub fn choose_path(
     db: &Arc<Database>,
     rd: &Arc<RelationDescriptor>,
     eligible: &[Expr],
     needed_fields: &BTreeSet<FieldId>,
 ) -> Result<(PathChoice, Vec<Expr>, f64)> {
-    let sm = db.registry().storage(rd.sm)?;
-    let mut best = sm.estimate(rd, eligible);
-    let mut best_fetch = fetch_surcharge(&best, eligible, needed_fields);
-    for (att_id, insts) in rd.attached_types() {
-        let Ok(att) = db.registry().attachment(att_id) else {
-            continue;
+    let registry = db.registry();
+    let sm = registry.storage(rd.sm)?;
+    let attached = rd.attached_types().flat_map(|(att_id, insts)| {
+        let att = registry.attachment(att_id).ok();
+        insts
+            .iter()
+            .filter_map(move |inst| att.as_ref()?.estimate(rd, inst, eligible))
+    });
+    // cheapest offer of each kind; the earliest wins a tie
+    let (mut scan, mut probe) = (None::<(f64, PathChoice)>, None::<(f64, PathChoice)>);
+    for choice in std::iter::once(sm.estimate(rd, eligible)).chain(attached) {
+        let total = choice.cost.total() + fetch_surcharge(&choice, eligible, needed_fields);
+        let slot = if is_probe(&choice.query) {
+            &mut probe
+        } else {
+            &mut scan
         };
-        for inst in insts {
-            if let Some(choice) = att.estimate(rd, inst, eligible) {
-                let surcharge = fetch_surcharge(&choice, eligible, needed_fields);
-                if choice.cost.total() + surcharge < best.cost.total() + best_fetch {
-                    best = choice;
-                    best_fetch = surcharge;
-                }
-            }
+        if slot.as_ref().is_none_or(|(t, _)| total < *t) {
+            *slot = Some((total, choice));
         }
     }
+    let (total, best) = match (scan, probe) {
+        (Some(s), Some(p)) => {
+            if p.0 < s.0 || s.0 > PROBE_COST || rd.stats.table_stats().is_none() {
+                p
+            } else {
+                s
+            }
+        }
+        (s, p) => s
+            .or(p)
+            .ok_or_else(|| DmxError::Internal("storage method made no offer".into()))?,
+    };
     // residual = eligible minus what the chosen path fully applies
     let residual: Vec<Expr> = eligible
         .iter()
         .filter(|p| !best.applied.contains(p))
         .cloned()
         .collect();
-    let total = best.cost.total() + best_fetch;
     Ok((best, residual, total))
+}
+
+/// A probe looks a value of a join's outer row up by key.
+fn is_probe(query: &AccessQuery) -> bool {
+    matches!(query, AccessQuery::KeyEqualsParam(_))
 }
 
 /// Extra cost of fetching records the path does not cover: a path must
@@ -274,7 +256,7 @@ fn plan_table(
         pushed,
         residual: residual_expr,
         use_covered,
-        probe: None,
+        outer_param: None,
         rows_est: choice.rows_out,
         cost_est,
     })
@@ -359,56 +341,32 @@ fn find_join_index(
     None
 }
 
-/// Looks for an index (or keyed storage method) on `rd.field` usable as
-/// an inner probe target.
-fn find_probe_path(
-    db: &Arc<Database>,
-    rd: &Arc<RelationDescriptor>,
-    field: FieldId,
-) -> Option<(AccessPath, ProbeKind, Option<Vec<FieldId>>)> {
-    // btree index with this leading field
-    if let Ok(t) = db.registry().attachment_id_by_name("btree") {
-        if let Some(insts) = rd.attachment_instances(t) {
-            for inst in insts {
-                if let Ok(d) = dmx_attach::btree_index::IxDesc::decode(&inst.desc) {
-                    if d.fields.first() == Some(&field) {
-                        return Some((
-                            AccessPath::Attachment(t, inst.instance),
-                            ProbeKind::IndexPrefix,
-                            Some(d.fields),
-                        ));
-                    }
-                }
-            }
+/// The first conjunct `outer.g = inner.f` (either operand order) linking
+/// table `ti` to a table already in `joined`: the outer table, `g` and
+/// `f` as local field ids, and the conjunct itself.
+fn equi_link<'c>(
+    cross: &'c [Expr],
+    tables: &[BoundTable],
+    joined: &[usize],
+    ti: usize,
+) -> Option<(usize, FieldId, FieldId, &'c Expr)> {
+    cross.iter().find_map(|c| {
+        let Expr::Cmp(CmpOp::Eq, l, r) = c else {
+            return None;
+        };
+        let (Expr::Column(a), Expr::Column(b)) = (l.as_ref(), r.as_ref()) else {
+            return None;
+        };
+        let (ta, tb) = (table_of_col(*a, tables)?, table_of_col(*b, tables)?);
+        let local = |c: FieldId, t: usize| c - tables[t].offset as FieldId;
+        if joined.contains(&ta) && tb == ti {
+            Some((ta, local(*a, ta), local(*b, tb), c))
+        } else if joined.contains(&tb) && ta == ti {
+            Some((tb, local(*b, tb), local(*a, ta), c))
+        } else {
+            None
         }
-    }
-    // hash index on exactly this field
-    if let Ok(t) = db.registry().attachment_id_by_name("hash") {
-        if let Some(insts) = rd.attachment_instances(t) {
-            for inst in insts {
-                if let Ok(d) = dmx_attach::hash_index::HashDesc::decode(&inst.desc) {
-                    if d.fields == vec![field] {
-                        return Some((
-                            AccessPath::Attachment(t, inst.instance),
-                            ProbeKind::HashKey,
-                            Some(d.fields),
-                        ));
-                    }
-                }
-            }
-        }
-    }
-    // B-tree-organized storage with this leading key field
-    if let Ok(sm) = db.registry().storage(rd.sm) {
-        if sm.name() == "btree" {
-            if let Some(ord) = sm.scan_ordering(rd) {
-                if ord.first() == Some(&field) {
-                    return Some((AccessPath::StorageMethod, ProbeKind::SmKeyPrefix, None));
-                }
-            }
-        }
-    }
-    None
+    })
 }
 
 /// Compiles a SELECT into a physical plan.
@@ -472,200 +430,107 @@ pub fn plan_select(db: &Arc<Database>, sel: &SelectStmt) -> Result<CompiledSelec
         out
     };
 
-    // deps: every referenced relation
-    let mut deps: Vec<dmx_core::DepKey> = binder
-        .tables
-        .iter()
-        .map(|t| dmx_core::DepKey::Relation(t.rd.id))
-        .collect();
-
-    // Build the join tree left-deep. Default is FROM order; with two
-    // tables and *published statistics* the estimator may flip the
-    // outer/inner roles (without statistics the guesses reproduce the
-    // historical FROM-order plan exactly).
-    let mut order: Vec<usize> = (0..n).collect();
-    if n == 2
-        && binder
-            .tables
-            .iter()
-            .any(|t| t.rd.stats.table_stats().is_some())
-    {
-        // Probe availability per direction, and whether a join index
-        // links the FROM-order pair (a join index always wins, so the
-        // order must not be rotated away from it).
-        let mut probe_into = [false; 2];
-        let mut has_join_index = false;
-        for c in &cross {
-            if let Expr::Cmp(CmpOp::Eq, l, r) = c {
-                if let (Expr::Column(a), Expr::Column(b)) = (l.as_ref(), r.as_ref()) {
-                    let ta = table_of_col(*a, &binder.tables);
-                    let tb = table_of_col(*b, &binder.tables);
-                    if let (Some(ta), Some(tb)) = (ta, tb) {
-                        if ta == tb {
-                            continue;
-                        }
-                        let fa = *a - binder.tables[ta].offset as FieldId;
-                        let fb = *b - binder.tables[tb].offset as FieldId;
-                        probe_into[tb] |= find_probe_path(db, &binder.tables[tb].rd, fb).is_some();
-                        probe_into[ta] |= find_probe_path(db, &binder.tables[ta].rd, fa).is_some();
-                        let (f0, f1) = if ta == 0 { (fa, fb) } else { (fb, fa) };
-                        has_join_index |=
-                            find_join_index(db, &binder.tables[0].rd, &binder.tables[1].rd, f0, f1)
-                                .is_some();
-                    }
-                }
-            }
-        }
-        if !has_join_index {
-            let ap0 = plan_table(
-                db,
-                &binder.tables[0].rd,
-                per_table[0].clone(),
-                &needed_local(0),
-            )?;
-            let ap1 = plan_table(
-                db,
-                &binder.tables[1].rd,
-                per_table[1].clone(),
-                &needed_local(1),
-            )?;
-            let nl_cost = |outer: &AccessPlan, inner: &AccessPlan, probe: bool| {
-                outer.cost_est
-                    + outer.rows_est.max(0.0) * if probe { PROBE_COST } else { inner.cost_est }
-            };
-            if nl_cost(&ap1, &ap0, probe_into[0]) < nl_cost(&ap0, &ap1, probe_into[1]) {
-                order = vec![1, 0];
-            }
-        }
-    }
-
-    // Physical row layout under the chosen order; a trailing Project
-    // restores FROM-order layout when the two differ.
-    let mut phys_offset = vec![0usize; n];
-    {
+    // Physical row layout of a join order: where each table's fields
+    // start in the accumulated row.
+    let layout = |order: &[usize]| {
+        let mut phys_offset = vec![0usize; n];
         let mut acc = 0usize;
-        for &ti in &order {
+        for &ti in order {
             phys_offset[ti] = acc;
             acc += binder.tables[ti].rd.schema.len();
         }
-    }
-    let to_phys = |c: FieldId| -> FieldId {
-        match table_of_col(c, &binder.tables) {
-            Some(t) => (phys_offset[t] + (c as usize - binder.tables[t].offset)) as FieldId,
-            None => c,
-        }
+        phys_offset
+    };
+    // Table `ti` joined to the tables in `joined` (none for the outermost):
+    // the conjunct linking it to them, if there is one, is planned as its
+    // own predicate `f = $n` (first, so a path sees it before a weaker
+    // constraint on the same field), `n` being where the outer value
+    // sits in the physical row. Comes back with that conjunct, which the
+    // access now answers for.
+    let plan_joined = |cross: &[Expr], joined: &[usize], phys_offset: &[usize], ti: usize| {
+        let link = equi_link(cross, &binder.tables, joined, ti)
+            .map(|(outer_t, g, f, cond)| (phys_offset[outer_t] + g as usize, f, cond));
+        let linked = link.map(|(slot, f, _)| {
+            Expr::Cmp(
+                CmpOp::Eq,
+                Box::new(Expr::Column(f)),
+                Box::new(Expr::Param(slot)),
+            )
+        });
+        let preds = linked.into_iter().chain(per_table[ti].clone()).collect();
+        let mut access = plan_table(db, &binder.tables[ti].rd, preds, &needed_local(ti))?;
+        access.outer_param = link.map(|(slot, ..)| slot);
+        Ok::<_, DmxError>((access, link.map(|(.., cond)| cond.clone())))
     };
 
-    let first = order[0];
-    let mut plan = Plan::Access(plan_table(
-        db,
-        &binder.tables[first].rd,
-        per_table[first].clone(),
-        &needed_local(first),
-    )?);
-    let mut joined: Vec<usize> = vec![first];
-    for &ti in order.iter().skip(1) {
-        let t = &binder.tables[ti];
-        // find an equi-join conjunct between the joined set and table ti
-        let mut equi: Option<(usize, FieldId, FieldId, Expr)> = None;
-        for c in &cross {
-            if let Expr::Cmp(CmpOp::Eq, l, r) = c {
-                if let (Expr::Column(a), Expr::Column(b)) = (l.as_ref(), r.as_ref()) {
-                    let ta = table_of_col(*a, &binder.tables);
-                    let tb = table_of_col(*b, &binder.tables);
-                    if let (Some(ta), Some(tb)) = (ta, tb) {
-                        if joined.contains(&ta) && tb == ti {
-                            equi = Some((
-                                ta,
-                                *a - binder.tables[ta].offset as FieldId,
-                                *b - binder.tables[tb].offset as FieldId,
-                                c.clone(),
-                            ));
-                            break;
-                        }
-                        if joined.contains(&tb) && ta == ti {
-                            equi = Some((
-                                tb,
-                                *b - binder.tables[tb].offset as FieldId,
-                                *a - binder.tables[ta].offset as FieldId,
-                                c.clone(),
-                            ));
-                            break;
-                        }
-                    }
-                }
-            }
+    // A join index linking the two tables of a plain two-table join is a
+    // scan of precomputed pairs: no access to choose, no order to decide.
+    let join_index = equi_link(&cross, &binder.tables, &[0], 1)
+        .filter(|_| n == 2)
+        .and_then(|(_, lf, rf, cond)| {
+            let (l, r) = (&binder.tables[0].rd, &binder.tables[1].rd);
+            Some((find_join_index(db, l, r, lf, rf)?, cond.clone()))
+        });
+    let mut plan = if let Some(((att, inst, swapped), cond)) = join_index {
+        // every other predicate applies after assembly (FROM-order layout)
+        let mut extra: Vec<Expr> = cross.drain(..).filter(|c| *c != cond).collect();
+        for (t, preds) in binder.tables.iter().zip(&per_table) {
+            let off = t.offset as FieldId;
+            extra.extend(preds.iter().map(|p| remap_columns(p, &|f| f + off)));
         }
-        let mut inner = plan_table(db, &t.rd, per_table[ti].clone(), &needed_local(ti))?;
-        let mut used_join_index = false;
-        if let Some((outer_t, outer_f, inner_f, ref cond)) = equi {
-            // join index? (only for plain 2-table joins in FROM order)
-            if n == 2 && joined.len() == 1 && first == 0 && outer_t == 0 {
-                if let Some((att, inst, swapped)) =
-                    find_join_index(db, &binder.tables[0].rd, &t.rd, outer_f, inner_f)
-                {
-                    let rest: Vec<Expr> = cross.iter().filter(|c| *c != cond).cloned().collect();
-                    // single-table predicates still apply after assembly
-                    let mut extra: Vec<Expr> = rest;
-                    for (pi, preds) in per_table.iter().enumerate() {
-                        let off = binder.tables[pi].offset as FieldId;
-                        for p in preds {
-                            extra.push(remap_columns(p, &|f| f + off));
-                        }
-                    }
-                    plan = Plan::JoinIndexJoin {
-                        left: binder.tables[0].rd.clone(),
-                        right: t.rd.clone(),
-                        att: (att, inst),
-                        swapped,
-                        filter: combine(extra),
-                    };
-                    deps.push(dmx_core::DepKey::Attachment(
-                        binder.tables[0].rd.id,
-                        att,
-                        inst,
-                    ));
-                    cross.clear();
-                    joined.push(ti);
-                    used_join_index = true;
-                }
-            }
-            if !used_join_index {
-                // Index nested loop? Published statistics may reveal an
-                // inner relation so small that per-row probes lose to
-                // re-scanning it (the probe guess wins otherwise).
-                let probe_path = find_probe_path(db, &t.rd, inner_f);
-                let probe_pays = t.rd.stats.table_stats().is_none() || inner.cost_est > PROBE_COST;
-                if let (Some((path, kind, _covered)), true) = (probe_path, probe_pays) {
-                    inner.path = path;
-                    inner.probe = Some(ProbeSpec {
-                        outer_offset: phys_offset[outer_t] + outer_f as usize,
-                        kind,
-                    });
-                    inner.use_covered = None; // probe rows fetch the record
-                                              // The pushed/residual split `plan_table` made belongs
-                                              // to the path the probe replaces; the probe path
-                                              // applies none of the table's own predicates itself.
-                    let local = combine(per_table[ti].clone());
-                    (inner.pushed, inner.residual) = match inner.path {
-                        AccessPath::StorageMethod => (local, None),
-                        AccessPath::Attachment(a, ii) => {
-                            deps.push(dmx_core::DepKey::Attachment(t.rd.id, a, ii));
-                            (None, local)
-                        }
-                    };
-                    // probing applies the equi-join condition
-                    cross.retain(|c| c != cond);
-                }
-            }
+        Plan::JoinIndexJoin {
+            left: binder.tables[0].rd.clone(),
+            right: binder.tables[1].rd.clone(),
+            att: (att, inst),
+            swapped,
+            filter: combine(extra),
         }
-        if !used_join_index {
-            // remaining cross conjuncts that now have all tables available
-            joined.push(ti);
-            let avail: BTreeSet<usize> = joined.iter().copied().collect();
-            let (now, later): (Vec<Expr>, Vec<Expr>) = cross
+    } else {
+        // Build the join tree left-deep. Default is FROM order; with two
+        // tables and *published statistics* the estimator may flip the
+        // outer/inner roles (without statistics the guesses reproduce the
+        // historical FROM-order plan exactly).
+        let mut order: Vec<usize> = (0..n).collect();
+        if n == 2
+            && binder
+                .tables
                 .iter()
-                .cloned()
+                .any(|t| t.rd.stats.table_stats().is_some())
+        {
+            let nl_cost = |order: &[usize; 2]| -> Result<f64> {
+                let (outer, _) = plan_joined(&cross, &[], &[], order[0])?;
+                let (inner, _) = plan_joined(&cross, &[order[0]], &layout(order), order[1])?;
+                let per_row = if is_probe(&inner.query) {
+                    PROBE_COST
+                } else {
+                    inner.cost_est
+                };
+                Ok(outer.cost_est + outer.rows_est.max(0.0) * per_row)
+            };
+            if nl_cost(&[1, 0])? < nl_cost(&[0, 1])? {
+                order = vec![1, 0];
+            }
+        }
+        // A trailing Project restores FROM-order layout when the physical
+        // one differs.
+        let phys_offset = layout(&order);
+        let to_phys = |c: FieldId| -> FieldId {
+            match table_of_col(c, &binder.tables) {
+                Some(t) => (phys_offset[t] + (c as usize - binder.tables[t].offset)) as FieldId,
+                None => c,
+            }
+        };
+
+        let mut plan = Plan::Access(plan_joined(&cross, &[], &[], order[0])?.0);
+        for k in 1..n {
+            // bounds: k < n = order.len()
+            let (joined, ti) = (&order[..k], order[k]);
+            let (inner, link) = plan_joined(&cross, joined, &phys_offset, ti)?;
+            cross.retain(|c| Some(c) != link.as_ref());
+            // remaining cross conjuncts that now have all tables available
+            let avail: BTreeSet<usize> = joined.iter().chain([&ti]).copied().collect();
+            let (now, later): (Vec<Expr>, Vec<Expr>) = cross
+                .into_iter()
                 .partition(|c| tables_of(c, &binder.tables).is_subset(&avail));
             cross = later;
             plan = Plan::NlJoin {
@@ -675,22 +540,23 @@ pub fn plan_select(db: &Arc<Database>, sel: &SelectStmt) -> Result<CompiledSelec
                 filter: combine(now).map(|f| remap_columns(&f, &to_phys)),
             };
         }
-    }
-    // restore FROM-order column layout when the join was reordered
-    if order.windows(2).any(|w| w[0] > w[1]) {
-        let exprs = binder
-            .tables
-            .iter()
-            .flat_map(|t| {
-                (0..t.rd.schema.len())
-                    .map(|local| Expr::Column(to_phys((t.offset + local) as FieldId)))
-            })
-            .collect();
-        plan = Plan::Project {
-            input: Box::new(plan),
-            exprs,
-        };
-    }
+        // restore FROM-order column layout when the join was reordered
+        if order.windows(2).any(|w| w[0] > w[1]) {
+            let exprs = binder
+                .tables
+                .iter()
+                .flat_map(|t| {
+                    (0..t.rd.schema.len())
+                        .map(|local| Expr::Column(to_phys((t.offset + local) as FieldId)))
+                })
+                .collect();
+            plan = Plan::Project {
+                input: Box::new(plan),
+                exprs,
+            };
+        }
+        plan
+    };
     if let Some(f) = combine(cross) {
         plan = Plan::Filter {
             input: Box::new(plan),
@@ -698,12 +564,13 @@ pub fn plan_select(db: &Arc<Database>, sel: &SelectStmt) -> Result<CompiledSelec
         };
     }
 
-    // register access-path dependencies of the single-table plan
-    if let Plan::Access(ap) = &plan {
-        if let AccessPath::Attachment(a, i) = ap.path {
-            deps.push(dmx_core::DepKey::Attachment(ap.rd.id, a, i));
-        }
-    }
+    // dependencies: every referenced relation, every access path used
+    let mut deps: Vec<DepKey> = binder
+        .tables
+        .iter()
+        .map(|t| DepKey::Relation(t.rd.id))
+        .collect();
+    plan.attachment_deps(&mut deps);
 
     // aggregation / projection
     let has_agg = items.iter().any(|i| matches!(i, BoundItem::Agg(_, _, _)));
@@ -794,8 +661,8 @@ impl Plan {
                     AccessPath::StorageMethod => "storage-method".to_string(),
                     AccessPath::Attachment(t, i) => format!("attachment {t}{i}"),
                 };
-                let probe = match &a.probe {
-                    Some(p) => format!(", probe from outer col {}", p.outer_offset),
+                let probe = match a.outer_param {
+                    Some(slot) => format!(", probe from outer col {slot}"),
                     None => String::new(),
                 };
                 let cov = if a.use_covered.is_some() {
@@ -803,12 +670,12 @@ impl Plan {
                 } else {
                     ""
                 };
-                let query = match (&a.probe, &a.query) {
-                    (Some(_), _) => "probe",
-                    (None, AccessQuery::All) => "all",
-                    (None, AccessQuery::Range(_)) => "range",
-                    (None, AccessQuery::KeyEquals(_)) => "key",
-                    (None, AccessQuery::Spatial(_, _)) => "spatial",
+                let query = match a.query {
+                    AccessQuery::All => "all",
+                    AccessQuery::Range(_) => "range",
+                    AccessQuery::KeyEquals(_) => "key",
+                    AccessQuery::KeyEqualsParam(_) => "probe",
+                    AccessQuery::Spatial(_, _) => "spatial",
                 };
                 format!(
                     "Access {} via {path} [{query}] (~{:.0} rows{probe}{cov})",
@@ -862,15 +729,46 @@ impl Plan {
         }
     }
 
+    /// Estimated rows out of a join input: an access's own estimate, a
+    /// nested loop's left estimate × its right side's per-opening one.
+    fn rows_est(&self) -> Option<f64> {
+        match self {
+            Plan::Access(a) => Some(a.rows_est),
+            Plan::NlJoin { left, right, .. } => Some(left.rows_est()? * right.rows_est()?),
+            _ => None,
+        }
+    }
+
+    /// Adds the access-path instances the plan reads through: a plan on
+    /// one is void once it is dropped.
+    fn attachment_deps(&self, deps: &mut Vec<DepKey>) {
+        match self {
+            Plan::Access(AccessPlan {
+                rd,
+                path: AccessPath::Attachment(att, inst),
+                ..
+            }) => deps.push(DepKey::Attachment(rd.id, *att, *inst)),
+            Plan::JoinIndexJoin { left, att, .. } => {
+                deps.push(DepKey::Attachment(left.id, att.0, att.1))
+            }
+            _ => {}
+        }
+        for c in self.children() {
+            c.attachment_deps(deps);
+        }
+    }
+
     /// Per-node EXPLAIN ANALYZE metadata in pre-order (the same order
     /// [`exec::PlanProfile`](crate::exec::PlanProfile) numbers its
     /// counters): the indented description, the planner's estimated rows
     /// out where it has one, and whether the node is a base-table access
-    /// (those feed the `planner.misestimate` histogram).
+    /// (those feed the `planner.misestimate` histogram). The actual count
+    /// of a nested loop's right side is summed over its re-openings, so
+    /// its estimate is the per-opening one × the left side's rows.
     pub fn explain_rows(&self) -> Vec<(String, Option<f64>, bool)> {
-        fn walk(p: &Plan, indent: usize, out: &mut Vec<(String, Option<f64>, bool)>) {
+        fn walk(p: &Plan, indent: usize, opens: f64, out: &mut Vec<(String, Option<f64>, bool)>) {
             let est = match p {
-                Plan::Access(a) => Some(a.rows_est),
+                Plan::Access(a) => Some(a.rows_est * opens),
                 Plan::Limit { n, .. } => Some(*n as f64),
                 _ => None,
             };
@@ -879,27 +777,22 @@ impl Plan {
                 est,
                 matches!(p, Plan::Access(_)),
             ));
-            for c in p.children() {
-                walk(c, indent + 1, out);
+            if let Plan::NlJoin { left, right, .. } = p {
+                walk(left, indent + 1, opens, out);
+                walk(
+                    right,
+                    indent + 1,
+                    opens * left.rows_est().unwrap_or(1.0),
+                    out,
+                );
+            } else {
+                for c in p.children() {
+                    walk(c, indent + 1, opens, out);
+                }
             }
         }
         let mut out = Vec::new();
-        walk(self, 0, &mut out);
+        walk(self, 0, 1.0, &mut out);
         out
     }
-}
-
-/// Cost helper shared with benches: total estimated cost of a choice.
-pub fn choice_total(c: &PathChoice) -> f64 {
-    c.cost.total()
-}
-
-/// Statement classification helper used by the session layer.
-pub fn is_query(stmt: &Stmt) -> bool {
-    matches!(stmt, Stmt::Select(_) | Stmt::Explain(..))
-}
-
-/// Re-exported so benches can build ad-hoc costs.
-pub fn cost(io: f64, cpu: f64) -> Cost {
-    Cost::new(io, cpu)
 }

@@ -245,8 +245,8 @@ fn update_evaluates_every_assignment_against_the_old_row() {
 
 #[test]
 fn null_outer_values_probe_nothing() {
-    // An index nested-loop join whose outer value is NULL opens no inner
-    // scan at all, whichever kind of probe the inner side takes.
+    // A join whose outer value is NULL opens no inner scan at all,
+    // whichever path serves the inner side — keyed or not.
     let inners = [
         (
             "CREATE TABLE i (d INT, tag INT)",
@@ -260,6 +260,7 @@ fn null_outer_values_probe_nothing() {
             "CREATE TABLE i (d INT NOT NULL, tag INT) USING btree WITH (key = d)",
             None,
         ),
+        ("CREATE TABLE i (d INT, tag INT)", None),
     ];
     for (create_inner, index) in inners {
         let db = open_db();
@@ -286,9 +287,56 @@ fn null_outer_values_probe_nothing() {
             ],
             "{index:?}"
         );
-        // the outer scan plus one probe per non-NULL outer value
-        assert_eq!(opens() - before, 1 + 3, "{index:?}");
+        // the outer scan plus one opening per non-NULL outer value
+        assert_eq!(opens() - before, 1 + 3, "{create_inner} {index:?}");
     }
+}
+
+#[test]
+fn unindexed_equi_joins_filter_in_the_inner_scan() {
+    // With no index anywhere the join conjunct still belongs to the inner
+    // table: bound to the outer row, it is evaluated where the inner scan
+    // reads its records, so only joining rows surface.
+    let db = open_db();
+    db.execute_sql("CREATE TABLE o (id INT NOT NULL, g INT)")
+        .unwrap();
+    db.execute_sql("CREATE TABLE i (f INT, tag INT NOT NULL)")
+        .unwrap();
+    let g = |id: i64| (id % 10 != 0).then_some(id % 50);
+    let o_rows: Vec<String> = (0..200)
+        .map(|id| match g(id) {
+            Some(g) => format!("({id}, {g})"),
+            None => format!("({id}, NULL)"),
+        })
+        .collect();
+    db.execute_sql(&format!("INSERT INTO o VALUES {}", o_rows.join(", ")))
+        .unwrap();
+    let i_rows: Vec<String> = (0..300)
+        .map(|tag| format!("({}, {tag})", tag % 60))
+        .collect();
+    db.execute_sql(&format!("INSERT INTO i VALUES {}", i_rows.join(", ")))
+        .unwrap();
+
+    let mut expected: Vec<Vec<Value>> = (0..200)
+        .flat_map(|id| {
+            (0..300)
+                .filter(move |tag| g(id) == Some(tag % 60))
+                .map(move |tag| vec![Value::Int(id), Value::Int(tag)])
+        })
+        .collect();
+    expected.sort_by(|a, b| a[0].total_cmp(&b[0]).then(a[1].total_cmp(&b[1])));
+    assert_eq!(expected.len(), 900);
+
+    let counter = |name: &str| db.metrics_snapshot().counter(name);
+    let (rows_before, opens_before) = (counter("scan.rows"), counter("scan.opens"));
+    let rows = db
+        .query_sql("SELECT o.id, i.tag FROM o, i WHERE o.g = i.f ORDER BY 1, 2")
+        .unwrap();
+    assert_eq!(rows, expected);
+    // every outer row, and of the inner rows only those that join
+    assert_eq!(counter("scan.rows") - rows_before, 200 + 900);
+    // the outer scan plus one inner scan per non-NULL outer value
+    assert_eq!(counter("scan.opens") - opens_before, 1 + 180);
 }
 
 #[test]

@@ -307,6 +307,12 @@ impl StorageMethod for BTreeStorage {
                     stat_frac.unwrap_or(1.0 / records.max(1) as f64),
                     AccessQuery::Range(eq_prefix_range(v)),
                 ),
+                // a value bound at open (a join's outer row): the same
+                // key prefix, encoded then
+                SargOp::EqParam(n) => (
+                    stat_frac.unwrap_or(1.0 / records.max(1) as f64),
+                    AccessQuery::KeyEqualsParam(*n),
+                ),
                 SargOp::Range(op, v) => {
                     let r = range_for(*op, v);
                     (stat_frac.unwrap_or(1.0 / 3.0), AccessQuery::Range(r))

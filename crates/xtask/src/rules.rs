@@ -647,27 +647,50 @@ pub fn check_layering(root: &Path) -> Vec<Violation> {
 
 /// Extension crates must reach the kernel only through the generic trait
 /// surface re-exported at `dmx_core::` root — naming `dmx_core::database::`
-/// or `dmx_core::catalog::` module paths is a contract violation.
+/// or `dmx_core::catalog::` module paths is a contract violation. The
+/// mirror image holds for the planner and the executor: they choose and
+/// open access paths through the generic interfaces alone, so they name
+/// no storage-method crate, no attachment type but the join index (a
+/// pair scan, an operator of its own) and look no extension up, or tell
+/// one from another, by its name.
 pub fn check_private_paths(files: &[SourceFile]) -> Vec<Violation> {
     const DENIED: &[&str] = &["dmx_core::database::", "dmx_core::catalog::"];
+    const PLANNER: &[&str] = &["crates/query/src/planner.rs", "crates/query/src/exec.rs"];
     let mut out = Vec::new();
     for f in files {
-        if !(f.rel.starts_with("crates/storage/") || f.rel.starts_with("crates/attach/")) {
+        let extension = f.rel.starts_with("crates/storage/") || f.rel.starts_with("crates/attach/");
+        let planner = PLANNER.contains(&f.rel.as_str());
+        if !extension && !planner {
             continue;
         }
         for (i, line) in f.lines.iter().enumerate() {
-            for d in DENIED {
-                if line.code.contains(d) {
-                    out.push(Violation::new(
-                        "private-path",
-                        &f.rel,
-                        i + 1,
-                        format!(
-                            "extension crate names kernel-internal path `{d}` — use the \
-                             generic interface re-exports at `dmx_core::` root"
-                        ),
-                    ));
-                }
+            let mut deny =
+                |msg: String| out.push(Violation::new("private-path", &f.rel, i + 1, msg));
+            for d in DENIED
+                .iter()
+                .filter(|d| extension && line.code.contains(**d))
+            {
+                deny(format!(
+                    "extension crate names kernel-internal path `{d}` — use the \
+                     generic interface re-exports at `dmx_core::` root"
+                ));
+            }
+            if !planner {
+                continue;
+            }
+            let code = line.code.replace("dmx_attach::join_index::", "");
+            let named = ["dmx_storage::", "dmx_attach::", ".name() =="]
+                .into_iter()
+                .find(|d| code.contains(d))
+                .or(
+                    (code.contains("_id_by_name(\"") && line.literals != "joinindex")
+                        .then_some("_id_by_name(\"…\")"),
+                );
+            if let Some(d) = named {
+                deny(format!(
+                    "planner names an extension (`{d}`) — an access path enters a \
+                     plan through `estimate`, never by name"
+                ));
             }
         }
     }

@@ -26,6 +26,9 @@ pub struct Line {
     /// Concatenated comment text on this line (for `SAFETY:` / `bounds`
     /// justification checks).
     pub comment: String,
+    /// Concatenated string-literal contents on this line (for rules about
+    /// which names code may spell out).
+    pub literals: String,
     /// True when the line sits inside a `#[cfg(test)]` item.
     pub in_test: bool,
 }
@@ -70,6 +73,7 @@ fn lex(text: &str) -> Vec<Line> {
     for raw in text.lines() {
         let mut code = String::with_capacity(raw.len());
         let mut comment = String::new();
+        let mut literals = String::new();
         let chars: Vec<char> = raw.chars().collect();
         let mut i = 0;
         while i < chars.len() {
@@ -144,6 +148,8 @@ fn lex(text: &str) -> Vec<Line> {
                     if c == '"' {
                         code.push('"');
                         mode = Mode::Code;
+                    } else {
+                        literals.push(c);
                     }
                 }
                 Mode::RawStr(h) => {
@@ -162,6 +168,7 @@ fn lex(text: &str) -> Vec<Line> {
                             continue;
                         }
                     }
+                    literals.push(c);
                 }
             }
             i += 1;
@@ -170,6 +177,7 @@ fn lex(text: &str) -> Vec<Line> {
         out.push(Line {
             code,
             comment,
+            literals,
             in_test: false,
         });
     }

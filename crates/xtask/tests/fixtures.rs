@@ -178,6 +178,31 @@ fn layering_rule_rejects_external_and_upward_deps() {
 }
 
 #[test]
+fn private_path_rule_keeps_extension_names_out_of_the_planner() {
+    let v = run("violations");
+    let hits: Vec<&Violation> = v.iter().filter(|x| x.rule == "private-path").collect();
+    // the storage crate's kernel-internal import, as before
+    assert!(
+        hits.iter().any(
+            |x| x.path == "crates/storage/src/lib.rs" && x.msg.contains("dmx_core::database::")
+        ),
+        "kernel-internal path not reported:\n{}",
+        xtask::render(&v)
+    );
+    // one line each: `dmx_storage::`, `_id_by_name("btree")`,
+    // `dmx_attach::btree_index::`, `.name() ==`
+    let planner: Vec<usize> = hits
+        .iter()
+        .filter(|x| x.path == "crates/query/src/planner.rs")
+        .map(|x| x.line)
+        .collect();
+    assert_eq!(planner, vec![5, 8, 9, 10], "{}", xtask::render(&v));
+    assert!(hits.iter().all(|x| x.code() == "DMX004"));
+    // The clean tree's planner names the join index, and only that.
+    assert!(!run("clean").iter().any(|x| x.rule == "private-path"));
+}
+
+#[test]
 fn contract_rule_reports_missing_ops_and_missing_impls() {
     let v = run("violations");
     let contracts: Vec<&Violation> = v.iter().filter(|x| x.rule == "contract").collect();

@@ -11,7 +11,9 @@
 //!    (with logical undo, scans, cost estimation, DDL attribute
 //!    validation), and
 //!  * `audit_count` — an attachment counting modifications per relation,
-//!    vetoing when a quota is exceeded,
+//!    vetoing when a quota is exceeded, and
+//!  * `lookup` — an access path on one field that answers `field = $n`
+//!    with a lookup by key, and so serves as the inner side of a join,
 //!
 //! then drive them through DDL, DML, SQL, veto rollback and abort — all
 //! coordinated by the common services, none of which know these types.
@@ -20,17 +22,17 @@
 // panic discipline: failures here should abort loudly.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use std::sync::RwLock;
 
 use starburst_dmx::core::{
-    Attachment, AttachmentInstance, CommonServices, Database, ExecCtx, KeyRange, Modification,
-    PathChoice, RelationDescriptor, Replay, ScanItem, ScanOps, StorageMethod,
+    Attachment, AttachmentInstance, CommonServices, Cost, Database, ExecCtx, KeyRange,
+    Modification, PathChoice, RelationDescriptor, Replay, ScanItem, ScanOps, StorageMethod,
 };
-use starburst_dmx::expr::Expr;
+use starburst_dmx::expr::{sargable, Expr, Sarg, SargOp};
 use starburst_dmx::prelude::*;
 use starburst_dmx::wal::ExtKind;
 
@@ -372,6 +374,150 @@ impl Attachment for QuotaGuard {
 }
 
 // ----------------------------------------------------------------------
+// the access path: one field, looked up by key
+// ----------------------------------------------------------------------
+
+/// `(instance token, encoded field value, record key)` entries, in memory
+/// and unlogged (nothing here rolls a write to an indexed relation back).
+#[derive(Default)]
+struct Lookup {
+    entries: RwLock<BTreeSet<(u64, Vec<u8>, RecordKey)>>,
+    next: AtomicU64,
+}
+
+/// Instance descriptor: `u64 token ∥ u16 field`.
+fn lookup_field(desc: &[u8]) -> dmx_types::FieldId {
+    u16::from_le_bytes(desc[8..10].try_into().unwrap())
+}
+
+impl Attachment for Lookup {
+    fn name(&self) -> &str {
+        "lookup"
+    }
+    fn validate_params(&self, params: &AttrList, schema: &Schema) -> Result<()> {
+        params.check_allowed(&["field"], "lookup")?;
+        schema
+            .field_id(params.require("field", "lookup")?)
+            .map(drop)
+    }
+    fn create_instance(
+        &self,
+        _ctx: &ExecCtx<'_>,
+        rd: &RelationDescriptor,
+        _name: &str,
+        params: &AttrList,
+    ) -> Result<Vec<u8>> {
+        let token = self.next.fetch_add(1, Ordering::SeqCst);
+        let field = rd.schema.field_id(params.require("field", "lookup")?)?;
+        Ok([&token.to_le_bytes()[..], &field.to_le_bytes()[..]].concat())
+    }
+    fn destroy_instance(&self, _s: &Arc<CommonServices>, desc: &[u8]) -> Result<()> {
+        let mut entries = self.entries.write().unwrap();
+        entries.retain(|(t, ..)| *t != token(desc));
+        Ok(())
+    }
+    /// Old side's entry out, new side's entry in.
+    fn on_modify(
+        &self,
+        _ctx: &ExecCtx<'_>,
+        _rd: &RelationDescriptor,
+        insts: &[AttachmentInstance],
+        m: &Modification<'_>,
+    ) -> Result<()> {
+        let mut entries = self.entries.write().unwrap();
+        for inst in insts {
+            let entry = |(key, rec): (&RecordKey, &Record)| {
+                let value = &rec.values[lookup_field(&inst.desc) as usize];
+                let value = dmx_types::key::encode_values(std::slice::from_ref(value));
+                (token(&inst.desc), value, key.clone())
+            };
+            if let Some(old) = m.old() {
+                entries.remove(&entry(old));
+            }
+            if let Some(new) = m.new() {
+                entries.insert(entry(new));
+            }
+        }
+        Ok(())
+    }
+    fn replay(
+        &self,
+        _s: &Arc<CommonServices>,
+        _rd: &RelationDescriptor,
+        _lsn: dmx_types::Lsn,
+        _dir: Replay,
+        _op: u8,
+        _payload: &[u8],
+    ) -> Result<()> {
+        Ok(()) // nothing is logged
+    }
+    /// Only a lookup by key: the record keys filed under the value.
+    fn open_scan(
+        &self,
+        _ctx: &ExecCtx<'_>,
+        _rd: &RelationDescriptor,
+        inst: &AttachmentInstance,
+        query: &AccessQuery,
+    ) -> Result<Box<dyn ScanOps>> {
+        let AccessQuery::KeyEquals(value) = query else {
+            return Err(DmxError::Unsupported("lookup: only key lookups".into()));
+        };
+        let entries = self.entries.read().unwrap();
+        let keys = entries
+            .iter()
+            .filter(|(t, v, _)| *t == token(&inst.desc) && v == value)
+            .map(|(.., key)| key.clone())
+            .collect();
+        Ok(Box::new(KeyList { keys, next: 0 }))
+    }
+    /// Relevant to `field = $n` alone, answered with a lookup of the
+    /// value bound at open; the planner needs no more to probe it.
+    fn estimate(
+        &self,
+        _rd: &RelationDescriptor,
+        inst: &AttachmentInstance,
+        preds: &[Expr],
+    ) -> Option<PathChoice> {
+        let (pred, n) = preds.iter().find_map(|p| match sargable(p)? {
+            Sarg {
+                field,
+                op: SargOp::EqParam(n),
+            } if field == lookup_field(&inst.desc) => Some((p, n)),
+            _ => None,
+        })?;
+        Some(PathChoice {
+            path: AccessPath::Attachment(inst.att, inst.instance),
+            query: AccessQuery::KeyEqualsParam(n),
+            cost: Cost::new(1.0, 1.0),
+            rows_out: 1.0,
+            covered: None,
+            applied: vec![pred.clone()],
+            ordering: None,
+        })
+    }
+}
+
+struct KeyList {
+    keys: Vec<RecordKey>,
+    next: usize,
+}
+
+impl ScanOps for KeyList {
+    fn next(&mut self, _ctx: &ExecCtx<'_>) -> Result<Option<ScanItem>> {
+        let key = self.keys.get(self.next).cloned();
+        self.next += 1;
+        Ok(key.map(|key| ScanItem { key, values: None }))
+    }
+    fn save_position(&self) -> Vec<u8> {
+        (self.next as u64).to_le_bytes().to_vec()
+    }
+    fn restore_position(&mut self, pos: &[u8]) -> Result<()> {
+        self.next = u64::from_le_bytes(pos.try_into().unwrap()) as usize;
+        Ok(())
+    }
+}
+
+// ----------------------------------------------------------------------
 
 fn open_with_externals() -> (Arc<Database>, Arc<QuotaGuard>) {
     let reg = starburst_dmx::core::ExtensionRegistry::new();
@@ -382,6 +528,8 @@ fn open_with_externals() -> (Arc<Database>, Arc<QuotaGuard>) {
         .unwrap();
     let guard = Arc::new(QuotaGuard::default());
     reg.register_attachment(guard.clone()).unwrap();
+    reg.register_attachment(Arc::new(Lookup::default()))
+        .unwrap();
     (Database::open_fresh(reg).unwrap(), guard)
 }
 
@@ -488,4 +636,33 @@ fn user_extensions_compose_with_builtins() {
         Value::Int(1),
         "trigger fired for the accepted insert only (vetoed one rolled back)"
     );
+}
+
+#[test]
+fn user_defined_access_path_is_probed_as_a_join_inner() {
+    let (db, _) = open_with_externals();
+    db.execute_sql("CREATE TABLE o (id INT NOT NULL, g INT)")
+        .unwrap();
+    db.execute_sql("INSERT INTO o VALUES (1, 7), (2, NULL), (3, 8), (4, 99), (5, 7)")
+        .unwrap();
+    db.execute_sql("CREATE TABLE i (f INT, tag INT NOT NULL)")
+        .unwrap();
+    db.execute_sql("INSERT INTO i VALUES (7, 70), (8, 80), (9, 90), (7, 71), (NULL, 0)")
+        .unwrap();
+    let q = "SELECT o.id, i.tag FROM o, i WHERE o.g = i.f ORDER BY 1, 2";
+    let nested_loop = db.query_sql(q).unwrap();
+    assert_eq!(nested_loop.len(), 5);
+
+    // existing records are backfilled through `on_modify`
+    db.execute_sql("CREATE ATTACHMENT by_f ON i USING lookup WITH (field = f)")
+        .unwrap();
+    let plan = format!("{:?}", db.query_sql(&format!("EXPLAIN {q}")).unwrap());
+    assert!(
+        plan.contains("Access i via attachment") && plan.contains("[probe]"),
+        "{plan}"
+    );
+    let probes = || db.metrics_snapshot().counter("att.probes");
+    let before = probes();
+    assert_eq!(db.query_sql(q).unwrap(), nested_loop);
+    assert_eq!(probes() - before, 4, "one per non-NULL outer value");
 }

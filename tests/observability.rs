@@ -260,6 +260,27 @@ fn explain_analyze_actuals_match_the_model_oracle() {
         .unwrap();
     assert!(mis[0][0].as_int().unwrap() >= 1);
 
+    // A nested loop re-opens its inner side per outer row: the inner
+    // access's actual count sums over the openings, and so does its
+    // estimate (the plan line keeps the per-opening figure).
+    db.execute_sql("CREATE TABLE pick (emp_id INT NOT NULL)")
+        .unwrap();
+    db.execute_sql(
+        "INSERT INTO pick VALUES (0), (3), (6), (9), (12), (15), (18), (21), (24), (27)",
+    )
+    .unwrap();
+    let join = db
+        .execute_sql("EXPLAIN ANALYZE SELECT e.name FROM pick p, emp e WHERE p.emp_id = e.id")
+        .unwrap();
+    let inner = join
+        .rows
+        .iter()
+        .find(|row| matches!(&row[0], Value::Str(s) if s.contains("Access emp") && s.contains("[probe]")))
+        .unwrap_or_else(|| panic!("emp probed: {}", render(&join.rows)));
+    let (est, actual) = (inner[1].as_int().unwrap(), inner[2].as_int().unwrap());
+    assert_eq!(actual, 10);
+    assert!(est * 2 >= actual && est <= actual * 2, "estimated {est}");
+
     // Same seed, fresh database: identical actuals, byte for byte.
     let (db2, _) = seeded_db(SEED);
     assert_eq!(render(&r.rows), render(&run(&db2).rows));
