@@ -13,8 +13,9 @@ use std::sync::Arc;
 
 use dmx_core::logged_tree;
 use dmx_core::{
-    AccessQuery, Attachment, AttachmentInstance, CommonServices, EntryDecoder, ExecCtx, LoggedTree,
-    Modification, RelationDescriptor, Replay, ScanItem, ScanOps, TreeCursor, TreeFile, TreeScan,
+    AccessQuery, Attachment, AttachmentInstance, CommonServices, EntryDecoder, Evaluator, ExecCtx,
+    LoggedTree, Modification, RelationDescriptor, Replay, ScanItem, ScanOps, TreeCursor, TreeFile,
+    TreeScan,
 };
 use dmx_types::{
     key::{decode_values, encode_values},
@@ -236,13 +237,13 @@ impl Attachment for Aggregate {
 struct GroupCells;
 
 impl EntryDecoder for GroupCells {
-    fn item(&self, _ctx: &ExecCtx<'_>, key: Vec<u8>, cell: Vec<u8>) -> Result<Option<ScanItem>> {
-        let group = decode_values(&key, 1)?
+    fn item(&self, _eval: &Evaluator<'_>, key: &[u8], cell: &[u8]) -> Result<Option<ScanItem>> {
+        let group = decode_values(key, 1)?
             .pop()
             .ok_or_else(|| DmxError::Corrupt("empty aggregate group key".into()))?;
-        let (count, sum) = decode_cell(&cell)?;
+        let (count, sum) = decode_cell(cell)?;
         Ok(Some(ScanItem {
-            key: RecordKey::new(key),
+            key: RecordKey::new(key.to_vec()),
             values: Some(vec![group, Value::Int(count), Value::Float(sum)]),
         }))
     }

@@ -18,7 +18,7 @@ use dmx_core::access::prefix_successor;
 use dmx_core::logged_tree::{self, lock_delete_gaps, lock_insert_gap};
 use dmx_core::{
     project_values, AccessPath, AccessQuery, Attachment, AttachmentInstance, CommonServices, Cost,
-    EntryDecoder, ExecCtx, KeyRange, LoggedTree, Modification, PathChoice, RecordKeyIn,
+    EntryDecoder, Evaluator, ExecCtx, KeyRange, LoggedTree, Modification, PathChoice, RecordKeyIn,
     RelationDescriptor, Replay, ScanItem, ScanOps, TreeCursor, TreeFile, TreeScan,
 };
 use dmx_expr::{analyze, Expr, SargOp};
@@ -357,11 +357,11 @@ struct IndexEntries {
 }
 
 impl EntryDecoder for IndexEntries {
-    fn item(&self, _ctx: &ExecCtx<'_>, key: Vec<u8>, rkey: Vec<u8>) -> Result<Option<ScanItem>> {
+    fn item(&self, _eval: &Evaluator<'_>, key: &[u8], rkey: &[u8]) -> Result<Option<ScanItem>> {
         // the index key prefix covers the indexed fields
         Ok(Some(ScanItem {
-            key: RecordKey::new(rkey),
-            values: Some(decode_values(&key, self.fields.len())?),
+            key: RecordKey::new(rkey.to_vec()),
+            values: Some(decode_values(key, self.fields.len())?),
         }))
     }
 

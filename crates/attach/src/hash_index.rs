@@ -15,8 +15,8 @@ use std::sync::Arc;
 use dmx_core::logged_tree;
 use dmx_core::{
     AccessPath, AccessQuery, Attachment, AttachmentInstance, CommonServices, Cost, EntryDecoder,
-    ExecCtx, KeyRange, LoggedTree, Modification, PathChoice, RelationDescriptor, Replay, ScanItem,
-    ScanOps, TreeCursor, TreeFile, TreeScan,
+    Evaluator, ExecCtx, KeyRange, LoggedTree, Modification, PathChoice, RelationDescriptor, Replay,
+    ScanItem, ScanOps, TreeCursor, TreeFile, TreeScan,
 };
 use dmx_expr::{analyze, Expr, SargOp};
 use dmx_types::{
@@ -279,10 +279,10 @@ struct BucketEntries {
 }
 
 impl EntryDecoder for BucketEntries {
-    fn item(&self, _ctx: &ExecCtx<'_>, key: Vec<u8>, rkey: Vec<u8>) -> Result<Option<ScanItem>> {
-        let covered = decode_values(tail(&key, 8, "hash index key")?, self.nfields)?;
+    fn item(&self, _eval: &Evaluator<'_>, key: &[u8], rkey: &[u8]) -> Result<Option<ScanItem>> {
+        let covered = decode_values(tail(key, 8, "hash index key")?, self.nfields)?;
         Ok(Some(ScanItem {
-            key: RecordKey::new(rkey),
+            key: RecordKey::new(rkey.to_vec()),
             values: Some(covered),
         }))
     }

@@ -20,9 +20,9 @@ use std::sync::Arc;
 
 use dmx_core::logged_tree;
 use dmx_core::{
-    AccessQuery, Attachment, AttachmentInstance, CommonServices, EntryDecoder, ExecCtx, KeyRange,
-    LoggedTree, Modification, RelationDescriptor, Replay, ScanItem, ScanOps, TreeCursor, TreeFile,
-    TreeScan,
+    AccessQuery, Attachment, AttachmentInstance, CommonServices, EntryDecoder, Evaluator, ExecCtx,
+    KeyRange, LoggedTree, Modification, RelationDescriptor, Replay, ScanItem, ScanOps, TreeCursor,
+    TreeFile, TreeScan,
 };
 use dmx_types::{
     key::encode_values, AttrList, DmxError, FieldId, FileId, Lsn, Record, RecordKey, Result,
@@ -151,9 +151,11 @@ impl<'a> Link<'a> {
         let tree = self.trees[which as usize].tree();
         let mut cur = TreeCursor::new(tree, KeyRange::prefix(p.to_vec()));
         let mut out = Vec::new();
-        while let Some(kv) = cur.next(ctx)? {
-            out.push(kv);
-        }
+        let mut copy = |k: &[u8], v: &[u8]| {
+            out.push((k.to_vec(), v.to_vec()));
+            Ok(true)
+        };
+        while cur.step(ctx, false, &mut copy)? {}
         Ok(out)
     }
 }
@@ -346,8 +348,8 @@ impl Attachment for JoinIndex {
 struct PairEntries;
 
 impl EntryDecoder for PairEntries {
-    fn item(&self, _ctx: &ExecCtx<'_>, _key: Vec<u8>, value: Vec<u8>) -> Result<Option<ScanItem>> {
-        let (lkey, rkey) = decode_pair_value(&value)?;
+    fn item(&self, _eval: &Evaluator<'_>, _key: &[u8], value: &[u8]) -> Result<Option<ScanItem>> {
+        let (lkey, rkey) = decode_pair_value(value)?;
         Ok(Some(ScanItem {
             key: RecordKey::new(lkey.to_vec()),
             values: Some(vec![Value::Bytes(rkey.to_vec())]),

@@ -313,28 +313,53 @@ impl BTree {
     /// First entry at-or-after the bound (walking right siblings across
     /// empty leaves).
     pub fn seek(&self, bound: Bound<&[u8]>) -> Result<Option<(Vec<u8>, Vec<u8>)>> {
+        let mut first = None;
+        self.visit_leaf(bound, |k, v| {
+            first = Some((k.to_vec(), v.to_vec()));
+            Ok(false)
+        })?;
+        Ok(first)
+    }
+
+    /// One descent, one leaf: hands `visit` the entries at-or-after the
+    /// bound that the leaf holding the first of them has, in key order
+    /// and as they lie in the pinned page (empty leaves are walked
+    /// past). `visit` returns whether to go on. Comes back `true` when
+    /// the tree has nothing past what was visited — `visit` never said
+    /// stop and the leaf has no right sibling — so a range scan that
+    /// reached its end inside the leaf needs no second descent to learn
+    /// it. `visit` runs under the tree latch and the leaf's page guard:
+    /// it must not block, lock or re-enter the tree.
+    pub fn visit_leaf(
+        &self,
+        bound: Bound<&[u8]>,
+        mut visit: impl FnMut(&[u8], &[u8]) -> Result<bool>,
+    ) -> Result<bool> {
         let _guard = self.latch.read();
         let target: &[u8] = match bound {
             Bound::Included(k) | Bound::Excluded(k) => k,
             Bound::Unbounded => &[],
         };
-        // Descend to the leaf covering `target`.
+        // Descend to the leaf covering `target`; its pin is the one the
+        // visit runs under.
         let mut page_no = self.root.page_no;
         let mut depth = 0usize;
-        loop {
+        let mut pin = loop {
             let pin = self.node(page_no)?;
-            let page = pin.read();
-            if Node::is_leaf(&page) {
-                break;
-            }
+            let child = {
+                let page = pin.read();
+                (!Node::is_leaf(&page)).then(|| Node::route(&page, target))
+            };
+            let Some(child) = child else {
+                break pin;
+            };
             depth += 1;
             if depth > MAX_DEPTH {
                 return Err(self.depth_exceeded());
             }
-            page_no = Node::route(&page, target);
-        }
+            page_no = child;
+        };
         // Find the first qualifying entry, spilling into right siblings.
-        let mut pin = self.node(page_no)?;
         let mut idx = {
             let page = pin.read();
             match bound {
@@ -350,14 +375,17 @@ impl BTree {
         };
         loop {
             let page = pin.read();
-            if idx < Node::nkeys(&page) {
-                return Ok(Some((
-                    Node::key(&page, idx).to_vec(),
-                    Node::value(&page, idx).to_vec(),
-                )));
+            let n = Node::nkeys(&page);
+            if idx < n {
+                for i in idx..n {
+                    if !visit(Node::key(&page, i), Node::value(&page, i))? {
+                        return Ok(false);
+                    }
+                }
+                return Ok(Node::right_sibling(&page).is_none());
             }
             let Some(sib) = Node::right_sibling(&page) else {
-                return Ok(None);
+                return Ok(true);
             };
             drop(page);
             pin = self.node(sib)?;
@@ -438,37 +466,13 @@ impl BTreeCursor {
     /// error path explicit at every call site.
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Result<Option<(Vec<u8>, Vec<u8>)>> {
-        let entry = self.peek()?;
+        let entry = self
+            .tree
+            .seek(self.next_bound.as_ref().map(Vec::as_slice))?;
         if let Some((k, _)) = &entry {
-            self.advance(k);
+            self.next_bound = Bound::Excluded(k.clone());
         }
         Ok(entry)
-    }
-
-    /// The entry [`BTreeCursor::next`] would return, leaving the cursor
-    /// where it is.
-    pub fn peek(&self) -> Result<Option<(Vec<u8>, Vec<u8>)>> {
-        let bound = match &self.next_bound {
-            Bound::Included(k) => Bound::Included(k.as_slice()),
-            Bound::Excluded(k) => Bound::Excluded(k.as_slice()),
-            Bound::Unbounded => Bound::Unbounded,
-        };
-        self.tree.seek(bound)
-    }
-
-    /// Moves the cursor onto `key`: the next step resumes after it.
-    pub fn advance(&mut self, key: &[u8]) {
-        self.next_bound = Bound::Excluded(key.to_vec());
-    }
-
-    /// The key the cursor will resume after (its saved position).
-    pub fn position(&self) -> &Bound<Vec<u8>> {
-        &self.next_bound
-    }
-
-    /// Restores a saved position (savepoint scan-position restore).
-    pub fn set_position(&mut self, pos: Bound<Vec<u8>>) {
-        self.next_bound = pos;
     }
 }
 
@@ -580,12 +584,6 @@ mod tests {
         assert_eq!(collect(Bound::Excluded(k(10)))[0], k(11));
         assert_eq!(collect(Bound::Included(k(95))).len(), 5);
         assert_eq!(collect(Bound::Excluded(k(99))).len(), 0);
-        // peeking does not move the cursor; advancing onto a key does
-        let mut cur = t.cursor_from(Bound::Unbounded);
-        assert_eq!(cur.peek().unwrap().unwrap().0, k(0));
-        assert_eq!(cur.peek().unwrap().unwrap().0, k(0));
-        cur.advance(&k(41));
-        assert_eq!(cur.next().unwrap().unwrap().0, k(42));
     }
 
     #[test]
@@ -620,24 +618,51 @@ mod tests {
         assert_eq!(next, k(2));
     }
 
+    /// Leaf visits chained by their last key cover the tree exactly once,
+    /// in order, one descent (the leaf pinned once) each;
+    /// only the visit that reaches the last leaf's end reports the end.
     #[test]
-    fn cursor_position_save_restore() {
-        let (_p, t) = setup();
-        for i in 0..10i64 {
-            t.insert(&k(i), b"", OnDuplicate::Error).unwrap();
+    fn visit_leaf_hands_out_one_leaf_and_reports_the_end() {
+        let (pool, t) = setup();
+        let n = 3000i64;
+        for i in 0..n {
+            t.insert(&k(i), &i.to_le_bytes(), OnDuplicate::Error)
+                .unwrap();
         }
-        let mut cur = t.iter_all();
-        cur.next().unwrap();
-        cur.next().unwrap();
-        let saved = cur.position().clone();
-        cur.next().unwrap();
-        cur.next().unwrap();
-        cur.set_position(saved);
-        assert_eq!(
-            cur.next().unwrap().unwrap().0,
-            k(2),
-            "restored to after k(1)"
-        );
+        let height = t.stats().unwrap().height as u64;
+        assert!(height >= 2);
+        let mut seen: Vec<Vec<u8>> = Vec::new();
+        let mut leaves = 0;
+        loop {
+            let last = seen.last().cloned();
+            let from = last.as_deref().map_or(Bound::Unbounded, Bound::Excluded);
+            let before = seen.len();
+            let pins = |p: &BufferPool| p.stats().hits.get() + p.stats().misses.get();
+            let before_pins = pins(&pool);
+            let ended = t
+                .visit_leaf(from, |key, val| {
+                    assert_eq!(val.len(), 8);
+                    seen.push(key.to_vec());
+                    Ok(true)
+                })
+                .unwrap();
+            // one descent; resuming after a leaf's last key lands on that
+            // leaf first and steps to its sibling
+            let spent = pins(&pool) - before_pins;
+            assert!(spent == height || (before > 0 && spent == height + 1));
+            assert!(seen.len() > before, "a leaf is never handed out empty");
+            leaves += 1;
+            if ended {
+                break;
+            }
+        }
+        assert!(leaves > 1);
+        assert_eq!(seen, (0..n).map(k).collect::<Vec<_>>());
+        // past the last key: nothing to visit, and that is the end
+        let ended = t.visit_leaf(Bound::Excluded(&k(n - 1)), |_, _| panic!("no entry"));
+        assert!(ended.unwrap());
+        // a visit that stops early cannot know
+        assert!(!t.visit_leaf(Bound::Unbounded, |_, _| Ok(false)).unwrap());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! and positions are saved when a rollback point is established and
 //! restored after a partial rollback.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -182,12 +182,38 @@ pub struct ScanItem {
     pub values: Option<Vec<Value>>,
 }
 
+/// The unit a scan hands upward: the qualifying, projected items of one
+/// pinned heap page or one tree leaf, in scan order. It has no size of
+/// its own — a frame is what one page holds — and the caller keeps and
+/// reuses it from one [`ScanOps::next_frame`] to the next.
+pub type Frame = VecDeque<ScanItem>;
+
 /// The generic key-sequential access interface implemented by storage
 /// methods and access-path attachments.
+///
+/// An extension implements [`ScanOps::next`]; that is all a scan needs,
+/// and [`ScanOps::next_frame`] then hands its items out one to a frame.
+/// Overriding `next_frame` pays when the scan reads pages: one pin, one
+/// page guard and one evaluator for everything the page holds, the
+/// predicate run on the bytes where they lie and only the rows that pass
+/// copied out. The override must keep `next` its one-row view (one
+/// traversal body, stopped after the first item) and must take **no
+/// lock while it fills**: it holds a page guard, locks sit above page
+/// guards in the hierarchy (`xtask verify`, DMX009), and the dispatcher
+/// locks each item as it hands it out. A scan that has to lock what it
+/// passes — the next-key cursor — fills frames of one.
 pub trait ScanOps: Send {
     /// The item after the current position, advancing the position onto
     /// it. `None` when exhausted.
     fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<ScanItem>>;
+
+    /// Appends to `frame` the items after the current position that the
+    /// next page with any holds, advancing the position onto the last of
+    /// them; appends nothing when exhausted.
+    fn next_frame(&mut self, ctx: &ExecCtx<'_>, frame: &mut Frame) -> Result<()> {
+        frame.extend(self.next(ctx)?);
+        Ok(())
+    }
 
     /// Serializes the current position (the paper's savepoint-time
     /// "obtain their key-sequential access positions").
@@ -275,17 +301,29 @@ impl ScanManager {
         id
     }
 
-    /// Advances a scan (registry lock released before the scan runs).
+    /// The scan behind `id` (the registry lock is released before the
+    /// scan runs).
+    fn scan(&self, txn: TxnId, id: ScanId) -> Result<SharedScan> {
+        let open = self.open.lock();
+        open.get(&txn)
+            .and_then(|scans| scans.get(&id))
+            .cloned()
+            .ok_or_else(|| DmxError::NotFound(format!("scan {id}")))
+    }
+
+    /// Advances a scan by one item.
     pub fn next(&self, ctx: &ExecCtx<'_>, id: ScanId) -> Result<Option<ScanItem>> {
-        let scan = {
-            let open = self.open.lock();
-            open.get(&ctx.txn.id())
-                .and_then(|scans| scans.get(&id))
-                .cloned()
-                .ok_or_else(|| DmxError::NotFound(format!("scan {id}")))?
-        };
+        let scan = self.scan(ctx.txn.id(), id)?;
         let mut guard = scan.lock();
         guard.next(ctx)
+    }
+
+    /// Advances a scan by one frame: one registry lookup for what a page
+    /// holds.
+    pub fn next_frame(&self, ctx: &ExecCtx<'_>, id: ScanId, frame: &mut Frame) -> Result<()> {
+        let scan = self.scan(ctx.txn.id(), id)?;
+        let mut guard = scan.lock();
+        guard.next_frame(ctx, frame)
     }
 
     /// Closes one scan.

@@ -2,10 +2,11 @@
 
 use std::sync::Arc;
 
-use dmx_expr::{eval_predicate, EvalContext, Expr, FieldSource};
+use dmx_expr::{eval, eval_predicate, EvalContext, Expr, FieldSource, FunctionRegistry};
 use dmx_lock::{LockMode, LockName};
 use dmx_txn::Transaction;
-use dmx_types::{Lsn, RecordKey, RelationId, Result};
+use dmx_types::sync::RwLockReadGuard;
+use dmx_types::{Lsn, RecordKey, RelationId, Result, Value};
 use dmx_wal::{ExtKind, LogBody};
 
 use crate::database::Database;
@@ -54,7 +55,33 @@ impl<'a> ExecCtx<'a> {
     /// Evaluates a filter predicate against a (possibly buffer-resident)
     /// record through the common-services evaluator.
     pub fn eval_predicate(&self, expr: &Expr, src: &dyn FieldSource) -> Result<bool> {
-        let funcs = self.services().funcs.read();
-        eval_predicate(expr, src, EvalContext::new(&funcs))
+        self.evaluator().matches(expr, src)
+    }
+
+    /// The common-services evaluator with the function registry's guard
+    /// taken once: what a scan holds while it filters a frame, and an
+    /// operator while it works on one row. It is a read guard — hold it
+    /// for a page's worth of work, never across a lock wait.
+    pub fn evaluator(&self) -> Evaluator<'a> {
+        Evaluator {
+            funcs: self.db.services().funcs.read(),
+        }
+    }
+}
+
+/// See [`ExecCtx::evaluator`].
+pub struct Evaluator<'a> {
+    funcs: RwLockReadGuard<'a, FunctionRegistry>,
+}
+
+impl Evaluator<'_> {
+    /// Whether `src` satisfies the predicate `expr` (NULL is no).
+    pub fn matches(&self, expr: &Expr, src: &dyn FieldSource) -> Result<bool> {
+        eval_predicate(expr, src, EvalContext::new(&self.funcs))
+    }
+
+    /// The value of `expr` over `src`.
+    pub fn value(&self, expr: &Expr, src: &dyn FieldSource) -> Result<Value> {
+        eval(expr, src, EvalContext::new(&self.funcs))
     }
 }

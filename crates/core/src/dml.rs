@@ -20,7 +20,7 @@ use dmx_txn::{Footprint, Transaction, VersionImage};
 use dmx_types::obs::Counter;
 use dmx_types::{DmxError, FieldId, Record, RecordKey, RelationId, Result, ScanId, Value};
 
-use crate::access::{AccessPath, AccessQuery, ScanItem, ScanOps};
+use crate::access::{AccessPath, AccessQuery, Frame, ScanItem, ScanOps};
 use crate::attachment::Modification;
 use crate::context::ExecCtx;
 use crate::database::Database;
@@ -47,11 +47,15 @@ pub fn project_values(values: &[Value], fields: Option<&[FieldId]>) -> Result<Ve
 /// registers is the access procedure's own scan wrapped in this. It
 /// fences corruption, counts rows, passes derived items (e.g. aggregate
 /// groups, covered by the relation-level lock) through untouched, and
-/// hands each record-keyed item to the transaction's [`Protocol`].
+/// runs the transaction's [`Protocol`] over what the inner scan hands it
+/// — a frame at a time where the protocol allows, with `next` the
+/// one-row view of the same body.
 struct DispatchScan {
     inner: Box<dyn ScanOps>,
     rd: Arc<RelationDescriptor>,
     protocol: Protocol,
+    /// The frame `next` pulls its one item through, kept for reuse.
+    one: Frame,
     /// Rows returned so far; flushed into the rows-per-scan histogram
     /// when the scan reports exhaustion.
     rows: u64,
@@ -62,16 +66,17 @@ struct DispatchScan {
 /// records in the buffer pool before any lock is granted) safe to
 /// return, with the private state each protocol keeps per scan.
 enum Protocol {
-    /// Every item's record is S-locked as it is returned (record-level
-    /// locking maintains scan-position integrity, per the paper: "the
-    /// access procedures use locking to maintain the integrity of the
-    /// scan position") and **re-read under its S lock**: a writer's
-    /// entire X-hold can fit between the optimistic read and the lock
-    /// grant, so "granted without waiting" does not imply the read was
-    /// current. Storage-method scans re-fetch the record (re-applying
-    /// predicate and projection); access-path scans re-check record
-    /// existence (their per-entry values — index keys, join pairs — are
-    /// immutable once present).
+    /// Every item's record is S-locked as it is handed out — never while
+    /// a frame is filled, so the inner scan is asked for one item at a
+    /// time (record-level locking maintains scan-position integrity, per
+    /// the paper: "the access procedures use locking to maintain the
+    /// integrity of the scan position") — and **re-read under its S
+    /// lock**: a writer's entire X-hold can fit between the optimistic
+    /// read and the lock grant, so "granted without waiting" does not
+    /// imply the read was current. Storage-method scans re-fetch the
+    /// record (re-applying predicate and projection); access-path scans
+    /// re-check record existence (their per-entry values — index keys,
+    /// join pairs — are immutable once present).
     Locking {
         /// True when the inner scan is a storage-method scan ("path zero").
         sm_path: bool,
@@ -79,10 +84,10 @@ enum Protocol {
         fields: Option<Vec<FieldId>>,
     },
     /// A lock-free read-only scan against the transaction's snapshot:
-    /// **no record locks are taken**. Instead every item is checked
-    /// against the version store: when the record has a chain, the page
-    /// (or index-entry) bytes may belong to an in-flight or
-    /// recently-aborted writer, so the item is re-derived from the
+    /// **no record locks are taken**. Instead every frame is checked
+    /// against the version store, page read first: when a record has a
+    /// chain, the page (or index-entry) bytes may belong to an in-flight
+    /// or recently-aborted writer, so the item is re-derived from the
     /// chain's snapshot-visible image; when it has none, the page state
     /// is committed for every live snapshot (the GC fence guarantees
     /// chains outlive the snapshots that might need them) and the item
@@ -95,91 +100,99 @@ enum Protocol {
     /// runs are deterministic; under concurrent writers the scan's overall
     /// key ordering is therefore best-effort (DESIGN.md §6.2).
     Snapshot {
-        /// Record keys the inner scan surfaced to the decorator (whether
-        /// the chain probe then emitted or suppressed them). Double duty:
-        /// the regular stream dedupes against it — a concurrent update
-        /// can relocate a record's tree entry ahead of the scan position,
-        /// so the inner scan may surface the same record key twice — and
-        /// the delta sweep must not re-emit its members. Keys the inner
-        /// scan filtered *internally* (predicate/range) never reach this
-        /// set; the delta sweep intentionally re-derives those records
-        /// from their chains.
-        seen: HashSet<Vec<u8>>,
-        /// `seen`'s members in arrival order, so a savepoint position
-        /// restore can rewind the set in step with the inner scan (keys
-        /// surfaced after the saved position must be re-emittable).
-        surfaced: Vec<Vec<u8>>,
+        surfaced: Surfaced,
         /// The delta sweep, once the inner scan exhausted.
         delta: Option<VecDeque<(Vec<u8>, VersionImage)>>,
     },
 }
 
+/// The record keys the inner scan surfaced to a snapshot scan's
+/// decorator (whether the chain probe then emitted or suppressed them),
+/// kept as one byte log in arrival order. Double duty: a concurrent
+/// update can relocate a record's tree entry ahead of the scan position,
+/// so the inner scan may surface the same record key twice and the
+/// second must go; and the delta sweep must not re-emit what the stream
+/// handled. Keys the inner scan filtered *internally* (predicate/range)
+/// never get here; the delta sweep intentionally re-derives those
+/// records from their chains.
+///
+/// Nothing is looked up in the common case, so nothing is hashed: a key
+/// without a chain cannot have been surfaced before — no chain means
+/// nobody has written the record since before this snapshot began (the
+/// GC fence), so its entry cannot have moved — and cannot be in a sweep,
+/// which lists chains. Only a key that arrives *with* a chain, or a
+/// non-empty sweep, asks, and the set is built from the log then.
+#[derive(Default)]
+struct Surfaced {
+    /// `u32 len ∥ key` per key. Its length is the scan's half of a saved
+    /// position: a restore truncates it in step with the inner rewind,
+    /// or keys surfaced again would be dropped instead of re-emitted.
+    log: Vec<u8>,
+    /// The keys of `log[..indexed]`, for the rare lookup.
+    set: HashSet<Vec<u8>>,
+    indexed: usize,
+}
+
+impl Surfaced {
+    fn push(&mut self, key: &[u8]) {
+        self.log
+            .extend_from_slice(&(key.len() as u32).to_le_bytes());
+        self.log.extend_from_slice(key);
+    }
+
+    /// Whether `key` was surfaced before, first indexing what the log
+    /// gained since the last time anyone asked.
+    fn contains(&mut self, key: &[u8]) -> bool {
+        while let Some(len) = dmx_types::bytes::le_u32(&self.log, self.indexed) {
+            let start = self.indexed + 4;
+            let Some(k) = self.log.get(start..start + len as usize) else {
+                break;
+            };
+            self.set.insert(k.to_vec());
+            self.indexed = start + len as usize;
+        }
+        self.set.contains(key)
+    }
+
+    fn truncate(&mut self, len: usize) {
+        self.log.truncate(len);
+        if self.indexed > len {
+            self.set.clear();
+            self.indexed = 0;
+        }
+    }
+}
+
 impl DispatchScan {
-    fn next_inner(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<ScanItem>> {
+    /// The one protocol body: pulls from the inner scan — what one page
+    /// holds when `whole` and the protocol takes no locks, else one item
+    /// — until `frame` (empty on entry) holds something the transaction
+    /// may see, or the scan is exhausted.
+    fn pull(&mut self, ctx: &ExecCtx<'_>, frame: &mut Frame, whole: bool) -> Result<()> {
         let Self {
             inner,
             rd,
             protocol,
             ..
         } = self;
-        loop {
-            if let Protocol::Snapshot {
-                delta: Some(delta), ..
-            } = protocol
-            {
-                let Some((key, image)) = delta.pop_front() else {
-                    return Ok(None);
-                };
-                let VersionImage::Present(values) = image else {
-                    continue;
-                };
-                let key = RecordKey::new(key);
-                if let Some(item) = inner.item_from_version(ctx, &key, &values)? {
-                    return Ok(Some(item));
-                }
-                continue;
-            }
-            let Some(item) = inner.next(ctx)? else {
-                let Protocol::Snapshot { seen, delta, .. } = protocol else {
-                    return Ok(None);
-                };
-                // Inner scan exhausted: sweep the chains for visible
-                // records it never surfaced.
-                let entries =
-                    ctx.db
-                        .versions()
-                        .visible_entries(rd.id, ctx.txn.snapshot(), ctx.txn.id());
-                let sweep: VecDeque<_> = entries
-                    .into_iter()
-                    .filter(|(k, _)| !seen.contains(k))
-                    .collect();
-                if !sweep.is_empty() {
-                    // Observable: the sweep found snapshot-visible
-                    // records the inner scan never surfaced.
-                    ctx.db.counters().scan_delta_sweeps.incr();
-                    ctx.db.metrics().emit(dmx_types::obs::ObsEvent {
-                        layer: "scan",
-                        op: "delta_sweep",
-                        target: rd.id.0 as u64,
-                        detail: sweep.len() as u64,
-                    });
-                }
-                *delta = Some(sweep);
-                continue;
-            };
-            if !inner.items_are_record_keys() {
-                return Ok(Some(item));
-            }
-            let kept = match protocol {
+        while frame.is_empty() {
+            match protocol {
                 Protocol::Locking {
                     sm_path,
                     pred,
                     fields,
                 } => {
+                    let Some(item) = inner.next(ctx)? else {
+                        return Ok(());
+                    };
+                    if !inner.items_are_record_keys() {
+                        frame.push_back(item);
+                        return Ok(());
+                    }
                     ctx.lock_record(rd.id, &item.key, LockMode::S)?;
                     // Re-read under the lock.
                     let sm = ctx.db.registry().storage(rd.sm)?;
-                    if *sm_path {
+                    let kept = if *sm_path {
                         // `None`: vanished or no longer qualifies
                         sm.fetch(ctx, rd, &item.key, fields.as_deref(), pred.as_ref())?
                             .map(|values| ScanItem {
@@ -201,85 +214,162 @@ impl DispatchScan {
                     } else {
                         // existence check only (empty projection, no predicate)
                         sm.fetch(ctx, rd, &item.key, Some(&[]), None)?.map(|_| item)
-                    }
+                    };
+                    frame.extend(kept);
                 }
-                Protocol::Snapshot { seen, surfaced, .. } => {
-                    let key_bytes = item.key.as_bytes().to_vec();
-                    if !seen.insert(key_bytes.clone()) {
-                        // A concurrent writer relocated this record's tree
-                        // entry past the scan position, resurfacing a key
-                        // the stream already handled; both probes would
-                        // re-derive the identical snapshot-visible image,
-                        // so emit each record at most once.
-                        continue;
-                    }
-                    surfaced.push(key_bytes);
-                    match ctx.db.visible_image(ctx.txn, rd.id, item.key.as_bytes()) {
-                        // No chain: the page state is committed for this
-                        // snapshot. The common case — zero overhead beyond
-                        // one hash probe.
-                        None => Some(item),
-                        Some(VersionImage::Absent) => None,
-                        Some(VersionImage::Present(values)) => {
-                            inner.item_from_version(ctx, &item.key, &values)?
+                Protocol::Snapshot {
+                    delta: Some(delta), ..
+                } => {
+                    while let Some((key, image)) = delta.pop_front() {
+                        let VersionImage::Present(values) = image else {
+                            continue;
+                        };
+                        let key = RecordKey::new(key);
+                        frame.extend(inner.item_from_version(ctx, &key, &values)?);
+                        if !whole && !frame.is_empty() {
+                            break;
                         }
                     }
+                    return Ok(());
                 }
-            };
-            if kept.is_some() {
-                return Ok(kept);
+                Protocol::Snapshot { surfaced, delta } => {
+                    if whole {
+                        inner.next_frame(ctx, frame)?;
+                    } else {
+                        frame.extend(inner.next(ctx)?);
+                    }
+                    if frame.is_empty() {
+                        // Inner scan exhausted: sweep the chains for
+                        // visible records it never surfaced.
+                        let mut sweep: VecDeque<_> = ctx
+                            .db
+                            .versions()
+                            .visible_entries(rd.id, ctx.txn.snapshot(), ctx.txn.id())
+                            .into();
+                        sweep.retain(|(k, _)| !surfaced.contains(k));
+                        if !sweep.is_empty() {
+                            // Observable: the sweep found snapshot-visible
+                            // records the inner scan never surfaced.
+                            ctx.db.counters().scan_delta_sweeps.incr();
+                            ctx.db.metrics().emit(dmx_types::obs::ObsEvent {
+                                layer: "scan",
+                                op: "delta_sweep",
+                                target: rd.id.0 as u64,
+                                detail: sweep.len() as u64,
+                            });
+                        }
+                        *delta = Some(sweep);
+                    } else if inner.items_are_record_keys() {
+                        admit(ctx, rd, inner.as_ref(), surfaced, frame)?;
+                    }
+                }
             }
         }
+        Ok(())
     }
+
+    /// Fences corruption off and counts what a pull produced.
+    fn counted(&mut self, ctx: &ExecCtx<'_>, res: Result<()>, produced: usize) -> Result<()> {
+        ctx.db.fence_corrupt(self.rd.id, res)?;
+        if produced > 0 {
+            self.rows += produced as u64;
+            ctx.db.counters().scan_rows.add(produced as u64);
+        } else if !self.exhausted {
+            self.exhausted = true;
+            ctx.db.counters().rows_per_scan.record(self.rows);
+        }
+        Ok(())
+    }
+}
+
+/// The snapshot protocol over one frame the inner scan just read: page
+/// read first, then — once for the frame — the relation's unstamped
+/// windows are waited out and the version store is asked, under one lock,
+/// which of the frame's records have chains. Those are re-derived from
+/// their visible images (or dropped: invisible, no longer qualifying, or
+/// surfaced before); the rest are trusted as read.
+fn admit(
+    ctx: &ExecCtx<'_>,
+    rd: &RelationDescriptor,
+    inner: &dyn ScanOps,
+    surfaced: &mut Surfaced,
+    frame: &mut Frame,
+) -> Result<()> {
+    let versions = ctx.db.versions();
+    versions.wait_unstamped(rd.id);
+    let keys = frame.iter().map(|item| item.key.as_bytes());
+    let chained = versions.visible_among(rd.id, keys, ctx.txn.snapshot(), ctx.txn.id());
+    if chained.is_empty() {
+        // The common case: no hashing, no lookups.
+        for item in frame.iter() {
+            surfaced.push(item.key.as_bytes());
+        }
+        return Ok(());
+    }
+    ctx.db
+        .counters()
+        .mvcc_version_reads
+        .add(chained.len() as u64);
+    let mut chained = chained.into_iter().peekable();
+    for (i, item) in std::mem::take(frame).into_iter().enumerate() {
+        let Some((_, image)) = chained.next_if(|(at, _)| *at == i) else {
+            surfaced.push(item.key.as_bytes());
+            frame.push_back(item);
+            continue;
+        };
+        if surfaced.contains(item.key.as_bytes()) {
+            // A concurrent writer relocated this record's tree entry past
+            // the scan position, resurfacing a key the stream already
+            // handled; both probes would re-derive the identical
+            // snapshot-visible image, so emit each record at most once.
+            continue;
+        }
+        surfaced.push(item.key.as_bytes());
+        if let VersionImage::Present(values) = image {
+            frame.extend(inner.item_from_version(ctx, &item.key, &values)?);
+        }
+    }
+    Ok(())
 }
 
 impl ScanOps for DispatchScan {
     fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<ScanItem>> {
-        let rel = self.rd.id;
-        let res = ctx.db.fence_corrupt(rel, self.next_inner(ctx));
-        match &res {
-            Ok(Some(_)) => {
-                self.rows += 1;
-                ctx.db.counters().scan_rows.incr();
-            }
-            Ok(None) if !self.exhausted => {
-                self.exhausted = true;
-                ctx.db.counters().rows_per_scan.record(self.rows);
-            }
-            _ => {}
-        }
-        res
+        let mut one = std::mem::take(&mut self.one);
+        let res = self.pull(ctx, &mut one, false);
+        let item = one.pop_front();
+        self.one = one;
+        self.counted(ctx, res, item.is_some() as usize)?;
+        Ok(item)
     }
+
+    /// `frame` arrives empty ([`Database::scan_next_frame`] clears it).
+    fn next_frame(&mut self, ctx: &ExecCtx<'_>, frame: &mut Frame) -> Result<()> {
+        let res = self.pull(ctx, frame, true);
+        self.counted(ctx, res, frame.len())
+    }
+
     fn save_position(&self) -> Vec<u8> {
         let inner = self.inner.save_position();
         let Protocol::Snapshot { surfaced, .. } = &self.protocol else {
             return inner;
         };
-        // Composite position: how many keys the regular stream had
-        // surfaced, then the inner scan's own position. A restore must
-        // shrink `seen` in step with the inner rewind, or re-surfaced
-        // keys would be deduped away instead of re-emitted.
-        let mut pos = (surfaced.len() as u64).to_le_bytes().to_vec();
+        // Composite position: how much the regular stream had surfaced,
+        // then the inner scan's own position.
+        let mut pos = (surfaced.log.len() as u64).to_le_bytes().to_vec();
         pos.extend_from_slice(&inner);
         pos
     }
+
     fn restore_position(&mut self, pos: &[u8]) -> Result<()> {
-        let Protocol::Snapshot {
-            seen,
-            surfaced,
-            delta,
-        } = &mut self.protocol
-        else {
+        let Protocol::Snapshot { surfaced, delta } = &mut self.protocol else {
             return self.inner.restore_position(pos);
         };
         let corrupt = || DmxError::Corrupt("bad snapshot-scan position".into());
         let n = dmx_types::bytes::le_u64(pos, 0).ok_or_else(corrupt)? as usize;
-        if n > surfaced.len() {
+        if n > surfaced.log.len() {
             return Err(corrupt());
         }
-        for key in surfaced.drain(n..) {
-            seen.remove(&key);
-        }
+        surfaced.truncate(n);
         // A partial rollback rewinds the inner scan; the delta sweep (if
         // it had started) is discarded and rebuilt at re-exhaustion.
         *delta = None;
@@ -596,8 +686,7 @@ impl Database {
             // visibility comes from the version store.
             self.counters().mvcc_snapshot_scans.incr();
             Protocol::Snapshot {
-                seen: HashSet::new(),
-                surfaced: Vec::new(),
+                surfaced: Surfaced::default(),
                 delta: None,
             }
         } else {
@@ -614,6 +703,7 @@ impl Database {
             inner,
             rd,
             protocol,
+            one: Frame::new(),
             rows: 0,
             exhausted: false,
         });
@@ -667,6 +757,24 @@ impl Database {
         txn.check_active()?;
         let ctx = ExecCtx { db: self, txn };
         self.scans().next(&ctx, scan)
+    }
+
+    /// Advances a registered scan by one frame — the qualifying items
+    /// of the next page with any, under the transaction's protocol (a
+    /// locking scan locks what it hands out, so its frames are of one) —
+    /// replacing what `frame` held. An empty frame: exhausted. One
+    /// registry lookup for the lot; the caller keeps `frame` for the
+    /// next call.
+    pub fn scan_next_frame(
+        self: &Arc<Self>,
+        txn: &Arc<Transaction>,
+        scan: ScanId,
+        frame: &mut Frame,
+    ) -> Result<()> {
+        txn.check_active()?;
+        frame.clear();
+        let ctx = ExecCtx { db: self, txn };
+        self.scans().next_frame(&ctx, scan, frame)
     }
 
     /// Closes a registered scan.

@@ -56,11 +56,13 @@ pub mod storage_method;
 pub mod sysrel;
 pub mod undo;
 
-pub use access::{AccessPath, AccessQuery, KeyRange, ScanItem, ScanManager, ScanOps, SpatialOp};
+pub use access::{
+    AccessPath, AccessQuery, Frame, KeyRange, ScanItem, ScanManager, ScanOps, SpatialOp,
+};
 pub use attachment::{Attachment, Modification};
 pub use auth::{AuthManager, Privilege};
 pub use catalog::Catalog;
-pub use context::ExecCtx;
+pub use context::{Evaluator, ExecCtx};
 pub use cost::{Cost, PathChoice};
 pub use database::{
     Database, DatabaseConfig, DatabaseEnv, HookArgs, HookFn, IncidentReport, SysProviderFn,

@@ -22,9 +22,10 @@
 //!    lets recovery undo it.
 //!
 //! The reader's half lives here too: [`TreeScan`] is the one
-//! key-sequential access over a tree file — stepping, range bound,
-//! next-key S locks and the saved position — and an extension supplies
-//! only the [`EntryDecoder`] that turns an entry into a scan item.
+//! key-sequential access over a tree file — leaf-at-a-time stepping,
+//! range bound, next-key S locks and the saved position — and an
+//! extension supplies only the [`EntryDecoder`] that turns an entry,
+//! still in its leaf's page, into a scan item.
 //!
 //! Undo and redo are one mirror: a logged change is a `(before, after)`
 //! pair of images of one key, undo installs `before`, redo installs
@@ -44,14 +45,14 @@ use std::hash::{Hash, Hasher};
 use std::ops::Bound;
 use std::sync::Arc;
 
-use dmx_btree::{BTree, BTreeCursor, OnDuplicate};
+use dmx_btree::{BTree, OnDuplicate};
 use dmx_lock::{LockMode, LockName};
 use dmx_types::bytes::{le_u16, le_u32};
 use dmx_types::{DmxError, FileId, Lsn, PageId, RecordKey, RelationId, Result, Value};
 use dmx_wal::ExtKind;
 
-use crate::access::{decode_position, encode_position, KeyRange, ScanItem, ScanOps};
-use crate::context::ExecCtx;
+use crate::access::{decode_position, encode_position, Frame, KeyRange, ScanItem, ScanOps};
+use crate::context::{Evaluator, ExecCtx};
 use crate::descriptor::{AttachmentInstance, RelationDescriptor};
 use crate::services::CommonServices;
 
@@ -163,19 +164,26 @@ struct GapLocks {
     /// Set by the dispatcher's locking protocol only; raw internal scans
     /// (backfill, scrub, referential probes) leave it off.
     on: bool,
-    /// The gap past the last in-range entry is locked once.
-    end_locked: bool,
 }
 
-/// The range cursor over a tree: resume-after-last-key stepping, the
-/// range's upper bound, the saved position and — for the structures
-/// writers fence with [`lock_insert_gap`] / [`lock_delete_gaps`] — the
-/// reader's side of next-key locking.
+/// The range cursor over a tree: leaf-at-a-time stepping that resumes
+/// after the last key passed, the range's upper bound, the saved
+/// position and — for the structures writers fence with
+/// [`lock_insert_gap`] / [`lock_delete_gaps`] — the reader's side of
+/// next-key locking.
 pub struct TreeCursor {
-    cursor: BTreeCursor,
-    file: FileId,
+    tree: BTree,
+    /// Where the next step starts: the range's own lower bound, then
+    /// just after the last entry passed.
+    from: Bound<Vec<u8>>,
+    /// The buffer `from` had before, kept for the next step's key.
+    spare: Vec<u8>,
     range: KeyRange,
     gaps: Option<GapLocks>,
+    /// The last step met the end — the first key past the range, or the
+    /// last leaf's last entry — and, when range locking is on, locked
+    /// it: nothing is left to visit and the end is locked once.
+    done: bool,
 }
 
 impl TreeCursor {
@@ -185,10 +193,12 @@ impl TreeCursor {
     /// their scans stay covered by the relation lock.
     pub fn new(tree: &BTree, range: KeyRange) -> Self {
         TreeCursor {
-            cursor: tree.cursor_from(range.lo.clone()),
-            file: tree.root().file,
+            tree: tree.clone(),
+            from: range.lo.clone(),
+            spare: Vec::new(),
             range,
             gaps: None,
+            done: false,
         }
     }
 
@@ -201,7 +211,6 @@ impl TreeCursor {
             relation,
             record_key,
             on: false,
-            end_locked: false,
         });
         self
     }
@@ -211,23 +220,35 @@ impl TreeCursor {
         &self.range
     }
 
-    /// The entry after the current position, moving onto it; `None` past
-    /// the range or the last entry.
-    pub fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<(Vec<u8>, Vec<u8>)>> {
-        let Some((key, value)) = self.cursor.peek()? else {
-            // EOF: the gap from the last key to end-of-tree.
-            if let Some(g) = self.gaps.as_mut().filter(|g| g.on && !g.end_locked) {
-                g.end_locked = true;
-                ctx.lock(LockName::gap(g.relation, self.file, None), LockMode::S)?;
-            }
-            return Ok(None);
-        };
-        let in_range = self.range.contains(&key);
-        if let Some(g) = self
-            .gaps
-            .as_mut()
-            .filter(|g| g.on && (in_range || !g.end_locked))
-        {
+    /// The one traversal body: passes the in-range entries after the
+    /// position that the next leaf with any holds — one descent, the
+    /// leaf pinned once — handing each to `entry` as it lies in the
+    /// page and moving the position onto it. `entry` says whether it
+    /// took the entry; with `one` the step ends at the first taken (the
+    /// one-row view). `false` once nothing is left: the step that passes
+    /// the range's last entry usually sees the end in the same leaf, so
+    /// exhaustion costs no descent of its own.
+    ///
+    /// With range locking on, the step is one entry: its record and gap
+    /// are S-locked before `entry` sees a copy of it, and no lock can be
+    /// requested under a leaf's guard.
+    pub fn step(
+        &mut self,
+        ctx: &ExecCtx<'_>,
+        one: bool,
+        mut entry: impl FnMut(&[u8], &[u8]) -> Result<bool>,
+    ) -> Result<bool> {
+        if self.done {
+            return Ok(false);
+        }
+        if let Some(g) = self.gaps.as_ref().filter(|g| g.on) {
+            let file = self.tree.root().file;
+            let Some((key, value)) = self.tree.seek(self.from.as_ref().map(Vec::as_slice))? else {
+                // EOF: the gap from the last key to end-of-tree.
+                self.done = true;
+                ctx.lock(LockName::gap(g.relation, file, None), LockMode::S)?;
+                return Ok(false);
+            };
             // The gap below this entry (even when a predicate then
             // filters it): an insert landing there is a phantom. Past the
             // range it is the gap between the last in-range key and the
@@ -238,24 +259,46 @@ impl TreeCursor {
             // maintenance runs; a delete of the boundary key holds its
             // record X while asking for this gap), and a shared per-key
             // order keeps a scan and a delete from deadlocking across
-            // the pair. The LockingScan wrapper's later record S is a
-            // re-grant.
-            g.end_locked |= !in_range;
+            // the pair. The dispatcher's later record S is a re-grant.
+            let in_range = self.range.contains(&key);
+            self.done = !in_range;
             let record = match g.record_key {
                 RecordKeyIn::Key => &key,
                 RecordKeyIn::Value => &value,
             };
             ctx.lock_record(g.relation, &RecordKey::new(record.clone()), LockMode::S)?;
-            ctx.lock(
-                LockName::gap(g.relation, self.file, Some(&key)),
-                LockMode::S,
-            )?;
+            ctx.lock(LockName::gap(g.relation, file, Some(&key)), LockMode::S)?;
+            if in_range {
+                entry(&key, &value)?;
+                self.from = Bound::Excluded(key);
+            }
+            return Ok(in_range);
         }
-        if !in_range {
-            return Ok(None);
+        let mut passed = std::mem::take(&mut self.spare);
+        let (mut any, mut past_range) = (false, false);
+        let range = &self.range;
+        let tree_ended =
+            self.tree
+                .visit_leaf(self.from.as_ref().map(Vec::as_slice), |key, value| {
+                    if !range.contains(key) {
+                        past_range = true;
+                        return Ok(false);
+                    }
+                    passed.clear();
+                    passed.extend_from_slice(key);
+                    any = true;
+                    Ok(!(entry(key, value)? && one))
+                })?;
+        if any {
+            let before = std::mem::replace(&mut self.from, Bound::Excluded(passed));
+            if let Bound::Included(buf) | Bound::Excluded(buf) = before {
+                self.spare = buf;
+            }
+        } else {
+            self.spare = passed;
         }
-        self.cursor.advance(&key);
-        Ok(Some((key, value)))
+        self.done = past_range || tree_ended;
+        Ok(!self.done)
     }
 
     /// Range locking on or off ([`ScanOps::set_range_locking`]); a no-op
@@ -266,27 +309,25 @@ impl TreeCursor {
         }
     }
 
-    /// [`ScanOps::save_position`]: after the last key stepped onto, or
-    /// at start while the cursor still sits on the range's own bound.
+    /// [`ScanOps::save_position`]: after the last key passed, or at
+    /// start while the cursor still sits on the range's own bound.
     pub fn save_position(&self) -> Vec<u8> {
-        let at = self.cursor.position();
-        match at {
-            Bound::Excluded(k) if *at != self.range.lo => encode_position(Some(k)),
+        match &self.from {
+            Bound::Excluded(k) if self.from != self.range.lo => encode_position(Some(k)),
             _ => encode_position(None),
         }
     }
 
-    /// [`ScanOps::restore_position`]. The end gap is locked again when
-    /// the scan re-reaches it: the partial rollback that restored the
-    /// position may have changed which entry is the boundary.
+    /// [`ScanOps::restore_position`]. The end is looked for — and its
+    /// gap locked — again when the scan re-reaches it: the partial
+    /// rollback that restored the position may have changed which entry
+    /// is the boundary.
     pub fn restore_position(&mut self, pos: &[u8]) -> Result<()> {
-        self.cursor.set_position(match decode_position(pos)? {
+        self.from = match decode_position(pos)? {
             Some(k) => Bound::Excluded(k),
             None => self.range.lo.clone(),
-        });
-        if let Some(g) = &mut self.gaps {
-            g.end_locked = false;
-        }
+        };
+        self.done = false;
         Ok(())
     }
 }
@@ -295,9 +336,11 @@ impl TreeCursor {
 /// entry becomes a scan item. The optional methods mirror the
 /// [`ScanOps`] ones of the same name.
 pub trait EntryDecoder: Send {
-    /// The item for entry `(key, value)`; `None` when a pushed-down
-    /// predicate filters it (the scan moves on).
-    fn item(&self, ctx: &ExecCtx<'_>, key: Vec<u8>, value: Vec<u8>) -> Result<Option<ScanItem>>;
+    /// The item for entry `(key, value)`, both still in the leaf's page
+    /// (no lock may be requested here); `None` when a pushed-down
+    /// predicate — run through `eval` on those bytes — filters it (the
+    /// scan moves on) and nothing was copied out.
+    fn item(&self, eval: &Evaluator<'_>, key: &[u8], value: &[u8]) -> Result<Option<ScanItem>>;
 
     fn items_are_record_keys(&self) -> bool {
         true
@@ -335,14 +378,38 @@ impl<D: EntryDecoder + 'static> TreeScan<D> {
     }
 }
 
-impl<D: EntryDecoder> ScanOps for TreeScan<D> {
-    fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<ScanItem>> {
-        while let Some((key, value)) = self.cursor.next(ctx)? {
-            if let Some(item) = self.decoder.item(ctx, key, value)? {
-                return Ok(Some(item));
+impl<D: EntryDecoder> TreeScan<D> {
+    /// Steps the cursor until a leaf yields an item (the first one, with
+    /// `one`) or nothing is left, decoding under one evaluator per leaf
+    /// — taken at the leaf's first entry, so after any next-key lock
+    /// wait, never across one.
+    fn pull(&mut self, ctx: &ExecCtx<'_>, one: bool, mut sink: impl FnMut(ScanItem)) -> Result<()> {
+        let Self { cursor, decoder } = self;
+        let mut got = false;
+        loop {
+            let mut eval = None;
+            let more = cursor.step(ctx, one, |key, value| {
+                let eval = eval.get_or_insert_with(|| ctx.evaluator());
+                let took = decoder.item(eval, key, value)?.map(&mut sink).is_some();
+                got |= took;
+                Ok(took)
+            })?;
+            if got || !more {
+                return Ok(());
             }
         }
-        Ok(None)
+    }
+}
+
+impl<D: EntryDecoder> ScanOps for TreeScan<D> {
+    fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<ScanItem>> {
+        let mut first = None;
+        self.pull(ctx, true, |item| first = Some(item))?;
+        Ok(first)
+    }
+
+    fn next_frame(&mut self, ctx: &ExecCtx<'_>, frame: &mut Frame) -> Result<()> {
+        self.pull(ctx, false, |item| frame.push_back(item))
     }
 
     fn save_position(&self) -> Vec<u8> {

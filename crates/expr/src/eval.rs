@@ -6,6 +6,7 @@
 //! in the executor, and (c) access-path keys that cover only a field
 //! subset.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 
 use dmx_types::{DmxError, FieldId, RecordRef, Result, Value};
@@ -113,51 +114,9 @@ pub fn eval(expr: &Expr, src: &dyn FieldSource, ctx: EvalContext<'_>) -> Result<
             .get(*i)
             .cloned()
             .ok_or_else(|| DmxError::InvalidArg(format!("unbound parameter ${i}"))),
-        Expr::Cmp(op, l, r) => {
-            let (lv, rv) = (eval(l, src, ctx)?, eval(r, src, ctx)?);
-            if lv.is_null() || rv.is_null() {
-                return Ok(Value::Null);
-            }
-            check_comparable(&lv, &rv)?;
-            Ok(Value::Bool(op.matches(lv.total_cmp(&rv))))
+        Expr::Cmp(..) | Expr::And(_) | Expr::Or(_) | Expr::Not(_) => {
+            Ok(truth(expr, src, ctx)?.map_or(Value::Null, Value::Bool))
         }
-        Expr::And(terms) => {
-            let mut saw_null = false;
-            for t in terms {
-                match eval(t, src, ctx)? {
-                    Value::Bool(false) => return Ok(Value::Bool(false)),
-                    Value::Bool(true) => {}
-                    Value::Null => saw_null = true,
-                    other => return Err(bool_expected(&other)),
-                }
-            }
-            Ok(if saw_null {
-                Value::Null
-            } else {
-                Value::Bool(true)
-            })
-        }
-        Expr::Or(terms) => {
-            let mut saw_null = false;
-            for t in terms {
-                match eval(t, src, ctx)? {
-                    Value::Bool(true) => return Ok(Value::Bool(true)),
-                    Value::Bool(false) => {}
-                    Value::Null => saw_null = true,
-                    other => return Err(bool_expected(&other)),
-                }
-            }
-            Ok(if saw_null {
-                Value::Null
-            } else {
-                Value::Bool(false)
-            })
-        }
-        Expr::Not(e) => match eval(e, src, ctx)? {
-            Value::Bool(b) => Ok(Value::Bool(!b)),
-            Value::Null => Ok(Value::Null),
-            other => Err(bool_expected(&other)),
-        },
         Expr::Arith(op, l, r) => {
             let (lv, rv) = (eval(l, src, ctx)?, eval(r, src, ctx)?);
             arith(*op, &lv, &rv)
@@ -192,10 +151,68 @@ pub fn eval(expr: &Expr, src: &dyn FieldSource, ctx: EvalContext<'_>) -> Result<
 
 /// Evaluates a predicate; SQL semantics: NULL counts as not-satisfied.
 pub fn eval_predicate(expr: &Expr, src: &dyn FieldSource, ctx: EvalContext<'_>) -> Result<bool> {
-    match eval(expr, src, ctx)? {
-        Value::Bool(b) => Ok(b),
-        Value::Null => Ok(false),
-        other => Err(bool_expected(&other)),
+    Ok(truth(expr, src, ctx)?.unwrap_or(false))
+}
+
+/// The three-valued truth of a boolean expression (`None` = NULL): the
+/// connectives and comparisons are worked out here, on `bool`s, so that a
+/// filter run against every record of a page builds no [`Value`] for its
+/// own intermediate results.
+fn truth(expr: &Expr, src: &dyn FieldSource, ctx: EvalContext<'_>) -> Result<Option<bool>> {
+    match expr {
+        Expr::Cmp(op, l, r) => {
+            let (lv, rv) = (operand(l, src, ctx)?, operand(r, src, ctx)?);
+            if lv.is_null() || rv.is_null() {
+                return Ok(None);
+            }
+            check_comparable(&lv, &rv)?;
+            Ok(Some(op.matches(lv.total_cmp(&rv))))
+        }
+        Expr::And(terms) => {
+            let mut saw_null = false;
+            for t in terms {
+                match truth(t, src, ctx)? {
+                    Some(false) => return Ok(Some(false)),
+                    Some(true) => {}
+                    None => saw_null = true,
+                }
+            }
+            Ok((!saw_null).then_some(true))
+        }
+        Expr::Or(terms) => {
+            let mut saw_null = false;
+            for t in terms {
+                match truth(t, src, ctx)? {
+                    Some(true) => return Ok(Some(true)),
+                    Some(false) => {}
+                    None => saw_null = true,
+                }
+            }
+            Ok((!saw_null).then_some(false))
+        }
+        Expr::Not(e) => Ok(truth(e, src, ctx)?.map(|b| !b)),
+        other => match eval(other, src, ctx)? {
+            Value::Bool(b) => Ok(Some(b)),
+            Value::Null => Ok(None),
+            other => Err(bool_expected(&other)),
+        },
+    }
+}
+
+/// A comparison's operand: a constant or a bound parameter is compared
+/// where it is, anything else is evaluated.
+fn operand<'e>(
+    expr: &'e Expr,
+    src: &dyn FieldSource,
+    ctx: EvalContext<'e>,
+) -> Result<Cow<'e, Value>> {
+    match expr {
+        Expr::Const(v) => Ok(Cow::Borrowed(v)),
+        Expr::Param(i) => match ctx.params.get(*i) {
+            Some(v) => Ok(Cow::Borrowed(v)),
+            None => eval(expr, src, ctx).map(Cow::Owned), // the unbound-parameter error
+        },
+        _ => eval(expr, src, ctx).map(Cow::Owned),
     }
 }
 

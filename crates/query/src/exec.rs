@@ -9,10 +9,13 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
-use dmx_core::{AccessPath, AccessQuery, ExecCtx, RelationDescriptor, ScanItem};
-use dmx_expr::{eval, eval_predicate, EvalContext, Expr};
-use dmx_types::{key::encode_values, DmxError, RecordKey, Result, ScanId, Value};
+use dmx_core::{
+    AccessPath, AccessQuery, Evaluator, ExecCtx, Frame, RelationDescriptor, ScanItem, ScanManager,
+};
+use dmx_expr::Expr;
+use dmx_types::{key::encode_values, DmxError, FieldId, RecordKey, Result, ScanId, TxnId, Value};
 
 use crate::planner::{AccessPlan, Plan, PlannedItem};
 use crate::semantic::AggKind;
@@ -202,14 +205,48 @@ pub fn run_analyzed(plan: &Plan, ctx: &ExecCtx<'_>) -> Result<(Vec<Vec<Value>>, 
     Ok((rows, profile.actuals()))
 }
 
-fn eval_scalar(ctx: &ExecCtx<'_>, e: &Expr, row: &[Value]) -> Result<Value> {
-    let funcs = ctx.services().funcs.read();
-    eval(e, &row, EvalContext::new(&funcs))
+// Operators take the evaluator (the function registry's read guard) once
+// per row they work on, after the pull that produced the row returned: a
+// guard held across a pull would be taken again by the operator or scan
+// below, and a registration waiting between the two would wedge both.
+
+/// A scan registered with the scan manager, closed when its operator
+/// lets go of it — drained, cut short by a `LIMIT` or a join that needs
+/// no more of it, or abandoned by a failing statement. Left open, it
+/// would stay registered until the transaction ends, asked for its
+/// position at every savepoint.
+struct OpenScan {
+    scans: Arc<ScanManager>,
+    txn: TxnId,
+    id: ScanId,
 }
 
-fn eval_pred(ctx: &ExecCtx<'_>, e: &Expr, row: &[Value]) -> Result<bool> {
-    let funcs = ctx.services().funcs.read();
-    eval_predicate(e, &row, EvalContext::new(&funcs))
+impl OpenScan {
+    fn open(ctx: &ExecCtx<'_>, id: ScanId) -> Self {
+        OpenScan {
+            scans: ctx.db.scans().clone(),
+            txn: ctx.txn.id(),
+            id,
+        }
+    }
+}
+
+impl Drop for OpenScan {
+    fn drop(&mut self) {
+        self.scans.close(self.txn, self.id);
+    }
+}
+
+/// A full-width row with `values` at the positions `fields` names and
+/// NULL elsewhere: what a projecting scan or a covering path supplies.
+fn scatter(width: usize, values: Vec<Value>, fields: &[FieldId]) -> Vec<Value> {
+    let mut row = vec![Value::Null; width];
+    for (v, f) in values.into_iter().zip(fields) {
+        if let Some(slot) = row.get_mut(*f as usize) {
+            *slot = v;
+        }
+    }
+    row
 }
 
 // ----------------------------------------------------------------------
@@ -219,7 +256,9 @@ struct AccessOp<'p> {
     /// `None` once exhausted, and from the start when the access is
     /// parameterised by an outer value that is NULL (NULL joins nothing:
     /// no scan is opened).
-    scan: Option<ScanId>,
+    scan: Option<OpenScan>,
+    /// What the scan last handed over: the qualifying items of one page.
+    frame: Frame,
     /// The plan's residual with the outer row's values in it.
     residual: Option<Expr>,
     width: usize,
@@ -244,14 +283,17 @@ impl<'p> AccessOp<'p> {
             .bind(params)
             .filter(|_| !joins_nothing)
             .map(|q| {
-                let pushed = bound(&plan.pushed);
-                ctx.db
-                    .open_scan(ctx.txn, plan.rd.id, plan.path, q, pushed, None)
+                let (pushed, reads) = (bound(&plan.pushed), plan.reads.clone());
+                let id = ctx
+                    .db
+                    .open_scan(ctx.txn, plan.rd.id, plan.path, q, pushed, reads)?;
+                Ok::<_, DmxError>(OpenScan::open(ctx, id))
             })
             .transpose()?;
         Ok(AccessOp {
             plan,
             scan,
+            frame: Frame::new(),
             residual: bound(&plan.residual),
             width: plan.rd.schema.len(),
         })
@@ -260,14 +302,16 @@ impl<'p> AccessOp<'p> {
     /// The next qualifying record with the storage-method record key it
     /// lives under (what a write to it is addressed by).
     fn next_keyed(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<(RecordKey, Vec<Value>)>> {
-        let Some(scan) = self.scan else {
-            return Ok(None);
-        };
         loop {
-            let Some(ScanItem { key, values }) = ctx.db.scan_next(ctx.txn, scan)? else {
-                ctx.db.scan_close(ctx.txn, scan);
-                self.scan = None;
-                return Ok(None);
+            let Some(ScanItem { key, values }) = self.frame.pop_front() else {
+                let Some(scan) = &self.scan else {
+                    return Ok(None);
+                };
+                ctx.db.scan_next_frame(ctx.txn, scan.id, &mut self.frame)?;
+                if self.frame.is_empty() {
+                    self.scan = None;
+                }
+                continue;
             };
             if let Some(row) = self.assemble(ctx, &key, values)? {
                 return Ok(Some((key, row)));
@@ -281,41 +325,28 @@ impl<'p> AccessOp<'p> {
         key: &RecordKey,
         values: Option<Vec<Value>>,
     ) -> Result<Option<Vec<Value>>> {
-        if let Some(cov) = &self.plan.use_covered {
-            // covering path: build the row from the access-path key alone
-            let mut row = vec![Value::Null; self.width];
-            if let Some(values) = values {
-                for (v, f) in values.into_iter().zip(cov) {
-                    row[*f as usize] = v;
-                }
-            }
-            if let Some(res) = &self.residual {
-                if !eval_pred(ctx, res, &row)? {
-                    return Ok(None);
-                }
-            }
-            return Ok(Some(row));
-        }
-        match self.plan.path {
-            AccessPath::StorageMethod => {
-                // full row; the storage method already applied the pushed
-                // predicate in the buffer pool
-                let mut row = values
-                    .ok_or_else(|| DmxError::Internal("storage scan without fields".into()))?;
-                if let Some(res) = &self.residual {
-                    if !eval_pred(ctx, res, &row)? {
-                        return Ok(None);
-                    }
-                }
-                row.truncate(self.width);
-                Ok(Some(row))
-            }
-            AccessPath::Attachment(_, _) => {
+        let values = values.unwrap_or_default();
+        let row = match (&self.plan.use_covered, self.plan.path) {
+            // covering path: the row from the access-path key alone
+            (Some(cov), _) => scatter(self.width, values, cov),
+            // the fields the scan was asked to read, of a record that
+            // passed the pushed predicate in the buffer pool; ascending,
+            // so as many as the row is wide are the row
+            (None, AccessPath::StorageMethod) => match &self.plan.reads {
+                Some(reads) if reads.len() < self.width => scatter(self.width, values, reads),
+                _ => values,
+            },
+            (None, AccessPath::Attachment(_, _)) => {
                 // two-step access: record key from the path, record from
                 // the storage method (residual filtered in the pool)
-                ctx.db
-                    .fetch(ctx.txn, self.plan.rd.id, key, None, self.residual.as_ref())
+                return ctx
+                    .db
+                    .fetch(ctx.txn, self.plan.rd.id, key, None, self.residual.as_ref());
             }
+        };
+        match &self.residual {
+            Some(res) if !ctx.evaluator().matches(res, &row)? => Ok(None),
+            _ => Ok(Some(row)),
         }
     }
 }
@@ -372,7 +403,7 @@ impl RowSource for NlJoinOp<'_> {
                     };
                     row.extend(r);
                     if let Some(f) = self.filter {
-                        if !eval_pred(ctx, f, &row)? {
+                        if !ctx.evaluator().matches(f, &row)? {
                             continue;
                         }
                     }
@@ -390,7 +421,8 @@ struct JoinIndexJoinOp<'p> {
     right: &'p RelationDescriptor,
     swapped: bool,
     filter: Option<&'p Expr>,
-    scan: ScanId,
+    /// `None` once exhausted.
+    scan: Option<OpenScan>,
 }
 
 impl<'p> JoinIndexJoinOp<'p> {
@@ -417,7 +449,7 @@ impl<'p> JoinIndexJoinOp<'p> {
             right,
             swapped,
             filter,
-            scan,
+            scan: Some(OpenScan::open(ctx, scan)),
         })
     }
 }
@@ -425,8 +457,11 @@ impl<'p> JoinIndexJoinOp<'p> {
 impl RowSource for JoinIndexJoinOp<'_> {
     fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<Vec<Value>>> {
         loop {
-            let Some(item) = ctx.db.scan_next(ctx.txn, self.scan)? else {
-                ctx.db.scan_close(ctx.txn, self.scan);
+            let Some(scan) = &self.scan else {
+                return Ok(None);
+            };
+            let Some(item) = ctx.db.scan_next(ctx.txn, scan.id)? else {
+                self.scan = None;
                 return Ok(None);
             };
             let pair_right = match item.values.as_ref().and_then(|v| v.first()) {
@@ -449,7 +484,7 @@ impl RowSource for JoinIndexJoinOp<'_> {
             let mut row = lrow;
             row.extend(rrow);
             if let Some(f) = self.filter {
-                if !eval_pred(ctx, f, &row)? {
+                if !ctx.evaluator().matches(f, &row)? {
                     continue;
                 }
             }
@@ -468,7 +503,7 @@ struct FilterOp<'p> {
 impl RowSource for FilterOp<'_> {
     fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<Vec<Value>>> {
         while let Some(row) = self.input.next(ctx)? {
-            if eval_pred(ctx, self.pred, &row)? {
+            if ctx.evaluator().matches(self.pred, &row)? {
                 return Ok(Some(row));
             }
         }
@@ -486,9 +521,10 @@ impl RowSource for ProjectOp<'_> {
         let Some(row) = self.input.next(ctx)? else {
             return Ok(None);
         };
+        let eval = ctx.evaluator();
         let mut out = Vec::with_capacity(self.exprs.len());
         for e in self.exprs {
-            out.push(eval_scalar(ctx, e, &row)?);
+            out.push(eval.value(e, &row)?);
         }
         Ok(Some(out))
     }
@@ -614,11 +650,11 @@ impl AggOp<'_> {
             .collect()
     }
 
-    fn accumulate(&self, ctx: &ExecCtx<'_>, st: &mut AggState, row: &[Value]) -> Result<()> {
+    fn accumulate(&self, eval: &Evaluator<'_>, st: &mut AggState, row: &[Value]) -> Result<()> {
         st.count += 1;
         for (acc, item) in st.per_item.iter_mut().zip(self.items) {
             let arg = match item {
-                PlannedItem::Agg(_, Some(e)) => Some(eval_scalar(ctx, e, row)?),
+                PlannedItem::Agg(_, Some(e)) => Some(eval.value(e, &row)?),
                 _ => None,
             };
             match (acc, item) {
@@ -684,7 +720,7 @@ impl AggOp<'_> {
         Ok(())
     }
 
-    fn finish(&self, ctx: &ExecCtx<'_>, st: AggState) -> Result<Vec<Value>> {
+    fn finish(&self, eval: &Evaluator<'_>, st: AggState) -> Result<Vec<Value>> {
         let mut out = Vec::with_capacity(self.items.len());
         for (acc, item) in st.per_item.into_iter().zip(self.items) {
             out.push(match (acc, item) {
@@ -692,7 +728,7 @@ impl AggOp<'_> {
                     if st.representative.is_empty() {
                         Value::Null
                     } else {
-                        eval_scalar(ctx, e, &st.representative)?
+                        eval.value(e, &st.representative)?
                     }
                 }
                 (ItemAcc::Count(n), _) => Value::Int(n as i64),
@@ -737,9 +773,10 @@ impl RowSource for AggOp<'_> {
             };
             let mut groups: BTreeMap<Vec<u8>, AggState> = BTreeMap::new();
             while let Some(row) = input.next(ctx)? {
+                let eval = ctx.evaluator();
                 let mut key_vals = Vec::with_capacity(self.group_by.len());
                 for g in self.group_by {
-                    key_vals.push(eval_scalar(ctx, g, &row)?);
+                    key_vals.push(eval.value(g, &row)?);
                 }
                 let key = encode_values(&key_vals);
                 let st = groups.entry(key).or_insert_with(|| AggState {
@@ -747,7 +784,7 @@ impl RowSource for AggOp<'_> {
                     count: 0,
                     per_item: Self::make_accs(self.items),
                 });
-                self.accumulate(ctx, st, &row)?;
+                self.accumulate(&eval, st, &row)?;
             }
             if groups.is_empty() && self.group_by.is_empty() {
                 // aggregates over an empty input yield one row
@@ -760,8 +797,9 @@ impl RowSource for AggOp<'_> {
                     },
                 );
             }
+            let eval = ctx.evaluator();
             for (_, st) in groups {
-                let row = self.finish(ctx, st)?;
+                let row = self.finish(&eval, st)?;
                 self.out.push(row);
             }
             self.done = true;

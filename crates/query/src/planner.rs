@@ -38,6 +38,11 @@ pub struct AccessPlan {
     /// Predicate evaluated against the assembled row (local field ids);
     /// handed to the storage-method fetch so it runs in the buffer pool.
     pub residual: Option<Expr>,
+    /// The fields a storage-method scan is asked for, ascending — what
+    /// the query needs of this table plus what the residual looks at —
+    /// so that it decodes only those, of only the rows that pass the
+    /// pushed predicate. `None` on an access path.
+    pub reads: Option<Vec<FieldId>>,
     /// Fields the chosen path covers, when the plan can skip the
     /// storage-method fetch entirely.
     pub use_covered: Option<Vec<FieldId>>,
@@ -231,8 +236,13 @@ fn plan_table(
 ) -> Result<AccessPlan> {
     let (choice, residual, cost_est) = choose_path(db, rd, &local_preds, needed_fields)?;
     let residual_expr = combine(residual);
-    let (pushed, use_covered) = match &choice.path {
-        AccessPath::StorageMethod => (combine(local_preds.clone()), None),
+    let (pushed, reads, use_covered) = match &choice.path {
+        AccessPath::StorageMethod => {
+            let mut reads = needed_fields.clone();
+            reads.extend(residual_expr.iter().flat_map(analyze::columns));
+            let reads = reads.into_iter().collect();
+            (combine(local_preds.clone()), Some(reads), None)
+        }
         AccessPath::Attachment(_, _) => {
             let use_covered = match &choice.covered {
                 Some(cov)
@@ -246,7 +256,7 @@ fn plan_table(
                 }
                 _ => None,
             };
-            (None, use_covered)
+            (None, None, use_covered)
         }
     };
     Ok(AccessPlan {
@@ -255,6 +265,7 @@ fn plan_table(
         query: choice.query,
         pushed,
         residual: residual_expr,
+        reads,
         use_covered,
         outer_param: None,
         rows_est: choice.rows_out,
@@ -670,6 +681,16 @@ impl Plan {
                 } else {
                     ""
                 };
+                let reads = match &a.reads {
+                    Some(fields) => {
+                        let names: Vec<&str> = fields
+                            .iter()
+                            .map(|&f| a.rd.schema.column(f).map_or("?", |c| c.name.as_str()))
+                            .collect();
+                        format!(", reads [{}]", names.join(", "))
+                    }
+                    None => String::new(),
+                };
                 let query = match a.query {
                     AccessQuery::All => "all",
                     AccessQuery::Range(_) => "range",
@@ -678,7 +699,7 @@ impl Plan {
                     AccessQuery::Spatial(_, _) => "spatial",
                 };
                 format!(
-                    "Access {} via {path} [{query}] (~{:.0} rows{probe}{cov})",
+                    "Access {} via {path} [{query}] (~{:.0} rows{probe}{cov}{reads})",
                     a.rd.name, a.rows_est
                 )
             }

@@ -740,3 +740,74 @@ fn three_way_join() {
     assert_eq!(rows[0], vec![Value::Int(0), Value::Int(0)]);
     assert_eq!(rows[1], vec![Value::Int(0), Value::Int(10)]);
 }
+
+/// An operator closes its scan when it goes away, not only when it drains
+/// it: a `LIMIT`, a statement that fails mid-scan and a join whose outer
+/// side is cut short all used to leave theirs registered until commit,
+/// kept alive and asked for a position at every savepoint.
+#[test]
+fn scans_are_closed_when_their_statement_ends_not_at_commit() {
+    let db = open_db();
+    setup_emp(&db);
+    db.execute_sql("CREATE TABLE dept (id INT NOT NULL, dname STRING NOT NULL)")
+        .unwrap();
+    for d in 0..5 {
+        db.execute_sql(&format!("INSERT INTO dept VALUES ({d}, 'd{d}')"))
+            .unwrap();
+    }
+    // a join index, so the pair-scan operator is covered as well
+    db.execute_sql("CREATE TABLE badge (emp INT NOT NULL)")
+        .unwrap();
+    db.execute_sql("INSERT INTO badge VALUES (3)").unwrap();
+    db.execute_sql("INSERT INTO badge VALUES (4)").unwrap();
+    db.execute_sql("CREATE ATTACHMENT eb ON emp USING joinindex WITH (side=left, fields=id)")
+        .unwrap();
+    db.execute_sql(
+        "CREATE ATTACHMENT eb ON badge USING joinindex WITH (side=right, fields=emp, other=emp)",
+    )
+    .unwrap();
+
+    let sess = Session::new(db.clone());
+    sess.execute("BEGIN").unwrap();
+    // the session's transaction, by the relation lock its reads hold
+    sess.execute("SELECT id FROM emp LIMIT 1").unwrap();
+    let held = sess
+        .execute("SELECT txn FROM sys.locks WHERE state = 'held'")
+        .unwrap();
+    let txn = dmx_types::TxnId(held.rows[0][0].as_int().unwrap() as u64);
+    let open = || db.scans().open_count(txn);
+    assert_eq!(open(), 0, "the probe statements themselves");
+
+    for _ in 0..100 {
+        let r = sess.execute("SELECT id FROM emp LIMIT 1").unwrap();
+        assert_eq!(r.rows.len(), 1);
+    }
+    assert_eq!(open(), 0, "after LIMIT");
+
+    // fails on the sixth row, the scan mid-page
+    let err = sess.execute("SELECT 10 / (id - 5) FROM emp").unwrap_err();
+    assert!(matches!(err, DmxError::InvalidArg(_)), "{err}");
+    assert!(sess.in_transaction(), "a statement error, not a dead txn");
+    assert_eq!(open(), 0, "after a failing statement");
+
+    // a nested loop cut short leaves an outer and an inner scan behind
+    let r = sess
+        .execute("SELECT e.id, d.dname FROM emp e, dept d WHERE e.dept = d.id LIMIT 3")
+        .unwrap();
+    assert_eq!(r.rows.len(), 3);
+    assert_eq!(open(), 0, "after a join whose outer is cut short");
+    let plan = sess
+        .execute("EXPLAIN SELECT e.id FROM emp e, badge b WHERE e.id = b.emp")
+        .unwrap();
+    assert!(format!("{:?}", plan.rows).contains("JoinIndexJoin"));
+    let r = sess
+        .execute("SELECT e.id FROM emp e, badge b WHERE e.id = b.emp LIMIT 1")
+        .unwrap();
+    assert_eq!(r.rows.len(), 1);
+    assert_eq!(open(), 0, "after a pair scan cut short");
+
+    // and a savepoint has no abandoned position to save
+    sess.execute("SAVEPOINT sp").unwrap();
+    sess.execute("ROLLBACK TO SAVEPOINT sp").unwrap();
+    sess.execute("COMMIT").unwrap();
+}

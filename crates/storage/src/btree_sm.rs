@@ -11,9 +11,9 @@ use std::sync::Arc;
 
 use dmx_core::logged_tree::{self, lock_delete_gaps, lock_insert_gap};
 use dmx_core::{
-    AccessQuery, CommonServices, Cost, EntryDecoder, ExecCtx, KeyRange, LoggedTree, PathChoice,
-    RecordKeyIn, RelationDescriptor, Replay, ScanItem, ScanOps, StorageMethod, TreeCursor,
-    TreeFile, TreeScan,
+    AccessQuery, CommonServices, Cost, EntryDecoder, Evaluator, ExecCtx, KeyRange, LoggedTree,
+    PathChoice, RecordKeyIn, RelationDescriptor, Replay, ScanItem, ScanOps, StorageMethod,
+    TreeCursor, TreeFile, TreeScan,
 };
 use dmx_expr::{analyze, CmpOp, Expr, SargOp};
 use dmx_lock::LockMode;
@@ -263,7 +263,7 @@ impl StorageMethod for BTreeStorage {
         let Some(bytes) = tree.get(key.as_bytes())? else {
             return Ok(None);
         };
-        filter_project(ctx, &bytes, fields, pred)
+        filter_project(&ctx.evaluator(), &bytes, fields, pred)
     }
 
     fn open_scan(
@@ -392,10 +392,10 @@ struct RecordEntries {
 }
 
 impl EntryDecoder for RecordEntries {
-    fn item(&self, ctx: &ExecCtx<'_>, key: Vec<u8>, bytes: Vec<u8>) -> Result<Option<ScanItem>> {
-        let values = filter_project(ctx, &bytes, self.fields.as_deref(), self.pred.as_ref())?;
+    fn item(&self, eval: &Evaluator<'_>, key: &[u8], bytes: &[u8]) -> Result<Option<ScanItem>> {
+        let values = filter_project(eval, bytes, self.fields.as_deref(), self.pred.as_ref())?;
         Ok(values.map(|values| ScanItem {
-            key: RecordKey::new(key),
+            key: RecordKey::new(key.to_vec()),
             values: Some(values),
         }))
     }

@@ -16,8 +16,8 @@ use std::sync::Arc;
 
 use dmx_core::access::{decode_position, encode_position};
 use dmx_core::{
-    CommonServices, ExecCtx, KeyRange, PathChoice, RelationDescriptor, Replay, SalvagedRecords,
-    ScanItem, ScanOps, StorageMethod,
+    CommonServices, ExecCtx, Frame, KeyRange, PathChoice, RelationDescriptor, Replay,
+    SalvagedRecords, ScanItem, ScanOps, StorageMethod,
 };
 use dmx_expr::Expr;
 use dmx_page::{BufferPool, SlottedPage};
@@ -53,10 +53,12 @@ pub(crate) fn decode_file_desc(desc: &[u8]) -> Result<FileId> {
 
 /// RID encoding: page_no (u32 BE) + slot (u16 BE).
 pub fn rid(page_no: u32, slot: u16) -> RecordKey {
-    let mut v = Vec::with_capacity(6);
-    v.extend_from_slice(&page_no.to_be_bytes());
-    v.extend_from_slice(&slot.to_be_bytes());
-    RecordKey::new(v)
+    RecordKey::new(rid_bytes(page_no, slot).to_vec())
+}
+
+fn rid_bytes(page_no: u32, slot: u16) -> [u8; 6] {
+    let (p, s) = (page_no.to_be_bytes(), slot.to_be_bytes());
+    [p[0], p[1], p[2], p[3], s[0], s[1]]
 }
 
 /// Parses a RID key.
@@ -377,7 +379,7 @@ impl StorageMethod for HeapStorage {
             return Ok(None);
         };
         // Filter while the record is still in the buffer pool.
-        filter_project(ctx, bytes, fields, pred)
+        filter_project(&ctx.evaluator(), bytes, fields, pred)
     }
 
     fn open_scan(
@@ -466,8 +468,13 @@ pub(crate) struct RidScan {
     range: KeyRange,
     pred: Option<Expr>,
     fields: Option<Vec<FieldId>>,
-    /// Position: the RID the scan is on/after.
-    after: Option<(u32, u16)>,
+    /// Position: the first RID not yet passed. A page read to its end
+    /// that is not the file's last is left for good — appends go to the
+    /// last page only — so coming back pins the next page, not this one.
+    next: (u32, u16),
+    /// The file's last page has been read to its end: exhaustion pins
+    /// nothing. A restored position looks again.
+    done: bool,
 }
 
 impl RidScan {
@@ -482,49 +489,65 @@ impl RidScan {
             range,
             pred,
             fields,
-            after: None,
+            next: (0, 0),
+            done: false,
         })
+    }
+
+    /// The one traversal body: reads on from the position to the end of
+    /// the first page that yields an item (to the first item, with
+    /// `one`), under one page count, pin, page guard and evaluator per
+    /// page. The predicate runs on the record where it lies; the record
+    /// key and the projection are built for the rows that pass.
+    fn pull(&mut self, ctx: &ExecCtx<'_>, one: bool, mut sink: impl FnMut(ScanItem)) -> Result<()> {
+        if self.done {
+            return Ok(());
+        }
+        let pool = &ctx.services().pool;
+        let page_count = pool.disk().page_count(self.file)?;
+        let mut got = false;
+        while !got && !self.done && self.next.0 < page_count {
+            let (page_no, mut slot) = self.next;
+            let pin = pool.fetch(PageId::new(self.file, page_no))?;
+            let page = pin.read();
+            let eval = ctx.evaluator();
+            let slots = SlottedPage::slot_count(&page);
+            while slot < slots && !(one && got) {
+                let bytes = SlottedPage::get(&page, slot);
+                let key = rid_bytes(page_no, slot);
+                slot += 1;
+                let Some(bytes) = bytes.filter(|_| self.range.contains(&key)) else {
+                    continue; // tombstone, or outside the range
+                };
+                if let Some(values) =
+                    filter_project(&eval, bytes, self.fields.as_deref(), self.pred.as_ref())?
+                {
+                    got = true;
+                    sink(ScanItem {
+                        key: RecordKey::new(key.to_vec()),
+                        values: Some(values),
+                    });
+                }
+            }
+            self.done = slot >= slots && page_no + 1 == page_count;
+            self.next = match slot >= slots && !self.done {
+                true => (page_no + 1, 0),
+                false => (page_no, slot),
+            };
+        }
+        Ok(())
     }
 }
 
 impl ScanOps for RidScan {
     fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<ScanItem>> {
-        let pool = &ctx.services().pool;
-        let page_count = pool.disk().page_count(self.file)?;
-        let (mut page_no, mut next_slot) = match self.after {
-            None => (0, 0),
-            Some((p, s)) => (p, s as u32 + 1),
-        };
-        while page_no < page_count {
-            let pin = pool.fetch(PageId::new(self.file, page_no))?;
-            let page = pin.read();
-            let slots = SlottedPage::slot_count(&page) as u32;
-            while next_slot < slots {
-                let slot = next_slot as u16;
-                next_slot += 1;
-                let Some(bytes) = SlottedPage::get(&page, slot) else {
-                    continue; // tombstone
-                };
-                let key = rid(page_no, slot);
-                if !self.range.contains(key.as_bytes()) {
-                    continue;
-                }
-                if let Some(values) =
-                    filter_project(ctx, bytes, self.fields.as_deref(), self.pred.as_ref())?
-                {
-                    self.after = Some((page_no, slot));
-                    return Ok(Some(ScanItem {
-                        key,
-                        values: Some(values),
-                    }));
-                }
-            }
-            // Remember progress so a huge empty tail doesn't rescan.
-            self.after = Some((page_no, (slots.max(1) - 1) as u16));
-            page_no += 1;
-            next_slot = 0;
-        }
-        Ok(None)
+        let mut first = None;
+        self.pull(ctx, true, |item| first = Some(item))?;
+        Ok(first)
+    }
+
+    fn next_frame(&mut self, ctx: &ExecCtx<'_>, frame: &mut Frame) -> Result<()> {
+        self.pull(ctx, false, |item| frame.push_back(item))
     }
 
     fn supports_versioned_read(&self) -> bool {
@@ -546,15 +569,15 @@ impl ScanOps for RidScan {
     // phantom fencing for heaps stays at the relation lock.
 
     fn save_position(&self) -> Vec<u8> {
-        let key = self.after.map(|(p, s)| rid(p, s));
-        encode_position(key.as_ref().map(|k| k.as_bytes()))
+        encode_position(Some(rid(self.next.0, self.next.1).as_bytes()))
     }
 
     fn restore_position(&mut self, pos: &[u8]) -> Result<()> {
-        self.after = match decode_position(pos)? {
-            None => None,
-            Some(bytes) => Some(parse_rid(&bytes)?),
+        self.next = match decode_position(pos)? {
+            None => (0, 0),
+            Some(bytes) => parse_rid(&bytes)?,
         };
+        self.done = false;
         Ok(())
     }
 }

@@ -148,7 +148,7 @@ impl StorageMethod for ReadOnlyStorage {
         let Some(bytes) = SlottedPage::get(&page, slot) else {
             return Ok(None);
         };
-        filter_project(ctx, bytes, fields, pred)
+        filter_project(&ctx.evaluator(), bytes, fields, pred)
     }
 
     fn open_scan(

@@ -1,22 +1,23 @@
 //! Shared helpers: projection + buffer-resident filtering.
 
-use dmx_core::{project_values, ExecCtx, KeyRange, ScanItem};
+use dmx_core::{project_values, Evaluator, ExecCtx, KeyRange, ScanItem};
 use dmx_expr::Expr;
 use dmx_types::{FieldId, RecordKey, RecordRef, Result, Value};
 
 /// Applies the filter predicate to an encoded record *in place* (no
 /// copy-out) and, when it passes, decodes the requested projection
 /// (`None` = all fields). Returns `None` when the record fails the
-/// filter.
+/// filter. The evaluator is the caller's — a scan takes one per page,
+/// not one per record.
 pub fn filter_project(
-    ctx: &ExecCtx<'_>,
+    eval: &Evaluator<'_>,
     record_bytes: &[u8],
     fields: Option<&[FieldId]>,
     pred: Option<&Expr>,
 ) -> Result<Option<Vec<Value>>> {
     let rr = RecordRef::new(record_bytes)?;
     if let Some(p) = pred {
-        if !ctx.eval_predicate(p, &rr)? {
+        if !eval.matches(p, &rr)? {
             return Ok(None);
         }
     }

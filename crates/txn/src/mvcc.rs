@@ -441,6 +441,26 @@ impl VersionStore {
             .map(|c| c.visible(snap, me).clone())
     }
 
+    /// [`VersionStore::visible`] for a frame of keys under one lock: the
+    /// keys that have a chain, as `(index into keys, visible image)` in
+    /// the order of `keys`. Empty — and nothing allocated — when none
+    /// has, which is every frame of a relation nobody is writing.
+    pub fn visible_among<'k>(
+        &self,
+        rel: RelationId,
+        keys: impl Iterator<Item = &'k [u8]>,
+        snap: Snapshot,
+        me: TxnId,
+    ) -> Vec<(usize, VersionImage)> {
+        let chains = self.chains.lock();
+        let Some(per_rel) = chains.by_rel.get(&rel).filter(|m| !m.is_empty()) else {
+            return Vec::new();
+        };
+        keys.enumerate()
+            .filter_map(|(i, key)| Some((i, per_rel.get(key)?.visible(snap, me).clone())))
+            .collect()
+    }
+
     /// Every chain of `rel` with its visible image, sorted by key —
     /// the merge input for a snapshot scan's delta sweep (records whose
     /// tree entries an in-flight writer moved or removed).

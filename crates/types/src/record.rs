@@ -7,6 +7,8 @@
 //! buffer pool, without copying the record out — a property the paper calls
 //! out explicitly.
 
+use std::cell::Cell;
+
 use crate::error::{DmxError, Result};
 use crate::ids::FieldId;
 use crate::rect::Rect;
@@ -53,12 +55,15 @@ impl Record {
         out
     }
 
-    /// Deserializes every field of an encoded record.
+    /// Deserializes every field of an encoded record, in one forward pass.
     pub fn decode(buf: &[u8]) -> Result<Record> {
         let r = RecordRef::new(buf)?;
         let mut values = Vec::with_capacity(r.field_count() as usize);
-        for i in 0..r.field_count() {
-            values.push(r.field(i)?);
+        let mut pos = 2usize;
+        for _ in 0..r.field_count() {
+            let (v, next) = r.decode_at(pos)?;
+            values.push(v);
+            pos = next;
         }
         Ok(Record { values })
     }
@@ -116,11 +121,17 @@ pub fn encoded_len(values: &[Value]) -> usize {
 /// A borrowed view over an encoded record that decodes fields lazily.
 ///
 /// `field(i)` walks the encoding, skipping earlier fields without
-/// materializing them; `fields(..)` extracts a projection in a single pass.
-#[derive(Debug, Clone, Copy)]
+/// materializing them; `fields(..)` extracts a projection in a single
+/// pass. The view remembers where the last field it was asked for
+/// starts, so a filter that looks at one field twice and the projection
+/// that follows it walk the record once between them, not three times.
+#[derive(Debug, Clone)]
 pub struct RecordRef<'a> {
     buf: &'a [u8],
     field_count: u16,
+    /// A field and the offset it starts at: the walk to any field at or
+    /// behind it starts here.
+    reached: Cell<(FieldId, usize)>,
 }
 
 impl<'a> RecordRef<'a> {
@@ -130,7 +141,11 @@ impl<'a> RecordRef<'a> {
             return Err(DmxError::Corrupt("record shorter than header".into()));
         }
         let field_count = u16::from_le_bytes([buf[0], buf[1]]);
-        Ok(RecordRef { buf, field_count })
+        Ok(RecordRef {
+            buf,
+            field_count,
+            reached: Cell::new((0, 2)),
+        })
     }
 
     /// Number of fields the record claims to carry.
@@ -145,36 +160,34 @@ impl<'a> RecordRef<'a> {
 
     /// Skips over the value starting at `pos`, returning the offset just
     /// past it.
+    #[inline]
     fn skip(&self, pos: usize) -> Result<usize> {
-        let tag = *self
-            .buf
-            .get(pos)
-            .ok_or_else(|| DmxError::Corrupt("record truncated at tag".into()))?;
-        let next = match tag {
-            TAG_NULL | TAG_BOOL_FALSE | TAG_BOOL_TRUE => pos + 1,
-            TAG_INT | TAG_FLOAT => pos + 9,
-            TAG_STR | TAG_BYTES => {
-                let len = crate::bytes::le_u32(self.buf, pos + 1)
-                    .ok_or_else(|| DmxError::Corrupt("record truncated at length".into()))?
-                    as usize;
-                pos + 5 + len
-            }
-            TAG_RECT => pos + 33,
+        let Some((&tag, body)) = self.buf.get(pos..).and_then(<[u8]>::split_first) else {
+            return Err(DmxError::Corrupt("record truncated at tag".into()));
+        };
+        let len = match tag {
+            TAG_NULL | TAG_BOOL_FALSE | TAG_BOOL_TRUE => 0,
+            TAG_INT | TAG_FLOAT => 8,
+            TAG_STR | TAG_BYTES => match body {
+                [a, b, c, d, ..] => 4 + u32::from_le_bytes([*a, *b, *c, *d]) as usize,
+                _ => return Err(DmxError::Corrupt("record truncated at length".into())),
+            },
+            TAG_RECT => 32,
             other => return Err(DmxError::Corrupt(format!("bad value tag {other}"))),
         };
-        if next > self.buf.len() {
+        if len > body.len() {
             return Err(DmxError::Corrupt("record truncated in payload".into()));
         }
-        Ok(next)
+        Ok(pos + 1 + len)
     }
 
     fn decode_at(&self, pos: usize) -> Result<(Value, usize)> {
         let corrupt = || DmxError::Corrupt("record truncated in payload".into());
-        let tag = self.buf[pos];
+        // `skip` checked the tag and bounds-checked `next`, so the reads
+        // below only fail on a buffer raced out from under us; they still
+        // go through checked accessors rather than panicking.
         let next = self.skip(pos)?;
-        // `skip` bounds-checked `next`, so the reads below only fail on a
-        // buffer raced out from under us; they still go through checked
-        // accessors rather than panicking.
+        let tag = *self.buf.get(pos).ok_or_else(corrupt)?;
         let v = match tag {
             TAG_NULL => Value::Null,
             TAG_BOOL_FALSE => Value::Bool(false),
@@ -197,60 +210,45 @@ impl<'a> RecordRef<'a> {
         Ok((v, next))
     }
 
-    /// Decodes a single field by index, skipping the preceding fields.
-    pub fn field(&self, id: FieldId) -> Result<Value> {
+    /// The offset field `id` starts at, walking on from the field last
+    /// reached when that is not past it.
+    fn offset_of(&self, id: FieldId) -> Result<usize> {
         if id >= self.field_count {
             return Err(DmxError::InvalidArg(format!(
                 "field {id} out of range (record has {})",
                 self.field_count
             )));
         }
-        let mut pos = 2usize;
-        for _ in 0..id {
+        let (mut at, mut pos) = match self.reached.get() {
+            (at, pos) if at <= id => (at, pos),
+            _ => (0, 2),
+        };
+        while at < id {
             pos = self.skip(pos)?;
+            at += 1;
         }
-        Ok(self.decode_at(pos)?.0)
+        self.reached.set((id, pos));
+        Ok(pos)
     }
 
-    /// Decodes a projection of fields in one forward pass. The requested
-    /// ids may be in any order and may repeat; output order matches the
-    /// request.
+    /// Decodes a single field by index, skipping the preceding fields.
+    pub fn field(&self, id: FieldId) -> Result<Value> {
+        Ok(self.decode_at(self.offset_of(id)?)?.0)
+    }
+
+    /// Decodes a projection of fields, output in request order. Ascending
+    /// ids — what a planner's projection is — are one forward pass
+    /// straight into the output, on from wherever a filter left the
+    /// view; an id at or before its predecessor (any order is allowed,
+    /// repeats too) starts its walk over.
     pub fn fields(&self, ids: &[FieldId]) -> Result<Vec<Value>> {
-        // Single pass up to the largest requested field; cache values at the
-        // requested positions.
-        let mut wanted: Vec<FieldId> = ids.to_vec();
-        wanted.sort_unstable();
-        wanted.dedup();
-        let mut found: Vec<(FieldId, Value)> = Vec::with_capacity(wanted.len());
-        let mut pos = 2usize;
-        let mut next_wanted = wanted.iter().copied().peekable();
-        for fid in 0..self.field_count {
-            match next_wanted.peek() {
-                None => break,
-                Some(&w) if w == fid => {
-                    let (v, np) = self.decode_at(pos)?;
-                    found.push((fid, v));
-                    pos = np;
-                    next_wanted.next();
-                }
-                _ => pos = self.skip(pos)?,
-            }
+        let mut out = Vec::with_capacity(ids.len());
+        for &id in ids {
+            let (v, next) = self.decode_at(self.offset_of(id)?)?;
+            out.push(v);
+            self.reached.set((id + 1, next));
         }
-        if let Some(&w) = next_wanted.peek() {
-            return Err(DmxError::InvalidArg(format!(
-                "field {w} out of range (record has {})",
-                self.field_count
-            )));
-        }
-        ids.iter()
-            .map(|id| {
-                found
-                    .iter()
-                    .find(|(f, _)| f == id)
-                    .map(|(_, v)| v.clone())
-                    .ok_or_else(|| DmxError::Internal("projection bookkeeping".into()))
-            })
-            .collect()
+        Ok(out)
     }
 
     /// Fully decodes the record.
@@ -327,6 +325,39 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A projection reads no further than its last field: a record cut
+    /// *between* fields serves the fields before the cut and reports
+    /// the ones behind it, in either request order.
+    #[test]
+    fn projection_truncated_between_fields() {
+        let bytes = sample().encode();
+        // header, Int(42), Str("alice") — cut exactly before field 2
+        let cut = 2 + 9 + 5 + 5;
+        let rr = RecordRef::new(&bytes[..cut]).unwrap();
+        assert_eq!(
+            rr.fields(&[0, 1]).unwrap(),
+            vec![Value::Int(42), Value::from("alice")]
+        );
+        assert_eq!(rr.fields(&[1, 0]).unwrap().len(), 2);
+        for ids in [&[0, 2][..], &[1, 3], &[3, 0], &[6]] {
+            assert!(
+                matches!(rr.fields(ids), Err(DmxError::Corrupt(_))),
+                "{ids:?}"
+            );
+        }
+        assert!(matches!(
+            Record::decode(&bytes[..cut]),
+            Err(DmxError::Corrupt(_))
+        ));
+        // a field count the header never promised is an argument error
+        let whole = RecordRef::new(&bytes).unwrap();
+        assert!(matches!(
+            whole.fields(&[0, 7]),
+            Err(DmxError::InvalidArg(_))
+        ));
+        assert_eq!(whole.fields(&[]).unwrap(), Vec::<Value>::new());
     }
 
     #[test]

@@ -274,6 +274,20 @@ fn lock_order_and_io_under_latch_rules_fire() {
 }
 
 #[test]
+fn a_lock_requested_while_a_frame_is_filled_is_a_lock_order_finding() {
+    let v = run("effects-violations");
+    assert!(
+        v.iter().any(|x| x.code() == "DMX009"
+            && x.msg.contains("BadScan::next_frame")
+            && x.msg.contains("pin.read")),
+        "lock under the frame's page guard not reported:\n{}",
+        xtask::render(&v)
+    );
+    // the clean twin — same fill, the lock after the guard's block — is
+    // part of `effects_clean_tree_passes`
+}
+
+#[test]
 fn effect_waivers_suppress_exactly_and_ratchet() {
     let report =
         xtask::run(&fixture("effects-violations"), xtask::Options::default()).expect("runs");

@@ -76,3 +76,20 @@ impl GoodDb {
         self.pool.flush_all()
     }
 }
+
+pub struct GoodScan;
+
+impl GoodScan {
+    /// Fills the frame under the page guard and takes no lock there:
+    /// the guard's block ends before the scan's one lock is requested.
+    pub fn next_frame(&mut self, ctx: &Ctx, frame: &mut Frame) -> Result<()> {
+        {
+            let pin = ctx.pool().fetch(self.page)?;
+            let page = pin.read();
+            for slot in 0..page.slots() {
+                frame.push_back(page.item(slot));
+            }
+        }
+        ctx.lock_record(self.rel, b"boundary", S)
+    }
+}

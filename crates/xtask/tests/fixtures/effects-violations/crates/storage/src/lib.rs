@@ -54,3 +54,19 @@ impl BadDb {
         self.pool.flush_all()
     }
 }
+
+pub struct BadScan;
+
+impl BadScan {
+    /// Locks each record while the page it was read from is still
+    /// guarded: a lock wait under a page guard, the hierarchy inverted.
+    pub fn next_frame(&mut self, ctx: &Ctx, frame: &mut Frame) -> Result<()> {
+        let pin = ctx.pool().fetch(self.page)?;
+        let page = pin.read();
+        for slot in 0..page.slots() {
+            ctx.lock_record(self.rel, page.key(slot), S)?;
+            frame.push_back(page.item(slot));
+        }
+        Ok(())
+    }
+}

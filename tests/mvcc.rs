@@ -387,3 +387,225 @@ fn snapshot_scan_never_duplicates_a_relocated_record() {
     }
     assert_eq!(keys.len(), 10, "every committed record exactly once");
 }
+
+// ---------------------------------------------------------------------
+// The snapshot scan's bookkeeping — which keys it surfaced, looked up
+// only when a chain turns up — and its delta sweep, with the writer's
+// move placed by hand between two pulls of the scan.
+// ---------------------------------------------------------------------
+
+use starburst_dmx::core::{Frame, KeyRange, ScanItem};
+use starburst_dmx::expr::{CmpOp, Expr};
+use starburst_dmx::types::key::encode_values;
+
+const ROWS: i64 = 10;
+
+/// `t (id, grp, v)` with `grp = id`, `v = 0` and an index on `grp`; the
+/// record key of each id.
+fn lazy_set_fixture(rows: i64) -> (Arc<Database>, Vec<RecordKey>) {
+    let db = open_db();
+    db.execute_sql("CREATE TABLE t (id INT NOT NULL, grp INT NOT NULL, v INT NOT NULL)")
+        .unwrap();
+    db.execute_sql("CREATE INDEX t_grp ON t USING btree (grp)")
+        .unwrap();
+    let rel = db.catalog().get_by_name("t").unwrap().id;
+    let keys = db
+        .with_txn(|txn| {
+            (0..rows)
+                .map(|i| {
+                    let rec = Record::new(vec![Value::Int(i), Value::Int(i), Value::Int(0)]);
+                    db.insert(txn, rel, rec)
+                })
+                .collect()
+        })
+        .unwrap();
+    (db, keys)
+}
+
+/// The two paths under test, each with a filter a writer can push a row
+/// out of: the heap scan with the pushed predicate `v = 0`, the index
+/// scan over `grp < 1000`.
+fn open_filtered(
+    db: &Arc<Database>,
+    txn: &Arc<starburst_dmx::txn::Transaction>,
+    index: bool,
+) -> starburst_dmx::types::ScanId {
+    let rd = db.catalog().get_by_name("t").unwrap();
+    if !index {
+        let v_is_0 = Expr::Cmp(
+            CmpOp::Eq,
+            Box::new(Expr::Column(2)),
+            Box::new(Expr::Const(Value::Int(0))),
+        );
+        let path = AccessPath::StorageMethod;
+        return db
+            .open_scan(txn, rd.id, path, AccessQuery::All, Some(v_is_0), None)
+            .unwrap();
+    }
+    let (att, inst) = rd.find_attachment("t_grp").unwrap();
+    let below_1000 = AccessQuery::Range(KeyRange {
+        lo: std::ops::Bound::Unbounded,
+        hi: std::ops::Bound::Excluded(encode_values(&[Value::Int(1000)])),
+    });
+    let path = AccessPath::Attachment(att, inst.instance);
+    db.open_scan(txn, rd.id, path, below_1000, None, None)
+        .unwrap()
+}
+
+/// Pulls two items, lets `interfere` act (it may leave a writer's
+/// transaction open by returning its session), then drains the scan — by
+/// steps or by frames. Returns the ids in arrival order and how many
+/// delta sweeps found something; every item must carry its record's
+/// image as of the scan's snapshot.
+fn scan_around(
+    index: bool,
+    frames: bool,
+    interfere: impl FnOnce(&Arc<Database>) -> Option<Session>,
+) -> (Vec<i64>, u64) {
+    let (db, keys) = lazy_set_fixture(ROWS);
+    let sweeps = || db.metrics_snapshot().counter("scan.delta_sweeps");
+    let before = sweeps();
+    let txn = db.begin();
+    txn.set_snapshot_reads(true);
+    let scan = open_filtered(&db, &txn, index);
+    let mut items: Vec<ScanItem> = Vec::new();
+    for _ in 0..2 {
+        items.push(db.scan_next(&txn, scan).unwrap().unwrap());
+    }
+    let writer = interfere(&db);
+    let mut frame = Frame::new();
+    loop {
+        if frames {
+            db.scan_next_frame(&txn, scan, &mut frame).unwrap();
+        } else {
+            frame.extend(db.scan_next(&txn, scan).unwrap());
+        }
+        if frame.is_empty() {
+            break;
+        }
+        items.extend(frame.drain(..));
+    }
+    let locks = db.metrics_snapshot().counter("lock.acquires");
+    assert!(db.scan_next(&txn, scan).unwrap().is_none(), "stays drained");
+    assert_eq!(db.metrics_snapshot().counter("lock.acquires"), locks);
+    db.commit(&txn).unwrap();
+    if let Some(w) = writer {
+        w.execute("ROLLBACK").unwrap();
+    }
+    let ids = items
+        .iter()
+        .map(|it| {
+            let id = keys.iter().position(|k| *k == it.key).expect("a key of t") as i64;
+            let image = match index {
+                true => vec![Value::Int(id)],
+                false => vec![Value::Int(id), Value::Int(id), Value::Int(0)],
+            };
+            assert_eq!(it.values.as_ref(), Some(&image), "snapshot image of {id}");
+            id
+        })
+        .collect();
+    (ids, sweeps() - before)
+}
+
+fn each_once(mut ids: Vec<i64>) {
+    ids.sort_unstable();
+    assert_eq!(ids, (0..ROWS).collect::<Vec<_>>(), "every row exactly once");
+}
+
+/// (a) A row goes by while it has no chain — nothing is hashed, nothing
+/// looked up — and is then updated and committed by another session, so
+/// that it does have one when the sweep lists the relation's chains: the
+/// visible image still qualifies, and only the record of what was
+/// surfaced keeps it from coming out a second time.
+#[test]
+fn a_row_surfaced_before_it_had_a_chain_is_not_swept_up_again() {
+    for (index, frames) in [(false, false), (false, true), (true, false), (true, true)] {
+        let (ids, sweeps) = scan_around(index, frames, |db| {
+            db.execute_sql("UPDATE t SET v = 7 WHERE id = 0").unwrap();
+            None
+        });
+        assert_eq!(ids, (0..ROWS).collect::<Vec<_>>(), "index={index}");
+        assert_eq!(sweeps, 0, "the sweep had nothing to add");
+    }
+}
+
+/// (b) An in-flight writer changes a row ahead of the position so that
+/// what lies in the page (or the index) no longer passes the scan's own
+/// filter: the inner scan drops it without a word, and the sweep
+/// re-derives it, once, from its chain.
+#[test]
+fn a_row_an_in_flight_writer_pushed_out_of_the_filter_is_re_derived_once() {
+    for (index, frames) in [(false, false), (false, true), (true, false), (true, true)] {
+        let (ids, sweeps) = scan_around(index, frames, |db| {
+            let w = Session::new(db.clone());
+            w.execute("BEGIN").unwrap();
+            let sql = match index {
+                true => "UPDATE t SET grp = 5000 WHERE id = 7",
+                false => "UPDATE t SET v = 1 WHERE id = 7",
+            };
+            assert_eq!(w.execute(sql).unwrap().rows[0][0], Value::Int(1));
+            Some(w)
+        });
+        assert_eq!(ids.last(), Some(&7), "after the regular stream");
+        each_once(ids);
+        assert_eq!(sweeps, 1);
+    }
+}
+
+/// (c) A row ahead of the position deleted by an in-flight writer comes
+/// back with its snapshot image.
+#[test]
+fn a_row_an_in_flight_writer_deleted_comes_back_from_its_chain() {
+    for (index, frames) in [(false, false), (false, true), (true, false), (true, true)] {
+        let (ids, sweeps) = scan_around(index, frames, |db| {
+            let w = Session::new(db.clone());
+            w.execute("BEGIN").unwrap();
+            w.execute("DELETE FROM t WHERE id = 8").unwrap();
+            Some(w)
+        });
+        assert_eq!(ids.last(), Some(&8));
+        each_once(ids);
+        assert_eq!(sweeps, 1);
+    }
+}
+
+/// (d) The twin of `snapshot_scan_never_duplicates_a_relocated_record`
+/// on an index of many leaves, drained by frames: the entry of a record
+/// already surfaced moves into the last leaf, so it comes up again in a
+/// later frame than the one that showed it first — with a chain, which
+/// is what makes the scan look it up in what it surfaced.
+#[test]
+fn snapshot_scan_never_duplicates_a_record_relocated_across_leaves() {
+    let rows = 3000;
+    let (db, keys) = lazy_set_fixture(rows);
+    let rd = db.catalog().get_by_name("t").unwrap();
+    let (att, inst) = rd.find_attachment("t_grp").unwrap();
+    let txn = db.begin();
+    txn.set_snapshot_reads(true);
+    let path = AccessPath::Attachment(att, inst.instance);
+    let scan = db
+        .open_scan(&txn, rd.id, path, AccessQuery::All, None, None)
+        .unwrap();
+    let mut seen = vec![db.scan_next(&txn, scan).unwrap().unwrap()];
+    assert_eq!(seen[0].key, keys[0]);
+    db.execute_sql("UPDATE t SET grp = 1000000 WHERE id = 0")
+        .unwrap();
+    let (mut frame, mut frames) = (Frame::new(), 0);
+    loop {
+        db.scan_next_frame(&txn, scan, &mut frame).unwrap();
+        if frame.is_empty() {
+            break;
+        }
+        frames += 1;
+        seen.extend(frame.drain(..));
+    }
+    db.commit(&txn).unwrap();
+    assert!(frames > 2, "the index has several leaves: {frames} frames");
+    let got: Vec<&RecordKey> = seen.iter().map(|it| &it.key).collect();
+    assert_eq!(got, keys.iter().collect::<Vec<_>>(), "each once, in order");
+    assert_eq!(
+        seen[0].values,
+        Some(vec![Value::Int(0)]),
+        "as of the snapshot"
+    );
+}

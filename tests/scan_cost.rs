@@ -1,0 +1,173 @@
+//! What a read costs, counted: page pins, lock requests and delta sweeps
+//! read off `metrics_snapshot()` around one statement. These are exact
+//! for a given database, so they gate in tier-1 what the benchmark's
+//! `pagestore.pins_per_scanned_row` and `pins_per_stmt` report: a scan
+//! pins each page it reads once — not once per row — takes the relation
+//! lock and nothing else, and a point lookup descends its index once.
+
+// Examples and integration-test harnesses are exempt from the runtime
+// panic discipline: failures here should abort loudly.
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
+use std::sync::Arc;
+
+use starburst_dmx::attach::btree_index::IxDesc;
+use starburst_dmx::prelude::*;
+use starburst_dmx::types::FileId;
+
+const ROWS: i64 = 3000;
+
+/// The `emp` row of `id`: id, name, dept, site, age, salary.
+fn row(id: i64) -> Vec<Value> {
+    let int = Value::Int;
+    vec![
+        int(id),
+        Value::Str(format!("emp{id:010}")),
+        int((id * 31) % 50),
+        int((id * 17 + 3) % 50),
+        int(20 + (id * 7) % 100),
+        int(1000 + (id * 13) % 5000),
+    ]
+}
+
+const AGE: usize = 4;
+
+fn emp_db() -> Arc<Database> {
+    let db = starburst_dmx::open_default().unwrap();
+    db.execute_sql(
+        "CREATE TABLE emp (id INT NOT NULL, name STRING NOT NULL, dept INT NOT NULL, \
+         site INT NOT NULL, age INT NOT NULL, salary INT NOT NULL)",
+    )
+    .unwrap();
+    db.execute_sql("CREATE UNIQUE INDEX emp_id ON emp USING btree (id)")
+        .unwrap();
+    let rel = db.catalog().get_by_name("emp").unwrap().id;
+    db.with_txn(|txn| {
+        for id in 0..ROWS {
+            db.insert(txn, rel, Record::new(row(id)))?;
+        }
+        Ok(())
+    })
+    .unwrap();
+    db
+}
+
+/// `(page pins, lock requests, delta sweeps)` so far.
+fn counts(db: &Arc<Database>) -> [u64; 3] {
+    let m = db.metrics_snapshot();
+    [
+        m.counter("pool.hits") + m.counter("pool.misses"),
+        m.counter("lock.acquires"),
+        m.counter("scan.delta_sweeps"),
+    ]
+}
+
+/// Runs `sql` in `sess` and returns its rows with what it cost.
+fn counted(db: &Arc<Database>, sess: &Session, sql: &str) -> (Vec<Vec<Value>>, [u64; 3]) {
+    let before = counts(db);
+    let rows = sess.execute(sql).unwrap().rows;
+    let after = counts(db);
+    (rows, [0, 1, 2].map(|i| after[i] - before[i]))
+}
+
+#[test]
+fn a_snapshot_scan_pins_each_page_once_and_locks_the_relation_only() {
+    let db = emp_db();
+    let rd = db.catalog().get_by_name("emp").unwrap();
+    let file = FileId(u32::from_le_bytes(rd.sm_desc[..4].try_into().unwrap()));
+    let pages = db.services().pool.disk().page_count(file).unwrap() as u64;
+    assert!(pages > 10, "a heap of several pages: {pages}");
+
+    let sess = Session::new(db.clone());
+    sess.execute("BEGIN").unwrap();
+    for (sql, model) in [
+        (
+            // half the rows qualify, two of six columns are read
+            "SELECT id, salary FROM emp WHERE age >= 30 AND age < 80",
+            (0..ROWS)
+                .map(row)
+                .filter(|r| (30..80).contains(&r[AGE].as_int().unwrap()))
+                .map(|r| vec![r[0].clone(), r[5].clone()])
+                .collect::<Vec<_>>(),
+        ),
+        (
+            // none does: every page is still read, once
+            "SELECT id, salary FROM emp WHERE age = 500",
+            Vec::new(),
+        ),
+        (
+            // all do, whole records
+            "SELECT * FROM emp",
+            (0..ROWS).map(row).collect(),
+        ),
+    ] {
+        let (rows, [pins, locks, sweeps]) = counted(&db, &sess, sql);
+        assert_eq!(rows, model, "{sql}");
+        assert_eq!(pins, pages, "one pin per page, none at exhaustion: {sql}");
+        assert_eq!(locks, 1, "the relation's IS lock: {sql}");
+        assert_eq!(sweeps, 0, "no writer, nothing to sweep: {sql}");
+    }
+    sess.execute("COMMIT").unwrap();
+}
+
+#[test]
+fn a_unique_index_point_select_descends_once() {
+    let db = emp_db();
+    let rd = db.catalog().get_by_name("emp").unwrap();
+    let desc = IxDesc::decode(&rd.find_attachment("emp_id").unwrap().1.desc).unwrap();
+    let tree = desc.tree_file().open_tree(db.services());
+    let height = tree.stats().unwrap().height as u64;
+    assert!(height >= 2, "an index with a root above its leaves");
+
+    let sess = Session::new(db.clone());
+    sess.execute("BEGIN").unwrap();
+    for id in [0, 77, ROWS / 2, ROWS - 1] {
+        let sql = format!("SELECT name FROM emp WHERE id = {id}");
+        let plan = sess.execute(&format!("EXPLAIN {sql}")).unwrap();
+        assert!(format!("{:?}", plan.rows).contains("via attachment"));
+        let (rows, [pins, locks, sweeps]) = counted(&db, &sess, &sql);
+        assert_eq!(rows, vec![vec![row(id)[1].clone()]]);
+        // the descent (the leaf pinned once, the range's end seen in it)
+        // and the record's page; a key that is its leaf's last entry
+        // looks at the next leaf for the end
+        assert!(
+            (height + 1..=height + 2).contains(&pins),
+            "id {id}: {pins} pins for an index of height {height}"
+        );
+        assert_eq!(locks, 2, "relation IS for the scan and for the fetch");
+        assert_eq!(sweeps, 0);
+    }
+    // a key that is not there costs the descent alone
+    let (rows, [pins, ..]) = counted(&db, &sess, "SELECT name FROM emp WHERE id = -5");
+    assert!(rows.is_empty());
+    assert!(pins <= height + 1, "{pins}");
+    sess.execute("COMMIT").unwrap();
+}
+
+#[test]
+fn explain_names_the_fields_a_storage_method_scan_reads() {
+    let db = emp_db();
+    let plan = |sql: &str| -> String {
+        let rows = db.query_sql(&format!("EXPLAIN {sql}")).unwrap();
+        let lines: Vec<&str> = rows.iter().map(|r| r[0].as_str().unwrap()).collect();
+        lines.join("\n")
+    };
+    let agg = plan("SELECT COUNT(*), SUM(salary) FROM emp WHERE age >= 30 AND age < 80");
+    assert!(
+        agg.contains("via storage-method") && agg.contains("reads [age, salary]"),
+        "{agg}"
+    );
+    let all = plan("SELECT * FROM emp");
+    assert!(
+        all.contains("reads [id, name, dept, site, age, salary]"),
+        "{all}"
+    );
+    let none = plan("SELECT COUNT(*) FROM emp");
+    assert!(none.contains("reads []"), "{none}");
+    // an access path's values are its key's: nothing is projected
+    let probe = plan("SELECT name FROM emp WHERE id = 7");
+    assert!(
+        probe.contains("via attachment") && !probe.contains("reads"),
+        "{probe}"
+    );
+}
