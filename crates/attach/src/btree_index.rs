@@ -213,9 +213,8 @@ impl Attachment for BTreeIndex {
     ) -> Result<Box<dyn ScanOps>> {
         let d = IxDesc::decode(&instance.desc)?;
         let tree = d.tree_file().open_tree(ctx.services());
-        let range = translate_prefix_range(query.clone().key_range("btree index")?);
         Ok(TreeScan::open(
-            TreeCursor::new(&tree, range).gap_locked(rd.id, RecordKeyIn::Value),
+            TreeCursor::new(&tree, full_key_range(query)?).gap_locked(rd.id, RecordKeyIn::Value),
             IndexEntries { fields: d.fields },
         ))
     }
@@ -328,9 +327,10 @@ impl Attachment for BTreeIndex {
     }
 }
 
-/// Translates a planner range over index-key *prefixes* into a range over
-/// full keys (`prefix ∥ record_key`).
-fn translate_prefix_range(kr: KeyRange) -> KeyRange {
+/// The range of full keys (`prefix ∥ record_key`) a query over index-key
+/// *prefixes* asks for.
+fn full_key_range(query: &AccessQuery) -> Result<KeyRange> {
+    let kr = query.clone().key_range("btree index")?;
     let lo = match kr.lo {
         // exclude every full key with this exact prefix
         Bound::Excluded(a) => match prefix_successor(&a) {
@@ -344,7 +344,7 @@ fn translate_prefix_range(kr: KeyRange) -> KeyRange {
         Bound::Included(b) => KeyRange::prefix(b).hi,
         hi => hi,
     };
-    KeyRange { lo, hi }
+    Ok(KeyRange { lo, hi })
 }
 
 /// Decodes `index key ∥ record key → record key` entries into record
@@ -363,6 +363,10 @@ impl EntryDecoder for IndexEntries {
             key: RecordKey::new(rkey.to_vec()),
             values: Some(decode_values(key, self.fields.len())?),
         }))
+    }
+
+    fn rebind(&mut self, query: &AccessQuery, _pred: Option<&Expr>) -> Result<Option<KeyRange>> {
+        full_key_range(query).map(Some)
     }
 
     fn supports_versioned_read(&self) -> bool {

@@ -87,6 +87,17 @@ fn probe_prefix(values_enc: &[u8]) -> Vec<u8> {
     v
 }
 
+/// The entries an exact-key probe asks for; a hash index answers nothing
+/// else.
+fn bucket_range(query: &AccessQuery) -> Result<KeyRange> {
+    match query {
+        AccessQuery::KeyEquals(values_enc) => Ok(KeyRange::prefix(probe_prefix(values_enc))),
+        _ => Err(DmxError::Unsupported(
+            "hash index supports only exact-key probes".into(),
+        )),
+    }
+}
+
 impl HashIndex {
     /// A record's entry: the key `hash ∥ values ∥ record key` and the
     /// record key it maps to.
@@ -197,16 +208,8 @@ impl Attachment for HashIndex {
     ) -> Result<Box<dyn ScanOps>> {
         let d = HashDesc::decode(&instance.desc)?;
         let tree = d.tree_file().open_tree(ctx.services());
-        let prefix = match query {
-            AccessQuery::KeyEquals(values_enc) => probe_prefix(values_enc),
-            _ => {
-                return Err(DmxError::Unsupported(
-                    "hash index supports only exact-key probes".into(),
-                ))
-            }
-        };
         Ok(TreeScan::open(
-            TreeCursor::new(&tree, KeyRange::prefix(prefix)),
+            TreeCursor::new(&tree, bucket_range(query)?),
             BucketEntries {
                 nfields: d.fields.len(),
             },
@@ -285,5 +288,9 @@ impl EntryDecoder for BucketEntries {
             key: RecordKey::new(rkey.to_vec()),
             values: Some(covered),
         }))
+    }
+
+    fn rebind(&mut self, query: &AccessQuery, _pred: Option<&Expr>) -> Result<Option<KeyRange>> {
+        bucket_range(query).map(Some)
     }
 }

@@ -15,6 +15,7 @@ use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use dmx_expr::Expr;
 use dmx_types::sync::Mutex;
 
 use dmx_types::{
@@ -202,6 +203,12 @@ pub type Frame = VecDeque<ScanItem>;
 /// guards in the hierarchy (`xtask verify`, DMX009), and the dispatcher
 /// locks each item as it hands it out. A scan that has to lock what it
 /// passes — the next-key cursor — fills frames of one.
+///
+/// [`ScanOps::rebind`] is the other optional method: a join asks its
+/// inner scan for a different key range per outer row, and a scan that
+/// can move to one spares the join a close and an open each time. The
+/// default says it cannot, and the join opens a new scan as it always
+/// did.
 pub trait ScanOps: Send {
     /// The item after the current position, advancing the position onto
     /// it. `None` when exhausted.
@@ -213,6 +220,21 @@ pub trait ScanOps: Send {
     fn next_frame(&mut self, ctx: &ExecCtx<'_>, frame: &mut Frame) -> Result<()> {
         frame.extend(self.next(ctx)?);
         Ok(())
+    }
+
+    /// Makes this the scan of `query` with `pred` pushed down that a
+    /// fresh open on the same path would be: positioned before the first
+    /// item, exhaustion forgotten, with the projection, the range-locking
+    /// switch and every lock taken so far kept. `Ok(false)`, with nothing
+    /// changed, when the scan cannot — the default — and the caller
+    /// closes it and opens another.
+    fn rebind(
+        &mut self,
+        _ctx: &ExecCtx<'_>,
+        _query: &AccessQuery,
+        _pred: Option<&Expr>,
+    ) -> Result<bool> {
+        Ok(false)
     }
 
     /// Serializes the current position (the paper's savepoint-time
@@ -324,6 +346,19 @@ impl ScanManager {
         let scan = self.scan(ctx.txn.id(), id)?;
         let mut guard = scan.lock();
         guard.next_frame(ctx, frame)
+    }
+
+    /// Re-binds a scan ([`ScanOps::rebind`]) where it is registered.
+    pub fn rebind(
+        &self,
+        ctx: &ExecCtx<'_>,
+        id: ScanId,
+        query: &AccessQuery,
+        pred: Option<&Expr>,
+    ) -> Result<bool> {
+        let scan = self.scan(ctx.txn.id(), id)?;
+        let mut guard = scan.lock();
+        guard.rebind(ctx, query, pred)
     }
 
     /// Closes one scan.

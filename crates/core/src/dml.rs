@@ -18,7 +18,9 @@ use dmx_expr::Expr;
 use dmx_lock::{LockMode, LockName};
 use dmx_txn::{Footprint, Transaction, VersionImage};
 use dmx_types::obs::Counter;
-use dmx_types::{DmxError, FieldId, Record, RecordKey, RelationId, Result, ScanId, Value};
+use dmx_types::{
+    AttTypeId, DmxError, FieldId, Record, RecordKey, RelationId, Result, ScanId, Value,
+};
 
 use crate::access::{AccessPath, AccessQuery, Frame, ScanItem, ScanOps};
 use crate::attachment::Modification;
@@ -53,7 +55,11 @@ pub fn project_values(values: &[Value], fields: Option<&[FieldId]>) -> Result<Ve
 struct DispatchScan {
     inner: Box<dyn ScanOps>,
     rd: Arc<RelationDescriptor>,
+    path: AccessPath,
     protocol: Protocol,
+    /// How many times the scan has been re-bound: a saved position is
+    /// one of the binding it was taken under, and of no other.
+    binding: u64,
     /// The frame `next` pulls its one item through, kept for reuse.
     one: Frame,
     /// Rows returned so far; flushed into the rows-per-scan histogram
@@ -78,8 +84,6 @@ enum Protocol {
     /// re-check record existence (their per-entry values — index keys,
     /// join pairs — are immutable once present).
     Locking {
-        /// True when the inner scan is a storage-method scan ("path zero").
-        sm_path: bool,
         pred: Option<Expr>,
         fields: Option<Vec<FieldId>>,
     },
@@ -172,16 +176,13 @@ impl DispatchScan {
         let Self {
             inner,
             rd,
+            path,
             protocol,
             ..
         } = self;
         while frame.is_empty() {
             match protocol {
-                Protocol::Locking {
-                    sm_path,
-                    pred,
-                    fields,
-                } => {
+                Protocol::Locking { pred, fields } => {
                     let Some(item) = inner.next(ctx)? else {
                         return Ok(());
                     };
@@ -192,7 +193,7 @@ impl DispatchScan {
                     ctx.lock_record(rd.id, &item.key, LockMode::S)?;
                     // Re-read under the lock.
                     let sm = ctx.db.registry().storage(rd.sm)?;
-                    let kept = if *sm_path {
+                    let kept = if *path == AccessPath::StorageMethod {
                         // `None`: vanished or no longer qualifies
                         sm.fetch(ctx, rd, &item.key, fields.as_deref(), pred.as_ref())?
                             .map(|values| ScanItem {
@@ -348,33 +349,73 @@ impl ScanOps for DispatchScan {
         self.counted(ctx, res, frame.len())
     }
 
+    /// The inner scan moves to `query`; everything the decorator keeps
+    /// per stream of items starts over, and the relation lock, the
+    /// registration and the protocol stay. A re-bound access path has
+    /// been probed once more; nothing has been opened.
+    fn rebind(
+        &mut self,
+        ctx: &ExecCtx<'_>,
+        query: &AccessQuery,
+        pred: Option<&Expr>,
+    ) -> Result<bool> {
+        let rebound = self.inner.rebind(ctx, query, pred);
+        if !ctx.db.fence_corrupt(self.rd.id, rebound)? {
+            return Ok(false);
+        }
+        if !std::mem::take(&mut self.exhausted) {
+            ctx.db.counters().rows_per_scan.record(self.rows);
+        }
+        self.rows = 0;
+        self.binding += 1;
+        match &mut self.protocol {
+            Protocol::Locking {
+                pred: under_lock, ..
+            } => *under_lock = pred.cloned(),
+            Protocol::Snapshot { surfaced, delta } => {
+                surfaced.truncate(0);
+                *delta = None;
+            }
+        }
+        if let AccessPath::Attachment(att_id, _) = self.path {
+            ctx.db.count_probe(&self.rd, att_id);
+        }
+        Ok(true)
+    }
+
+    /// The binding, then — for a snapshot scan — how much the regular
+    /// stream had surfaced, then the inner scan's own position.
     fn save_position(&self) -> Vec<u8> {
-        let inner = self.inner.save_position();
-        let Protocol::Snapshot { surfaced, .. } = &self.protocol else {
-            return inner;
-        };
-        // Composite position: how much the regular stream had surfaced,
-        // then the inner scan's own position.
-        let mut pos = (surfaced.log.len() as u64).to_le_bytes().to_vec();
-        pos.extend_from_slice(&inner);
+        let mut pos = self.binding.to_le_bytes().to_vec();
+        if let Protocol::Snapshot { surfaced, .. } = &self.protocol {
+            pos.extend_from_slice(&(surfaced.log.len() as u64).to_le_bytes());
+        }
+        pos.extend_from_slice(&self.inner.save_position());
         pos
     }
 
     fn restore_position(&mut self, pos: &[u8]) -> Result<()> {
-        let Protocol::Snapshot { surfaced, delta } = &mut self.protocol else {
-            return self.inner.restore_position(pos);
-        };
-        let corrupt = || DmxError::Corrupt("bad snapshot-scan position".into());
-        let n = dmx_types::bytes::le_u64(pos, 0).ok_or_else(corrupt)? as usize;
-        if n > surfaced.log.len() {
-            return Err(corrupt());
+        let corrupt = || DmxError::Corrupt("bad scan position".into());
+        if dmx_types::bytes::le_u64(pos, 0) != Some(self.binding) {
+            // The inner position is a key of another range.
+            return Err(DmxError::InvalidArg(
+                "scan position was saved before the scan was re-bound".into(),
+            ));
         }
-        surfaced.truncate(n);
-        // A partial rollback rewinds the inner scan; the delta sweep (if
-        // it had started) is discarded and rebuilt at re-exhaustion.
-        *delta = None;
-        self.inner
-            .restore_position(pos.get(8..).ok_or_else(corrupt)?)
+        let mut inner = pos.get(8..).ok_or_else(corrupt)?;
+        if let Protocol::Snapshot { surfaced, delta } = &mut self.protocol {
+            let n = dmx_types::bytes::le_u64(inner, 0).ok_or_else(corrupt)? as usize;
+            if n > surfaced.log.len() {
+                return Err(corrupt());
+            }
+            surfaced.truncate(n);
+            // A partial rollback rewinds the inner scan; the delta sweep
+            // (if it had started) is discarded and rebuilt at
+            // re-exhaustion.
+            *delta = None;
+            inner = inner.get(8..).ok_or_else(corrupt)?;
+        }
+        self.inner.restore_position(inner)
     }
 }
 
@@ -693,16 +734,14 @@ impl Database {
             // Locking scan: range locks fence phantoms at the key gaps the
             // scan traverses (only meaningful for ordered record-key scans).
             inner.set_range_locking(true);
-            Protocol::Locking {
-                sm_path: matches!(path, AccessPath::StorageMethod),
-                pred,
-                fields,
-            }
+            Protocol::Locking { pred, fields }
         };
         let scan = Box::new(DispatchScan {
             inner,
             rd,
+            path,
             protocol,
+            binding: 0,
             one: Frame::new(),
             rows: 0,
             exhausted: false,
@@ -736,16 +775,22 @@ impl Database {
                     .iter()
                     .find(|i| i.instance == inst_id)
                     .ok_or_else(|| DmxError::NotFound(format!("attachment {att_id}{inst_id}")))?;
-                self.counters().att_probes.incr();
-                self.metrics().emit(dmx_types::obs::ObsEvent {
-                    layer: "att",
-                    op: "probe",
-                    target: rd.id.0 as u64,
-                    detail: att_id.0 as u64,
-                });
+                self.count_probe(rd, att_id);
                 att.open_scan(ctx, rd, inst, &query)
             }
         }
+    }
+
+    /// One more question asked of an access path of type `att_id` on
+    /// `rd`: a scan opened on it, or re-bound.
+    fn count_probe(&self, rd: &RelationDescriptor, att_id: AttTypeId) {
+        self.counters().att_probes.incr();
+        self.metrics().emit(dmx_types::obs::ObsEvent {
+            layer: "att",
+            op: "probe",
+            target: rd.id.0 as u64,
+            detail: att_id.0 as u64,
+        });
     }
 
     /// Advances a registered scan.
@@ -775,6 +820,25 @@ impl Database {
         frame.clear();
         let ctx = ExecCtx { db: self, txn };
         self.scans().next_frame(&ctx, scan, frame)
+    }
+
+    /// Re-binds a registered scan: it becomes the scan of `query` and
+    /// `pred` that [`Database::open_scan`] on the same relation, path and
+    /// fields would have registered, under the relation lock and the
+    /// protocol it already has — one more `att.probes` on an access path,
+    /// no `scan.opens`. A position saved before is void. `Ok(false)` when
+    /// the access procedure's scan cannot ([`ScanOps::rebind`]): nothing
+    /// has changed, and the caller closes the scan and opens another.
+    pub fn scan_rebind(
+        self: &Arc<Self>,
+        txn: &Arc<Transaction>,
+        scan: ScanId,
+        query: &AccessQuery,
+        pred: Option<&Expr>,
+    ) -> Result<bool> {
+        txn.check_active()?;
+        let ctx = ExecCtx { db: self, txn };
+        self.scans().rebind(&ctx, scan, query, pred)
     }
 
     /// Closes a registered scan.

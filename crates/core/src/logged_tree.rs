@@ -46,12 +46,15 @@ use std::ops::Bound;
 use std::sync::Arc;
 
 use dmx_btree::{BTree, OnDuplicate};
+use dmx_expr::Expr;
 use dmx_lock::{LockMode, LockName};
 use dmx_types::bytes::{le_u16, le_u32};
 use dmx_types::{DmxError, FileId, Lsn, PageId, RecordKey, RelationId, Result, Value};
 use dmx_wal::ExtKind;
 
-use crate::access::{decode_position, encode_position, Frame, KeyRange, ScanItem, ScanOps};
+use crate::access::{
+    decode_position, encode_position, AccessQuery, Frame, KeyRange, ScanItem, ScanOps,
+};
 use crate::context::{Evaluator, ExecCtx};
 use crate::descriptor::{AttachmentInstance, RelationDescriptor};
 use crate::services::CommonServices;
@@ -215,9 +218,18 @@ impl TreeCursor {
         self
     }
 
-    /// The range the cursor was opened over.
+    /// The range the cursor is over.
     pub fn range(&self) -> &KeyRange {
         &self.range
+    }
+
+    /// Moves the cursor to the start of another range of the same tree
+    /// ([`ScanOps::rebind`]): what [`TreeCursor::new`] over `range` would
+    /// be, with the gap-locking state it has.
+    pub fn rebind(&mut self, range: KeyRange) {
+        self.from = range.lo.clone();
+        self.range = range;
+        self.done = false;
     }
 
     /// The one traversal body: passes the in-range entries after the
@@ -342,6 +354,15 @@ pub trait EntryDecoder: Send {
     /// scan moves on) and nothing was copied out.
     fn item(&self, eval: &Evaluator<'_>, key: &[u8], value: &[u8]) -> Result<Option<ScanItem>>;
 
+    /// [`ScanOps::rebind`]: the key range of this path's tree that `query`
+    /// asks for — worked out by the function the extension's `open_scan`
+    /// gives its cursor a range with — having taken `pred` for the
+    /// pushed-down predicate if the path has one. `None` (the default),
+    /// with nothing changed: this path's scans are not re-bound.
+    fn rebind(&mut self, _query: &AccessQuery, _pred: Option<&Expr>) -> Result<Option<KeyRange>> {
+        Ok(None)
+    }
+
     fn items_are_record_keys(&self) -> bool {
         true
     }
@@ -410,6 +431,16 @@ impl<D: EntryDecoder> ScanOps for TreeScan<D> {
 
     fn next_frame(&mut self, ctx: &ExecCtx<'_>, frame: &mut Frame) -> Result<()> {
         self.pull(ctx, false, |item| frame.push_back(item))
+    }
+
+    fn rebind(
+        &mut self,
+        _ctx: &ExecCtx<'_>,
+        query: &AccessQuery,
+        pred: Option<&Expr>,
+    ) -> Result<bool> {
+        let range = self.decoder.rebind(query, pred)?;
+        Ok(range.map(|range| self.cursor.rebind(range)).is_some())
     }
 
     fn save_position(&self) -> Vec<u8> {

@@ -16,17 +16,40 @@ use crate::func::FunctionRegistry;
 
 /// Supplies field values for the record an expression is evaluated
 /// against.
+///
+/// [`FieldSource::field`] is all a source has to implement. The evaluator
+/// compares a column with a constant or a bound parameter — most of what
+/// a filter does, once per record a scan examines — through
+/// [`FieldSource::cmp_field`], whose default is `field` then
+/// [`Value::compare`]. Overriding it pays when `field` has to build the
+/// value it returns: an encoded record compares the bytes where they lie,
+/// a materialized row compares by reference, and neither allocates. An
+/// override must answer exactly what the default would, errors included.
 pub trait FieldSource {
     /// Value of field `id`.
     fn field(&self, id: FieldId) -> Result<Value>;
+
+    /// How field `id` compares with `other`: `None` when either is NULL,
+    /// a type error when the two cannot be compared.
+    fn cmp_field(&self, id: FieldId, other: &Value) -> Result<Option<Ordering>> {
+        self.field(id)?.compare(other)
+    }
+}
+
+fn no_field(id: FieldId) -> DmxError {
+    DmxError::InvalidArg(format!("no field {id}"))
 }
 
 /// Materialized rows.
 impl FieldSource for [Value] {
     fn field(&self, id: FieldId) -> Result<Value> {
+        self.get(id as usize).cloned().ok_or_else(|| no_field(id))
+    }
+
+    fn cmp_field(&self, id: FieldId, other: &Value) -> Result<Option<Ordering>> {
         self.get(id as usize)
-            .cloned()
-            .ok_or_else(|| DmxError::InvalidArg(format!("no field {id}")))
+            .ok_or_else(|| no_field(id))?
+            .compare(other)
     }
 }
 
@@ -34,11 +57,19 @@ impl FieldSource for Vec<Value> {
     fn field(&self, id: FieldId) -> Result<Value> {
         self.as_slice().field(id)
     }
+
+    fn cmp_field(&self, id: FieldId, other: &Value) -> Result<Option<Ordering>> {
+        self.as_slice().cmp_field(id, other)
+    }
 }
 
 impl FieldSource for &[Value] {
     fn field(&self, id: FieldId) -> Result<Value> {
         (**self).field(id)
+    }
+
+    fn cmp_field(&self, id: FieldId, other: &Value) -> Result<Option<Ordering>> {
+        (**self).cmp_field(id, other)
     }
 }
 
@@ -46,6 +77,10 @@ impl FieldSource for &[Value] {
 impl FieldSource for RecordRef<'_> {
     fn field(&self, id: FieldId) -> Result<Value> {
         RecordRef::field(self, id)
+    }
+
+    fn cmp_field(&self, id: FieldId, other: &Value) -> Result<Option<Ordering>> {
+        RecordRef::cmp_field(self, id, other)
     }
 }
 
@@ -76,12 +111,22 @@ impl<'a, S: FieldSource + ?Sized> MappedSource<'a, S> {
     }
 }
 
-impl<S: FieldSource + ?Sized> FieldSource for MappedSource<'_, S> {
-    fn field(&self, id: FieldId) -> Result<Value> {
+impl<S: FieldSource + ?Sized> MappedSource<'_, S> {
+    fn position(&self, id: FieldId) -> Result<FieldId> {
         let pos = self.mapping.iter().position(|&m| m == id).ok_or_else(|| {
             DmxError::InvalidArg(format!("field {id} not covered by access path"))
         })?;
-        self.inner.field(pos as FieldId)
+        Ok(pos as FieldId)
+    }
+}
+
+impl<S: FieldSource + ?Sized> FieldSource for MappedSource<'_, S> {
+    fn field(&self, id: FieldId) -> Result<Value> {
+        self.inner.field(self.position(id)?)
+    }
+
+    fn cmp_field(&self, id: FieldId, other: &Value) -> Result<Option<Ordering>> {
+        self.inner.cmp_field(self.position(id)?, other)
     }
 }
 
@@ -161,12 +206,24 @@ pub fn eval_predicate(expr: &Expr, src: &dyn FieldSource, ctx: EvalContext<'_>) 
 fn truth(expr: &Expr, src: &dyn FieldSource, ctx: EvalContext<'_>) -> Result<Option<bool>> {
     match expr {
         Expr::Cmp(op, l, r) => {
-            let (lv, rv) = (operand(l, src, ctx)?, operand(r, src, ctx)?);
-            if lv.is_null() || rv.is_null() {
-                return Ok(None);
-            }
-            check_comparable(&lv, &rv)?;
-            Ok(Some(op.matches(lv.total_cmp(&rv))))
+            // A column against a constant or a bound parameter is compared
+            // where the column lies; with the column on the right the
+            // ordering reads the other way round. A type error is worded
+            // below, in operand order.
+            let in_place = match (l.as_ref(), r.as_ref()) {
+                (Expr::Column(id), k) => constant(k, ctx).map(|v| src.cmp_field(*id, v)),
+                (k, Expr::Column(id)) => {
+                    constant(k, ctx).map(|v| Ok(src.cmp_field(*id, v)?.map(Ordering::reverse)))
+                }
+                _ => None,
+            };
+            let ord = match in_place {
+                Some(Err(DmxError::TypeMismatch(_))) | None => {
+                    operand(l, src, ctx)?.compare(&*operand(r, src, ctx)?)?
+                }
+                Some(ord) => ord?,
+            };
+            Ok(ord.map(|ord| op.matches(ord)))
         }
         Expr::And(terms) => {
             let mut saw_null = false;
@@ -199,44 +256,31 @@ fn truth(expr: &Expr, src: &dyn FieldSource, ctx: EvalContext<'_>) -> Result<Opt
     }
 }
 
+/// The value of a constant or a bound parameter, where it is.
+fn constant<'e>(expr: &'e Expr, ctx: EvalContext<'e>) -> Option<&'e Value> {
+    match expr {
+        Expr::Const(v) => Some(v),
+        Expr::Param(i) => ctx.params.get(*i),
+        _ => None,
+    }
+}
+
 /// A comparison's operand: a constant or a bound parameter is compared
-/// where it is, anything else is evaluated.
+/// where it is, anything else (an unbound parameter, for its error) is
+/// evaluated.
 fn operand<'e>(
     expr: &'e Expr,
     src: &dyn FieldSource,
     ctx: EvalContext<'e>,
 ) -> Result<Cow<'e, Value>> {
-    match expr {
-        Expr::Const(v) => Ok(Cow::Borrowed(v)),
-        Expr::Param(i) => match ctx.params.get(*i) {
-            Some(v) => Ok(Cow::Borrowed(v)),
-            None => eval(expr, src, ctx).map(Cow::Owned), // the unbound-parameter error
-        },
-        _ => eval(expr, src, ctx).map(Cow::Owned),
+    match constant(expr, ctx) {
+        Some(v) => Ok(Cow::Borrowed(v)),
+        None => eval(expr, src, ctx).map(Cow::Owned),
     }
 }
 
 fn bool_expected(v: &Value) -> DmxError {
     DmxError::TypeMismatch(format!("predicate evaluated to non-boolean {v}"))
-}
-
-fn check_comparable(a: &Value, b: &Value) -> Result<()> {
-    use Value::*;
-    let ok = matches!(
-        (a, b),
-        (Bool(_), Bool(_))
-            | (Int(_) | Float(_), Int(_) | Float(_))
-            | (Str(_), Str(_))
-            | (Bytes(_), Bytes(_))
-            | (Rect(_), Rect(_))
-    );
-    if ok {
-        Ok(())
-    } else {
-        Err(DmxError::TypeMismatch(format!(
-            "cannot compare {a} with {b}"
-        )))
-    }
 }
 
 fn arith(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
@@ -502,6 +546,168 @@ mod tests {
         let ctx = EvalContext::new(&funcs);
         assert!(eval_predicate(&Expr::col_eq(0, 7i64), &rr, ctx).unwrap());
         assert!(!eval_predicate(&Expr::col_eq(1, "bob"), &rr, ctx).unwrap());
+    }
+
+    /// A source that implements `field` and nothing else: the defaulted
+    /// `cmp_field`, which is the comparison as it was before any source
+    /// compared in place.
+    struct FieldOnly<'a>(&'a [Value]);
+
+    impl FieldSource for FieldOnly<'_> {
+        fn field(&self, id: FieldId) -> Result<Value> {
+            self.0.field(id)
+        }
+    }
+
+    /// What comparing two values has always meant, written out without
+    /// `Value::compare`: NULL, a type error worded left to right, or the
+    /// operator applied to the total order.
+    fn compared(op: CmpOp, l: &Value, r: &Value) -> std::result::Result<Value, String> {
+        use dmx_types::DataType::{Float, Int};
+        let (Some(lt), Some(rt)) = (l.data_type(), r.data_type()) else {
+            return Ok(Value::Null);
+        };
+        let numeric = |t| matches!(t, Int | Float);
+        if lt != rt && !(numeric(lt) && numeric(rt)) {
+            return Err(DmxError::TypeMismatch(format!("cannot compare {l} with {r}")).to_string());
+        }
+        Ok(Value::Bool(op.matches(l.total_cmp(r))))
+    }
+
+    const OPS: [CmpOp; 6] = [
+        CmpOp::Eq,
+        CmpOp::Ne,
+        CmpOp::Lt,
+        CmpOp::Le,
+        CmpOp::Gt,
+        CmpOp::Ge,
+    ];
+
+    /// A value of every tag, drawn so that equal, adjacent and extreme
+    /// ones meet often.
+    fn random_value(rng: &mut dmx_types::testrng::TestRng) -> Value {
+        let ints = [0, 1, -1, 7, i64::MAX, i64::MIN, (1 << 53) + 1];
+        let floats = [0.0, -0.0, 1.0, 7.0, 2.5, f64::NAN, f64::INFINITY, -1e300];
+        let strs = ["", "a", "ab", "b", "é", "éa", "日本", "\u{10FFFF}"];
+        match rng.index(8) {
+            0 => Value::Null,
+            1 => Value::Bool(rng.index(2) == 1),
+            2 => Value::Int(ints[rng.index(ints.len())]),
+            3 => Value::Float(floats[rng.index(floats.len())]),
+            4 => Value::from(strs[rng.index(strs.len())]),
+            5 => Value::Bytes(rng.bytes(3)),
+            6 => Value::Bytes(Vec::new()),
+            _ => {
+                let c = |rng: &mut dmx_types::testrng::TestRng| rng.range_i64(0, 3) as f64;
+                Value::Rect(Rect::new(c(rng), c(rng), c(rng) + 3.0, c(rng) + 3.0))
+            }
+        }
+    }
+
+    #[test]
+    fn comparing_in_place_is_the_comparison_it_replaces() {
+        let funcs = ctx_fixture();
+        let mut rng = dmx_types::testrng::TestRng::new(0x5EED);
+        let mut seen_errors = 0;
+        for _ in 0..400 {
+            let row: Vec<Value> = (0..6).map(|_| random_value(&mut rng)).collect();
+            let bytes = Record::new(row.clone()).encode();
+            let rr = RecordRef::new(&bytes).unwrap();
+            let id = rng.index(row.len()) as FieldId;
+            let konst = random_value(&mut rng);
+            // the constant as itself and as a bound parameter
+            let params = [konst.clone()];
+            for k in [Expr::Const(konst.clone()), Expr::Param(0)] {
+                let ctx = EvalContext::with_params(&funcs, &params);
+                for op in OPS {
+                    let col = || Box::new(Expr::Column(id));
+                    let sides = [
+                        (
+                            Expr::Cmp(op, col(), Box::new(k.clone())),
+                            &row[id as usize],
+                            &konst,
+                        ),
+                        (
+                            Expr::Cmp(op, Box::new(k.clone()), col()),
+                            &konst,
+                            &row[id as usize],
+                        ),
+                    ];
+                    for (e, l, r) in sides {
+                        let want = compared(op, l, r);
+                        seen_errors += want.is_err() as usize;
+                        let sources: [(&str, &dyn FieldSource); 3] = [
+                            ("record", &rr),
+                            ("row", &row),
+                            ("field only", &FieldOnly(&row)),
+                        ];
+                        for (name, src) in sources {
+                            let got = eval(&e, src, ctx).map_err(|e| e.to_string());
+                            assert_eq!(got, want, "{name}: {e:?} over {row:?}");
+                            // a reader walks on from where the comparison left the view
+                            let again = src.field(id).unwrap();
+                            assert_eq!(again.total_cmp(&row[id as usize]), Ordering::Equal);
+                        }
+                    }
+                }
+            }
+        }
+        assert!(seen_errors > 100, "type errors were exercised");
+    }
+
+    #[test]
+    fn comparing_in_place_reports_damage_and_bad_ids() {
+        let funcs = ctx_fixture();
+        let ctx = EvalContext::new(&funcs);
+        let row = vec![
+            Value::Int(7),
+            Value::from("日本"),
+            Value::Bytes(vec![1, 2, 3]),
+            Value::Rect(Rect::new(0.0, 0.0, 1.0, 1.0)),
+            Value::Float(2.5),
+        ];
+        let bytes = Record::new(row.clone()).encode();
+        // where each field starts, and the end
+        let mut starts = vec![2];
+        for v in &row {
+            starts.push(starts[starts.len() - 1] + v.estimated_size());
+        }
+        assert_eq!(starts[row.len()], bytes.len());
+        for (id, v) in row.iter().enumerate() {
+            let e = Expr::Cmp(
+                CmpOp::Eq,
+                Box::new(Expr::Column(id as FieldId)),
+                Box::new(Expr::Const(v.clone())),
+            );
+            // cut before the field, at its tag, inside it, one byte short
+            for cut in [starts[id], starts[id] + 1, starts[id + 1] - 1] {
+                let rr = RecordRef::new(&bytes[..cut]).unwrap();
+                assert!(
+                    matches!(eval(&e, &rr, ctx), Err(DmxError::Corrupt(_))),
+                    "field {id} cut at {cut}"
+                );
+            }
+            let whole = RecordRef::new(&bytes[..starts[id + 1]]).unwrap();
+            assert_eq!(eval(&e, &whole, ctx).unwrap(), Value::Bool(true));
+        }
+        let rr = RecordRef::new(&bytes).unwrap();
+        let past = Expr::col_eq(row.len() as FieldId, 1i64);
+        assert!(matches!(
+            eval(&past, &rr, ctx),
+            Err(DmxError::InvalidArg(_))
+        ));
+        assert!(matches!(
+            eval(&past, &row, ctx),
+            Err(DmxError::InvalidArg(_))
+        ));
+        // a string field that is not UTF-8 is damage, compared or decoded
+        let mut bad = bytes.clone();
+        bad[starts[1] + 5] = 0xFF;
+        let rr = RecordRef::new(&bad).unwrap();
+        assert!(matches!(
+            eval(&Expr::col_eq(1, "日本"), &rr, ctx),
+            Err(DmxError::Corrupt(_))
+        ));
     }
 
     #[test]

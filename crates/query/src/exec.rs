@@ -1,4 +1,4 @@
-//! Tuple-at-a-time plan execution.
+//! Plan execution, a frame at a time where the rows come in frames.
 //!
 //! Every base-table access goes through the unified access interface:
 //! open a key-sequential access on the chosen path (path zero = storage
@@ -6,23 +6,78 @@
 //! each record from the storage method by its record key ("first the
 //! access path is accessed to obtain a record key, which is then used to
 //! access the relation record in the storage method").
+//!
+//! A scan hands up what one pinned page holds ([`Frame`]); the access
+//! node hands the same on as rows of just the fields it read
+//! ([`RowFrame`], [`RowSource::fields`]), and filter, projection and
+//! aggregation work on those. A row as wide as its table is built only
+//! for a parent that asks for rows one at a time — a join, a sort, a
+//! limit, EXPLAIN ANALYZE's counting wrapper.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dmx_core::{
     AccessPath, AccessQuery, Evaluator, ExecCtx, Frame, RelationDescriptor, ScanItem, ScanManager,
 };
-use dmx_expr::Expr;
-use dmx_types::{key::encode_values, DmxError, FieldId, RecordKey, Result, ScanId, TxnId, Value};
+use dmx_expr::eval::MappedSource;
+use dmx_expr::{Expr, FieldSource};
+use dmx_types::{key::encode_value, DmxError, FieldId, RecordKey, Result, ScanId, TxnId, Value};
 
 use crate::planner::{AccessPlan, Plan, PlannedItem};
 use crate::semantic::AggKind;
 
+/// The unit a plan node hands its parent: the rows that came of one frame
+/// of the scan below, in order. Like [`Frame`] it has no size of its own,
+/// and the caller keeps and reuses it from one pull to the next.
+pub type RowFrame = VecDeque<Vec<Value>>;
+
 /// A stream of rows.
+///
+/// A node implements [`RowSource::next`]; that is all one needs, and
+/// [`RowSource::next_frame`] then hands its rows out one to a frame.
+/// Overriding `next_frame` pays for a node that gets its input in frames
+/// and works on each row by itself. An override keeps `next` and
+/// `next_frame` views of one stream (a parent uses one of them, but
+/// which is the parent's business), and takes the evaluator after the
+/// pull that filled the frame — see the note on guards below.
 pub trait RowSource {
+    /// The next row, as wide as the node's output.
     fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<Vec<Value>>>;
+
+    /// Appends the next rows to `frame`, which arrives empty: as many as
+    /// came of one frame below, at least one unless the node is
+    /// exhausted. Each holds the fields [`RowSource::fields`] names.
+    fn next_frame(&mut self, ctx: &ExecCtx<'_>, frame: &mut RowFrame) -> Result<()> {
+        frame.extend(self.next(ctx)?);
+        Ok(())
+    }
+
+    /// The fields of the node's output that a row of `next_frame` holds,
+    /// in the row's order — what a scan was asked to read, or what a
+    /// covering path supplies. `None`: the rows are whole, as `next`'s
+    /// always are.
+    fn fields(&self) -> Option<&[FieldId]> {
+        None
+    }
+
+    /// Makes this the node that [`build`] with `outer` would make: the
+    /// inner side of a join, moved on to the join's next outer row. A
+    /// node that can keeps what it has open. `Ok(false)`, the default:
+    /// it cannot, and the join drops it and builds another.
+    fn rebind(&mut self, _ctx: &ExecCtx<'_>, _outer: &[Value]) -> Result<bool> {
+        Ok(false)
+    }
+}
+
+/// Runs `f` over `row`, whose values are the fields `fields` names
+/// (`None`: all of them, in order).
+fn over<T>(row: &[Value], fields: Option<&[FieldId]>, f: impl FnOnce(&dyn FieldSource) -> T) -> T {
+    match fields {
+        Some(fields) => f(&MappedSource::new(row, fields)),
+        None => f(&row),
+    }
 }
 
 /// Per-plan-node row counters for EXPLAIN ANALYZE. Counters are numbered
@@ -78,6 +133,10 @@ impl RowSource for Profiled<'_> {
             self.rows_out.fetch_add(1, Ordering::Relaxed);
         }
         Ok(r)
+    }
+
+    fn rebind(&mut self, ctx: &ExecCtx<'_>, outer: &[Value]) -> Result<bool> {
+        self.inner.rebind(ctx, outer)
     }
 }
 
@@ -141,16 +200,12 @@ fn build_profiled<'p>(
             input: Some(build_profiled(input, ctx, outer, profile)?),
             group_by,
             items,
-            out: Vec::new(),
-            pos: 0,
-            done: false,
+            out: Vec::new().into_iter(),
         }),
         Plan::Sort { input, keys } => Box::new(SortOp {
             input: Some(build_profiled(input, ctx, outer, profile)?),
             keys,
-            out: Vec::new(),
-            pos: 0,
-            done: false,
+            out: Vec::new().into_iter(),
         }),
         Plan::Limit { input, n } => Box::new(LimitOp {
             input: build_profiled(input, ctx, outer, profile)?,
@@ -166,14 +221,24 @@ fn build_profiled<'p>(
     })
 }
 
-/// Drains a plan into materialized rows.
+/// Drains a plan into materialized rows, a frame at a time.
 pub fn run_to_rows(plan: &Plan, ctx: &ExecCtx<'_>) -> Result<Vec<Vec<Value>>> {
     let mut src = build(plan, ctx, None)?;
-    let mut rows = Vec::new();
-    while let Some(r) = src.next(ctx)? {
-        rows.push(r);
+    // The planner tops every plan with a node whose rows are whole; a
+    // bare access of a few fields is asked for them one at a time.
+    let whole = src.fields().is_none();
+    let (mut rows, mut frame) = (Vec::new(), RowFrame::new());
+    loop {
+        if whole {
+            src.next_frame(ctx, &mut frame)?;
+        } else {
+            frame.extend(src.next(ctx)?);
+        }
+        if frame.is_empty() {
+            return Ok(rows);
+        }
+        rows.extend(frame.drain(..));
     }
-    Ok(rows)
 }
 
 /// Drains one base-table access into `(record key, full row)` pairs: the
@@ -184,9 +249,12 @@ pub fn run_to_rows(plan: &Plan, ctx: &ExecCtx<'_>) -> Result<Vec<Vec<Value>>> {
 pub fn run_targets(access: &AccessPlan, ctx: &ExecCtx<'_>) -> Result<Vec<(RecordKey, Vec<Value>)>> {
     let mut op = AccessOp::open(access, ctx, None)?;
     let mut targets = Vec::new();
-    while let Some(t) = op.next_keyed(ctx)? {
-        targets.push(t);
-    }
+    let (width, fields) = (op.width, op.fields);
+    // A write reads every column, so `fields` is `None` and the row is
+    // handed on as it came.
+    while op.pull(ctx, |key, row| {
+        targets.push((key, scatter(width, row, fields)))
+    })? {}
     Ok(targets)
 }
 
@@ -206,9 +274,12 @@ pub fn run_analyzed(plan: &Plan, ctx: &ExecCtx<'_>) -> Result<(Vec<Vec<Value>>, 
 }
 
 // Operators take the evaluator (the function registry's read guard) once
-// per row they work on, after the pull that produced the row returned: a
-// guard held across a pull would be taken again by the operator or scan
-// below, and a registration waiting between the two would wedge both.
+// per frame they work on — once per row when rows come one at a time —
+// after the pull that produced it returned, and let go of it before the
+// next: a guard held across a pull (`next`, `next_frame`, a scan's
+// `scan_next_frame` or `scan_rebind`, a `fetch`) would be taken again by
+// the operator or scan below, and a registration waiting between the two
+// would wedge both.
 
 /// A scan registered with the scan manager, closed when its operator
 /// lets go of it — drained, cut short by a `LIMIT` or a join that needs
@@ -237,9 +308,13 @@ impl Drop for OpenScan {
     }
 }
 
-/// A full-width row with `values` at the positions `fields` names and
-/// NULL elsewhere: what a projecting scan or a covering path supplies.
-fn scatter(width: usize, values: Vec<Value>, fields: &[FieldId]) -> Vec<Value> {
+/// The row as wide as its table that `values` — the fields `fields`
+/// names: what a projecting scan or a covering path supplies — stand
+/// for, NULL elsewhere. `None`: `values` is that row already.
+fn scatter(width: usize, values: Vec<Value>, fields: Option<&[FieldId]>) -> Vec<Value> {
+    let Some(fields) = fields else {
+        return values;
+    };
     let mut row = vec![Value::Null; width];
     for (v, f) in values.into_iter().zip(fields) {
         if let Some(slot) = row.get_mut(*f as usize) {
@@ -253,21 +328,58 @@ fn scatter(width: usize, values: Vec<Value>, fields: &[FieldId]) -> Vec<Value> {
 
 struct AccessOp<'p> {
     plan: &'p AccessPlan,
-    /// `None` once exhausted, and from the start when the access is
-    /// parameterised by an outer value that is NULL (NULL joins nothing:
-    /// no scan is opened).
+    /// `None` until an outer row has something to look up (NULL joins
+    /// nothing: no scan is opened for it); then open, re-bound from one
+    /// outer row to the next, until the operator drops.
     scan: Option<OpenScan>,
+    /// The scan has more for the outer row it is bound to.
+    live: bool,
     /// What the scan last handed over: the qualifying items of one page.
     frame: Frame,
+    /// Rows of the last frame that `next` has yet to hand out.
+    rows: RowFrame,
     /// The plan's residual with the outer row's values in it.
     residual: Option<Expr>,
+    /// What a row of a frame holds ([`RowSource::fields`]).
+    fields: Option<&'p [FieldId]>,
     width: usize,
 }
 
 impl<'p> AccessOp<'p> {
-    /// Opens on a copy of the plan's query and predicates bound to the
-    /// outer row; the plan itself may be cached and shared.
     fn open(plan: &'p AccessPlan, ctx: &ExecCtx<'_>, outer: Option<&[Value]>) -> Result<Self> {
+        let width = plan.rd.schema.len();
+        let fields = match (&plan.use_covered, plan.path) {
+            // covering path: the row from the access-path key alone
+            (Some(cov), _) => Some(cov.as_slice()),
+            // the fields the scan was asked to read; ascending, so as
+            // many as the row is wide are the row
+            (None, AccessPath::StorageMethod) => {
+                plan.reads.as_deref().filter(|reads| reads.len() < width)
+            }
+            // two-step access: the record, fetched whole
+            (None, AccessPath::Attachment(_, _)) => None,
+        };
+        let mut op = AccessOp {
+            plan,
+            scan: None,
+            live: false,
+            frame: Frame::new(),
+            rows: RowFrame::new(),
+            residual: None,
+            fields,
+            width,
+        };
+        op.bind(ctx, outer)?;
+        Ok(op)
+    }
+
+    /// Binds a copy of the plan's query and predicates to the outer row
+    /// (the plan itself may be cached and shared) and puts the scan at
+    /// the start of what they ask for: opened if this is the first outer
+    /// row with anything to look up, re-bound after that. `false`: the
+    /// scan cannot be re-bound, and the join builds a new access.
+    fn bind(&mut self, ctx: &ExecCtx<'_>, outer: Option<&[Value]>) -> Result<bool> {
+        let plan = self.plan;
         let (params, joins_nothing) = match plan.outer_param {
             None => (&[] as &[Value], false),
             Some(slot) => {
@@ -278,82 +390,98 @@ impl<'p> AccessOp<'p> {
             }
         };
         let bound = |e: &Option<Expr>| e.as_ref().map(|e| e.bind(params));
-        let scan = plan
-            .query
-            .bind(params)
-            .filter(|_| !joins_nothing)
-            .map(|q| {
-                let (pushed, reads) = (bound(&plan.pushed), plan.reads.clone());
-                let id = ctx
-                    .db
-                    .open_scan(ctx.txn, plan.rd.id, plan.path, q, pushed, reads)?;
-                Ok::<_, DmxError>(OpenScan::open(ctx, id))
-            })
-            .transpose()?;
-        Ok(AccessOp {
-            plan,
-            scan,
-            frame: Frame::new(),
-            residual: bound(&plan.residual),
-            width: plan.rd.schema.len(),
-        })
-    }
-
-    /// The next qualifying record with the storage-method record key it
-    /// lives under (what a write to it is addressed by).
-    fn next_keyed(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<(RecordKey, Vec<Value>)>> {
-        loop {
-            let Some(ScanItem { key, values }) = self.frame.pop_front() else {
-                let Some(scan) = &self.scan else {
-                    return Ok(None);
-                };
-                ctx.db.scan_next_frame(ctx.txn, scan.id, &mut self.frame)?;
-                if self.frame.is_empty() {
-                    self.scan = None;
-                }
-                continue;
-            };
-            if let Some(row) = self.assemble(ctx, &key, values)? {
-                return Ok(Some((key, row)));
-            }
-        }
-    }
-
-    fn assemble(
-        &self,
-        ctx: &ExecCtx<'_>,
-        key: &RecordKey,
-        values: Option<Vec<Value>>,
-    ) -> Result<Option<Vec<Value>>> {
-        let values = values.unwrap_or_default();
-        let row = match (&self.plan.use_covered, self.plan.path) {
-            // covering path: the row from the access-path key alone
-            (Some(cov), _) => scatter(self.width, values, cov),
-            // the fields the scan was asked to read, of a record that
-            // passed the pushed predicate in the buffer pool; ascending,
-            // so as many as the row is wide are the row
-            (None, AccessPath::StorageMethod) => match &self.plan.reads {
-                Some(reads) if reads.len() < self.width => scatter(self.width, values, reads),
-                _ => values,
-            },
-            (None, AccessPath::Attachment(_, _)) => {
-                // two-step access: record key from the path, record from
-                // the storage method (residual filtered in the pool)
-                return ctx
-                    .db
-                    .fetch(ctx.txn, self.plan.rd.id, key, None, self.residual.as_ref());
-            }
+        self.rows.clear();
+        self.residual = bound(&plan.residual);
+        let query = plan.query.bind(params).filter(|_| !joins_nothing);
+        self.live = query.is_some();
+        let Some(query) = query else {
+            return Ok(true);
         };
-        match &self.residual {
-            Some(res) if !ctx.evaluator().matches(res, &row)? => Ok(None),
-            _ => Ok(Some(row)),
+        let pushed = bound(&plan.pushed);
+        if let Some(scan) = &self.scan {
+            return ctx
+                .db
+                .scan_rebind(ctx.txn, scan.id, &query, pushed.as_ref());
         }
+        let (rel, reads) = (plan.rd.id, plan.reads.clone());
+        let id = ctx
+            .db
+            .open_scan(ctx.txn, rel, plan.path, query, pushed, reads)?;
+        self.scan = Some(OpenScan::open(ctx, id));
+        Ok(true)
+    }
+
+    /// Hands `sink` what the scan's next frame holds — each qualifying
+    /// record's storage-method record key (what a write to it is
+    /// addressed by) and its [`RowSource::fields`] — after the residual.
+    /// `false` once the scan has no more.
+    fn pull(
+        &mut self,
+        ctx: &ExecCtx<'_>,
+        mut sink: impl FnMut(RecordKey, Vec<Value>),
+    ) -> Result<bool> {
+        let Some(scan) = self.scan.as_ref().filter(|_| self.live) else {
+            return Ok(false);
+        };
+        ctx.db.scan_next_frame(ctx.txn, scan.id, &mut self.frame)?;
+        self.live = !self.frame.is_empty();
+        if !self.live {
+            return Ok(false);
+        }
+        let two_step =
+            self.plan.use_covered.is_none() && self.plan.path != AccessPath::StorageMethod;
+        if two_step {
+            // record key from the path, record from the storage method
+            // (residual filtered in the pool)
+            let (rel, residual) = (self.plan.rd.id, self.residual.as_ref());
+            for ScanItem { key, .. } in self.frame.drain(..) {
+                if let Some(row) = ctx.db.fetch(ctx.txn, rel, &key, None, residual)? {
+                    sink(key, row);
+                }
+            }
+            return Ok(true);
+        }
+        // records that passed the pushed predicate in the buffer pool, or
+        // covered keys: the residual runs on the fields as they came
+        let eval = self.residual.as_ref().map(|res| (res, ctx.evaluator()));
+        for ScanItem { key, values } in self.frame.drain(..) {
+            let values = values.unwrap_or_default();
+            if let Some((res, eval)) = &eval {
+                if !over(&values, self.fields, |src| eval.matches(res, src))? {
+                    continue;
+                }
+            }
+            sink(key, values);
+        }
+        Ok(true)
     }
 }
 
 impl RowSource for AccessOp<'_> {
+    /// The one-row view of `next_frame`, the row widened to its table's.
     fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<Vec<Value>>> {
-        Ok(self.next_keyed(ctx)?.map(|(_, row)| row))
+        if self.rows.is_empty() {
+            let mut rows = std::mem::take(&mut self.rows);
+            let res = self.next_frame(ctx, &mut rows);
+            self.rows = rows;
+            res?;
+        }
+        let row = self.rows.pop_front();
+        Ok(row.map(|row| scatter(self.width, row, self.fields)))
+    }
+
+    fn next_frame(&mut self, ctx: &ExecCtx<'_>, frame: &mut RowFrame) -> Result<()> {
+        frame.append(&mut self.rows);
+        while frame.is_empty() && self.pull(ctx, |_, row| frame.push_back(row))? {}
+        Ok(())
+    }
+
+    fn fields(&self) -> Option<&[FieldId]> {
+        self.fields
+    }
+
+    fn rebind(&mut self, ctx: &ExecCtx<'_>, outer: &[Value]) -> Result<bool> {
+        self.bind(ctx, Some(outer))
     }
 }
 
@@ -363,7 +491,10 @@ struct NlJoinOp<'p> {
     left: Box<dyn RowSource + 'p>,
     right_plan: &'p Plan,
     filter: Option<&'p Expr>,
+    /// The left row being joined, while its right side has more.
     cur_left: Option<Vec<Value>>,
+    /// Built for the first left row and re-bound to each one after it —
+    /// or, when it cannot be, dropped and built again.
     right: Option<Box<dyn RowSource + 'p>>,
     profile: Option<&'p PlanProfile>,
 }
@@ -371,45 +502,39 @@ struct NlJoinOp<'p> {
 impl RowSource for NlJoinOp<'_> {
     fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<Vec<Value>>> {
         loop {
-            if self.right.is_none() {
+            let Some(lrow) = &self.cur_left else {
                 let Some(lrow) = self.left.next(ctx)? else {
                     return Ok(None);
                 };
-                self.right = Some(build_profiled(
-                    self.right_plan,
-                    ctx,
-                    Some(&lrow),
-                    self.profile,
-                )?);
+                let rebound = match &mut self.right {
+                    Some(right) => right.rebind(ctx, &lrow)?,
+                    None => false,
+                };
+                if !rebound {
+                    // the old side's scans close before the new one's open
+                    self.right = None;
+                    let right = build_profiled(self.right_plan, ctx, Some(&lrow), self.profile)?;
+                    self.right = Some(right);
+                }
                 self.cur_left = Some(lrow);
-            }
-            let Some(right) = self.right.as_mut() else {
-                // Just assigned above; looping rebuilds it for the next
-                // left row.
                 continue;
             };
-            let rrow = right.next(ctx)?;
-            match rrow {
-                None => {
-                    self.right = None;
-                    self.cur_left = None;
-                }
-                Some(r) => {
-                    let Some(mut row) = self.cur_left.clone() else {
-                        // `cur_left` is set together with `right`; if it is
-                        // gone, restart from the next left row.
-                        self.right = None;
-                        continue;
-                    };
-                    row.extend(r);
-                    if let Some(f) = self.filter {
-                        if !ctx.evaluator().matches(f, &row)? {
-                            continue;
-                        }
-                    }
-                    return Ok(Some(row));
+            let Some(right) = self.right.as_mut() else {
+                return Err(DmxError::Internal("join lost its right side".into()));
+            };
+            let Some(rrow) = right.next(ctx)? else {
+                self.cur_left = None;
+                continue;
+            };
+            let mut row = Vec::with_capacity(lrow.len() + rrow.len());
+            row.extend_from_slice(lrow);
+            row.extend(rrow);
+            if let Some(f) = self.filter {
+                if !ctx.evaluator().matches(f, &row)? {
+                    continue;
                 }
             }
+            return Ok(Some(row));
         }
     }
 }
@@ -509,6 +634,33 @@ impl RowSource for FilterOp<'_> {
         }
         Ok(None)
     }
+
+    fn next_frame(&mut self, ctx: &ExecCtx<'_>, frame: &mut RowFrame) -> Result<()> {
+        loop {
+            self.input.next_frame(ctx, frame)?;
+            if frame.is_empty() {
+                return Ok(());
+            }
+            let eval = ctx.evaluator();
+            let fields = self.input.fields();
+            let mut failed = Ok(());
+            frame.retain(|row| {
+                let kept = over(row, fields, |src| eval.matches(self.pred, src));
+                kept.unwrap_or_else(|e| {
+                    failed = Err(e);
+                    false
+                })
+            });
+            failed?;
+            if !frame.is_empty() {
+                return Ok(());
+            }
+        }
+    }
+
+    fn fields(&self) -> Option<&[FieldId]> {
+        self.input.fields()
+    }
 }
 
 struct ProjectOp<'p> {
@@ -516,17 +668,31 @@ struct ProjectOp<'p> {
     exprs: &'p [Expr],
 }
 
+impl ProjectOp<'_> {
+    fn project(&self, eval: &Evaluator<'_>, src: &dyn FieldSource) -> Result<Vec<Value>> {
+        self.exprs.iter().map(|e| eval.value(e, src)).collect()
+    }
+}
+
 impl RowSource for ProjectOp<'_> {
     fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<Vec<Value>>> {
         let Some(row) = self.input.next(ctx)? else {
             return Ok(None);
         };
-        let eval = ctx.evaluator();
-        let mut out = Vec::with_capacity(self.exprs.len());
-        for e in self.exprs {
-            out.push(eval.value(e, &row)?);
+        self.project(&ctx.evaluator(), &row).map(Some)
+    }
+
+    fn next_frame(&mut self, ctx: &ExecCtx<'_>, frame: &mut RowFrame) -> Result<()> {
+        self.input.next_frame(ctx, frame)?;
+        if frame.is_empty() {
+            return Ok(());
         }
-        Ok(Some(out))
+        let eval = ctx.evaluator();
+        let fields = self.input.fields();
+        for row in frame.iter_mut() {
+            *row = over(row, fields, |src| self.project(&eval, src))?;
+        }
+        Ok(())
     }
 }
 
@@ -551,25 +717,22 @@ impl RowSource for LimitOp<'_> {
 }
 
 struct SortOp<'p> {
+    /// `None` once drained into `out`.
     input: Option<Box<dyn RowSource + 'p>>,
     keys: &'p [(usize, bool)],
-    out: Vec<Vec<Value>>,
-    pos: usize,
-    done: bool,
+    /// The sorted rows, moved out one at a time.
+    out: std::vec::IntoIter<Vec<Value>>,
 }
 
 impl RowSource for SortOp<'_> {
     fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<Vec<Value>>> {
-        if !self.done {
-            let Some(mut input) = self.input.take() else {
-                self.done = true;
-                return Ok(None);
-            };
+        if let Some(mut input) = self.input.take() {
+            let mut rows = Vec::new();
             while let Some(r) = input.next(ctx)? {
-                self.out.push(r);
+                rows.push(r);
             }
             let keys = self.keys;
-            self.out.sort_by(|a, b| {
+            rows.sort_by(|a, b| {
                 for (idx, desc) in keys {
                     let ord = a[*idx].total_cmp(&b[*idx]);
                     if ord != std::cmp::Ordering::Equal {
@@ -578,21 +741,18 @@ impl RowSource for SortOp<'_> {
                 }
                 std::cmp::Ordering::Equal
             });
-            self.done = true;
+            self.out = rows.into_iter();
         }
-        if self.pos >= self.out.len() {
-            return Ok(None);
-        }
-        self.pos += 1;
-        Ok(Some(self.out[self.pos - 1].clone()))
+        Ok(self.out.next())
     }
 }
 
 // ----------------------------------------------------------------------
 
 struct AggState {
-    representative: Vec<Value>,
-    count: u64,
+    /// The group's first row as it came (the input's
+    /// [`RowSource::fields`]), kept when a select item reads it.
+    representative: Option<Vec<Value>>,
     per_item: Vec<ItemAcc>,
 }
 
@@ -616,15 +776,22 @@ enum ItemAcc {
 }
 
 struct AggOp<'p> {
+    /// `None` once drained into `out`.
     input: Option<Box<dyn RowSource + 'p>>,
     group_by: &'p [Expr],
     items: &'p [PlannedItem],
-    out: Vec<Vec<Value>>,
-    pos: usize,
-    done: bool,
+    /// One row per group, moved out one at a time.
+    out: std::vec::IntoIter<Vec<Value>>,
 }
 
 impl AggOp<'_> {
+    fn new_state(&self) -> AggState {
+        AggState {
+            representative: None,
+            per_item: Self::make_accs(self.items),
+        }
+    }
+
     fn make_accs(items: &[PlannedItem]) -> Vec<ItemAcc> {
         items
             .iter()
@@ -650,11 +817,15 @@ impl AggOp<'_> {
             .collect()
     }
 
-    fn accumulate(&self, eval: &Evaluator<'_>, st: &mut AggState, row: &[Value]) -> Result<()> {
-        st.count += 1;
+    fn accumulate(
+        &self,
+        eval: &Evaluator<'_>,
+        st: &mut AggState,
+        src: &dyn FieldSource,
+    ) -> Result<()> {
         for (acc, item) in st.per_item.iter_mut().zip(self.items) {
             let arg = match item {
-                PlannedItem::Agg(_, Some(e)) => Some(eval.value(e, &row)?),
+                PlannedItem::Agg(_, Some(e)) => Some(eval.value(e, src)?),
                 _ => None,
             };
             match (acc, item) {
@@ -720,17 +891,21 @@ impl AggOp<'_> {
         Ok(())
     }
 
-    fn finish(&self, eval: &Evaluator<'_>, st: AggState) -> Result<Vec<Value>> {
+    /// A group's output row; `fields` are what its representative holds.
+    fn finish(
+        &self,
+        eval: &Evaluator<'_>,
+        st: AggState,
+        fields: Option<&[FieldId]>,
+    ) -> Result<Vec<Value>> {
         let mut out = Vec::with_capacity(self.items.len());
         for (acc, item) in st.per_item.into_iter().zip(self.items) {
             out.push(match (acc, item) {
-                (ItemAcc::Scalar, PlannedItem::Scalar(e)) => {
-                    if st.representative.is_empty() {
-                        Value::Null
-                    } else {
-                        eval.value(e, &st.representative)?
-                    }
-                }
+                (ItemAcc::Scalar, PlannedItem::Scalar(e)) => match &st.representative {
+                    // no row at all: aggregates over an empty input
+                    None => Value::Null,
+                    Some(row) => over(row, fields, |src| eval.value(e, src))?,
+                },
                 (ItemAcc::Count(n), _) => Value::Int(n as i64),
                 (
                     ItemAcc::Sum {
@@ -757,57 +932,80 @@ impl AggOp<'_> {
                         Value::Float(sum / n as f64)
                     }
                 }
-                (ItemAcc::Scalar, _) => unreachable!(),
+                (ItemAcc::Scalar, PlannedItem::Agg(..)) => {
+                    return Err(DmxError::Internal("aggregate without accumulator".into()))
+                }
             });
         }
         Ok(out)
+    }
+
+    /// Reads the input to its end, a frame at a time — rows of just the
+    /// fields the scan read, no wider one built — into one state per
+    /// group, and the states into `out` in the order of their encoded
+    /// keys (the order the groups' values sort in).
+    fn drain(&mut self, ctx: &ExecCtx<'_>, mut input: Box<dyn RowSource + '_>) -> Result<()> {
+        // outlive the input, in the representatives
+        let fields = input.fields().map(<[_]>::to_vec);
+        let fields = fields.as_deref();
+        let keeps_row = self
+            .items
+            .iter()
+            .any(|i| matches!(i, PlannedItem::Scalar(_)));
+        // Without GROUP BY there is one group, there before its first
+        // row: aggregates over an empty input yield one row.
+        let mut only = self.group_by.is_empty().then(|| self.new_state());
+        let mut groups: HashMap<Vec<u8>, AggState> = HashMap::new();
+        let (mut frame, mut key) = (RowFrame::new(), Vec::new());
+        loop {
+            input.next_frame(ctx, &mut frame)?;
+            if frame.is_empty() {
+                break;
+            }
+            let eval = ctx.evaluator();
+            for row in frame.drain(..) {
+                over(&row, fields, |src| {
+                    let add_to = |st: &mut AggState| {
+                        if keeps_row && st.representative.is_none() {
+                            st.representative = Some(row.clone());
+                        }
+                        self.accumulate(&eval, st, src)
+                    };
+                    if let Some(st) = &mut only {
+                        return add_to(st);
+                    }
+                    // looked up by the key as it is put together: only a
+                    // new group gets a key, and a state, of its own
+                    key.clear();
+                    for g in self.group_by {
+                        encode_value(&eval.value(g, src)?, &mut key);
+                    }
+                    if let Some(st) = groups.get_mut(key.as_slice()) {
+                        return add_to(st);
+                    }
+                    let mut st = self.new_state();
+                    add_to(&mut st)?;
+                    groups.insert(key.clone(), st);
+                    Ok(())
+                })?;
+            }
+        }
+        drop(input); // its scans close here, not when the last row is handed out
+        let mut groups: Vec<_> = groups.into_iter().collect();
+        groups.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
+        let eval = ctx.evaluator();
+        let states = only.into_iter().chain(groups.into_iter().map(|(_, st)| st));
+        let out: Result<Vec<_>> = states.map(|st| self.finish(&eval, st, fields)).collect();
+        self.out = out?.into_iter();
+        Ok(())
     }
 }
 
 impl RowSource for AggOp<'_> {
     fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<Vec<Value>>> {
-        if !self.done {
-            let Some(mut input) = self.input.take() else {
-                self.done = true;
-                return Ok(None);
-            };
-            let mut groups: BTreeMap<Vec<u8>, AggState> = BTreeMap::new();
-            while let Some(row) = input.next(ctx)? {
-                let eval = ctx.evaluator();
-                let mut key_vals = Vec::with_capacity(self.group_by.len());
-                for g in self.group_by {
-                    key_vals.push(eval.value(g, &row)?);
-                }
-                let key = encode_values(&key_vals);
-                let st = groups.entry(key).or_insert_with(|| AggState {
-                    representative: row.clone(),
-                    count: 0,
-                    per_item: Self::make_accs(self.items),
-                });
-                self.accumulate(&eval, st, &row)?;
-            }
-            if groups.is_empty() && self.group_by.is_empty() {
-                // aggregates over an empty input yield one row
-                groups.insert(
-                    Vec::new(),
-                    AggState {
-                        representative: Vec::new(),
-                        count: 0,
-                        per_item: Self::make_accs(self.items),
-                    },
-                );
-            }
-            let eval = ctx.evaluator();
-            for (_, st) in groups {
-                let row = self.finish(&eval, st)?;
-                self.out.push(row);
-            }
-            self.done = true;
+        if let Some(input) = self.input.take() {
+            self.drain(ctx, input)?;
         }
-        if self.pos >= self.out.len() {
-            return Ok(None);
-        }
-        self.pos += 1;
-        Ok(Some(self.out[self.pos - 1].clone()))
+        Ok(self.out.next())
     }
 }

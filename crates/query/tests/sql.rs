@@ -245,8 +245,10 @@ fn update_evaluates_every_assignment_against_the_old_row() {
 
 #[test]
 fn null_outer_values_probe_nothing() {
-    // A join whose outer value is NULL opens no inner scan at all,
-    // whichever path serves the inner side — keyed or not.
+    // A join whose outer value is NULL asks its inner side nothing,
+    // whichever path serves it — keyed or not: the one inner scan is
+    // opened for the first outer value that is not NULL and re-bound for
+    // each one after it.
     let inners = [
         (
             "CREATE TABLE i (d INT, tag INT)",
@@ -277,8 +279,11 @@ fn null_outer_values_probe_nothing() {
         let q = "SELECT o.id, i.tag FROM o, i WHERE o.d = i.d ORDER BY 1";
         let plan = format!("{:?}", db.query_sql(&format!("EXPLAIN {q}")).unwrap());
         assert!(plan.contains("probe from outer"), "{index:?}: {plan}");
-        let opens = || db.metrics_snapshot().counter("scan.opens");
-        let before = opens();
+        let counts = || {
+            let m = db.metrics_snapshot();
+            (m.counter("scan.opens"), m.counter("att.probes"))
+        };
+        let before = counts();
         assert_eq!(
             db.query_sql(q).unwrap(),
             vec![
@@ -287,8 +292,12 @@ fn null_outer_values_probe_nothing() {
             ],
             "{index:?}"
         );
-        // the outer scan plus one opening per non-NULL outer value
-        assert_eq!(opens() - before, 1 + 3, "{create_inner} {index:?}");
+        let (opens, probes) = counts();
+        // the outer scan plus the inner one
+        assert_eq!(opens - before.0, 1 + 1, "{create_inner} {index:?}");
+        // an access path is asked once per non-NULL outer value
+        let asked = if index.is_some() { 3 } else { 0 };
+        assert_eq!(probes - before.1, asked, "{create_inner} {index:?}");
     }
 }
 
@@ -335,8 +344,8 @@ fn unindexed_equi_joins_filter_in_the_inner_scan() {
     assert_eq!(rows, expected);
     // every outer row, and of the inner rows only those that join
     assert_eq!(counter("scan.rows") - rows_before, 200 + 900);
-    // the outer scan plus one inner scan per non-NULL outer value
-    assert_eq!(counter("scan.opens") - opens_before, 1 + 180);
+    // the outer scan plus one inner scan, re-bound per non-NULL outer value
+    assert_eq!(counter("scan.opens") - opens_before, 1 + 1);
 }
 
 #[test]
@@ -810,4 +819,390 @@ fn scans_are_closed_when_their_statement_ends_not_at_commit() {
     sess.execute("SAVEPOINT sp").unwrap();
     sess.execute("ROLLBACK TO SAVEPOINT sp").unwrap();
     sess.execute("COMMIT").unwrap();
+}
+
+// ---------------------------------------------------------------------
+// frames above the access node change nothing observable
+// ---------------------------------------------------------------------
+
+/// One row of `t`: id, name, g (NULL for every seventh), h, v (NULL for
+/// every fourth).
+type TRow = (i64, String, Option<i64>, i64, Option<f64>);
+
+fn t_rows() -> Vec<TRow> {
+    (0..3000)
+        .map(|id| {
+            (
+                id,
+                format!("n{:03}", (id * 37) % 101),
+                (id % 7 != 0).then_some(id % 5),
+                id % 3,
+                (id % 4 != 0).then_some(id as f64 * 0.5),
+            )
+        })
+        .collect()
+}
+
+fn opt_int(v: Option<i64>) -> Value {
+    v.map_or(Value::Null, Value::Int)
+}
+
+/// Groups `rows` by `key`, in the order of the encoded keys — the order
+/// an aggregate hands its groups out in.
+fn grouped<'r>(
+    rows: impl Iterator<Item = &'r TRow>,
+    key: impl Fn(&TRow) -> Vec<Value>,
+) -> Vec<(Vec<Value>, Vec<&'r TRow>)> {
+    let mut groups = std::collections::BTreeMap::<Vec<u8>, (Vec<Value>, Vec<&TRow>)>::new();
+    for r in rows {
+        let k = key(r);
+        let slot = groups
+            .entry(dmx_types::key::encode_values(&k))
+            .or_insert_with(|| (k, Vec::new()));
+        slot.1.push(r);
+    }
+    groups.into_values().collect()
+}
+
+/// Runs `plan` through the frame path (`run_to_rows`) and through the
+/// row-at-a-time one (`run_analyzed`: every node wrapped, so every pull
+/// is the defaulted `next`), each in a snapshot transaction of its own.
+fn both_ways(
+    db: &Arc<Database>,
+    plan: &dmx_query::planner::Plan,
+) -> (Vec<Vec<Value>>, Vec<Vec<Value>>, Vec<u64>) {
+    let run = |analyzed: bool| {
+        let txn = db.begin();
+        txn.set_snapshot_reads(true);
+        let ctx = dmx_core::ExecCtx { db, txn: &txn };
+        let out = if analyzed {
+            dmx_query::exec::run_analyzed(plan, &ctx).unwrap()
+        } else {
+            (
+                dmx_query::exec::run_to_rows(plan, &ctx).unwrap(),
+                Vec::new(),
+            )
+        };
+        assert_eq!(db.scans().open_count(txn.id()), 0, "scans closed");
+        db.commit(&txn).unwrap();
+        out
+    };
+    let (frames, _) = run(false);
+    let (rows, actuals) = run(true);
+    (frames, rows, actuals)
+}
+
+fn plan_of(db: &Arc<Database>, sql: &str) -> dmx_query::planner::Plan {
+    let dmx_query::ast::Stmt::Select(sel) = dmx_query::parser::parse(sql).unwrap() else {
+        panic!("not a SELECT: {sql}");
+    };
+    dmx_query::planner::plan_select(db, &sel).unwrap().plan
+}
+
+#[test]
+fn frames_above_the_access_change_nothing_observable() {
+    use dmx_query::planner::Plan;
+    let db = open_db();
+    db.execute_sql(
+        "CREATE TABLE t (id INT NOT NULL, name STRING NOT NULL, g INT, h INT NOT NULL, v FLOAT)",
+    )
+    .unwrap();
+    db.execute_sql("CREATE TABLE p (k INT, tag INT NOT NULL)")
+        .unwrap();
+    let t = t_rows();
+    let (t_rel, p_rel) = (
+        db.catalog().get_by_name("t").unwrap().id,
+        db.catalog().get_by_name("p").unwrap().id,
+    );
+    let p: Vec<(Option<i64>, i64)> = vec![(Some(0), 10), (Some(3), 13), (None, 99), (Some(8), 18)];
+    db.with_txn(|txn| {
+        for (id, name, g, h, v) in &t {
+            let v = v.map_or(Value::Null, Value::Float);
+            let values = vec![
+                Value::Int(*id),
+                Value::from(name.as_str()),
+                opt_int(*g),
+                Value::Int(*h),
+                v,
+            ];
+            db.insert(txn, t_rel, dmx_types::Record::new(values))?;
+        }
+        for (k, tag) in &p {
+            db.insert(
+                txn,
+                p_rel,
+                dmx_types::Record::new(vec![opt_int(*k), Value::Int(*tag)]),
+            )?;
+        }
+        Ok(())
+    })
+    .unwrap();
+
+    let int = Value::Int;
+    let count = |rs: &[&TRow]| int(rs.len() as i64);
+    let sum_id = |rs: &[&TRow]| int(rs.iter().map(|r| r.0).sum());
+
+    // (what, SQL, the model's rows in order, the model's per-node counts
+    // in EXPLAIN's pre-order)
+    type Case = (&'static str, String, Vec<Vec<Value>>, Vec<u64>);
+    let mut cases: Vec<Case> = Vec::new();
+
+    // no GROUP BY: one state, every aggregate kind, strings under MIN/MAX
+    let hit: Vec<&TRow> = t.iter().filter(|r| r.0 >= 10).collect();
+    let vs: Vec<f64> = hit.iter().filter_map(|r| r.4).collect();
+    cases.push((
+        "no group by",
+        "SELECT COUNT(*), COUNT(v), SUM(id), AVG(v), MIN(name), MAX(name), SUM(v) FROM t \
+         WHERE id >= 10"
+            .into(),
+        vec![vec![
+            count(&hit),
+            int(vs.len() as i64),
+            sum_id(&hit),
+            Value::Float(vs.iter().sum::<f64>() / vs.len() as f64),
+            Value::from(hit.iter().map(|r| r.1.as_str()).min().unwrap()),
+            Value::from(hit.iter().map(|r| r.1.as_str()).max().unwrap()),
+            Value::Float(vs.iter().sum()),
+        ]],
+        vec![1, hit.len() as u64],
+    ));
+    // an empty input: one row without GROUP BY, none with
+    cases.push((
+        "empty, no group by",
+        "SELECT COUNT(*), SUM(id), MIN(name) FROM t WHERE id < 0".into(),
+        vec![vec![int(0), Value::Null, Value::Null]],
+        vec![1, 0],
+    ));
+    cases.push((
+        "empty, group by",
+        "SELECT g, COUNT(*) FROM t WHERE id < 0 GROUP BY g".into(),
+        Vec::new(),
+        vec![0, 0],
+    ));
+    // one key with NULLs in it, and a select item read from the group's
+    // first row
+    let by_g = grouped(t.iter(), |r| vec![opt_int(r.2)]);
+    cases.push((
+        "one key, NULL keys, representative",
+        "SELECT g, id + 1, COUNT(*), SUM(id), MAX(name) FROM t GROUP BY g".into(),
+        by_g.iter()
+            .map(|(k, rs)| {
+                vec![
+                    k[0].clone(),
+                    int(rs[0].0 + 1),
+                    count(rs),
+                    sum_id(rs),
+                    Value::from(rs.iter().map(|r| r.1.as_str()).max().unwrap()),
+                ]
+            })
+            .collect(),
+        vec![by_g.len() as u64, t.len() as u64],
+    ));
+    // two keys
+    let by_gh = grouped(t.iter().filter(|r| r.0 % 2 == 1), |r| {
+        vec![opt_int(r.2), int(r.3)]
+    });
+    cases.push((
+        "two keys",
+        "SELECT g, h, COUNT(v), MIN(v) FROM t WHERE id % 2 = 1 GROUP BY g, h".into(),
+        by_gh
+            .iter()
+            .map(|(k, rs)| {
+                let vs: Vec<f64> = rs.iter().filter_map(|r| r.4).collect();
+                let min = vs.iter().copied().reduce(f64::min);
+                vec![
+                    k[0].clone(),
+                    k[1].clone(),
+                    int(vs.len() as i64),
+                    min.map_or(Value::Null, Value::Float),
+                ]
+            })
+            .collect(),
+        vec![by_gh.len() as u64, t.len() as u64 / 2],
+    ));
+    // LIMIT above an aggregate
+    cases.push((
+        "limit above",
+        "SELECT g, COUNT(*) FROM t GROUP BY g LIMIT 2".into(),
+        by_g.iter()
+            .take(2)
+            .map(|(k, rs)| vec![k[0].clone(), count(rs)])
+            .collect(),
+        vec![2, 2, t.len() as u64],
+    ));
+    // filter and projection alone, frame by frame
+    let some: Vec<&TRow> = t.iter().filter(|r| r.3 == 2 && r.0 > 400).collect();
+    cases.push((
+        "project",
+        "SELECT name, id * 2, v FROM t WHERE h = 2 AND id > 400".into(),
+        some.iter()
+            .map(|r| {
+                vec![
+                    Value::from(r.1.as_str()),
+                    int(r.0 * 2),
+                    r.4.map_or(Value::Null, Value::Float),
+                ]
+            })
+            .collect(),
+        vec![some.len() as u64, some.len() as u64],
+    ));
+    // a join's rows, whole, into an aggregate; NULL joins nothing
+    let joined = |k: i64| t.iter().filter(move |r| r.2 == Some(k));
+    let pairs: Vec<(i64, &TRow)> = p
+        .iter()
+        .filter_map(|(k, tag)| Some(((*k)?, *tag)))
+        .flat_map(|(k, tag)| joined(k).map(move |r| (tag, r)))
+        .collect();
+    let mut tags: Vec<i64> = pairs.iter().map(|(tag, _)| *tag).collect();
+    tags.sort_unstable();
+    tags.dedup();
+    cases.push((
+        "join input",
+        "SELECT p.tag, COUNT(*), SUM(t.id) FROM p, t WHERE p.k = t.g GROUP BY p.tag".into(),
+        tags.iter()
+            .map(|tag| {
+                let rs: Vec<&TRow> = pairs
+                    .iter()
+                    .filter(|(t, _)| t == tag)
+                    .map(|(_, r)| *r)
+                    .collect();
+                vec![int(*tag), count(&rs), sum_id(&rs)]
+            })
+            .collect(),
+        vec![
+            tags.len() as u64,
+            pairs.len() as u64,
+            p.len() as u64,
+            pairs.len() as u64,
+        ],
+    ));
+
+    let check = |what: &str, plan: &Plan, want: &[Vec<Value>], counts: &[u64]| {
+        let (frames, rows, actuals) = both_ways(&db, plan);
+        let mut text = String::new();
+        plan.describe(0, &mut text);
+        assert_eq!(frames, want, "{what}: frames\n{text}");
+        assert_eq!(rows, want, "{what}: rows\n{text}");
+        assert_eq!(actuals, counts, "{what}: per-node counts\n{text}");
+    };
+    for (what, sql, want, counts) in &cases {
+        check(what, &plan_of(&db, sql), want, counts);
+        // and through the session, EXPLAIN ANALYZE included
+        assert_eq!(&db.query_sql(sql).unwrap(), want, "{what}");
+        let analyzed = db.query_sql(&format!("EXPLAIN ANALYZE {sql}")).unwrap();
+        let actual: Vec<u64> = analyzed
+            .iter()
+            .map(|r| r[2].as_int().unwrap() as u64)
+            .collect();
+        assert_eq!(&actual, counts, "{what}: EXPLAIN ANALYZE");
+    }
+
+    // LIMIT below an aggregate (no SQL spells it): the aggregate sees the
+    // first rows only, and the scan is cut short
+    let Plan::Aggregate {
+        input,
+        group_by,
+        items,
+    } = plan_of(&db, "SELECT g, COUNT(*), SUM(id) FROM t GROUP BY g")
+    else {
+        panic!("aggregate plan expected");
+    };
+    let below = Plan::Aggregate {
+        input: Box::new(Plan::Limit { input, n: 150 }),
+        group_by,
+        items,
+    };
+    let first = grouped(t.iter().take(150), |r| vec![opt_int(r.2)]);
+    let want: Vec<Vec<Value>> = first
+        .iter()
+        .map(|(k, rs)| vec![k[0].clone(), count(rs), sum_id(rs)])
+        .collect();
+    check(
+        "limit below",
+        &below,
+        &want,
+        &[first.len() as u64, 150, 150],
+    );
+
+    // A residual beside a pushed predicate (a storage method that
+    // applied one conjunct only would plan this): the residual runs on
+    // the fields the scan read, not on a row as wide as the table.
+    let Plan::Project { input, exprs } =
+        plan_of(&db, "SELECT name FROM t WHERE h = 1 AND id > 300")
+    else {
+        panic!("project plan expected");
+    };
+    let Plan::Access(mut access) = *input else {
+        panic!("access expected");
+    };
+    let conjuncts: Vec<dmx_expr::Expr> = dmx_expr::conjuncts(access.pushed.as_ref().unwrap())
+        .into_iter()
+        .cloned()
+        .collect();
+    assert_eq!(conjuncts.len(), 2);
+    assert_eq!(access.reads, Some(vec![0, 1, 3]));
+    access.pushed = Some(conjuncts[0].clone());
+    access.residual = Some(conjuncts[1].clone());
+    let split = Plan::Project {
+        input: Box::new(Plan::Access(access)),
+        exprs,
+    };
+    let want: Vec<Vec<Value>> = t
+        .iter()
+        .filter(|r| r.3 == 1 && r.0 > 300)
+        .map(|r| vec![Value::from(r.1.as_str())])
+        .collect();
+    check(
+        "residual beside pushed",
+        &split,
+        &want,
+        &[want.len() as u64, want.len() as u64],
+    );
+
+    // The same through an index: covered (the key alone, residual on the
+    // key's fields) and two-step (record fetched, residual in the pool).
+    db.execute_sql("CREATE INDEX t_gh ON t (g, h)").unwrap();
+    db.execute_sql("ANALYZE TABLE t").unwrap();
+    let in_g = |g: i64| t.iter().filter(move |r| r.2 == Some(g));
+    let covered = "SELECT g, h, COUNT(*) FROM t WHERE g = 2 AND h <> 1 GROUP BY g, h";
+    let plan = plan_of(&db, covered);
+    let mut text = String::new();
+    plan.describe(0, &mut text);
+    assert!(text.contains("covered"), "{text}");
+    let by_h = grouped(in_g(2).filter(|r| r.3 != 1), |r| vec![int(2), int(r.3)]);
+    let want: Vec<Vec<Value>> = by_h
+        .iter()
+        .map(|(k, rs)| vec![k[0].clone(), k[1].clone(), count(rs)])
+        .collect();
+    let n = by_h.iter().map(|(_, rs)| rs.len() as u64).sum();
+    check("covered index input", &plan, &want, &[by_h.len() as u64, n]);
+
+    db.execute_sql("CREATE UNIQUE INDEX t_id ON t (id)")
+        .unwrap();
+    db.execute_sql("ANALYZE TABLE t").unwrap();
+    let two_step =
+        "SELECT h, SUM(id), MIN(name) FROM t WHERE id < 40 AND id >= 10 AND v > 5.0 GROUP BY h";
+    let plan = plan_of(&db, two_step);
+    let mut text = String::new();
+    plan.describe(0, &mut text);
+    assert!(
+        text.contains("attachment") && !text.contains("covered"),
+        "{text}"
+    );
+    let picked = |r: &&TRow| (10..40).contains(&r.0) && r.4.is_some_and(|v| v > 5.0);
+    let by_h = grouped(t.iter().filter(picked), |r| vec![int(r.3)]);
+    let want: Vec<Vec<Value>> = by_h
+        .iter()
+        .map(|(k, rs)| {
+            let min = rs.iter().map(|r| r.1.as_str()).min().unwrap();
+            vec![k[0].clone(), sum_id(rs), Value::from(min)]
+        })
+        .collect();
+    let n = by_h.iter().map(|(_, rs)| rs.len() as u64).sum();
+    check(
+        "two-step attachment input",
+        &plan,
+        &want,
+        &[by_h.len() as u64, n],
+    );
 }

@@ -400,6 +400,11 @@ impl EntryDecoder for RecordEntries {
         }))
     }
 
+    fn rebind(&mut self, query: &AccessQuery, pred: Option<&Expr>) -> Result<Option<KeyRange>> {
+        self.pred = pred.cloned();
+        query.clone().key_range("storage method").map(Some)
+    }
+
     fn supports_versioned_read(&self) -> bool {
         true
     }

@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use dmx_core::access::{decode_position, encode_position};
 use dmx_core::{
-    CommonServices, ExecCtx, Frame, KeyRange, PathChoice, RelationDescriptor, Replay,
+    AccessQuery, CommonServices, ExecCtx, Frame, KeyRange, PathChoice, RelationDescriptor, Replay,
     SalvagedRecords, ScanItem, ScanOps, StorageMethod,
 };
 use dmx_expr::Expr;
@@ -562,6 +562,19 @@ impl ScanOps for RidScan {
     ) -> Result<Option<ScanItem>> {
         let (fields, pred) = (self.fields.as_deref(), self.pred.as_ref());
         item_from_version(ctx, &self.range, fields, pred, key, values)
+    }
+
+    fn rebind(
+        &mut self,
+        _ctx: &ExecCtx<'_>,
+        query: &AccessQuery,
+        pred: Option<&Expr>,
+    ) -> Result<bool> {
+        self.range = query.clone().key_range("storage method")?;
+        self.pred = pred.cloned();
+        self.next = (0, 0);
+        self.done = false;
+        Ok(true)
     }
 
     // No set_range_locking: RIDs are allocation order, not key

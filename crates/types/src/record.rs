@@ -8,6 +8,7 @@
 //! out explicitly.
 
 use std::cell::Cell;
+use std::cmp::Ordering;
 
 use crate::error::{DmxError, Result};
 use crate::ids::FieldId;
@@ -118,6 +119,40 @@ pub fn encoded_len(values: &[Value]) -> usize {
     2 + values.iter().map(field).sum::<usize>()
 }
 
+// Damage is rare: its reports stay out of the walk's straight line.
+#[cold]
+fn truncated(place: &str) -> DmxError {
+    DmxError::Corrupt(format!("record truncated {place}"))
+}
+
+#[cold]
+fn bad_tag(tag: u8) -> DmxError {
+    DmxError::Corrupt(format!("bad value tag {tag}"))
+}
+
+fn utf8(payload: &[u8]) -> Result<&str> {
+    std::str::from_utf8(payload).map_err(|_| DmxError::Corrupt("string field not utf8".into()))
+}
+
+/// The value of a tag and payload that [`RecordRef::value_at`] has held
+/// against the buffer.
+fn decode(tag: u8, payload: &[u8]) -> Result<Value> {
+    let corrupt = || truncated("in payload");
+    Ok(match tag {
+        TAG_NULL => Value::Null,
+        TAG_BOOL_FALSE => Value::Bool(false),
+        TAG_BOOL_TRUE => Value::Bool(true),
+        TAG_INT => Value::Int(crate::bytes::le_i64(payload, 0).ok_or_else(corrupt)?),
+        TAG_FLOAT => Value::Float(crate::bytes::le_f64(payload, 0).ok_or_else(corrupt)?),
+        TAG_STR => Value::Str(utf8(payload)?.to_string()),
+        TAG_BYTES => Value::Bytes(payload.to_vec()),
+        TAG_RECT => Value::Rect(
+            Rect::from_bytes(payload).ok_or_else(|| DmxError::Corrupt("bad rect field".into()))?,
+        ),
+        other => return Err(bad_tag(other)),
+    })
+}
+
 /// A borrowed view over an encoded record that decodes fields lazily.
 ///
 /// `field(i)` walks the encoding, skipping earlier fields without
@@ -158,56 +193,42 @@ impl<'a> RecordRef<'a> {
         self.buf
     }
 
+    /// The value starting at `pos` as it lies in the buffer: its tag, its
+    /// payload (a string's or byte string's without the length word) and
+    /// the offset just past it. The one place a tag is checked and a
+    /// length is held against the buffer.
+    #[inline(always)]
+    fn value_at(&self, pos: usize) -> Result<(u8, &'a [u8], usize)> {
+        let buf = self.buf;
+        let Some(&tag) = buf.get(pos) else {
+            return Err(truncated("at tag"));
+        };
+        let (start, len) = match tag {
+            TAG_NULL | TAG_BOOL_FALSE | TAG_BOOL_TRUE => (pos + 1, 0),
+            TAG_INT | TAG_FLOAT => (pos + 1, 8),
+            TAG_STR | TAG_BYTES => match crate::bytes::le_u32(buf, pos + 1) {
+                Some(len) => (pos + 5, len as usize),
+                None => return Err(truncated("at length")),
+            },
+            TAG_RECT => (pos + 1, 32),
+            other => return Err(bad_tag(other)),
+        };
+        match buf.get(start..).and_then(|rest| rest.get(..len)) {
+            Some(payload) => Ok((tag, payload, start + len)),
+            None => Err(truncated("in payload")),
+        }
+    }
+
     /// Skips over the value starting at `pos`, returning the offset just
     /// past it.
     #[inline]
     fn skip(&self, pos: usize) -> Result<usize> {
-        let Some((&tag, body)) = self.buf.get(pos..).and_then(<[u8]>::split_first) else {
-            return Err(DmxError::Corrupt("record truncated at tag".into()));
-        };
-        let len = match tag {
-            TAG_NULL | TAG_BOOL_FALSE | TAG_BOOL_TRUE => 0,
-            TAG_INT | TAG_FLOAT => 8,
-            TAG_STR | TAG_BYTES => match body {
-                [a, b, c, d, ..] => 4 + u32::from_le_bytes([*a, *b, *c, *d]) as usize,
-                _ => return Err(DmxError::Corrupt("record truncated at length".into())),
-            },
-            TAG_RECT => 32,
-            other => return Err(DmxError::Corrupt(format!("bad value tag {other}"))),
-        };
-        if len > body.len() {
-            return Err(DmxError::Corrupt("record truncated in payload".into()));
-        }
-        Ok(pos + 1 + len)
+        Ok(self.value_at(pos)?.2)
     }
 
     fn decode_at(&self, pos: usize) -> Result<(Value, usize)> {
-        let corrupt = || DmxError::Corrupt("record truncated in payload".into());
-        // `skip` checked the tag and bounds-checked `next`, so the reads
-        // below only fail on a buffer raced out from under us; they still
-        // go through checked accessors rather than panicking.
-        let next = self.skip(pos)?;
-        let tag = *self.buf.get(pos).ok_or_else(corrupt)?;
-        let v = match tag {
-            TAG_NULL => Value::Null,
-            TAG_BOOL_FALSE => Value::Bool(false),
-            TAG_BOOL_TRUE => Value::Bool(true),
-            TAG_INT => Value::Int(crate::bytes::le_i64(self.buf, pos + 1).ok_or_else(corrupt)?),
-            TAG_FLOAT => Value::Float(crate::bytes::le_f64(self.buf, pos + 1).ok_or_else(corrupt)?),
-            TAG_STR => {
-                let raw = self.buf.get(pos + 5..next).ok_or_else(corrupt)?;
-                let s = std::str::from_utf8(raw)
-                    .map_err(|_| DmxError::Corrupt("string field not utf8".into()))?;
-                Value::Str(s.to_string())
-            }
-            TAG_BYTES => Value::Bytes(self.buf.get(pos + 5..next).ok_or_else(corrupt)?.to_vec()),
-            TAG_RECT => Value::Rect(
-                Rect::from_bytes(self.buf.get(pos + 1..next).ok_or_else(corrupt)?)
-                    .ok_or_else(|| DmxError::Corrupt("bad rect field".into()))?,
-            ),
-            _ => unreachable!("skip validated the tag"),
-        };
-        Ok((v, next))
+        let (tag, payload, next) = self.value_at(pos)?;
+        Ok((decode(tag, payload)?, next))
     }
 
     /// The offset field `id` starts at, walking on from the field last
@@ -234,6 +255,27 @@ impl<'a> RecordRef<'a> {
     /// Decodes a single field by index, skipping the preceding fields.
     pub fn field(&self, id: FieldId) -> Result<Value> {
         Ok(self.decode_at(self.offset_of(id)?)?.0)
+    }
+
+    /// Compares field `id` with `other` where the field lies — what
+    /// `self.field(id)?.compare(other)` answers, errors included, with
+    /// no [`Value`] built for a string or byte string and nothing
+    /// allocated: the evaluator's comparison of a column with a constant,
+    /// run against every record of a page.
+    pub fn cmp_field(&self, id: FieldId, other: &Value) -> Result<Option<Ordering>> {
+        let (tag, payload, _) = self.value_at(self.offset_of(id)?)?;
+        match (tag, other) {
+            // the commonest pairing, without the detour through a `Value`
+            (TAG_INT, Value::Int(b)) => match crate::bytes::le_i64(payload, 0) {
+                Some(a) => Ok(Some(a.cmp(b))),
+                None => Err(truncated("in payload")),
+            },
+            (TAG_STR, Value::Str(s)) => Ok(Some(utf8(payload)?.cmp(s.as_str()))),
+            (TAG_BYTES, Value::Bytes(b)) => Ok(Some(payload.cmp(b.as_slice()))),
+            // Every other pairing is with NULL, a type error, or of a tag
+            // that decodes without allocating.
+            _ => decode(tag, payload)?.compare(other),
+        }
     }
 
     /// Decodes a projection of fields, output in request order. Ascending

@@ -13,6 +13,7 @@
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{self, PoisonError};
 use std::time::Duration;
 
@@ -183,9 +184,20 @@ impl<T: fmt::Debug> fmt::Debug for RwLock<T> {
 
 /// Condition variable paired with [`Mutex`]. Timed waits consume and
 /// return the guard (std's API shape), with poison recovered on wake-up.
+///
+/// It counts its waiters, so that a notification nobody is waiting for
+/// is one atomic load and not std's unconditional futex syscall — which
+/// is what a latch release, a commit's unlock and a closing write window
+/// almost always are. The count is raised while the waiter still holds
+/// the mutex, so a notifier that changed the waited-for state **under
+/// that mutex** (every user's discipline, and the only one under which a
+/// condition variable loses no wake-up anyway) either sees the waiter
+/// counted, or the waiter saw the new state before it decided to wait.
 #[derive(Default)]
 pub struct Condvar {
     inner: sync::Condvar,
+    /// Threads inside `wait`/`wait_for`.
+    waiters: AtomicUsize,
 }
 
 impl Condvar {
@@ -193,18 +205,20 @@ impl Condvar {
     pub const fn new() -> Self {
         Condvar {
             inner: sync::Condvar::new(),
+            waiters: AtomicUsize::new(0),
         }
     }
 
     /// Blocks until notified. Spurious wake-ups are possible; callers
     /// re-check their predicate in a loop.
     pub fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
-        MutexGuard {
-            inner: self
-                .inner
-                .wait(guard.inner)
-                .unwrap_or_else(PoisonError::into_inner),
-        }
+        self.waiters.fetch_add(1, Ordering::SeqCst);
+        let inner = self
+            .inner
+            .wait(guard.inner)
+            .unwrap_or_else(PoisonError::into_inner);
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
+        MutexGuard { inner }
     }
 
     /// Blocks until notified or `timeout` elapses, whichever is first.
@@ -213,21 +227,27 @@ impl Condvar {
         guard: MutexGuard<'a, T>,
         timeout: Duration,
     ) -> MutexGuard<'a, T> {
+        self.waiters.fetch_add(1, Ordering::SeqCst);
         let (inner, _timed_out) = self
             .inner
             .wait_timeout(guard.inner, timeout)
             .unwrap_or_else(PoisonError::into_inner);
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
         MutexGuard { inner }
     }
 
-    /// Wakes one waiter.
+    /// Wakes one waiter, if there is one.
     pub fn notify_one(&self) {
-        self.inner.notify_one();
+        if self.waiters.load(Ordering::SeqCst) > 0 {
+            self.inner.notify_one();
+        }
     }
 
-    /// Wakes all waiters.
+    /// Wakes all waiters, if there are any.
     pub fn notify_all(&self) {
-        self.inner.notify_all();
+        if self.waiters.load(Ordering::SeqCst) > 0 {
+            self.inner.notify_all();
+        }
     }
 }
 
@@ -270,6 +290,68 @@ mod tests {
         let g = m.lock();
         let _g = cv.wait_for(g, Duration::from_millis(10));
         assert!(start.elapsed() >= Duration::from_millis(5));
+    }
+
+    /// A waiter parked in the untimed `wait` has nothing but the
+    /// notification to wake it: the notifier must see it counted.
+    #[test]
+    fn condvar_notify_wakes_a_parked_waiter() {
+        let pair = Arc::new((Mutex::new(false), Condvar::new()));
+        let pair2 = Arc::clone(&pair);
+        let h = std::thread::spawn(move || {
+            let (m, cv) = &*pair2;
+            let mut g = m.lock();
+            while !*g {
+                g = cv.wait(g);
+            }
+        });
+        let (m, cv) = &*pair;
+        // Parked for certain: counted under the mutex, and the mutex is
+        // free again only once `wait` has let go of it.
+        while cv.waiters.load(Ordering::SeqCst) == 0 {
+            std::thread::yield_now();
+        }
+        *m.lock() = true;
+        cv.notify_all();
+        h.join().expect("waiter thread panicked");
+        assert_eq!(cv.waiters.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn condvar_ping_pong_loses_no_wakeup() {
+        // Each side waits (untimed) for the turn the other side hands it.
+        let pair = Arc::new((Mutex::new(0u32), Condvar::new()));
+        const ROUNDS: u32 = 10_000;
+        let play = |pair: Arc<(Mutex<u32>, Condvar)>, mine: u32| {
+            let (m, cv) = &*pair;
+            for _ in 0..ROUNDS {
+                let mut turn = m.lock();
+                while *turn % 2 != mine {
+                    turn = cv.wait(turn);
+                }
+                *turn += 1;
+                drop(turn);
+                cv.notify_all();
+            }
+        };
+        let other = Arc::clone(&pair);
+        let h = std::thread::spawn(move || play(other, 1));
+        play(Arc::clone(&pair), 0);
+        h.join().expect("ping-pong thread panicked");
+        assert_eq!(*pair.0.lock(), 2 * ROUNDS);
+    }
+
+    #[test]
+    fn condvar_notify_without_waiter_is_not_remembered() {
+        let m = Mutex::new(());
+        let cv = Condvar::new();
+        cv.notify_all();
+        cv.notify_one();
+        // Nothing was banked: a later waiter still waits its time out.
+        let start = Instant::now();
+        let _g = cv.wait_for(m.lock(), Duration::from_millis(20));
+        assert!(start.elapsed() >= Duration::from_millis(15));
+        assert_eq!(cv.waiters.load(Ordering::SeqCst), 0);
     }
 
     #[test]

@@ -123,6 +123,24 @@ impl Value {
         }
     }
 
+    /// SQL comparison: `None` (NULL) when either side is NULL, a type
+    /// error when the two are not of one comparable type (INT and FLOAT
+    /// are), [`Value::total_cmp`] otherwise.
+    pub fn compare(&self, other: &Value) -> Result<Option<Ordering>> {
+        use Value::*;
+        match (self, other) {
+            (Null, _) | (_, Null) => Ok(None),
+            (Bool(_), Bool(_))
+            | (Int(_) | Float(_), Int(_) | Float(_))
+            | (Str(_), Str(_))
+            | (Bytes(_), Bytes(_))
+            | (Rect(_), Rect(_)) => Ok(Some(self.total_cmp(other))),
+            _ => Err(DmxError::TypeMismatch(format!(
+                "cannot compare {self} with {other}"
+            ))),
+        }
+    }
+
     /// Extracts an `i64`, coercing bools; errors otherwise.
     pub fn as_int(&self) -> Result<i64> {
         match self {
@@ -269,6 +287,21 @@ mod tests {
         assert_eq!(
             Value::Str("a".into()).total_cmp(&Value::Int(9)),
             Ordering::Greater
+        );
+    }
+
+    #[test]
+    fn compare_is_null_aware_and_typed() {
+        assert_eq!(Value::Null.compare(&Value::Int(1)).unwrap(), None);
+        assert_eq!(Value::from("a").compare(&Value::Null).unwrap(), None);
+        assert_eq!(
+            Value::Int(2).compare(&Value::Float(2.5)).unwrap(),
+            Some(Ordering::Less)
+        );
+        let err = Value::from("a").compare(&Value::Int(1)).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            DmxError::TypeMismatch("cannot compare 'a' with 1".into()).to_string()
         );
     }
 

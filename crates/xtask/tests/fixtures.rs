@@ -288,6 +288,20 @@ fn a_lock_requested_while_a_frame_is_filled_is_a_lock_order_finding() {
 }
 
 #[test]
+fn a_pull_under_the_evaluator_guard_is_a_finding() {
+    let v = run("effects-violations");
+    assert!(
+        v.iter().any(|x| x.code() == "DMX010"
+            && x.msg.contains("BadFilter::next_frame")
+            && x.msg.contains("ctx.evaluator")),
+        "pull under the evaluator guard not reported:\n{}",
+        xtask::render(&v)
+    );
+    // the clean twin — the pull first, the guard after it — is part of
+    // `effects_clean_tree_passes`
+}
+
+#[test]
 fn effect_waivers_suppress_exactly_and_ratchet() {
     let report =
         xtask::run(&fixture("effects-violations"), xtask::Options::default()).expect("runs");

@@ -93,3 +93,16 @@ impl GoodScan {
         ctx.lock_record(self.rel, b"boundary", S)
     }
 }
+
+pub struct GoodFilter;
+
+impl GoodFilter {
+    /// Pulls its input's frame first and takes the evaluator after: the
+    /// guard lives for the filtering of one frame and no pull.
+    pub fn next_frame(&mut self, ctx: &Ctx, frame: &mut Rows) -> Result<()> {
+        self.input.next_frame(ctx, frame)?;
+        let eval = ctx.evaluator();
+        frame.retain(|row| eval.matches(self.pred, row));
+        Ok(())
+    }
+}

@@ -70,3 +70,17 @@ impl BadScan {
         Ok(())
     }
 }
+
+pub struct BadFilter;
+
+impl BadFilter {
+    /// Takes the evaluator — the function registry's read guard — and
+    /// pulls under it: the input takes the same guard again, and a
+    /// registration waiting between the two wedges both.
+    pub fn next_frame(&mut self, ctx: &Ctx, frame: &mut Rows) -> Result<()> {
+        let eval = ctx.evaluator();
+        self.input.next_frame(ctx, frame)?;
+        frame.retain(|row| eval.matches(self.pred, row));
+        Ok(())
+    }
+}

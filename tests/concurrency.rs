@@ -560,7 +560,7 @@ fn range_update_fences_its_range_and_nothing_else() {
     let a = Session::new(db.clone());
     a.execute("BEGIN").unwrap();
     // Upper bound first: the B-tree storage method makes its key range
-    // from the first sargable conjunct on the key alone (ROADMAP 2), so
+    // from the first sargable conjunct on the key alone (ROADMAP item 5(c)), so
     // this reads — and fences — everything up to 22, `id >= 10 AND …`
     // everything from 10 on.
     assert_eq!(

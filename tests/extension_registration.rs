@@ -661,8 +661,15 @@ fn user_defined_access_path_is_probed_as_a_join_inner() {
         plan.contains("Access i via attachment") && plan.contains("[probe]"),
         "{plan}"
     );
-    let probes = || db.metrics_snapshot().counter("att.probes");
-    let before = probes();
+    let counts = || {
+        let m = db.metrics_snapshot();
+        (m.counter("att.probes"), m.counter("scan.opens"))
+    };
+    let before = counts();
     assert_eq!(db.query_sql(q).unwrap(), nested_loop);
-    assert_eq!(probes() - before, 4, "one per non-NULL outer value");
+    let (probes, opens) = counts();
+    assert_eq!(probes - before.0, 4, "one per non-NULL outer value");
+    // `KeyList` has the defaulted `rebind`: the join closes it and opens
+    // another per outer value, as it always did
+    assert_eq!(opens - before.1, 1 + 4);
 }

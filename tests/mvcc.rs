@@ -609,3 +609,82 @@ fn snapshot_scan_never_duplicates_a_record_relocated_across_leaves() {
         "as of the snapshot"
     );
 }
+
+/// (e) A scan re-bound to another range starts over as a snapshot scan
+/// too. What it surfaced under the first binding is forgotten — a row
+/// that comes up again *with a chain* is looked up in what this binding
+/// surfaced, and a row the sweep lists is held against it — and the
+/// sweep after the second binding re-derives that binding's rows only.
+#[test]
+fn a_rebound_scan_forgets_what_it_surfaced_and_sweeps_its_new_range_only() {
+    let id_in = |lo: i64, hi: i64| {
+        let cmp = |op, v| {
+            Expr::Cmp(
+                op,
+                Box::new(Expr::Column(0)),
+                Box::new(Expr::Const(Value::Int(v))),
+            )
+        };
+        cmp(CmpOp::Ge, lo).and(cmp(CmpOp::Lt, hi))
+    };
+    let grp_in = |lo: i64, hi: i64| {
+        AccessQuery::Range(KeyRange {
+            lo: std::ops::Bound::Included(encode_values(&[Value::Int(lo)])),
+            hi: std::ops::Bound::Excluded(encode_values(&[Value::Int(hi)])),
+        })
+    };
+    for (index, frames) in [(false, false), (false, true), (true, false), (true, true)] {
+        let (db, keys) = lazy_set_fixture(ROWS);
+        let sweeps = || db.metrics_snapshot().counter("scan.delta_sweeps");
+        let before = sweeps();
+        let txn = db.begin();
+        txn.set_snapshot_reads(true);
+        let scan = open_filtered(&db, &txn, index);
+        let drain = || {
+            let (mut ids, mut frame) = (Vec::new(), Frame::new());
+            loop {
+                if frames {
+                    db.scan_next_frame(&txn, scan, &mut frame).unwrap();
+                } else {
+                    frame.extend(db.scan_next(&txn, scan).unwrap());
+                }
+                if frame.is_empty() {
+                    return ids;
+                }
+                for it in frame.drain(..) {
+                    let id = keys.iter().position(|k| *k == it.key).expect("a key of t") as i64;
+                    let image = match index {
+                        true => vec![Value::Int(id)],
+                        false => vec![Value::Int(id), Value::Int(id), Value::Int(0)],
+                    };
+                    assert_eq!(it.values, Some(image), "snapshot image of {id}");
+                    ids.push(id);
+                }
+            }
+        };
+        // the first binding surfaces every row
+        assert_eq!(drain(), (0..ROWS).collect::<Vec<_>>());
+        assert_eq!(sweeps(), before, "nobody had written anything");
+
+        // an in-flight writer gives three rows chains: 4 stays where it
+        // is, 3 and 8 leave page and index
+        let w = Session::new(db.clone());
+        w.execute("BEGIN").unwrap();
+        w.execute("UPDATE t SET v = 1 WHERE id = 4").unwrap();
+        w.execute("DELETE FROM t WHERE id = 3").unwrap();
+        w.execute("DELETE FROM t WHERE id = 8").unwrap();
+
+        // the second binding: rows 2, 3 and 4
+        let rebound = match index {
+            true => db.scan_rebind(&txn, scan, &grp_in(2, 5), None),
+            false => db.scan_rebind(&txn, scan, &AccessQuery::All, Some(&id_in(2, 5))),
+        };
+        assert!(rebound.unwrap(), "both paths re-bind");
+        // 2 as read; 4 looked up — it has a chain — and not found among
+        // what *this* binding surfaced; 3 from the sweep, which drops 8
+        assert_eq!(drain(), vec![2, 4, 3], "index {index} frames {frames}");
+        assert_eq!(sweeps() - before, 1);
+        db.commit(&txn).unwrap();
+        w.execute("ROLLBACK").unwrap();
+    }
+}

@@ -18,6 +18,11 @@
 //!   two; a savepoint taken inside a page's worth of items resumes at
 //!   the next item; an item later in the same page that is deleted is
 //!   gone under locking and still its snapshot image under snapshot;
+//! * re-bound to another query (`scan_rebind`) a scan serves what a fresh
+//!   scan of that query serves, by step and by frame; a path that cannot
+//!   re-bind says so and is reopened; a position saved before a re-bind
+//!   is refused after it; a locking scan keeps the range locks of its
+//!   earlier bindings;
 //! * for the two gap-locking paths, the locks each step takes — read
 //!   back through `sys.locks` — are the record-then-gap pair of every
 //!   entry passed, the boundary pair (or the EOF gap) once, and the same
@@ -300,6 +305,23 @@ impl Fixture {
         }
         out
     }
+
+    /// What is left of `scan`, by frame or by step.
+    fn drain_from(
+        &self,
+        txn: &Arc<Transaction>,
+        scan: starburst_dmx::types::ScanId,
+        frames: bool,
+    ) -> Vec<ScanItem> {
+        if frames {
+            return drain_frames(self, txn, scan);
+        }
+        let mut out = Vec::new();
+        while let Some(it) = self.db.scan_next(txn, scan).unwrap() {
+            out.push(it);
+        }
+        out
+    }
 }
 
 /// The queries to run against `model`, each with the items it must
@@ -555,6 +577,144 @@ fn frames_change_nothing_observable() {
             assert_eq!(left.len(), stream.len() - 2, "{}", case.name);
             fx.db.commit(&txn).unwrap();
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// re-binding: the other query, as a fresh scan would serve it
+// ---------------------------------------------------------------------
+
+/// The paths whose scans move to another query; the others keep the
+/// default (`Ok(false)`, nothing changed) and are reopened.
+const REBINDS: [&str; 5] = [
+    "heap",
+    "readonly",
+    "btree storage",
+    "btree index",
+    "hash index",
+];
+
+#[test]
+fn a_rebound_scan_is_a_fresh_scan_of_the_other_query() {
+    for case in cases() {
+        let fx = fixture(&case);
+        let model = (case.model)(&fx.rows, &fx.partners);
+        let qs = queries(&case.queries, &model);
+        let rebinds = REBINDS.contains(&case.name);
+        let (long_q, stream) = qs
+            .iter()
+            .find(|(_, items)| items.len() >= 3)
+            .expect("a query with three items");
+
+        for snapshot in [false, true] {
+            let mode = if snapshot { "snapshot" } else { "locking" };
+            let txn = fx.begin(snapshot);
+            for (from, _) in &qs {
+                for (to, expect) in &qs {
+                    for frames in [false, true] {
+                        let what = format!("{} {mode} {from:?} -> {to:?}", case.name);
+                        // part of the first query drained, then the other
+                        let mut scan = fx.open(&txn, from);
+                        fx.db.scan_next(&txn, scan).unwrap();
+                        let rebound = fx.db.scan_rebind(&txn, scan, to, None).unwrap();
+                        assert_eq!(rebound, rebinds, "{what}");
+                        if !rebound {
+                            // nothing changed: the scan goes on where it was
+                            let rest = fx.drain_from(&txn, scan, frames);
+                            let whole = fx.drain(&txn, from);
+                            assert_eq!(rest, whole[whole.len().min(1)..], "{what}: untouched");
+                            fx.db.scan_close(&txn, scan);
+                            scan = fx.open(&txn, to);
+                        }
+                        assert_eq!(&fx.drain_from(&txn, scan, frames), expect, "{what}");
+                        // and once more from its exhausted state
+                        if fx.db.scan_rebind(&txn, scan, from, None).unwrap() {
+                            let again = fx.drain_from(&txn, scan, frames);
+                            assert_eq!(again, fx.drain(&txn, from), "{what}: back");
+                        }
+                        fx.db.scan_close(&txn, scan);
+                    }
+                }
+            }
+            fx.db.commit(&txn).unwrap();
+
+            if !rebinds {
+                continue;
+            }
+            // A position is one of the binding it was saved under: after
+            // a re-bind the key in it belongs to another range, and
+            // restoring it is refused rather than read wrongly.
+            let txn = fx.begin(snapshot);
+            let scan = fx.open(&txn, long_q);
+            assert_eq!(
+                fx.db.scan_next(&txn, scan).unwrap().as_ref(),
+                Some(&stream[0])
+            );
+            fx.db.savepoint(&txn, "before").unwrap();
+            assert!(fx.db.scan_rebind(&txn, scan, &qs[0].0, None).unwrap());
+            fx.db.savepoint(&txn, "after").unwrap();
+            fx.db.scan_next(&txn, scan).unwrap();
+            // saved under this binding: restored
+            fx.db.rollback_to_savepoint(&txn, "after").unwrap();
+            assert_eq!(
+                fx.drain_from(&txn, scan, false),
+                qs[0].1,
+                "{} {mode}",
+                case.name
+            );
+            let err = fx.db.rollback_to_savepoint(&txn, "before").unwrap_err();
+            assert!(
+                matches!(err, DmxError::InvalidArg(_)),
+                "{} {mode}: {err}",
+                case.name
+            );
+            fx.db.abort(&txn).unwrap();
+        }
+    }
+}
+
+/// Under locking, what the first binding's range fenced stays fenced: the
+/// re-bound scan holds its earlier record and gap locks to commit.
+#[test]
+fn a_rebound_locking_scan_keeps_the_range_locks_it_took() {
+    for name in ["btree storage", "btree index"] {
+        let all = cases();
+        let case = all.iter().find(|c| c.name == name).unwrap();
+        let fx = fixture(case);
+        let model = (case.model)(&fx.rows, &fx.partners);
+        let keys: Vec<&Vec<u8>> = model.keys().collect();
+        let range = |lo: &Vec<u8>, hi: &Vec<u8>| {
+            AccessQuery::Range(KeyRange {
+                lo: Bound::Included(lo.clone()),
+                hi: Bound::Included(hi.clone()),
+            })
+        };
+        let txn = fx.begin(false);
+        let scan = fx.open(&txn, &range(keys[0], keys[1]));
+        let first = fx.drain_from(&txn, scan, false);
+        assert!(!first.is_empty());
+        let fenced = held(&fx.db, &txn);
+        assert!(
+            fenced.iter().any(|l| l.starts_with("gap(")),
+            "{name}: {fenced:?}"
+        );
+        let last = keys.len() - 1;
+        assert!(fx
+            .db
+            .scan_rebind(&txn, scan, &range(keys[last], keys[last]), None)
+            .unwrap());
+        let second = fx.drain_from(&txn, scan, true);
+        assert_eq!(second, model[keys[last]], "{name}");
+        let now = held(&fx.db, &txn);
+        assert!(
+            now.is_superset(&fenced),
+            "{name}: {fenced:?} kept in {now:?}"
+        );
+        assert!(
+            now.len() > fenced.len(),
+            "{name}: and the second range's added"
+        );
+        fx.db.commit(&txn).unwrap();
     }
 }
 

@@ -3,7 +3,8 @@
 //! for a given database, so they gate in tier-1 what the benchmark's
 //! `pagestore.pins_per_scanned_row` and `pins_per_stmt` report: a scan
 //! pins each page it reads once — not once per row — takes the relation
-//! lock and nothing else, and a point lookup descends its index once.
+//! lock and nothing else, a point lookup descends its index once, and a
+//! join opens one inner scan and re-binds it per outer row.
 
 // Examples and integration-test harnesses are exempt from the runtime
 // panic discipline: failures here should abort loudly.
@@ -141,6 +142,118 @@ fn a_unique_index_point_select_descends_once() {
     let (rows, [pins, ..]) = counted(&db, &sess, "SELECT name FROM emp WHERE id = -5");
     assert!(rows.is_empty());
     assert!(pins <= height + 1, "{pins}");
+    sess.execute("COMMIT").unwrap();
+}
+
+/// `(scan opens, access-path probes, lock requests, delta sweeps)` so far.
+fn join_counts(db: &Arc<Database>) -> [u64; 4] {
+    let m = db.metrics_snapshot();
+    [
+        m.counter("scan.opens"),
+        m.counter("att.probes"),
+        m.counter("lock.acquires"),
+        m.counter("scan.delta_sweeps"),
+    ]
+}
+
+#[test]
+fn a_join_opens_its_inner_scan_once_and_rebinds_it_per_outer_row() {
+    let db = emp_db();
+    // the outer side: ids to look up, two of them NULL, one matching nothing
+    let picks = [
+        Some(3),
+        None,
+        Some(7),
+        Some(7),
+        None,
+        Some(ROWS - 1),
+        Some(-4),
+    ];
+    db.execute_sql("CREATE TABLE pick (id INT, site INT)")
+        .unwrap();
+    for (i, p) in picks.iter().enumerate() {
+        let id = p.map_or("NULL".to_string(), |p| p.to_string());
+        db.execute_sql(&format!("INSERT INTO pick VALUES ({id}, {i})"))
+            .unwrap();
+    }
+    let asked = picks.iter().flatten().count() as u64;
+    let found: Vec<i64> = picks
+        .iter()
+        .flatten()
+        .copied()
+        .filter(|p| *p >= 0)
+        .collect();
+
+    let sess = Session::new(db.clone());
+    sess.execute("BEGIN").unwrap();
+    sess.execute("SELECT id FROM pick LIMIT 1").unwrap();
+    let held = sess
+        .execute("SELECT txn FROM sys.locks WHERE state = 'held'")
+        .unwrap();
+    let txn = starburst_dmx::types::TxnId(held.rows[0][0].as_int().unwrap() as u64);
+    let run = |sql: &str| {
+        let before = join_counts(&db);
+        let rows = sess.execute(sql).unwrap().rows;
+        let after = join_counts(&db);
+        assert_eq!(db.scans().open_count(txn), 0, "{sql}");
+        (rows, [0, 1, 2, 3].map(|i| after[i] - before[i]))
+    };
+
+    // probed: `emp`'s unique index answers `e.id = $pick.id`
+    let probe = "SELECT p.id, e.name FROM pick p, emp e WHERE p.id = e.id";
+    let plan = format!(
+        "{:?}",
+        sess.execute(&format!("EXPLAIN {probe}")).unwrap().rows
+    );
+    assert!(
+        plan.contains("Access emp via attachment") && plan.contains("[probe]"),
+        "{plan}"
+    );
+    let (rows, [opens, probes, locks, sweeps]) = run(probe);
+    let model: Vec<Vec<Value>> = found
+        .iter()
+        .map(|&id| vec![Value::Int(id), row(id)[1].clone()])
+        .collect();
+    assert_eq!(rows, model);
+    assert_eq!(opens, 2, "the outer scan and one inner scan");
+    assert_eq!(
+        probes, asked,
+        "the index is asked once per non-NULL outer value"
+    );
+    // relation IS for each of the two scans, and for each record fetched
+    assert_eq!(locks, 2 + found.len() as u64);
+    assert_eq!(sweeps, 0);
+
+    // cut short: the third outer row is never looked up
+    let (rows, [opens, probes, locks, _]) = run(&format!("{probe} LIMIT 2"));
+    assert_eq!(rows, model[..2]);
+    assert_eq!([opens, probes, locks], [2, 2, 2 + 2]);
+
+    // un-probed: no path answers `e.site = $pick.site` by key, so the
+    // heap scan takes it as its predicate — re-bound, not reopened, and
+    // every row the plain nested loop would return
+    let scan = "SELECT p.site, e.id FROM pick p, emp e WHERE p.site = e.site AND e.id < 100";
+    let plan = format!(
+        "{:?}",
+        sess.execute(&format!("EXPLAIN {scan}")).unwrap().rows
+    );
+    assert!(
+        plan.contains("Access emp via storage-method") && plan.contains("probe from outer"),
+        "{plan}"
+    );
+    let (mut rows, [opens, probes, locks, sweeps]) = run(scan);
+    let mut model: Vec<Vec<Value>> = (0..picks.len() as i64)
+        .flat_map(|site| {
+            (0..100)
+                .filter(move |&id| row(id)[3] == Value::Int(site))
+                .map(move |id| vec![Value::Int(site), Value::Int(id)])
+        })
+        .collect();
+    rows.sort_by(|a, b| starburst_dmx::expr::eval::compare_rows(a, b));
+    model.sort_by(|a, b| starburst_dmx::expr::eval::compare_rows(a, b));
+    assert!(!model.is_empty());
+    assert_eq!(rows, model);
+    assert_eq!([opens, probes, locks, sweeps], [2, 0, 2, 0]);
     sess.execute("COMMIT").unwrap();
 }
 
