@@ -172,6 +172,13 @@ impl AccessQuery {
             }
         }
     }
+
+    /// The range of record keys a storage method's scan covers for this
+    /// query: what [`crate::StorageMethod::open_scan`] is opened with,
+    /// and what such a scan moves to in [`ScanOps::rebind`].
+    pub fn storage_range(&self) -> Result<KeyRange> {
+        self.clone().key_range("storage method")
+    }
 }
 
 /// One item produced by a scan: the storage-method record key plus,

@@ -762,7 +762,7 @@ impl Database {
     ) -> Result<Box<dyn ScanOps>> {
         match path {
             AccessPath::StorageMethod => {
-                let range = query.key_range("storage method")?;
+                let range = query.storage_range()?;
                 let sm = self.registry().storage(rd.sm)?;
                 sm.open_scan(ctx, rd, range, pred, fields)
             }

@@ -334,7 +334,8 @@ struct AccessOp<'p> {
     scan: Option<OpenScan>,
     /// The scan has more for the outer row it is bound to.
     live: bool,
-    /// What the scan last handed over: the qualifying items of one page.
+    /// What the scan last handed over: the qualifying items of one page
+    /// (of a two-step access, those whose record is yet to be fetched).
     frame: Frame,
     /// Rows of the last frame that `next` has yet to hand out.
     rows: RowFrame,
@@ -391,6 +392,7 @@ impl<'p> AccessOp<'p> {
         };
         let bound = |e: &Option<Expr>| e.as_ref().map(|e| e.bind(params));
         self.rows.clear();
+        self.frame.clear();
         self.residual = bound(&plan.residual);
         let query = plan.query.bind(params).filter(|_| !joins_nothing);
         self.live = query.is_some();
@@ -423,20 +425,24 @@ impl<'p> AccessOp<'p> {
         let Some(scan) = self.scan.as_ref().filter(|_| self.live) else {
             return Ok(false);
         };
-        ctx.db.scan_next_frame(ctx.txn, scan.id, &mut self.frame)?;
-        self.live = !self.frame.is_empty();
-        if !self.live {
-            return Ok(false);
+        if self.frame.is_empty() {
+            ctx.db.scan_next_frame(ctx.txn, scan.id, &mut self.frame)?;
+            self.live = !self.frame.is_empty();
+            if !self.live {
+                return Ok(false);
+            }
         }
         let two_step =
             self.plan.use_covered.is_none() && self.plan.path != AccessPath::StorageMethod;
         if two_step {
             // record key from the path, record from the storage method
-            // (residual filtered in the pool)
+            // (residual filtered in the pool) — one record a pull, so
+            // that none is fetched, or locked, that nobody asks for
             let (rel, residual) = (self.plan.rd.id, self.residual.as_ref());
-            for ScanItem { key, .. } in self.frame.drain(..) {
+            while let Some(ScanItem { key, .. }) = self.frame.pop_front() {
                 if let Some(row) = ctx.db.fetch(ctx.txn, rel, &key, None, residual)? {
                     sink(key, row);
+                    break;
                 }
             }
             return Ok(true);
@@ -634,33 +640,6 @@ impl RowSource for FilterOp<'_> {
         }
         Ok(None)
     }
-
-    fn next_frame(&mut self, ctx: &ExecCtx<'_>, frame: &mut RowFrame) -> Result<()> {
-        loop {
-            self.input.next_frame(ctx, frame)?;
-            if frame.is_empty() {
-                return Ok(());
-            }
-            let eval = ctx.evaluator();
-            let fields = self.input.fields();
-            let mut failed = Ok(());
-            frame.retain(|row| {
-                let kept = over(row, fields, |src| eval.matches(self.pred, src));
-                kept.unwrap_or_else(|e| {
-                    failed = Err(e);
-                    false
-                })
-            });
-            failed?;
-            if !frame.is_empty() {
-                return Ok(());
-            }
-        }
-    }
-
-    fn fields(&self) -> Option<&[FieldId]> {
-        self.input.fields()
-    }
 }
 
 struct ProjectOp<'p> {
@@ -670,7 +649,13 @@ struct ProjectOp<'p> {
 
 impl ProjectOp<'_> {
     fn project(&self, eval: &Evaluator<'_>, src: &dyn FieldSource) -> Result<Vec<Value>> {
-        self.exprs.iter().map(|e| eval.value(e, src)).collect()
+        // sized here: collected through `Result`, an iterator has lost
+        // its length, and a result row would keep the slack of growing
+        let mut out = Vec::with_capacity(self.exprs.len());
+        for e in self.exprs {
+            out.push(eval.value(e, src)?);
+        }
+        Ok(out)
     }
 }
 

@@ -402,7 +402,7 @@ impl EntryDecoder for RecordEntries {
 
     fn rebind(&mut self, query: &AccessQuery, pred: Option<&Expr>) -> Result<Option<KeyRange>> {
         self.pred = pred.cloned();
-        query.clone().key_range("storage method").map(Some)
+        query.storage_range().map(Some)
     }
 
     fn supports_versioned_read(&self) -> bool {

@@ -257,6 +257,40 @@ fn a_join_opens_its_inner_scan_once_and_rebinds_it_per_outer_row() {
     sess.execute("COMMIT").unwrap();
 }
 
+/// A two-step access gets a frame of record keys from its path, and
+/// fetches the record of one when its consumer asks for the next row:
+/// what a `LIMIT` cuts off is never fetched.
+#[test]
+fn a_two_step_access_fetches_the_records_it_hands_on() {
+    let db = emp_db();
+    db.execute_sql("CREATE INDEX emp_dept ON emp USING btree (dept)")
+        .unwrap();
+    let in_dept = (0..ROWS).filter(|&id| row(id)[2] == Value::Int(7)).count() as u64;
+    assert!(in_dept > 10);
+    let sess = Session::new(db.clone());
+    let fetched = |sql: &str| {
+        let before = db.metrics_snapshot().counter("dml.fetches");
+        let rows = sess.execute(sql).unwrap().rows;
+        (
+            rows.len() as u64,
+            db.metrics_snapshot().counter("dml.fetches") - before,
+        )
+    };
+    let all = "SELECT id, name FROM emp WHERE dept = 7";
+    let plan = format!(
+        "{:?}",
+        sess.execute(&format!("EXPLAIN {all}")).unwrap().rows
+    );
+    assert!(plan.contains("Access emp via attachment"), "{plan}");
+    assert_eq!(fetched(all), (in_dept, in_dept));
+    assert_eq!(fetched(&format!("{all} LIMIT 3")), (3, 3));
+    // an aggregate with a residual on the record reads each once
+    assert_eq!(
+        fetched("SELECT COUNT(*) FROM emp WHERE dept = 7 AND age >= 0"),
+        (1, in_dept)
+    );
+}
+
 #[test]
 fn explain_names_the_fields_a_storage_method_scan_reads() {
     let db = emp_db();
