@@ -14,9 +14,10 @@ use std::sync::Arc;
 use dmx_core::logged_tree;
 use dmx_core::{
     AccessQuery, Attachment, AttachmentInstance, CommonServices, EntryDecoder, Evaluator, ExecCtx,
-    LoggedTree, Modification, RelationDescriptor, Replay, ScanItem, ScanOps, TreeCursor, TreeFile,
+    KeyRange, LoggedTree, Modification, RelationDescriptor, Replay, ScanItem, ScanOps, TreeFile,
     TreeScan,
 };
+use dmx_expr::Expr;
 use dmx_types::{
     key::{decode_values, encode_values},
     AttrList, DmxError, FieldId, FileId, Lsn, Record, RecordKey, Result, Schema, Value,
@@ -225,10 +226,7 @@ impl Attachment for Aggregate {
     ) -> Result<Box<dyn ScanOps>> {
         let d = AggDesc::decode(&instance.desc)?;
         let tree = d.tree_file().open_tree(ctx.services());
-        Ok(TreeScan::open(
-            TreeCursor::new(&tree, query.clone().key_range("aggregate")?),
-            GroupCells,
-        ))
+        TreeScan::open(&tree, None, GroupCells, query.clone(), None)
     }
 }
 
@@ -237,6 +235,11 @@ impl Attachment for Aggregate {
 struct GroupCells;
 
 impl EntryDecoder for GroupCells {
+    /// Cells are keyed by the encoded group value.
+    fn bind(&mut self, query: AccessQuery, _pred: Option<Expr>) -> Result<KeyRange> {
+        query.key_range("aggregate")
+    }
+
     fn item(&self, _eval: &Evaluator<'_>, key: &[u8], cell: &[u8]) -> Result<Option<ScanItem>> {
         let group = decode_values(key, 1)?
             .pop()

@@ -18,10 +18,10 @@ use dmx_core::access::prefix_successor;
 use dmx_core::logged_tree::{self, lock_delete_gaps, lock_insert_gap};
 use dmx_core::{
     project_values, AccessPath, AccessQuery, Attachment, AttachmentInstance, CommonServices, Cost,
-    EntryDecoder, Evaluator, ExecCtx, KeyRange, LoggedTree, Modification, PathChoice, RecordKeyIn,
-    RelationDescriptor, Replay, ScanItem, ScanOps, TreeCursor, TreeFile, TreeScan,
+    EntryDecoder, Evaluator, ExecCtx, KeyMatch, KeyRange, LoggedTree, Modification, PathChoice,
+    RecordKeyIn, RelationDescriptor, Replay, ScanItem, ScanOps, TreeFile, TreeScan,
 };
-use dmx_expr::{analyze, Expr, SargOp};
+use dmx_expr::Expr;
 use dmx_types::{
     key::{decode_values, encode_values},
     AttrList, DmxError, FieldId, FileId, Lsn, Record, RecordKey, Result, Schema, Value,
@@ -213,10 +213,13 @@ impl Attachment for BTreeIndex {
     ) -> Result<Box<dyn ScanOps>> {
         let d = IxDesc::decode(&instance.desc)?;
         let tree = d.tree_file().open_tree(ctx.services());
-        Ok(TreeScan::open(
-            TreeCursor::new(&tree, full_key_range(query)?).gap_locked(rd.id, RecordKeyIn::Value),
+        TreeScan::open(
+            &tree,
+            Some((rd.id, RecordKeyIn::Value)),
             IndexEntries { fields: d.fields },
-        ))
+            query.clone(),
+            None,
+        )
     }
 
     fn estimate(
@@ -226,125 +229,22 @@ impl Attachment for BTreeIndex {
         preds: &[Expr],
     ) -> Option<PathChoice> {
         let d = IxDesc::decode(&instance.desc).ok()?;
-        // One pass: every sargable predicate beside its sarg, so what the
-        // index applies is the predicate the sarg came from.
-        let sargs: Vec<_> = preds
-            .iter()
-            .filter_map(|p| Some((p, analyze::sargable(p)?)))
-            .collect();
-        // Match Eq sargs on the leading fields, then optionally one range
-        // sarg on the next field.
-        let mut eq_values = Vec::new();
-        let mut applied = Vec::new();
-        for &f in &d.fields {
-            let Some((p, v)) = sargs.iter().find_map(|(p, s)| match &s.op {
-                SargOp::Eq(v) if s.field == f => Some((*p, v)),
-                _ => None,
-            }) else {
-                break;
-            };
-            eq_values.push(v.clone());
-            applied.push(p.clone());
-        }
-        let range_sarg = d.fields.get(eq_values.len()).and_then(|&next| {
-            sargs.iter().find_map(|(p, s)| match &s.op {
-                SargOp::Range(op, v) if s.field == next => Some((*p, s, op, v)),
-                _ => None,
-            })
-        });
-        // The leading field equal to a value bound at open (a join's outer
-        // row) is looked up by key like a constant would be.
-        let param = sargs
-            .iter()
-            .find_map(|(p, s)| match s.op {
-                SargOp::EqParam(n) if d.fields.first() == Some(&s.field) => Some((*p, s, n)),
-                _ => None,
-            })
-            .filter(|_| eq_values.is_empty());
-        if eq_values.is_empty() && range_sarg.is_none() && param.is_none() {
-            return None; // no relevant predicate → not an eligible path
-        }
-        let prefix = encode_values(&eq_values);
-        // Maintained statistics sharpen the matched fraction when they
-        // cover the constrained fields; structural guesses otherwise.
-        let ts = rd.stats.table_stats();
-        let eq_stat_frac: Option<f64> = d
-            .fields
-            .iter()
-            .take(eq_values.len())
-            .zip(&eq_values)
-            .map(|(&f, v)| dmx_expr::sarg_fraction(f, &SargOp::Eq(v.clone()), ts.as_deref()))
-            .product();
         let records = rd.stats.records();
         // One key's share of the entries when no statistics say.
-        let one_key = || (1.0 / records.max(1) as f64).max(if d.unique { 0.0 } else { 0.01 });
-        let (query, frac) = match (param, range_sarg) {
-            (Some((p, s, n)), _) => {
-                applied.push(p.clone());
-                (
-                    AccessQuery::KeyEqualsParam(n),
-                    dmx_expr::sarg_fraction(s.field, &s.op, ts.as_deref()).unwrap_or_else(one_key),
-                )
-            }
-            (None, Some((p, s, op, v))) => {
-                applied.push(p.clone());
-                let mut at = prefix.clone();
-                at.extend_from_slice(&encode_values(std::slice::from_ref(v)));
-                use dmx_expr::CmpOp::*;
-                let KeyRange { mut lo, mut hi } = KeyRange::prefix(prefix);
-                match op {
-                    Lt => hi = Bound::Excluded(at),
-                    Le => hi = Bound::Included(at),
-                    Gt => lo = Bound::Excluded(at),
-                    Ge => lo = Bound::Included(at),
-                    _ => {}
-                }
-                let range_frac =
-                    dmx_expr::sarg_fraction(s.field, &s.op, ts.as_deref()).unwrap_or(1.0 / 3.0);
-                (
-                    AccessQuery::Range(KeyRange { lo, hi }),
-                    eq_stat_frac.unwrap_or(1.0) * range_frac,
-                )
-            }
-            (None, None) => (
-                AccessQuery::Range(KeyRange::prefix(prefix)),
-                eq_stat_frac.unwrap_or_else(one_key),
-            ),
-        };
-        let keyed = !eq_values.is_empty() || param.is_some();
-        let rows = (records as f64 * frac).max(if keyed { 0.0 } else { 1.0 });
-        let height = (records.max(2) as f64).log2() / 7.0 + 1.0;
-        let leaf_pages = (rows / 100.0).ceil();
+        let one_key = (1.0 / records.max(1) as f64).max(if d.unique { 0.0 } else { 0.01 });
+        let m = KeyMatch::of(&d.fields, preds, &rd.stats, one_key)?;
+        // a range with no key fixed before it is expected to hold something
+        let rows = (records as f64 * m.fraction).max(if m.fixed > 0 { 0.0 } else { 1.0 });
         Some(PathChoice {
             path: AccessPath::Attachment(instance.att, instance.instance),
-            query,
-            cost: Cost::new(height + leaf_pages, rows),
+            query: m.query,
+            cost: Cost::tree(records, rows, 100.0),
             rows_out: rows.max(0.001),
             covered: Some(d.fields.clone()),
-            applied,
+            applied: m.applied,
             ordering: Some(d.fields.clone()),
         })
     }
-}
-
-/// The range of full keys (`prefix ∥ record_key`) a query over index-key
-/// *prefixes* asks for.
-fn full_key_range(query: &AccessQuery) -> Result<KeyRange> {
-    let kr = query.clone().key_range("btree index")?;
-    let lo = match kr.lo {
-        // exclude every full key with this exact prefix
-        Bound::Excluded(a) => match prefix_successor(&a) {
-            Some(s) => Bound::Included(s),
-            None => Bound::Excluded(a),
-        },
-        lo => lo,
-    };
-    let hi = match kr.hi {
-        // include every full key with this exact prefix
-        Bound::Included(b) => KeyRange::prefix(b).hi,
-        hi => hi,
-    };
-    Ok(KeyRange { lo, hi })
 }
 
 /// Decodes `index key ∥ record key → record key` entries into record
@@ -357,16 +257,32 @@ struct IndexEntries {
 }
 
 impl EntryDecoder for IndexEntries {
+    /// The range of full keys (`prefix ∥ record_key`) a query over
+    /// index-key *prefixes* asks for.
+    fn bind(&mut self, query: AccessQuery, _pred: Option<Expr>) -> Result<KeyRange> {
+        let kr = query.key_range("btree index")?;
+        let lo = match kr.lo {
+            // exclude every full key with this exact prefix
+            Bound::Excluded(a) => match prefix_successor(&a) {
+                Some(s) => Bound::Included(s),
+                None => Bound::Excluded(a),
+            },
+            lo => lo,
+        };
+        let hi = match kr.hi {
+            // include every full key with this exact prefix
+            Bound::Included(b) => KeyRange::prefix(b).hi,
+            hi => hi,
+        };
+        Ok(KeyRange { lo, hi })
+    }
+
     fn item(&self, _eval: &Evaluator<'_>, key: &[u8], rkey: &[u8]) -> Result<Option<ScanItem>> {
         // the index key prefix covers the indexed fields
         Ok(Some(ScanItem {
             key: RecordKey::new(rkey.to_vec()),
             values: Some(decode_values(key, self.fields.len())?),
         }))
-    }
-
-    fn rebind(&mut self, query: &AccessQuery, _pred: Option<&Expr>) -> Result<Option<KeyRange>> {
-        full_key_range(query).map(Some)
     }
 
     fn supports_versioned_read(&self) -> bool {

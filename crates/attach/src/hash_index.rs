@@ -14,14 +14,14 @@ use std::sync::Arc;
 
 use dmx_core::logged_tree;
 use dmx_core::{
-    AccessPath, AccessQuery, Attachment, AttachmentInstance, CommonServices, Cost, EntryDecoder,
-    Evaluator, ExecCtx, KeyRange, LoggedTree, Modification, PathChoice, RelationDescriptor, Replay,
-    ScanItem, ScanOps, TreeCursor, TreeFile, TreeScan,
+    project_values, AccessPath, AccessQuery, Attachment, AttachmentInstance, CommonServices, Cost,
+    EntryDecoder, Evaluator, ExecCtx, KeyMatch, KeyRange, LoggedTree, Modification, PathChoice,
+    RelationDescriptor, Replay, ScanItem, ScanOps, TreeFile, TreeScan,
 };
-use dmx_expr::{analyze, Expr, SargOp};
+use dmx_expr::Expr;
 use dmx_types::{
     key::{decode_values, encode_values},
-    AttrList, DmxError, FieldId, FileId, Lsn, Record, RecordKey, Result, Schema,
+    AttrList, DmxError, FieldId, FileId, Lsn, Record, RecordKey, Result, Schema, Value,
 };
 
 use crate::common::{field_values, parse_fields, read_u16, read_u32, tail};
@@ -85,17 +85,6 @@ fn probe_prefix(values_enc: &[u8]) -> Vec<u8> {
     v.extend_from_slice(&hash_bytes(values_enc));
     v.extend_from_slice(values_enc);
     v
-}
-
-/// The entries an exact-key probe asks for; a hash index answers nothing
-/// else.
-fn bucket_range(query: &AccessQuery) -> Result<KeyRange> {
-    match query {
-        AccessQuery::KeyEquals(values_enc) => Ok(KeyRange::prefix(probe_prefix(values_enc))),
-        _ => Err(DmxError::Unsupported(
-            "hash index supports only exact-key probes".into(),
-        )),
-    }
 }
 
 impl HashIndex {
@@ -208,12 +197,8 @@ impl Attachment for HashIndex {
     ) -> Result<Box<dyn ScanOps>> {
         let d = HashDesc::decode(&instance.desc)?;
         let tree = d.tree_file().open_tree(ctx.services());
-        Ok(TreeScan::open(
-            TreeCursor::new(&tree, bucket_range(query)?),
-            BucketEntries {
-                nfields: d.fields.len(),
-            },
-        ))
+        let buckets = BucketEntries { fields: d.fields };
+        TreeScan::open(&tree, None, buckets, query.clone(), None)
     }
 
     fn estimate(
@@ -223,45 +208,16 @@ impl Attachment for HashIndex {
         preds: &[Expr],
     ) -> Option<PathChoice> {
         let d = HashDesc::decode(&instance.desc).ok()?;
-        // relevant only when EVERY indexed field has an equality predicate;
-        // a single hashed field may also equal a value bound at open (a
-        // join's outer row)
-        let sargs: Vec<_> = preds
-            .iter()
-            .filter_map(|p| Some((p, analyze::sargable(p)?)))
-            .collect();
-        let single = d.fields.len() == 1;
-        let mut matched = Vec::with_capacity(d.fields.len());
-        let mut applied = Vec::new();
-        let (mut values, mut param) = (Vec::new(), None);
-        for &f in &d.fields {
-            let (p, s) = sargs.iter().find(|(_, s)| {
-                s.field == f
-                    && (matches!(s.op, SargOp::Eq(_))
-                        || single && matches!(s.op, SargOp::EqParam(_)))
-            })?;
-            match &s.op {
-                SargOp::EqParam(n) => param = Some(*n),
-                SargOp::Eq(v) => values.push(v.clone()),
-                _ => {}
-            }
-            matched.push(s);
-            applied.push((*p).clone());
-        }
-        let query = match param {
-            Some(n) => AccessQuery::KeyEqualsParam(n),
-            None => AccessQuery::KeyEquals(encode_values(&values)),
+        // relevant only when EVERY hashed field equals a constant, or the
+        // single one a value bound at open (a join's outer row); the flat
+        // 1% guess where statistics do not cover them all
+        let m = KeyMatch::of(&d.fields, preds, &rd.stats, 0.01)
+            .filter(|m| m.fixed == d.fields.len())?;
+        let query = match m.query {
+            AccessQuery::Range(_) => AccessQuery::KeyEquals(m.prefix),
+            probe => probe,
         };
-        let records = rd.stats.records();
-        // Matched fraction from maintained statistics when they cover
-        // every hashed field; the flat 1% guess otherwise.
-        let ts = rd.stats.table_stats();
-        let frac: f64 = matched
-            .iter()
-            .map(|s| dmx_expr::sarg_fraction(s.field, &s.op, ts.as_deref()))
-            .product::<Option<f64>>()
-            .unwrap_or(0.01);
-        let rows = (records as f64 * frac).max(1.0);
+        let rows = (rd.stats.records() as f64 * m.fraction).max(1.0);
         Some(PathChoice {
             path: AccessPath::Attachment(instance.att, instance.instance),
             query,
@@ -269,7 +225,7 @@ impl Attachment for HashIndex {
             cost: Cost::new(1.5, rows),
             rows_out: rows,
             covered: Some(d.fields.clone()),
-            applied,
+            applied: m.applied,
             ordering: None, // hash order is meaningless
         })
     }
@@ -278,19 +234,51 @@ impl Attachment for HashIndex {
 /// Decodes `hash(8) ∥ enc(values) ∥ record key → record key` entries:
 /// the indexed values are recoverable, so the probe covers them.
 struct BucketEntries {
-    nfields: usize,
+    /// The hashed fields: how many values an entry's key holds, and what
+    /// [`EntryDecoder::item_from_version`] re-derives one from.
+    fields: Vec<FieldId>,
 }
 
 impl EntryDecoder for BucketEntries {
+    /// The entries an exact-key probe asks for; a hash index answers
+    /// nothing else.
+    fn bind(&mut self, query: AccessQuery, _pred: Option<Expr>) -> Result<KeyRange> {
+        match query {
+            AccessQuery::KeyEquals(values_enc) => Ok(KeyRange::prefix(probe_prefix(&values_enc))),
+            _ => Err(DmxError::Unsupported(
+                "hash index supports only exact-key probes".into(),
+            )),
+        }
+    }
+
     fn item(&self, _eval: &Evaluator<'_>, key: &[u8], rkey: &[u8]) -> Result<Option<ScanItem>> {
-        let covered = decode_values(tail(key, 8, "hash index key")?, self.nfields)?;
+        let covered = decode_values(tail(key, 8, "hash index key")?, self.fields.len())?;
         Ok(Some(ScanItem {
             key: RecordKey::new(rkey.to_vec()),
             values: Some(covered),
         }))
     }
 
-    fn rebind(&mut self, query: &AccessQuery, _pred: Option<&Expr>) -> Result<Option<KeyRange>> {
-        bucket_range(query).map(Some)
+    fn supports_versioned_read(&self) -> bool {
+        true
+    }
+
+    /// The entry the record's visible image would have, held against the
+    /// probed bucket — as the B-tree index holds its own against its
+    /// range.
+    fn item_from_version(
+        &self,
+        _ctx: &ExecCtx<'_>,
+        range: &KeyRange,
+        key: &RecordKey,
+        values: &[Value],
+    ) -> Result<Option<ScanItem>> {
+        let covered = project_values(values, Some(&self.fields))?;
+        let mut full = probe_prefix(&encode_values(&covered));
+        full.extend_from_slice(key.as_bytes());
+        Ok(range.contains(&full).then(|| ScanItem {
+            key: key.clone(),
+            values: Some(covered),
+        }))
     }
 }

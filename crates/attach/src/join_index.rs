@@ -20,10 +20,11 @@ use std::sync::Arc;
 
 use dmx_core::logged_tree;
 use dmx_core::{
-    AccessQuery, Attachment, AttachmentInstance, CommonServices, EntryDecoder, Evaluator, ExecCtx,
-    KeyRange, LoggedTree, Modification, RelationDescriptor, Replay, ScanItem, ScanOps, TreeCursor,
-    TreeFile, TreeScan,
+    tolerate_missing, AccessQuery, Attachment, AttachmentInstance, CommonServices, EntryDecoder,
+    Evaluator, ExecCtx, KeyRange, LoggedTree, Modification, RelationDescriptor, Replay, ScanItem,
+    ScanOps, TreeCursor, TreeFile, TreeScan,
 };
+use dmx_expr::Expr;
 use dmx_types::{
     key::encode_values, AttrList, DmxError, FieldId, FileId, Lsn, Record, RecordKey, Result,
     Schema, Value,
@@ -149,7 +150,7 @@ impl<'a> Link<'a> {
         p: &[u8],
     ) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
         let tree = self.trees[which as usize].tree();
-        let mut cur = TreeCursor::new(tree, KeyRange::prefix(p.to_vec()));
+        let mut cur = TreeCursor::new(tree, KeyRange::prefix(p.to_vec()), None);
         let mut out = Vec::new();
         let mut copy = |k: &[u8], v: &[u8]| {
             out.push((k.to_vec(), v.to_vec()));
@@ -238,10 +239,7 @@ impl Attachment for JoinIndex {
         // only the left (creator) side owns the physical trees
         if d.is_left {
             for t in d.trees {
-                match t.destroy(services) {
-                    Err(DmxError::NotFound(_)) | Ok(()) => {}
-                    Err(e) => return Err(e),
-                }
+                tolerate_missing(t.destroy(services))?;
             }
         }
         Ok(())
@@ -330,16 +328,8 @@ impl Attachment for JoinIndex {
         query: &AccessQuery,
     ) -> Result<Box<dyn ScanOps>> {
         let d = JiDesc::decode(&instance.desc)?;
-        if !matches!(query, AccessQuery::All) {
-            return Err(DmxError::Unsupported(
-                "join index serves full pair scans".into(),
-            ));
-        }
         let tree = d.trees[TREE_PAIRS as usize].open_tree(ctx.services());
-        Ok(TreeScan::open(
-            TreeCursor::new(&tree, KeyRange::all()),
-            PairEntries,
-        ))
+        TreeScan::open(&tree, None, PairEntries, query.clone(), None)
     }
 }
 
@@ -348,6 +338,16 @@ impl Attachment for JoinIndex {
 struct PairEntries;
 
 impl EntryDecoder for PairEntries {
+    /// Every pair, or nothing: pairs are not looked up by key.
+    fn bind(&mut self, query: AccessQuery, _pred: Option<Expr>) -> Result<KeyRange> {
+        match query {
+            AccessQuery::All => Ok(KeyRange::all()),
+            _ => Err(DmxError::Unsupported(
+                "join index serves full pair scans".into(),
+            )),
+        }
+    }
+
     fn item(&self, _eval: &Evaluator<'_>, _key: &[u8], value: &[u8]) -> Result<Option<ScanItem>> {
         let (lkey, rkey) = decode_pair_value(value)?;
         Ok(Some(ScanItem {

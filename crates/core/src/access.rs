@@ -176,8 +176,8 @@ impl AccessQuery {
     /// The range of record keys a storage method's scan covers for this
     /// query: what [`crate::StorageMethod::open_scan`] is opened with,
     /// and what such a scan moves to in [`ScanOps::rebind`].
-    pub fn storage_range(&self) -> Result<KeyRange> {
-        self.clone().key_range("storage method")
+    pub fn storage_range(self) -> Result<KeyRange> {
+        self.key_range("storage method")
     }
 }
 
@@ -215,7 +215,7 @@ pub type Frame = VecDeque<ScanItem>;
 /// inner scan for a different key range per outer row, and a scan that
 /// can move to one spares the join a close and an open each time. The
 /// default says it cannot, and the join opens a new scan as it always
-/// did.
+/// did. A scan over a tree file ([`crate::TreeScan`]) always can.
 pub trait ScanOps: Send {
     /// The item after the current position, advancing the position onto
     /// it. `None` when exhausted.
@@ -263,10 +263,8 @@ pub trait ScanOps: Send {
     /// record image via [`ScanOps::item_from_version`] — the opt-in for
     /// lock-free snapshot scans. Scans whose per-item state is not a
     /// pure function of `(record key, record values)` (join pairs,
-    /// derived aggregates, spatial hits) keep the default `false`, as
-    /// does the hash index, which implements no `item_from_version`;
-    /// for all of them the dispatcher falls back to the locking
-    /// protocol.
+    /// derived aggregates, spatial hits) keep the default `false`, and
+    /// for them the dispatcher falls back to the locking protocol.
     fn supports_versioned_read(&self) -> bool {
         false
     }

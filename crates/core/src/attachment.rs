@@ -235,8 +235,9 @@ pub trait Attachment: Send + Sync {
     /// Cost estimation: `None` when no eligible predicate is relevant to
     /// this instance ("the B-tree access path will return a low cost if
     /// there is a predicate on the key of the B-tree, and the R-tree …
-    /// will recognize the ENCLOSES predicate"). A path that can look a
-    /// key up answers `field = $n` (a join's outer value, see
+    /// will recognize the ENCLOSES predicate"). A path keyed on fields
+    /// states them and asks [`crate::KeyMatch::of`]. One that can look a
+    /// key up thereby answers `field = $n` (a join's outer value, see
     /// [`crate::cost`]) with [`AccessQuery::KeyEqualsParam`] and so
     /// becomes eligible as a join's inner side; its `open_scan` then
     /// receives the bound [`AccessQuery::KeyEquals`].

@@ -38,7 +38,8 @@ use crate::registry::ExtensionRegistry;
 use crate::scrub::RepairOutcome;
 use crate::services::CommonServices;
 use crate::undo::{
-    encode_catalog_intent, encode_drop_att_intent, encode_drop_sm_intent, UndoDispatch,
+    encode_catalog_intent, encode_drop_att_intent, encode_drop_sm_intent, finish_deferred,
+    tolerate_missing, UndoDispatch,
 };
 
 /// Tuning knobs.
@@ -911,36 +912,46 @@ impl Database {
         dmx_txn::run_with_retries(retries, |_attempt| self.with_txn(|txn| f(txn)))
     }
 
-    /// DDL visibility fence (DESIGN.md §6.1/§6.2): a relation created by
-    /// an uncommitted transaction does not exist for any *other*
+    /// "May this transaction touch this relation": resolves `rel`, then
+    /// the checks every DML and scan entry point starts with — its DDL
+    /// is visible to `txn`, it is not quarantined and, for a
+    /// modification, the engine is writable.
+    ///
+    /// The DDL visibility fence (DESIGN.md §6.1/§6.2): a relation created
+    /// by an uncommitted transaction does not exist for any *other*
     /// transaction — their lookups report not-found exactly as if the
     /// CREATE had never run, because until commit it may not have. A
     /// snapshot reader additionally refuses a relation whose creation
     /// committed *after* its snapshot: to that read position the CREATE
     /// has not happened yet, and admitting it would show an impossible
     /// state (the relation present but all of its initial rows still
-    /// invisible). Called at every DML/scan entry point after catalog
-    /// resolution.
-    pub(crate) fn check_ddl_visible(
+    /// invisible).
+    pub(crate) fn admit(
         &self,
-        rd: &crate::descriptor::RelationDescriptor,
         txn: &Arc<Transaction>,
-    ) -> Result<()> {
-        match self.ddl_fence.lock().get(&rd.id) {
-            Some(DdlFence::Uncommitted(owner)) if *owner != txn.id() => {
-                Err(DmxError::NotFound(format!("relation {}", rd.name)))
-            }
-            Some(DdlFence::Committed(csn)) if txn.snapshot_reads() && txn.snapshot().csn < *csn => {
-                Err(DmxError::NotFound(format!("relation {}", rd.name)))
-            }
-            _ => Ok(()),
+        rel: RelationId,
+        writes: bool,
+    ) -> Result<Arc<crate::descriptor::RelationDescriptor>> {
+        let rd = self.catalog.get(rel)?;
+        let hidden = match self.ddl_fence.lock().get(&rel) {
+            Some(DdlFence::Uncommitted(owner)) => *owner != txn.id(),
+            Some(DdlFence::Committed(csn)) => txn.snapshot_reads() && txn.snapshot().csn < *csn,
+            None => false,
+        };
+        if hidden {
+            return Err(DmxError::NotFound(format!("relation {}", rd.name)));
         }
+        self.check_not_quarantined(rel)?;
+        if writes {
+            self.check_writable()?;
+        }
+        Ok(rd)
     }
 
     // -- quarantine -------------------------------------------------------
 
     /// Fails with [`DmxError::RelationQuarantined`] when `rel` is
-    /// quarantined. Called at every DML/scan entry point.
+    /// quarantined.
     pub(crate) fn check_not_quarantined(&self, rel: RelationId) -> Result<()> {
         match self.quarantined.lock().get(&rel) {
             Some(reason) => Err(DmxError::RelationQuarantined {
@@ -1192,10 +1203,7 @@ impl Database {
             TxnEvent::AtAbort,
             Box::new(move || {
                 let _ = catalog.remove(rel);
-                match sm.destroy_instance(&services, &sm_desc) {
-                    Err(DmxError::NotFound(_)) | Ok(()) => Ok(()),
-                    Err(e) => Err(e),
-                }
+                tolerate_missing(sm.destroy_instance(&services, &sm_desc))
             }),
         );
         Ok(rel)
@@ -1268,17 +1276,13 @@ impl Database {
             .entry(txn.id())
             .or_default()
             .extend(att.storage_files(&inst_desc));
-        let (catalog, services, rel) = (self.catalog.clone(), self.services.clone(), old_rd.id);
+        let (catalog, services) = (self.catalog.clone(), self.services.clone());
         let old_snapshot = (*old_rd).clone();
         txn.defer(
             TxnEvent::AtAbort,
             Box::new(move || {
                 let _ = catalog.replace(old_snapshot);
-                let _ = rel;
-                match att.destroy_instance(&services, &inst_desc) {
-                    Err(DmxError::NotFound(_)) | Ok(()) => Ok(()),
-                    Err(e) => Err(e),
-                }
+                tolerate_missing(att.destroy_instance(&services, &inst_desc))
             }),
         );
         Ok(())
@@ -1366,28 +1370,12 @@ impl Database {
             TxnEvent::AtCommit,
             Box::new(move || {
                 let sm = registry.storage(rd_commit.sm)?;
-                match sm.destroy_instance(&services, &rd_commit.sm_desc) {
-                    Err(DmxError::NotFound(_)) | Ok(()) => {}
-                    Err(e) => return Err(e),
-                }
-                log.append(
-                    txn_id,
-                    Lsn::NULL,
-                    LogBody::DeferredDone {
-                        intent_lsn: sm_intent,
-                    },
-                );
+                let destroyed = sm.destroy_instance(&services, &rd_commit.sm_desc);
+                finish_deferred(&log, txn_id, sm_intent, destroyed)?;
                 for (att_id, desc, lsn) in &att_intents {
                     let att = registry.attachment(*att_id)?;
-                    match att.destroy_instance(&services, desc) {
-                        Err(DmxError::NotFound(_)) | Ok(()) => {}
-                        Err(e) => return Err(e),
-                    }
-                    log.append(
-                        txn_id,
-                        Lsn::NULL,
-                        LogBody::DeferredDone { intent_lsn: *lsn },
-                    );
+                    let destroyed = att.destroy_instance(&services, desc);
+                    finish_deferred(&log, txn_id, *lsn, destroyed)?;
                 }
                 Ok(())
             }),
@@ -1440,16 +1428,8 @@ impl Database {
             TxnEvent::AtCommit,
             Box::new(move || {
                 let att = registry.attachment(att_id)?;
-                match att.destroy_instance(&services, &desc) {
-                    Err(DmxError::NotFound(_)) | Ok(()) => {}
-                    Err(e) => return Err(e),
-                }
-                log.append(
-                    txn_id,
-                    Lsn::NULL,
-                    LogBody::DeferredDone { intent_lsn: intent },
-                );
-                Ok(())
+                let destroyed = att.destroy_instance(&services, &desc);
+                finish_deferred(&log, txn_id, intent, destroyed)
             }),
         );
         let catalog = self.catalog.clone();

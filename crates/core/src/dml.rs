@@ -563,10 +563,7 @@ impl Database {
         rel: RelationId,
         record: Record,
     ) -> Result<RecordKey> {
-        let rd = self.catalog().get(rel)?;
-        self.check_ddl_visible(&rd, txn)?;
-        self.check_not_quarantined(rel)?;
-        self.check_writable()?;
+        let rd = self.admit(txn, rel, true)?;
         rd.schema.validate(&record.values)?;
         let res = self.with_stmt(txn, |ctx| {
             ctx.lock(LockName::Relation(rel), LockMode::IX)?;
@@ -602,10 +599,7 @@ impl Database {
         key: &RecordKey,
         new: Record,
     ) -> Result<RecordKey> {
-        let rd = self.catalog().get(rel)?;
-        self.check_ddl_visible(&rd, txn)?;
-        self.check_not_quarantined(rel)?;
-        self.check_writable()?;
+        let rd = self.admit(txn, rel, true)?;
         rd.schema.validate(&new.values)?;
         let res = self.with_stmt(txn, |ctx| {
             ctx.lock(LockName::Relation(rel), LockMode::IX)?;
@@ -646,10 +640,7 @@ impl Database {
         rel: RelationId,
         key: &RecordKey,
     ) -> Result<()> {
-        let rd = self.catalog().get(rel)?;
-        self.check_ddl_visible(&rd, txn)?;
-        self.check_not_quarantined(rel)?;
-        self.check_writable()?;
+        let rd = self.admit(txn, rel, true)?;
         let res = self.with_stmt(txn, |ctx| {
             ctx.lock(LockName::Relation(rel), LockMode::IX)?;
             ctx.lock_record(rel, key, LockMode::X)?;
@@ -674,9 +665,7 @@ impl Database {
         pred: Option<&Expr>,
     ) -> Result<Option<Vec<Value>>> {
         txn.check_active()?;
-        let rd = self.catalog().get(rel)?;
-        self.check_ddl_visible(&rd, txn)?;
-        self.check_not_quarantined(rel)?;
+        let rd = self.admit(txn, rel, false)?;
         let ctx = ExecCtx { db: self, txn };
         ctx.lock(LockName::Relation(rel), LockMode::IS)?;
         self.counters().fetches.incr();
@@ -712,9 +701,7 @@ impl Database {
         fields: Option<Vec<FieldId>>,
     ) -> Result<ScanId> {
         txn.check_active()?;
-        let rd = self.catalog().get(rel)?;
-        self.check_ddl_visible(&rd, txn)?;
-        self.check_not_quarantined(rel)?;
+        let rd = self.admit(txn, rel, false)?;
         let ctx = ExecCtx { db: self, txn };
         ctx.lock(LockName::Relation(rel), LockMode::IS)?;
         let mut inner = self.fence_corrupt(

@@ -63,7 +63,7 @@ pub use attachment::{Attachment, Modification};
 pub use auth::{AuthManager, Privilege};
 pub use catalog::Catalog;
 pub use context::{Evaluator, ExecCtx};
-pub use cost::{Cost, PathChoice};
+pub use cost::{Cost, KeyMatch, PathChoice};
 pub use database::{
     Database, DatabaseConfig, DatabaseEnv, HookArgs, HookFn, IncidentReport, SysProviderFn,
 };
@@ -80,3 +80,4 @@ pub use scrub::{
 pub use services::CommonServices;
 pub use stats::RelationStats;
 pub use storage_method::{SalvagedRecords, StorageMethod};
+pub use undo::tolerate_missing;

@@ -23,9 +23,10 @@
 //!
 //! The reader's half lives here too: [`TreeScan`] is the one
 //! key-sequential access over a tree file — leaf-at-a-time stepping,
-//! range bound, next-key S locks and the saved position — and an
-//! extension supplies only the [`EntryDecoder`] that turns an entry,
-//! still in its leaf's page, into a scan item.
+//! range bound, next-key S locks, the saved position and the re-bind —
+//! and an extension supplies only the [`EntryDecoder`] that says which
+//! keys a query asks for and turns an entry, still in its leaf's page,
+//! into a scan item.
 //!
 //! Undo and redo are one mirror: a logged change is a `(before, after)`
 //! pair of images of one key, undo installs `before`, redo installs
@@ -190,37 +191,27 @@ pub struct TreeCursor {
 }
 
 impl TreeCursor {
-    /// A cursor over the entries of `tree` inside `range`. It takes no
-    /// locks: hash buckets, aggregate cells and join pairs are not
-    /// ordered record-key spaces, so their writers take no gap locks and
-    /// their scans stay covered by the relation lock.
-    pub fn new(tree: &BTree, range: KeyRange) -> Self {
+    /// A cursor over the entries of `tree` inside `range`. With `gaps` —
+    /// the relation, and the half of an entry that is its record key —
+    /// it is gap-lockable: once the dispatcher turns range locking on it
+    /// S-locks the record and then the gap below every entry it passes,
+    /// so inserts into the scanned range conflict (phantom fencing).
+    /// Without, it takes no locks: hash buckets, aggregate cells and
+    /// join pairs are not ordered record-key spaces, their writers take
+    /// no gap locks and their scans stay covered by the relation lock.
+    pub fn new(tree: &BTree, range: KeyRange, gaps: Option<(RelationId, RecordKeyIn)>) -> Self {
         TreeCursor {
             tree: tree.clone(),
             from: range.lo.clone(),
             spare: Vec::new(),
             range,
-            gaps: None,
+            gaps: gaps.map(|(relation, record_key)| GapLocks {
+                relation,
+                record_key,
+                on: false,
+            }),
             done: false,
         }
-    }
-
-    /// Makes the cursor gap-lockable: once the dispatcher turns range
-    /// locking on, it S-locks the record and then the gap below every
-    /// entry it passes, so concurrent inserts into the scanned range
-    /// conflict (phantom fencing).
-    pub fn gap_locked(mut self, relation: RelationId, record_key: RecordKeyIn) -> Self {
-        self.gaps = Some(GapLocks {
-            relation,
-            record_key,
-            on: false,
-        });
-        self
-    }
-
-    /// The range the cursor is over.
-    pub fn range(&self) -> &KeyRange {
-        &self.range
     }
 
     /// Moves the cursor to the start of another range of the same tree
@@ -314,7 +305,7 @@ impl TreeCursor {
     }
 
     /// Range locking on or off ([`ScanOps::set_range_locking`]); a no-op
-    /// for a cursor that is not [`TreeCursor::gap_locked`].
+    /// for a cursor that is not gap-lockable.
     pub fn set_range_locking(&mut self, on: bool) {
         if let Some(g) = &mut self.gaps {
             g.on = on;
@@ -344,24 +335,23 @@ impl TreeCursor {
     }
 }
 
-/// What a tree-backed access path supplies to [`TreeScan`]: how one
-/// entry becomes a scan item. The optional methods mirror the
-/// [`ScanOps`] ones of the same name.
+/// What a tree-backed access path supplies to [`TreeScan`]: which of
+/// its tree's keys a query asks for, and how one entry becomes a scan
+/// item. The optional methods mirror the [`ScanOps`] ones of the same
+/// name.
 pub trait EntryDecoder: Send {
+    /// The path's one translation of a query: the key range of its tree
+    /// that `query` asks for — or the error a query it cannot answer gets
+    /// — having taken `pred` for the pushed-down predicate if the path
+    /// has one. [`TreeScan::open`] and [`ScanOps::rebind`] both come
+    /// here, so a scan opened and a scan re-bound cover the same keys.
+    fn bind(&mut self, query: AccessQuery, pred: Option<Expr>) -> Result<KeyRange>;
+
     /// The item for entry `(key, value)`, both still in the leaf's page
     /// (no lock may be requested here); `None` when a pushed-down
     /// predicate — run through `eval` on those bytes — filters it (the
     /// scan moves on) and nothing was copied out.
     fn item(&self, eval: &Evaluator<'_>, key: &[u8], value: &[u8]) -> Result<Option<ScanItem>>;
-
-    /// [`ScanOps::rebind`]: the key range of this path's tree that `query`
-    /// asks for — worked out by the function the extension's `open_scan`
-    /// gives its cursor a range with — having taken `pred` for the
-    /// pushed-down predicate if the path has one. `None` (the default),
-    /// with nothing changed: this path's scans are not re-bound.
-    fn rebind(&mut self, _query: &AccessQuery, _pred: Option<&Expr>) -> Result<Option<KeyRange>> {
-        Ok(None)
-    }
 
     fn items_are_record_keys(&self) -> bool {
         true
@@ -393,13 +383,23 @@ pub struct TreeScan<D> {
     decoder: D,
 }
 
-impl<D: EntryDecoder + 'static> TreeScan<D> {
-    pub fn open(cursor: TreeCursor, decoder: D) -> Box<dyn ScanOps> {
-        Box::new(TreeScan { cursor, decoder })
-    }
-}
-
 impl<D: EntryDecoder> TreeScan<D> {
+    /// The scan of `tree` that `query` asks for, as `decoder` reads it
+    /// ([`EntryDecoder::bind`]); `gaps` as in [`TreeCursor::new`].
+    pub fn open(
+        tree: &BTree,
+        gaps: Option<(RelationId, RecordKeyIn)>,
+        mut decoder: D,
+        query: AccessQuery,
+        pred: Option<Expr>,
+    ) -> Result<Box<dyn ScanOps>>
+    where
+        D: 'static,
+    {
+        let cursor = TreeCursor::new(tree, decoder.bind(query, pred)?, gaps);
+        Ok(Box::new(TreeScan { cursor, decoder }))
+    }
+
     /// Steps the cursor until a leaf yields an item (the first one, with
     /// `one`) or nothing is left, decoding under one evaluator per leaf
     /// — taken at the leaf's first entry, so after any next-key lock
@@ -439,8 +439,9 @@ impl<D: EntryDecoder> ScanOps for TreeScan<D> {
         query: &AccessQuery,
         pred: Option<&Expr>,
     ) -> Result<bool> {
-        let range = self.decoder.rebind(query, pred)?;
-        Ok(range.map(|range| self.cursor.rebind(range)).is_some())
+        let range = self.decoder.bind(query.clone(), pred.cloned())?;
+        self.cursor.rebind(range);
+        Ok(true)
     }
 
     fn save_position(&self) -> Vec<u8> {
@@ -466,7 +467,7 @@ impl<D: EntryDecoder> ScanOps for TreeScan<D> {
         values: &[Value],
     ) -> Result<Option<ScanItem>> {
         self.decoder
-            .item_from_version(ctx, self.cursor.range(), key, values)
+            .item_from_version(ctx, &self.cursor.range, key, values)
     }
 
     fn set_range_locking(&mut self, on: bool) {

@@ -36,7 +36,7 @@ use std::sync::Arc;
 use dmx_lock::{LockMode, LockName};
 use dmx_txn::{Transaction, TxnEvent};
 use dmx_types::obs::ObsEvent;
-use dmx_types::{fault, AttrList, DmxError, Lsn, PageId, Record, RelationId, Result};
+use dmx_types::{fault, AttrList, DmxError, PageId, Record, RelationId, Result};
 use dmx_wal::LogBody;
 
 use crate::access::AccessQuery;
@@ -46,7 +46,7 @@ use crate::database::Database;
 use crate::deps::DepKey;
 use crate::descriptor::AttachmentInstance;
 use crate::descriptor::RelationDescriptor;
-use crate::undo::{encode_drop_att_intent, encode_drop_sm_intent};
+use crate::undo::{encode_drop_att_intent, encode_drop_sm_intent, finish_deferred};
 
 /// How many times the repair pipeline re-drives itself before declaring
 /// the damage permanent.
@@ -485,28 +485,12 @@ fn salvage_base(db: &Arc<Database>, name: &str, recovered: &mut u64, lost: &mut 
             TxnEvent::AtCommit,
             Box::new(move || {
                 let sm = registry.storage(old_sm)?;
-                match sm.destroy_instance(&services, &old_sm_desc) {
-                    Err(DmxError::NotFound(_)) | Ok(()) => {}
-                    Err(e) => return Err(e),
-                }
-                log.append(
-                    txn_id,
-                    Lsn::NULL,
-                    LogBody::DeferredDone {
-                        intent_lsn: sm_intent,
-                    },
-                );
+                let destroyed = sm.destroy_instance(&services, &old_sm_desc);
+                finish_deferred(&log, txn_id, sm_intent, destroyed)?;
                 for (att_id, desc, lsn) in &att_intents {
                     let att = registry.attachment(*att_id)?;
-                    match att.destroy_instance(&services, desc) {
-                        Err(DmxError::NotFound(_)) | Ok(()) => {}
-                        Err(e) => return Err(e),
-                    }
-                    log.append(
-                        txn_id,
-                        Lsn::NULL,
-                        LogBody::DeferredDone { intent_lsn: *lsn },
-                    );
+                    let destroyed = att.destroy_instance(&services, desc);
+                    finish_deferred(&log, txn_id, *lsn, destroyed)?;
                 }
                 Ok(())
             }),

@@ -117,7 +117,9 @@ pub trait StorageMethod: Send + Sync {
     /// Cost estimation: how this storage method would satisfy an access
     /// constrained by `preds` ("access path zero"). `preds` may contain
     /// `field = $n`, a join's outer value ([`crate::cost`]): a keyed
-    /// method answers it on its leading key field with
+    /// method — one that hands its key fields to
+    /// [`KeyMatch::of`](crate::KeyMatch::of) — answers it on its leading
+    /// key field with
     /// [`AccessQuery::KeyEqualsParam`](crate::AccessQuery::KeyEqualsParam)
     /// (opened as the `KeyEquals` prefix range); for any other,
     /// [`PathChoice::full_scan`] applies it like every pushed-down

@@ -9,8 +9,8 @@
 use std::sync::Arc;
 
 use dmx_types::sync::Mutex;
-use dmx_types::{DmxError, RelationId, Result};
-use dmx_wal::{ExtKind, LogBody, LogRecord, UndoHandler};
+use dmx_types::{DmxError, Lsn, RelationId, Result, TxnId};
+use dmx_wal::{ExtKind, LogBody, LogManager, LogRecord, UndoHandler};
 
 use crate::catalog::Catalog;
 use crate::logged_tree::Replay;
@@ -180,11 +180,25 @@ impl UndoHandler for UndoDispatch {
     }
 }
 
-/// Deferred destroys must be idempotent: at restart the files may already
-/// be gone.
-fn tolerate_missing(r: Result<()>) -> Result<()> {
+/// "Released, or already gone": destroys must be idempotent — at
+/// restart, or after an earlier attempt, the files may not be there.
+pub fn tolerate_missing(r: Result<()>) -> Result<()> {
     match r {
         Err(DmxError::NotFound(_)) => Ok(()),
         other => other,
     }
+}
+
+/// The commit-time half of a deferred drop: with what the intent at
+/// `intent_lsn` names `destroyed` (or already gone), the intent is logged
+/// done, so restart does not release it again.
+pub(crate) fn finish_deferred(
+    log: &LogManager,
+    txn: TxnId,
+    intent_lsn: Lsn,
+    destroyed: Result<()>,
+) -> Result<()> {
+    tolerate_missing(destroyed)?;
+    log.append(txn, Lsn::NULL, LogBody::DeferredDone { intent_lsn });
+    Ok(())
 }

@@ -547,6 +547,25 @@ impl Parser {
             let pat = self.string()?;
             return Ok(AstExpr::Like(Box::new(left), pat));
         }
+        // `x [NOT] BETWEEN a AND b` is the conjunct pair `x >= a AND x <= b`
+        // (negated, `x < a OR x > b`); the bounds are additive expressions,
+        // so the AND between them is BETWEEN's own.
+        let negated = self.at_kw("NOT")
+            && (self.tokens.get(self.pos + 1)).is_some_and(|t| t.is_kw("BETWEEN"));
+        if negated {
+            self.pos += 1;
+        }
+        if self.eat_kw("BETWEEN") {
+            let lo = self.add_expr()?;
+            self.expect_kw("AND")?;
+            let hi = self.add_expr()?;
+            let cmp = |op, bound| AstExpr::Cmp(op, Box::new(left.clone()), Box::new(bound));
+            return Ok(if negated {
+                AstExpr::Or(vec![cmp(CmpOp::Lt, lo), cmp(CmpOp::Gt, hi)])
+            } else {
+                AstExpr::And(vec![cmp(CmpOp::Ge, lo), cmp(CmpOp::Le, hi)])
+            });
+        }
         if self.eat_kw("ENCLOSES") {
             let right = self.add_expr()?;
             return Ok(AstExpr::Encloses(Box::new(left), Box::new(right)));
@@ -670,7 +689,7 @@ impl Parser {
 fn is_reserved(s: &str) -> bool {
     const RESERVED: &[&str] = &[
         "WHERE", "GROUP", "ORDER", "LIMIT", "FROM", "SELECT", "AND", "OR", "NOT", "AS", "ON",
-        "SET", "VALUES", "JOIN", "USING", "WITH", "ASC", "DESC", "BY",
+        "SET", "VALUES", "JOIN", "USING", "WITH", "ASC", "DESC", "BY", "BETWEEN",
     ];
     RESERVED.iter().any(|r| s.eq_ignore_ascii_case(r))
 }
@@ -791,6 +810,28 @@ mod tests {
                 other => panic!("{other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn between_is_its_two_conjuncts() {
+        let where_of = |sql: &str| match parse(sql).unwrap() {
+            Stmt::Select(sel) => sel.where_.unwrap(),
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(
+            where_of("SELECT * FROM t WHERE x BETWEEN 1 AND y + 2"),
+            where_of("SELECT * FROM t WHERE x >= 1 AND x <= y + 2")
+        );
+        assert_eq!(
+            where_of("SELECT * FROM t WHERE x NOT BETWEEN 1 AND 5"),
+            where_of("SELECT * FROM t WHERE x < 1 OR x > 5")
+        );
+        // the AND after the upper bound is the WHERE clause's
+        match where_of("SELECT * FROM t WHERE x BETWEEN 1 AND 5 AND NOT y = 2") {
+            AstExpr::And(v) => assert!(matches!(&v[1], AstExpr::Not(_)), "{v:?}"),
+            other => panic!("{other:?}"),
+        }
+        assert!(parse("SELECT * FROM t WHERE x BETWEEN 1").is_err());
     }
 
     #[test]

@@ -155,6 +155,58 @@ fn index_is_chosen_and_correct() {
     assert_eq!(rows.len(), 5);
 }
 
+/// `x BETWEEN a AND b` is `x >= a AND x <= b` to everything past the
+/// parser: the same rows, the same plan — a range of the index, both
+/// bounds in it and neither left to re-check.
+#[test]
+fn between_is_the_two_conjuncts_it_stands_for() {
+    let db = open_db();
+    setup_emp_n(&db, 2000);
+    db.execute_sql("CREATE UNIQUE INDEX emp_pk ON emp (id)")
+        .unwrap();
+    let plain = "SELECT id FROM emp WHERE id >= 10 AND id <= 14";
+    let between = "SELECT id FROM emp WHERE id BETWEEN 10 AND 14";
+    let want: Vec<Vec<Value>> = (10..=14).map(|i| vec![Value::Int(i)]).collect();
+    assert_eq!(db.query_sql(between).unwrap(), want);
+    let plan = |sql: &str| db.query_sql(&format!("EXPLAIN {sql}")).unwrap();
+    assert_eq!(plan(between), plan(plain));
+    let text = format!("{:?}", plan(between));
+    assert!(
+        text.contains("via attachment") && text.contains("[range]") && text.contains("covered"),
+        "{text}"
+    );
+    assert!(!text.contains("Filter"), "{text}");
+    let outside = db
+        .query_sql("SELECT COUNT(*) FROM emp WHERE id NOT BETWEEN 10 AND 14")
+        .unwrap();
+    assert_eq!(outside, vec![vec![Value::Int(1995)]]);
+    let gone = db
+        .execute_sql("DELETE FROM emp WHERE id BETWEEN 12 AND 5000")
+        .unwrap();
+    assert_eq!(gone.scalar().unwrap(), &Value::Int(1988));
+}
+
+/// NULL sorts first in an index and satisfies no comparison: a range with
+/// an upper bound alone starts past the NULL entries, because the index
+/// answers `dept < 1` in full and nothing checks it again.
+#[test]
+fn an_index_range_with_an_upper_bound_alone_passes_the_nulls_by() {
+    let db = open_db();
+    setup_emp_n(&db, 2000);
+    for id in 5000..5004 {
+        db.execute_sql(&format!("INSERT INTO emp VALUES ({id}, 'n', NULL, 0.0)"))
+            .unwrap();
+    }
+    let q = "SELECT dept FROM emp WHERE dept < 1";
+    let unindexed = db.query_sql(q).unwrap();
+    assert_eq!(unindexed, vec![vec![Value::Int(0)]; 400]);
+    db.execute_sql("CREATE INDEX emp_dept ON emp (dept)")
+        .unwrap();
+    let plan = format!("{:?}", db.query_sql(&format!("EXPLAIN {q}")).unwrap());
+    assert!(plan.contains("via attachment"), "{plan}");
+    assert_eq!(db.query_sql(q).unwrap(), unindexed);
+}
+
 /// An index estimator hands back the conjunct its sarg came from, not
 /// the one at the sarg's position: with a non-sargable conjunct written
 /// first, the index applies exactly `id = 5` (the residual is what the

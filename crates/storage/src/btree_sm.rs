@@ -6,16 +6,15 @@
 //! Updates that change key fields relocate the record, yielding a new
 //! record key (the dispatcher tells attachments about both keys).
 
-use std::ops::Bound;
 use std::sync::Arc;
 
 use dmx_core::logged_tree::{self, lock_delete_gaps, lock_insert_gap};
 use dmx_core::{
-    AccessQuery, CommonServices, Cost, EntryDecoder, Evaluator, ExecCtx, KeyRange, LoggedTree,
-    PathChoice, RecordKeyIn, RelationDescriptor, Replay, ScanItem, ScanOps, StorageMethod,
-    TreeCursor, TreeFile, TreeScan,
+    AccessQuery, CommonServices, Cost, EntryDecoder, Evaluator, ExecCtx, KeyMatch, KeyRange,
+    LoggedTree, PathChoice, RecordKeyIn, RelationDescriptor, Replay, ScanItem, ScanOps,
+    StorageMethod, TreeFile, TreeScan,
 };
-use dmx_expr::{analyze, CmpOp, Expr, SargOp};
+use dmx_expr::Expr;
 use dmx_lock::LockMode;
 use dmx_types::{
     key::encode_values, AttrList, DmxError, FieldId, FileId, Lsn, Record, RecordKey, RelationId,
@@ -275,10 +274,13 @@ impl StorageMethod for BTreeStorage {
         fields: Option<Vec<FieldId>>,
     ) -> Result<Box<dyn ScanOps>> {
         let tree = Self::desc(rd)?.tree_file().open_tree(ctx.services());
-        Ok(TreeScan::open(
-            TreeCursor::new(&tree, range).gap_locked(rd.id, RecordKeyIn::Key),
-            RecordEntries { pred, fields },
-        ))
+        TreeScan::open(
+            &tree,
+            Some((rd.id, RecordKeyIn::Key)),
+            RecordEntries { pred: None, fields },
+            AccessQuery::Range(range),
+            pred,
+        )
     }
 
     fn estimate(&self, rd: &RelationDescriptor, preds: &[Expr]) -> PathChoice {
@@ -290,41 +292,16 @@ impl StorageMethod for BTreeStorage {
         let pages = rd.stats.pages().max(records / 40 + 1);
         choice.cost.io = pages as f64;
         choice.ordering = Some(d.key_fields.clone());
-        // Recognize a sargable constraint on the leading key field: the
-        // tree then serves a range rather than a full scan.
-        let sarg = preds
-            .iter()
-            .filter_map(analyze::sargable)
-            .find(|s| s.field == d.key_fields[0]);
-        if let Some(s) = sarg {
-            let height = (records.max(2) as f64).log2() / 7.0 + 1.0; // ~fan-out 128
-            let ts = rd.stats.table_stats();
-            // Key-range fraction: maintained statistics when published,
-            // structural guesses (unique probe / one-third) otherwise.
-            let stat_frac = dmx_expr::sarg_fraction(s.field, &s.op, ts.as_deref());
-            let (frac, query) = match &s.op {
-                SargOp::Eq(v) => (
-                    stat_frac.unwrap_or(1.0 / records.max(1) as f64),
-                    AccessQuery::Range(eq_prefix_range(v)),
-                ),
-                // a value bound at open (a join's outer row): the same
-                // key prefix, encoded then
-                SargOp::EqParam(n) => (
-                    stat_frac.unwrap_or(1.0 / records.max(1) as f64),
-                    AccessQuery::KeyEqualsParam(*n),
-                ),
-                SargOp::Range(op, v) => {
-                    let r = range_for(*op, v);
-                    (stat_frac.unwrap_or(1.0 / 3.0), AccessQuery::Range(r))
-                }
-                _ => (1.0, AccessQuery::All),
-            };
-            let leaf_pages = (pages as f64 * frac).ceil();
-            choice.query = query;
-            choice.cost = Cost::new(height + leaf_pages, records as f64 * frac);
+        // Predicates on the key's leading fields make it a range of the
+        // tree rather than all of it; every predicate stays pushed down.
+        let one_key = 1.0 / records.max(1) as f64;
+        if let Some(m) = KeyMatch::of(&d.key_fields, preds, &rd.stats, one_key) {
+            let rows = records as f64 * m.fraction;
+            choice.query = m.query;
+            choice.cost = Cost::tree(records, rows, records.max(1) as f64 / pages as f64);
             // overall output is bounded by both the key-range fraction and
             // the residual predicate selectivity
-            choice.rows_out = choice.rows_out.min(records as f64 * frac);
+            choice.rows_out = choice.rows_out.min(rows);
         }
         choice
     }
@@ -347,43 +324,6 @@ impl StorageMethod for BTreeStorage {
     }
 }
 
-/// Builds the key range `[enc(v), enc(v) + 0xFF…)` matching all composite
-/// keys whose leading field equals `v`.
-fn eq_prefix_range(v: &Value) -> KeyRange {
-    let lo = encode_values(std::slice::from_ref(v));
-    let mut hi = lo.clone();
-    hi.push(0xFF);
-    KeyRange {
-        lo: Bound::Included(lo),
-        hi: Bound::Excluded(hi),
-    }
-}
-
-fn range_for(op: CmpOp, v: &Value) -> KeyRange {
-    let enc = encode_values(std::slice::from_ref(v));
-    let mut after = enc.clone();
-    after.push(0xFF);
-    match op {
-        CmpOp::Lt => KeyRange {
-            lo: Bound::Unbounded,
-            hi: Bound::Excluded(enc),
-        },
-        CmpOp::Le => KeyRange {
-            lo: Bound::Unbounded,
-            hi: Bound::Excluded(after),
-        },
-        CmpOp::Gt => KeyRange {
-            lo: Bound::Included(after),
-            hi: Bound::Unbounded,
-        },
-        CmpOp::Ge => KeyRange {
-            lo: Bound::Included(enc),
-            hi: Bound::Unbounded,
-        },
-        CmpOp::Eq | CmpOp::Ne => KeyRange::all(),
-    }
-}
-
 /// Decodes `record key → record` entries, filtering and projecting
 /// the record while it is still in the buffer pool's bytes.
 struct RecordEntries {
@@ -392,17 +332,17 @@ struct RecordEntries {
 }
 
 impl EntryDecoder for RecordEntries {
+    fn bind(&mut self, query: AccessQuery, pred: Option<Expr>) -> Result<KeyRange> {
+        self.pred = pred;
+        query.storage_range()
+    }
+
     fn item(&self, eval: &Evaluator<'_>, key: &[u8], bytes: &[u8]) -> Result<Option<ScanItem>> {
         let values = filter_project(eval, bytes, self.fields.as_deref(), self.pred.as_ref())?;
         Ok(values.map(|values| ScanItem {
             key: RecordKey::new(key.to_vec()),
             values: Some(values),
         }))
-    }
-
-    fn rebind(&mut self, query: &AccessQuery, pred: Option<&Expr>) -> Result<Option<KeyRange>> {
-        self.pred = pred.cloned();
-        query.storage_range().map(Some)
     }
 
     fn supports_versioned_read(&self) -> bool {

@@ -570,7 +570,7 @@ impl ScanOps for RidScan {
         query: &AccessQuery,
         pred: Option<&Expr>,
     ) -> Result<bool> {
-        self.range = query.storage_range()?;
+        self.range = query.clone().storage_range()?;
         self.pred = pred.cloned();
         self.next = (0, 0);
         self.done = false;

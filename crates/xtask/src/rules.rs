@@ -61,7 +61,7 @@ impl Violation {
             "raw-io" => "DMX002",
             "unsafe" | "unsafe-allowlist" => "DMX003",
             "layering" | "private-path" => "DMX004",
-            "contract" => "DMX005",
+            "contract" | "relevance" => "DMX005",
             "wallclock" | "wallclock-allowlist" => "DMX006",
             "metric-static" => "DMX007",
             "write-ahead" => "DMX008",
@@ -729,9 +729,10 @@ pub const ATTACH_OPS: &[&str] = &[
 ];
 
 /// Checks that every type registered in the extension crate's `lib.rs`
-/// has a trait impl carrying the complete operation set.
+/// has a trait impl carrying the complete operation set, and that no
+/// extension decides keyed relevance for itself.
 pub fn check_contracts(files: &[SourceFile]) -> Vec<Violation> {
-    let mut out = Vec::new();
+    let mut out = check_relevance(files);
     out.extend(check_contract_side(
         files,
         "crates/storage/src/lib.rs",
@@ -746,6 +747,34 @@ pub fn check_contracts(files: &[SourceFile]) -> Vec<Violation> {
         "Attachment",
         ATTACH_OPS,
     ));
+    out
+}
+
+/// Which predicates a key answers is decided once, by `KeyMatch::of` in
+/// `dmx_core::cost`: a keyed extension states its key fields and calls
+/// it, and takes none of the sarg shapes it reads apart. The spatial
+/// shapes are the R-tree's own.
+fn check_relevance(files: &[SourceFile]) -> Vec<Violation> {
+    const KEYED: &[&str] = &["Eq", "EqParam", "Range"];
+    let extension =
+        |rel: &str| rel.starts_with("crates/storage/src/") || rel.starts_with("crates/attach/src/");
+    let mut out = Vec::new();
+    for f in files.iter().filter(|f| extension(&f.rel)) {
+        for (i, line) in f.lines.iter().enumerate().filter(|(_, l)| !l.in_test) {
+            let mut names = line.code.split("SargOp::").skip(1).map(|rest| {
+                rest.split(|c: char| !c.is_alphanumeric() && c != '_')
+                    .next()
+                    .unwrap_or_default()
+            });
+            if let Some(shape) = names.find(|name| KEYED.contains(name)) {
+                let msg = format!(
+                    "extension takes `SargOp::{shape}` apart — state the key fields and \
+                     call `KeyMatch::of`, the one matcher from predicates to a key range"
+                );
+                out.push(Violation::new("relevance", &f.rel, i + 1, msg));
+            }
+        }
+    }
     out
 }
 

@@ -43,6 +43,7 @@ fn violation_tree_fires_every_rule_family() {
         "layering",
         "private-path",
         "contract",
+        "relevance",
         "wallclock",
         "wallclock-allowlist",
         "metric-static",
@@ -227,6 +228,23 @@ fn contract_rule_reports_missing_ops_and_missing_impls() {
         "missing attachment entry points not reported:\n{}",
         xtask::render(&v)
     );
+}
+
+#[test]
+fn relevance_rule_keeps_the_keyed_sarg_shapes_out_of_the_extensions() {
+    let v = run("violations");
+    let hits: Vec<&Violation> = v.iter().filter(|x| x.rule == "relevance").collect();
+    // one line each: `SargOp::Eq`, `SargOp::EqParam`, `SargOp::Range`; the
+    // spatial arm below them is the extension's own
+    let lines: Vec<usize> = hits.iter().map(|x| x.line).collect();
+    assert_eq!(lines, vec![6, 7, 8], "{}", xtask::render(&v));
+    assert!(hits
+        .iter()
+        .all(|x| x.path == "crates/attach/src/keyed.rs" && x.code() == "DMX005"));
+    assert!(hits[1].msg.contains("`SargOp::EqParam`"), "{}", hits[1].msg);
+    // The clean tree's keyed path calls the matcher and its spatial path
+    // matches the spatial shapes.
+    assert!(!run("clean").iter().any(|x| x.rule == "relevance"));
 }
 
 #[test]

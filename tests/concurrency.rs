@@ -552,19 +552,16 @@ fn keyed_dml_locks_the_target_and_its_successor_whatever_the_size() {
 }
 
 /// A's uncommitted range UPDATE fences its own key range against
-/// phantoms and nothing else: B's insert into the range waits for A,
-/// B's keyed UPDATE far from it does not.
+/// phantoms and nothing else: B's insert into the range waits for A;
+/// B's inserts below it and above it, and B's keyed UPDATE far from it,
+/// do not.
 #[test]
 fn range_update_fences_its_range_and_nothing_else() {
     let db = even_ids(400);
     let a = Session::new(db.clone());
     a.execute("BEGIN").unwrap();
-    // Upper bound first: the B-tree storage method makes its key range
-    // from the first sargable conjunct on the key alone (ROADMAP item 5(c)), so
-    // this reads — and fences — everything up to 22, `id >= 10 AND …`
-    // everything from 10 on.
     assert_eq!(
-        a.execute("UPDATE t SET v = v + 1 WHERE id <= 20 AND id >= 10")
+        a.execute("UPDATE t SET v = v + 1 WHERE id >= 10 AND id <= 20")
             .unwrap()
             .scalar()
             .unwrap(),
@@ -573,14 +570,16 @@ fn range_update_fences_its_range_and_nothing_else() {
     let waits = || db.metrics_snapshot().counter("lock.waits");
     let waits_before = waits();
     let b = Session::new(db.clone());
-    assert_eq!(
-        b.execute("UPDATE t SET v = 7 WHERE id = 500")
-            .unwrap()
-            .scalar()
-            .unwrap(),
-        &Value::Int(1)
-    );
-    assert_eq!(waits(), waits_before, "the keyed UPDATE waited for A");
+    // the scan locked 10 … 20 and the boundary key 22, each with the gap
+    // below it: 7 lands in the gap below 8, 23 in the gap below 24
+    for free in [
+        "UPDATE t SET v = 7 WHERE id = 500",
+        "INSERT INTO t VALUES (7, 0)",
+        "INSERT INTO t VALUES (23, 0)",
+    ] {
+        assert_eq!(b.execute(free).unwrap().scalar().unwrap(), &Value::Int(1));
+        assert_eq!(waits(), waits_before, "`{free}` waited for A");
+    }
     std::thread::scope(|s| {
         let insert = s.spawn(|| b.execute("INSERT INTO t VALUES (15, 0)"));
         while waits() == waits_before && !insert.is_finished() {

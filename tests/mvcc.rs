@@ -388,6 +388,65 @@ fn snapshot_scan_never_duplicates_a_relocated_record() {
     assert_eq!(keys.len(), 10, "every committed record exactly once");
 }
 
+/// The hash twin: a probe of a hash index is a snapshot scan too. While
+/// it is under way a writer commits three moves — a surfaced record out
+/// of the probed bucket, one not yet reached out of it, and a stranger
+/// into it. The reader sees the bucket as of its snapshot, each record
+/// once, and asks for no lock beyond the relation's.
+#[test]
+fn snapshot_probe_of_a_hash_index_reads_its_bucket_as_of_the_snapshot() {
+    let db = open_db();
+    db.execute_sql("CREATE TABLE t (id INT NOT NULL, grp INT NOT NULL)")
+        .unwrap();
+    db.execute_sql("CREATE INDEX t_grp ON t USING hash (grp)")
+        .unwrap();
+    for i in 0..10 {
+        db.execute_sql(&format!("INSERT INTO t VALUES ({i}, 1)"))
+            .unwrap();
+    }
+    db.execute_sql("INSERT INTO t VALUES (10, 5)").unwrap();
+    let rd = db.catalog().get_by_name("t").unwrap();
+    let (att, inst) = rd.find_attachment("t_grp").unwrap();
+    let locks = || db.metrics_snapshot().counter("lock.acquires");
+
+    let txn = db.begin();
+    txn.set_snapshot_reads(true);
+    let before = locks();
+    let bucket = AccessQuery::KeyEquals(encode_values(&[Value::Int(1)]));
+    let path = AccessPath::Attachment(att, inst.instance);
+    let scan = db.open_scan(&txn, rd.id, path, bucket, None, None).unwrap();
+    let mut seen = Vec::new();
+    for _ in 0..2 {
+        seen.push(db.scan_next(&txn, scan).unwrap().unwrap());
+    }
+    let mut reader_locks = locks() - before;
+
+    // record keys are RIDs in insertion order, and a bucket is in record
+    // key order: id 0 has been surfaced, id 9 and id 10 lie ahead
+    db.execute_sql("UPDATE t SET grp = 2 WHERE id = 0").unwrap();
+    db.execute_sql("UPDATE t SET grp = 2 WHERE id = 9").unwrap();
+    db.execute_sql("UPDATE t SET grp = 1 WHERE id = 10")
+        .unwrap();
+
+    let before = locks();
+    while let Some(item) = db.scan_next(&txn, scan).unwrap() {
+        seen.push(item);
+    }
+    reader_locks += locks() - before;
+    db.commit(&txn).unwrap();
+
+    assert_eq!(reader_locks, 1, "the relation's IS lock and nothing else");
+    assert_eq!(seen.len(), 10, "the ten records of the bucket: {seen:?}");
+    let keys: std::collections::HashSet<&RecordKey> = seen.iter().map(|it| &it.key).collect();
+    assert_eq!(keys.len(), 10, "each once");
+    assert!(seen.iter().all(|it| it.values == Some(vec![Value::Int(1)])));
+    // a new snapshot reads the bucket as the writer left it
+    let now = db.query_sql("SELECT id FROM t WHERE grp = 1").unwrap();
+    let mut ids: Vec<i64> = now.iter().map(|r| r[0].as_int().unwrap()).collect();
+    ids.sort_unstable();
+    assert_eq!(ids, (1..9).chain([10]).collect::<Vec<_>>());
+}
+
 // ---------------------------------------------------------------------
 // The snapshot scan's bookkeeping — which keys it surfaced, looked up
 // only when a chain turns up — and its delta sweep, with the writer's

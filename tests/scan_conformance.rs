@@ -19,10 +19,9 @@
 //!   the next item; an item later in the same page that is deleted is
 //!   gone under locking and still its snapshot image under snapshot;
 //! * re-bound to another query (`scan_rebind`) a scan serves what a fresh
-//!   scan of that query serves, by step and by frame; a path that cannot
-//!   re-bind says so and is reopened; a position saved before a re-bind
-//!   is refused after it; a locking scan keeps the range locks of its
-//!   earlier bindings;
+//!   scan of that query serves, by step and by frame; a position saved
+//!   before a re-bind is refused after it; a locking scan keeps the range
+//!   locks of its earlier bindings;
 //! * for the two gap-locking paths, the locks each step takes — read
 //!   back through `sys.locks` — are the record-then-gap pair of every
 //!   entry passed, the boundary pair (or the EOF gap) once, and the same
@@ -441,7 +440,13 @@ fn every_path_serves_its_ranges_positions_and_deletes() {
 
 /// The paths whose scans read a snapshot without locks; the others run
 /// the locking protocol in a snapshot transaction too.
-const VERSIONED: [&str; 4] = ["heap", "readonly", "btree storage", "btree index"];
+const VERSIONED: [&str; 5] = [
+    "heap",
+    "readonly",
+    "btree storage",
+    "btree index",
+    "hash index",
+];
 
 /// Drains what is left of `scan` a frame at a time.
 fn drain_frames(
@@ -584,23 +589,12 @@ fn frames_change_nothing_observable() {
 // re-binding: the other query, as a fresh scan would serve it
 // ---------------------------------------------------------------------
 
-/// The paths whose scans move to another query; the others keep the
-/// default (`Ok(false)`, nothing changed) and are reopened.
-const REBINDS: [&str; 5] = [
-    "heap",
-    "readonly",
-    "btree storage",
-    "btree index",
-    "hash index",
-];
-
 #[test]
 fn a_rebound_scan_is_a_fresh_scan_of_the_other_query() {
     for case in cases() {
         let fx = fixture(&case);
         let model = (case.model)(&fx.rows, &fx.partners);
         let qs = queries(&case.queries, &model);
-        let rebinds = REBINDS.contains(&case.name);
         let (long_q, stream) = qs
             .iter()
             .find(|(_, items)| items.len() >= 3)
@@ -614,33 +608,20 @@ fn a_rebound_scan_is_a_fresh_scan_of_the_other_query() {
                     for frames in [false, true] {
                         let what = format!("{} {mode} {from:?} -> {to:?}", case.name);
                         // part of the first query drained, then the other
-                        let mut scan = fx.open(&txn, from);
+                        let scan = fx.open(&txn, from);
                         fx.db.scan_next(&txn, scan).unwrap();
-                        let rebound = fx.db.scan_rebind(&txn, scan, to, None).unwrap();
-                        assert_eq!(rebound, rebinds, "{what}");
-                        if !rebound {
-                            // nothing changed: the scan goes on where it was
-                            let rest = fx.drain_from(&txn, scan, frames);
-                            let whole = fx.drain(&txn, from);
-                            assert_eq!(rest, whole[whole.len().min(1)..], "{what}: untouched");
-                            fx.db.scan_close(&txn, scan);
-                            scan = fx.open(&txn, to);
-                        }
+                        assert!(fx.db.scan_rebind(&txn, scan, to, None).unwrap(), "{what}");
                         assert_eq!(&fx.drain_from(&txn, scan, frames), expect, "{what}");
                         // and once more from its exhausted state
-                        if fx.db.scan_rebind(&txn, scan, from, None).unwrap() {
-                            let again = fx.drain_from(&txn, scan, frames);
-                            assert_eq!(again, fx.drain(&txn, from), "{what}: back");
-                        }
+                        assert!(fx.db.scan_rebind(&txn, scan, from, None).unwrap());
+                        let again = fx.drain_from(&txn, scan, frames);
+                        assert_eq!(again, fx.drain(&txn, from), "{what}: back");
                         fx.db.scan_close(&txn, scan);
                     }
                 }
             }
             fx.db.commit(&txn).unwrap();
 
-            if !rebinds {
-                continue;
-            }
             // A position is one of the binding it was saved under: after
             // a re-bind the key in it belongs to another range, and
             // restoring it is refused rather than read wrongly.
