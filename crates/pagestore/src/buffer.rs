@@ -868,6 +868,33 @@ mod tests {
     }
 
     #[test]
+    fn a_wiped_checksum_field_is_corruption_and_a_fresh_page_is_not() {
+        let (disk, pool, f) = setup(4);
+        let pid = {
+            let p = pool.new_page(f).unwrap();
+            p.write().body_mut()[0] = 1;
+            p.id()
+        };
+        pool.flush_all().unwrap();
+        pool.discard_file(f);
+        // Zero the four checksum bytes (offset 12) of the stamped image: the
+        // field now reads "never stamped" over a page that plainly was
+        // written.
+        let mut img = Page::new();
+        disk.read_page(pid, &mut img).unwrap();
+        assert_ne!(img.stored_crc(), 0);
+        img.put_u32(12, 0);
+        disk.write_page(pid, &img).unwrap();
+        assert!(matches!(pool.fetch(pid), Err(DmxError::Corrupt(_))));
+        assert_eq!(pool.stats().retries.get(), MAX_IO_RETRIES as u64);
+        // What "never stamped" does cover: a page the disk allocated and
+        // nobody wrote reads back all zero, and fetches.
+        let fresh = disk.allocate_page(f).unwrap();
+        let p = pool.fetch(fresh).unwrap();
+        assert!(p.read().raw().iter().all(|&b| b == 0));
+    }
+
+    #[test]
     fn flush_stamps_checksums() {
         let (disk, pool, f) = setup(4);
         let pid = {

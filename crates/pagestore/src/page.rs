@@ -92,12 +92,16 @@ impl Page {
         self.put_u32(CRC_OFFSET, crc);
     }
 
-    /// True when the stored checksum matches the image (or the page was
-    /// never stamped). A `false` return means the bytes rotted between
+    /// True when the stored checksum matches the image, or the page was
+    /// never stamped — which only the all-zero image of a fresh allocation
+    /// is: a zero field over any other bytes is a wiped checksum, not an
+    /// excuse from one. A `false` return means the bytes rotted between
     /// stamp and read — torn write, bit flip, or wild write.
     pub fn verify_crc(&self) -> bool {
-        let stored = self.stored_crc();
-        stored == 0 || stored == self.compute_crc()
+        match self.stored_crc() {
+            0 => self.data.iter().all(|&b| b == 0),
+            stored => stored == self.compute_crc(),
+        }
     }
 
     /// The full page image, including the generic header.
@@ -241,6 +245,29 @@ mod tests {
         assert!(p.verify_crc());
         p.set_lsn(Lsn(13));
         assert!(!p.verify_crc());
+
+        // a zeroed field excuses nothing but the all-zero page
+        p.stamp_crc();
+        p.put_u32(CRC_OFFSET, 0);
+        assert!(!p.verify_crc());
+    }
+
+    #[test]
+    fn checksum_of_a_fixed_image_is_the_stored_format() {
+        let mut p = Page::new();
+        p.set_lsn(Lsn(0x0102_0304_0506_0708));
+        p.set_page_type(7);
+        for (i, b) in p.body_mut().iter_mut().enumerate() {
+            *b = (i * 31 + 7) as u8;
+        }
+        // Computed by the byte-at-a-time kernel of PR 23 and checked in: a
+        // kernel that answers differently cannot read a stored page.
+        assert_eq!(p.compute_crc(), 0x3B70_6B92);
+        // The field itself is skipped: stamping does not move the value.
+        p.stamp_crc();
+        assert_eq!(p.stored_crc(), 0x3B70_6B92);
+        assert_eq!(p.compute_crc(), 0x3B70_6B92);
+        assert!(p.verify_crc());
     }
 
     #[test]

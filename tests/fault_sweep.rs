@@ -22,6 +22,8 @@ use std::sync::Arc;
 
 use starburst_dmx::prelude::*;
 use starburst_dmx::query::SqlExt;
+use starburst_dmx::types::fault::MAX_IO_RETRIES;
+use starburst_dmx::types::obs::name::IO_RETRIES;
 
 const SEED: u64 = 0xDEC0_DE05;
 const ROWS: i64 = 12;
@@ -296,6 +298,19 @@ fn steal_eviction_sweep_reconciles_stolen_pages() {
 /// other relation keeps serving queries.
 #[test]
 fn corrupt_page_quarantines_one_relation_others_stay_usable() {
+    // Flip one byte under the checksum layer.
+    damaged_page_quarantines_one_relation(|page| page.raw_mut()[100] ^= 0x40);
+}
+
+/// Zeroing a stamped page's checksum field is damage like any other: the
+/// field reads "never stamped", which only an all-zero page may claim.
+#[test]
+fn wiped_checksum_field_quarantines_like_any_other_damage() {
+    // The field is the header's last four bytes, at offset 12.
+    damaged_page_quarantines_one_relation(|page| page.put_u32(12, 0));
+}
+
+fn damaged_page_quarantines_one_relation(damage: impl Fn(&mut starburst_dmx::page::Page)) {
     let (env, injector) = DatabaseEnv::fresh_with_plan(FaultPlan::new(SEED));
     let db = reopen(&env);
     db.execute_sql("CREATE TABLE healthy (id INT NOT NULL)")
@@ -311,19 +326,20 @@ fn corrupt_page_quarantines_one_relation_others_stay_usable() {
     let victim_rel = db.catalog().get_by_name("victim").expect("victim").id;
     drop(db);
 
-    // Flip one byte in the victim's data file, below the checksum layer.
-    // Files: 1 = catalog, 2 = healthy, 3 = victim (creation order).
+    // Damage the first page of the victim's data file, below the checksum
+    // layer. Files: 1 = catalog, 2 = healthy, 3 = victim (creation order).
     let victim_file = starburst_dmx::types::FileId(3);
     let pid = starburst_dmx::types::PageId::new(victim_file, 0);
     let mut page = starburst_dmx::page::Page::new();
     env.disk
         .read_page(pid, &mut page)
         .expect("read victim page");
-    page.raw_mut()[100] ^= 0x40;
+    damage(&mut page);
     env.disk.write_page(pid, &page).expect("write corrupt page");
     injector.clear();
 
     let db = reopen(&env);
+    let retries_before = db.metrics().counter(IO_RETRIES).get();
     // The corrupt relation fails with the typed quarantine error…
     let err = db
         .query_sql("SELECT id FROM victim")
@@ -332,6 +348,11 @@ fn corrupt_page_quarantines_one_relation_others_stay_usable() {
         DmxError::RelationQuarantined { relation, .. } => assert_eq!(relation, victim_rel),
         other => panic!("expected RelationQuarantined, got {other}"),
     }
+    assert_eq!(
+        db.metrics().counter(IO_RETRIES).get() - retries_before,
+        u64::from(MAX_IO_RETRIES),
+        "the read was retried to its budget before the damage was believed"
+    );
     assert_eq!(db.quarantined().len(), 1, "exactly one relation fenced");
     // …and stays fenced on repeat access without re-reading the disk.
     let again = db.query_sql("SELECT id FROM victim").expect_err("fenced");

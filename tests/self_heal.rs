@@ -408,14 +408,15 @@ fn out_of_space_aborts_cleanly_and_degrades_to_read_only() {
 /// Crash-at-every-Nth-I/O sweep through the *scrub and repair* paths:
 /// damage the index, then crash inside CHECK/REPAIR. After reopening on
 /// healthy devices the pipeline must still converge to a healthy,
-/// fully-served relation.
+/// fully-served relation. `FAULT_SWEEP_STRIDE` (default 1 = every point,
+/// as in `fault_sweep.rs`) thins the sweep.
 #[test]
 fn crash_sweep_inside_scrub_and_repair_converges() {
     let stride: u64 = std::env::var("FAULT_SWEEP_STRIDE")
         .ok()
         .and_then(|s| s.parse().ok())
         .filter(|&s| s > 0)
-        .unwrap_or(16);
+        .unwrap_or(1);
     const ROWS: i64 = 12;
 
     // Pass 1 on healthy devices: measure the I/O window of the repair
