@@ -11,16 +11,14 @@
 
 use std::sync::Arc;
 
-use dmx_core::logged_tree;
 use dmx_core::{
     AccessQuery, Attachment, AttachmentInstance, CommonServices, EntryDecoder, Evaluator, ExecCtx,
-    KeyRange, LoggedTree, Modification, RelationDescriptor, Replay, ScanItem, ScanOps, TreeFile,
-    TreeScan,
+    KeyRange, LoggedTree, Modification, RelationDescriptor, ScanItem, ScanOps, TreeFile, TreeScan,
 };
 use dmx_expr::Expr;
 use dmx_types::{
     key::{decode_values, encode_values},
-    AttrList, DmxError, FieldId, FileId, Lsn, Record, RecordKey, Result, Schema, Value,
+    AttrList, DmxError, FieldId, FileId, Record, RecordKey, Result, Value,
 };
 
 use crate::common::{read_u16, read_u32, read_u64};
@@ -123,15 +121,6 @@ impl Attachment for Aggregate {
         "aggregate"
     }
 
-    fn validate_params(&self, params: &AttrList, schema: &Schema) -> Result<()> {
-        params.check_allowed(&["sum", "group_by"], "aggregate")?;
-        schema.field_id(params.require("sum", "aggregate")?)?;
-        if let Some(g) = params.get("group_by") {
-            schema.field_id(g)?;
-        }
-        Ok(())
-    }
-
     fn create_instance(
         &self,
         ctx: &ExecCtx<'_>,
@@ -139,6 +128,7 @@ impl Attachment for Aggregate {
         _name: &str,
         params: &AttrList,
     ) -> Result<Vec<u8>> {
+        params.check_allowed(&["sum", "group_by"], "aggregate")?;
         let sum_field = rd.schema.field_id(params.require("sum", "aggregate")?)?;
         let group_field = match params.get("group_by") {
             Some(g) => Some(rd.schema.field_id(g)?),
@@ -184,19 +174,6 @@ impl Attachment for Aggregate {
             }
         }
         Ok(())
-    }
-
-    fn replay(
-        &self,
-        services: &Arc<CommonServices>,
-        _rd: &RelationDescriptor,
-        lsn: Lsn,
-        dir: Replay,
-        op: u8,
-        payload: &[u8],
-    ) -> Result<()> {
-        let (file, change) = TreeFile::named_by(payload)?;
-        logged_tree::replay(&file.open_tree(services), lsn, dir, op, change).map(drop)
     }
 
     fn storage_files(&self, inst_desc: &[u8]) -> Vec<FileId> {

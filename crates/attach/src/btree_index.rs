@@ -15,16 +15,16 @@ use std::ops::Bound;
 use std::sync::Arc;
 
 use dmx_core::access::prefix_successor;
-use dmx_core::logged_tree::{self, lock_delete_gaps, lock_insert_gap};
+use dmx_core::logged_tree::{lock_delete_gaps, lock_insert_gap};
 use dmx_core::{
     project_values, AccessPath, AccessQuery, Attachment, AttachmentInstance, CommonServices, Cost,
     EntryDecoder, Evaluator, ExecCtx, KeyMatch, KeyRange, LoggedTree, Modification, PathChoice,
-    RecordKeyIn, RelationDescriptor, Replay, ScanItem, ScanOps, TreeFile, TreeScan,
+    RecordKeyIn, RelationDescriptor, ScanItem, ScanOps, TreeFile, TreeScan,
 };
 use dmx_expr::Expr;
 use dmx_types::{
     key::{decode_values, encode_values},
-    AttrList, DmxError, FieldId, FileId, Lsn, Record, RecordKey, Result, Schema, Value,
+    AttrList, DmxError, FieldId, FileId, Record, RecordKey, Result, Value,
 };
 
 use crate::common::{field_values, parse_fields, read_u16, read_u32};
@@ -99,12 +99,6 @@ impl Attachment for BTreeIndex {
         "btree"
     }
 
-    fn validate_params(&self, params: &AttrList, schema: &Schema) -> Result<()> {
-        params.check_allowed(&["fields", "unique"], "btree index")?;
-        params.get_bool("unique", false)?;
-        parse_fields(params, "fields", "btree index", schema).map(|_| ())
-    }
-
     fn create_instance(
         &self,
         ctx: &ExecCtx<'_>,
@@ -112,6 +106,7 @@ impl Attachment for BTreeIndex {
         _name: &str,
         params: &AttrList,
     ) -> Result<Vec<u8>> {
+        params.check_allowed(&["fields", "unique"], "btree index")?;
         let fields = parse_fields(params, "fields", "btree index", &rd.schema)?;
         let unique = params.get_bool("unique", false)?;
         let TreeFile { file, root_page } = TreeFile::create(ctx.services())?;
@@ -170,19 +165,6 @@ impl Attachment for BTreeIndex {
             }
         }
         Ok(())
-    }
-
-    fn replay(
-        &self,
-        services: &Arc<CommonServices>,
-        _rd: &RelationDescriptor,
-        lsn: Lsn,
-        dir: Replay,
-        op: u8,
-        payload: &[u8],
-    ) -> Result<()> {
-        let (file, change) = TreeFile::named_by(payload)?;
-        logged_tree::replay(&file.open_tree(services), lsn, dir, op, change).map(drop)
     }
 
     fn storage_files(&self, inst_desc: &[u8]) -> Vec<FileId> {

@@ -14,11 +14,10 @@ use std::sync::Arc;
 
 use dmx_core::{
     Attachment, AttachmentInstance, CommonServices, ExecCtx, Modification, RelationDescriptor,
-    Replay,
 };
 use dmx_expr::{decode_expr, encode_expr, expr_from_hex, Expr};
 use dmx_txn::TxnEvent;
-use dmx_types::{AttrList, DmxError, Lsn, RecordKey, Result, Schema};
+use dmx_types::{AttrList, DmxError, RecordKey, Result, Schema};
 
 /// The CHECK-constraint attachment type.
 pub struct CheckConstraint;
@@ -121,10 +120,6 @@ impl Attachment for CheckConstraint {
         "check"
     }
 
-    fn validate_params(&self, params: &AttrList, schema: &Schema) -> Result<()> {
-        Self::parse(params, schema).map(|_| ())
-    }
-
     fn create_instance(
         &self,
         _ctx: &ExecCtx<'_>,
@@ -163,17 +158,5 @@ impl Attachment for CheckConstraint {
             }
         }
         Ok(())
-    }
-
-    fn replay(
-        &self,
-        _services: &Arc<CommonServices>,
-        _rd: &RelationDescriptor,
-        _lsn: Lsn,
-        _dir: Replay,
-        _op: u8,
-        _payload: &[u8],
-    ) -> Result<()> {
-        Ok(()) // checks have no state to replay
     }
 }

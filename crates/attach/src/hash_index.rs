@@ -12,16 +12,15 @@ use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use dmx_core::logged_tree;
 use dmx_core::{
     project_values, AccessPath, AccessQuery, Attachment, AttachmentInstance, CommonServices, Cost,
     EntryDecoder, Evaluator, ExecCtx, KeyMatch, KeyRange, LoggedTree, Modification, PathChoice,
-    RelationDescriptor, Replay, ScanItem, ScanOps, TreeFile, TreeScan,
+    RelationDescriptor, ScanItem, ScanOps, TreeFile, TreeScan,
 };
 use dmx_expr::Expr;
 use dmx_types::{
     key::{decode_values, encode_values},
-    AttrList, DmxError, FieldId, FileId, Lsn, Record, RecordKey, Result, Schema, Value,
+    AttrList, DmxError, FieldId, FileId, Record, RecordKey, Result, Value,
 };
 
 use crate::common::{field_values, parse_fields, read_u16, read_u32, tail};
@@ -106,11 +105,6 @@ impl Attachment for HashIndex {
         "hash"
     }
 
-    fn validate_params(&self, params: &AttrList, schema: &Schema) -> Result<()> {
-        params.check_allowed(&["fields"], "hash index")?;
-        parse_fields(params, "fields", "hash index", schema).map(|_| ())
-    }
-
     fn create_instance(
         &self,
         ctx: &ExecCtx<'_>,
@@ -118,6 +112,7 @@ impl Attachment for HashIndex {
         _name: &str,
         params: &AttrList,
     ) -> Result<Vec<u8>> {
+        params.check_allowed(&["fields"], "hash index")?;
         let fields = parse_fields(params, "fields", "hash index", &rd.schema)?;
         let TreeFile { file, root_page } = TreeFile::create(ctx.services())?;
         Ok(HashDesc {
@@ -157,19 +152,6 @@ impl Attachment for HashIndex {
             }
         }
         Ok(())
-    }
-
-    fn replay(
-        &self,
-        services: &Arc<CommonServices>,
-        _rd: &RelationDescriptor,
-        lsn: Lsn,
-        dir: Replay,
-        op: u8,
-        payload: &[u8],
-    ) -> Result<()> {
-        let (file, change) = TreeFile::named_by(payload)?;
-        logged_tree::replay(&file.open_tree(services), lsn, dir, op, change).map(drop)
     }
 
     fn storage_files(&self, inst_desc: &[u8]) -> Vec<FileId> {

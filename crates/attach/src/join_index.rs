@@ -18,16 +18,14 @@
 
 use std::sync::Arc;
 
-use dmx_core::logged_tree;
 use dmx_core::{
     tolerate_missing, AccessQuery, Attachment, AttachmentInstance, CommonServices, EntryDecoder,
-    Evaluator, ExecCtx, KeyRange, LoggedTree, Modification, RelationDescriptor, Replay, ScanItem,
-    ScanOps, TreeCursor, TreeFile, TreeScan,
+    Evaluator, ExecCtx, KeyRange, LoggedTree, Modification, RelationDescriptor, ScanItem, ScanOps,
+    TreeCursor, TreeFile, TreeScan,
 };
 use dmx_expr::Expr;
 use dmx_types::{
-    key::encode_values, AttrList, DmxError, FieldId, FileId, Lsn, Record, RecordKey, Result,
-    Schema, Value,
+    key::encode_values, AttrList, DmxError, FieldId, FileId, Record, RecordKey, Result, Value,
 };
 
 use crate::common::{field_values, parse_fields, read_u16, read_u32, tail};
@@ -180,22 +178,6 @@ impl Attachment for JoinIndex {
         "joinindex"
     }
 
-    fn validate_params(&self, params: &AttrList, schema: &Schema) -> Result<()> {
-        params.check_allowed(&["side", "fields", "other"], "join index")?;
-        let side = params.require("side", "join index")?;
-        if !side.eq_ignore_ascii_case("left") && !side.eq_ignore_ascii_case("right") {
-            return Err(DmxError::InvalidArg(
-                "join index side must be left|right".into(),
-            ));
-        }
-        if side.eq_ignore_ascii_case("right") && params.get("other").is_none() {
-            return Err(DmxError::InvalidArg(
-                "join index right side requires other=<left relation>".into(),
-            ));
-        }
-        parse_fields(params, "fields", "join index", schema).map(|_| ())
-    }
-
     fn create_instance(
         &self,
         ctx: &ExecCtx<'_>,
@@ -203,10 +185,15 @@ impl Attachment for JoinIndex {
         name: &str,
         params: &AttrList,
     ) -> Result<Vec<u8>> {
+        params.check_allowed(&["side", "fields", "other"], "join index")?;
+        let side = params.require("side", "join index")?;
+        let is_left = side.eq_ignore_ascii_case("left");
+        if !is_left && !side.eq_ignore_ascii_case("right") {
+            return Err(DmxError::InvalidArg(
+                "join index side must be left|right".into(),
+            ));
+        }
         let fields = parse_fields(params, "fields", "join index", &rd.schema)?;
-        let is_left = params
-            .require("side", "join index")?
-            .eq_ignore_ascii_case("left");
         let trees = if is_left {
             // the left side creates the shared structures
             let mut trees = [NO_TREE; 3];
@@ -294,19 +281,6 @@ impl Attachment for JoinIndex {
         Ok(())
     }
 
-    fn replay(
-        &self,
-        services: &Arc<CommonServices>,
-        _rd: &RelationDescriptor,
-        lsn: Lsn,
-        dir: Replay,
-        op: u8,
-        payload: &[u8],
-    ) -> Result<()> {
-        let (file, change) = TreeFile::named_by(payload)?;
-        logged_tree::replay(&file.open_tree(services), lsn, dir, op, change).map(drop)
-    }
-
     /// Both sides report the three shared trees. No `reconstruct_params`:
     /// one instance cannot restate the two-relation DDL that links it to
     /// its other side.
@@ -317,9 +291,9 @@ impl Attachment for JoinIndex {
     }
 
     /// Scans the materialized pairs: each item carries the **left**
-    /// record key as `key` and `[Bytes(right record key), join value]`
-    /// as values — the query layer's join-index join strategy consumes
-    /// this shape.
+    /// record key as `key` and `[Bytes(right record key)]` as values —
+    /// the query layer's join-index join strategy consumes this shape,
+    /// through either side's instance.
     fn open_scan(
         &self,
         ctx: &ExecCtx<'_>,
@@ -329,13 +303,18 @@ impl Attachment for JoinIndex {
     ) -> Result<Box<dyn ScanOps>> {
         let d = JiDesc::decode(&instance.desc)?;
         let tree = d.trees[TREE_PAIRS as usize].open_tree(ctx.services());
-        TreeScan::open(&tree, None, PairEntries, query.clone(), None)
+        let pairs = PairEntries { is_left: d.is_left };
+        TreeScan::open(&tree, None, pairs, query.clone(), None)
     }
 }
 
 /// Decodes `pairs` entries: the left record key as the item key, the
 /// right one as its value.
-struct PairEntries;
+struct PairEntries {
+    /// Opened through the left side's instance: only then are the item
+    /// keys the scanned relation's own record keys.
+    is_left: bool,
+}
 
 impl EntryDecoder for PairEntries {
     /// Every pair, or nothing: pairs are not looked up by key.
@@ -354,5 +333,12 @@ impl EntryDecoder for PairEntries {
             key: RecordKey::new(lkey.to_vec()),
             values: Some(vec![Value::Bytes(rkey.to_vec())]),
         }))
+    }
+
+    /// On the right side the items are the *left* relation's keys: the
+    /// dispatcher must not re-read them as records of the scanned one,
+    /// and the join fetches both records itself.
+    fn items_are_record_keys(&self) -> bool {
+        self.is_left
     }
 }

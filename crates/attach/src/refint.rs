@@ -14,19 +14,21 @@
 //! insert/update) and `role=parent` on the referenced relation (restricts
 //! or cascades on delete). The instance descriptor embeds the *other*
 //! relation's id — the paper's "embedded references to descriptors for
-//! other relations whenever the extension involves multiple tables".
+//! other relations whenever the extension involves multiple tables". The
+//! constraint holds no state and logs nothing: cascaded deletes go
+//! through the dispatcher and carry their own undo records.
 
 use std::sync::Arc;
 
 use dmx_core::{
     AccessPath, AccessQuery, Attachment, AttachmentInstance, CommonServices, ExecCtx, Modification,
-    RelationDescriptor, Replay,
+    RelationDescriptor,
 };
 use dmx_expr::{CmpOp, Expr};
 
 use crate::common::{read_u16, read_u32};
 use dmx_types::{
-    AttrList, DmxError, FieldId, Lsn, Record, RecordKey, RelationId, Result, Schema, Value,
+    AttrList, DmxError, FieldId, Record, RecordKey, RelationId, Result, Schema, Value,
 };
 
 /// The referential-integrity attachment type.
@@ -210,10 +212,6 @@ impl Attachment for RefIntegrity {
         "refint"
     }
 
-    fn validate_params(&self, params: &AttrList, schema: &Schema) -> Result<()> {
-        Self::parse(params, schema).map(|_| ())
-    }
-
     fn create_instance(
         &self,
         ctx: &ExecCtx<'_>,
@@ -313,21 +311,6 @@ impl Attachment for RefIntegrity {
                 }
             }
         }
-        Ok(())
-    }
-
-    fn replay(
-        &self,
-        _services: &Arc<CommonServices>,
-        _rd: &RelationDescriptor,
-        _lsn: Lsn,
-        _dir: Replay,
-        _op: u8,
-        _payload: &[u8],
-    ) -> Result<()> {
-        // The constraint itself holds no state; cascaded deletes were
-        // performed through the dispatcher and carry their own undo
-        // records.
         Ok(())
     }
 }

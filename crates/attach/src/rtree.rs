@@ -25,9 +25,11 @@ use dmx_core::{
 use dmx_expr::{analyze, Expr, SargOp};
 use dmx_page::{BufferPool, Page, SlottedPage};
 use dmx_types::{
-    AttrList, DmxError, FieldId, FileId, Lsn, PageId, Record, RecordKey, Rect, Result, Schema,
+    AttrList, DataType, DmxError, FieldId, FileId, Lsn, PageId, Record, RecordKey, Rect, Result,
     Value,
 };
+
+use crate::common::parse_fields;
 
 /// Page type tags.
 pub const PAGE_TYPE_RTREE_LEAF: u8 = 5;
@@ -607,15 +609,7 @@ impl Attachment for RTreeIndex {
         "rtree"
     }
 
-    fn validate_params(&self, params: &AttrList, schema: &Schema) -> Result<()> {
-        params.check_allowed(&["field"], "rtree index")?;
-        let f = schema.field_id(params.require("field", "rtree index")?)?;
-        if schema.column(f)?.data_type != dmx_types::DataType::Rect {
-            return Err(DmxError::InvalidArg("rtree field must be RECT".into()));
-        }
-        Ok(())
-    }
-
+    /// `fields` names exactly one RECT column.
     fn create_instance(
         &self,
         ctx: &ExecCtx<'_>,
@@ -623,9 +617,15 @@ impl Attachment for RTreeIndex {
         _name: &str,
         params: &AttrList,
     ) -> Result<Vec<u8>> {
-        let rect_field = rd
-            .schema
-            .field_id(params.require("field", "rtree index")?)?;
+        params.check_allowed(&["fields"], "rtree index")?;
+        let rect_field = match parse_fields(params, "fields", "rtree index", &rd.schema)?[..] {
+            [f] if rd.schema.column(f)?.data_type == DataType::Rect => f,
+            _ => {
+                return Err(DmxError::InvalidArg(
+                    "rtree index takes one RECT field".into(),
+                ))
+            }
+        };
         let services = ctx.services();
         let file = services.disk.create_file()?;
         let tree = RTree::create(&services.pool, file, &services.latches)?;
@@ -691,7 +691,7 @@ impl Attachment for RTreeIndex {
     fn reconstruct_params(&self, rd: &RelationDescriptor, inst_desc: &[u8]) -> Result<AttrList> {
         let d = RtDesc::decode(inst_desc)?;
         let field = rd.schema.column(d.rect_field)?.name.clone();
-        AttrList::from_pairs([("field", field)])
+        AttrList::from_pairs([("fields", field)])
     }
 
     fn open_scan(

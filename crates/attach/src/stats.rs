@@ -426,17 +426,14 @@ impl Attachment for Stats {
         "stats"
     }
 
-    fn validate_params(&self, params: &AttrList, _schema: &Schema) -> Result<()> {
-        params.check_allowed(&[], "stats")
-    }
-
     fn create_instance(
         &self,
         ctx: &ExecCtx<'_>,
         _rd: &RelationDescriptor,
         _name: &str,
-        _params: &AttrList,
+        params: &AttrList,
     ) -> Result<Vec<u8>> {
+        params.check_allowed(&[], "stats")?;
         let TreeFile { file, root_page } = TreeFile::create(ctx.services())?;
         Ok(StatsDesc { file, root_page }.encode())
     }

@@ -6,18 +6,19 @@
 //! (arbitrary Rust code — including effects outside the database), or use
 //! the built-in `audit` action that inserts an audit record into another
 //! relation — a cascading modification that itself runs through the full
-//! two-step dispatch.
+//! two-step dispatch. A trigger logs nothing of its own: what it modifies
+//! carries its own undo records, and external actions are outside the
+//! recovery sphere (as in the paper).
 
 use std::sync::Arc;
 
 use dmx_core::HookArgs;
 use dmx_core::{
     Attachment, AttachmentInstance, CommonServices, ExecCtx, Modification, RelationDescriptor,
-    Replay,
 };
 
 use crate::common::tail;
-use dmx_types::{AttrList, DmxError, Lsn, Record, Result, Schema, Value};
+use dmx_types::{AttrList, DmxError, Record, Result, Value};
 
 /// The trigger attachment type.
 pub struct Trigger;
@@ -102,10 +103,6 @@ impl Attachment for Trigger {
         "trigger"
     }
 
-    fn validate_params(&self, params: &AttrList, _schema: &Schema) -> Result<()> {
-        Self::parse(params).map(|_| ())
-    }
-
     fn create_instance(
         &self,
         _ctx: &ExecCtx<'_>,
@@ -170,21 +167,6 @@ impl Attachment for Trigger {
                 )));
             }
         }
-        Ok(())
-    }
-
-    fn replay(
-        &self,
-        _services: &Arc<CommonServices>,
-        _rd: &RelationDescriptor,
-        _lsn: Lsn,
-        _dir: Replay,
-        _op: u8,
-        _payload: &[u8],
-    ) -> Result<()> {
-        // Triggered database modifications were dispatched normally and
-        // carry their own undo records; external actions are outside the
-        // recovery sphere (as in the paper).
         Ok(())
     }
 }

@@ -381,7 +381,7 @@ fn rtree_spatial_queries_match_brute_force() {
             "parcels",
             "rtree",
             "parcels_rt",
-            &AttrList::parse("field=area").unwrap(),
+            &AttrList::parse("fields=area").unwrap(),
         )
     })
     .unwrap();
@@ -478,7 +478,7 @@ fn rtree_maintenance_and_abort() {
             "parcels",
             "rtree",
             "rt",
-            &AttrList::parse("field=area").unwrap(),
+            &AttrList::parse("fields=area").unwrap(),
         )
     })
     .unwrap();
@@ -1116,7 +1116,7 @@ fn create_plots(db: &Arc<Database>, name: &str, attach: &[&str]) -> RelationId {
             let params = match ty {
                 "btree" => "fields=id",
                 "hash" => "fields=name",
-                "rtree" => "field=area",
+                "rtree" => "fields=area",
                 "joinindex" => "side=left, fields=dept",
                 "aggregate" => "sum=id, group_by=dept",
                 _ => "",

@@ -22,13 +22,13 @@
 use std::sync::Arc;
 
 use dmx_expr::Expr;
-use dmx_types::{AttrList, DmxError, FileId, Record, RecordKey, Result, Schema};
+use dmx_types::{AttrList, DmxError, FileId, Record, RecordKey, Result};
 
 use crate::access::{AccessQuery, ScanOps};
 use crate::context::ExecCtx;
 use crate::cost::PathChoice;
 use crate::descriptor::{AttachmentInstance, RelationDescriptor};
-use crate::logged_tree::Replay;
+use crate::logged_tree::{self, Replay, TreeFile};
 use crate::services::CommonServices;
 
 /// One relation modification as attachments see it: the record as it
@@ -111,14 +111,13 @@ pub trait Attachment: Send + Sync {
     /// USING <name>` / `CREATE INDEX … USING <name>`).
     fn name(&self) -> &str;
 
-    /// Validates an extension attribute/value list at DDL parse time.
-    fn validate_params(&self, params: &AttrList, schema: &Schema) -> Result<()>;
-
     /// Creates an instance on `rd` (allocating any associated storage —
     /// attachments "may have associated storage", unlike mere triggers),
-    /// returning the instance descriptor bytes. The common system
-    /// backfills existing records by driving [`Attachment::on_modify`]
-    /// with [`Modification::insert`] afterwards.
+    /// returning the instance descriptor bytes. The one reader of the
+    /// DDL attribute list: it checks and parses `params` **before** it
+    /// allocates anything, so a rejected list leaves nothing behind. The
+    /// common system backfills existing records by driving
+    /// [`Attachment::on_modify`] with [`Modification::insert`] afterwards.
     fn create_instance(
         &self,
         ctx: &ExecCtx<'_>,
@@ -156,8 +155,14 @@ pub trait Attachment: Send + Sync {
     /// (under no-force a committed side effect may never have reached
     /// disk). Must be idempotent in both directions — presence-checked or
     /// page-LSN-guarded against `lsn`, the replayed record's LSN.
-    /// Attachments without storage (checks, triggers, referential
-    /// constraints) answer `Ok(())`: their effects are vetoes, not state.
+    ///
+    /// The default reads back what [`crate::LoggedTree::apply`] wrote: the
+    /// record names its B-tree ([`TreeFile::named_by`]) and
+    /// [`logged_tree::replay`] installs the image `dir` picks. A type that
+    /// logs nothing never gets here; only a writer of another record
+    /// shape overrides. Anything else fails loudly: a payload that is not
+    /// a tree change, or names no B-tree, is [`DmxError::Corrupt`], and
+    /// recovery quarantines the relation.
     fn replay(
         &self,
         services: &Arc<CommonServices>,
@@ -166,7 +171,11 @@ pub trait Attachment: Send + Sync {
         dir: Replay,
         op: u8,
         payload: &[u8],
-    ) -> Result<()>;
+    ) -> Result<()> {
+        let _ = rd;
+        let (file, change) = TreeFile::named_by(payload)?;
+        logged_tree::replay(&file.open_tree(services), lsn, dir, op, change).map(drop)
+    }
 
     /// Called once per instance when a database (re)opens, after restart
     /// recovery, so attachments that publish derived *in-memory* state
@@ -276,7 +285,96 @@ pub trait Attachment: Send + Sync {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dmx_types::Value;
+    use std::time::Duration;
+
+    use dmx_lock::LockManager;
+    use dmx_page::{BufferPool, DiskManager, MemDisk};
+    use dmx_types::{ColumnDef, DataType, Lsn, RelationId, Schema, SmTypeId, Value};
+    use dmx_wal::{LogManager, StableLog};
+
+    use crate::logged_tree::OP_INSERT;
+
+    /// An attachment that writes only what is its own: no `replay`.
+    struct Plain;
+
+    impl Attachment for Plain {
+        fn name(&self) -> &str {
+            "plain"
+        }
+        fn create_instance(
+            &self,
+            _: &ExecCtx<'_>,
+            _: &RelationDescriptor,
+            _: &str,
+            _: &AttrList,
+        ) -> Result<Vec<u8>> {
+            Ok(Vec::new())
+        }
+        fn destroy_instance(&self, _: &Arc<CommonServices>, _: &[u8]) -> Result<()> {
+            Ok(())
+        }
+        fn on_modify(
+            &self,
+            _: &ExecCtx<'_>,
+            _: &RelationDescriptor,
+            _: &[AttachmentInstance],
+            _: &Modification<'_>,
+        ) -> Result<()> {
+            Ok(())
+        }
+    }
+
+    /// The default `replay` installs what `LoggedTree::apply` writes and
+    /// nothing else: a payload that is not a tree change, or that names a
+    /// file holding no B-tree, is `Corrupt` in both directions — never a
+    /// silent `Ok`.
+    #[test]
+    fn the_default_replay_installs_tree_changes_and_refuses_anything_else() {
+        let disk = Arc::new(MemDisk::new());
+        let pool = BufferPool::new(disk.clone(), 16);
+        let log = Arc::new(LogManager::open(StableLog::new()));
+        let locks = Arc::new(LockManager::new(Duration::from_secs(1)));
+        let services = CommonServices::new(disk.clone(), pool.clone(), log, locks);
+        let schema = Schema::new(vec![ColumnDef::new("x", DataType::Int)]).unwrap();
+        let rd = RelationDescriptor::new(RelationId(1), "t", schema, SmTypeId(1), Vec::new());
+        let replay =
+            |payload: &[u8], op, dir| Plain.replay(&services, &rd, Lsn::NULL, dir, op, payload);
+
+        let tree = TreeFile::create(&services).unwrap();
+        // `u32 file ∥ u32 root page`, then `u16 len(key) ∥ key ∥ value`
+        let named = |t: TreeFile| [t.file.0.to_le_bytes(), t.root_page.to_le_bytes()].concat();
+        let insert_k = |t: TreeFile| [named(t), vec![1, 0, b'k', b'v']].concat();
+        replay(&insert_k(tree), OP_INSERT, Replay::Redo).unwrap();
+        let got = tree.open_tree(&services).get(b"k").unwrap();
+        assert_eq!(got.as_deref(), Some(&b"v"[..]));
+
+        // a file whose root is no B-tree node (a heap page, say)
+        let heap = TreeFile {
+            file: disk.create_file().unwrap(),
+            root_page: 0,
+        };
+        drop(pool.new_page(heap.file).unwrap());
+        let cases = [
+            ("empty payload", Vec::new(), OP_INSERT),
+            ("short tree name", vec![1, 0, 0], OP_INSERT),
+            ("unknown op", insert_k(tree), 9),
+            (
+                "truncated key",
+                [named(tree), vec![9, 0, b'k']].concat(),
+                OP_INSERT,
+            ),
+            ("no B-tree in the named file", insert_k(heap), OP_INSERT),
+        ];
+        for (what, payload, op) in cases {
+            for dir in [Replay::Undo, Replay::Redo] {
+                let res = replay(&payload, op, dir);
+                assert!(
+                    matches!(res, Err(DmxError::Corrupt(_))),
+                    "{what}, {dir:?}: {res:?}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn modification_has_three_shapes_and_reports_where_the_record_is() {

@@ -1173,9 +1173,9 @@ impl Database {
         }
         let sm_id = self.registry.storage_id_by_name(sm_name)?;
         let sm = self.registry.storage(sm_id)?;
-        sm.validate_params(params, &schema)?;
+        // The instance first: a rejected attribute list uses up no id.
+        let sm_desc = sm.create_instance(&ctx, &schema, params)?;
         let rel = self.catalog.next_relation_id();
-        let sm_desc = sm.create_instance(&ctx, rel, &schema, params)?;
         let rd =
             crate::descriptor::RelationDescriptor::new(rel, name, schema, sm_id, sm_desc.clone());
         // Until commit, the new relation is visible only to its creator.
@@ -1227,7 +1227,6 @@ impl Database {
         ctx.lock(LockName::Relation(old_rd.id), LockMode::X)?;
         let att_id = self.registry.attachment_id_by_name(type_name)?;
         let att = self.registry.attachment(att_id)?;
-        att.validate_params(params, &old_rd.schema)?;
 
         let start_lsn = txn.last_lsn();
         let inst_desc = att.create_instance(&ctx, &old_rd, att_name, params)?;

@@ -171,7 +171,7 @@ mod tests {
     use crate::services::CommonServices;
     use crate::storage_method::StorageMethod;
     use dmx_expr::Expr;
-    use dmx_types::{AttrList, FieldId, Lsn, Record, RecordKey, RelationId, Schema, Value};
+    use dmx_types::{AttrList, FieldId, Lsn, Record, RecordKey, Schema, Value};
 
     struct StubSm(&'static str);
 
@@ -179,16 +179,7 @@ mod tests {
         fn name(&self) -> &str {
             self.0
         }
-        fn validate_params(&self, _: &AttrList, _: &Schema) -> Result<()> {
-            Ok(())
-        }
-        fn create_instance(
-            &self,
-            _: &ExecCtx<'_>,
-            _: RelationId,
-            _: &Schema,
-            _: &AttrList,
-        ) -> Result<Vec<u8>> {
+        fn create_instance(&self, _: &ExecCtx<'_>, _: &Schema, _: &AttrList) -> Result<Vec<u8>> {
             Ok(vec![])
         }
         fn destroy_instance(&self, _: &Arc<CommonServices>, _: &[u8]) -> Result<()> {

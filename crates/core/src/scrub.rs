@@ -173,14 +173,19 @@ fn base_key_set(ctx: &ExecCtx<'_>, rd: &RelationDescriptor) -> Result<BTreeSet<V
 }
 
 /// The record-key set served by one attachment instance, via its generic
-/// scan. `None` when the instance does not expose record-keyed full
-/// scans (derived items, key-equals-only paths) — those are skipped.
+/// scan, and whether the path names *every* record: one whose scan
+/// re-derives its item from a record (`supports_versioned_read` — the
+/// B-tree index) does, while any other may leave records out (an R-tree
+/// skips NULL rectangles, a join index unpartnered rows). `None` when
+/// the instance does not expose record-keyed full scans (derived items,
+/// key-equals-only paths, a join index's right side) — those are
+/// skipped.
 fn attachment_key_set(
     ctx: &ExecCtx<'_>,
     rd: &RelationDescriptor,
     att: &dyn Attachment,
     inst: &AttachmentInstance,
-) -> Result<Option<BTreeSet<Vec<u8>>>> {
+) -> Result<Option<(BTreeSet<Vec<u8>>, bool)>> {
     let mut scan = match att.open_scan(ctx, rd, inst, &AccessQuery::All) {
         Ok(s) => s,
         Err(DmxError::Unsupported(_)) => return Ok(None),
@@ -193,14 +198,15 @@ fn attachment_key_set(
     while let Some(item) = scan.next(ctx)? {
         keys.insert(item.key.as_bytes().to_vec());
     }
-    Ok(Some(keys))
+    Ok(Some((keys, scan.supports_versioned_read())))
 }
 
 /// Scrubs one relation: verifies every base and attachment page's
 /// checksum through the buffer manager, then (when all pages are clean)
-/// cross-checks that every record-keyed attachment agrees with the base
-/// about exactly which records exist. Damage quarantines the relation
-/// proactively, exactly as a failed production read would.
+/// cross-checks every record-keyed attachment against the base: one
+/// that names every record must name exactly the base's, any other no
+/// record the base lacks. Damage quarantines the relation proactively,
+/// exactly as a failed production read would.
 ///
 /// Online: runs inside the caller's transaction under a relation S lock,
 /// so concurrent readers proceed and writers wait out the pass.
@@ -242,8 +248,13 @@ pub fn scrub_relation(
         for (att_id, insts) in rd.attached_types() {
             let att = db.registry().attachment(att_id)?;
             for inst in insts {
-                if let Some(keys) = attachment_key_set(&ctx, &rd, &*att, inst)? {
-                    if keys != base_keys {
+                if let Some((keys, every)) = attachment_key_set(&ctx, &rd, &*att, inst)? {
+                    let agrees = if every {
+                        keys == base_keys
+                    } else {
+                        keys.is_subset(&base_keys)
+                    };
+                    if !agrees {
                         report.damage.push(format!(
                             "attachment {} disagrees with base ({} vs {} records)",
                             inst.name,
@@ -336,9 +347,10 @@ fn rebuild_targets(
 }
 
 /// The number of records the relation *logically* holds, as witnessed by
-/// an intact, record-keyed attachment instance — the attachment thesis
-/// in reverse: derived state that survived the damage testifies to what
-/// the base contained. `None` when no undamaged witness exists.
+/// an intact attachment instance that names every record — the
+/// attachment thesis in reverse: derived state that survived the damage
+/// testifies to what the base contained. `None` when no undamaged
+/// witness exists.
 fn witness_record_count(
     db: &Arc<Database>,
     txn: &Arc<Transaction>,
@@ -352,7 +364,7 @@ fn witness_record_count(
             if files.is_empty() || files_damaged(db, &files)? {
                 continue;
             }
-            if let Some(keys) = attachment_key_set(&ctx, rd, &*att, inst)? {
+            if let Some((keys, true)) = attachment_key_set(&ctx, rd, &*att, inst)? {
                 return Ok(Some(keys.len() as u64));
             }
         }

@@ -11,9 +11,7 @@
 use std::sync::Arc;
 
 use dmx_expr::Expr;
-use dmx_types::{
-    AttrList, DmxError, FieldId, FileId, Record, RecordKey, RelationId, Result, Schema, Value,
-};
+use dmx_types::{AttrList, DmxError, FieldId, FileId, Record, RecordKey, Result, Schema, Value};
 
 use crate::access::{KeyRange, ScanOps};
 use crate::context::ExecCtx;
@@ -44,18 +42,16 @@ pub trait StorageMethod: Send + Sync {
     /// The type's registered name (used in DDL: `… USING <name>`).
     fn name(&self) -> &str;
 
-    /// Validates an extension attribute/value list during DDL parsing,
-    /// before execution ("storage method … implementations supply generic
-    /// operations to validate and process the attribute lists").
-    fn validate_params(&self, params: &AttrList, schema: &Schema) -> Result<()>;
-
     /// Creates a relation instance (allocating files etc.), returning the
     /// storage-method descriptor bytes to embed in the relation
-    /// descriptor.
+    /// descriptor. The one reader of the DDL attribute list ("storage
+    /// method … implementations supply generic operations to validate
+    /// and process the attribute lists"): it checks and parses `params`
+    /// **before** it allocates anything, so a rejected list leaves
+    /// nothing behind.
     fn create_instance(
         &self,
         ctx: &ExecCtx<'_>,
-        rel: RelationId,
         schema: &Schema,
         params: &AttrList,
     ) -> Result<Vec<u8>>;

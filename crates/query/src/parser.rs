@@ -367,7 +367,7 @@ impl Parser {
     }
 
     /// `WITH ( k = v, … )` — values may be identifiers, literals or
-    /// strings; the pairs feed the extension's `validate_params`.
+    /// strings; the pairs feed the extension's `create_instance`.
     fn with_clause(&mut self) -> Result<AttrList> {
         if !self.eat_kw("WITH") {
             return Ok(AttrList::new());

@@ -422,11 +422,6 @@ impl Session {
                 if *unique && with.get("unique").is_none() {
                     pairs.push(("unique".into(), "true".into()));
                 }
-                // the rtree takes a single `field`
-                if ty.eq_ignore_ascii_case("rtree") && with.get("field").is_none() {
-                    pairs.retain(|(k, _)| !k.eq_ignore_ascii_case("fields"));
-                    pairs.push(("field".into(), columns.join(",")));
-                }
                 let params = AttrList::from_pairs(pairs)?;
                 self.db.create_attachment(txn, table, ty, name, &params)?;
                 Ok(QueryResult::empty())

@@ -442,6 +442,41 @@ fn joins_all_strategies_agree() {
     assert_eq!(nl, ji, "join-index join returns identical rows");
 }
 
+/// A join index answers in either FROM order. With `dept` first the pair
+/// scan opens through dept's right-side instance, whose items are *emp's*
+/// record keys: the dispatcher must pass them through, not re-read each
+/// as a dept record (which kept 5 of 100 rows).
+#[test]
+fn a_join_index_join_answers_in_either_from_order() {
+    let db = open_db();
+    db.execute_sql("CREATE TABLE dept (id INT NOT NULL, dname STRING NOT NULL)")
+        .unwrap();
+    for d in 0..5 {
+        db.execute_sql(&format!("INSERT INTO dept VALUES ({d}, 'dept{d}')"))
+            .unwrap();
+    }
+    setup_emp(&db);
+    let orders = [
+        "SELECT e.id, d.dname FROM emp e, dept d WHERE e.dept = d.id ORDER BY 1",
+        "SELECT e.id, d.dname FROM dept d, emp e WHERE e.dept = d.id ORDER BY 1",
+    ];
+    let nested_loop = db.query_sql(orders[0]).unwrap();
+    assert_eq!(nested_loop.len(), 100);
+    assert_eq!(db.query_sql(orders[1]).unwrap(), nested_loop);
+
+    db.execute_sql("CREATE ATTACHMENT ed ON emp USING joinindex WITH (side=left, fields=dept)")
+        .unwrap();
+    db.execute_sql(
+        "CREATE ATTACHMENT ed ON dept USING joinindex WITH (side=right, fields=id, other=emp)",
+    )
+    .unwrap();
+    for q in orders {
+        let plan = format!("{:?}", db.query_sql(&format!("EXPLAIN {q}")).unwrap());
+        assert!(plan.contains("JoinIndexJoin"), "{q}: {plan}");
+        assert_eq!(db.query_sql(q).unwrap(), nested_loop, "{q}");
+    }
+}
+
 #[test]
 fn check_constraint_via_sql() {
     let db = open_db();
@@ -768,10 +803,47 @@ fn drop_table_via_sql_and_errors() {
         db.execute_sql("CREATE TABLE u (x INT)").is_err(),
         "duplicate"
     );
-    // bad attribute caught by validate_params at DDL time
-    assert!(db
-        .execute_sql("CREATE TABLE v (x INT) USING heap WITH (bogus = 1)")
-        .is_err());
+}
+
+/// `create_instance` is the one reader of an attribute list, and it reads
+/// the list before it allocates: a rejected DDL statement creates no
+/// file and uses up no relation id or instance number.
+#[test]
+fn a_rejected_attribute_list_allocates_nothing() {
+    let db = open_db();
+    db.execute_sql("CREATE TABLE t (id INT NOT NULL, area RECT, d INT)")
+        .unwrap();
+    let rejected = [
+        "CREATE TABLE v (x INT) USING heap WITH (bogus = 1)",
+        "CREATE TABLE v (x INT) USING btree WITH (key = x, bogus = 1)",
+        "CREATE TABLE v (x INT) USING btree WITH (key = nope)",
+        "CREATE INDEX t_i ON t USING btree (id) WITH (bogus = 1)",
+        "CREATE ATTACHMENT t_s ON t USING stats WITH (bogus = 1)",
+        "CREATE INDEX t_r ON t USING rtree (id)",
+        "CREATE ATTACHMENT t_j ON t USING joinindex WITH (side = middle, fields = id)",
+        "CREATE ATTACHMENT t_a ON t USING aggregate WITH (group_by = d)",
+    ];
+    let files = || {
+        db.services()
+            .disk
+            .stats()
+            .files_created
+            .load(std::sync::atomic::Ordering::Relaxed)
+    };
+    let before = files();
+    for sql in rejected {
+        let err = db.execute_sql(sql).unwrap_err();
+        assert!(matches!(err, DmxError::InvalidArg(_)), "{sql}: {err}");
+        assert_eq!(files(), before, "{sql} created a file");
+    }
+    let t = db.catalog().get_by_name("t").unwrap().id;
+    db.execute_sql("CREATE TABLE u (x INT)").unwrap();
+    assert_eq!(db.catalog().get_by_name("u").unwrap().id.0, t.0 + 1);
+    db.execute_sql("CREATE INDEX t_i ON t USING btree (id)")
+        .unwrap();
+    let rd = db.catalog().get_by_name("t").unwrap();
+    let (_, inst) = rd.find_attachment("t_i").unwrap();
+    assert_eq!(inst.instance.0, 1, "the first btree index on t");
 }
 
 #[test]

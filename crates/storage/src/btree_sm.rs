@@ -17,8 +17,8 @@ use dmx_core::{
 use dmx_expr::Expr;
 use dmx_lock::LockMode;
 use dmx_types::{
-    key::encode_values, AttrList, DmxError, FieldId, FileId, Lsn, Record, RecordKey, RelationId,
-    Result, Schema, Value,
+    key::encode_values, AttrList, DmxError, FieldId, FileId, Lsn, Record, RecordKey, Result,
+    Schema, Value,
 };
 
 use crate::util::{filter_project, item_from_version};
@@ -126,18 +126,13 @@ impl StorageMethod for BTreeStorage {
         "btree"
     }
 
-    fn validate_params(&self, params: &AttrList, schema: &Schema) -> Result<()> {
-        params.check_allowed(&["key"], "btree storage")?;
-        Self::parse_key_fields(params, schema).map(|_| ())
-    }
-
     fn create_instance(
         &self,
         ctx: &ExecCtx<'_>,
-        _rel: RelationId,
         schema: &Schema,
         params: &AttrList,
     ) -> Result<Vec<u8>> {
+        params.check_allowed(&["key"], "btree storage")?;
         let key_fields = Self::parse_key_fields(params, schema)?;
         let TreeFile { file, root_page } = TreeFile::create(ctx.services())?;
         Ok(BtDesc {

@@ -19,9 +19,7 @@ use dmx_core::{
     StorageMethod,
 };
 use dmx_expr::Expr;
-use dmx_types::{
-    AttrList, DmxError, FieldId, Lsn, Record, RecordKey, RelationId, Result, Schema, Value,
-};
+use dmx_types::{AttrList, DmxError, FieldId, Lsn, Record, RecordKey, Result, Schema, Value};
 
 use crate::memory::Table;
 
@@ -126,19 +124,13 @@ impl StorageMethod for ForeignStorage {
         "foreign"
     }
 
-    fn validate_params(&self, params: &AttrList, _schema: &Schema) -> Result<()> {
-        params.check_allowed(&["server"], "foreign")?;
-        let server = params.require("server", "foreign")?;
-        self.server(server).map(|_| ())
-    }
-
     fn create_instance(
         &self,
         _ctx: &ExecCtx<'_>,
-        _rel: RelationId,
         _schema: &Schema,
         params: &AttrList,
     ) -> Result<Vec<u8>> {
+        params.check_allowed(&["server"], "foreign")?;
         let name = params.require("server", "foreign")?;
         let server = self.server(name)?;
         let table = server.next_table.fetch_add(1, Ordering::Relaxed) + 1;

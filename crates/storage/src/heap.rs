@@ -23,7 +23,7 @@ use dmx_expr::Expr;
 use dmx_page::{BufferPool, SlottedPage};
 use dmx_types::PageId;
 use dmx_types::{
-    AttrList, DmxError, FieldId, FileId, Lsn, Record, RecordKey, RelationId, Result, Schema, Value,
+    AttrList, DmxError, FieldId, FileId, Lsn, Record, RecordKey, Result, Schema, Value,
 };
 use dmx_wal::ExtKind;
 
@@ -235,18 +235,13 @@ impl StorageMethod for HeapStorage {
         "heap"
     }
 
-    fn validate_params(&self, params: &AttrList, _schema: &Schema) -> Result<()> {
-        params.check_allowed(&[], "heap")
-    }
-
     fn create_instance(
         &self,
         ctx: &ExecCtx<'_>,
-        _rel: RelationId,
         _schema: &Schema,
         params: &AttrList,
     ) -> Result<Vec<u8>> {
-        self.validate_params(params, _schema)?;
+        params.check_allowed(&[], "heap")?;
         let file = ctx.services().disk.create_file()?;
         let pin = ctx.services().pool.new_page(file)?;
         let mut page = pin.write();

@@ -22,9 +22,7 @@ use dmx_core::{
     ScanItem, ScanOps, StorageMethod,
 };
 use dmx_expr::Expr;
-use dmx_types::{
-    AttrList, DmxError, FieldId, Lsn, Record, RecordKey, RelationId, Result, Schema, Value,
-};
+use dmx_types::{AttrList, DmxError, FieldId, Lsn, Record, RecordKey, Result, Schema, Value};
 use dmx_wal::ExtKind;
 
 use crate::ops::{decode_key, encode_key, encode_key_record, OP_DELETE, OP_INSERT, OP_UPDATE};
@@ -192,17 +190,13 @@ impl StorageMethod for MemoryStorage {
         false
     }
 
-    fn validate_params(&self, params: &AttrList, _schema: &Schema) -> Result<()> {
-        params.check_allowed(&[], "memory")
-    }
-
     fn create_instance(
         &self,
         _ctx: &ExecCtx<'_>,
-        _rel: RelationId,
         _schema: &Schema,
-        _params: &AttrList,
+        params: &AttrList,
     ) -> Result<Vec<u8>> {
+        params.check_allowed(&[], "memory")?;
         let token = self.next_token.fetch_add(1, Ordering::Relaxed) + 1;
         self.tables
             .write()

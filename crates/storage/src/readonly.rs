@@ -15,9 +15,7 @@ use dmx_core::{ExecCtx, KeyRange, PathChoice, RelationDescriptor, Replay, ScanOp
 use dmx_expr::Expr;
 use dmx_page::SlottedPage;
 use dmx_types::PageId;
-use dmx_types::{
-    AttrList, DmxError, FieldId, Lsn, Record, RecordKey, RelationId, Result, Schema, Value,
-};
+use dmx_types::{AttrList, DmxError, FieldId, Lsn, Record, RecordKey, Result, Schema, Value};
 use dmx_wal::ExtKind;
 
 use crate::heap::{
@@ -46,18 +44,13 @@ impl StorageMethod for ReadOnlyStorage {
         "readonly"
     }
 
-    fn validate_params(&self, params: &AttrList, _schema: &Schema) -> Result<()> {
-        params.check_allowed(&[], "readonly")
-    }
-
     fn create_instance(
         &self,
         ctx: &ExecCtx<'_>,
-        _rel: RelationId,
         _schema: &Schema,
         params: &AttrList,
     ) -> Result<Vec<u8>> {
-        self.validate_params(params, _schema)?;
+        params.check_allowed(&[], "readonly")?;
         let file = ctx.services().disk.create_file()?;
         let pin = ctx.services().pool.new_page(file)?;
         let mut page = pin.write();

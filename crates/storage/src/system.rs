@@ -332,16 +332,11 @@ impl StorageMethod for SystemStorage {
         sysrel::SM_NAME
     }
 
-    fn validate_params(&self, _params: &AttrList, _schema: &Schema) -> Result<()> {
-        // `sys.*` relations are published by the engine at open; user DDL
-        // cannot create instances of this storage method.
-        Err(self.unsupported("create"))
-    }
-
+    /// `sys.*` relations are published by the engine at open; user DDL
+    /// cannot create instances of this storage method.
     fn create_instance(
         &self,
         _ctx: &ExecCtx<'_>,
-        _rel: RelationId,
         _schema: &Schema,
         _params: &AttrList,
     ) -> Result<Vec<u8>> {

@@ -12,13 +12,11 @@ use std::sync::Arc;
 use dmx_core::{
     AccessPath, AccessQuery, Attachment, AttachmentInstance, CommonServices, Database,
     DatabaseConfig, DatabaseEnv, ExecCtx, ExtensionRegistry, Modification, RelationDescriptor,
-    Replay,
 };
 use dmx_expr::{CmpOp, Expr};
 use dmx_storage::register_builtin_storage;
 use dmx_types::{
-    AttrList, ColumnDef, DataType, DmxError, Lsn, Record, RecordKey, RelationId, Result, Schema,
-    Value,
+    AttrList, ColumnDef, DataType, DmxError, Record, RecordKey, RelationId, Result, Schema, Value,
 };
 
 fn schema() -> Schema {
@@ -447,16 +445,14 @@ impl Attachment for VetoBigIds {
     fn name(&self) -> &str {
         "veto_big_ids"
     }
-    fn validate_params(&self, p: &AttrList, _s: &Schema) -> Result<()> {
-        p.check_allowed(&[], self.name())
-    }
     fn create_instance(
         &self,
         _ctx: &ExecCtx<'_>,
         _rd: &RelationDescriptor,
         _name: &str,
-        _params: &AttrList,
+        params: &AttrList,
     ) -> Result<Vec<u8>> {
+        params.check_allowed(&[], self.name())?;
         Ok(Vec::new())
     }
     fn destroy_instance(&self, _s: &Arc<CommonServices>, _d: &[u8]) -> Result<()> {
@@ -479,17 +475,6 @@ impl Attachment for VetoBigIds {
             }
             _ => Ok(()),
         }
-    }
-    fn replay(
-        &self,
-        _s: &Arc<CommonServices>,
-        _rd: &RelationDescriptor,
-        _lsn: Lsn,
-        _dir: Replay,
-        _op: u8,
-        _payload: &[u8],
-    ) -> Result<()> {
-        Ok(())
     }
 }
 

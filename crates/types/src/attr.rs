@@ -89,7 +89,7 @@ impl AttrList {
     }
 
     /// Fetches a required value, erroring with the extension's name if
-    /// absent — the shape extension `validate_params` implementations want.
+    /// absent — the shape extension `create_instance` implementations want.
     pub fn require(&self, key: &str, who: &str) -> Result<&str> {
         self.get(key)
             .ok_or_else(|| DmxError::InvalidArg(format!("{who} requires attribute '{key}'")))
@@ -121,7 +121,8 @@ impl AttrList {
     }
 
     /// Validates that every present key is in `allowed`; extensions call
-    /// this so typos in DDL are reported at parse time, not execution time.
+    /// this first in `create_instance`, so a typo in DDL is reported
+    /// before anything is allocated.
     pub fn check_allowed(&self, allowed: &[&str], who: &str) -> Result<()> {
         for (k, _) in &self.pairs {
             if !allowed.iter().any(|a| a.eq_ignore_ascii_case(k)) {

@@ -10,8 +10,8 @@
 //!    outside the I/O crates — all I/O passes the fault injector);
 //! 3. audited `unsafe` (allowlisted module + `// SAFETY:` comment);
 //! 4. the crate-layering DAG and the std-only dependency rule;
-//! 5. extension-contract conformance for registered storage methods and
-//!    attachment types;
+//! 5. one matcher from predicates to a key range (no extension takes
+//!    the keyed predicate shapes apart);
 //! 6. deterministic time (no `Instant`/`SystemTime` in runtime crates
 //!    outside the `[[wallclock]]` allowlist — wall-clock timing belongs
 //!    to `crates/bench`);
@@ -82,7 +82,7 @@ pub fn run(root: &Path, opts: Options) -> Result<Report, String> {
     violations.extend(rules::check_unsafe(&files, &allow));
     violations.extend(rules::check_layering(root));
     violations.extend(rules::check_private_paths(&files));
-    violations.extend(rules::check_contracts(&files));
+    violations.extend(rules::check_relevance(&files));
     violations.extend(rules::check_wallclock(&files, &allow));
     violations.extend(rules::check_metric_statics(&files));
     let mut waivers = Vec::new();

@@ -11,8 +11,10 @@
 //! 4. **Layering** — runtime crates only depend on crates below them in
 //!    the documented DAG, never on external crates, and the extension
 //!    crates never name kernel-internal module paths.
-//! 5. **Extension contracts** — every registered storage method and
-//!    attachment type implements the full generic operation set.
+//! 5. **Extension relevance** — no storage method or attachment takes
+//!    the keyed predicate shapes apart: `KeyMatch::of` is the one
+//!    matcher. (That each implements its trait's operations is rustc's
+//!    check, not this pass's.)
 //! 6. **Deterministic time** — no `Instant`/`SystemTime` in non-test
 //!    runtime code (modulo the `[[wallclock]]` allowlist), so metric
 //!    snapshots and recovery stay pure functions of the workload;
@@ -61,7 +63,7 @@ impl Violation {
             "raw-io" => "DMX002",
             "unsafe" | "unsafe-allowlist" => "DMX003",
             "layering" | "private-path" => "DMX004",
-            "contract" | "relevance" => "DMX005",
+            "relevance" => "DMX005",
             "wallclock" | "wallclock-allowlist" => "DMX006",
             "metric-static" => "DMX007",
             "write-ahead" => "DMX008",
@@ -698,63 +700,15 @@ pub fn check_private_paths(files: &[SourceFile]) -> Vec<Violation> {
 }
 
 // ---------------------------------------------------------------------
-// Rule 5: extension-contract conformance
+// Rule 5: extension relevance
 // ---------------------------------------------------------------------
-
-/// Methods every registered storage method must implement — the full
-/// generic operation set including cost estimation (`estimate`).
-pub const STORAGE_OPS: &[&str] = &[
-    "name",
-    "validate_params",
-    "create_instance",
-    "destroy_instance",
-    "insert",
-    "update",
-    "delete",
-    "fetch",
-    "open_scan",
-    "estimate",
-    "replay",
-];
-
-/// Methods every registered attachment must implement — including the
-/// veto-capable side-effect entry point (`on_modify`) and replay.
-pub const ATTACH_OPS: &[&str] = &[
-    "name",
-    "validate_params",
-    "create_instance",
-    "destroy_instance",
-    "on_modify",
-    "replay",
-];
-
-/// Checks that every type registered in the extension crate's `lib.rs`
-/// has a trait impl carrying the complete operation set, and that no
-/// extension decides keyed relevance for itself.
-pub fn check_contracts(files: &[SourceFile]) -> Vec<Violation> {
-    let mut out = check_relevance(files);
-    out.extend(check_contract_side(
-        files,
-        "crates/storage/src/lib.rs",
-        "register_storage_method",
-        "StorageMethod",
-        STORAGE_OPS,
-    ));
-    out.extend(check_contract_side(
-        files,
-        "crates/attach/src/lib.rs",
-        "register_attachment",
-        "Attachment",
-        ATTACH_OPS,
-    ));
-    out
-}
 
 /// Which predicates a key answers is decided once, by `KeyMatch::of` in
 /// `dmx_core::cost`: a keyed extension states its key fields and calls
 /// it, and takes none of the sarg shapes it reads apart. The spatial
-/// shapes are the R-tree's own.
-fn check_relevance(files: &[SourceFile]) -> Vec<Violation> {
+/// shapes are the R-tree's own. (That every extension implements its
+/// trait's required operations is rustc's to enforce, not this pass's.)
+pub fn check_relevance(files: &[SourceFile]) -> Vec<Violation> {
     const KEYED: &[&str] = &["Eq", "EqParam", "Range"];
     let extension =
         |rel: &str| rel.starts_with("crates/storage/src/") || rel.starts_with("crates/attach/src/");
@@ -776,144 +730,6 @@ fn check_relevance(files: &[SourceFile]) -> Vec<Violation> {
         }
     }
     out
-}
-
-fn check_contract_side(
-    files: &[SourceFile],
-    lib_rel: &str,
-    register_fn: &str,
-    trait_name: &str,
-    required: &[&str],
-) -> Vec<Violation> {
-    let mut out = Vec::new();
-    let Some(lib) = files.iter().find(|f| f.rel == lib_rel) else {
-        return out; // crate absent (fixture trees)
-    };
-    // 1. collect registered type names from `register_x(Arc::new(Type...))`
-    let mut registered: Vec<(String, usize)> = Vec::new();
-    for (i, line) in lib.lines.iter().enumerate() {
-        let code = &line.code;
-        let Some(p) = code.find(register_fn) else {
-            continue;
-        };
-        let rest = &code[p..];
-        let Some(a) = rest.find("Arc::new(") else {
-            continue;
-        };
-        let ident: String = rest[a + "Arc::new(".len()..]
-            .chars()
-            .take_while(|c| c.is_alphanumeric() || *c == '_')
-            .collect();
-        if !ident.is_empty() {
-            registered.push((ident, i + 1));
-        }
-    }
-    // 2. for each, find the trait impl anywhere in the crate and collect
-    //    its top-level fn names by brace matching.
-    let crate_prefix = lib_rel.trim_end_matches("lib.rs");
-    for (ty, reg_line) in registered {
-        let mut found_impl = false;
-        for f in files.iter().filter(|f| f.rel.starts_with(crate_prefix)) {
-            let Some(fns) = impl_fns(f, trait_name, &ty) else {
-                continue;
-            };
-            found_impl = true;
-            let missing: Vec<&str> = required
-                .iter()
-                .copied()
-                .filter(|m| !fns.contains(&m.to_string()))
-                .collect();
-            if !missing.is_empty() {
-                out.push(Violation::new(
-                    "contract",
-                    &f.rel,
-                    0,
-                    format!(
-                        "`impl {trait_name} for {ty}` is missing generic operations: {}",
-                        missing.join(", ")
-                    ),
-                ));
-            }
-        }
-        if !found_impl {
-            out.push(Violation::new(
-                "contract",
-                lib_rel,
-                reg_line,
-                format!("registered type `{ty}` has no `impl {trait_name} for {ty}` in the crate"),
-            ));
-        }
-    }
-    out
-}
-
-/// Top-level `fn` names inside `impl <Trait> for <Ty>`, or `None` when
-/// the file has no such impl.
-fn impl_fns(f: &SourceFile, trait_name: &str, ty: &str) -> Option<Vec<String>> {
-    // Find the impl header line; tolerate generics on the trait.
-    let mut start = None;
-    'outer: for (i, line) in f.lines.iter().enumerate() {
-        let code = &line.code;
-        let Some(p) = code.find("impl") else { continue };
-        let rest = &code[p..];
-        if rest.contains(trait_name) && rest.contains(" for ") {
-            // exact type-name match after `for`
-            if let Some(fp) = rest.find(" for ") {
-                let after: String = rest[fp + 5..]
-                    .trim_start()
-                    .chars()
-                    .take_while(|c| c.is_alphanumeric() || *c == '_')
-                    .collect();
-                if after == ty {
-                    start = Some(i);
-                    break 'outer;
-                }
-            }
-        }
-    }
-    let start = start?;
-    let mut fns = Vec::new();
-    let mut depth = 0i32;
-    let mut entered = false;
-    for line in &f.lines[start..] {
-        let code = &line.code;
-        if entered && depth == 1 {
-            // top level of the impl body: collect `fn name`
-            let mut rest = code.as_str();
-            while let Some(p) = rest.find("fn ") {
-                let word_ok = p == 0 || {
-                    let c = rest.as_bytes()[p - 1] as char;
-                    !(c.is_alphanumeric() || c == '_')
-                };
-                if word_ok {
-                    let name: String = rest[p + 3..]
-                        .chars()
-                        .take_while(|c| c.is_alphanumeric() || *c == '_')
-                        .collect();
-                    if !name.is_empty() {
-                        fns.push(name);
-                    }
-                }
-                rest = &rest[p + 3..];
-            }
-        }
-        for c in code.chars() {
-            match c {
-                '{' => {
-                    depth += 1;
-                    entered = true;
-                }
-                '}' => {
-                    depth -= 1;
-                    if entered && depth == 0 {
-                        return Some(fns);
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-    Some(fns)
 }
 
 #[cfg(test)]

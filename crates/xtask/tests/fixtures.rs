@@ -42,7 +42,6 @@ fn violation_tree_fires_every_rule_family() {
         "unsafe",
         "layering",
         "private-path",
-        "contract",
         "relevance",
         "wallclock",
         "wallclock-allowlist",
@@ -201,33 +200,6 @@ fn private_path_rule_keeps_extension_names_out_of_the_planner() {
     assert!(hits.iter().all(|x| x.code() == "DMX004"));
     // The clean tree's planner names the join index, and only that.
     assert!(!run("clean").iter().any(|x| x.rule == "private-path"));
-}
-
-#[test]
-fn contract_rule_reports_missing_ops_and_missing_impls() {
-    let v = run("violations");
-    let contracts: Vec<&Violation> = v.iter().filter(|x| x.rule == "contract").collect();
-    assert!(
-        contracts
-            .iter()
-            .any(|x| x.msg.contains("Partial") && x.msg.contains("estimate")),
-        "missing storage ops (incl. cost estimation) not reported:\n{}",
-        xtask::render(&v)
-    );
-    assert!(
-        contracts
-            .iter()
-            .any(|x| x.msg.contains("Ghost") && x.msg.contains("no `impl")),
-        "registered type without impl not reported:\n{}",
-        xtask::render(&v)
-    );
-    assert!(
-        contracts
-            .iter()
-            .any(|x| x.msg.contains("Half") && x.msg.contains("on_modify")),
-        "missing attachment entry points not reported:\n{}",
-        xtask::render(&v)
-    );
 }
 
 #[test]

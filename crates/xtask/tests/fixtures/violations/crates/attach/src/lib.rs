@@ -1,16 +1,8 @@
-//! Violation fixture: an attachment missing its veto entry point and undo.
+//! Violation fixture: the attachment crate's root; its violation is in
+//! `keyed.rs`.
 
 pub fn register(reg: &mut Registry) {
-    reg.register_attachment(Arc::new(Half));
+    reg.register_attachment(Arc::new(Plain));
 }
 
-pub struct Half;
-
-impl Attachment for Half {
-    fn name(&self) -> &str {
-        "half"
-    }
-    fn validate_params(&self) {}
-    fn create_instance(&self) {}
-    fn destroy_instance(&self) {}
-}
+pub struct Plain;

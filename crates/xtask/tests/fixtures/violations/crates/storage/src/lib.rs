@@ -1,24 +1,9 @@
-//! Violation fixture: a storage method missing generic operations, a
-//! registration with no impl at all, and a kernel-internal path.
+//! Violation fixture: a storage crate naming a kernel-internal path.
 
 use dmx_core::database::Database;
 
 pub fn register(reg: &mut Registry) {
-    reg.register_storage_method(Arc::new(Partial));
-    reg.register_storage_method(Arc::new(Ghost));
+    reg.register_storage_method(Arc::new(Plain));
 }
 
-pub struct Partial;
-
-impl StorageMethod for Partial {
-    fn name(&self) -> &str {
-        "partial"
-    }
-    fn validate_params(&self) {}
-    fn create_instance(&self) {}
-    fn destroy_instance(&self) {}
-    fn insert(&self) {}
-    fn update(&self) {}
-    fn delete(&self) {}
-    fn fetch(&self) {}
-}
+pub struct Plain;

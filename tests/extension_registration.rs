@@ -77,16 +77,13 @@ impl StorageMethod for VecStore {
     fn is_recoverable(&self) -> bool {
         false
     }
-    fn validate_params(&self, params: &AttrList, _schema: &Schema) -> Result<()> {
-        params.check_allowed(&["capacity"], "vecstore")
-    }
     fn create_instance(
         &self,
         _ctx: &ExecCtx<'_>,
-        _rel: RelationId,
         _schema: &Schema,
         params: &AttrList,
     ) -> Result<Vec<u8>> {
+        params.check_allowed(&["capacity"], "vecstore")?;
         let cap = params.get_u64("capacity", 16)? as usize;
         let t = self.next.fetch_add(1, Ordering::Relaxed) + 1;
         self.tables
@@ -312,11 +309,6 @@ impl Attachment for QuotaGuard {
     fn name(&self) -> &str {
         "audit_count"
     }
-    fn validate_params(&self, params: &AttrList, _schema: &Schema) -> Result<()> {
-        params.check_allowed(&["quota"], "audit_count")?;
-        params.get_u64("quota", 0)?;
-        Ok(())
-    }
     fn create_instance(
         &self,
         _ctx: &ExecCtx<'_>,
@@ -324,6 +316,7 @@ impl Attachment for QuotaGuard {
         _name: &str,
         params: &AttrList,
     ) -> Result<Vec<u8>> {
+        params.check_allowed(&["quota"], "audit_count")?;
         Ok(params.get_u64("quota", u64::MAX)?.to_le_bytes().to_vec())
     }
     fn destroy_instance(&self, _s: &Arc<CommonServices>, _d: &[u8]) -> Result<()> {
@@ -353,6 +346,8 @@ impl Attachment for QuotaGuard {
         ctx.log_ext_op(ExtKind::Attachment(find_self(rd)), rd.id, 1, Vec::new());
         Ok(())
     }
+    /// Its own record shape (an empty payload, not a tree change), so
+    /// its own replay.
     fn replay(
         &self,
         _s: &Arc<CommonServices>,
@@ -394,12 +389,6 @@ impl Attachment for Lookup {
     fn name(&self) -> &str {
         "lookup"
     }
-    fn validate_params(&self, params: &AttrList, schema: &Schema) -> Result<()> {
-        params.check_allowed(&["field"], "lookup")?;
-        schema
-            .field_id(params.require("field", "lookup")?)
-            .map(drop)
-    }
     fn create_instance(
         &self,
         _ctx: &ExecCtx<'_>,
@@ -407,8 +396,9 @@ impl Attachment for Lookup {
         _name: &str,
         params: &AttrList,
     ) -> Result<Vec<u8>> {
-        let token = self.next.fetch_add(1, Ordering::SeqCst);
+        params.check_allowed(&["field"], "lookup")?;
         let field = rd.schema.field_id(params.require("field", "lookup")?)?;
+        let token = self.next.fetch_add(1, Ordering::SeqCst);
         Ok([&token.to_le_bytes()[..], &field.to_le_bytes()[..]].concat())
     }
     fn destroy_instance(&self, _s: &Arc<CommonServices>, desc: &[u8]) -> Result<()> {
@@ -439,17 +429,6 @@ impl Attachment for Lookup {
             }
         }
         Ok(())
-    }
-    fn replay(
-        &self,
-        _s: &Arc<CommonServices>,
-        _rd: &RelationDescriptor,
-        _lsn: dmx_types::Lsn,
-        _dir: Replay,
-        _op: u8,
-        _payload: &[u8],
-    ) -> Result<()> {
-        Ok(()) // nothing is logged
     }
     /// Only a lookup by key: the record keys filed under the value.
     fn open_scan(
@@ -557,7 +536,7 @@ fn user_defined_storage_method_speaks_full_sql() {
             .unwrap()[0][0],
         Value::Int(5)
     );
-    // bad DDL attribute rejected by the extension's validate_params
+    // bad DDL attribute rejected by the extension's create_instance
     assert!(db
         .execute_sql("CREATE TABLE w (x INT) USING vecstore WITH (color = red)")
         .is_err());

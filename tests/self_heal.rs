@@ -208,6 +208,47 @@ fn check_and_repair_cover_aggregate_rtree_and_join_index_files() {
     assert_eq!(db.query_sql(window).unwrap(), before);
 }
 
+/// `CHECK TABLE` demands the base's exact key set only from a path that
+/// names every record; an R-tree leaves NULL rectangles out by design and
+/// only has to name no record the base lacks.
+#[test]
+fn check_table_accepts_an_rtree_that_skips_a_null() {
+    let db = reopen(&DatabaseEnv::fresh());
+    for ddl in [
+        "CREATE TABLE p (id INT NOT NULL, area RECT)",
+        "CREATE INDEX p_area ON p USING rtree (area)",
+        "INSERT INTO p VALUES (1, RECT(0, 0, 1, 1)), (2, NULL)",
+    ] {
+        db.execute_sql(ddl).expect(ddl);
+    }
+    let r = db.execute_sql("CHECK TABLE p").expect("check");
+    assert_eq!(r.rows[0][2], Value::from("healthy"), "{r:?}");
+    assert!(db.quarantined().is_empty());
+}
+
+/// Likewise a join index: an `emp` row with no `dept` partner is in no
+/// pair, and the right side's items are `emp`'s keys, not `dept`'s —
+/// neither relation is damaged.
+#[test]
+fn check_table_accepts_a_join_index_with_an_unpartnered_row() {
+    let db = reopen(&DatabaseEnv::fresh());
+    for ddl in [
+        "CREATE TABLE emp (id INT NOT NULL, dept INT)",
+        "CREATE TABLE dept (id INT NOT NULL)",
+        "CREATE ATTACHMENT ed ON emp USING joinindex WITH (side=left, fields=dept)",
+        "CREATE ATTACHMENT ed ON dept USING joinindex WITH (side=right, fields=id, other=emp)",
+        "INSERT INTO dept VALUES (1), (2)",
+        "INSERT INTO emp VALUES (10, 1), (11, 2), (12, 7)",
+    ] {
+        db.execute_sql(ddl).expect(ddl);
+    }
+    for t in ["emp", "dept"] {
+        let r = db.execute_sql(&format!("CHECK TABLE {t}")).expect("check");
+        assert_eq!(r.rows[0][2], Value::from("healthy"), "{t}: {r:?}");
+    }
+    assert!(db.quarantined().is_empty());
+}
+
 /// A damaged *base* is salvaged: every record on readable pages is
 /// recovered into a fresh instance, the unreadable ones are reported as
 /// lost, and the index is rebuilt on top of the salvaged base.
