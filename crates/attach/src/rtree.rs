@@ -13,6 +13,7 @@
 //! condensing (bounding rects stay conservative — correct, just looser).
 //! The root page number is fixed for the life of the tree.
 
+use std::ops::Deref;
 use std::sync::Arc;
 
 use dmx_btree::{LatchTable, TreeLatch};
@@ -23,10 +24,10 @@ use dmx_core::{
     ScanOps, SpatialOp, TreeFile,
 };
 use dmx_expr::{analyze, Expr, SargOp};
-use dmx_page::{BufferPool, Page, SlottedPage};
+use dmx_page::{BufferPool, Page, PageWrite, SlottedPage};
 use dmx_types::{
-    AttrList, DataType, DmxError, FieldId, FileId, Lsn, PageId, Record, RecordKey, Rect, Result,
-    Value,
+    Appended, AttrList, DataType, DmxError, FieldId, FileId, Lsn, PageId, Record, RecordKey, Rect,
+    Result, Value,
 };
 
 use crate::common::parse_fields;
@@ -214,7 +215,7 @@ fn quadratic_split(items: Vec<Vec<u8>>) -> Result<SplitGroups> {
     Ok((pick(&g1), pick(&g2)))
 }
 
-fn write_entries(page: &mut Page, page_type: u8, items: &[Vec<u8>]) -> Result<()> {
+fn write_entries(page: &mut PageWrite<'_>, page_type: u8, items: &[Vec<u8>]) -> Result<()> {
     SlottedPage::init(page);
     page.set_page_type(page_type);
     for e in items {
@@ -224,31 +225,33 @@ fn write_entries(page: &mut Page, page_type: u8, items: &[Vec<u8>]) -> Result<()
     Ok(())
 }
 
-/// A handle to one R-tree.
+/// A handle to one R-tree, for reading; changes go through the
+/// [`RTreeWriter`] of [`RTree::with_wal_lsn`].
 #[derive(Clone)]
 pub struct RTree {
     pool: Arc<BufferPool>,
     root: PageId,
     latch: Arc<TreeLatch>,
-    /// When non-null, every page a mutation dirties is stamped with this
-    /// LSN so the buffer pool forces the log through it before the page
-    /// can reach disk (write-ahead for attachment log records).
-    wal_lsn: Lsn,
+}
+
+/// An R-tree that may change: every page a mutation dirties carries the
+/// LSN of the log record the change is part of (the protocol of
+/// [`dmx_btree::BTreeWriter`]). Reads go through to the [`RTree`].
+#[derive(Clone)]
+pub struct RTreeWriter {
+    tree: RTree,
+    at: Appended,
 }
 
 impl RTree {
-    /// Allocates a new empty tree (leaf root) in `file`.
+    /// Allocates a new empty tree (leaf root) in `file`: the root is a
+    /// page fresh from the pool, formatted unlogged.
     pub fn create(pool: &Arc<BufferPool>, file: FileId, latches: &LatchTable) -> Result<RTree> {
         let pin = pool.new_page(file)?;
-        let mut page = pin.write();
+        let mut page = pin.format();
         SlottedPage::init(&mut page);
         page.set_page_type(PAGE_TYPE_RTREE_LEAF);
-        Ok(RTree {
-            pool: pool.clone(),
-            root: pin.id(),
-            latch: latches.latch(pin.id()),
-            wal_lsn: Lsn::NULL,
-        })
+        Ok(RTree::open(pool, pin.id(), latches))
     }
 
     /// Opens an existing tree.
@@ -257,22 +260,15 @@ impl RTree {
             pool: pool.clone(),
             root,
             latch: latches.latch(root),
-            wal_lsn: Lsn::NULL,
         }
     }
 
-    /// Returns a handle whose mutations stamp dirtied pages with `lsn`
-    /// (see [`dmx_btree::BTree::with_wal_lsn`] for the protocol).
-    #[must_use]
-    pub fn with_wal_lsn(mut self, lsn: Lsn) -> Self {
-        self.wal_lsn = lsn;
-        self
-    }
-
-    /// Stamps a page this mutation dirtied (LSNs only move forward).
-    fn stamp(&self, page: &mut Page) {
-        if self.wal_lsn > page.lsn() {
-            page.set_lsn(self.wal_lsn);
+    /// The writer of this tree inside the change whose log record `at`
+    /// is.
+    pub fn with_wal_lsn(&self, at: Appended) -> RTreeWriter {
+        RTreeWriter {
+            tree: self.clone(),
+            at,
         }
     }
 
@@ -283,129 +279,6 @@ impl RTree {
 
     fn page(&self, page_no: u32) -> Result<dmx_page::PinnedPage> {
         self.pool.fetch(PageId::new(self.root.file, page_no))
-    }
-
-    /// Inserts `(rect, payload)`.
-    pub fn insert(&self, rect: &Rect, payload: &[u8]) -> Result<()> {
-        let _g = self.latch.write();
-        if let Some(new_page) = self.insert_rec(self.root.page_no, rect, payload)? {
-            self.grow_root(new_page)?;
-        }
-        Ok(())
-    }
-
-    fn insert_rec(&self, page_no: u32, rect: &Rect, payload: &[u8]) -> Result<Option<u32>> {
-        let pin = self.page(page_no)?;
-        let leaf = is_leaf(&pin.read());
-        if leaf {
-            let entry = make_entry(rect, payload);
-            let mut page = pin.write();
-            if SlottedPage::insert(&mut page, &entry).is_some() {
-                self.stamp(&mut page);
-                return Ok(None);
-            }
-            // split
-            let mut items = entries(&page);
-            items.push(entry);
-            let (a, b) = quadratic_split(items)?;
-            write_entries(&mut page, PAGE_TYPE_RTREE_LEAF, &a)?;
-            self.stamp(&mut page);
-            drop(page);
-            let new_pin = self.pool.new_page(self.root.file)?;
-            let mut new_page = new_pin.write();
-            write_entries(&mut new_page, PAGE_TYPE_RTREE_LEAF, &b)?;
-            self.stamp(&mut new_page);
-            return Ok(Some(new_pin.id().page_no));
-        }
-        // choose subtree: least enlargement, ties by area
-        let (slot, child) = {
-            let page = pin.read();
-            let mut best: Option<(u16, u32, f64, f64)> = None;
-            for (s, data) in live_entries(&page) {
-                let r = entry_rect(data)?;
-                let enl = r.enlargement(rect);
-                let area = r.area();
-                let better = match &best {
-                    None => true,
-                    Some((_, _, be, ba)) => enl < *be || (enl == *be && area < *ba),
-                };
-                if better {
-                    best = Some((s, child_of(data), enl, area));
-                }
-            }
-            let (s, c, _, _) = best.ok_or_else(|| DmxError::Corrupt("empty inner node".into()))?;
-            (s, c)
-        };
-        let split = self.insert_rec(child, rect, payload)?;
-        // refresh the child's bounding rect
-        let child_bounds = {
-            let cpin = self.page(child)?;
-            let b = bounds(&cpin.read())?;
-            b.ok_or_else(|| DmxError::Corrupt("empty rtree child".into()))?
-        };
-        let mut page = pin.write();
-        SlottedPage::update(
-            &mut page,
-            slot,
-            &make_entry(&child_bounds, &child.to_le_bytes()),
-        )?;
-        self.stamp(&mut page);
-        let Some(new_child) = split else {
-            return Ok(None);
-        };
-        let new_bounds = {
-            let cpin = self.page(new_child)?;
-            let b = bounds(&cpin.read())?;
-            b.ok_or_else(|| DmxError::Corrupt("empty rtree split".into()))?
-        };
-        let new_entry = make_entry(&new_bounds, &new_child.to_le_bytes());
-        if SlottedPage::insert(&mut page, &new_entry).is_some() {
-            self.stamp(&mut page);
-            return Ok(None);
-        }
-        // split this inner node
-        let mut items = entries(&page);
-        items.push(new_entry);
-        let (a, b) = quadratic_split(items)?;
-        write_entries(&mut page, PAGE_TYPE_RTREE_INNER, &a)?;
-        self.stamp(&mut page);
-        drop(page);
-        let new_pin = self.pool.new_page(self.root.file)?;
-        let mut new_page = new_pin.write();
-        write_entries(&mut new_page, PAGE_TYPE_RTREE_INNER, &b)?;
-        self.stamp(&mut new_page);
-        Ok(Some(new_pin.id().page_no))
-    }
-
-    /// After a root split: move the root's content into a fresh sibling
-    /// and make the root an inner node over both.
-    fn grow_root(&self, new_page: u32) -> Result<()> {
-        let root_pin = self.page(self.root.page_no)?;
-        let left_pin = self.pool.new_page(self.root.file)?;
-        {
-            let mut left = left_pin.write();
-            let root = root_pin.read();
-            *left.raw_mut() = *root.raw();
-            self.stamp(&mut left);
-        }
-        let left_bounds =
-            bounds(&left_pin.read())?.ok_or_else(|| DmxError::Corrupt("empty root copy".into()))?;
-        let right_bounds = {
-            let p = self.page(new_page)?;
-            let b = bounds(&p.read())?;
-            b.ok_or_else(|| DmxError::Corrupt("empty new sibling".into()))?
-        };
-        let mut root = root_pin.write();
-        write_entries(
-            &mut root,
-            PAGE_TYPE_RTREE_INNER,
-            &[
-                make_entry(&left_bounds, &left_pin.id().page_no.to_le_bytes()),
-                make_entry(&right_bounds, &new_page.to_le_bytes()),
-            ],
-        )?;
-        self.stamp(&mut root);
-        Ok(())
     }
 
     /// True when an entry with exactly `(rect, payload)` exists.
@@ -435,52 +308,6 @@ impl RTree {
         drop(pin);
         for c in children {
             if self.contains_rec(c, rect, payload)? {
-                return Ok(true);
-            }
-        }
-        Ok(false)
-    }
-
-    /// Removes the entry with exactly `(rect, payload)`. Returns whether
-    /// it was found.
-    pub fn delete(&self, rect: &Rect, payload: &[u8]) -> Result<bool> {
-        let _g = self.latch.write();
-        self.delete_rec(self.root.page_no, rect, payload)
-    }
-
-    fn delete_rec(&self, page_no: u32, rect: &Rect, payload: &[u8]) -> Result<bool> {
-        let pin = self.page(page_no)?;
-        if is_leaf(&pin.read()) {
-            let target = {
-                let page = pin.read();
-                let found = live_entries(&page)
-                    .find(|&(_, d)| {
-                        entry_rect(d).map(|r| r == *rect).unwrap_or(false)
-                            && entry_payload(d) == payload
-                    })
-                    .map(|(s, _)| s);
-                found
-            };
-            if let Some(s) = target {
-                let mut page = pin.write();
-                SlottedPage::delete(&mut page, s);
-                self.stamp(&mut page);
-                return Ok(true);
-            }
-            return Ok(false);
-        }
-        let children: Vec<u32> = {
-            let page = pin.read();
-            live_entries(&page)
-                .filter_map(|(_, d)| match entry_rect(d) {
-                    Ok(r) if r.encloses(rect) => Some(child_of(d)),
-                    _ => None,
-                })
-                .collect()
-        };
-        drop(pin);
-        for c in children {
-            if self.delete_rec(c, rect, payload)? {
                 return Ok(true);
             }
         }
@@ -557,6 +384,170 @@ impl RTree {
     }
 }
 
+impl Deref for RTreeWriter {
+    type Target = RTree;
+    fn deref(&self) -> &RTree {
+        &self.tree
+    }
+}
+
+impl RTreeWriter {
+    /// Inserts `(rect, payload)`.
+    pub fn insert(&self, rect: &Rect, payload: &[u8]) -> Result<()> {
+        let _g = self.latch.write();
+        if let Some(new_page) = self.insert_rec(self.root.page_no, rect, payload)? {
+            self.grow_root(new_page)?;
+        }
+        Ok(())
+    }
+
+    fn insert_rec(&self, page_no: u32, rect: &Rect, payload: &[u8]) -> Result<Option<u32>> {
+        let pin = self.page(page_no)?;
+        let leaf = is_leaf(&pin.read());
+        if leaf {
+            let entry = make_entry(rect, payload);
+            let mut page = pin.write(self.at);
+            if SlottedPage::insert(&mut page, &entry).is_some() {
+                return Ok(None);
+            }
+            // split
+            let mut items = entries(&page);
+            items.push(entry);
+            let (a, b) = quadratic_split(items)?;
+            write_entries(&mut page, PAGE_TYPE_RTREE_LEAF, &a)?;
+            drop(page);
+            let new_pin = self.pool.new_page(self.root.file)?;
+            let mut new_page = new_pin.write(self.at);
+            write_entries(&mut new_page, PAGE_TYPE_RTREE_LEAF, &b)?;
+            return Ok(Some(new_pin.id().page_no));
+        }
+        // choose subtree: least enlargement, ties by area
+        let (slot, child) = {
+            let page = pin.read();
+            let mut best: Option<(u16, u32, f64, f64)> = None;
+            for (s, data) in live_entries(&page) {
+                let r = entry_rect(data)?;
+                let enl = r.enlargement(rect);
+                let area = r.area();
+                let better = match &best {
+                    None => true,
+                    Some((_, _, be, ba)) => enl < *be || (enl == *be && area < *ba),
+                };
+                if better {
+                    best = Some((s, child_of(data), enl, area));
+                }
+            }
+            let (s, c, _, _) = best.ok_or_else(|| DmxError::Corrupt("empty inner node".into()))?;
+            (s, c)
+        };
+        let split = self.insert_rec(child, rect, payload)?;
+        // refresh the child's bounding rect
+        let child_bounds = {
+            let cpin = self.page(child)?;
+            let b = bounds(&cpin.read())?;
+            b.ok_or_else(|| DmxError::Corrupt("empty rtree child".into()))?
+        };
+        let mut page = pin.write(self.at);
+        SlottedPage::update(
+            &mut page,
+            slot,
+            &make_entry(&child_bounds, &child.to_le_bytes()),
+        )?;
+        let Some(new_child) = split else {
+            return Ok(None);
+        };
+        let new_bounds = {
+            let cpin = self.page(new_child)?;
+            let b = bounds(&cpin.read())?;
+            b.ok_or_else(|| DmxError::Corrupt("empty rtree split".into()))?
+        };
+        let new_entry = make_entry(&new_bounds, &new_child.to_le_bytes());
+        if SlottedPage::insert(&mut page, &new_entry).is_some() {
+            return Ok(None);
+        }
+        // split this inner node
+        let mut items = entries(&page);
+        items.push(new_entry);
+        let (a, b) = quadratic_split(items)?;
+        write_entries(&mut page, PAGE_TYPE_RTREE_INNER, &a)?;
+        drop(page);
+        let new_pin = self.pool.new_page(self.root.file)?;
+        let mut new_page = new_pin.write(self.at);
+        write_entries(&mut new_page, PAGE_TYPE_RTREE_INNER, &b)?;
+        Ok(Some(new_pin.id().page_no))
+    }
+
+    /// After a root split: move the root's content into a fresh sibling
+    /// and make the root an inner node over both.
+    fn grow_root(&self, new_page: u32) -> Result<()> {
+        let root_pin = self.page(self.root.page_no)?;
+        let left_pin = self.pool.new_page(self.root.file)?;
+        left_pin.write(self.at).copy_from(&root_pin.read());
+        let left_bounds =
+            bounds(&left_pin.read())?.ok_or_else(|| DmxError::Corrupt("empty root copy".into()))?;
+        let right_bounds = {
+            let p = self.page(new_page)?;
+            let b = bounds(&p.read())?;
+            b.ok_or_else(|| DmxError::Corrupt("empty new sibling".into()))?
+        };
+        let mut root = root_pin.write(self.at);
+        write_entries(
+            &mut root,
+            PAGE_TYPE_RTREE_INNER,
+            &[
+                make_entry(&left_bounds, &left_pin.id().page_no.to_le_bytes()),
+                make_entry(&right_bounds, &new_page.to_le_bytes()),
+            ],
+        )?;
+        Ok(())
+    }
+
+    /// Removes the entry with exactly `(rect, payload)`. Returns whether
+    /// it was found.
+    pub fn delete(&self, rect: &Rect, payload: &[u8]) -> Result<bool> {
+        let _g = self.latch.write();
+        self.delete_rec(self.root.page_no, rect, payload)
+    }
+
+    fn delete_rec(&self, page_no: u32, rect: &Rect, payload: &[u8]) -> Result<bool> {
+        let pin = self.page(page_no)?;
+        if is_leaf(&pin.read()) {
+            let target = {
+                let page = pin.read();
+                let found = live_entries(&page)
+                    .find(|&(_, d)| {
+                        entry_rect(d).map(|r| r == *rect).unwrap_or(false)
+                            && entry_payload(d) == payload
+                    })
+                    .map(|(s, _)| s);
+                found
+            };
+            if let Some(s) = target {
+                let mut page = pin.write(self.at);
+                SlottedPage::delete(&mut page, s);
+                return Ok(true);
+            }
+            return Ok(false);
+        }
+        let children: Vec<u32> = {
+            let page = pin.read();
+            live_entries(&page)
+                .filter_map(|(_, d)| match entry_rect(d) {
+                    Ok(r) if r.encloses(rect) => Some(child_of(d)),
+                    _ => None,
+                })
+                .collect()
+        };
+        drop(pin);
+        for c in children {
+            if self.delete_rec(c, rect, payload)? {
+                return Ok(true);
+            }
+        }
+        Ok(false)
+    }
+}
+
 /// Keys are whole leaf entries (`rect ∥ record key`); the image only says
 /// whether the entry is present. Presence-checked, because the tree would
 /// otherwise hold an entry twice when a replay meets one already there.
@@ -565,8 +556,8 @@ impl LoggedTarget for RTree {
         self.root
     }
 
-    fn install_image(&self, lsn: Lsn, entry: &[u8], image: Option<&[u8]>) -> Result<()> {
-        let tree = self.clone().with_wal_lsn(lsn);
+    fn install_image(&self, at: Appended, entry: &[u8], image: Option<&[u8]>) -> Result<()> {
+        let tree = self.with_wal_lsn(at);
         let rect = entry_rect(entry)?;
         let rkey = entry_payload(entry);
         match image {
@@ -673,13 +664,13 @@ impl Attachment for RTreeIndex {
         &self,
         services: &Arc<CommonServices>,
         _rd: &RelationDescriptor,
-        lsn: Lsn,
-        dir: Replay,
+        _lsn: Lsn,
+        dir: Replay<'_>,
         op: u8,
         payload: &[u8],
     ) -> Result<()> {
         let (file, change) = TreeFile::named_by(payload)?;
-        logged_tree::replay(&Self::tree(services, file), lsn, dir, op, change).map(drop)
+        logged_tree::replay(&Self::tree(services, file), dir, op, change).map(drop)
     }
 
     fn storage_files(&self, inst_desc: &[u8]) -> Vec<FileId> {

@@ -471,13 +471,13 @@ impl Attachment for Stats {
         &self,
         services: &Arc<CommonServices>,
         rd: &RelationDescriptor,
-        lsn: Lsn,
-        dir: Replay,
+        _lsn: Lsn,
+        dir: Replay<'_>,
         op: u8,
         payload: &[u8],
     ) -> Result<()> {
         let (file, change) = TreeFile::named_by(payload)?;
-        let image = logged_tree::replay(&file.open_tree(services), lsn, dir, op, change)?;
+        let image = logged_tree::replay(&file.open_tree(services), dir, op, change)?;
         Self::publish(rd, image.map(decode_cell).transpose()?.as_ref());
         Ok(())
     }

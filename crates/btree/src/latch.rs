@@ -3,18 +3,19 @@
 //! One reader/writer latch per tree (keyed by the tree's root page id)
 //! serializes structural modification against readers. This is coarse —
 //! a real system would crab-latch — but correct, and tree operations are
-//! short.
+//! short. Readers only wait for a writer that holds the latch, so a
+//! reader may re-take it while it holds it already.
 //!
-//! The latch is hand-rolled on a mutex + condvar rather than
-//! `std::sync::RwLock` because the commit-time flush needs *owned* write
-//! guards (guards that keep their latch alive via `Arc`), which std's
-//! borrowed guards cannot express without unsafe lifetime extension.
+//! Both guards count as latches for the debug-build checks of
+//! [`dmx_types::held`]: no lock request, explicit device operation or
+//! scan pull while one lives.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use dmx_types::sync::{Condvar, Mutex};
 
+use dmx_types::held::Latched;
 use dmx_types::PageId;
 
 /// Reader/writer state of one tree latch.
@@ -41,30 +42,23 @@ impl TreeLatch {
             st = self.cv.wait(st);
         }
         st.readers += 1;
-        LatchReadGuard { latch: self }
+        LatchReadGuard {
+            latch: self,
+            _held: Latched::enter(),
+        }
     }
 
     /// Acquires exclusive write access for the lifetime of the guard.
     pub fn write(&self) -> LatchWriteGuard<'_> {
-        self.acquire_write();
-        LatchWriteGuard { latch: self }
-    }
-
-    /// Acquires exclusive write access with a guard that owns the latch,
-    /// for callers that collect guards over many trees (commit flush).
-    pub fn write_owned(self: &Arc<Self>) -> OwnedLatchWriteGuard {
-        self.acquire_write();
-        OwnedLatchWriteGuard {
-            latch: Arc::clone(self),
-        }
-    }
-
-    fn acquire_write(&self) {
         let mut st = self.state.lock();
         while st.writer || st.readers > 0 {
             st = self.cv.wait(st);
         }
         st.writer = true;
+        LatchWriteGuard {
+            latch: self,
+            _held: Latched::enter(),
+        }
     }
 
     fn release_read(&self) {
@@ -84,6 +78,7 @@ impl TreeLatch {
 /// Shared-read RAII guard for [`TreeLatch`].
 pub struct LatchReadGuard<'a> {
     latch: &'a TreeLatch,
+    _held: Latched,
 }
 
 impl Drop for LatchReadGuard<'_> {
@@ -95,20 +90,10 @@ impl Drop for LatchReadGuard<'_> {
 /// Exclusive-write RAII guard for [`TreeLatch`].
 pub struct LatchWriteGuard<'a> {
     latch: &'a TreeLatch,
+    _held: Latched,
 }
 
 impl Drop for LatchWriteGuard<'_> {
-    fn drop(&mut self) {
-        self.latch.release_write();
-    }
-}
-
-/// Exclusive-write guard that keeps its latch alive.
-pub struct OwnedLatchWriteGuard {
-    latch: Arc<TreeLatch>,
-}
-
-impl Drop for OwnedLatchWriteGuard {
     fn drop(&mut self) {
         self.latch.release_write();
     }
@@ -134,22 +119,6 @@ impl LatchTable {
     /// Drops the latch entry for a destroyed tree.
     pub fn forget(&self, root: PageId) {
         self.inner.lock().remove(&root);
-    }
-
-    /// Acquires every tree latch in a deterministic order and returns the
-    /// guards. The commit-time page flush takes these so it never captures
-    /// a half-done multi-page structural modification; tree operations
-    /// take exactly one latch at a time, so the sorted order is
-    /// deadlock-free.
-    pub fn lock_all(&self) -> Vec<OwnedLatchWriteGuard> {
-        let mut latches: Vec<(PageId, Arc<TreeLatch>)> = self
-            .inner
-            .lock()
-            .iter()
-            .map(|(k, v)| (*k, v.clone()))
-            .collect();
-        latches.sort_by_key(|(k, _)| *k);
-        latches.into_iter().map(|(_, l)| l.write_owned()).collect()
     }
 
     /// Number of live latches (diagnostics).
@@ -188,7 +157,7 @@ mod tests {
         let r1 = l.read();
         let r2 = l.read();
         drop((r1, r2));
-        let w = l.write_owned();
+        let w = l.write();
         drop(w);
         let _w2 = l.write();
     }
@@ -217,13 +186,17 @@ mod tests {
         assert_eq!(*counter.lock(), 200);
     }
 
+    /// A flush is an explicit device operation: under a tree latch it
+    /// waits on disk — and on the log force — while every reader of the
+    /// tree waits on it. A debug build refuses it at the call.
+    #[cfg(debug_assertions)]
     #[test]
-    fn lock_all_returns_every_latch() {
-        let t = LatchTable::new();
-        t.latch(PageId::new(FileId(1), 0));
-        t.latch(PageId::new(FileId(2), 0));
-        t.latch(PageId::new(FileId(3), 0));
-        let guards = t.lock_all();
-        assert_eq!(guards.len(), 3);
+    #[should_panic(expected = "flush_all under 1 page or tree latch")]
+    fn a_flush_under_a_tree_latch_is_refused() {
+        use dmx_page::{BufferPool, MemDisk};
+        let pool = BufferPool::new(Arc::new(MemDisk::new()), 4);
+        let latch = LatchTable::new().latch(PageId::new(FileId(1), 0));
+        let _g = latch.write();
+        let _ = pool.flush_all();
     }
 }

@@ -21,13 +21,28 @@
 //! * Physical concurrency is handled by a per-tree reader/writer latch
 //!   ([`latch::LatchTable`]); logical concurrency (who may see what) is
 //!   the lock manager's job, one level up.
-//! * No logging happens here: the owning extension logs *logical* undo
-//!   records (insert⇄delete), which is exactly the latitude the paper
-//!   grants extension implementors in choosing recovery techniques.
+//! * No logging happens here: the owning extension logs the change
+//!   (`LoggedTree::apply` in `dmx-core`) and changes the tree through the
+//!   writer [`BTree::with_wal_lsn`] makes of the log's token, which
+//!   stamps every page it dirties with the record's LSN. A [`BTree`]
+//!   itself only reads:
+//!
+//! ```compile_fail
+//! # use std::sync::Arc;
+//! # use dmx_btree::{BTree, LatchTable, OnDuplicate};
+//! # use dmx_page::{BufferPool, DiskManager, MemDisk};
+//! # let disk = Arc::new(MemDisk::new());
+//! # let pool = BufferPool::new(disk.clone(), 16);
+//! # let latches = LatchTable::new();
+//! # let root = BTree::create(&pool, disk.create_file()?, &latches)?.root();
+//! let tree = BTree::open(&pool, root, &latches);
+//! tree.insert(b"k", b"v", OnDuplicate::Error)?; // mutated before it is logged
+//! # Ok::<(), dmx_types::DmxError>(())
+//! ```
 
 pub mod latch;
 pub mod node;
 pub mod tree;
 
-pub use latch::{LatchTable, OwnedLatchWriteGuard, TreeLatch};
-pub use tree::{BTree, BTreeCursor, OnDuplicate, TreeStats};
+pub use latch::{LatchTable, TreeLatch};
+pub use tree::{BTree, BTreeCursor, BTreeWriter, OnDuplicate, TreeStats};

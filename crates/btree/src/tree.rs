@@ -1,11 +1,11 @@
 //! B+tree operations: descent, insert with splits, delete, seek and
 //! cursors.
 
-use std::ops::Bound;
+use std::ops::{Bound, Deref};
 use std::sync::Arc;
 
-use dmx_page::{BufferPool, Page, PinnedPage};
-use dmx_types::{DmxError, FileId, Lsn, PageId, Result};
+use dmx_page::{BufferPool, PinnedPage};
+use dmx_types::{Appended, DmxError, FileId, PageId, Result};
 
 use crate::latch::{LatchTable, TreeLatch};
 use crate::node::{Node, MAX_ENTRY, PAGE_TYPE_BTREE};
@@ -25,17 +25,25 @@ pub enum OnDuplicate {
     Replace,
 }
 
-/// A handle to one B+tree. Cheap to clone; the root page id is stable for
-/// the life of the tree, so extension descriptors can persist it.
+/// A handle to one B+tree, for reading. Cheap to clone; the root page id
+/// is stable for the life of the tree, so extension descriptors can
+/// persist it. Changes go through the [`BTreeWriter`] of
+/// [`BTree::with_wal_lsn`].
 #[derive(Clone)]
 pub struct BTree {
     pool: Arc<BufferPool>,
     root: PageId,
     latch: Arc<TreeLatch>,
-    /// When non-null, every page a mutation dirties is stamped with this
-    /// LSN so the buffer pool's write-ahead hook forces the log through
-    /// it before the page can reach disk.
-    wal_lsn: Lsn,
+}
+
+/// A B+tree that may change: every page a mutation dirties is taken
+/// against the token of the log record the change is part of, and so
+/// carries its LSN — the buffer pool forces the log through a page's LSN
+/// before writing the page. Reads go through to the [`BTree`].
+#[derive(Clone)]
+pub struct BTreeWriter {
+    tree: BTree,
+    at: Appended,
 }
 
 /// Structural statistics (tests, cost sanity checks).
@@ -47,17 +55,19 @@ pub struct TreeStats {
 }
 
 impl BTree {
-    /// Allocates a new empty tree (a single leaf root) in `file`.
-    pub fn create(pool: &Arc<BufferPool>, file: FileId, latches: &LatchTable) -> Result<BTree> {
+    /// Allocates a new empty tree (a single leaf root) in `file` and
+    /// returns it unlogged: a fresh tree is no log record's yet — the DDL
+    /// that creates it force-writes its file at commit, and a scratch
+    /// tree is nothing restart recovers.
+    pub fn create(
+        pool: &Arc<BufferPool>,
+        file: FileId,
+        latches: &LatchTable,
+    ) -> Result<BTreeWriter> {
         let page = pool.new_page(file)?;
-        Node::init(&mut page.write(), true);
+        Node::init(&mut page.format(), true);
         let root = page.id();
-        Ok(BTree {
-            pool: pool.clone(),
-            root,
-            latch: latches.latch(root),
-            wal_lsn: Lsn::NULL,
-        })
+        Ok(BTree::open(pool, root, latches).with_wal_lsn(Appended::UNLOGGED))
     }
 
     /// Opens an existing tree by its root page.
@@ -66,26 +76,15 @@ impl BTree {
             pool: pool.clone(),
             root,
             latch: latches.latch(root),
-            wal_lsn: Lsn::NULL,
         }
     }
 
-    /// Returns a handle whose mutations stamp every dirtied page with
-    /// `lsn`, establishing write-ahead for the log record that describes
-    /// them: the buffer pool forces the log through a page's LSN before
-    /// writing it, so a logged-then-applied tree change can never reach
-    /// disk with its log record still volatile. Handles without an LSN
-    /// (build-time loads, tests) leave page LSNs untouched.
-    #[must_use]
-    pub fn with_wal_lsn(mut self, lsn: Lsn) -> Self {
-        self.wal_lsn = lsn;
-        self
-    }
-
-    /// Stamps a page this mutation dirtied (LSNs only move forward).
-    fn stamp(&self, page: &mut Page) {
-        if self.wal_lsn > page.lsn() {
-            page.set_lsn(self.wal_lsn);
+    /// The writer of this tree inside the change whose log record `at`
+    /// is.
+    pub fn with_wal_lsn(&self, at: Appended) -> BTreeWriter {
+        BTreeWriter {
+            tree: self.clone(),
+            at,
         }
     }
 
@@ -123,151 +122,6 @@ impl BTree {
         ))
     }
 
-    /// Inserts `(key, val)`. Keys are unique; `on_dup` picks the
-    /// duplicate behaviour.
-    pub fn insert(&self, key: &[u8], val: &[u8], on_dup: OnDuplicate) -> Result<()> {
-        if key.len() + val.len() > MAX_ENTRY {
-            return Err(DmxError::InvalidArg(format!(
-                "btree entry of {} bytes exceeds max {MAX_ENTRY}",
-                key.len() + val.len()
-            )));
-        }
-        if key.is_empty() {
-            return Err(DmxError::InvalidArg("empty btree key".into()));
-        }
-        let _guard = self.latch.write();
-        if let Some((sep, right)) = self.insert_rec(self.root.page_no, key, val, on_dup, 0)? {
-            self.grow_root(&sep, right)?;
-        }
-        Ok(())
-    }
-
-    /// Recursive insert; returns `Some((separator, new_right_page_no))`
-    /// when the visited node split.
-    fn insert_rec(
-        &self,
-        page_no: u32,
-        key: &[u8],
-        val: &[u8],
-        on_dup: OnDuplicate,
-        depth: usize,
-    ) -> Result<Option<(Vec<u8>, u32)>> {
-        if depth > MAX_DEPTH {
-            return Err(self.depth_exceeded());
-        }
-        let pin = self.node(page_no)?;
-        let is_leaf = Node::is_leaf(&pin.read());
-        if is_leaf {
-            let mut page = pin.write();
-            match Node::search(&page, key) {
-                Ok(idx) => match on_dup {
-                    OnDuplicate::Error => Err(DmxError::Duplicate(format!(
-                        "btree key {:02x?}",
-                        // bounds: length clamped to key.len().
-                        &key[..key.len().min(16)]
-                    ))),
-                    OnDuplicate::Replace => {
-                        if Node::replace_value(&mut page, idx, val).is_ok() {
-                            self.stamp(&mut page);
-                            return Ok(None);
-                        }
-                        // No room even after compaction: remove and fall
-                        // through to a fresh (possibly splitting) insert.
-                        Node::remove_at(&mut page, idx);
-                        self.stamp(&mut page);
-                        drop(page);
-                        drop(pin);
-                        self.insert_rec(page_no, key, val, OnDuplicate::Error, depth)
-                    }
-                },
-                Err(idx) => {
-                    if Node::fits(&page, key.len(), val.len()) {
-                        Node::insert_at(&mut page, idx, key, val)?;
-                        self.stamp(&mut page);
-                        return Ok(None);
-                    }
-                    // Split the leaf.
-                    let right_pin = self.pool.new_page(self.root.file)?;
-                    let mut right = right_pin.write();
-                    Node::init(&mut right, true);
-                    let sep = Node::split_into(&mut page, &mut right)?;
-                    Node::set_right_sibling(&mut right, Node::right_sibling(&page));
-                    Node::set_right_sibling(&mut page, Some(right_pin.id().page_no));
-                    let target = if key < sep.as_slice() {
-                        &mut *page
-                    } else {
-                        &mut *right
-                    };
-                    // The key cannot be present in either half of a page
-                    // that was split because it did not fit, so both the
-                    // found and the insertion index are the same slot.
-                    let idx = Node::search(target, key).unwrap_or_else(|i| i);
-                    Node::insert_at(target, idx, key, val)?;
-                    self.stamp(&mut page);
-                    self.stamp(&mut right);
-                    Ok(Some((sep, right_pin.id().page_no)))
-                }
-            }
-        } else {
-            let child = Node::route(&pin.read(), key);
-            let split = self.insert_rec(child, key, val, on_dup, depth + 1)?;
-            let Some((sep, new_child)) = split else {
-                return Ok(None);
-            };
-            let mut page = pin.write();
-            let idx = match Node::search(&page, &sep) {
-                Ok(_) => return Err(DmxError::Internal("duplicate separator".into())),
-                Err(i) => i,
-            };
-            if Node::fits(&page, sep.len(), 4) {
-                Node::insert_at(&mut page, idx, &sep, &new_child.to_le_bytes())?;
-                self.stamp(&mut page);
-                return Ok(None);
-            }
-            // Split the internal node: the right node's first key moves up.
-            let right_pin = self.pool.new_page(self.root.file)?;
-            let mut right = right_pin.write();
-            Node::init(&mut right, false);
-            let _first_right = Node::split_into(&mut page, &mut right)?;
-            let sep_up = Node::key(&right, 0).to_vec();
-            let first_child = Node::child(&right, 0);
-            Node::set_leftmost_child(&mut right, first_child);
-            Node::remove_at(&mut right, 0);
-            // Place the pending (sep, new_child) entry.
-            let target = if sep < sep_up {
-                &mut *page
-            } else {
-                &mut *right
-            };
-            match Node::search(target, &sep) {
-                Ok(_) => return Err(DmxError::Internal("duplicate separator".into())),
-                Err(i) => Node::insert_at(target, i, &sep, &new_child.to_le_bytes())?,
-            }
-            self.stamp(&mut page);
-            self.stamp(&mut right);
-            Ok(Some((sep_up, right_pin.id().page_no)))
-        }
-    }
-
-    /// Handles a root split: the old root's contents move into a fresh
-    /// child so the root page number never changes.
-    fn grow_root(&self, sep: &[u8], right: u32) -> Result<()> {
-        let root_pin = self.page(self.root.page_no)?;
-        let left_pin = self.pool.new_page(self.root.file)?;
-        {
-            let mut left = left_pin.write();
-            let root = root_pin.read();
-            *left.raw_mut() = *root.raw();
-            self.stamp(&mut left);
-        }
-        let mut root = root_pin.write();
-        Node::init(&mut root, false);
-        Node::set_leftmost_child(&mut root, left_pin.id().page_no);
-        Node::insert_at(&mut root, 0, sep, &right.to_le_bytes())?;
-        self.stamp(&mut root);
-        Ok(())
-    }
-
     /// Point lookup.
     pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
         let _guard = self.latch.read();
@@ -282,30 +136,6 @@ impl BTree {
                 });
             }
             page_no = Node::route(&page, key);
-        }
-        Err(self.depth_exceeded())
-    }
-
-    /// Deletes a key, returning its old value. Lazy deletion: nodes are
-    /// never merged.
-    pub fn delete(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        let _guard = self.latch.write();
-        let mut page_no = self.root.page_no;
-        for _ in 0..=MAX_DEPTH {
-            let pin = self.node(page_no)?;
-            if Node::is_leaf(&pin.read()) {
-                let mut page = pin.write();
-                return Ok(match Node::search(&page, key) {
-                    Ok(idx) => {
-                        let old = Node::value(&page, idx).to_vec();
-                        Node::remove_at(&mut page, idx);
-                        self.stamp(&mut page);
-                        Some(old)
-                    }
-                    Err(_) => None,
-                });
-            }
-            page_no = Node::route(&pin.read(), key);
         }
         Err(self.depth_exceeded())
     }
@@ -452,6 +282,169 @@ impl BTree {
     }
 }
 
+impl Deref for BTreeWriter {
+    type Target = BTree;
+    fn deref(&self) -> &BTree {
+        &self.tree
+    }
+}
+
+impl BTreeWriter {
+    /// Inserts `(key, val)`. Keys are unique; `on_dup` picks the
+    /// duplicate behaviour.
+    pub fn insert(&self, key: &[u8], val: &[u8], on_dup: OnDuplicate) -> Result<()> {
+        if key.len() + val.len() > MAX_ENTRY {
+            return Err(DmxError::InvalidArg(format!(
+                "btree entry of {} bytes exceeds max {MAX_ENTRY}",
+                key.len() + val.len()
+            )));
+        }
+        if key.is_empty() {
+            return Err(DmxError::InvalidArg("empty btree key".into()));
+        }
+        let _guard = self.latch.write();
+        if let Some((sep, right)) = self.insert_rec(self.root.page_no, key, val, on_dup, 0)? {
+            self.grow_root(&sep, right)?;
+        }
+        Ok(())
+    }
+
+    /// Recursive insert; returns `Some((separator, new_right_page_no))`
+    /// when the visited node split.
+    fn insert_rec(
+        &self,
+        page_no: u32,
+        key: &[u8],
+        val: &[u8],
+        on_dup: OnDuplicate,
+        depth: usize,
+    ) -> Result<Option<(Vec<u8>, u32)>> {
+        if depth > MAX_DEPTH {
+            return Err(self.depth_exceeded());
+        }
+        let pin = self.node(page_no)?;
+        let is_leaf = Node::is_leaf(&pin.read());
+        if is_leaf {
+            let mut page = pin.write(self.at);
+            match Node::search(&page, key) {
+                Ok(idx) => match on_dup {
+                    OnDuplicate::Error => Err(DmxError::Duplicate(format!(
+                        "btree key {:02x?}",
+                        // bounds: length clamped to key.len().
+                        &key[..key.len().min(16)]
+                    ))),
+                    OnDuplicate::Replace => {
+                        if Node::replace_value(&mut page, idx, val).is_ok() {
+                            return Ok(None);
+                        }
+                        // No room even after compaction: remove and fall
+                        // through to a fresh (possibly splitting) insert.
+                        Node::remove_at(&mut page, idx);
+                        drop(page);
+                        drop(pin);
+                        self.insert_rec(page_no, key, val, OnDuplicate::Error, depth)
+                    }
+                },
+                Err(idx) => {
+                    if Node::fits(&page, key.len(), val.len()) {
+                        Node::insert_at(&mut page, idx, key, val)?;
+                        return Ok(None);
+                    }
+                    // Split the leaf.
+                    let right_pin = self.pool.new_page(self.root.file)?;
+                    let mut right = right_pin.write(self.at);
+                    Node::init(&mut right, true);
+                    let sep = Node::split_into(&mut page, &mut right)?;
+                    Node::set_right_sibling(&mut right, Node::right_sibling(&page));
+                    Node::set_right_sibling(&mut page, Some(right_pin.id().page_no));
+                    let target = if key < sep.as_slice() {
+                        &mut *page
+                    } else {
+                        &mut *right
+                    };
+                    // The key cannot be present in either half of a page
+                    // that was split because it did not fit, so both the
+                    // found and the insertion index are the same slot.
+                    let idx = Node::search(target, key).unwrap_or_else(|i| i);
+                    Node::insert_at(target, idx, key, val)?;
+                    Ok(Some((sep, right_pin.id().page_no)))
+                }
+            }
+        } else {
+            let child = Node::route(&pin.read(), key);
+            let split = self.insert_rec(child, key, val, on_dup, depth + 1)?;
+            let Some((sep, new_child)) = split else {
+                return Ok(None);
+            };
+            let mut page = pin.write(self.at);
+            let idx = match Node::search(&page, &sep) {
+                Ok(_) => return Err(DmxError::Internal("duplicate separator".into())),
+                Err(i) => i,
+            };
+            if Node::fits(&page, sep.len(), 4) {
+                Node::insert_at(&mut page, idx, &sep, &new_child.to_le_bytes())?;
+                return Ok(None);
+            }
+            // Split the internal node: the right node's first key moves up.
+            let right_pin = self.pool.new_page(self.root.file)?;
+            let mut right = right_pin.write(self.at);
+            Node::init(&mut right, false);
+            let _first_right = Node::split_into(&mut page, &mut right)?;
+            let sep_up = Node::key(&right, 0).to_vec();
+            let first_child = Node::child(&right, 0);
+            Node::set_leftmost_child(&mut right, first_child);
+            Node::remove_at(&mut right, 0);
+            // Place the pending (sep, new_child) entry.
+            let target = if sep < sep_up {
+                &mut *page
+            } else {
+                &mut *right
+            };
+            match Node::search(target, &sep) {
+                Ok(_) => return Err(DmxError::Internal("duplicate separator".into())),
+                Err(i) => Node::insert_at(target, i, &sep, &new_child.to_le_bytes())?,
+            }
+            Ok(Some((sep_up, right_pin.id().page_no)))
+        }
+    }
+
+    /// Handles a root split: the old root's contents move into a fresh
+    /// child so the root page number never changes.
+    fn grow_root(&self, sep: &[u8], right: u32) -> Result<()> {
+        let root_pin = self.page(self.root.page_no)?;
+        let left_pin = self.pool.new_page(self.root.file)?;
+        left_pin.write(self.at).copy_from(&root_pin.read());
+        let mut root = root_pin.write(self.at);
+        Node::init(&mut root, false);
+        Node::set_leftmost_child(&mut root, left_pin.id().page_no);
+        Node::insert_at(&mut root, 0, sep, &right.to_le_bytes())?;
+        Ok(())
+    }
+
+    /// Deletes a key, returning its old value. Lazy deletion: nodes are
+    /// never merged.
+    pub fn delete(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
+        let _guard = self.latch.write();
+        let mut page_no = self.root.page_no;
+        for _ in 0..=MAX_DEPTH {
+            let pin = self.node(page_no)?;
+            if Node::is_leaf(&pin.read()) {
+                let mut page = pin.write(self.at);
+                return Ok(match Node::search(&page, key) {
+                    Ok(idx) => {
+                        let old = Node::value(&page, idx).to_vec();
+                        Node::remove_at(&mut page, idx);
+                        Some(old)
+                    }
+                    Err(_) => None,
+                });
+            }
+            page_no = Node::route(&pin.read(), key);
+        }
+        Err(self.depth_exceeded())
+    }
+}
+
 /// Ascending cursor. Each step re-descends from the last returned key, so
 /// the cursor stays valid across arbitrary concurrent mutation — a scan
 /// positioned on a deleted item is simply *after* it (the paper's rule).
@@ -484,7 +477,7 @@ mod tests {
     use dmx_types::testrng::TestRng;
     use dmx_types::Value;
 
-    fn setup() -> (Arc<BufferPool>, BTree) {
+    fn setup() -> (Arc<BufferPool>, BTreeWriter) {
         let disk = Arc::new(MemDisk::new());
         let pool = BufferPool::new(disk.clone(), 256);
         let file = disk.create_file().unwrap();

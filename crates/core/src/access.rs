@@ -207,9 +207,10 @@ pub type Frame = VecDeque<ScanItem>;
 /// copied out. The override must keep `next` its one-row view (one
 /// traversal body, stopped after the first item) and must take **no
 /// lock while it fills**: it holds a page guard, locks sit above page
-/// guards in the hierarchy (`xtask verify`, DMX009), and the dispatcher
-/// locks each item as it hands it out. A scan that has to lock what it
-/// passes — the next-key cursor — fills frames of one.
+/// guards in the hierarchy (a debug build refuses a lock request under
+/// one, [`dmx_types::held`]), and the dispatcher locks each item as it
+/// hands it out. A scan that has to lock what it passes — the next-key
+/// cursor — fills frames of one.
 ///
 /// [`ScanOps::rebind`] is the other optional method: a join asks its
 /// inner scan for a different key range per outer row, and a scan that

@@ -151,10 +151,11 @@ pub trait Attachment: Send + Sync {
     ) -> Result<()>;
 
     /// Replays a logged operation: `dir` says whether rollback / restart's
-    /// undo pass takes it back or restart's redo pass re-applies it
-    /// (under no-force a committed side effect may never have reached
-    /// disk). Must be idempotent in both directions — presence-checked or
-    /// page-LSN-guarded against `lsn`, the replayed record's LSN.
+    /// undo takes it back or restart's redo pass re-applies it (under
+    /// no-force a committed side effect may never have reached disk), and
+    /// carries the token what it changes is stamped with. Must be
+    /// idempotent in both directions — presence-checked or page-LSN-guarded
+    /// against `lsn`, the replayed record's LSN.
     ///
     /// The default reads back what [`crate::LoggedTree::apply`] wrote: the
     /// record names its B-tree ([`TreeFile::named_by`]) and
@@ -168,13 +169,13 @@ pub trait Attachment: Send + Sync {
         services: &Arc<CommonServices>,
         rd: &RelationDescriptor,
         lsn: dmx_types::Lsn,
-        dir: Replay,
+        dir: Replay<'_>,
         op: u8,
         payload: &[u8],
     ) -> Result<()> {
-        let _ = rd;
+        let _ = (rd, lsn);
         let (file, change) = TreeFile::named_by(payload)?;
-        logged_tree::replay(&file.open_tree(services), lsn, dir, op, change).map(drop)
+        logged_tree::replay(&file.open_tree(services), dir, op, change).map(drop)
     }
 
     /// Called once per instance when a database (re)opens, after restart
@@ -289,8 +290,8 @@ mod tests {
 
     use dmx_lock::LockManager;
     use dmx_page::{BufferPool, DiskManager, MemDisk};
-    use dmx_types::{ColumnDef, DataType, Lsn, RelationId, Schema, SmTypeId, Value};
-    use dmx_wal::{LogManager, StableLog};
+    use dmx_types::{Appended, ColumnDef, DataType, Lsn, RelationId, Schema, SmTypeId, Value};
+    use dmx_wal::{Compensation, LogManager, LogRecord, StableLog};
 
     use crate::logged_tree::OP_INSERT;
 
@@ -339,12 +340,21 @@ mod tests {
         let rd = RelationDescriptor::new(RelationId(1), "t", schema, SmTypeId(1), Vec::new());
         let replay =
             |payload: &[u8], op, dir| Plain.replay(&services, &rd, Lsn::NULL, dir, op, payload);
+        let clr = Compensation::repeating(&LogRecord {
+            lsn: Lsn(2),
+            prev_lsn: Lsn(1),
+            txn: dmx_types::TxnId(1),
+            body: dmx_wal::LogBody::Clr {
+                undo_next: Lsn::NULL,
+            },
+        });
+        let redo = Replay::Redo(Appended::UNLOGGED);
 
         let tree = TreeFile::create(&services).unwrap();
         // `u32 file ∥ u32 root page`, then `u16 len(key) ∥ key ∥ value`
         let named = |t: TreeFile| [t.file.0.to_le_bytes(), t.root_page.to_le_bytes()].concat();
         let insert_k = |t: TreeFile| [named(t), vec![1, 0, b'k', b'v']].concat();
-        replay(&insert_k(tree), OP_INSERT, Replay::Redo).unwrap();
+        replay(&insert_k(tree), OP_INSERT, redo).unwrap();
         let got = tree.open_tree(&services).get(b"k").unwrap();
         assert_eq!(got.as_deref(), Some(&b"v"[..]));
 
@@ -366,7 +376,7 @@ mod tests {
             ("no B-tree in the named file", insert_k(heap), OP_INSERT),
         ];
         for (what, payload, op) in cases {
-            for dir in [Replay::Undo, Replay::Redo] {
+            for dir in [Replay::Undo(&clr), redo] {
                 let res = replay(&payload, op, dir);
                 assert!(
                     matches!(res, Err(DmxError::Corrupt(_))),

@@ -5,8 +5,9 @@ use std::sync::Arc;
 use dmx_expr::{eval, eval_predicate, EvalContext, Expr, FieldSource, FunctionRegistry};
 use dmx_lock::{LockMode, LockName};
 use dmx_txn::Transaction;
+use dmx_types::held::Evaluating;
 use dmx_types::sync::RwLockReadGuard;
-use dmx_types::{Lsn, RecordKey, RelationId, Result, Value};
+use dmx_types::{Appended, RecordKey, RelationId, Result, Value};
 use dmx_wal::{ExtKind, LogBody};
 
 use crate::database::Database;
@@ -31,15 +32,21 @@ impl<'a> ExecCtx<'a> {
     }
 
     /// Logs an extension operation on this transaction's undo chain,
-    /// returning its LSN. Extensions call this *before* applying the
-    /// change (write-ahead).
-    pub fn log_ext_op(&self, ext: ExtKind, relation: RelationId, op: u8, payload: Vec<u8>) -> Lsn {
-        self.txn.log(LogBody::ExtOp {
+    /// returning its token: what a page that the change dirties is taken
+    /// for writing against, and stamped with (write-ahead).
+    pub fn log_ext_op(
+        &self,
+        ext: ExtKind,
+        relation: RelationId,
+        op: u8,
+        payload: Vec<u8>,
+    ) -> Appended {
+        Appended::by_log(self.txn.log(LogBody::ExtOp {
             ext,
             relation,
             op,
             payload,
-        })
+        }))
     }
 
     /// Acquires a lock through the system lock manager.
@@ -61,10 +68,12 @@ impl<'a> ExecCtx<'a> {
     /// The common-services evaluator with the function registry's guard
     /// taken once: what a scan holds while it filters a frame, and an
     /// operator while it works on one row. It is a read guard — hold it
-    /// for a page's worth of work, never across a lock wait.
+    /// for a page's worth of work, never across a lock wait, and never
+    /// across a pull (a debug build checks the pulls).
     pub fn evaluator(&self) -> Evaluator<'a> {
         Evaluator {
             funcs: self.db.services().funcs.read(),
+            _held: Evaluating::enter(),
         }
     }
 }
@@ -72,6 +81,7 @@ impl<'a> ExecCtx<'a> {
 /// See [`ExecCtx::evaluator`].
 pub struct Evaluator<'a> {
     funcs: RwLockReadGuard<'a, FunctionRegistry>,
+    _held: Evaluating,
 }
 
 impl Evaluator<'_> {

@@ -17,6 +17,7 @@ use std::sync::Arc;
 use dmx_expr::Expr;
 use dmx_lock::{LockMode, LockName};
 use dmx_txn::{Footprint, Transaction, VersionImage};
+use dmx_types::held;
 use dmx_types::obs::Counter;
 use dmx_types::{
     AttTypeId, DmxError, FieldId, Record, RecordKey, RelationId, Result, ScanId, Value,
@@ -780,12 +781,15 @@ impl Database {
         });
     }
 
-    /// Advances a registered scan.
+    /// Advances a registered scan. Like every pull, never under a latch
+    /// or an evaluator (checked in debug builds): the scan may wait for a
+    /// lock and take the evaluator itself.
     pub fn scan_next(
         self: &Arc<Self>,
         txn: &Arc<Transaction>,
         scan: ScanId,
     ) -> Result<Option<ScanItem>> {
+        held::assert_may_pull("scan_next");
         txn.check_active()?;
         let ctx = ExecCtx { db: self, txn };
         self.scans().next(&ctx, scan)
@@ -803,6 +807,7 @@ impl Database {
         scan: ScanId,
         frame: &mut Frame,
     ) -> Result<()> {
+        held::assert_may_pull("scan_next_frame");
         txn.check_active()?;
         frame.clear();
         let ctx = ExecCtx { db: self, txn };
@@ -823,6 +828,7 @@ impl Database {
         query: &AccessQuery,
         pred: Option<&Expr>,
     ) -> Result<bool> {
+        held::assert_may_pull("scan_rebind");
         txn.check_active()?;
         let ctx = ExecCtx { db: self, txn };
         self.scans().rebind(&ctx, scan, query, pred)

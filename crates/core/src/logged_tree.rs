@@ -15,11 +15,12 @@
 //!    cell's own name until end of transaction before it reads;
 //! 2. it probes through [`LoggedTree::tree`] and decides the entry's
 //!    after-image;
-//! 3. `apply` appends the `ExtOp` record, stamps the returned LSN on
-//!    every page the change dirties, and only then installs the image —
-//!    the flush hook forces the log through a page's LSN before writing
-//!    it, so the change can never reach disk ahead of the record that
-//!    lets recovery undo it.
+//! 3. `apply` appends the `ExtOp` record and installs the image through
+//!    the tree's writer of the token the append returns — the only way
+//!    to a writer — which stamps the record's LSN on every page the
+//!    change dirties; the flush hook forces the log through a page's LSN
+//!    before writing it, so the change can never reach disk ahead of the
+//!    record that lets recovery undo it.
 //!
 //! The reader's half lives here too: [`TreeScan`] is the one
 //! key-sequential access over a tree file — leaf-at-a-time stepping,
@@ -30,7 +31,9 @@
 //!
 //! Undo and redo are one mirror: a logged change is a `(before, after)`
 //! pair of images of one key, undo installs `before`, redo installs
-//! `after`. Three ops spell every pair — [`OP_INSERT`] `(∅, v)` and
+//! `after`, each stamped with the token [`Replay`] carries — the CLR's
+//! for an undo, the record's own for a redo. Three ops spell every pair
+//! — [`OP_INSERT`] `(∅, v)` and
 //! [`OP_DELETE`] `(v, ∅)` carry `v`, [`OP_REPLACE`] `(a, b)` carries
 //! `u32 len(a) ∥ a ∥ b` — after `u16 len(key) ∥ key`; an attachment's
 //! record first names its tree (the 8-byte [`TreeFile`]), so replay
@@ -50,8 +53,8 @@ use dmx_btree::{BTree, OnDuplicate};
 use dmx_expr::Expr;
 use dmx_lock::{LockMode, LockName};
 use dmx_types::bytes::{le_u16, le_u32};
-use dmx_types::{DmxError, FileId, Lsn, PageId, RecordKey, RelationId, Result, Value};
-use dmx_wal::ExtKind;
+use dmx_types::{Appended, DmxError, FileId, PageId, RecordKey, RelationId, Result, Value};
+use dmx_wal::{Compensation, ExtKind};
 
 use crate::access::{
     decode_position, encode_position, AccessQuery, Frame, KeyRange, ScanItem, ScanOps,
@@ -125,9 +128,7 @@ impl TreeFile {
 /// key's in-tree successor, with an EOF sentinel past the last key.
 /// Conflicts with the S gap locks a locking range scan leaves across the
 /// intervals it read, fencing phantoms; snapshot readers take no gap
-/// locks and are never blocked by this. (A free function, like
-/// [`lock_delete_gaps`], so that `xtask verify` resolves the call and
-/// sees the record-level lock in the caller's lock order.)
+/// locks and are never blocked by this.
 pub fn lock_insert_gap(
     ctx: &ExecCtx<'_>,
     relation: RelationId,
@@ -480,9 +481,9 @@ pub trait LoggedTarget {
     /// The tree's fixed root page: what an attachment's record names.
     fn root(&self) -> PageId;
 
-    /// Makes `key` hold `image` (`None` = absent), idempotently, stamping
-    /// every page it dirties with `lsn`.
-    fn install_image(&self, lsn: Lsn, key: &[u8], image: Option<&[u8]>) -> Result<()>;
+    /// Makes `key` hold `image` (`None` = absent), idempotently, through
+    /// the writer of `at`: every page it dirties carries `at`'s LSN.
+    fn install_image(&self, at: Appended, key: &[u8], image: Option<&[u8]>) -> Result<()>;
 }
 
 impl LoggedTarget for BTree {
@@ -490,8 +491,8 @@ impl LoggedTarget for BTree {
         BTree::root(self)
     }
 
-    fn install_image(&self, lsn: Lsn, key: &[u8], image: Option<&[u8]>) -> Result<()> {
-        let tree = self.clone().with_wal_lsn(lsn);
+    fn install_image(&self, at: Appended, key: &[u8], image: Option<&[u8]>) -> Result<()> {
+        let tree = self.with_wal_lsn(at);
         match image {
             Some(value) => tree.insert(key, value, OnDuplicate::Replace),
             None => tree.delete(key).map(drop),
@@ -546,15 +547,15 @@ impl<'a, T: LoggedTarget> LoggedTree<'a, T> {
 
     /// Logs the change of `key` from `before` to `after` (`None` =
     /// absent) on the transaction's undo chain, then installs `after`
-    /// with the record's LSN stamped. The only place that sequences
-    /// append → stamp → apply.
+    /// through the writer of the record's token. The only holder of a
+    /// forward token in a tree-backed extension.
     pub fn apply(&self, key: &[u8], before: Option<&[u8]>, after: Option<&[u8]>) -> Result<()> {
         let named = self.names_tree.then(|| self.tree.root());
         let Some((op, payload)) = encode_change(named, key, before, after)? else {
             return Ok(()); // absent stays absent: nothing to log
         };
-        let lsn = self.ctx.log_ext_op(self.ext, self.relation, op, payload);
-        self.tree.install_image(lsn, key, after)
+        let at = self.ctx.log_ext_op(self.ext, self.relation, op, payload);
+        self.tree.install_image(at, key, after)
     }
 }
 
@@ -624,24 +625,34 @@ impl LoggedTree<'_> {
     }
 }
 
-/// Which image of a logged change a replay installs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Replay {
-    /// Rollback and restart's undo pass: the before-image.
-    Undo,
-    /// Restart's redo pass: the after-image.
-    Redo,
+/// Which image of a logged change a replay installs, and the token the
+/// pages it changes are stamped with.
+#[derive(Clone, Copy)]
+pub enum Replay<'a> {
+    /// Rollback, restart's repeated compensation and its undo of losers:
+    /// the before-image, stamped with the undo's compensation record.
+    Undo(&'a Compensation<'a>),
+    /// Restart's redo pass: the after-image, stamped with the record's
+    /// own token.
+    Redo(Appended),
 }
 
-/// Replays the change `(op, change)` logged at `lsn` by
-/// [`LoggedTree::apply`] — `change` is the payload, past the tree name
-/// of an attachment's record — in direction `dir`: turns it back into
-/// the key's `(before, after)` images and installs the one `dir` picks,
-/// which it returns.
+impl std::fmt::Debug for Replay<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            Replay::Undo(_) => "Undo",
+            Replay::Redo(_) => "Redo",
+        })
+    }
+}
+
+/// Replays the change `(op, change)` logged by [`LoggedTree::apply`] —
+/// `change` is the payload, past the tree name of an attachment's record
+/// — in direction `dir`: turns it back into the key's `(before, after)`
+/// images and installs the one `dir` picks, which it returns.
 pub fn replay<'p, T: LoggedTarget>(
     tree: &T,
-    lsn: Lsn,
-    dir: Replay,
+    dir: Replay<'_>,
     op: u8,
     change: &'p [u8],
 ) -> Result<Option<&'p [u8]>> {
@@ -664,11 +675,11 @@ pub fn replay<'p, T: LoggedTarget>(
         }
         other => return Err(DmxError::Corrupt(format!("bad logged tree op {other}"))),
     };
-    let image = match dir {
-        Replay::Undo => before,
-        Replay::Redo => after,
+    let (image, at) = match dir {
+        Replay::Undo(clr) => (before, clr.appended()),
+        Replay::Redo(at) => (after, at),
     };
-    tree.install_image(lsn, key, image)?;
+    tree.install_image(at, key, image)?;
     Ok(image)
 }
 
@@ -676,6 +687,9 @@ pub fn replay<'p, T: LoggedTarget>(
 mod tests {
     use std::cell::RefCell;
     use std::collections::BTreeMap;
+
+    use dmx_types::{Lsn, TxnId};
+    use dmx_wal::{LogBody, LogRecord};
 
     use super::*;
 
@@ -692,13 +706,25 @@ mod tests {
             ROOT
         }
 
-        fn install_image(&self, _lsn: Lsn, key: &[u8], image: Option<&[u8]>) -> Result<()> {
+        fn install_image(&self, _at: Appended, key: &[u8], image: Option<&[u8]>) -> Result<()> {
             match image {
                 Some(v) => self.0.borrow_mut().insert(key.to_vec(), v.to_vec()),
                 None => self.0.borrow_mut().remove(key),
             };
             Ok(())
         }
+    }
+
+    /// A compensation whose CLR is already in the log.
+    fn any_clr() -> Compensation<'static> {
+        Compensation::repeating(&LogRecord {
+            lsn: Lsn(2),
+            prev_lsn: Lsn(1),
+            txn: TxnId(1),
+            body: LogBody::Clr {
+                undo_next: Lsn::NULL,
+            },
+        })
     }
 
     /// The logged layout: an attachment payload is `8 + 2 + len(key) +
@@ -725,8 +751,12 @@ mod tests {
             assert_eq!(file.root(), ROOT);
             assert_eq!(change, &unnamed[..]);
             let tree = Model::default();
-            for (dir, image) in [(Replay::Redo, after), (Replay::Undo, before)] {
-                assert_eq!(replay(&tree, Lsn::NULL, dir, op, change).unwrap(), image);
+            let clr = any_clr();
+            for (dir, image) in [
+                (Replay::Redo(Appended::UNLOGGED), after),
+                (Replay::Undo(&clr), before),
+            ] {
+                assert_eq!(replay(&tree, dir, op, change).unwrap(), image);
                 assert_eq!(tree.0.borrow().get(key).map(Vec::as_slice), image);
             }
             // A cut inside the tree name, the key or a pair's first image
@@ -738,13 +768,14 @@ mod tests {
             };
             for cut in cuts {
                 let short = payload.get(..cut).unwrap();
-                let res = TreeFile::named_by(short)
-                    .and_then(|(_, change)| replay(&tree, Lsn::NULL, Replay::Redo, op, change));
+                let res = TreeFile::named_by(short).and_then(|(_, change)| {
+                    replay(&tree, Replay::Redo(Appended::UNLOGGED), op, change)
+                });
                 assert!(matches!(res, Err(DmxError::Corrupt(_))), "cut at {cut}");
             }
         }
         assert_eq!(encode_change(Some(ROOT), key, None, None).unwrap(), None);
-        let res = replay(&Model::default(), Lsn::NULL, Replay::Undo, 9, &[0, 0]);
+        let res = replay(&Model::default(), Replay::Undo(&any_clr()), 9, &[0, 0]);
         assert!(matches!(res, Err(DmxError::Corrupt(_))), "unknown op");
     }
 }

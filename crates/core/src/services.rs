@@ -95,7 +95,7 @@ mod tests {
         let f = disk.create_file().unwrap();
         let lsn = log.append(dmx_types::TxnId(1), Lsn::NULL, dmx_wal::LogBody::Begin);
         let p = pool.new_page(f).unwrap();
-        p.write().set_lsn(lsn);
+        drop(p.write(dmx_types::Appended::by_log(lsn)));
         drop(p);
         assert!(log.durable_lsn().is_null());
         svc.pool.flush_all().unwrap();

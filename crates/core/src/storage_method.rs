@@ -123,21 +123,26 @@ pub trait StorageMethod: Send + Sync {
     fn estimate(&self, rd: &RelationDescriptor, preds: &[Expr]) -> PathChoice;
 
     /// Replays a logged operation: `dir` says whether rollback / abort /
-    /// restart's undo pass takes it back or restart's redo pass
-    /// re-applies it. `lsn` is the replayed record's LSN, for page-LSN
-    /// idempotency checks: under steal/no-force a loser's change may
-    /// never have reached disk (undo must verify the operation actually
-    /// applied), a committed one may have missed it while other pages of
-    /// the same operation were stolen (redo skips pages whose LSN is
-    /// already ≥ `lsn`), and restart may crash and repeat either.
+    /// restart's undo takes it back or restart's redo pass re-applies it,
+    /// and carries the token a changed page is taken against — the
+    /// compensation record's for an undo, the record's own for a redo.
+    /// `lsn` is the replayed record's LSN, for page-LSN idempotency
+    /// checks: under steal/no-force a loser's change may never have
+    /// reached disk (undo must verify the operation actually applied), a
+    /// committed one may have missed it while other pages of the same
+    /// operation were stolen (redo skips pages whose LSN is already ≥
+    /// `lsn`), restart repeats every compensation (a page that carries
+    /// the CLR's LSN, [`dmx_wal::Compensation::repeated`], has it
+    /// already), and restart may crash and repeat any of it.
     /// Non-recoverable storage and methods whose durable state lives
-    /// outside the buffer pool (foreign) have nothing to redo.
+    /// outside the buffer pool (foreign) have nothing to redo and nothing
+    /// to repeat.
     fn replay(
         &self,
         services: &Arc<CommonServices>,
         rd: &RelationDescriptor,
         lsn: dmx_types::Lsn,
-        dir: Replay,
+        dir: Replay<'_>,
         op: u8,
         payload: &[u8],
     ) -> Result<()>;

@@ -9,8 +9,8 @@
 use std::sync::Arc;
 
 use dmx_types::sync::Mutex;
-use dmx_types::{DmxError, Lsn, RelationId, Result, TxnId};
-use dmx_wal::{ExtKind, LogBody, LogManager, LogRecord, UndoHandler};
+use dmx_types::{Appended, DmxError, Lsn, RelationId, Result, TxnId};
+use dmx_wal::{Compensation, ExtKind, LogBody, LogManager, LogRecord, UndoHandler};
 
 use crate::catalog::Catalog;
 use crate::logged_tree::Replay;
@@ -83,7 +83,7 @@ impl UndoDispatch {
 
     /// Routes a logged extension operation back to the extension that
     /// wrote it, through the procedure vectors.
-    fn replay(&self, rec: &LogRecord, dir: Replay) -> Result<()> {
+    fn replay(&self, rec: &LogRecord, dir: Replay<'_>) -> Result<()> {
         let LogBody::ExtOp {
             ext,
             relation,
@@ -130,7 +130,7 @@ impl UndoDispatch {
             // no such tolerance — base state is not derivable from
             // anything, and an un-undone loser would silently stand.
             Err(DmxError::Corrupt(reason))
-                if dir == Replay::Redo || matches!(ext, ExtKind::Attachment(_)) =>
+                if matches!(dir, Replay::Redo(_)) || matches!(ext, ExtKind::Attachment(_)) =>
             {
                 self.damaged.lock().push((*relation, reason));
                 Ok(())
@@ -141,12 +141,13 @@ impl UndoDispatch {
 }
 
 impl UndoHandler for UndoDispatch {
-    fn undo(&self, rec: &LogRecord) -> Result<()> {
-        self.replay(rec, Replay::Undo)
+    fn undo(&self, rec: &LogRecord, clr: &Compensation<'_>) -> Result<()> {
+        self.replay(rec, Replay::Undo(clr))
     }
 
+    /// The record handed over is its own token: it is in the log.
     fn redo(&self, rec: &LogRecord) -> Result<()> {
-        self.replay(rec, Replay::Redo)
+        self.replay(rec, Replay::Redo(Appended::by_log(rec.lsn)))
     }
 
     fn redo_deferred(&self, rec: &LogRecord) -> Result<()> {

@@ -16,6 +16,7 @@ use std::time::{Duration, Instant};
 
 use dmx_types::sync::{Condvar, Mutex};
 
+use dmx_types::held;
 use dmx_types::obs::{name as metric, Counter, MetricsRegistry, ObsEvent};
 use dmx_types::{DmxError, Result, TxnId};
 
@@ -173,11 +174,12 @@ pub struct LockManager {
 }
 
 /// Debug-build lock-order assertion: acquisitions must follow the
-/// catalog → relation → record → page-latch hierarchy, the discipline
-/// that keeps the kernel's own lock requests deadlock-free (statically
-/// enforced across the workspace by `xtask verify` rule 9). Checked per
-/// transaction on every *new* name (conversions of a held name are
-/// exempt):
+/// catalog → relation → record hierarchy, the discipline that keeps the
+/// kernel's own lock requests deadlock-free. Page and tree latches are
+/// the hierarchy's leaf, below every lock: no lock is requested while
+/// one is held ([`dmx_types::held::assert_unlatched`], checked at every
+/// request). Checked per transaction on every *new* name (conversions of
+/// a held name are exempt):
 ///
 /// - `Catalog` must be the transaction's first lock (DDL serializes at
 ///   the top before touching anything finer);
@@ -190,23 +192,13 @@ pub struct LockManager {
 ///   order — record first, then the gap below it — so the two sides
 ///   cannot deadlock across the pair. Gaps held in X mode are exempt
 ///   (a writer's next-key sequence holds a neighbour's gap X before an
-///   adjacent write requests that record);
-/// - `PageLatch(_)` is the leaf: it may be taken at any point, but no
-///   coarser name may be requested while any page latch is held.
+///   adjacent write requests that record).
 #[cfg(debug_assertions)]
 fn assert_lock_order(st: &State, txn: TxnId, name: &LockName) {
     let empty = HashSet::new();
     let held = st.held.get(&txn).unwrap_or(&empty);
     if held.contains(name) {
         return; // conversion or repeat of a held/requested name
-    }
-    if !matches!(name, LockName::PageLatch(_) | LockName::File(_)) {
-        let latch = held.iter().find(|h| matches!(h, LockName::PageLatch(_)));
-        debug_assert!(
-            latch.is_none(),
-            "lock-order violation: txn {txn:?} requests {name:?} while holding page latch \
-             {latch:?} (page latches are the hierarchy's leaf level)"
-        );
     }
     match name {
         LockName::Catalog => {
@@ -259,7 +251,6 @@ fn assert_lock_order(st: &State, txn: TxnId, name: &LockName) {
             );
         }
         LockName::File(_) => {}
-        LockName::PageLatch(_) => {}
     }
 }
 
@@ -305,6 +296,7 @@ impl LockManager {
     /// request had to wait (callers that read optimistically before
     /// locking re-validate after a wait).
     pub fn lock_waited(&self, txn: TxnId, name: LockName, mode: LockMode) -> Result<bool> {
+        held::assert_unlatched("lock request");
         let mut st = self.state.lock();
         if st.victims.contains(&txn) {
             return Err(DmxError::Deadlock { victim: txn });
@@ -439,7 +431,6 @@ impl LockManager {
                 LockName::Record(r, k) => (2, r.0 as u64, *k),
                 LockName::Gap(r, k) => (3, r.0 as u64, *k),
                 LockName::File(f) => (4, f.0 as u64, 0),
-                LockName::PageLatch(p) => (5, p.file.0 as u64, p.page_no as u64),
             }
         }
         let st = self.state.lock();
@@ -483,7 +474,7 @@ pub struct LockRow {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dmx_types::{FileId, PageId, RelationId};
+    use dmx_types::{FileId, RelationId};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
@@ -765,33 +756,42 @@ mod tests {
         let _ = lm.lock(TxnId(1), LockName::Record(RelationId(1), 7), LockMode::X);
     }
 
+    /// A page, pinned, in a pool of its own: what a scan reads records
+    /// from.
+    fn a_page() -> dmx_page::PinnedPage {
+        use dmx_page::{BufferPool, DiskManager, MemDisk};
+        let disk = Arc::new(MemDisk::new());
+        let pool = BufferPool::new(disk.clone(), 1);
+        pool.new_page(disk.create_file().unwrap())
+            .unwrap()
+            .into_pinned()
+    }
+
     #[test]
     fn lock_order_allows_a_page_latch_as_the_leaf() {
         let lm = LockManager::default();
-        lm.lock(TxnId(1), rel(1), LockMode::IX).unwrap();
-        lm.lock(TxnId(1), LockName::Record(RelationId(1), 7), LockMode::X)
+        let pin = a_page();
+        lm.lock(TxnId(1), rel(1), LockMode::IS).unwrap();
+        lm.lock(TxnId(1), LockName::Record(RelationId(1), 7), LockMode::S)
             .unwrap();
-        lm.lock(
-            TxnId(1),
-            LockName::PageLatch(PageId::new(FileId(3), 9)),
-            LockMode::X,
-        )
-        .unwrap();
+        // The latch below every lock, released before the next request.
+        drop(pin.read());
+        lm.lock(TxnId(1), LockName::Record(RelationId(1), 8), LockMode::S)
+            .unwrap();
         lm.unlock_all(TxnId(1));
     }
 
+    /// A scan that locks each record while the page it read it from is
+    /// still latched: a lock wait under a latch, the hierarchy inverted.
     #[cfg(debug_assertions)]
     #[test]
-    #[should_panic(expected = "lock-order violation")]
+    #[should_panic(expected = "lock request under 1 page or tree latch")]
     fn lock_order_rejects_locks_requested_under_a_page_latch() {
         let lm = LockManager::default();
-        lm.lock(
-            TxnId(1),
-            LockName::PageLatch(PageId::new(FileId(3), 9)),
-            LockMode::X,
-        )
-        .unwrap();
-        let _ = lm.lock(TxnId(1), rel(1), LockMode::IX);
+        let pin = a_page();
+        lm.lock(TxnId(1), rel(1), LockMode::IS).unwrap();
+        let _page = pin.read();
+        let _ = lm.lock(TxnId(1), LockName::Record(RelationId(1), 7), LockMode::S);
     }
 
     /// The paired record/gap names for one key (same `u64` hash by

@@ -3,7 +3,7 @@
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
-use dmx_types::{FileId, PageId, RecordKey, RelationId};
+use dmx_types::{FileId, RecordKey, RelationId};
 
 /// A lockable object. Record locks name the record by a hash of its
 /// storage-method key so the lock table stays bounded regardless of key
@@ -28,13 +28,6 @@ pub enum LockName {
     Gap(RelationId, u64),
     /// A storage file (used by deferred drops).
     File(FileId),
-    /// A page latch routed through the lock manager: the leaf of the
-    /// declared catalog → relation → record → page-latch hierarchy.
-    /// Tree latches are normally process-local read/write locks; this
-    /// name exists so latch acquisitions that *do* go through the
-    /// manager are held to the same order the static checker (rule 9)
-    /// enforces at build time.
-    PageLatch(PageId),
 }
 
 impl LockName {
@@ -121,9 +114,5 @@ mod tests {
         );
         assert_eq!(LockName::Catalog.relation(), None);
         assert_eq!(LockName::File(FileId(1)).relation(), None);
-        assert_eq!(
-            LockName::PageLatch(PageId::new(FileId(1), 7)).relation(),
-            None
-        );
     }
 }

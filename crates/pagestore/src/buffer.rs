@@ -20,14 +20,16 @@
 //! observes a half-done multi-page structural change (e.g. a B-tree split).
 
 use std::collections::HashMap;
+use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 
 use dmx_types::sync::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use dmx_types::fault::{backoff, with_io_retries, MAX_IO_RETRIES};
+use dmx_types::held::{self, Latched};
 use dmx_types::obs::{name, Counter, Gauge, MetricsRegistry, ObsEvent};
-use dmx_types::{DmxError, FileId, Lsn, PageId, Result};
+use dmx_types::{Appended, DmxError, FileId, Lsn, PageId, Result};
 
 use crate::disk::DiskManager;
 use crate::page::Page;
@@ -241,7 +243,7 @@ impl BufferPool {
     }
 
     /// Allocates a fresh page in `file` and pins it, zeroed and dirty.
-    pub fn new_page(self: &Arc<Self>, file: FileId) -> Result<PinnedPage> {
+    pub fn new_page(self: &Arc<Self>, file: FileId) -> Result<FreshPage> {
         // Allocate under the map lock: once the disk reports the page, a
         // concurrent `fetch` of it must find this frame, not miss and
         // load a second copy of the page into another one.
@@ -258,11 +260,11 @@ impl BufferPool {
         drop(map);
         *guard = Page::new();
         drop(guard);
-        Ok(PinnedPage {
+        Ok(FreshPage(PinnedPage {
             pool: Arc::clone(self),
             frame: idx,
             pid,
-        })
+        }))
     }
 
     /// Reads `pid` from disk with checksum verification and a bounded
@@ -389,8 +391,11 @@ impl BufferPool {
     }
 
     /// Writes every dirty frame to disk (forcing the log first) and marks
-    /// them clean. Takes the operation gate in write mode.
+    /// them clean. Takes the operation gate in write mode. An explicit
+    /// device operation: never under a latch (the pool's own miss and
+    /// steal I/O is the exception, see [`crate`]).
     pub fn flush_all(&self) -> Result<()> {
+        held::assert_unlatched("flush_all");
         let _gate = self.op_gate.write();
         self.flush_where(|_| true)
     }
@@ -398,6 +403,7 @@ impl BufferPool {
     /// Flushes only the dirty pages of one file (used by deferred drops
     /// and targeted checkpoints).
     pub fn flush_file(&self, file: FileId) -> Result<()> {
+        held::assert_unlatched("flush_file");
         let _gate = self.op_gate.write();
         self.flush_where(|pid| pid.file == file)
     }
@@ -490,6 +496,43 @@ impl BufferPool {
 
 /// A pinned page handle. The page stays resident while any handle exists;
 /// dropping the handle unpins it.
+///
+/// Write-ahead by type: the page changes only through a [`PageWrite`],
+/// and the one way to a `PageWrite` of a page that already exists is an
+/// [`Appended`] token — proof that the log record describing the change
+/// is in the log — whose LSN it stamps on the page. The pool forces the
+/// log through a page's LSN before writing the page, so a change can
+/// never reach disk ahead of its record:
+///
+/// ```
+/// # use std::sync::Arc;
+/// # use dmx_page::{BufferPool, DiskManager, MemDisk, SlottedPage};
+/// # use dmx_types::{Appended, Lsn};
+/// # let disk = Arc::new(MemDisk::new());
+/// # let pool = BufferPool::new(disk.clone(), 4);
+/// # let pid = pool.new_page(disk.create_file()?)?.id();
+/// let appended = Appended::by_log(Lsn(7)); // what the log append returned
+/// let pin = pool.fetch(pid)?;
+/// let mut page = pin.write(appended);
+/// SlottedPage::init(&mut page);
+/// SlottedPage::insert_at(&mut page, 0, b"r")?;
+/// assert_eq!(page.lsn(), Lsn(7));
+/// # Ok::<(), dmx_types::DmxError>(())
+/// ```
+///
+/// A page a guard read or latched without a token does not change:
+///
+/// ```compile_fail
+/// # use std::sync::Arc;
+/// # use dmx_page::{BufferPool, DiskManager, MemDisk, SlottedPage};
+/// # let disk = Arc::new(MemDisk::new());
+/// # let pool = BufferPool::new(disk.clone(), 4);
+/// # let pid = pool.new_page(disk.create_file()?)?.id();
+/// let pin = pool.fetch(pid)?;
+/// let mut page = pin.exclusive();
+/// SlottedPage::insert_at(&mut page, 0, b"r")?; // no log record, no write
+/// # Ok::<(), dmx_types::DmxError>(())
+/// ```
 pub struct PinnedPage {
     pool: Arc<BufferPool>,
     frame: usize,
@@ -504,29 +547,148 @@ impl PinnedPage {
 
     /// Shared access to the page image. A contended frame latch counts
     /// one `pool.pin_waits` before blocking.
-    pub fn read(&self) -> RwLockReadGuard<'_, Page> {
+    pub fn read(&self) -> PageRead<'_> {
         let f = &self.pool.frames[self.frame];
-        if let Some(g) = f.page.try_read() {
-            return g;
+        let guard = f.page.try_read().unwrap_or_else(|| {
+            self.pool.stats.pin_waits.incr();
+            f.page.read()
+        });
+        PageRead {
+            guard,
+            _held: Latched::enter(),
         }
-        self.pool.stats.pin_waits.incr();
-        f.page.read()
     }
 
-    /// Exclusive access; marks the frame dirty. A contended frame latch
-    /// counts one `pool.pin_waits` before blocking.
-    pub fn write(&self) -> RwLockWriteGuard<'_, Page> {
+    /// Exclusive access to look before deciding: the frame latch in write
+    /// mode over a page that [`ExclusivePage::stamp`] alone makes
+    /// mutable (and dirty). A contended frame latch counts one
+    /// `pool.pin_waits` before blocking.
+    pub fn exclusive(&self) -> ExclusivePage<'_> {
         let f = &self.pool.frames[self.frame];
-        if !f.dirty.swap(true, Ordering::AcqRel) {
-            self.pool.stats.dirty.incr();
+        let guard = f.page.try_write().unwrap_or_else(|| {
+            self.pool.stats.pin_waits.incr();
+            f.page.write()
+        });
+        ExclusivePage {
+            pin: self,
+            guard,
+            _held: Latched::enter(),
         }
-        match f.page.try_write() {
-            Some(g) => g,
-            None => {
-                self.pool.stats.pin_waits.incr();
-                f.page.write()
-            }
+    }
+
+    /// The page, mutable, stamped with `by`:
+    /// [`PinnedPage::exclusive`] then [`ExclusivePage::stamp`].
+    pub fn write(&self, by: Appended) -> PageWrite<'_> {
+        self.exclusive().stamp(by)
+    }
+}
+
+/// A page [`BufferPool::new_page`] just allocated: pinned, zeroed, and
+/// described by no log record yet.
+pub struct FreshPage(PinnedPage);
+
+impl FreshPage {
+    /// The unlogged write of a fresh page: the bootstrap of a structure
+    /// (a tree's root, a heap's first page), which DDL commit force-writes
+    /// because no log record can redo it. A change a later statement logs
+    /// takes the page through [`PinnedPage::write`] like any other.
+    pub fn format(&self) -> PageWrite<'_> {
+        self.0.write(Appended::UNLOGGED)
+    }
+
+    /// The plain pin.
+    pub fn into_pinned(self) -> PinnedPage {
+        self.0
+    }
+}
+
+impl Deref for FreshPage {
+    type Target = PinnedPage;
+    fn deref(&self) -> &PinnedPage {
+        &self.0
+    }
+}
+
+/// Shared access to a pinned page ([`PinnedPage::read`]).
+pub struct PageRead<'a> {
+    guard: RwLockReadGuard<'a, Page>,
+    _held: Latched,
+}
+
+impl Deref for PageRead<'_> {
+    type Target = Page;
+    fn deref(&self) -> &Page {
+        &self.guard
+    }
+}
+
+/// The write latch over a page that does not change yet
+/// ([`PinnedPage::exclusive`]).
+pub struct ExclusivePage<'a> {
+    pin: &'a PinnedPage,
+    guard: RwLockWriteGuard<'a, Page>,
+    _held: Latched,
+}
+
+impl<'a> ExclusivePage<'a> {
+    /// The page, mutable and dirty, with `by`'s LSN on it (LSNs only move
+    /// forward). Stamped before the change is made, under the same latch:
+    /// a writer checks first that the change will succeed.
+    pub fn stamp(self, by: Appended) -> PageWrite<'a> {
+        let ExclusivePage {
+            pin,
+            mut guard,
+            _held,
+        } = self;
+        let pool = &pin.pool;
+        if !pool.frames[pin.frame].dirty.swap(true, Ordering::AcqRel) {
+            pool.stats.dirty.incr();
         }
+        raise_lsn(&mut guard, by.lsn());
+        PageWrite { guard, _held }
+    }
+}
+
+impl Deref for ExclusivePage<'_> {
+    type Target = Page;
+    fn deref(&self) -> &Page {
+        &self.guard
+    }
+}
+
+/// A page that may change, stamped with the LSN of the record that
+/// describes the change ([`ExclusivePage::stamp`]).
+pub struct PageWrite<'a> {
+    guard: RwLockWriteGuard<'a, Page>,
+    _held: Latched,
+}
+
+impl PageWrite<'_> {
+    /// Replaces the whole image with `src`'s — a root split moving the
+    /// root into a fresh child — keeping this page's stamp.
+    pub fn copy_from(&mut self, src: &Page) {
+        let stamp = self.lsn();
+        *self.guard.raw_mut() = *src.raw();
+        raise_lsn(&mut self.guard, stamp);
+    }
+}
+
+impl Deref for PageWrite<'_> {
+    type Target = Page;
+    fn deref(&self) -> &Page {
+        &self.guard
+    }
+}
+
+impl DerefMut for PageWrite<'_> {
+    fn deref_mut(&mut self) -> &mut Page {
+        &mut self.guard
+    }
+}
+
+fn raise_lsn(page: &mut Page, lsn: Lsn) {
+    if lsn > page.lsn() {
+        page.set_lsn(lsn);
     }
 }
 
@@ -556,7 +718,7 @@ mod tests {
         let (_d, pool, f) = setup(4);
         let pid = {
             let p = pool.new_page(f).unwrap();
-            p.write().body_mut()[0] = 77;
+            p.format().body_mut()[0] = 77;
             p.id()
         };
         let before = pool.stats().hits.get();
@@ -600,7 +762,7 @@ mod tests {
         let mk = |byte: u8| {
             let p = pool.new_page(f).unwrap();
             {
-                let mut g = p.write();
+                let mut g = p.format();
                 g.set_page_type(3);
                 g.body_mut()[9] = byte;
             }
@@ -644,9 +806,7 @@ mod tests {
         pool.set_wal_hook(probe.clone());
         {
             let p = pool.new_page(f).unwrap();
-            let mut g = p.write();
-            g.set_page_type(3);
-            g.set_lsn(Lsn(73));
+            p.write(Appended::by_log(Lsn(73))).set_page_type(3);
         }
         // The single frame is dirty; the next allocation must steal it.
         let p2 = pool.new_page(f).unwrap();
@@ -666,7 +826,7 @@ mod tests {
         pool.set_stealable_types(&[3]);
         let mk = |b: u8| {
             let p = pool.new_page(f).unwrap();
-            let mut g = p.write();
+            let mut g = p.format();
             g.set_page_type(3);
             g.body_mut()[0] = b;
             drop(g);
@@ -677,7 +837,7 @@ mod tests {
         // Re-dirty only page A; B stays clean.
         {
             let p = pool.fetch(pa).unwrap();
-            p.write().body_mut()[0] = 9;
+            p.write(Appended::UNLOGGED).body_mut()[0] = 9;
         }
         // The newcomer evicts clean B rather than stealing dirty A, even
         // though A's type is stealable.
@@ -692,7 +852,7 @@ mod tests {
     fn flush_writes_dirty_and_clears() {
         let (disk, pool, f) = setup(4);
         let p = pool.new_page(f).unwrap();
-        p.write().body_mut()[1] = 5;
+        p.format().body_mut()[1] = 5;
         let pid = p.id();
         drop(p);
         assert_eq!(pool.dirty_count(), 1);
@@ -730,7 +890,7 @@ mod tests {
         });
         pool.set_wal_hook(probe.clone());
         let p = pool.new_page(f).unwrap();
-        p.write().set_lsn(Lsn(41));
+        drop(p.write(Appended::by_log(Lsn(41))));
         drop(p);
         pool.flush_all().unwrap();
         assert_eq!(probe.forced.load(Ordering::SeqCst), 41);
@@ -802,7 +962,7 @@ mod tests {
             .iter()
             .map(|file| {
                 let p = pool.new_page(*file).unwrap();
-                p.write().body_mut()[0] = 1;
+                p.format().body_mut()[0] = 1;
                 p.id()
             })
             .collect();
@@ -810,7 +970,7 @@ mod tests {
         assert_eq!(pool.dirty_count(), pool.dirty_count_walk());
         // Redundant re-dirty must not double count.
         let p = pool.fetch(pids[0]).unwrap();
-        p.write().body_mut()[1] = 2;
+        p.write(Appended::UNLOGGED).body_mut()[1] = 2;
         drop(p);
         assert_eq!(pool.dirty_count(), 3);
         // Selective flush decrements only the flushed file's frames.
@@ -835,7 +995,7 @@ mod tests {
         let f = disk.create_file().unwrap();
         let pid = {
             let p = pool.new_page(f).unwrap();
-            p.write().body_mut()[0] = 3;
+            p.format().body_mut()[0] = 3;
             p.id()
         };
         pool.flush_all().unwrap();
@@ -851,7 +1011,7 @@ mod tests {
         let (disk, pool, f) = setup(4);
         let pid = {
             let p = pool.new_page(f).unwrap();
-            p.write().body_mut()[0] = 1;
+            p.format().body_mut()[0] = 1;
             p.id()
         };
         pool.flush_all().unwrap();
@@ -872,7 +1032,7 @@ mod tests {
         let (disk, pool, f) = setup(4);
         let pid = {
             let p = pool.new_page(f).unwrap();
-            p.write().body_mut()[0] = 1;
+            p.format().body_mut()[0] = 1;
             p.id()
         };
         pool.flush_all().unwrap();
@@ -899,7 +1059,7 @@ mod tests {
         let (disk, pool, f) = setup(4);
         let pid = {
             let p = pool.new_page(f).unwrap();
-            p.write().body_mut()[7] = 42;
+            p.format().body_mut()[7] = 42;
             p.id()
         };
         pool.flush_all().unwrap();
@@ -914,7 +1074,7 @@ mod tests {
         let (_d, pool, f) = setup(8);
         let p = pool.new_page(f).unwrap();
         let pid = p.id();
-        p.write().body_mut()[0] = 9;
+        p.format().body_mut()[0] = 9;
         drop(p);
         std::thread::scope(|s| {
             for _ in 0..8 {
@@ -940,7 +1100,7 @@ mod tests {
                 s.spawn(move || {
                     for k in 0..100u64 {
                         let g = pool.fetch(pid).unwrap();
-                        g.write().put_u64(64, k * (i as u64 + 1));
+                        g.write(Appended::UNLOGGED).put_u64(64, k * (i as u64 + 1));
                     }
                 });
             }

@@ -11,6 +11,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use dmx_types::sync::Mutex;
 
+use dmx_types::held;
 use dmx_types::{DmxError, FileId, PageId, Result};
 
 use crate::page::{Page, PAGE_SIZE};
@@ -127,6 +128,7 @@ impl MemDisk {
 
 impl DiskManager for MemDisk {
     fn create_file(&self) -> Result<FileId> {
+        held::assert_unlatched("create_file");
         let mut st = self.state.lock();
         st.next_file += 1;
         let id = FileId(st.next_file);
@@ -136,6 +138,7 @@ impl DiskManager for MemDisk {
     }
 
     fn delete_file(&self, file: FileId) -> Result<()> {
+        held::assert_unlatched("delete_file");
         let mut st = self.state.lock();
         st.files
             .remove(&file)

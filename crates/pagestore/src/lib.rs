@@ -13,6 +13,20 @@
 //! page's stamped LSN through an installed [`buffer::WalHook`], and
 //! commit forces only the log — [`buffer::BufferPool::flush_all`] remains
 //! for checkpoints and the DDL catalog-image exception.
+//!
+//! Write-ahead is a property of the types: a pooled page changes only
+//! through a [`PageWrite`], which [`PinnedPage::write`] hands out against
+//! a [`dmx_types::Appended`] token and stamps with its LSN, and which the
+//! [`SlottedPage`] mutators require. A page fresh from
+//! [`BufferPool::new_page`] may be formatted unlogged
+//! ([`FreshPage::format`]).
+//!
+//! Page guards count as latches for the debug-build checks of
+//! [`dmx_types::held`]: no lock request, explicit device operation
+//! ([`BufferPool::flush_all`], [`BufferPool::flush_file`], file creation
+//! and deletion) or scan pull under one. The pool's own miss and steal
+//! I/O — and the log force it makes through the [`WalHook`] — are the
+//! exception: a fetch may miss, and a miss may steal, under any latch.
 
 pub mod buffer;
 pub mod disk;
@@ -20,7 +34,7 @@ pub mod fault;
 pub mod page;
 pub mod slotted;
 
-pub use buffer::{BufferPool, PinnedPage, WalHook};
+pub use buffer::{BufferPool, ExclusivePage, FreshPage, PageRead, PageWrite, PinnedPage, WalHook};
 pub use disk::{DiskManager, IoSnapshot, IoStats, MemDisk};
 pub use fault::FaultDisk;
 pub use page::{Page, PAGE_SIZE};

@@ -45,8 +45,10 @@ impl Page {
         Lsn(self.get_u64(LSN_OFFSET))
     }
 
-    /// Stamps the page LSN.
-    pub fn set_lsn(&mut self, lsn: Lsn) {
+    /// Stamps the page LSN. Crate-private: outside the page store a page
+    /// is stamped only by taking it for writing against the token of the
+    /// record that describes the change (`PinnedPage::write`).
+    pub(crate) fn set_lsn(&mut self, lsn: Lsn) {
         self.put_u64(LSN_OFFSET, lsn.0);
     }
 

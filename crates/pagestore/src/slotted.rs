@@ -18,6 +18,7 @@
 //! ...PAGE_SIZE  record payloads
 //! ```
 
+use crate::buffer::PageWrite;
 use crate::page::{Page, PAGE_SIZE};
 use dmx_types::{DmxError, Result};
 
@@ -26,7 +27,10 @@ const FREE_END_OFF: usize = 18;
 const DIR_OFF: usize = 20;
 const SLOT_BYTES: usize = 4;
 
-/// Namespace for slotted-page operations over [`Page`] images.
+/// Namespace for slotted-page operations over [`Page`] images. The
+/// readers take any page; the mutators only a [`PageWrite`] — a pooled
+/// page taken against the log record of the change (or, formatting a
+/// page fresh from the pool, none).
 pub struct SlottedPage;
 
 impl SlottedPage {
@@ -34,7 +38,7 @@ impl SlottedPage {
     pub const MAX_RECORD: usize = PAGE_SIZE - DIR_OFF - SLOT_BYTES;
 
     /// Formats an empty slotted page (leaves the generic header alone).
-    pub fn init(page: &mut Page) {
+    pub fn init(page: &mut PageWrite<'_>) {
         page.put_u16(SLOT_COUNT_OFF, 0);
         page.put_u16(FREE_END_OFF, PAGE_SIZE as u16);
     }
@@ -99,7 +103,7 @@ impl SlottedPage {
     /// otherwise. Compacts if fragmentation blocks an otherwise-fitting
     /// insert. Returns the slot number, or `None` when the page cannot
     /// hold the record.
-    pub fn insert(page: &mut Page, data: &[u8]) -> Option<u16> {
+    pub fn insert(page: &mut PageWrite<'_>, data: &[u8]) -> Option<u16> {
         if data.len() > Self::MAX_RECORD {
             return None;
         }
@@ -113,7 +117,7 @@ impl SlottedPage {
     /// Inserts a record at a specific slot (the slot must be a tombstone or
     /// the next fresh slot). Recovery uses this to undo a delete without
     /// changing the record's id.
-    pub fn insert_at(page: &mut Page, slot: u16, data: &[u8]) -> Result<()> {
+    pub fn insert_at(page: &mut PageWrite<'_>, slot: u16, data: &[u8]) -> Result<()> {
         let count = Self::slot_count(page);
         if slot > count {
             return Err(DmxError::InvalidArg(format!(
@@ -147,7 +151,7 @@ impl SlottedPage {
     }
 
     /// Tombstones a slot, returning the payload that was there.
-    pub fn delete(page: &mut Page, slot: u16) -> Option<Vec<u8>> {
+    pub fn delete(page: &mut PageWrite<'_>, slot: u16) -> Option<Vec<u8>> {
         let data = Self::get(page, slot)?.to_vec();
         Self::set_slot_entry(page, slot, 0, 0);
         Some(data)
@@ -156,7 +160,7 @@ impl SlottedPage {
     /// Replaces a record in place, keeping its slot number. Fails with
     /// `Io("page full")` when the page cannot hold the new payload even
     /// after compaction; the caller (heap storage method) then relocates.
-    pub fn update(page: &mut Page, slot: u16, data: &[u8]) -> Result<()> {
+    pub fn update(page: &mut PageWrite<'_>, slot: u16, data: &[u8]) -> Result<()> {
         let (off, len) = match Self::get(page, slot) {
             Some(_) => Self::slot_entry(page, slot),
             None => return Err(DmxError::NotFound(format!("slot {slot}"))),
@@ -187,9 +191,22 @@ impl SlottedPage {
         }
     }
 
+    /// Whether `slot` can come to hold `len` bytes — by
+    /// [`SlottedPage::update`] when it holds a record (whose bytes count as
+    /// room), by [`SlottedPage::insert_at`] when it is a tombstone or the
+    /// next fresh slot. A writer asks before it stamps the page.
+    pub fn fits(page: &Page, slot: u16, len: usize) -> bool {
+        let room = Self::free_space(page) + Self::reclaimable(page);
+        match Self::get(page, slot) {
+            Some(old) => len <= old.len() || room + old.len() >= len,
+            None if slot < Self::slot_count(page) => room >= len,
+            None => slot == Self::slot_count(page) && room >= len + SLOT_BYTES,
+        }
+    }
+
     /// Repacks live payloads to eliminate holes. Slot numbers are
     /// preserved.
-    pub fn compact(page: &mut Page) {
+    pub fn compact(page: &mut PageWrite<'_>) {
         let count = Self::slot_count(page);
         let mut live: Vec<(u16, Vec<u8>)> = (0..count)
             .filter_map(|s| Self::get(page, s).map(|d| (s, d.to_vec())))
@@ -214,7 +231,7 @@ impl SlottedPage {
     /// the replayed page must put each surviving record at its logged
     /// slot, and the gap slots were tombstoned by the original rollback
     /// anyway.
-    pub fn pad_to_slot(page: &mut Page, slot: u16) -> Result<()> {
+    pub fn pad_to_slot(page: &mut PageWrite<'_>, slot: u16) -> Result<()> {
         while Self::slot_count(page) < slot {
             if Self::free_space(page) < SLOT_BYTES {
                 return Err(DmxError::Io("page full".into()));
@@ -236,135 +253,154 @@ impl SlottedPage {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
+    use crate::buffer::BufferPool;
+    use crate::disk::{DiskManager, MemDisk};
     use dmx_types::testrng::TestRng;
 
-    fn fresh() -> Page {
-        let mut p = Page::new();
+    /// Runs `f` over a formatted page fresh from a one-frame pool.
+    fn with_fresh(f: impl FnOnce(&mut PageWrite<'_>)) {
+        let disk = Arc::new(MemDisk::new());
+        let pool = BufferPool::new(disk.clone(), 1);
+        let pin = pool.new_page(disk.create_file().unwrap()).unwrap();
+        let mut p = pin.format();
         SlottedPage::init(&mut p);
-        p
+        f(&mut p);
     }
 
     #[test]
     fn insert_and_get() {
-        let mut p = fresh();
-        let s0 = SlottedPage::insert(&mut p, b"hello").unwrap();
-        let s1 = SlottedPage::insert(&mut p, b"world!").unwrap();
-        assert_eq!(s0, 0);
-        assert_eq!(s1, 1);
-        assert_eq!(SlottedPage::get(&p, s0).unwrap(), b"hello");
-        assert_eq!(SlottedPage::get(&p, s1).unwrap(), b"world!");
-        assert_eq!(SlottedPage::get(&p, 9), None);
-        assert_eq!(SlottedPage::live_count(&p), 2);
+        with_fresh(|p| {
+            let s0 = SlottedPage::insert(p, b"hello").unwrap();
+            let s1 = SlottedPage::insert(p, b"world!").unwrap();
+            assert_eq!(s0, 0);
+            assert_eq!(s1, 1);
+            assert_eq!(SlottedPage::get(p, s0).unwrap(), b"hello");
+            assert_eq!(SlottedPage::get(p, s1).unwrap(), b"world!");
+            assert_eq!(SlottedPage::get(p, 9), None);
+            assert_eq!(SlottedPage::live_count(p), 2);
+        });
     }
 
     #[test]
     fn delete_tombstones_and_slot_reuse() {
-        let mut p = fresh();
-        let s0 = SlottedPage::insert(&mut p, b"aaa").unwrap();
-        let s1 = SlottedPage::insert(&mut p, b"bbb").unwrap();
-        assert_eq!(SlottedPage::delete(&mut p, s0).unwrap(), b"aaa");
-        assert_eq!(SlottedPage::get(&p, s0), None);
-        assert_eq!(SlottedPage::get(&p, s1).unwrap(), b"bbb");
-        // next insert reuses the tombstone
-        let s2 = SlottedPage::insert(&mut p, b"ccc").unwrap();
-        assert_eq!(s2, s0);
-        assert_eq!(SlottedPage::live_slots(&p), vec![0, 1]);
-        assert!(SlottedPage::delete(&mut p, 7).is_none());
+        with_fresh(|p| {
+            let s0 = SlottedPage::insert(p, b"aaa").unwrap();
+            let s1 = SlottedPage::insert(p, b"bbb").unwrap();
+            assert_eq!(SlottedPage::delete(p, s0).unwrap(), b"aaa");
+            assert_eq!(SlottedPage::get(p, s0), None);
+            assert_eq!(SlottedPage::get(p, s1).unwrap(), b"bbb");
+            // next insert reuses the tombstone
+            let s2 = SlottedPage::insert(p, b"ccc").unwrap();
+            assert_eq!(s2, s0);
+            assert_eq!(SlottedPage::live_slots(p), vec![0, 1]);
+            assert!(SlottedPage::delete(p, 7).is_none());
+        });
     }
 
     #[test]
     fn insert_at_rules() {
-        let mut p = fresh();
-        SlottedPage::insert(&mut p, b"x").unwrap();
-        // occupied
-        assert!(SlottedPage::insert_at(&mut p, 0, b"y").is_err());
-        // gap beyond directory end
-        assert!(SlottedPage::insert_at(&mut p, 2, b"y").is_err());
-        // append at directory end
-        SlottedPage::insert_at(&mut p, 1, b"y").unwrap();
-        assert_eq!(SlottedPage::get(&p, 1).unwrap(), b"y");
-        // reinsert into a tombstone restores the original slot
-        SlottedPage::delete(&mut p, 0).unwrap();
-        SlottedPage::insert_at(&mut p, 0, b"z").unwrap();
-        assert_eq!(SlottedPage::get(&p, 0).unwrap(), b"z");
+        with_fresh(|p| {
+            SlottedPage::insert(p, b"x").unwrap();
+            // occupied
+            assert!(SlottedPage::insert_at(p, 0, b"y").is_err());
+            // gap beyond directory end
+            assert!(SlottedPage::insert_at(p, 2, b"y").is_err());
+            // append at directory end
+            SlottedPage::insert_at(p, 1, b"y").unwrap();
+            assert_eq!(SlottedPage::get(p, 1).unwrap(), b"y");
+            // reinsert into a tombstone restores the original slot
+            SlottedPage::delete(p, 0).unwrap();
+            SlottedPage::insert_at(p, 0, b"z").unwrap();
+            assert_eq!(SlottedPage::get(p, 0).unwrap(), b"z");
+        });
     }
 
     #[test]
     fn update_shrink_grow_and_full() {
-        let mut p = fresh();
-        let s = SlottedPage::insert(&mut p, &[7u8; 100]).unwrap();
-        SlottedPage::update(&mut p, s, &[1u8; 10]).unwrap();
-        assert_eq!(SlottedPage::get(&p, s).unwrap(), &[1u8; 10]);
-        SlottedPage::update(&mut p, s, &[2u8; 500]).unwrap();
-        assert_eq!(SlottedPage::get(&p, s).unwrap(), &[2u8; 500]);
-        // grow beyond capacity fails and preserves the old payload
-        let err = SlottedPage::update(&mut p, s, &[3u8; PAGE_SIZE]).unwrap_err();
-        assert!(matches!(err, DmxError::Io(_)));
-        assert_eq!(SlottedPage::get(&p, s).unwrap(), &[2u8; 500]);
-        assert!(SlottedPage::update(&mut p, 9, b"x").is_err());
+        with_fresh(|p| {
+            let s = SlottedPage::insert(p, &[7u8; 100]).unwrap();
+            SlottedPage::update(p, s, &[1u8; 10]).unwrap();
+            assert_eq!(SlottedPage::get(p, s).unwrap(), &[1u8; 10]);
+            assert!(SlottedPage::fits(p, s, 500));
+            SlottedPage::update(p, s, &[2u8; 500]).unwrap();
+            assert_eq!(SlottedPage::get(p, s).unwrap(), &[2u8; 500]);
+            // grow beyond capacity fails and preserves the old payload
+            assert!(!SlottedPage::fits(p, s, PAGE_SIZE));
+            let err = SlottedPage::update(p, s, &[3u8; PAGE_SIZE]).unwrap_err();
+            assert!(matches!(err, DmxError::Io(_)));
+            assert_eq!(SlottedPage::get(p, s).unwrap(), &[2u8; 500]);
+            assert!(!SlottedPage::fits(p, 9, 1));
+            assert!(SlottedPage::update(p, 9, b"x").is_err());
+        });
     }
 
     #[test]
     fn fills_page_then_rejects() {
-        let mut p = fresh();
-        let rec = [0xABu8; 1000];
-        let mut n = 0;
-        while SlottedPage::insert(&mut p, &rec).is_some() {
-            n += 1;
-        }
-        assert!(
-            n >= 7,
-            "8 KiB page should hold at least 7 1000-byte records"
-        );
-        assert!(SlottedPage::free_space(&p) < rec.len() + 4);
-        // deleting one makes room again
-        SlottedPage::delete(&mut p, 0).unwrap();
-        assert!(SlottedPage::insert(&mut p, &rec).is_some());
+        with_fresh(|p| {
+            let rec = [0xABu8; 1000];
+            let mut n = 0;
+            while SlottedPage::insert(p, &rec).is_some() {
+                n += 1;
+            }
+            assert!(
+                n >= 7,
+                "8 KiB page should hold at least 7 1000-byte records"
+            );
+            assert!(SlottedPage::free_space(p) < rec.len() + 4);
+            // deleting one makes room again
+            SlottedPage::delete(p, 0).unwrap();
+            assert!(SlottedPage::insert(p, &rec).is_some());
+        });
     }
 
     #[test]
     fn compaction_defragments() {
-        let mut p = fresh();
-        // Fill with alternating sizes, delete every other record, then
-        // insert something that only fits after compaction.
-        let mut slots = Vec::new();
-        while let Some(s) = SlottedPage::insert(&mut p, &[9u8; 512]) {
-            slots.push(s);
-        }
-        for s in slots.iter().step_by(2) {
-            SlottedPage::delete(&mut p, *s);
-        }
-        assert!(SlottedPage::reclaimable(&p) > 0);
-        let big = vec![5u8; 2048];
-        let s = SlottedPage::insert(&mut p, &big).expect("fits after implicit compaction");
-        assert_eq!(SlottedPage::get(&p, s).unwrap(), &big[..]);
-        // survivors intact
-        for s in slots.iter().skip(1).step_by(2) {
-            assert_eq!(SlottedPage::get(&p, *s).unwrap(), &[9u8; 512]);
-        }
+        with_fresh(|p| {
+            // Fill with alternating sizes, delete every other record,
+            // then insert something that only fits after compaction.
+            let mut slots = Vec::new();
+            while let Some(s) = SlottedPage::insert(p, &[9u8; 512]) {
+                slots.push(s);
+            }
+            for s in slots.iter().step_by(2) {
+                SlottedPage::delete(p, *s);
+            }
+            assert!(SlottedPage::reclaimable(p) > 0);
+            let big = vec![5u8; 2048];
+            let s = SlottedPage::insert(p, &big).expect("fits after implicit compaction");
+            assert_eq!(SlottedPage::get(p, s).unwrap(), &big[..]);
+            // survivors intact
+            for s in slots.iter().skip(1).step_by(2) {
+                assert_eq!(SlottedPage::get(p, *s).unwrap(), &[9u8; 512]);
+            }
+        });
     }
 
     #[test]
     fn pad_to_slot_creates_tombstone_gap() {
-        let mut p = fresh();
-        SlottedPage::insert(&mut p, b"a").unwrap();
-        SlottedPage::pad_to_slot(&mut p, 4).unwrap();
-        assert_eq!(SlottedPage::slot_count(&p), 4);
-        assert_eq!(SlottedPage::live_slots(&p), vec![0]);
-        SlottedPage::insert_at(&mut p, 4, b"e").unwrap();
-        assert_eq!(SlottedPage::get(&p, 4).unwrap(), b"e");
-        // already past the target: no-op
-        SlottedPage::pad_to_slot(&mut p, 2).unwrap();
-        assert_eq!(SlottedPage::slot_count(&p), 5);
+        with_fresh(|p| {
+            SlottedPage::insert(p, b"a").unwrap();
+            SlottedPage::pad_to_slot(p, 4).unwrap();
+            assert_eq!(SlottedPage::slot_count(p), 4);
+            assert_eq!(SlottedPage::live_slots(p), vec![0]);
+            SlottedPage::insert_at(p, 4, b"e").unwrap();
+            assert_eq!(SlottedPage::get(p, 4).unwrap(), b"e");
+            // already past the target: no-op
+            SlottedPage::pad_to_slot(p, 2).unwrap();
+            assert_eq!(SlottedPage::slot_count(p), 5);
+        });
     }
 
     #[test]
     fn zero_length_records_are_legal() {
-        let mut p = fresh();
-        let s = SlottedPage::insert(&mut p, b"").unwrap();
-        assert_eq!(SlottedPage::get(&p, s).unwrap(), b"");
-        assert_eq!(SlottedPage::delete(&mut p, s).unwrap(), b"");
+        with_fresh(|p| {
+            let s = SlottedPage::insert(p, b"").unwrap();
+            assert_eq!(SlottedPage::get(p, s).unwrap(), b"");
+            assert_eq!(SlottedPage::delete(p, s).unwrap(), b"");
+        });
     }
 
     /// Random op sequences keep the page consistent with a shadow map.
@@ -374,35 +410,43 @@ mod tests {
     fn randomized_matches_shadow() {
         for seed in 0..24u64 {
             let mut rng = TestRng::new(0x510_77ED ^ seed);
-            let mut p = fresh();
-            let mut shadow: std::collections::HashMap<u16, Vec<u8>> = Default::default();
-            for _ in 0..rng.index(120) {
-                let op = rng.below(4) as u8;
-                let slot = rng.below(24) as u16;
-                let data = rng.bytes(299);
-                match op {
-                    0 => {
-                        if let Some(s) = SlottedPage::insert(&mut p, &data) {
-                            shadow.insert(s, data);
+            with_fresh(|p| {
+                let mut shadow: std::collections::HashMap<u16, Vec<u8>> = Default::default();
+                for _ in 0..rng.index(120) {
+                    let op = rng.below(4) as u8;
+                    let slot = rng.below(24) as u16;
+                    let data = rng.bytes(299);
+                    match op {
+                        0 => {
+                            let fresh = SlottedPage::slot_count(p);
+                            let fits = SlottedPage::fits(p, fresh, data.len());
+                            if let Some(s) = SlottedPage::insert(p, &data) {
+                                shadow.insert(s, data);
+                            } else {
+                                assert!(!fits, "seed {seed}");
+                            }
                         }
-                    }
-                    1 => {
-                        let got = SlottedPage::delete(&mut p, slot);
-                        assert_eq!(got, shadow.remove(&slot));
-                    }
-                    2 => {
-                        let ok = SlottedPage::update(&mut p, slot, &data).is_ok();
-                        if ok {
-                            shadow.insert(slot, data);
+                        1 => {
+                            let got = SlottedPage::delete(p, slot);
+                            assert_eq!(got, shadow.remove(&slot));
                         }
+                        2 => {
+                            let fits = SlottedPage::get(p, slot).is_some()
+                                && SlottedPage::fits(p, slot, data.len());
+                            let ok = SlottedPage::update(p, slot, &data).is_ok();
+                            assert_eq!(fits, ok, "seed {seed}");
+                            if ok {
+                                shadow.insert(slot, data);
+                            }
+                        }
+                        _ => SlottedPage::compact(p),
                     }
-                    _ => SlottedPage::compact(&mut p),
+                    for (s, v) in &shadow {
+                        assert_eq!(SlottedPage::get(p, *s), Some(&v[..]), "seed {seed}");
+                    }
+                    assert_eq!(SlottedPage::live_count(p) as usize, shadow.len());
                 }
-                for (s, v) in &shadow {
-                    assert_eq!(SlottedPage::get(&p, *s), Some(&v[..]), "seed {seed}");
-                }
-                assert_eq!(SlottedPage::live_count(&p) as usize, shadow.len());
-            }
+            });
         }
     }
 }

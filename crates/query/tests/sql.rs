@@ -1023,6 +1023,45 @@ fn plan_of(db: &Arc<Database>, sql: &str) -> dmx_query::planner::Plan {
     dmx_query::planner::plan_select(db, &sel).unwrap().plan
 }
 
+/// A filter that takes the evaluator and then pulls its input: the input
+/// takes the same guard again, and a function registration queued
+/// between the two wedges both. A debug build refuses the pull where the
+/// operator tree reaches the store.
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "scan_next_frame under 1 evaluator")]
+fn a_pull_under_the_evaluator_is_refused() {
+    use dmx_core::ExecCtx;
+    use dmx_query::exec::{build, RowFrame, RowSource};
+
+    struct BadFilter<'p> {
+        input: Box<dyn RowSource + 'p>,
+    }
+
+    impl RowSource for BadFilter<'_> {
+        fn next(&mut self, ctx: &ExecCtx<'_>) -> dmx_types::Result<Option<Vec<Value>>> {
+            let mut frame = RowFrame::new();
+            self.next_frame(ctx, &mut frame)?;
+            Ok(frame.pop_front())
+        }
+
+        fn next_frame(&mut self, ctx: &ExecCtx<'_>, frame: &mut RowFrame) -> dmx_types::Result<()> {
+            let _eval = ctx.evaluator();
+            self.input.next_frame(ctx, frame)
+        }
+    }
+
+    let db = open_db();
+    setup_emp_n(&db, 3);
+    let plan = plan_of(&db, "SELECT id FROM emp");
+    let txn = db.begin();
+    let ctx = ExecCtx { db: &db, txn: &txn };
+    let mut filter = BadFilter {
+        input: build(&plan, &ctx, None).unwrap(),
+    };
+    let _ = filter.next_frame(&ctx, &mut RowFrame::new());
+}
+
 #[test]
 fn frames_above_the_access_change_nothing_observable() {
     use dmx_query::planner::Plan;

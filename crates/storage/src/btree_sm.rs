@@ -305,13 +305,13 @@ impl StorageMethod for BTreeStorage {
         &self,
         services: &Arc<CommonServices>,
         rd: &RelationDescriptor,
-        lsn: Lsn,
-        dir: Replay,
+        _lsn: Lsn,
+        dir: Replay<'_>,
         op: u8,
         payload: &[u8],
     ) -> Result<()> {
         let tree = Self::desc(rd)?.tree_file().open_tree(services);
-        logged_tree::replay(&tree, lsn, dir, op, payload).map(drop)
+        logged_tree::replay(&tree, dir, op, payload).map(drop)
     }
 
     fn scan_ordering(&self, rd: &RelationDescriptor) -> Option<Vec<FieldId>> {

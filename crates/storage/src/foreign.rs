@@ -233,18 +233,19 @@ impl StorageMethod for ForeignStorage {
         _services: &Arc<CommonServices>,
         rd: &RelationDescriptor,
         _lsn: Lsn,
-        dir: Replay,
+        dir: Replay<'_>,
         op: u8,
         payload: &[u8],
     ) -> Result<()> {
         match (dir, self.resolve(rd)) {
             // Compensating remote operations.
-            (Replay::Undo, Ok((server, table))) => {
+            (Replay::Undo(clr), Ok((server, table))) if clr.repeated().is_none() => {
                 server.trip();
                 table.undo(op, payload)
             }
             // The remote system keeps its own durable state: nothing to
-            // redo, and nothing to undo in a table it no longer has.
+            // redo, no compensation it has not already made, and nothing
+            // to undo in a table it no longer has.
             _ => Ok(()),
         }
     }

@@ -4,8 +4,12 @@
 //! so RID order equals physical order. Undo and redo are physiological
 //! with page-LSN idempotency checks; payloads carry both images (old for
 //! undo, new for redo) because under steal/no-force a crash can leave a
-//! page either ahead of the log's committed state (stolen loser pages)
-//! or behind it (never-flushed winner pages). Slots are never reused
+//! page either ahead of the log's committed state (stolen loser pages,
+//! pages stolen before their rollback) or behind it (never-flushed
+//! winner pages). Every change — forward, undo or redo — takes its page
+//! against the token of the record that describes it (an undo's is its
+//! CLR), asked for under the page latch once the change is known to
+//! succeed. Slots are never reused
 //! across deletes (tombstones persist; their payload bytes are reclaimed
 //! by page compaction), which keeps RIDs stable and makes undo of a
 //! delete safe under concurrency. Heap pages are the pool's stealable
@@ -20,12 +24,12 @@ use dmx_core::{
     SalvagedRecords, ScanItem, ScanOps, StorageMethod,
 };
 use dmx_expr::Expr;
-use dmx_page::{BufferPool, SlottedPage};
+use dmx_page::{BufferPool, Page, SlottedPage};
 use dmx_types::PageId;
 use dmx_types::{
-    AttrList, DmxError, FieldId, FileId, Lsn, Record, RecordKey, Result, Schema, Value,
+    Appended, AttrList, DmxError, FieldId, FileId, Lsn, Record, RecordKey, Result, Schema, Value,
 };
-use dmx_wal::ExtKind;
+use dmx_wal::{Compensation, ExtKind};
 
 use crate::ops::{
     decode_key, decode_old_new, encode_key_old_new, encode_key_record, OP_DELETE, OP_INSERT,
@@ -73,14 +77,15 @@ pub fn parse_rid(key: &[u8]) -> Result<(u32, u16)> {
 }
 
 /// Appends `bytes` as a fresh-slot record into the file's last page, or a
-/// newly allocated page. Returns `(page_no, slot, appended_new_page)`.
+/// newly allocated page, logging it through `log` under the page latch
+/// once the slot is known. Returns `(page_no, slot, appended_new_page)`.
 /// Shared with the read-only storage method.
 pub(crate) fn append_record(
     pool: &Arc<BufferPool>,
     file: FileId,
     bytes: &[u8],
     page_type: u8,
-    log: impl FnOnce(u32, u16) -> Lsn,
+    log: impl FnOnce(u32, u16) -> Appended,
 ) -> Result<(u32, u16, bool)> {
     if bytes.len() > SlottedPage::MAX_RECORD {
         return Err(DmxError::InvalidArg(format!(
@@ -97,36 +102,43 @@ pub(crate) fn append_record(
     let mut allocated = false;
     loop {
         if let Some(pin) = target {
-            let mut page = pin.write();
+            let page = pin.exclusive();
             // An allocated page stays all-zero until its first latch
             // holder formats it: after a crash that is whoever appends
             // next, and between concurrent appenders it need not be the
             // one that allocated the page. Formatting only here, under
-            // the latch, is what keeps a second appender from writing
-            // into a page the first is about to wipe.
-            if page.page_type() != page_type {
-                SlottedPage::init(&mut page);
-                page.set_page_type(page_type);
-            }
-            let slot = SlottedPage::slot_count(&page);
-            if SlottedPage::free_space(&page) + SlottedPage::reclaimable(&page) >= bytes.len() + 4 {
+            // the latch and the record of the append, is what keeps a
+            // second appender from writing into a page the first is
+            // about to wipe. A page to format has room for any record a
+            // page can hold.
+            let unformatted = page.page_type() != page_type;
+            let slot = match unformatted {
+                true => 0,
+                false => SlottedPage::slot_count(&page),
+            };
+            if unformatted || SlottedPage::fits(&page, slot, bytes.len()) {
                 let page_no = pin.id().page_no;
-                let lsn = log(page_no, slot);
+                let mut page = page.stamp(log(page_no, slot));
+                if unformatted {
+                    SlottedPage::init(&mut page);
+                    page.set_page_type(page_type);
+                }
                 SlottedPage::insert_at(&mut page, slot, bytes)?;
-                page.set_lsn(lsn);
                 return Ok((page_no, slot, allocated));
             }
         }
-        target = Some(pool.new_page(file)?);
+        target = Some(pool.new_page(file)?.into_pinned());
         allocated = true;
     }
 }
 
-/// Physiological undo shared with the read-only storage method.
+/// Physiological undo shared with the read-only storage method: takes
+/// back the change logged at `lsn`, stamping the page with the CLR.
 pub(crate) fn undo_page_op(
     services: &Arc<CommonServices>,
     file: FileId,
     lsn: Lsn,
+    clr: &Compensation<'_>,
     op: u8,
     payload: &[u8],
 ) -> Result<()> {
@@ -140,41 +152,58 @@ pub(crate) fn undo_page_op(
         Err(DmxError::NotFound(_)) => return Ok(()),
         Err(e) => return Err(e),
     };
-    let mut page = pin.write();
-    if page.lsn() < lsn {
-        // The operation never reached this page image; nothing to undo.
+    let page = pin.exclusive();
+    // The operation never reached this page image, or restart finds the
+    // compensation already on it: nothing to undo.
+    if page.lsn() < lsn || clr.repeated().is_some_and(|c| page.lsn() >= c) {
         return Ok(());
     }
-    // Presence checks make double undo a no-op: under steal an undone
-    // page can reach disk before its CLR is durable, in which case
-    // restart drives this same undo again.
+    // Presence checks make a repeated undo a no-op: restart drives it
+    // wherever the page lacks the CLR, and after a later writer's redo
+    // the page may hold none of this change.
     match op {
         OP_INSERT => {
-            SlottedPage::delete(&mut page, slot);
+            if SlottedPage::get(&page, slot).is_some() {
+                SlottedPage::delete(&mut page.stamp(clr.appended()), slot);
+            }
         }
         OP_DELETE => {
             if SlottedPage::get(&page, slot).is_none() {
-                SlottedPage::insert_at(&mut page, slot, old_bytes)?;
+                room_for(&page, slot, old_bytes)?;
+                SlottedPage::insert_at(&mut page.stamp(clr.appended()), slot, old_bytes)?;
             }
         }
         OP_UPDATE => {
             let (old, _) = decode_old_new(old_bytes)?;
-            SlottedPage::update(&mut page, slot, old)?;
+            // No record at the slot: its insert never reached this image.
+            if SlottedPage::get(&page, slot).is_some() {
+                room_for(&page, slot, old)?;
+                SlottedPage::update(&mut page.stamp(clr.appended()), slot, old)?;
+            }
         }
         other => return Err(DmxError::Corrupt(format!("bad heap op {other}"))),
     }
     Ok(())
 }
 
+/// An undo that cannot put its image back fails before it asks for its
+/// CLR: the record stays on the chain, and restart retries it.
+fn room_for(page: &Page, slot: u16, image: &[u8]) -> Result<()> {
+    match SlottedPage::fits(page, slot, image.len()) {
+        true => Ok(()),
+        false => Err(DmxError::Io("page full".into())),
+    }
+}
+
 /// Physiological redo shared with the read-only storage method: replays
-/// a logged operation into the page image on disk, which under
+/// the operation logged as `at` into the page image on disk, which under
 /// steal/no-force may be anywhere from all-zero (allocated, never
 /// written) to already containing the operation (stolen after it).
 pub(crate) fn redo_page_op(
     services: &Arc<CommonServices>,
     file: FileId,
     page_type: u8,
-    lsn: Lsn,
+    at: Appended,
     op: u8,
     payload: &[u8],
 ) -> Result<()> {
@@ -187,17 +216,18 @@ pub(crate) fn redo_page_op(
         Err(DmxError::NotFound(_)) => return Ok(()),
         Err(e) => return Err(e),
     };
-    let mut page = pin.write();
+    let page = pin.exclusive();
+    if page.lsn() >= at.lsn() {
+        // Page-LSN invariant: this image already reflects every
+        // operation at or below its LSN.
+        return Ok(());
+    }
+    let mut page = page.stamp(at);
     // An allocated-but-never-flushed page reads back all-zero: format it
     // before replaying into it.
     if page.page_type() != page_type {
         SlottedPage::init(&mut page);
         page.set_page_type(page_type);
-    }
-    if page.lsn() >= lsn {
-        // Page-LSN invariant: this image already reflects every
-        // operation at or below its LSN.
-        return Ok(());
     }
     match op {
         OP_INSERT => {
@@ -216,7 +246,6 @@ pub(crate) fn redo_page_op(
         }
         other => return Err(DmxError::Corrupt(format!("bad heap op {other}"))),
     }
-    page.set_lsn(lsn);
     Ok(())
 }
 
@@ -225,7 +254,7 @@ impl HeapStorage {
         decode_file_desc(&rd.sm_desc)
     }
 
-    fn log(ctx: &ExecCtx<'_>, rd: &RelationDescriptor, op: u8, payload: Vec<u8>) -> Lsn {
+    fn log(ctx: &ExecCtx<'_>, rd: &RelationDescriptor, op: u8, payload: Vec<u8>) -> Appended {
         ctx.log_ext_op(ExtKind::Storage(rd.sm), rd.id, op, payload)
     }
 }
@@ -244,7 +273,7 @@ impl StorageMethod for HeapStorage {
         params.check_allowed(&[], "heap")?;
         let file = ctx.services().disk.create_file()?;
         let pin = ctx.services().pool.new_page(file)?;
-        let mut page = pin.write();
+        let mut page = pin.format();
         SlottedPage::init(&mut page);
         page.set_page_type(PAGE_TYPE_HEAP);
         Ok(encode_file_desc(file))
@@ -295,36 +324,30 @@ impl StorageMethod for HeapStorage {
         let (page_no, slot) = parse_rid(key.as_bytes())?;
         let new_bytes = new.encode();
         let pin = ctx.services().pool.fetch(PageId::new(file, page_no))?;
-        let mut page = pin.write();
+        let page = pin.exclusive();
         let old_bytes = SlottedPage::get(&page, slot)
             .ok_or_else(|| DmxError::NotFound(format!("heap record {key:?}")))?
             .to_vec();
         let old = Record::decode(&old_bytes)?;
         // Will an in-place update fit (the old payload is reclaimed)?
-        let fits = new_bytes.len() <= old_bytes.len()
-            || SlottedPage::free_space(&page) + SlottedPage::reclaimable(&page) + old_bytes.len()
-                >= new_bytes.len();
-        if fits {
-            let lsn = Self::log(
+        if SlottedPage::fits(&page, slot, new_bytes.len()) {
+            let at = Self::log(
                 ctx,
                 rd,
                 OP_UPDATE,
                 encode_key_old_new(key.as_bytes(), &old_bytes, &new_bytes),
             );
-            SlottedPage::update(&mut page, slot, &new_bytes)?;
-            page.set_lsn(lsn);
+            SlottedPage::update(&mut page.stamp(at), slot, &new_bytes)?;
             return Ok((old, key.clone()));
         }
         // Relocate: delete here, insert elsewhere (each logged).
-        let lsn = Self::log(
+        let at = Self::log(
             ctx,
             rd,
             OP_DELETE,
             encode_key_record(key.as_bytes(), &old_bytes),
         );
-        SlottedPage::delete(&mut page, slot);
-        page.set_lsn(lsn);
-        drop(page);
+        SlottedPage::delete(&mut page.stamp(at), slot);
         drop(pin);
         let new_key = self.insert(ctx, rd, new)?;
         Ok((old, new_key))
@@ -339,18 +362,17 @@ impl StorageMethod for HeapStorage {
         let file = Self::file(rd)?;
         let (page_no, slot) = parse_rid(key.as_bytes())?;
         let pin = ctx.services().pool.fetch(PageId::new(file, page_no))?;
-        let mut page = pin.write();
+        let page = pin.exclusive();
         let old_bytes = SlottedPage::get(&page, slot)
             .ok_or_else(|| DmxError::NotFound(format!("heap record {key:?}")))?
             .to_vec();
-        let lsn = Self::log(
+        let at = Self::log(
             ctx,
             rd,
             OP_DELETE,
             encode_key_record(key.as_bytes(), &old_bytes),
         );
-        SlottedPage::delete(&mut page, slot);
-        page.set_lsn(lsn);
+        SlottedPage::delete(&mut page.stamp(at), slot);
         Record::decode(&old_bytes)
     }
 
@@ -397,14 +419,14 @@ impl StorageMethod for HeapStorage {
         services: &Arc<CommonServices>,
         rd: &RelationDescriptor,
         lsn: Lsn,
-        dir: Replay,
+        dir: Replay<'_>,
         op: u8,
         payload: &[u8],
     ) -> Result<()> {
         let file = Self::file(rd)?;
         match dir {
-            Replay::Undo => undo_page_op(services, file, lsn, op, payload),
-            Replay::Redo => redo_page_op(services, file, PAGE_TYPE_HEAP, lsn, op, payload),
+            Replay::Undo(clr) => undo_page_op(services, file, lsn, clr, op, payload),
+            Replay::Redo(at) => redo_page_op(services, file, PAGE_TYPE_HEAP, at, op, payload),
         }
     }
 

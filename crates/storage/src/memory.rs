@@ -272,14 +272,14 @@ impl StorageMethod for MemoryStorage {
         _services: &Arc<CommonServices>,
         rd: &RelationDescriptor,
         _lsn: Lsn,
-        dir: Replay,
+        dir: Replay<'_>,
         op: u8,
         payload: &[u8],
     ) -> Result<()> {
         match (dir, self.table(rd)) {
-            (Replay::Undo, Ok(table)) => table.undo(op, payload),
-            // Nothing survives a restart to redo into, and a dropped
-            // table has nothing left to undo.
+            (Replay::Undo(clr), Ok(table)) if clr.repeated().is_none() => table.undo(op, payload),
+            // Nothing survives a restart to redo into or to compensate
+            // again, and a dropped table has nothing left to undo.
             _ => Ok(()),
         }
     }

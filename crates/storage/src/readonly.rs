@@ -53,7 +53,7 @@ impl StorageMethod for ReadOnlyStorage {
         params.check_allowed(&[], "readonly")?;
         let file = ctx.services().disk.create_file()?;
         let pin = ctx.services().pool.new_page(file)?;
-        let mut page = pin.write();
+        let mut page = pin.format();
         SlottedPage::init(&mut page);
         page.set_page_type(PAGE_TYPE_WORM);
         Ok(encode_file_desc(file))
@@ -168,7 +168,7 @@ impl StorageMethod for ReadOnlyStorage {
         services: &Arc<dmx_core::CommonServices>,
         rd: &RelationDescriptor,
         lsn: Lsn,
-        dir: Replay,
+        dir: Replay<'_>,
         op: u8,
         payload: &[u8],
     ) -> Result<()> {
@@ -177,10 +177,10 @@ impl StorageMethod for ReadOnlyStorage {
             // Only inserts exist; rollback of an aborted load tombstones
             // the appended record (an internal operation — the
             // *user-facing* delete remains unsupported).
-            Replay::Undo => undo_page_op(services, file, lsn, op, payload),
+            Replay::Undo(clr) => undo_page_op(services, file, lsn, clr, op, payload),
             // Write-once pages are never stolen, but no-force means a
             // committed load's pages may have missed disk entirely.
-            Replay::Redo => redo_page_op(services, file, PAGE_TYPE_WORM, lsn, op, payload),
+            Replay::Redo(at) => redo_page_op(services, file, PAGE_TYPE_WORM, at, op, payload),
         }
     }
 }

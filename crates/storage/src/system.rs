@@ -77,7 +77,6 @@ fn lock_name_str(n: &LockName) -> String {
         LockName::Record(r, k) => format!("record({},{k})", r.0),
         LockName::Gap(r, k) => format!("gap({},{k})", r.0),
         LockName::File(f) => format!("file({})", f.0),
-        LockName::PageLatch(p) => format!("page_latch({},{})", p.file.0, p.page_no),
     }
 }
 
@@ -430,7 +429,7 @@ impl StorageMethod for SystemStorage {
         _services: &Arc<dmx_core::CommonServices>,
         _rd: &RelationDescriptor,
         _lsn: Lsn,
-        _dir: Replay,
+        _dir: Replay<'_>,
         _op: u8,
         _payload: &[u8],
     ) -> Result<()> {

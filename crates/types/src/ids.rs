@@ -73,6 +73,36 @@ impl fmt::Display for Lsn {
     }
 }
 
+/// Proof that the log record describing a page change has been appended:
+/// the one key to a mutable pool page (`dmx_page::PinnedPage::write`) and
+/// to a tree writer, and the LSN every page it changes is stamped with.
+///
+/// Only a log append makes one: `ExecCtx::log_ext_op` going forward, the
+/// replay dispatch from the record it hands over, and the rollback from
+/// the compensation record (CLR) of each undo. Extension crates name the
+/// type but call nothing on it — `xtask verify` rule 4 denies them
+/// `Appended::`, so neither [`Appended::by_log`] nor
+/// [`Appended::UNLOGGED`] appears outside the kernel and the tests.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Appended(Lsn);
+
+impl Appended {
+    /// The named unlogged path: a token that stamps nothing. For the tests
+    /// that forge crash images, and for the bootstrap of a fresh structure
+    /// (`BTree::create`) — a page no log record describes yet.
+    pub const UNLOGGED: Appended = Appended(Lsn::NULL);
+
+    /// The token of the record the log just assigned `lsn`.
+    pub fn by_log(lsn: Lsn) -> Appended {
+        Appended(lsn)
+    }
+
+    /// The record's LSN ([`Lsn::NULL`] for [`Appended::UNLOGGED`]).
+    pub fn lsn(self) -> Lsn {
+        self.0
+    }
+}
+
 /// Addresses a page within a simulated disk file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct PageId {

@@ -18,6 +18,7 @@ pub mod bytes;
 pub mod crc;
 pub mod error;
 pub mod fault;
+pub mod held;
 pub mod ids;
 pub mod key;
 pub mod obs;
@@ -32,7 +33,8 @@ pub use attr::AttrList;
 pub use error::{DmxError, Result};
 pub use fault::{FaultDecision, FaultInjector, FaultKind, FaultPlan};
 pub use ids::{
-    AttInstanceId, AttTypeId, FieldId, FileId, Lsn, PageId, RelationId, ScanId, SmTypeId, TxnId,
+    Appended, AttInstanceId, AttTypeId, FieldId, FileId, Lsn, PageId, RelationId, ScanId, SmTypeId,
+    TxnId,
 };
 pub use key::RecordKey;
 pub use obs::{

@@ -15,9 +15,11 @@
 //!   extension through the [`recovery::UndoHandler`] trait (implemented in
 //!   `dmx-core` by dispatch through the procedure vectors).
 //! * [`recovery`] implements partial rollback to a savepoint, full abort,
-//!   and restart recovery (undo losers, complete committed deferred
-//!   intents), writing compensation records (CLRs) so rollbacks are
-//!   themselves idempotent.
+//!   and restart recovery (complete committed deferred intents, redo
+//!   winners and repeat every compensation in one forward pass, undo
+//!   losers), writing compensation records (CLRs) so rollbacks are
+//!   themselves idempotent; each CLR is the token its undo's pages are
+//!   stamped with ([`recovery::Compensation`]).
 
 pub mod log;
 pub mod record;
@@ -25,4 +27,6 @@ pub mod recovery;
 
 pub use log::{LogManager, StableLog};
 pub use record::{ExtKind, LogBody, LogRecord};
-pub use recovery::{committed_intents, restart, rollback_to, RestartReport, UndoHandler};
+pub use recovery::{
+    committed_intents, restart, rollback_to, Compensation, RestartReport, UndoHandler,
+};

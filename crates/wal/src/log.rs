@@ -18,6 +18,7 @@ use std::sync::Arc;
 use dmx_types::sync::Mutex;
 
 use dmx_types::fault::{with_io_retries, MAX_IO_RETRIES};
+use dmx_types::held;
 use dmx_types::obs::{name, Counter, Histogram, MetricsRegistry, ObsEvent, SIZE_BUCKETS};
 use dmx_types::{DmxError, FaultDecision, FaultInjector, Lsn, Result, TxnId};
 
@@ -257,8 +258,11 @@ impl LogManager {
     /// because the leader also carried their (already-appended) commit
     /// records, they find their LSN durable on acquire and return without
     /// doing any I/O of their own — one force serves many commits, which
-    /// is what the `wal.force_batch` histogram measures.
+    /// is what the `wal.force_batch` histogram measures. An explicit
+    /// device operation, so never under a latch (debug builds check); the
+    /// buffer pool's own write-ahead force goes through [`Self::force`].
     pub fn force_group(&self, lsn: Lsn) -> Result<()> {
+        held::assert_unlatched("force_group");
         self.force_upto(lsn, true)
     }
 
@@ -342,8 +346,10 @@ impl LogManager {
         Ok(())
     }
 
-    /// Forces everything written so far.
+    /// Forces everything written so far. An explicit device operation,
+    /// like [`Self::force_group`].
     pub fn force_all(&self) -> Result<()> {
+        held::assert_unlatched("force_all");
         let last = self.last_lsn();
         if last.is_null() {
             return Ok(());

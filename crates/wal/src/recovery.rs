@@ -6,26 +6,93 @@
 //! chain backwards and hands each extension-operation record to the
 //! [`UndoHandler`] (implemented in `dmx-core` by dispatching through the
 //! storage-method / attachment procedure vectors). Compensation records
-//! (CLRs) make interrupted rollbacks idempotent.
+//! (CLRs) make interrupted rollbacks idempotent, and each is the token the
+//! pages its undo changes are stamped with ([`Compensation`]).
 //!
 //! Undo operations must themselves be idempotent because, under the
-//! no-steal/force policy, a loser transaction's page changes may never
-//! have reached disk: heap undo checks page LSNs, logical index undo
+//! steal/no-force policy, a loser transaction's page changes may or may
+//! not have reached disk: heap undo checks page LSNs, logical index undo
 //! checks key presence.
 
+use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 
 use dmx_types::fault::{with_io_retries, MAX_IO_RETRIES};
-use dmx_types::{Lsn, Result, TxnId};
+use dmx_types::{Appended, Lsn, Result, TxnId};
 
 use crate::log::LogManager;
 use crate::record::{LogBody, LogRecord};
 
+/// The compensation record (CLR) of one undo, and the token the pages
+/// the undo changes are stamped with.
+///
+/// Rollback appends the CLR the first time the undo asks for its token —
+/// under the latch of the page it is about to change, so no later record
+/// reaches that page ahead of it — or, when the undo changed nothing,
+/// once the undo returns. An undo that fails before it asks appends no
+/// CLR, and its record stays on the chain to be undone again. Restart's
+/// repeated compensation hands over the CLR the log already holds
+/// ([`Compensation::repeated`]).
+pub struct Compensation<'a> {
+    /// Where rollback appends the CLR; `None` once it is in the log.
+    pending: Option<PendingClr<'a>>,
+    lsn: Cell<Lsn>,
+}
+
+struct PendingClr<'a> {
+    log: &'a LogManager,
+    txn: TxnId,
+    prev_lsn: Lsn,
+    undo_next: Lsn,
+}
+
+impl<'a> Compensation<'a> {
+    fn pending(log: &'a LogManager, txn: TxnId, prev_lsn: Lsn, undo_next: Lsn) -> Self {
+        Compensation {
+            pending: Some(PendingClr {
+                log,
+                txn,
+                prev_lsn,
+                undo_next,
+            }),
+            lsn: Cell::new(Lsn::NULL),
+        }
+    }
+
+    /// The compensation the record `clr` is in the log for, repeated at
+    /// restart. (A replay test may hand any record for it.)
+    pub fn repeating(clr: &LogRecord) -> Compensation<'static> {
+        Compensation {
+            pending: None,
+            lsn: Cell::new(clr.lsn),
+        }
+    }
+
+    /// The CLR's token, appending the CLR the first time it is asked for.
+    pub fn appended(&self) -> Appended {
+        if let Some(p) = self.pending.as_ref().filter(|_| self.lsn.get().is_null()) {
+            let clr = LogBody::Clr {
+                undo_next: p.undo_next,
+            };
+            self.lsn.set(p.log.append(p.txn, p.prev_lsn, clr));
+        }
+        Appended::by_log(self.lsn.get())
+    }
+
+    /// Restart repeating a compensation the log already holds: the CLR's
+    /// LSN. A page that carries it has the undo already, and so does an
+    /// extension that keeps no pages — its undo completed before the CLR
+    /// was written.
+    pub fn repeated(&self) -> Option<Lsn> {
+        self.pending.is_none().then(|| self.lsn.get())
+    }
+}
+
 /// Callback surface the recovery driver uses to reach extensions.
 pub trait UndoHandler {
-    /// Undoes one extension operation (an [`LogBody::ExtOp`] record). Must
-    /// be idempotent.
-    fn undo(&self, rec: &LogRecord) -> Result<()>;
+    /// Undoes one extension operation (an [`LogBody::ExtOp`] record),
+    /// stamping what it changes with `clr`'s token. Must be idempotent.
+    fn undo(&self, rec: &LogRecord, clr: &Compensation<'_>) -> Result<()>;
 
     /// Re-applies one committed extension operation (an
     /// [`LogBody::ExtOp`] record) during restart's redo pass. Under the
@@ -41,7 +108,8 @@ pub trait UndoHandler {
 }
 
 /// Rolls a transaction back to a rollback point: undoes every operation
-/// with `lsn > stop_after`, writing a CLR per undone operation.
+/// with `lsn > stop_after`, writing a CLR per undone operation — the
+/// undo's [`Compensation`].
 ///
 /// `from_lsn` is the transaction's current last LSN; the new last LSN
 /// (the final CLR, or `from_lsn` when nothing needed undoing) is returned.
@@ -60,14 +128,9 @@ pub fn rollback_to(
         debug_assert_eq!(rec.txn, txn, "undo chain crossed transactions");
         match &rec.body {
             LogBody::ExtOp { .. } => {
-                handler.undo(&rec)?;
-                last = log.append(
-                    txn,
-                    last,
-                    LogBody::Clr {
-                        undo_next: rec.prev_lsn,
-                    },
-                );
+                let clr = Compensation::pending(log, txn, last, rec.prev_lsn);
+                handler.undo(&rec, &clr)?;
+                last = clr.appended().lsn();
                 cur = rec.prev_lsn;
             }
             // A CLR means everything from here back to its undo_next was
@@ -88,6 +151,9 @@ pub struct RestartReport {
     pub intents_redone: usize,
     /// Committed extension operations replayed by the redo pass.
     pub ops_redone: usize,
+    /// Compensations the redo pass repeated: one per CLR after the
+    /// checkpoint, whatever became of its transaction.
+    pub compensations_repeated: usize,
     /// The last durable [`LogBody::Checkpoint`] record ([`Lsn::NULL`] when
     /// none): the point the redo scan started from. The database compares
     /// this against the log end to decide whether opening quiescently
@@ -117,6 +183,8 @@ struct Analysis {
     checkpoint: Lsn,
     /// All deferred-intent records, in log order.
     intents: Vec<LogRecord>,
+    /// The CLRs after the last checkpoint, in log order.
+    clrs: Vec<Lsn>,
     /// Intent LSNs with a durable completion record.
     done: HashSet<Lsn>,
     /// Highest transaction id seen.
@@ -140,6 +208,7 @@ fn analyze(log: &LogManager) -> Result<Analysis> {
     let mut committed_chain: HashMap<TxnId, Lsn> = HashMap::new();
     let mut checkpoint = Lsn::NULL;
     let mut intents: Vec<LogRecord> = Vec::new();
+    let mut clrs: Vec<Lsn> = Vec::new();
     let mut done: HashSet<Lsn> = HashSet::new();
     let mut max_txn = 0u64;
     let stable = log.stable();
@@ -159,6 +228,7 @@ fn analyze(log: &LogManager) -> Result<Analysis> {
             }
             LogBody::Checkpoint => {
                 checkpoint = rec.lsn;
+                clrs.clear();
             }
             LogBody::Abort => {
                 active.remove(&rec.txn);
@@ -171,6 +241,12 @@ fn analyze(log: &LogManager) -> Result<Analysis> {
             }
             LogBody::DeferredDone { intent_lsn } => {
                 done.insert(*intent_lsn);
+            }
+            LogBody::Clr { .. } => {
+                clrs.push(rec.lsn);
+                if let Some(last) = active.get_mut(&rec.txn) {
+                    *last = rec.lsn;
+                }
             }
             _ => {
                 if let Some(last) = active.get_mut(&rec.txn) {
@@ -185,6 +261,7 @@ fn analyze(log: &LogManager) -> Result<Analysis> {
         committed_chain,
         checkpoint,
         intents,
+        clrs,
         done,
         max_txn,
         tail_truncated,
@@ -214,10 +291,12 @@ pub fn committed_intents(log: &LogManager) -> Result<Vec<(LogRecord, bool)>> {
 
 /// System restart recovery (ARIES-shaped): truncates a torn/corrupt log
 /// tail, analyzes the durable log, completes committed transactions'
-/// outstanding deferred intents, **redoes** committed extension
-/// operations forward from the last checkpoint (under steal/no-force a
-/// winner's pages may never have reached disk), and undoes loser
-/// transactions. Forces the log before returning.
+/// outstanding deferred intents, then walks forward from the last
+/// checkpoint **redoing** committed extension operations (under
+/// steal/no-force a winner's pages may never have reached disk) and
+/// **repeating every compensation** (a page stolen before its rollback
+/// may never have seen the undo), and finally undoes loser transactions.
+/// Forces the log before returning.
 pub fn restart(log: &LogManager, handler: &dyn UndoHandler) -> Result<RestartReport> {
     let Analysis {
         active,
@@ -225,6 +304,7 @@ pub fn restart(log: &LogManager, handler: &dyn UndoHandler) -> Result<RestartRep
         committed_chain,
         checkpoint,
         intents,
+        clrs,
         done,
         max_txn,
         tail_truncated,
@@ -250,13 +330,11 @@ pub fn restart(log: &LogManager, handler: &dyn UndoHandler) -> Result<RestartRep
 
     // --- redo committed extension ops, net of compensation ---
     // A committed transaction can contain CLRs (savepoint or vetoed-
-    // statement rollback before commit), and a CLR carries no redo
-    // information of its own. Walking the *final* undo chain backward
-    // from the commit record visits exactly the net-applied ExtOps: a
-    // CLR's undo_next jump skips everything it compensated. Replaying
-    // only that set, in forward log order, reproduces the committed
-    // state. The walk stops at the checkpoint: a transaction never spans
-    // a checkpoint (checkpoints are written at quiescent open), so every
+    // statement rollback before commit). Walking the *final* undo chain
+    // backward from the commit record visits exactly the net-applied
+    // ExtOps: a CLR's undo_next jump skips everything it compensated.
+    // The walk stops at the checkpoint: a transaction never spans a
+    // checkpoint (checkpoints are written at quiescent open), so every
     // pre-checkpoint effect is already durably on disk.
     let mut redo_set: HashSet<Lsn> = HashSet::new();
     for head in committed_chain.values() {
@@ -273,19 +351,33 @@ pub fn restart(log: &LogManager, handler: &dyn UndoHandler) -> Result<RestartRep
             }
         }
     }
-    let mut ops_redone = 0;
-    if !redo_set.is_empty() {
-        let stable = log.stable();
-        // LSNs are dense and 1-based: frame idx holds LSN idx+1, so the
-        // scan starts at the frame just past the checkpoint record.
-        for idx in (checkpoint.0 as usize)..stable.len() {
-            if !redo_set.contains(&Lsn(idx as u64 + 1)) {
-                continue;
+    // --- ... and repeat every compensation, in one forward pass ---
+    // A CLR carries no image of its own: the undo it records is driven
+    // again — of the record it compensates, stamped with the CLR's token —
+    // wherever a page lacks the CLR's LSN. Whether its transaction
+    // committed, aborted or is a loser: an undone change on a page stolen
+    // before the undo is on disk, and only the log says it was taken
+    // back. Interleaved in log order with the redo, so each page meets
+    // its changes in the order they were made.
+    let mut replays: Vec<Lsn> = redo_set.into_iter().chain(clrs).collect();
+    replays.sort_unstable();
+    let (mut ops_redone, mut compensations_repeated) = (0, 0);
+    let stable = log.stable();
+    for lsn in replays {
+        // LSNs are dense and 1-based: frame idx holds LSN idx+1.
+        let idx = lsn.0 as usize - 1;
+        let rec = with_io_retries(MAX_IO_RETRIES, || stable.with_frame(idx, LogRecord::decode))?;
+        match &rec.body {
+            LogBody::Clr { undo_next } => {
+                if let Some(undone) = compensated(log, &rec, *undo_next)? {
+                    handler.undo(&undone, &Compensation::repeating(&rec))?;
+                    compensations_repeated += 1;
+                }
             }
-            let rec =
-                with_io_retries(MAX_IO_RETRIES, || stable.with_frame(idx, LogRecord::decode))?;
-            handler.redo(&rec)?;
-            ops_redone += 1;
+            _ => {
+                handler.redo(&rec)?;
+                ops_redone += 1;
+            }
         }
     }
 
@@ -304,10 +396,25 @@ pub fn restart(log: &LogManager, handler: &dyn UndoHandler) -> Result<RestartRep
         losers: loser_ids,
         intents_redone,
         ops_redone,
+        compensations_repeated,
         last_checkpoint: checkpoint,
         tail_truncated,
         max_txn,
     })
+}
+
+/// The record the CLR `clr` compensates: the ExtOp of its transaction
+/// whose `prev_lsn` is the CLR's `undo_next` — the next record the
+/// transaction appended after `undo_next`, so the scan forward from there
+/// is short. `None` when the log holds no such record before the CLR.
+fn compensated(log: &LogManager, clr: &LogRecord, undo_next: Lsn) -> Result<Option<LogRecord>> {
+    for lsn in (undo_next.0 + 1)..clr.lsn.0 {
+        let rec = log.record(Lsn(lsn))?;
+        if rec.txn == clr.txn && rec.prev_lsn == undo_next {
+            return Ok(matches!(rec.body, LogBody::ExtOp { .. }).then_some(rec));
+        }
+    }
+    Ok(None)
 }
 
 #[cfg(test)]
@@ -331,7 +438,7 @@ mod tests {
     }
 
     impl UndoHandler for Shadow {
-        fn undo(&self, rec: &LogRecord) -> Result<()> {
+        fn undo(&self, rec: &LogRecord, _clr: &Compensation<'_>) -> Result<()> {
             if let LogBody::ExtOp { payload, .. } = &rec.body {
                 let mut applied = self.applied.lock();
                 if let Some(pos) = applied.iter().position(|&b| b == payload[0]) {
@@ -572,8 +679,8 @@ mod tests {
             tripped: Mutex<bool>,
         }
         impl UndoHandler for FailOnce {
-            fn undo(&self, rec: &LogRecord) -> Result<()> {
-                self.inner.undo(rec)
+            fn undo(&self, rec: &LogRecord, clr: &Compensation<'_>) -> Result<()> {
+                self.inner.undo(rec, clr)
             }
             fn redo(&self, rec: &LogRecord) -> Result<()> {
                 self.inner.redo(rec)
@@ -706,15 +813,94 @@ mod tests {
             let log = LogManager::open(stable.clone());
             let txn = TxnId(1);
             let (last, lsns) = run_ops(&log, &sh, txn, &[1, 2, 3]);
-            // Simulate a crash after undoing only op 3: write one CLR by
-            // hand, force, then "crash".
-            sh.undo(&log.record(lsns[2]).unwrap()).unwrap();
-            log.append(txn, last, LogBody::Clr { undo_next: lsns[1] });
+            // Simulate a crash after undoing only op 3: its CLR, forced,
+            // then "crash".
+            let clr = Compensation::pending(&log, txn, last, lsns[1]);
+            sh.undo(&log.record(lsns[2]).unwrap(), &clr).unwrap();
+            clr.appended();
             log.force_all().unwrap();
         }
         let log = LogManager::open(stable);
         restart(&log, &*sh).unwrap();
         assert_eq!(*sh.undone.lock(), vec![3, 2, 1], "3 not undone twice");
         assert!(sh.applied.lock().is_empty());
+    }
+
+    /// What a handler was asked, in order: `('r', op)` a redo, `('u', op,
+    /// clr)` an undo stamped with `clr` (`None` while rollback has not
+    /// appended it yet).
+    #[derive(Default)]
+    struct Calls(Mutex<Vec<(char, u8, Option<Lsn>)>>);
+
+    impl UndoHandler for Calls {
+        fn undo(&self, rec: &LogRecord, clr: &Compensation<'_>) -> Result<()> {
+            if let LogBody::ExtOp { payload, .. } = &rec.body {
+                self.0.lock().push(('u', payload[0], clr.repeated()));
+            }
+            Ok(())
+        }
+        fn redo(&self, rec: &LogRecord) -> Result<()> {
+            if let LogBody::ExtOp { payload, .. } = &rec.body {
+                self.0.lock().push(('r', payload[0], None));
+            }
+            Ok(())
+        }
+        fn redo_deferred(&self, _rec: &LogRecord) -> Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A CLR carries no image of its own, so restart drives the undo it
+    /// records again — of the record whose `prev_lsn` is its `undo_next`,
+    /// stamped with the CLR — in log order among the redos, for a winner,
+    /// an aborted transaction and a loser alike; the loser's rollback
+    /// then resumes where its CLRs stopped.
+    #[test]
+    fn restart_repeats_every_compensation_in_log_order() {
+        let stable = StableLog::new();
+        let (w_clr, a_clr, l_clr) = {
+            let log = LogManager::open(stable.clone());
+            let sh = Shadow::default();
+            // winner: 1, savepoint, 2 rolled back, 3, commit
+            let (last, _) = run_ops(&log, &sh, TxnId(1), &[1]);
+            let sp = log.append(TxnId(1), last, LogBody::Savepoint);
+            let last = log.append(TxnId(1), sp, op(2));
+            let last = rollback_to(&log, &sh, TxnId(1), last, sp).unwrap();
+            let w_clr = last;
+            let last = log.append(TxnId(1), last, op(3));
+            log.append(TxnId(1), last, LogBody::Commit);
+            // aborted: 4, 5 rolled back in full
+            let (last, _) = run_ops(&log, &sh, TxnId(2), &[4, 5]);
+            let a_clr = rollback_to(&log, &sh, TxnId(2), last, Lsn::NULL).unwrap();
+            log.append(TxnId(2), a_clr, LogBody::Abort);
+            // loser: 6, savepoint, 7 rolled back, 8, crash
+            let (last, _) = run_ops(&log, &sh, TxnId(3), &[6]);
+            let sp = log.append(TxnId(3), last, LogBody::Savepoint);
+            let last = log.append(TxnId(3), sp, op(7));
+            let l_clr = rollback_to(&log, &sh, TxnId(3), last, sp).unwrap();
+            log.append(TxnId(3), l_clr, op(8));
+            log.force_all().unwrap();
+            (w_clr, a_clr, l_clr)
+        };
+        let log = LogManager::open(stable);
+        let calls = Calls::default();
+        let report = restart(&log, &calls).unwrap();
+        assert_eq!(report.compensations_repeated, 4);
+        let got = calls.0.lock().clone();
+        assert_eq!(
+            got,
+            vec![
+                ('r', 1, None),
+                ('u', 2, Some(w_clr)),
+                ('r', 3, None),
+                ('u', 5, Some(Lsn(a_clr.0 - 1))),
+                ('u', 4, Some(a_clr)),
+                ('u', 7, Some(l_clr)),
+                // the loser's rollback: a fresh CLR each, appended after
+                ('u', 8, None),
+                ('u', 6, None),
+            ]
+        );
+        assert_eq!(report.losers, vec![TxnId(3)]);
     }
 }

@@ -11,10 +11,13 @@
 use std::fs;
 use std::path::Path;
 
-/// One `[[panic]]` entry: `count` tolerated occurrences of `token` in
-/// `path`, with a mandatory human justification.
-#[derive(Debug, Clone)]
-pub struct PanicAllow {
+/// One entry: `count` tolerated occurrences of `token` in `path`
+/// (`[[panic]]`), `count` wall-clock tokens in `path` (`[[wallclock]]`),
+/// or a module allowed to contain `unsafe` blocks (`[[unsafe-module]]`;
+/// each block still needs its own `// SAFETY:` comment) — with a
+/// mandatory human justification.
+#[derive(Debug, Clone, Default)]
+pub struct Entry {
     pub path: String,
     pub token: String,
     pub count: usize,
@@ -23,32 +26,12 @@ pub struct PanicAllow {
     pub line: usize,
 }
 
-/// One `[[unsafe-module]]` entry: a module allowed to contain `unsafe`
-/// blocks (each block still needs its own `// SAFETY:` comment).
-#[derive(Debug, Clone)]
-pub struct UnsafeAllow {
-    pub path: String,
-    pub reason: String,
-    pub line: usize,
-}
-
-/// One `[[wallclock]]` entry: `count` tolerated wall-clock tokens
-/// (`Instant`/`SystemTime`) in `path`, with a justification. Same
-/// ratchet contract as `[[panic]]`.
-#[derive(Debug, Clone)]
-pub struct WallclockAllow {
-    pub path: String,
-    pub count: usize,
-    pub reason: String,
-    pub line: usize,
-}
-
 /// Parsed allowlist.
 #[derive(Debug, Default)]
 pub struct Allowlist {
-    pub panics: Vec<PanicAllow>,
-    pub unsafe_modules: Vec<UnsafeAllow>,
-    pub wallclock: Vec<WallclockAllow>,
+    pub panics: Vec<Entry>,
+    pub unsafe_modules: Vec<Entry>,
+    pub wallclock: Vec<Entry>,
 }
 
 impl Allowlist {
@@ -63,54 +46,30 @@ impl Allowlist {
     }
 }
 
-enum Section {
-    None,
-    Panic,
-    UnsafeModule,
-    Wallclock,
-}
+/// The sections and the keys their entries take; every key but the last,
+/// `reason`, is required (a count of at least 1).
+const SECTIONS: [(&str, &[&str]); 3] = [
+    ("[[panic]]", &["path", "token", "count", "reason"]),
+    ("[[unsafe-module]]", &["path", "reason"]),
+    ("[[wallclock]]", &["path", "count", "reason"]),
+];
 
 fn parse(text: &str) -> Result<Allowlist, String> {
-    let mut out = Allowlist::default();
-    let mut section = Section::None;
+    let mut sections: [Vec<Entry>; 3] = Default::default();
+    let mut current = None;
     for (idx, raw) in text.lines().enumerate() {
         let lineno = idx + 1;
         let line = raw.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        match line {
-            "[[panic]]" => {
-                section = Section::Panic;
-                out.panics.push(PanicAllow {
-                    path: String::new(),
-                    token: String::new(),
-                    count: 0,
-                    reason: String::new(),
-                    line: lineno,
-                });
-                continue;
-            }
-            "[[unsafe-module]]" => {
-                section = Section::UnsafeModule;
-                out.unsafe_modules.push(UnsafeAllow {
-                    path: String::new(),
-                    reason: String::new(),
-                    line: lineno,
-                });
-                continue;
-            }
-            "[[wallclock]]" => {
-                section = Section::Wallclock;
-                out.wallclock.push(WallclockAllow {
-                    path: String::new(),
-                    count: 0,
-                    reason: String::new(),
-                    line: lineno,
-                });
-                continue;
-            }
-            _ => {}
+        if let Some(n) = SECTIONS.iter().position(|(name, _)| *name == line) {
+            current = Some(n);
+            sections[n].push(Entry {
+                line: lineno,
+                ..Entry::default()
+            });
+            continue;
         }
         if line.starts_with('[') {
             return Err(format!("line {lineno}: unknown section {line}"));
@@ -118,83 +77,41 @@ fn parse(text: &str) -> Result<Allowlist, String> {
         let (key, value) = line
             .split_once('=')
             .ok_or_else(|| format!("line {lineno}: expected key = value"))?;
-        let key = key.trim();
-        let value = value.trim();
-        match section {
-            Section::Panic => {
-                let entry = out
-                    .panics
-                    .last_mut()
-                    .ok_or_else(|| format!("line {lineno}: key outside [[panic]]"))?;
-                match key {
-                    "path" => entry.path = unquote(value, lineno)?,
-                    "token" => entry.token = unquote(value, lineno)?,
-                    "count" => {
-                        entry.count = value
-                            .parse()
-                            .map_err(|_| format!("line {lineno}: bad count {value}"))?
-                    }
-                    "reason" => entry.reason = unquote(value, lineno)?,
-                    _ => return Err(format!("line {lineno}: unknown key {key}")),
-                }
+        let (key, value) = (key.trim(), value.trim());
+        let n = current.ok_or_else(|| format!("line {lineno}: key before any [[section]]"))?;
+        let entry = sections[n].last_mut().ok_or("section without an entry")?;
+        match key {
+            _ if !SECTIONS[n].1.contains(&key) => {
+                return Err(format!("line {lineno}: unknown key {key}"))
             }
-            Section::UnsafeModule => {
-                let entry = out
-                    .unsafe_modules
-                    .last_mut()
-                    .ok_or_else(|| format!("line {lineno}: key outside [[unsafe-module]]"))?;
-                match key {
-                    "path" => entry.path = unquote(value, lineno)?,
-                    "reason" => entry.reason = unquote(value, lineno)?,
-                    _ => return Err(format!("line {lineno}: unknown key {key}")),
-                }
-            }
-            Section::Wallclock => {
-                let entry = out
-                    .wallclock
-                    .last_mut()
-                    .ok_or_else(|| format!("line {lineno}: key outside [[wallclock]]"))?;
-                match key {
-                    "path" => entry.path = unquote(value, lineno)?,
-                    "count" => {
-                        entry.count = value
-                            .parse()
-                            .map_err(|_| format!("line {lineno}: bad count {value}"))?
-                    }
-                    "reason" => entry.reason = unquote(value, lineno)?,
-                    _ => return Err(format!("line {lineno}: unknown key {key}")),
-                }
-            }
-            Section::None => {
-                return Err(format!("line {lineno}: key before any [[section]]"));
+            "path" => entry.path = unquote(value, lineno)?,
+            "token" => entry.token = unquote(value, lineno)?,
+            "reason" => entry.reason = unquote(value, lineno)?,
+            _ => {
+                entry.count = value
+                    .parse()
+                    .map_err(|_| format!("line {lineno}: bad count {value}"))?
             }
         }
     }
-    for e in &out.panics {
-        if e.path.is_empty() || e.token.is_empty() || e.count == 0 {
-            return Err(format!(
-                "line {}: [[panic]] entry needs path, token and count >= 1",
-                e.line
-            ));
+    for ((name, keys), entries) in SECTIONS.iter().zip(&sections) {
+        let missing = |e: &Entry, key: &str| match key {
+            "path" => e.path.is_empty(),
+            "token" => e.token.is_empty(),
+            "count" => e.count == 0,
+            _ => false,
+        };
+        if let Some(e) = entries.iter().find(|e| keys.iter().any(|k| missing(e, k))) {
+            let needed = keys[..keys.len() - 1].join(", ");
+            return Err(format!("line {}: {name} entry needs {needed}", e.line));
         }
     }
-    for e in &out.unsafe_modules {
-        if e.path.is_empty() {
-            return Err(format!(
-                "line {}: [[unsafe-module]] entry needs path",
-                e.line
-            ));
-        }
-    }
-    for e in &out.wallclock {
-        if e.path.is_empty() || e.count == 0 {
-            return Err(format!(
-                "line {}: [[wallclock]] entry needs path and count >= 1",
-                e.line
-            ));
-        }
-    }
-    Ok(out)
+    let [panics, unsafe_modules, wallclock] = sections;
+    Ok(Allowlist {
+        panics,
+        unsafe_modules,
+        wallclock,
+    })
 }
 
 fn unquote(v: &str, lineno: usize) -> Result<String, String> {
@@ -236,5 +153,7 @@ reason = "page aliasing"
         assert!(parse("[[unsafe-module]]\nreason = \"r\"\n").is_err());
         assert!(parse("stray = \"v\"\n").is_err());
         assert!(parse("[panic]\n").is_err());
+        // a key of another section's shape
+        assert!(parse("[[wallclock]]\npath = \"x\"\ncount = 1\ntoken = \"t\"\n").is_err());
     }
 }

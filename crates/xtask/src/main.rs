@@ -1,82 +1,32 @@
 //! CLI for the workspace static-analysis gate.
 //!
-//! Usage: `cargo xtask verify [--root <dir>] [--fast] [--json]`
-//! (`cargo xtask` is an alias for `cargo run -p xtask --`, see
-//! `.cargo/config.toml`).
-//!
-//! `--fast` skips the interprocedural effect pass (rules 8–10) for
-//! quick pre-commit runs; `--json` emits the machine-readable report
-//! (stable DMX codes plus the consumed-waiver set) that check.sh
-//! ratchets against.
+//! Usage: `cargo xtask verify [--root <dir>]` (`cargo xtask` is an alias
+//! for `cargo run -p xtask --`, see `.cargo/config.toml`).
 
-use std::path::PathBuf;
+use std::path::Path;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut cmd = None;
-    let mut root: Option<PathBuf> = None;
-    let mut opts = xtask::Options::default();
-    let mut json = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--root" => {
-                if i + 1 >= args.len() {
-                    eprintln!("--root needs a path");
-                    return ExitCode::from(2);
-                }
-                root = Some(PathBuf::from(&args[i + 1]));
-                i += 2;
-            }
-            "--fast" => {
-                opts.fast = true;
-                i += 1;
-            }
-            "--json" => {
-                json = true;
-                i += 1;
-            }
-            c if cmd.is_none() && !c.starts_with('-') => {
-                cmd = Some(c.to_string());
-                i += 1;
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    match cmd.as_deref() {
-        Some("verify") => {}
+    // Default root: the workspace this binary was built from.
+    let built_from = Path::new(env!("CARGO_MANIFEST_DIR")).ancestors().nth(2);
+    let root = match args.iter().map(String::as_str).collect::<Vec<_>>()[..] {
+        ["verify"] => built_from.unwrap_or(Path::new(".")),
+        ["verify", "--root", dir] | ["--root", dir, "verify"] => Path::new(dir),
         _ => {
-            eprintln!("usage: cargo xtask verify [--root <dir>] [--fast] [--json]");
+            eprintln!("usage: cargo xtask verify [--root <dir>]");
             return ExitCode::from(2);
         }
-    }
-    // Default root: the workspace this binary was built from.
-    let root = root.unwrap_or_else(|| {
-        PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-            .ancestors()
-            .nth(2)
-            .map(PathBuf::from)
-            .unwrap_or_else(|| PathBuf::from("."))
-    });
-    match xtask::run(&root, opts) {
-        Ok(report) => {
-            if json {
-                print!("{}", xtask::render_json(&report));
-            } else if report.violations.is_empty() {
-                println!("xtask verify: all checked invariants hold");
-            } else {
-                print!("{}", xtask::render(&report.violations));
-            }
-            if report.violations.is_empty() {
-                ExitCode::SUCCESS
-            } else {
-                eprintln!("xtask verify: {} violation(s)", report.violations.len());
-                ExitCode::FAILURE
-            }
+    };
+    match xtask::verify(root) {
+        Ok(violations) if violations.is_empty() => {
+            println!("xtask verify: all checked invariants hold");
+            ExitCode::SUCCESS
+        }
+        Ok(violations) => {
+            print!("{}", xtask::render(&violations));
+            eprintln!("xtask verify: {} violation(s)", violations.len());
+            ExitCode::FAILURE
         }
         Err(e) => {
             eprintln!("xtask verify: error: {e}");

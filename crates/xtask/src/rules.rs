@@ -10,7 +10,8 @@
 //!    module and carries a nearby `// SAFETY:` comment.
 //! 4. **Layering** — runtime crates only depend on crates below them in
 //!    the documented DAG, never on external crates, and the extension
-//!    crates never name kernel-internal module paths.
+//!    crates never name kernel-internal paths (a write-ahead token's
+//!    `Appended::` among them).
 //! 5. **Extension relevance** — no storage method or attachment takes
 //!    the keyed predicate shapes apart: `KeyMatch::of` is the one
 //!    matcher. (That each implements its trait's operations is rustc's
@@ -27,7 +28,7 @@ use std::collections::{HashMap, HashSet};
 use std::fs;
 use std::path::Path;
 
-use crate::allowlist::Allowlist;
+use crate::allowlist::{Allowlist, Entry};
 use crate::scan::SourceFile;
 
 /// One finding. `path` is root-relative.
@@ -49,11 +50,6 @@ impl Violation {
         }
     }
 
-    /// Constructor for rule modules outside this file (effect rules).
-    pub(crate) fn at(rule: &'static str, path: &str, line: usize, msg: String) -> Violation {
-        Violation::new(rule, path, line, msg)
-    }
-
     /// The stable DMX code of this finding. Codes are append-only: a
     /// retired rule's code is never reused, and report consumers key on
     /// the code, not the internal rule name.
@@ -66,10 +62,6 @@ impl Violation {
             "relevance" => "DMX005",
             "wallclock" | "wallclock-allowlist" => "DMX006",
             "metric-static" => "DMX007",
-            "write-ahead" => "DMX008",
-            "lock-order" => "DMX009",
-            "io-under-latch" => "DMX010",
-            "effects-baseline" => "DMX011",
             _ => "DMX000",
         }
     }
@@ -177,8 +169,7 @@ const PANIC_TOKENS: &[(&str, &str)] = &[
 /// entries whose recorded count no longer matches the source (the
 /// ratchet must shrink explicitly, not rot).
 pub fn check_panics(files: &[SourceFile], allow: &Allowlist) -> Vec<Violation> {
-    let mut out = Vec::new();
-    // (path, token) -> (count, first lines)
+    // (path, token) -> the lines it occurs on
     let mut hits: HashMap<(String, String), Vec<usize>> = HashMap::new();
     for f in files {
         for (i, line) in f.lines.iter().enumerate() {
@@ -210,63 +201,72 @@ pub fn check_panics(files: &[SourceFile], allow: &Allowlist) -> Vec<Violation> {
             }
         }
     }
+    ratchet(
+        ("panic", "panic-allowlist"),
+        &allow.panics,
+        hits,
+        |token, allowed, found| {
+            format!("`{token}` in non-test runtime code (allowlisted: {allowed}, found: {found})")
+        },
+    )
+}
+
+/// The allowlist ratchet of rules 1 and 6. `hits` maps `(path, token)`
+/// (the token empty for wall-clock hits) to the lines it occurs on, and
+/// the entries tolerate a count per key. Hits beyond an entry's count
+/// are `rule` violations — `found(token, allowed, hits)` says what — and
+/// entries with no reason, or a count the source no longer matches, are
+/// `stale` violations: the list must shrink explicitly, not rot.
+fn ratchet(
+    (rule, stale): (&'static str, &'static str),
+    entries: &[Entry],
+    hits: HashMap<(String, String), Vec<usize>>,
+    found: impl Fn(&str, usize, usize) -> String,
+) -> Vec<Violation> {
+    let label = |(path, token): &(String, String)| match token.is_empty() {
+        true => path.clone(),
+        false => format!("{path}:{token}"),
+    };
+    let mut out = Vec::new();
     let mut allowed: HashMap<(String, String), usize> = HashMap::new();
-    for e in &allow.panics {
+    for e in entries {
+        let key = (e.path.clone(), e.token.clone());
         if e.reason.trim().is_empty() {
-            out.push(Violation::new(
-                "panic-allowlist",
-                "crates/xtask/allow.toml",
-                e.line,
-                format!("entry for {}:{} has no justification", e.path, e.token),
-            ));
+            let msg = format!("entry for {} has no justification", label(&key));
+            out.push(Violation::new(stale, ALLOW_TOML, e.line, msg));
         }
-        *allowed
-            .entry((e.path.clone(), e.token.clone()))
-            .or_default() += e.count;
+        *allowed.entry(key).or_default() += e.count;
     }
     let mut keys: Vec<_> = hits.keys().cloned().collect();
     keys.sort();
     for key in keys {
         let lines = &hits[&key];
         let allow_n = allowed.remove(&key).unwrap_or(0);
-        if lines.len() > allow_n {
-            for l in lines.iter().skip(allow_n) {
-                out.push(Violation::new(
-                    "panic",
-                    &key.0,
-                    *l,
-                    format!(
-                        "`{}` in non-test runtime code (allowlisted: {allow_n}, found: {})",
-                        key.1,
-                        lines.len()
-                    ),
-                ));
-            }
-        } else if lines.len() < allow_n {
-            out.push(Violation::new(
-                "panic-allowlist",
-                "crates/xtask/allow.toml",
-                0,
-                format!(
-                    "stale entry: {}:{} allows {allow_n} but source has {} — shrink the allowlist",
-                    key.0,
-                    key.1,
-                    lines.len()
-                ),
-            ));
+        for l in lines.iter().skip(allow_n) {
+            let msg = found(&key.1, allow_n, lines.len());
+            out.push(Violation::new(rule, &key.0, *l, msg));
+        }
+        if lines.len() < allow_n {
+            let msg = format!(
+                "stale entry: {} allows {allow_n} but source has {} — shrink the allowlist",
+                label(&key),
+                lines.len()
+            );
+            out.push(Violation::new(stale, ALLOW_TOML, 0, msg));
         }
     }
     // Entries whose file/token produced no hits at all are stale too.
-    for ((path, token), n) in allowed {
-        out.push(Violation::new(
-            "panic-allowlist",
-            "crates/xtask/allow.toml",
-            0,
-            format!("stale entry: {path}:{token} allows {n} but source has 0 — remove it"),
-        ));
+    for (key, n) in allowed {
+        let msg = format!(
+            "stale entry: {} allows {n} but source has 0 — remove it",
+            label(&key)
+        );
+        out.push(Violation::new(stale, ALLOW_TOML, 0, msg));
     }
     out
 }
+
+const ALLOW_TOML: &str = "crates/xtask/allow.toml";
 
 /// Byte columns of range-slicing subscripts (`x[a..b]`, `x[..n]`) in a
 /// code line. Subscript position = `[` preceded by an identifier char,
@@ -461,8 +461,7 @@ const WALLCLOCK_TOKENS: &[&str] = &["Instant", "SystemTime"];
 /// contract as the panic rule: uncovered hits are violations, and so
 /// are entries whose recorded count no longer matches the source.
 pub fn check_wallclock(files: &[SourceFile], allow: &Allowlist) -> Vec<Violation> {
-    let mut out = Vec::new();
-    let mut hits: HashMap<String, Vec<usize>> = HashMap::new();
+    let mut hits: HashMap<(String, String), Vec<usize>> = HashMap::new();
     for f in files {
         for (i, line) in f.lines.iter().enumerate() {
             if line.in_test {
@@ -470,63 +469,24 @@ pub fn check_wallclock(files: &[SourceFile], allow: &Allowlist) -> Vec<Violation
             }
             for tok in WALLCLOCK_TOKENS {
                 if has_word(&line.code, tok) {
-                    hits.entry(f.rel.clone()).or_default().push(i + 1);
+                    hits.entry((f.rel.clone(), String::new()))
+                        .or_default()
+                        .push(i + 1);
                 }
             }
         }
     }
-    let mut allowed: HashMap<String, usize> = HashMap::new();
-    for e in &allow.wallclock {
-        if e.reason.trim().is_empty() {
-            out.push(Violation::new(
-                "wallclock-allowlist",
-                "crates/xtask/allow.toml",
-                e.line,
-                format!("entry for {} has no justification", e.path),
-            ));
-        }
-        *allowed.entry(e.path.clone()).or_default() += e.count;
-    }
-    let mut keys: Vec<_> = hits.keys().cloned().collect();
-    keys.sort();
-    for key in keys {
-        let lines = &hits[&key];
-        let allow_n = allowed.remove(&key).unwrap_or(0);
-        if lines.len() > allow_n {
-            for l in lines.iter().skip(allow_n) {
-                out.push(Violation::new(
-                    "wallclock",
-                    &key,
-                    *l,
-                    format!(
-                        "wall-clock type in non-test runtime code (allowlisted: {allow_n}, \
-                         found: {}) — deterministic paths must not read real time; \
-                         timing belongs in crates/bench",
-                        lines.len()
-                    ),
-                ));
-            }
-        } else if lines.len() < allow_n {
-            out.push(Violation::new(
-                "wallclock-allowlist",
-                "crates/xtask/allow.toml",
-                0,
-                format!(
-                    "stale entry: {key} allows {allow_n} but source has {} — shrink the allowlist",
-                    lines.len()
-                ),
-            ));
-        }
-    }
-    for (path, n) in allowed {
-        out.push(Violation::new(
-            "wallclock-allowlist",
-            "crates/xtask/allow.toml",
-            0,
-            format!("stale entry: {path} allows {n} but source has 0 — remove it"),
-        ));
-    }
-    out
+    ratchet(
+        ("wallclock", "wallclock-allowlist"),
+        &allow.wallclock,
+        hits,
+        |_, allowed, found| {
+            format!(
+            "wall-clock type in non-test runtime code (allowlisted: {allowed}, found: {found}) \
+             — deterministic paths must not read real time; timing belongs in crates/bench"
+        )
+        },
+    )
 }
 
 // ---------------------------------------------------------------------
@@ -649,14 +609,17 @@ pub fn check_layering(root: &Path) -> Vec<Violation> {
 
 /// Extension crates must reach the kernel only through the generic trait
 /// surface re-exported at `dmx_core::` root — naming `dmx_core::database::`
-/// or `dmx_core::catalog::` module paths is a contract violation. The
+/// or `dmx_core::catalog::` module paths is a contract violation, and so
+/// is `Appended::`: an extension changes a page against the token its log
+/// append returned, and neither mints one nor takes the unlogged path on
+/// a page that exists (a fresh page it may format, `FreshPage`). The
 /// mirror image holds for the planner and the executor: they choose and
 /// open access paths through the generic interfaces alone, so they name
 /// no storage-method crate, no attachment type but the join index (a
 /// pair scan, an operator of its own) and look no extension up, or tell
 /// one from another, by its name.
 pub fn check_private_paths(files: &[SourceFile]) -> Vec<Violation> {
-    const DENIED: &[&str] = &["dmx_core::database::", "dmx_core::catalog::"];
+    const DENIED: &[&str] = &["dmx_core::database::", "dmx_core::catalog::", "Appended::"];
     const PLANNER: &[&str] = &["crates/query/src/planner.rs", "crates/query/src/exec.rs"];
     let mut out = Vec::new();
     for f in files {
@@ -834,11 +797,12 @@ mod tests {
             "fn a() { let t = Instant::now(); }\n",
         );
         let mut allow = Allowlist::default();
-        allow.wallclock.push(crate::allowlist::WallclockAllow {
+        allow.wallclock.push(crate::allowlist::Entry {
             path: "crates/lock/src/manager.rs".into(),
             count: 1,
             reason: "timeout".into(),
             line: 1,
+            ..Default::default()
         });
         assert!(check_wallclock(std::slice::from_ref(&f), &allow).is_empty());
         // An over-counted entry is stale and fails the ratchet.

@@ -1,4 +1,5 @@
-//! Violation fixture: a storage crate naming a kernel-internal path.
+//! Violation fixture: a storage crate naming a kernel-internal path, and
+//! changing a page under a write-ahead token it made itself.
 
 use dmx_core::database::Database;
 
@@ -7,3 +8,9 @@ pub fn register(reg: &mut Registry) {
 }
 
 pub struct Plain;
+
+impl Plain {
+    fn scribble(pin: &PinnedPage) -> Result<()> {
+        SlottedPage::insert_at(&mut pin.write(Appended::UNLOGGED), 0, b"r")
+    }
+}

@@ -204,12 +204,14 @@ impl StorageMethod for VecStore {
         _s: &Arc<CommonServices>,
         rd: &RelationDescriptor,
         _lsn: dmx_types::Lsn,
-        dir: Replay,
+        dir: Replay<'_>,
         op: u8,
         payload: &[u8],
     ) -> Result<()> {
-        if dir == Replay::Redo {
-            return Ok(()); // volatile: nothing survives a restart to redo into
+        if !matches!(dir, Replay::Undo(clr) if clr.repeated().is_none()) {
+            // volatile: nothing survives a restart to redo into or to
+            // compensate again
+            return Ok(());
         }
         let Some(t) = self
             .tables
@@ -353,11 +355,11 @@ impl Attachment for QuotaGuard {
         _s: &Arc<CommonServices>,
         rd: &RelationDescriptor,
         _lsn: dmx_types::Lsn,
-        dir: Replay,
+        dir: Replay<'_>,
         _op: u8,
         _payload: &[u8],
     ) -> Result<()> {
-        if dir == Replay::Redo {
+        if !matches!(dir, Replay::Undo(clr) if clr.repeated().is_none()) {
             return Ok(()); // the counter is volatile
         }
         let mut counts = self.counts.write().unwrap();

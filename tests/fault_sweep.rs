@@ -170,15 +170,23 @@ fn crash_point_sweep_recovers_consistently() {
 /// at every Nth I/O index. The WAL-before-evict rule makes every stolen
 /// page reconcilable at restart: undo removes stolen-but-uncommitted
 /// work, redo reinstates committed-but-unflushed work (commit forces
-/// only the log), and the abandoned loser transaction never surfaces.
+/// only the log), repeated compensation keeps rolled-back work undone on
+/// a page stolen before its rollback, and the abandoned loser
+/// transaction never surfaces.
 #[test]
 fn steal_eviction_sweep_reconciles_stolen_pages() {
     const POOL_FRAMES: usize = 4;
     const BASE: i64 = 8;
     const BIG_LO: i64 = 100;
+    const BIG_MID: i64 = 120;
     const BIG_HI: i64 = 140;
     const LOSER_LO: i64 = 200;
     const LOSER_HI: i64 = 240;
+    // Two rows a page: each span covers ten pages.
+    const SAVED_LO: i64 = 300;
+    const SAVED_HI: i64 = 320;
+    const ABORTED_LO: i64 = 400;
+    const ABORTED_HI: i64 = 420;
 
     fn tiny() -> DatabaseConfig {
         DatabaseConfig {
@@ -193,9 +201,14 @@ fn steal_eviction_sweep_reconciles_stolen_pages() {
         Record::new(vec![Value::Int(i), Value::from("p".repeat(400))])
     }
 
+    fn half_page(i: i64) -> Record {
+        Record::new(vec![Value::Int(i), Value::from("r".repeat(3000))])
+    }
+
     /// Base rows autocommitted one by one, then one large multi-statement
-    /// winner transaction, then an abandoned loser — both big enough that
-    /// their dirty pages are evicted mid-transaction.
+    /// winner transaction with a span rolled back to a savepoint inside
+    /// it, an aborted transaction, and an abandoned loser — each big
+    /// enough that its dirty pages are evicted mid-transaction.
     fn steal_workload(db: &Arc<Database>) -> Result<()> {
         db.execute_sql("CREATE TABLE s (id INT NOT NULL, v STRING)")?;
         for i in 0..BASE {
@@ -203,10 +216,23 @@ fn steal_eviction_sweep_reconciles_stolen_pages() {
         }
         let rd = db.catalog().get_by_name("s")?;
         let txn = db.begin();
-        for i in BIG_LO..BIG_HI {
+        for i in BIG_LO..BIG_MID {
+            db.insert(&txn, rd.id, wide(i))?;
+        }
+        db.savepoint(&txn, "span")?;
+        for i in SAVED_LO..SAVED_HI {
+            db.insert(&txn, rd.id, half_page(i))?;
+        }
+        db.rollback_to_savepoint(&txn, "span")?;
+        for i in BIG_MID..BIG_HI {
             db.insert(&txn, rd.id, wide(i))?;
         }
         db.commit(&txn)?;
+        let aborted = db.begin();
+        for i in ABORTED_LO..ABORTED_HI {
+            db.insert(&aborted, rd.id, half_page(i))?;
+        }
+        db.abort(&aborted)?;
         let loser = db.begin();
         for i in LOSER_LO..LOSER_HI {
             db.insert(&loser, rd.id, wide(i))?;
@@ -220,8 +246,9 @@ fn steal_eviction_sweep_reconciles_stolen_pages() {
 
     /// After recovery at any crash point: base ids form a statement
     /// prefix, the winner transaction is all-or-nothing (its commit record
-    /// either reached the durable log or did not), and the loser never
-    /// surfaces even though its pages may have been stolen to disk.
+    /// either reached the durable log or did not), and neither its
+    /// rolled-back span, the aborted transaction nor the loser ever
+    /// surfaces, even though their pages may have been stolen to disk.
     fn check_steal_invariants(db: &Arc<Database>, at: &str) {
         let rows = match db.query_sql("SELECT id FROM s") {
             Ok(rows) => rows,
@@ -235,6 +262,8 @@ fn steal_eviction_sweep_reconciles_stolen_pages() {
             match id {
                 0..BASE => base.push(id),
                 BIG_LO..BIG_HI => big.push(id),
+                SAVED_LO..SAVED_HI => panic!("{at}: id {id} was rolled back to a savepoint"),
+                ABORTED_LO..ABORTED_HI => panic!("{at}: id {id} belongs to an aborted transaction"),
                 _ => panic!("{at}: id {id} is stolen loser or phantom data"),
             }
         }

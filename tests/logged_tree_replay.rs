@@ -33,8 +33,8 @@ use starburst_dmx::btree::{BTree, OnDuplicate};
 use starburst_dmx::core::{RelationDescriptor, Replay};
 use starburst_dmx::prelude::*;
 use starburst_dmx::storage::btree_sm::BtDesc;
-use starburst_dmx::types::Lsn;
-use starburst_dmx::wal::{ExtKind, LogBody, LogRecord};
+use starburst_dmx::types::{Appended, Lsn};
+use starburst_dmx::wal::{Compensation, ExtKind, LogBody, LogRecord};
 
 const OP_INSERT: u8 = 1;
 const OP_DELETE: u8 = 2;
@@ -75,24 +75,29 @@ impl Trees {
         out
     }
 
-    /// Forces the trees into `want`, unlogged — what a crash does when it
-    /// loses or keeps page writes.
+    /// Forces the trees into `want` through the named unlogged path —
+    /// what a crash does when it loses or keeps page writes.
     fn restore(&self, want: &Model) {
+        let forge = Appended::UNLOGGED;
         for ((n, key), _) in self.dump() {
             match self {
                 Trees::B(trees) => {
-                    trees[n].delete(&key).unwrap();
+                    trees[n].with_wal_lsn(forge).delete(&key).unwrap();
                 }
                 Trees::R(tree) => {
                     let rect = Rect::from_bytes(&key).unwrap();
-                    assert!(tree.delete(&rect, &key[32..]).unwrap());
+                    assert!(tree.with_wal_lsn(forge).delete(&rect, &key[32..]).unwrap());
                 }
             }
         }
         for ((n, key), value) in want {
             match self {
-                Trees::B(trees) => trees[*n].insert(key, value, OnDuplicate::Error).unwrap(),
+                Trees::B(trees) => trees[*n]
+                    .with_wal_lsn(forge)
+                    .insert(key, value, OnDuplicate::Error)
+                    .unwrap(),
                 Trees::R(tree) => tree
+                    .with_wal_lsn(forge)
                     .insert(&Rect::from_bytes(key).unwrap(), &key[32..])
                     .unwrap(),
             }
@@ -257,14 +262,27 @@ fn cases() -> Vec<Case> {
     ]
 }
 
+/// Which way a replay goes.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Dir {
+    Undo,
+    Redo,
+}
+
 /// Replays `recs` (a statement's records, in log order) in direction
-/// `dir` through the extension that wrote them.
-fn replay(db: &Arc<Database>, recs: &[LogRecord], dir: Replay) {
+/// `dir` through the extension that wrote them; an undo is stamped with
+/// the record itself for its compensation.
+fn replay(db: &Arc<Database>, recs: &[LogRecord], dir: Dir) {
     let ordered: Vec<&LogRecord> = match dir {
-        Replay::Undo => recs.iter().rev().collect(),
-        Replay::Redo => recs.iter().collect(),
+        Dir::Undo => recs.iter().rev().collect(),
+        Dir::Redo => recs.iter().collect(),
     };
     for rec in ordered {
+        let clr = Compensation::repeating(rec);
+        let dir = match dir {
+            Dir::Undo => Replay::Undo(&clr),
+            Dir::Redo => Replay::Redo(Appended::by_log(rec.lsn)),
+        };
         let LogBody::ExtOp {
             ext,
             relation,
@@ -354,10 +372,10 @@ fn run(case: &Case) {
             "{name} step {n}: the trees change exactly when something is logged"
         );
         for (start, dir, end) in [
-            (&after, Replay::Undo, &before),
-            (&before, Replay::Undo, &before),
-            (&before, Replay::Redo, &after),
-            (&after, Replay::Redo, &after),
+            (&after, Dir::Undo, &before),
+            (&before, Dir::Undo, &before),
+            (&before, Dir::Redo, &after),
+            (&after, Dir::Redo, &after),
         ] {
             trees.restore(start);
             for round in 0..2 {

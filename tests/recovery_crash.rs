@@ -278,6 +278,146 @@ fn committed_create_of_every_tree_backed_extension_survives_a_crash() {
     }
 }
 
+/// Rolled-back heap work under steal: a pool of four frames writes back
+/// dirty pages while a transaction still runs, so the rollback finds
+/// some of its changes already on disk. The undo rewrites those pages in
+/// the pool, the log is forced by a later commit, and the process dies
+/// without a checkpoint: restart has only the stolen images and the log
+/// to go on.
+mod undone_under_steal {
+    use super::*;
+    use starburst_dmx::txn::Transaction;
+
+    /// Four committed rows in a four-frame pool.
+    pub fn setup() -> (DatabaseEnv, Arc<Database>, RelationId) {
+        let env = DatabaseEnv::fresh();
+        let config = DatabaseConfig {
+            pool_frames: 4,
+            ..DatabaseConfig::default()
+        };
+        let db = starburst_dmx::open_env(env.clone(), config).unwrap();
+        db.execute_sql("CREATE TABLE s (id INT NOT NULL, v STRING)")
+            .unwrap();
+        for i in 0..4 {
+            db.execute_sql(&format!("INSERT INTO s VALUES ({i}, 'v{i}')"))
+                .unwrap();
+        }
+        let rel = db.catalog().get_by_name("s").unwrap().id;
+        (env, db, rel)
+    }
+
+    /// Rows wide enough that two hundred of them span a dozen pages.
+    pub fn insert_wide(
+        db: &Arc<Database>,
+        txn: &Arc<Transaction>,
+        rel: RelationId,
+        ids: std::ops::Range<i64>,
+    ) {
+        for i in ids {
+            let row = Record::new(vec![Value::Int(i), Value::from("p".repeat(400))]);
+            db.insert(txn, rel, row).unwrap();
+        }
+    }
+
+    /// Crashes `db` — no checkpoint, the pool's dirty pages lost — and
+    /// returns the ids a reopen finds.
+    pub fn crash_and_reopen(env: &DatabaseEnv, db: Arc<Database>) -> Vec<i64> {
+        assert!(
+            db.metrics_snapshot().counter("pool.steals") > 0,
+            "the pool never stole a page: the case proves nothing"
+        );
+        std::mem::forget(db);
+        let db = reopen(env);
+        let mut ids: Vec<i64> = db
+            .query_sql("SELECT id FROM s")
+            .unwrap()
+            .iter()
+            .map(|r| r[0].as_int().unwrap())
+            .collect();
+        ids.sort_unstable();
+        ids
+    }
+}
+
+#[test]
+fn an_aborted_transactions_stolen_inserts_stay_undone_after_a_crash() {
+    use undone_under_steal::*;
+    let (env, db, rel) = setup();
+    let txn = db.begin();
+    insert_wide(&db, &txn, rel, 100..300);
+    db.abort(&txn).unwrap();
+    // An autocommit statement forces the log past the abort.
+    db.execute_sql("INSERT INTO s VALUES (4, 'v4')").unwrap();
+    assert_eq!(crash_and_reopen(&env, db), vec![0, 1, 2, 3, 4]);
+}
+
+#[test]
+fn inserts_rolled_back_to_a_savepoint_stay_undone_after_a_crash() {
+    use undone_under_steal::*;
+    let (env, db, rel) = setup();
+    let txn = db.begin();
+    insert_wide(&db, &txn, rel, 4..5);
+    db.savepoint(&txn, "sp").unwrap();
+    insert_wide(&db, &txn, rel, 100..300);
+    db.rollback_to_savepoint(&txn, "sp").unwrap();
+    db.commit(&txn).unwrap();
+    assert_eq!(crash_and_reopen(&env, db), vec![0, 1, 2, 3, 4]);
+}
+
+#[test]
+fn a_delete_rolled_back_to_a_savepoint_stays_undone_after_a_crash() {
+    use undone_under_steal::*;
+    let (env, db, rel) = setup();
+    let key = {
+        let txn = db.begin();
+        let scan = db
+            .open_scan(
+                &txn,
+                rel,
+                AccessPath::StorageMethod,
+                AccessQuery::All,
+                None,
+                None,
+            )
+            .unwrap();
+        let first = db.scan_next(&txn, scan).unwrap().unwrap().key;
+        db.commit(&txn).unwrap();
+        first
+    };
+    let txn = db.begin();
+    db.savepoint(&txn, "sp").unwrap();
+    db.delete(&txn, rel, &key).unwrap();
+    // Enough pages behind it that the deleted row's page is stolen.
+    insert_wide(&db, &txn, rel, 100..300);
+    db.rollback_to_savepoint(&txn, "sp").unwrap();
+    db.commit(&txn).unwrap();
+    assert_eq!(crash_and_reopen(&env, db), vec![0, 1, 2, 3]);
+}
+
+/// Restart repeats an aborted transaction's compensations in log order,
+/// after the redo of a winner that wrote the same page in between: the
+/// page then carries a later LSN than the undone update, but not the row
+/// whose insert came before it — there is nothing to take back, and
+/// restart goes on.
+#[test]
+fn a_repeated_undo_finds_nothing_where_its_insert_was_never_redone() {
+    let (env, db) = fresh();
+    db.execute_sql("CREATE TABLE s (id INT NOT NULL, v INT NOT NULL)")
+        .unwrap();
+    let rel = db.catalog().get_by_name("s").unwrap().id;
+    let row = |id: i64, v: i64| Record::new(vec![Value::Int(id), Value::Int(v)]);
+    let txn = db.begin();
+    let key = db.insert(&txn, rel, row(1, 1)).unwrap();
+    db.update(&txn, rel, &key, row(1, 2)).unwrap();
+    db.execute_sql("INSERT INTO s VALUES (2, 2)").unwrap();
+    db.abort(&txn).unwrap();
+    db.execute_sql("INSERT INTO s VALUES (3, 3)").unwrap();
+    std::mem::forget(db);
+    let db = reopen(&env);
+    let rows = db.query_sql("SELECT id FROM s").unwrap();
+    assert_eq!(rows, vec![vec![Value::Int(2)], vec![Value::Int(3)]]);
+}
+
 #[test]
 fn transaction_ids_never_repeat_across_restarts() {
     // The id allocator resumes past the highest txn id recorded in the
