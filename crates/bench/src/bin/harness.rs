@@ -822,8 +822,9 @@ fn e10_descriptor() {
         }
         std::hint::black_box(acc)
     });
-    // (c) catalog lookup + descriptor decode from catalog image bytes (what
-    //     a descriptor-less plan would pay against on-disk catalogs)
+    // (c) catalog lookup + descriptor decode from its catalog records'
+    //     bytes (what a descriptor-less plan would pay against on-disk
+    //     catalogs)
     let image = rd.encode();
     let (_, d_decode) = time(|| {
         let mut acc = 0usize;

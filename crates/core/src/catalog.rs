@@ -6,30 +6,62 @@
 //! system to fetch the relation descriptors from the system catalogs at
 //! query compilation time and store them in the query access plan."
 //!
-//! The in-memory catalog hands out `Arc<RelationDescriptor>` snapshots
-//! (what plans embed). Persistence: the whole catalog serializes into a
-//! dedicated disk file ([`CATALOG_FILE`]); durability across crashes is
-//! guaranteed by logging the serialized image as a deferred intent at
-//! commit of DDL transactions (see `database.rs`), which restart re-drives
-//! idempotently.
+//! The catalog is a relation. File 1 ([`CATALOG_FILE`]) holds a B-tree,
+//! root page 0, of the records `RelationDescriptor::records` spells — a
+//! header per relation and one record per attachment instance, keyed by
+//! big-endian relation id — and, under the catalog's own id 0, the id
+//! high-water mark, so a dropped id is never reissued. DDL changes it one
+//! record at a time through [`LoggedTree::apply`], and every install of a
+//! record — forward, undo or redo — also rebuilds the relation's entry in
+//! the in-memory map, so abort, partial rollback and restart restore the
+//! catalog the way they restore data. The map is the by-id and by-name
+//! cache plans and admission read (`Arc<RelationDescriptor>` snapshots);
+//! the `sys.*` relations live only there, published at every open.
+//!
+//! Restart replays the catalog's records before any other, so dispatch
+//! of the rest sees the final committed catalog. The tree on disk is a
+//! sound start for that pass by one rule: catalog pages reach disk only
+//! at quiescent checkpoints and after a DDL's commit point. Every catalog
+//! writer holds the Catalog X lock until commit, and tree pages are
+//! no-steal.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::ops::Bound;
 use std::sync::Arc;
 
+use dmx_btree::node::{Node, MAX_ENTRY};
+use dmx_btree::{BTree, OnDuplicate};
+use dmx_txn::Transaction;
+use dmx_types::bytes::le_u32;
 use dmx_types::sync::RwLock;
+use dmx_types::{Appended, DmxError, FileId, PageId, RelationId, Result, SmTypeId};
+use dmx_wal::ExtKind;
 
-use dmx_page::{DiskManager, Page, PAGE_SIZE};
-use dmx_types::fault::{with_io_retries, MAX_IO_RETRIES};
-use dmx_types::{DmxError, FileId, PageId, RelationId, Result};
-
+use crate::context::ExecCtx;
+use crate::deps::{DepKey, DependencyRegistry};
 use crate::descriptor::RelationDescriptor;
+use crate::logged_tree::{LoggedTarget, LoggedTree, TreeFile};
+use crate::services::CommonServices;
 
-/// The fixed file holding the persisted catalog (first file ever created
-/// on a fresh disk).
+/// The catalog's file: the first one a fresh disk creates.
 pub const CATALOG_FILE: FileId = FileId(1);
 
-/// Usable bytes per catalog page (after the generic page header).
-const PAGE_BODY: usize = PAGE_SIZE - 16;
+/// The catalog's own relation id: what its log records name, and the key
+/// of its id high-water record.
+pub(crate) const CATALOG_RELATION: RelationId = RelationId(0);
+
+/// The writer the catalog's log records name: slot 0 of the
+/// storage-method vector, which no extension takes.
+pub(crate) const CATALOG_EXT: ExtKind = ExtKind::Storage(SmTypeId(0));
+
+const TREE: TreeFile = TreeFile {
+    file: CATALOG_FILE,
+    root_page: 0,
+};
+
+const HIGH_WATER: [u8; 4] = CATALOG_RELATION.0.to_be_bytes();
+
+type Records = Vec<(Vec<u8>, Vec<u8>)>;
 
 #[derive(Default)]
 struct CatState {
@@ -39,15 +71,53 @@ struct CatState {
 }
 
 /// The relation catalog.
-#[derive(Default)]
 pub struct Catalog {
     state: RwLock<CatState>,
+    tree: BTree,
+    deps: Arc<DependencyRegistry>,
 }
 
 impl Catalog {
-    /// An empty catalog.
-    pub fn new() -> Arc<Self> {
-        Arc::new(Catalog::default())
+    /// The catalog of the database `services` serve: file 1 bootstrapped
+    /// on a fresh disk — or where a first open crashed before its root
+    /// page reached disk — and the map loaded from the tree. A damaged
+    /// catalog page fails here with `Corrupt`, before anything is logged.
+    pub(crate) fn open(
+        services: &Arc<CommonServices>,
+        deps: Arc<DependencyRegistry>,
+    ) -> Result<Arc<Catalog>> {
+        let disk = &services.disk;
+        if !disk.file_exists(CATALOG_FILE) && disk.create_file()? != CATALOG_FILE {
+            return Err(DmxError::Internal(format!(
+                "catalog file is not {CATALOG_FILE}; disk not fresh?"
+            )));
+        }
+        let root = match disk.page_count(CATALOG_FILE)? {
+            0 => services.pool.new_page(CATALOG_FILE)?.into_pinned(),
+            _ => services.pool.fetch(TREE.root())?,
+        };
+        // Page type 0 is the all-zero page of an allocation never
+        // written: the tree's unlogged bootstrap, like any TreeFile's,
+        // holding the high-water record every insert then replaces.
+        if root.read().page_type() == 0 {
+            Node::init(&mut root.write(Appended::UNLOGGED), true);
+            TREE.open_tree(services)
+                .with_wal_lsn(Appended::UNLOGGED)
+                .insert(&HIGH_WATER, &0u32.to_le_bytes(), OnDuplicate::Error)?;
+            services.pool.flush_file(CATALOG_FILE)?;
+        }
+        let catalog = Catalog {
+            state: RwLock::new(CatState::default()),
+            tree: TREE.open_tree(services),
+            deps,
+        };
+        let mut entries = catalog.tree.iter_all();
+        while let Some((key, _)) = entries.next()? {
+            if key.len() == HIGH_WATER.len() {
+                catalog.reload(&key)?;
+            }
+        }
+        Ok(Arc::new(catalog))
     }
 
     /// Allocates the next relation id.
@@ -57,40 +127,69 @@ impl Catalog {
         RelationId(st.next_rel)
     }
 
-    /// Installs a new relation descriptor (fails on duplicate name).
-    pub fn insert(&self, rd: RelationDescriptor) -> Result<Arc<RelationDescriptor>> {
-        let mut st = self.state.write();
-        let key = rd.name.to_ascii_lowercase();
-        if st.by_name.contains_key(&key) {
+    /// Enters a new relation descriptor in `ctx`'s transaction (fails on
+    /// a duplicate name) and raises the id high-water mark to its id.
+    pub fn insert(
+        &self,
+        ctx: &ExecCtx<'_>,
+        rd: RelationDescriptor,
+    ) -> Result<Arc<RelationDescriptor>> {
+        if self.get_by_name(&rd.name).is_ok() {
             return Err(DmxError::Duplicate(format!("relation {}", rd.name)));
         }
-        let arc = Arc::new(rd);
-        st.by_name.insert(key, arc.id);
-        st.relations.insert(arc.id, arc.clone());
-        Ok(arc)
-    }
-
-    /// Replaces a relation's descriptor with a new version (DDL on
-    /// attachments). The name must be unchanged.
-    pub fn replace(&self, rd: RelationDescriptor) -> Result<Arc<RelationDescriptor>> {
-        let mut st = self.state.write();
-        if !st.relations.contains_key(&rd.id) {
-            return Err(DmxError::NotFound(format!("relation {}", rd.id)));
+        let id = rd.id;
+        self.write(ctx.txn, ctx.db.services(), self.stored(id)?, Some(&rd))?;
+        let high = self.tree.get(&HIGH_WATER)?;
+        if high.as_deref().and_then(|v| le_u32(v, 0)).unwrap_or(0) < id.0 {
+            LoggedTree::catalog(ctx.txn, ctx.db.services(), self).apply(
+                &HIGH_WATER,
+                high.as_deref(),
+                Some(&id.0.to_le_bytes()),
+            )?;
         }
-        let arc = Arc::new(rd);
-        st.relations.insert(arc.id, arc.clone());
-        Ok(arc)
+        self.get(id)
     }
 
-    /// Removes a relation, returning its descriptor.
-    pub fn remove(&self, id: RelationId) -> Result<Arc<RelationDescriptor>> {
-        let mut st = self.state.write();
-        let rd = st
-            .relations
-            .remove(&id)
-            .ok_or_else(|| DmxError::NotFound(format!("relation {id}")))?;
-        st.by_name.remove(&rd.name.to_ascii_lowercase());
+    /// Stores a relation's new descriptor version (DDL on attachments),
+    /// or — the version unchanged — its current counts (`ANALYZE`). The
+    /// name must be unchanged.
+    pub fn replace(
+        &self,
+        ctx: &ExecCtx<'_>,
+        rd: RelationDescriptor,
+    ) -> Result<Arc<RelationDescriptor>> {
+        let stored = self.stored_of(rd.id)?;
+        self.write(ctx.txn, ctx.db.services(), stored, Some(&rd))?;
+        self.get(rd.id)
+    }
+
+    /// Removes a relation in `ctx`'s transaction, returning its
+    /// descriptor.
+    pub fn remove(&self, ctx: &ExecCtx<'_>, id: RelationId) -> Result<Arc<RelationDescriptor>> {
+        let rd = self.get(id)?;
+        self.write(ctx.txn, ctx.db.services(), self.stored_of(id)?, None)?;
         Ok(rd)
+    }
+
+    /// Enters a descriptor in the map alone: a `sys.*` relation,
+    /// published at every open and never stored.
+    pub(crate) fn publish(&self, rd: RelationDescriptor) {
+        let mut st = self.state.write();
+        st.by_name.insert(rd.name.to_ascii_lowercase(), rd.id);
+        st.relations.insert(rd.id, Arc::new(rd));
+    }
+
+    /// Rewrites, in `txn`, every stored header whose counts moved since
+    /// it was written — what the clean-close checkpoint leaves the next
+    /// open to cost plans with. Logs nothing when no count moved.
+    pub(crate) fn store_counts(&self, txn: &Transaction, services: &CommonServices) -> Result<()> {
+        for rd in self.list() {
+            let stored = self.stored(rd.id)?;
+            if !stored.is_empty() {
+                self.write(txn, services, stored, Some(&rd))?;
+            }
+        }
+        Ok(())
     }
 
     /// Descriptor by id.
@@ -131,218 +230,176 @@ impl Catalog {
         self.len() == 0
     }
 
-    /// Serializes the whole catalog.
-    pub fn serialize(&self) -> Vec<u8> {
-        let st = self.state.read();
-        let mut out = Vec::new();
-        out.extend_from_slice(&st.next_rel.to_le_bytes());
-        let mut rels: Vec<_> = st.relations.values().collect();
-        rels.sort_by_key(|rd| rd.id);
-        out.extend_from_slice(&(rels.len() as u32).to_le_bytes());
-        for rd in rels {
-            let bytes = rd.encode();
-            out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-            out.extend_from_slice(&bytes);
+    /// The records the tree holds for relation `id`, in key order.
+    fn stored(&self, id: RelationId) -> Result<Records> {
+        let prefix = id.0.to_be_bytes();
+        let mut cursor = self.tree.cursor_from(Bound::Included(prefix.to_vec()));
+        let mut records = Vec::new();
+        while let Some((key, value)) = cursor.next()? {
+            if !key.starts_with(&prefix) {
+                break;
+            }
+            records.push((key, value));
         }
-        out
+        Ok(records)
     }
 
-    /// Restores the catalog from serialized bytes (replacing current
-    /// contents).
-    pub fn restore(&self, bytes: &[u8]) -> Result<()> {
-        let corrupt = || DmxError::Corrupt("truncated catalog".into());
-        let mut pos = 0usize;
-        let u32at = |pos: &mut usize| -> Result<u32> {
-            let v = dmx_types::bytes::le_u32(bytes, *pos).ok_or_else(corrupt)?;
-            *pos += 4;
-            Ok(v)
-        };
-        let next_rel = u32at(&mut pos)?;
-        let count = u32at(&mut pos)? as usize;
-        let mut st = CatState {
-            next_rel,
-            ..Default::default()
-        };
-        for _ in 0..count {
-            let len = u32at(&mut pos)? as usize;
-            let desc = bytes.get(pos..pos + len).ok_or_else(corrupt)?;
-            pos += len;
-            let rd = Arc::new(RelationDescriptor::decode(desc)?);
-            st.by_name.insert(rd.name.to_ascii_lowercase(), rd.id);
-            st.relations.insert(rd.id, rd);
+    /// [`Catalog::stored`] of a relation DDL may change: a published one
+    /// is not.
+    fn stored_of(&self, id: RelationId) -> Result<Records> {
+        let rd = self.get(id)?;
+        let stored = self.stored(id)?;
+        if stored.is_empty() {
+            return Err(DmxError::Unsupported(format!(
+                "system relation {} has no stored descriptor",
+                rd.name
+            )));
         }
-        *self.state.write() = st;
-        Ok(())
+        Ok(stored)
     }
 
-    /// Writes serialized catalog bytes to the catalog file, growing it as
-    /// needed. Layout: page 0 starts with a u64 total length, then raw
-    /// bytes continue across page bodies.
-    pub fn write_image(disk: &Arc<dyn DiskManager>, image: &[u8]) -> Result<()> {
-        if !disk.file_exists(CATALOG_FILE) {
-            let f = disk.create_file()?;
-            if f != CATALOG_FILE {
-                return Err(DmxError::Internal(format!(
-                    "catalog file allocated as {f}, expected {CATALOG_FILE}"
-                )));
+    /// The one writer: turns `stored` — what the tree holds for a
+    /// relation — into the records of `rd` (`None`: none), one logged
+    /// change per record that differs, in key order. A record too big
+    /// for one tree entry is refused before anything is logged.
+    fn write(
+        &self,
+        txn: &Transaction,
+        services: &CommonServices,
+        stored: Records,
+        rd: Option<&RelationDescriptor>,
+    ) -> Result<()> {
+        let new: BTreeMap<Vec<u8>, Vec<u8>> = rd
+            .map(|rd| rd.records().into_iter().collect())
+            .unwrap_or_default();
+        if let Some(len) = new
+            .iter()
+            .map(|(k, v)| k.len() + v.len())
+            .find(|&n| n > MAX_ENTRY)
+        {
+            return Err(DmxError::InvalidArg(format!(
+                "a descriptor record of {len} bytes exceeds one catalog entry ({MAX_ENTRY} bytes)"
+            )));
+        }
+        let old: BTreeMap<Vec<u8>, Vec<u8>> = stored.into_iter().collect();
+        let logged = LoggedTree::catalog(txn, services, self);
+        for key in old.keys().chain(new.keys()).collect::<BTreeSet<_>>() {
+            let (before, after) = (old.get(key), new.get(key));
+            if before != after {
+                logged.apply(key, before.map(Vec::as_slice), after.map(Vec::as_slice))?;
             }
         }
-        let mut framed = Vec::with_capacity(8 + image.len());
-        framed.extend_from_slice(&(image.len() as u64).to_le_bytes());
-        framed.extend_from_slice(image);
-        let pages_needed = framed.len().div_ceil(PAGE_BODY).max(1);
-        while (disk.page_count(CATALOG_FILE)? as usize) < pages_needed {
-            disk.allocate_page(CATALOG_FILE)?;
-        }
-        let mut page = Page::new();
-        for (i, chunk) in framed.chunks(PAGE_BODY).enumerate() {
-            // bounds: chunks(PAGE_BODY) yields at most PAGE_BODY bytes.
-            page.body_mut()[..chunk.len()].copy_from_slice(chunk);
-            page.stamp_crc();
-            let pid = PageId::new(CATALOG_FILE, i as u32);
-            with_io_retries(MAX_IO_RETRIES, || disk.write_page(pid, &page))?;
-        }
         Ok(())
     }
 
-    /// Reads the persisted catalog image, or `None` when the disk has no
-    /// catalog yet.
-    pub fn read_image(disk: &Arc<dyn DiskManager>) -> Result<Option<Vec<u8>>> {
-        if !disk.file_exists(CATALOG_FILE) || disk.page_count(CATALOG_FILE)? == 0 {
-            return Ok(None);
+    /// Makes the map hold what the tree does for the relation `key`
+    /// belongs to: its descriptor rebuilt from its records — keeping the
+    /// live statistics of an entry already there — or nothing; under the
+    /// catalog's own id, the id high-water mark (which never lowers the
+    /// next id). A changed descriptor version invalidates the relation's
+    /// plans.
+    fn reload(&self, key: &[u8]) -> Result<()> {
+        let id = key
+            .get(..4)
+            .and_then(|b| b.try_into().ok())
+            .map(|b| RelationId(u32::from_be_bytes(b)))
+            .ok_or_else(|| DmxError::Corrupt("short catalog key".into()))?;
+        let stored = self.stored(id)?;
+        let header = stored.first().filter(|(k, _)| k.len() == HIGH_WATER.len());
+        let mut st = self.state.write();
+        if id == CATALOG_RELATION {
+            if let Some(high) = header.and_then(|(_, v)| le_u32(v, 0)) {
+                st.next_rel = st.next_rel.max(high);
+            }
+            return Ok(());
         }
-        let mut page = Page::new();
-        Self::read_catalog_page(disk, 0, &mut page)?;
-        let len = dmx_types::bytes::le_u64(page.body(), 0)
-            .ok_or_else(|| DmxError::Corrupt("catalog header short".into()))?
-            as usize;
-        let mut framed = Vec::with_capacity(8 + len);
-        // bounds: the copy lengths are clamped to PAGE_BODY.
-        framed.extend_from_slice(&page.body()[..PAGE_BODY.min(8 + len)]);
-        let mut page_no = 1u32;
-        while framed.len() < 8 + len {
-            Self::read_catalog_page(disk, page_no, &mut page)?;
-            let take = (8 + len - framed.len()).min(PAGE_BODY);
-            // bounds: `take` is clamped to PAGE_BODY.
-            framed.extend_from_slice(&page.body()[..take]);
-            page_no += 1;
+        let new = header
+            .map(|_| RelationDescriptor::from_records(&stored))
+            .transpose()?;
+        let old = st.relations.remove(&id);
+        if let Some(old) = &old {
+            st.by_name.remove(&old.name.to_ascii_lowercase());
         }
-        framed
-            .get(8..8 + len)
-            .map(|b| Some(b.to_vec()))
-            .ok_or_else(|| DmxError::Corrupt("catalog image short".into()))
-    }
-
-    /// Reads one catalog page with transient-fault retries and checksum
-    /// verification; a corrupt catalog is unrecoverable at this layer and
-    /// surfaces as [`DmxError::Corrupt`].
-    fn read_catalog_page(disk: &Arc<dyn DiskManager>, page_no: u32, page: &mut Page) -> Result<()> {
-        let pid = PageId::new(CATALOG_FILE, page_no);
-        with_io_retries(MAX_IO_RETRIES, || disk.read_page(pid, page))?;
-        if page.verify_crc() {
-            Ok(())
-        } else {
-            Err(DmxError::Corrupt(format!(
-                "catalog page {page_no} failed checksum"
-            )))
+        let version = new.as_ref().map(|rd| rd.version);
+        if let Some(mut rd) = new {
+            if let Some(old) = &old {
+                rd.stats = old.stats.clone();
+            }
+            st.by_name.insert(rd.name.to_ascii_lowercase(), id);
+            st.relations.insert(id, Arc::new(rd));
         }
-    }
-
-    /// Persists the current catalog to disk.
-    pub fn persist(&self, disk: &Arc<dyn DiskManager>) -> Result<()> {
-        Self::write_image(disk, &self.serialize())
-    }
-
-    /// Loads the catalog from disk (no-op on a fresh disk).
-    pub fn load(&self, disk: &Arc<dyn DiskManager>) -> Result<()> {
-        if let Some(image) = Self::read_image(disk)? {
-            self.restore(&image)?;
+        drop(st);
+        if old.map(|rd| rd.version) != version {
+            self.deps.invalidate(DepKey::Relation(id));
         }
         Ok(())
+    }
+}
+
+/// The catalog's records install in the tree and the map alike.
+impl LoggedTarget for Catalog {
+    fn root(&self) -> PageId {
+        self.tree.root()
+    }
+
+    fn install_image(&self, at: Appended, key: &[u8], image: Option<&[u8]>) -> Result<()> {
+        self.tree.install_image(at, key, image)?;
+        self.reload(key)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dmx_page::MemDisk;
-    use dmx_types::{ColumnDef, DataType, Schema, SmTypeId};
+    use dmx_lock::LockManager;
+    use dmx_page::{BufferPool, DiskManager, MemDisk, Page};
+    use dmx_wal::{LogManager, StableLog};
+    use std::time::Duration;
 
-    fn rd(id: u32, name: &str) -> RelationDescriptor {
-        let schema = Schema::new(vec![ColumnDef::not_null("id", DataType::Int)]).unwrap();
-        RelationDescriptor::new(RelationId(id), name, schema, SmTypeId(1), vec![])
+    fn services(disk: &Arc<MemDisk>) -> Arc<CommonServices> {
+        let disk: Arc<dyn DiskManager> = disk.clone();
+        let pool = BufferPool::new(disk.clone(), 8);
+        let log = Arc::new(LogManager::open(StableLog::new()));
+        let locks = Arc::new(LockManager::new(Duration::from_secs(1)));
+        CommonServices::new(disk, pool, log, locks)
     }
 
-    #[test]
-    fn insert_get_remove() {
-        let c = Catalog::new();
-        let id = c.next_relation_id();
-        c.insert(rd(id.0, "emp")).unwrap();
-        assert_eq!(c.get(id).unwrap().name, "emp");
-        assert_eq!(c.get_by_name("EMP").unwrap().id, id);
-        assert!(c.insert(rd(99, "Emp")).is_err(), "names case-insensitive");
-        let removed = c.remove(id).unwrap();
-        assert_eq!(removed.name, "emp");
-        assert!(c.get(id).is_err());
-        assert!(c.remove(id).is_err());
+    fn open(disk: &Arc<MemDisk>) -> Result<Arc<Catalog>> {
+        Catalog::open(&services(disk), Arc::default())
     }
 
+    /// A fresh disk gets file 1 with an empty tree rooted at page 0, on
+    /// disk at once; opening it again reads what is there.
     #[test]
-    fn replace_updates_version_holders() {
-        let c = Catalog::new();
-        let id = c.next_relation_id();
-        let old = c.insert(rd(id.0, "emp")).unwrap();
-        let mut newer = (*old).clone();
-        newer.version += 1;
-        c.replace(newer).unwrap();
-        assert_eq!(c.get(id).unwrap().version, old.version + 1);
-        // old snapshot still usable by plans that embedded it
-        assert_eq!(old.name, "emp");
-        assert!(c.replace(rd(42, "ghost")).is_err());
+    fn a_fresh_disk_bootstraps_file_one() {
+        let disk = Arc::new(MemDisk::new());
+        assert!(open(&disk).unwrap().is_empty());
+        assert_eq!(disk.file_ids(), vec![CATALOG_FILE]);
+        let mut page = Page::new();
+        disk.read_page(TREE.root(), &mut page).unwrap();
+        assert!(page.verify_crc() && page.page_type() != 0);
+        let writes = disk.stats().snapshot().writes;
+        assert!(open(&disk).unwrap().is_empty());
+        assert_eq!(
+            disk.stats().snapshot().writes,
+            writes,
+            "a reopen writes nothing"
+        );
     }
 
+    /// A first open that crashed after allocating the root page but
+    /// before writing it left a zero page: the bootstrap is redone.
+    /// Damage to a written root is not bootstrap: it fails the open.
     #[test]
-    fn ids_monotonic_across_restore() {
-        let c = Catalog::new();
-        let a = c.next_relation_id();
-        c.insert(rd(a.0, "a")).unwrap();
-        let image = c.serialize();
-        let c2 = Catalog::new();
-        c2.restore(&image).unwrap();
-        let b = c2.next_relation_id();
-        assert!(b > a, "restored next_rel continues the sequence");
-        assert_eq!(c2.len(), 1);
-    }
-
-    #[test]
-    fn persist_and_load_roundtrip_via_disk() {
-        let disk: Arc<dyn DiskManager> = Arc::new(MemDisk::new());
-        let c = Catalog::new();
-        for name in ["emp", "dept", "proj"] {
-            let id = c.next_relation_id();
-            c.insert(rd(id.0, name)).unwrap();
-        }
-        c.persist(&disk).unwrap();
-        let c2 = Catalog::new();
-        c2.load(&disk).unwrap();
-        assert_eq!(c2.len(), 3);
-        assert_eq!(c2.get_by_name("dept").unwrap().name, "dept");
-        // re-persist after growth (forces multi-write path)
-        for i in 0..50 {
-            let id = c2.next_relation_id();
-            c2.insert(rd(id.0, &format!("t{i}"))).unwrap();
-        }
-        c2.persist(&disk).unwrap();
-        let c3 = Catalog::new();
-        c3.load(&disk).unwrap();
-        assert_eq!(c3.len(), 53);
-    }
-
-    #[test]
-    fn load_on_fresh_disk_is_noop() {
-        let disk: Arc<dyn DiskManager> = Arc::new(MemDisk::new());
-        let c = Catalog::new();
-        c.load(&disk).unwrap();
-        assert!(c.is_empty());
+    fn a_never_written_root_is_bootstrapped_and_a_damaged_one_is_corrupt() {
+        let disk = Arc::new(MemDisk::new());
+        let file = disk.create_file().unwrap();
+        disk.allocate_page(file).unwrap();
+        assert!(open(&disk).unwrap().is_empty());
+        let mut page = Page::new();
+        disk.read_page(TREE.root(), &mut page).unwrap();
+        page.raw_mut()[100] ^= 0x04;
+        disk.write_page(TREE.root(), &page).unwrap();
+        assert!(matches!(open(&disk), Err(DmxError::Corrupt(_))));
     }
 }

@@ -41,12 +41,7 @@ impl<'a> ExecCtx<'a> {
         op: u8,
         payload: Vec<u8>,
     ) -> Appended {
-        Appended::by_log(self.txn.log(LogBody::ExtOp {
-            ext,
-            relation,
-            op,
-            payload,
-        }))
+        log_ext_op(self.txn, ext, relation, op, payload)
     }
 
     /// Acquires a lock through the system lock manager.
@@ -76,6 +71,22 @@ impl<'a> ExecCtx<'a> {
             _held: Evaluating::enter(),
         }
     }
+}
+
+/// [`ExecCtx::log_ext_op`] for a writer that holds only its transaction.
+pub(crate) fn log_ext_op(
+    txn: &Transaction,
+    ext: ExtKind,
+    relation: RelationId,
+    op: u8,
+    payload: Vec<u8>,
+) -> Appended {
+    Appended::by_log(txn.log(LogBody::ExtOp {
+        ext,
+        relation,
+        op,
+        payload,
+    }))
 }
 
 /// See [`ExecCtx::evaluator`].

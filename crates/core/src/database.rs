@@ -30,17 +30,14 @@ use dmx_wal::{LogBody, LogManager, StableLog};
 use crate::access::{KeyRange, ScanManager};
 use crate::attachment::Modification;
 use crate::auth::AuthManager;
-use crate::catalog::{Catalog, CATALOG_FILE};
+use crate::catalog::Catalog;
 use crate::context::ExecCtx;
-use crate::deps::{DepKey, DependencyRegistry};
+use crate::deps::DependencyRegistry;
 use crate::descriptor::AttachmentInstance;
 use crate::registry::ExtensionRegistry;
 use crate::scrub::RepairOutcome;
 use crate::services::CommonServices;
-use crate::undo::{
-    encode_catalog_intent, encode_drop_att_intent, encode_drop_sm_intent, finish_deferred,
-    tolerate_missing, UndoDispatch,
-};
+use crate::undo::{encode_drop_att_intent, encode_drop_sm_intent, tolerate_missing, UndoDispatch};
 
 /// Tuning knobs.
 #[derive(Debug, Clone)]
@@ -325,78 +322,14 @@ impl Database {
             .collect();
         services.pool.set_stealable_types(&stealable);
 
-        // The catalog file must be the first file on a fresh disk.
-        if !env.disk.file_exists(CATALOG_FILE) {
-            let f = env.disk.create_file()?;
-            if f != CATALOG_FILE {
-                return Err(DmxError::Internal(format!(
-                    "catalog file allocated as {f}; disk not fresh?"
-                )));
-            }
-        }
-        let catalog = Catalog::new();
-        let catalog_corrupt = match catalog.load(&env.disk) {
-            Err(e @ DmxError::Corrupt(_)) => Some(e),
-            other => {
-                other?;
-                None
-            }
-        };
-        // A corrupt on-disk catalog image is tolerable only when restart
-        // can reconstruct it. The committed image is logged as a deferred
-        // intent at every DDL commit, so a crash that tore the image
-        // mid-write left that intent pending (no durable DeferredDone)
-        // and recovery re-drives it, disk *and* memory. Likewise a torn
-        // bootstrap write on a database that never committed DDL loses
-        // nothing. But when every committed catalog intent has completed,
-        // the damage is silent media rot of durable metadata: starting
-        // from an empty catalog would irrecoverably discard every
-        // relation descriptor and then persist over the evidence. Fail
-        // the reopen instead — checked *before* recovery appends anything
-        // to the log, leaving the damaged image in place for out-of-band
-        // repair.
-        if let Some(err) = catalog_corrupt {
-            let catalog_intents: Vec<bool> = dmx_wal::committed_intents(&log)?
-                .into_iter()
-                .filter(|(rec, _)| crate::undo::is_catalog_intent(rec))
-                .map(|(_, done)| done)
-                .collect();
-            let rebuildable =
-                catalog_intents.is_empty() || catalog_intents.iter().any(|done| !done);
-            if !rebuildable {
-                return Err(err);
-            }
-        }
+        // The catalog first: a damaged catalog page fails the open here,
+        // like any checksum failure, before recovery appends anything.
+        let deps = Arc::new(DependencyRegistry::default());
+        let catalog = Catalog::open(&services, deps.clone())?;
 
         // Restart recovery (idempotent; trivial on a fresh environment).
         let handler = UndoDispatch::new(registry.clone(), catalog.clone(), services.clone());
         let report = dmx_wal::restart(&log, &handler)?;
-
-        // Non-recoverable (temporary) relations do not survive restart;
-        // this runs after recovery so a redone catalog image cannot
-        // resurrect them.
-        for rd in catalog.list() {
-            if let Ok(sm) = registry.storage(rd.sm) {
-                if !sm.is_recoverable() {
-                    let _ = catalog.remove(rd.id);
-                }
-            }
-        }
-        services.pool.flush_all()?;
-        catalog.persist(&env.disk)?;
-        // Quiescent checkpoint: the flush above put every described page
-        // state on disk, so a future restart's redo scan may begin here
-        // instead of at the log's origin. Appended only when the log has
-        // grown past the previous checkpoint — a reopen of an unchanged
-        // database must add nothing (recovery's double-reopen idempotency
-        // oracle depends on that).
-        if log.last_lsn() > report.last_checkpoint {
-            log.append(TxnId(0), Lsn::NULL, LogBody::Checkpoint);
-        }
-        log.force_all()?;
-        // After the conditional append the log's last record *is* the
-        // current checkpoint (appended just now or inherited unchanged).
-        let ckpt_lsn = log.last_lsn();
 
         // Flight recorder: a bounded ring of the most recent events,
         // installed as the default sink so `sys.trace` and incident
@@ -405,27 +338,8 @@ impl Database {
         let trace = RingSink::new(TRACE_RING_CAP);
         obs.set_sink(trace.clone());
 
-        // Publish the `sys.*` system relations (when the registry carries
-        // the system storage method). They are non-recoverable, so the
-        // sweep above already removed any stale persisted copies and this
-        // re-publication is what keeps them fresh across reopens.
-        if let Ok(sm_id) = registry.storage_id_by_name(crate::sysrel::SM_NAME) {
-            for (name, tag, schema) in crate::sysrel::tables()? {
-                if catalog.get_by_name(name).is_err() {
-                    let rd = crate::descriptor::RelationDescriptor::new(
-                        catalog.next_relation_id(),
-                        name,
-                        schema,
-                        sm_id,
-                        vec![tag],
-                    );
-                    catalog.insert(rd)?;
-                }
-            }
-        }
-
         let db = Arc::new(Database {
-            txns: TxnManager::new_with_metrics(log, report.max_txn + 1, obs.clone()),
+            txns: TxnManager::new_with_metrics(log.clone(), report.max_txn + 1, obs.clone()),
             counters: CoreCounters::new(&obs),
             obs,
             config,
@@ -434,7 +348,7 @@ impl Database {
             registry,
             catalog,
             scans: ScanManager::new(),
-            deps: Arc::new(DependencyRegistry::default()),
+            deps,
             auth: AuthManager::new(),
             hooks: RwLock::new(HashMap::new()),
             ddl_txns: Mutex::new(HashSet::new()),
@@ -448,12 +362,67 @@ impl Database {
             repairs: Mutex::new(Vec::new()),
             terminal_damage: Mutex::new(HashMap::new()),
             sys_providers: Mutex::new(HashMap::new()),
-            ckpt_lsn: AtomicU64::new(ckpt_lsn.0),
+            // No close-time checkpoint until the open's own is written.
+            ckpt_lsn: AtomicU64::new(u64::MAX),
         });
         // Attachments whose state restart's undo found corrupt are fenced
         // now that the quarantine machinery exists; the repair pipeline
         // rebuilds them from the base on the next CHECK/REPAIR sweep.
         db.fence_undo_damage(&handler);
+        // Non-recoverable (temporary) relations do not survive restart:
+        // their descriptors go through the log like any DDL's.
+        let temporaries: Vec<RelationId> = db
+            .catalog
+            .list()
+            .iter()
+            .filter(|rd| {
+                db.registry
+                    .storage(rd.sm)
+                    .is_ok_and(|sm| !sm.is_recoverable())
+            })
+            .map(|rd| rd.id)
+            .collect();
+        if !temporaries.is_empty() {
+            db.with_txn(|txn| {
+                let ctx = ExecCtx { db: &db, txn };
+                ctx.lock(LockName::Catalog, LockMode::X)?;
+                temporaries
+                    .iter()
+                    .try_for_each(|&id| db.catalog.remove(&ctx, id).map(drop))
+            })?;
+        }
+        // Quiescent checkpoint: the flush puts every described page state
+        // on disk, so a future restart's redo scan may begin here instead
+        // of at the log's origin. Appended only when the log has grown
+        // past the previous checkpoint — a reopen of an unchanged
+        // database must add nothing (recovery's double-reopen idempotency
+        // oracle depends on that).
+        db.services.pool.flush_all()?;
+        if log.last_lsn() > report.last_checkpoint {
+            log.append(TxnId(0), Lsn::NULL, LogBody::Checkpoint);
+        }
+        log.force_all()?;
+        // After the conditional append the log's last record *is* the
+        // current checkpoint (appended just now or inherited unchanged).
+        db.ckpt_lsn.store(log.last_lsn().0, Ordering::Release);
+
+        // Publish the `sys.*` system relations (when the registry carries
+        // the system storage method): in the map alone, afresh at every
+        // open.
+        if let Ok(sm_id) = db.registry.storage_id_by_name(crate::sysrel::SM_NAME) {
+            for (name, tag, schema) in crate::sysrel::tables()? {
+                if db.catalog.get_by_name(name).is_err() {
+                    let rd = crate::descriptor::RelationDescriptor::new(
+                        db.catalog.next_relation_id(),
+                        name,
+                        schema,
+                        sm_id,
+                        vec![tag],
+                    );
+                    db.catalog.publish(rd);
+                }
+            }
+        }
         // Hydrate attachment-published in-memory state (e.g. the
         // statistics attachment's planner snapshot) from durable storage.
         // Failures are non-fatal: the instance stays un-hydrated and the
@@ -687,8 +656,7 @@ impl Database {
     /// Commits: runs deferred (before-prepare) constraint checks, writes
     /// and forces the commit record (no-force: data pages stay in the
     /// pool and restart redo covers anything not yet on disk), performs
-    /// deferred physical actions, persists the catalog after DDL, and
-    /// releases locks and scans.
+    /// deferred physical actions, and releases locks and scans.
     pub fn commit(&self, txn: &Arc<Transaction>) -> Result<()> {
         let res = self.commit_inner(txn);
         if let Err(e) = &res {
@@ -704,9 +672,9 @@ impl Database {
                         self.end_txn(txn);
                     }
                 }
-                // Failed after the commit point (deferred actions, catalog
-                // image, log force): the effects stand; restart completes
-                // the rest from logged intents. Release resources here.
+                // Failed after the commit point (deferred actions): the
+                // effects stand; restart completes the rest from logged
+                // intents. Release resources here.
                 _ => self.end_txn(txn),
             }
         }
@@ -736,6 +704,8 @@ impl Database {
         //    DDL visibility fence) so no concurrent writer can be mid-way
         //    through a multi-page change in them, and per-file flushing
         //    leaves every other relation's latches untouched.
+        //    The catalog's own records are logged like data, so DDL needs
+        //    nothing more for durability.
         let did_ddl = self.ddl_txns.lock().remove(&txn.id());
         if did_ddl {
             let created = self.ddl_files.lock().remove(&txn.id()).unwrap_or_default();
@@ -743,24 +713,13 @@ impl Database {
                 self.services.pool.flush_file(file)?;
             }
         }
-        // 3. DDL durability: log the catalog image as a deferred intent
-        //    so restart can redo it if we crash after the commit point.
-        let catalog_intent = if did_ddl {
-            let image = self.catalog.serialize();
-            let lsn = txn.log(LogBody::DeferredIntent {
-                payload: encode_catalog_intent(&image),
-            });
-            Some((lsn, image))
-        } else {
-            None
-        };
-        // 4. The commit point.
+        // 3. The commit point.
         txn.commit_point()?;
         txn.finish(TxnState::Committed);
         self.counters.commits.incr();
         // Publish this transaction's record versions: the effects are
         // durable, and the stamps must become committed versions before
-        // the record X locks release in step 7 (a snapshot captured
+        // the record X locks release in step 5 (a snapshot captured
         // after those locks drop must already see the new images). The
         // DDL fence promotion rides inside the same publication step
         // (under the commit mutex, before the csn store): the relations
@@ -780,22 +739,11 @@ impl Database {
             // sequence is a safe (conservative) stand-in.
             self.promote_ddl_fences(txn.id(), self.txns.versions().commit_seq());
         }
-        // 5. Deferred physical actions (dropped storage release, …).
+        // 4. Deferred physical actions (dropped storage release, …): their
+        //    completion records ride the next force, and restart redoes
+        //    any release whose record did not reach the log.
         let deferred_result = txn.run_deferred(TxnEvent::AtCommit);
-        // 6. Catalog persistence + completion record. Only DDL needs a
-        //    second force (for the DeferredDone): plain DML commits are
-        //    fully durable after the commit point, and any unforced
-        //    deferred-action records are redone from their intents.
-        if let Some((lsn, image)) = catalog_intent {
-            Catalog::write_image(&self.env.disk, &image)?;
-            self.services.log.append(
-                txn.id(),
-                Lsn::NULL,
-                LogBody::DeferredDone { intent_lsn: lsn },
-            );
-            self.services.log.force_all()?;
-        }
-        // 7. End-of-transaction: scans closed, locks released.
+        // 5. End-of-transaction: scans closed, locks released.
         self.end_txn(txn);
         deferred_result
     }
@@ -816,8 +764,8 @@ impl Database {
         txn.abort_point();
         txn.finish(TxnState::Aborted);
         self.counters.aborts.incr();
-        // Undo DDL bookkeeping (restore dropped descriptors, remove
-        // created ones, release created storage).
+        // The undo above restored the catalog; release the storage the
+        // transaction created.
         let _ = txn.run_deferred(TxnEvent::AtAbort);
         self.ddl_txns.lock().remove(&txn.id());
         self.end_txn(txn);
@@ -1154,6 +1102,39 @@ impl Database {
         self.ddl_txns.lock().insert(txn.id());
     }
 
+    /// The deferred release of dropped storage ("the actual release of
+    /// the relation or access path state is deferred until the
+    /// transaction commits"): logs an intent per payload (see
+    /// `undo::encode_drop_*`), and at commit carries each out and logs it
+    /// done, so a crash after the commit point still completes the
+    /// release at restart.
+    pub(crate) fn defer_release(&self, txn: &Arc<Transaction>, payloads: Vec<Vec<u8>>) {
+        let intents: Vec<(Lsn, Vec<u8>)> = payloads
+            .into_iter()
+            .map(|payload| {
+                let lsn = txn.log(LogBody::DeferredIntent {
+                    payload: payload.clone(),
+                });
+                (lsn, payload)
+            })
+            .collect();
+        let (handler, txn_id) = (self.undo_dispatch(), txn.id());
+        txn.defer(
+            TxnEvent::AtCommit,
+            Box::new(move || {
+                for (intent_lsn, payload) in &intents {
+                    handler.release(payload)?;
+                    let done = LogBody::DeferredDone {
+                        intent_lsn: *intent_lsn,
+                    };
+                    handler.services.log.append(txn_id, Lsn::NULL, done);
+                }
+                Ok(())
+            }),
+        );
+        self.mark_ddl(txn);
+    }
+
     /// Creates a relation using the named storage method with an
     /// extension-specific attribute/value list.
     pub fn create_relation(
@@ -1185,8 +1166,9 @@ impl Database {
         self.ddl_fence
             .lock()
             .insert(rel, DdlFence::Uncommitted(txn.id()));
-        if let Err(e) = self.catalog.insert(rd) {
+        if let Err(e) = self.catalog.insert(&ctx, rd) {
             self.ddl_fence.lock().remove(&rel);
+            let _ = sm.destroy_instance(&self.services, &sm_desc);
             return Err(e);
         }
         self.mark_ddl(txn);
@@ -1197,14 +1179,11 @@ impl Database {
             .entry(txn.id())
             .or_default()
             .extend(sm.storage_files(&sm_desc));
-        // On abort: un-create (the relation never becomes durable).
-        let (catalog, services) = (self.catalog.clone(), self.services.clone());
+        // On abort the undo takes the descriptor out; the storage goes.
+        let services = self.services.clone();
         txn.defer(
             TxnEvent::AtAbort,
-            Box::new(move || {
-                let _ = catalog.remove(rel);
-                tolerate_missing(sm.destroy_instance(&services, &sm_desc))
-            }),
+            Box::new(move || tolerate_missing(sm.destroy_instance(&services, &sm_desc))),
         );
         Ok(rel)
     }
@@ -1230,13 +1209,14 @@ impl Database {
 
         let start_lsn = txn.last_lsn();
         let inst_desc = att.create_instance(&ctx, &old_rd, att_name, params)?;
-        let (new_rd, inst) = old_rd.with_attachment(att_id, att_name, inst_desc.clone())?;
-        let new_rd = self.catalog.replace(new_rd)?;
-
-        // Backfill: drive the new instance's on_modify with every existing
-        // record as an insert; any veto (e.g. a unique violation, a failed
-        // constraint) aborts the DDL statement with a partial rollback.
-        let backfill = (|| -> Result<()> {
+        // The descriptor, then the backfill: drive the new instance's
+        // on_modify with every existing record as an insert. A veto (a
+        // unique violation, a failed constraint) — or a descriptor the
+        // catalog cannot hold — fails the statement with a partial
+        // rollback, which restores the descriptor too.
+        let attached = (|| -> Result<()> {
+            let (new_rd, inst) = old_rd.with_attachment(att_id, att_name, inst_desc.clone())?;
+            let new_rd = self.catalog.replace(&ctx, new_rd)?;
             let sm = self.registry.storage(new_rd.sm)?;
             let slice = [AttachmentInstance {
                 att: att_id,
@@ -1259,30 +1239,22 @@ impl Database {
             }
             Ok(())
         })();
-        if let Err(e) = backfill {
-            // Undo logged backfill work, restore the descriptor, release
-            // the instance's storage.
+        if let Err(e) = attached {
             self.undo_to(txn, start_lsn)?;
-            self.catalog.replace((*old_rd).clone())?;
             let _ = att.destroy_instance(&self.services, &inst_desc);
             return Err(e);
         }
 
-        self.deps.invalidate(DepKey::Relation(old_rd.id));
         self.mark_ddl(txn);
         self.ddl_files
             .lock()
             .entry(txn.id())
             .or_default()
             .extend(att.storage_files(&inst_desc));
-        let (catalog, services) = (self.catalog.clone(), self.services.clone());
-        let old_snapshot = (*old_rd).clone();
+        let services = self.services.clone();
         txn.defer(
             TxnEvent::AtAbort,
-            Box::new(move || {
-                let _ = catalog.replace(old_snapshot);
-                tolerate_missing(att.destroy_instance(&services, &inst_desc))
-            }),
+            Box::new(move || tolerate_missing(att.destroy_instance(&services, &inst_desc))),
         );
         Ok(())
     }
@@ -1291,9 +1263,10 @@ impl Database {
     /// record image to every attachment type on it via
     /// [`Attachment::analyze`], so maintained derived state (the
     /// statistics attachment's distinct sketches and histogram bounds)
-    /// can be rebuilt *exactly*. Returns the number of attachment
-    /// instances that rebuilt state. Runs under a relation X lock so the
-    /// rebuild observes a stable image.
+    /// can be rebuilt *exactly*, then stores the relation's counts in its
+    /// catalog header. Returns the number of attachment instances that
+    /// rebuilt state. Runs under the Catalog X lock and a relation X lock
+    /// so the rebuild observes a stable image.
     pub fn analyze_relation(
         self: &Arc<Self>,
         txn: &Arc<Transaction>,
@@ -1304,6 +1277,7 @@ impl Database {
         let ctx = ExecCtx { db: self, txn };
         let rd = self.catalog.get_by_name(rel_name)?;
         self.check_not_quarantined(rd.id)?;
+        ctx.lock(LockName::Catalog, LockMode::X)?;
         ctx.lock(LockName::Relation(rd.id), LockMode::X)?;
         let sm = self.registry.storage(rd.sm)?;
         let mut records = Vec::new();
@@ -1321,6 +1295,7 @@ impl Database {
                 analyzed += insts.len();
             }
         }
+        self.catalog.replace(&ctx, (*rd).clone())?;
         Ok(analyzed)
     }
 
@@ -1335,57 +1310,17 @@ impl Database {
         ctx.lock(LockName::Catalog, LockMode::X)?;
         let rd = self.catalog.get_by_name(name)?;
         ctx.lock(LockName::Relation(rd.id), LockMode::X)?;
-        self.catalog.remove(rd.id)?;
+        self.catalog.remove(&ctx, rd.id)?;
         self.auth.purge_relation(rd.id);
-        self.deps.invalidate(DepKey::Relation(rd.id));
+        let mut releases = vec![encode_drop_sm_intent(rd.sm, &rd.sm_desc)];
         for (att_id, insts) in rd.attached_types() {
-            for inst in insts {
-                self.deps
-                    .invalidate(DepKey::Attachment(rd.id, att_id, inst.instance));
-            }
+            releases.extend(
+                insts
+                    .iter()
+                    .map(|i| encode_drop_att_intent(att_id, &i.desc)),
+            );
         }
-        // Log intents so a post-commit crash still completes the release.
-        let sm_intent = txn.log(LogBody::DeferredIntent {
-            payload: encode_drop_sm_intent(rd.sm, &rd.sm_desc),
-        });
-        let mut att_intents = Vec::new();
-        for (att_id, insts) in rd.attached_types() {
-            for inst in insts {
-                let lsn = txn.log(LogBody::DeferredIntent {
-                    payload: encode_drop_att_intent(att_id, &inst.desc),
-                });
-                att_intents.push((att_id, inst.desc.clone(), lsn));
-            }
-        }
-        self.mark_ddl(txn);
-        // At commit: physically destroy + mark intents done.
-        let (registry, services, log) = (
-            self.registry.clone(),
-            self.services.clone(),
-            self.services.log.clone(),
-        );
-        let (rd_commit, txn_id) = (rd.clone(), txn.id());
-        txn.defer(
-            TxnEvent::AtCommit,
-            Box::new(move || {
-                let sm = registry.storage(rd_commit.sm)?;
-                let destroyed = sm.destroy_instance(&services, &rd_commit.sm_desc);
-                finish_deferred(&log, txn_id, sm_intent, destroyed)?;
-                for (att_id, desc, lsn) in &att_intents {
-                    let att = registry.attachment(*att_id)?;
-                    let destroyed = att.destroy_instance(&services, desc);
-                    finish_deferred(&log, txn_id, *lsn, destroyed)?;
-                }
-                Ok(())
-            }),
-        );
-        // On abort: the relation reappears.
-        let catalog = self.catalog.clone();
-        let rd_abort = (*rd).clone();
-        txn.defer(
-            TxnEvent::AtAbort,
-            Box::new(move || catalog.insert(rd_abort).map(|_| ())),
-        );
+        self.defer_release(txn, releases);
         Ok(())
     }
 
@@ -1403,40 +1338,14 @@ impl Database {
         let old_rd = self.catalog.get_by_name(rel_name)?;
         ctx.lock(LockName::Relation(old_rd.id), LockMode::X)?;
         let (new_rd, att_id, removed) = old_rd.without_attachment(att_name)?;
-        self.catalog.replace(new_rd)?;
+        self.catalog.replace(&ctx, new_rd)?;
         // Retract attachment-published in-memory state right away; if
         // the transaction aborts, the next maintained change (or reopen)
         // republishes it — until then the planner falls back to guesses.
         if let Ok(att) = self.registry.attachment(att_id) {
             att.deactivate(&old_rd, &removed);
         }
-        self.deps
-            .invalidate(DepKey::Attachment(old_rd.id, att_id, removed.instance));
-        self.deps.invalidate(DepKey::Relation(old_rd.id));
-        let intent = txn.log(LogBody::DeferredIntent {
-            payload: encode_drop_att_intent(att_id, &removed.desc),
-        });
-        self.mark_ddl(txn);
-        let (registry, services, log) = (
-            self.registry.clone(),
-            self.services.clone(),
-            self.services.log.clone(),
-        );
-        let (desc, txn_id) = (removed.desc.clone(), txn.id());
-        txn.defer(
-            TxnEvent::AtCommit,
-            Box::new(move || {
-                let att = registry.attachment(att_id)?;
-                let destroyed = att.destroy_instance(&services, &desc);
-                finish_deferred(&log, txn_id, intent, destroyed)
-            }),
-        );
-        let catalog = self.catalog.clone();
-        let old_snapshot = (*old_rd).clone();
-        txn.defer(
-            TxnEvent::AtAbort,
-            Box::new(move || catalog.replace(old_snapshot).map(|_| ())),
-        );
+        self.defer_release(txn, vec![encode_drop_att_intent(att_id, &removed.desc)]);
         Ok(())
     }
 }
@@ -1451,9 +1360,25 @@ impl Drop for Database {
     /// stable log byte-identical) and abandoned silently on any I/O
     /// error: a crashed or out-of-space device simply reopens through
     /// restart recovery, which needs no checkpoint to be correct.
+    ///
+    /// The counts the next open costs plans with go first: every catalog
+    /// header whose counts moved is rewritten in one committed
+    /// transaction (none when no count moved, or while a transaction is
+    /// still active).
     fn drop(&mut self) {
         if self.services.log.last_lsn().0 <= self.ckpt_lsn.load(Ordering::Acquire) {
             return;
+        }
+        if self.txns.active_count() == 0 {
+            let txn = self.txns.begin();
+            let stored = self
+                .catalog
+                .store_counts(&txn, &self.services)
+                .and_then(|()| txn.commit_point());
+            self.txns.deregister(txn.id());
+            if stored.is_err() {
+                return;
+            }
         }
         if self.services.pool.flush_all().is_err() {
             return; // no checkpoint without every page state on disk

@@ -190,93 +190,85 @@ impl RelationDescriptor {
         Ok(new)
     }
 
-    /// Serializes for catalog persistence.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&self.id.0.to_le_bytes());
-        put_str(&mut out, &self.name);
-        put_bytes(&mut out, &self.schema.encode());
-        out.push(self.sm.0);
-        put_bytes(&mut out, &self.sm_desc);
-        out.extend_from_slice(&self.version.to_le_bytes());
+    /// The descriptor as the catalog stores it, keys ascending: the
+    /// header record under the big-endian relation id — name, schema,
+    /// storage method and its descriptor, version, counts, next instance
+    /// numbers — then one record per attachment instance under `id ∥ type
+    /// ∥ instance` (big-endian), holding its name and descriptor. One
+    /// record per field keeps each bounded however many instances a
+    /// relation carries.
+    pub(crate) fn records(&self) -> Vec<(Vec<u8>, Vec<u8>)> {
+        let mut header = Vec::new();
+        put_str(&mut header, &self.name);
+        put_bytes(&mut header, &self.schema.encode());
+        header.push(self.sm.0);
+        put_bytes(&mut header, &self.sm_desc);
+        header.extend_from_slice(&self.version.to_le_bytes());
         let (records, pages, bytes) = self.stats.snapshot();
         for v in [records, pages, bytes] {
-            out.extend_from_slice(&v.to_le_bytes());
+            header.extend_from_slice(&v.to_le_bytes());
         }
-        // attachment fields: count of non-null fields, then per field:
-        // type id, next_instance, instance list
-        let non_null: Vec<usize> = (0..MAX_ATTACHMENT_TYPES)
-            .filter(|&i| self.attachments[i].is_some())
-            .collect();
-        out.push(non_null.len() as u8);
-        for i in non_null {
-            // `non_null` filtered on is_some, so flatten() keeps the slot.
-            let Some(list) = self.attachments[i].as_ref() else {
-                continue;
-            };
-            out.push(i as u8);
-            out.extend_from_slice(&self.next_instance[i].to_le_bytes());
-            out.extend_from_slice(&(list.len() as u16).to_le_bytes());
-            for inst in list {
-                out.extend_from_slice(&inst.instance.0.to_le_bytes());
-                put_str(&mut out, &inst.name);
-                put_bytes(&mut out, &inst.desc);
-            }
+        for next in &self.next_instance {
+            header.extend_from_slice(&next.to_le_bytes());
         }
-        // next_instance for types without instances (so ids never repeat)
-        for i in 0..MAX_ATTACHMENT_TYPES {
-            out.extend_from_slice(&self.next_instance[i].to_le_bytes());
+        let id = self.id.0.to_be_bytes();
+        let mut out = vec![(id.to_vec(), header)];
+        for inst in self.attached_types().flat_map(|(_, insts)| insts) {
+            let mut key = id.to_vec();
+            key.push(inst.att.0);
+            key.extend_from_slice(&inst.instance.0.to_be_bytes());
+            let mut value = Vec::new();
+            put_str(&mut value, &inst.name);
+            value.extend_from_slice(&inst.desc);
+            out.push((key, value));
         }
         out
     }
 
-    /// Deserializes an [`RelationDescriptor::encode`] payload.
-    pub fn decode(buf: &[u8]) -> Result<RelationDescriptor> {
+    /// The descriptor whose catalog records are `records`, in key order
+    /// (the inverse of [`RelationDescriptor::records`]).
+    pub(crate) fn from_records(records: &[(Vec<u8>, Vec<u8>)]) -> Result<RelationDescriptor> {
+        let ((key, buf), records) = records.split_first().ok_or_else(corrupt)?;
+        let id: [u8; 4] = key.as_slice().try_into().map_err(|_| corrupt())?;
         let mut pos = 0usize;
-        let id = RelationId(get_u32(buf, &mut pos)?);
         let name = get_str(buf, &mut pos)?;
         let schema = Schema::decode(&get_bytes(buf, &mut pos)?)?;
         let sm = SmTypeId(get_u8(buf, &mut pos)?);
         let sm_desc = get_bytes(buf, &mut pos)?;
         let version = get_u64(buf, &mut pos)?;
-        let records = get_u64(buf, &mut pos)?;
-        let pages = get_u64(buf, &mut pos)?;
-        let bytes = get_u64(buf, &mut pos)?;
+        let stats = Arc::new(RelationStats::default());
+        // records, pages, bytes
+        stats.reset(
+            get_u64(buf, &mut pos)?,
+            get_u64(buf, &mut pos)?,
+            get_u64(buf, &mut pos)?,
+        );
+        let next_instance = (0..MAX_ATTACHMENT_TYPES)
+            .map(|_| get_u16(buf, &mut pos))
+            .collect::<Result<Vec<u16>>>()?;
         let mut attachments: Vec<Option<Vec<AttachmentInstance>>> =
             vec![None; MAX_ATTACHMENT_TYPES];
-        let n_fields = get_u8(buf, &mut pos)? as usize;
-        let mut next_instance = vec![1u16; MAX_ATTACHMENT_TYPES];
-        for _ in 0..n_fields {
-            let ty = get_u8(buf, &mut pos)? as usize;
-            if ty >= MAX_ATTACHMENT_TYPES {
-                return Err(DmxError::Corrupt(format!(
-                    "attachment type {ty} out of range"
-                )));
-            }
-            next_instance[ty] = get_u16(buf, &mut pos)?;
-            let n = get_u16(buf, &mut pos)? as usize;
-            let mut list = Vec::with_capacity(n);
-            for _ in 0..n {
-                let instance = AttInstanceId(get_u16(buf, &mut pos)?);
-                let name = get_str(buf, &mut pos)?;
-                let desc = get_bytes(buf, &mut pos)?;
-                list.push(AttachmentInstance {
-                    att: AttTypeId(ty as u8),
-                    instance,
-                    name,
-                    desc,
-                });
-            }
-            attachments[ty] = Some(list);
+        for (key, value) in records {
+            let (att, instance) = match key.as_slice() {
+                [k0, k1, k2, k3, att, i0, i1] if [*k0, *k1, *k2, *k3] == id => {
+                    (*att, u16::from_be_bytes([*i0, *i1]))
+                }
+                _ => return Err(corrupt()),
+            };
+            let slot = attachments
+                .get_mut(att as usize)
+                .ok_or_else(|| DmxError::Corrupt(format!("attachment type {att} out of range")))?;
+            let mut pos = 0usize;
+            let name = get_str(value, &mut pos)?;
+            slot.get_or_insert_with(Vec::new).push(AttachmentInstance {
+                att: AttTypeId(att),
+                instance: AttInstanceId(instance),
+                name,
+                desc: value.get(pos..).ok_or_else(corrupt)?.to_vec(),
+            });
         }
-        for slot in next_instance.iter_mut().take(MAX_ATTACHMENT_TYPES) {
-            let v = get_u16(buf, &mut pos)?;
-            *slot = (*slot).max(v);
-        }
-        let stats = Arc::new(RelationStats::default());
-        stats.reset(records, pages, bytes);
         Ok(RelationDescriptor {
-            id,
+            id: RelationId(u32::from_be_bytes(id)),
             name,
             schema,
             sm,
@@ -286,6 +278,31 @@ impl RelationDescriptor {
             version,
             next_instance,
         })
+    }
+
+    /// The catalog records in one buffer: their count, then each key and
+    /// value length-prefixed.
+    pub fn encode(&self) -> Vec<u8> {
+        let records = self.records();
+        let mut out = (records.len() as u32).to_le_bytes().to_vec();
+        for (key, value) in &records {
+            put_bytes(&mut out, key);
+            put_bytes(&mut out, value);
+        }
+        out
+    }
+
+    /// Deserializes an [`RelationDescriptor::encode`] buffer.
+    pub fn decode(buf: &[u8]) -> Result<RelationDescriptor> {
+        let mut pos = 0usize;
+        let n = get_u32(buf, &mut pos)?;
+        let records = (0..n)
+            .map(|_| Ok((get_bytes(buf, &mut pos)?, get_bytes(buf, &mut pos)?)))
+            .collect::<Result<Vec<_>>>()?;
+        if pos != buf.len() {
+            return Err(corrupt());
+        }
+        Self::from_records(&records)
     }
 }
 
@@ -449,10 +466,42 @@ mod tests {
         );
         assert_eq!(back.stats.records(), 1);
         assert_eq!(back.stats.snapshot(), d.stats.snapshot());
+        assert_eq!(back.records(), d.records());
         // truncation never panics
         let bytes = d.encode();
         for cut in 0..bytes.len() {
             assert!(RelationDescriptor::decode(&bytes[..cut]).is_err());
         }
+    }
+
+    /// A relation's records share its big-endian id as their prefix and
+    /// ascend as the tree stores them: the header, then the instances by
+    /// type and number. Each instance is a record of its own, so no
+    /// record grows with the number of instances.
+    #[test]
+    fn records_are_keyed_by_id_and_bounded_per_instance() {
+        let mut d = rd();
+        for i in 0..40 {
+            d = d
+                .with_attachment(AttTypeId(5), format!("c{i}"), vec![7; 200])
+                .unwrap()
+                .0;
+        }
+        let (d, _) = d.with_attachment(AttTypeId(3), "idx", vec![1]).unwrap();
+        let records = d.records();
+        assert_eq!(records.len(), 42);
+        assert_eq!(records[0].0, 7u32.to_be_bytes());
+        assert!(records.windows(2).all(|w| w[0].0 < w[1].0), "keys ascend");
+        assert!(records
+            .iter()
+            .all(|(k, v)| k.starts_with(&[0, 0, 0, 7]) && k.len() + v.len() < 400));
+        let back = RelationDescriptor::from_records(&records).unwrap();
+        assert_eq!(back.records(), records);
+        assert_eq!(back.find_attachment("c39").unwrap().1.desc, vec![7; 200]);
+        // an instance record of another relation is damage, not data
+        let mut foreign = records.clone();
+        foreign[1].0[3] = 8;
+        let res = RelationDescriptor::from_records(&foreign);
+        assert!(matches!(res, Err(DmxError::Corrupt(_))));
     }
 }

@@ -52,6 +52,7 @@ use std::sync::Arc;
 use dmx_btree::{BTree, OnDuplicate};
 use dmx_expr::Expr;
 use dmx_lock::{LockMode, LockName};
+use dmx_txn::Transaction;
 use dmx_types::bytes::{le_u16, le_u32};
 use dmx_types::{Appended, DmxError, FileId, PageId, RecordKey, RelationId, Result, Value};
 use dmx_wal::{Compensation, ExtKind};
@@ -59,7 +60,8 @@ use dmx_wal::{Compensation, ExtKind};
 use crate::access::{
     decode_position, encode_position, AccessQuery, Frame, KeyRange, ScanItem, ScanOps,
 };
-use crate::context::{Evaluator, ExecCtx};
+use crate::catalog::{CATALOG_EXT, CATALOG_RELATION};
+use crate::context::{log_ext_op, Evaluator, ExecCtx};
 use crate::descriptor::{AttachmentInstance, RelationDescriptor};
 use crate::services::CommonServices;
 
@@ -81,14 +83,16 @@ pub struct TreeFile {
 }
 
 impl TreeFile {
-    /// Allocates a file holding an empty B-tree.
+    /// Allocates a file holding an empty B-tree, its root on disk before
+    /// any log record names the tree: a restart that undoes the records
+    /// of a creator that never committed finds a tree to undo them in.
     pub fn create(services: &Arc<CommonServices>) -> Result<TreeFile> {
         let file = services.disk.create_file()?;
-        let tree = BTree::create(&services.pool, file, &services.latches)?;
-        Ok(TreeFile {
-            file,
-            root_page: tree.root().page_no,
-        })
+        let root_page = BTree::create(&services.pool, file, &services.latches)?
+            .root()
+            .page_no;
+        services.pool.flush_file(file)?;
+        Ok(TreeFile { file, root_page })
     }
 
     /// The fixed root page.
@@ -500,10 +504,21 @@ impl LoggedTarget for BTree {
     }
 }
 
+impl<T: LoggedTarget> LoggedTarget for &T {
+    fn root(&self) -> PageId {
+        (*self).root()
+    }
+
+    fn install_image(&self, at: Appended, key: &[u8], image: Option<&[u8]>) -> Result<()> {
+        (*self).install_image(at, key, image)
+    }
+}
+
 /// One extension instance's tree inside one transaction: reads go to
 /// [`LoggedTree::tree`], every change through [`LoggedTree::apply`].
 pub struct LoggedTree<'a, T = BTree> {
-    ctx: ExecCtx<'a>,
+    txn: &'a Transaction,
+    services: &'a CommonServices,
     ext: ExtKind,
     relation: RelationId,
     /// An attachment's records name their tree; the storage method's is
@@ -521,7 +536,8 @@ impl<'a, T: LoggedTarget> LoggedTree<'a, T> {
         tree: T,
     ) -> Self {
         LoggedTree {
-            ctx: *ctx,
+            txn: ctx.txn,
+            services: ctx.db.services(),
             ext: ExtKind::Attachment(inst.att),
             relation: rd.id,
             names_tree: true,
@@ -532,11 +548,25 @@ impl<'a, T: LoggedTarget> LoggedTree<'a, T> {
     /// The tree `rd`'s storage method keeps its records in.
     pub fn storage(ctx: &ExecCtx<'a>, rd: &RelationDescriptor, tree: T) -> Self {
         LoggedTree {
-            ctx: *ctx,
+            txn: ctx.txn,
+            services: ctx.db.services(),
             ext: ExtKind::Storage(rd.sm),
             relation: rd.id,
             names_tree: false,
             tree,
+        }
+    }
+
+    /// The system catalog, changed by `txn`: its records name the
+    /// catalog's own relation and no tree.
+    pub(crate) fn catalog(txn: &'a Transaction, services: &'a CommonServices, catalog: T) -> Self {
+        LoggedTree {
+            txn,
+            services,
+            ext: CATALOG_EXT,
+            relation: CATALOG_RELATION,
+            names_tree: false,
+            tree: catalog,
         }
     }
 
@@ -554,7 +584,7 @@ impl<'a, T: LoggedTarget> LoggedTree<'a, T> {
         let Some((op, payload)) = encode_change(named, key, before, after)? else {
             return Ok(()); // absent stays absent: nothing to log
         };
-        let at = self.ctx.log_ext_op(self.ext, self.relation, op, payload);
+        let at = log_ext_op(self.txn, self.ext, self.relation, op, payload);
         self.tree.install_image(at, key, after)
     }
 }
@@ -617,8 +647,8 @@ impl LoggedTree<'_> {
         let mut h = DefaultHasher::new();
         self.tree.root().file.hash(&mut h);
         key.hash(&mut h);
-        self.ctx
-            .lock(LockName::Record(self.relation, h.finish()), LockMode::X)?;
+        let cell = LockName::Record(self.relation, h.finish());
+        self.services.locks.lock(self.txn.id(), cell, LockMode::X)?;
         let before = self.tree.get(key)?;
         let after = decide(before.as_deref())?;
         self.apply(key, before.as_deref(), after.as_deref())

@@ -34,19 +34,17 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use dmx_lock::{LockMode, LockName};
-use dmx_txn::{Transaction, TxnEvent};
+use dmx_txn::Transaction;
 use dmx_types::obs::ObsEvent;
 use dmx_types::{fault, AttrList, DmxError, PageId, Record, RelationId, Result};
-use dmx_wal::LogBody;
 
 use crate::access::AccessQuery;
 use crate::attachment::Attachment;
 use crate::context::ExecCtx;
 use crate::database::Database;
-use crate::deps::DepKey;
 use crate::descriptor::AttachmentInstance;
 use crate::descriptor::RelationDescriptor;
-use crate::undo::{encode_drop_att_intent, encode_drop_sm_intent, finish_deferred};
+use crate::undo::{encode_drop_att_intent, encode_drop_sm_intent};
 
 /// How many times the repair pipeline re-drives itself before declaring
 /// the damage permanent.
@@ -374,9 +372,8 @@ fn witness_record_count(
 
 /// Rebuilds attachment instances through the ordinary drop + register
 /// path in one transaction, returning the base record count the rebuild
-/// covered. Every step is WAL-logged; the final abort action (deferred
-/// actions run in registration order) restores the original descriptor
-/// whatever the intermediate drop/create snapshots put back first.
+/// covered. Every step is WAL-logged, the catalog's included, so an
+/// abort restores the original descriptor.
 fn rebuild_attachments(
     db: &Arc<Database>,
     name: &str,
@@ -390,12 +387,6 @@ fn rebuild_attachments(
             db.drop_attachment(txn, name, att_name)?;
             db.create_attachment(txn, name, type_name, att_name, params)?;
         }
-        let catalog = db.catalog().clone();
-        let original = (**rd).clone();
-        txn.defer(
-            TxnEvent::AtAbort,
-            Box::new(move || catalog.replace(original).map(|_| ())),
-        );
         Ok(covered)
     })
 }
@@ -404,18 +395,17 @@ fn rebuild_attachments(
 /// into a fresh storage instance, swaps it into the descriptor and
 /// rebuilds the page-backed attachments — all in one WAL-logged
 /// transaction. The fresh instance is built inside a *temporary
-/// relation* so the loader's log records reference a relation id that
-/// never reaches a committed catalog image: restart after a mid-salvage
-/// crash skips them instead of undoing against the wrong (damaged) file.
+/// relation* so the loader's log records reference a relation id the
+/// committed catalog never holds: restart after a mid-salvage crash skips
+/// them instead of undoing against the wrong (damaged) file.
 fn salvage_base(db: &Arc<Database>, name: &str, recovered: &mut u64, lost: &mut u64) -> Result<()> {
     db.with_txn(|txn| {
         let ctx = ExecCtx { db, txn };
         let rd = db.catalog().get_by_name(name)?;
-        let rel = rd.id;
         let sm = db.registry().storage(rd.sm)?;
         // Loss accounting: an intact record-keyed attachment knows
-        // exactly how many records the base held (catalog stats are only
-        // as fresh as the last DDL commit, so they are the fallback).
+        // exactly how many records the base held (the live count is not
+        // re-derived after a crash, so it is the fallback).
         let expected = witness_record_count(db, txn, &rd)?.unwrap_or_else(|| rd.stats.records());
 
         // Capture rebuild parameters and drop targets before anything
@@ -460,68 +450,34 @@ fn salvage_base(db: &Arc<Database>, name: &str, recovered: &mut u64, lost: &mut 
         let temp_rd = db.catalog().get(temp_id)?;
 
         // Swap the rebuilt storage into the damaged relation's
-        // descriptor; stateless attachment instances carry over intact.
+        // descriptor, its counts the reloaded ones; stateless attachment
+        // instances carry over intact.
         let mut merged = (*rd).clone();
         merged.sm_desc = temp_rd.sm_desc.clone();
-        merged.stats = temp_rd.stats.clone();
+        let (records, pages, bytes) = temp_rd.stats.snapshot();
+        merged.stats.reset(records, pages, bytes);
         merged.version += 1;
         for (_, att_name, _) in &dropped {
             let (next, _, _) = merged.without_attachment(att_name)?;
             merged = next;
         }
-        db.catalog().remove(temp_id)?;
-        db.catalog().replace(merged)?;
-        db.mark_ddl(txn);
-        db.deps().invalidate(DepKey::Relation(rel));
+        db.catalog().remove(&ctx, temp_id)?;
+        db.catalog().replace(&ctx, merged)?;
 
         // The damaged base and the stale attachment structures are
-        // released at commit; logged intents let restart complete the
-        // release after a post-commit crash.
-        let sm_intent = txn.log(LogBody::DeferredIntent {
-            payload: encode_drop_sm_intent(rd.sm, &rd.sm_desc),
-        });
-        let mut att_intents = Vec::new();
-        for (att_id, _, desc) in &dropped {
-            let lsn = txn.log(LogBody::DeferredIntent {
-                payload: encode_drop_att_intent(*att_id, desc),
-            });
-            att_intents.push((*att_id, desc.clone(), lsn));
-        }
-        let (registry, services, log) = (
-            db.registry().clone(),
-            db.services().clone(),
-            db.services().log.clone(),
+        // released at commit.
+        let mut releases = vec![encode_drop_sm_intent(rd.sm, &rd.sm_desc)];
+        releases.extend(
+            dropped
+                .iter()
+                .map(|(att, _, desc)| encode_drop_att_intent(*att, desc)),
         );
-        let (old_sm, old_sm_desc, txn_id) = (rd.sm, rd.sm_desc.clone(), txn.id());
-        txn.defer(
-            TxnEvent::AtCommit,
-            Box::new(move || {
-                let sm = registry.storage(old_sm)?;
-                let destroyed = sm.destroy_instance(&services, &old_sm_desc);
-                finish_deferred(&log, txn_id, sm_intent, destroyed)?;
-                for (att_id, desc, lsn) in &att_intents {
-                    let att = registry.attachment(*att_id)?;
-                    let destroyed = att.destroy_instance(&services, desc);
-                    finish_deferred(&log, txn_id, *lsn, destroyed)?;
-                }
-                Ok(())
-            }),
-        );
+        db.defer_release(txn, releases);
 
         // Rebuild the page-backed access paths from the salvaged base.
         for (type_name, att_name, params) in &rebuild {
             db.create_attachment(txn, name, type_name, att_name, params)?;
         }
-
-        // Abort actions run in registration order: this final restore
-        // leaves the original (still damaged, still fenced) descriptor
-        // in place after the intermediate snapshots.
-        let catalog = db.catalog().clone();
-        let original = (*rd).clone();
-        txn.defer(
-            TxnEvent::AtAbort,
-            Box::new(move || catalog.replace(original).map(|_| ())),
-        );
         Ok(())
     })
 }

@@ -82,13 +82,13 @@ impl RelationStats {
         *self.field_stats.write() = stats;
     }
 
-    /// Snapshot for catalog persistence.
+    /// The counters as the catalog header stores them: records, pages
+    /// (without [`RelationStats::pages`]'s floor, so a descriptor rebuilt
+    /// from its header counts what the one it was written from did) and
+    /// bytes.
     pub fn snapshot(&self) -> (u64, u64, u64) {
-        (
-            self.records(),
-            self.pages(),
-            self.bytes.load(Ordering::Relaxed).max(0) as u64,
-        )
+        let raw = |c: &AtomicI64| c.load(Ordering::Relaxed).max(0) as u64;
+        (raw(&self.records), raw(&self.pages), raw(&self.bytes))
     }
 }
 
@@ -102,9 +102,9 @@ mod tests {
         s.apply(1, 100);
         s.apply(1, 200);
         s.apply(0, -100); // an update that shrank a record
-        assert_eq!(s.snapshot(), (2, 1, 200));
+        assert_eq!(s.snapshot(), (2, 0, 200));
         s.apply(-1, -100);
-        assert_eq!(s.snapshot(), (1, 1, 100));
+        assert_eq!(s.snapshot(), (1, 0, 100));
     }
 
     #[test]

@@ -3,23 +3,23 @@
 //! The common recovery log "is used to drive the storage method and
 //! attachment implementations to undo the partial effects" of aborted
 //! work. This module routes each logged extension operation back to its
-//! extension through the procedure vectors, and re-drives committed
-//! deferred intents (physical drops, catalog images) at restart.
+//! extension through the procedure vectors — and the catalog's own
+//! records to the catalog, which installs them in its tree and its map —
+//! and re-drives committed deferred intents (physical drops) at restart.
 
 use std::sync::Arc;
 
 use dmx_types::sync::Mutex;
-use dmx_types::{Appended, DmxError, Lsn, RelationId, Result, TxnId};
-use dmx_wal::{Compensation, ExtKind, LogBody, LogManager, LogRecord, UndoHandler};
+use dmx_types::{Appended, DmxError, RelationId, Result};
+use dmx_wal::{Compensation, ExtKind, LogBody, LogRecord, UndoHandler};
 
-use crate::catalog::Catalog;
-use crate::logged_tree::Replay;
+use crate::catalog::{Catalog, CATALOG_RELATION};
+use crate::logged_tree::{self, Replay};
 use crate::registry::ExtensionRegistry;
 use crate::services::CommonServices;
 
 const INTENT_DROP_SM: u8 = 1;
 const INTENT_DROP_ATT: u8 = 2;
-const INTENT_CATALOG: u8 = 3;
 
 /// Encodes a deferred drop of a storage-method instance.
 pub fn encode_drop_sm_intent(sm: dmx_types::SmTypeId, sm_desc: &[u8]) -> Vec<u8> {
@@ -33,20 +33,6 @@ pub fn encode_drop_att_intent(att: dmx_types::AttTypeId, inst_desc: &[u8]) -> Ve
     let mut v = vec![INTENT_DROP_ATT, att.0];
     v.extend_from_slice(inst_desc);
     v
-}
-
-/// Encodes a catalog-image persist intent.
-pub fn encode_catalog_intent(image: &[u8]) -> Vec<u8> {
-    let mut v = vec![INTENT_CATALOG];
-    v.extend_from_slice(image);
-    v
-}
-
-/// True when `rec` is a deferred intent carrying a catalog image — the
-/// kind restart can use to reconstruct a damaged on-disk catalog file.
-pub(crate) fn is_catalog_intent(rec: &LogRecord) -> bool {
-    matches!(&rec.body, LogBody::DeferredIntent { payload }
-        if payload.first() == Some(&INTENT_CATALOG))
 }
 
 /// The handler the recovery driver calls into.
@@ -81,6 +67,35 @@ impl UndoDispatch {
         std::mem::take(&mut *self.damaged.lock())
     }
 
+    /// Carries out the release a deferred intent names — unless the
+    /// catalog holds the instance again, its DROP rolled back to a
+    /// savepoint — tolerating storage already gone.
+    pub(crate) fn release(&self, payload: &[u8]) -> Result<()> {
+        let [tag, id, desc @ ..] = payload else {
+            return Err(DmxError::Corrupt("short deferred intent".into()));
+        };
+        let held = |rd: &Arc<crate::RelationDescriptor>| match *tag {
+            INTENT_DROP_SM => rd.sm.0 == *id && rd.sm_desc == desc,
+            _ => rd
+                .attachment_instances(dmx_types::AttTypeId(*id))
+                .is_some_and(|insts| insts.iter().any(|inst| inst.desc == desc)),
+        };
+        if self.catalog.list().iter().any(held) {
+            return Ok(());
+        }
+        tolerate_missing(match *tag {
+            INTENT_DROP_SM => self
+                .registry
+                .storage(dmx_types::SmTypeId(*id))?
+                .destroy_instance(&self.services, desc),
+            INTENT_DROP_ATT => self
+                .registry
+                .attachment(dmx_types::AttTypeId(*id))?
+                .destroy_instance(&self.services, desc),
+            other => Err(DmxError::Corrupt(format!("bad intent tag {other}"))),
+        })
+    }
+
     /// Routes a logged extension operation back to the extension that
     /// wrote it, through the procedure vectors.
     fn replay(&self, rec: &LogRecord, dir: Replay<'_>) -> Result<()> {
@@ -93,14 +108,17 @@ impl UndoDispatch {
         else {
             return Ok(());
         };
+        if *relation == CATALOG_RELATION {
+            return logged_tree::replay(&*self.catalog, dir, *op, payload).map(drop);
+        }
         // A relation missing from the catalog. Undo: the same transaction
-        // created it (loser DDL, never persisted) — its state is being
+        // created it (loser DDL, never committed) — its state is being
         // discarded wholesale, so record-level undo is moot. Redo: the op
         // belongs to a committed transaction, so a *later* committed
         // transaction dropped it — its deferred drop already released the
         // storage, and replaying into freed files would be wrong.
-        // (Restart re-drives committed catalog-image intents before the
-        // redo pass, so committed CREATEs are visible there.)
+        // (Restart replays the catalog's records before these, so the
+        // catalog is the final committed one here.)
         let Ok(rd) = self.catalog.get(*relation) else {
             return Ok(());
         };
@@ -119,7 +137,11 @@ impl UndoDispatch {
                 payload,
             ),
         };
-        match res {
+        match tolerate_missing(res) {
+            // (A record whose storage is gone — an instance a committed
+            // drop released, or one whose vetoed creation destroyed it —
+            // has nothing left to replay into.)
+            //
             // Corrupt state blocks replay into this relation only: note
             // it for quarantine, report the record as replayed and keep
             // going. Attachment state is derivable from the base, so a
@@ -151,33 +173,14 @@ impl UndoHandler for UndoDispatch {
     }
 
     fn redo_deferred(&self, rec: &LogRecord) -> Result<()> {
-        let LogBody::DeferredIntent { payload } = &rec.body else {
-            return Ok(());
-        };
-        let Some((&tag, body)) = payload.split_first() else {
-            return Err(DmxError::Corrupt("empty deferred intent".into()));
-        };
-        match tag {
-            INTENT_DROP_SM => {
-                let (&id, desc) = body
-                    .split_first()
-                    .ok_or_else(|| DmxError::Corrupt("short drop intent".into()))?;
-                let sm = self.registry.storage(dmx_types::SmTypeId(id))?;
-                tolerate_missing(sm.destroy_instance(&self.services, desc))
-            }
-            INTENT_DROP_ATT => {
-                let (&id, desc) = body
-                    .split_first()
-                    .ok_or_else(|| DmxError::Corrupt("short drop intent".into()))?;
-                let att = self.registry.attachment(dmx_types::AttTypeId(id))?;
-                tolerate_missing(att.destroy_instance(&self.services, desc))
-            }
-            INTENT_CATALOG => {
-                Catalog::write_image(&self.services.disk, body)?;
-                self.catalog.restore(body)
-            }
-            other => Err(DmxError::Corrupt(format!("bad intent tag {other}"))),
+        match &rec.body {
+            LogBody::DeferredIntent { payload } => self.release(payload),
+            _ => Ok(()),
         }
+    }
+
+    fn is_catalog(&self, rec: &LogRecord) -> bool {
+        matches!(&rec.body, LogBody::ExtOp { relation, .. } if *relation == CATALOG_RELATION)
     }
 }
 
@@ -188,18 +191,4 @@ pub fn tolerate_missing(r: Result<()>) -> Result<()> {
         Err(DmxError::NotFound(_)) => Ok(()),
         other => other,
     }
-}
-
-/// The commit-time half of a deferred drop: with what the intent at
-/// `intent_lsn` names `destroyed` (or already gone), the intent is logged
-/// done, so restart does not release it again.
-pub(crate) fn finish_deferred(
-    log: &LogManager,
-    txn: TxnId,
-    intent_lsn: Lsn,
-    destroyed: Result<()>,
-) -> Result<()> {
-    tolerate_missing(destroyed)?;
-    log.append(txn, Lsn::NULL, LogBody::DeferredDone { intent_lsn });
-    Ok(())
 }

@@ -12,7 +12,7 @@
 //! in-flight transaction after forcing the write-ahead log up to the
 //! page's stamped LSN through an installed [`buffer::WalHook`], and
 //! commit forces only the log — [`buffer::BufferPool::flush_all`] remains
-//! for checkpoints and the DDL catalog-image exception.
+//! for checkpoints. The pool is the only page writer.
 //!
 //! Write-ahead is a property of the types: a pooled page changes only
 //! through a [`PageWrite`], which [`PinnedPage::write`] hands out against

@@ -86,10 +86,9 @@ impl Page {
         self.get_u32(CRC_OFFSET)
     }
 
-    /// Stamps the header checksum over the current image. The buffer
-    /// manager calls this on every flush; direct writers (the catalog
-    /// image) must call it themselves.
-    pub fn stamp_crc(&mut self) {
+    /// Stamps the header checksum over the current image: the buffer
+    /// pool, the one page writer, calls this on every write-back.
+    pub(crate) fn stamp_crc(&mut self) {
         let crc = self.compute_crc();
         self.put_u32(CRC_OFFSET, crc);
     }

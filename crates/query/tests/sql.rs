@@ -846,6 +846,41 @@ fn a_rejected_attribute_list_allocates_nothing() {
     assert_eq!(inst.instance.0, 1, "the first btree index on t");
 }
 
+/// The catalog keeps an attachment instance in one tree entry: an
+/// instance whose own descriptor would not fit is refused at CREATE with
+/// `InvalidArg`, and the refusal leaves no file, no instance number and
+/// no trace in the relation's descriptor.
+#[test]
+fn an_attachment_too_big_for_the_catalog_is_refused() {
+    let db = open_db();
+    db.execute_sql("CREATE TABLE t (id INT NOT NULL, s STRING)")
+        .unwrap();
+    let files = || {
+        db.services()
+            .disk
+            .stats()
+            .files_created
+            .load(std::sync::atomic::Ordering::Relaxed)
+    };
+    let (before, rd) = (files(), db.catalog().get_by_name("t").unwrap());
+    let huge = format!(
+        "CREATE CONSTRAINT big ON t CHECK (s <> '{}')",
+        "x".repeat(3000)
+    );
+    let err = db.execute_sql(&huge).unwrap_err();
+    assert!(
+        matches!(&err, DmxError::InvalidArg(m) if m.contains("catalog entry")),
+        "{err}"
+    );
+    assert_eq!(files(), before, "the refused CREATE created a file");
+    let after = db.catalog().get_by_name("t").unwrap();
+    assert_eq!((after.version, after.attachment_count()), (rd.version, 0));
+    db.execute_sql("CREATE CONSTRAINT small ON t CHECK (s <> 'x')")
+        .unwrap();
+    let rd = db.catalog().get_by_name("t").unwrap();
+    assert_eq!(rd.find_attachment("small").unwrap().1.instance.0, 1);
+}
+
 #[test]
 fn three_way_join() {
     let db = open_db();

@@ -176,13 +176,13 @@ fn materialize(db: &Arc<Database>, tag: u8) -> Result<Vec<Vec<Value>>> {
                     Ok(sm) => sm.name().to_string(),
                     Err(_) => format!("unknown({})", rd.sm.0),
                 };
-                let (records, pages, bytes) = rd.stats.snapshot();
+                let (records, _, bytes) = rd.stats.snapshot();
                 rows.push(vec![
                     Value::Int(rd.id.0 as i64),
                     s(rd.name.clone()),
                     s(sm_name),
                     Value::Int(records as i64),
-                    Value::Int(pages as i64),
+                    Value::Int(rd.stats.pages() as i64),
                     Value::Int(bytes as i64),
                     Value::Int(rd.attachment_count() as i64),
                     match quarantined.get(&rd.id) {
@@ -438,8 +438,8 @@ impl StorageMethod for SystemStorage {
     }
 
     fn is_recoverable(&self) -> bool {
-        // Published relations are re-created at every open; stale
-        // persisted descriptors are swept at restart like temporaries.
+        // Published relations are re-created at every open and never
+        // stored in the catalog.
         false
     }
 }

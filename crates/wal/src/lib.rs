@@ -16,10 +16,11 @@
 //!   `dmx-core` by dispatch through the procedure vectors).
 //! * [`recovery`] implements partial rollback to a savepoint, full abort,
 //!   and restart recovery (complete committed deferred intents, redo
-//!   winners and repeat every compensation in one forward pass, undo
-//!   losers), writing compensation records (CLRs) so rollbacks are
-//!   themselves idempotent; each CLR is the token its undo's pages are
-//!   stamped with ([`recovery::Compensation`]).
+//!   winners and repeat every compensation in forward passes — the
+//!   catalog's records first — then undo losers), writing compensation
+//!   records (CLRs) so rollbacks are themselves idempotent; each CLR is
+//!   the token its undo's pages are stamped with
+//!   ([`recovery::Compensation`]).
 
 pub mod log;
 pub mod record;
@@ -27,6 +28,4 @@ pub mod recovery;
 
 pub use log::{LogManager, StableLog};
 pub use record::{ExtKind, LogBody, LogRecord};
-pub use recovery::{
-    committed_intents, restart, rollback_to, Compensation, RestartReport, UndoHandler,
-};
+pub use recovery::{restart, rollback_to, Compensation, RestartReport, UndoHandler};

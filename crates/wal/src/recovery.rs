@@ -105,6 +105,14 @@ pub trait UndoHandler {
     /// (e.g. physically releasing a dropped relation's file). Must be
     /// idempotent.
     fn redo_deferred(&self, rec: &LogRecord) -> Result<()>;
+
+    /// True for an [`LogBody::ExtOp`] of the system catalog. Restart
+    /// replays those — their redo and repeated compensation, in log order
+    /// — before any other record, because dispatching the rest reads the
+    /// catalog.
+    fn is_catalog(&self, _rec: &LogRecord) -> bool {
+        false
+    }
 }
 
 /// Rolls a transaction back to a rollback point: undoes every operation
@@ -185,6 +193,8 @@ struct Analysis {
     intents: Vec<LogRecord>,
     /// The CLRs after the last checkpoint, in log order.
     clrs: Vec<Lsn>,
+    /// The catalog's ExtOps and the CLRs compensating them.
+    catalog: HashSet<Lsn>,
     /// Intent LSNs with a durable completion record.
     done: HashSet<Lsn>,
     /// Highest transaction id seen.
@@ -194,10 +204,10 @@ struct Analysis {
 }
 
 /// Truncates the torn/corrupt log tail, then streams the durable frames
-/// once (no whole-log clone), classifying transactions and deferred
-/// intents. Frame reads retry transient faults like every other I/O path,
-/// so `DmxError::IoTransient` never escapes restart.
-fn analyze(log: &LogManager) -> Result<Analysis> {
+/// once (no whole-log clone), classifying transactions, deferred intents
+/// and the catalog's records. Frame reads retry transient faults like
+/// every other I/O path, so `DmxError::IoTransient` never escapes restart.
+fn analyze(log: &LogManager, handler: &dyn UndoHandler) -> Result<Analysis> {
     // A crash mid-force can leave one torn frame; rot can corrupt any
     // frame. Nothing past the first bad frame is trustworthy (LSN chains
     // would dangle), so the tail is dropped.
@@ -209,6 +219,11 @@ fn analyze(log: &LogManager) -> Result<Analysis> {
     let mut checkpoint = Lsn::NULL;
     let mut intents: Vec<LogRecord> = Vec::new();
     let mut clrs: Vec<Lsn> = Vec::new();
+    let mut catalog: HashSet<Lsn> = HashSet::new();
+    // A CLR compensates the record of its transaction whose `prev_lsn`
+    // is its `undo_next` (see `compensated`): the catalog's are noted by
+    // that pair.
+    let mut catalog_ops: HashSet<(TxnId, Lsn)> = HashSet::new();
     let mut done: HashSet<Lsn> = HashSet::new();
     let mut max_txn = 0u64;
     let stable = log.stable();
@@ -216,6 +231,10 @@ fn analyze(log: &LogManager) -> Result<Analysis> {
         let rec = with_io_retries(MAX_IO_RETRIES, || stable.with_frame(idx, LogRecord::decode))?;
         if rec.txn.0 > max_txn {
             max_txn = rec.txn.0;
+        }
+        if handler.is_catalog(&rec) {
+            catalog.insert(rec.lsn);
+            catalog_ops.insert((rec.txn, rec.prev_lsn));
         }
         match &rec.body {
             LogBody::Begin => {
@@ -242,8 +261,11 @@ fn analyze(log: &LogManager) -> Result<Analysis> {
             LogBody::DeferredDone { intent_lsn } => {
                 done.insert(*intent_lsn);
             }
-            LogBody::Clr { .. } => {
+            LogBody::Clr { undo_next } => {
                 clrs.push(rec.lsn);
+                if catalog_ops.contains(&(rec.txn, *undo_next)) {
+                    catalog.insert(rec.lsn);
+                }
                 if let Some(last) = active.get_mut(&rec.txn) {
                     *last = rec.lsn;
                 }
@@ -262,41 +284,22 @@ fn analyze(log: &LogManager) -> Result<Analysis> {
         checkpoint,
         intents,
         clrs,
+        catalog,
         done,
         max_txn,
         tail_truncated,
     })
 }
 
-/// The committed transactions' deferred-intent records in the durable
-/// log, each paired with whether its completion (`DeferredDone`) is also
-/// durable. Intents whose flag is `false` are exactly the set
-/// [`restart`] will re-drive.
-///
-/// Runs the same tail truncation and analysis pass as [`restart`] (both
-/// are idempotent), so a caller can decide *before* recovery appends
-/// anything to the log whether a damaged side structure — e.g. the
-/// catalog image — can still be reconstructed from a pending intent.
-pub fn committed_intents(log: &LogManager) -> Result<Vec<(LogRecord, bool)>> {
-    let a = analyze(log)?;
-    Ok(a.intents
-        .into_iter()
-        .filter(|rec| a.committed.contains(&rec.txn))
-        .map(|rec| {
-            let done = a.done.contains(&rec.lsn);
-            (rec, done)
-        })
-        .collect())
-}
-
 /// System restart recovery (ARIES-shaped): truncates a torn/corrupt log
-/// tail, analyzes the durable log, completes committed transactions'
-/// outstanding deferred intents, then walks forward from the last
+/// tail, analyzes the durable log, walks forward from the last
 /// checkpoint **redoing** committed extension operations (under
 /// steal/no-force a winner's pages may never have reached disk) and
 /// **repeating every compensation** (a page stolen before its rollback
-/// may never have seen the undo), and finally undoes loser transactions.
-/// Forces the log before returning.
+/// may never have seen the undo) — the catalog's records in a pass of
+/// their own first — then completes committed transactions' outstanding
+/// deferred intents, and finally undoes loser transactions. Forces the
+/// log before returning.
 pub fn restart(log: &LogManager, handler: &dyn UndoHandler) -> Result<RestartReport> {
     let Analysis {
         active,
@@ -305,28 +308,11 @@ pub fn restart(log: &LogManager, handler: &dyn UndoHandler) -> Result<RestartRep
         checkpoint,
         intents,
         clrs,
+        catalog,
         done,
         max_txn,
         tail_truncated,
-    } = analyze(log)?;
-
-    // --- redo committed deferred intents ---
-    // Before the op redo pass: a pending catalog-image intent is what
-    // makes a committed CREATE's relation visible to redo dispatch.
-    let mut intents_redone = 0;
-    for intent in &intents {
-        if committed.contains(&intent.txn) && !done.contains(&intent.lsn) {
-            handler.redo_deferred(intent)?;
-            log.append(
-                intent.txn,
-                Lsn::NULL,
-                LogBody::DeferredDone {
-                    intent_lsn: intent.lsn,
-                },
-            );
-            intents_redone += 1;
-        }
-    }
+    } = analyze(log, handler)?;
 
     // --- redo committed extension ops, net of compensation ---
     // A committed transaction can contain CLRs (savepoint or vetoed-
@@ -358,12 +344,18 @@ pub fn restart(log: &LogManager, handler: &dyn UndoHandler) -> Result<RestartRep
     // committed, aborted or is a loser: an undone change on a page stolen
     // before the undo is on disk, and only the log says it was taken
     // back. Interleaved in log order with the redo, so each page meets
-    // its changes in the order they were made.
-    let mut replays: Vec<Lsn> = redo_set.into_iter().chain(clrs).collect();
-    replays.sort_unstable();
+    // its changes in the order they were made. The catalog's records make
+    // a pass of their own before the rest: dispatching any other record
+    // reads the catalog, which is the final committed one only then.
+    let (mut first, mut rest): (Vec<Lsn>, Vec<Lsn>) = redo_set
+        .into_iter()
+        .chain(clrs)
+        .partition(|lsn| catalog.contains(lsn));
+    first.sort_unstable();
+    rest.sort_unstable();
     let (mut ops_redone, mut compensations_repeated) = (0, 0);
     let stable = log.stable();
-    for lsn in replays {
+    for lsn in first.into_iter().chain(rest) {
         // LSNs are dense and 1-based: frame idx holds LSN idx+1.
         let idx = lsn.0 as usize - 1;
         let rec = with_io_retries(MAX_IO_RETRIES, || stable.with_frame(idx, LogRecord::decode))?;
@@ -378,6 +370,23 @@ pub fn restart(log: &LogManager, handler: &dyn UndoHandler) -> Result<RestartRep
                 handler.redo(&rec)?;
                 ops_redone += 1;
             }
+        }
+    }
+
+    // --- complete committed deferred intents (physical releases) ---
+    // After the redo: a release consults the catalog, final only now.
+    let mut intents_redone = 0;
+    for intent in &intents {
+        if committed.contains(&intent.txn) && !done.contains(&intent.lsn) {
+            handler.redo_deferred(intent)?;
+            log.append(
+                intent.txn,
+                Lsn::NULL,
+                LogBody::DeferredDone {
+                    intent_lsn: intent.lsn,
+                },
+            );
+            intents_redone += 1;
         }
     }
 
@@ -848,6 +857,59 @@ mod tests {
         fn redo_deferred(&self, _rec: &LogRecord) -> Result<()> {
             Ok(())
         }
+    }
+
+    /// Relation 0 is the catalog.
+    struct CatalogFirst(Calls);
+
+    impl UndoHandler for CatalogFirst {
+        fn undo(&self, rec: &LogRecord, clr: &Compensation<'_>) -> Result<()> {
+            self.0.undo(rec, clr)
+        }
+        fn redo(&self, rec: &LogRecord) -> Result<()> {
+            self.0.redo(rec)
+        }
+        fn redo_deferred(&self, rec: &LogRecord) -> Result<()> {
+            self.0.redo_deferred(rec)
+        }
+        fn is_catalog(&self, rec: &LogRecord) -> bool {
+            matches!(rec.body, LogBody::ExtOp { relation, .. } if relation == RelationId(0))
+        }
+    }
+
+    /// The catalog's records — a winner's redo, an aborted transaction's
+    /// compensation — replay in log order before every other record,
+    /// however late in the log they stand.
+    #[test]
+    fn restart_replays_the_catalogs_records_first() {
+        let stable = StableLog::new();
+        {
+            let log = LogManager::open(stable.clone());
+            let sh = Shadow::default();
+            let cat = |n| LogBody::ExtOp {
+                ext: ExtKind::Storage(SmTypeId(0)),
+                relation: RelationId(0),
+                op: 0,
+                payload: vec![n],
+            };
+            // winner: 1, catalog 2, 3
+            let (last, _) = run_ops(&log, &sh, TxnId(1), &[1]);
+            let last = log.append(TxnId(1), last, cat(2));
+            let last = log.append(TxnId(1), last, op(3));
+            log.append(TxnId(1), last, LogBody::Commit);
+            // aborted: catalog 4, 5, both rolled back
+            let begin = log.append(TxnId(2), Lsn::NULL, LogBody::Begin);
+            let last = log.append(TxnId(2), begin, cat(4));
+            let last = log.append(TxnId(2), last, op(5));
+            let last = rollback_to(&log, &sh, TxnId(2), last, Lsn::NULL).unwrap();
+            log.append(TxnId(2), last, LogBody::Abort);
+            log.force_all().unwrap();
+        }
+        let log = LogManager::open(stable);
+        let calls = CatalogFirst(Calls::default());
+        restart(&log, &calls).unwrap();
+        let order: Vec<(char, u8)> = calls.0 .0.lock().iter().map(|c| (c.0, c.1)).collect();
+        assert_eq!(order, [('r', 2), ('u', 4), ('r', 1), ('r', 3), ('u', 5)]);
     }
 
     /// A CLR carries no image of its own, so restart drives the undo it

@@ -18,6 +18,7 @@
 // panic discipline: failures here should abort loudly.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use starburst_dmx::prelude::*;
@@ -162,6 +163,130 @@ fn crash_point_sweep_recovers_consistently() {
         k += stride;
     }
     assert!(swept > 0, "sweep did not cover any crash point");
+}
+
+/// The catalog as a model states it: table → (columns, attachment names).
+type CatalogModel = BTreeMap<String, (Vec<String>, BTreeSet<String>)>;
+
+fn create(m: &mut CatalogModel, table: &str, columns: &[&str]) {
+    let columns = columns.iter().map(|c| c.to_string()).collect();
+    m.insert(table.to_string(), (columns, BTreeSet::new()));
+}
+
+fn attach(m: &mut CatalogModel, table: &str, att: &str) {
+    m.get_mut(table)
+        .expect("modelled table")
+        .1
+        .insert(att.to_string());
+}
+
+/// A statement and what it does to the model once it has committed.
+type DdlStep = (&'static str, fn(&mut CatalogModel));
+
+/// The DDL mix, one statement at a time through one session. A USING
+/// memory table is temporary — no reopen finds it — and so is never in
+/// the model.
+const DDL_MIX: &[DdlStep] = &[
+    ("CREATE TABLE a (id INT NOT NULL, v INT)", |m| {
+        create(m, "a", &["id", "v"])
+    }),
+    ("CREATE INDEX a_v ON a (v)", |m| attach(m, "a", "a_v")),
+    ("INSERT INTO a VALUES (1, 1), (2, 1)", |_| {}),
+    // vetoed by the duplicate v: a backfill taken back
+    ("CREATE UNIQUE INDEX a_u ON a (v)", |_| {}),
+    ("CREATE TABLE m (x INT) USING memory", |_| {}),
+    ("ANALYZE TABLE a", |m| attach(m, "a", "stats")),
+    ("BEGIN", |_| {}),
+    ("CREATE TABLE b (x INT)", |_| {}),
+    ("ROLLBACK", |_| {}),
+    (
+        "CREATE TABLE c (k INT NOT NULL) USING btree WITH (key = k)",
+        |m| create(m, "c", &["k"]),
+    ),
+    ("DROP INDEX a_v ON a", |m| {
+        m.get_mut("a").expect("a").1.remove("a_v");
+    }),
+    ("DROP TABLE c", |m| {
+        m.remove("c");
+    }),
+    ("CREATE TABLE d (id INT)", |m| create(m, "d", &["id"])),
+];
+
+/// The catalog a database holds, stated as the model states it.
+fn catalog_of(db: &Arc<Database>) -> CatalogModel {
+    db.catalog()
+        .list()
+        .iter()
+        .filter(|rd| !rd.name.starts_with("sys."))
+        .map(|rd| {
+            let columns = rd.schema.columns().iter().map(|c| c.name.clone()).collect();
+            let atts = rd
+                .attached_types()
+                .flat_map(|(_, insts)| insts.iter().map(|i| i.name.clone()))
+                .collect();
+            (rd.name.clone(), (columns, atts))
+        })
+        .collect()
+}
+
+/// Runs the mix until the injected crash, returning how many statements
+/// completed (the vetoed one completes by failing).
+fn run_ddl_mix(db: &Arc<Database>, injector: &FaultInjector) -> usize {
+    let session = Session::new(db.clone());
+    for (done, (sql, _)) in DDL_MIX.iter().enumerate() {
+        let res = session.execute(sql);
+        if injector.is_crashed() || (res.is_err() && !sql.contains("UNIQUE")) {
+            return done;
+        }
+    }
+    DDL_MIX.len()
+}
+
+/// DDL is logged like data: crash at every I/O of a mix of CREATE/DROP
+/// TABLE, CREATE/DROP INDEX, a vetoed unique-index backfill, `ANALYZE`,
+/// an aborted CREATE and a `USING memory` table. After recovery the
+/// catalog is the model's after the statements that completed — with
+/// the one in flight, or without it — every relation in it answers a
+/// query, and a second reopen appends nothing and finds the same.
+#[test]
+fn ddl_crash_sweep_matches_the_model_catalog() {
+    let mut states = vec![CatalogModel::new()];
+    for (_, step) in DDL_MIX {
+        let mut next = states.last().expect("a state").clone();
+        step(&mut next);
+        states.push(next);
+    }
+    let (env, injector) = DatabaseEnv::fresh_with_plan(FaultPlan::new(SEED));
+    let db = reopen(&env);
+    assert_eq!(run_ddl_mix(&db, &injector), DDL_MIX.len());
+    drop(db);
+    let total = injector.ops();
+
+    let stride = sweep_stride();
+    let mut k = 0;
+    while k < total {
+        let at = format!("ddl crash point {k}/{total}");
+        let (env, injector) = DatabaseEnv::fresh_with_plan(FaultPlan::new(SEED).crash_at(k));
+        let done = starburst_dmx::open_env(env.clone(), DatabaseConfig::default())
+            .map_or(0, |db| run_ddl_mix(&db, &injector));
+        injector.clear();
+        let db = reopen(&env);
+        let got = catalog_of(&db);
+        assert!(
+            got == states[done] || states.get(done + 1) == Some(&got),
+            "{at}: after {done} statements the catalog is {got:?}"
+        );
+        for table in got.keys() {
+            db.query_sql(&format!("SELECT COUNT(*) FROM {table}"))
+                .unwrap_or_else(|e| panic!("{at}: {table}: {e}"));
+        }
+        drop(db);
+        let frames = env.stable_log.len();
+        let db = reopen(&env);
+        assert_eq!(env.stable_log.len(), frames, "{at}: second reopen appended");
+        assert_eq!(catalog_of(&db), got, "{at}: second reopen");
+        k += stride;
+    }
 }
 
 /// Steal/no-force under memory pressure (DESIGN.md §6): a pool small
@@ -406,8 +531,41 @@ fn damaged_page_quarantines_one_relation(damage: impl Fn(&mut starburst_dmx::pag
     assert!(matches!(refenced, DmxError::RelationQuarantined { .. }));
 }
 
-fn corrupt_catalog_image(env: &DatabaseEnv) {
-    // Flip one byte of the catalog image (file 1, page 0) under the
+/// Every page of every file, then every log frame: what a failed open
+/// must leave as it found it.
+fn durable_image(env: &DatabaseEnv) -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
+    use starburst_dmx::types::{FileId, PageId};
+    let mut pages = Vec::new();
+    for file in (1..64).map(FileId).filter(|&f| env.disk.file_exists(f)) {
+        for p in 0..env.disk.page_count(file).expect("page count") {
+            let mut page = starburst_dmx::page::Page::new();
+            env.disk
+                .read_page(PageId::new(file, p), &mut page)
+                .expect("read page");
+            pages.push(page.raw().to_vec());
+        }
+    }
+    let log = &env.stable_log;
+    let frames = (0..log.len())
+        .map(|i| log.with_frame(i, |f| Ok(f.to_vec())).expect("read frame"))
+        .collect();
+    (pages, frames)
+}
+
+/// Rot of a catalog page after a clean shutdown is a checksum failure
+/// like any other: the open fails with `Corrupt` — a second attempt too
+/// — and leaves disk and log byte for byte as they were, the damaged
+/// page in place for out-of-band repair.
+#[test]
+fn catalog_rot_after_clean_shutdown_fails_reopen_loudly() {
+    let env = DatabaseEnv::fresh();
+    let db = starburst_dmx::open_env(env.clone(), DatabaseConfig::default()).expect("open");
+    db.execute_sql("CREATE TABLE t (id INT NOT NULL)")
+        .expect("ddl");
+    db.execute_sql("INSERT INTO t VALUES (1)").expect("dml");
+    drop(db); // clean shutdown: the catalog page is on disk
+
+    // Flip one byte of the catalog's root (file 1, page 0) under the
     // checksum layer, as silent media rot would.
     let pid = starburst_dmx::types::PageId::new(starburst_dmx::types::FileId(1), 0);
     let mut page = starburst_dmx::page::Page::new();
@@ -418,76 +576,19 @@ fn corrupt_catalog_image(env: &DatabaseEnv) {
     env.disk
         .write_page(pid, &page)
         .expect("write corrupt catalog page");
-}
 
-/// A catalog image corrupted after its deferred intent completed (media
-/// rot on a cleanly shut-down database) cannot be reconstructed from the
-/// log: reopen must surface the corruption instead of silently resetting
-/// the catalog, and must leave the damaged image in place.
-#[test]
-fn catalog_rot_after_clean_shutdown_fails_reopen_loudly() {
-    let env = DatabaseEnv::fresh();
-    let db = starburst_dmx::open_env(env.clone(), DatabaseConfig::default()).expect("open");
-    db.execute_sql("CREATE TABLE t (id INT NOT NULL)")
-        .expect("ddl");
-    db.execute_sql("INSERT INTO t VALUES (1)").expect("dml");
-    drop(db); // clean shutdown: every catalog intent has a durable done
-    corrupt_catalog_image(&env);
-
-    // The reopen — and a second attempt — must fail with the typed
-    // corruption error. The second attempt proves the failed open did not
-    // persist over the damaged image (evidence preserved for out-of-band
-    // repair).
+    let before = durable_image(&env);
     for attempt in ["reopen over a rotted catalog", "second attempt"] {
         match starburst_dmx::open_env(env.clone(), DatabaseConfig::default()) {
             Err(DmxError::Corrupt(_)) => {}
             Err(e) => panic!("{attempt}: expected Corrupt, got {e}"),
             Ok(_) => panic!("{attempt}: must fail instead of resetting the catalog"),
         }
+        assert!(
+            durable_image(&env) == before,
+            "{attempt}: disk or log changed"
+        );
     }
-}
-
-/// A corrupt catalog image *with* a pending (committed, un-done) catalog
-/// intent in the durable log is exactly the crash-mid-DDL-commit window:
-/// reopen tolerates the damage and restart rebuilds the image from the
-/// intent.
-#[test]
-fn corrupt_catalog_with_pending_intent_is_rebuilt_at_restart() {
-    use starburst_dmx::types::{Lsn, TxnId};
-    use starburst_dmx::wal::{LogBody, LogManager};
-
-    let env = DatabaseEnv::fresh();
-    let db = starburst_dmx::open_env(env.clone(), DatabaseConfig::default()).expect("open");
-    db.execute_sql("CREATE TABLE t (id INT NOT NULL)")
-        .expect("ddl");
-    db.execute_sql("INSERT INTO t VALUES (7)").expect("dml");
-    let image = db.catalog().serialize();
-    drop(db);
-
-    // Simulate a crash after a DDL commit point but before the catalog
-    // image write completed: a committed catalog intent with no
-    // DeferredDone sits in the durable log while the on-disk image is
-    // torn.
-    let log = LogManager::open(env.stable_log.clone());
-    let t = TxnId(1000);
-    let b = log.append(t, Lsn::NULL, LogBody::Begin);
-    let i = log.append(
-        t,
-        b,
-        LogBody::DeferredIntent {
-            payload: starburst_dmx::core::undo::encode_catalog_intent(&image),
-        },
-    );
-    log.append(t, i, LogBody::Commit);
-    log.force_all().expect("force intent");
-    drop(log);
-    corrupt_catalog_image(&env);
-
-    let db = starburst_dmx::open_env(env.clone(), DatabaseConfig::default())
-        .expect("restart rebuilds the catalog from the pending intent");
-    let rows = db.query_sql("SELECT id FROM t").expect("t readable");
-    assert_eq!(rows.len(), 1);
-    assert_eq!(rows[0][0].as_int().expect("int"), 7);
 }
 
 /// Transient faults never reach the caller: the buffer manager and log

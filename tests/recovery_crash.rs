@@ -443,3 +443,245 @@ fn transaction_ids_never_repeat_across_restarts() {
     assert!(t.id() > last_before, "restart continues the id sequence");
     db.commit(&t).unwrap();
 }
+
+/// Reopens a crashed database, then once more: the second restart finds
+/// nothing left to do and appends not one log frame.
+fn recover(env: &DatabaseEnv) -> Arc<Database> {
+    drop(reopen(env));
+    let frames = env.stable_log.len();
+    let db = reopen(env);
+    assert_eq!(env.stable_log.len(), frames, "the second reopen appended");
+    db
+}
+
+fn count(db: &Arc<Database>, table: &str) -> i64 {
+    db.query_sql(&format!("SELECT COUNT(*) FROM {table}"))
+        .unwrap()[0][0]
+        .as_int()
+        .unwrap()
+}
+
+/// The catalog's root page (file 1, page 0) as the disk holds it.
+fn catalog_page(env: &DatabaseEnv) -> Vec<u8> {
+    use starburst_dmx::types::{FileId, PageId};
+    let mut page = starburst_dmx::page::Page::new();
+    env.disk
+        .read_page(PageId::new(FileId(1), 0), &mut page)
+        .unwrap();
+    page.raw().to_vec()
+}
+
+/// Restart order (a): a committed CREATE whose catalog page never
+/// reached disk comes back with its rows — restart replays the catalog's
+/// records before the rows that need the relation.
+#[test]
+fn a_committed_create_whose_catalog_page_never_reached_disk_keeps_its_rows() {
+    let (env, db) = fresh();
+    let empty = catalog_page(&env);
+    db.execute_sql("CREATE TABLE t (id INT NOT NULL, v STRING)")
+        .unwrap();
+    for i in 0..20 {
+        db.execute_sql(&format!("INSERT INTO t VALUES ({i}, 'v{i}')"))
+            .unwrap();
+    }
+    assert_eq!(
+        catalog_page(&env),
+        empty,
+        "the catalog page stayed in the pool"
+    );
+    std::mem::forget(db);
+    let db = recover(&env);
+    assert_eq!(count(&db, "t"), 20);
+}
+
+/// Restart order (b): a DROP that crashed before its commit point leaves
+/// the relation and the rows committed before it. Had the dropping
+/// transaction's catalog page reached disk, restart would find no
+/// relation to replay those rows into.
+#[test]
+fn an_uncommitted_drop_leaves_the_relation_and_its_committed_rows() {
+    let (env, db) = fresh();
+    db.execute_sql("CREATE TABLE r (id INT NOT NULL)").unwrap();
+    for i in 0..20 {
+        db.execute_sql(&format!("INSERT INTO r VALUES ({i})"))
+            .unwrap();
+    }
+    let txn = db.begin();
+    db.drop_relation(&txn, "r").unwrap();
+    db.services().log.force_all().unwrap();
+    std::mem::forget(txn);
+    std::mem::forget(db);
+    let db = recover(&env);
+    assert_eq!(count(&db, "r"), 20);
+}
+
+/// Restart order (c): a committed DROP whose release ran but whose
+/// completion records never reached the log. Restart releases again —
+/// the files are gone already — and replays none of the relation's
+/// committed rows: the catalog it dispatches them through no longer
+/// holds the relation.
+#[test]
+fn a_committed_drop_whose_release_was_not_logged_done_stays_dropped() {
+    let (env, db) = fresh();
+    db.execute_sql("CREATE TABLE r (id INT NOT NULL)").unwrap();
+    db.execute_sql("CREATE INDEX r_id ON r (id)").unwrap();
+    for i in 0..20 {
+        db.execute_sql(&format!("INSERT INTO r VALUES ({i})"))
+            .unwrap();
+    }
+    let rd = db.catalog().get_by_name("r").unwrap();
+    let mut files = db
+        .registry()
+        .storage(rd.sm)
+        .unwrap()
+        .storage_files(&rd.sm_desc);
+    for (att, insts) in rd.attached_types() {
+        let att = db.registry().attachment(att).unwrap();
+        files.extend(insts.iter().flat_map(|i| att.storage_files(&i.desc)));
+    }
+    assert_eq!(files.len(), 2);
+    db.execute_sql("DROP TABLE r").unwrap();
+    let durable = env.stable_log.len() as u64;
+    assert!(
+        db.services().log.last_lsn().0 > durable,
+        "completions unforced"
+    );
+    assert!(files.iter().all(|&f| !env.disk.file_exists(f)), "released");
+    std::mem::forget(db);
+    let db = recover(&env);
+    assert!(db.catalog().get_by_name("r").is_err());
+    assert_eq!(db.quarantined(), vec![]);
+    assert!(files.iter().all(|&f| !env.disk.file_exists(f)));
+    db.execute_sql("CREATE TABLE r (id INT NOT NULL)").unwrap();
+    assert_eq!(count(&db, "r"), 0);
+}
+
+/// Restart order (d): one committed transaction holds a vetoed CREATE
+/// UNIQUE INDEX backfill and a DROP INDEX rolled back to a savepoint. The
+/// log's undo takes both back, catalog records included, and restart
+/// repeats those compensations: the descriptor and `sys.attachments` are
+/// what they were, before the crash and after it, and the index works.
+#[test]
+fn ddl_taken_back_inside_a_committed_transaction_stays_taken_back() {
+    let (env, db) = fresh();
+    db.execute_sql("CREATE TABLE t (id INT NOT NULL, v INT)")
+        .unwrap();
+    db.execute_sql("CREATE INDEX t_v ON t (v)").unwrap();
+    db.execute_sql("INSERT INTO t VALUES (1, 1), (1, 2)")
+        .unwrap();
+    let state = |db: &Arc<Database>| {
+        let rd = db.catalog().get_by_name("t").unwrap();
+        let insts: Vec<_> = rd
+            .attached_types()
+            .flat_map(|(_, insts)| insts.to_vec())
+            .collect();
+        let attachments = db.query_sql("SELECT * FROM sys.attachments").unwrap();
+        (rd.version, insts, attachments)
+    };
+    let before = state(&db);
+    let s = Session::new(db.clone());
+    s.execute("BEGIN").unwrap();
+    let veto = s.execute("CREATE UNIQUE INDEX t_u ON t (id)").unwrap_err();
+    assert!(matches!(veto, DmxError::Veto { .. }), "{veto}");
+    s.execute("SAVEPOINT sp").unwrap();
+    s.execute("DROP INDEX t_v ON t").unwrap();
+    assert_ne!(state(&db), before);
+    s.execute("ROLLBACK TO SAVEPOINT sp").unwrap();
+    s.execute("COMMIT").unwrap();
+    assert_eq!(state(&db), before);
+    drop(s);
+    std::mem::forget(db);
+    let db = recover(&env);
+    assert_eq!(state(&db), before);
+    let rows = db.query_sql("SELECT id FROM t WHERE v = 2").unwrap();
+    assert_eq!(rows, vec![vec![Value::Int(1)]]);
+}
+
+/// The planner's row count survives a clean close: the close rewrites
+/// the catalog header of every relation whose counts moved, so the
+/// reopened database costs its first plans on the rows it holds.
+#[test]
+fn row_counts_survive_a_clean_close() {
+    let (env, db) = fresh();
+    db.execute_sql("CREATE TABLE t (id INT NOT NULL, v INT)")
+        .unwrap();
+    db.execute_sql("CREATE INDEX t_id ON t (id)").unwrap();
+    for i in 0..1000 {
+        db.execute_sql(&format!("INSERT INTO t VALUES ({i}, {})", i % 7))
+            .unwrap();
+    }
+    let explain = |db: &Arc<Database>| {
+        db.query_sql("EXPLAIN SELECT v FROM t WHERE id = 7")
+            .unwrap()
+    };
+    let plan = explain(&db);
+    drop(db);
+    let db = reopen(&env);
+    let rd = db.catalog().get_by_name("t").unwrap();
+    assert_eq!(rd.stats.records() as i64, count(&db, "t"));
+    assert_eq!(explain(&db), plan);
+    // A close with no count moved appends nothing.
+    drop(db);
+    let frames = env.stable_log.len();
+    drop(reopen(&env));
+    assert_eq!(env.stable_log.len(), frames);
+}
+
+/// No DDL fails on descriptor size: forty CHECK constraints are forty
+/// catalog records, none of them larger for the others. The descriptor
+/// is the same after a clean reopen and after a crash.
+#[test]
+fn forty_check_constraints_survive_reopen_and_crash() {
+    let (env, db) = fresh();
+    db.execute_sql("CREATE TABLE t (id INT NOT NULL, v INT)")
+        .unwrap();
+    for i in 0..40 {
+        db.execute_sql(&format!("CREATE CONSTRAINT c{i} ON t CHECK (v > -{i} - 1)"))
+            .unwrap();
+    }
+    let descriptor = |db: &Arc<Database>| {
+        let rd = db.catalog().get_by_name("t").unwrap();
+        let insts: Vec<_> = rd.attached_types().flat_map(|(_, i)| i.to_vec()).collect();
+        (rd.version, rd.schema.clone(), insts)
+    };
+    let before = descriptor(&db);
+    assert_eq!(before.2.len(), 40);
+    drop(db);
+    let db = reopen(&env);
+    assert_eq!(descriptor(&db), before);
+    db.execute_sql("INSERT INTO t VALUES (1, 0)").unwrap();
+    let veto = db.execute_sql("INSERT INTO t VALUES (2, -1)").unwrap_err();
+    assert!(matches!(veto, DmxError::Veto { .. }), "{veto}");
+    std::mem::forget(db);
+    let db = recover(&env);
+    assert_eq!(descriptor(&db), before);
+    assert_eq!(count(&db, "t"), 1);
+}
+
+/// The log a `CREATE TABLE` appends does not grow with the catalog: the
+/// 1st and the 200th append the same bytes — a header record and the id
+/// high-water record — and force the log once, at the commit point.
+#[test]
+fn the_nth_create_table_logs_what_the_first_does() {
+    let (env, db) = fresh();
+    let frame_bytes = |from: usize| -> usize {
+        (from..env.stable_log.len())
+            .map(|i| env.stable_log.with_frame(i, |f| Ok(f.len())).unwrap())
+            .sum()
+    };
+    let forces = || db.metrics_snapshot().counter("wal.forces");
+    let mut logged = Vec::new();
+    for n in 1..=200 {
+        let (frames, forced) = (env.stable_log.len(), forces());
+        db.execute_sql(&format!("CREATE TABLE t{n:03} (id INT NOT NULL, v STRING)"))
+            .unwrap();
+        assert_eq!(
+            forces() - forced,
+            1,
+            "CREATE TABLE #{n} forced more than once"
+        );
+        logged.push(frame_bytes(frames));
+    }
+    assert!(logged.iter().all(|&b| b == logged[0]), "{logged:?}");
+    assert!(logged[0] < 400, "{} bytes", logged[0]);
+}
