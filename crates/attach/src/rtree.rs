@@ -556,6 +556,12 @@ impl LoggedTarget for RTree {
         self.root
     }
 
+    fn image(&self, entry: &[u8]) -> Result<Option<Vec<u8>>> {
+        Ok(self
+            .contains(&entry_rect(entry)?, entry_payload(entry))?
+            .then(Vec::new))
+    }
+
     fn install_image(&self, at: Appended, entry: &[u8], image: Option<&[u8]>) -> Result<()> {
         let tree = self.with_wal_lsn(at);
         let rect = entry_rect(entry)?;

@@ -478,7 +478,7 @@ impl Attachment for Stats {
     ) -> Result<()> {
         let (file, change) = TreeFile::named_by(payload)?;
         let image = logged_tree::replay(&file.open_tree(services), dir, op, change)?;
-        Self::publish(rd, image.map(decode_cell).transpose()?.as_ref());
+        Self::publish(rd, image.as_deref().map(decode_cell).transpose()?.as_ref());
         Ok(())
     }
 

@@ -342,6 +342,10 @@ impl LoggedTarget for Catalog {
         self.tree.root()
     }
 
+    fn image(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
+        self.tree.get(key)
+    }
+
     fn install_image(&self, at: Appended, key: &[u8], image: Option<&[u8]>) -> Result<()> {
         self.tree.install_image(at, key, image)?;
         self.reload(key)

@@ -32,18 +32,31 @@
 //! Undo and redo are one mirror: a logged change is a `(before, after)`
 //! pair of images of one key, undo installs `before`, redo installs
 //! `after`, each stamped with the token [`Replay`] carries — the CLR's
-//! for an undo, the record's own for a redo. Three ops spell every pair
-//! — [`OP_INSERT`] `(∅, v)` and
-//! [`OP_DELETE`] `(v, ∅)` carry `v`, [`OP_REPLACE`] `(a, b)` carries
-//! `u32 len(a) ∥ a ∥ b` — after `u16 len(key) ∥ key`; an attachment's
-//! record first names its tree (the 8-byte [`TreeFile`]), so replay
-//! needs no descriptor and outlives a dropped instance. Installing an
-//! image is idempotent (replace, or absent-tolerant delete), which
-//! covers "logged but never applied" and redo over an entry the
-//! checkpoint image already holds. Numeric cells log full images rather
-//! than deltas for the same reason: replaying a delta twice would
-//! double-count, installing an image twice cannot.
+//! for an undo, the record's own for a redo. Four ops spell every pair
+//! ([`encode_change`], read back by [`Change`]) after `u16 len(key) ∥
+//! key` — [`OP_INSERT`] `(∅, v)` and [`OP_DELETE`] `(v, ∅)` carry `v`,
+//! [`OP_REPLACE`] `(a, b)` carries `u32 len(a) ∥ a ∥ b`, and
+//! [`OP_PATCH`], a pair of one length, only the runs of bytes that
+//! differ, each with its old and new bytes. An attachment's record first
+//! names its tree (the 8-byte [`TreeFile`]), so replay needs no
+//! descriptor and outlives a dropped instance.
+//!
+//! Every replay *sets* bytes; none adds to them, so applying a record
+//! twice is harmless, which covers "logged but never applied" and redo
+//! over an entry the checkpoint image already holds. A whole image is
+//! installed as it is (replace, or absent-tolerant delete). A patch
+//! writes its runs into the image the entry holds and is a no-op on an
+//! absent entry or one of another length. The convergence rule: in any
+//! replay sequence each byte ends with the value the last record that
+//! touched it wrote, and a length change is always a whole image, which
+//! re-bases the entry. So redo in log order ends at the last record's
+//! image even from an entry that already holds a later one (a DDL commit
+//! flushes a new statistics tree before restart replays its backfill
+//! over it), and undo in reverse order ends at the first one's before-
+//! image. Numeric cells log the bytes they leave, not deltas, for the
+//! same reason: replaying a delta twice would double-count.
 
+use std::borrow::Cow;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::ops::Bound;
@@ -71,9 +84,18 @@ pub const OP_INSERT: u8 = 1;
 /// Op code of an entry delete (`before` = the logged value, `after`
 /// absent).
 pub const OP_DELETE: u8 = 2;
-/// Op code of a replacement: both images present, logged as
-/// `u32 len(before) ∥ before ∥ after`.
+/// Op code of a replacement that changes the entry's length: both
+/// images present, logged as `u32 len(before) ∥ before ∥ after`.
 pub const OP_REPLACE: u8 = 3;
+/// Op code of a replacement between two images of one length, logged
+/// as `u32 len ∥ (u16 off ∥ u16 n ∥ old[n] ∥ new[n])*`: the runs of
+/// bytes that differ, in ascending order.
+pub const OP_PATCH: u8 = 4;
+
+/// Equal bytes between two differing runs that still leave them one
+/// run: a run's header is 4 bytes and an equal byte inside a run costs 2
+/// (its old and its new copy), so up to two merge at no cost.
+const MERGE_GAP: usize = 2;
 
 /// The `(file, root page)` pair a descriptor stores for one tree.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -485,6 +507,10 @@ pub trait LoggedTarget {
     /// The tree's fixed root page: what an attachment's record names.
     fn root(&self) -> PageId;
 
+    /// The image `key` holds now (`None` = absent): what a replayed
+    /// patch writes its runs into.
+    fn image(&self, key: &[u8]) -> Result<Option<Vec<u8>>>;
+
     /// Makes `key` hold `image` (`None` = absent), idempotently, through
     /// the writer of `at`: every page it dirties carries `at`'s LSN.
     fn install_image(&self, at: Appended, key: &[u8], image: Option<&[u8]>) -> Result<()>;
@@ -493,6 +519,10 @@ pub trait LoggedTarget {
 impl LoggedTarget for BTree {
     fn root(&self) -> PageId {
         BTree::root(self)
+    }
+
+    fn image(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
+        self.get(key)
     }
 
     fn install_image(&self, at: Appended, key: &[u8], image: Option<&[u8]>) -> Result<()> {
@@ -507,6 +537,10 @@ impl LoggedTarget for BTree {
 impl<T: LoggedTarget> LoggedTarget for &T {
     fn root(&self) -> PageId {
         (*self).root()
+    }
+
+    fn image(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
+        (*self).image(key)
     }
 
     fn install_image(&self, at: Appended, key: &[u8], image: Option<&[u8]>) -> Result<()> {
@@ -580,27 +614,37 @@ impl<'a, T: LoggedTarget> LoggedTree<'a, T> {
     /// through the writer of the record's token. The only holder of a
     /// forward token in a tree-backed extension.
     pub fn apply(&self, key: &[u8], before: Option<&[u8]>, after: Option<&[u8]>) -> Result<()> {
-        let named = self.names_tree.then(|| self.tree.root());
-        let Some((op, payload)) = encode_change(named, key, before, after)? else {
+        if before.is_none() && after.is_none() {
             return Ok(()); // absent stays absent: nothing to log
-        };
+        }
+        let named = self.names_tree.then(|| self.tree.root());
+        let (op, payload) = encode_change(named, key, before, after)?;
         let at = log_ext_op(self.txn, self.ext, self.relation, op, payload);
         self.tree.install_image(at, key, after)
     }
 }
 
-/// The `(op, payload)` of a logged change, the inverse of
-/// [`TreeFile::named_by`] + [`replay`]; `None` when nothing changes.
-fn encode_change(
+/// The `(op, payload)` that logs the change of `key` from `before` to
+/// `after` (`None` = absent; not both), read back by [`Change::decode`]
+/// past the tree name `named` puts first ([`TreeFile::named_by`]). The
+/// one writer of the format, shared with the storage methods that log
+/// record images.
+pub fn encode_change(
     named: Option<PageId>,
     key: &[u8],
     before: Option<&[u8]>,
     after: Option<&[u8]>,
-) -> Result<Option<(u8, Vec<u8>)>> {
+) -> Result<(u8, Vec<u8>)> {
     let too_long = |what: &str| DmxError::InvalidArg(format!("tree {what} too long to log"));
     let klen = u16::try_from(key.len()).map_err(|_| too_long("key"))?;
-    let images = before.map_or(0, <[u8]>::len) + after.map_or(0, <[u8]>::len);
-    let mut payload = Vec::with_capacity(14 + key.len() + images);
+    let patch = matches!((before, after),
+        (Some(a), Some(b)) if a.len() == b.len() && a.len() <= u16::MAX as usize);
+    // A patch sizes itself once its runs are known.
+    let images = match patch {
+        true => 0,
+        false => 4 + before.map_or(0, <[u8]>::len) + after.map_or(0, <[u8]>::len),
+    };
+    let mut payload = Vec::with_capacity(8 + 2 + key.len() + images);
     if let Some(root) = named {
         payload.extend_from_slice(&root.file.0.to_le_bytes());
         payload.extend_from_slice(&root.page_no.to_le_bytes());
@@ -608,7 +652,7 @@ fn encode_change(
     payload.extend_from_slice(&klen.to_le_bytes());
     payload.extend_from_slice(key);
     let op = match (before, after) {
-        (None, None) => return Ok(None),
+        (None, None) => return Err(DmxError::InvalidArg("no image to log".into())),
         (None, Some(v)) => {
             payload.extend_from_slice(v);
             OP_INSERT
@@ -616,6 +660,10 @@ fn encode_change(
         (Some(v), None) => {
             payload.extend_from_slice(v);
             OP_DELETE
+        }
+        (Some(a), Some(b)) if patch => {
+            encode_patch(&mut payload, a, b);
+            OP_PATCH
         }
         (Some(a), Some(b)) => {
             let alen = u32::try_from(a.len()).map_err(|_| too_long("image"))?;
@@ -625,7 +673,151 @@ fn encode_change(
             OP_REPLACE
         }
     };
-    Ok(Some((op, payload)))
+    Ok((op, payload))
+}
+
+/// Appends the patch from `a` to `b` (one length, at most `u16::MAX`):
+/// the length, then each run where they differ — runs no more than
+/// [`MERGE_GAP`] equal bytes apart are one — with its old and new bytes.
+fn encode_patch(payload: &mut Vec<u8>, a: &[u8], b: &[u8]) {
+    let mut runs: Vec<(usize, usize)> = Vec::new();
+    for (i, (x, y)) in a.iter().zip(b).enumerate() {
+        if x == y {
+            continue;
+        }
+        match runs.last_mut() {
+            Some((off, n)) if i - (*off + *n) <= MERGE_GAP => *n = i + 1 - *off,
+            _ => runs.push((i, 1)),
+        }
+    }
+    let bytes: usize = runs.iter().map(|&(_, n)| 4 + 2 * n).sum();
+    payload.reserve_exact(4 + bytes);
+    payload.extend_from_slice(&(a.len() as u32).to_le_bytes());
+    for (off, n) in runs {
+        // Offsets and lengths fit: the image is at most u16::MAX long.
+        payload.extend_from_slice(&(off as u16).to_le_bytes());
+        payload.extend_from_slice(&(n as u16).to_le_bytes());
+        for image in [a, b] {
+            payload.extend_from_slice(image.get(off..off + n).unwrap_or_default());
+        }
+    }
+}
+
+/// One logged change of a key, read back from its payload (past an
+/// attachment's tree name): the one reader of [`encode_change`]'s
+/// format.
+pub struct Change<'p> {
+    /// The key the change is logged under.
+    pub key: &'p [u8],
+    body: Body<'p>,
+}
+
+enum Body<'p> {
+    /// Whole images, either side absent.
+    Images(Option<&'p [u8]>, Option<&'p [u8]>),
+    /// The runs `(offset, old, new)` of a patch of an image `len` long.
+    Patch {
+        len: usize,
+        runs: Vec<(usize, &'p [u8], &'p [u8])>,
+    },
+}
+
+/// What replaying a [`Change`] leaves at its key.
+#[derive(Debug, PartialEq)]
+pub enum Image<'p> {
+    /// The key is to hold this image (`None` = absent).
+    Set(Option<Cow<'p, [u8]>>),
+    /// The key is left as it is: a patch met an absent entry or an image
+    /// of another length.
+    Keep,
+}
+
+impl<'p> Change<'p> {
+    /// Parses a change logged under `op`; every truncation, a patch run
+    /// outside its image and an unknown op are [`DmxError::Corrupt`].
+    pub fn decode(op: u8, change: &'p [u8]) -> Result<Change<'p>> {
+        let corrupt = || DmxError::Corrupt("short logged tree change".into());
+        let klen = le_u16(change, 0).ok_or_else(corrupt)? as usize;
+        let (key, body) = change
+            .get(2..)
+            .and_then(|rest| rest.split_at_checked(klen))
+            .ok_or_else(corrupt)?;
+        let body = match op {
+            OP_INSERT => Body::Images(None, Some(body)),
+            OP_DELETE => Body::Images(Some(body), None),
+            OP_REPLACE => {
+                let alen = le_u32(body, 0).ok_or_else(corrupt)? as usize;
+                let (a, b) = body
+                    .get(4..)
+                    .and_then(|images| images.split_at_checked(alen))
+                    .ok_or_else(corrupt)?;
+                Body::Images(Some(a), Some(b))
+            }
+            OP_PATCH => {
+                let len = le_u32(body, 0).ok_or_else(corrupt)? as usize;
+                let mut rest = body.get(4..).ok_or_else(corrupt)?;
+                let mut runs = Vec::new();
+                while !rest.is_empty() {
+                    let (off, n) = (le_u16(rest, 0), le_u16(rest, 2));
+                    let (off, n) = off.zip(n).ok_or_else(corrupt)?;
+                    let (off, n) = (off as usize, n as usize);
+                    let (old, tail) = rest
+                        .get(4..)
+                        .and_then(|r| r.split_at_checked(n))
+                        .ok_or_else(corrupt)?;
+                    let (new, tail) = tail.split_at_checked(n).ok_or_else(corrupt)?;
+                    if off + n > len {
+                        return Err(DmxError::Corrupt("patch run past its image".into()));
+                    }
+                    runs.push((off, old, new));
+                    rest = tail;
+                }
+                Body::Patch { len, runs }
+            }
+            other => return Err(DmxError::Corrupt(format!("bad logged tree op {other}"))),
+        };
+        Ok(Change { key, body })
+    }
+
+    /// Whether what replay leaves depends on the image the key holds
+    /// now: a patch's does, a whole image's does not.
+    pub fn patches(&self) -> bool {
+        matches!(self.body, Body::Patch { .. })
+    }
+
+    /// What undo leaves at the key, which holds `current` (read only when
+    /// [`Change::patches`]).
+    pub fn before(&self, current: Option<&[u8]>) -> Image<'p> {
+        self.image(true, current)
+    }
+
+    /// What redo leaves at the key, which holds `current` (read only when
+    /// [`Change::patches`]).
+    pub fn after(&self, current: Option<&[u8]>) -> Image<'p> {
+        self.image(false, current)
+    }
+
+    fn image(&self, undo: bool, current: Option<&[u8]>) -> Image<'p> {
+        match &self.body {
+            Body::Images(before, after) => {
+                Image::Set(if undo { *before } else { *after }.map(Cow::Borrowed))
+            }
+            Body::Patch { len, runs } => match current {
+                Some(current) if current.len() == *len => {
+                    let mut image = current.to_vec();
+                    for &(off, old, new) in runs {
+                        let bytes = if undo { old } else { new };
+                        // Decode checked every run against `len`.
+                        if let Some(dst) = image.get_mut(off..off + bytes.len()) {
+                            dst.copy_from_slice(bytes);
+                        }
+                    }
+                    Image::Set(Some(Cow::Owned(image)))
+                }
+                _ => Image::Keep,
+            },
+        }
+    }
 }
 
 impl LoggedTree<'_> {
@@ -678,38 +870,32 @@ impl std::fmt::Debug for Replay<'_> {
 
 /// Replays the change `(op, change)` logged by [`LoggedTree::apply`] —
 /// `change` is the payload, past the tree name of an attachment's record
-/// — in direction `dir`: turns it back into the key's `(before, after)`
-/// images and installs the one `dir` picks, which it returns.
+/// — in direction `dir`: installs the image `dir` picks (a patch's is
+/// the entry's own with the runs written in) and returns the image the
+/// key is left holding.
 pub fn replay<'p, T: LoggedTarget>(
     tree: &T,
     dir: Replay<'_>,
     op: u8,
     change: &'p [u8],
-) -> Result<Option<&'p [u8]>> {
-    let corrupt = || DmxError::Corrupt("short logged tree change".into());
-    let klen = le_u16(change, 0).ok_or_else(corrupt)? as usize;
-    let (key, body) = change
-        .get(2..)
-        .and_then(|rest| rest.split_at_checked(klen))
-        .ok_or_else(corrupt)?;
-    let (before, after) = match op {
-        OP_INSERT => (None, Some(body)),
-        OP_DELETE => (Some(body), None),
-        OP_REPLACE => {
-            let alen = le_u32(body, 0).ok_or_else(corrupt)? as usize;
-            let (a, b) = body
-                .get(4..)
-                .and_then(|images| images.split_at_checked(alen))
-                .ok_or_else(corrupt)?;
-            (Some(a), Some(b))
-        }
-        other => return Err(DmxError::Corrupt(format!("bad logged tree op {other}"))),
+) -> Result<Option<Cow<'p, [u8]>>> {
+    let change = Change::decode(op, change)?;
+    let current = match change.patches() {
+        true => tree.image(change.key)?,
+        false => None,
     };
-    let (image, at) = match dir {
-        Replay::Undo(clr) => (before, clr.appended()),
-        Replay::Redo(at) => (after, at),
+    let image = match dir {
+        Replay::Undo(_) => change.before(current.as_deref()),
+        Replay::Redo(_) => change.after(current.as_deref()),
     };
-    tree.install_image(at, key, image)?;
+    let Image::Set(image) = image else {
+        return Ok(current.map(Cow::Owned));
+    };
+    let at = match dir {
+        Replay::Undo(clr) => clr.appended(),
+        Replay::Redo(at) => at,
+    };
+    tree.install_image(at, change.key, image.as_deref())?;
     Ok(image)
 }
 
@@ -736,6 +922,10 @@ mod tests {
             ROOT
         }
 
+        fn image(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
+            Ok(self.0.borrow().get(key).cloned())
+        }
+
         fn install_image(&self, _at: Appended, key: &[u8], image: Option<&[u8]>) -> Result<()> {
             match image {
                 Some(v) => self.0.borrow_mut().insert(key.to_vec(), v.to_vec()),
@@ -758,8 +948,9 @@ mod tests {
     }
 
     /// The logged layout: an attachment payload is `8 + 2 + len(key) +
-    /// len(body)` bytes (a storage method's has no tree name), a pair
-    /// body `4 + len(a) + len(b)`, and every truncation is `Corrupt`.
+    /// len(body)` bytes (a storage method's has no tree name), a pair of
+    /// two lengths `4 + len(a) + len(b)`, and every truncation is
+    /// `Corrupt`.
     #[test]
     fn payload_layout_is_pinned_and_truncation_is_corrupt() {
         let (key, a, b) = (&b"key"[..], &b"before"[..], &b"after-image"[..]);
@@ -769,12 +960,10 @@ mod tests {
             (Some(a), Some(b), OP_REPLACE, 4 + a.len() + b.len()),
         ];
         for (before, after, want_op, body) in cases {
-            let (op, payload) = encode_change(Some(ROOT), key, before, after)
-                .unwrap()
-                .unwrap();
+            let (op, payload) = encode_change(Some(ROOT), key, before, after).unwrap();
             assert_eq!(op, want_op);
             assert_eq!(payload.len(), 8 + 2 + key.len() + body);
-            let (_, unnamed) = encode_change(None, key, before, after).unwrap().unwrap();
+            let (_, unnamed) = encode_change(None, key, before, after).unwrap();
             assert_eq!(unnamed.len(), 2 + key.len() + body);
 
             let (file, change) = TreeFile::named_by(&payload).unwrap();
@@ -786,7 +975,7 @@ mod tests {
                 (Replay::Redo(Appended::UNLOGGED), after),
                 (Replay::Undo(&clr), before),
             ] {
-                assert_eq!(replay(&tree, dir, op, change).unwrap(), image);
+                assert_eq!(replay(&tree, dir, op, change).unwrap().as_deref(), image);
                 assert_eq!(tree.0.borrow().get(key).map(Vec::as_slice), image);
             }
             // A cut inside the tree name, the key or a pair's first image
@@ -804,8 +993,79 @@ mod tests {
                 assert!(matches!(res, Err(DmxError::Corrupt(_))), "cut at {cut}");
             }
         }
-        assert_eq!(encode_change(Some(ROOT), key, None, None).unwrap(), None);
+        let none = encode_change(Some(ROOT), key, None, None);
+        assert!(matches!(none, Err(DmxError::InvalidArg(_))), "{none:?}");
         let res = replay(&Model::default(), Replay::Undo(&any_clr()), 9, &[0, 0]);
         assert!(matches!(res, Err(DmxError::Corrupt(_))), "unknown op");
+    }
+
+    /// A pair of one length is a patch: the image's length, then the runs
+    /// that differ — two runs at most two equal bytes apart are one — each
+    /// with its old and new bytes. Undo writes the old bytes, redo the
+    /// new, twice over as well as once; an absent entry or one of another
+    /// length is left as it is and handed back. Every cut inside a run is
+    /// `Corrupt`, and so is a run past its image.
+    #[test]
+    fn an_equal_length_pair_logs_the_runs_that_differ() {
+        let key = &b"key"[..];
+        //      differs at:  1 3  6   10   15
+        let a = &b"0123456789abcdef"[..];
+        let b = &b"0x2y45z789AbcdeF"[..];
+        let (op, payload) = encode_change(Some(ROOT), key, Some(a), Some(b)).unwrap();
+        assert_eq!(op, OP_PATCH);
+        let mut want = vec![9, 0, 0, 0, 3, 0, 0, 0, 3, 0, b'k', b'e', b'y', 16, 0, 0, 0];
+        want.extend_from_slice(&[1, 0, 6, 0]); // 1, 3 and 6 merge: gaps of 1 and 2
+        want.extend_from_slice(b"123456x2y45z");
+        want.extend_from_slice(&[10, 0, 1, 0]); // three equal bytes apart: a run
+        want.extend_from_slice(b"aA");
+        want.extend_from_slice(&[15, 0, 1, 0]);
+        want.extend_from_slice(b"fF");
+        assert_eq!(payload, want);
+        let (_, same) = encode_change(None, key, Some(a), Some(a)).unwrap();
+        assert_eq!(same, [3, 0, b'k', b'e', b'y', 16, 0, 0, 0], "no runs");
+
+        let (_, change) = TreeFile::named_by(&payload).unwrap();
+        let clr = any_clr();
+        let redo = Replay::Redo(Appended::UNLOGGED);
+        let tree = Model::default();
+        tree.0.borrow_mut().insert(key.to_vec(), a.to_vec());
+        for (dir, image) in [(redo, b), (redo, b), (Replay::Undo(&clr), a)] {
+            assert_eq!(
+                replay(&tree, dir, op, change).unwrap().as_deref(),
+                Some(image)
+            );
+            assert_eq!(tree.0.borrow()[key], image);
+        }
+        // Absent, or another length: kept, and handed back as it is.
+        for held in [None, Some(&b"short"[..])] {
+            let tree = Model::default();
+            if let Some(v) = held {
+                tree.0.borrow_mut().insert(key.to_vec(), v.to_vec());
+            }
+            for dir in [redo, Replay::Undo(&clr)] {
+                assert_eq!(replay(&tree, dir, op, change).unwrap().as_deref(), held);
+                assert_eq!(tree.0.borrow().get(key).map(Vec::as_slice), held);
+            }
+        }
+
+        // A cut at a run's end leaves a shorter patch (the frame's
+        // checksum is what catches that); a cut anywhere else is Corrupt.
+        let run_ends = [17, 33, 39];
+        for cut in 0..payload.len() {
+            let short = payload.get(..cut).unwrap();
+            let res = TreeFile::named_by(short).and_then(|(_, c)| Change::decode(op, c));
+            assert_eq!(
+                res.is_ok(),
+                run_ends.contains(&cut),
+                "cut at {cut}: {:?}",
+                res.err()
+            );
+        }
+        let past = [&[3, 0][..], key, &[2, 0, 0, 0, 1, 0, 2, 0], b"abAB"].concat();
+        let res = Change::decode(OP_PATCH, &past);
+        assert!(
+            matches!(res, Err(DmxError::Corrupt(_))),
+            "run past its image"
+        );
     }
 }

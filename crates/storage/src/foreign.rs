@@ -159,7 +159,7 @@ impl StorageMethod for ForeignStorage {
     ) -> Result<RecordKey> {
         let (server, table) = self.resolve(rd)?;
         server.trip();
-        Ok(table.insert(ctx, rd, record))
+        table.insert(ctx, rd, record)
     }
 
     fn update(

@@ -2,8 +2,12 @@
 //!
 //! Record keys are record addresses — `(page_no, slot)` packed big-endian
 //! so RID order equals physical order. Undo and redo are physiological
-//! with page-LSN idempotency checks; payloads carry both images (old for
-//! undo, new for redo) because under steal/no-force a crash can leave a
+//! with page-LSN idempotency checks. Records are logged in the logged-
+//! tree format ([`dmx_core::logged_tree::encode_change`]) with both
+//! images — old for undo, new for redo; an in-place update of one length
+//! carries only the bytes that differ, and the page-LSN check makes undo
+//! and redo write them into the image they were taken against — because
+//! under steal/no-force a crash can leave a
 //! page either ahead of the log's committed state (stolen loser pages,
 //! pages stolen before their rollback) or behind it (never-flushed
 //! winner pages). Every change — forward, undo or redo — takes its page
@@ -19,6 +23,7 @@
 use std::sync::Arc;
 
 use dmx_core::access::{decode_position, encode_position};
+use dmx_core::logged_tree::{Change, Image, OP_DELETE, OP_INSERT, OP_PATCH, OP_REPLACE};
 use dmx_core::{
     AccessQuery, CommonServices, ExecCtx, Frame, KeyRange, PathChoice, RelationDescriptor, Replay,
     SalvagedRecords, ScanItem, ScanOps, StorageMethod,
@@ -29,13 +34,9 @@ use dmx_types::PageId;
 use dmx_types::{
     Appended, AttrList, DmxError, FieldId, FileId, Lsn, Record, RecordKey, Result, Schema, Value,
 };
-use dmx_wal::{Compensation, ExtKind};
+use dmx_wal::Compensation;
 
-use crate::ops::{
-    decode_key, decode_old_new, encode_key_old_new, encode_key_record, OP_DELETE, OP_INSERT,
-    OP_UPDATE,
-};
-use crate::util::{filter_project, item_from_version};
+use crate::util::{filter_project, item_from_version, log_change};
 
 /// Page type tag for heap data pages.
 pub const PAGE_TYPE_HEAP: u8 = 3;
@@ -85,7 +86,7 @@ pub(crate) fn append_record(
     file: FileId,
     bytes: &[u8],
     page_type: u8,
-    log: impl FnOnce(u32, u16) -> Appended,
+    log: impl FnOnce(u32, u16) -> Result<Appended>,
 ) -> Result<(u32, u16, bool)> {
     if bytes.len() > SlottedPage::MAX_RECORD {
         return Err(DmxError::InvalidArg(format!(
@@ -118,7 +119,7 @@ pub(crate) fn append_record(
             };
             if unformatted || SlottedPage::fits(&page, slot, bytes.len()) {
                 let page_no = pin.id().page_no;
-                let mut page = page.stamp(log(page_no, slot));
+                let mut page = page.stamp(log(page_no, slot)?);
                 if unformatted {
                     SlottedPage::init(&mut page);
                     page.set_page_type(page_type);
@@ -142,8 +143,8 @@ pub(crate) fn undo_page_op(
     op: u8,
     payload: &[u8],
 ) -> Result<()> {
-    let (key, old_bytes) = decode_key(payload)?;
-    let (page_no, slot) = parse_rid(key)?;
+    let change = Change::decode(op, payload)?;
+    let (page_no, slot) = parse_rid(change.key)?;
     // The page may legitimately be missing at restart (never flushed
     // beyond allocation is impossible — allocation is durable on MemDisk —
     // but the whole file may already be destroyed by a deferred drop).
@@ -160,28 +161,25 @@ pub(crate) fn undo_page_op(
     }
     // Presence checks make a repeated undo a no-op: restart drives it
     // wherever the page lacks the CLR, and after a later writer's redo
-    // the page may hold none of this change.
-    match op {
-        OP_INSERT => {
-            if SlottedPage::get(&page, slot).is_some() {
-                SlottedPage::delete(&mut page.stamp(clr.appended()), slot);
-            }
+    // the page may hold none of this change. An update's slot holds the
+    // image the record was taken against (the page LSN says so), which
+    // is what a patch is written into.
+    let current = SlottedPage::get(&page, slot);
+    match (op, current.is_some(), change.before(current)) {
+        (OP_INSERT, true, _) => {
+            SlottedPage::delete(&mut page.stamp(clr.appended()), slot);
         }
-        OP_DELETE => {
-            if SlottedPage::get(&page, slot).is_none() {
-                room_for(&page, slot, old_bytes)?;
-                SlottedPage::insert_at(&mut page.stamp(clr.appended()), slot, old_bytes)?;
-            }
+        (OP_DELETE, false, Image::Set(Some(old))) => {
+            room_for(&page, slot, &old)?;
+            SlottedPage::insert_at(&mut page.stamp(clr.appended()), slot, &old)?;
         }
-        OP_UPDATE => {
-            let (old, _) = decode_old_new(old_bytes)?;
-            // No record at the slot: its insert never reached this image.
-            if SlottedPage::get(&page, slot).is_some() {
-                room_for(&page, slot, old)?;
-                SlottedPage::update(&mut page.stamp(clr.appended()), slot, old)?;
-            }
+        // An update: no record at the slot means its insert never
+        // reached this image.
+        (OP_REPLACE | OP_PATCH, true, Image::Set(Some(old))) => {
+            room_for(&page, slot, &old)?;
+            SlottedPage::update(&mut page.stamp(clr.appended()), slot, &old)?;
         }
-        other => return Err(DmxError::Corrupt(format!("bad heap op {other}"))),
+        _ => {}
     }
     Ok(())
 }
@@ -207,8 +205,8 @@ pub(crate) fn redo_page_op(
     op: u8,
     payload: &[u8],
 ) -> Result<()> {
-    let (key, rest) = decode_key(payload)?;
-    let (page_no, slot) = parse_rid(key)?;
+    let change = Change::decode(op, payload)?;
+    let (page_no, slot) = parse_rid(change.key)?;
     let pin = match services.pool.fetch(PageId::new(file, page_no)) {
         Ok(p) => p,
         // A later committed transaction dropped the relation; its
@@ -229,22 +227,21 @@ pub(crate) fn redo_page_op(
         SlottedPage::init(&mut page);
         page.set_page_type(page_type);
     }
-    match op {
-        OP_INSERT => {
+    // Every operation at or below the page LSN is on it, so an update's
+    // slot holds the image the record was taken against.
+    match (op, change.after(SlottedPage::get(&page, slot))) {
+        (OP_INSERT, Image::Set(Some(new))) => {
             // Compensated (never-replayed) inserts leave slot-number
             // gaps; fill them with the tombstones the original rollback
             // left behind.
             SlottedPage::pad_to_slot(&mut page, slot)?;
-            SlottedPage::insert_at(&mut page, slot, rest)?;
+            SlottedPage::insert_at(&mut page, slot, &new)?;
         }
-        OP_DELETE => {
+        (OP_DELETE, _) => {
             SlottedPage::delete(&mut page, slot);
         }
-        OP_UPDATE => {
-            let (_, new) = decode_old_new(rest)?;
-            SlottedPage::update(&mut page, slot, new)?;
-        }
-        other => return Err(DmxError::Corrupt(format!("bad heap op {other}"))),
+        (_, Image::Set(Some(new))) => SlottedPage::update(&mut page, slot, &new)?,
+        _ => {}
     }
     Ok(())
 }
@@ -252,10 +249,6 @@ pub(crate) fn redo_page_op(
 impl HeapStorage {
     fn file(rd: &RelationDescriptor) -> Result<FileId> {
         decode_file_desc(&rd.sm_desc)
-    }
-
-    fn log(ctx: &ExecCtx<'_>, rd: &RelationDescriptor, op: u8, payload: Vec<u8>) -> Appended {
-        ctx.log_ext_op(ExtKind::Storage(rd.sm), rd.id, op, payload)
     }
 }
 
@@ -298,14 +291,7 @@ impl StorageMethod for HeapStorage {
             file,
             &bytes,
             PAGE_TYPE_HEAP,
-            |p, s| {
-                Self::log(
-                    ctx,
-                    rd,
-                    OP_INSERT,
-                    encode_key_record(rid(p, s).as_bytes(), &bytes),
-                )
-            },
+            |p, s| log_change(ctx, rd, &rid(p, s), None, Some(&bytes)),
         )?;
         if new_page {
             rd.stats.on_page_allocated();
@@ -331,22 +317,12 @@ impl StorageMethod for HeapStorage {
         let old = Record::decode(&old_bytes)?;
         // Will an in-place update fit (the old payload is reclaimed)?
         if SlottedPage::fits(&page, slot, new_bytes.len()) {
-            let at = Self::log(
-                ctx,
-                rd,
-                OP_UPDATE,
-                encode_key_old_new(key.as_bytes(), &old_bytes, &new_bytes),
-            );
+            let at = log_change(ctx, rd, key, Some(&old_bytes), Some(&new_bytes))?;
             SlottedPage::update(&mut page.stamp(at), slot, &new_bytes)?;
             return Ok((old, key.clone()));
         }
         // Relocate: delete here, insert elsewhere (each logged).
-        let at = Self::log(
-            ctx,
-            rd,
-            OP_DELETE,
-            encode_key_record(key.as_bytes(), &old_bytes),
-        );
+        let at = log_change(ctx, rd, key, Some(&old_bytes), None)?;
         SlottedPage::delete(&mut page.stamp(at), slot);
         drop(pin);
         let new_key = self.insert(ctx, rd, new)?;
@@ -366,12 +342,7 @@ impl StorageMethod for HeapStorage {
         let old_bytes = SlottedPage::get(&page, slot)
             .ok_or_else(|| DmxError::NotFound(format!("heap record {key:?}")))?
             .to_vec();
-        let at = Self::log(
-            ctx,
-            rd,
-            OP_DELETE,
-            encode_key_record(key.as_bytes(), &old_bytes),
-        );
+        let at = log_change(ctx, rd, key, Some(&old_bytes), None)?;
         SlottedPage::delete(&mut page.stamp(at), slot);
         Record::decode(&old_bytes)
     }

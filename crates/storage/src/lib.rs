@@ -29,7 +29,6 @@ pub mod btree_sm;
 pub mod foreign;
 pub mod heap;
 pub mod memory;
-pub mod ops;
 pub mod readonly;
 pub mod system;
 pub mod util;

@@ -17,15 +17,15 @@ use std::sync::Arc;
 use dmx_types::sync::RwLock;
 
 use dmx_core::access::{decode_position, encode_position};
+use dmx_core::logged_tree::{Change, Image};
 use dmx_core::{
     project_values, CommonServices, ExecCtx, KeyRange, PathChoice, RelationDescriptor, Replay,
     ScanItem, ScanOps, StorageMethod,
 };
 use dmx_expr::Expr;
 use dmx_types::{AttrList, DmxError, FieldId, Lsn, Record, RecordKey, Result, Schema, Value};
-use dmx_wal::ExtKind;
 
-use crate::ops::{decode_key, encode_key, encode_key_record, OP_DELETE, OP_INSERT, OP_UPDATE};
+use crate::util::log_change;
 
 /// An ordered `record key → record` table outside the buffer pool, with
 /// its logged modifications and their undo: the store under this storage
@@ -44,10 +44,6 @@ impl Table {
         })
     }
 
-    fn log(ctx: &ExecCtx<'_>, rd: &RelationDescriptor, op: u8, payload: Vec<u8>) {
-        ctx.log_ext_op(ExtKind::Storage(rd.sm), rd.id, op, payload);
-    }
-
     fn get(&self, rd: &RelationDescriptor, key: &RecordKey) -> Result<Record> {
         self.rows
             .read()
@@ -61,14 +57,15 @@ impl Table {
         ctx: &ExecCtx<'_>,
         rd: &RelationDescriptor,
         record: &Record,
-    ) -> RecordKey {
+    ) -> Result<RecordKey> {
         let n = self.next_key.fetch_add(1, Ordering::Relaxed) + 1;
         let key = RecordKey::new(n.to_be_bytes().to_vec());
-        Self::log(ctx, rd, OP_INSERT, encode_key(key.as_bytes()));
+        // Its undo needs only the key, and nothing is redone.
+        log_change(ctx, rd, &key, None, Some(&[]))?;
         self.rows
             .write()
             .insert(key.as_bytes().to_vec(), record.clone());
-        key
+        Ok(key)
     }
 
     /// Replaces the record at `key`, returning the old one.
@@ -80,8 +77,7 @@ impl Table {
         new: &Record,
     ) -> Result<Record> {
         let old = self.get(rd, key)?;
-        let payload = encode_key_record(key.as_bytes(), &old.encode());
-        Self::log(ctx, rd, OP_UPDATE, payload);
+        log_change(ctx, rd, key, Some(&old.encode()), Some(&new.encode()))?;
         self.rows
             .write()
             .insert(key.as_bytes().to_vec(), new.clone());
@@ -95,8 +91,7 @@ impl Table {
         key: &RecordKey,
     ) -> Result<Record> {
         let old = self.get(rd, key)?;
-        let payload = encode_key_record(key.as_bytes(), &old.encode());
-        Self::log(ctx, rd, OP_DELETE, payload);
+        log_change(ctx, rd, key, Some(&old.encode()), None)?;
         self.rows.write().remove(key.as_bytes());
         Ok(old)
     }
@@ -123,16 +118,20 @@ impl Table {
     /// Takes a logged operation back: these tables share no log with
     /// their pages, so undo is the compensating operation.
     pub(crate) fn undo(&self, op: u8, payload: &[u8]) -> Result<()> {
-        let (key, old_bytes) = decode_key(payload)?;
+        let change = Change::decode(op, payload)?;
         let mut rows = self.rows.write();
-        match op {
-            OP_INSERT => {
-                rows.remove(key);
+        let current = match change.patches() {
+            true => rows.get(change.key).map(Record::encode),
+            false => None,
+        };
+        match change.before(current.as_deref()) {
+            Image::Set(Some(old)) => {
+                rows.insert(change.key.to_vec(), Record::decode(&old)?);
             }
-            OP_DELETE | OP_UPDATE => {
-                rows.insert(key.to_vec(), Record::decode(old_bytes)?);
+            Image::Set(None) => {
+                rows.remove(change.key);
             }
-            other => return Err(DmxError::Corrupt(format!("bad table op {other}"))),
+            Image::Keep => {}
         }
         Ok(())
     }
@@ -216,7 +215,7 @@ impl StorageMethod for MemoryStorage {
         rd: &RelationDescriptor,
         record: &Record,
     ) -> Result<RecordKey> {
-        Ok(self.table(rd)?.insert(ctx, rd, record))
+        self.table(rd)?.insert(ctx, rd, record)
     }
 
     fn update(

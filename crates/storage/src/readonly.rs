@@ -16,13 +16,11 @@ use dmx_expr::Expr;
 use dmx_page::SlottedPage;
 use dmx_types::PageId;
 use dmx_types::{AttrList, DmxError, FieldId, Lsn, Record, RecordKey, Result, Schema, Value};
-use dmx_wal::ExtKind;
 
 use crate::heap::{
     decode_file_desc, encode_file_desc, parse_rid, redo_page_op, rid, undo_page_op, RidScan,
 };
-use crate::ops::{encode_key_record, OP_INSERT};
-use crate::util::filter_project;
+use crate::util::{filter_project, log_change};
 
 /// Page type tag for publishing pages.
 pub const PAGE_TYPE_WORM: u8 = 4;
@@ -88,14 +86,7 @@ impl StorageMethod for ReadOnlyStorage {
             file,
             &bytes,
             PAGE_TYPE_WORM,
-            |p, s| {
-                ctx.log_ext_op(
-                    ExtKind::Storage(rd.sm),
-                    rd.id,
-                    OP_INSERT,
-                    encode_key_record(rid(p, s).as_bytes(), &bytes),
-                )
-            },
+            |p, s| log_change(ctx, rd, &rid(p, s), None, Some(&bytes)),
         )?;
         if new_page {
             rd.stats.on_page_allocated();

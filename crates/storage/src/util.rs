@@ -1,8 +1,26 @@
-//! Shared helpers: projection + buffer-resident filtering.
+//! Shared helpers: projection + buffer-resident filtering, and the one
+//! writer of a storage method's record log.
 
-use dmx_core::{project_values, Evaluator, ExecCtx, KeyRange, ScanItem};
+use dmx_core::logged_tree::encode_change;
+use dmx_core::{project_values, Evaluator, ExecCtx, KeyRange, RelationDescriptor, ScanItem};
 use dmx_expr::Expr;
-use dmx_types::{FieldId, RecordKey, RecordRef, Result, Value};
+use dmx_types::{Appended, FieldId, RecordKey, RecordRef, Result, Value};
+use dmx_wal::ExtKind;
+
+/// Logs the change of `rd`'s record at `key` from image `before` to
+/// `after` (`None` = absent) in the logged-tree format, which the
+/// storage methods' replays read back with
+/// [`dmx_core::logged_tree::Change`].
+pub fn log_change(
+    ctx: &ExecCtx<'_>,
+    rd: &RelationDescriptor,
+    key: &RecordKey,
+    before: Option<&[u8]>,
+    after: Option<&[u8]>,
+) -> Result<Appended> {
+    let (op, payload) = encode_change(None, key.as_bytes(), before, after)?;
+    Ok(ctx.log_ext_op(ExtKind::Storage(rd.sm), rd.id, op, payload))
+}
 
 /// Applies the filter predicate to an encoded record *in place* (no
 /// copy-out) and, when it passes, decodes the requested projection

@@ -525,6 +525,11 @@ pub mod name {
     pub const WAL_FORCES: &str = "wal.forces";
     /// Frames moved from the volatile tail to stable storage.
     pub const WAL_FRAMES_FORCED: &str = "wal.frames_forced";
+    /// Bytes of the frames moved to stable storage. By writer under
+    /// `wal.bytes.sm.<type id>` and `wal.bytes.att.<type id>` (an
+    /// extension's records) and `wal.bytes.txn` (every other record),
+    /// which sum to it.
+    pub const WAL_BYTES: &str = "wal.bytes";
     /// Histogram: frames moved per force call.
     pub const WAL_FORCE_BATCH: &str = "wal.force_batch";
 

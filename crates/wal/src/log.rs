@@ -6,6 +6,9 @@
 //! moves the tail into the stable log one frame at a time (retrying
 //! transient faults, so a frame is either fully durable or not appended),
 //! and is called by commit and by the buffer pool's write-ahead hook.
+//! The bytes of every frame it makes durable are counted in `wal.bytes`
+//! and, by the frame's writer, in `wal.bytes.{sm,att}.<type id>` or
+//! `wal.bytes.txn`.
 //!
 //! An optional [`FaultInjector`] gates every frame append and frame read:
 //! the stable log shares the injector (and its global I/O counter) with
@@ -13,7 +16,7 @@
 //! any I/O in the system — page or log — by index.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use dmx_types::sync::Mutex;
 
@@ -22,7 +25,7 @@ use dmx_types::held;
 use dmx_types::obs::{name, Counter, Histogram, MetricsRegistry, ObsEvent, SIZE_BUCKETS};
 use dmx_types::{DmxError, FaultDecision, FaultInjector, Lsn, Result, TxnId};
 
-use crate::record::{LogBody, LogRecord};
+use crate::record::{ExtKind, LogBody, LogRecord};
 
 /// The durable prefix of the log. Records are stored encoded, proving the
 /// wire format round-trips; a simulated crash keeps this object and drops
@@ -178,6 +181,42 @@ pub struct LogManager {
     forces: Arc<Counter>,
     frames_forced: Arc<Counter>,
     force_batch: Arc<Histogram>,
+    bytes: BytesByWriter,
+}
+
+/// Durable log bytes ([`name::WAL_BYTES`]), in all and by the writer of
+/// each frame. A writer's counter is registered at its first frame and
+/// its handle kept, so no frame pays a name lookup.
+struct BytesByWriter {
+    all: Arc<Counter>,
+    txn: Arc<Counter>,
+    sm: [OnceLock<Arc<Counter>>; 256],
+    att: [OnceLock<Arc<Counter>>; 256],
+}
+
+impl BytesByWriter {
+    fn new(obs: &MetricsRegistry) -> Self {
+        BytesByWriter {
+            all: obs.counter(name::WAL_BYTES),
+            txn: obs.counter(&format!("{}.txn", name::WAL_BYTES)),
+            sm: [const { OnceLock::new() }; 256],
+            att: [const { OnceLock::new() }; 256],
+        }
+    }
+
+    /// Counts `n` durable bytes of a frame `writer` wrote (`None` = a
+    /// transaction-control record).
+    fn add(&self, obs: &MetricsRegistry, writer: Option<ExtKind>, n: u64) {
+        self.all.add(n);
+        let (cells, kind, id) = match writer {
+            None => return self.txn.add(n),
+            Some(ExtKind::Storage(id)) => (&self.sm, "sm", id.0),
+            Some(ExtKind::Attachment(id)) => (&self.att, "att", id.0),
+        };
+        cells[usize::from(id)]
+            .get_or_init(|| obs.counter(&format!("{}.{kind}.{id}", name::WAL_BYTES)))
+            .add(n);
+    }
 }
 
 impl LogManager {
@@ -195,6 +234,7 @@ impl LogManager {
         let forces = obs.counter(name::WAL_FORCES);
         let frames_forced = obs.counter(name::WAL_FRAMES_FORCED);
         let force_batch = obs.histogram(name::WAL_FORCE_BATCH, SIZE_BUCKETS);
+        let bytes = BytesByWriter::new(&obs);
         LogManager {
             stable,
             vol: Mutex::new(Volatile {
@@ -207,6 +247,7 @@ impl LogManager {
             forces,
             frames_forced,
             force_batch,
+            bytes,
         }
     }
 
@@ -289,7 +330,7 @@ impl LogManager {
         // Snapshot the frames to write under the volatile lock, then
         // release it so appenders are never blocked behind log I/O —
         // that release is what lets a batch accumulate while we write.
-        let frames: Vec<Vec<u8>> = {
+        let frames: Vec<(Vec<u8>, Option<ExtKind>)> = {
             let vol = self.vol.lock();
             let durable = self.stable.len() as u64;
             if lsn.0 <= durable {
@@ -309,15 +350,26 @@ impl LogManager {
                     "volatile tail shorter than force target".into(),
                 ));
             }
-            vol.tail.iter().take(n).map(|rec| rec.encode()).collect()
+            let frame = |rec: &LogRecord| {
+                let writer = match rec.body {
+                    LogBody::ExtOp { ext, .. } => Some(ext),
+                    _ => None,
+                };
+                (rec.encode(), writer)
+            };
+            vol.tail.iter().take(n).map(frame).collect()
         };
         self.forces.incr();
         let n = frames.len();
         let mut moved = 0usize;
         let mut failed = None;
-        for frame in frames {
+        for (frame, writer) in frames {
+            let len = frame.len() as u64;
             match with_io_retries(MAX_IO_RETRIES, || self.stable.append_frame(frame.clone())) {
-                Ok(()) => moved += 1,
+                Ok(()) => {
+                    moved += 1;
+                    self.bytes.add(&self.obs, writer, len);
+                }
                 Err(e) => {
                     failed = Some(e);
                     break;

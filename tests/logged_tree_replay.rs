@@ -13,8 +13,13 @@
 //! | not applied | undo | before-image (nothing to take back) |
 //! | not applied | redo (log order) | after-image |
 //! | applied | redo | after-image (entry already present) |
+//! | the last statement's image | redo of this and every later statement | the last statement's image |
 //!
 //! and every replay runs twice, because restart may crash and repeat it.
+//! The fifth row is redo over an entry that already holds a later image
+//! (a DDL commit flushes a new tree before restart replays the records
+//! that built it): a patch sets bytes, so each byte ends with what the
+//! last record to touch it wrote.
 
 // Examples and integration-test harnesses are exempt from the runtime
 // panic discipline: failures here should abort loudly.
@@ -39,6 +44,7 @@ use starburst_dmx::wal::{Compensation, ExtKind, LogBody, LogRecord};
 const OP_INSERT: u8 = 1;
 const OP_DELETE: u8 = 2;
 const OP_IMAGES: u8 = 3;
+const OP_PATCH: u8 = 4;
 
 /// `(tree number, key) → value` over every tree of the extension.
 type Model = BTreeMap<(usize, Vec<u8>), Vec<u8>>;
@@ -233,8 +239,9 @@ fn cases() -> Vec<Case> {
                 Del("t", 0),
             ],
             // a group's first row creates its cell, its last row's
-            // removal deletes it
-            ops: &[OP_INSERT, OP_DELETE, OP_IMAGES],
+            // removal deletes it; in between, a count and a sum of fixed
+            // width change in place
+            ops: &[OP_INSERT, OP_DELETE, OP_PATCH],
         },
         Case {
             name: "stats",
@@ -242,22 +249,26 @@ fn cases() -> Vec<Case> {
             target: ("t", Some("t_x")),
             trees: |db, _, d| one_btree(db, StatsDesc::decode(d.unwrap()).unwrap().tree_file()),
             script: entry_script(),
-            // the cell's first image, then replacements
-            ops: &[OP_INSERT, OP_IMAGES],
+            // the cell's first image, then patches of it
+            ops: &[OP_INSERT, OP_PATCH],
         },
         Case {
             name: "btree_sm",
-            ddl: &["CREATE TABLE t (id INT NOT NULL, v INT NOT NULL) USING btree WITH (key=id)"],
+            ddl: &["CREATE TABLE t (id INT NOT NULL, v STRING NOT NULL) USING btree WITH (key=id)"],
             target: ("t", None),
             trees: |db, rd, _| one_btree(db, BtDesc::decode(&rd.sm_desc).unwrap().tree_file()),
             script: vec![
-                Ins("t", vec![int(1), int(10)]),
-                Ins("t", vec![int(2), int(20)]),
-                Upd("t", 0, vec![int(1), int(11)]),
-                Upd("t", 0, vec![int(3), int(11)]),
+                Ins("t", vec![int(1), "a".into()]),
+                Ins("t", vec![int(2), "bb".into()]),
+                Upd("t", 0, vec![int(1), "c".into()]),
+                Upd("t", 0, vec![int(1), "ccc".into()]),
+                Upd("t", 0, vec![int(1), "d".into()]),
+                Upd("t", 0, vec![int(3), "d".into()]),
                 Del("t", 1),
             ],
-            ops: &[OP_INSERT, OP_DELETE, OP_IMAGES],
+            // a value of one width changes in place, one of another
+            // width is replaced whole, a new key moves
+            ops: &[OP_INSERT, OP_DELETE, OP_IMAGES, OP_PATCH],
         },
     ]
 }
@@ -344,6 +355,8 @@ fn run(case: &Case) {
     let txn = db.begin();
     let mut keys: Vec<RecordKey> = Vec::new();
     let mut seen_ops = BTreeSet::new();
+    // Each statement's records, in log order.
+    let mut statements = Vec::new();
     for (n, step) in case.script.iter().enumerate() {
         let before = trees.dump();
         let since = txn.last_lsn();
@@ -393,6 +406,20 @@ fn run(case: &Case) {
             }
         }
         trees.restore(&after);
+        statements.push(recs);
+    }
+    let last = trees.dump();
+    for n in 0..statements.len() {
+        let later = statements[n..].concat();
+        trees.restore(&last);
+        for round in 0..2 {
+            replay(&db, &later, Dir::Redo);
+            assert_eq!(
+                trees.dump(),
+                last,
+                "{name}: redo of statements {n}.. over the last image, round {round}"
+            );
+        }
     }
     assert_eq!(
         seen_ops,

@@ -223,6 +223,125 @@ fn sys_metrics_output_is_byte_identical_across_same_seed_runs() {
     assert_eq!(a, b, "sys.metrics must be a pure function of the seed");
 }
 
+/// Bytes of every frame in the stable log.
+fn stable_log_bytes(db: &Arc<Database>) -> u64 {
+    let stable = db.services().log.stable();
+    (0..stable.len())
+        .map(|i| stable.with_frame(i, |f| Ok(f.len() as u64)).unwrap())
+        .sum()
+}
+
+/// `wal.bytes` counts the bytes of every frame made durable — the
+/// stable log's frame lengths, exactly — and the per-writer counters
+/// (`wal.bytes.sm.<id>`, `wal.bytes.att.<id>`, `wal.bytes.txn`) split it
+/// with nothing left over.
+#[test]
+fn wal_bytes_are_the_stable_logs_and_split_by_writer() {
+    let (db, _) = seeded_db(SEED);
+    db.execute_sql(
+        "CREATE ATTACHMENT emp_n ON emp USING aggregate WITH (sum = id, group_by = dept)",
+    )
+    .unwrap();
+    db.execute_sql("ANALYZE TABLE emp").unwrap();
+    db.execute_sql("UPDATE emp SET dept = 9 WHERE id < 10")
+        .unwrap();
+    let s = Session::new(db.clone());
+    s.execute("BEGIN").unwrap();
+    s.execute("DELETE FROM emp WHERE id > 70").unwrap();
+    s.execute("ROLLBACK").unwrap();
+
+    let snap = db.metrics_snapshot();
+    let total = snap.counter("wal.bytes");
+    assert_eq!(total, stable_log_bytes(&db));
+    let by_sql = db
+        .query_sql("SELECT value FROM sys.metrics WHERE name = 'wal.bytes'")
+        .unwrap();
+    assert_eq!(by_sql, vec![vec![Value::Int(total as i64)]]);
+    let writers: BTreeMap<&str, u64> = snap
+        .counters
+        .iter()
+        .filter(|(name, _)| name.starts_with("wal.bytes."))
+        .map(|(name, v)| (name.as_str(), *v))
+        .collect();
+    assert_eq!(writers.values().sum::<u64>(), total, "{writers:?}");
+    let rd = db.catalog().get_by_name("emp").unwrap();
+    let (index, _) = rd.find_attachment("emp_pk").unwrap();
+    let (aggregate, _) = rd.find_attachment("emp_n").unwrap();
+    for name in [
+        "wal.bytes.txn".to_string(),
+        format!("wal.bytes.sm.{}", rd.sm.0),
+        format!("wal.bytes.att.{}", index.0),
+        format!("wal.bytes.att.{}", aggregate.0),
+    ] {
+        assert!(writers.get(name.as_str()) > Some(&0), "{name}: {writers:?}");
+    }
+}
+
+/// The log a transaction writes, ratcheted: 20 writes — 12 updates of
+/// one width, 4 inserts, 4 deletes — on a heap carrying statistics, an
+/// aggregate and two B-tree indexes log at most this many bytes. An
+/// update that keeps a record's or a maintained cell's length logs the
+/// bytes it changed, not two whole images (measured: 33,718 B when
+/// both images were logged, 9,500 B since). Lower it when the log
+/// shrinks.
+const TWENTY_WRITES_LOG_AT_MOST: u64 = 9_500;
+
+#[test]
+fn a_twenty_write_transaction_logs_no_more_than_its_budget() {
+    let db = starburst_dmx::open_default().unwrap();
+    for ddl in [
+        "CREATE TABLE ord (id INT NOT NULL, region INT NOT NULL, cust INT NOT NULL, \
+         amt INT NOT NULL, note STRING NOT NULL)",
+        "CREATE UNIQUE INDEX ord_id ON ord (id)",
+        "CREATE INDEX ord_cust ON ord (cust)",
+        "CREATE ATTACHMENT ord_sums ON ord USING aggregate WITH (sum = amt, group_by = region)",
+        "ANALYZE TABLE ord",
+    ] {
+        db.execute_sql(ddl).unwrap();
+    }
+    let rel = db.catalog().get_by_name("ord").unwrap().id;
+    let row = |id: i64, salt: i64| {
+        Record::new(vec![
+            Value::Int(id),
+            Value::Int((id * 31 + salt) % 50),
+            Value::Int((id * 7919 + salt * 13) % 5000),
+            Value::Int(100 + (id * 37 + salt * 101) % 9000),
+            Value::Str(format!("note{:012}", id * 1_000_003 + salt)),
+        ])
+    };
+    let mut keys = Vec::new();
+    db.with_txn(|txn| {
+        for id in 0..200 {
+            keys.push(db.insert(txn, rel, row(id, 0))?);
+        }
+        Ok(())
+    })
+    .unwrap();
+    db.execute_sql("ANALYZE TABLE ord").unwrap();
+    db.services().log.force_all().unwrap();
+
+    let logged = || db.metrics_snapshot().counter("wal.bytes");
+    let before = logged();
+    db.with_txn(|txn| {
+        for (id, key) in (20..).zip(&keys[20..32]) {
+            db.update(txn, rel, key, row(id, 1))?;
+        }
+        for id in 200..204 {
+            db.insert(txn, rel, row(id, 1))?;
+        }
+        for key in &keys[..4] {
+            db.delete(txn, rel, key)?;
+        }
+        Ok(())
+    })
+    .unwrap();
+    let bytes = logged() - before;
+    assert!(
+        bytes <= TWENTY_WRITES_LOG_AT_MOST,
+        "a 20-write transaction logged {bytes} B"
+    );
+}
+
 #[test]
 fn explain_analyze_actuals_match_the_model_oracle() {
     let (db, model) = seeded_db(SEED);

@@ -685,3 +685,81 @@ fn the_nth_create_table_logs_what_the_first_does() {
     assert!(logged.iter().all(|&b| b == logged[0]), "{logged:?}");
     assert!(logged[0] < 400, "{} bytes", logged[0]);
 }
+
+/// The later-image case, for real: the first `ANALYZE TABLE` backfills
+/// the statistics cell — an insert, then a patch a row — and its commit
+/// writes the new tree back; updates patch the cell again before the
+/// crash. Restart redoes every one of those records over a tree that
+/// already holds a later image than most of them left, and must end
+/// where the crash did: the counts and bounds `sys.statistics` shows,
+/// and the plans of two probes, after each of two reopens. (The rows go
+/// in before a clean close and the DML after `ANALYZE` moves no row
+/// count: a crash does not yet recover the planner's row count,
+/// ROADMAP 5(a).)
+#[test]
+fn statistics_redone_over_a_later_image_end_where_the_crash_did() {
+    let (env, db) = fresh();
+    db.execute_sql("CREATE TABLE t (id INT NOT NULL, v INT NOT NULL, w INT)")
+        .unwrap();
+    db.execute_sql("CREATE UNIQUE INDEX t_id ON t (id)")
+        .unwrap();
+    db.execute_sql("CREATE INDEX t_v ON t (v)").unwrap();
+    let rel = db.catalog().get_by_name("t").unwrap().id;
+    let row = |i: i64, v: i64| {
+        let w = if i % 9 == 0 {
+            Value::Null
+        } else {
+            Value::Int(i * 3)
+        };
+        Record::new(vec![Value::Int(i), Value::Int(v), w])
+    };
+    let mut keys = Vec::new();
+    db.with_txn(|txn| {
+        for i in 0..1_000 {
+            keys.push(db.insert(txn, rel, row(i, i % 50))?);
+        }
+        Ok(())
+    })
+    .unwrap();
+    drop(db);
+    let db = reopen(&env);
+    db.execute_sql("ANALYZE TABLE t").unwrap();
+    for chunk in keys.chunks(100).take(4) {
+        db.with_txn(|txn| {
+            for (i, key) in chunk.iter().enumerate() {
+                let id = db.fetch(txn, rel, key, None, None)?.unwrap()[0]
+                    .as_int()
+                    .unwrap();
+                db.update(txn, rel, key, row(id, 50 + (id * 7 + i as i64) % 40))?;
+            }
+            Ok(())
+        })
+        .unwrap();
+    }
+    let stats = |db: &Arc<Database>| {
+        db.query_sql(
+            "SELECT field, rows, nulls, distinct, min, max, histogram \
+             FROM sys.statistics WHERE relation = 't'",
+        )
+        .unwrap()
+    };
+    let plans = |db: &Arc<Database>| {
+        ["id = 7", "v = 7", "v = 77"].map(|p| {
+            db.query_sql(&format!("EXPLAIN SELECT id FROM t WHERE {p}"))
+                .unwrap()
+        })
+    };
+    let (before, plan) = (stats(&db), plans(&db));
+    assert!(before.len() > 1, "{before:?}");
+    std::mem::forget(db);
+    for round in 0..2 {
+        let frames = env.stable_log.len();
+        let db = reopen(&env);
+        assert_eq!(stats(&db), before, "reopen {round}");
+        assert_eq!(plans(&db), plan, "reopen {round}");
+        if round == 1 {
+            assert_eq!(env.stable_log.len(), frames, "the second reopen appended");
+        }
+        drop(db);
+    }
+}
