@@ -290,6 +290,7 @@ mod tests {
 
     use dmx_lock::LockManager;
     use dmx_page::{BufferPool, DiskManager, MemDisk};
+    use dmx_types::bytes::put_varint;
     use dmx_types::{Appended, ColumnDef, DataType, Lsn, RelationId, Schema, SmTypeId, Value};
     use dmx_wal::{Compensation, LogManager, LogRecord, StableLog};
 
@@ -351,8 +352,13 @@ mod tests {
         let redo = Replay::Redo(Appended::UNLOGGED);
 
         let tree = TreeFile::create(&services).unwrap();
-        // `u32 file ∥ u32 root page`, then `u16 len(key) ∥ key ∥ value`
-        let named = |t: TreeFile| [t.file.0.to_le_bytes(), t.root_page.to_le_bytes()].concat();
+        // `varint file ∥ varint root page`, then `u16 len(key) ∥ key ∥ value`
+        let named = |t: TreeFile| {
+            let mut name = Vec::new();
+            put_varint(&mut name, t.file.0.into());
+            put_varint(&mut name, t.root_page.into());
+            name
+        };
         let insert_k = |t: TreeFile| [named(t), vec![1, 0, b'k', b'v']].concat();
         replay(&insert_k(tree), OP_INSERT, redo).unwrap();
         let got = tree.open_tree(&services).get(b"k").unwrap();
@@ -366,7 +372,7 @@ mod tests {
         drop(pool.new_page(heap.file).unwrap());
         let cases = [
             ("empty payload", Vec::new(), OP_INSERT),
-            ("short tree name", vec![1, 0, 0], OP_INSERT),
+            ("short tree name", vec![1, 0x80], OP_INSERT),
             ("unknown op", insert_k(tree), 9),
             (
                 "truncated key",

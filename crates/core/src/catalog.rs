@@ -24,9 +24,16 @@
 //! at quiescent checkpoints and after a DDL's commit point. Every catalog
 //! writer holds the Catalog X lock until commit, and tree pages are
 //! no-steal.
+//!
+//! A header stores its relation's counts as they were when it was
+//! written. While restart replays, the header it installs is the newest
+//! the log has, so its counts are set; once the database is open, a
+//! header undone or rewritten keeps the live counts, which every write
+//! since has moved.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::Bound;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use dmx_btree::node::{Node, MAX_ENTRY};
@@ -75,6 +82,9 @@ pub struct Catalog {
     state: RwLock<CatState>,
     tree: BTree,
     deps: Arc<DependencyRegistry>,
+    /// Until [`Catalog::recovered`]: a header installed sets the counts
+    /// it stores.
+    restarting: AtomicBool,
 }
 
 impl Catalog {
@@ -110,6 +120,7 @@ impl Catalog {
             state: RwLock::new(CatState::default()),
             tree: TREE.open_tree(services),
             deps,
+            restarting: AtomicBool::new(true),
         };
         let mut entries = catalog.tree.iter_all();
         while let Some((key, _)) = entries.next()? {
@@ -118,6 +129,12 @@ impl Catalog {
             }
         }
         Ok(Arc::new(catalog))
+    }
+
+    /// Ends restart: from now on a header installed keeps the counts of
+    /// its live descriptor.
+    pub(crate) fn recovered(&self) {
+        self.restarting.store(false, Ordering::Relaxed);
     }
 
     /// Allocates the next relation id.
@@ -294,7 +311,8 @@ impl Catalog {
 
     /// Makes the map hold what the tree does for the relation `key`
     /// belongs to: its descriptor rebuilt from its records — keeping the
-    /// live statistics of an entry already there — or nothing; under the
+    /// statistics of an entry already there, with the header's counts
+    /// while restarting and the live ones after — or nothing; under the
     /// catalog's own id, the id high-water mark (which never lowers the
     /// next id). A changed descriptor version invalidates the relation's
     /// plans.
@@ -323,6 +341,10 @@ impl Catalog {
         let version = new.as_ref().map(|rd| rd.version);
         if let Some(mut rd) = new {
             if let Some(old) = &old {
+                if self.restarting.load(Ordering::Relaxed) {
+                    let (records, pages, bytes) = rd.stats.snapshot();
+                    old.stats.reset(records, pages, bytes);
+                }
                 rd.stats = old.stats.clone();
             }
             st.by_name.insert(rd.name.to_ascii_lowercase(), id);

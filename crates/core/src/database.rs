@@ -330,6 +330,7 @@ impl Database {
         // Restart recovery (idempotent; trivial on a fresh environment).
         let handler = UndoDispatch::new(registry.clone(), catalog.clone(), services.clone());
         let report = dmx_wal::restart(&log, &handler)?;
+        catalog.recovered();
 
         // Flight recorder: a bounded ring of the most recent events,
         // installed as the default sink so `sys.trace` and incident

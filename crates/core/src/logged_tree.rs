@@ -38,8 +38,8 @@
 //! [`OP_REPLACE`] `(a, b)` carries `u32 len(a) ∥ a ∥ b`, and
 //! [`OP_PATCH`], a pair of one length, only the runs of bytes that
 //! differ, each with its old and new bytes. An attachment's record first
-//! names its tree (the 8-byte [`TreeFile`]), so replay needs no
-//! descriptor and outlives a dropped instance.
+//! names its tree (the [`TreeFile`], file and root page as two varints),
+//! so replay needs no descriptor and outlives a dropped instance.
 //!
 //! Every replay *sets* bytes; none adds to them, so applying a record
 //! twice is harmless, which covers "logged but never applied" and redo
@@ -66,7 +66,7 @@ use dmx_btree::{BTree, OnDuplicate};
 use dmx_expr::Expr;
 use dmx_lock::{LockMode, LockName};
 use dmx_txn::Transaction;
-use dmx_types::bytes::{le_u16, le_u32};
+use dmx_types::bytes::{le_u16, le_u32, put_varint, varint, varint_len};
 use dmx_types::{Appended, DmxError, FileId, PageId, RecordKey, RelationId, Result, Value};
 use dmx_wal::{Compensation, ExtKind};
 
@@ -137,13 +137,15 @@ impl TreeFile {
     /// Splits the tree an attachment's log record names off the front of
     /// its payload; the rest is the change [`replay`] takes.
     pub fn named_by(payload: &[u8]) -> Result<(TreeFile, &[u8])> {
-        match (le_u32(payload, 0), le_u32(payload, 4), payload.get(8..)) {
-            (Some(file), Some(root_page), Some(change)) => Ok((
+        let mut pos = 0;
+        let u32_at = |pos: &mut usize| varint(payload, pos).and_then(|v| u32::try_from(v).ok());
+        match (u32_at(&mut pos), u32_at(&mut pos)) {
+            (Some(file), Some(root_page)) => Ok((
                 TreeFile {
                     file: FileId(file),
                     root_page,
                 },
-                change,
+                payload.get(pos..).unwrap_or_default(),
             )),
             _ => Err(DmxError::Corrupt("short attachment log payload".into())),
         }
@@ -644,10 +646,13 @@ pub fn encode_change(
         true => 0,
         false => 4 + before.map_or(0, <[u8]>::len) + after.map_or(0, <[u8]>::len),
     };
-    let mut payload = Vec::with_capacity(8 + 2 + key.len() + images);
+    let name = named.map_or(0, |root| {
+        varint_len(root.file.0.into()) + varint_len(root.page_no.into())
+    });
+    let mut payload = Vec::with_capacity(name + 2 + key.len() + images);
     if let Some(root) = named {
-        payload.extend_from_slice(&root.file.0.to_le_bytes());
-        payload.extend_from_slice(&root.page_no.to_le_bytes());
+        put_varint(&mut payload, root.file.0.into());
+        put_varint(&mut payload, root.page_no.into());
     }
     payload.extend_from_slice(&klen.to_le_bytes());
     payload.extend_from_slice(key);
@@ -947,12 +952,14 @@ mod tests {
         })
     }
 
-    /// The logged layout: an attachment payload is `8 + 2 + len(key) +
+    /// The logged layout: an attachment payload is `name + 2 + len(key) +
     /// len(body)` bytes (a storage method's has no tree name), a pair of
     /// two lengths `4 + len(a) + len(b)`, and every truncation is
-    /// `Corrupt`.
+    /// `Corrupt`. The name is the file and root page as varints, 2 bytes
+    /// for `ROOT` and 5 + 4 for the largest.
     #[test]
     fn payload_layout_is_pinned_and_truncation_is_corrupt() {
+        let name = 2;
         let (key, a, b) = (&b"key"[..], &b"before"[..], &b"after-image"[..]);
         let cases = [
             (None, Some(b), OP_INSERT, b.len()),
@@ -962,7 +969,8 @@ mod tests {
         for (before, after, want_op, body) in cases {
             let (op, payload) = encode_change(Some(ROOT), key, before, after).unwrap();
             assert_eq!(op, want_op);
-            assert_eq!(payload.len(), 8 + 2 + key.len() + body);
+            assert_eq!(payload[..name], [9, 3]);
+            assert_eq!(payload.len(), name + 2 + key.len() + body);
             let (_, unnamed) = encode_change(None, key, before, after).unwrap();
             assert_eq!(unnamed.len(), 2 + key.len() + body);
 
@@ -981,9 +989,9 @@ mod tests {
             // A cut inside the tree name, the key or a pair's first image
             // is an error (an entry's value may legitimately be empty).
             let cuts = if op == OP_REPLACE {
-                0..8 + 2 + key.len() + 4 + a.len()
+                0..name + 2 + key.len() + 4 + a.len()
             } else {
-                0..8 + 2 + key.len()
+                0..name + 2 + key.len()
             };
             for cut in cuts {
                 let short = payload.get(..cut).unwrap();
@@ -992,6 +1000,17 @@ mod tests {
                 });
                 assert!(matches!(res, Err(DmxError::Corrupt(_))), "cut at {cut}");
             }
+        }
+        let far = PageId::new(FileId(u32::MAX), 1 << 21);
+        let (_, payload) = encode_change(Some(far), key, Some(a), None).unwrap();
+        assert_eq!(
+            payload[..9],
+            [0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 0x80, 0x80, 0x80, 0x01]
+        );
+        assert_eq!(TreeFile::named_by(&payload).unwrap().0.root(), far);
+        for cut in 0..9 {
+            let res = TreeFile::named_by(&payload[..cut]);
+            assert!(matches!(res, Err(DmxError::Corrupt(_))), "cut at {cut}");
         }
         let none = encode_change(Some(ROOT), key, None, None);
         assert!(matches!(none, Err(DmxError::InvalidArg(_))), "{none:?}");
@@ -1013,7 +1032,7 @@ mod tests {
         let b = &b"0x2y45z789AbcdeF"[..];
         let (op, payload) = encode_change(Some(ROOT), key, Some(a), Some(b)).unwrap();
         assert_eq!(op, OP_PATCH);
-        let mut want = vec![9, 0, 0, 0, 3, 0, 0, 0, 3, 0, b'k', b'e', b'y', 16, 0, 0, 0];
+        let mut want = vec![9, 3, 3, 0, b'k', b'e', b'y', 16, 0, 0, 0];
         want.extend_from_slice(&[1, 0, 6, 0]); // 1, 3 and 6 merge: gaps of 1 and 2
         want.extend_from_slice(b"123456x2y45z");
         want.extend_from_slice(&[10, 0, 1, 0]); // three equal bytes apart: a run
@@ -1050,7 +1069,7 @@ mod tests {
 
         // A cut at a run's end leaves a shorter patch (the frame's
         // checksum is what catches that); a cut anywhere else is Corrupt.
-        let run_ends = [17, 33, 39];
+        let run_ends = [11, 27, 33];
         for cut in 0..payload.len() {
             let short = payload.get(..cut).unwrap();
             let res = TreeFile::named_by(short).and_then(|(_, c)| Change::decode(op, c));

@@ -530,6 +530,9 @@ pub mod name {
     /// extension's records) and `wal.bytes.txn` (every other record),
     /// which sum to it.
     pub const WAL_BYTES: &str = "wal.bytes";
+    /// The part of [`WAL_BYTES`] outside the frames' payloads: each
+    /// frame's header and checksum.
+    pub const WAL_FRAME_OVERHEAD_BYTES: &str = "wal.frame_overhead_bytes";
     /// Histogram: frames moved per force call.
     pub const WAL_FORCE_BATCH: &str = "wal.force_batch";
 

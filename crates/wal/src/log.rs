@@ -8,7 +8,8 @@
 //! and is called by commit and by the buffer pool's write-ahead hook.
 //! The bytes of every frame it makes durable are counted in `wal.bytes`
 //! and, by the frame's writer, in `wal.bytes.{sm,att}.<type id>` or
-//! `wal.bytes.txn`.
+//! `wal.bytes.txn`; those outside the frame's payload also in
+//! `wal.frame_overhead_bytes`.
 //!
 //! An optional [`FaultInjector`] gates every frame append and frame read:
 //! the stable log shares the injector (and its global I/O counter) with
@@ -71,41 +72,41 @@ impl StableLog {
     /// Appends a single encoded frame, consulting the injector: the frame
     /// is either appended whole, appended torn (prefix only, then the
     /// injector reports a crash), corrupted in place, or not appended at
-    /// all — exactly the outcomes a real log device exhibits.
+    /// all — exactly the outcomes a real log device exhibits. The device
+    /// delimits frames: a reader gets back exactly the bytes appended.
     pub fn append_frame(&self, mut frame: Vec<u8>) -> Result<()> {
+        self.append_from(&mut frame)
+    }
+
+    /// [`StableLog::append_frame`] of `*frame`, moved into the log when
+    /// anything of it is appended; a failure that appends nothing leaves
+    /// it in place for a retry.
+    fn append_from(&self, frame: &mut Vec<u8>) -> Result<()> {
         let decision = match self.injector.lock().as_ref() {
             Some(inj) => inj.decide(true),
             None => FaultDecision::Proceed,
         };
         match decision {
-            FaultDecision::Proceed => {
-                self.frames.lock().push(frame);
-                Ok(())
-            }
             FaultDecision::FlipByte { raw } => {
                 if let Some((off, bit)) = FaultDecision::flip_target(raw, frame.len()) {
                     // bounds: flip_target reduces off modulo frame.len()
                     frame[off] ^= bit;
                 }
-                self.frames.lock().push(frame);
-                Ok(())
             }
             FaultDecision::Torn { raw } => {
                 let keep = (raw as usize) % (frame.len() + 1);
                 frame.truncate(keep);
-                self.frames.lock().push(frame);
-                match FaultInjector::error_for(decision, "log append") {
-                    Some(e) => Err(e),
-                    None => Ok(()),
+            }
+            other => {
+                if let Some(e) = FaultInjector::error_for(other, "log append") {
+                    return Err(e);
                 }
             }
-            other => match FaultInjector::error_for(other, "log append") {
-                Some(e) => Err(e),
-                None => {
-                    self.frames.lock().push(frame);
-                    Ok(())
-                }
-            },
+        }
+        self.frames.lock().push(std::mem::take(frame));
+        match FaultInjector::error_for(decision, "log append") {
+            Some(e) => Err(e),
+            None => Ok(()),
         }
     }
 
@@ -139,11 +140,10 @@ impl StableLog {
         let idx = (lsn.0 as usize)
             .checked_sub(1)
             .ok_or_else(|| DmxError::InvalidArg("lsn 0".into()))?;
-        with_io_retries(MAX_IO_RETRIES, || self.with_frame(idx, LogRecord::decode)).map_err(|e| {
-            match e {
-                DmxError::NotFound(_) => DmxError::NotFound(format!("log record {lsn}")),
-                other => other,
-            }
+        let decode = |frame: &[u8]| LogRecord::decode(lsn, frame);
+        with_io_retries(MAX_IO_RETRIES, || self.with_frame(idx, decode)).map_err(|e| match e {
+            DmxError::NotFound(_) => DmxError::NotFound(format!("log record {lsn}")),
+            other => other,
         })
     }
 
@@ -154,7 +154,8 @@ impl StableLog {
         self.frames
             .lock()
             .iter()
-            .map(|f| LogRecord::decode(f))
+            .zip(1..)
+            .map(|(f, lsn)| LogRecord::decode(Lsn(lsn), f))
             .collect()
     }
 }
@@ -184,11 +185,12 @@ pub struct LogManager {
     bytes: BytesByWriter,
 }
 
-/// Durable log bytes ([`name::WAL_BYTES`]), in all and by the writer of
-/// each frame. A writer's counter is registered at its first frame and
-/// its handle kept, so no frame pays a name lookup.
+/// Durable log bytes ([`name::WAL_BYTES`]), in all, outside payloads and
+/// by the writer of each frame. A writer's counter is registered at its
+/// first frame and its handle kept, so no frame pays a name lookup.
 struct BytesByWriter {
     all: Arc<Counter>,
+    overhead: Arc<Counter>,
     txn: Arc<Counter>,
     sm: [OnceLock<Arc<Counter>>; 256],
     att: [OnceLock<Arc<Counter>>; 256],
@@ -198,16 +200,19 @@ impl BytesByWriter {
     fn new(obs: &MetricsRegistry) -> Self {
         BytesByWriter {
             all: obs.counter(name::WAL_BYTES),
+            overhead: obs.counter(name::WAL_FRAME_OVERHEAD_BYTES),
             txn: obs.counter(&format!("{}.txn", name::WAL_BYTES)),
             sm: [const { OnceLock::new() }; 256],
             att: [const { OnceLock::new() }; 256],
         }
     }
 
-    /// Counts `n` durable bytes of a frame `writer` wrote (`None` = a
-    /// transaction-control record).
-    fn add(&self, obs: &MetricsRegistry, writer: Option<ExtKind>, n: u64) {
+    /// Counts a durable frame of `n` bytes, `overhead` of them outside
+    /// its payload, that `writer` wrote (`None` = a transaction-control
+    /// record).
+    fn add(&self, obs: &MetricsRegistry, writer: Option<ExtKind>, n: u64, overhead: u64) {
         self.all.add(n);
+        self.overhead.add(overhead);
         let (cells, kind, id) = match writer {
             None => return self.txn.add(n),
             Some(ExtKind::Storage(id)) => (&self.sm, "sm", id.0),
@@ -330,7 +335,7 @@ impl LogManager {
         // Snapshot the frames to write under the volatile lock, then
         // release it so appenders are never blocked behind log I/O —
         // that release is what lets a batch accumulate while we write.
-        let frames: Vec<(Vec<u8>, Option<ExtKind>)> = {
+        let frames: Vec<(Vec<u8>, Option<ExtKind>, u64)> = {
             let vol = self.vol.lock();
             let durable = self.stable.len() as u64;
             if lsn.0 <= durable {
@@ -351,11 +356,14 @@ impl LogManager {
                 ));
             }
             let frame = |rec: &LogRecord| {
-                let writer = match rec.body {
-                    LogBody::ExtOp { ext, .. } => Some(ext),
-                    _ => None,
+                let (writer, payload) = match &rec.body {
+                    LogBody::ExtOp { ext, payload, .. } => (Some(*ext), payload.len()),
+                    LogBody::DeferredIntent { payload } => (None, payload.len()),
+                    _ => (None, 0),
                 };
-                (rec.encode(), writer)
+                let frame = rec.encode();
+                let overhead = (frame.len() - payload) as u64;
+                (frame, writer, overhead)
             };
             vol.tail.iter().take(n).map(frame).collect()
         };
@@ -363,12 +371,12 @@ impl LogManager {
         let n = frames.len();
         let mut moved = 0usize;
         let mut failed = None;
-        for (frame, writer) in frames {
+        for (mut frame, writer, overhead) in frames {
             let len = frame.len() as u64;
-            match with_io_retries(MAX_IO_RETRIES, || self.stable.append_frame(frame.clone())) {
+            match with_io_retries(MAX_IO_RETRIES, || self.stable.append_from(&mut frame)) {
                 Ok(()) => {
                     moved += 1;
-                    self.bytes.add(&self.obs, writer, len);
+                    self.bytes.add(&self.obs, writer, len, overhead);
                 }
                 Err(e) => {
                     failed = Some(e);
@@ -410,8 +418,9 @@ impl LogManager {
     }
 
     /// Restart's first step: walk the durable frames in order and drop the
-    /// tail from the first frame that fails to decode (torn or rotted) or
-    /// whose LSN breaks the dense sequence, then resync the LSN counter.
+    /// tail from the first frame that fails to decode — torn, rotted, or
+    /// not the frame of its position, whose LSN seeds the checksum — then
+    /// resync the LSN counter.
     /// Returns the number of frames truncated. Must run before analysis
     /// and before any new appends.
     pub fn scan_and_truncate_tail(&self) -> Result<usize> {
@@ -423,12 +432,9 @@ impl LogManager {
         let n = self.stable.len();
         let mut valid = 0usize;
         while valid < n {
-            let res = with_io_retries(MAX_IO_RETRIES, || {
-                self.stable.with_frame(valid, LogRecord::decode)
-            });
-            match res {
-                Ok(rec) if rec.lsn.0 == valid as u64 + 1 => valid += 1,
-                Ok(_) | Err(DmxError::Corrupt(_)) => break,
+            match self.stable.record(Lsn(valid as u64 + 1)) {
+                Ok(_) => valid += 1,
+                Err(DmxError::Corrupt(_)) => break,
                 Err(e) => return Err(e),
             }
         }
@@ -558,9 +564,33 @@ mod tests {
         let log = LogManager::open(stable.clone());
         let l1 = log.append(TxnId(1), Lsn::NULL, LogBody::Begin);
         log.force(l1).unwrap();
-        let rec = stable.with_frame(0, LogRecord::decode).unwrap();
+        let rec = stable.with_frame(0, |f| LogRecord::decode(l1, f)).unwrap();
         assert_eq!(rec.lsn, l1);
-        assert!(stable.with_frame(1, LogRecord::decode).is_err());
+        assert!(stable.with_frame(1, |f| LogRecord::decode(l1, f)).is_err());
+    }
+
+    /// A frame's LSN is its position: a valid frame appended where
+    /// another LSN belongs fails its checksum, and the tail scan drops it
+    /// and everything after.
+    #[test]
+    fn scan_drops_a_valid_frame_at_the_wrong_position() {
+        let stable = StableLog::new();
+        let log = LogManager::open(stable.clone());
+        let mut prev = Lsn::NULL;
+        for i in 0..3 {
+            prev = log.append(TxnId(1), prev, ext_op(i));
+        }
+        log.force_all().unwrap();
+        let second = stable.with_frame(1, |f| Ok(f.to_vec())).unwrap();
+        stable.append_frame(second).unwrap();
+        stable
+            .append_frame(log.record(Lsn(3)).unwrap().encode())
+            .unwrap();
+        assert_eq!(stable.len(), 5);
+        assert!(matches!(stable.record(Lsn(4)), Err(DmxError::Corrupt(_))));
+        let reopened = LogManager::open(stable.clone());
+        assert_eq!(reopened.scan_and_truncate_tail().unwrap(), 2);
+        assert_eq!(reopened.last_lsn(), Lsn(3));
     }
 
     #[test]

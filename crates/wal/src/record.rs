@@ -6,8 +6,26 @@
 //! interpret — mirroring the paper, where the common recovery facility
 //! *drives* storage-method and attachment implementations but does not
 //! understand their representations.
+//!
+//! A frame stores only what its position and its length do not imply:
+//!
+//! ```text
+//! varint prev∆ ∥ varint txn ∥ tag ∥ body ∥ u32 crc
+//!   ExtOp:  ext id ∥ varint relation ∥ op ∥ payload (the rest)
+//!   Clr:    varint undo_next∆       Intent: payload (the rest)
+//!   Done:   varint intent∆          others: nothing
+//! ```
+//!
+//! The LSN is not stored: frame *i* of the stable log holds LSN *i* + 1,
+//! and the CRC32 is taken over the LSN's 8 little-endian bytes followed
+//! by the frame, so a frame read at any other position fails its check.
+//! A back-pointer `x` is stored as the delta `lsn − x`, 0 meaning
+//! [`Lsn::NULL`]; one that reaches past LSN 1 is corrupt. No length is
+//! stored: the device delimits frames, so a payload is the rest of its
+//! frame.
 
-use dmx_types::crc::crc32;
+use dmx_types::bytes::{put_varint, varint, varint_len};
+use dmx_types::crc::crc32_update;
 use dmx_types::{AttTypeId, DmxError, Lsn, RelationId, Result, SmTypeId, TxnId};
 
 /// Which extension wrote an [`LogBody::ExtOp`] record: the indexes into
@@ -77,13 +95,40 @@ const T_INTENT: u8 = 8;
 const T_DONE: u8 = 9;
 const T_CHECKPOINT: u8 = 10;
 
+/// The frame's checksum: CRC32 of the LSN it holds, then its bytes.
+fn frame_crc(lsn: Lsn, frame: &[u8]) -> u32 {
+    let state = crc32_update(0xFFFF_FFFF, &lsn.0.to_le_bytes());
+    crc32_update(state, frame) ^ 0xFFFF_FFFF
+}
+
 impl LogRecord {
-    /// Serializes the record to a self-contained byte frame.
+    /// Back-pointer `x` of the record as its stored delta (0 = NULL).
+    fn delta(&self, x: Lsn) -> u64 {
+        debug_assert!(x < self.lsn, "{x} is not behind {}", self.lsn);
+        if x.is_null() {
+            0
+        } else {
+            self.lsn.0 - x.0
+        }
+    }
+
+    /// Serializes the record to the frame stable log position
+    /// `self.lsn − 1` holds.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(32);
-        out.extend_from_slice(&self.lsn.0.to_le_bytes());
-        out.extend_from_slice(&self.prev_lsn.0.to_le_bytes());
-        out.extend_from_slice(&self.txn.0.to_le_bytes());
+        let prev = self.delta(self.prev_lsn);
+        let body = match &self.body {
+            LogBody::ExtOp {
+                relation, payload, ..
+            } => 2 + varint_len(relation.0.into()) + payload.len(),
+            LogBody::Clr { undo_next: x } | LogBody::DeferredDone { intent_lsn: x } => {
+                varint_len(self.delta(*x))
+            }
+            LogBody::DeferredIntent { payload } => payload.len(),
+            _ => 0,
+        };
+        let mut out = Vec::with_capacity(varint_len(prev) + varint_len(self.txn.0) + 1 + body + 4);
+        put_varint(&mut out, prev);
+        put_varint(&mut out, self.txn.0);
         match &self.body {
             LogBody::Begin => out.push(T_BEGIN),
             LogBody::Commit => out.push(T_COMMIT),
@@ -99,103 +144,102 @@ impl LogRecord {
                     ExtKind::Storage(s) => (T_EXTOP_SM, s.0),
                     ExtKind::Attachment(a) => (T_EXTOP_ATT, a.0),
                 };
-                out.push(tag);
-                out.push(id);
-                out.extend_from_slice(&relation.0.to_le_bytes());
+                out.extend_from_slice(&[tag, id]);
+                put_varint(&mut out, relation.0.into());
                 out.push(*op);
-                out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
                 out.extend_from_slice(payload);
             }
             LogBody::Clr { undo_next } => {
                 out.push(T_CLR);
-                out.extend_from_slice(&undo_next.0.to_le_bytes());
+                put_varint(&mut out, self.delta(*undo_next));
             }
             LogBody::DeferredIntent { payload } => {
                 out.push(T_INTENT);
-                out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
                 out.extend_from_slice(payload);
             }
             LogBody::DeferredDone { intent_lsn } => {
                 out.push(T_DONE);
-                out.extend_from_slice(&intent_lsn.0.to_le_bytes());
+                put_varint(&mut out, self.delta(*intent_lsn));
             }
             LogBody::Checkpoint => out.push(T_CHECKPOINT),
         }
-        // Trailing CRC32 over everything above: a torn or rotted frame is
-        // detected by decode, which is what lets restart recovery
-        // scan-and-truncate a damaged log tail instead of replaying it.
-        let crc = crc32(&out);
+        // A torn, rotted or misplaced frame fails decode's check, which
+        // is what lets restart recovery scan-and-truncate a damaged log
+        // tail instead of replaying it.
+        let crc = frame_crc(self.lsn, &out);
         out.extend_from_slice(&crc.to_le_bytes());
         out
     }
 
-    /// Deserializes a frame produced by [`LogRecord::encode`], verifying
-    /// its trailing checksum first.
-    pub fn decode(buf: &[u8]) -> Result<LogRecord> {
+    /// Deserializes the frame that holds `lsn` ([`LogRecord::encode`]'s),
+    /// verifying its checksum first.
+    pub fn decode(lsn: Lsn, buf: &[u8]) -> Result<LogRecord> {
         let corrupt = || DmxError::Corrupt("truncated log record".into());
         let body_len = buf.len().checked_sub(4).ok_or_else(corrupt)?;
-        // bounds: body_len + 4 == buf.len() by the checked_sub above
-        let (payload, crc_bytes) = (&buf[..body_len], &buf[body_len..]);
+        let (buf, crc_bytes) = buf.split_at_checked(body_len).ok_or_else(corrupt)?;
         let stored = u32::from_le_bytes(crc_bytes.try_into().map_err(|_| corrupt())?);
-        if crc32(payload) != stored {
+        if frame_crc(lsn, buf) != stored {
             return Err(DmxError::Corrupt("log record failed checksum".into()));
         }
-        let buf = payload;
         let mut pos = 0usize;
-        let take = |pos: &mut usize, n: usize| -> Result<&[u8]> {
-            let s = buf.get(*pos..*pos + n).ok_or_else(corrupt)?;
-            *pos += n;
-            Ok(s)
+        let int = |pos: &mut usize| varint(buf, pos).ok_or_else(corrupt);
+        let byte = |pos: &mut usize| {
+            let b = buf.get(*pos).copied().ok_or_else(corrupt)?;
+            *pos += 1;
+            Ok(b)
         };
-        let u64at = |pos: &mut usize| -> Result<u64> {
-            let b: [u8; 8] = take(pos, 8)?.try_into().map_err(|_| corrupt())?;
-            Ok(u64::from_le_bytes(b))
+        // The rest of the frame, up to its checksum.
+        let rest = |pos: &mut usize| {
+            let payload = buf.get(*pos..).ok_or_else(corrupt)?.to_vec();
+            *pos = buf.len();
+            Ok::<_, DmxError>(payload)
         };
-        let u32at = |pos: &mut usize| -> Result<u32> {
-            let b: [u8; 4] = take(pos, 4)?.try_into().map_err(|_| corrupt())?;
-            Ok(u32::from_le_bytes(b))
+        // A delta of 0 is NULL; one of `lsn` or more reaches past LSN 1.
+        let back = |pos: &mut usize| match int(pos)? {
+            0 => Ok(Lsn::NULL),
+            d if d < lsn.0 => Ok(Lsn(lsn.0 - d)),
+            d => Err(DmxError::Corrupt(format!(
+                "log record {lsn} points {d} back"
+            ))),
         };
-        let lsn = Lsn(u64at(&mut pos)?);
-        let prev_lsn = Lsn(u64at(&mut pos)?);
-        let txn = TxnId(u64at(&mut pos)?);
-        let tag = take(&mut pos, 1)?[0];
+        let prev_lsn = back(&mut pos)?;
+        let txn = TxnId(int(&mut pos)?);
+        let tag = byte(&mut pos)?;
         let body = match tag {
             T_BEGIN => LogBody::Begin,
             T_COMMIT => LogBody::Commit,
             T_ABORT => LogBody::Abort,
             T_SAVEPOINT => LogBody::Savepoint,
             T_EXTOP_SM | T_EXTOP_ATT => {
-                let id = take(&mut pos, 1)?[0];
-                let relation = RelationId(u32at(&mut pos)?);
-                let op = take(&mut pos, 1)?[0];
-                let len = u32at(&mut pos)? as usize;
-                let payload = take(&mut pos, len)?.to_vec();
+                let id = byte(&mut pos)?;
+                let relation = u32::try_from(int(&mut pos)?).map_err(|_| corrupt())?;
+                let op = byte(&mut pos)?;
                 LogBody::ExtOp {
                     ext: if tag == T_EXTOP_SM {
                         ExtKind::Storage(SmTypeId(id))
                     } else {
                         ExtKind::Attachment(AttTypeId(id))
                     },
-                    relation,
+                    relation: RelationId(relation),
                     op,
-                    payload,
+                    payload: rest(&mut pos)?,
                 }
             }
             T_CLR => LogBody::Clr {
-                undo_next: Lsn(u64at(&mut pos)?),
+                undo_next: back(&mut pos)?,
             },
-            T_INTENT => {
-                let len = u32at(&mut pos)? as usize;
-                LogBody::DeferredIntent {
-                    payload: take(&mut pos, len)?.to_vec(),
-                }
-            }
+            T_INTENT => LogBody::DeferredIntent {
+                payload: rest(&mut pos)?,
+            },
             T_DONE => LogBody::DeferredDone {
-                intent_lsn: Lsn(u64at(&mut pos)?),
+                intent_lsn: back(&mut pos)?,
             },
             T_CHECKPOINT => LogBody::Checkpoint,
             other => return Err(DmxError::Corrupt(format!("bad log tag {other}"))),
         };
+        if pos != buf.len() {
+            return Err(DmxError::Corrupt("log record longer than its body".into()));
+        }
         Ok(LogRecord {
             lsn,
             prev_lsn,
@@ -209,68 +253,145 @@ impl LogRecord {
 mod tests {
     use super::*;
 
-    fn roundtrip(body: LogBody) {
-        let rec = LogRecord {
-            lsn: Lsn(7),
-            prev_lsn: Lsn(3),
-            txn: TxnId(99),
-            body,
-        };
-        let bytes = rec.encode();
-        assert_eq!(LogRecord::decode(&bytes).unwrap(), rec);
-        // every truncation is detected
-        for cut in 0..bytes.len() {
-            assert!(LogRecord::decode(&bytes[..cut]).is_err());
-        }
+    /// LSNs around the one- and two-byte varint widths, past `u32`, and
+    /// at the top of the range.
+    const LSNS: [u64; 6] = [1, 127, 128, 129, 1 << 32, u64::MAX - 1];
+
+    /// A frame of `body` bytes sealed for the position holding `lsn`.
+    fn seal(lsn: u64, mut body: Vec<u8>) -> Vec<u8> {
+        let crc = frame_crc(Lsn(lsn), &body);
+        body.extend_from_slice(&crc.to_le_bytes());
+        body
     }
 
-    #[test]
-    fn roundtrip_all_bodies() {
-        roundtrip(LogBody::Begin);
-        roundtrip(LogBody::Commit);
-        roundtrip(LogBody::Abort);
-        roundtrip(LogBody::Savepoint);
-        roundtrip(LogBody::ExtOp {
-            ext: ExtKind::Storage(SmTypeId(2)),
-            relation: RelationId(5),
-            op: 1,
-            payload: vec![1, 2, 3],
-        });
-        roundtrip(LogBody::ExtOp {
-            ext: ExtKind::Attachment(AttTypeId(4)),
-            relation: RelationId(5),
-            op: 2,
-            payload: vec![],
-        });
-        roundtrip(LogBody::Clr { undo_next: Lsn(2) });
-        roundtrip(LogBody::DeferredIntent {
-            payload: vec![9; 40],
-        });
-        roundtrip(LogBody::DeferredDone { intent_lsn: Lsn(4) });
-        roundtrip(LogBody::Checkpoint);
-    }
-
-    #[test]
-    fn any_byte_flip_fails_checksum() {
-        let bytes = LogRecord {
-            lsn: Lsn(5),
-            prev_lsn: Lsn(4),
-            txn: TxnId(6),
-            body: LogBody::ExtOp {
-                ext: ExtKind::Storage(SmTypeId(1)),
-                relation: RelationId(2),
-                op: 3,
-                payload: vec![0xAB; 16],
+    fn bodies(lsn: u64) -> Vec<LogBody> {
+        let back = [Lsn::NULL, Lsn(1), Lsn(lsn / 2), Lsn(lsn - 1)];
+        let mut all = vec![
+            LogBody::Begin,
+            LogBody::Commit,
+            LogBody::Abort,
+            LogBody::Savepoint,
+            LogBody::ExtOp {
+                ext: ExtKind::Storage(SmTypeId(2)),
+                relation: RelationId(5),
+                op: 1,
+                payload: vec![1, 2, 3],
             },
+            LogBody::ExtOp {
+                ext: ExtKind::Attachment(AttTypeId(4)),
+                relation: RelationId(u32::MAX),
+                op: 2,
+                payload: vec![],
+            },
+            LogBody::DeferredIntent {
+                payload: vec![9; 40],
+            },
+            LogBody::Checkpoint,
+        ];
+        for x in back.into_iter().filter(|x| x.0 < lsn) {
+            all.push(LogBody::Clr { undo_next: x });
+            all.push(LogBody::DeferredDone { intent_lsn: x });
         }
-        .encode();
-        for i in 0..bytes.len() {
-            let mut rotted = bytes.clone();
-            rotted[i] ^= 0x40;
-            assert!(
-                matches!(LogRecord::decode(&rotted), Err(DmxError::Corrupt(_))),
-                "byte flip at {i} undetected"
-            );
+        all
+    }
+
+    /// Every body round-trips at every LSN, under every back-pointer
+    /// behind it; every truncation and every byte flip is `Corrupt`, and
+    /// so is the frame read at the next position.
+    #[test]
+    fn roundtrip_all_bodies_at_every_width() {
+        for lsn in LSNS {
+            for body in bodies(lsn) {
+                for prev in [Lsn::NULL, Lsn(1), Lsn(lsn - 1)] {
+                    if prev.0 >= lsn {
+                        continue;
+                    }
+                    let rec = LogRecord {
+                        lsn: Lsn(lsn),
+                        prev_lsn: prev,
+                        txn: TxnId(lsn ^ 0x55),
+                        body: body.clone(),
+                    };
+                    let bytes = rec.encode();
+                    assert_eq!(bytes.capacity(), bytes.len(), "{rec:?} sized exactly");
+                    assert_eq!(LogRecord::decode(rec.lsn, &bytes).unwrap(), rec);
+                    let elsewhere = LogRecord::decode(Lsn(lsn + 1), &bytes);
+                    assert!(matches!(elsewhere, Err(DmxError::Corrupt(_))), "{rec:?}");
+                    for cut in 0..bytes.len() {
+                        let short = LogRecord::decode(rec.lsn, &bytes[..cut]);
+                        assert!(matches!(short, Err(DmxError::Corrupt(_))), "cut at {cut}");
+                    }
+                    for i in 0..bytes.len() {
+                        let mut rotted = bytes.clone();
+                        rotted[i] ^= 0x40;
+                        assert!(
+                            matches!(
+                                LogRecord::decode(rec.lsn, &rotted),
+                                Err(DmxError::Corrupt(_))
+                            ),
+                            "byte flip at {i} of {rec:?} undetected"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// A transaction-control frame is a few bytes: a Begin at LSN 1 is a
+    /// NULL delta, a one-byte transaction id, its tag and the checksum.
+    #[test]
+    fn a_control_frame_is_its_small_numbers_and_a_checksum() {
+        let begin = LogRecord {
+            lsn: Lsn(1),
+            prev_lsn: Lsn::NULL,
+            txn: TxnId(1),
+            body: LogBody::Begin,
+        };
+        assert_eq!(begin.encode()[..3], [0, 1, T_BEGIN]);
+        assert_eq!(begin.encode().len(), 7);
+    }
+
+    /// A back-pointer delta that reaches LSN 0 or past it is `Corrupt`,
+    /// even in a frame whose checksum holds.
+    #[test]
+    fn deltas_past_lsn_one_are_rejected() {
+        for lsn in LSNS {
+            let varint_of = |v: u64| {
+                let mut out = Vec::new();
+                put_varint(&mut out, v);
+                out
+            };
+            for delta in [lsn, lsn + 1, u64::MAX] {
+                let prev = [varint_of(delta), vec![1, T_BEGIN]].concat();
+                let clr = [vec![0, 1, T_CLR], varint_of(delta)].concat();
+                let done = [vec![0, 1, T_DONE], varint_of(delta)].concat();
+                for body in [prev, clr, done] {
+                    let res = LogRecord::decode(Lsn(lsn), &seal(lsn, body));
+                    assert!(matches!(res, Err(DmxError::Corrupt(_))), "{lsn} - {delta}");
+                }
+            }
+            if lsn > 1 {
+                let back = LogRecord::decode(Lsn(lsn), &seal(lsn, vec![0, 1, T_CLR, 1]));
+                let undo_next = Lsn(lsn - 1);
+                assert_eq!(back.unwrap().body, LogBody::Clr { undo_next });
+            }
+        }
+    }
+
+    /// A frame longer than its body, a relation id past `u32` and an
+    /// overlong varint are `Corrupt` under a valid checksum: a record has
+    /// exactly one frame.
+    #[test]
+    fn a_frame_has_one_spelling() {
+        let bad = [
+            vec![0, 1, T_BEGIN, 0],
+            vec![0, 1, T_CLR, 1, 0],
+            vec![0, 1, T_EXTOP_SM, 1, 0x80, 0x80, 0x80, 0x80, 0x10, 0],
+            vec![0x80, 0x00, 1, T_BEGIN],
+        ];
+        for body in bad {
+            let res = LogRecord::decode(Lsn(9), &seal(9, body.clone()));
+            assert!(matches!(res, Err(DmxError::Corrupt(_))), "{body:?}");
         }
     }
 
@@ -287,31 +408,39 @@ mod tests {
                 payload: (0u8..21).map(|i| i.wrapping_mul(37) ^ 0x5A).collect(),
             },
         };
-        // 56 checksummed bytes (three 16-byte steps and a remainder of
-        // 8), produced by the byte-at-a-time kernel of PR 23 and checked
-        // in: the last four are the trailing CRC32, little-endian.
-        const FRAME: [u8; 60] = [
-            68, 51, 34, 17, 0, 0, 0, 0, 1, 51, 34, 17, 0, 0, 0, 0, 240, 224, 208, 192, 176, 160, 0,
-            0, 6, 3, 254, 202, 173, 11, 9, 21, 0, 0, 0, 90, 127, 16, 53, 206, 227, 132, 89, 114,
-            23, 40, 205, 230, 187, 92, 113, 10, 47, 192, 229, 190, 126, 71, 163, 218,
+        // The prev delta 0x43, the transaction id in seven varint bytes,
+        // tag 6 and attachment type 3, the relation in four, op 9, the
+        // 21-byte payload, then the CRC32 of the LSN's eight bytes and
+        // the 36 above, little-endian.
+        const FRAME: [u8; 40] = [
+            67, 240, 193, 195, 134, 140, 150, 40, 6, 3, 254, 149, 183, 93, 9, 90, 127, 16, 53, 206,
+            227, 132, 89, 114, 23, 40, 205, 230, 187, 92, 113, 10, 47, 192, 229, 190, 233, 100,
+            177, 249,
         ];
         assert_eq!(rec.encode(), FRAME);
-        assert_eq!(LogRecord::decode(&FRAME).unwrap(), rec);
+        assert_eq!(LogRecord::decode(rec.lsn, &FRAME).unwrap(), rec);
     }
 
     #[test]
     fn bad_tag_rejected() {
-        let mut bytes = LogRecord {
-            lsn: Lsn(1),
+        let rec = LogRecord {
+            lsn: Lsn(300),
             prev_lsn: Lsn::NULL,
-            txn: TxnId(1),
+            txn: TxnId(200),
             body: LogBody::Begin,
+        };
+        let mut body = rec.encode();
+        body.truncate(body.len() - 4);
+        // A Begin's tag is its last byte.
+        let tag = body.len() - 1;
+        assert_eq!(body[tag], T_BEGIN);
+        for bad in [0, T_CHECKPOINT + 1, 0xEE] {
+            body[tag] = bad;
+            let res = LogRecord::decode(rec.lsn, &seal(300, body.clone()));
+            assert!(
+                matches!(&res, Err(DmxError::Corrupt(m)) if m.contains("tag")),
+                "{res:?}"
+            );
         }
-        .encode();
-        bytes[24] = 0xEE;
-        assert!(matches!(
-            LogRecord::decode(&bytes),
-            Err(DmxError::Corrupt(_))
-        ));
     }
 }

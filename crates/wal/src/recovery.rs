@@ -17,7 +17,6 @@
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 
-use dmx_types::fault::{with_io_retries, MAX_IO_RETRIES};
 use dmx_types::{Appended, Lsn, Result, TxnId};
 
 use crate::log::LogManager;
@@ -227,8 +226,8 @@ fn analyze(log: &LogManager, handler: &dyn UndoHandler) -> Result<Analysis> {
     let mut done: HashSet<Lsn> = HashSet::new();
     let mut max_txn = 0u64;
     let stable = log.stable();
-    for idx in 0..stable.len() {
-        let rec = with_io_retries(MAX_IO_RETRIES, || stable.with_frame(idx, LogRecord::decode))?;
+    for lsn in 1..=stable.len() as u64 {
+        let rec = stable.record(Lsn(lsn))?;
         if rec.txn.0 > max_txn {
             max_txn = rec.txn.0;
         }
@@ -356,9 +355,7 @@ pub fn restart(log: &LogManager, handler: &dyn UndoHandler) -> Result<RestartRep
     let (mut ops_redone, mut compensations_repeated) = (0, 0);
     let stable = log.stable();
     for lsn in first.into_iter().chain(rest) {
-        // LSNs are dense and 1-based: frame idx holds LSN idx+1.
-        let idx = lsn.0 as usize - 1;
-        let rec = with_io_retries(MAX_IO_RETRIES, || stable.with_frame(idx, LogRecord::decode))?;
+        let rec = stable.record(lsn)?;
         match &rec.body {
             LogBody::Clr { undo_next } => {
                 if let Some(undone) = compensated(log, &rec, *undo_next)? {

@@ -627,6 +627,43 @@ fn row_counts_survive_a_clean_close() {
     assert_eq!(env.stable_log.len(), frames);
 }
 
+/// The planner's row count survives a crash as the newest header stored
+/// it: restart re-installs the header `ANALYZE TABLE` wrote (300 rows)
+/// over the one `CREATE TABLE` left on disk (0), and the count follows
+/// the header. The 96 rows after it are not counted yet: redo does not
+/// re-derive counts (ROADMAP 5(a)).
+#[test]
+fn restart_keeps_the_newest_headers_row_count() {
+    let (env, db) = fresh();
+    db.execute_sql("CREATE TABLE t (id INT NOT NULL, v INT)")
+        .unwrap();
+    let insert = |db: &Arc<Database>, ids: std::ops::Range<i64>| {
+        let rel = db.catalog().get_by_name("t").unwrap().id;
+        db.with_txn(|txn| {
+            ids.clone().try_for_each(|i| {
+                db.insert(
+                    txn,
+                    rel,
+                    Record::new(vec![Value::Int(i), Value::Int(i % 7)]),
+                )
+                .map(drop)
+            })
+        })
+        .unwrap();
+    };
+    insert(&db, 0..300);
+    db.execute_sql("ANALYZE TABLE t").unwrap();
+    insert(&db, 300..396);
+    std::mem::forget(db);
+    for round in 0..2 {
+        let db = reopen(&env);
+        let rd = db.catalog().get_by_name("t").unwrap();
+        assert_eq!(rd.stats.records(), 300, "reopen {round}");
+        assert_eq!(count(&db, "t"), 396);
+        std::mem::forget(db);
+    }
+}
+
 /// No DDL fails on descriptor size: forty CHECK constraints are forty
 /// catalog records, none of them larger for the others. The descriptor
 /// is the same after a clean reopen and after a crash.
@@ -659,8 +696,11 @@ fn forty_check_constraints_survive_reopen_and_crash() {
 }
 
 /// The log a `CREATE TABLE` appends does not grow with the catalog: the
-/// 1st and the 200th append the same bytes — a header record and the id
-/// high-water record — and force the log once, at the commit point.
+/// 1st and the 200th append the same records — a header record and the
+/// id high-water record — and force the log once, at the commit point.
+/// The bytes are flat but for the varint width of the ids they carry
+/// (LSN deltas, transaction and relation ids): a few bytes from #1 to
+/// #200, however many relations there are.
 #[test]
 fn the_nth_create_table_logs_what_the_first_does() {
     let (env, db) = fresh();
@@ -682,8 +722,10 @@ fn the_nth_create_table_logs_what_the_first_does() {
         );
         logged.push(frame_bytes(frames));
     }
-    assert!(logged.iter().all(|&b| b == logged[0]), "{logged:?}");
-    assert!(logged[0] < 400, "{} bytes", logged[0]);
+    let (first, last) = (logged[0], logged[199]);
+    assert!(logged.is_sorted(), "{logged:?}");
+    assert!(last - first <= 4, "#1 logged {first} B, #200 {last} B");
+    assert!(last < 400, "{last} bytes");
 }
 
 /// The later-image case, for real: the first `ANALYZE TABLE` backfills
@@ -692,10 +734,10 @@ fn the_nth_create_table_logs_what_the_first_does() {
 /// crash. Restart redoes every one of those records over a tree that
 /// already holds a later image than most of them left, and must end
 /// where the crash did: the counts and bounds `sys.statistics` shows,
-/// and the plans of two probes, after each of two reopens. (The rows go
-/// in before a clean close and the DML after `ANALYZE` moves no row
-/// count: a crash does not yet recover the planner's row count,
-/// ROADMAP 5(a).)
+/// and the plans of two probes, after each of two reopens. (The row
+/// count the plans cost with is the one `ANALYZE`'s header stored, so
+/// the DML after it moves no row count: redo does not yet re-derive
+/// counts, ROADMAP 5(a).)
 #[test]
 fn statistics_redone_over_a_later_image_end_where_the_crash_did() {
     let (env, db) = fresh();
@@ -721,8 +763,6 @@ fn statistics_redone_over_a_later_image_end_where_the_crash_did() {
         Ok(())
     })
     .unwrap();
-    drop(db);
-    let db = reopen(&env);
     db.execute_sql("ANALYZE TABLE t").unwrap();
     for chunk in keys.chunks(100).take(4) {
         db.with_txn(|txn| {
