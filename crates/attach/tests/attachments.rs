@@ -1137,7 +1137,9 @@ fn create_plots(db: &Arc<Database>, name: &str, attach: &[&str]) -> RelationId {
 
 /// "The B-tree update operation should be able to detect when no indexed
 /// fields for a given index are modified": an update no access path
-/// cares about appends the heap's log record and nothing else.
+/// cares about logs the heap's operation and nothing else. Whatever the
+/// indexes log, the update is one log frame: their operations join the
+/// heap's record.
 #[test]
 fn update_of_an_unindexed_field_logs_nothing_for_the_indexes() {
     let db = open_db();
@@ -1150,28 +1152,35 @@ fn update_of_an_unindexed_field_logs_nothing_for_the_indexes() {
         db.with_txn(|txn| db.insert(txn, rel, plot(1, "a", Some(2), Some(area), "old note")))
             .unwrap()
     });
-    // WAL records each twin appends for the same update of its one record.
-    let appends = |to: Record| {
+    // Operations and records each twin logs for the same update of its
+    // one record.
+    let logged = |to: Record| {
         [0, 1].map(|i| {
             db.with_txn(|txn| {
-                let before = db.metrics_snapshot().counter("wal.appends");
+                let count = || {
+                    let snap = db.metrics_snapshot();
+                    (snap.counter("wal.ext_ops"), snap.counter("wal.appends"))
+                };
+                let (ops, frames) = count();
                 assert_eq!(db.update(txn, rels[i], &keys[i], to.clone())?, keys[i]);
-                Ok(db.metrics_snapshot().counter("wal.appends") - before)
+                let (ops_after, frames_after) = count();
+                Ok((ops_after - ops, frames_after - frames))
             })
             .unwrap()
         })
     };
-    let [indexed, bare] = appends(plot(1, "a", Some(2), Some(area), "new note"));
+    let [indexed, bare] = logged(plot(1, "a", Some(2), Some(area), "new note"));
     assert_eq!(indexed, bare, "no entry changed, so no index may log");
-    assert!(bare > 0);
+    assert!(bare.0 > 0);
     // Every indexed field changes: each path takes its old entry out and
-    // puts the new one in.
+    // puts the new one in — inside the heap's frame.
     let moved = Rect::new(5.0, 5.0, 6.0, 6.0);
-    let [indexed, bare] = appends(plot(7, "b", Some(3), Some(moved), "new note"));
+    let [indexed, bare] = logged(plot(7, "b", Some(3), Some(moved), "new note"));
     assert!(
-        indexed >= bare + 2 * ACCESS_PATHS.len() as u64,
-        "{indexed} vs {bare}"
+        indexed.0 >= bare.0 + 2 * ACCESS_PATHS.len() as u64,
+        "{indexed:?} vs {bare:?}"
     );
+    assert_eq!(indexed.1, bare.1, "one frame per update");
 }
 
 /// What every access path of plots relation `name` returns, and the row

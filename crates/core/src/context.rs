@@ -4,11 +4,11 @@ use std::sync::Arc;
 
 use dmx_expr::{eval, eval_predicate, EvalContext, Expr, FieldSource, FunctionRegistry};
 use dmx_lock::{LockMode, LockName};
-use dmx_txn::Transaction;
+use dmx_txn::{Sharing, Transaction};
 use dmx_types::held::Evaluating;
 use dmx_types::sync::RwLockReadGuard;
 use dmx_types::{Appended, RecordKey, RelationId, Result, Value};
-use dmx_wal::{ExtKind, LogBody};
+use dmx_wal::{ExtKind, ExtOp};
 
 use crate::database::Database;
 use crate::services::CommonServices;
@@ -33,7 +33,9 @@ impl<'a> ExecCtx<'a> {
 
     /// Logs an extension operation on this transaction's undo chain,
     /// returning its token: what a page that the change dirties is taken
-    /// for writing against, and stamped with (write-ahead).
+    /// for writing against, and stamped with (write-ahead). The record is
+    /// the operation's own, which the rest of its relation modification
+    /// may join ([`Sharing::Leads`]): its replay may compare page LSNs.
     pub fn log_ext_op(
         &self,
         ext: ExtKind,
@@ -41,7 +43,7 @@ impl<'a> ExecCtx<'a> {
         op: u8,
         payload: Vec<u8>,
     ) -> Appended {
-        log_ext_op(self.txn, ext, relation, op, payload)
+        log_ext_op(self.txn, Sharing::Leads, ext, relation, op, payload)
     }
 
     /// Acquires a lock through the system lock manager.
@@ -73,20 +75,23 @@ impl<'a> ExecCtx<'a> {
     }
 }
 
-/// [`ExecCtx::log_ext_op`] for a writer that holds only its transaction.
+/// [`ExecCtx::log_ext_op`] for a writer that holds only its transaction,
+/// sharing its record as `sharing` says.
 pub(crate) fn log_ext_op(
     txn: &Transaction,
+    sharing: Sharing,
     ext: ExtKind,
     relation: RelationId,
     op: u8,
     payload: Vec<u8>,
 ) -> Appended {
-    Appended::by_log(txn.log(LogBody::ExtOp {
+    let op = ExtOp {
         ext,
         relation,
         op,
         payload,
-    }))
+    };
+    Appended::by_log(txn.log_op(op, sharing))
 }
 
 /// See [`ExecCtx::evaluator`].

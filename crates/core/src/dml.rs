@@ -488,7 +488,9 @@ impl Database {
         Some(image)
     }
 
-    /// Runs one relation operation as a statement: on failure, the
+    /// Runs one relation operation as a statement: its extension
+    /// operations share one log record where they may (one frame per
+    /// modification, [`Transaction::modification`]), and on failure the
     /// common recovery log drives the undo of its partial effects back to
     /// the statement's entry point.
     fn with_stmt<T>(
@@ -498,6 +500,7 @@ impl Database {
     ) -> Result<T> {
         txn.check_active()?;
         let ctx = ExecCtx { db: self, txn };
+        let _modifying = txn.modification();
         let start_lsn = txn.last_lsn();
         let vmark = self.versions().mark(txn.id());
         match f(&ctx) {

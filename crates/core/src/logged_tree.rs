@@ -15,12 +15,15 @@
 //!    cell's own name until end of transaction before it reads;
 //! 2. it probes through [`LoggedTree::tree`] and decides the entry's
 //!    after-image;
-//! 3. `apply` appends the `ExtOp` record and installs the image through
-//!    the tree's writer of the token the append returns — the only way
-//!    to a writer — which stamps the record's LSN on every page the
-//!    change dirties; the flush hook forces the log through a page's LSN
-//!    before writing it, so the change can never reach disk ahead of the
-//!    record that lets recovery undo it.
+//! 3. `apply` logs the change — as one more operation of its relation
+//!    modification's record while that is open and unforced, else in a
+//!    record of its own — and installs the image through the tree's
+//!    writer of the token the log returns — the only way to a writer —
+//!    which stamps the record's LSN on every page the change dirties; the
+//!    flush hook forces the log through a page's LSN before writing it,
+//!    and a force closes the records it takes to new operations, so the
+//!    change can never reach disk ahead of the record that lets recovery
+//!    undo it.
 //!
 //! The reader's half lives here too: [`TreeScan`] is the one
 //! key-sequential access over a tree file — leaf-at-a-time stepping,
@@ -65,7 +68,7 @@ use std::sync::Arc;
 use dmx_btree::{BTree, OnDuplicate};
 use dmx_expr::Expr;
 use dmx_lock::{LockMode, LockName};
-use dmx_txn::Transaction;
+use dmx_txn::{Sharing, Transaction};
 use dmx_types::bytes::{le_u16, le_u32, put_varint, varint, varint_len};
 use dmx_types::{Appended, DmxError, FileId, PageId, RecordKey, RelationId, Result, Value};
 use dmx_wal::{Compensation, ExtKind};
@@ -560,6 +563,10 @@ pub struct LoggedTree<'a, T = BTree> {
     /// An attachment's records name their tree; the storage method's is
     /// in the relation descriptor replay is handed.
     names_tree: bool,
+    /// A tree replay sets what was logged and compares no page LSN, so a
+    /// data change joins its modification's record; the catalog's stand
+    /// alone, for restart replays them in a pass of their own.
+    sharing: Sharing,
     tree: T,
 }
 
@@ -577,6 +584,7 @@ impl<'a, T: LoggedTarget> LoggedTree<'a, T> {
             ext: ExtKind::Attachment(inst.att),
             relation: rd.id,
             names_tree: true,
+            sharing: Sharing::Joins,
             tree,
         }
     }
@@ -589,6 +597,7 @@ impl<'a, T: LoggedTarget> LoggedTree<'a, T> {
             ext: ExtKind::Storage(rd.sm),
             relation: rd.id,
             names_tree: false,
+            sharing: Sharing::Joins,
             tree,
         }
     }
@@ -602,6 +611,7 @@ impl<'a, T: LoggedTarget> LoggedTree<'a, T> {
             ext: CATALOG_EXT,
             relation: CATALOG_RELATION,
             names_tree: false,
+            sharing: Sharing::Alone,
             tree: catalog,
         }
     }
@@ -612,7 +622,8 @@ impl<'a, T: LoggedTarget> LoggedTree<'a, T> {
     }
 
     /// Logs the change of `key` from `before` to `after` (`None` =
-    /// absent) on the transaction's undo chain, then installs `after`
+    /// absent) on the transaction's undo chain — in the record of its
+    /// relation modification where one is open — then installs `after`
     /// through the writer of the record's token. The only holder of a
     /// forward token in a tree-backed extension.
     pub fn apply(&self, key: &[u8], before: Option<&[u8]>, after: Option<&[u8]>) -> Result<()> {
@@ -621,7 +632,7 @@ impl<'a, T: LoggedTarget> LoggedTree<'a, T> {
         }
         let named = self.names_tree.then(|| self.tree.root());
         let (op, payload) = encode_change(named, key, before, after)?;
-        let at = log_ext_op(self.txn, self.ext, self.relation, op, payload);
+        let at = log_ext_op(self.txn, self.sharing, self.ext, self.relation, op, payload);
         self.tree.install_image(at, key, after)
     }
 }

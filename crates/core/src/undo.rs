@@ -10,8 +10,8 @@
 use std::sync::Arc;
 
 use dmx_types::sync::Mutex;
-use dmx_types::{Appended, DmxError, RelationId, Result};
-use dmx_wal::{Compensation, ExtKind, LogBody, LogRecord, UndoHandler};
+use dmx_types::{Appended, DmxError, Lsn, RelationId, Result};
+use dmx_wal::{Compensation, ExtKind, LogBody, LogRecord, OpRef, UndoHandler};
 
 use crate::catalog::{Catalog, CATALOG_RELATION};
 use crate::logged_tree::{self, Replay};
@@ -96,20 +96,28 @@ impl UndoDispatch {
         })
     }
 
-    /// Routes a logged extension operation back to the extension that
-    /// wrote it, through the procedure vectors.
+    /// Routes each extension operation of `rec` back to the extension that
+    /// wrote it — last to first for an undo, first to last for a redo.
     fn replay(&self, rec: &LogRecord, dir: Replay<'_>) -> Result<()> {
-        let LogBody::ExtOp {
+        let mut ops = rec.body.ext_ops();
+        let replay = |op| self.replay_op(rec.lsn, op, dir);
+        match dir {
+            Replay::Undo(_) => ops.rev().try_for_each(replay),
+            Replay::Redo(_) => ops.try_for_each(replay),
+        }
+    }
+
+    /// Routes one logged extension operation of the record at `lsn` back
+    /// to the extension that wrote it, through the procedure vectors.
+    fn replay_op(&self, lsn: Lsn, op: OpRef<'_>, dir: Replay<'_>) -> Result<()> {
+        let OpRef {
             ext,
             relation,
             op,
             payload,
-        } = &rec.body
-        else {
-            return Ok(());
-        };
-        if *relation == CATALOG_RELATION {
-            return logged_tree::replay(&*self.catalog, dir, *op, payload).map(drop);
+        } = op;
+        if relation == CATALOG_RELATION {
+            return logged_tree::replay(&*self.catalog, dir, op, payload).map(drop);
         }
         // A relation missing from the catalog. Undo: the same transaction
         // created it (loser DDL, never committed) — its state is being
@@ -119,23 +127,20 @@ impl UndoDispatch {
         // storage, and replaying into freed files would be wrong.
         // (Restart replays the catalog's records before these, so the
         // catalog is the final committed one here.)
-        let Ok(rd) = self.catalog.get(*relation) else {
+        let Ok(rd) = self.catalog.get(relation) else {
             return Ok(());
         };
         let res = match ext {
             ExtKind::Storage(id) => {
                 self.registry
-                    .storage(*id)?
-                    .replay(&self.services, &rd, rec.lsn, dir, *op, payload)
+                    .storage(id)?
+                    .replay(&self.services, &rd, lsn, dir, op, payload)
             }
-            ExtKind::Attachment(id) => self.registry.attachment(*id)?.replay(
-                &self.services,
-                &rd,
-                rec.lsn,
-                dir,
-                *op,
-                payload,
-            ),
+            ExtKind::Attachment(id) => {
+                self.registry
+                    .attachment(id)?
+                    .replay(&self.services, &rd, lsn, dir, op, payload)
+            }
         };
         match tolerate_missing(res) {
             // (A record whose storage is gone — an instance a committed
@@ -154,7 +159,7 @@ impl UndoDispatch {
             Err(DmxError::Corrupt(reason))
                 if matches!(dir, Replay::Redo(_)) || matches!(ext, ExtKind::Attachment(_)) =>
             {
-                self.damaged.lock().push((*relation, reason));
+                self.damaged.lock().push((relation, reason));
                 Ok(())
             }
             other => other,
@@ -179,8 +184,9 @@ impl UndoHandler for UndoDispatch {
         }
     }
 
+    /// The catalog's records are its own ([`dmx_txn::Sharing::Alone`]).
     fn is_catalog(&self, rec: &LogRecord) -> bool {
-        matches!(&rec.body, LogBody::ExtOp { relation, .. } if *relation == CATALOG_RELATION)
+        rec.body.ext_ops().any(|op| op.relation == CATALOG_RELATION)
     }
 }
 

@@ -22,4 +22,4 @@ pub mod txn;
 pub use deferred::{DeferredQueues, TxnEvent};
 pub use mvcc::{Footprint, GcOutcome, Snapshot, VersionImage, VersionStore};
 pub use retry::{run_with_retries, DEFAULT_DEADLOCK_RETRIES};
-pub use txn::{Savepoint, Transaction, TxnManager, TxnState};
+pub use txn::{Modifying, Savepoint, Sharing, Transaction, TxnManager, TxnState};

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use dmx_types::sync::Mutex;
 
 use dmx_types::{DmxError, Lsn, Result, TxnId};
-use dmx_wal::{LogBody, LogManager};
+use dmx_wal::{ExtOp, LogBody, LogManager};
 
 use crate::deferred::{DeferredAction, DeferredQueues, TxnEvent};
 use crate::mvcc::{Snapshot, VersionStore};
@@ -34,6 +34,43 @@ struct TxnInner {
     state: TxnState,
     last_lsn: Lsn,
     savepoints: Vec<Savepoint>,
+    /// Inside a relation modification ([`Transaction::modification`]):
+    /// the record its operations join ([`Lsn::NULL`] until one opens).
+    /// `None` outside one.
+    open: Option<Lsn>,
+}
+
+/// How an extension operation's record may share a frame with the other
+/// operations of its relation modification ([`Transaction::log_op`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Sharing {
+    /// Joins the modification's open record, or opens one. For an
+    /// operation whose replay sets what it logged and compares no page
+    /// LSN: it may share a record with another operation on its pages.
+    Joins,
+    /// Opens a record of its own, which later operations may join. For
+    /// an operation whose replay compares page LSNs: a page's LSN tells
+    /// only which records reached it, so no earlier operation of its
+    /// record may have touched its pages.
+    Leads,
+    /// A record of its own that nothing joins.
+    Alone,
+}
+
+/// A relation modification in progress ([`Transaction::modification`]);
+/// dropping it ends the modification.
+#[must_use]
+pub struct Modifying<'a> {
+    txn: &'a Transaction,
+    outer: Option<Lsn>,
+}
+
+impl Drop for Modifying<'_> {
+    fn drop(&mut self) {
+        // The record closes with the modification; an enclosing one
+        // continues in a record of its own.
+        self.txn.inner.lock().open = self.outer.map(|_| Lsn::NULL);
+    }
 }
 
 /// A transaction handle. Shared via `Arc`; internally synchronized.
@@ -99,11 +136,56 @@ impl Transaction {
     /// the stable log byte-identical.
     pub fn log(&self, body: LogBody) -> Lsn {
         let mut inner = self.inner.lock();
+        self.append(&mut inner, body)
+    }
+
+    fn append(&self, inner: &mut TxnInner, body: LogBody) -> Lsn {
         if inner.last_lsn.is_null() && !matches!(body, LogBody::Begin) {
             inner.last_lsn = self.log.append(self.id, Lsn::NULL, LogBody::Begin);
         }
         let lsn = self.log.append(self.id, inner.last_lsn, body);
         inner.last_lsn = lsn;
+        lsn
+    }
+
+    /// Starts a relation modification — the storage method's change and
+    /// its attachments' side effects — whose extension operations share
+    /// one record as far as [`Sharing`] lets them, until the guard drops.
+    /// The record open before is closed, so the modification's records
+    /// all follow [`Transaction::last_lsn`] as it is now: a rollback to
+    /// that point takes back the whole modification and nothing before.
+    /// A modification nested in another (a cascade) has records of its
+    /// own, and the enclosing one goes on in a new record after it.
+    pub fn modification(&self) -> Modifying<'_> {
+        let mut inner = self.inner.lock();
+        let outer = inner.open.replace(Lsn::NULL);
+        Modifying { txn: self, outer }
+    }
+
+    /// Logs one extension operation and returns the LSN of the record
+    /// that holds it: the modification's open record when `sharing`
+    /// joins and that record is still this transaction's last and
+    /// unforced ([`LogManager::amend`]), else a record of its own.
+    pub fn log_op(&self, op: ExtOp, sharing: Sharing) -> Lsn {
+        let mut inner = self.inner.lock();
+        let op = match inner.open {
+            Some(open)
+                if sharing == Sharing::Joins && !open.is_null() && open == inner.last_lsn =>
+            {
+                match self.log.amend(open, op) {
+                    Ok(()) => return open,
+                    Err(op) => op,
+                }
+            }
+            _ => op,
+        };
+        let lsn = self.append(&mut inner, op.into());
+        if let Some(open) = &mut inner.open {
+            *open = match sharing {
+                Sharing::Alone => Lsn::NULL,
+                Sharing::Joins | Sharing::Leads => lsn,
+            };
+        }
         lsn
     }
 
@@ -314,6 +396,7 @@ impl TxnManager {
                 state: TxnState::Active,
                 last_lsn: Lsn::NULL,
                 savepoints: Vec::new(),
+                open: None,
             }),
             queues: Mutex::new(DeferredQueues::default()),
             // Captured eagerly so the read position is fixed at begin
@@ -366,6 +449,81 @@ mod tests {
         assert_eq!(t.last_lsn(), l1);
         tm.deregister(t.id());
         assert_eq!(tm.active_count(), 0);
+    }
+
+    fn op(ext: u8) -> ExtOp {
+        ExtOp {
+            ext: dmx_wal::ExtKind::Attachment(dmx_types::AttTypeId(ext)),
+            relation: dmx_types::RelationId(1),
+            op: 1,
+            payload: vec![ext],
+        }
+    }
+
+    /// Inside a modification, joining operations share the record the
+    /// first one opened; a leading one opens a new record the rest join,
+    /// and one alone is joined by nothing. Outside, every operation is a
+    /// record. A nested modification starts its own record, and the outer
+    /// one continues in a new record after it.
+    #[test]
+    fn a_modifications_operations_share_its_record() {
+        let (log, tm) = mgr();
+        let t = tm.begin();
+        let ops = |lsn| {
+            let rec = log.record(lsn).unwrap();
+            rec.body.ext_ops().map(|o| o.payload[0]).collect::<Vec<_>>()
+        };
+        let lone = t.log_op(op(1), Sharing::Joins);
+        let (a, b, c, d, e, f, g) = {
+            let _m = t.modification();
+            let a = t.log_op(op(2), Sharing::Leads);
+            assert_eq!(t.log_op(op(3), Sharing::Joins), a);
+            let b = t.log_op(op(4), Sharing::Leads);
+            assert_eq!(t.log_op(op(5), Sharing::Joins), b);
+            let c = t.log_op(op(6), Sharing::Alone);
+            let d = t.log_op(op(7), Sharing::Joins);
+            let (e, f) = {
+                let _nested = t.modification();
+                let e = t.log_op(op(8), Sharing::Joins);
+                (e, t.log_op(op(9), Sharing::Joins))
+            };
+            let g = t.log_op(op(10), Sharing::Joins);
+            (a, b, c, d, e, f, g)
+        };
+        assert_eq!(e, f);
+        let after = t.log_op(op(11), Sharing::Joins);
+        let got: Vec<Vec<u8>> = [lone, a, b, c, d, e, g, after].map(ops).into();
+        assert_eq!(
+            got,
+            [
+                vec![1],
+                vec![2, 3],
+                vec![4, 5],
+                vec![6],
+                vec![7],
+                vec![8, 9],
+                vec![10],
+                vec![11]
+            ]
+        );
+        assert_eq!(log.last_lsn(), after);
+    }
+
+    /// An operation joins only the transaction's last record, and only
+    /// while no force has taken it.
+    #[test]
+    fn a_record_closes_when_another_follows_or_a_force_takes_it() {
+        let (log, tm) = mgr();
+        let t = tm.begin();
+        let _m = t.modification();
+        let a = t.log_op(op(1), Sharing::Joins);
+        t.savepoint("s", None);
+        let b = t.log_op(op(2), Sharing::Joins);
+        assert!(b > a);
+        log.force_all().unwrap();
+        let c = t.log_op(op(3), Sharing::Joins);
+        assert_eq!(c, Lsn(b.0 + 1), "b was sealed by the force");
+        assert_eq!(t.log_op(op(4), Sharing::Joins), c);
     }
 
     #[test]

@@ -521,6 +521,10 @@ pub mod name {
 
     /// Log records appended to the volatile tail.
     pub const WAL_APPENDS: &str = "wal.appends";
+    /// Extension operations logged: each either appended a record of its
+    /// own or joined the open record of its relation modification, so
+    /// this over [`WAL_APPENDS`] is the operations a frame carries.
+    pub const WAL_EXT_OPS: &str = "wal.ext_ops";
     /// Force (flush-to-stable) calls that had work to do.
     pub const WAL_FORCES: &str = "wal.forces";
     /// Frames moved from the volatile tail to stable storage.
@@ -531,7 +535,7 @@ pub mod name {
     /// which sum to it.
     pub const WAL_BYTES: &str = "wal.bytes";
     /// The part of [`WAL_BYTES`] outside the frames' payloads: each
-    /// frame's header and checksum.
+    /// frame's header and checksum, and each joined operation's header.
     pub const WAL_FRAME_OVERHEAD_BYTES: &str = "wal.frame_overhead_bytes";
     /// Histogram: frames moved per force call.
     pub const WAL_FORCE_BATCH: &str = "wal.force_batch";

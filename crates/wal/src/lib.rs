@@ -13,7 +13,9 @@
 //! * [`record::LogBody::ExtOp`] records carry extension-interpreted undo
 //!   payloads; the recovery driver hands them back to the originating
 //!   extension through the [`recovery::UndoHandler`] trait (implemented in
-//!   `dmx-core` by dispatch through the procedure vectors).
+//!   `dmx-core` by dispatch through the procedure vectors). The operations
+//!   of one relation modification share a record
+//!   ([`record::LogBody::ExtOps`], built by [`log::LogManager::amend`]).
 //! * [`recovery`] implements partial rollback to a savepoint, full abort,
 //!   and restart recovery (complete committed deferred intents, redo
 //!   winners and repeat every compensation in forward passes — the
@@ -27,5 +29,5 @@ pub mod record;
 pub mod recovery;
 
 pub use log::{LogManager, StableLog};
-pub use record::{ExtKind, LogBody, LogRecord};
+pub use record::{ExtKind, ExtOp, LogBody, LogRecord, OpRef};
 pub use recovery::{restart, rollback_to, Compensation, RestartReport, UndoHandler};

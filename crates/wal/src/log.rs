@@ -26,7 +26,7 @@ use dmx_types::held;
 use dmx_types::obs::{name, Counter, Histogram, MetricsRegistry, ObsEvent, SIZE_BUCKETS};
 use dmx_types::{DmxError, FaultDecision, FaultInjector, Lsn, Result, TxnId};
 
-use crate::record::{ExtKind, LogBody, LogRecord};
+use crate::record::{framed_lens, ExtKind, ExtOp, LogBody, LogRecord};
 
 /// The durable prefix of the log. Records are stored encoded, proving the
 /// wire format round-trips; a simulated crash keeps this object and drops
@@ -165,6 +165,9 @@ struct Volatile {
     tail: VecDeque<LogRecord>,
     /// Highest LSN assigned.
     next_lsn: u64,
+    /// Highest LSN a force has taken for encoding: a record at or below
+    /// it is sealed and [`LogManager::amend`] refuses it.
+    sealed: u64,
 }
 
 /// Assigns LSNs, maintains per-transaction undo chains, and controls
@@ -179,6 +182,7 @@ pub struct LogManager {
     flush: Mutex<()>,
     obs: Arc<MetricsRegistry>,
     appends: Arc<Counter>,
+    ext_ops: Arc<Counter>,
     forces: Arc<Counter>,
     frames_forced: Arc<Counter>,
     force_batch: Arc<Histogram>,
@@ -207,20 +211,58 @@ impl BytesByWriter {
         }
     }
 
-    /// Counts a durable frame of `n` bytes, `overhead` of them outside
-    /// its payload, that `writer` wrote (`None` = a transaction-control
-    /// record).
-    fn add(&self, obs: &MetricsRegistry, writer: Option<ExtKind>, n: u64, overhead: u64) {
-        self.all.add(n);
-        self.overhead.add(overhead);
-        let (cells, kind, id) = match writer {
-            None => return self.txn.add(n),
-            Some(ExtKind::Storage(id)) => (&self.sm, "sm", id.0),
-            Some(ExtKind::Attachment(id)) => (&self.att, "att", id.0),
+    /// Counts a durable frame: its bytes by writer (`None` = a
+    /// transaction-control record), `overhead` of them outside payloads.
+    fn add(&self, obs: &MetricsRegistry, frame: &Written) {
+        self.overhead.add(frame.overhead);
+        for &(writer, n) in &frame.by_writer {
+            let n = n as u64;
+            self.all.add(n);
+            let (cells, kind, id) = match writer {
+                None => {
+                    self.txn.add(n);
+                    continue;
+                }
+                Some(ExtKind::Storage(id)) => (&self.sm, "sm", id.0),
+                Some(ExtKind::Attachment(id)) => (&self.att, "att", id.0),
+            };
+            cells[usize::from(id)]
+                .get_or_init(|| obs.counter(&format!("{}.{kind}.{id}", name::WAL_BYTES)))
+                .add(n);
+        }
+    }
+}
+
+/// Who wrote the bytes of one encoded frame.
+struct Written {
+    /// Each writer's bytes, summing to the frame's length: an operation's
+    /// header and payload are its extension's, and the frame's own header
+    /// and checksum go to its first operation's.
+    by_writer: Vec<(Option<ExtKind>, usize)>,
+    /// The bytes outside payloads.
+    overhead: u64,
+}
+
+impl Written {
+    fn of(rec: &LogRecord, len: usize) -> Written {
+        let (by_writer, payloads) = match &rec.body {
+            LogBody::ExtOp { ext, payload, .. } => (vec![(Some(*ext), len)], payload.len()),
+            LogBody::ExtOps(ops) => {
+                let writers = ops.iter().map(|o| Some(o.ext));
+                let mut by_writer: Vec<_> = writers.zip(framed_lens(ops)).collect();
+                let framed: usize = by_writer.iter().map(|&(_, n)| n).sum();
+                if let Some(first) = by_writer.first_mut() {
+                    first.1 += len - framed;
+                }
+                (by_writer, ops.iter().map(|o| o.payload.len()).sum())
+            }
+            LogBody::DeferredIntent { payload } => (vec![(None, len)], payload.len()),
+            _ => (vec![(None, len)], 0),
         };
-        cells[usize::from(id)]
-            .get_or_init(|| obs.counter(&format!("{}.{kind}.{id}", name::WAL_BYTES)))
-            .add(n);
+        Written {
+            by_writer,
+            overhead: (len - payloads) as u64,
+        }
     }
 }
 
@@ -234,8 +276,9 @@ impl LogManager {
 
     /// Opens a log manager registering its metrics in `obs`.
     pub fn open_with_metrics(stable: Arc<StableLog>, obs: Arc<MetricsRegistry>) -> Self {
-        let next_lsn = stable.len() as u64 + 1;
+        let durable = stable.len() as u64;
         let appends = obs.counter(name::WAL_APPENDS);
+        let ext_ops = obs.counter(name::WAL_EXT_OPS);
         let forces = obs.counter(name::WAL_FORCES);
         let frames_forced = obs.counter(name::WAL_FRAMES_FORCED);
         let force_batch = obs.histogram(name::WAL_FORCE_BATCH, SIZE_BUCKETS);
@@ -244,11 +287,13 @@ impl LogManager {
             stable,
             vol: Mutex::new(Volatile {
                 tail: VecDeque::new(),
-                next_lsn,
+                next_lsn: durable + 1,
+                sealed: durable,
             }),
             flush: Mutex::new(()),
             obs,
             appends,
+            ext_ops,
             forces,
             frames_forced,
             force_batch,
@@ -264,6 +309,7 @@ impl LogManager {
     /// Appends a record, returning its LSN. `prev_lsn` must be the
     /// transaction's previous record (its undo chain).
     pub fn append(&self, txn: TxnId, prev_lsn: Lsn, body: LogBody) -> Lsn {
+        let ops = body.ext_ops().count() as u64;
         let mut vol = self.vol.lock();
         let lsn = Lsn(vol.next_lsn);
         vol.next_lsn += 1;
@@ -275,7 +321,58 @@ impl LogManager {
         });
         drop(vol);
         self.appends.incr();
+        self.ext_ops.add(ops);
         lsn
+    }
+
+    /// Adds `op` to the record at `lsn` — an extension-operation record
+    /// still in the volatile tail that no force has taken — as its last
+    /// operation, so it shares that record's frame, LSN and undo step.
+    /// Hands `op` back when the record is sealed (a force took it, so its
+    /// frame may already be durable without `op`) or holds no operations;
+    /// the caller then appends a record of its own.
+    ///
+    /// The caller owns the write-ahead order: a page the operation
+    /// changes is stamped with `lsn`, and since every force seals what it
+    /// takes, a page flush that forced `lsn` before this call leaves the
+    /// record sealed and the operation in a later one.
+    pub fn amend(&self, lsn: Lsn, op: ExtOp) -> std::result::Result<(), ExtOp> {
+        let mut vol = self.vol.lock();
+        if lsn.0 <= vol.sealed {
+            return Err(op);
+        }
+        let front = vol.tail.front().map_or(Lsn::NULL, |r| r.lsn);
+        let idx = lsn.0.checked_sub(front.0).filter(|_| !front.is_null());
+        let Some(rec) = idx.and_then(|i| vol.tail.get_mut(i as usize)) else {
+            return Err(op);
+        };
+        rec.body = match std::mem::replace(&mut rec.body, LogBody::Begin) {
+            LogBody::ExtOps(mut ops) => {
+                ops.push(op);
+                LogBody::ExtOps(ops)
+            }
+            LogBody::ExtOp {
+                ext,
+                relation,
+                op: code,
+                payload,
+            } => {
+                let first = ExtOp {
+                    ext,
+                    relation,
+                    op: code,
+                    payload,
+                };
+                LogBody::ExtOps(vec![first, op])
+            }
+            other => {
+                rec.body = other;
+                return Err(op);
+            }
+        };
+        drop(vol);
+        self.ext_ops.incr();
+        Ok(())
     }
 
     /// Highest LSN assigned so far ([`Lsn::NULL`] when empty).
@@ -335,8 +432,8 @@ impl LogManager {
         // Snapshot the frames to write under the volatile lock, then
         // release it so appenders are never blocked behind log I/O —
         // that release is what lets a batch accumulate while we write.
-        let frames: Vec<(Vec<u8>, Option<ExtKind>, u64)> = {
-            let vol = self.vol.lock();
+        let frames: Vec<(Vec<u8>, Written)> = {
+            let mut vol = self.vol.lock();
             let durable = self.stable.len() as u64;
             if lsn.0 <= durable {
                 // The previous flush-lock holder's batch covered us: the
@@ -355,15 +452,13 @@ impl LogManager {
                     "volatile tail shorter than force target".into(),
                 ));
             }
+            // What is encoded here is what becomes durable: no operation
+            // may join these records any more.
+            vol.sealed = vol.sealed.max(end);
             let frame = |rec: &LogRecord| {
-                let (writer, payload) = match &rec.body {
-                    LogBody::ExtOp { ext, payload, .. } => (Some(*ext), payload.len()),
-                    LogBody::DeferredIntent { payload } => (None, payload.len()),
-                    _ => (None, 0),
-                };
                 let frame = rec.encode();
-                let overhead = (frame.len() - payload) as u64;
-                (frame, writer, overhead)
+                let written = Written::of(rec, frame.len());
+                (frame, written)
             };
             vol.tail.iter().take(n).map(frame).collect()
         };
@@ -371,12 +466,11 @@ impl LogManager {
         let n = frames.len();
         let mut moved = 0usize;
         let mut failed = None;
-        for (mut frame, writer, overhead) in frames {
-            let len = frame.len() as u64;
+        for (mut frame, written) in frames {
             match with_io_retries(MAX_IO_RETRIES, || self.stable.append_from(&mut frame)) {
                 Ok(()) => {
                     moved += 1;
-                    self.bytes.add(&self.obs, writer, len, overhead);
+                    self.bytes.add(&self.obs, &written);
                 }
                 Err(e) => {
                     failed = Some(e);
@@ -443,6 +537,7 @@ impl LogManager {
             self.stable.truncate_from(valid);
         }
         vol.next_lsn = valid as u64 + 1;
+        vol.sealed = valid as u64;
         Ok(dropped)
     }
 
@@ -591,6 +686,84 @@ mod tests {
         let reopened = LogManager::open(stable.clone());
         assert_eq!(reopened.scan_and_truncate_tail().unwrap(), 2);
         assert_eq!(reopened.last_lsn(), Lsn(3));
+    }
+
+    fn joined(n: u8) -> ExtOp {
+        ExtOp {
+            ext: ExtKind::Attachment(dmx_types::AttTypeId(3)),
+            relation: RelationId(1),
+            op: n,
+            payload: vec![n; 3],
+        }
+    }
+
+    /// An operation joins a record only while no force has taken it: the
+    /// forced frame holds what joined before the force, a later operation
+    /// is handed back for a record of its own, and a record that holds no
+    /// operations is never joined. Frames and operations are counted
+    /// apart, and the bytes by writer still sum to the stable log's.
+    #[test]
+    fn amend_joins_a_record_until_a_force_seals_it() {
+        let obs = MetricsRegistry::new();
+        let stable = StableLog::new();
+        let log = LogManager::open_with_metrics(stable.clone(), obs.clone());
+        let t = TxnId(1);
+        let l1 = log.append(t, Lsn::NULL, LogBody::Begin);
+        assert_eq!(log.amend(l1, joined(9)).unwrap_err(), joined(9));
+        let l2 = log.append(t, l1, ext_op(1));
+        log.amend(l2, joined(2)).unwrap();
+        log.amend(l2, joined(3)).unwrap();
+        assert_eq!(log.record(l2).unwrap().body.ext_ops().count(), 3);
+        log.force(l2).unwrap();
+        assert_eq!(log.amend(l2, joined(4)).unwrap_err(), joined(4));
+        let l3 = log.append(t, l2, ext_op(5));
+        log.amend(l3, joined(6)).unwrap();
+        log.force_all().unwrap();
+        assert_eq!(log.amend(l3, joined(7)).unwrap_err(), joined(7));
+        assert!(log.amend(Lsn(99), joined(8)).is_err());
+
+        let ops = |r: &LogRecord| r.body.ext_ops().map(|o| o.op).collect::<Vec<_>>();
+        let recs = stable.all().unwrap();
+        assert_eq!(
+            recs.iter().map(ops).collect::<Vec<_>>(),
+            [vec![], vec![1, 2, 3], vec![5, 6]]
+        );
+        let snap = obs.snapshot();
+        assert_eq!(snap.counter(name::WAL_APPENDS), 3);
+        assert_eq!(snap.counter(name::WAL_EXT_OPS), 5);
+        let durable: u64 = (0..stable.len())
+            .map(|i| stable.with_frame(i, |f| Ok(f.len() as u64)).unwrap())
+            .sum();
+        assert_eq!(snap.counter(name::WAL_BYTES), durable);
+        let by_writer = snap.counter("wal.bytes.txn")
+            + snap.counter("wal.bytes.sm.1")
+            + snap.counter("wal.bytes.att.3");
+        assert_eq!(by_writer, durable);
+        // Six payloads of one byte (the two the records began with) or
+        // three (the joined ones): everything else is overhead.
+        let payloads = 2 + 3 * 3;
+        assert_eq!(
+            snap.counter(name::WAL_FRAME_OVERHEAD_BYTES),
+            durable - payloads
+        );
+    }
+
+    /// A force that fails has still sealed what it took — a torn append
+    /// may have put part of a frame on the device — so nothing joins
+    /// those records; a record appended after them takes operations.
+    #[test]
+    fn a_failed_force_leaves_its_records_sealed() {
+        let inj = FaultInjector::new(FaultPlan::new(5).permanent_at(1));
+        let stable = StableLog::with_injector(inj);
+        let log = LogManager::open(stable.clone());
+        let l1 = log.append(TxnId(1), Lsn::NULL, LogBody::Begin);
+        let l2 = log.append(TxnId(1), l1, ext_op(1));
+        assert!(log.force(l2).is_err());
+        assert_eq!(stable.len(), 1, "the Begin is durable, the operation not");
+        assert_eq!(log.amend(l2, joined(2)).unwrap_err(), joined(2));
+        let l3 = log.append(TxnId(1), l2, ext_op(3));
+        log.amend(l3, joined(4)).unwrap();
+        assert_eq!(log.record(l3).unwrap().body.ext_ops().count(), 2);
     }
 
     #[test]

@@ -12,9 +12,19 @@
 //! ```text
 //! varint prev∆ ∥ varint txn ∥ tag ∥ body ∥ u32 crc
 //!   ExtOp:  ext id ∥ varint relation ∥ op ∥ payload (the rest)
+//!   ExtOps: (varint ext ∥ [varint relation] ∥ op ∥ varint len ∥ payload)*,
+//!           two or more; ext = id · 4, + 2 when a relation follows,
+//!           + 1 for an attachment. The first operation names its
+//!           relation, and a later one exactly when it differs from the
+//!           relation of the operation before
 //!   Clr:    varint undo_next∆       Intent: payload (the rest)
 //!   Done:   varint intent∆          others: nothing
 //! ```
+//!
+//! An [`LogBody::ExtOps`] frame holds the operations of one relation
+//! modification — the storage method's change and its attachments' side
+//! effects — in the order they were made: undo takes them back last to
+//! first under one compensation record, redo repeats them first to last.
 //!
 //! The LSN is not stored: frame *i* of the stable log holds LSN *i* + 1,
 //! and the CRC32 is taken over the LSN's 8 little-endian bytes followed
@@ -55,7 +65,13 @@ pub enum LogBody {
         op: u8,
         payload: Vec<u8>,
     },
-    /// Compensation record: written after undoing one `ExtOp`. `undo_next`
+    /// Two or more extension operations of one relation modification,
+    /// in the order they were made: one record, one LSN, one undo step.
+    /// Built by [`crate::LogManager::amend`] from an `ExtOp` still in the
+    /// volatile tail.
+    ExtOps(Vec<ExtOp>),
+    /// Compensation record: written after undoing one record's
+    /// operations (an `ExtOp` or an `ExtOps`). `undo_next`
     /// is the next LSN to undo, so a crashed rollback never undoes twice.
     Clr { undo_next: Lsn },
     /// Intent to perform a deferred physical action at commit (e.g. the
@@ -71,6 +87,125 @@ pub enum LogBody {
     /// Written with `TxnId(0)` and a null `prev_lsn` — it belongs to no
     /// transaction.
     Checkpoint,
+}
+
+/// One extension operation of an [`LogBody::ExtOps`] record — the four
+/// fields of an [`LogBody::ExtOp`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct ExtOp {
+    pub ext: ExtKind,
+    pub relation: RelationId,
+    pub op: u8,
+    pub payload: Vec<u8>,
+}
+
+/// An extension operation of a record, borrowed: what a replay reads.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct OpRef<'a> {
+    pub ext: ExtKind,
+    pub relation: RelationId,
+    pub op: u8,
+    pub payload: &'a [u8],
+}
+
+impl ExtOp {
+    fn as_ref(&self) -> OpRef<'_> {
+        OpRef {
+            ext: self.ext,
+            relation: self.relation,
+            op: self.op,
+            payload: &self.payload,
+        }
+    }
+
+    /// The operation's `ext` varint inside an `ExtOps` frame, and the
+    /// relation it names: none when the operation before it (`prev`) was
+    /// on the same one.
+    fn head(&self, prev: Option<RelationId>) -> (u64, Option<u64>) {
+        let (id, att) = match self.ext {
+            ExtKind::Storage(s) => (s.0, 0),
+            ExtKind::Attachment(a) => (a.0, 1),
+        };
+        let named = (prev != Some(self.relation)).then_some(u64::from(self.relation.0));
+        let code = u64::from(id) << 2 | u64::from(named.is_some()) << 1 | att;
+        (code, named)
+    }
+
+    /// Bytes of the operation inside an `ExtOps` frame after an operation
+    /// on `prev`: its header, then its payload.
+    fn framed_len(&self, prev: Option<RelationId>) -> usize {
+        let (code, named) = self.head(prev);
+        let n = self.payload.len();
+        varint_len(code) + named.map_or(0, varint_len) + 1 + varint_len(n as u64) + n
+    }
+
+    fn put(&self, out: &mut Vec<u8>, prev: Option<RelationId>) {
+        let (code, named) = self.head(prev);
+        put_varint(out, code);
+        if let Some(relation) = named {
+            put_varint(out, relation);
+        }
+        out.push(self.op);
+        put_varint(out, self.payload.len() as u64);
+        out.extend_from_slice(&self.payload);
+    }
+}
+
+/// A record of the one operation.
+impl From<ExtOp> for LogBody {
+    fn from(op: ExtOp) -> LogBody {
+        let ExtOp {
+            ext,
+            relation,
+            op,
+            payload,
+        } = op;
+        LogBody::ExtOp {
+            ext,
+            relation,
+            op,
+            payload,
+        }
+    }
+}
+
+/// The bytes each of `ops` takes in an `ExtOps` frame, header and
+/// payload, in order.
+pub(crate) fn framed_lens(ops: &[ExtOp]) -> impl Iterator<Item = usize> + '_ {
+    let prevs = std::iter::once(None).chain(ops.iter().map(|op| Some(op.relation)));
+    ops.iter().zip(prevs).map(|(op, prev)| op.framed_len(prev))
+}
+
+impl LogBody {
+    /// The extension operations the record holds, in the order they were
+    /// made: one for an `ExtOp`, each of an `ExtOps`, none for the rest.
+    pub fn ext_ops(&self) -> impl DoubleEndedIterator<Item = OpRef<'_>> {
+        let (one, more): (_, &[ExtOp]) = match self {
+            LogBody::ExtOp {
+                ext,
+                relation,
+                op,
+                payload,
+            } => {
+                let one = OpRef {
+                    ext: *ext,
+                    relation: *relation,
+                    op: *op,
+                    payload,
+                };
+                (Some(one), &[])
+            }
+            LogBody::ExtOps(ops) => (None, ops),
+            _ => (None, &[]),
+        };
+        one.into_iter().chain(more.iter().map(ExtOp::as_ref))
+    }
+
+    /// Whether the record holds extension operations: what undo and redo
+    /// hand to the extensions.
+    pub fn has_ext_ops(&self) -> bool {
+        matches!(self, LogBody::ExtOp { .. } | LogBody::ExtOps(_))
+    }
 }
 
 /// A complete log record.
@@ -94,6 +229,7 @@ const T_CLR: u8 = 7;
 const T_INTENT: u8 = 8;
 const T_DONE: u8 = 9;
 const T_CHECKPOINT: u8 = 10;
+const T_EXTOPS: u8 = 11;
 
 /// The frame's checksum: CRC32 of the LSN it holds, then its bytes.
 fn frame_crc(lsn: Lsn, frame: &[u8]) -> u32 {
@@ -120,6 +256,7 @@ impl LogRecord {
             LogBody::ExtOp {
                 relation, payload, ..
             } => 2 + varint_len(relation.0.into()) + payload.len(),
+            LogBody::ExtOps(ops) => framed_lens(ops).sum(),
             LogBody::Clr { undo_next: x } | LogBody::DeferredDone { intent_lsn: x } => {
                 varint_len(self.delta(*x))
             }
@@ -148,6 +285,15 @@ impl LogRecord {
                 put_varint(&mut out, relation.0.into());
                 out.push(*op);
                 out.extend_from_slice(payload);
+            }
+            LogBody::ExtOps(ops) => {
+                debug_assert!(ops.len() > 1, "one operation is an ExtOp");
+                out.push(T_EXTOPS);
+                let mut prev = None;
+                for op in ops {
+                    op.put(&mut out, prev);
+                    prev = Some(op.relation);
+                }
             }
             LogBody::Clr { undo_next } => {
                 out.push(T_CLR);
@@ -225,6 +371,43 @@ impl LogRecord {
                     payload: rest(&mut pos)?,
                 }
             }
+            T_EXTOPS => {
+                let mut ops: Vec<ExtOp> = Vec::new();
+                while pos < buf.len() {
+                    let code = int(&mut pos)?;
+                    let id = u8::try_from(code >> 2).map_err(|_| corrupt())?;
+                    let prev = ops.last().map(|op| op.relation.0);
+                    // Named exactly when it differs from the one before.
+                    let relation = match (code & 2 != 0, prev) {
+                        (true, _) => match u32::try_from(int(&mut pos)?) {
+                            Ok(r) if Some(r) != prev => r,
+                            _ => return Err(corrupt()),
+                        },
+                        (false, Some(r)) => r,
+                        (false, None) => return Err(corrupt()),
+                    };
+                    let op = byte(&mut pos)?;
+                    let len = usize::try_from(int(&mut pos)?).map_err(|_| corrupt())?;
+                    let end = pos.checked_add(len).ok_or_else(corrupt)?;
+                    let payload = buf.get(pos..end).ok_or_else(corrupt)?.to_vec();
+                    pos = end;
+                    ops.push(ExtOp {
+                        ext: match code & 1 {
+                            0 => ExtKind::Storage(SmTypeId(id)),
+                            _ => ExtKind::Attachment(AttTypeId(id)),
+                        },
+                        relation: RelationId(relation),
+                        op,
+                        payload,
+                    });
+                }
+                if ops.len() < 2 {
+                    return Err(DmxError::Corrupt(
+                        "an ExtOps record of one operation".into(),
+                    ));
+                }
+                LogBody::ExtOps(ops)
+            }
             T_CLR => LogBody::Clr {
                 undo_next: back(&mut pos)?,
             },
@@ -264,6 +447,39 @@ mod tests {
         body
     }
 
+    /// The operations of one modification: a storage method's change, an
+    /// attachment's on another relation with a payload past one varint
+    /// byte of length and a type id past one varint byte of `ext`, an
+    /// empty payload back on the first relation, and one more on it.
+    fn modification() -> Vec<ExtOp> {
+        vec![
+            ExtOp {
+                ext: ExtKind::Storage(SmTypeId(2)),
+                relation: RelationId(5),
+                op: 1,
+                payload: vec![1, 2, 3],
+            },
+            ExtOp {
+                ext: ExtKind::Attachment(AttTypeId(200)),
+                relation: RelationId(u32::MAX),
+                op: 4,
+                payload: vec![7; 130],
+            },
+            ExtOp {
+                ext: ExtKind::Attachment(AttTypeId(3)),
+                relation: RelationId(5),
+                op: 2,
+                payload: vec![],
+            },
+            ExtOp {
+                ext: ExtKind::Attachment(AttTypeId(3)),
+                relation: RelationId(5),
+                op: 3,
+                payload: vec![9],
+            },
+        ]
+    }
+
     fn bodies(lsn: u64) -> Vec<LogBody> {
         let back = [Lsn::NULL, Lsn(1), Lsn(lsn / 2), Lsn(lsn - 1)];
         let mut all = vec![
@@ -287,6 +503,7 @@ mod tests {
                 payload: vec![9; 40],
             },
             LogBody::Checkpoint,
+            LogBody::ExtOps(modification()),
         ];
         for x in back.into_iter().filter(|x| x.0 < lsn) {
             all.push(LogBody::Clr { undo_next: x });
@@ -395,6 +612,65 @@ mod tests {
         }
     }
 
+    /// An `ExtOps` frame is the frame header once, then each operation
+    /// as `ext ∥ relation ∥ op ∥ len ∥ payload`, its relation left out
+    /// when it is the one before's: an operation that joins a frame
+    /// costs its own few bytes, not another header and checksum.
+    /// `ext_ops` hands the operations back in order.
+    #[test]
+    fn ext_ops_frame_layout_is_pinned() {
+        let ops = modification();
+        let rec = LogRecord {
+            lsn: Lsn(9),
+            prev_lsn: Lsn(8),
+            txn: TxnId(3),
+            body: LogBody::ExtOps(ops.clone()),
+        };
+        let frame = rec.encode();
+        let mut want = vec![1, 3, T_EXTOPS];
+        want.extend_from_slice(&[10, 5, 1, 3, 1, 2, 3]);
+        want.extend_from_slice(&[0xA3, 0x06, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 4, 0x82, 0x01]);
+        want.extend_from_slice(&[7; 130]);
+        want.extend_from_slice(&[15, 5, 2, 0]);
+        want.extend_from_slice(&[13, 3, 1, 9]);
+        assert_eq!(frame[..frame.len() - 4], want[..]);
+        assert_eq!(framed_lens(&ops).collect::<Vec<_>>(), [7, 140, 4, 4]);
+        let back = LogRecord::decode(rec.lsn, &frame).unwrap();
+        assert_eq!(back, rec);
+        let read: Vec<OpRef<'_>> = back.body.ext_ops().collect();
+        assert_eq!(read, ops.iter().map(ExtOp::as_ref).collect::<Vec<_>>());
+        assert!(back.body.has_ext_ops());
+        assert_eq!(LogBody::Commit.ext_ops().count(), 0);
+    }
+
+    /// Under a valid checksum, an `ExtOps` of fewer than two operations,
+    /// a payload running past the frame, an id past `u8`, a relation
+    /// past `u32`, a first operation that names no relation and a later
+    /// one that names the relation before it are `Corrupt`.
+    #[test]
+    fn an_ext_ops_frame_has_one_spelling() {
+        let head = [0, 1, T_EXTOPS];
+        let op = [2, 5, 1, 1, 9]; // storage method 0 on relation 5
+        let same = [0, 1, 1, 9]; // the same, its relation left out
+        let bad = [
+            head.to_vec(),
+            [&head[..], &op].concat(),
+            [&head[..], &op, &[0, 1, 2, 9]].concat(),
+            [&head[..], &op, &[0x80, 0x08, 1, 0]].concat(),
+            [&head[..], &op, &[2, 0x80, 0x80, 0x80, 0x80, 0x10, 1, 0]].concat(),
+            [&head[..], &same, &op].concat(),
+            [&head[..], &op, &op].concat(),
+        ];
+        for body in bad {
+            let res = LogRecord::decode(Lsn(9), &seal(9, body.clone()));
+            assert!(matches!(res, Err(DmxError::Corrupt(_))), "{body:?}");
+        }
+        let two = [&head[..], &op, &same].concat();
+        let rec = LogRecord::decode(Lsn(9), &seal(9, two)).unwrap();
+        let relations: Vec<RelationId> = rec.body.ext_ops().map(|o| o.relation).collect();
+        assert_eq!(relations, [RelationId(5); 2]);
+    }
+
     #[test]
     fn encoded_frame_is_the_durable_format() {
         let rec = LogRecord {
@@ -434,7 +710,7 @@ mod tests {
         // A Begin's tag is its last byte.
         let tag = body.len() - 1;
         assert_eq!(body[tag], T_BEGIN);
-        for bad in [0, T_CHECKPOINT + 1, 0xEE] {
+        for bad in [0, T_EXTOPS + 1, 0xEE] {
             body[tag] = bad;
             let res = LogRecord::decode(rec.lsn, &seal(300, body.clone()));
             assert!(

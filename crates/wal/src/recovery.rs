@@ -89,15 +89,16 @@ impl<'a> Compensation<'a> {
 
 /// Callback surface the recovery driver uses to reach extensions.
 pub trait UndoHandler {
-    /// Undoes one extension operation (an [`LogBody::ExtOp`] record),
-    /// stamping what it changes with `clr`'s token. Must be idempotent.
+    /// Undoes one record's extension operations ([`LogBody::ext_ops`]) —
+    /// last to first, the one record's one undo step — stamping what
+    /// they change with `clr`'s token. Must be idempotent.
     fn undo(&self, rec: &LogRecord, clr: &Compensation<'_>) -> Result<()>;
 
-    /// Re-applies one committed extension operation (an
-    /// [`LogBody::ExtOp`] record) during restart's redo pass. Under the
-    /// steal/no-force policy a committed operation's pages may never have
-    /// reached disk, so restart replays the durable log forward. Must be
-    /// idempotent: the operation may already be (partially) on disk.
+    /// Re-applies one committed record's extension operations, first to
+    /// last, during restart's redo pass. Under the steal/no-force policy
+    /// a committed operation's pages may never have reached disk, so
+    /// restart replays the durable log forward. Must be idempotent: the
+    /// operations may already be (partially) on disk.
     fn redo(&self, rec: &LogRecord) -> Result<()>;
 
     /// Completes a committed transaction's deferred intent during restart
@@ -134,7 +135,7 @@ pub fn rollback_to(
         let rec = log.record(cur)?;
         debug_assert_eq!(rec.txn, txn, "undo chain crossed transactions");
         match &rec.body {
-            LogBody::ExtOp { .. } => {
+            body if body.has_ext_ops() => {
                 let clr = Compensation::pending(log, txn, last, rec.prev_lsn);
                 handler.undo(&rec, &clr)?;
                 last = clr.appended().lsn();
@@ -327,7 +328,7 @@ pub fn restart(log: &LogManager, handler: &dyn UndoHandler) -> Result<RestartRep
         while !cur.is_null() && cur > checkpoint {
             let rec = log.record(cur)?;
             match &rec.body {
-                LogBody::ExtOp { .. } => {
+                body if body.has_ext_ops() => {
                     redo_set.insert(cur);
                     cur = rec.prev_lsn;
                 }
@@ -417,7 +418,7 @@ fn compensated(log: &LogManager, clr: &LogRecord, undo_next: Lsn) -> Result<Opti
     for lsn in (undo_next.0 + 1)..clr.lsn.0 {
         let rec = log.record(Lsn(lsn))?;
         if rec.txn == clr.txn && rec.prev_lsn == undo_next {
-            return Ok(matches!(rec.body, LogBody::ExtOp { .. }).then_some(rec));
+            return Ok(rec.body.has_ext_ops().then_some(rec));
         }
     }
     Ok(None)
@@ -445,11 +446,11 @@ mod tests {
 
     impl UndoHandler for Shadow {
         fn undo(&self, rec: &LogRecord, _clr: &Compensation<'_>) -> Result<()> {
-            if let LogBody::ExtOp { payload, .. } = &rec.body {
+            for op in rec.body.ext_ops().rev() {
                 let mut applied = self.applied.lock();
-                if let Some(pos) = applied.iter().position(|&b| b == payload[0]) {
+                if let Some(pos) = applied.iter().position(|&b| b == op.payload[0]) {
                     applied.remove(pos);
-                    self.undone.lock().push(payload[0]);
+                    self.undone.lock().push(op.payload[0]);
                 }
             }
             Ok(())
@@ -457,11 +458,11 @@ mod tests {
         fn redo(&self, rec: &LogRecord) -> Result<()> {
             // Idempotent: re-apply only if absent (mirrors page-LSN /
             // presence checks in real extensions).
-            if let LogBody::ExtOp { payload, .. } = &rec.body {
+            for op in rec.body.ext_ops() {
                 let mut applied = self.applied.lock();
-                if !applied.contains(&payload[0]) {
-                    applied.push(payload[0]);
-                    self.redone.lock().push(payload[0]);
+                if !applied.contains(&op.payload[0]) {
+                    applied.push(op.payload[0]);
+                    self.redone.lock().push(op.payload[0]);
                 }
             }
             Ok(())
@@ -840,20 +841,72 @@ mod tests {
 
     impl UndoHandler for Calls {
         fn undo(&self, rec: &LogRecord, clr: &Compensation<'_>) -> Result<()> {
-            if let LogBody::ExtOp { payload, .. } = &rec.body {
-                self.0.lock().push(('u', payload[0], clr.repeated()));
+            for op in rec.body.ext_ops().rev() {
+                self.0.lock().push(('u', op.payload[0], clr.repeated()));
             }
             Ok(())
         }
         fn redo(&self, rec: &LogRecord) -> Result<()> {
-            if let LogBody::ExtOp { payload, .. } = &rec.body {
-                self.0.lock().push(('r', payload[0], None));
+            for op in rec.body.ext_ops() {
+                self.0.lock().push(('r', op.payload[0], None));
             }
             Ok(())
         }
         fn redo_deferred(&self, _rec: &LogRecord) -> Result<()> {
             Ok(())
         }
+    }
+
+    /// The operations that joined one record are one undo step: rollback
+    /// takes them back last to first under a single CLR, restart redoes a
+    /// winner's first to last and repeats the compensation for all of an
+    /// aborted one's.
+    #[test]
+    fn a_shared_record_is_one_undo_step() {
+        let joined = |n: u8| crate::record::ExtOp {
+            ext: ExtKind::Attachment(dmx_types::AttTypeId(1)),
+            relation: RelationId(1),
+            op: 0,
+            payload: vec![n],
+        };
+        let stable = StableLog::new();
+        let a_clr = {
+            let log = LogManager::open(stable.clone());
+            let sh = Shadow::default();
+            let shared = |txn, ops: &[u8]| {
+                let begin = log.append(txn, Lsn::NULL, LogBody::Begin);
+                let rec = log.append(txn, begin, op(ops[0]));
+                for &n in &ops[1..] {
+                    log.amend(rec, joined(n)).unwrap();
+                }
+                sh.applied.lock().extend_from_slice(ops);
+                rec
+            };
+            let won = shared(TxnId(1), &[1, 2, 3]);
+            log.append(TxnId(1), won, LogBody::Commit);
+            let lost = shared(TxnId(2), &[4, 5]);
+            let a_clr = rollback_to(&log, &sh, TxnId(2), lost, Lsn::NULL).unwrap();
+            assert_eq!(a_clr, Lsn(lost.0 + 1), "one CLR for the record");
+            assert_eq!(*sh.undone.lock(), [5, 4]);
+            log.append(TxnId(2), a_clr, LogBody::Abort);
+            log.force_all().unwrap();
+            a_clr
+        };
+        assert_eq!(stable.len(), 7);
+        let log = LogManager::open(stable);
+        let calls = Calls::default();
+        let report = restart(&log, &calls).unwrap();
+        assert_eq!((report.ops_redone, report.compensations_repeated), (1, 1));
+        assert_eq!(
+            *calls.0.lock(),
+            [
+                ('r', 1, None),
+                ('r', 2, None),
+                ('r', 3, None),
+                ('u', 5, Some(a_clr)),
+                ('u', 4, Some(a_clr)),
+            ]
+        );
     }
 
     /// Relation 0 is the catalog.

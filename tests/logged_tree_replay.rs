@@ -39,7 +39,7 @@ use starburst_dmx::core::{RelationDescriptor, Replay};
 use starburst_dmx::prelude::*;
 use starburst_dmx::storage::btree_sm::BtDesc;
 use starburst_dmx::types::{Appended, Lsn};
-use starburst_dmx::wal::{Compensation, ExtKind, LogBody, LogRecord};
+use starburst_dmx::wal::{Compensation, ExtKind, ExtOp, LogRecord};
 
 const OP_INSERT: u8 = 1;
 const OP_DELETE: u8 = 2;
@@ -280,59 +280,63 @@ enum Dir {
     Redo,
 }
 
-/// Replays `recs` (a statement's records, in log order) in direction
+/// The record that holds a logged operation, and the operation.
+type Logged = (LogRecord, ExtOp);
+
+/// Replays `ops` (a statement's operations, in log order) in direction
 /// `dir` through the extension that wrote them; an undo is stamped with
-/// the record itself for its compensation.
-fn replay(db: &Arc<Database>, recs: &[LogRecord], dir: Dir) {
-    let ordered: Vec<&LogRecord> = match dir {
-        Dir::Undo => recs.iter().rev().collect(),
-        Dir::Redo => recs.iter().collect(),
+/// the operation's record itself for its compensation.
+fn replay(db: &Arc<Database>, ops: &[Logged], dir: Dir) {
+    let ordered: Vec<&Logged> = match dir {
+        Dir::Undo => ops.iter().rev().collect(),
+        Dir::Redo => ops.iter().collect(),
     };
-    for rec in ordered {
+    for (rec, op) in ordered {
         let clr = Compensation::repeating(rec);
         let dir = match dir {
             Dir::Undo => Replay::Undo(&clr),
             Dir::Redo => Replay::Redo(Appended::by_log(rec.lsn)),
         };
-        let LogBody::ExtOp {
-            ext,
-            relation,
-            op,
-            payload,
-        } = &rec.body
-        else {
-            unreachable!()
-        };
-        let rd = db.catalog().get(*relation).unwrap();
+        let rd = db.catalog().get(op.relation).unwrap();
         let (services, reg) = (db.services(), db.registry());
-        match ext {
+        let (code, payload) = (op.op, &op.payload);
+        match op.ext {
             ExtKind::Attachment(id) => reg
-                .attachment(*id)
+                .attachment(id)
                 .unwrap()
-                .replay(services, &rd, rec.lsn, dir, *op, payload),
+                .replay(services, &rd, rec.lsn, dir, code, payload),
             ExtKind::Storage(id) => reg
-                .storage(*id)
+                .storage(id)
                 .unwrap()
-                .replay(services, &rd, rec.lsn, dir, *op, payload),
+                .replay(services, &rd, rec.lsn, dir, code, payload),
         }
         .unwrap();
     }
 }
 
-/// The extension's records the transaction logged after `since`, in log
-/// order.
-fn records_since(db: &Arc<Database>, last: Lsn, since: Lsn, ext: ExtKind) -> Vec<LogRecord> {
+/// The extension's operations the transaction logged after `since`, in
+/// log order, and how many records of operations the statement wrote.
+fn ops_since(db: &Arc<Database>, last: Lsn, since: Lsn, ext: ExtKind) -> (Vec<Logged>, usize) {
     let mut out = Vec::new();
+    let mut records = 0;
     let mut lsn = last;
     while lsn > since {
         let rec = db.services().log.record(lsn).unwrap();
         lsn = rec.prev_lsn;
-        if matches!(&rec.body, LogBody::ExtOp { ext: e, .. } if *e == ext) {
-            out.push(rec);
-        }
+        records += usize::from(rec.body.has_ext_ops());
+        let ops = rec.body.ext_ops().rev().filter(|op| op.ext == ext);
+        let owned: Vec<ExtOp> = ops
+            .map(|op| ExtOp {
+                ext: op.ext,
+                relation: op.relation,
+                op: op.op,
+                payload: op.payload.to_vec(),
+            })
+            .collect();
+        out.extend(owned.into_iter().map(|op| (rec.clone(), op)));
     }
     out.reverse();
-    out
+    (out, records)
 }
 
 fn run(case: &Case) {
@@ -373,17 +377,19 @@ fn run(case: &Case) {
             Step::Del(r, k) => db.delete(&txn, rel(r), &keys[*k]).unwrap(),
         }
         let after = trees.dump();
-        let recs = records_since(&db, txn.last_lsn(), since, ext);
-        for rec in &recs {
-            if let LogBody::ExtOp { op, .. } = &rec.body {
-                seen_ops.insert(*op);
-            }
-        }
+        let (recs, records) = ops_since(&db, txn.last_lsn(), since, ext);
+        seen_ops.extend(recs.iter().map(|(_, op)| op.op));
         assert_eq!(
             recs.is_empty(),
             before == after,
             "{name} step {n}: the trees change exactly when something is logged"
         );
+        // One record per modification: the storage method's change and
+        // every attachment's share it (a B-tree relation's relocating
+        // update included); only a relation modification nested in this
+        // one — the join index's on the other relation has none — or a
+        // heap record moving to another page would add one.
+        assert_eq!(records, 1, "{name} step {n}: records a modification wrote");
         for (start, dir, end) in [
             (&after, Dir::Undo, &before),
             (&before, Dir::Undo, &before),

@@ -394,6 +394,136 @@ fn a_delete_rolled_back_to_a_savepoint_stays_undone_after_a_crash() {
     assert_eq!(crash_and_reopen(&env, db), vec![0, 1, 2, 3]);
 }
 
+/// Each write's operations share a record — the heap's change and its
+/// index entry and aggregate cell — but a cascade inside it (a trigger's
+/// audit insert) is a modification of its own: it closes the record, logs
+/// its own, and the write goes on in a third. A veto inside the cascade
+/// takes back the cascade's record, then the write's, each to its own
+/// boundary. A crash keeps every committed write whole and takes back
+/// every loser's.
+#[test]
+fn a_cascade_splits_its_modifications_record_and_both_recover_whole() {
+    let (env, db) = fresh();
+    for ddl in [
+        "CREATE TABLE audit (event STRING NOT NULL, relation STRING NOT NULL, info STRING)",
+        "CREATE INDEX audit_rel ON audit (relation)",
+        "CREATE UNIQUE INDEX audit_info ON audit (info)",
+        "CREATE TABLE w (id INT NOT NULL, grp INT NOT NULL)",
+        "CREATE INDEX w_id ON w (id)",
+        "CREATE ATTACHMENT w_sum ON w USING aggregate WITH (sum = id, group_by = grp)",
+        "CREATE ATTACHMENT w_aud ON w USING trigger WITH (on = insert, action = 'audit:audit')",
+    ] {
+        db.execute_sql(ddl).unwrap();
+    }
+    let w = db.catalog().get_by_name("w").unwrap().id;
+    let row = |i: i64| Record::new(vec![Value::Int(i), Value::Int(i % 3)]);
+    let frames = || db.metrics_snapshot().counter("wal.appends");
+    let before = frames();
+    db.with_txn(|txn| {
+        for i in 0..40 {
+            db.insert(txn, w, row(i))?;
+        }
+        // A second row 7 audits what the first did: the audit's unique
+        // index vetoes it inside the cascade, after the write's heap
+        // change and index entry.
+        assert!(db.insert(txn, w, row(7)).is_err());
+        Ok(())
+    })
+    .unwrap();
+    // Begin and Commit; three records a write — [heap, w_id], the
+    // audit's [heap, audit_rel, audit_info], [w_sum] — and for the vetoed
+    // one [heap, w_id], the audit's [heap, audit_rel] and a CLR for each.
+    assert_eq!(frames() - before, 2 + 3 * 40 + 4);
+    let loser = db.begin();
+    for i in 100..110 {
+        db.insert(&loser, w, row(i)).unwrap();
+    }
+    db.services().log.force_all().unwrap();
+    std::mem::forget(db);
+
+    let db = reopen(&env);
+    assert_eq!(db.quarantined(), vec![]);
+    assert_eq!(count(&db, "w"), 40);
+    assert_eq!(count(&db, "audit"), 40);
+    let audited = db
+        .query_sql("SELECT COUNT(*) FROM audit WHERE relation = 'w'")
+        .unwrap();
+    assert_eq!(audited, vec![vec![Value::Int(40)]]);
+    assert_eq!(rows_by_id(&db, [7, 39, 105]), [1, 1, 0]);
+    assert_eq!(rows_in_cells(&db, "w", "w_sum"), 40);
+}
+
+/// How many rows of `w` hold each id, through its index.
+fn rows_by_id<const N: usize>(db: &Arc<Database>, ids: [i64; N]) -> [usize; N] {
+    ids.map(|id| {
+        let sql = format!("SELECT grp FROM w WHERE id = {id}");
+        db.query_sql(&sql).unwrap().len()
+    })
+}
+
+/// The rows the cells of aggregate `att` on `table` count.
+fn rows_in_cells(db: &Arc<Database>, table: &str, att: &str) -> i64 {
+    let rd = db.catalog().get_by_name(table).unwrap();
+    let (at, inst) = rd.find_attachment(att).unwrap();
+    let txn = db.begin();
+    let path = AccessPath::Attachment(at, inst.instance);
+    let scan = db
+        .open_scan(&txn, rd.id, path, AccessQuery::All, None, None)
+        .unwrap();
+    let mut rows = 0;
+    while let Some(item) = db.scan_next(&txn, scan).unwrap() {
+        rows += item.values.unwrap()[1].as_int().unwrap();
+    }
+    db.commit(&txn).unwrap();
+    rows
+}
+
+/// A force inside a modification — what a steal writing back a page the
+/// modification dirtied does; here a trigger hook forces the log between
+/// the write's index entry and its aggregate cell — seals the record it
+/// took: the cell goes into a record of its own, never into a frame
+/// already durable without it. A crash keeps the winner's writes whole
+/// and takes back the loser's, whose last cell never reached the log.
+#[test]
+fn a_force_inside_a_modification_seals_its_record() {
+    let (env, db) = fresh();
+    let force: starburst_dmx::core::HookFn = Arc::new(|ctx, _| ctx.services().log.force_all());
+    db.register_hook("force", force);
+    for ddl in [
+        "CREATE TABLE w (id INT NOT NULL, grp INT NOT NULL)",
+        "CREATE INDEX w_id ON w (id)",
+        "CREATE ATTACHMENT w_force ON w USING trigger WITH (on = insert, action = 'hook:force')",
+        "CREATE ATTACHMENT w_sum ON w USING aggregate WITH (sum = id, group_by = grp)",
+    ] {
+        db.execute_sql(ddl).unwrap();
+    }
+    let w = db.catalog().get_by_name("w").unwrap().id;
+    let row = |i: i64| Record::new(vec![Value::Int(i), Value::Int(i % 3)]);
+    let frames = || db.metrics_snapshot().counter("wal.appends");
+    let before = frames();
+    db.with_txn(|txn| {
+        for i in 0..20 {
+            db.insert(txn, w, row(i))?;
+        }
+        Ok(())
+    })
+    .unwrap();
+    // Begin and Commit, and two records a write: [heap, w_id], forced
+    // by the hook, then [w_sum].
+    assert_eq!(frames() - before, 2 + 2 * 20);
+    let loser = db.begin();
+    for i in 100..105 {
+        db.insert(&loser, w, row(i)).unwrap();
+    }
+    std::mem::forget(db);
+
+    let db = reopen(&env);
+    assert_eq!(db.quarantined(), vec![]);
+    assert_eq!(count(&db, "w"), 20);
+    assert_eq!(rows_by_id(&db, [0, 19, 100, 104]), [1, 1, 0, 0]);
+    assert_eq!(rows_in_cells(&db, "w", "w_sum"), 20);
+}
+
 /// Restart repeats an aborted transaction's compensations in log order,
 /// after the redo of a winner that wrote the same page in between: the
 /// page then carries a later LSN than the undone update, but not the row
