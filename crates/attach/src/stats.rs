@@ -18,7 +18,10 @@
 //! `estimate` and the planner consult ([`dmx_expr::stats::selectivity`]).
 //! [`Attachment::activate`] re-publishes from durable state on database
 //! open; `replay` re-publishes the image it installs so aborts and
-//! restarts never leave a stale snapshot behind.
+//! restarts never leave a stale snapshot behind, and a dropped or
+//! released instance retracts it ([`Attachment::deactivate`]). A new
+//! instance's build computes the cell once, exactly, and writes it once
+//! (`ANALYZE`'s rebuild), unlogged like every build.
 //!
 //! Accuracy contract (documented in DESIGN.md §10.4): row and NULL
 //! counts are exact; min/max and the distinct sketch only *widen* under
@@ -37,7 +40,7 @@ use dmx_core::{
 use dmx_expr::stats::{value_to_f64, ColumnStats, Histogram, TableStats};
 use dmx_types::{
     key::{decode_values, encode_values},
-    AttrList, DataType, DmxError, FileId, Lsn, Record, Result, Schema, Value,
+    AttrList, DataType, DmxError, FileId, Lsn, Record, RecordKey, Result, Schema, Value,
 };
 
 use crate::common::{read_u16, read_u32, read_u64, tail};
@@ -195,6 +198,32 @@ impl StatsCell {
                 }
             }
         }
+    }
+
+    /// The cell of exactly `records`: exact distinct sketch and min/max,
+    /// and a histogram per field whose bucket bounds are frozen at the
+    /// observed min/max, filled by a second pass.
+    fn exact(schema: &Schema, records: &[(RecordKey, Record)]) -> StatsCell {
+        let mut cell = StatsCell::new(schema);
+        for (_, r) in records {
+            cell.apply(r, 1);
+        }
+        for (i, col) in cell.cols.iter_mut().enumerate() {
+            let (Some(lo), Some(hi)) = (
+                col.min.as_ref().and_then(value_to_f64),
+                col.max.as_ref().and_then(value_to_f64),
+            ) else {
+                continue;
+            };
+            let mut h = Histogram::new(lo, hi);
+            for (_, r) in records {
+                if let Some(x) = r.values.get(i).and_then(value_to_f64) {
+                    h.add(x, 1);
+                }
+            }
+            col.hist = Some(h);
+        }
+        cell
     }
 
     /// The planner-facing snapshot of this cell.
@@ -501,44 +530,33 @@ impl Attachment for Stats {
         rd.stats.publish_table_stats(None);
     }
 
-    /// `ANALYZE TABLE`: rebuilds the cell *exactly* from the offered
-    /// full image — exact distinct-sketch/min/max, and histograms with
-    /// bucket bounds frozen at the observed min/max.
+    /// The cell computed once from every record and written once: what
+    /// `ANALYZE` writes. A relation with no records gets no cell, as under
+    /// maintenance: its first insert writes one.
+    fn build(
+        &self,
+        ctx: &ExecCtx<'_>,
+        rd: &RelationDescriptor,
+        inst: &AttachmentInstance,
+        records: &[(RecordKey, Record)],
+    ) -> Result<()> {
+        if records.is_empty() {
+            return Ok(());
+        }
+        Self::update(ctx, rd, inst, |_| StatsCell::exact(&rd.schema, records))
+    }
+
+    /// `ANALYZE TABLE`: rebuilds the cell *exactly* from the offered full
+    /// image, an empty one included.
     fn analyze(
         &self,
         ctx: &ExecCtx<'_>,
         rd: &RelationDescriptor,
         instances: &[AttachmentInstance],
-        records: &[Record],
+        records: &[(RecordKey, Record)],
     ) -> Result<bool> {
         for inst in instances {
-            let mut cell = StatsCell::new(&rd.schema);
-            for r in records {
-                cell.apply(r, 1);
-            }
-            // Freeze histogram bounds at the observed min/max, then
-            // fill the buckets with a second pass.
-            for (i, col) in cell.cols.iter_mut().enumerate() {
-                let (Some(lo), Some(hi)) = (
-                    col.min.as_ref().and_then(value_to_f64),
-                    col.max.as_ref().and_then(value_to_f64),
-                ) else {
-                    continue;
-                };
-                let mut h = Histogram::new(lo, hi);
-                for r in records {
-                    match r.values.get(i) {
-                        Some(Value::Null) | None => {}
-                        Some(v) => {
-                            if let Some(x) = value_to_f64(v) {
-                                h.add(x, 1);
-                            }
-                        }
-                    }
-                }
-                col.hist = Some(h);
-            }
-            Self::update(ctx, rd, inst, |_| cell)?;
+            Self::update(ctx, rd, inst, |_| StatsCell::exact(&rd.schema, records))?;
         }
         Ok(!instances.is_empty())
     }
@@ -551,8 +569,8 @@ impl Attachment for Stats {
     }
 
     /// Statistics are rebuilt from the base relation through the
-    /// ordinary registration path (create + backfill); the histogram
-    /// stays absent until the next `ANALYZE TABLE`.
+    /// ordinary registration path (create + build), whose build is
+    /// `ANALYZE`'s exact rebuild: histograms included.
     fn reconstruct_params(&self, _rd: &RelationDescriptor, _inst_desc: &[u8]) -> Result<AttrList> {
         Ok(AttrList::new())
     }

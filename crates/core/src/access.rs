@@ -289,7 +289,7 @@ pub trait ScanOps: Send {
     /// S-lock the gap below every entry they return (and the gap just
     /// past the range on exhaustion) so serializable writers cannot
     /// slip phantoms into the scanned range. Only the dispatcher's
-    /// locking protocol turns this on — raw internal scans (backfill,
+    /// locking protocol turns this on — raw internal scans (a build's,
     /// scrub, referential-integrity probes) run without range locks,
     /// exactly as they run without record locks. Default: no-op for
     /// scans without a gap-lockable key space.

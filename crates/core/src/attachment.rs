@@ -116,8 +116,8 @@ pub trait Attachment: Send + Sync {
     /// returning the instance descriptor bytes. The one reader of the
     /// DDL attribute list: it checks and parses `params` **before** it
     /// allocates anything, so a rejected list leaves nothing behind. The
-    /// common system backfills existing records by driving
-    /// [`Attachment::on_modify`] with [`Modification::insert`] afterwards.
+    /// common system then fills the instance from the relation's existing
+    /// records through [`Attachment::build`].
     fn create_instance(
         &self,
         ctx: &ExecCtx<'_>,
@@ -149,6 +149,31 @@ pub trait Attachment: Send + Sync {
         instances: &[AttachmentInstance],
         m: &Modification<'_>,
     ) -> Result<()>;
+
+    /// Fills the instance `inst` that [`Attachment::create_instance`] just
+    /// made from `records`, every record the relation holds under its
+    /// record key. The common system calls it once, with the instance in
+    /// the catalog, and nothing the build writes into the instance's own
+    /// [`Attachment::storage_files`] is logged ([`crate::logged_tree`]'s
+    /// build token): the DDL's commit force-writes those files, and a
+    /// rollback to before the DDL, or a crash before its commit, releases
+    /// the instance whole. What it writes anywhere else (a trigger's rows,
+    /// say) is logged as usual. `Err` fails the DDL statement like a veto.
+    ///
+    /// The default drives [`Attachment::on_modify`] with each record as an
+    /// insert; a type that can compute its state in one pass overrides it.
+    fn build(
+        &self,
+        ctx: &ExecCtx<'_>,
+        rd: &RelationDescriptor,
+        inst: &AttachmentInstance,
+        records: &[(RecordKey, Record)],
+    ) -> Result<()> {
+        let instances = std::slice::from_ref(inst);
+        records.iter().try_for_each(|(key, record)| {
+            self.on_modify(ctx, rd, instances, &Modification::insert(key, record))
+        })
+    }
 
     /// Replays a logged operation: `dir` says whether rollback / restart's
     /// undo takes it back or restart's redo pass re-applies it (under
@@ -203,18 +228,18 @@ pub trait Attachment: Send + Sync {
         let _ = (rd, instance);
     }
 
-    /// Offers a freshly scanned full image of the base relation so the
-    /// attachment can rebuild derived state *exactly* (`ANALYZE TABLE`
-    /// drives this for every attachment type on the relation). Returns
-    /// `true` when the attachment rebuilt something, `false` when the
-    /// offer is irrelevant to it (the default — indexes are already
-    /// exact by construction).
+    /// Offers a freshly scanned full image of the base relation, as
+    /// [`Attachment::build`] gets it, so the attachment can rebuild
+    /// derived state *exactly* (`ANALYZE TABLE` drives this for every
+    /// attachment type on the relation). Returns `true` when the
+    /// attachment rebuilt something, `false` when the offer is irrelevant
+    /// to it (the default — indexes are already exact by construction).
     fn analyze(
         &self,
         ctx: &ExecCtx<'_>,
         rd: &RelationDescriptor,
         instances: &[AttachmentInstance],
-        records: &[Record],
+        records: &[(RecordKey, Record)],
     ) -> Result<bool> {
         let _ = (ctx, rd, instances, records);
         Ok(false)
@@ -272,7 +297,7 @@ pub trait Attachment: Send + Sync {
     /// Reconstructs the DDL attribute list that would re-create this
     /// instance, so the repair pipeline can rebuild a damaged attachment
     /// from its base relation through the *ordinary* registration path
-    /// (create instance + backfill). Default: unsupported — the instance
+    /// (create instance + build). Default: unsupported — the instance
     /// cannot be rebuilt automatically.
     fn reconstruct_params(&self, rd: &RelationDescriptor, inst_desc: &[u8]) -> Result<AttrList> {
         let _ = (rd, inst_desc);

@@ -8,7 +8,7 @@
 
 use std::any::Any;
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -28,12 +28,12 @@ use dmx_types::{
 use dmx_wal::{LogBody, LogManager, StableLog};
 
 use crate::access::{KeyRange, ScanManager};
-use crate::attachment::Modification;
 use crate::auth::AuthManager;
 use crate::catalog::Catalog;
 use crate::context::ExecCtx;
 use crate::deps::DependencyRegistry;
-use crate::descriptor::AttachmentInstance;
+use crate::descriptor::{AttachmentInstance, RelationDescriptor};
+use crate::logged_tree::Build;
 use crate::registry::ExtensionRegistry;
 use crate::scrub::RepairOutcome;
 use crate::services::CommonServices;
@@ -143,6 +143,7 @@ pub(crate) struct CoreCounters {
     pub(crate) att_invocations: Arc<Counter>,
     pub(crate) att_vetoes: Arc<Counter>,
     pub(crate) att_probes: Arc<Counter>,
+    pub(crate) att_build_rows: Arc<Counter>,
     pub(crate) quarantines: Arc<Counter>,
     pub(crate) quarantine_cleared: Arc<Counter>,
     pub(crate) incidents_evicted: Arc<Counter>,
@@ -176,6 +177,7 @@ impl CoreCounters {
             att_invocations: obs.counter(metric::ATT_INVOCATIONS),
             att_vetoes: obs.counter(metric::ATT_VETOES),
             att_probes: obs.counter(metric::ATT_PROBES),
+            att_build_rows: obs.counter(metric::ATT_BUILD_ROWS),
             quarantines: obs.counter(metric::QUARANTINE_EVENTS),
             quarantine_cleared: obs.counter(metric::QUARANTINE_CLEARED),
             incidents_evicted: obs.counter(metric::INCIDENTS_EVICTED),
@@ -247,6 +249,12 @@ pub struct Database {
     /// these files — no pool-wide flush, no tree latches: the creating
     /// transaction owns them exclusively until commit.
     ddl_files: Mutex<HashMap<TxnId, Vec<FileId>>>,
+    /// The attachment instances being built unlogged, and how many: the
+    /// count spares every other tree writer the lock. It publishes
+    /// nothing the lock does not, and a build's writers run on the thread
+    /// that opened it, so it is read and written `Relaxed`.
+    builds: Mutex<Vec<Arc<Build>>>,
+    builds_open: AtomicUsize,
     /// Relations created by transactions that have not committed yet —
     /// or committed after a still-active snapshot — the DDL visibility
     /// fence. Catalog-by-name/by-id resolution at the DML and scan
@@ -354,6 +362,8 @@ impl Database {
             hooks: RwLock::new(HashMap::new()),
             ddl_txns: Mutex::new(HashSet::new()),
             ddl_files: Mutex::new(HashMap::new()),
+            builds: Mutex::new(Vec::new()),
+            builds_open: AtomicUsize::new(0),
             ddl_fence: Mutex::new(HashMap::new()),
             query_slot: OnceLock::new(),
             quarantined: Mutex::new(HashMap::new()),
@@ -901,7 +911,7 @@ impl Database {
 
     /// Fails with [`DmxError::RelationQuarantined`] when `rel` is
     /// quarantined.
-    pub(crate) fn check_not_quarantined(&self, rel: RelationId) -> Result<()> {
+    pub fn check_not_quarantined(&self, rel: RelationId) -> Result<()> {
         match self.quarantined.lock().get(&rel) {
             Some(reason) => Err(DmxError::RelationQuarantined {
                 relation: rel,
@@ -1189,8 +1199,8 @@ impl Database {
         Ok(rel)
     }
 
-    /// Creates an attachment instance on a relation, backfilling it from
-    /// the relation's existing records.
+    /// Creates an attachment instance on a relation and builds it from
+    /// the relation's existing records ([`Attachment::build`]).
     pub fn create_attachment(
         self: &Arc<Self>,
         txn: &Arc<Transaction>,
@@ -1210,35 +1220,36 @@ impl Database {
 
         let start_lsn = txn.last_lsn();
         let inst_desc = att.create_instance(&ctx, &old_rd, att_name, params)?;
-        // The descriptor, then the backfill: drive the new instance's
-        // on_modify with every existing record as an insert. A veto (a
-        // unique violation, a failed constraint) — or a descriptor the
-        // catalog cannot hold — fails the statement with a partial
-        // rollback, which restores the descriptor too.
+        let files = att.storage_files(&inst_desc);
+        // The descriptor, then the build. A veto (a unique violation, a
+        // failed constraint) — or a descriptor the catalog cannot hold —
+        // fails the statement with a partial rollback, which takes the
+        // descriptor back and with it releases the instance.
         let attached = (|| -> Result<()> {
-            let (new_rd, inst) = old_rd.with_attachment(att_id, att_name, inst_desc.clone())?;
+            let (new_rd, instance) = old_rd.with_attachment(att_id, att_name, inst_desc.clone())?;
             let new_rd = self.catalog.replace(&ctx, new_rd)?;
-            let sm = self.registry.storage(new_rd.sm)?;
-            let slice = [AttachmentInstance {
+            let inst = AttachmentInstance {
                 att: att_id,
-                instance: inst,
+                instance,
                 name: att_name.to_string(),
                 desc: inst_desc.clone(),
-            }];
-            let mut scan = sm.open_scan(&ctx, &new_rd, KeyRange::all(), None, None)?;
-            while let Some(item) = scan.next(&ctx)? {
-                let values = item
-                    .values
-                    .ok_or_else(|| DmxError::Internal("storage scan returned no fields".into()))?;
-                let record = Record::new(values);
-                att.on_modify(
-                    &ctx,
-                    &new_rd,
-                    &slice,
-                    &Modification::insert(&item.key, &record),
-                )?;
+            };
+            let records = self.scan_records(&ctx, &new_rd)?;
+            self.counters.att_build_rows.add(records.len() as u64);
+            // Files another instance holds too (a join index's second
+            // side adopts its first side's trees) outlive a release of
+            // this one, so such an instance builds logged.
+            if self.files_held_elsewhere(&files, new_rd.id, &inst) {
+                return att.build(&ctx, &new_rd, &inst, &records);
             }
-            Ok(())
+            let build = Build {
+                txn: txn.id(),
+                relation: new_rd.id,
+                att: att_id,
+                instance,
+                files: files.clone(),
+            };
+            self.building(build, || att.build(&ctx, &new_rd, &inst, &records))
         })();
         if let Err(e) = attached {
             self.undo_to(txn, start_lsn)?;
@@ -1251,13 +1262,82 @@ impl Database {
             .lock()
             .entry(txn.id())
             .or_default()
-            .extend(att.storage_files(&inst_desc));
-        let services = self.services.clone();
-        txn.defer(
-            TxnEvent::AtAbort,
-            Box::new(move || tolerate_missing(att.destroy_instance(&services, &inst_desc))),
-        );
+            .extend(files);
+        // An abort needs no deferred release: its undo takes back the
+        // catalog record that entered the instance, which releases it.
         Ok(())
+    }
+
+    /// Every record `rd` holds, under its record key: what a build and
+    /// `ANALYZE` are offered.
+    fn scan_records(
+        &self,
+        ctx: &ExecCtx<'_>,
+        rd: &RelationDescriptor,
+    ) -> Result<Vec<(RecordKey, Record)>> {
+        let sm = self.registry.storage(rd.sm)?;
+        let mut records = Vec::new();
+        let mut scan = sm.open_scan(ctx, rd, KeyRange::all(), None, None)?;
+        while let Some(item) = scan.next(ctx)? {
+            let values = item
+                .values
+                .ok_or_else(|| DmxError::Internal("storage scan returned no fields".into()))?;
+            records.push((item.key, Record::new(values)));
+        }
+        Ok(records)
+    }
+
+    /// Whether a relation, or an instance other than `inst` on
+    /// `relation`, holds one of `files`.
+    fn files_held_elsewhere(
+        &self,
+        files: &[FileId],
+        relation: RelationId,
+        inst: &AttachmentInstance,
+    ) -> bool {
+        self.catalog.list().iter().any(|rd| {
+            let base = self.registry.storage(rd.sm).ok();
+            let mut held = base.map_or_else(Vec::new, |sm| sm.storage_files(&rd.sm_desc));
+            for (att_id, insts) in rd.attached_types() {
+                let Ok(att) = self.registry.attachment(att_id) else {
+                    continue;
+                };
+                let others = insts.iter().filter(|other| {
+                    (rd.id, att_id, other.instance) != (relation, inst.att, inst.instance)
+                });
+                held.extend(others.flat_map(|other| att.storage_files(&other.desc)));
+            }
+            held.iter().any(|f| files.contains(f))
+        })
+    }
+
+    /// Runs `f` with `build` open: the instance's tree writers install
+    /// through its token ([`crate::LoggedTree::apply`]) until `f` returns.
+    fn building<R>(&self, build: Build, f: impl FnOnce() -> R) -> R {
+        let build = Arc::new(build);
+        self.builds.lock().push(build.clone());
+        self.builds_open.fetch_add(1, Ordering::Relaxed);
+        let out = f();
+        self.builds.lock().retain(|b| !Arc::ptr_eq(b, &build));
+        self.builds_open.fetch_sub(1, Ordering::Relaxed);
+        out
+    }
+
+    /// The open build of `inst` on `relation` by `txn`, if there is one.
+    pub(crate) fn build_of(
+        &self,
+        txn: TxnId,
+        relation: RelationId,
+        inst: &AttachmentInstance,
+    ) -> Option<Arc<Build>> {
+        if self.builds_open.load(Ordering::Relaxed) == 0 {
+            return None;
+        }
+        let builds = self.builds.lock();
+        builds
+            .iter()
+            .find(|b| b.builds(txn, relation, inst))
+            .cloned()
     }
 
     /// `ANALYZE TABLE`: scans the relation once and offers the full
@@ -1280,15 +1360,7 @@ impl Database {
         self.check_not_quarantined(rd.id)?;
         ctx.lock(LockName::Catalog, LockMode::X)?;
         ctx.lock(LockName::Relation(rd.id), LockMode::X)?;
-        let sm = self.registry.storage(rd.sm)?;
-        let mut records = Vec::new();
-        let mut scan = sm.open_scan(&ctx, &rd, KeyRange::all(), None, None)?;
-        while let Some(item) = scan.next(&ctx)? {
-            let values = item
-                .values
-                .ok_or_else(|| DmxError::Internal("storage scan returned no fields".into()))?;
-            records.push(Record::new(values));
-        }
+        let records = self.scan_records(&ctx, &rd)?;
         let mut analyzed = 0;
         for (att_id, insts) in rd.attached_types() {
             let att = self.registry.attachment(att_id)?;

@@ -34,6 +34,32 @@ pub struct AttachmentInstance {
     pub desc: Vec<u8>,
 }
 
+impl AttachmentInstance {
+    /// The instance a catalog record holds, and the relation it is on
+    /// (see [`RelationDescriptor::records`]); `None` for a record of
+    /// another kind, a relation's header or the id high-water mark.
+    pub(crate) fn from_record(
+        key: &[u8],
+        value: &[u8],
+    ) -> Result<Option<(RelationId, AttachmentInstance)>> {
+        let &[k0, k1, k2, k3, att, i0, i1] = key else {
+            return Ok(None);
+        };
+        let mut pos = 0usize;
+        let name = get_str(value, &mut pos)?;
+        let inst = AttachmentInstance {
+            att: AttTypeId(att),
+            instance: AttInstanceId(u16::from_be_bytes([i0, i1])),
+            name,
+            desc: value.get(pos..).ok_or_else(corrupt)?.to_vec(),
+        };
+        Ok(Some((
+            RelationId(u32::from_be_bytes([k0, k1, k2, k3])),
+            inst,
+        )))
+    }
+}
+
 /// The composite relation descriptor.
 #[derive(Debug, Clone)]
 pub struct RelationDescriptor {
@@ -249,23 +275,14 @@ impl RelationDescriptor {
         let mut attachments: Vec<Option<Vec<AttachmentInstance>>> =
             vec![None; MAX_ATTACHMENT_TYPES];
         for (key, value) in records {
-            let (att, instance) = match key.as_slice() {
-                [k0, k1, k2, k3, att, i0, i1] if [*k0, *k1, *k2, *k3] == id => {
-                    (*att, u16::from_be_bytes([*i0, *i1]))
-                }
-                _ => return Err(corrupt()),
-            };
-            let slot = attachments
-                .get_mut(att as usize)
-                .ok_or_else(|| DmxError::Corrupt(format!("attachment type {att} out of range")))?;
-            let mut pos = 0usize;
-            let name = get_str(value, &mut pos)?;
-            slot.get_or_insert_with(Vec::new).push(AttachmentInstance {
-                att: AttTypeId(att),
-                instance: AttInstanceId(instance),
-                name,
-                desc: value.get(pos..).ok_or_else(corrupt)?.to_vec(),
-            });
+            let (rel, inst) = AttachmentInstance::from_record(key, value)?.ok_or_else(corrupt)?;
+            if rel.0.to_be_bytes() != id {
+                return Err(corrupt());
+            }
+            let slot = attachments.get_mut(inst.att.0 as usize).ok_or_else(|| {
+                DmxError::Corrupt(format!("attachment type {} out of range", inst.att))
+            })?;
+            slot.get_or_insert_with(Vec::new).push(inst);
         }
         Ok(RelationDescriptor {
             id: RelationId(u32::from_be_bytes(id)),

@@ -741,7 +741,7 @@ impl Database {
     }
 
     /// Access-path dispatch without scan-manager registration (used
-    /// internally, e.g. by attachment backfill).
+    /// internally, e.g. by an attachment's build).
     pub fn open_scan_raw(
         &self,
         ctx: &ExecCtx<'_>,

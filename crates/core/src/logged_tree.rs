@@ -53,11 +53,21 @@
 //! replay sequence each byte ends with the value the last record that
 //! touched it wrote, and a length change is always a whole image, which
 //! re-bases the entry. So redo in log order ends at the last record's
-//! image even from an entry that already holds a later one (a DDL commit
-//! flushes a new statistics tree before restart replays its backfill
-//! over it), and undo in reverse order ends at the first one's before-
-//! image. Numeric cells log the bytes they leave, not deltas, for the
-//! same reason: replaying a delta twice would double-count.
+//! image even from an entry that already holds a later one (a page
+//! written back after the records were), and undo in reverse order ends
+//! at the first one's before-image. Numeric cells log the bytes they
+//! leave, not deltas, for the same reason: replaying a delta twice would
+//! double-count.
+//!
+//! One writer logs nothing: the build of a new attachment instance
+//! ([`crate::Attachment::build`]). While [`Build`] is open, `apply`
+//! installs that instance's entries through [`Build::token`], the named
+//! unlogged path beside `Appended::UNLOGGED` and `FreshPage::format`. No
+//! replay needs those entries: the DDL's commit force-writes the files
+//! the instance was created with before its commit point, and undoing
+//! the catalog record that entered the instance — a rollback to before
+//! the DDL, or restart's undo of a creator that never committed —
+//! releases it whole (`undo.rs`).
 
 use std::borrow::Cow;
 use std::collections::hash_map::DefaultHasher;
@@ -70,7 +80,10 @@ use dmx_expr::Expr;
 use dmx_lock::{LockMode, LockName};
 use dmx_txn::{Sharing, Transaction};
 use dmx_types::bytes::{le_u16, le_u32, put_varint, varint, varint_len};
-use dmx_types::{Appended, DmxError, FileId, PageId, RecordKey, RelationId, Result, Value};
+use dmx_types::{
+    Appended, AttInstanceId, AttTypeId, DmxError, FileId, PageId, RecordKey, RelationId, Result,
+    TxnId, Value,
+};
 use dmx_wal::{Compensation, ExtKind};
 
 use crate::access::{
@@ -198,7 +211,7 @@ struct GapLocks {
     relation: RelationId,
     record_key: RecordKeyIn,
     /// Set by the dispatcher's locking protocol only; raw internal scans
-    /// (backfill, scrub, referential probes) leave it off.
+    /// (a build's, scrub, referential probes) leave it off.
     on: bool,
 }
 
@@ -507,6 +520,47 @@ impl<D: EntryDecoder> ScanOps for TreeScan<D> {
     }
 }
 
+/// The unlogged build of one new attachment instance, open while
+/// [`crate::Database::create_attachment`] runs the instance's
+/// [`crate::Attachment::build`].
+pub(crate) struct Build {
+    pub(crate) txn: TxnId,
+    pub(crate) relation: RelationId,
+    pub(crate) att: AttTypeId,
+    pub(crate) instance: AttInstanceId,
+    /// The instance's storage files, all created with it: what its DDL's
+    /// commit force-writes.
+    pub(crate) files: Vec<FileId>,
+}
+
+impl Build {
+    /// Whether `inst` on `relation`, written by `txn`, is what this builds.
+    pub(crate) fn builds(
+        &self,
+        txn: TxnId,
+        relation: RelationId,
+        inst: &AttachmentInstance,
+    ) -> bool {
+        (self.txn, self.relation, self.att, self.instance)
+            == (txn, relation, inst.att, inst.instance)
+    }
+
+    /// The build token for a page of `file`: it stamps nothing, so the
+    /// change reaches disk by the DDL commit's force of the instance's
+    /// files and by nothing else. A file outside them would keep an
+    /// unlogged change no commit writes back: a debug build refuses it,
+    /// and a release build logs that change instead (`None`).
+    fn token(&self, file: FileId) -> Option<Appended> {
+        let own = self.files.contains(&file);
+        debug_assert!(
+            own,
+            "a build writes only its instance's files {:?}, not {file}",
+            self.files
+        );
+        own.then_some(Appended::UNLOGGED)
+    }
+}
+
 /// What the logged path needs from a tree handle.
 pub trait LoggedTarget {
     /// The tree's fixed root page: what an attachment's record names.
@@ -567,6 +621,8 @@ pub struct LoggedTree<'a, T = BTree> {
     /// data change joins its modification's record; the catalog's stand
     /// alone, for restart replays them in a pass of their own.
     sharing: Sharing,
+    /// Open while the instance this tree belongs to is being built.
+    build: Option<Arc<Build>>,
     tree: T,
 }
 
@@ -585,6 +641,7 @@ impl<'a, T: LoggedTarget> LoggedTree<'a, T> {
             relation: rd.id,
             names_tree: true,
             sharing: Sharing::Joins,
+            build: ctx.db.build_of(ctx.txn.id(), rd.id, inst),
             tree,
         }
     }
@@ -598,6 +655,7 @@ impl<'a, T: LoggedTarget> LoggedTree<'a, T> {
             relation: rd.id,
             names_tree: false,
             sharing: Sharing::Joins,
+            build: None,
             tree,
         }
     }
@@ -612,6 +670,7 @@ impl<'a, T: LoggedTarget> LoggedTree<'a, T> {
             relation: CATALOG_RELATION,
             names_tree: false,
             sharing: Sharing::Alone,
+            build: None,
             tree: catalog,
         }
     }
@@ -624,11 +683,16 @@ impl<'a, T: LoggedTarget> LoggedTree<'a, T> {
     /// Logs the change of `key` from `before` to `after` (`None` =
     /// absent) on the transaction's undo chain — in the record of its
     /// relation modification where one is open — then installs `after`
-    /// through the writer of the record's token. The only holder of a
-    /// forward token in a tree-backed extension.
+    /// through the writer of the record's token; while the instance is
+    /// being built, installs it through the build token and logs nothing.
+    /// The only holder of a forward token in a tree-backed extension.
     pub fn apply(&self, key: &[u8], before: Option<&[u8]>, after: Option<&[u8]>) -> Result<()> {
         if before.is_none() && after.is_none() {
             return Ok(()); // absent stays absent: nothing to log
+        }
+        let file = self.tree.root().file;
+        if let Some(at) = self.build.as_ref().and_then(|b| b.token(file)) {
+            return self.tree.install_image(at, key, after);
         }
         let named = self.names_tree.then(|| self.tree.root());
         let (op, payload) = encode_change(named, key, before, after)?;

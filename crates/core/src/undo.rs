@@ -4,8 +4,9 @@
 //! attachment implementations to undo the partial effects" of aborted
 //! work. This module routes each logged extension operation back to its
 //! extension through the procedure vectors — and the catalog's own
-//! records to the catalog, which installs them in its tree and its map —
-//! and re-drives committed deferred intents (physical drops) at restart.
+//! records to the catalog, which installs them in its tree and its map,
+//! releasing an instance whose entering record it takes back — and
+//! re-drives committed deferred intents (physical drops) at restart.
 
 use std::sync::Arc;
 
@@ -14,7 +15,8 @@ use dmx_types::{Appended, DmxError, Lsn, RelationId, Result};
 use dmx_wal::{Compensation, ExtKind, LogBody, LogRecord, OpRef, UndoHandler};
 
 use crate::catalog::{Catalog, CATALOG_RELATION};
-use crate::logged_tree::{self, Replay};
+use crate::descriptor::AttachmentInstance;
+use crate::logged_tree::{self, Change, Image, Replay, OP_INSERT};
 use crate::registry::ExtensionRegistry;
 use crate::services::CommonServices;
 
@@ -96,6 +98,26 @@ impl UndoDispatch {
         })
     }
 
+    /// Undoing the catalog record that entered an attachment instance —
+    /// a rollback to before its DDL, or restart's undo of a creator that
+    /// never committed — releases the instance: its published state is
+    /// retracted and its storage destroyed. Its build logged no entry to
+    /// undo, and nothing else names the instance any more. A catalog
+    /// record of another kind releases nothing.
+    fn release_entered(&self, change: &[u8]) -> Result<()> {
+        let change = Change::decode(OP_INSERT, change)?;
+        let Image::Set(Some(record)) = change.after(None) else {
+            return Ok(());
+        };
+        let Some((relation, inst)) = AttachmentInstance::from_record(change.key, &record)? else {
+            return Ok(());
+        };
+        if let Ok(rd) = self.catalog.get(relation) {
+            self.registry.attachment(inst.att)?.deactivate(&rd, &inst);
+        }
+        self.release(&encode_drop_att_intent(inst.att, &inst.desc))
+    }
+
     /// Routes each extension operation of `rec` back to the extension that
     /// wrote it — last to first for an undo, first to last for a redo.
     fn replay(&self, rec: &LogRecord, dir: Replay<'_>) -> Result<()> {
@@ -117,7 +139,11 @@ impl UndoDispatch {
             payload,
         } = op;
         if relation == CATALOG_RELATION {
-            return logged_tree::replay(&*self.catalog, dir, op, payload).map(drop);
+            logged_tree::replay(&*self.catalog, dir, op, payload)?;
+            return match (dir, op) {
+                (Replay::Undo(_), OP_INSERT) => self.release_entered(payload),
+                _ => Ok(()),
+            };
         }
         // A relation missing from the catalog. Undo: the same transaction
         // created it (loser DDL, never committed) — its state is being

@@ -489,9 +489,10 @@ impl Session {
             Stmt::AnalyzeTable { name } => {
                 self.check(name, Privilege::Control)?;
                 let rd = self.db.catalog().get_by_name(name)?;
-                // First ANALYZE registers the statistics attachment as
-                // an ordinary attachment (backfill seeds counts and
-                // bounds); subsequent ones just rebuild exactly.
+                // The first ANALYZE registers the statistics attachment
+                // as an ordinary attachment: its build is the exact
+                // rebuild, and the registration stored the header's
+                // counts. Later ones rebuild in place.
                 let has_stats = rd.attached_types().any(|(att_id, _)| {
                     self.db
                         .registry()
@@ -499,11 +500,14 @@ impl Session {
                         .map(|a| a.name() == "stats")
                         .unwrap_or(false)
                 });
-                if !has_stats {
+                let analyzed = if has_stats {
+                    self.db.analyze_relation(txn, name)?
+                } else {
+                    self.db.check_not_quarantined(rd.id)?;
                     self.db
                         .create_attachment(txn, name, "stats", "stats", &AttrList::new())?;
-                }
-                let analyzed = self.db.analyze_relation(txn, name)?;
+                    1
+                };
                 let rows_now = self.db.catalog().get_by_name(name)?.stats.records();
                 Ok(QueryResult {
                     columns: vec!["relation".into(), "analyzed".into(), "rows".into()],

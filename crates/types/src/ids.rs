@@ -88,8 +88,10 @@ pub struct Appended(Lsn);
 
 impl Appended {
     /// The named unlogged path: a token that stamps nothing. For the tests
-    /// that forge crash images, and for the bootstrap of a fresh structure
-    /// (`BTree::create`) — a page no log record describes yet.
+    /// that forge crash images, for the bootstrap of a fresh structure
+    /// (`BTree::create`) — a page no log record describes yet — and for
+    /// the build of a new attachment instance (`dmx_core`'s build token),
+    /// whose files its DDL's commit force-writes.
     pub const UNLOGGED: Appended = Appended(Lsn::NULL);
 
     /// The token of the record the log just assigned `lsn`.

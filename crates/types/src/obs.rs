@@ -582,6 +582,10 @@ pub mod name {
     pub const ATT_VETOES: &str = "att.vetoes";
     /// Attachment access-path probes (scans opened through an attachment).
     pub const ATT_PROBES: &str = "att.probes";
+    /// Records offered to the builds of new attachment instances
+    /// (`CREATE INDEX`, a first `ANALYZE`, a repair's rebuild): what a
+    /// build installs beside [`WAL_APPENDS`] that does not move.
+    pub const ATT_BUILD_ROWS: &str = "att.build_rows";
 
     /// Relations quarantined after unrecoverable corruption.
     pub const QUARANTINE_EVENTS: &str = "quarantine.events";

@@ -634,7 +634,8 @@ fn user_defined_access_path_is_probed_as_a_join_inner() {
     let nested_loop = db.query_sql(q).unwrap();
     assert_eq!(nested_loop.len(), 5);
 
-    // existing records are backfilled through `on_modify`
+    // existing records are built in through the default `build`, which
+    // drives `on_modify`
     db.execute_sql("CREATE ATTACHMENT by_f ON i USING lookup WITH (field = f)")
         .unwrap();
     let plan = format!("{:?}", db.query_sql(&format!("EXPLAIN {q}")).unwrap());

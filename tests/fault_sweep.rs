@@ -181,36 +181,64 @@ fn attach(m: &mut CatalogModel, table: &str, att: &str) {
 }
 
 /// A statement and what it does to the model once it has committed.
-type DdlStep = (&'static str, fn(&mut CatalogModel));
+type DdlStep = (String, fn(&mut CatalogModel));
+
+/// Rows of `p`, the populated table an index and statistics are built
+/// over: wide enough to span more pages than [`DDL_POOL_FRAMES`].
+const P_ROWS: usize = 48;
+
+/// The pool the mix runs under: small enough that the builds over `p`
+/// steal dirty heap pages before their commit forces the new files.
+const DDL_POOL_FRAMES: usize = 6;
 
 /// The DDL mix, one statement at a time through one session. A USING
 /// memory table is temporary — no reopen finds it — and so is never in
 /// the model.
-const DDL_MIX: &[DdlStep] = &[
-    ("CREATE TABLE a (id INT NOT NULL, v INT)", |m| {
-        create(m, "a", &["id", "v"])
-    }),
-    ("CREATE INDEX a_v ON a (v)", |m| attach(m, "a", "a_v")),
-    ("INSERT INTO a VALUES (1, 1), (2, 1)", |_| {}),
-    // vetoed by the duplicate v: a backfill taken back
-    ("CREATE UNIQUE INDEX a_u ON a (v)", |_| {}),
-    ("CREATE TABLE m (x INT) USING memory", |_| {}),
-    ("ANALYZE TABLE a", |m| attach(m, "a", "stats")),
-    ("BEGIN", |_| {}),
-    ("CREATE TABLE b (x INT)", |_| {}),
-    ("ROLLBACK", |_| {}),
-    (
-        "CREATE TABLE c (k INT NOT NULL) USING btree WITH (key = k)",
-        |m| create(m, "c", &["k"]),
-    ),
-    ("DROP INDEX a_v ON a", |m| {
-        m.get_mut("a").expect("a").1.remove("a_v");
-    }),
-    ("DROP TABLE c", |m| {
-        m.remove("c");
-    }),
-    ("CREATE TABLE d (id INT)", |m| create(m, "d", &["id"])),
-];
+fn ddl_mix() -> Vec<DdlStep> {
+    let populate = (0..P_ROWS)
+        .map(|i| format!("({i}, '{}')", "p".repeat(1000)))
+        .collect::<Vec<_>>()
+        .join(", ");
+    let steps: [DdlStep; 17] = [
+        ("CREATE TABLE a (id INT NOT NULL, v INT)".into(), |m| {
+            create(m, "a", &["id", "v"])
+        }),
+        ("CREATE INDEX a_v ON a (v)".into(), |m| {
+            attach(m, "a", "a_v")
+        }),
+        ("INSERT INTO a VALUES (1, 1), (2, 1)".into(), |_| {}),
+        // vetoed by the duplicate v: a build taken back
+        ("CREATE UNIQUE INDEX a_u ON a (v)".into(), |_| {}),
+        ("CREATE TABLE m (x INT) USING memory".into(), |_| {}),
+        ("ANALYZE TABLE a".into(), |m| attach(m, "a", "stats")),
+        ("BEGIN".into(), |_| {}),
+        ("CREATE TABLE b (x INT)".into(), |_| {}),
+        ("ROLLBACK".into(), |_| {}),
+        (
+            "CREATE TABLE c (k INT NOT NULL) USING btree WITH (key = k)".into(),
+            |m| create(m, "c", &["k"]),
+        ),
+        ("DROP INDEX a_v ON a".into(), |m| {
+            m.get_mut("a").expect("a").1.remove("a_v");
+        }),
+        ("DROP TABLE c".into(), |m| {
+            m.remove("c");
+        }),
+        ("CREATE TABLE d (id INT)".into(), |m| {
+            create(m, "d", &["id"])
+        }),
+        ("CREATE TABLE p (id INT NOT NULL, pad STRING)".into(), |m| {
+            create(m, "p", &["id", "pad"])
+        }),
+        (format!("INSERT INTO p VALUES {populate}"), |_| {}),
+        // built over the rows already there
+        ("CREATE INDEX p_id ON p (id)".into(), |m| {
+            attach(m, "p", "p_id")
+        }),
+        ("ANALYZE TABLE p".into(), |m| attach(m, "p", "stats")),
+    ];
+    steps.into()
+}
 
 /// The catalog a database holds, stated as the model states it.
 fn catalog_of(db: &Arc<Database>) -> CatalogModel {
@@ -230,35 +258,107 @@ fn catalog_of(db: &Arc<Database>) -> CatalogModel {
 }
 
 /// Runs the mix until the injected crash, returning how many statements
-/// completed (the vetoed one completes by failing).
-fn run_ddl_mix(db: &Arc<Database>, injector: &FaultInjector) -> usize {
+/// completed (the vetoed one completes by failing) and how many dirty
+/// frames the builds over `p` stole.
+fn run_ddl_mix(db: &Arc<Database>, injector: &FaultInjector, mix: &[DdlStep]) -> (usize, u64) {
     let session = Session::new(db.clone());
-    for (done, (sql, _)) in DDL_MIX.iter().enumerate() {
+    let steals = || db.metrics_snapshot().counter("pool.steals");
+    let mut stolen = 0;
+    for (done, (sql, _)) in mix.iter().enumerate() {
+        let before = steals();
         let res = session.execute(sql);
         if injector.is_crashed() || (res.is_err() && !sql.contains("UNIQUE")) {
-            return done;
+            return (done, stolen);
+        }
+        if sql.ends_with("ON p (id)") || sql == "ANALYZE TABLE p" {
+            stolen += steals() - before;
         }
     }
-    DDL_MIX.len()
+    (mix.len(), stolen)
+}
+
+fn ddl_pool() -> DatabaseConfig {
+    DatabaseConfig {
+        pool_frames: DDL_POOL_FRAMES,
+        ..DatabaseConfig::default()
+    }
+}
+
+/// What the builds over `p` must leave at any crash point: every table
+/// checks healthy, and an index or statistics built over `p` are there
+/// whole or not at all.
+fn check_builds(db: &Arc<Database>, got: &CatalogModel, at: &str) {
+    for table in got.keys() {
+        let report = db
+            .query_sql(&format!("CHECK TABLE {table}"))
+            .unwrap_or_else(|e| panic!("{at}: CHECK TABLE {table}: {e}"));
+        assert_eq!(report[0][2], Value::from("healthy"), "{at}: {report:?}");
+    }
+    let Some((_, atts)) = got.get("p") else {
+        return;
+    };
+    let rd = db.catalog().get_by_name("p").unwrap();
+    let ids = |path| {
+        db.with_txn(|txn| {
+            let scan = db.open_scan(txn, rd.id, path, AccessQuery::All, None, None)?;
+            let mut ids = Vec::new();
+            while let Some(item) = db.scan_next(txn, scan)? {
+                ids.push(item.values.expect("fields")[0].as_int()?);
+            }
+            ids.sort_unstable();
+            Ok(ids)
+        })
+        .unwrap_or_else(|e| panic!("{at}: scanning p: {e}"))
+    };
+    let base = ids(AccessPath::StorageMethod);
+    assert!(
+        base.is_empty() || base == (0..P_ROWS as i64).collect::<Vec<_>>(),
+        "{at}: p holds {base:?}"
+    );
+    if atts.contains("p_id") {
+        let (att, inst) = rd.find_attachment("p_id").unwrap();
+        let path = AccessPath::Attachment(att, inst.instance);
+        assert_eq!(ids(path), base, "{at}: the index on p is not whole");
+    }
+    if atts.contains("stats") {
+        let rows = db
+            .query_sql("SELECT rows FROM sys.statistics WHERE relation = 'p' AND field = '*'")
+            .unwrap();
+        assert_eq!(
+            rows,
+            vec![vec![Value::Int(base.len() as i64)]],
+            "{at}: stats"
+        );
+    }
 }
 
 /// DDL is logged like data: crash at every I/O of a mix of CREATE/DROP
-/// TABLE, CREATE/DROP INDEX, a vetoed unique-index backfill, `ANALYZE`,
-/// an aborted CREATE and a `USING memory` table. After recovery the
-/// catalog is the model's after the statements that completed — with
-/// the one in flight, or without it — every relation in it answers a
-/// query, and a second reopen appends nothing and finds the same.
+/// TABLE, CREATE/DROP INDEX, a vetoed unique-index build, `ANALYZE`, an
+/// aborted CREATE, a `USING memory` table, and a `CREATE INDEX` and a
+/// first `ANALYZE` built over a populated table under a pool small enough
+/// that the builds steal pages before their commit forces the new files.
+/// After recovery the catalog is the model's after the statements that
+/// completed — with the one in flight, or without it — every relation in
+/// it answers a query and checks healthy, what was built over the
+/// populated table is whole, and a second reopen appends nothing and
+/// finds the same.
 #[test]
 fn ddl_crash_sweep_matches_the_model_catalog() {
+    let mix = ddl_mix();
     let mut states = vec![CatalogModel::new()];
-    for (_, step) in DDL_MIX {
+    for (_, step) in &mix {
         let mut next = states.last().expect("a state").clone();
         step(&mut next);
         states.push(next);
     }
     let (env, injector) = DatabaseEnv::fresh_with_plan(FaultPlan::new(SEED));
-    let db = reopen(&env);
-    assert_eq!(run_ddl_mix(&db, &injector), DDL_MIX.len());
+    let db = starburst_dmx::open_env(env.clone(), ddl_pool()).expect("open");
+    let (done, stolen) = run_ddl_mix(&db, &injector, &mix);
+    assert_eq!(done, mix.len());
+    assert!(
+        stolen > 0,
+        "the builds stole no page: grow p or shrink the pool"
+    );
     drop(db);
     let total = injector.ops();
 
@@ -267,8 +367,8 @@ fn ddl_crash_sweep_matches_the_model_catalog() {
     while k < total {
         let at = format!("ddl crash point {k}/{total}");
         let (env, injector) = DatabaseEnv::fresh_with_plan(FaultPlan::new(SEED).crash_at(k));
-        let done = starburst_dmx::open_env(env.clone(), DatabaseConfig::default())
-            .map_or(0, |db| run_ddl_mix(&db, &injector));
+        let done = starburst_dmx::open_env(env.clone(), ddl_pool())
+            .map_or(0, |db| run_ddl_mix(&db, &injector, &mix).0);
         injector.clear();
         let db = reopen(&env);
         let got = catalog_of(&db);
@@ -280,6 +380,7 @@ fn ddl_crash_sweep_matches_the_model_catalog() {
             db.query_sql(&format!("SELECT COUNT(*) FROM {table}"))
                 .unwrap_or_else(|e| panic!("{at}: {table}: {e}"));
         }
+        check_builds(&db, &got, &at);
         drop(db);
         let frames = env.stable_log.len();
         let db = reopen(&env);

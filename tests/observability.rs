@@ -377,6 +377,134 @@ fn a_twenty_write_transaction_logs_no_more_than_its_budget() {
     assert_eq!(frames, 22, "a 20-write transaction's frames");
 }
 
+/// A build logs nothing its DDL commit forces. Over 1,000 rows and
+/// over 10,000, `CREATE INDEX` and a first `ANALYZE TABLE` each offer
+/// every row to the build (`att.build_rows`), force the log once — at
+/// their commit point — and log the same bytes give or take a few
+/// bytes of varint and count width: the catalog records, not a record a
+/// row (measured: 107 and 109 B for the index, 82 B for the statistics;
+/// a backfill logged row by row wrote 43,107 and 430,109 B for the
+/// index, 50,257 and 473,431 B for the statistics, and forced twice).
+/// Lower it when the log shrinks.
+const BUILD_LOGS_AT_MOST: u64 = 120;
+
+#[test]
+fn a_build_logs_the_same_over_ten_times_the_rows() {
+    let cost = |rows: i64| {
+        let db = starburst_dmx::open_default().unwrap();
+        db.execute_sql("CREATE TABLE t (id INT NOT NULL, v INT NOT NULL)")
+            .unwrap();
+        let rel = db.catalog().get_by_name("t").unwrap().id;
+        db.with_txn(|txn| {
+            for i in 0..rows {
+                db.insert(
+                    txn,
+                    rel,
+                    Record::new(vec![Value::Int(i), Value::Int(i % 97)]),
+                )?;
+            }
+            Ok(())
+        })
+        .unwrap();
+        let counted = || {
+            let snap = db.metrics_snapshot();
+            ["wal.forces", "wal.bytes", "att.build_rows"].map(|name| snap.counter(name))
+        };
+        ["CREATE INDEX t_v ON t (v)", "ANALYZE TABLE t"].map(|sql| {
+            let before = counted();
+            db.execute_sql(sql).unwrap();
+            let after = counted();
+            let [forces, bytes, built] = [0, 1, 2].map(|i| after[i] - before[i]);
+            assert_eq!(built, rows as u64, "{sql}: rows offered to the build");
+            assert_eq!(forces, 1, "{sql} over {rows} rows forced {forces} times");
+            bytes
+        })
+    };
+    let (small, large) = (cost(1_000), cost(10_000));
+    for (sql, (small, large)) in ["CREATE INDEX", "ANALYZE"]
+        .iter()
+        .zip(small.into_iter().zip(large))
+    {
+        assert!(
+            small.abs_diff(large) <= 8 && large <= BUILD_LOGS_AT_MOST,
+            "{sql} logged {small} B over 1,000 rows and {large} B over 10,000"
+        );
+    }
+}
+
+/// The build token refuses, in a debug build, a file outside its
+/// instance's storage files.
+#[cfg(debug_assertions)]
+mod build_token {
+    use std::sync::Arc;
+
+    use starburst_dmx::core::{
+        Attachment, AttachmentInstance, CommonServices, ExecCtx, LoggedTree, Modification,
+        RelationDescriptor, TreeFile,
+    };
+    use starburst_dmx::prelude::*;
+    use starburst_dmx::types::FileId;
+
+    /// An attachment whose build writes a tree it did not declare among its
+    /// storage files: no commit would write that change back.
+    struct Undeclared;
+
+    impl Attachment for Undeclared {
+        fn name(&self) -> &str {
+            "undeclared"
+        }
+
+        fn create_instance(
+            &self,
+            ctx: &ExecCtx<'_>,
+            _: &RelationDescriptor,
+            _: &str,
+            _: &AttrList,
+        ) -> Result<Vec<u8>> {
+            let tree = TreeFile::create(ctx.services())?;
+            Ok([tree.file.0.to_le_bytes(), tree.root_page.to_le_bytes()].concat())
+        }
+
+        fn destroy_instance(&self, _: &Arc<CommonServices>, _: &[u8]) -> Result<()> {
+            Ok(())
+        }
+
+        fn on_modify(
+            &self,
+            ctx: &ExecCtx<'_>,
+            rd: &RelationDescriptor,
+            instances: &[AttachmentInstance],
+            m: &Modification<'_>,
+        ) -> Result<()> {
+            for inst in instances {
+                let word =
+                    |at: usize| u32::from_le_bytes(inst.desc[at..at + 4].try_into().unwrap());
+                let tree = TreeFile {
+                    file: FileId(word(0)),
+                    root_page: word(4),
+                };
+                let logged = LoggedTree::attachment(ctx, rd, inst, tree.open_tree(ctx.services()));
+                logged.apply(m.key().as_bytes(), None, Some(b"x"))?;
+            }
+            Ok(())
+        }
+    }
+
+    /// The build token covers its instance's storage files and nothing else:
+    /// a debug build refuses an unlogged change to any other file.
+    #[test]
+    #[should_panic(expected = "a build writes only its instance's files")]
+    fn the_build_token_refuses_a_file_outside_its_instance() {
+        let registry = starburst_dmx::default_registry().unwrap();
+        registry.register_attachment(Arc::new(Undeclared)).unwrap();
+        let db = Database::open_fresh(registry).unwrap();
+        db.execute_sql("CREATE TABLE t (id INT NOT NULL)").unwrap();
+        db.execute_sql("INSERT INTO t VALUES (1), (2)").unwrap();
+        let _ =
+            db.with_txn(|txn| db.create_attachment(txn, "t", "undeclared", "u", &AttrList::new()));
+    }
+}
+
 #[test]
 fn explain_analyze_actuals_match_the_model_oracle() {
     let (db, model) = seeded_db(SEED);

@@ -11,8 +11,10 @@
 // panic discipline: failures here should abort loudly.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
+use starburst_dmx::attach::join_index::JiDesc;
 use starburst_dmx::prelude::*;
 use starburst_dmx::query::SqlExt;
 
@@ -686,19 +688,41 @@ fn a_committed_drop_whose_release_was_not_logged_done_stays_dropped() {
     assert_eq!(count(&db, "r"), 0);
 }
 
-/// Restart order (d): one committed transaction holds a vetoed CREATE
-/// UNIQUE INDEX backfill and a DROP INDEX rolled back to a savepoint. The
-/// log's undo takes both back, catalog records included, and restart
-/// repeats those compensations: the descriptor and `sys.attachments` are
-/// what they were, before the crash and after it, and the index works.
+/// Restart order (d): DDL taken back inside a transaction that then
+/// commits — a vetoed CREATE UNIQUE INDEX build, a DROP INDEX rolled
+/// back to a savepoint,
+/// and — each rolled back to a savepoint of its own — a CREATE INDEX
+/// and a first ANALYZE built over a populated table. The log's undo
+/// takes all of it back, catalog records included, and restart repeats
+/// those compensations; a build logged no entry to undo, so undoing the
+/// catalog record that entered its instance releases the instance. The
+/// descriptor, `sys.attachments`, `sys.statistics`, the plan and the
+/// number of files on disk are what they were, before the crash and
+/// after it, and the index works.
 #[test]
 fn ddl_taken_back_inside_a_committed_transaction_stays_taken_back() {
     let (env, db) = fresh();
-    db.execute_sql("CREATE TABLE t (id INT NOT NULL, v INT)")
+    db.execute_sql("CREATE TABLE t (id INT NOT NULL, v INT, pad STRING)")
         .unwrap();
     db.execute_sql("CREATE INDEX t_v ON t (v)").unwrap();
-    db.execute_sql("INSERT INTO t VALUES (1, 1), (1, 2)")
+    db.execute_sql("INSERT INTO t VALUES (1, 1, 'a'), (1, 2, 'b')")
         .unwrap();
+    let rel = db.catalog().get_by_name("t").unwrap().id;
+    db.with_txn(|txn| {
+        (10..400).try_for_each(|i| {
+            db.insert(
+                txn,
+                rel,
+                Record::new(vec![
+                    Value::Int(i),
+                    Value::Int(1000 + i),
+                    Value::from("p".repeat(200)),
+                ]),
+            )
+            .map(drop)
+        })
+    })
+    .unwrap();
     let state = |db: &Arc<Database>| {
         let rd = db.catalog().get_by_name("t").unwrap();
         let insts: Vec<_> = rd
@@ -706,17 +730,47 @@ fn ddl_taken_back_inside_a_committed_transaction_stays_taken_back() {
             .flat_map(|(_, insts)| insts.to_vec())
             .collect();
         let attachments = db.query_sql("SELECT * FROM sys.attachments").unwrap();
-        (rd.version, insts, attachments)
+        let statistics = db
+            .query_sql("SELECT * FROM sys.statistics WHERE relation = 't'")
+            .unwrap();
+        // The access path only: after a crash the estimate costs with
+        // the header's row count (ROADMAP 5(a)).
+        let plan = db
+            .query_sql("EXPLAIN SELECT v FROM t WHERE id = 7")
+            .unwrap();
+        let probes_an_index = format!("{plan:?}").contains("via attachment");
+        let io = env.disk.stats();
+        let files =
+            io.files_created.load(Ordering::Relaxed) - io.files_deleted.load(Ordering::Relaxed);
+        (
+            rd.version,
+            insts,
+            attachments,
+            statistics,
+            probes_an_index,
+            files,
+        )
     };
     let before = state(&db);
+    assert!(before.3.is_empty(), "{:?}", before.3);
+    assert!(!before.4, "no index on id yet");
     let s = Session::new(db.clone());
     s.execute("BEGIN").unwrap();
     let veto = s.execute("CREATE UNIQUE INDEX t_u ON t (id)").unwrap_err();
     assert!(matches!(veto, DmxError::Veto { .. }), "{veto}");
-    s.execute("SAVEPOINT sp").unwrap();
-    s.execute("DROP INDEX t_v ON t").unwrap();
-    assert_ne!(state(&db), before);
-    s.execute("ROLLBACK TO SAVEPOINT sp").unwrap();
+    for ddl in [
+        "DROP INDEX t_v ON t",
+        "CREATE INDEX t_id ON t (id)",
+        "ANALYZE TABLE t",
+    ] {
+        s.execute("SAVEPOINT sp").unwrap();
+        s.execute(ddl).unwrap();
+        let built = state(&db);
+        assert_ne!(built, before, "{ddl}");
+        assert_eq!(built.4, ddl.contains("t_id"), "{ddl}: the plan");
+        s.execute("ROLLBACK TO SAVEPOINT sp").unwrap();
+        assert_eq!(state(&db), before, "{ddl} rolled back");
+    }
     s.execute("COMMIT").unwrap();
     assert_eq!(state(&db), before);
     drop(s);
@@ -725,6 +779,58 @@ fn ddl_taken_back_inside_a_committed_transaction_stays_taken_back() {
     assert_eq!(state(&db), before);
     let rows = db.query_sql("SELECT id FROM t WHERE v = 2").unwrap();
     assert_eq!(rows, vec![vec![Value::Int(1)]]);
+}
+
+/// A join index's second side adopts the trees its first side made, so
+/// its build cannot be released whole: it is logged, and a rollback to a
+/// savepoint before it takes its entries back out of the trees, which
+/// stay. The three trees hold what they did, before a crash and after.
+#[test]
+fn a_build_into_adopted_trees_is_taken_back_entry_by_entry() {
+    let (env, db) = fresh();
+    for sql in [
+        "CREATE TABLE emp (id INT NOT NULL, dept INT)",
+        "CREATE TABLE dept (id INT NOT NULL)",
+        "INSERT INTO dept VALUES (1), (2)",
+        "INSERT INTO emp VALUES (10, 1), (11, 2), (12, 7)",
+        "CREATE ATTACHMENT ed ON emp USING joinindex WITH (side=left, fields=dept)",
+    ] {
+        db.execute_sql(sql).unwrap();
+    }
+    let trees = |db: &Arc<Database>| {
+        let rd = db.catalog().get_by_name("emp").unwrap();
+        let desc = &rd.find_attachment("ed").unwrap().1.desc;
+        JiDesc::decode(desc).unwrap().trees.map(|t| {
+            let mut entries = Vec::new();
+            let mut cursor = t.open_tree(db.services()).iter_all();
+            while let Some(entry) = cursor.next().unwrap() {
+                entries.push(entry);
+            }
+            entries
+        })
+    };
+    let before = trees(&db);
+    let s = Session::new(db.clone());
+    s.execute("BEGIN").unwrap();
+    s.execute("SAVEPOINT sp").unwrap();
+    s.execute(
+        "CREATE ATTACHMENT ed ON dept USING joinindex WITH (side=right, fields=id, other=emp)",
+    )
+    .unwrap();
+    assert_ne!(trees(&db), before, "the second side paired the rows");
+    s.execute("ROLLBACK TO SAVEPOINT sp").unwrap();
+    s.execute("COMMIT").unwrap();
+    assert_eq!(trees(&db), before);
+    drop(s);
+    std::mem::forget(db);
+    let db = recover(&env);
+    assert_eq!(trees(&db), before);
+    assert!(db
+        .catalog()
+        .get_by_name("dept")
+        .unwrap()
+        .find_attachment("ed")
+        .is_none());
 }
 
 /// The planner's row count survives a clean close: the close rewrites
@@ -858,12 +964,12 @@ fn the_nth_create_table_logs_what_the_first_does() {
     assert!(last < 400, "{last} bytes");
 }
 
-/// The later-image case, for real: the first `ANALYZE TABLE` backfills
-/// the statistics cell — an insert, then a patch a row — and its commit
-/// writes the new tree back; updates patch the cell again before the
-/// crash. Restart redoes every one of those records over a tree that
-/// already holds a later image than most of them left, and must end
-/// where the crash did: the counts and bounds `sys.statistics` shows,
+/// The later-image case, for real: the first `ANALYZE TABLE` builds
+/// the statistics cell, unlogged, and updates in its transaction patch
+/// it; the DDL's commit writes the tree back holding the last of those
+/// images, and later updates patch the cell again before the crash.
+/// Restart redoes every patch over a tree that already holds a later
+/// image than most of them left, and must end where the crash did: the counts and bounds `sys.statistics` shows,
 /// and the plans of two probes, after each of two reopens. (The row
 /// count the plans cost with is the one `ANALYZE`'s header stored, so
 /// the DML after it moves no row count: redo does not yet re-derive
@@ -893,7 +999,18 @@ fn statistics_redone_over_a_later_image_end_where_the_crash_did() {
         Ok(())
     })
     .unwrap();
-    db.execute_sql("ANALYZE TABLE t").unwrap();
+    let s = Session::new(db.clone());
+    s.execute("BEGIN").unwrap();
+    s.execute("ANALYZE TABLE t").unwrap();
+    for id in 0..100 {
+        s.execute(&format!(
+            "UPDATE t SET v = {} WHERE id = {id}",
+            10 + id % 40
+        ))
+        .unwrap();
+    }
+    s.execute("COMMIT").unwrap();
+    drop(s);
     for chunk in keys.chunks(100).take(4) {
         db.with_txn(|txn| {
             for (i, key) in chunk.iter().enumerate() {
