@@ -270,14 +270,21 @@ impl Node {
         Self::insert_at(page, idx, &key, val)
     }
 
-    /// Moves the upper half of the entries (by bytes) into `right`,
-    /// returning the first key of `right`. Both pages must already be
-    /// initialized with the same leaf-ness; `right` must be empty.
-    pub fn split_into(page: &mut Page, right: &mut Page) -> Result<Vec<u8>> {
+    /// Where a full node splits before `(key, …)` enters it at index
+    /// `idx`: the index of the first entry that moves to the new right
+    /// node. An entry appended past the last key of a node on the tree's
+    /// rightmost path starts the new node, and the full node stays full,
+    /// so an ascending load packs its pages: a leaf moves nothing, an
+    /// internal node moves its last entry, so that each side keeps two
+    /// children. Every other split halves the node by bytes.
+    pub fn split_point(page: &Page, idx: usize, rightmost: bool) -> usize {
         let n = Self::nkeys(page);
         debug_assert!(n >= 2, "cannot split a node with < 2 entries");
+        if rightmost && idx == n {
+            return if Self::is_leaf(page) { n } else { n - 1 };
+        }
         let total = Self::used_cell_bytes(page);
-        // find split point: first index where the left half exceeds 50%
+        // the first index where the left half exceeds 50%
         let mut acc = 0usize;
         let mut split = n / 2; // fallback
         for i in 0..n {
@@ -288,19 +295,30 @@ impl Node {
                 break;
             }
         }
-        split = split.clamp(1, n - 1);
-        let moved: Vec<(Vec<u8>, Vec<u8>)> = (split..n)
+        split.clamp(1, n - 1)
+    }
+
+    /// Moves the entries from index `at` on into `right`. Both pages must
+    /// already be initialized with the same leaf-ness; `right` must be
+    /// empty.
+    pub fn split_into(page: &mut Page, right: &mut Page, at: usize) -> Result<()> {
+        let n = Self::nkeys(page);
+        debug_assert!(at <= n, "split point {at} past {n} entries");
+        if at >= n {
+            return Ok(());
+        }
+        let moved: Vec<(Vec<u8>, Vec<u8>)> = (at..n)
             .map(|i| (Self::key(page, i).to_vec(), Self::value(page, i).to_vec()))
             .collect();
-        for _ in split..n {
-            Self::remove_at(page, split);
+        for _ in at..n {
+            Self::remove_at(page, at);
         }
         Self::compact(page);
         for (i, (k, v)) in moved.iter().enumerate() {
-            // Half of a full page always fits in the empty `right` page.
+            // Part of a full page always fits in the empty `right` page.
             Self::insert_at(right, i, k, v)?;
         }
-        Ok(moved[0].0.clone())
+        Ok(())
     }
 }
 
@@ -394,20 +412,37 @@ mod tests {
     }
 
     #[test]
-    fn split_balances_and_returns_separator() {
+    fn a_split_halves_by_bytes_unless_it_appends_on_the_rightmost_path() {
         let mut left = leaf();
         for i in 0..20u8 {
             let k = [i];
             Node::insert_at(&mut left, i as usize, &k, &[7u8; 64]).unwrap();
         }
+        let half = Node::split_point(&left, 5, true);
+        assert_eq!(half, 11, "the first index past half the bytes");
+        assert_eq!(Node::split_point(&left, 20, false), half);
+        assert_eq!(
+            Node::split_point(&left, 20, true),
+            20,
+            "a leaf moves nothing"
+        );
+        let mut internal = Page::new();
+        Node::init(&mut internal, false);
+        for i in 0..20u8 {
+            Node::insert_at(&mut internal, i as usize, &[i], &[0u8; 4]).unwrap();
+        }
+        assert_eq!(
+            Node::split_point(&internal, 20, true),
+            19,
+            "two children a side"
+        );
         let mut right = leaf();
-        let sep = Node::split_into(&mut left, &mut right).unwrap();
+        Node::split_into(&mut left, &mut right, half).unwrap();
         let (nl, nr) = (Node::nkeys(&left), Node::nkeys(&right));
         assert_eq!(nl + nr, 20);
         assert!(nl >= 2 && nr >= 2, "roughly balanced: {nl}/{nr}");
-        assert_eq!(Node::key(&right, 0), &sep[..]);
         // strict ordering across the split
-        assert!(Node::key(&left, nl - 1) < &sep[..]);
+        assert!(Node::key(&left, nl - 1) < Node::key(&right, 0));
     }
 
     #[test]

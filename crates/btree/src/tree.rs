@@ -10,10 +10,11 @@ use dmx_types::{Appended, DmxError, FileId, PageId, Result};
 use crate::latch::{LatchTable, TreeLatch};
 use crate::node::{Node, MAX_ENTRY, PAGE_TYPE_BTREE};
 
-/// Upper bound on descent depth. Fan-out is at least 4, so a legitimate
-/// tree of this height cannot exist; exceeding it means the routing
-/// graph has a cycle (damaged or never-written child pointers) and the
-/// descent reports [`DmxError::Corrupt`] instead of spinning.
+/// Upper bound on descent depth. A split leaves every internal node at
+/// least two children, so a legitimate tree of this height would hold
+/// 2^63 leaves and cannot exist; exceeding it means the routing graph has
+/// a cycle (damaged or never-written child pointers) and the descent
+/// reports [`DmxError::Corrupt`] instead of spinning.
 const MAX_DEPTH: usize = 64;
 
 /// Behaviour when an inserted key already exists.
@@ -303,20 +304,25 @@ impl BTreeWriter {
             return Err(DmxError::InvalidArg("empty btree key".into()));
         }
         let _guard = self.latch.write();
-        if let Some((sep, right)) = self.insert_rec(self.root.page_no, key, val, on_dup, 0)? {
+        let root = self.root.page_no;
+        if let Some((sep, right)) = self.insert_rec(root, key, val, on_dup, true, 0)? {
             self.grow_root(&sep, right)?;
         }
         Ok(())
     }
 
     /// Recursive insert; returns `Some((separator, new_right_page_no))`
-    /// when the visited node split.
+    /// when the visited node split. `rightmost`: the node is on the
+    /// tree's rightmost path — the root, or the last child of a node on
+    /// it — where an append past the last key splits off a new node
+    /// ([`Node::split_point`]).
     fn insert_rec(
         &self,
         page_no: u32,
         key: &[u8],
         val: &[u8],
         on_dup: OnDuplicate,
+        rightmost: bool,
         depth: usize,
     ) -> Result<Option<(Vec<u8>, u32)>> {
         if depth > MAX_DEPTH {
@@ -342,7 +348,7 @@ impl BTreeWriter {
                         Node::remove_at(&mut page, idx);
                         drop(page);
                         drop(pin);
-                        self.insert_rec(page_no, key, val, OnDuplicate::Error, depth)
+                        self.insert_rec(page_no, key, val, OnDuplicate::Error, rightmost, depth)
                     }
                 },
                 Err(idx) => {
@@ -354,25 +360,36 @@ impl BTreeWriter {
                     let right_pin = self.pool.new_page(self.root.file)?;
                     let mut right = right_pin.write(self.at);
                     Node::init(&mut right, true);
-                    let sep = Node::split_into(&mut page, &mut right)?;
+                    let at = Node::split_point(&page, idx, rightmost);
+                    Node::split_into(&mut page, &mut right, at)?;
                     Node::set_right_sibling(&mut right, Node::right_sibling(&page));
                     Node::set_right_sibling(&mut page, Some(right_pin.id().page_no));
-                    let target = if key < sep.as_slice() {
-                        &mut *page
-                    } else {
-                        &mut *right
-                    };
+                    // The entry goes left only below the right node's
+                    // first key, which it then stays; an append starts
+                    // the empty right node. Either way the right node's
+                    // first key is the separator.
+                    let to_left = Node::nkeys(&right) > 0 && key < Node::key(&right, 0);
+                    let target = if to_left { &mut *page } else { &mut *right };
                     // The key cannot be present in either half of a page
                     // that was split because it did not fit, so both the
                     // found and the insertion index are the same slot.
                     let idx = Node::search(target, key).unwrap_or_else(|i| i);
                     Node::insert_at(target, idx, key, val)?;
+                    let sep = Node::key(&right, 0).to_vec();
                     Ok(Some((sep, right_pin.id().page_no)))
                 }
             }
         } else {
-            let child = Node::route(&pin.read(), key);
-            let split = self.insert_rec(child, key, val, on_dup, depth + 1)?;
+            let (child, last) = {
+                let page = pin.read();
+                // the last entry's child, or the leftmost if none
+                let last = Node::nkeys(&page)
+                    .checked_sub(1)
+                    .map_or(Node::leftmost_child(&page), |i| Node::child(&page, i));
+                (Node::route(&page, key), last)
+            };
+            let on_right = rightmost && child == last;
+            let split = self.insert_rec(child, key, val, on_dup, on_right, depth + 1)?;
             let Some((sep, new_child)) = split else {
                 return Ok(None);
             };
@@ -389,7 +406,8 @@ impl BTreeWriter {
             let right_pin = self.pool.new_page(self.root.file)?;
             let mut right = right_pin.write(self.at);
             Node::init(&mut right, false);
-            let _first_right = Node::split_into(&mut page, &mut right)?;
+            let at = Node::split_point(&page, idx, rightmost);
+            Node::split_into(&mut page, &mut right, at)?;
             let sep_up = Node::key(&right, 0).to_vec();
             let first_child = Node::child(&right, 0);
             Node::set_leftmost_child(&mut right, first_child);
@@ -744,5 +762,206 @@ mod tests {
                 shadow.iter().map(|(i, v)| (k(*i), v.clone())).collect();
             assert_eq!(got, want, "seed {seed}");
         }
+    }
+
+    /// An entry of the split tests: an 8-byte big-endian key, so key
+    /// order is `i` order, and a 40-byte value.
+    fn entry(i: u64) -> ([u8; 8], [u8; 40]) {
+        (i.to_be_bytes(), [i as u8; 40])
+    }
+
+    /// Bytes a cell of `entry` takes in a node, its pointer included.
+    const ENTRY_CELL: usize = 2 + 4 + 8 + 40;
+
+    /// Free bytes of an empty node: what a page holds.
+    fn node_capacity() -> usize {
+        let mut p = dmx_page::Page::new();
+        Node::init(&mut p, true);
+        Node::total_free(&p)
+    }
+
+    /// The free bytes of every leaf, left to right along the sibling
+    /// links.
+    fn leaf_free(t: &BTree) -> Vec<usize> {
+        let mut page_no = t.root().page_no;
+        loop {
+            let pin = t.node(page_no).unwrap();
+            let page = pin.read();
+            if Node::is_leaf(&page) {
+                break;
+            }
+            page_no = Node::leftmost_child(&page);
+        }
+        let mut free = Vec::new();
+        let mut next = Some(page_no);
+        while let Some(page_no) = next {
+            let pin = t.node(page_no).unwrap();
+            let page = pin.read();
+            free.push(Node::total_free(&page));
+            next = Node::right_sibling(&page);
+        }
+        free
+    }
+
+    /// The fewest children any internal node at or below `page_no` has
+    /// (`usize::MAX` for a leaf).
+    fn fewest_children(t: &BTree, page_no: u32) -> usize {
+        let pin = t.node(page_no).unwrap();
+        let page = pin.read();
+        if Node::is_leaf(&page) {
+            return usize::MAX;
+        }
+        let children: Vec<u32> = std::iter::once(Node::leftmost_child(&page))
+            .chain((0..Node::nkeys(&page)).map(|i| Node::child(&page, i)))
+            .collect();
+        drop(page);
+        drop(pin);
+        children
+            .iter()
+            .map(|&c| fewest_children(t, c))
+            .fold(children.len(), usize::min)
+    }
+
+    fn all_keys(t: &BTree) -> Vec<Vec<u8>> {
+        let mut cur = t.iter_all();
+        let mut keys = Vec::new();
+        while let Some((key, _)) = cur.next().unwrap() {
+            keys.push(key);
+        }
+        keys
+    }
+
+    /// An ascending load appends past the rightmost key at every split:
+    /// the full leaf stays full, so every leaf but the last has no room
+    /// for one more entry, and the tree is as small as its entry bytes
+    /// allow. An entry past the last key of a leaf that is not the
+    /// rightmost still halves it.
+    #[test]
+    fn an_ascending_load_leaves_every_leaf_but_the_last_full() {
+        let (_p, t) = setup();
+        let n = 5000u64;
+        // even keys, so one fits between any two
+        for i in 0..n {
+            let (key, val) = entry(2 * i);
+            t.insert(&key, &val, OnDuplicate::Error).unwrap();
+        }
+        let free = leaf_free(&t);
+        let (_last, full) = free.split_last().unwrap();
+        assert!(full.iter().all(|&f| f < ENTRY_CELL), "{free:?}");
+        let st = t.stats().unwrap();
+        assert_eq!((st.entries, st.height), (n as usize, 2));
+        // packed leaves, and the root above them
+        let per_leaf = node_capacity() / ENTRY_CELL;
+        let leaves = (n as usize).div_ceil(per_leaf);
+        assert!(st.nodes <= leaves + 1, "{st:?}: {leaves} leaves");
+        let want: Vec<Vec<u8>> = (0..n).map(|i| entry(2 * i).0.to_vec()).collect();
+        assert_eq!(all_keys(&t), want);
+        // one past the first leaf's last key
+        let (key, val) = entry(2 * per_leaf as u64 - 1);
+        t.insert(&key, &val, OnDuplicate::Error).unwrap();
+        let free = leaf_free(&t);
+        assert_eq!(free.len(), leaves + 1);
+        let half = node_capacity() / 2 - 2 * ENTRY_CELL;
+        assert!(
+            free[..2].iter().all(|&f| node_capacity() - f >= half),
+            "{free:?}"
+        );
+    }
+
+    /// Inserts that are not appends split by bytes as before: a
+    /// descending load and a seeded random one leave every leaf but the
+    /// last at least half full (less at most an entry either side of the
+    /// split), and `iter_all` still hands every key out in order.
+    #[test]
+    fn descending_and_random_loads_keep_half_full_leaves() {
+        let n = 3000u64;
+        let mut random: Vec<u64> = (0..n).collect();
+        TestRng::new(7).shuffle(&mut random);
+        for (load, order) in [("descending", (0..n).rev().collect()), ("random", random)] {
+            let (_p, t) = setup();
+            for i in order {
+                let (key, val) = entry(i);
+                t.insert(&key, &val, OnDuplicate::Error).unwrap();
+            }
+            let free = leaf_free(&t);
+            let half = node_capacity() / 2 - 2 * ENTRY_CELL;
+            let (_last, rest) = free.split_last().unwrap();
+            assert!(rest.len() > 1, "{load}: the load must split");
+            assert!(
+                rest.iter().all(|&f| node_capacity() - f >= half),
+                "{load}: {free:?}"
+            );
+            let want: Vec<Vec<u8>> = (0..n).map(|i| entry(i).0.to_vec()).collect();
+            assert_eq!(all_keys(&t), want, "{load}");
+        }
+    }
+
+    /// Wide keys give internal nodes a fan-out of 17, so an ascending
+    /// load of 1,500 entries splits internal nodes on the rightmost path
+    /// at height 3: each split leaves both sides two children or more,
+    /// and point reads, cursors and `stats` agree on every entry.
+    #[test]
+    fn an_internal_append_split_keeps_reads_and_stats_agreeing() {
+        let (_p, t) = setup();
+        let wide = |i: u64| {
+            let mut key = i.to_be_bytes().to_vec();
+            key.resize(500, b'.');
+            key
+        };
+        let n = 1500u64;
+        for i in 0..n {
+            t.insert(&wide(i), &i.to_le_bytes(), OnDuplicate::Error)
+                .unwrap();
+        }
+        let st = t.stats().unwrap();
+        assert_eq!(st.entries, n as usize);
+        assert!(st.height >= 3, "{st:?}");
+        assert!(fewest_children(&t, t.root().page_no) >= 2);
+        let free = leaf_free(&t);
+        let (_last, full) = free.split_last().unwrap();
+        assert!(full.iter().all(|&f| f < 2 + 4 + 500 + 8), "{free:?}");
+        for i in (0..n).step_by(37).chain([n - 1]) {
+            assert_eq!(t.get(&wide(i)).unwrap().unwrap(), i.to_le_bytes());
+            let (key, _) = t.seek(Bound::Included(&wide(i))).unwrap().unwrap();
+            assert_eq!(key, wide(i));
+            let next = t.cursor_from(Bound::Excluded(wide(i))).next().unwrap();
+            assert_eq!(next.map(|(k, _)| k), (i + 1 < n).then(|| wide(i + 1)));
+        }
+        assert_eq!(all_keys(&t), (0..n).map(wide).collect::<Vec<_>>());
+    }
+
+    /// A `Replace` that grows an entry of a packed leaf has no room even
+    /// after compaction: the entry comes out and goes back in through a
+    /// split — by bytes in the middle or at the front of the tree, an
+    /// append for the last entry of the rightmost leaf. Every entry is
+    /// still there, in order, with its value.
+    #[test]
+    fn a_replace_that_grows_an_entry_of_a_packed_leaf_splits_it() {
+        let (_p, t) = setup();
+        // thirteen leaves' worth: the last leaf is packed too
+        let n = (node_capacity() / ENTRY_CELL * 13) as u64;
+        let mut model = std::collections::BTreeMap::new();
+        for i in 0..n {
+            let (key, val) = entry(i);
+            t.insert(&key, &val, OnDuplicate::Error).unwrap();
+            model.insert(key.to_vec(), val.to_vec());
+        }
+        let free = leaf_free(&t);
+        assert!(free.iter().all(|&f| f < ENTRY_CELL), "{free:?}");
+        let leaves = free.len();
+        for i in [n / 2, 0, n - 1] {
+            let key = entry(i).0;
+            let grown = vec![b'g'; 400];
+            t.insert(&key, &grown, OnDuplicate::Replace).unwrap();
+            model.insert(key.to_vec(), grown);
+        }
+        assert_eq!(leaf_free(&t).len(), leaves + 3, "one split each");
+        assert_eq!(t.stats().unwrap().entries, n as usize);
+        let mut cur = t.iter_all();
+        let mut got = Vec::new();
+        while let Some(kv) = cur.next().unwrap() {
+            got.push(kv);
+        }
+        assert_eq!(got, model.into_iter().collect::<Vec<_>>());
     }
 }

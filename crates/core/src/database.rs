@@ -37,7 +37,7 @@ use crate::logged_tree::Build;
 use crate::registry::ExtensionRegistry;
 use crate::scrub::RepairOutcome;
 use crate::services::CommonServices;
-use crate::undo::{encode_drop_att_intent, encode_drop_sm_intent, tolerate_missing, UndoDispatch};
+use crate::undo::{encode_drop_att_intent, encode_drop_sm_intent, UndoDispatch};
 
 /// Tuning knobs.
 #[derive(Debug, Clone)]
@@ -775,8 +775,9 @@ impl Database {
         txn.abort_point();
         txn.finish(TxnState::Aborted);
         self.counters.aborts.incr();
-        // The undo above restored the catalog; release the storage the
-        // transaction created.
+        // The undo above restored the catalog and released the storage
+        // the transaction created; what extensions deferred to abort runs
+        // now.
         let _ = txn.run_deferred(TxnEvent::AtAbort);
         self.ddl_txns.lock().remove(&txn.id());
         self.end_txn(txn);
@@ -1190,12 +1191,8 @@ impl Database {
             .entry(txn.id())
             .or_default()
             .extend(sm.storage_files(&sm_desc));
-        // On abort the undo takes the descriptor out; the storage goes.
-        let services = self.services.clone();
-        txn.defer(
-            TxnEvent::AtAbort,
-            Box::new(move || tolerate_missing(sm.destroy_instance(&services, &sm_desc))),
-        );
+        // An abort or a rollback to a savepoint before this takes the
+        // header record back, and with it releases the storage.
         Ok(rel)
     }
 

@@ -5,8 +5,9 @@
 //! work. This module routes each logged extension operation back to its
 //! extension through the procedure vectors — and the catalog's own
 //! records to the catalog, which installs them in its tree and its map,
-//! releasing an instance whose entering record it takes back — and
-//! re-drives committed deferred intents (physical drops) at restart.
+//! releasing a relation or an instance whose entering record it takes
+//! back — and re-drives committed deferred intents (physical drops) at
+//! restart.
 
 use std::sync::Arc;
 
@@ -15,7 +16,7 @@ use dmx_types::{Appended, DmxError, Lsn, RelationId, Result};
 use dmx_wal::{Compensation, ExtKind, LogBody, LogRecord, OpRef, UndoHandler};
 
 use crate::catalog::{Catalog, CATALOG_RELATION};
-use crate::descriptor::AttachmentInstance;
+use crate::descriptor::{AttachmentInstance, RelationDescriptor};
 use crate::logged_tree::{self, Change, Image, Replay, OP_INSERT};
 use crate::registry::ExtensionRegistry;
 use crate::services::CommonServices;
@@ -98,17 +99,26 @@ impl UndoDispatch {
         })
     }
 
-    /// Undoing the catalog record that entered an attachment instance —
-    /// a rollback to before its DDL, or restart's undo of a creator that
-    /// never committed — releases the instance: its published state is
-    /// retracted and its storage destroyed. Its build logged no entry to
-    /// undo, and nothing else names the instance any more. A catalog
-    /// record of another kind releases nothing.
+    /// Undoing the catalog record that entered a relation or an
+    /// attachment instance — a rollback to before its DDL, or restart's
+    /// undo of a creator that never committed — releases it: an
+    /// instance's published state is retracted, and the storage is
+    /// destroyed. Its bootstrap and an instance's build logged nothing to
+    /// undo, and nothing else names the relation or the instance any
+    /// more. The id high-water mark releases nothing.
     fn release_entered(&self, change: &[u8]) -> Result<()> {
         let change = Change::decode(OP_INSERT, change)?;
         let Image::Set(Some(record)) = change.after(None) else {
             return Ok(());
         };
+        if change.key.len() == 4 {
+            if change.key == CATALOG_RELATION.0.to_be_bytes() {
+                return Ok(());
+            }
+            let header = [(change.key.to_vec(), record.into_owned())];
+            let rd = RelationDescriptor::from_records(&header)?;
+            return self.release(&encode_drop_sm_intent(rd.sm, &rd.sm_desc));
+        }
         let Some((relation, inst)) = AttachmentInstance::from_record(change.key, &record)? else {
             return Ok(());
         };

@@ -20,6 +20,8 @@ use starburst_dmx::types::MetricsSnapshot;
 const SEED: u64 = 0x0DDC_0FFE_E0DD_F00D;
 const BATCHES: usize = 10;
 const OPS_PER_BATCH: usize = 60;
+/// Batches of [`apply_sliding_batch`] after the mixed ones.
+const SLIDING_BATCHES: usize = 3;
 
 /// The model row: everything the tables store besides the key.
 type Model = BTreeMap<i64, (String, i64)>;
@@ -104,6 +106,37 @@ fn on_both(db: &Arc<Database>, stmt: &str, expected: usize) {
 /// can reach, so no moved row lands on a live one.
 const KEY_SHIFT: i64 = 10_000;
 
+/// Inserts the next id, with a seeded `dept`, into both tables and the
+/// model.
+fn insert_next(db: &Arc<Database>, model: &mut Model, rng: &mut TestRng, next_id: &mut i64) {
+    let id = *next_id;
+    *next_id += 1;
+    let dept = rng.range_i64(0, 10);
+    let name = padded(format!("r{id}"));
+    for t in ["th", "tb"] {
+        db.execute_sql(&format!("INSERT INTO {t} VALUES ({id}, '{name}', {dept})"))
+            .unwrap();
+    }
+    model.insert(id, (name, dept));
+}
+
+/// A sliding batch: each step appends the next id and deletes the lowest
+/// live one, so the B-tree relation splits on its rightmost path while
+/// its leftmost leaves empty.
+fn apply_sliding_batch(
+    db: &Arc<Database>,
+    model: &mut Model,
+    rng: &mut TestRng,
+    next_id: &mut i64,
+) {
+    for _ in 0..OPS_PER_BATCH {
+        insert_next(db, model, rng, next_id);
+        let (&lowest, _) = model.first_key_value().unwrap();
+        on_both(db, &format!("DELETE FROM {{t}} WHERE id = {lowest}"), 1);
+        model.remove(&lowest);
+    }
+}
+
 /// Applies one seeded batch to both tables and the model. Besides the
 /// keyed statements, `UPDATE`/`DELETE` predicates land on the heap twin's
 /// secondary indexes (B-tree on `dept`: equality and range; hash on
@@ -114,15 +147,7 @@ fn apply_batch(db: &Arc<Database>, model: &mut Model, rng: &mut TestRng, next_id
     for _ in 0..OPS_PER_BATCH {
         let roll = rng.below(100);
         if roll < 40 || model.is_empty() {
-            let id = *next_id;
-            *next_id += 1;
-            let dept = rng.range_i64(0, 10);
-            let name = padded(format!("r{id}"));
-            for t in ["th", "tb"] {
-                db.execute_sql(&format!("INSERT INTO {t} VALUES ({id}, '{name}', {dept})"))
-                    .unwrap();
-            }
-            model.insert(id, (name, dept));
+            insert_next(db, model, rng, next_id);
             continue;
         }
         let keys: Vec<i64> = model.keys().copied().collect();
@@ -217,8 +242,12 @@ fn run_stream(seed: u64) -> (Vec<(i64, String, i64)>, MetricsSnapshot) {
     let mut model = Model::new();
     let mut rng = TestRng::new(seed);
     let mut next_id = 0i64;
-    for batch in 0..BATCHES {
-        apply_batch(&db, &mut model, &mut rng, &mut next_id);
+    for batch in 0..BATCHES + SLIDING_BATCHES {
+        if batch < BATCHES {
+            apply_batch(&db, &mut model, &mut rng, &mut next_id);
+        } else {
+            apply_sliding_batch(&db, &mut model, &mut rng, &mut next_id);
+        }
         let expected = model_rows(&model);
         let heap = read_sorted(&db, "th");
         let btree = read_sorted(&db, "tb");

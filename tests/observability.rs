@@ -432,6 +432,83 @@ fn a_build_logs_the_same_over_ten_times_the_rows() {
     }
 }
 
+/// An ascending load splits its tree on the rightmost path, where the
+/// full page stays full: measured 36 pages for 5,000 rows of a `USING
+/// btree` relation (the byte-halving split left 70) and 216 for a unique
+/// index over 50,000 ids (431). Lower them when pages pack tighter.
+const ASCENDING_LOAD_PAGES_AT_MOST: [u64; 2] = [36, 216];
+
+/// What each load logs, the same under either split rule: a split logs
+/// nothing, for the log is logical above the tree's page layout.
+const ASCENDING_LOAD_WAL_BYTES: [u64; 2] = [398_518, 3_800_016];
+
+#[test]
+fn an_ascending_load_packs_its_tree_and_logs_no_split() {
+    let db = starburst_dmx::open_default().unwrap();
+    let logged = || db.metrics_snapshot().counter("wal.bytes");
+    // the pages of a relation's storage, or of one of its attachments
+    let pages = |table: &str, index: Option<&str>| {
+        let rd = db.catalog().get_by_name(table).unwrap();
+        let files = match index.and_then(|name| rd.find_attachment(name)) {
+            Some((att, inst)) => db
+                .registry()
+                .attachment(att)
+                .unwrap()
+                .storage_files(&inst.desc),
+            None => db
+                .registry()
+                .storage(rd.sm)
+                .unwrap()
+                .storage_files(&rd.sm_desc),
+        };
+        let disk = &db.services().disk;
+        files
+            .iter()
+            .map(|&f| disk.page_count(f).unwrap() as u64)
+            .sum::<u64>()
+    };
+    db.execute_sql(
+        "CREATE TABLE item (id INT NOT NULL, qty INT, name STRING) USING btree WITH (key=id)",
+    )
+    .unwrap();
+    db.execute_sql("CREATE TABLE u (id INT NOT NULL, v INT)")
+        .unwrap();
+    db.execute_sql("CREATE UNIQUE INDEX u_id ON u (id)")
+        .unwrap();
+    let before = logged();
+    for i in 0..5_000 {
+        db.execute_sql(&format!(
+            "INSERT INTO item VALUES ({i}, {}, 'item {i}')",
+            i % 13
+        ))
+        .unwrap();
+    }
+    let item_bytes = logged() - before;
+    let rel = db.catalog().get_by_name("u").unwrap().id;
+    let before = logged();
+    db.with_txn(|txn| {
+        for i in 0..50_000 {
+            db.insert(
+                txn,
+                rel,
+                Record::new(vec![Value::Int(i), Value::Int(i % 7)]),
+            )?;
+        }
+        Ok(())
+    })
+    .unwrap();
+    let index_bytes = logged() - before;
+    let measured = [pages("item", None), pages("u", Some("u_id"))];
+    assert!(
+        measured
+            .iter()
+            .zip(ASCENDING_LOAD_PAGES_AT_MOST)
+            .all(|(&m, cap)| m <= cap),
+        "tree pages {measured:?}, at most {ASCENDING_LOAD_PAGES_AT_MOST:?}"
+    );
+    assert_eq!([item_bytes, index_bytes], ASCENDING_LOAD_WAL_BYTES);
+}
+
 /// The build token refuses, in a debug build, a file outside its
 /// instance's storage files.
 #[cfg(debug_assertions)]

@@ -781,6 +781,63 @@ fn ddl_taken_back_inside_a_committed_transaction_stays_taken_back() {
     assert_eq!(rows, vec![vec![Value::Int(1)]]);
 }
 
+/// A `CREATE TABLE` taken back — rolled back to a savepoint inside a
+/// transaction that commits, aborted, or in flight at a crash — leaves
+/// no file on disk: undoing the relation's catalog header releases its
+/// storage, for every storage method that has files. The live file count
+/// is what it was before, after the DDL and after a crash.
+#[test]
+fn a_create_table_taken_back_leaves_no_file() {
+    let (env, db) = fresh();
+    let live = |env: &DatabaseEnv| {
+        let io = env.disk.stats();
+        io.files_created.load(Ordering::Relaxed) - io.files_deleted.load(Ordering::Relaxed)
+    };
+    db.execute_sql("CREATE TABLE keep (id INT NOT NULL)")
+        .unwrap();
+    let before = live(&env);
+    let using = ["heap", "btree WITH (key=id)", "readonly"];
+    let s = Session::new(db.clone());
+    s.execute("BEGIN").unwrap();
+    for (i, sm) in using.iter().enumerate() {
+        s.execute("SAVEPOINT sp").unwrap();
+        s.execute(&format!("CREATE TABLE g{i} (id INT NOT NULL) USING {sm}"))
+            .unwrap();
+        s.execute(&format!("INSERT INTO g{i} VALUES (1), (2)"))
+            .unwrap();
+        assert!(live(&env) > before, "{sm}: a file to release");
+        s.execute("ROLLBACK TO SAVEPOINT sp").unwrap();
+        assert_eq!(live(&env), before, "{sm} rolled back");
+    }
+    s.execute("INSERT INTO keep VALUES (1)").unwrap();
+    s.execute("COMMIT").unwrap();
+    assert_eq!(live(&env), before);
+    s.execute("BEGIN").unwrap();
+    s.execute("CREATE TABLE aborted (id INT NOT NULL) USING btree WITH (key=id)")
+        .unwrap();
+    s.execute("ROLLBACK").unwrap();
+    assert_eq!(live(&env), before, "aborted");
+    drop(s);
+    let txn = db.begin();
+    db.create_relation(
+        &txn,
+        "in_flight",
+        Schema::new(vec![ColumnDef::not_null("id", DataType::Int)]).unwrap(),
+        "heap",
+        &AttrList::new(),
+    )
+    .unwrap();
+    db.services().log.force_all().unwrap();
+    std::mem::forget(txn);
+    std::mem::forget(db);
+    let db = recover(&env);
+    assert_eq!(live(&env), before, "after the crash");
+    for name in ["g0", "g1", "g2", "aborted", "in_flight"] {
+        assert!(db.catalog().get_by_name(name).is_err(), "{name}");
+    }
+    assert_eq!(count(&db, "keep"), 1);
+}
+
 /// A join index's second side adopts the trees its first side made, so
 /// its build cannot be released whole: it is logged, and a rollback to a
 /// savepoint before it takes its entries back out of the trees, which
