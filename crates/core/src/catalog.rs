@@ -18,12 +18,14 @@
 //! cache plans and admission read (`Arc<RelationDescriptor>` snapshots);
 //! the `sys.*` relations live only there, published at every open.
 //!
-//! Restart replays the catalog's records before any other, so dispatch
-//! of the rest sees the final committed catalog. The tree on disk is a
-//! sound start for that pass by one rule: catalog pages reach disk only
-//! at quiescent checkpoints and after a DDL's commit point. Every catalog
-//! writer holds the Catalog X lock until commit, and tree pages are
-//! no-steal.
+//! Restart repeats history: the catalog's records replay in LSN order
+//! among the rest, so every record is dispatched against the catalog of
+//! its own time. The tree on disk is a sound start for that by one rule:
+//! catalog pages reach disk only at quiescent checkpoints and after a
+//! DDL's commit point. Every catalog writer holds the Catalog X lock
+//! until commit, and tree pages are no-steal. So a relation missing from
+//! the catalog at its record's time was dropped by a committed
+//! transaction.
 //!
 //! A header stores its relation's counts as they were when it was
 //! written. While restart replays, the header it installs is the newest

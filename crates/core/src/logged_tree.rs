@@ -617,10 +617,6 @@ pub struct LoggedTree<'a, T = BTree> {
     /// An attachment's records name their tree; the storage method's is
     /// in the relation descriptor replay is handed.
     names_tree: bool,
-    /// A tree replay sets what was logged and compares no page LSN, so a
-    /// data change joins its modification's record; the catalog's stand
-    /// alone, for restart replays them in a pass of their own.
-    sharing: Sharing,
     /// Open while the instance this tree belongs to is being built.
     build: Option<Arc<Build>>,
     tree: T,
@@ -640,7 +636,6 @@ impl<'a, T: LoggedTarget> LoggedTree<'a, T> {
             ext: ExtKind::Attachment(inst.att),
             relation: rd.id,
             names_tree: true,
-            sharing: Sharing::Joins,
             build: ctx.db.build_of(ctx.txn.id(), rd.id, inst),
             tree,
         }
@@ -654,7 +649,6 @@ impl<'a, T: LoggedTarget> LoggedTree<'a, T> {
             ext: ExtKind::Storage(rd.sm),
             relation: rd.id,
             names_tree: false,
-            sharing: Sharing::Joins,
             build: None,
             tree,
         }
@@ -669,7 +663,6 @@ impl<'a, T: LoggedTarget> LoggedTree<'a, T> {
             ext: CATALOG_EXT,
             relation: CATALOG_RELATION,
             names_tree: false,
-            sharing: Sharing::Alone,
             build: None,
             tree: catalog,
         }
@@ -696,7 +689,16 @@ impl<'a, T: LoggedTarget> LoggedTree<'a, T> {
         }
         let named = self.names_tree.then(|| self.tree.root());
         let (op, payload) = encode_change(named, key, before, after)?;
-        let at = log_ext_op(self.txn, self.sharing, self.ext, self.relation, op, payload);
+        // A tree replay sets what was logged and compares no page LSN, so
+        // the change joins its modification's record.
+        let at = log_ext_op(
+            self.txn,
+            Sharing::Joins,
+            self.ext,
+            self.relation,
+            op,
+            payload,
+        );
         self.tree.install_image(at, key, after)
     }
 }

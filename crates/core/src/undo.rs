@@ -155,14 +155,11 @@ impl UndoDispatch {
                 _ => Ok(()),
             };
         }
-        // A relation missing from the catalog. Undo: the same transaction
-        // created it (loser DDL, never committed) — its state is being
-        // discarded wholesale, so record-level undo is moot. Redo: the op
-        // belongs to a committed transaction, so a *later* committed
-        // transaction dropped it — its deferred drop already released the
-        // storage, and replaying into freed files would be wrong.
-        // (Restart replays the catalog's records before these, so the
-        // catalog is the final committed one here.)
+        // A relation missing from the catalog at its record's time: restart
+        // replays in LSN order, so a committed transaction dropped it and
+        // its catalog page reached disk ahead of this replay. Its release
+        // frees (or freed) the storage, and a file id is never reused, so
+        // there is nothing to replay into.
         let Ok(rd) = self.catalog.get(relation) else {
             return Ok(());
         };
@@ -218,11 +215,6 @@ impl UndoHandler for UndoDispatch {
             LogBody::DeferredIntent { payload } => self.release(payload),
             _ => Ok(()),
         }
-    }
-
-    /// The catalog's records are its own ([`dmx_txn::Sharing::Alone`]).
-    fn is_catalog(&self, rec: &LogRecord) -> bool {
-        rec.body.ext_ops().any(|op| op.relation == CATALOG_RELATION)
     }
 }
 

@@ -19,7 +19,10 @@ use crate::page::{Page, PAGE_SIZE};
 /// Abstract disk interface. `MemDisk` is the only production
 /// implementation; tests may supply fault-injecting wrappers.
 pub trait DiskManager: Send + Sync {
-    /// Creates a new empty file and returns its id.
+    /// Creates a new empty file and returns its id — one no file had
+    /// before, a deleted one included: restart repeats a dropped
+    /// relation's records against their file ids, which must name no
+    /// other file.
     fn create_file(&self) -> Result<FileId>;
     /// Deletes a file and all its pages.
     fn delete_file(&self, file: FileId) -> Result<()>;
@@ -277,5 +280,17 @@ mod tests {
         let b = d.create_file().unwrap();
         assert!(b > a);
         assert_eq!(d.file_ids(), vec![a, b]);
+    }
+
+    #[test]
+    fn a_deleted_files_id_is_never_handed_out_again() {
+        let d = MemDisk::new();
+        let a = d.create_file().unwrap();
+        let b = d.create_file().unwrap();
+        d.delete_file(b).unwrap();
+        d.delete_file(a).unwrap();
+        let c = d.create_file().unwrap();
+        assert!(c > b, "{c} reuses a deleted id");
+        assert_eq!(d.file_ids(), vec![c]);
     }
 }

@@ -225,24 +225,6 @@ impl SlottedPage {
         page.put_u16(FREE_END_OFF, free_end as u16);
     }
 
-    /// Extends the slot directory with tombstones so the next fresh slot
-    /// is `slot`. Restart redo uses this when a compensated
-    /// (never-replayed) insert left a gap in the logged slot sequence:
-    /// the replayed page must put each surviving record at its logged
-    /// slot, and the gap slots were tombstoned by the original rollback
-    /// anyway.
-    pub fn pad_to_slot(page: &mut PageWrite<'_>, slot: u16) -> Result<()> {
-        while Self::slot_count(page) < slot {
-            if Self::free_space(page) < SLOT_BYTES {
-                return Err(DmxError::Io("page full".into()));
-            }
-            let count = Self::slot_count(page);
-            Self::set_slot_entry(page, count, 0, 0);
-            page.put_u16(SLOT_COUNT_OFF, count + 1);
-        }
-        Ok(())
-    }
-
     /// Slot numbers of live records, ascending.
     pub fn live_slots(page: &Page) -> Vec<u16> {
         (0..Self::slot_count(page))
@@ -376,21 +358,6 @@ mod tests {
             for s in slots.iter().skip(1).step_by(2) {
                 assert_eq!(SlottedPage::get(p, *s).unwrap(), &[9u8; 512]);
             }
-        });
-    }
-
-    #[test]
-    fn pad_to_slot_creates_tombstone_gap() {
-        with_fresh(|p| {
-            SlottedPage::insert(p, b"a").unwrap();
-            SlottedPage::pad_to_slot(p, 4).unwrap();
-            assert_eq!(SlottedPage::slot_count(p), 4);
-            assert_eq!(SlottedPage::live_slots(p), vec![0]);
-            SlottedPage::insert_at(p, 4, b"e").unwrap();
-            assert_eq!(SlottedPage::get(p, 4).unwrap(), b"e");
-            // already past the target: no-op
-            SlottedPage::pad_to_slot(p, 2).unwrap();
-            assert_eq!(SlottedPage::slot_count(p), 5);
         });
     }
 

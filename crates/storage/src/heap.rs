@@ -159,11 +159,11 @@ pub(crate) fn undo_page_op(
     if page.lsn() < lsn || clr.repeated().is_some_and(|c| page.lsn() >= c) {
         return Ok(());
     }
-    // Presence checks make a repeated undo a no-op: restart drives it
-    // wherever the page lacks the CLR, and after a later writer's redo
-    // the page may hold none of this change. An update's slot holds the
-    // image the record was taken against (the page LSN says so), which
-    // is what a patch is written into.
+    // Restart repeats history before any undo, so the page holds every
+    // change logged before this one's compensation, this change
+    // included: an update's slot holds the image the record left, which
+    // is what a patch is written into. The presence checks keep an undo
+    // that finds anything else a no-op.
     let current = SlottedPage::get(&page, slot);
     match (op, current.is_some(), change.before(current)) {
         (OP_INSERT, true, _) => {
@@ -230,13 +230,7 @@ pub(crate) fn redo_page_op(
     // Every operation at or below the page LSN is on it, so an update's
     // slot holds the image the record was taken against.
     match (op, change.after(SlottedPage::get(&page, slot))) {
-        (OP_INSERT, Image::Set(Some(new))) => {
-            // Compensated (never-replayed) inserts leave slot-number
-            // gaps; fill them with the tombstones the original rollback
-            // left behind.
-            SlottedPage::pad_to_slot(&mut page, slot)?;
-            SlottedPage::insert_at(&mut page, slot, &new)?;
-        }
+        (OP_INSERT, Image::Set(Some(new))) => SlottedPage::insert_at(&mut page, slot, &new)?,
         (OP_DELETE, _) => {
             SlottedPage::delete(&mut page, slot);
         }

@@ -53,8 +53,6 @@ pub enum Sharing {
     /// only which records reached it, so no earlier operation of its
     /// record may have touched its pages.
     Leads,
-    /// A record of its own that nothing joins.
-    Alone,
 }
 
 /// A relation modification in progress ([`Transaction::modification`]);
@@ -181,10 +179,7 @@ impl Transaction {
         };
         let lsn = self.append(&mut inner, op.into());
         if let Some(open) = &mut inner.open {
-            *open = match sharing {
-                Sharing::Alone => Lsn::NULL,
-                Sharing::Joins | Sharing::Leads => lsn,
-            };
+            *open = lsn;
         }
         lsn
     }
@@ -461,10 +456,10 @@ mod tests {
     }
 
     /// Inside a modification, joining operations share the record the
-    /// first one opened; a leading one opens a new record the rest join,
-    /// and one alone is joined by nothing. Outside, every operation is a
-    /// record. A nested modification starts its own record, and the outer
-    /// one continues in a new record after it.
+    /// first one opened, and a leading one opens a new record the rest
+    /// join. Outside, every operation is a record. A nested modification
+    /// starts its own record, and the outer one continues in a new record
+    /// after it.
     #[test]
     fn a_modifications_operations_share_its_record() {
         let (log, tm) = mgr();
@@ -474,32 +469,30 @@ mod tests {
             rec.body.ext_ops().map(|o| o.payload[0]).collect::<Vec<_>>()
         };
         let lone = t.log_op(op(1), Sharing::Joins);
-        let (a, b, c, d, e, f, g) = {
+        let (a, b, d, e, f, g) = {
             let _m = t.modification();
             let a = t.log_op(op(2), Sharing::Leads);
             assert_eq!(t.log_op(op(3), Sharing::Joins), a);
             let b = t.log_op(op(4), Sharing::Leads);
             assert_eq!(t.log_op(op(5), Sharing::Joins), b);
-            let c = t.log_op(op(6), Sharing::Alone);
-            let d = t.log_op(op(7), Sharing::Joins);
+            let d = t.log_op(op(7), Sharing::Leads);
             let (e, f) = {
                 let _nested = t.modification();
                 let e = t.log_op(op(8), Sharing::Joins);
                 (e, t.log_op(op(9), Sharing::Joins))
             };
             let g = t.log_op(op(10), Sharing::Joins);
-            (a, b, c, d, e, f, g)
+            (a, b, d, e, f, g)
         };
         assert_eq!(e, f);
         let after = t.log_op(op(11), Sharing::Joins);
-        let got: Vec<Vec<u8>> = [lone, a, b, c, d, e, g, after].map(ops).into();
+        let got: Vec<Vec<u8>> = [lone, a, b, d, e, g, after].map(ops).into();
         assert_eq!(
             got,
             [
                 vec![1],
                 vec![2, 3],
                 vec![4, 5],
-                vec![6],
                 vec![7],
                 vec![8, 9],
                 vec![10],

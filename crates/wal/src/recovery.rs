@@ -9,10 +9,12 @@
 //! (CLRs) make interrupted rollbacks idempotent, and each is the token the
 //! pages its undo changes are stamped with ([`Compensation`]).
 //!
-//! Undo operations must themselves be idempotent because, under the
-//! steal/no-force policy, a loser transaction's page changes may or may
-//! not have reached disk: heap undo checks page LSNs, logical index undo
-//! checks key presence.
+//! Restart repeats history — redoes every record after the checkpoint in
+//! LSN order, losers' included — before it undoes anything, so an undo
+//! always finds its record's change on the page. Undo must still be
+//! idempotent: restart repeats a compensation wherever a page lacks its
+//! CLR, and a page stolen after the undo already has it. Heap undo
+//! checks page LSNs; tree undo installs an image.
 
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
@@ -94,25 +96,20 @@ pub trait UndoHandler {
     /// they change with `clr`'s token. Must be idempotent.
     fn undo(&self, rec: &LogRecord, clr: &Compensation<'_>) -> Result<()>;
 
-    /// Re-applies one committed record's extension operations, first to
-    /// last, during restart's redo pass. Under the steal/no-force policy
-    /// a committed operation's pages may never have reached disk, so
-    /// restart replays the durable log forward. Must be idempotent: the
-    /// operations may already be (partially) on disk.
+    /// Re-applies one record's extension operations, first to last,
+    /// during restart's redo pass. Restart repeats history: every record
+    /// past the checkpoint is redone in LSN order, whether its
+    /// transaction committed, aborted or is a loser, and compensations
+    /// and loser undo then take back what was taken back. Under the
+    /// steal/no-force policy a page may hold any prefix of its history,
+    /// so redo must be idempotent: a page already past the record keeps
+    /// what it has.
     fn redo(&self, rec: &LogRecord) -> Result<()>;
 
     /// Completes a committed transaction's deferred intent during restart
     /// (e.g. physically releasing a dropped relation's file). Must be
     /// idempotent.
     fn redo_deferred(&self, rec: &LogRecord) -> Result<()>;
-
-    /// True for an [`LogBody::ExtOp`] of the system catalog. Restart
-    /// replays those — their redo and repeated compensation, in log order
-    /// — before any other record, because dispatching the rest reads the
-    /// catalog.
-    fn is_catalog(&self, _rec: &LogRecord) -> bool {
-        false
-    }
 }
 
 /// Rolls a transaction back to a rollback point: undoes every operation
@@ -157,7 +154,8 @@ pub struct RestartReport {
     pub losers: Vec<TxnId>,
     /// Deferred intents of committed transactions that were (re-)executed.
     pub intents_redone: usize,
-    /// Committed extension operations replayed by the redo pass.
+    /// Extension-operation records the redo pass replayed: every one
+    /// after the checkpoint, whatever became of its transaction.
     pub ops_redone: usize,
     /// Compensations the redo pass repeated: one per CLR after the
     /// checkpoint, whatever became of its transaction.
@@ -183,18 +181,10 @@ struct Analysis {
     active: HashMap<TxnId, Lsn>,
     /// Transactions with a durable commit record.
     committed: HashSet<TxnId>,
-    /// Committed transactions mapped to their commit record's `prev_lsn`
-    /// (the head of their final undo chain): the redo pass walks this
-    /// chain to find the net-applied operations.
-    committed_chain: HashMap<TxnId, Lsn>,
     /// LSN of the last checkpoint record ([`Lsn::NULL`] when none).
     checkpoint: Lsn,
     /// All deferred-intent records, in log order.
     intents: Vec<LogRecord>,
-    /// The CLRs after the last checkpoint, in log order.
-    clrs: Vec<Lsn>,
-    /// The catalog's ExtOps and the CLRs compensating them.
-    catalog: HashSet<Lsn>,
     /// Intent LSNs with a durable completion record.
     done: HashSet<Lsn>,
     /// Highest transaction id seen.
@@ -204,10 +194,10 @@ struct Analysis {
 }
 
 /// Truncates the torn/corrupt log tail, then streams the durable frames
-/// once (no whole-log clone), classifying transactions, deferred intents
-/// and the catalog's records. Frame reads retry transient faults like
-/// every other I/O path, so `DmxError::IoTransient` never escapes restart.
-fn analyze(log: &LogManager, handler: &dyn UndoHandler) -> Result<Analysis> {
+/// once (no whole-log clone), classifying transactions and deferred
+/// intents. Frame reads retry transient faults like every other I/O
+/// path, so `DmxError::IoTransient` never escapes restart.
+fn analyze(log: &LogManager) -> Result<Analysis> {
     // A crash mid-force can leave one torn frame; rot can corrupt any
     // frame. Nothing past the first bad frame is trustworthy (LSN chains
     // would dangle), so the tail is dropped.
@@ -215,15 +205,8 @@ fn analyze(log: &LogManager, handler: &dyn UndoHandler) -> Result<Analysis> {
 
     let mut active: HashMap<TxnId, Lsn> = HashMap::new();
     let mut committed: HashSet<TxnId> = HashSet::new();
-    let mut committed_chain: HashMap<TxnId, Lsn> = HashMap::new();
     let mut checkpoint = Lsn::NULL;
     let mut intents: Vec<LogRecord> = Vec::new();
-    let mut clrs: Vec<Lsn> = Vec::new();
-    let mut catalog: HashSet<Lsn> = HashSet::new();
-    // A CLR compensates the record of its transaction whose `prev_lsn`
-    // is its `undo_next` (see `compensated`): the catalog's are noted by
-    // that pair.
-    let mut catalog_ops: HashSet<(TxnId, Lsn)> = HashSet::new();
     let mut done: HashSet<Lsn> = HashSet::new();
     let mut max_txn = 0u64;
     let stable = log.stable();
@@ -232,10 +215,6 @@ fn analyze(log: &LogManager, handler: &dyn UndoHandler) -> Result<Analysis> {
         if rec.txn.0 > max_txn {
             max_txn = rec.txn.0;
         }
-        if handler.is_catalog(&rec) {
-            catalog.insert(rec.lsn);
-            catalog_ops.insert((rec.txn, rec.prev_lsn));
-        }
         match &rec.body {
             LogBody::Begin => {
                 active.insert(rec.txn, rec.lsn);
@@ -243,48 +222,26 @@ fn analyze(log: &LogManager, handler: &dyn UndoHandler) -> Result<Analysis> {
             LogBody::Commit => {
                 active.remove(&rec.txn);
                 committed.insert(rec.txn);
-                committed_chain.insert(rec.txn, rec.prev_lsn);
-            }
-            LogBody::Checkpoint => {
-                checkpoint = rec.lsn;
-                clrs.clear();
             }
             LogBody::Abort => {
                 active.remove(&rec.txn);
             }
-            LogBody::DeferredIntent { .. } => {
-                intents.push(rec.clone());
-                if let Some(last) = active.get_mut(&rec.txn) {
-                    *last = rec.lsn;
-                }
-            }
+            LogBody::Checkpoint => checkpoint = rec.lsn,
+            LogBody::DeferredIntent { .. } => intents.push(rec.clone()),
             LogBody::DeferredDone { intent_lsn } => {
                 done.insert(*intent_lsn);
             }
-            LogBody::Clr { undo_next } => {
-                clrs.push(rec.lsn);
-                if catalog_ops.contains(&(rec.txn, *undo_next)) {
-                    catalog.insert(rec.lsn);
-                }
-                if let Some(last) = active.get_mut(&rec.txn) {
-                    *last = rec.lsn;
-                }
-            }
-            _ => {
-                if let Some(last) = active.get_mut(&rec.txn) {
-                    *last = rec.lsn;
-                }
-            }
+            _ => {}
+        }
+        if let Some(last) = active.get_mut(&rec.txn) {
+            *last = rec.lsn;
         }
     }
     Ok(Analysis {
         active,
         committed,
-        committed_chain,
         checkpoint,
         intents,
-        clrs,
-        catalog,
         done,
         max_txn,
         tail_truncated,
@@ -292,90 +249,51 @@ fn analyze(log: &LogManager, handler: &dyn UndoHandler) -> Result<Analysis> {
 }
 
 /// System restart recovery (ARIES-shaped): truncates a torn/corrupt log
-/// tail, analyzes the durable log, walks forward from the last
-/// checkpoint **redoing** committed extension operations (under
-/// steal/no-force a winner's pages may never have reached disk) and
-/// **repeating every compensation** (a page stolen before its rollback
-/// may never have seen the undo) — the catalog's records in a pass of
-/// their own first — then completes committed transactions' outstanding
-/// deferred intents, and finally undoes loser transactions. Forces the
-/// log before returning.
+/// tail, analyzes the durable log, then **repeats history** — walks
+/// forward from the last checkpoint redoing every extension-operation
+/// record (under steal/no-force any page may lack any of them) and
+/// repeating every compensation (a page stolen before its rollback may
+/// never have seen the undo), whatever became of their transactions —
+/// then completes committed transactions' outstanding deferred intents,
+/// and finally undoes loser transactions. Forces the log before
+/// returning.
 pub fn restart(log: &LogManager, handler: &dyn UndoHandler) -> Result<RestartReport> {
-    let Analysis {
-        active,
-        committed,
-        committed_chain,
-        checkpoint,
-        intents,
-        clrs,
-        catalog,
-        done,
-        max_txn,
-        tail_truncated,
-    } = analyze(log, handler)?;
+    let analysis = analyze(log)?;
+    let checkpoint = analysis.checkpoint;
 
-    // --- redo committed extension ops, net of compensation ---
-    // A committed transaction can contain CLRs (savepoint or vetoed-
-    // statement rollback before commit). Walking the *final* undo chain
-    // backward from the commit record visits exactly the net-applied
-    // ExtOps: a CLR's undo_next jump skips everything it compensated.
-    // The walk stops at the checkpoint: a transaction never spans a
-    // checkpoint (checkpoints are written at quiescent open), so every
-    // pre-checkpoint effect is already durably on disk.
-    let mut redo_set: HashSet<Lsn> = HashSet::new();
-    for head in committed_chain.values() {
-        let mut cur = *head;
-        while !cur.is_null() && cur > checkpoint {
-            let rec = log.record(cur)?;
-            match &rec.body {
-                body if body.has_ext_ops() => {
-                    redo_set.insert(cur);
-                    cur = rec.prev_lsn;
-                }
-                LogBody::Clr { undo_next } => cur = *undo_next,
-                _ => cur = rec.prev_lsn,
-            }
-        }
-    }
-    // --- ... and repeat every compensation, in one forward pass ---
-    // A CLR carries no image of its own: the undo it records is driven
-    // again — of the record it compensates, stamped with the CLR's token —
-    // wherever a page lacks the CLR's LSN. Whether its transaction
-    // committed, aborted or is a loser: an undone change on a page stolen
-    // before the undo is on disk, and only the log says it was taken
-    // back. Interleaved in log order with the redo, so each page meets
-    // its changes in the order they were made. The catalog's records make
-    // a pass of their own before the rest: dispatching any other record
-    // reads the catalog, which is the final committed one only then.
-    let (mut first, mut rest): (Vec<Lsn>, Vec<Lsn>) = redo_set
-        .into_iter()
-        .chain(clrs)
-        .partition(|lsn| catalog.contains(lsn));
-    first.sort_unstable();
-    rest.sort_unstable();
+    // --- repeat history: one forward pass in LSN order ---
+    // A record is redone wherever a page lacks it; a CLR carries no image
+    // of its own, so the undo it records is driven again — of the record
+    // it compensates, stamped with the CLR's token — wherever a page
+    // lacks the CLR's LSN. Each page, and the catalog, meets its changes
+    // in the order they were made, so every record is dispatched against
+    // the catalog of its own time. The pass starts at the checkpoint: a
+    // transaction never spans one (checkpoints are written at quiescent
+    // open and clean close), so every earlier effect is on disk.
     let (mut ops_redone, mut compensations_repeated) = (0, 0);
     let stable = log.stable();
-    for lsn in first.into_iter().chain(rest) {
-        let rec = stable.record(lsn)?;
+    for lsn in checkpoint.0 + 1..=stable.len() as u64 {
+        let rec = stable.record(Lsn(lsn))?;
         match &rec.body {
+            body if body.has_ext_ops() => {
+                handler.redo(&rec)?;
+                ops_redone += 1;
+            }
             LogBody::Clr { undo_next } => {
                 if let Some(undone) = compensated(log, &rec, *undo_next)? {
                     handler.undo(&undone, &Compensation::repeating(&rec))?;
                     compensations_repeated += 1;
                 }
             }
-            _ => {
-                handler.redo(&rec)?;
-                ops_redone += 1;
-            }
+            _ => {}
         }
     }
 
     // --- complete committed deferred intents (physical releases) ---
     // After the redo: a release consults the catalog, final only now.
     let mut intents_redone = 0;
-    for intent in &intents {
-        if committed.contains(&intent.txn) && !done.contains(&intent.lsn) {
+    for intent in &analysis.intents {
+        if analysis.committed.contains(&intent.txn) && !analysis.done.contains(&intent.lsn) {
             handler.redo_deferred(intent)?;
             log.append(
                 intent.txn,
@@ -389,7 +307,7 @@ pub fn restart(log: &LogManager, handler: &dyn UndoHandler) -> Result<RestartRep
     }
 
     // --- undo losers (deterministic order) ---
-    let mut losers: Vec<(TxnId, Lsn)> = active.into_iter().collect();
+    let mut losers: Vec<(TxnId, Lsn)> = analysis.active.into_iter().collect();
     losers.sort_unstable();
     let mut loser_ids = Vec::with_capacity(losers.len());
     for (txn, last) in losers {
@@ -405,8 +323,8 @@ pub fn restart(log: &LogManager, handler: &dyn UndoHandler) -> Result<RestartRep
         ops_redone,
         compensations_repeated,
         last_checkpoint: checkpoint,
-        tail_truncated,
-        max_txn,
+        tail_truncated: analysis.tail_truncated,
+        max_txn: analysis.max_txn,
     })
 }
 
@@ -433,36 +351,55 @@ mod tests {
     use dmx_types::{DmxError, RelationId, SmTypeId};
     use std::sync::Arc;
 
-    /// A handler that applies ops to a shadow counter set: op payload [n]
-    /// means "+n was applied"; undo subtracts if currently applied
-    /// (idempotence via presence check).
+    /// A handler that applies ops to a shadow set: op payload [n] means
+    /// "n was applied", on a page of its own whose LSN every change to it
+    /// stamps. Redo and undo are gated as `redo_page_op`/`undo_page_op`
+    /// gate a heap page: redo only onto a page before its record, undo
+    /// only of a change the page holds and whose compensation it lacks.
     #[derive(Default)]
     struct Shadow {
         applied: Mutex<Vec<u8>>,
+        pages: Mutex<HashMap<u8, Lsn>>,
         undone: Mutex<Vec<u8>>,
         redone: Mutex<Vec<u8>>,
         deferred: Mutex<Vec<Vec<u8>>>,
     }
 
+    impl Shadow {
+        /// Applies `n` and stamps its page with `lsn`, the record's.
+        fn apply(&self, n: u8, lsn: Lsn) {
+            self.applied.lock().push(n);
+            self.pages.lock().insert(n, lsn);
+        }
+
+        fn page_lsn(&self, n: u8) -> Lsn {
+            self.pages.lock().get(&n).copied().unwrap_or(Lsn::NULL)
+        }
+    }
+
     impl UndoHandler for Shadow {
-        fn undo(&self, rec: &LogRecord, _clr: &Compensation<'_>) -> Result<()> {
+        fn undo(&self, rec: &LogRecord, clr: &Compensation<'_>) -> Result<()> {
             for op in rec.body.ext_ops().rev() {
+                let n = op.payload[0];
+                let page = self.page_lsn(n);
+                if page < rec.lsn || clr.repeated().is_some_and(|c| page >= c) {
+                    continue;
+                }
                 let mut applied = self.applied.lock();
-                if let Some(pos) = applied.iter().position(|&b| b == op.payload[0]) {
+                if let Some(pos) = applied.iter().position(|&b| b == n) {
                     applied.remove(pos);
-                    self.undone.lock().push(op.payload[0]);
+                    self.pages.lock().insert(n, clr.appended().lsn());
+                    self.undone.lock().push(n);
                 }
             }
             Ok(())
         }
         fn redo(&self, rec: &LogRecord) -> Result<()> {
-            // Idempotent: re-apply only if absent (mirrors page-LSN /
-            // presence checks in real extensions).
             for op in rec.body.ext_ops() {
-                let mut applied = self.applied.lock();
-                if !applied.contains(&op.payload[0]) {
-                    applied.push(op.payload[0]);
-                    self.redone.lock().push(op.payload[0]);
+                let n = op.payload[0];
+                if self.page_lsn(n) < rec.lsn {
+                    self.apply(n, rec.lsn);
+                    self.redone.lock().push(n);
                 }
             }
             Ok(())
@@ -490,8 +427,8 @@ mod tests {
         let mut last = log.append(txn, Lsn::NULL, LogBody::Begin);
         let mut lsns = Vec::new();
         for &n in ops {
-            sh.applied.lock().push(n);
             last = log.append(txn, last, op(n));
+            sh.apply(n, last);
             lsns.push(last);
         }
         (last, lsns)
@@ -522,8 +459,8 @@ mod tests {
         let sp = log.append(txn, last, LogBody::Savepoint);
         last = sp;
         for n in [3u8, 4] {
-            sh.applied.lock().push(n);
             last = log.append(txn, last, op(n));
+            sh.apply(n, last);
         }
         rollback_to(&log, &sh, txn, last, sp).unwrap();
         assert_eq!(*sh.applied.lock(), vec![1, 2], "pre-savepoint ops survive");
@@ -572,8 +509,8 @@ mod tests {
             let log = LogManager::open(stable.clone());
             let (last, _) = run_ops(&log, &sh, TxnId(1), &[1]);
             log.force_all().unwrap();
-            let _unforced = log.append(TxnId(1), last, op(2));
-            sh.applied.lock().push(2);
+            let unforced = log.append(TxnId(1), last, op(2));
+            sh.apply(2, unforced);
         } // crash: op 2 never durable
         let log = LogManager::open(stable);
         restart(&log, &*sh).unwrap();
@@ -739,8 +676,8 @@ mod tests {
     fn restart_redoes_committed_ops_lost_from_volatile_state() {
         // Steal/no-force: a committed transaction's effects may not be on
         // disk at all. A fresh shadow (nothing applied) stands in for the
-        // lost pages; restart's redo pass must reinstall the winner's ops
-        // and leave the loser's alone.
+        // lost pages; restart's redo pass reinstalls every op in log
+        // order, the loser's too, and the loser's undo takes it back.
         let stable = StableLog::new();
         {
             let log = LogManager::open(stable.clone());
@@ -753,17 +690,17 @@ mod tests {
         let log = LogManager::open(stable);
         let fresh = Shadow::default();
         let report = restart(&log, &fresh).unwrap();
-        assert_eq!(report.ops_redone, 2);
+        assert_eq!(report.ops_redone, 3);
         assert_eq!(*fresh.applied.lock(), vec![10, 11], "winner reinstalled");
-        assert_eq!(*fresh.redone.lock(), vec![10, 11], "forward log order");
-        assert!(fresh.undone.lock().is_empty(), "loser op was never on disk");
+        assert_eq!(*fresh.redone.lock(), vec![10, 11, 20], "forward log order");
+        assert_eq!(*fresh.undone.lock(), vec![20], "loser redone, then undone");
     }
 
     #[test]
-    fn redo_skips_ops_compensated_before_commit() {
+    fn redo_repeats_ops_compensated_before_commit_then_takes_them_back() {
         // A committed transaction that partially rolled back (savepoint)
-        // contains CLRs; its compensated ops are NOT net-applied and must
-        // not be replayed — the final undo chain jumps over them.
+        // contains CLRs; restart redoes its compensated ops like any
+        // other and then repeats the compensations that took them back.
         let stable = StableLog::new();
         {
             let log = LogManager::open(stable.clone());
@@ -773,20 +710,23 @@ mod tests {
             let sp = log.append(txn, last, LogBody::Savepoint);
             last = sp;
             for n in [2u8, 3] {
-                sh.applied.lock().push(n);
                 last = log.append(txn, last, op(n));
+                sh.apply(n, last);
             }
             // roll back to the savepoint, then commit with op 4
             last = rollback_to(&log, &sh, txn, last, sp).unwrap();
-            sh.applied.lock().push(4);
             last = log.append(txn, last, op(4));
+            sh.apply(4, last);
             log.append(txn, last, LogBody::Commit);
             log.force_all().unwrap();
         } // crash loses all applied state
         let log = LogManager::open(stable);
         let fresh = Shadow::default();
         let report = restart(&log, &fresh).unwrap();
-        assert_eq!(report.ops_redone, 2, "net ops only");
+        assert_eq!(report.ops_redone, 4, "every op, compensated or not");
+        assert_eq!(report.compensations_repeated, 2);
+        assert_eq!(*fresh.redone.lock(), vec![1, 2, 3, 4]);
+        assert_eq!(*fresh.undone.lock(), vec![3, 2], "each undone once");
         assert_eq!(*fresh.applied.lock(), vec![1, 4], "2 and 3 compensated");
     }
 
@@ -858,9 +798,9 @@ mod tests {
     }
 
     /// The operations that joined one record are one undo step: rollback
-    /// takes them back last to first under a single CLR, restart redoes a
-    /// winner's first to last and repeats the compensation for all of an
-    /// aborted one's.
+    /// takes them back last to first under a single CLR, restart redoes
+    /// each record's first to last — a winner's and an aborted one's — and
+    /// repeats the compensation for all of the aborted one's.
     #[test]
     fn a_shared_record_is_one_undo_step() {
         let joined = |n: u8| crate::record::ExtOp {
@@ -879,7 +819,9 @@ mod tests {
                 for &n in &ops[1..] {
                     log.amend(rec, joined(n)).unwrap();
                 }
-                sh.applied.lock().extend_from_slice(ops);
+                for &n in ops {
+                    sh.apply(n, rec);
+                }
                 rec
             };
             let won = shared(TxnId(1), &[1, 2, 3]);
@@ -896,77 +838,106 @@ mod tests {
         let log = LogManager::open(stable);
         let calls = Calls::default();
         let report = restart(&log, &calls).unwrap();
-        assert_eq!((report.ops_redone, report.compensations_repeated), (1, 1));
+        assert_eq!((report.ops_redone, report.compensations_repeated), (2, 1));
         assert_eq!(
             *calls.0.lock(),
             [
                 ('r', 1, None),
                 ('r', 2, None),
                 ('r', 3, None),
+                ('r', 4, None),
+                ('r', 5, None),
                 ('u', 5, Some(a_clr)),
                 ('u', 4, Some(a_clr)),
             ]
         );
     }
 
-    /// Relation 0 is the catalog.
-    struct CatalogFirst(Calls);
+    /// Relation 0 is the catalog: its op 0 enters the relation its
+    /// payload names, op 1 removes it. Another relation's op is replayed
+    /// only while the catalog holds that relation, as `UndoDispatch`
+    /// skips a relation the catalog lacks.
+    #[derive(Default)]
+    struct Catalogued {
+        relations: Mutex<HashSet<u32>>,
+        rows: Mutex<Vec<u8>>,
+    }
 
-    impl UndoHandler for CatalogFirst {
-        fn undo(&self, rec: &LogRecord, clr: &Compensation<'_>) -> Result<()> {
-            self.0.undo(rec, clr)
-        }
-        fn redo(&self, rec: &LogRecord) -> Result<()> {
-            self.0.redo(rec)
-        }
-        fn redo_deferred(&self, rec: &LogRecord) -> Result<()> {
-            self.0.redo_deferred(rec)
-        }
-        fn is_catalog(&self, rec: &LogRecord) -> bool {
-            matches!(rec.body, LogBody::ExtOp { relation, .. } if relation == RelationId(0))
+    impl Catalogued {
+        fn replay(&self, rec: &LogRecord, undo: bool) {
+            for op in rec.body.ext_ops() {
+                let (n, mut relations) = (op.payload[0], self.relations.lock());
+                if op.relation == RelationId(0) {
+                    match (op.op == 0) != undo {
+                        true => relations.insert(u32::from(n)),
+                        false => relations.remove(&u32::from(n)),
+                    };
+                } else if relations.contains(&op.relation.0) {
+                    let mut rows = self.rows.lock();
+                    match undo {
+                        true => rows.retain(|&r| r != n),
+                        false => rows.push(n),
+                    }
+                }
+            }
         }
     }
 
-    /// The catalog's records — a winner's redo, an aborted transaction's
-    /// compensation — replay in log order before every other record,
-    /// however late in the log they stand.
+    impl UndoHandler for Catalogued {
+        fn undo(&self, rec: &LogRecord, _clr: &Compensation<'_>) -> Result<()> {
+            self.replay(rec, true);
+            Ok(())
+        }
+        fn redo(&self, rec: &LogRecord) -> Result<()> {
+            self.replay(rec, false);
+            Ok(())
+        }
+        fn redo_deferred(&self, _rec: &LogRecord) -> Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Restart meets every record with the catalog of its own time: a
+    /// loser's removal of relation 1 from the catalog follows relation
+    /// 1's committed rows, which are redone while the catalog still holds
+    /// it; the loser's undo then enters it again. (Replaying the catalog
+    /// first would find no relation for the rows.)
     #[test]
-    fn restart_replays_the_catalogs_records_first() {
+    fn restart_replays_the_catalog_in_lsn_order() {
         let stable = StableLog::new();
         {
             let log = LogManager::open(stable.clone());
-            let sh = Shadow::default();
-            let cat = |n| LogBody::ExtOp {
+            let body = |relation, op, n| LogBody::ExtOp {
                 ext: ExtKind::Storage(SmTypeId(0)),
-                relation: RelationId(0),
-                op: 0,
+                relation: RelationId(relation),
+                op,
                 payload: vec![n],
             };
-            // winner: 1, catalog 2, 3
-            let (last, _) = run_ops(&log, &sh, TxnId(1), &[1]);
-            let last = log.append(TxnId(1), last, cat(2));
-            let last = log.append(TxnId(1), last, op(3));
+            // winner: enters relation 1, rows 10 and 11, commit
+            let begin = log.append(TxnId(1), Lsn::NULL, LogBody::Begin);
+            let mut last = log.append(TxnId(1), begin, body(0, 0, 1));
+            for n in [10, 11] {
+                last = log.append(TxnId(1), last, body(1, 0, n));
+            }
             log.append(TxnId(1), last, LogBody::Commit);
-            // aborted: catalog 4, 5, both rolled back
+            // loser: removes relation 1, crash
             let begin = log.append(TxnId(2), Lsn::NULL, LogBody::Begin);
-            let last = log.append(TxnId(2), begin, cat(4));
-            let last = log.append(TxnId(2), last, op(5));
-            let last = rollback_to(&log, &sh, TxnId(2), last, Lsn::NULL).unwrap();
-            log.append(TxnId(2), last, LogBody::Abort);
+            log.append(TxnId(2), begin, body(0, 1, 1));
             log.force_all().unwrap();
-        }
+        } // crash: nothing reached disk
         let log = LogManager::open(stable);
-        let calls = CatalogFirst(Calls::default());
-        restart(&log, &calls).unwrap();
-        let order: Vec<(char, u8)> = calls.0 .0.lock().iter().map(|c| (c.0, c.1)).collect();
-        assert_eq!(order, [('r', 2), ('u', 4), ('r', 1), ('r', 3), ('u', 5)]);
+        let cat = Catalogued::default();
+        let report = restart(&log, &cat).unwrap();
+        assert_eq!((report.ops_redone, report.losers), (4, vec![TxnId(2)]));
+        assert_eq!(*cat.rows.lock(), [10, 11], "the rows met their relation");
+        assert_eq!(*cat.relations.lock(), HashSet::from([1]), "removal undone");
     }
 
     /// A CLR carries no image of its own, so restart drives the undo it
     /// records again — of the record whose `prev_lsn` is its `undo_next`,
-    /// stamped with the CLR — in log order among the redos, for a winner,
-    /// an aborted transaction and a loser alike; the loser's rollback
-    /// then resumes where its CLRs stopped.
+    /// stamped with the CLR — in log order among the redos of every
+    /// record, for a winner, an aborted transaction and a loser alike;
+    /// the loser's rollback then resumes where its CLRs stopped.
     #[test]
     fn restart_repeats_every_compensation_in_log_order() {
         let stable = StableLog::new();
@@ -1003,11 +974,17 @@ mod tests {
             got,
             vec![
                 ('r', 1, None),
+                ('r', 2, None),
                 ('u', 2, Some(w_clr)),
                 ('r', 3, None),
+                ('r', 4, None),
+                ('r', 5, None),
                 ('u', 5, Some(Lsn(a_clr.0 - 1))),
                 ('u', 4, Some(a_clr)),
+                ('r', 6, None),
+                ('r', 7, None),
                 ('u', 7, Some(l_clr)),
+                ('r', 8, None),
                 // the loser's rollback: a fresh CLR each, appended after
                 ('u', 8, None),
                 ('u', 6, None),

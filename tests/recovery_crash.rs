@@ -526,11 +526,11 @@ fn a_force_inside_a_modification_seals_its_record() {
     assert_eq!(rows_in_cells(&db, "w", "w_sum"), 20);
 }
 
-/// Restart repeats an aborted transaction's compensations in log order,
-/// after the redo of a winner that wrote the same page in between: the
-/// page then carries a later LSN than the undone update, but not the row
-/// whose insert came before it — there is nothing to take back, and
-/// restart goes on.
+/// An aborted transaction's insert and update share a page with a
+/// winner's insert made between them. Restart repeats history: it redoes
+/// all three in log order, then repeats the aborted transaction's
+/// compensations, which take its row back out. Only the winners' rows
+/// remain.
 #[test]
 fn a_repeated_undo_finds_nothing_where_its_insert_was_never_redone() {
     let (env, db) = fresh();
@@ -604,8 +604,8 @@ fn catalog_page(env: &DatabaseEnv) -> Vec<u8> {
 }
 
 /// Restart order (a): a committed CREATE whose catalog page never
-/// reached disk comes back with its rows — restart replays the catalog's
-/// records before the rows that need the relation.
+/// reached disk comes back with its rows — in LSN order, the catalog
+/// record that enters the relation comes before the rows that need it.
 #[test]
 fn a_committed_create_whose_catalog_page_never_reached_disk_keeps_its_rows() {
     let (env, db) = fresh();
@@ -648,10 +648,10 @@ fn an_uncommitted_drop_leaves_the_relation_and_its_committed_rows() {
 }
 
 /// Restart order (c): a committed DROP whose release ran but whose
-/// completion records never reached the log. Restart releases again —
-/// the files are gone already — and replays none of the relation's
-/// committed rows: the catalog it dispatches them through no longer
-/// holds the relation.
+/// completion records never reached the log. Restart repeats the
+/// relation's history — its catalog record enters it again, its rows find
+/// their files gone and change nothing, the DROP removes it — and
+/// releases again: the files are gone already.
 #[test]
 fn a_committed_drop_whose_release_was_not_logged_done_stays_dropped() {
     let (env, db) = fresh();
@@ -836,6 +836,49 @@ fn a_create_table_taken_back_leaves_no_file() {
         assert!(db.catalog().get_by_name(name).is_err(), "{name}");
     }
     assert_eq!(count(&db, "keep"), 1);
+}
+
+/// Restart repeats a dropped relation's history too: after a committed
+/// and released `DROP TABLE r`, a `CREATE TABLE s` with rows, then a
+/// crash. Restart enters `r` again at its records' time and replays its
+/// rows and index entries by file id; a deleted file's id is never handed
+/// out again, so they find nothing and none reaches `s`. `s` holds
+/// exactly its rows and checks healthy, and the live file count is what
+/// it was before the crash.
+#[test]
+fn a_dropped_relations_replayed_records_reach_no_later_relation() {
+    let (env, db) = fresh();
+    let live = |env: &DatabaseEnv| {
+        let io = env.disk.stats();
+        io.files_created.load(Ordering::Relaxed) - io.files_deleted.load(Ordering::Relaxed)
+    };
+    for t in ["r", "s"] {
+        db.execute_sql(&format!("CREATE TABLE {t} (id INT NOT NULL, v STRING)"))
+            .unwrap();
+        db.execute_sql(&format!("CREATE INDEX {t}_id ON {t} (id)"))
+            .unwrap();
+        for i in 0..20 {
+            db.execute_sql(&format!("INSERT INTO {t} VALUES ({i}, '{t}{i}')"))
+                .unwrap();
+        }
+        if t == "r" {
+            db.execute_sql("DROP TABLE r").unwrap();
+        }
+    }
+    let before = live(&env);
+    let rows = |db: &Arc<Database>| db.query_sql("SELECT id, v FROM s ORDER BY 1").unwrap();
+    let expected = rows(&db);
+    assert_eq!(expected.len(), 20);
+    std::mem::forget(db);
+    let db = recover(&env);
+    assert!(db.catalog().get_by_name("r").is_err());
+    assert_eq!(rows(&db), expected);
+    let by_index = db.query_sql("SELECT v FROM s WHERE id = 7").unwrap();
+    assert_eq!(by_index, vec![vec![Value::from("s7")]]);
+    let check = db.execute_sql("CHECK TABLE s").unwrap();
+    assert_eq!(check.rows[0][2], Value::from("healthy"), "{check:?}");
+    assert_eq!(live(&env), before);
+    assert_eq!(db.quarantined(), vec![]);
 }
 
 /// A join index's second side adopts the trees its first side made, so
