@@ -12,13 +12,14 @@
 //! [`LoggedTree::update_cell`], which locks the cell, logs its *before-
 //! and after-images* and replays them in either direction.
 //!
-//! After every installed image the attachment *publishes* an immutable
+//! After every image it writes the attachment *publishes* an immutable
 //! [`TableStats`] snapshot into the relation descriptor's shared
 //! [`dmx_core::RelationStats`] handle, which every storage method's
 //! `estimate` and the planner consult ([`dmx_expr::stats::selectivity`]).
 //! [`Attachment::activate`] re-publishes from durable state on database
-//! open; `replay` re-publishes the image it installs so aborts and
-//! restarts never leave a stale snapshot behind, and a dropped or
+//! open, after restart's redo (which publishes nothing); an undo's
+//! `replay` re-publishes the image it installs so aborts never leave a
+//! stale snapshot behind, and a dropped or
 //! released instance retracts it ([`Attachment::deactivate`]). A new
 //! instance's build computes the cell once, exactly, and writes it once
 //! (`ANALYZE`'s rebuild), unlogged like every build.
@@ -494,8 +495,11 @@ impl Attachment for Stats {
         Ok(())
     }
 
-    /// Installs the logged image and re-publishes it, so aborts and
-    /// restarts never leave a stale planner snapshot behind.
+    /// Installs the logged image. An undo — a rollback, or restart's
+    /// repeated compensation and undo of losers — re-publishes it, so an
+    /// abort never leaves a stale planner snapshot behind; restart's redo
+    /// does not, as the database re-publishes every instance from durable
+    /// state once restart is done ([`Attachment::activate`]).
     fn replay(
         &self,
         services: &Arc<CommonServices>,
@@ -507,7 +511,9 @@ impl Attachment for Stats {
     ) -> Result<()> {
         let (file, change) = TreeFile::named_by(payload)?;
         let image = logged_tree::replay(&file.open_tree(services), dir, op, change)?;
-        Self::publish(rd, image.as_deref().map(decode_cell).transpose()?.as_ref());
+        if let Replay::Undo(_) = dir {
+            Self::publish(rd, image.as_deref().map(decode_cell).transpose()?.as_ref());
+        }
         Ok(())
     }
 

@@ -165,9 +165,13 @@ impl Node {
         PAGE_SIZE - PTRS - 2 * Self::nkeys(page) - Self::used_cell_bytes(page)
     }
 
-    /// True when `(key, val)` fits (possibly after compaction).
+    /// True when `(key, val)` fits (possibly after compaction). The
+    /// contiguous gap answers in O(1); the cells are summed only when it
+    /// is short, which is when [`Node::insert_at`] compacts or the caller
+    /// splits.
     pub fn fits(page: &Page, klen: usize, vlen: usize) -> bool {
-        Self::total_free(page) >= 2 + 4 + klen + vlen
+        let need = 2 + 4 + klen + vlen;
+        Self::free_space(page) >= need || Self::total_free(page) >= need
     }
 
     /// Writes one `klen | vlen | key | value` cell at `free_end`. The
@@ -186,14 +190,14 @@ impl Node {
         dst[4 + key.len()..].copy_from_slice(val);
     }
 
-    /// Rewrites cells contiguously, dropping dead space.
+    /// Rewrites cells contiguously, dropping dead space: packs them in
+    /// entry order from the end of the page, reading from one copy of
+    /// the image.
     pub fn compact(page: &mut Page) {
-        let n = Self::nkeys(page);
-        let entries: Vec<(Vec<u8>, Vec<u8>)> = (0..n)
-            .map(|i| (Self::key(page, i).to_vec(), Self::value(page, i).to_vec()))
-            .collect();
+        let src = page.clone();
         let mut free_end = PAGE_SIZE;
-        for (i, (k, v)) in entries.iter().enumerate() {
+        for i in 0..Self::nkeys(&src) {
+            let (k, v) = (Self::key(&src, i), Self::value(&src, i));
             free_end -= 4 + k.len() + v.len();
             Self::write_cell(page, free_end, k, v);
             page.put_u16(PTRS + 2 * i, free_end as u16);
@@ -216,10 +220,12 @@ impl Node {
         }
         let n = Self::nkeys(page);
         debug_assert!(idx <= n);
-        // shift pointer array right
-        for i in (idx..n).rev() {
-            let p = page.get_u16(PTRS + 2 * i);
-            page.put_u16(PTRS + 2 * (i + 1), p);
+        // Pointers `idx..n` move up one slot, through a checked subslice.
+        if idx <= n {
+            if let Some(ptrs) = page.raw_mut().get_mut(PTRS + 2 * idx..PTRS + 2 * (n + 1)) {
+                let moved = ptrs.len() - 2;
+                ptrs.copy_within(..moved, 2);
+            }
         }
         let free_end = (page.get_u16(FREE_END) as usize).saturating_sub(cell);
         Self::write_cell(page, free_end, key, val);
@@ -233,9 +239,12 @@ impl Node {
     pub fn remove_at(page: &mut Page, idx: usize) {
         let n = Self::nkeys(page);
         debug_assert!(idx < n);
-        for i in idx + 1..n {
-            let p = page.get_u16(PTRS + 2 * i);
-            page.put_u16(PTRS + 2 * (i - 1), p);
+        // Pointers `idx + 1..n` move down one slot, through a checked
+        // subslice.
+        if idx < n {
+            if let Some(ptrs) = page.raw_mut().get_mut(PTRS + 2 * idx..PTRS + 2 * n) {
+                ptrs.copy_within(2.., 0);
+            }
         }
         page.put_u16(NKEYS, (n - 1) as u16);
     }
@@ -300,24 +309,33 @@ impl Node {
 
     /// Moves the entries from index `at` on into `right`. Both pages must
     /// already be initialized with the same leaf-ness; `right` must be
-    /// empty.
+    /// empty. The moved cells are packed into `right` in entry order and
+    /// the rest compacted once, as entry-by-entry inserts would leave them.
     pub fn split_into(page: &mut Page, right: &mut Page, at: usize) -> Result<()> {
         let n = Self::nkeys(page);
         debug_assert!(at <= n, "split point {at} past {n} entries");
+        debug_assert_eq!(Self::nkeys(right), 0, "split into a non-empty node");
         if at >= n {
             return Ok(());
         }
-        let moved: Vec<(Vec<u8>, Vec<u8>)> = (at..n)
-            .map(|i| (Self::key(page, i).to_vec(), Self::value(page, i).to_vec()))
-            .collect();
-        for _ in at..n {
-            Self::remove_at(page, at);
-        }
-        Self::compact(page);
-        for (i, (k, v)) in moved.iter().enumerate() {
+        let mut free_end = PAGE_SIZE;
+        for (j, i) in (at..n).enumerate() {
+            let (k, v) = (Self::key(page, i), Self::value(page, i));
+            let cell = 4 + k.len() + v.len();
             // Part of a full page always fits in the empty `right` page.
-            Self::insert_at(right, i, k, v)?;
+            if free_end < PTRS + 2 * (j + 1) + cell {
+                return Err(DmxError::Internal(
+                    "node overflow; caller must split".into(),
+                ));
+            }
+            free_end -= cell;
+            Self::write_cell(right, free_end, k, v);
+            right.put_u16(PTRS + 2 * j, free_end as u16);
         }
+        right.put_u16(FREE_END, free_end as u16);
+        right.put_u16(NKEYS, (n - at) as u16);
+        page.put_u16(NKEYS, at as u16);
+        Self::compact(page);
         Ok(())
     }
 }
@@ -325,6 +343,8 @@ impl Node {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dmx_types::testrng::TestRng;
+    use std::collections::BTreeMap;
 
     fn leaf() -> Page {
         let mut p = Page::new();
@@ -443,6 +463,111 @@ mod tests {
         assert!(nl >= 2 && nr >= 2, "roughly balanced: {nl}/{nr}");
         // strict ordering across the split
         assert!(Node::key(&left, nl - 1) < Node::key(&right, 0));
+    }
+
+    /// The node's entries, in order.
+    fn entries(p: &Page) -> Vec<(Vec<u8>, Vec<u8>)> {
+        (0..Node::nkeys(p))
+            .map(|i| (Node::key(p, i).to_vec(), Node::value(p, i).to_vec()))
+            .collect()
+    }
+
+    /// Key and value lengths [`check`] asks [`Node::fits`] about.
+    const PROBES: [(usize, usize); 6] = [
+        (1, 0),
+        (4, 40),
+        (8, 150),
+        (8, 300),
+        (8, 1200),
+        (16, MAX_ENTRY - 16),
+    ];
+
+    /// The node equals `model`, and the gap-first fit answer equals its
+    /// definition over the summed cells for a few probe sizes.
+    fn check(p: &Page, model: &BTreeMap<Vec<u8>, Vec<u8>>, seed: u64) {
+        let want: Vec<_> = model.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
+        assert_eq!(entries(p), want, "seed {seed}");
+        for (k, v) in PROBES {
+            let by_sum = Node::total_free(p) >= 6 + k + v;
+            assert_eq!(Node::fits(p, k, v), by_sum, "seed {seed}: probe {k}+{v}");
+        }
+    }
+
+    /// Random operation sequences keep a node equal to a `BTreeMap`
+    /// model: inserts, removals, same- and different-length value
+    /// replacements, compactions and splits (either half carries on).
+    /// Deterministic seeds; a failure reproduces exactly from its seed.
+    #[test]
+    fn randomized_matches_model() {
+        for seed in 0..24u64 {
+            let mut rng = TestRng::new(0x0DE_5EED ^ seed);
+            let mut p = leaf();
+            let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+            for _ in 0..300 {
+                let n = Node::nkeys(&p);
+                match rng.below(16) {
+                    0..=7 => {
+                        let mut key = rng.bytes(7);
+                        key.push(rng.below(256) as u8);
+                        let val = rng.bytes(300);
+                        match Node::search(&p, &key) {
+                            Ok(_) => assert!(model.contains_key(&key), "seed {seed}"),
+                            Err(idx) if Node::fits(&p, key.len(), val.len()) => {
+                                Node::insert_at(&mut p, idx, &key, &val).unwrap();
+                                model.insert(key, val);
+                            }
+                            Err(idx) => {
+                                assert!(Node::insert_at(&mut p, idx, &key, &val).is_err());
+                            }
+                        }
+                    }
+                    8..=10 if n > 0 => {
+                        let idx = rng.index(n);
+                        let key = Node::key(&p, idx).to_vec();
+                        Node::remove_at(&mut p, idx);
+                        model.remove(&key);
+                    }
+                    11 | 12 if n > 0 => {
+                        let idx = rng.index(n);
+                        let key = Node::key(&p, idx).to_vec();
+                        let val = match rng.below(2) {
+                            0 => vec![rng.below(256) as u8; Node::value(&p, idx).len()],
+                            _ => rng.bytes(600),
+                        };
+                        if Node::replace_value(&mut p, idx, &val).is_ok() {
+                            model.insert(key, val);
+                        }
+                    }
+                    13 => {
+                        Node::compact(&mut p);
+                        assert_eq!(Node::free_space(&p), Node::total_free(&p), "seed {seed}");
+                    }
+                    14 if n >= 2 => {
+                        let at = Node::split_point(&p, rng.index(n + 1), rng.below(2) == 0);
+                        let mut right = leaf();
+                        Node::split_into(&mut p, &mut right, at).unwrap();
+                        let moved = match model.keys().nth(at).cloned() {
+                            Some(first) => model.split_off(&first),
+                            // an append on the rightmost path moves nothing
+                            None => BTreeMap::new(),
+                        };
+                        check(&p, &model, seed);
+                        check(&right, &moved, seed);
+                        if let (Some(l), Some(r)) = (model.keys().last(), moved.keys().next()) {
+                            assert!(l < r, "seed {seed}");
+                            for half in [&p, &right] {
+                                assert_eq!(Node::free_space(half), Node::total_free(half));
+                            }
+                        }
+                        if rng.below(2) == 0 {
+                            (p, model) = (right, moved);
+                        }
+                    }
+                    _ => {}
+                }
+                check(&p, &model, seed);
+            }
+        }
     }
 
     #[test]

@@ -161,13 +161,6 @@ pub trait StorageMethod: Send + Sync {
         &[]
     }
 
-    /// The record-field ordering of key-sequential scans, if the storage
-    /// method stores records in key order (lets the planner skip sorts).
-    fn scan_ordering(&self, rd: &RelationDescriptor) -> Option<Vec<FieldId>> {
-        let _ = rd;
-        None
-    }
-
     /// The disk files backing an instance, for the integrity scrubber's
     /// checksum page walk. Default empty: the instance is not page-backed
     /// (memory, foreign, system relations) and scrub has nothing to

@@ -127,11 +127,13 @@ impl SlottedPage {
         if slot < count && Self::slot_entry(page, slot).0 != 0 {
             return Err(DmxError::InvalidArg(format!("slot {slot} is occupied")));
         }
-        let new_slot_bytes = if slot == count { SLOT_BYTES } else { 0 };
-        if Self::free_space(page) + Self::reclaimable(page) < data.len() + new_slot_bytes {
-            return Err(DmxError::Io("page full".into()));
-        }
-        if Self::free_space(page) < data.len() + new_slot_bytes {
+        let need = data.len() + if slot == count { SLOT_BYTES } else { 0 };
+        // The directory is walked only when the contiguous gap is short,
+        // and then compaction follows.
+        if Self::free_space(page) < need {
+            if Self::free_space(page) + Self::reclaimable(page) < need {
+                return Err(DmxError::Io("page full".into()));
+            }
             Self::compact(page);
         }
         let free_end = page.get_u16(FREE_END_OFF) as usize;
@@ -194,31 +196,37 @@ impl SlottedPage {
     /// Whether `slot` can come to hold `len` bytes — by
     /// [`SlottedPage::update`] when it holds a record (whose bytes count as
     /// room), by [`SlottedPage::insert_at`] when it is a tombstone or the
-    /// next fresh slot. A writer asks before it stamps the page.
+    /// next fresh slot. A writer asks before it stamps the page. The
+    /// contiguous gap answers in O(1); the directory is walked for the
+    /// reclaimable bytes only when the gap is short, which is when the
+    /// write compacts.
     pub fn fits(page: &Page, slot: u16, len: usize) -> bool {
-        let room = Self::free_space(page) + Self::reclaimable(page);
-        match Self::get(page, slot) {
-            Some(old) => len <= old.len() || room + old.len() >= len,
-            None if slot < Self::slot_count(page) => room >= len,
-            None => slot == Self::slot_count(page) && room >= len + SLOT_BYTES,
-        }
+        let need = match Self::get(page, slot) {
+            Some(old) if len <= old.len() => return true,
+            Some(old) => len - old.len(),
+            None if slot < Self::slot_count(page) => len,
+            None if slot == Self::slot_count(page) => len + SLOT_BYTES,
+            None => return false,
+        };
+        let gap = Self::free_space(page);
+        gap >= need || gap + Self::reclaimable(page) >= need
     }
 
-    /// Repacks live payloads to eliminate holes. Slot numbers are
-    /// preserved.
+    /// Repacks live payloads to eliminate holes, in slot order from the
+    /// end of the page, reading from one copy of the image. Slot numbers
+    /// are preserved.
     pub fn compact(page: &mut PageWrite<'_>) {
-        let count = Self::slot_count(page);
-        let mut live: Vec<(u16, Vec<u8>)> = (0..count)
-            .filter_map(|s| Self::get(page, s).map(|d| (s, d.to_vec())))
-            .collect();
-        // Pack from the end of the page downward.
+        let src = Page::clone(page);
         let mut free_end = PAGE_SIZE;
-        for (slot, data) in live.drain(..) {
+        for slot in 0..Self::slot_count(&src) {
+            let Some(data) = Self::get(&src, slot) else {
+                continue;
+            };
             free_end -= data.len();
             // bounds: live payloads came off this page, so they re-pack
             // into PAGE_SIZE bytes; checked all the same.
             if let Some(dst) = page.raw_mut().get_mut(free_end..free_end + data.len()) {
-                dst.copy_from_slice(&data);
+                dst.copy_from_slice(data);
             }
             Self::set_slot_entry(page, slot, free_end as u16, data.len() as u16);
         }
@@ -370,7 +378,19 @@ mod tests {
         });
     }
 
-    /// Random op sequences keep the page consistent with a shadow map.
+    /// [`SlottedPage::fits`] by its definition: the contiguous gap plus
+    /// the directory walk's reclaimable bytes, whatever the gap.
+    fn fits_by_walk(page: &Page, slot: u16, len: usize) -> bool {
+        let room = SlottedPage::free_space(page) + SlottedPage::reclaimable(page);
+        match SlottedPage::get(page, slot) {
+            Some(old) => len <= old.len() || room + old.len() >= len,
+            None if slot < SlottedPage::slot_count(page) => room >= len,
+            None => slot == SlottedPage::slot_count(page) && room >= len + SLOT_BYTES,
+        }
+    }
+
+    /// Random op sequences keep the page consistent with a shadow map,
+    /// and the gap-first fit answer equal to its definition.
     /// Deterministic seeds replace the old proptest strategy; a failure
     /// reproduces exactly from its seed.
     #[test]
@@ -412,6 +432,12 @@ mod tests {
                         assert_eq!(SlottedPage::get(p, *s), Some(&v[..]), "seed {seed}");
                     }
                     assert_eq!(SlottedPage::live_count(p) as usize, shadow.len());
+                    for slot in 0..SlottedPage::slot_count(p) + 2 {
+                        for len in [0, 1, 150, 299, 600, 2048, 6000] {
+                            let fits = SlottedPage::fits(p, slot, len);
+                            assert_eq!(fits, fits_by_walk(p, slot, len), "seed {seed}");
+                        }
+                    }
                 }
             });
         }

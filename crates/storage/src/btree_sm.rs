@@ -313,10 +313,6 @@ impl StorageMethod for BTreeStorage {
         let tree = Self::desc(rd)?.tree_file().open_tree(services);
         logged_tree::replay(&tree, dir, op, payload).map(drop)
     }
-
-    fn scan_ordering(&self, rd: &RelationDescriptor) -> Option<Vec<FieldId>> {
-        Self::desc(rd).ok().map(|d| d.key_fields)
-    }
 }
 
 /// Decodes `record key → record` entries, filtering and projecting

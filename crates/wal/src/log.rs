@@ -511,13 +511,14 @@ impl LogManager {
         self.force(last)
     }
 
-    /// Restart's first step: walk the durable frames in order and drop the
-    /// tail from the first frame that fails to decode — torn, rotted, or
-    /// not the frame of its position, whose LSN seeds the checksum — then
-    /// resync the LSN counter.
-    /// Returns the number of frames truncated. Must run before analysis
-    /// and before any new appends.
-    pub fn scan_and_truncate_tail(&self) -> Result<usize> {
+    /// Restart's first step: walk the durable frames in order, handing
+    /// each record that decodes to `visit` (restart's analysis), and drop
+    /// the tail from the first frame that fails to decode — torn, rotted,
+    /// or not the frame of its position, whose LSN seeds the checksum —
+    /// then resync the LSN counter. Every frame is decoded once here.
+    /// Returns the number of frames truncated. Must run before any new
+    /// appends; `visit` runs under the log's latch and must not call it.
+    pub fn scan_and_truncate_tail(&self, mut visit: impl FnMut(LogRecord)) -> Result<usize> {
         let mut vol = self.vol.lock();
         debug_assert!(
             vol.tail.is_empty(),
@@ -527,7 +528,10 @@ impl LogManager {
         let mut valid = 0usize;
         while valid < n {
             match self.stable.record(Lsn(valid as u64 + 1)) {
-                Ok(_) => valid += 1,
+                Ok(rec) => {
+                    visit(rec);
+                    valid += 1;
+                }
                 Err(DmxError::Corrupt(_)) => break,
                 Err(e) => return Err(e),
             }
@@ -684,7 +688,7 @@ mod tests {
         assert_eq!(stable.len(), 5);
         assert!(matches!(stable.record(Lsn(4)), Err(DmxError::Corrupt(_))));
         let reopened = LogManager::open(stable.clone());
-        assert_eq!(reopened.scan_and_truncate_tail().unwrap(), 2);
+        assert_eq!(reopened.scan_and_truncate_tail(drop).unwrap(), 2);
         assert_eq!(reopened.last_lsn(), Lsn(3));
     }
 
@@ -807,7 +811,7 @@ mod tests {
         // the tail scan drops at most the torn frame (a tear that kept
         // every byte is a completed write and survives)
         let reopened = LogManager::open(stable.clone());
-        let dropped = reopened.scan_and_truncate_tail().unwrap();
+        let dropped = reopened.scan_and_truncate_tail(drop).unwrap();
         assert!(dropped <= 1, "at most the torn frame is lost");
         let survived = 2 - dropped;
         assert_eq!(stable.len(), survived);
@@ -832,7 +836,7 @@ mod tests {
         log.force_all().unwrap(); // io 2 (third frame) is flipped
         assert_eq!(stable.len(), 3);
         let reopened = LogManager::open(stable.clone());
-        let dropped = reopened.scan_and_truncate_tail().unwrap();
+        let dropped = reopened.scan_and_truncate_tail(drop).unwrap();
         assert_eq!(dropped, 1, "only the rotted frame is dropped");
         assert_eq!(stable.len(), 2);
         assert_eq!(reopened.last_lsn(), Lsn(2));
@@ -848,7 +852,7 @@ mod tests {
         }
         log.force_all().unwrap();
         let reopened = LogManager::open(stable.clone());
-        assert_eq!(reopened.scan_and_truncate_tail().unwrap(), 0);
+        assert_eq!(reopened.scan_and_truncate_tail(drop).unwrap(), 0);
         assert_eq!(stable.len(), 4);
     }
 }

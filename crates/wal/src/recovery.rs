@@ -193,25 +193,22 @@ struct Analysis {
     tail_truncated: usize,
 }
 
-/// Truncates the torn/corrupt log tail, then streams the durable frames
-/// once (no whole-log clone), classifying transactions and deferred
-/// intents. Frame reads retry transient faults like every other I/O
-/// path, so `DmxError::IoTransient` never escapes restart.
+/// Truncates the torn/corrupt log tail and, in the same pass, classifies
+/// transactions and deferred intents: the tail scan hands each durable
+/// record here as it decodes it (no whole-log clone, no second decode).
+/// Frame reads retry transient faults like every other I/O path, so
+/// `DmxError::IoTransient` never escapes restart.
 fn analyze(log: &LogManager) -> Result<Analysis> {
-    // A crash mid-force can leave one torn frame; rot can corrupt any
-    // frame. Nothing past the first bad frame is trustworthy (LSN chains
-    // would dangle), so the tail is dropped.
-    let tail_truncated = log.scan_and_truncate_tail()?;
-
     let mut active: HashMap<TxnId, Lsn> = HashMap::new();
     let mut committed: HashSet<TxnId> = HashSet::new();
     let mut checkpoint = Lsn::NULL;
     let mut intents: Vec<LogRecord> = Vec::new();
     let mut done: HashSet<Lsn> = HashSet::new();
     let mut max_txn = 0u64;
-    let stable = log.stable();
-    for lsn in 1..=stable.len() as u64 {
-        let rec = stable.record(Lsn(lsn))?;
+    // A crash mid-force can leave one torn frame; rot can corrupt any
+    // frame. Nothing past the first bad frame is trustworthy (LSN chains
+    // would dangle), so the tail is dropped.
+    let tail_truncated = log.scan_and_truncate_tail(|rec| {
         if rec.txn.0 > max_txn {
             max_txn = rec.txn.0;
         }
@@ -236,7 +233,7 @@ fn analyze(log: &LogManager) -> Result<Analysis> {
         if let Some(last) = active.get_mut(&rec.txn) {
             *last = rec.lsn;
         }
-    }
+    })?;
     Ok(Analysis {
         active,
         committed,
