@@ -138,6 +138,14 @@ pub enum AccessQuery {
     /// outer row). What an `estimate` answers `field = $n` with when it
     /// can look the value up by key.
     KeyEqualsParam(usize),
+    /// Exactly the record with this record key: what a storage method's
+    /// `estimate` answers when the predicates fix every field its record
+    /// key is made of — one whose insert X-locks the key before probing
+    /// for it, so that a writer's lock on an absent key keeps it absent.
+    /// A write fetches that one record by key
+    /// ([`crate::Database::fetch_target`]); a scan opened on it covers
+    /// the keys that start with it, which is the record alone.
+    Record(RecordKey),
     /// Spatial predicate against the query rectangle.
     Spatial(SpatialOp, Rect),
 }
@@ -163,7 +171,9 @@ impl AccessQuery {
         match self {
             AccessQuery::All => Ok(KeyRange::all()),
             AccessQuery::Range(r) => Ok(r),
-            AccessQuery::KeyEquals(k) => Ok(KeyRange::prefix(k)),
+            AccessQuery::KeyEquals(k) | AccessQuery::Record(RecordKey(k)) => {
+                Ok(KeyRange::prefix(k))
+            }
             AccessQuery::KeyEqualsParam(n) => {
                 Err(DmxError::Internal(format!("{what}: ${n} opened unbound")))
             }

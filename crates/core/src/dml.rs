@@ -452,14 +452,30 @@ impl Database {
     }
 
     /// The committed on-page state of `(rel, key)` as a version image,
-    /// read under the caller's record X lock (so it is stable).
+    /// read under the caller's record X lock (so it is stable) — unless
+    /// the caller hands it in as `read`: the whole record as it read it
+    /// under a lock on `key` it has held since. A debug build reads the
+    /// page anyway and holds the two against each other.
     fn base_image(
         self: &Arc<Self>,
         ctx: &ExecCtx<'_>,
         rd: &RelationDescriptor,
         key: &RecordKey,
+        read: Option<Vec<Value>>,
     ) -> Result<VersionImage> {
         let sm = self.registry().storage(rd.sm)?;
+        if let Some(values) = read {
+            if cfg!(debug_assertions) {
+                // By encoding: a NaN field equals itself there.
+                let encoded = |v: &[Value]| Record::new(v.to_vec()).encode();
+                let page = sm.fetch(ctx, rd, key, None, None)?;
+                assert!(
+                    page.as_deref().map(encoded) == Some(encoded(&values)),
+                    "handed-in base of {key:?} is {values:?}, the page holds {page:?}"
+                );
+            }
+            return Ok(VersionImage::Present(values));
+        }
         Ok(match sm.fetch(ctx, rd, key, None, None)? {
             Some(values) => VersionImage::Present(values),
             None => VersionImage::Absent,
@@ -603,6 +619,22 @@ impl Database {
         key: &RecordKey,
         new: Record,
     ) -> Result<RecordKey> {
+        self.update_with_base(txn, rel, key, None, new)
+    }
+
+    /// [`Database::update`] of a record the caller has read: `base` is
+    /// the whole record as read under a lock on `key` the transaction
+    /// still holds, with nothing written to it since (the target of an
+    /// UPDATE statement), so the write does not read it again. `None`:
+    /// the write reads it.
+    pub fn update_with_base(
+        self: &Arc<Self>,
+        txn: &Arc<Transaction>,
+        rel: RelationId,
+        key: &RecordKey,
+        base: Option<Vec<Value>>,
+        new: Record,
+    ) -> Result<RecordKey> {
         let rd = self.admit(txn, rel, true)?;
         rd.schema.validate(&new.values)?;
         let res = self.with_stmt(txn, |ctx| {
@@ -611,7 +643,7 @@ impl Database {
             // Stamp *before* the page mutation: a snapshot scan that
             // races the update finds the chain and reads the committed
             // base image instead of trusting the half-updated page.
-            let base = self.base_image(ctx, &rd, key)?;
+            let base = self.base_image(ctx, &rd, key, base)?;
             self.stamp(txn, &rd, key, base, VersionImage::Absent);
             let sm = self.registry().storage(rd.sm)?;
             // The (possibly relocated) new key is the mutation's output;
@@ -644,11 +676,23 @@ impl Database {
         rel: RelationId,
         key: &RecordKey,
     ) -> Result<()> {
+        self.delete_with_base(txn, rel, key, None)
+    }
+
+    /// [`Database::delete`] of a record the caller has read, `base` as
+    /// in [`Database::update_with_base`].
+    pub fn delete_with_base(
+        self: &Arc<Self>,
+        txn: &Arc<Transaction>,
+        rel: RelationId,
+        key: &RecordKey,
+        base: Option<Vec<Value>>,
+    ) -> Result<()> {
         let rd = self.admit(txn, rel, true)?;
         let res = self.with_stmt(txn, |ctx| {
             ctx.lock(LockName::Relation(rel), LockMode::IX)?;
             ctx.lock_record(rel, key, LockMode::X)?;
-            let base = self.base_image(ctx, &rd, key)?;
+            let base = self.base_image(ctx, &rd, key, base)?;
             self.stamp(txn, &rd, key, base, VersionImage::Absent);
             let sm = self.registry().storage(rd.sm)?;
             let old = sm.delete(ctx, &rd, key)?;
@@ -690,6 +734,31 @@ impl Database {
         ctx.lock_record(rel, key, LockMode::S)?;
         let sm = self.registry().storage(rd.sm)?;
         self.fence_corrupt(rel, sm.fetch(&ctx, &rd, key, fields, pred))
+    }
+
+    /// The target of a write that names one record by its key
+    /// ([`AccessQuery::Record`]): X-locks the record, then reads it whole
+    /// and holds it against `pred`. It opens no scan and takes no S lock,
+    /// gap lock or upgrade, so two writers of one key queue on its X
+    /// lock rather than deadlock. `None`: no such record, or it fails
+    /// `pred`. The X lock stays either way; on a key that is absent it
+    /// is the phantom guard, since an insert X-locks its key before it
+    /// probes for it.
+    pub fn fetch_target(
+        self: &Arc<Self>,
+        txn: &Arc<Transaction>,
+        rel: RelationId,
+        key: &RecordKey,
+        pred: Option<&Expr>,
+    ) -> Result<Option<Vec<Value>>> {
+        txn.check_active()?;
+        let rd = self.admit(txn, rel, true)?;
+        let ctx = ExecCtx { db: self, txn };
+        ctx.lock(LockName::Relation(rel), LockMode::IX)?;
+        ctx.lock_record(rel, key, LockMode::X)?;
+        self.counters().fetches.incr();
+        let sm = self.registry().storage(rd.sm)?;
+        self.fence_corrupt(rel, sm.fetch(&ctx, &rd, key, None, pred))
     }
 
     /// Opens a key-sequential access via any access path ("access path

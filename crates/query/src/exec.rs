@@ -243,10 +243,20 @@ pub fn run_to_rows(plan: &Plan, ctx: &ExecCtx<'_>) -> Result<Vec<Vec<Value>>> {
 
 /// Drains one base-table access into `(record key, full row)` pairs: the
 /// targets of an `UPDATE`/`DELETE`, all materialized before the first
-/// write so the statement never meets its own effects. The caller runs
-/// it with snapshot reads off, so every target comes back S-locked and
-/// re-read under its lock, with the gaps the access passed fenced.
+/// write so the statement never meets its own effects, each row read
+/// under a lock on its key that the transaction keeps. A storage
+/// method's [`AccessQuery::Record`] is the one record fetched by key
+/// under its X lock. Anything else opens the access, which the caller
+/// runs with snapshot reads off, so every target comes back S-locked
+/// and re-read under its lock, with the gaps the access passed fenced.
 pub fn run_targets(access: &AccessPlan, ctx: &ExecCtx<'_>) -> Result<Vec<(RecordKey, Vec<Value>)>> {
+    if let (AccessPath::StorageMethod, AccessQuery::Record(key)) = (access.path, &access.query) {
+        // `pushed` holds every conjunct of the `WHERE`
+        let row = ctx
+            .db
+            .fetch_target(ctx.txn, access.rd.id, key, access.pushed.as_ref())?;
+        return Ok(row.map(|row| (key.clone(), row)).into_iter().collect());
+    }
     let mut op = AccessOp::open(access, ctx, None)?;
     let mut targets = Vec::new();
     let (width, fields) = (op.width, op.fields);

@@ -695,6 +695,7 @@ impl Plan {
                     AccessQuery::All => "all",
                     AccessQuery::Range(_) => "range",
                     AccessQuery::KeyEquals(_) => "key",
+                    AccessQuery::Record(_) => "record",
                     AccessQuery::KeyEqualsParam(_) => "probe",
                     AccessQuery::Spatial(_, _) => "spatial",
                 };

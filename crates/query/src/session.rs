@@ -347,8 +347,9 @@ impl Session {
                 let ctx = dmx_core::ExecCtx { db: &self.db, txn };
                 let targets = exec::run_targets(&access, &ctx)?;
                 let n = targets.len();
+                let handed = hands_in_bases(rd);
                 let funcs = self.db.services().funcs.read();
-                let new_rows: Vec<(dmx_types::RecordKey, Record)> = targets
+                let writes: Vec<_> = targets
                     .into_iter()
                     .map(|(key, row)| {
                         // every right-hand side sees the row as it was
@@ -356,12 +357,12 @@ impl Session {
                         for (f, e) in &assignments {
                             new[*f as usize] = eval(e, &row, dmx_expr::EvalContext::new(&funcs))?;
                         }
-                        Ok((key, Record::new(new)))
+                        Ok((key, handed.then_some(row), Record::new(new)))
                     })
                     .collect::<Result<_>>()?;
                 drop(funcs);
-                for (key, rec) in new_rows {
-                    self.db.update(txn, rd.id, &key, rec)?;
+                for (key, base, rec) in writes {
+                    self.db.update_with_base(txn, rd.id, &key, base, rec)?;
                 }
                 Ok(QueryResult::affected(n))
             }
@@ -371,8 +372,10 @@ impl Session {
                 let ctx = dmx_core::ExecCtx { db: &self.db, txn };
                 let targets = exec::run_targets(&access, &ctx)?;
                 let n = targets.len();
-                for (key, _) in targets {
-                    self.db.delete(txn, access.rd.id, &key)?;
+                let handed = hands_in_bases(&access.rd);
+                for (key, row) in targets {
+                    let base = handed.then_some(row);
+                    self.db.delete_with_base(txn, access.rd.id, &key, base)?;
                 }
                 Ok(QueryResult::affected(n))
             }
@@ -656,6 +659,15 @@ pub trait SqlExt {
     fn execute_sql(&self, sql: &str) -> Result<QueryResult>;
     /// Executes a query and returns its rows.
     fn query_sql(&self, sql: &str) -> Result<Vec<Vec<Value>>>;
+}
+
+/// Whether an UPDATE/DELETE on `rd` hands each target's row, read under
+/// a lock the statement keeps, to its write as the base image. Only
+/// the statement's own writes reach a target of a relation with no
+/// attachments; an attachment may cascade into a later target of the
+/// same statement, which is then no longer as it was read.
+fn hands_in_bases(rd: &dmx_core::RelationDescriptor) -> bool {
+    rd.attachment_count() == 0
 }
 
 impl SqlExt for Arc<Database> {

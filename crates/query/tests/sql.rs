@@ -295,6 +295,113 @@ fn update_evaluates_every_assignment_against_the_old_row() {
     );
 }
 
+/// The plan line of `EXPLAIN sql` that names the access to `table`.
+fn access_line(db: &Arc<Database>, sql: &str, table: &str) -> String {
+    let rows = db.query_sql(&format!("EXPLAIN {sql}")).unwrap();
+    rows.iter()
+        .map(|r| r[0].as_str().unwrap().trim().to_string())
+        .find(|l| l.starts_with(&format!("Access {table} ")))
+        .unwrap_or_else(|| panic!("no access line for {table} in {rows:?}"))
+}
+
+#[test]
+fn a_write_naming_every_key_field_fetches_its_record_by_key() {
+    let db = open_db();
+    db.execute_sql("CREATE TABLE t (id INT NOT NULL, v INT NOT NULL) USING btree WITH (key=id)")
+        .unwrap();
+    db.execute_sql("INSERT INTO t VALUES (1, 0), (5, 0), (7, 0), (9, 0)")
+        .unwrap();
+    let counter = |name: &str| db.metrics_snapshot().counter(name);
+    let affected = |sql: &str| db.execute_sql(sql).unwrap().rows[0][0].clone();
+
+    let line = access_line(&db, "UPDATE t SET v = 1 WHERE id = 40", "t");
+    assert!(
+        line.starts_with("Access t via storage-method [record] (~"),
+        "{line}"
+    );
+    // a SELECT opens its scan on the record's key range: the same rows
+    assert_eq!(
+        db.query_sql("SELECT v FROM t WHERE id = 5").unwrap(),
+        vec![vec![Value::Int(0)]]
+    );
+
+    // by key: one fetch, no scan
+    let (fetches, opens) = (counter("dml.fetches"), counter("scan.opens"));
+    assert_eq!(affected("UPDATE t SET v = 1 WHERE id = 5"), Value::Int(1));
+    assert_eq!(counter("dml.fetches"), fetches + 1);
+    assert_eq!(counter("scan.opens"), opens);
+
+    // an absent key: nothing to write
+    assert_eq!(affected("UPDATE t SET v = 1 WHERE id = 6"), Value::Int(0));
+    assert_eq!(affected("DELETE FROM t WHERE id = 6"), Value::Int(0));
+
+    // a residual conjunct that fails writes nothing and logs nothing
+    let (appends, bytes) = (counter("wal.appends"), counter("wal.bytes"));
+    assert_eq!(
+        affected("UPDATE t SET v = 2 WHERE id = 5 AND v = 99"),
+        Value::Int(0)
+    );
+    assert_eq!(
+        affected("DELETE FROM t WHERE id = 5 AND v = 99"),
+        Value::Int(0)
+    );
+    assert_eq!(
+        (counter("wal.appends"), counter("wal.bytes")),
+        (appends, bytes)
+    );
+
+    // a FLOAT constant equal to an INT key names the same record
+    assert_eq!(affected("UPDATE t SET v = 3 WHERE id = 5.0"), Value::Int(1));
+    assert_eq!(
+        db.query_sql("SELECT v FROM t WHERE id = 5").unwrap(),
+        vec![vec![Value::Int(3)]]
+    );
+
+    // changing the key relocates the record fetched by key
+    let line = access_line(&db, "UPDATE t SET id = id + 1000 WHERE id = 7", "t");
+    assert!(line.contains("[record]"), "{line}");
+    assert_eq!(
+        affected("UPDATE t SET id = id + 1000 WHERE id = 7"),
+        Value::Int(1)
+    );
+    assert_eq!(
+        db.query_sql("SELECT id FROM t ORDER BY 1").unwrap(),
+        [1, 5, 9, 1007].map(|id| vec![Value::Int(id)]).to_vec()
+    );
+
+    assert_eq!(affected("DELETE FROM t WHERE id = 9"), Value::Int(1));
+    assert_eq!(
+        db.query_sql("SELECT id FROM t WHERE id = 9").unwrap(),
+        Vec::<Vec<Value>>::new()
+    );
+}
+
+#[test]
+fn a_composite_key_goes_by_key_only_when_every_field_is_fixed() {
+    let db = open_db();
+    db.execute_sql(
+        "CREATE TABLE c (a INT NOT NULL, b INT NOT NULL, v INT NOT NULL) USING btree WITH (key = 'a,b')",
+    )
+    .unwrap();
+    db.execute_sql("INSERT INTO c VALUES (1, 1, 0), (1, 2, 0), (1, 3, 0), (2, 2, 0)")
+        .unwrap();
+    let both = "UPDATE c SET v = 1 WHERE a = 1 AND b = 2";
+    let line = access_line(&db, both, "c");
+    assert!(line.contains("via storage-method [record]"), "{line}");
+    assert_eq!(db.execute_sql(both).unwrap().rows[0][0], Value::Int(1));
+
+    let leading = "UPDATE c SET v = v + 10 WHERE a = 1";
+    let line = access_line(&db, leading, "c");
+    assert!(line.contains("via storage-method [range]"), "{line}");
+    assert_eq!(db.execute_sql(leading).unwrap().rows[0][0], Value::Int(3));
+    assert_eq!(
+        db.query_sql("SELECT a, b, v FROM c ORDER BY 1, 2").unwrap(),
+        [(1, 1, 10), (1, 2, 11), (1, 3, 10), (2, 2, 0)]
+            .map(|(a, b, v)| vec![Value::Int(a), Value::Int(b), Value::Int(v)])
+            .to_vec()
+    );
+}
+
 #[test]
 fn null_outer_values_probe_nothing() {
     // A join whose outer value is NULL asks its inner side nothing,

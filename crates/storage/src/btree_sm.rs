@@ -289,10 +289,17 @@ impl StorageMethod for BTreeStorage {
         choice.ordering = Some(d.key_fields.clone());
         // Predicates on the key's leading fields make it a range of the
         // tree rather than all of it; every predicate stays pushed down.
+        // Constants on every key field name one record: its key is their
+        // encoding, as `record_key` makes it.
         let one_key = 1.0 / records.max(1) as f64;
         if let Some(m) = KeyMatch::of(&d.key_fields, preds, &rd.stats, one_key) {
             let rows = records as f64 * m.fraction;
-            choice.query = m.query;
+            choice.query = match m.query {
+                AccessQuery::Range(_) if m.fixed == d.key_fields.len() => {
+                    AccessQuery::Record(RecordKey::new(m.prefix))
+                }
+                query => query,
+            };
             choice.cost = Cost::tree(records, rows, records.max(1) as f64 / pages as f64);
             // overall output is bounded by both the key-range fraction and
             // the residual predicate selectivity

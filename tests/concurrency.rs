@@ -464,9 +464,10 @@ fn writers_to_one_maintained_cell_serialise_until_commit() {
 }
 
 // ---------------------------------------------------------------------
-// Keyed DML picks its targets through the planner: the lock footprint of
-// `UPDATE`/`DELETE … WHERE id = k` is the target key and its successor,
-// whatever the size of the relation.
+// Keyed DML picks its targets through the planner: `UPDATE`/`DELETE …
+// WHERE id = k` on a B-tree relation fetches the one record by key under
+// X, so its lock footprint is what it writes, whatever the size of the
+// relation.
 // ---------------------------------------------------------------------
 
 /// A B-tree relation `t(id, v)` holding the even ids below `2 * rows`.
@@ -510,45 +511,159 @@ fn footprint(db: &Arc<Database>, sql: &str) -> (u64, std::collections::BTreeSet<
     (requests, held)
 }
 
-#[test]
-fn keyed_dml_locks_the_target_and_its_successor_whatever_the_size() {
+/// The name `sys.locks` prints for a record or gap lock on `id` of `rel`.
+fn lock_of(rel: RelationId, id: i64, gap: bool) -> String {
     use starburst_dmx::lock::LockName;
-    use starburst_dmx::types::key::encode_values;
-    let statements = [
-        "UPDATE t SET v = 1 WHERE id = 40",
-        "DELETE FROM t WHERE id = 40",
-    ];
+    let key = starburst_dmx::types::key::encode_values(&[Value::Int(id)]);
+    match gap {
+        false => match LockName::record(rel, &RecordKey::new(key)) {
+            LockName::Record(r, k) => format!("record({},{k})", r.0),
+            other => panic!("unexpected {other:?}"),
+        },
+        true => match LockName::gap(rel, starburst_dmx::types::FileId(0), Some(&key)) {
+            LockName::Gap(r, k) => format!("gap({},{k})", r.0),
+            other => panic!("unexpected {other:?}"),
+        },
+    }
+}
+
+#[test]
+fn keyed_dml_locks_what_it_writes_whatever_the_size() {
     let mut costs = Vec::new();
     for rows in [100, 2_000] {
         let db = even_ids(rows);
         let rel = db.catalog().get_by_name("t").unwrap().id;
-        // the relation, then record and gap of the target and of the
-        // next key (the boundary the range access stops at)
-        let mut expected = std::collections::BTreeSet::from([format!("relation({})", rel.0)]);
-        for id in [40, 42] {
-            let key = encode_values(&[Value::Int(id)]);
-            let names = [
-                LockName::record(rel, &RecordKey::new(key.clone())),
-                LockName::gap(rel, starburst_dmx::types::FileId(0), Some(&key)),
-            ];
-            for name in names {
-                expected.insert(match name {
-                    LockName::Record(r, k) => format!("record({},{k})", r.0),
-                    LockName::Gap(r, k) => format!("gap({},{k})", r.0),
-                    other => panic!("unexpected {other:?}"),
-                });
-            }
-        }
+        let relation = format!("relation({})", rel.0);
+        // the target fetched by key under X; a delete also merges the
+        // gap below 40 into the gap below its successor, 42. Requests:
+        // the relation IX and the record X of the fetch, granted again
+        // to the write, and a delete's two gaps
+        let statements = [
+            (
+                "UPDATE t SET v = 1 WHERE id = 40",
+                vec![relation.clone(), lock_of(rel, 40, false)],
+                4,
+            ),
+            (
+                "DELETE FROM t WHERE id = 40",
+                vec![
+                    relation.clone(),
+                    lock_of(rel, 40, false),
+                    lock_of(rel, 40, true),
+                    lock_of(rel, 42, true),
+                ],
+                6,
+            ),
+        ];
         let mut per_stmt = Vec::new();
-        for sql in statements {
+        for (sql, expected, exact) in statements {
             let (requests, held) = footprint(&db, sql);
+            let expected: std::collections::BTreeSet<String> = expected.into_iter().collect();
             assert_eq!(held, expected, "{rows} rows: {sql}");
-            assert!(requests <= 12, "{rows} rows: {sql} took {requests} locks");
+            assert_eq!(requests, exact, "{rows} rows: {sql}");
             per_stmt.push(requests);
         }
         costs.push(per_stmt);
     }
     assert_eq!(costs[0], costs[1], "lock requests grew with the relation");
+}
+
+/// Two updaters of one key queue on its X lock: B's UPDATE of the row A
+/// has updated but not committed waits (forced: it shows in
+/// `lock.waits`), then runs on A's committed row. No deadlock victim,
+/// and both increments land.
+#[test]
+fn two_updaters_of_one_key_queue_instead_of_deadlocking() {
+    let db = even_ids(10);
+    let counter = |name: &str| db.metrics_snapshot().counter(name);
+    let bump = "UPDATE t SET v = v + 1 WHERE id = 4";
+    let (a, b) = (Session::new(db.clone()), Session::new(db.clone()));
+    let deadlocks = counter("lock.deadlocks");
+    a.execute("BEGIN").unwrap();
+    assert_eq!(a.execute(bump).unwrap().scalar().unwrap(), &Value::Int(1));
+    b.execute("BEGIN").unwrap();
+    let waits = counter("lock.waits");
+    std::thread::scope(|s| {
+        let second = s.spawn(|| b.execute(bump));
+        while counter("lock.waits") == waits && !second.is_finished() {
+            std::thread::yield_now();
+        }
+        assert!(!second.is_finished(), "B's UPDATE must wait for A");
+        a.execute("COMMIT").unwrap();
+        assert_eq!(
+            second.join().unwrap().unwrap().scalar().unwrap(),
+            &Value::Int(1)
+        );
+    });
+    b.execute("COMMIT").unwrap();
+    assert_eq!(counter("lock.deadlocks"), deadlocks);
+    assert_eq!(
+        db.query_sql("SELECT v FROM t WHERE id = 4").unwrap(),
+        vec![vec![Value::Int(2)]]
+    );
+}
+
+/// Two threads of autocommit increments of one key on a B-tree
+/// relation: every statement succeeds and none is a deadlock victim
+/// (two targets S-locked and then upgraded to X would deadlock).
+#[test]
+fn concurrent_increments_of_one_key_all_commit() {
+    const EACH: i64 = 500;
+    let db = even_ids(10);
+    std::thread::scope(|s| {
+        for _ in 0..2 {
+            let sess = Session::new(db.clone());
+            s.spawn(move || {
+                for _ in 0..EACH {
+                    let r = sess.execute("UPDATE t SET v = v + 1 WHERE id = 6").unwrap();
+                    assert_eq!(r.scalar().unwrap(), &Value::Int(1));
+                }
+            });
+        }
+    });
+    assert_eq!(db.metrics_snapshot().counter("lock.deadlocks"), 0);
+    assert_eq!(
+        db.query_sql("SELECT v FROM t WHERE id = 6").unwrap(),
+        vec![vec![Value::Int(2 * EACH)]]
+    );
+}
+
+/// A write by key to an absent key holds that key's X lock: an INSERT of
+/// the key waits (forced: it shows in `lock.waits`) until the writer
+/// commits, so the writer's "no such row" stays true while it runs.
+#[test]
+fn a_write_to_an_absent_key_fences_its_insert() {
+    let db = even_ids(10);
+    let waits = || db.metrics_snapshot().counter("lock.waits");
+    for write in [
+        "UPDATE t SET v = 1 WHERE id = 5",
+        "DELETE FROM t WHERE id = 5",
+    ] {
+        let (a, b) = (Session::new(db.clone()), Session::new(db.clone()));
+        a.execute("BEGIN").unwrap();
+        assert_eq!(a.execute(write).unwrap().scalar().unwrap(), &Value::Int(0));
+        let before = waits();
+        std::thread::scope(|s| {
+            let insert = s.spawn(|| b.execute("INSERT INTO t VALUES (5, 0)"));
+            while waits() == before && !insert.is_finished() {
+                std::thread::yield_now();
+            }
+            assert!(
+                !insert.is_finished(),
+                "the insert of 5 must wait for `{write}`"
+            );
+            assert_eq!(a.execute(write).unwrap().scalar().unwrap(), &Value::Int(0));
+            a.execute("COMMIT").unwrap();
+            insert.join().unwrap().unwrap();
+        });
+        assert_eq!(
+            db.execute_sql("DELETE FROM t WHERE id = 5")
+                .unwrap()
+                .scalar()
+                .unwrap(),
+            &Value::Int(1)
+        );
+    }
 }
 
 /// A's uncommitted range UPDATE fences its own key range against
