@@ -5,7 +5,7 @@
 
 // Integration-test harnesses are exempt from the runtime panic
 // discipline: a broken fixture should abort loudly.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU32, Ordering};

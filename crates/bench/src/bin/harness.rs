@@ -8,9 +8,10 @@
 //! Run with: `cargo run --release -p dmx-bench --bin harness`
 //! (or a subset: `… --bin harness e1 e5`)
 
-// Same panic-discipline exemption as the bench library: the harness is
-// not a runtime crate, and a broken fixture should abort loudly.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+// Same exemptions as the bench library: the harness is not a runtime
+// crate, a broken fixture should abort loudly, and it times on the wall
+// clock.
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_types)]
 
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;

@@ -5,10 +5,10 @@
 //! design choice, catalogued in DESIGN.md §4 and measured into
 //! EXPERIMENTS.md.
 //!
-//! The bench harness is exempt from the runtime panic discipline (it is
-//! not in `xtask`'s runtime-crate set): a failed fixture should abort
-//! the experiment loudly, not thread `Result` through every scenario.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+//! The bench harness is exempt from the runtime panic discipline: a
+//! failed fixture should abort the experiment loudly, not thread `Result`
+//! through every scenario. It is the one crate that reads the wall clock.
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_types)]
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};

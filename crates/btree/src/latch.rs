@@ -133,6 +133,8 @@ impl LatchTable {
 }
 
 #[cfg(test)]
+// The unit tests build raw disks or logs beneath the fault injector.
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use dmx_types::FileId;

@@ -488,6 +488,8 @@ impl BTreeCursor {
 }
 
 #[cfg(test)]
+// The unit tests build raw disks or logs beneath the fault injector.
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use dmx_page::{DiskManager, MemDisk};

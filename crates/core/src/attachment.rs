@@ -309,6 +309,8 @@ pub trait Attachment: Send + Sync {
 }
 
 #[cfg(test)]
+// The unit tests build raw disks or logs beneath the fault injector.
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use std::time::Duration;

@@ -377,6 +377,8 @@ impl LoggedTarget for Catalog {
 }
 
 #[cfg(test)]
+// The unit tests build raw disks or logs beneath the fault injector.
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use dmx_lock::LockManager;

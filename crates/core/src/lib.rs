@@ -30,20 +30,32 @@
 //!   and the undo/redo mirror) and the one range cursor (stepping,
 //!   bounds, next-key locks, position) every tree-backed extension goes
 //!   through;
-//! * [`catalog`], [`deps`], [`auth`] — descriptor management, bound-plan
+//! * [`Catalog`], [`deps`], [`auth`] — descriptor management, bound-plan
 //!   dependency tracking/invalidation and the uniform authorization
 //!   facility;
-//! * [`database::Database`] — the facade wiring it all together, including
+//! * [`Database`] — the facade wiring it all together, including
 //!   DDL with extension attribute/value lists, transaction control with
 //!   savepoints, deferred drops and crash restart.
+//!
+//! An extension reaches the kernel through the root re-exports alone:
+//! `catalog` and `database` are private modules (DESIGN §8, DMX004), so a
+//! path through either does not resolve.
+//!
+//! ```compile_fail,E0603
+//! use dmx_core::database::Database;
+//! ```
+//!
+//! ```compile_fail,E0603
+//! use dmx_core::catalog::Catalog;
+//! ```
 
 pub mod access;
 pub mod attachment;
 pub mod auth;
-pub mod catalog;
+mod catalog;
 pub mod context;
 pub mod cost;
-pub mod database;
+mod database;
 pub mod deps;
 pub mod descriptor;
 pub mod dml;

@@ -77,6 +77,8 @@ impl CommonServices {
 }
 
 #[cfg(test)]
+// The unit tests build raw disks or logs beneath the fault injector.
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use dmx_page::MemDisk;

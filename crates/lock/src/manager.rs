@@ -12,6 +12,10 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
+#[expect(
+    clippy::disallowed_types,
+    reason = "a lock wait times out in real time; no deadline reaches a metric snapshot"
+)]
 use std::time::{Duration, Instant};
 
 use dmx_types::sync::{Condvar, Mutex};
@@ -332,6 +336,10 @@ impl LockManager {
             target: txn.0,
             detail: mode as u64,
         });
+        #[expect(
+            clippy::disallowed_types,
+            reason = "a lock wait times out in real time; no deadline reaches a metric snapshot"
+        )]
         let deadline = Instant::now() + self.timeout;
         loop {
             if st.detect_deadlock() {
@@ -357,6 +365,10 @@ impl LockManager {
                 self.acquires.incr();
                 return Ok(true);
             }
+            #[expect(
+                clippy::disallowed_types,
+                reason = "a lock wait times out in real time; no deadline reaches a metric snapshot"
+            )]
             let now = Instant::now();
             if now >= deadline {
                 Self::remove_waiter(&mut st, txn, name);
@@ -472,6 +484,8 @@ pub struct LockRow {
 }
 
 #[cfg(test)]
+// The unit tests build raw disks or logs beneath the fault injector.
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use dmx_types::{FileId, RelationId};

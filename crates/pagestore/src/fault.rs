@@ -3,10 +3,10 @@
 //! [`FaultDisk`] interposes a [`FaultInjector`] between callers and a
 //! [`MemDisk`], so a seeded [`dmx_types::FaultPlan`] can fail, tear, or
 //! corrupt any individual disk operation. The wrapper is the *only*
-//! sanctioned way to build a runtime disk (enforced by `cargo xtask
-//! verify`): production code constructs a pass-through plan, test
-//! harnesses supply hostile ones, and both exercise the identical code
-//! path.
+//! sanctioned way to build a runtime disk (`clippy.toml` denies
+//! `MemDisk::new` outside this crate): production code constructs a
+//! pass-through plan, test harnesses supply hostile ones, and both
+//! exercise the identical code path.
 //!
 //! Like `MemDisk`, the wrapper survives a simulated crash: keep the
 //! `Arc<FaultDisk>`, drop everything else, call

@@ -372,10 +372,18 @@ impl Session {
                 let ctx = dmx_core::ExecCtx { db: &self.db, txn };
                 let targets = exec::run_targets(&access, &ctx)?;
                 let n = targets.len();
+                let rel = access.rd.id;
                 let handed = hands_in_bases(&access.rd);
                 for (key, row) in targets {
                     let base = handed.then_some(row);
-                    self.db.delete_with_base(txn, access.rd.id, &key, base)?;
+                    match self.db.delete_with_base(txn, rel, &key, base) {
+                        // An earlier target's cascade deleted this one: it
+                        // is gone under the X lock its delete took, which
+                        // is what the statement asked for.
+                        Err(DmxError::NotFound(_))
+                            if !handed && self.db.fetch(txn, rel, &key, None, None)?.is_none() => {}
+                        r => r?,
+                    }
                 }
                 Ok(QueryResult::affected(n))
             }

@@ -4,7 +4,7 @@
 
 // Integration-test harnesses are exempt from the runtime panic
 // discipline: a broken fixture should abort loudly.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use std::sync::Arc;
 
@@ -888,6 +888,28 @@ fn referential_integrity_via_sql() {
         db.query_sql("SELECT COUNT(*) FROM emp").unwrap()[0][0],
         Value::Int(0),
         "cascade removed the employee"
+    );
+}
+
+#[test]
+fn a_self_referencing_cascade_deletes_a_target_it_already_removed() {
+    // Row 2 names row 1 as its parent. The DELETE collects both targets
+    // before its first write; deleting row 1 cascades into row 2, so the
+    // second target is gone when the statement reaches it.
+    let db = open_db();
+    db.execute_sql("CREATE TABLE n (id INT NOT NULL, parent INT)")
+        .unwrap();
+    db.execute_sql(
+        "CREATE ATTACHMENT n_p ON n USING refint WITH (role=parent, fields=id, other=n, other_fields=parent, on_delete=cascade)",
+    )
+    .unwrap();
+    db.execute_sql("INSERT INTO n VALUES (1, NULL)").unwrap();
+    db.execute_sql("INSERT INTO n VALUES (2, 1)").unwrap();
+    db.execute_sql("DELETE FROM n WHERE id >= 1").unwrap();
+    assert_eq!(
+        db.query_sql("SELECT COUNT(*) FROM n").unwrap()[0][0],
+        Value::Int(0),
+        "both rows are gone"
     );
 }
 

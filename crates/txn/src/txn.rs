@@ -422,6 +422,8 @@ impl TxnManager {
 }
 
 #[cfg(test)]
+// The unit tests build raw disks or logs beneath the fault injector.
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use dmx_wal::StableLog;

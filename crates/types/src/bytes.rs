@@ -3,7 +3,7 @@
 //! Every on-disk structure in the system decodes fixed-width integers
 //! from untrusted byte slices. These helpers return `None` instead of
 //! panicking when the buffer is short, so decoders can surface a typed
-//! `Corrupt` error; the panic-discipline gate (`cargo xtask verify`)
+//! `Corrupt` error; the workspace denies `clippy::unwrap_used`, which
 //! rejects the open-coded `buf[a..b].try_into().unwrap()` form.
 
 /// A fixed-size array copied out of `b` at `off`, or `None` when the

@@ -80,7 +80,7 @@ impl fmt::Display for Lsn {
 /// Only a log append makes one: `ExecCtx::log_ext_op` going forward, the
 /// replay dispatch from the record it hands over, and the rollback from
 /// the compensation record (CLR) of each undo. Extension crates name the
-/// type but call nothing on it — `xtask verify` rule 4 denies them
+/// type but call nothing on it — `tests/architecture.rs` denies them
 /// `Appended::`, so neither [`Appended::by_log`] nor
 /// [`Appended::UNLOGGED`] appears outside the kernel and the tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

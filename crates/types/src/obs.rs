@@ -16,8 +16,8 @@
 //! records scanned), never durations, so that two runs of a seeded
 //! workload produce identical snapshots. Wall-clock timing belongs only
 //! to the bench binary, which wraps whole scenarios in monotonic timers
-//! outside the measured system. `cargo xtask verify` enforces this by
-//! denying `Instant`/`SystemTime` in runtime crates.
+//! outside the measured system. `clippy.toml` enforces this by
+//! denying `Instant`/`SystemTime` (`disallowed-types`) in runtime crates.
 //!
 //! Hot paths never touch the registry maps: components resolve their
 //! `Arc<Counter>` handles once at construction and then pay a single

@@ -4,7 +4,7 @@
 //! module wraps `std::sync` rather than `parking_lot`. The one semantic
 //! difference is lock poisoning: std locks poison when a holder panics.
 //! Panicking while holding a lock is itself a discipline violation (the
-//! `xtask verify` pass bans panics in runtime code), so a poisoned lock
+//! workspace's clippy lints deny panics in runtime code), so a poisoned lock
 //! indicates a bug that has already been reported elsewhere; these wrappers
 //! recover the inner guard and continue rather than propagating a second,
 //! less informative failure. That recovery is the single place in the
@@ -252,6 +252,8 @@ impl Condvar {
 }
 
 #[cfg(test)]
+// The condvar tests bound their waits by the wall clock.
+#[allow(clippy::disallowed_types)]
 mod tests {
     use super::*;
     use std::sync::Arc;

@@ -30,8 +30,9 @@ use crate::record::{framed_lens, ExtKind, ExtOp, LogBody, LogRecord};
 
 /// The durable prefix of the log. Records are stored encoded, proving the
 /// wire format round-trips; a simulated crash keeps this object and drops
-/// the [`LogManager`].
-#[derive(Default)]
+/// the [`LogManager`]. It has no `Default`: `clippy.toml` denies
+/// `StableLog::new` outside this crate, and a trait method would be a
+/// constructor it cannot name.
 pub struct StableLog {
     frames: Mutex<Vec<Vec<u8>>>,
     injector: Mutex<Option<Arc<FaultInjector>>>,
@@ -40,16 +41,19 @@ pub struct StableLog {
 impl StableLog {
     /// An empty stable log with no fault injection.
     pub fn new() -> Arc<Self> {
-        Arc::new(StableLog::default())
+        Arc::new(StableLog {
+            frames: Mutex::default(),
+            injector: Mutex::default(),
+        })
     }
 
     /// An empty stable log whose every frame I/O consults `injector`.
     /// Share the injector with the fault-wrapped disk so both draw from
     /// one global I/O sequence.
     pub fn with_injector(injector: Arc<FaultInjector>) -> Arc<Self> {
-        let log = StableLog::default();
+        let log = StableLog::new();
         *log.injector.lock() = Some(injector);
-        Arc::new(log)
+        log
     }
 
     /// Installs or removes the fault injector. The crash-sweep harness

@@ -1,19 +1,17 @@
 #!/usr/bin/env bash
-# One-command gate for the workspace: formatting, the static-analysis
-# verify pass, an offline release build, the test suite (a debug build:
-# the latch assertions of `dmx_types::held` are on; it holds the
-# crash-point sweeps at every I/O index — `tests/fault_sweep.rs`,
-# `tests/self_heal.rs` — and the differential oracle) and the repo
-# benchmark's own tests (the determinism gate). CI and pre-push hooks
-# should run exactly this.
+# One-command gate for the workspace, in order: formatting; clippy with
+# warnings denied (it holds the panic, raw-I/O and wall-clock rules of
+# DESIGN §8); an offline release build; the workspace tests in a debug
+# build, so the latch assertions of `dmx_types::held` are on (among them
+# the crash-point sweeps at every I/O index of `tests/fault_sweep.rs` and
+# `tests/self_heal.rs`, the differential oracle and the architecture
+# rules of `tests/architecture.rs`); and the repo benchmark's own tests
+# (the determinism gate). CI and pre-push hooks should run exactly this.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "==> cargo fmt --all --check"
 cargo fmt --all --check
-
-echo "==> cargo xtask verify"
-cargo run -q -p xtask -- verify
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy -q --workspace --all-targets -- -D warnings

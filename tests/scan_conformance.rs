@@ -29,7 +29,7 @@
 
 // Examples and integration-test harnesses are exempt from the runtime
 // panic discipline: failures here should abort loudly.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Bound;
