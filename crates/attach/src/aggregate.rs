@@ -12,25 +12,25 @@
 use std::sync::Arc;
 
 use dmx_core::{
-    AccessQuery, Attachment, AttachmentInstance, CommonServices, EntryDecoder, Evaluator, ExecCtx,
-    KeyRange, LoggedTree, Modification, RelationDescriptor, ScanItem, ScanOps, TreeFile, TreeScan,
+    AccessQuery, Attachment, AttachmentInstance, EntryDecoder, Evaluator, ExecCtx, KeyRange,
+    LoggedTree, Modification, RelationDescriptor, ScanItem, ScanOps, TreeFile, TreeScan,
+    ASSIGNED_KEYS,
 };
 use dmx_expr::Expr;
 use dmx_types::{
     key::{decode_values, encode_values},
-    AttrList, DmxError, FieldId, FileId, Record, RecordKey, Result, Value,
+    AttrList, DmxError, FieldId, Record, RecordKey, Result, Value,
 };
 
-use crate::common::{read_u16, read_u32, read_u64};
+use crate::common::read_u64;
 
 /// The maintained-aggregate attachment type.
 pub struct Aggregate;
 
-/// Instance descriptor.
+/// An aggregate instance as its attribute list describes it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AggDesc {
-    pub file: FileId,
-    pub root_page: u32,
+    pub tree: TreeFile,
     /// Field whose SUM is maintained.
     pub sum_field: FieldId,
     /// Optional grouping field (`None` = one global group).
@@ -38,44 +38,25 @@ pub struct AggDesc {
 }
 
 impl AggDesc {
-    pub fn encode(&self) -> Vec<u8> {
-        let mut v = Vec::with_capacity(13);
-        v.extend_from_slice(&self.file.0.to_le_bytes());
-        v.extend_from_slice(&self.root_page.to_le_bytes());
-        v.extend_from_slice(&self.sum_field.to_le_bytes());
-        match self.group_field {
-            None => v.push(0),
-            Some(g) => {
-                v.push(1);
-                v.extend_from_slice(&g.to_le_bytes());
-            }
-        }
-        v
-    }
-
-    pub fn decode(b: &[u8]) -> Result<AggDesc> {
-        const WHAT: &str = "aggregate descriptor";
-        let corrupt = || DmxError::Corrupt(format!("short {WHAT}"));
-        let file = FileId(read_u32(b, 0, WHAT)?);
-        let root_page = read_u32(b, 4, WHAT)?;
-        let sum_field = read_u16(b, 8, WHAT)?;
-        let group_field = match *b.get(10).ok_or_else(corrupt)? {
-            0 => None,
-            _ => Some(read_u16(b, 11, WHAT)?),
-        };
+    /// The one parser: `sum` and `group_by` as the DDL gave them, and the
+    /// tree once assigned.
+    fn from_attrs(rd: &RelationDescriptor, attrs: &AttrList) -> Result<AggDesc> {
+        attrs
+            .without(&ASSIGNED_KEYS)
+            .check_allowed(&["sum", "group_by"], "aggregate")?;
+        let [tree] = TreeFile::assigned(attrs)?;
         Ok(AggDesc {
-            file,
-            root_page,
-            sum_field,
-            group_field,
+            tree,
+            sum_field: rd.schema.field_id(attrs.require("sum", "aggregate")?)?,
+            group_field: match attrs.get("group_by") {
+                Some(g) => Some(rd.schema.field_id(g)?),
+                None => None,
+            },
         })
     }
 
-    pub fn tree_file(&self) -> TreeFile {
-        TreeFile {
-            file: self.file,
-            root_page: self.root_page,
-        }
+    fn of(rd: &RelationDescriptor, inst: &AttachmentInstance) -> Result<Arc<AggDesc>> {
+        inst.parsed(|attrs| Self::from_attrs(rd, attrs))
     }
 }
 
@@ -127,25 +108,9 @@ impl Attachment for Aggregate {
         rd: &RelationDescriptor,
         _name: &str,
         params: &AttrList,
-    ) -> Result<Vec<u8>> {
-        params.check_allowed(&["sum", "group_by"], "aggregate")?;
-        let sum_field = rd.schema.field_id(params.require("sum", "aggregate")?)?;
-        let group_field = match params.get("group_by") {
-            Some(g) => Some(rd.schema.field_id(g)?),
-            None => None,
-        };
-        let TreeFile { file, root_page } = TreeFile::create(ctx.services())?;
-        Ok(AggDesc {
-            file,
-            root_page,
-            sum_field,
-            group_field,
-        }
-        .encode())
-    }
-
-    fn destroy_instance(&self, services: &Arc<CommonServices>, inst_desc: &[u8]) -> Result<()> {
-        AggDesc::decode(inst_desc)?.tree_file().destroy(services)
+    ) -> Result<AttrList> {
+        AggDesc::from_attrs(rd, params)?;
+        TreeFile::assign(&[TreeFile::create(ctx.services())?], params)
     }
 
     fn on_modify(
@@ -156,9 +121,8 @@ impl Attachment for Aggregate {
         m: &Modification<'_>,
     ) -> Result<()> {
         for inst in instances {
-            let d = AggDesc::decode(&inst.desc)?;
-            let cells =
-                LoggedTree::attachment(ctx, rd, inst, d.tree_file().open_tree(ctx.services()));
+            let d = AggDesc::of(rd, inst)?;
+            let cells = LoggedTree::attachment(ctx, rd, inst, d.tree.open_tree(ctx.services()));
             // −old, then +new: one cell update per present side.
             for (side, sign) in [(m.old(), -1), (m.new(), 1)] {
                 let Some((_, record)) = side else { continue };
@@ -176,33 +140,16 @@ impl Attachment for Aggregate {
         Ok(())
     }
 
-    fn storage_files(&self, inst_desc: &[u8]) -> Vec<FileId> {
-        AggDesc::decode(inst_desc)
-            .map(|d| vec![d.file])
-            .unwrap_or_default()
-    }
-
-    fn reconstruct_params(&self, rd: &RelationDescriptor, inst_desc: &[u8]) -> Result<AttrList> {
-        let d = AggDesc::decode(inst_desc)?;
-        let name = |f: FieldId| rd.schema.column(f).map(|c| c.name.as_str());
-        let mut pairs = vec![("sum", name(d.sum_field)?)];
-        if let Some(g) = d.group_field {
-            pairs.push(("group_by", name(g)?));
-        }
-        AttrList::from_pairs(pairs)
-    }
-
     /// Reads the maintained aggregates: each item is
     /// `(group value, count, sum)`.
     fn open_scan(
         &self,
         ctx: &ExecCtx<'_>,
-        _rd: &RelationDescriptor,
+        rd: &RelationDescriptor,
         instance: &AttachmentInstance,
         query: &AccessQuery,
     ) -> Result<Box<dyn ScanOps>> {
-        let d = AggDesc::decode(&instance.desc)?;
-        let tree = d.tree_file().open_tree(ctx.services());
+        let tree = AggDesc::of(rd, instance)?.tree.open_tree(ctx.services());
         TreeScan::open(&tree, None, GroupCells, query.clone(), None)
     }
 }

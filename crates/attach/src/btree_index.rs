@@ -17,67 +17,54 @@ use std::sync::Arc;
 use dmx_core::access::prefix_successor;
 use dmx_core::logged_tree::{lock_delete_gaps, lock_insert_gap};
 use dmx_core::{
-    project_values, AccessPath, AccessQuery, Attachment, AttachmentInstance, CommonServices, Cost,
-    EntryDecoder, Evaluator, ExecCtx, KeyMatch, KeyRange, LoggedTree, Modification, PathChoice,
-    RecordKeyIn, RelationDescriptor, ScanItem, ScanOps, TreeFile, TreeScan,
+    project_values, AccessPath, AccessQuery, Attachment, AttachmentInstance, Cost, EntryDecoder,
+    Evaluator, ExecCtx, KeyMatch, KeyRange, LoggedTree, Modification, PathChoice, RecordKeyIn,
+    RelationDescriptor, ScanItem, ScanOps, TreeFile, TreeScan, ASSIGNED_KEYS,
 };
 use dmx_expr::Expr;
 use dmx_types::{
     key::{decode_values, encode_values},
-    AttrList, DmxError, FieldId, FileId, Record, RecordKey, Result, Value,
+    AttrList, DmxError, FieldId, Record, RecordKey, Result, Value,
 };
 
-use crate::common::{field_values, parse_fields, read_u16, read_u32};
+use crate::common::{field_values, parse_fields};
 
 /// The B-tree index attachment type.
 pub struct BTreeIndex;
 
-/// Instance descriptor.
+const WHO: &str = "btree index";
+
+/// An index instance as its attribute list describes it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IxDesc {
-    pub file: FileId,
-    pub root_page: u32,
+    pub tree: TreeFile,
     pub unique: bool,
     pub fields: Vec<FieldId>,
 }
 
 impl IxDesc {
-    pub fn encode(&self) -> Vec<u8> {
-        let mut v = Vec::with_capacity(11 + self.fields.len() * 2);
-        v.extend_from_slice(&self.file.0.to_le_bytes());
-        v.extend_from_slice(&self.root_page.to_le_bytes());
-        v.push(self.unique as u8);
-        v.extend_from_slice(&(self.fields.len() as u16).to_le_bytes());
-        for f in &self.fields {
-            v.extend_from_slice(&f.to_le_bytes());
-        }
-        v
+    /// The B-tree a stored index list names.
+    pub fn decode(desc: &[u8]) -> Result<TreeFile> {
+        let [tree] = TreeFile::assigned(&AttrList::decode(desc)?)?;
+        Ok(tree)
     }
 
-    pub fn decode(b: &[u8]) -> Result<IxDesc> {
-        const WHAT: &str = "index descriptor";
-        let corrupt = || DmxError::Corrupt(format!("short {WHAT}"));
-        let file = FileId(read_u32(b, 0, WHAT)?);
-        let root_page = read_u32(b, 4, WHAT)?;
-        let unique = *b.get(8).ok_or_else(corrupt)? != 0;
-        let n = read_u16(b, 9, WHAT)? as usize;
-        let mut fields = Vec::with_capacity(n);
-        for i in 0..n {
-            fields.push(read_u16(b, 11 + 2 * i, WHAT)?);
-        }
+    /// The one parser: `fields` and `unique` as the DDL gave them, and the
+    /// tree once assigned.
+    fn from_attrs(rd: &RelationDescriptor, attrs: &AttrList) -> Result<IxDesc> {
+        attrs
+            .without(&ASSIGNED_KEYS)
+            .check_allowed(&["fields", "unique"], WHO)?;
+        let [tree] = TreeFile::assigned(attrs)?;
         Ok(IxDesc {
-            file,
-            root_page,
-            unique,
-            fields,
+            tree,
+            unique: attrs.get_bool("unique", false)?,
+            fields: parse_fields(attrs, "fields", WHO, &rd.schema)?,
         })
     }
 
-    pub fn tree_file(&self) -> TreeFile {
-        TreeFile {
-            file: self.file,
-            root_page: self.root_page,
-        }
+    fn of(rd: &RelationDescriptor, inst: &AttachmentInstance) -> Result<Arc<IxDesc>> {
+        inst.parsed(|attrs| Self::from_attrs(rd, attrs))
     }
 }
 
@@ -105,22 +92,9 @@ impl Attachment for BTreeIndex {
         rd: &RelationDescriptor,
         _name: &str,
         params: &AttrList,
-    ) -> Result<Vec<u8>> {
-        params.check_allowed(&["fields", "unique"], "btree index")?;
-        let fields = parse_fields(params, "fields", "btree index", &rd.schema)?;
-        let unique = params.get_bool("unique", false)?;
-        let TreeFile { file, root_page } = TreeFile::create(ctx.services())?;
-        Ok(IxDesc {
-            file,
-            root_page,
-            unique,
-            fields,
-        }
-        .encode())
-    }
-
-    fn destroy_instance(&self, services: &Arc<CommonServices>, inst_desc: &[u8]) -> Result<()> {
-        IxDesc::decode(inst_desc)?.tree_file().destroy(services)
+    ) -> Result<AttrList> {
+        IxDesc::from_attrs(rd, params)?;
+        TreeFile::assign(&[TreeFile::create(ctx.services())?], params)
     }
 
     fn on_modify(
@@ -131,14 +105,13 @@ impl Attachment for BTreeIndex {
         m: &Modification<'_>,
     ) -> Result<()> {
         for inst in instances {
-            let d = IxDesc::decode(&inst.desc)?;
+            let d = IxDesc::of(rd, inst)?;
             let old = m.old().map(|side| Self::entry(&d, side)).transpose()?;
             let new = m.new().map(|side| Self::entry(&d, side)).transpose()?;
             if old == new {
                 continue; // no indexed field modified
             }
-            let index =
-                LoggedTree::attachment(ctx, rd, inst, d.tree_file().open_tree(ctx.services()));
+            let index = LoggedTree::attachment(ctx, rd, inst, d.tree.open_tree(ctx.services()));
             if let Some((_, full, rkey)) = old {
                 // The entry belongs to the record whose X lock the
                 // dispatcher holds, so its presence is stable before the
@@ -167,25 +140,6 @@ impl Attachment for BTreeIndex {
         Ok(())
     }
 
-    fn storage_files(&self, inst_desc: &[u8]) -> Vec<FileId> {
-        IxDesc::decode(inst_desc)
-            .map(|d| vec![d.file])
-            .unwrap_or_default()
-    }
-
-    fn reconstruct_params(&self, rd: &RelationDescriptor, inst_desc: &[u8]) -> Result<AttrList> {
-        let d = IxDesc::decode(inst_desc)?;
-        let names: Vec<&str> = d
-            .fields
-            .iter()
-            .map(|&f| rd.schema.column(f).map(|c| c.name.as_str()))
-            .collect::<Result<_>>()?;
-        AttrList::from_pairs([
-            ("fields".to_string(), names.join(",")),
-            ("unique".to_string(), d.unique.to_string()),
-        ])
-    }
-
     fn open_scan(
         &self,
         ctx: &ExecCtx<'_>,
@@ -193,12 +147,14 @@ impl Attachment for BTreeIndex {
         instance: &AttachmentInstance,
         query: &AccessQuery,
     ) -> Result<Box<dyn ScanOps>> {
-        let d = IxDesc::decode(&instance.desc)?;
-        let tree = d.tree_file().open_tree(ctx.services());
+        let d = IxDesc::of(rd, instance)?;
+        let tree = d.tree.open_tree(ctx.services());
         TreeScan::open(
             &tree,
             Some((rd.id, RecordKeyIn::Value)),
-            IndexEntries { fields: d.fields },
+            IndexEntries {
+                fields: d.fields.clone(),
+            },
             query.clone(),
             None,
         )
@@ -210,7 +166,7 @@ impl Attachment for BTreeIndex {
         instance: &AttachmentInstance,
         preds: &[Expr],
     ) -> Option<PathChoice> {
-        let d = IxDesc::decode(&instance.desc).ok()?;
+        let d = IxDesc::of(rd, instance).ok()?;
         let records = rd.stats.records();
         // One key's share of the entries when no statistics say.
         let one_key = (1.0 / records.max(1) as f64).max(if d.unique { 0.0 } else { 0.01 });

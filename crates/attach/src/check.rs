@@ -12,17 +12,16 @@ use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use dmx_core::{
-    Attachment, AttachmentInstance, CommonServices, ExecCtx, Modification, RelationDescriptor,
-};
-use dmx_expr::{decode_expr, encode_expr, expr_from_hex, Expr};
+use dmx_core::{Attachment, AttachmentInstance, ExecCtx, Modification, RelationDescriptor};
+use dmx_expr::{expr_from_hex, Expr};
 use dmx_txn::TxnEvent;
 use dmx_types::{AttrList, DmxError, RecordKey, Result, Schema};
 
 /// The CHECK-constraint attachment type.
 pub struct CheckConstraint;
 
-/// Instance descriptor: mode byte + encoded predicate.
+/// A constraint instance as its attribute list describes it: the
+/// predicate decoded once, not once a row.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CheckDesc {
     pub deferred: bool,
@@ -30,19 +29,17 @@ pub struct CheckDesc {
 }
 
 impl CheckDesc {
-    pub fn encode(&self) -> Vec<u8> {
-        let mut v = vec![self.deferred as u8];
-        v.extend_from_slice(&encode_expr(&self.expr));
-        v
-    }
-
-    pub fn decode(b: &[u8]) -> Result<CheckDesc> {
-        let (&mode, rest) = b
-            .split_first()
-            .ok_or_else(|| DmxError::Corrupt("empty check descriptor".into()))?;
+    /// The one parser: `expr_hex`, whose columns must exist, and
+    /// `deferred`.
+    fn from_attrs(schema: &Schema, attrs: &AttrList) -> Result<CheckDesc> {
+        attrs.check_allowed(&["expr_hex", "deferred"], "check constraint")?;
+        let expr = expr_from_hex(attrs.require("expr_hex", "check constraint")?)?;
+        for c in dmx_expr::columns(&expr) {
+            schema.column(c)?;
+        }
         Ok(CheckDesc {
-            deferred: mode != 0,
-            expr: decode_expr(rest)?,
+            deferred: attrs.get_bool("deferred", false)?,
+            expr,
         })
     }
 }
@@ -57,32 +54,19 @@ pub fn check_params(expr: &Expr, deferred: bool) -> Result<AttrList> {
 }
 
 impl CheckConstraint {
-    fn parse(params: &AttrList, schema: &Schema) -> Result<CheckDesc> {
-        params.check_allowed(&["expr_hex", "deferred"], "check constraint")?;
-        let expr = expr_from_hex(params.require("expr_hex", "check constraint")?)?;
-        // columns must exist
-        for c in dmx_expr::columns(&expr) {
-            schema.column(c)?;
-        }
-        Ok(CheckDesc {
-            deferred: params.get_bool("deferred", false)?,
-            expr,
-        })
-    }
-
     /// Queues a deferred re-check of `(relation, key)` at before-prepare.
     fn defer_check(
         &self,
         ctx: &ExecCtx<'_>,
         rd: &RelationDescriptor,
         inst: &AttachmentInstance,
+        d: Arc<CheckDesc>,
         key: &RecordKey,
     ) {
         let db = ctx.db.clone();
         let txn = Arc::downgrade(ctx.txn);
         let rel = rd.id;
         let key = key.clone();
-        let desc = inst.desc.clone();
         let name = inst.name.clone();
         // once per (instance, record) per transaction
         let mut h = DefaultHasher::new();
@@ -94,7 +78,6 @@ impl CheckConstraint {
                 let Some(txn) = txn.upgrade() else {
                     return Ok(());
                 };
-                let d = CheckDesc::decode(&desc)?;
                 // the record may have been deleted since: then there is
                 // nothing to check
                 let Some(values) = db.fetch(&txn, rel, &key, None, None)? else {
@@ -126,12 +109,9 @@ impl Attachment for CheckConstraint {
         rd: &RelationDescriptor,
         _name: &str,
         params: &AttrList,
-    ) -> Result<Vec<u8>> {
-        Ok(Self::parse(params, &rd.schema)?.encode())
-    }
-
-    fn destroy_instance(&self, _services: &Arc<CommonServices>, _inst_desc: &[u8]) -> Result<()> {
-        Ok(()) // constraints have no associated storage
+    ) -> Result<AttrList> {
+        CheckDesc::from_attrs(&rd.schema, params)?;
+        Ok(params.clone())
     }
 
     fn on_modify(
@@ -147,9 +127,9 @@ impl Attachment for CheckConstraint {
             return Ok(());
         };
         for inst in instances {
-            let d = CheckDesc::decode(&inst.desc)?;
+            let d = inst.parsed(|attrs| CheckDesc::from_attrs(&rd.schema, attrs))?;
             if d.deferred {
-                self.defer_check(ctx, rd, inst, key);
+                self.defer_check(ctx, rd, inst, d, key);
             } else if !ctx.eval_predicate(&d.expr, &new.values)? {
                 return Err(DmxError::veto(
                     self.name(),

@@ -2,35 +2,12 @@
 
 use dmx_types::{AttrList, DmxError, FieldId, Record, Result, Schema, Value};
 
-/// Reads a little-endian `u16` at `off`, or a `Corrupt("short {what}")`
+/// Reads a little-endian `u64` at `off`, or a `Corrupt("short {what}")`
 /// error when the buffer is too small.
-pub fn read_u16(b: &[u8], off: usize, what: &str) -> Result<u16> {
-    b.get(off..off + 2)
-        .and_then(|s| s.try_into().ok())
-        .map(u16::from_le_bytes)
-        .ok_or_else(|| DmxError::Corrupt(format!("short {what}")))
-}
-
-/// Reads a little-endian `u32` at `off`; see [`read_u16`].
-pub fn read_u32(b: &[u8], off: usize, what: &str) -> Result<u32> {
-    b.get(off..off + 4)
-        .and_then(|s| s.try_into().ok())
-        .map(u32::from_le_bytes)
-        .ok_or_else(|| DmxError::Corrupt(format!("short {what}")))
-}
-
-/// Reads a little-endian `u64` at `off`; see [`read_u16`].
 pub fn read_u64(b: &[u8], off: usize, what: &str) -> Result<u64> {
     b.get(off..off + 8)
         .and_then(|s| s.try_into().ok())
         .map(u64::from_le_bytes)
-        .ok_or_else(|| DmxError::Corrupt(format!("short {what}")))
-}
-
-/// `b[off..]`, or a `Corrupt("short {what}")` error when `off` is past
-/// the end of the buffer.
-pub fn tail<'a>(b: &'a [u8], off: usize, what: &str) -> Result<&'a [u8]> {
-    b.get(off..)
         .ok_or_else(|| DmxError::Corrupt(format!("short {what}")))
 }
 

@@ -13,62 +13,46 @@ use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use dmx_core::{
-    project_values, AccessPath, AccessQuery, Attachment, AttachmentInstance, CommonServices, Cost,
-    EntryDecoder, Evaluator, ExecCtx, KeyMatch, KeyRange, LoggedTree, Modification, PathChoice,
-    RelationDescriptor, ScanItem, ScanOps, TreeFile, TreeScan,
+    project_values, AccessPath, AccessQuery, Attachment, AttachmentInstance, Cost, EntryDecoder,
+    Evaluator, ExecCtx, KeyMatch, KeyRange, LoggedTree, Modification, PathChoice,
+    RelationDescriptor, ScanItem, ScanOps, TreeFile, TreeScan, ASSIGNED_KEYS,
 };
 use dmx_expr::Expr;
 use dmx_types::{
     key::{decode_values, encode_values},
-    AttrList, DmxError, FieldId, FileId, Record, RecordKey, Result, Value,
+    AttrList, DmxError, FieldId, Record, RecordKey, Result, Value,
 };
 
-use crate::common::{field_values, parse_fields, read_u16, read_u32, tail};
+use crate::common::{field_values, parse_fields};
 
 /// The hash-index attachment type.
 pub struct HashIndex;
 
-/// Instance descriptor: file + root + field list.
+const WHO: &str = "hash index";
+
+/// A hash-index instance as its attribute list describes it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HashDesc {
-    pub file: FileId,
-    pub root_page: u32,
+    pub tree: TreeFile,
     pub fields: Vec<FieldId>,
 }
 
 impl HashDesc {
-    pub fn encode(&self) -> Vec<u8> {
-        let mut v = Vec::with_capacity(10 + self.fields.len() * 2);
-        v.extend_from_slice(&self.file.0.to_le_bytes());
-        v.extend_from_slice(&self.root_page.to_le_bytes());
-        v.extend_from_slice(&(self.fields.len() as u16).to_le_bytes());
-        for f in &self.fields {
-            v.extend_from_slice(&f.to_le_bytes());
-        }
-        v
-    }
-
-    pub fn decode(b: &[u8]) -> Result<HashDesc> {
-        const WHAT: &str = "hash descriptor";
-        let file = FileId(read_u32(b, 0, WHAT)?);
-        let root_page = read_u32(b, 4, WHAT)?;
-        let n = read_u16(b, 8, WHAT)? as usize;
-        let mut fields = Vec::with_capacity(n);
-        for i in 0..n {
-            fields.push(read_u16(b, 10 + 2 * i, WHAT)?);
-        }
+    /// The one parser: `fields` as the DDL gave them, and the tree once
+    /// assigned.
+    fn from_attrs(rd: &RelationDescriptor, attrs: &AttrList) -> Result<HashDesc> {
+        attrs
+            .without(&ASSIGNED_KEYS)
+            .check_allowed(&["fields"], WHO)?;
+        let [tree] = TreeFile::assigned(attrs)?;
         Ok(HashDesc {
-            file,
-            root_page,
-            fields,
+            tree,
+            fields: parse_fields(attrs, "fields", WHO, &rd.schema)?,
         })
     }
 
-    pub fn tree_file(&self) -> TreeFile {
-        TreeFile {
-            file: self.file,
-            root_page: self.root_page,
-        }
+    fn of(rd: &RelationDescriptor, inst: &AttachmentInstance) -> Result<Arc<HashDesc>> {
+        inst.parsed(|attrs| Self::from_attrs(rd, attrs))
     }
 }
 
@@ -111,20 +95,9 @@ impl Attachment for HashIndex {
         rd: &RelationDescriptor,
         _name: &str,
         params: &AttrList,
-    ) -> Result<Vec<u8>> {
-        params.check_allowed(&["fields"], "hash index")?;
-        let fields = parse_fields(params, "fields", "hash index", &rd.schema)?;
-        let TreeFile { file, root_page } = TreeFile::create(ctx.services())?;
-        Ok(HashDesc {
-            file,
-            root_page,
-            fields,
-        }
-        .encode())
-    }
-
-    fn destroy_instance(&self, services: &Arc<CommonServices>, inst_desc: &[u8]) -> Result<()> {
-        HashDesc::decode(inst_desc)?.tree_file().destroy(services)
+    ) -> Result<AttrList> {
+        HashDesc::from_attrs(rd, params)?;
+        TreeFile::assign(&[TreeFile::create(ctx.services())?], params)
     }
 
     fn on_modify(
@@ -135,14 +108,13 @@ impl Attachment for HashIndex {
         m: &Modification<'_>,
     ) -> Result<()> {
         for inst in instances {
-            let d = HashDesc::decode(&inst.desc)?;
+            let d = HashDesc::of(rd, inst)?;
             let old = m.old().map(|side| Self::entry(&d, side)).transpose()?;
             let new = m.new().map(|side| Self::entry(&d, side)).transpose()?;
             if old == new {
                 continue;
             }
-            let index =
-                LoggedTree::attachment(ctx, rd, inst, d.tree_file().open_tree(ctx.services()));
+            let index = LoggedTree::attachment(ctx, rd, inst, d.tree.open_tree(ctx.services()));
             if let Some((full, _)) = old {
                 // Taking out an absent entry logs nothing.
                 index.apply(&full, index.tree().get(&full)?.as_deref(), None)?;
@@ -154,32 +126,18 @@ impl Attachment for HashIndex {
         Ok(())
     }
 
-    fn storage_files(&self, inst_desc: &[u8]) -> Vec<FileId> {
-        HashDesc::decode(inst_desc)
-            .map(|d| vec![d.file])
-            .unwrap_or_default()
-    }
-
-    fn reconstruct_params(&self, rd: &RelationDescriptor, inst_desc: &[u8]) -> Result<AttrList> {
-        let d = HashDesc::decode(inst_desc)?;
-        let names: Vec<&str> = d
-            .fields
-            .iter()
-            .map(|&f| rd.schema.column(f).map(|c| c.name.as_str()))
-            .collect::<Result<_>>()?;
-        AttrList::from_pairs([("fields".to_string(), names.join(","))])
-    }
-
     fn open_scan(
         &self,
         ctx: &ExecCtx<'_>,
-        _rd: &RelationDescriptor,
+        rd: &RelationDescriptor,
         instance: &AttachmentInstance,
         query: &AccessQuery,
     ) -> Result<Box<dyn ScanOps>> {
-        let d = HashDesc::decode(&instance.desc)?;
-        let tree = d.tree_file().open_tree(ctx.services());
-        let buckets = BucketEntries { fields: d.fields };
+        let d = HashDesc::of(rd, instance)?;
+        let tree = d.tree.open_tree(ctx.services());
+        let buckets = BucketEntries {
+            fields: d.fields.clone(),
+        };
         TreeScan::open(&tree, None, buckets, query.clone(), None)
     }
 
@@ -189,7 +147,7 @@ impl Attachment for HashIndex {
         instance: &AttachmentInstance,
         preds: &[Expr],
     ) -> Option<PathChoice> {
-        let d = HashDesc::decode(&instance.desc).ok()?;
+        let d = HashDesc::of(rd, instance).ok()?;
         // relevant only when EVERY hashed field equals a constant, or the
         // single one a value bound at open (a join's outer row); the flat
         // 1% guess where statistics do not cover them all
@@ -234,7 +192,10 @@ impl EntryDecoder for BucketEntries {
     }
 
     fn item(&self, _eval: &Evaluator<'_>, key: &[u8], rkey: &[u8]) -> Result<Option<ScanItem>> {
-        let covered = decode_values(tail(key, 8, "hash index key")?, self.fields.len())?;
+        let values = key
+            .get(8..)
+            .ok_or_else(|| DmxError::Corrupt("short hash index key".into()))?;
+        let covered = decode_values(values, self.fields.len())?;
         Ok(Some(ScanItem {
             key: RecordKey::new(rkey.to_vec()),
             values: Some(covered),

@@ -21,14 +21,15 @@ use std::sync::Arc;
 use dmx_core::{
     tolerate_missing, AccessQuery, Attachment, AttachmentInstance, CommonServices, EntryDecoder,
     Evaluator, ExecCtx, KeyRange, LoggedTree, Modification, RelationDescriptor, ScanItem, ScanOps,
-    TreeCursor, TreeFile, TreeScan,
+    TreeCursor, TreeFile, TreeScan, ASSIGNED_KEYS,
 };
 use dmx_expr::Expr;
 use dmx_types::{
-    key::encode_values, AttrList, DmxError, FieldId, FileId, Record, RecordKey, Result, Value,
+    bytes::le_u16, key::encode_values, AttrList, DmxError, FieldId, Record, RecordKey, Result,
+    Value,
 };
 
-use crate::common::{field_values, parse_fields, read_u16, read_u32, tail};
+use crate::common::{field_values, parse_fields};
 
 /// The join-index attachment type.
 pub struct JoinIndex;
@@ -37,14 +38,10 @@ const TREE_PAIRS: u8 = 0;
 const TREE_LEFT: u8 = 1;
 const TREE_RIGHT: u8 = 2;
 
-/// Array filler until the three trees are created or decoded.
-const NO_TREE: TreeFile = TreeFile {
-    file: FileId(0),
-    root_page: 0,
-};
+const WHO: &str = "join index";
 
-/// Instance descriptor (mirrored on both relations, differing only in
-/// `is_left` and `fields`).
+/// One side of a join index as its attribute list describes it (the
+/// sides name the same trees and differ in `side` and `fields`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct JiDesc {
     pub is_left: bool,
@@ -54,43 +51,28 @@ pub struct JiDesc {
 }
 
 impl JiDesc {
-    pub fn encode(&self) -> Vec<u8> {
-        let mut v = vec![self.is_left as u8];
-        v.extend_from_slice(&(self.fields.len() as u16).to_le_bytes());
-        for f in &self.fields {
-            v.extend_from_slice(&f.to_le_bytes());
-        }
-        for t in &self.trees {
-            v.extend_from_slice(&t.file.0.to_le_bytes());
-            v.extend_from_slice(&t.root_page.to_le_bytes());
-        }
-        v
-    }
-
-    pub fn decode(b: &[u8]) -> Result<JiDesc> {
-        const WHAT: &str = "join-index descriptor";
-        let corrupt = || DmxError::Corrupt(format!("short {WHAT}"));
-        let is_left = *b.first().ok_or_else(corrupt)? != 0;
-        let n = read_u16(b, 1, WHAT)? as usize;
-        let mut pos = 3usize;
-        let mut fields = Vec::with_capacity(n);
-        for _ in 0..n {
-            fields.push(read_u16(b, pos, WHAT)?);
-            pos += 2;
-        }
-        let mut trees = [NO_TREE; 3];
-        for t in &mut trees {
-            *t = TreeFile {
-                file: FileId(read_u32(b, pos, WHAT)?),
-                root_page: read_u32(b, pos + 4, WHAT)?,
-            };
-            pos += 8;
-        }
+    /// The one parser: `side`, `fields` and the right side's `other` as
+    /// the DDL gave them, and the three trees once assigned.
+    fn from_attrs(rd: &RelationDescriptor, attrs: &AttrList) -> Result<JiDesc> {
+        attrs
+            .without(&ASSIGNED_KEYS)
+            .check_allowed(&["side", "fields", "other"], WHO)?;
         Ok(JiDesc {
-            is_left,
-            fields,
-            trees,
+            is_left: is_left(attrs)?,
+            fields: parse_fields(attrs, "fields", WHO, &rd.schema)?,
+            trees: TreeFile::assigned(attrs)?,
         })
+    }
+}
+
+/// Whether a list describes the left side, which creates the trees.
+fn is_left(attrs: &AttrList) -> Result<bool> {
+    match attrs.require("side", WHO)?.to_ascii_lowercase().as_str() {
+        "left" => Ok(true),
+        "right" => Ok(false),
+        _ => Err(DmxError::InvalidArg(
+            "join index side must be left|right".into(),
+        )),
     }
 }
 
@@ -103,11 +85,10 @@ fn encode_pair_value(lkey: &[u8], rkey: &[u8]) -> Vec<u8> {
 }
 
 fn decode_pair_value(v: &[u8]) -> Result<(&[u8], &[u8])> {
-    let n = read_u16(v, 0, "pair value")? as usize;
-    let lkey = v
-        .get(2..2 + n)
-        .ok_or_else(|| DmxError::Corrupt("short pair value".into()))?;
-    Ok((lkey, tail(v, 2 + n, "pair value")?))
+    let corrupt = || DmxError::Corrupt("short pair value".into());
+    let n = le_u16(v, 0).ok_or_else(corrupt)? as usize;
+    let lkey = v.get(2..2 + n).ok_or_else(corrupt)?;
+    Ok((lkey, v.get(2 + n..).ok_or_else(corrupt)?))
 }
 
 /// One side's instance during a modification: the three shared trees as
@@ -160,6 +141,12 @@ impl<'a> Link<'a> {
 }
 
 impl JoinIndex {
+    /// One side's descriptor, parsed once per catalog version: what the
+    /// planner reads to find a join index for a join.
+    pub fn desc(rd: &RelationDescriptor, inst: &AttachmentInstance) -> Result<Arc<JiDesc>> {
+        inst.parsed(|attrs| JiDesc::from_attrs(rd, attrs))
+    }
+
     /// A record's entry on its side: the encoded join value and the
     /// record key registered under it; `None` when a join field is NULL.
     fn entry<'a>(
@@ -178,58 +165,50 @@ impl Attachment for JoinIndex {
         "joinindex"
     }
 
+    /// The left side creates the three trees; the right side adopts the
+    /// left instance's (found by attachment name on the other relation).
     fn create_instance(
         &self,
         ctx: &ExecCtx<'_>,
         rd: &RelationDescriptor,
         name: &str,
         params: &AttrList,
-    ) -> Result<Vec<u8>> {
-        params.check_allowed(&["side", "fields", "other"], "join index")?;
-        let side = params.require("side", "join index")?;
-        let is_left = side.eq_ignore_ascii_case("left");
-        if !is_left && !side.eq_ignore_ascii_case("right") {
-            return Err(DmxError::InvalidArg(
-                "join index side must be left|right".into(),
-            ));
-        }
-        let fields = parse_fields(params, "fields", "join index", &rd.schema)?;
-        let trees = if is_left {
-            // the left side creates the shared structures
-            let mut trees = [NO_TREE; 3];
+    ) -> Result<AttrList> {
+        let d = JiDesc::from_attrs(rd, params)?;
+        let trees = if d.is_left {
+            let mut trees = [TreeFile::UNASSIGNED; 3];
             for t in &mut trees {
                 *t = TreeFile::create(ctx.services())?;
             }
             trees
         } else {
-            // the right side adopts the trees from the left instance
-            // (looked up by attachment name on the other relation)
-            let other = params.require("other", "join index")?;
+            let other = params.require("other", WHO)?;
             let other_rd = ctx.db.catalog().get_by_name(other)?;
-            let (_, left_inst) = other_rd.find_attachment(name).ok_or_else(|| {
+            let left = other_rd.find_attachment(name).filter(|(att, _)| {
+                ctx.db
+                    .registry()
+                    .attachment(*att)
+                    .is_ok_and(|att| att.name() == self.name())
+            });
+            let (_, left) = left.ok_or_else(|| {
                 DmxError::NotFound(format!(
                     "join index '{name}' not found on relation {other} (create the left side first, with the same name)"
                 ))
             })?;
-            JiDesc::decode(&left_inst.desc)?.trees
+            Self::desc(&other_rd, left)?.trees
         };
-        Ok(JiDesc {
-            is_left,
-            fields,
-            trees,
-        }
-        .encode())
+        TreeFile::assign(&trees, params)
     }
 
+    /// Only the left side, which created the shared trees, destroys them.
     fn destroy_instance(&self, services: &Arc<CommonServices>, inst_desc: &[u8]) -> Result<()> {
-        let d = JiDesc::decode(inst_desc)?;
-        // only the left (creator) side owns the physical trees
-        if d.is_left {
-            for t in d.trees {
-                tolerate_missing(t.destroy(services))?;
-            }
+        let attrs = AttrList::decode(inst_desc)?;
+        if !is_left(&attrs)? {
+            return Ok(());
         }
-        Ok(())
+        TreeFile::named_in(&attrs)?
+            .into_iter()
+            .try_for_each(|t| tolerate_missing(t.destroy(services)))
     }
 
     fn on_modify(
@@ -240,7 +219,7 @@ impl Attachment for JoinIndex {
         m: &Modification<'_>,
     ) -> Result<()> {
         for inst in instances {
-            let d = JiDesc::decode(&inst.desc)?;
+            let d = Self::desc(rd, inst)?;
             let old = m.old().map(|side| Self::entry(&d, side)).transpose()?;
             let new = m.new().map(|side| Self::entry(&d, side)).transpose()?;
             if old == new {
@@ -281,15 +260,6 @@ impl Attachment for JoinIndex {
         Ok(())
     }
 
-    /// Both sides report the three shared trees. No `reconstruct_params`:
-    /// one instance cannot restate the two-relation DDL that links it to
-    /// its other side.
-    fn storage_files(&self, inst_desc: &[u8]) -> Vec<FileId> {
-        JiDesc::decode(inst_desc)
-            .map(|d| d.trees.iter().map(|t| t.file).collect())
-            .unwrap_or_default()
-    }
-
     /// Scans the materialized pairs: each item carries the **left**
     /// record key as `key` and `[Bytes(right record key)]` as values —
     /// the query layer's join-index join strategy consumes this shape,
@@ -297,11 +267,11 @@ impl Attachment for JoinIndex {
     fn open_scan(
         &self,
         ctx: &ExecCtx<'_>,
-        _rd: &RelationDescriptor,
+        rd: &RelationDescriptor,
         instance: &AttachmentInstance,
         query: &AccessQuery,
     ) -> Result<Box<dyn ScanOps>> {
-        let d = JiDesc::decode(&instance.desc)?;
+        let d = Self::desc(rd, instance)?;
         let tree = d.trees[TREE_PAIRS as usize].open_tree(ctx.services());
         let pairs = PairEntries { is_left: d.is_left };
         TreeScan::open(&tree, None, pairs, query.clone(), None)

@@ -18,15 +18,11 @@
 //! constraint holds no state and logs nothing: cascaded deletes go
 //! through the dispatcher and carry their own undo records.
 
-use std::sync::Arc;
-
 use dmx_core::{
-    AccessPath, AccessQuery, Attachment, AttachmentInstance, CommonServices, ExecCtx, Modification,
-    RelationDescriptor,
+    AccessPath, AccessQuery, Attachment, AttachmentInstance, ExecCtx, Modification,
+    RelationDescriptor, ScanOps, ASSIGNED_KEYS,
 };
 use dmx_expr::{CmpOp, Expr};
-
-use crate::common::{read_u16, read_u32};
 use dmx_types::{
     AttrList, DmxError, FieldId, Record, RecordKey, RelationId, Result, Schema, Value,
 };
@@ -41,98 +37,33 @@ pub enum DeleteRule {
     Cascade,
 }
 
-/// Instance descriptor.
+const WHO: &str = "referential integrity";
+
+/// A constraint instance as its attribute list describes it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RefDesc {
     /// True on the child (referencing) side.
     pub is_child: bool,
     /// Fields of *this* relation participating in the constraint.
     pub fields: Vec<FieldId>,
-    /// The other relation.
+    /// The other relation: the id CREATE resolved its name to.
     pub other: RelationId,
-    /// Matching fields of the other relation.
-    pub other_fields: Vec<FieldId>,
+    /// Names of the matching fields of the other relation.
+    pub other_fields: Vec<String>,
     /// Parent-side delete rule.
     pub rule: DeleteRule,
 }
 
 impl RefDesc {
-    pub fn encode(&self) -> Vec<u8> {
-        let mut v = vec![
-            self.is_child as u8,
-            (self.rule == DeleteRule::Cascade) as u8,
-        ];
-        v.extend_from_slice(&self.other.0.to_le_bytes());
-        for list in [&self.fields, &self.other_fields] {
-            v.extend_from_slice(&(list.len() as u16).to_le_bytes());
-            for f in list {
-                v.extend_from_slice(&f.to_le_bytes());
-            }
-        }
-        v
-    }
-
-    pub fn decode(b: &[u8]) -> Result<RefDesc> {
-        const WHAT: &str = "refint descriptor";
-        let corrupt = || DmxError::Corrupt(format!("short {WHAT}"));
-        let is_child = *b.first().ok_or_else(corrupt)? != 0;
-        let cascade = *b.get(1).ok_or_else(corrupt)? != 0;
-        let other = RelationId(read_u32(b, 2, WHAT)?);
-        let mut pos = 6usize;
-        let mut read_list = || -> Result<Vec<FieldId>> {
-            let n = read_u16(b, pos, WHAT)? as usize;
-            pos += 2;
-            let mut fields = Vec::with_capacity(n);
-            for _ in 0..n {
-                fields.push(read_u16(b, pos, WHAT)?);
-                pos += 2;
-            }
-            Ok(fields)
-        };
-        let fields = read_list()?;
-        let other_fields = read_list()?;
-        Ok(RefDesc {
-            is_child,
-            fields,
-            other,
-            other_fields,
-            rule: if cascade {
-                DeleteRule::Cascade
-            } else {
-                DeleteRule::Restrict
-            },
-        })
-    }
-}
-
-/// Builds an equality predicate `∧ other_fields[i] = values[i]`.
-fn match_pred(other_fields: &[FieldId], values: &[Value]) -> Expr {
-    Expr::And(
-        other_fields
-            .iter()
-            .zip(values)
-            .map(|(&f, v)| {
-                Expr::Cmp(
-                    CmpOp::Eq,
-                    Box::new(Expr::Column(f)),
-                    Box::new(Expr::Const(v.clone())),
-                )
-            })
-            .collect(),
-    )
-}
-
-impl RefIntegrity {
-    fn parse(
-        params: &AttrList,
-        schema: &Schema,
-    ) -> Result<(bool, Vec<FieldId>, DeleteRule, String, String)> {
-        params.check_allowed(
+    /// The one parser: `role`, `fields`, `other`, `other_fields` and
+    /// `on_delete` as the DDL gave them, and the other relation's id once
+    /// assigned (`relation`).
+    fn from_attrs(schema: &Schema, attrs: &AttrList) -> Result<RefDesc> {
+        attrs.without(&ASSIGNED_KEYS).check_allowed(
             &["role", "fields", "other", "other_fields", "on_delete"],
-            "referential integrity",
+            WHO,
         )?;
-        let role = params.require("role", "referential integrity")?;
-        let is_child = match role.to_ascii_lowercase().as_str() {
+        let is_child = match attrs.require("role", WHO)?.to_ascii_lowercase().as_str() {
             "child" => true,
             "parent" => false,
             other => {
@@ -141,9 +72,7 @@ impl RefIntegrity {
                 )))
             }
         };
-        let fields =
-            crate::common::parse_fields(params, "fields", "referential integrity", schema)?;
-        let rule = match params
+        let rule = match attrs
             .get("on_delete")
             .unwrap_or("restrict")
             .to_ascii_lowercase()
@@ -157,53 +86,57 @@ impl RefIntegrity {
                 )))
             }
         };
-        let other = params
-            .require("other", "referential integrity")?
-            .to_string();
-        let other_fields = params
-            .require("other_fields", "referential integrity")?
-            .to_string();
-        Ok((is_child, fields, rule, other, other_fields))
-    }
-
-    /// True when the other relation has at least one record matching the
-    /// given values on `other_fields`.
-    fn other_has_match(ctx: &ExecCtx<'_>, d: &RefDesc, values: &[Value]) -> Result<bool> {
-        let other_rd = ctx.db.catalog().get(d.other)?;
-        let pred = match_pred(&d.other_fields, values);
-        let inner = ctx.db.open_scan_raw(
-            ctx,
-            &other_rd,
-            AccessPath::StorageMethod,
-            AccessQuery::All,
-            Some(pred),
-            Some(vec![]),
-        )?;
-        let mut scan = inner;
-        Ok(scan.next(ctx)?.is_some())
-    }
-
-    /// Collects the record keys of matching records in the other relation.
-    fn matching_other_keys(
-        ctx: &ExecCtx<'_>,
-        d: &RefDesc,
-        values: &[Value],
-    ) -> Result<Vec<RecordKey>> {
-        let other_rd = ctx.db.catalog().get(d.other)?;
-        let pred = match_pred(&d.other_fields, values);
-        let mut scan = ctx.db.open_scan_raw(
-            ctx,
-            &other_rd,
-            AccessPath::StorageMethod,
-            AccessQuery::All,
-            Some(pred),
-            Some(vec![]),
-        )?;
-        let mut keys = Vec::new();
-        while let Some(item) = scan.next(ctx)? {
-            keys.push(item.key);
+        attrs.require("other", WHO)?;
+        let fields = crate::common::parse_fields(attrs, "fields", WHO, schema)?;
+        let other_fields: Vec<String> = attrs
+            .require("other_fields", WHO)?
+            .split(',')
+            .map(str::trim)
+            .filter(|name| !name.is_empty())
+            .map(String::from)
+            .collect();
+        if other_fields.len() != fields.len() {
+            return Err(DmxError::InvalidArg(
+                "refint: fields and other_fields must have equal length".into(),
+            ));
         }
-        Ok(keys)
+        let other = u32::try_from(attrs.get_u64("relation", 0)?)
+            .map_err(|_| DmxError::Corrupt("refint relation id out of range".into()))?;
+        Ok(RefDesc {
+            is_child,
+            fields,
+            other: RelationId(other),
+            other_fields,
+            rule,
+        })
+    }
+
+    /// The other relation's records whose `other_fields` equal `values`,
+    /// scanned for their keys alone.
+    fn matches(&self, ctx: &ExecCtx<'_>, values: &[Value]) -> Result<Box<dyn ScanOps>> {
+        let other_rd = ctx.db.catalog().get(self.other)?;
+        let eq = |(name, v): (&String, &Value)| -> Result<Expr> {
+            let field = Box::new(Expr::Column(other_rd.schema.field_id(name)?));
+            Ok(Expr::Cmp(
+                CmpOp::Eq,
+                field,
+                Box::new(Expr::Const(v.clone())),
+            ))
+        };
+        let pred: Result<Vec<Expr>> = self.other_fields.iter().zip(values).map(eq).collect();
+        ctx.db.open_scan_raw(
+            ctx,
+            &other_rd,
+            AccessPath::StorageMethod,
+            AccessQuery::All,
+            Some(Expr::And(pred?)),
+            Some(vec![]),
+        )
+    }
+
+    /// True when the other relation has a record matching `values`.
+    fn has_match(&self, ctx: &ExecCtx<'_>, values: &[Value]) -> Result<bool> {
+        Ok(self.matches(ctx, values)?.next(ctx)?.is_some())
     }
 }
 
@@ -212,46 +145,32 @@ impl Attachment for RefIntegrity {
         "refint"
     }
 
+    /// Checks `other` and its `other_fields` now, and stores the
+    /// relation's id under the assigned key `relation`.
     fn create_instance(
         &self,
         ctx: &ExecCtx<'_>,
         rd: &RelationDescriptor,
         _name: &str,
         params: &AttrList,
-    ) -> Result<Vec<u8>> {
-        let (is_child, fields, rule, other_name, other_fields_spec) =
-            Self::parse(params, &rd.schema)?;
-        let other_rd = ctx.db.catalog().get_by_name(&other_name)?;
-        let mut other_fields = Vec::new();
-        for name in other_fields_spec.split(',') {
-            let name = name.trim();
-            if !name.is_empty() {
-                other_fields.push(other_rd.schema.field_id(name)?);
-            }
+    ) -> Result<AttrList> {
+        let d = RefDesc::from_attrs(&rd.schema, params)?;
+        let other_rd = ctx
+            .db
+            .catalog()
+            .get_by_name(params.require("other", WHO)?)?;
+        for name in &d.other_fields {
+            other_rd.schema.field_id(name)?;
         }
-        if other_fields.len() != fields.len() {
-            return Err(DmxError::InvalidArg(
-                "refint: fields and other_fields must have equal length".into(),
-            ));
-        }
-        Ok(RefDesc {
-            is_child,
-            fields,
-            other: other_rd.id,
-            other_fields,
-            rule,
-        }
-        .encode())
-    }
-
-    fn destroy_instance(&self, _services: &Arc<CommonServices>, _inst_desc: &[u8]) -> Result<()> {
-        Ok(())
+        let mut attrs = params.clone();
+        attrs.push("relation", other_rd.id.0.to_string())?;
+        Ok(attrs)
     }
 
     fn on_modify(
         &self,
         ctx: &ExecCtx<'_>,
-        _rd: &RelationDescriptor,
+        rd: &RelationDescriptor,
         instances: &[AttachmentInstance],
         m: &Modification<'_>,
     ) -> Result<()> {
@@ -262,7 +181,7 @@ impl Attachment for RefIntegrity {
             ))
         };
         for inst in instances {
-            let d = RefDesc::decode(&inst.desc)?;
+            let d = inst.parsed(|attrs| RefDesc::from_attrs(&rd.schema, attrs))?;
             let side = |(_, r): (&RecordKey, &Record)| crate::common::field_values(r, &d.fields);
             if d.is_child {
                 // The child side judges the record as it is afterwards
@@ -272,8 +191,7 @@ impl Attachment for RefIntegrity {
                     continue;
                 };
                 // SQL rule: NULL foreign keys reference nothing
-                if !values.iter().any(|v| v.is_null()) && !Self::other_has_match(ctx, &d, &values)?
-                {
+                if !values.iter().any(|v| v.is_null()) && !d.has_match(ctx, &values)? {
                     return veto(inst, "no matching parent record");
                 }
                 continue;
@@ -286,7 +204,7 @@ impl Attachment for RefIntegrity {
             if let Some(new_vals) = m.new().map(side).transpose()? {
                 // Changing referenced key fields while children point at
                 // them is restricted.
-                if old_vals != new_vals && Self::other_has_match(ctx, &d, &old_vals)? {
+                if old_vals != new_vals && d.has_match(ctx, &old_vals)? {
                     return veto(inst, "referenced key in use by child records");
                 }
                 continue;
@@ -296,7 +214,7 @@ impl Attachment for RefIntegrity {
             }
             match d.rule {
                 DeleteRule::Restrict => {
-                    if Self::other_has_match(ctx, &d, &old_vals)? {
+                    if d.has_match(ctx, &old_vals)? {
                         return veto(inst, "child records exist");
                     }
                 }
@@ -305,8 +223,13 @@ impl Attachment for RefIntegrity {
                     // database by calling the appropriate storage method or
                     // attachment routines. In this manner, modifications
                     // may cascade in the database."
-                    for child_key in Self::matching_other_keys(ctx, &d, &old_vals)? {
-                        ctx.db.delete(ctx.txn, d.other, &child_key)?;
+                    let mut scan = d.matches(ctx, &old_vals)?;
+                    let mut children = Vec::new();
+                    while let Some(child) = scan.next(ctx)? {
+                        children.push(child.key);
+                    }
+                    for key in children {
+                        ctx.db.delete(ctx.txn, d.other, &key)?;
                     }
                 }
             }

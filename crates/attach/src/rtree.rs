@@ -21,7 +21,7 @@ use dmx_core::logged_tree;
 use dmx_core::{
     AccessPath, AccessQuery, Attachment, AttachmentInstance, CommonServices, Cost, ExecCtx,
     LoggedTarget, LoggedTree, Modification, PathChoice, RelationDescriptor, Replay, ScanItem,
-    ScanOps, SpatialOp, TreeFile,
+    ScanOps, SpatialOp, TreeFile, ASSIGNED_KEYS,
 };
 use dmx_expr::{analyze, Expr, SargOp};
 use dmx_page::{BufferPool, Page, PageWrite, SlottedPage};
@@ -42,49 +42,36 @@ const MIN_FILL_DIV: usize = 4;
 /// The R-tree index attachment type.
 pub struct RTreeIndex;
 
-/// Instance descriptor.
+const WHO: &str = "rtree index";
+
+/// An R-tree instance as its attribute list describes it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RtDesc {
-    pub file: FileId,
-    pub root_page: u32,
+    pub tree: TreeFile,
     pub rect_field: FieldId,
 }
 
 impl RtDesc {
-    pub fn encode(&self) -> Vec<u8> {
-        let mut v = Vec::with_capacity(10);
-        v.extend_from_slice(&self.file.0.to_le_bytes());
-        v.extend_from_slice(&self.root_page.to_le_bytes());
-        v.extend_from_slice(&self.rect_field.to_le_bytes());
-        v
+    /// The one parser: `fields` names exactly one RECT column; the tree
+    /// once assigned.
+    fn from_attrs(rd: &RelationDescriptor, attrs: &AttrList) -> Result<RtDesc> {
+        attrs
+            .without(&ASSIGNED_KEYS)
+            .check_allowed(&["fields"], WHO)?;
+        let rect_field = match parse_fields(attrs, "fields", WHO, &rd.schema)?[..] {
+            [f] if rd.schema.column(f)?.data_type == DataType::Rect => f,
+            _ => {
+                return Err(DmxError::InvalidArg(
+                    "rtree index takes one RECT field".into(),
+                ))
+            }
+        };
+        let [tree] = TreeFile::assigned(attrs)?;
+        Ok(RtDesc { tree, rect_field })
     }
 
-    pub fn decode(b: &[u8]) -> Result<RtDesc> {
-        let corrupt = || DmxError::Corrupt("short rtree descriptor".into());
-        let u32_at = |off: usize| -> Result<u32> {
-            b.get(off..off + 4)
-                .and_then(|s| s.try_into().ok())
-                .map(u32::from_le_bytes)
-                .ok_or_else(corrupt)
-        };
-        let u16_at = |off: usize| -> Result<u16> {
-            b.get(off..off + 2)
-                .and_then(|s| s.try_into().ok())
-                .map(u16::from_le_bytes)
-                .ok_or_else(corrupt)
-        };
-        Ok(RtDesc {
-            file: FileId(u32_at(0)?),
-            root_page: u32_at(4)?,
-            rect_field: u16_at(8)?,
-        })
-    }
-
-    pub fn tree_file(&self) -> TreeFile {
-        TreeFile {
-            file: self.file,
-            root_page: self.root_page,
-        }
+    fn of(rd: &RelationDescriptor, inst: &AttachmentInstance) -> Result<Arc<RtDesc>> {
+        inst.parsed(|attrs| Self::from_attrs(rd, attrs))
     }
 }
 
@@ -606,36 +593,19 @@ impl Attachment for RTreeIndex {
         "rtree"
     }
 
-    /// `fields` names exactly one RECT column.
     fn create_instance(
         &self,
         ctx: &ExecCtx<'_>,
         rd: &RelationDescriptor,
         _name: &str,
         params: &AttrList,
-    ) -> Result<Vec<u8>> {
-        params.check_allowed(&["fields"], "rtree index")?;
-        let rect_field = match parse_fields(params, "fields", "rtree index", &rd.schema)?[..] {
-            [f] if rd.schema.column(f)?.data_type == DataType::Rect => f,
-            _ => {
-                return Err(DmxError::InvalidArg(
-                    "rtree index takes one RECT field".into(),
-                ))
-            }
-        };
+    ) -> Result<AttrList> {
+        RtDesc::from_attrs(rd, params)?;
         let services = ctx.services();
         let file = services.disk.create_file()?;
         let tree = RTree::create(&services.pool, file, &services.latches)?;
-        Ok(RtDesc {
-            file,
-            root_page: tree.root().page_no,
-            rect_field,
-        }
-        .encode())
-    }
-
-    fn destroy_instance(&self, services: &Arc<CommonServices>, inst_desc: &[u8]) -> Result<()> {
-        RtDesc::decode(inst_desc)?.tree_file().destroy(services)
+        let root_page = tree.root().page_no;
+        TreeFile::assign(&[TreeFile { file, root_page }], params)
     }
 
     fn on_modify(
@@ -646,14 +616,13 @@ impl Attachment for RTreeIndex {
         m: &Modification<'_>,
     ) -> Result<()> {
         for inst in instances {
-            let d = RtDesc::decode(&inst.desc)?;
+            let d = RtDesc::of(rd, inst)?;
             let old = m.old().map(|side| Self::entry(&d, side)).transpose()?;
             let new = m.new().map(|side| Self::entry(&d, side)).transpose()?;
             if old == new {
                 continue;
             }
-            let index =
-                LoggedTree::attachment(ctx, rd, inst, Self::tree(ctx.services(), d.tree_file()));
+            let index = LoggedTree::attachment(ctx, rd, inst, Self::tree(ctx.services(), d.tree));
             if let Some((rect, rkey)) = old.flatten() {
                 if index.tree().contains(&rect, rkey.as_bytes())? {
                     index.apply(&make_entry(&rect, rkey.as_bytes()), Some(&[]), None)?;
@@ -679,27 +648,14 @@ impl Attachment for RTreeIndex {
         logged_tree::replay(&Self::tree(services, file), dir, op, change).map(drop)
     }
 
-    fn storage_files(&self, inst_desc: &[u8]) -> Vec<FileId> {
-        RtDesc::decode(inst_desc)
-            .map(|d| vec![d.file])
-            .unwrap_or_default()
-    }
-
-    fn reconstruct_params(&self, rd: &RelationDescriptor, inst_desc: &[u8]) -> Result<AttrList> {
-        let d = RtDesc::decode(inst_desc)?;
-        let field = rd.schema.column(d.rect_field)?.name.clone();
-        AttrList::from_pairs([("fields", field)])
-    }
-
     fn open_scan(
         &self,
         ctx: &ExecCtx<'_>,
-        _rd: &RelationDescriptor,
+        rd: &RelationDescriptor,
         instance: &AttachmentInstance,
         query: &AccessQuery,
     ) -> Result<Box<dyn ScanOps>> {
-        let d = RtDesc::decode(&instance.desc)?;
-        let tree = Self::tree(ctx.services(), d.tree_file());
+        let tree = Self::tree(ctx.services(), RtDesc::of(rd, instance)?.tree);
         let results = match query {
             AccessQuery::Spatial(op, rect) => tree.search(*op, rect)?,
             AccessQuery::All => tree.all()?,
@@ -718,7 +674,7 @@ impl Attachment for RTreeIndex {
         instance: &AttachmentInstance,
         preds: &[Expr],
     ) -> Option<PathChoice> {
-        let d = RtDesc::decode(&instance.desc).ok()?;
+        let d = RtDesc::of(rd, instance).ok()?;
         // recognize the spatial predicates on our field
         let (op, rect, applied) = preds.iter().find_map(|p| {
             let s = analyze::sargable(p)?;

@@ -36,15 +36,16 @@ use dmx_btree::BTree;
 use dmx_core::logged_tree;
 use dmx_core::{
     Attachment, AttachmentInstance, CommonServices, ExecCtx, LoggedTree, Modification,
-    RelationDescriptor, Replay, TreeFile,
+    RelationDescriptor, Replay, TreeFile, ASSIGNED_KEYS,
 };
 use dmx_expr::stats::{value_to_f64, ColumnStats, Histogram, TableStats};
 use dmx_types::{
+    bytes::le_u16,
     key::{decode_values, encode_values},
-    AttrList, DataType, DmxError, FileId, Lsn, Record, RecordKey, Result, Schema, Value,
+    AttrList, DataType, DmxError, Lsn, Record, RecordKey, Result, Schema, Value,
 };
 
-use crate::common::{read_u16, read_u32, read_u64, tail};
+use crate::common::read_u64;
 
 /// The maintained-statistics attachment type.
 pub struct Stats;
@@ -52,35 +53,12 @@ pub struct Stats;
 /// Bytes in the per-field linear-counting distinct sketch (256 bits).
 pub const SKETCH_BYTES: usize = 32;
 
-/// Instance descriptor: the private B-tree holding the single cell.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StatsDesc {
-    pub file: FileId,
-    pub root_page: u32,
-}
-
-impl StatsDesc {
-    pub fn encode(&self) -> Vec<u8> {
-        let mut v = Vec::with_capacity(8);
-        v.extend_from_slice(&self.file.0.to_le_bytes());
-        v.extend_from_slice(&self.root_page.to_le_bytes());
-        v
-    }
-
-    pub fn decode(b: &[u8]) -> Result<StatsDesc> {
-        const WHAT: &str = "stats descriptor";
-        Ok(StatsDesc {
-            file: FileId(read_u32(b, 0, WHAT)?),
-            root_page: read_u32(b, 4, WHAT)?,
-        })
-    }
-
-    pub fn tree_file(&self) -> TreeFile {
-        TreeFile {
-            file: self.file,
-            root_page: self.root_page,
-        }
-    }
+/// The private B-tree holding an instance's single cell: all its stored
+/// list names. The one parser takes no attribute from the DDL.
+fn cell_tree(attrs: &AttrList) -> Result<TreeFile> {
+    attrs.without(&ASSIGNED_KEYS).check_allowed(&[], "stats")?;
+    let [tree] = TreeFile::assigned(attrs)?;
+    Ok(tree)
 }
 
 /// Per-field maintained state inside the cell.
@@ -315,7 +293,7 @@ fn decode_value_opt(b: &[u8], off: &mut usize) -> Result<Option<Value>> {
             read8(b, off)?,
         ))))),
         1 => {
-            let len = read_u16(b, *off, WHAT)? as usize;
+            let len = le_u16(b, *off).ok_or_else(corrupt)? as usize;
             *off += 2;
             let enc = b.get(*off..*off + len).ok_or_else(corrupt)?;
             *off += len;
@@ -362,7 +340,7 @@ fn decode_cell(b: &[u8]) -> Result<StatsCell> {
     const WHAT: &str = "stats cell";
     let corrupt = || DmxError::Corrupt(format!("short {WHAT}"));
     let rows = read_u64(b, 0, WHAT)?;
-    let ncols = read_u16(b, 8, WHAT)? as usize;
+    let ncols = le_u16(b, 8).ok_or_else(corrupt)? as usize;
     let mut off = 10;
     let mut cols = Vec::with_capacity(ncols);
     for _ in 0..ncols {
@@ -406,7 +384,6 @@ fn decode_cell(b: &[u8]) -> Result<StatsCell> {
             hist,
         });
     }
-    let _ = tail(b, off, WHAT)?;
     Ok(StatsCell { rows, cols })
 }
 
@@ -437,7 +414,7 @@ impl Stats {
         inst: &AttachmentInstance,
         change: impl FnOnce(Option<StatsCell>) -> StatsCell,
     ) -> Result<()> {
-        let file = StatsDesc::decode(&inst.desc)?.tree_file();
+        let file = inst.parsed(cell_tree)?;
         let cells = LoggedTree::attachment(ctx, rd, inst, file.open_tree(ctx.services()));
         let mut after = None;
         cells.update_cell(&Self::cell_key(), |before| {
@@ -462,14 +439,9 @@ impl Attachment for Stats {
         _rd: &RelationDescriptor,
         _name: &str,
         params: &AttrList,
-    ) -> Result<Vec<u8>> {
-        params.check_allowed(&[], "stats")?;
-        let TreeFile { file, root_page } = TreeFile::create(ctx.services())?;
-        Ok(StatsDesc { file, root_page }.encode())
-    }
-
-    fn destroy_instance(&self, services: &Arc<CommonServices>, inst_desc: &[u8]) -> Result<()> {
-        StatsDesc::decode(inst_desc)?.tree_file().destroy(services)
+    ) -> Result<AttrList> {
+        cell_tree(params)?;
+        TreeFile::assign(&[TreeFile::create(ctx.services())?], params)
     }
 
     /// One logged image pair per modification, not one per side.
@@ -525,7 +497,7 @@ impl Attachment for Stats {
         rd: &RelationDescriptor,
         instance: &AttachmentInstance,
     ) -> Result<()> {
-        let file = StatsDesc::decode(&instance.desc)?.tree_file();
+        let file = instance.parsed(cell_tree)?;
         Self::publish(rd, Self::read_cell(&file.open_tree(services))?.as_ref());
         Ok(())
     }
@@ -565,20 +537,6 @@ impl Attachment for Stats {
             Self::update(ctx, rd, inst, |_| StatsCell::exact(&rd.schema, records))?;
         }
         Ok(!instances.is_empty())
-    }
-
-    fn storage_files(&self, inst_desc: &[u8]) -> Vec<FileId> {
-        match StatsDesc::decode(inst_desc) {
-            Ok(d) => vec![d.file],
-            Err(_) => Vec::new(),
-        }
-    }
-
-    /// Statistics are rebuilt from the base relation through the
-    /// ordinary registration path (create + build), whose build is
-    /// `ANALYZE`'s exact rebuild: histograms included.
-    fn reconstruct_params(&self, _rd: &RelationDescriptor, _inst_desc: &[u8]) -> Result<AttrList> {
-        Ok(AttrList::new())
     }
 }
 

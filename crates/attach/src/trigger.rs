@@ -10,14 +10,8 @@
 //! carries its own undo records, and external actions are outside the
 //! recovery sphere (as in the paper).
 
-use std::sync::Arc;
-
 use dmx_core::HookArgs;
-use dmx_core::{
-    Attachment, AttachmentInstance, CommonServices, ExecCtx, Modification, RelationDescriptor,
-};
-
-use crate::common::tail;
+use dmx_core::{Attachment, AttachmentInstance, ExecCtx, Modification, RelationDescriptor};
 use dmx_types::{AttrList, DmxError, Record, Result, Value};
 
 /// The trigger attachment type.
@@ -31,7 +25,7 @@ pub struct FireOn {
     pub delete: bool,
 }
 
-/// Instance descriptor.
+/// A trigger instance as its attribute list describes it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TriggerDesc {
     pub on: FireOn,
@@ -40,36 +34,11 @@ pub struct TriggerDesc {
 }
 
 impl TriggerDesc {
-    pub fn encode(&self) -> Vec<u8> {
-        let mut v = vec![
-            self.on.insert as u8,
-            self.on.update as u8,
-            self.on.delete as u8,
-        ];
-        v.extend_from_slice(self.action.as_bytes());
-        v
-    }
-
-    pub fn decode(b: &[u8]) -> Result<TriggerDesc> {
-        if b.len() < 3 {
-            return Err(DmxError::Corrupt("short trigger descriptor".into()));
-        }
-        Ok(TriggerDesc {
-            on: FireOn {
-                insert: b[0] != 0,
-                update: b[1] != 0,
-                delete: b[2] != 0,
-            },
-            action: String::from_utf8(tail(b, 3, "trigger descriptor")?.to_vec())
-                .map_err(|_| DmxError::Corrupt("trigger action not utf8".into()))?,
-        })
-    }
-}
-
-impl Trigger {
-    fn parse(params: &AttrList) -> Result<TriggerDesc> {
-        params.check_allowed(&["on", "action"], "trigger")?;
-        let spec = params.get("on").unwrap_or("insert,update,delete");
+    /// The one parser: the `on` events (all three by default) and the
+    /// `action`.
+    fn from_attrs(attrs: &AttrList) -> Result<TriggerDesc> {
+        attrs.check_allowed(&["on", "action"], "trigger")?;
+        let spec = attrs.get("on").unwrap_or("insert,update,delete");
         let mut on = FireOn {
             insert: false,
             update: false,
@@ -88,7 +57,7 @@ impl Trigger {
                 }
             }
         }
-        let action = params.require("action", "trigger")?.to_string();
+        let action = attrs.require("action", "trigger")?.to_string();
         if !(action.starts_with("hook:") || action.starts_with("audit:")) {
             return Err(DmxError::InvalidArg(format!(
                 "trigger action must be hook:<name> or audit:<relation>, got {action}"
@@ -109,12 +78,9 @@ impl Attachment for Trigger {
         _rd: &RelationDescriptor,
         _name: &str,
         params: &AttrList,
-    ) -> Result<Vec<u8>> {
-        Ok(Self::parse(params)?.encode())
-    }
-
-    fn destroy_instance(&self, _services: &Arc<CommonServices>, _inst_desc: &[u8]) -> Result<()> {
-        Ok(())
+    ) -> Result<AttrList> {
+        TriggerDesc::from_attrs(params)?;
+        Ok(params.clone())
     }
 
     fn on_modify(
@@ -127,7 +93,7 @@ impl Attachment for Trigger {
         let event = m.event();
         let (old, new) = (m.old().map(|(_, r)| r), m.new().map(|(_, r)| r));
         for inst in instances {
-            let d = TriggerDesc::decode(&inst.desc)?;
+            let d = inst.parsed(TriggerDesc::from_attrs)?;
             let fires = match event {
                 "insert" => d.on.insert,
                 "update" => d.on.update,

@@ -30,6 +30,15 @@ use crate::cost::PathChoice;
 use crate::descriptor::{AttachmentInstance, RelationDescriptor};
 use crate::logged_tree::{self, Replay, TreeFile};
 use crate::services::CommonServices;
+use crate::undo::tolerate_missing;
+
+/// The attributes the engine assigns an instance at CREATE, which no DDL
+/// list may name: `file` and `root`, the trees the instance allocated or
+/// adopted ([`TreeFile::assign`]), and `relation`, the id a constraint
+/// across relations resolved its other relation's name to. `REPAIR`
+/// hands an instance's stored list without them back to
+/// [`Attachment::create_instance`].
+pub const ASSIGNED_KEYS: [&str; 3] = ["file", "root", "relation"];
 
 /// One relation modification as attachments see it: the record as it
 /// was (`old`) and as it is now (`new`), each under the record key it
@@ -112,23 +121,33 @@ pub trait Attachment: Send + Sync {
     fn name(&self) -> &str;
 
     /// Creates an instance on `rd` (allocating any associated storage —
-    /// attachments "may have associated storage", unlike mere triggers),
-    /// returning the instance descriptor bytes. The one reader of the
-    /// DDL attribute list: it checks and parses `params` **before** it
-    /// allocates anything, so a rejected list leaves nothing behind. The
-    /// common system then fills the instance from the relation's existing
-    /// records through [`Attachment::build`].
+    /// attachments "may have associated storage", unlike mere triggers)
+    /// and returns its descriptor: `params` as given, plus what the engine
+    /// assigned under [`ASSIGNED_KEYS`] (its trees, say). The catalog
+    /// stores that list; the type's one parser reads it once per catalog
+    /// version ([`AttachmentInstance::parsed`]), and `REPAIR` hands it
+    /// back here without the assigned keys. The one validator of the DDL
+    /// list: it checks `params` **before** it allocates anything, so a
+    /// rejected list leaves nothing behind (a list naming an assigned key
+    /// is refused before it gets here). The common system then fills the
+    /// instance from the relation's existing records through
+    /// [`Attachment::build`].
     fn create_instance(
         &self,
         ctx: &ExecCtx<'_>,
         rd: &RelationDescriptor,
         name: &str,
         params: &AttrList,
-    ) -> Result<Vec<u8>>;
+    ) -> Result<AttrList>;
 
     /// Physically releases an instance's storage; deferred to commit, so
-    /// it must be idempotent.
-    fn destroy_instance(&self, services: &Arc<CommonServices>, inst_desc: &[u8]) -> Result<()>;
+    /// it must be idempotent. The default destroys the trees its stored
+    /// list names ([`TreeFile::named_in`]).
+    fn destroy_instance(&self, services: &Arc<CommonServices>, inst_desc: &[u8]) -> Result<()> {
+        TreeFile::named_in(&AttrList::decode(inst_desc)?)?
+            .into_iter()
+            .try_for_each(|tree| tolerate_missing(tree.destroy(services)))
+    }
 
     /// The side effect of one relation modification on every instance
     /// of this type: called once, after the storage method has made the
@@ -288,23 +307,13 @@ pub trait Attachment: Send + Sync {
 
     /// The disk files backing an instance ("attachments may have
     /// associated storage"), for the integrity scrubber's checksum page
-    /// walk. Default empty: no associated storage (checks, triggers).
+    /// walk. The default reads the files its stored list names: none for
+    /// checks and triggers.
     fn storage_files(&self, inst_desc: &[u8]) -> Vec<FileId> {
-        let _ = inst_desc;
-        Vec::new()
-    }
-
-    /// Reconstructs the DDL attribute list that would re-create this
-    /// instance, so the repair pipeline can rebuild a damaged attachment
-    /// from its base relation through the *ordinary* registration path
-    /// (create instance + build). Default: unsupported — the instance
-    /// cannot be rebuilt automatically.
-    fn reconstruct_params(&self, rd: &RelationDescriptor, inst_desc: &[u8]) -> Result<AttrList> {
-        let _ = (rd, inst_desc);
-        Err(DmxError::Unsupported(format!(
-            "attachment {} cannot reconstruct its creation parameters",
-            self.name()
-        )))
+        AttrList::decode(inst_desc)
+            .and_then(|attrs| TreeFile::named_in(&attrs))
+            .map(|trees| trees.iter().map(|t| t.file).collect())
+            .unwrap_or_default()
     }
 }
 
@@ -335,12 +344,9 @@ mod tests {
             _: &ExecCtx<'_>,
             _: &RelationDescriptor,
             _: &str,
-            _: &AttrList,
-        ) -> Result<Vec<u8>> {
-            Ok(Vec::new())
-        }
-        fn destroy_instance(&self, _: &Arc<CommonServices>, _: &[u8]) -> Result<()> {
-            Ok(())
+            params: &AttrList,
+        ) -> Result<AttrList> {
+            Ok(params.clone())
         }
         fn on_modify(
             &self,

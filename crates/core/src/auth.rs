@@ -131,11 +131,6 @@ impl AuthManager {
     pub fn purge_relation(&self, rel: RelationId) {
         self.state.write().grants.retain(|(_, r), _| *r != rel);
     }
-
-    /// Adds a superuser.
-    pub fn add_superuser(&self, user: &str) {
-        self.state.write().superusers.insert(Self::norm(user));
-    }
 }
 
 #[cfg(test)]

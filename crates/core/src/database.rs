@@ -28,6 +28,7 @@ use dmx_types::{
 use dmx_wal::{LogBody, LogManager, StableLog};
 
 use crate::access::{KeyRange, ScanManager};
+use crate::attachment::ASSIGNED_KEYS;
 use crate::auth::AuthManager;
 use crate::catalog::Catalog;
 use crate::context::ExecCtx;
@@ -859,19 +860,6 @@ impl Database {
         }
     }
 
-    /// Runs `f` in a fresh transaction, committing on success and
-    /// aborting on error, re-running the whole closure (in a new
-    /// transaction) up to `retries` times when this transaction is the
-    /// chosen deadlock victim. The closure must be safe to re-run: the
-    /// victim's effects are fully rolled back before the retry.
-    pub fn with_txn_retries<T>(
-        self: &Arc<Self>,
-        retries: u32,
-        mut f: impl FnMut(&Arc<Transaction>) -> Result<T>,
-    ) -> Result<T> {
-        dmx_txn::run_with_retries(retries, |_attempt| self.with_txn(|txn| f(txn)))
-    }
-
     /// "May this transaction touch this relation": resolves `rel`, then
     /// the checks every DML and scan entry point starts with — its DDL
     /// is visible to `txn`, it is not quarantined and, for a
@@ -1214,9 +1202,16 @@ impl Database {
         ctx.lock(LockName::Relation(old_rd.id), LockMode::X)?;
         let att_id = self.registry.attachment_id_by_name(type_name)?;
         let att = self.registry.attachment(att_id)?;
+        if let Some(key) = ASSIGNED_KEYS.iter().find(|key| params.get(key).is_some()) {
+            return Err(DmxError::InvalidArg(format!(
+                "attribute '{key}' is assigned by the engine, not by DDL"
+            )));
+        }
 
         let start_lsn = txn.last_lsn();
-        let inst_desc = att.create_instance(&ctx, &old_rd, att_name, params)?;
+        let inst_desc = att
+            .create_instance(&ctx, &old_rd, att_name, params)?
+            .encode();
         let files = att.storage_files(&inst_desc);
         // The descriptor, then the build. A veto (a unique violation, a
         // failed constraint) — or a descriptor the catalog cannot hold —
@@ -1229,7 +1224,7 @@ impl Database {
                 att: att_id,
                 instance,
                 name: att_name.to_string(),
-                desc: inst_desc.clone(),
+                desc: inst_desc.clone().into(),
             };
             let records = self.scan_records(&ctx, &new_rd)?;
             self.counters.att_build_rows.add(records.len() as u64);
@@ -1286,7 +1281,7 @@ impl Database {
 
     /// Whether a relation, or an instance other than `inst` on
     /// `relation`, holds one of `files`.
-    fn files_held_elsewhere(
+    pub(crate) fn files_held_elsewhere(
         &self,
         files: &[FileId],
         relation: RelationId,

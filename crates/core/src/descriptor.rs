@@ -15,26 +15,116 @@
 //! fetches it at query compilation time and embeds it in the plan so no
 //! catalog access happens at run time (`Arc<RelationDescriptor>` is that
 //! embedded copy). Descriptors are immutable; DDL produces a new version.
+//! Each field is a [`Descriptor`], which also keeps what its extension
+//! parsed the bytes into, so run time does not re-interpret them either;
+//! an attachment instance's bytes are the attribute list that made it.
 
-use std::sync::Arc;
+use std::any::Any;
+use std::fmt;
+use std::ops::Deref;
+use std::sync::{Arc, OnceLock};
 
-use dmx_types::{AttInstanceId, AttTypeId, DmxError, RelationId, Result, Schema, SmTypeId};
+use dmx_types::bytes::{put_varint, varint};
+use dmx_types::{
+    AttInstanceId, AttTypeId, AttrList, DmxError, RelationId, Result, Schema, SmTypeId,
+};
 
 use crate::registry::MAX_ATTACHMENT_TYPES;
 use crate::stats::RelationStats;
 
+/// One extension's descriptor: the bytes the catalog stores, and the
+/// value its extension reads them into, kept once read. A catalog change
+/// rebuilds the relation's descriptor from its records, so each catalog
+/// version is read at most once, and a write finds the value instead of
+/// decoding bytes.
+#[derive(Clone)]
+pub struct Descriptor {
+    bytes: Vec<u8>,
+    parsed: OnceLock<Arc<dyn Any + Send + Sync>>,
+}
+
+impl Descriptor {
+    /// What `parse` makes of the bytes: run on the first call, the same
+    /// value on every later one. Every reader of one descriptor names
+    /// one type; asking for another is an [`DmxError::Internal`] error.
+    pub fn parsed<T: Any + Send + Sync>(
+        &self,
+        parse: impl FnOnce(&[u8]) -> Result<T>,
+    ) -> Result<Arc<T>> {
+        let cached = match self.parsed.get() {
+            Some(cached) => cached,
+            None => {
+                // Two first readers may both parse; they parse the same
+                // bytes, and the first value stored is kept.
+                let value: Arc<dyn Any + Send + Sync> = Arc::new(parse(&self.bytes)?);
+                self.parsed.get_or_init(|| value)
+            }
+        };
+        cached
+            .clone()
+            .downcast()
+            .map_err(|_| DmxError::Internal("descriptor read as two types".into()))
+    }
+}
+
+impl From<Vec<u8>> for Descriptor {
+    fn from(bytes: Vec<u8>) -> Self {
+        Descriptor {
+            bytes,
+            parsed: OnceLock::new(),
+        }
+    }
+}
+
+impl Deref for Descriptor {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.bytes
+    }
+}
+
+/// Two descriptors are equal when their bytes are.
+impl PartialEq for Descriptor {
+    fn eq(&self, other: &Self) -> bool {
+        self.bytes == other.bytes
+    }
+}
+
+impl fmt::Debug for Descriptor {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.bytes.fmt(f)
+    }
+}
+
 /// One attachment instance on a relation: its type (the descriptor
-/// field it lives in), instance number, user name, and the
-/// attachment-interpreted descriptor bytes.
+/// field it lives in), instance number, user name, and its descriptor:
+/// the attribute list its type's `create_instance` returned, encoded.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AttachmentInstance {
     pub att: AttTypeId,
     pub instance: AttInstanceId,
     pub name: String,
-    pub desc: Vec<u8>,
+    pub desc: Descriptor,
 }
 
 impl AttachmentInstance {
+    /// The stored attribute list.
+    pub fn attrs(&self) -> Result<AttrList> {
+        AttrList::decode(&self.desc)
+    }
+
+    /// The instance as its type reads it: `from_attrs` of the stored
+    /// attribute list, run once per catalog version
+    /// ([`Descriptor::parsed`]).
+    pub fn parsed<T: Any + Send + Sync>(
+        &self,
+        from_attrs: impl FnOnce(&AttrList) -> Result<T>,
+    ) -> Result<Arc<T>> {
+        self.desc
+            .parsed(|bytes| from_attrs(&AttrList::decode(bytes)?))
+    }
+
     /// The instance a catalog record holds, and the relation it is on
     /// (see [`RelationDescriptor::records`]); `None` for a record of
     /// another kind, a relation's header or the id high-water mark.
@@ -46,12 +136,13 @@ impl AttachmentInstance {
             return Ok(None);
         };
         let mut pos = 0usize;
-        let name = get_str(value, &mut pos)?;
+        let len = varint(value, &mut pos).ok_or_else(corrupt)? as usize;
+        let name = value.get(pos..pos + len).ok_or_else(corrupt)?;
         let inst = AttachmentInstance {
             att: AttTypeId(att),
             instance: AttInstanceId(u16::from_be_bytes([i0, i1])),
-            name,
-            desc: value.get(pos..).ok_or_else(corrupt)?.to_vec(),
+            name: String::from_utf8(name.to_vec()).map_err(|_| corrupt())?,
+            desc: value.get(pos + len..).ok_or_else(corrupt)?.to_vec().into(),
         };
         Ok(Some((
             RelationId(u32::from_be_bytes([k0, k1, k2, k3])),
@@ -69,7 +160,7 @@ pub struct RelationDescriptor {
     /// Storage method identifier (the descriptor record's "header").
     pub sm: SmTypeId,
     /// Field 0: the storage-method descriptor.
-    pub sm_desc: Vec<u8>,
+    pub sm_desc: Descriptor,
     /// Field N: instances of attachment type N; `None` = NULL field.
     attachments: Vec<Option<Vec<AttachmentInstance>>>,
     /// Shared statistics (live counters; cached plans stay fresh).
@@ -94,7 +185,7 @@ impl RelationDescriptor {
             name: name.into(),
             schema,
             sm,
-            sm_desc,
+            sm_desc: sm_desc.into(),
             attachments: vec![None; MAX_ATTACHMENT_TYPES],
             stats: Arc::new(RelationStats::default()),
             version: 1,
@@ -162,7 +253,7 @@ impl RelationDescriptor {
                 att,
                 instance: inst,
                 name,
-                desc,
+                desc: desc.into(),
             });
         new.version += 1;
         Ok((new, inst))
@@ -195,32 +286,12 @@ impl RelationDescriptor {
         Ok((new, att, removed))
     }
 
-    /// Replaces the descriptor bytes of one attachment instance (an
-    /// attachment updating its own meta-data, e.g. a new root page).
-    pub fn with_updated_attachment_desc(
-        &self,
-        att: AttTypeId,
-        inst: AttInstanceId,
-        desc: Vec<u8>,
-    ) -> Result<RelationDescriptor> {
-        let mut new = self.clone();
-        let list = new.attachments[att.0 as usize]
-            .as_mut()
-            .ok_or_else(|| DmxError::NotFound(format!("attachment type {att}")))?;
-        let entry = list
-            .iter_mut()
-            .find(|i| i.instance == inst)
-            .ok_or_else(|| DmxError::NotFound(format!("attachment {att}{inst}")))?;
-        entry.desc = desc;
-        new.version += 1;
-        Ok(new)
-    }
-
     /// The descriptor as the catalog stores it, keys ascending: the
     /// header record under the big-endian relation id — name, schema,
     /// storage method and its descriptor, version, counts, next instance
     /// numbers — then one record per attachment instance under `id ∥ type
-    /// ∥ instance` (big-endian), holding its name and descriptor. One
+    /// ∥ instance` (big-endian), holding its name (varint length first)
+    /// and descriptor. One
     /// record per field keeps each bounded however many instances a
     /// relation carries.
     pub(crate) fn records(&self) -> Vec<(Vec<u8>, Vec<u8>)> {
@@ -244,7 +315,8 @@ impl RelationDescriptor {
             key.push(inst.att.0);
             key.extend_from_slice(&inst.instance.0.to_be_bytes());
             let mut value = Vec::new();
-            put_str(&mut value, &inst.name);
+            put_varint(&mut value, inst.name.len() as u64);
+            value.extend_from_slice(inst.name.as_bytes());
             value.extend_from_slice(&inst.desc);
             out.push((key, value));
         }
@@ -260,7 +332,7 @@ impl RelationDescriptor {
         let name = get_str(buf, &mut pos)?;
         let schema = Schema::decode(&get_bytes(buf, &mut pos)?)?;
         let sm = SmTypeId(get_u8(buf, &mut pos)?);
-        let sm_desc = get_bytes(buf, &mut pos)?;
+        let sm_desc = get_bytes(buf, &mut pos)?.into();
         let version = get_u64(buf, &mut pos)?;
         let stats = Arc::new(RelationStats::default());
         // records, pages, bytes
@@ -444,23 +516,6 @@ mod tests {
     }
 
     #[test]
-    fn update_attachment_desc() {
-        let d = rd();
-        let (d, inst) = d.with_attachment(AttTypeId(3), "idx", vec![1]).unwrap();
-        let d2 = d
-            .with_updated_attachment_desc(AttTypeId(3), inst, vec![4, 5])
-            .unwrap();
-        assert_eq!(
-            d2.attachment_instances(AttTypeId(3)).unwrap()[0].desc,
-            vec![4, 5]
-        );
-        assert_eq!(d2.version, d.version + 1);
-        assert!(d
-            .with_updated_attachment_desc(AttTypeId(3), AttInstanceId(99), vec![])
-            .is_err());
-    }
-
-    #[test]
     fn encode_decode_roundtrip() {
         let d = rd();
         let (d, _) = d
@@ -478,8 +533,8 @@ mod tests {
         assert_eq!(back.version, d.version);
         assert_eq!(back.attachment_count(), 2);
         assert_eq!(
-            back.attachment_instances(AttTypeId(3)).unwrap()[0].desc,
-            vec![9, 9]
+            *back.attachment_instances(AttTypeId(3)).unwrap()[0].desc,
+            [9, 9]
         );
         assert_eq!(back.stats.records(), 1);
         assert_eq!(back.stats.snapshot(), d.stats.snapshot());
@@ -489,6 +544,36 @@ mod tests {
         for cut in 0..bytes.len() {
             assert!(RelationDescriptor::decode(&bytes[..cut]).is_err());
         }
+    }
+
+    /// `parsed` runs its parser on the first call alone, a clone shares
+    /// what it parsed, and a second reader type is refused, not silently
+    /// re-parsed.
+    #[test]
+    fn a_descriptor_is_parsed_once() {
+        let d = Descriptor::from(vec![1, 2, 3]);
+        let mut calls = 0;
+        for _ in 0..3 {
+            let sum = d
+                .parsed(|b| {
+                    calls += 1;
+                    Ok(b.iter().map(|&x| u32::from(x)).sum::<u32>())
+                })
+                .unwrap();
+            assert_eq!(*sum, 6);
+        }
+        assert_eq!(calls, 1);
+        let copy = d.clone();
+        assert_eq!(*copy.parsed(|_| Ok(0u32)).unwrap(), 6, "shared by a clone");
+        assert!(matches!(
+            d.parsed(|_| Ok("other type")),
+            Err(DmxError::Internal(_))
+        ));
+        // a failed parse caches nothing
+        let fresh = Descriptor::from(vec![]);
+        assert!(fresh.parsed(|_| -> Result<u32> { Err(corrupt()) }).is_err());
+        assert_eq!(*fresh.parsed(|_| Ok(7u32)).unwrap(), 7);
+        assert_eq!(&*d, &[1, 2, 3], "derefs to the stored bytes");
     }
 
     /// A relation's records share its big-endian id as their prefix and
@@ -514,7 +599,7 @@ mod tests {
             .all(|(k, v)| k.starts_with(&[0, 0, 0, 7]) && k.len() + v.len() < 400));
         let back = RelationDescriptor::from_records(&records).unwrap();
         assert_eq!(back.records(), records);
-        assert_eq!(back.find_attachment("c39").unwrap().1.desc, vec![7; 200]);
+        assert_eq!(*back.find_attachment("c39").unwrap().1.desc, [7; 200]);
         // an instance record of another relation is damage, not data
         let mut foreign = records.clone();
         foreign[1].0[3] = 8;

@@ -71,7 +71,7 @@ pub mod undo;
 pub use access::{
     AccessPath, AccessQuery, Frame, KeyRange, ScanItem, ScanManager, ScanOps, SpatialOp,
 };
-pub use attachment::{Attachment, Modification};
+pub use attachment::{Attachment, Modification, ASSIGNED_KEYS};
 pub use auth::{AuthManager, Privilege};
 pub use catalog::Catalog;
 pub use context::{Evaluator, ExecCtx};
@@ -80,7 +80,7 @@ pub use database::{
     Database, DatabaseConfig, DatabaseEnv, HookArgs, HookFn, IncidentReport, SysProviderFn,
 };
 pub use deps::{DepKey, DependencyRegistry, PlanId};
-pub use descriptor::{AttachmentInstance, RelationDescriptor};
+pub use descriptor::{AttachmentInstance, Descriptor, RelationDescriptor};
 pub use dml::project_values;
 pub use logged_tree::{
     EntryDecoder, LoggedTarget, LoggedTree, RecordKeyIn, Replay, TreeCursor, TreeFile, TreeScan,

@@ -81,8 +81,8 @@ use dmx_lock::{LockMode, LockName};
 use dmx_txn::{Sharing, Transaction};
 use dmx_types::bytes::{le_u16, le_u32, put_varint, varint, varint_len};
 use dmx_types::{
-    Appended, AttInstanceId, AttTypeId, DmxError, FileId, PageId, RecordKey, RelationId, Result,
-    TxnId, Value,
+    Appended, AttInstanceId, AttTypeId, AttrList, DmxError, FileId, PageId, RecordKey, RelationId,
+    Result, TxnId, Value,
 };
 use dmx_wal::{Compensation, ExtKind};
 
@@ -121,6 +121,66 @@ pub struct TreeFile {
 }
 
 impl TreeFile {
+    /// What [`TreeFile::assigned`] reads from a DDL list being validated,
+    /// before any tree is allocated: a file no disk hands out.
+    pub const UNASSIGNED: TreeFile = TreeFile {
+        file: FileId(0),
+        root_page: 0,
+    };
+
+    /// `params` with `trees` added under the assigned keys `file` and
+    /// `root`, each a comma-separated list in tree order: the list an
+    /// instance's `create_instance` returns.
+    pub fn assign(trees: &[TreeFile], params: &AttrList) -> Result<AttrList> {
+        let list = |n: fn(&TreeFile) -> u32| {
+            let numbers: Vec<String> = trees.iter().map(|t| n(t).to_string()).collect();
+            numbers.join(",")
+        };
+        let mut attrs = params.clone();
+        attrs.push("file", list(|t| t.file.0))?;
+        attrs.push("root", list(|t| t.root_page))?;
+        Ok(attrs)
+    }
+
+    /// Every tree a stored list names under `file` and `root`, in order;
+    /// none when it names none.
+    pub fn named_in(attrs: &AttrList) -> Result<Vec<TreeFile>> {
+        let numbers = |key: &str| -> Result<Vec<u32>> {
+            let Some(list) = attrs.get(key) else {
+                return Ok(Vec::new());
+            };
+            list.split(',')
+                .map(|n| {
+                    n.parse()
+                        .map_err(|_| DmxError::Corrupt(format!("attribute {key}: '{list}'")))
+                })
+                .collect()
+        };
+        let (files, roots) = (numbers("file")?, numbers("root")?);
+        if files.len() != roots.len() {
+            return Err(DmxError::Corrupt("as many files as roots".into()));
+        }
+        let trees = files.into_iter().zip(roots);
+        Ok(trees
+            .map(|(file, root_page)| TreeFile {
+                file: FileId(file),
+                root_page,
+            })
+            .collect())
+    }
+
+    /// The `N` trees an instance's stored list names, or `N`
+    /// [`TreeFile::UNASSIGNED`] while its DDL list is validated.
+    pub fn assigned<const N: usize>(attrs: &AttrList) -> Result<[TreeFile; N]> {
+        let trees = Self::named_in(attrs)?;
+        if trees.is_empty() {
+            return Ok([Self::UNASSIGNED; N]);
+        }
+        trees
+            .try_into()
+            .map_err(|t: Vec<_>| DmxError::Corrupt(format!("{} trees where {N} belong", t.len())))
+    }
+
     /// Allocates a file holding an empty B-tree, its root on disk before
     /// any log record names the tree: a restart that undoes the records
     /// of a creator that never committed finds a tree to undo them in.

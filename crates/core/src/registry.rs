@@ -145,20 +145,6 @@ impl ExtensionRegistry {
             })
             .collect()
     }
-
-    /// Registered attachment-type names with ids.
-    pub fn attachment_types(&self) -> Vec<(AttTypeId, String)> {
-        let inner = self.inner.read();
-        inner
-            .attach
-            .iter()
-            .enumerate()
-            .filter_map(|(i, o)| {
-                o.as_ref()
-                    .map(|a| (AttTypeId(i as u8), a.name().to_string()))
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]

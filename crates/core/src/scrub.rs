@@ -13,8 +13,9 @@
 //! The repair pipeline then classifies the damage:
 //!
 //! * **attachment damage** — the instance is dropped and re-created
-//!   through the ordinary attachment registration path (parameters
-//!   recovered via `Attachment::reconstruct_params`), so the rebuild is
+//!   through the ordinary attachment registration path, handed the
+//!   attribute list the catalog stores for it without the keys the
+//!   engine assigned ([`crate::ASSIGNED_KEYS`]), so the rebuild is
 //!   WAL-logged like any DDL and a crash mid-repair is just another
 //!   fault-sweep point;
 //! * **base damage** — the storage method salvages every readable record
@@ -39,7 +40,7 @@ use dmx_types::obs::ObsEvent;
 use dmx_types::{fault, AttrList, DmxError, PageId, Record, RelationId, Result};
 
 use crate::access::AccessQuery;
-use crate::attachment::Attachment;
+use crate::attachment::{Attachment, ASSIGNED_KEYS};
 use crate::context::ExecCtx;
 use crate::database::Database;
 use crate::descriptor::AttachmentInstance;
@@ -304,16 +305,19 @@ pub fn scrub_all(db: &Arc<Database>, txn: &Arc<Transaction>) -> Result<Vec<Scrub
 }
 
 /// One damaged-attachment rebuild target: (attachment type name,
-/// instance name, re-derived creation parameters).
+/// instance name, the DDL list that created it).
 type RebuildTarget = (String, String, AttrList);
 
 /// Collects the rebuild targets among `rd`'s page-backed attachment
-/// instances. With `only_damaged`, instances whose pages all verify are
-/// skipped; otherwise every reconstructible page-backed instance is a
-/// target (the logical-mismatch case, where checksums are clean but an
-/// attachment disagrees with the base). An instance that *is* damaged
-/// but cannot state its creation parameters makes the relation
-/// unrepairable — the error propagates as the terminal verdict.
+/// instances, each with its stored list without the assigned keys: what
+/// its `create_instance` was handed. With `only_damaged`, instances whose
+/// pages all verify are skipped; otherwise every page-backed instance is
+/// a target (the logical-mismatch case, where checksums are clean but an
+/// attachment disagrees with the base). An instance whose files another
+/// instance holds too (a join index's two sides) is no target: a new one
+/// would leave the other holding the old files. When such an instance
+/// *is* damaged, the relation is unrepairable — the error propagates as
+/// the terminal verdict.
 fn rebuild_targets(
     db: &Arc<Database>,
     rd: &RelationDescriptor,
@@ -327,18 +331,20 @@ fn rebuild_targets(
             if files.is_empty() {
                 continue; // stateless instances cannot suffer media rot
             }
-            if only_damaged {
-                if !files_damaged(db, &files)? {
-                    continue;
-                }
-                targets.push((
-                    att.name().to_string(),
-                    inst.name.clone(),
-                    att.reconstruct_params(rd, &inst.desc)?,
-                ));
-            } else if let Ok(params) = att.reconstruct_params(rd, &inst.desc) {
-                targets.push((att.name().to_string(), inst.name.clone(), params));
+            if only_damaged && !files_damaged(db, &files)? {
+                continue;
             }
+            if db.files_held_elsewhere(&files, rd.id, inst) {
+                if only_damaged {
+                    return Err(DmxError::Unsupported(format!(
+                        "attachment {} shares its storage and cannot be rebuilt alone",
+                        inst.name
+                    )));
+                }
+                continue;
+            }
+            let params = inst.attrs()?.without(&ASSIGNED_KEYS);
+            targets.push((att.name().to_string(), inst.name.clone(), params));
         }
     }
     Ok(targets)

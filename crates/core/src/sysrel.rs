@@ -85,6 +85,9 @@ pub fn tables() -> Result<Vec<(&'static str, u8, Schema)>> {
                 ColumnDef::not_null("type", Str),
                 ColumnDef::not_null("instance", Int),
                 ColumnDef::not_null("name", Str),
+                // The DDL list that created it, without the keys the
+                // engine assigned (`crate::ASSIGNED_KEYS`).
+                ColumnDef::not_null("params", Str),
             ])?,
         ),
         (

@@ -78,10 +78,10 @@ impl UndoDispatch {
             return Err(DmxError::Corrupt("short deferred intent".into()));
         };
         let held = |rd: &Arc<crate::RelationDescriptor>| match *tag {
-            INTENT_DROP_SM => rd.sm.0 == *id && rd.sm_desc == desc,
+            INTENT_DROP_SM => rd.sm.0 == *id && *rd.sm_desc == *desc,
             _ => rd
                 .attachment_instances(dmx_types::AttTypeId(*id))
-                .is_some_and(|insts| insts.iter().any(|inst| inst.desc == desc)),
+                .is_some_and(|insts| insts.iter().any(|inst| *inst.desc == *desc)),
         };
         if self.catalog.list().iter().any(held) {
             return Ok(());

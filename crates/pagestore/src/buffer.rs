@@ -120,7 +120,9 @@ pub struct BufferPool {
     /// database open from the storage-method registry; empty by default,
     /// which degrades to the historical no-steal policy.
     stealable: RwLock<Vec<u8>>,
-    op_gate: RwLock<()>,
+    /// Serialises [`BufferPool::flush_all`] and [`BufferPool::flush_file`]:
+    /// one flush collects and writes its dirty frames at a time.
+    op_gate: Mutex<()>,
     obs: Arc<MetricsRegistry>,
     stats: PoolStats,
 }
@@ -152,7 +154,7 @@ impl BufferPool {
             }),
             wal: RwLock::new(None),
             stealable: RwLock::new(Vec::new()),
-            op_gate: RwLock::new(()),
+            op_gate: Mutex::new(()),
             obs,
             stats,
         })
@@ -188,13 +190,6 @@ impl BufferPool {
     /// Number of frames.
     pub fn capacity(&self) -> usize {
         self.frames.len()
-    }
-
-    /// Acquires the operation gate in read mode. Relation modification
-    /// operations hold this for their duration so `flush_all` (write mode)
-    /// never captures a torn multi-page change.
-    pub fn op_guard(&self) -> RwLockReadGuard<'_, ()> {
-        self.op_gate.read()
     }
 
     /// Fetches a page, reading it from disk on a miss.
@@ -391,12 +386,12 @@ impl BufferPool {
     }
 
     /// Writes every dirty frame to disk (forcing the log first) and marks
-    /// them clean. Takes the operation gate in write mode. An explicit
+    /// them clean, one flush at a time (the operation gate). An explicit
     /// device operation: never under a latch (the pool's own miss and
     /// steal I/O is the exception, see [`crate`]).
     pub fn flush_all(&self) -> Result<()> {
         held::assert_unlatched("flush_all");
-        let _gate = self.op_gate.write();
+        let _gate = self.op_gate.lock();
         self.flush_where(|_| true)
     }
 
@@ -404,7 +399,7 @@ impl BufferPool {
     /// and targeted checkpoints).
     pub fn flush_file(&self, file: FileId) -> Result<()> {
         held::assert_unlatched("flush_file");
-        let _gate = self.op_gate.write();
+        let _gate = self.op_gate.lock();
         self.flush_where(|pid| pid.file == file)
     }
 

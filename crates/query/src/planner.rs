@@ -327,8 +327,9 @@ fn find_join_index(
     let ji_type = db.registry().attachment_id_by_name("joinindex").ok()?;
     let l_insts = left.attachment_instances(ji_type)?;
     let r_insts = right.attachment_instances(ji_type)?;
+    let desc = dmx_attach::join_index::JoinIndex::desc;
     for li in l_insts {
-        let ld = dmx_attach::join_index::JiDesc::decode(&li.desc).ok()?;
+        let ld = desc(left, li).ok()?;
         if ld.fields != vec![lf] {
             continue;
         }
@@ -336,7 +337,7 @@ fn find_join_index(
             if ri.name != li.name {
                 continue;
             }
-            let rdsc = dmx_attach::join_index::JiDesc::decode(&ri.desc).ok()?;
+            let rdsc = desc(right, ri).ok()?;
             if rdsc.fields != vec![rf] || rdsc.trees != ld.trees {
                 continue;
             }

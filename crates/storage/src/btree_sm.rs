@@ -73,8 +73,9 @@ impl BtDesc {
 }
 
 impl BTreeStorage {
-    fn desc(rd: &RelationDescriptor) -> Result<BtDesc> {
-        BtDesc::decode(&rd.sm_desc)
+    /// The relation's descriptor, decoded once per catalog version.
+    fn desc(rd: &RelationDescriptor) -> Result<Arc<BtDesc>> {
+        rd.sm_desc.parsed(BtDesc::decode)
     }
 
     /// The relation's tree inside `ctx`'s transaction. Records are

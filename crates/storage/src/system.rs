@@ -24,7 +24,7 @@ use std::sync::Arc;
 use dmx_core::sysrel;
 use dmx_core::{
     project_values, Database, ExecCtx, KeyRange, PathChoice, RelationDescriptor, Replay, ScanItem,
-    ScanOps, StorageMethod,
+    ScanOps, StorageMethod, ASSIGNED_KEYS,
 };
 use dmx_expr::Expr;
 use dmx_lock::LockName;
@@ -200,11 +200,13 @@ fn materialize(db: &Arc<Database>, tag: u8) -> Result<Vec<Vec<Value>>> {
                         Err(_) => format!("unknown({})", att_id.0),
                     };
                     for inst in insts {
+                        let params = inst.attrs()?.without(&ASSIGNED_KEYS);
                         rows.push(vec![
                             s(rd.name.clone()),
                             s(type_name.clone()),
                             Value::Int(inst.instance.0 as i64),
                             s(inst.name.clone()),
+                            s(params.to_string()),
                         ]);
                     }
                 }

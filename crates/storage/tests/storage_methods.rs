@@ -10,8 +10,8 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use dmx_core::{
-    AccessPath, AccessQuery, Attachment, AttachmentInstance, CommonServices, Database,
-    DatabaseConfig, DatabaseEnv, ExecCtx, ExtensionRegistry, Modification, RelationDescriptor,
+    AccessPath, AccessQuery, Attachment, AttachmentInstance, Database, DatabaseConfig, DatabaseEnv,
+    ExecCtx, ExtensionRegistry, Modification, RelationDescriptor,
 };
 use dmx_expr::{CmpOp, Expr};
 use dmx_storage::register_builtin_storage;
@@ -451,12 +451,9 @@ impl Attachment for VetoBigIds {
         _rd: &RelationDescriptor,
         _name: &str,
         params: &AttrList,
-    ) -> Result<Vec<u8>> {
+    ) -> Result<AttrList> {
         params.check_allowed(&[], self.name())?;
-        Ok(Vec::new())
-    }
-    fn destroy_instance(&self, _s: &Arc<CommonServices>, _d: &[u8]) -> Result<()> {
-        Ok(())
+        Ok(AttrList::new())
     }
     fn on_modify(
         &self,

@@ -16,10 +16,8 @@
 
 pub mod deferred;
 pub mod mvcc;
-pub mod retry;
 pub mod txn;
 
 pub use deferred::{DeferredQueues, TxnEvent};
 pub use mvcc::{Footprint, GcOutcome, Snapshot, VersionImage, VersionStore};
-pub use retry::{run_with_retries, DEFAULT_DEADLOCK_RETRIES};
 pub use txn::{Modifying, Savepoint, Sharing, Transaction, TxnManager, TxnState};

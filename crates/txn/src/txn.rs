@@ -237,11 +237,6 @@ impl Transaction {
         self.queues.lock().enqueue_once(event, key, action)
     }
 
-    /// Number of actions pending for an event.
-    pub fn deferred_pending(&self, event: TxnEvent) -> usize {
-        self.queues.lock().pending(event)
-    }
-
     /// Runs all actions queued for `event`, in order. If one fails the
     /// remaining actions for the event still run for `AtAbort`/`AtEnd`
     /// (cleanup events) but not for `BeforePrepare` (the transaction is

@@ -5,8 +5,12 @@
 //! value list of extension-specific parameters (e.g. which device a storage
 //! method instance should use). Extensions supply generic operations to
 //! *validate* these lists during DDL parsing and to interpret them during
-//! execution. [`AttrList`] is that list.
+//! execution. [`AttrList`] is that list; an attachment instance's
+//! descriptor is the list that made it, stored with [`AttrList::encode`].
 
+use std::fmt;
+
+use crate::bytes::{put_varint, varint};
 use crate::error::{DmxError, Result};
 
 /// An ordered list of `key = value` string pairs. Keys are matched
@@ -57,12 +61,25 @@ impl AttrList {
         Ok(list)
     }
 
-    fn push(&mut self, key: String, value: String) -> Result<()> {
-        if self.pairs.iter().any(|(k, _)| k.eq_ignore_ascii_case(&key)) {
+    /// Appends `key = value`, rejecting a key already present.
+    pub fn push(&mut self, key: impl Into<String>, value: impl Into<String>) -> Result<()> {
+        let (key, value) = (key.into(), value.into());
+        if self.get(&key).is_some() {
             return Err(DmxError::InvalidArg(format!("duplicate attribute {key}")));
         }
         self.pairs.push((key, value));
         Ok(())
+    }
+
+    /// The list without the attributes named in `keys`.
+    pub fn without(&self, keys: &[&str]) -> AttrList {
+        let pairs = self
+            .pairs
+            .iter()
+            .filter(|(k, _)| !keys.iter().any(|drop| drop.eq_ignore_ascii_case(k)));
+        AttrList {
+            pairs: pairs.cloned().collect(),
+        }
     }
 
     /// Number of attributes.
@@ -89,7 +106,7 @@ impl AttrList {
     }
 
     /// Fetches a required value, erroring with the extension's name if
-    /// absent — the shape extension `create_instance` implementations want.
+    /// absent — the shape an extension's parser wants.
     pub fn require(&self, key: &str, who: &str) -> Result<&str> {
         self.get(key)
             .ok_or_else(|| DmxError::InvalidArg(format!("{who} requires attribute '{key}'")))
@@ -120,9 +137,9 @@ impl AttrList {
         }
     }
 
-    /// Validates that every present key is in `allowed`; extensions call
-    /// this first in `create_instance`, so a typo in DDL is reported
-    /// before anything is allocated.
+    /// Validates that every present key is in `allowed`; an extension's
+    /// parser calls this first, and its `create_instance` parses before it
+    /// allocates, so a typo in DDL is reported before anything is.
     pub fn check_allowed(&self, allowed: &[&str], who: &str) -> Result<()> {
         for (k, _) in &self.pairs {
             if !allowed.iter().any(|a| a.eq_ignore_ascii_case(k)) {
@@ -135,13 +152,14 @@ impl AttrList {
         Ok(())
     }
 
-    /// Serializes for descriptor storage.
+    /// Serializes for descriptor storage: the pair count, then each key
+    /// and value, length first, as varints.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        out.extend_from_slice(&(self.pairs.len() as u16).to_le_bytes());
+        put_varint(&mut out, self.pairs.len() as u64);
         for (k, v) in &self.pairs {
             for s in [k, v] {
-                out.extend_from_slice(&(s.len() as u16).to_le_bytes());
+                put_varint(&mut out, s.len() as u64);
                 out.extend_from_slice(s.as_bytes());
             }
         }
@@ -152,24 +170,41 @@ impl AttrList {
     pub fn decode(buf: &[u8]) -> Result<Self> {
         let corrupt = || DmxError::Corrupt("truncated attr list".into());
         let mut pos = 0usize;
-        let mut read = |n: usize| -> Result<&[u8]> {
-            let s = buf.get(pos..pos + n).ok_or_else(corrupt)?;
-            pos += n;
-            Ok(s)
+        let string = |pos: &mut usize| -> Result<String> {
+            let len = varint(buf, pos).ok_or_else(corrupt)? as usize;
+            let s = buf.get(*pos..*pos + len).ok_or_else(corrupt)?;
+            *pos += len;
+            String::from_utf8(s.to_vec()).map_err(|_| DmxError::Corrupt("attr not utf8".into()))
         };
-        let n = u16::from_le_bytes(read(2)?.try_into().map_err(|_| corrupt())?) as usize;
+        let n = varint(buf, &mut pos).ok_or_else(corrupt)?;
         let mut list = AttrList::new();
         for _ in 0..n {
-            let mut strings = [String::new(), String::new()];
-            for s in &mut strings {
-                let len = u16::from_le_bytes(read(2)?.try_into().map_err(|_| corrupt())?) as usize;
-                *s = String::from_utf8(read(len)?.to_vec())
-                    .map_err(|_| DmxError::Corrupt("attr not utf8".into()))?;
-            }
-            let [k, v] = strings;
-            list.push(k, v)?;
+            let key = string(&mut pos)?;
+            list.push(key, string(&mut pos)?)?;
+        }
+        if pos != buf.len() {
+            return Err(corrupt());
         }
         Ok(list)
+    }
+}
+
+/// The list as a DDL `WITH` clause body writes it, `key = value, …`,
+/// which [`AttrList::parse`] and the SQL parser read back: a value that
+/// is not one word is single-quoted.
+impl fmt::Display for AttrList {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for (i, (k, v)) in self.pairs.iter().enumerate() {
+            let sep = if i == 0 { "" } else { ", " };
+            let word = v.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_')
+                && v.chars().all(|c| c.is_ascii_alphanumeric() || c == '_');
+            if word {
+                write!(f, "{sep}{k} = {v}")?;
+            } else {
+                write!(f, "{sep}{k} = '{}'", v.replace('\'', "''"))?;
+            }
+        }
+        Ok(())
     }
 }
 
@@ -258,5 +293,25 @@ mod tests {
         let back = AttrList::decode(&l.encode()).unwrap();
         assert_eq!(l, back);
         assert!(AttrList::decode(&[9]).is_err());
+        let bytes = l.encode();
+        for cut in 0..bytes.len() {
+            assert!(AttrList::decode(&bytes[..cut]).is_err(), "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn display_reads_back_as_ddl() {
+        let l =
+            AttrList::parse("fields = 'a,b', unique = true, n = 3, c = 'it''s', e = ''").unwrap();
+        let text = l.to_string();
+        assert_eq!(
+            text,
+            "fields = 'a,b', unique = true, n = '3', c = 'it''s', e = ''"
+        );
+        assert_eq!(AttrList::parse(&text).unwrap(), l);
+        assert_eq!(
+            l.without(&["UNIQUE", "n"]).to_string(),
+            "fields = 'a,b', c = 'it''s', e = ''"
+        );
     }
 }

@@ -161,16 +161,6 @@ impl Value {
         }
     }
 
-    /// Extracts a `bool`.
-    pub fn as_bool(&self) -> Result<bool> {
-        match self {
-            Value::Bool(b) => Ok(*b),
-            other => Err(DmxError::TypeMismatch(format!(
-                "expected BOOL, got {other}"
-            ))),
-        }
-    }
-
     /// Extracts a string slice.
     pub fn as_str(&self) -> Result<&str> {
         match self {

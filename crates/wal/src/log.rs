@@ -56,13 +56,6 @@ impl StableLog {
         log
     }
 
-    /// Installs or removes the fault injector. The crash-sweep harness
-    /// uses this at "reopen": the same surviving `StableLog` gets a fresh
-    /// (or no) injector for the recovery run.
-    pub fn set_injector(&self, injector: Option<Arc<FaultInjector>>) {
-        *self.injector.lock() = injector;
-    }
-
     /// Number of durable records.
     pub fn len(&self) -> usize {
         self.frames.lock().len()

@@ -298,6 +298,17 @@ impl ScanOps for VecScan {
 struct QuotaGuard {
     counts: RwLock<HashMap<RelationId, u64>>,
     invocations: AtomicU64,
+    /// Calls of its parser, [`QuotaGuard::quota`].
+    parses: AtomicU64,
+}
+
+impl QuotaGuard {
+    /// The one parser: the `quota` attribute.
+    fn quota(&self, attrs: &AttrList) -> Result<u64> {
+        self.parses.fetch_add(1, Ordering::SeqCst);
+        attrs.check_allowed(&["quota"], "audit_count")?;
+        attrs.get_u64("quota", u64::MAX)
+    }
 }
 
 fn find_self(rd: &RelationDescriptor) -> dmx_types::AttTypeId {
@@ -317,12 +328,9 @@ impl Attachment for QuotaGuard {
         _rd: &RelationDescriptor,
         _name: &str,
         params: &AttrList,
-    ) -> Result<Vec<u8>> {
-        params.check_allowed(&["quota"], "audit_count")?;
-        Ok(params.get_u64("quota", u64::MAX)?.to_le_bytes().to_vec())
-    }
-    fn destroy_instance(&self, _s: &Arc<CommonServices>, _d: &[u8]) -> Result<()> {
-        Ok(())
+    ) -> Result<AttrList> {
+        self.quota(params)?;
+        Ok(params.clone())
     }
     /// Every modification counts the same, whichever sides it has.
     fn on_modify(
@@ -333,11 +341,10 @@ impl Attachment for QuotaGuard {
         _m: &Modification<'_>,
     ) -> Result<()> {
         self.invocations.fetch_add(1, Ordering::SeqCst);
-        let quota = insts
-            .iter()
-            .map(|i| u64::from_le_bytes(i.desc[..8].try_into().unwrap()))
-            .min()
-            .unwrap_or(u64::MAX);
+        let mut quota = u64::MAX;
+        for inst in insts {
+            quota = quota.min(*inst.parsed(|attrs| self.quota(attrs))?);
+        }
         let mut counts = self.counts.write().unwrap();
         let n = counts.entry(rd.id).or_insert(0);
         if *n >= quota {
@@ -382,9 +389,26 @@ struct Lookup {
     next: AtomicU64,
 }
 
-/// Instance descriptor: `u64 token ∥ u16 field`.
-fn lookup_field(desc: &[u8]) -> dmx_types::FieldId {
-    u16::from_le_bytes(desc[8..10].try_into().unwrap())
+/// An instance: the token `create_instance` gave it, and its field.
+struct LookupDesc {
+    token: u64,
+    field: dmx_types::FieldId,
+}
+
+impl LookupDesc {
+    /// The one parser of a stored list: `field` from the DDL, `token`
+    /// added at CREATE.
+    fn from_attrs(rd: &RelationDescriptor, attrs: &AttrList) -> Result<LookupDesc> {
+        attrs.check_allowed(&["field", "token"], "lookup")?;
+        Ok(LookupDesc {
+            token: attrs.get_u64("token", 0)?,
+            field: rd.schema.field_id(attrs.require("field", "lookup")?)?,
+        })
+    }
+
+    fn of(rd: &RelationDescriptor, inst: &AttachmentInstance) -> Result<Arc<LookupDesc>> {
+        inst.parsed(|attrs| Self::from_attrs(rd, attrs))
+    }
 }
 
 impl Attachment for Lookup {
@@ -397,31 +421,37 @@ impl Attachment for Lookup {
         rd: &RelationDescriptor,
         _name: &str,
         params: &AttrList,
-    ) -> Result<Vec<u8>> {
+    ) -> Result<AttrList> {
         params.check_allowed(&["field"], "lookup")?;
-        let field = rd.schema.field_id(params.require("field", "lookup")?)?;
-        let token = self.next.fetch_add(1, Ordering::SeqCst);
-        Ok([&token.to_le_bytes()[..], &field.to_le_bytes()[..]].concat())
+        LookupDesc::from_attrs(rd, params)?;
+        let mut attrs = params.clone();
+        attrs.push(
+            "token",
+            self.next.fetch_add(1, Ordering::SeqCst).to_string(),
+        )?;
+        Ok(attrs)
     }
     fn destroy_instance(&self, _s: &Arc<CommonServices>, desc: &[u8]) -> Result<()> {
+        let token = AttrList::decode(desc)?.get_u64("token", 0)?;
         let mut entries = self.entries.write().unwrap();
-        entries.retain(|(t, ..)| *t != token(desc));
+        entries.retain(|(t, ..)| *t != token);
         Ok(())
     }
     /// Old side's entry out, new side's entry in.
     fn on_modify(
         &self,
         _ctx: &ExecCtx<'_>,
-        _rd: &RelationDescriptor,
+        rd: &RelationDescriptor,
         insts: &[AttachmentInstance],
         m: &Modification<'_>,
     ) -> Result<()> {
         let mut entries = self.entries.write().unwrap();
         for inst in insts {
+            let d = LookupDesc::of(rd, inst)?;
             let entry = |(key, rec): (&RecordKey, &Record)| {
-                let value = &rec.values[lookup_field(&inst.desc) as usize];
+                let value = &rec.values[d.field as usize];
                 let value = dmx_types::key::encode_values(std::slice::from_ref(value));
-                (token(&inst.desc), value, key.clone())
+                (d.token, value, key.clone())
             };
             if let Some(old) = m.old() {
                 entries.remove(&entry(old));
@@ -436,17 +466,18 @@ impl Attachment for Lookup {
     fn open_scan(
         &self,
         _ctx: &ExecCtx<'_>,
-        _rd: &RelationDescriptor,
+        rd: &RelationDescriptor,
         inst: &AttachmentInstance,
         query: &AccessQuery,
     ) -> Result<Box<dyn ScanOps>> {
         let AccessQuery::KeyEquals(value) = query else {
             return Err(DmxError::Unsupported("lookup: only key lookups".into()));
         };
+        let token = LookupDesc::of(rd, inst)?.token;
         let entries = self.entries.read().unwrap();
         let keys = entries
             .iter()
-            .filter(|(t, v, _)| *t == token(&inst.desc) && v == value)
+            .filter(|(t, v, _)| *t == token && v == value)
             .map(|(.., key)| key.clone())
             .collect();
         Ok(Box::new(KeyList { keys, next: 0 }))
@@ -455,15 +486,16 @@ impl Attachment for Lookup {
     /// value bound at open; the planner needs no more to probe it.
     fn estimate(
         &self,
-        _rd: &RelationDescriptor,
+        rd: &RelationDescriptor,
         inst: &AttachmentInstance,
         preds: &[Expr],
     ) -> Option<PathChoice> {
+        let d = LookupDesc::of(rd, inst).ok()?;
         let (pred, n) = preds.iter().find_map(|p| match sargable(p)? {
             Sarg {
                 field,
                 op: SargOp::EqParam(n),
-            } if field == lookup_field(&inst.desc) => Some((p, n)),
+            } if field == d.field => Some((p, n)),
             _ => None,
         })?;
         Some(PathChoice {
@@ -654,4 +686,112 @@ fn user_defined_access_path_is_probed_as_a_join_inner() {
     // `KeyList` has the defaulted `rebind`: the join closes it and opens
     // another per outer value, as it always did
     assert_eq!(opens - before.1, 1 + 4);
+}
+
+/// An instance's stored attribute list is parsed once per catalog
+/// version: a thousand single-row inserts read the value the first one
+/// parsed, and a DDL on the relation makes the next write parse once
+/// more.
+#[test]
+fn an_instance_is_parsed_once_per_catalog_version() {
+    let (db, guard) = open_with_externals();
+    db.execute_sql("CREATE TABLE q (id INT NOT NULL, v INT)")
+        .unwrap();
+    db.execute_sql("CREATE ATTACHMENT qg ON q USING audit_count")
+        .unwrap();
+    let parses = || guard.parses.load(Ordering::SeqCst);
+    let created = parses(); // create_instance validates its DDL list
+    for i in 0..1_000 {
+        db.execute_sql(&format!("INSERT INTO q VALUES ({i}, {i})"))
+            .unwrap();
+    }
+    assert_eq!(parses() - created, 1, "parsed by the first insert alone");
+    db.execute_sql("CREATE INDEX q_v ON q (v)").unwrap();
+    db.execute_sql("INSERT INTO q VALUES (1000, 1000)").unwrap();
+    db.execute_sql("INSERT INTO q VALUES (1001, 1001)").unwrap();
+    assert_eq!(parses() - created, 2, "once more for the new version");
+}
+
+/// `Database::register_function` reaches SQL: a registered function
+/// filters a `SELECT`, and a CHECK constraint's predicate, parsed once
+/// with its instance, vetoes an INSERT through it.
+#[test]
+fn a_registered_function_filters_a_select_and_vetoes_an_insert() {
+    let db = starburst_dmx::open_default().unwrap();
+    db.register_function("half", |args| match args {
+        [Value::Int(v)] => Ok(Value::Int(v / 2)),
+        _ => Err(DmxError::InvalidArg("half takes one INT".into())),
+    });
+    db.execute_sql("CREATE TABLE f (id INT NOT NULL, v INT NOT NULL)")
+        .unwrap();
+    db.execute_sql("INSERT INTO f VALUES (1, 4), (2, 5), (3, 8)")
+        .unwrap();
+    let rows = db
+        .query_sql("SELECT id FROM f WHERE half(v) = 2 ORDER BY id")
+        .unwrap();
+    assert_eq!(rows, vec![vec![Value::Int(1)], vec![Value::Int(2)]]);
+
+    db.execute_sql("CREATE CONSTRAINT small ON f CHECK (half(v) < 10)")
+        .unwrap();
+    db.execute_sql("INSERT INTO f VALUES (4, 19)").unwrap();
+    let err = db.execute_sql("INSERT INTO f VALUES (5, 20)").unwrap_err();
+    assert!(matches!(err, DmxError::Veto { .. }), "{err}");
+    let count = db.query_sql("SELECT COUNT(*) FROM f").unwrap();
+    assert_eq!(count[0][0], Value::Int(4));
+}
+
+/// The keys the engine assigns at CREATE — a tree's `file` and `root`,
+/// a constraint's resolved `relation` — cannot come from DDL: each type
+/// refuses each of them with `InvalidArg`, before it allocates a file,
+/// and takes the same DDL without them.
+#[test]
+fn ddl_cannot_forge_an_assigned_key() {
+    let db = starburst_dmx::open_default().unwrap();
+    db.execute_sql("CREATE TABLE t (id INT NOT NULL, v INT, area RECT)")
+        .unwrap();
+    db.execute_sql("CREATE TABLE p (id INT NOT NULL)").unwrap();
+    let ddl = [
+        "CREATE INDEX t_b ON t USING btree (v) WITH (unique = false",
+        "CREATE INDEX t_h ON t USING hash (v) WITH (fields = v",
+        "CREATE INDEX t_r ON t USING rtree (area) WITH (fields = area",
+        "CREATE ATTACHMENT t_a ON t USING aggregate WITH (sum = v",
+        "CREATE ATTACHMENT t_j ON t USING joinindex WITH (side = left, fields = v",
+        "CREATE ATTACHMENT t_f ON t USING refint WITH (role = child, fields = v, other = p, \
+         other_fields = id",
+    ];
+    let created = || {
+        db.services()
+            .disk
+            .stats()
+            .files_created
+            .load(Ordering::SeqCst)
+    };
+    let before = created();
+    for key in ["file", "root", "relation"] {
+        for stmt in ddl {
+            let res = db.execute_sql(&format!("{stmt}, {key} = 1)"));
+            assert!(
+                matches!(res, Err(DmxError::InvalidArg(_))),
+                "{stmt}: {res:?}"
+            );
+        }
+        let res = db.execute_sql(&format!(
+            "CREATE ATTACHMENT t_s ON t USING stats WITH ({key} = 1)"
+        ));
+        assert!(
+            matches!(res, Err(DmxError::InvalidArg(_))),
+            "stats: {res:?}"
+        );
+    }
+    let res = db.execute_sql("CREATE INDEX t_b ON t (v) WITH (file = 1, root = 0)");
+    assert!(matches!(res, Err(DmxError::InvalidArg(_))), "{res:?}");
+    assert_eq!(created(), before, "no file allocated");
+    assert_eq!(db.catalog().get_by_name("t").unwrap().attachment_count(), 0);
+
+    for stmt in ddl {
+        db.execute_sql(&format!("{stmt})")).unwrap();
+    }
+    db.execute_sql("CREATE ATTACHMENT t_s ON t USING stats")
+        .unwrap();
+    assert_eq!(db.catalog().get_by_name("t").unwrap().attachment_count(), 7);
 }

@@ -28,14 +28,10 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use starburst_dmx::attach::aggregate::AggDesc;
 use starburst_dmx::attach::btree_index::IxDesc;
-use starburst_dmx::attach::hash_index::HashDesc;
-use starburst_dmx::attach::join_index::JiDesc;
-use starburst_dmx::attach::rtree::{RTree, RtDesc};
-use starburst_dmx::attach::stats::StatsDesc;
+use starburst_dmx::attach::rtree::RTree;
 use starburst_dmx::btree::{BTree, OnDuplicate};
-use starburst_dmx::core::{RelationDescriptor, Replay};
+use starburst_dmx::core::{RelationDescriptor, Replay, TreeFile};
 use starburst_dmx::prelude::*;
 use starburst_dmx::storage::btree_sm::BtDesc;
 use starburst_dmx::types::{Appended, Lsn};
@@ -144,6 +140,11 @@ fn rect(x: f64) -> Value {
     Value::Rect(Rect::new(x, x, x + 1.0, x + 2.0))
 }
 
+/// The trees an instance's stored attribute list names.
+fn named(desc: Option<&[u8]>) -> Vec<TreeFile> {
+    TreeFile::named_in(&AttrList::decode(desc.unwrap()).unwrap()).unwrap()
+}
+
 fn cases() -> Vec<Case> {
     use Step::*;
     const T: &str = "CREATE TABLE t (id INT NOT NULL, v INT NOT NULL)";
@@ -162,7 +163,7 @@ fn cases() -> Vec<Case> {
             name: "btree_index",
             ddl: &[T, "CREATE UNIQUE INDEX t_x ON t (id)"],
             target: ("t", Some("t_x")),
-            trees: |db, _, d| one_btree(db, IxDesc::decode(d.unwrap()).unwrap().tree_file()),
+            trees: |db, _, d| one_btree(db, IxDesc::decode(d.unwrap()).unwrap()),
             script: entry_script(),
             ops: &[OP_INSERT, OP_DELETE],
         },
@@ -170,7 +171,7 @@ fn cases() -> Vec<Case> {
             name: "hash_index",
             ddl: &[T, "CREATE INDEX t_x ON t USING hash (v)"],
             target: ("t", Some("t_x")),
-            trees: |db, _, d| one_btree(db, HashDesc::decode(d.unwrap()).unwrap().tree_file()),
+            trees: |db, _, d| one_btree(db, named(d)[0]),
             script: entry_script(),
             ops: &[OP_INSERT, OP_DELETE],
         },
@@ -182,7 +183,7 @@ fn cases() -> Vec<Case> {
             ],
             target: ("t", Some("t_x")),
             trees: |db, _, d| {
-                let root = RtDesc::decode(d.unwrap()).unwrap().tree_file().root();
+                let root = named(d)[0].root();
                 let s = db.services();
                 Trees::R(RTree::open(&s.pool, root, &s.latches))
             },
@@ -207,8 +208,8 @@ fn cases() -> Vec<Case> {
             ],
             target: ("emp", Some("ed")),
             trees: |db, _, d| {
-                let files = JiDesc::decode(d.unwrap()).unwrap().trees;
-                Trees::B(files.map(|f| f.open_tree(db.services())).to_vec())
+                let files = named(d);
+                Trees::B(files.iter().map(|f| f.open_tree(db.services())).collect())
             },
             script: vec![
                 Ins("dept", vec![int(7), "d7".into()]),
@@ -230,7 +231,7 @@ fn cases() -> Vec<Case> {
                 "CREATE ATTACHMENT t_x ON t USING aggregate WITH (sum = v, group_by = id)",
             ],
             target: ("t", Some("t_x")),
-            trees: |db, _, d| one_btree(db, AggDesc::decode(d.unwrap()).unwrap().tree_file()),
+            trees: |db, _, d| one_btree(db, named(d)[0]),
             script: vec![
                 Ins("t", vec![int(1), int(10)]),
                 Ins("t", vec![int(1), int(5)]),
@@ -247,7 +248,7 @@ fn cases() -> Vec<Case> {
             name: "stats",
             ddl: &[T, "CREATE ATTACHMENT t_x ON t USING stats"],
             target: ("t", Some("t_x")),
-            trees: |db, _, d| one_btree(db, StatsDesc::decode(d.unwrap()).unwrap().tree_file()),
+            trees: |db, _, d| one_btree(db, named(d)[0]),
             script: entry_script(),
             // the cell's first image, then patches of it
             ops: &[OP_INSERT, OP_PATCH],
@@ -349,7 +350,7 @@ fn run(case: &Case) {
     let (ext, desc) = match case.target.1 {
         Some(att) => {
             let (id, inst) = rd.find_attachment(att).unwrap();
-            (ExtKind::Attachment(id), Some(inst.desc.as_slice()))
+            (ExtKind::Attachment(id), Some(&*inst.desc))
         }
         None => (ExtKind::Storage(rd.sm), None),
     };

@@ -516,8 +516,8 @@ mod build_token {
     use std::sync::Arc;
 
     use starburst_dmx::core::{
-        Attachment, AttachmentInstance, CommonServices, ExecCtx, LoggedTree, Modification,
-        RelationDescriptor, TreeFile,
+        Attachment, AttachmentInstance, ExecCtx, LoggedTree, Modification, RelationDescriptor,
+        TreeFile,
     };
     use starburst_dmx::prelude::*;
     use starburst_dmx::types::FileId;
@@ -537,13 +537,14 @@ mod build_token {
             _: &RelationDescriptor,
             _: &str,
             _: &AttrList,
-        ) -> Result<Vec<u8>> {
+        ) -> Result<AttrList> {
+            // Not under the assigned `file` and `root`, which the default
+            // `storage_files` reads.
             let tree = TreeFile::create(ctx.services())?;
-            Ok([tree.file.0.to_le_bytes(), tree.root_page.to_le_bytes()].concat())
-        }
-
-        fn destroy_instance(&self, _: &Arc<CommonServices>, _: &[u8]) -> Result<()> {
-            Ok(())
+            AttrList::from_pairs([
+                ("tree_file", tree.file.0.to_string()),
+                ("tree_root", tree.root_page.to_string()),
+            ])
         }
 
         fn on_modify(
@@ -554,11 +555,11 @@ mod build_token {
             m: &Modification<'_>,
         ) -> Result<()> {
             for inst in instances {
-                let word =
-                    |at: usize| u32::from_le_bytes(inst.desc[at..at + 4].try_into().unwrap());
+                let attrs = inst.attrs()?;
+                let word = |key: &str| attrs.get_u64(key, 0).map(|v| v as u32);
                 let tree = TreeFile {
-                    file: FileId(word(0)),
-                    root_page: word(4),
+                    file: FileId(word("tree_file")?),
+                    root_page: word("tree_root")?,
                 };
                 let logged = LoggedTree::attachment(ctx, rd, inst, tree.open_tree(ctx.services()));
                 logged.apply(m.key().as_bytes(), None, Some(b"x"))?;

@@ -14,7 +14,7 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use starburst_dmx::attach::join_index::JiDesc;
+use starburst_dmx::attach::join_index::JoinIndex;
 use starburst_dmx::prelude::*;
 use starburst_dmx::query::SqlExt;
 
@@ -899,8 +899,8 @@ fn a_build_into_adopted_trees_is_taken_back_entry_by_entry() {
     }
     let trees = |db: &Arc<Database>| {
         let rd = db.catalog().get_by_name("emp").unwrap();
-        let desc = &rd.find_attachment("ed").unwrap().1.desc;
-        JiDesc::decode(desc).unwrap().trees.map(|t| {
+        let inst = rd.find_attachment("ed").unwrap().1;
+        JoinIndex::desc(&rd, inst).unwrap().trees.map(|t| {
             let mut entries = Vec::new();
             let mut cursor = t.open_tree(db.services()).iter_all();
             while let Some(entry) = cursor.next().unwrap() {

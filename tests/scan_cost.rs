@@ -116,8 +116,9 @@ fn a_snapshot_scan_pins_each_page_once_and_locks_the_relation_only() {
 fn a_unique_index_point_select_descends_once() {
     let db = emp_db();
     let rd = db.catalog().get_by_name("emp").unwrap();
-    let desc = IxDesc::decode(&rd.find_attachment("emp_id").unwrap().1.desc).unwrap();
-    let tree = desc.tree_file().open_tree(db.services());
+    let tree = IxDesc::decode(&rd.find_attachment("emp_id").unwrap().1.desc)
+        .unwrap()
+        .open_tree(db.services());
     let height = tree.stats().unwrap().height as u64;
     assert!(height >= 2, "an index with a root above its leaves");
 

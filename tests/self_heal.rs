@@ -147,7 +147,6 @@ fn check_table_quarantines_proactively() {
 /// does not know the two-relation DDL — and is left as it is).
 #[test]
 fn check_and_repair_cover_aggregate_rtree_and_join_index_files() {
-    use starburst_dmx::attach::{aggregate::AggDesc, join_index::JiDesc, rtree::RtDesc};
     let env = DatabaseEnv::fresh();
     let db = reopen(&env);
     for ddl in [
@@ -173,11 +172,17 @@ fn check_and_repair_cover_aggregate_rtree_and_join_index_files() {
     // (aggregate file, R-tree file, the join index's three tree files)
     let files = || {
         let rd = db.catalog().get_by_name("t").unwrap();
-        let desc = |name: &str| rd.find_attachment(name).unwrap().1.desc.clone();
+        let files = |name: &str| {
+            let (att, inst) = rd.find_attachment(name).unwrap();
+            db.registry()
+                .attachment(att)
+                .unwrap()
+                .storage_files(&inst.desc)
+        };
         (
-            AggDesc::decode(&desc("sums")).unwrap().file,
-            RtDesc::decode(&desc("t_area")).unwrap().file,
-            JiDesc::decode(&desc("tu")).unwrap().trees.map(|t| t.file),
+            files("sums")[0],
+            files("t_area")[0],
+            <[_; 3]>::try_from(files("tu")).unwrap(),
         )
     };
     let (agg, rt, ji) = files();
@@ -206,6 +211,76 @@ fn check_and_repair_cover_aggregate_rtree_and_join_index_files() {
     assert!(agg2 != agg && rt2 != rt, "aggregate and R-tree rebuilt");
     assert_eq!(ji2, ji, "join index left in place");
     assert_eq!(db.query_sql(window).unwrap(), before);
+}
+
+/// `sys.attachments` shows each instance's DDL list (`params`) without
+/// the keys the engine assigned. A rebuild hands that list back to the
+/// instance's type, so `REPAIR TABLE` gives every page-backed instance
+/// new files and leaves every `params` as it was.
+#[test]
+fn repair_rebuilds_every_instance_from_its_stored_list() {
+    let db = reopen(&DatabaseEnv::fresh());
+    for ddl in [
+        "CREATE TABLE t (id INT NOT NULL, v INT NOT NULL, area RECT NOT NULL)",
+        "CREATE UNIQUE INDEX t_id ON t (id)",
+        "CREATE INDEX t_v ON t USING hash (v)",
+        "CREATE INDEX t_area ON t USING rtree (area)",
+        "CREATE ATTACHMENT sums ON t USING aggregate WITH (sum = id, group_by = v)",
+        "CREATE ATTACHMENT t_stats ON t USING stats",
+        "CREATE ATTACHMENT t_log ON t USING trigger WITH (on = 'insert,delete', action = 'hook:x')",
+    ] {
+        db.execute_sql(ddl).expect(ddl);
+    }
+    db.register_hook("x", Arc::new(|_, _| Ok(())));
+    for i in 0..50 {
+        db.execute_sql(&format!(
+            "INSERT INTO t VALUES ({i}, {}, RECT({i}, {i}, {}, {}))",
+            i % 4,
+            i + 1,
+            i + 1
+        ))
+        .expect("dml");
+    }
+    let params = || {
+        db.query_sql("SELECT name, params FROM sys.attachments WHERE relation = 't' ORDER BY 1")
+            .unwrap()
+    };
+    let before = params();
+    let row = |name: &str, params: &str| vec![Value::from(name), Value::from(params)];
+    assert_eq!(
+        before,
+        vec![
+            row("sums", "sum = id, group_by = v"),
+            row("t_area", "fields = area"),
+            row("t_id", "fields = id, unique = true"),
+            row("t_log", "on = 'insert,delete', action = 'hook:x'"),
+            row("t_stats", ""),
+            row("t_v", "fields = v"),
+        ]
+    );
+    let files = || {
+        let rd = db.catalog().get_by_name("t").unwrap();
+        let mut files = Vec::new();
+        for (att, insts) in rd.attached_types() {
+            let att = db.registry().attachment(att).unwrap();
+            files.extend(insts.iter().map(|i| att.storage_files(&i.desc)));
+        }
+        files
+    };
+    let old = files();
+    let r = db.execute_sql("REPAIR TABLE t").expect("repair");
+    assert_eq!(r.rows[0][1], Value::from("rebuild"));
+    assert_eq!(r.rows[0][2], Value::from("healthy"));
+    assert_eq!(params(), before);
+    let new = files();
+    assert_eq!(old.iter().filter(|f| !f.is_empty()).count(), 5);
+    for (old, new) in old.iter().zip(&new) {
+        assert_eq!(old.len(), new.len());
+        assert!(
+            old.is_empty() || old != new,
+            "{old:?} rebuilt into new files"
+        );
+    }
 }
 
 /// `CHECK TABLE` demands the base's exact key set only from a path that
