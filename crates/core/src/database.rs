@@ -1185,7 +1185,7 @@ impl Database {
     }
 
     /// Creates an attachment instance on a relation and builds it from
-    /// the relation's existing records ([`Attachment::build`]).
+    /// the relation's existing records ([`crate::Attachment::build`]).
     pub fn create_attachment(
         self: &Arc<Self>,
         txn: &Arc<Transaction>,
@@ -1334,7 +1334,7 @@ impl Database {
 
     /// `ANALYZE TABLE`: scans the relation once and offers the full
     /// record image to every attachment type on it via
-    /// [`Attachment::analyze`], so maintained derived state (the
+    /// [`crate::Attachment::analyze`], so maintained derived state (the
     /// statistics attachment's distinct sketches and histogram bounds)
     /// can be rebuilt *exactly*, then stores the relation's counts in its
     /// catalog header. Returns the number of attachment instances that

@@ -451,35 +451,44 @@ impl Database {
         }
     }
 
-    /// The committed on-page state of `(rel, key)` as a version image,
-    /// read under the caller's record X lock (so it is stable) — unless
-    /// the caller hands it in as `read`: the whole record as it read it
-    /// under a lock on `key` it has held since. A debug build reads the
-    /// page anyway and holds the two against each other.
+    /// The before-image of a write to `(rel, key)`, stamped as the base
+    /// of its chain: the write's one read of the record, whole, under the
+    /// caller's record X lock (so it is stable) — unless the caller hands
+    /// it in as `read`: the whole record as it read it under a lock on
+    /// `key` it has held since. A debug build reads the page anyway and
+    /// holds the two against each other. An absent record is `NotFound`
+    /// here, before anything is stamped or logged; the storage method
+    /// writes from what this returns. Stamped *before* the page mutation:
+    /// a snapshot scan that races the write finds the chain and reads
+    /// this committed image instead of trusting the half-written page.
     fn base_image(
         self: &Arc<Self>,
         ctx: &ExecCtx<'_>,
         rd: &RelationDescriptor,
         key: &RecordKey,
         read: Option<Vec<Value>>,
-    ) -> Result<VersionImage> {
+    ) -> Result<Record> {
         let sm = self.registry().storage(rd.sm)?;
-        if let Some(values) = read {
-            if cfg!(debug_assertions) {
-                // By encoding: a NaN field equals itself there.
-                let encoded = |v: &[Value]| Record::new(v.to_vec()).encode();
-                let page = sm.fetch(ctx, rd, key, None, None)?;
-                assert!(
-                    page.as_deref().map(encoded) == Some(encoded(&values)),
-                    "handed-in base of {key:?} is {values:?}, the page holds {page:?}"
-                );
+        let values = match read {
+            Some(values) => {
+                if cfg!(debug_assertions) {
+                    // By encoding: a NaN field equals itself there.
+                    let encoded = |v: &[Value]| Record::new(v.to_vec()).encode();
+                    let page = sm.fetch(ctx, rd, key, None, None)?;
+                    assert!(
+                        page.as_deref().map(encoded) == Some(encoded(&values)),
+                        "handed-in base of {key:?} is {values:?}, the page holds {page:?}"
+                    );
+                }
+                values
             }
-            return Ok(VersionImage::Present(values));
-        }
-        Ok(match sm.fetch(ctx, rd, key, None, None)? {
-            Some(values) => VersionImage::Present(values),
-            None => VersionImage::Absent,
-        })
+            None => sm
+                .fetch(ctx, rd, key, None, None)?
+                .ok_or_else(|| DmxError::NotFound(format!("record {key:?} of {}", rd.name)))?,
+        };
+        let base = VersionImage::Present(values.clone());
+        self.stamp(ctx.txn, rd, key, base, VersionImage::Absent);
+        Ok(Record::new(values))
     }
 
     /// The chain image of `(rel, key)` visible to `txn`'s snapshot
@@ -640,16 +649,12 @@ impl Database {
         let res = self.with_stmt(txn, |ctx| {
             ctx.lock(LockName::Relation(rel), LockMode::IX)?;
             ctx.lock_record(rel, key, LockMode::X)?;
-            // Stamp *before* the page mutation: a snapshot scan that
-            // races the update finds the chain and reads the committed
-            // base image instead of trusting the half-updated page.
-            let base = self.base_image(ctx, &rd, key, base)?;
-            self.stamp(txn, &rd, key, base, VersionImage::Absent);
+            let old = self.base_image(ctx, &rd, key, base)?;
             let sm = self.registry().storage(rd.sm)?;
             // The (possibly relocated) new key is the mutation's output;
             // same unstamped window as insert until its stamp lands.
             let window = self.versions().begin_unstamped(rel);
-            let (old, new_key) = sm.update(ctx, &rd, key, &new)?;
+            let new_key = sm.update(ctx, &rd, key, &old, &new)?;
             if new_key != *key {
                 ctx.lock_record(rel, &new_key, LockMode::X)?;
             }
@@ -692,10 +697,9 @@ impl Database {
         let res = self.with_stmt(txn, |ctx| {
             ctx.lock(LockName::Relation(rel), LockMode::IX)?;
             ctx.lock_record(rel, key, LockMode::X)?;
-            let base = self.base_image(ctx, &rd, key, base)?;
-            self.stamp(txn, &rd, key, base, VersionImage::Absent);
+            let old = self.base_image(ctx, &rd, key, base)?;
             let sm = self.registry().storage(rd.sm)?;
-            let old = sm.delete(ctx, &rd, key)?;
+            sm.delete(ctx, &rd, key, &old)?;
             let m = Modification::delete(key, &old);
             self.run_attachments(ctx, &rd, &m, &self.counters().deletes)
         });

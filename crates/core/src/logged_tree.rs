@@ -60,8 +60,8 @@
 //! double-count.
 //!
 //! One writer logs nothing: the build of a new attachment instance
-//! ([`crate::Attachment::build`]). While [`Build`] is open, `apply`
-//! installs that instance's entries through [`Build::token`], the named
+//! ([`crate::Attachment::build`]). While `Build` is open, `apply`
+//! installs that instance's entries through `Build::token`, the named
 //! unlogged path beside `Appended::UNLOGGED` and `FreshPage::format`. No
 //! replay needs those entries: the DDL's commit force-writes the files
 //! the instance was created with before its commit point, and undoing

@@ -180,10 +180,17 @@ mod tests {
             _: &RelationDescriptor,
             _: &RecordKey,
             _: &Record,
-        ) -> Result<(Record, RecordKey)> {
+            _: &Record,
+        ) -> Result<RecordKey> {
             Err(DmxError::Unsupported("stub".into()))
         }
-        fn delete(&self, _: &ExecCtx<'_>, _: &RelationDescriptor, _: &RecordKey) -> Result<Record> {
+        fn delete(
+            &self,
+            _: &ExecCtx<'_>,
+            _: &RelationDescriptor,
+            _: &RecordKey,
+            _: &Record,
+        ) -> Result<()> {
             Err(DmxError::Unsupported("stub".into()))
         }
         fn fetch(

@@ -4,7 +4,7 @@
 //! every access path is *derived* state, rebuildable from its base
 //! relation through the same generic registration interfaces that
 //! created it, and every storage structure announces its page files
-//! through [`StorageMethod::storage_files`] / `Attachment::storage_files`.
+//! through [`crate::StorageMethod::storage_files`] / `Attachment::storage_files`.
 //! The scrubber walks those pages through the buffer manager (verifying
 //! checksums exactly as a normal read would), cross-checks base and
 //! attachment agreement through the generic scan interfaces, and fences
@@ -19,7 +19,7 @@
 //!   WAL-logged like any DDL and a crash mid-repair is just another
 //!   fault-sweep point;
 //! * **base damage** — the storage method salvages every readable record
-//!   ([`StorageMethod::salvage`]), the records are reloaded into a fresh
+//!   ([`crate::StorageMethod::salvage`]), the records are reloaded into a fresh
 //!   instance (built inside a temporary relation so the loader's WAL
 //!   records never resolve against the damaged file at restart), the
 //!   descriptor is swapped, and the page-backed attachments are rebuilt

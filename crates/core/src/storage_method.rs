@@ -71,20 +71,30 @@ pub trait StorageMethod: Send + Sync {
         record: &Record,
     ) -> Result<RecordKey>;
 
-    /// Updates the record at `key`, returning the old record and the
-    /// (possibly new) record key — key-forming storage methods relocate
-    /// records whose key fields changed.
+    /// Replaces the record at `key`, which is `old`, by `new`, returning
+    /// the (possibly new) record key — key-forming storage methods
+    /// relocate records whose key fields changed. The dispatcher has read
+    /// `old` under `key`'s record X lock and answered an absent record
+    /// itself, so the record exists and is `old`: the method does not
+    /// read it again, and logs `old`'s encoding as its before-image.
     fn update(
         &self,
         ctx: &ExecCtx<'_>,
         rd: &RelationDescriptor,
         key: &RecordKey,
+        old: &Record,
         new: &Record,
-    ) -> Result<(Record, RecordKey)>;
+    ) -> Result<RecordKey>;
 
-    /// Deletes the record at `key`, returning it.
-    fn delete(&self, ctx: &ExecCtx<'_>, rd: &RelationDescriptor, key: &RecordKey)
-        -> Result<Record>;
+    /// Deletes the record at `key`, which is `old` — read, locked and
+    /// known to exist as for [`StorageMethod::update`].
+    fn delete(
+        &self,
+        ctx: &ExecCtx<'_>,
+        rd: &RelationDescriptor,
+        key: &RecordKey,
+        old: &Record,
+    ) -> Result<()>;
 
     /// Direct-by-key access: returns selected fields of the record at
     /// `key` (all fields when `fields` is `None`), after applying the

@@ -23,9 +23,49 @@ use dmx_types::Result;
 use crate::ast::SelectStmt;
 use crate::planner::{plan_select, CompiledSelect};
 
+/// Plans the cache holds at most. A SQL text that is new when it is
+/// full takes the slot of the first plan the CLOCK hand finds that no
+/// statement has used since the hand last passed it.
+pub const PLAN_CACHE_CAPACITY: usize = 1024;
+
 struct Cached {
+    sql: String,
     plan_id: PlanId,
     compiled: Arc<CompiledSelect>,
+    /// Used since the CLOCK hand last passed: spared once more.
+    used: bool,
+}
+
+/// The cached plans: a ring of slots the CLOCK hand walks, and where
+/// each text's slot is.
+#[derive(Default)]
+struct Plans {
+    slots: Vec<Cached>,
+    by_sql: HashMap<String, usize>,
+    hand: usize,
+}
+
+impl Plans {
+    /// Caches the plan of a text it does not hold: in a fresh slot while
+    /// there is room, else in the slot of the first plan from the hand on
+    /// that no statement has used since the hand last passed it, which
+    /// goes (its dependencies with it).
+    fn add(&mut self, db: &Database, cached: Cached) {
+        let sql = cached.sql.clone();
+        if self.slots.len() < PLAN_CACHE_CAPACITY {
+            self.by_sql.insert(sql, self.slots.len());
+            self.slots.push(cached);
+            return;
+        }
+        while std::mem::take(&mut self.slots[self.hand].used) {
+            self.hand = (self.hand + 1) % self.slots.len();
+        }
+        let victim = std::mem::replace(&mut self.slots[self.hand], cached);
+        self.by_sql.remove(&victim.sql);
+        db.deps().forget_plan(victim.plan_id);
+        self.by_sql.insert(sql, self.hand);
+        self.hand = (self.hand + 1) % self.slots.len();
+    }
 }
 
 /// Cache statistics (experiment E4 reports these).
@@ -39,7 +79,7 @@ pub struct CacheStats {
 /// SQL-text-keyed cache of compiled SELECT plans.
 #[derive(Default)]
 pub struct PlanCache {
-    plans: Mutex<HashMap<String, Cached>>,
+    plans: Mutex<Plans>,
     pub stats: CacheStats,
     /// Registry mirrors of hits/misses, resolved once from the first
     /// database this cache serves (there is one cache per database).
@@ -67,9 +107,12 @@ impl PlanCache {
         let (reg_hits, reg_misses) = self.registry_counters(db);
         let (reg_hits, reg_misses) = (reg_hits.clone(), reg_misses.clone());
         {
-            let plans = self.plans.lock();
-            if let Some(c) = plans.get(sql) {
+            let mut plans = self.plans.lock();
+            let plans = &mut *plans;
+            if let Some(&at) = plans.by_sql.get(sql) {
+                let c = &mut plans.slots[at];
                 if db.deps().is_valid(c.plan_id) {
+                    c.used = true;
                     self.stats.hits.fetch_add(1, Ordering::Relaxed);
                     reg_hits.incr();
                     return Ok(c.compiled.clone());
@@ -79,17 +122,19 @@ impl PlanCache {
         // invalid or absent: (re-)translate
         let compiled = Arc::new(plan_select(db, sel)?);
         let plan_id = db.deps().register_plan(compiled.deps.clone());
+        let cached = Cached {
+            sql: sql.to_string(),
+            plan_id,
+            compiled: compiled.clone(),
+            used: false,
+        };
         let mut plans = self.plans.lock();
-        if let Some(old) = plans.insert(
-            sql.to_string(),
-            Cached {
-                plan_id,
-                compiled: compiled.clone(),
-            },
-        ) {
+        if let Some(&at) = plans.by_sql.get(sql) {
+            let old = std::mem::replace(&mut plans.slots[at], cached);
             db.deps().forget_plan(old.plan_id);
             self.stats.retranslations.fetch_add(1, Ordering::Relaxed);
         } else {
+            plans.add(db, cached);
             self.stats.misses.fetch_add(1, Ordering::Relaxed);
         }
         // Both fresh compiles and retranslations are registry misses:
@@ -100,7 +145,7 @@ impl PlanCache {
 
     /// Number of cached plans.
     pub fn len(&self) -> usize {
-        self.plans.lock().len()
+        self.plans.lock().slots.len()
     }
 
     /// True when the cache is empty.
@@ -114,10 +159,11 @@ impl PlanCache {
         use dmx_types::Value;
         let plans = self.plans.lock();
         let mut rows: Vec<Vec<Value>> = plans
+            .slots
             .iter()
-            .map(|(sql, c)| {
+            .map(|c| {
                 vec![
-                    Value::Str(sql.clone()),
+                    Value::Str(c.sql.clone()),
                     Value::Bool(db.deps().is_valid(c.plan_id)),
                 ]
             })
@@ -131,8 +177,8 @@ impl PlanCache {
 
     /// Drops every cached plan (tests/benches).
     pub fn clear(&self, db: &Arc<Database>) {
-        let mut plans = self.plans.lock();
-        for (_, c) in plans.drain() {
+        let plans = std::mem::take(&mut *self.plans.lock());
+        for c in plans.slots {
             db.deps().forget_plan(c.plan_id);
         }
     }

@@ -142,7 +142,7 @@ fn tables_of(e: &Expr, tables: &[BoundTable]) -> BTreeSet<usize> {
 /// outer row's value). Every estimate prices a single opening, and the
 /// units are too coarse to rank a few-page rescan against a probe, so
 /// when the cheapest offer is not a probe the cheapest probe still
-/// replaces it unless statistics show it costs at most [`PROBE_COST`].
+/// replaces it unless statistics show it costs at most `PROBE_COST` (3 units).
 pub fn choose_path(
     db: &Arc<Database>,
     rd: &Arc<RelationDescriptor>,

@@ -691,6 +691,58 @@ fn plan_cache_reuse_and_invalidation() {
     );
 }
 
+/// 3,072 distinct SELECT texts through one session, one hot text among
+/// them throughout: the cache and the dependency registry stay at the
+/// capacity, the hot text keeps its plan, and every answer is right.
+#[test]
+fn the_plan_cache_holds_at_most_its_capacity() {
+    use std::sync::atomic::Ordering::Relaxed;
+    let db = open_db();
+    setup_emp(&db);
+    let cache = db.query_state::<dmx_query::PlanCache, _>(Default::default);
+    let sess = Session::new(db.clone());
+    let cap = 1024;
+    let hot = "SELECT COUNT(*) FROM emp WHERE dept = 3";
+    let cached = |sess: &Session| {
+        sess.execute("SELECT COUNT(*) FROM sys.plan_cache")
+            .unwrap()
+            .rows
+    };
+    for i in 0..3 * cap as i64 {
+        let (id, floor) = (i % 100, 900 + i / 100 * 20);
+        let sql = format!("SELECT name FROM emp WHERE id = {id} AND salary >= {floor}");
+        let want = match 1000 + 10 * id >= floor {
+            true => vec![vec![Value::from(format!("emp{id}").as_str())]],
+            false => vec![],
+        };
+        assert_eq!(sess.execute(&sql).unwrap().rows, want, "{sql}");
+        if i % 16 == 0 {
+            let hits = cache.stats.hits.load(Relaxed);
+            assert_eq!(sess.execute(hot).unwrap().rows, vec![vec![Value::Int(20)]]);
+            if i > 0 {
+                assert_eq!(
+                    cache.stats.hits.load(Relaxed),
+                    hits + 1,
+                    "the hot text at {i}"
+                );
+            }
+        }
+        if i % 512 == 511 {
+            let rows = cached(&sess);
+            let [Value::Int(rows)] = rows[0][..] else {
+                panic!("one count: {rows:?}");
+            };
+            assert!(rows as usize <= cap, "{rows} plans cached at {i}");
+            assert!(
+                db.deps().plan_count() <= cap,
+                "{} plans registered",
+                db.deps().plan_count()
+            );
+        }
+    }
+    assert_eq!(cache.len(), cap);
+}
+
 #[test]
 fn authorization_enforced_per_user() {
     let db = open_db();

@@ -190,21 +190,17 @@ impl StorageMethod for BTreeStorage {
         ctx: &ExecCtx<'_>,
         rd: &RelationDescriptor,
         key: &RecordKey,
+        old: &Record,
         new: &Record,
-    ) -> Result<(Record, RecordKey)> {
+    ) -> Result<RecordKey> {
         let d = Self::desc(rd)?;
         let records = Self::records(ctx, rd, &d);
-        // The DML layer holds `key`'s record X lock: this read is stable.
-        let old_bytes = records
-            .tree()
-            .get(key.as_bytes())?
-            .ok_or_else(|| DmxError::NotFound(format!("btree record {key:?}")))?;
-        let old = Record::decode(&old_bytes)?;
+        let old_bytes = old.encode();
         let new_key = Self::record_key(&d, new)?;
         let new_bytes = new.encode();
         if new_key == *key {
             records.apply(key.as_bytes(), Some(&old_bytes), Some(&new_bytes))?;
-            return Ok((old, new_key));
+            return Ok(new_key);
         }
         // Key fields changed: the record moves ("the old record and record
         // key will be used to determine which key to delete … and the new
@@ -225,7 +221,7 @@ impl StorageMethod for BTreeStorage {
         }
         records.apply(key.as_bytes(), Some(&old_bytes), None)?;
         records.apply(new_key.as_bytes(), None, Some(&new_bytes))?;
-        Ok((old, new_key))
+        Ok(new_key)
     }
 
     fn delete(
@@ -233,17 +229,12 @@ impl StorageMethod for BTreeStorage {
         ctx: &ExecCtx<'_>,
         rd: &RelationDescriptor,
         key: &RecordKey,
-    ) -> Result<Record> {
+        old: &Record,
+    ) -> Result<()> {
         let d = Self::desc(rd)?;
         let records = Self::records(ctx, rd, &d);
-        // Stable for the same reason as in `update`.
-        let old_bytes = records
-            .tree()
-            .get(key.as_bytes())?
-            .ok_or_else(|| DmxError::NotFound(format!("btree record {key:?}")))?;
         lock_delete_gaps(ctx, rd.id, records.tree(), key.as_bytes())?;
-        records.apply(key.as_bytes(), Some(&old_bytes), None)?;
-        Record::decode(&old_bytes)
+        records.apply(key.as_bytes(), Some(&old.encode()), None)
     }
 
     fn fetch(

@@ -167,13 +167,13 @@ impl StorageMethod for ForeignStorage {
         ctx: &ExecCtx<'_>,
         rd: &RelationDescriptor,
         key: &RecordKey,
+        old: &Record,
         new: &Record,
-    ) -> Result<(Record, RecordKey)> {
+    ) -> Result<RecordKey> {
         let (server, table) = self.resolve(rd)?;
-        server.trip(); // read the old record…
-        let old = table.update(ctx, rd, key, new)?;
-        server.trip(); // …write the new one
-        Ok((old, key.clone()))
+        server.trip();
+        table.replace(ctx, rd, key, old, Some(new))?;
+        Ok(key.clone())
     }
 
     fn delete(
@@ -181,12 +181,11 @@ impl StorageMethod for ForeignStorage {
         ctx: &ExecCtx<'_>,
         rd: &RelationDescriptor,
         key: &RecordKey,
-    ) -> Result<Record> {
+        old: &Record,
+    ) -> Result<()> {
         let (server, table) = self.resolve(rd)?;
-        server.trip(); // read the old record…
-        let old = table.delete(ctx, rd, key)?;
-        server.trip(); // …remove it
-        Ok(old)
+        server.trip();
+        table.replace(ctx, rd, key, old, None)
     }
 
     fn fetch(

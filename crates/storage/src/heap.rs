@@ -298,29 +298,25 @@ impl StorageMethod for HeapStorage {
         ctx: &ExecCtx<'_>,
         rd: &RelationDescriptor,
         key: &RecordKey,
+        old: &Record,
         new: &Record,
-    ) -> Result<(Record, RecordKey)> {
+    ) -> Result<RecordKey> {
         let file = Self::file(rd)?;
         let (page_no, slot) = parse_rid(key.as_bytes())?;
-        let new_bytes = new.encode();
+        let (old_bytes, new_bytes) = (old.encode(), new.encode());
         let pin = ctx.services().pool.fetch(PageId::new(file, page_no))?;
         let page = pin.exclusive();
-        let old_bytes = SlottedPage::get(&page, slot)
-            .ok_or_else(|| DmxError::NotFound(format!("heap record {key:?}")))?
-            .to_vec();
-        let old = Record::decode(&old_bytes)?;
         // Will an in-place update fit (the old payload is reclaimed)?
         if SlottedPage::fits(&page, slot, new_bytes.len()) {
             let at = log_change(ctx, rd, key, Some(&old_bytes), Some(&new_bytes))?;
             SlottedPage::update(&mut page.stamp(at), slot, &new_bytes)?;
-            return Ok((old, key.clone()));
+            return Ok(key.clone());
         }
         // Relocate: delete here, insert elsewhere (each logged).
         let at = log_change(ctx, rd, key, Some(&old_bytes), None)?;
         SlottedPage::delete(&mut page.stamp(at), slot);
         drop(pin);
-        let new_key = self.insert(ctx, rd, new)?;
-        Ok((old, new_key))
+        self.insert(ctx, rd, new)
     }
 
     fn delete(
@@ -328,17 +324,15 @@ impl StorageMethod for HeapStorage {
         ctx: &ExecCtx<'_>,
         rd: &RelationDescriptor,
         key: &RecordKey,
-    ) -> Result<Record> {
+        old: &Record,
+    ) -> Result<()> {
         let file = Self::file(rd)?;
         let (page_no, slot) = parse_rid(key.as_bytes())?;
         let pin = ctx.services().pool.fetch(PageId::new(file, page_no))?;
         let page = pin.exclusive();
-        let old_bytes = SlottedPage::get(&page, slot)
-            .ok_or_else(|| DmxError::NotFound(format!("heap record {key:?}")))?
-            .to_vec();
-        let at = log_change(ctx, rd, key, Some(&old_bytes), None)?;
+        let at = log_change(ctx, rd, key, Some(&old.encode()), None)?;
         SlottedPage::delete(&mut page.stamp(at), slot);
-        Record::decode(&old_bytes)
+        Ok(())
     }
 
     fn fetch(

@@ -44,14 +44,6 @@ impl Table {
         })
     }
 
-    fn get(&self, rd: &RelationDescriptor, key: &RecordKey) -> Result<Record> {
-        self.rows
-            .read()
-            .get(key.as_bytes())
-            .cloned()
-            .ok_or_else(|| DmxError::NotFound(format!("record {key:?} of {}", rd.name)))
-    }
-
     pub(crate) fn insert(
         &self,
         ctx: &ExecCtx<'_>,
@@ -68,32 +60,24 @@ impl Table {
         Ok(key)
     }
 
-    /// Replaces the record at `key`, returning the old one.
-    pub(crate) fn update(
+    /// Replaces the record at `key`, which is `old`, by `new` (`None`:
+    /// removes it).
+    pub(crate) fn replace(
         &self,
         ctx: &ExecCtx<'_>,
         rd: &RelationDescriptor,
         key: &RecordKey,
-        new: &Record,
-    ) -> Result<Record> {
-        let old = self.get(rd, key)?;
-        log_change(ctx, rd, key, Some(&old.encode()), Some(&new.encode()))?;
-        self.rows
-            .write()
-            .insert(key.as_bytes().to_vec(), new.clone());
-        Ok(old)
-    }
-
-    pub(crate) fn delete(
-        &self,
-        ctx: &ExecCtx<'_>,
-        rd: &RelationDescriptor,
-        key: &RecordKey,
-    ) -> Result<Record> {
-        let old = self.get(rd, key)?;
-        log_change(ctx, rd, key, Some(&old.encode()), None)?;
-        self.rows.write().remove(key.as_bytes());
-        Ok(old)
+        old: &Record,
+        new: Option<&Record>,
+    ) -> Result<()> {
+        let after = new.map(Record::encode);
+        log_change(ctx, rd, key, Some(&old.encode()), after.as_deref())?;
+        let mut rows = self.rows.write();
+        match new {
+            Some(new) => rows.insert(key.as_bytes().to_vec(), new.clone()),
+            None => rows.remove(key.as_bytes()),
+        };
+        Ok(())
     }
 
     pub(crate) fn fetch(
@@ -223,10 +207,11 @@ impl StorageMethod for MemoryStorage {
         ctx: &ExecCtx<'_>,
         rd: &RelationDescriptor,
         key: &RecordKey,
+        old: &Record,
         new: &Record,
-    ) -> Result<(Record, RecordKey)> {
-        let old = self.table(rd)?.update(ctx, rd, key, new)?;
-        Ok((old, key.clone()))
+    ) -> Result<RecordKey> {
+        self.table(rd)?.replace(ctx, rd, key, old, Some(new))?;
+        Ok(key.clone())
     }
 
     fn delete(
@@ -234,8 +219,9 @@ impl StorageMethod for MemoryStorage {
         ctx: &ExecCtx<'_>,
         rd: &RelationDescriptor,
         key: &RecordKey,
-    ) -> Result<Record> {
-        self.table(rd)?.delete(ctx, rd, key)
+        old: &Record,
+    ) -> Result<()> {
+        self.table(rd)?.replace(ctx, rd, key, old, None)
     }
 
     fn fetch(

@@ -99,8 +99,9 @@ impl StorageMethod for ReadOnlyStorage {
         _ctx: &ExecCtx<'_>,
         _rd: &RelationDescriptor,
         _key: &RecordKey,
+        _old: &Record,
         _new: &Record,
-    ) -> Result<(Record, RecordKey)> {
+    ) -> Result<RecordKey> {
         Err(self.unsupported("update"))
     }
 
@@ -109,7 +110,8 @@ impl StorageMethod for ReadOnlyStorage {
         _ctx: &ExecCtx<'_>,
         _rd: &RelationDescriptor,
         _key: &RecordKey,
-    ) -> Result<Record> {
+        _old: &Record,
+    ) -> Result<()> {
         Err(self.unsupported("delete"))
     }
 

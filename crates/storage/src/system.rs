@@ -367,8 +367,9 @@ impl StorageMethod for SystemStorage {
         _ctx: &ExecCtx<'_>,
         _rd: &RelationDescriptor,
         _key: &RecordKey,
+        _old: &Record,
         _new: &Record,
-    ) -> Result<(Record, RecordKey)> {
+    ) -> Result<RecordKey> {
         Err(self.unsupported("update"))
     }
 
@@ -377,7 +378,8 @@ impl StorageMethod for SystemStorage {
         _ctx: &ExecCtx<'_>,
         _rd: &RelationDescriptor,
         _key: &RecordKey,
-    ) -> Result<Record> {
+        _old: &Record,
+    ) -> Result<()> {
         Err(self.unsupported("delete"))
     }
 

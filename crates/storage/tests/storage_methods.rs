@@ -62,7 +62,7 @@ fn make_rel(db: &Arc<Database>, sm: &str, name: &str) -> RelationId {
 /// Drives the full CRUD + scan lifecycle through the dispatcher.
 fn crud_roundtrip(sm: &str) {
     let db = if sm == "foreign" {
-        open_db_with_mars()
+        open_db_with_mars().0
     } else {
         open_db()
     };
@@ -145,10 +145,10 @@ fn crud_roundtrip(sm: &str) {
     assert_eq!(db.catalog().get(rel).unwrap().stats.records(), 49);
 }
 
-fn open_db_with_mars() -> Arc<Database> {
+fn open_db_with_mars() -> (Arc<Database>, Arc<dmx_storage::RemoteServer>) {
     let reg = ExtensionRegistry::new();
     let foreign = Arc::new(dmx_storage::ForeignStorage::default());
-    foreign.register_server("mars");
+    let mars = foreign.register_server("mars");
     reg.register_storage_method(Arc::new(dmx_storage::MemoryStorage::default()))
         .unwrap();
     reg.register_storage_method(Arc::new(dmx_storage::HeapStorage))
@@ -158,7 +158,7 @@ fn open_db_with_mars() -> Arc<Database> {
     reg.register_storage_method(Arc::new(dmx_storage::ReadOnlyStorage))
         .unwrap();
     reg.register_storage_method(foreign).unwrap();
-    Database::open_fresh(reg).unwrap()
+    (Database::open_fresh(reg).unwrap(), mars)
 }
 
 #[test]
@@ -186,10 +186,41 @@ fn foreign_crud() {
     crud_roundtrip("foreign");
 }
 
+/// A foreign write reads its record once: the dispatcher's fetch of the
+/// before-image is one round trip, and the gateway's write from it the
+/// other (three when the gateway read the record again itself).
+#[test]
+fn a_foreign_write_reads_its_record_once() {
+    let (db, mars) = open_db_with_mars();
+    let rel = make_rel(&db, "foreign", "remote");
+    let keys = db
+        .with_txn(|txn| {
+            (0..3)
+                .map(|i| db.insert(txn, rel, rec(i, "x", 1.0)))
+                .collect::<Result<Vec<_>>>()
+        })
+        .unwrap();
+    db.with_txn(|txn| {
+        let before = mars.round_trips();
+        db.update(txn, rel, &keys[0], rec(0, "y", 2.0))?;
+        assert_eq!(mars.round_trips() - before, 2, "update");
+        let before = mars.round_trips();
+        db.delete(txn, rel, &keys[1])?;
+        assert_eq!(mars.round_trips() - before, 2, "delete");
+        assert_eq!(
+            db.fetch(txn, rel, &keys[0], Some(&[1]), None)?,
+            Some(vec![Value::from("y")])
+        );
+        assert_eq!(db.fetch(txn, rel, &keys[1], None, None)?, None);
+        Ok(())
+    })
+    .unwrap();
+}
+
 #[test]
 fn foreign_undo_is_by_compensating_remote_operations() {
     // abort after remote inserts: the remote table ends up empty again
-    let db = open_db_with_mars();
+    let (db, _) = open_db_with_mars();
     let rel = make_rel(&db, "foreign", "remote");
     let txn = db.begin();
     db.insert(&txn, rel, rec(1, "x", 1.0)).unwrap();

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # One-command gate for the workspace, in order: formatting; clippy with
 # warnings denied (it holds the panic, raw-I/O and wall-clock rules of
-# DESIGN §8); an offline release build; the workspace tests in a debug
+# DESIGN §8); the API docs with warnings denied, so every intra-doc link
+# resolves to a public item; an offline release build; the workspace tests in a debug
 # build, so the latch assertions of `dmx_types::held` are on (among them
 # the crash-point sweeps at every I/O index of `tests/fault_sweep.rs` and
 # `tests/self_heal.rs`, the differential oracle and the architecture
@@ -15,6 +16,9 @@ cargo fmt --all --check
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy -q --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc --no-deps --workspace (warnings denied)"
+RUSTDOCFLAGS="-D warnings" cargo doc -q --offline --no-deps --workspace
 
 echo "==> cargo build --release"
 cargo build --release

@@ -119,39 +119,29 @@ impl StorageMethod for VecStore {
         ctx: &ExecCtx<'_>,
         rd: &RelationDescriptor,
         key: &RecordKey,
+        old: &Record,
         new: &Record,
-    ) -> Result<(Record, RecordKey)> {
+    ) -> Result<RecordKey> {
         let t = self.table(rd);
-        let mut rows = t.write().unwrap();
-        let slot = rows
-            .get_mut(idx_of(key))
-            .and_then(|o| o.as_mut())
-            .ok_or_else(|| DmxError::NotFound("vecstore record".into()))?;
-        let old = slot.clone();
-        *slot = new.clone();
+        t.write().unwrap()[idx_of(key)] = Some(new.clone());
         let mut payload = key.as_bytes().to_vec();
         payload.extend_from_slice(&old.encode());
         ctx.log_ext_op(ExtKind::Storage(rd.sm), rd.id, OP_UPD, payload);
-        Ok((old, key.clone()))
+        Ok(key.clone())
     }
     fn delete(
         &self,
         ctx: &ExecCtx<'_>,
         rd: &RelationDescriptor,
         key: &RecordKey,
-    ) -> Result<Record> {
+        old: &Record,
+    ) -> Result<()> {
         let t = self.table(rd);
-        let mut rows = t.write().unwrap();
-        let slot = rows
-            .get_mut(idx_of(key))
-            .ok_or_else(|| DmxError::NotFound("vecstore record".into()))?;
-        let old = slot
-            .take()
-            .ok_or_else(|| DmxError::NotFound("vecstore record".into()))?;
+        t.write().unwrap()[idx_of(key)] = None;
         let mut payload = key.as_bytes().to_vec();
         payload.extend_from_slice(&old.encode());
         ctx.log_ext_op(ExtKind::Storage(rd.sm), rd.id, OP_DEL, payload);
-        Ok(old)
+        Ok(())
     }
     fn fetch(
         &self,

@@ -432,3 +432,44 @@ fn explain_names_the_fields_a_storage_method_scan_reads() {
         "{probe}"
     );
 }
+
+/// A write by a whole storage-method key reads its record once: the
+/// target fetch under X is the before-image the dispatcher hands the
+/// storage method, which writes from it without a descent of its own.
+/// On a two-level tree an UPDATE pins the target's descent and the
+/// write's (6 when the method read the record again), and a DELETE adds
+/// the descent that locks the gaps it merges (8 before). A debug build
+/// also reads the page to hold the handed-in target against it: one
+/// descent more for each.
+#[test]
+fn a_keyed_write_reads_its_record_once() {
+    let db = starburst_dmx::open_default().unwrap();
+    db.execute_sql("CREATE TABLE t (id INT NOT NULL, v INT NOT NULL) USING btree WITH (key=id)")
+        .unwrap();
+    load_10k(&db, "t", |id| vec![Value::Int(id), Value::Int(id * 7)]);
+    let sess = Session::new(db.clone());
+    let (rows, [descent, ..]) = counted(&db, &sess, "SELECT v FROM t WHERE id = 5000");
+    assert_eq!(rows, vec![vec![Value::Int(35_000)]]);
+    assert_eq!(descent, 2, "a root above its leaves");
+    let check = if cfg!(debug_assertions) { descent } else { 0 };
+
+    let update = "UPDATE t SET v = 1 WHERE id = 5000";
+    let plan = sess.execute(&format!("EXPLAIN {update}")).unwrap();
+    assert!(format!("{:?}", plan.rows).contains("[record]"), "{plan:?}");
+    let (rows, [pins, ..]) = counted(&db, &sess, update);
+    assert_eq!(rows, vec![vec![Value::Int(1)]]);
+    assert_eq!(pins, 4 + check, "UPDATE by key");
+
+    let (rows, [pins, ..]) = counted(&db, &sess, "DELETE FROM t WHERE id = 5000");
+    assert_eq!(rows, vec![vec![Value::Int(1)]]);
+    assert_eq!(pins, 6 + check, "DELETE by key");
+    let (rows, _) = counted(
+        &db,
+        &sess,
+        "SELECT v FROM t WHERE id >= 4999 AND id <= 5001",
+    );
+    assert_eq!(
+        rows,
+        vec![vec![Value::Int(34_993)], vec![Value::Int(35_007)]]
+    );
+}
