@@ -4,10 +4,14 @@
 # DESIGN §8); the API docs with warnings denied, so every intra-doc link
 # resolves to a public item; an offline release build; the workspace tests in a debug
 # build, so the latch assertions of `dmx_types::held` are on (among them
-# the crash-point sweeps at every I/O index of `tests/fault_sweep.rs` and
-# `tests/self_heal.rs`, the differential oracle and the architecture
-# rules of `tests/architecture.rs`); and the repo benchmark's own tests
-# (the determinism gate). CI and pre-push hooks should run exactly this.
+# the crash-point sweeps at every I/O index, all driven by `tests/support`:
+# the four of `tests/fault_sweep.rs` (mixed DML, DDL, steal eviction,
+# every attachment type), the differential oracle's in
+# `tests/differential.rs`, the statistics sweep of `tests/statistics.rs`
+# and the scrub-and-repair window of `tests/self_heal.rs`; and the
+# architecture rules of `tests/architecture.rs`); and the repo
+# benchmark's own tests (the determinism gate). CI and pre-push hooks
+# should run exactly this.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -14,8 +14,10 @@
 // panic discipline: failures here should abort loudly.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+mod support;
+
+use std::collections::BTreeSet;
+use std::sync::{Arc, OnceLock};
 
 use starburst_dmx::prelude::*;
 use starburst_dmx::types::testrng::TestRng;
@@ -25,10 +27,6 @@ const SEED: u64 = 0x00A7_7AC1_1ED0_u64;
 const DEPTS: i64 = 6;
 const STREAM_OPS: usize = 120;
 const ITERATIONS: u64 = 5;
-
-fn reopen(env: &DatabaseEnv) -> Arc<Database> {
-    starburst_dmx::open_env(env.clone(), DatabaseConfig::default()).expect("reopen")
-}
 
 /// DDL: a parent relation, a child relation with unique + secondary
 /// index attachments, and a refint pair between them.
@@ -52,10 +50,8 @@ fn setup(db: &Arc<Database>) -> Result<()> {
     Ok(())
 }
 
-/// Every (id -> set of depts ever written for it). A surviving row is
-/// legitimate iff its dept is in that set: with autocommit statements a
-/// crash keeps or drops whole statements, never blends them.
-type Written = BTreeMap<i64, BTreeSet<i64>>;
+/// The ids of the rows the stream has written and not deleted.
+type Written = BTreeSet<i64>;
 
 /// One seeded DML segment. Statements that fail (constraint veto before
 /// the crash, any I/O after it) leave the model untouched; the stream
@@ -69,23 +65,20 @@ fn stream(db: &Arc<Database>, rng: &mut TestRng, written: &mut Written, next_id:
         } else {
             rng.range_i64(0, DEPTS)
         };
-        let live: Vec<i64> = written.keys().copied().collect();
+        let live: Vec<i64> = written.iter().copied().collect();
         let (sql, r) = if roll < 55 || live.is_empty() {
             let id = *next_id;
             let sql = format!("INSERT INTO emp VALUES ({id}, 'e{id}', {dept})");
             let r = db.execute_sql(&sql);
             if r.is_ok() {
                 *next_id += 1;
-                written.entry(id).or_default().insert(dept);
+                written.insert(id);
             }
             (sql, r)
         } else if roll < 80 {
             let id = live[rng.index(live.len())];
             let sql = format!("UPDATE emp SET dept = {dept} WHERE id = {id}");
             let r = db.execute_sql(&sql);
-            if r.is_ok() {
-                written.entry(id).or_default().insert(dept);
-            }
             (sql, r)
         } else {
             let id = live[rng.index(live.len())];
@@ -172,66 +165,52 @@ fn check_attachments(db: &Arc<Database>, at: &str) -> Vec<(i64, i64)> {
 
 /// One full iteration: setup, stream, seeded crash, reopen, check,
 /// stream again on healthy I/O, check again. Returns the surviving rows
-/// and the recovered database's metrics snapshot.
-fn run_iteration(seed: u64) -> (Vec<(i64, i64)>, MetricsSnapshot) {
-    // Pass 1 on healthy I/O: learn the I/O budget so the crash point can
+/// and two metrics snapshots: the recovering database's after its check,
+/// and the resumed one's after its stream.
+fn run_iteration(seed: u64) -> (Vec<(i64, i64)>, [MetricsSnapshot; 2]) {
+    let config = DatabaseConfig::default();
+    let workload = |run: &support::Run| {
+        let db = run.open().expect("open");
+        setup(&db).expect("setup happens before the crash point");
+        let setup_ops = run.injector.ops();
+        stream(&db, &mut TestRng::new(seed), &mut Written::new(), &mut 0);
+        setup_ops
+    };
+    // On healthy I/O first: learn the I/O budget so the crash point can
     // be placed after setup but inside the stream, deterministically.
-    let (env, injector) = DatabaseEnv::fresh_with_plan(FaultPlan::new(seed));
-    let db = reopen(&env);
-    setup(&db).expect("setup on healthy I/O");
-    let setup_ops = injector.ops();
-    let mut rng = TestRng::new(seed);
-    let mut written = Written::new();
-    let mut next_id = 0i64;
-    stream(&db, &mut rng, &mut written, &mut next_id);
-    drop(db);
-    let total_ops = injector.ops();
+    let (total_ops, setup_ops) = support::healthy(seed, &config, workload);
     assert!(total_ops > setup_ops, "stream performed no I/O");
 
-    // Pass 2: same seed, crash somewhere inside the stream.
+    // Same seed, crash somewhere inside the stream; on reopen, and on
+    // the second reopen, the attachments must agree with base.
     let mut point_rng = TestRng::new(seed ^ 0xC4A5_4BAD);
-    let crash_at = setup_ops + point_rng.below(total_ops - setup_ops);
-    let (env, injector) = DatabaseEnv::fresh_with_plan(FaultPlan::new(seed).crash_at(crash_at));
-    let db = reopen(&env);
-    setup(&db).expect("setup happens before the crash point");
-    let mut rng = TestRng::new(seed);
-    let mut written = Written::new();
-    let mut next_id = 0i64;
-    stream(&db, &mut rng, &mut written, &mut next_id);
-    drop(db);
-    assert!(
-        injector.is_crashed(),
-        "scheduled crash at {crash_at} never fired"
-    );
-
-    // Crash: reopen on healthy I/O, attachments must agree with base.
-    injector.clear();
-    let db = reopen(&env);
-    let recovered = check_attachments(&db, &format!("seed {seed:#x} post-crash"));
+    let k = setup_ops + point_rng.below(total_ops - setup_ops);
+    let recovery = OnceLock::new();
+    let (env, recovered) = support::crash_point(seed, k, &config, workload, |db, _, at| {
+        recovery.get_or_init(|| db.metrics_snapshot());
+        check_attachments(db, at)
+    });
+    let db = support::reopen(&env);
 
     // Rebuild the model from the recovered state: the statement in
     // flight at the crash may have committed even though it reported an
     // error, so the pre-crash model is only advisory.
-    let mut written = Written::new();
-    let mut next_id = 0i64;
-    for &(id, dept) in &recovered {
-        written.entry(id).or_default().insert(dept);
-        next_id = next_id.max(id + 1);
-    }
+    let mut written: Written = recovered.iter().map(|&(id, _)| id).collect();
+    let mut next_id = written.last().map_or(0, |id| id + 1);
 
     // Recovery output must be a usable starting state: keep streaming.
     let mut rng2 = TestRng::new(seed.rotate_left(17));
     stream(&db, &mut rng2, &mut written, &mut next_id);
     let pairs = check_attachments(&db, &format!("seed {seed:#x} post-resume"));
-    let metrics = db.metrics_snapshot();
-    (pairs, metrics)
+    let recovery = recovery.into_inner().expect("the check ran");
+    (pairs, [recovery, db.metrics_snapshot()])
 }
 
 #[test]
 fn attachments_agree_across_seeded_crash_points() {
     for i in 0..ITERATIONS {
         let seed = SEED.wrapping_add(i.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let (pairs, metrics) = run_iteration(seed);
+        let (pairs, [_, metrics]) = run_iteration(seed);
         // the property is vacuous if nothing survives or nothing happened
         assert!(
             metrics.counter("dml.inserts") > 0,
@@ -254,6 +233,6 @@ fn same_seed_reproduces_rows_and_metrics() {
         "metrics snapshot must be a pure function of the seed"
     );
     // and the crash actually exercised the attachment paths
-    assert!(metrics_a.counter("att.invocations") > 0);
-    assert!(metrics_a.counter("wal.appends") > 0);
+    assert!(metrics_a[1].counter("att.invocations") > 0);
+    assert!(metrics_a[1].counter("wal.appends") > 0);
 }

@@ -7,20 +7,18 @@
 // panic discipline: failures here should abort loudly.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
+mod support;
+
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use starburst_dmx::prelude::*;
 
-fn open_db() -> Arc<Database> {
-    starburst_dmx::open_default().unwrap()
-}
-
 /// Concurrent transfers between accounts preserve the total (atomicity +
 /// isolation across threads, with deadlock victims retried).
 #[test]
 fn concurrent_transfers_preserve_invariant() {
-    let db = open_db();
+    let db = starburst_dmx::open_default().unwrap();
     db.execute_sql("CREATE TABLE acct (id INT NOT NULL, bal INT NOT NULL)")
         .unwrap();
     db.execute_sql("CREATE UNIQUE INDEX acct_pk ON acct (id)")
@@ -96,7 +94,7 @@ fn concurrent_transfers_preserve_invariant() {
 /// commits.
 #[test]
 fn deadlock_detected_and_resolved() {
-    let db = open_db();
+    let db = starburst_dmx::open_default().unwrap();
     db.execute_sql("CREATE TABLE t (id INT NOT NULL, v INT)")
         .unwrap();
     db.execute_sql("INSERT INTO t VALUES (1, 0), (2, 0)")
@@ -148,7 +146,7 @@ fn group_commit_batches_forces_across_committers() {
     const COMMITTERS: u64 = 8;
     const TXNS_PER: u64 = 25;
     const ROWS_PER_TXN: u64 = 4;
-    let db = open_db();
+    let db = starburst_dmx::open_default().unwrap();
     db.execute_sql("CREATE TABLE t (id INT NOT NULL, v INT NOT NULL)")
         .unwrap();
     let rd = db.catalog().get_by_name("t").unwrap();
@@ -225,16 +223,22 @@ fn crash_between_batch_force_and_ack_keeps_acknowledged_commits() {
         });
     }
 
-    // Pass 1: healthy run to size the crash window.
-    let (env, injector) = DatabaseEnv::fresh_with_plan(FaultPlan::new(0x6C0C));
-    let db = starburst_dmx::open_env(env.clone(), DatabaseConfig::default()).unwrap();
-    db.execute_sql("CREATE TABLE t (id INT NOT NULL)").unwrap();
-    let acked = dmx_types::sync::Mutex::new(Vec::new());
-    drive(&db, &acked);
-    drop(db);
-    let total = injector.ops();
+    // The table and its committers; returns the ids acknowledged.
+    let workload = |run: &support::Run| {
+        let acked = dmx_types::sync::Mutex::new(Vec::new());
+        if let Some(db) = run.open() {
+            if db.execute_sql("CREATE TABLE t (id INT NOT NULL)").is_ok() {
+                drive(&db, &acked);
+            }
+        }
+        acked.into_inner()
+    };
+
+    // A healthy run sizes the crash window.
+    let config = DatabaseConfig::default();
+    let (total, acked) = support::healthy(0x6C0C, &config, workload);
     assert_eq!(
-        acked.lock().len() as u64,
+        acked.len() as u64,
         COMMITTERS * TXNS_PER,
         "healthy pass must acknowledge everything"
     );
@@ -242,48 +246,38 @@ fn crash_between_batch_force_and_ack_keeps_acknowledged_commits() {
     // Crash at several points inside the concurrent commit window. The
     // interleaving is not deterministic — which ids get acknowledged
     // varies — but the contract must hold for whatever set was acked.
-    for k in [total / 4, total / 2, (3 * total) / 4] {
-        let (env, injector) = DatabaseEnv::fresh_with_plan(FaultPlan::new(0x6C0C).crash_at(k));
-        let acked = dmx_types::sync::Mutex::new(Vec::new());
-        if let Ok(db) = starburst_dmx::open_env(env.clone(), DatabaseConfig::default()) {
-            if db.execute_sql("CREATE TABLE t (id INT NOT NULL)").is_ok() {
-                drive(&db, &acked);
-            }
-            drop(db);
-        }
-        let acked = acked.lock().clone();
-        injector.clear();
-        let db = starburst_dmx::open_env(env, DatabaseConfig::default())
-            .unwrap_or_else(|e| panic!("crash at {k}/{total}: recovery failed: {e}"));
+    let points = [total / 4, total / 2, (3 * total) / 4];
+    support::crash_points(0x6C0C, &config, points, workload, |db, acked, at| {
         let survivors: std::collections::BTreeSet<i64> = match db.query_sql("SELECT id FROM t") {
             Ok(rows) => rows.iter().map(|r| r[0].as_int().unwrap()).collect(),
             Err(DmxError::NotFound(_)) => {
                 assert!(
                     acked.is_empty(),
-                    "crash at {k}: table lost with {} acked commits",
+                    "{at}: table lost with {} acked commits",
                     acked.len()
                 );
-                continue;
+                return Default::default();
             }
-            Err(e) => panic!("crash at {k}: {e}"),
+            Err(e) => panic!("{at}: {e}"),
         };
-        for id in &acked {
+        for id in acked {
             assert!(
                 survivors.contains(id),
-                "crash at {k}/{total}: acknowledged commit {id} lost \
+                "{at}/{total}: acknowledged commit {id} lost \
                  ({} acked, {} survived)",
                 acked.len(),
                 survivors.len()
             );
         }
-    }
+        survivors
+    });
 }
 
 /// Readers traverse indexes while writers mutate — scans stay consistent
 /// (record-level S locks block in-flight writers' records).
 #[test]
 fn readers_and_writers_through_indexes() {
-    let db = open_db();
+    let db = starburst_dmx::open_default().unwrap();
     db.execute_sql("CREATE TABLE t (id INT NOT NULL, grp INT NOT NULL)")
         .unwrap();
     db.execute_sql("CREATE INDEX t_grp ON t USING btree (grp)")
@@ -340,7 +334,7 @@ fn readers_and_writers_through_indexes() {
 fn insert_blocked_behind_a_rolled_back_delete(
     ddl: &[&str],
 ) -> (Result<QueryResult>, Vec<Vec<Value>>) {
-    let db = open_db();
+    let db = starburst_dmx::open_default().unwrap();
     for sql in ddl {
         db.execute_sql(sql).unwrap();
     }
@@ -408,7 +402,7 @@ fn unique_index_probes_for_duplicates_under_its_gap_lock() {
 /// that erases session 2's row from both.
 #[test]
 fn writers_to_one_maintained_cell_serialise_until_commit() {
-    let db = open_db();
+    let db = starburst_dmx::open_default().unwrap();
     for sql in [
         "CREATE TABLE t (id INT NOT NULL, g INT NOT NULL, v INT NOT NULL)",
         "CREATE ATTACHMENT t_sums ON t USING aggregate WITH (sum = v, group_by = g)",
@@ -440,21 +434,8 @@ fn writers_to_one_maintained_cell_serialise_until_commit() {
         base,
         vec![vec![Value::Int(7), Value::Int(2), Value::Int(40)]]
     );
-    let rd = db.catalog().get_by_name("t").unwrap();
-    let (att, inst) = rd.find_attachment("t_sums").unwrap();
-    let cells = db
-        .with_txn(|txn| {
-            let path = AccessPath::Attachment(att, inst.instance);
-            let scan = db.open_scan(txn, rd.id, path, AccessQuery::All, None, None)?;
-            let mut cells = Vec::new();
-            while let Some(item) = db.scan_next(txn, scan)? {
-                cells.push(item.values.unwrap());
-            }
-            Ok(cells)
-        })
-        .unwrap();
     assert_eq!(
-        cells,
+        support::attachment_items(&db, "t", "t_sums"),
         vec![vec![Value::Int(7), Value::Int(2), Value::Float(40.0)]]
     );
     let stats = db
@@ -472,7 +453,7 @@ fn writers_to_one_maintained_cell_serialise_until_commit() {
 
 /// A B-tree relation `t(id, v)` holding the even ids below `2 * rows`.
 fn even_ids(rows: i64) -> Arc<Database> {
-    let db = open_db();
+    let db = starburst_dmx::open_default().unwrap();
     db.execute_sql("CREATE TABLE t (id INT NOT NULL, v INT NOT NULL) USING btree WITH (key=id)")
         .unwrap();
     for batch in (0..rows).collect::<Vec<_>>().chunks(200) {

@@ -10,12 +10,15 @@
 // panic discipline: failures here should abort loudly.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
+mod support;
+
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use starburst_dmx::prelude::*;
 use starburst_dmx::types::testrng::TestRng;
 use starburst_dmx::types::MetricsSnapshot;
+use support::{Rows, Script, Tables};
 
 const SEED: u64 = 0x0DDC_0FFE_E0DD_F00D;
 const BATCHES: usize = 10;
@@ -344,7 +347,7 @@ fn explain_analyze_actuals_agree_with_the_oracle() {
 /// rows. Everything downstream of the seed must be reproducible.
 fn run_repair_stream(seed: u64) -> (Vec<(i64, String, i64)>, String) {
     let (env, injector) = DatabaseEnv::fresh_with_plan(FaultPlan::new(seed));
-    let db = starburst_dmx::open_env(env.clone(), DatabaseConfig::default()).unwrap();
+    let db = support::reopen(&env);
     db.execute_sql("CREATE TABLE th (id INT NOT NULL, name STRING NOT NULL, dept INT NOT NULL)")
         .unwrap();
     db.execute_sql("CREATE UNIQUE INDEX th_pk ON th (id)")
@@ -381,7 +384,7 @@ fn run_repair_stream(seed: u64) -> (Vec<(i64, String, i64)>, String) {
     env.disk.write_page(pid, &page).unwrap();
     injector.clear();
 
-    let db = starburst_dmx::open_env(env, DatabaseConfig::default()).unwrap();
+    let db = support::reopen(&env);
     let check = db.execute_sql("CHECK TABLE th").unwrap();
     assert_eq!(check.rows[0][2], Value::from("quarantined"));
     let repair = db.execute_sql("REPAIR TABLE th").unwrap();
@@ -435,11 +438,12 @@ fn repaired_table_agrees_with_the_model() {
 //
 // Every committed statement must survive a crash at *any* I/O index and
 // every uncommitted one must vanish, on both storage organizations —
-// and recovery itself must be a fixed point: reopening a second time
-// appends no log frames and changes no page on disk (DESIGN.md §6, the
-// restart state machine). The second property is what makes the
-// redo/undo pass trustworthy: if restart "recovered" by rewriting
-// state every time, a crash *during* recovery would compound.
+// and recovery itself must be a fixed point: the shared driver
+// (`tests/support`) reopens a second time, which must append no log
+// frames and change no page on disk (DESIGN.md §6, the restart state
+// machine). The second property is what makes the redo/undo pass
+// trustworthy: if restart "recovered" by rewriting state every time, a
+// crash *during* recovery would compound.
 // ---------------------------------------------------------------------
 
 const CRASH_SEED: u64 = 0xD1FF_C4A5;
@@ -448,284 +452,95 @@ const SWEEP_OPS: usize = 16;
 /// transaction: they must never be visible after any reopen.
 const POISON_BASE: i64 = 1_000_000;
 
-#[derive(Clone, Copy)]
-enum Op {
-    Insert(i64, i64),
-    Update(i64, i64),
-    Delete(i64),
-}
-
-fn apply_op(model: &mut Model, op: Op) {
-    match op {
-        Op::Insert(id, dept) => {
-            model.insert(id, (format!("r{id}"), dept));
-        }
-        Op::Update(id, dept) => {
-            if let Some(e) = model.get_mut(&id) {
-                e.1 = dept;
-            }
-        }
-        Op::Delete(id) => {
-            model.remove(&id);
-        }
-    }
-}
-
-/// Per-table committed state plus the one statement whose commit was in
-/// flight when the crash hit (its effect may or may not be durable).
-#[derive(Default)]
-struct CrashOutcome {
-    committed: [Model; 2], // th, tb
-    pending: [Option<Op>; 2],
-}
-
 /// The swept workload: the differential DML stream applied to both
 /// tables as autocommitted statements, interleaved with inserts from a
-/// transaction that is deliberately never committed. Stops at the first
-/// error (the injected crash). A statement that returned `Ok` reached
-/// its commit point and forced the log, so it is recorded as committed;
-/// the erroring statement is recorded as pending (ambiguous).
-fn crash_workload(db: &Arc<Database>) -> CrashOutcome {
-    let mut out = CrashOutcome::default();
-    if db
-        .execute_sql("CREATE TABLE th (id INT NOT NULL, name STRING NOT NULL, dept INT NOT NULL)")
-        .is_err()
-    {
-        return out;
-    }
-    if db
-        .execute_sql("CREATE UNIQUE INDEX th_pk ON th (id)")
-        .is_err()
-    {
-        return out;
-    }
-    if db
-        .execute_sql(
-            "CREATE TABLE tb (id INT NOT NULL, name STRING NOT NULL, dept INT NOT NULL) \
-             USING btree WITH (key=id)",
-        )
-        .is_err()
-    {
-        return out;
-    }
-    let rd_th = db.catalog().get_by_name("th").unwrap();
-    let poison = db.begin(); // abandoned below: a loser at every crash point
+/// transaction that is deliberately never committed — uncommitted writes
+/// that may be steal-evicted to disk before the crash, which recovery
+/// must undo either way. Key selection reads only the model, so the
+/// statements are the same at every crash point.
+fn crash_script() -> Script<Tables> {
+    let row = |id: i64, dept: i64| {
+        vec![
+            Value::Int(id),
+            Value::Str(format!("r{id}")),
+            Value::Int(dept),
+        ]
+    };
+    let mut s = Script::new(Tables::new());
+    s.then(
+        "CREATE TABLE th (id INT NOT NULL, name STRING NOT NULL, dept INT NOT NULL)",
+        |m| {
+            m.insert("th".into(), Rows::new());
+        },
+    )
+    .then("CREATE UNIQUE INDEX th_pk ON th (id)", |_| {})
+    .then(
+        "CREATE TABLE tb (id INT NOT NULL, name STRING NOT NULL, dept INT NOT NULL) \
+         USING btree WITH (key=id)",
+        |m| {
+            m.insert("tb".into(), Rows::new());
+        },
+    );
     let mut rng = TestRng::new(CRASH_SEED);
     let mut next_id = 0i64;
     for i in 0..SWEEP_OPS {
-        // Key selection reads only committed state, so the sequence of
-        // attempted statements is identical at every crash point.
-        let model = &out.committed[0];
+        let keys: Vec<i64> = s.last()["th"].keys().copied().collect();
         let roll = rng.below(100);
-        let op = if roll < 50 || model.is_empty() {
-            let id = next_id;
+        // the statement, `{t}` standing for the table, and the row it
+        // leaves under `id` (`None`: deleted)
+        let (stmt, id, left) = if roll < 50 || keys.is_empty() {
+            let (id, dept) = (next_id, rng.range_i64(0, 10));
             next_id += 1;
-            Op::Insert(id, rng.range_i64(0, 10))
+            let sql = format!("INSERT INTO {{t}} VALUES ({id}, 'r{id}', {dept})");
+            (sql, id, Some(row(id, dept)))
         } else if roll < 80 {
-            let keys: Vec<i64> = model.keys().copied().collect();
-            Op::Update(keys[rng.index(keys.len())], rng.range_i64(0, 10))
+            let (id, dept) = (keys[rng.index(keys.len())], rng.range_i64(0, 10));
+            let sql = format!("UPDATE {{t}} SET dept = {dept} WHERE id = {id}");
+            (sql, id, Some(row(id, dept)))
         } else {
-            let keys: Vec<i64> = model.keys().copied().collect();
-            Op::Delete(keys[rng.index(keys.len())])
+            let id = keys[rng.index(keys.len())];
+            (format!("DELETE FROM {{t}} WHERE id = {id}"), id, None)
         };
-        for (t_idx, t) in ["th", "tb"].iter().enumerate() {
-            let sql = match op {
-                Op::Insert(id, dept) => format!("INSERT INTO {t} VALUES ({id}, 'r{id}', {dept})"),
-                Op::Update(id, dept) => format!("UPDATE {t} SET dept = {dept} WHERE id = {id}"),
-                Op::Delete(id) => format!("DELETE FROM {t} WHERE id = {id}"),
-            };
-            if db.execute_sql(&sql).is_ok() {
-                apply_op(&mut out.committed[t_idx], op);
-            } else {
-                out.pending[t_idx] = Some(op);
-                return out;
-            }
+        for t in ["th", "tb"] {
+            s.then(stmt.replace("{t}", t), |m| {
+                let rows = m.get_mut(t).expect(t);
+                match &left {
+                    Some(row) => rows.insert(id, row.clone()),
+                    None => rows.remove(&id),
+                };
+            });
         }
         if i % 5 == 0 {
-            // An uncommitted write that may be steal-evicted to disk
-            // before the crash: recovery must undo it either way.
             let id = POISON_BASE + i as i64;
-            if db
-                .insert(
-                    &poison,
-                    rd_th.id,
-                    starburst_dmx::types::Record::new(vec![
-                        Value::Int(id),
-                        Value::Str(format!("poison{i}")),
-                        Value::Int(0),
-                    ]),
-                )
-                .is_err()
-            {
-                return out;
-            }
+            s.in_flight(format!("INSERT INTO th VALUES ({id}, 'poison{i}', 0)"));
         }
     }
-    out
+    s
 }
 
-/// Post-recovery check of one table against its committed model, with
-/// the single pending statement accepted either way. Returns the rows
-/// as the table's state fingerprint.
-fn check_crash_table(
-    db: &Arc<Database>,
-    table: &str,
-    committed: &Model,
-    pending: Option<Op>,
-    at: &str,
-) -> Vec<(i64, String, i64)> {
-    let rows = match db.query_sql(&format!("SELECT id, name, dept FROM {table}")) {
-        Ok(rows) => {
-            let mut rows: Vec<(i64, String, i64)> = rows
-                .into_iter()
-                .map(|r| {
-                    (
-                        r[0].as_int().unwrap(),
-                        r[1].as_str().unwrap().to_string(),
-                        r[2].as_int().unwrap(),
-                    )
-                })
-                .collect();
-            rows.sort();
-            rows
-        }
-        // The table's CREATE never committed — legal only if nothing
-        // was ever committed into it.
-        Err(DmxError::NotFound(_)) => {
-            assert!(
-                committed.is_empty(),
-                "{at}: {table} lost with {} committed rows",
-                committed.len()
-            );
-            return Vec::new();
-        }
-        Err(e) => panic!("{at}: scanning {table}: {e}"),
-    };
-    for (id, _, _) in &rows {
-        assert!(
-            *id < POISON_BASE,
-            "{at}: {table} exposes uncommitted row {id} after recovery"
-        );
-    }
-    let base = model_rows(committed);
-    let with_pending = pending.map(|op| {
-        let mut m = committed.clone();
-        apply_op(&mut m, op);
-        model_rows(&m)
-    });
-    assert!(
-        rows == base || Some(&rows) == with_pending.as_ref(),
-        "{at}: {table} is neither the committed state nor committed+pending\n\
-         got:       {rows:?}\n\
-         committed: {base:?}\n\
-         pending:   {with_pending:?}"
-    );
-    rows
-}
-
-/// A content hash of every allocated page on the simulated disk.
-fn disk_fingerprint(disk: &Arc<dyn starburst_dmx::page::DiskManager>) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut mix = |b: u64| {
-        h ^= b;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    for f in 1..=64u32 {
-        let fid = starburst_dmx::types::FileId(f);
-        if !disk.file_exists(fid) {
-            continue;
-        }
-        mix(u64::from(f));
-        for p in 0..disk.page_count(fid).unwrap() {
-            let pid = starburst_dmx::types::PageId::new(fid, p);
-            let mut page = starburst_dmx::page::Page::new();
-            disk.read_page(pid, &mut page).unwrap();
-            for &b in page.raw().iter() {
-                mix(u64::from(b));
-            }
-        }
-    }
-    h
-}
-
-fn sweep_stride() -> u64 {
-    std::env::var("FAULT_SWEEP_STRIDE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&s| s > 0)
-        .unwrap_or(1)
-}
-
-/// Crash at every Nth I/O index; after recovery the tables must match
-/// the committed model (pending statement accepted either way, poison
-/// rows gone), and a second reopen must be a pure read: zero new log
-/// frames, byte-identical disk.
+/// Crash at every Nth I/O index; after recovery both tables must hold
+/// the model's rows before the statement in flight or after it (the
+/// poison rows never), and a second reopen must be a pure read.
 #[test]
 fn crash_sweep_double_reopen_appends_nothing_and_matches_model() {
-    // Pass 1: healthy run to count the workload's I/O operations.
-    let (env, injector) = DatabaseEnv::fresh_with_plan(FaultPlan::new(CRASH_SEED));
-    let db = starburst_dmx::open_env(env.clone(), DatabaseConfig::default()).unwrap();
-    let healthy = crash_workload(&db);
-    assert!(
-        healthy.pending.iter().all(Option::is_none),
-        "healthy pass must not error"
-    );
-    assert!(!healthy.committed[0].is_empty());
-    drop(db);
-    let total = injector.ops();
+    let script = crash_script();
+    let config = DatabaseConfig::default();
+    let (total, done) =
+        support::healthy(CRASH_SEED, &config, |run| script.run(&run.open().unwrap()));
+    assert_eq!(done, (script.len(), None), "healthy pass must not error");
+    assert!(!script.last()["th"].is_empty());
     assert!(total > 50, "workload too small to sweep ({total} I/Os)");
-
-    let stride = sweep_stride();
-    let mut k = 0;
-    while k < total {
-        let at = format!("crash point {k}/{total}");
-        let (env, injector) = DatabaseEnv::fresh_with_plan(FaultPlan::new(CRASH_SEED).crash_at(k));
-        let outcome = match starburst_dmx::open_env(env.clone(), DatabaseConfig::default()) {
-            Ok(db) => {
-                let o = crash_workload(&db);
-                drop(db);
-                o
-            }
-            // Crash during the initial open (catalog bootstrap).
-            Err(_) => CrashOutcome::default(),
-        };
-        assert!(
-            injector.is_crashed() || injector.injected() > 0,
-            "{at}: the scheduled crash never fired"
-        );
-        injector.clear();
-
-        // Reopen 1: restart recovery runs against the torn state.
-        let db = starburst_dmx::open_env(env.clone(), DatabaseConfig::default())
-            .unwrap_or_else(|e| panic!("{at}: recovery failed: {e}"));
-        let th1 = check_crash_table(&db, "th", &outcome.committed[0], outcome.pending[0], &at);
-        let tb1 = check_crash_table(&db, "tb", &outcome.committed[1], outcome.pending[1], &at);
-        drop(db);
-
-        // Reopen 2 must be a pure read of the recovered state.
-        let log_len = env.stable_log.len();
-        let disk_before = disk_fingerprint(&env.disk);
-        let at2 = format!("{at}, second reopen");
-        let db = starburst_dmx::open_env(env.clone(), DatabaseConfig::default())
-            .unwrap_or_else(|e| panic!("{at2}: {e}"));
-        assert_eq!(env.stable_log.len(), log_len, "{at2}: appended log frames");
-        let th2 = check_crash_table(&db, "th", &outcome.committed[0], outcome.pending[0], &at2);
-        let tb2 = check_crash_table(&db, "tb", &outcome.committed[1], outcome.pending[1], &at2);
-        assert_eq!(th1, th2, "{at2}: th changed across reopens");
-        assert_eq!(tb1, tb2, "{at2}: tb changed across reopens");
-        drop(db);
-        assert_eq!(
-            env.stable_log.len(),
-            log_len,
-            "{at2}: close appended log frames"
-        );
-        assert_eq!(
-            disk_fingerprint(&env.disk),
-            disk_before,
-            "{at2}: changed pages on disk"
-        );
-        k += stride;
-    }
+    support::sweep(
+        CRASH_SEED,
+        &config,
+        0..total,
+        |run| run.open().map_or(0, |db| script.run(&db).0),
+        |db, &done, at| {
+            let got = support::tables(db, &["th", "tb"], at);
+            script.assert_recovered(done, &got, at);
+            got
+        },
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -994,20 +809,15 @@ fn run_concurrent(check_repeatable: bool) -> Vec<(i64, i64, i64)> {
         let g = groups.entry(a).or_default();
         *g = (g.0 + 1, g.1 + b as f64);
     }
-    let rd = db.catalog().get_by_name("tch").unwrap();
-    let (att, inst) = rd.find_attachment("tch_sums").unwrap();
-    let cells: BTreeMap<i64, (i64, f64)> = db
-        .with_txn(|txn| {
-            let path = AccessPath::Attachment(att, inst.instance);
-            let scan = db.open_scan(txn, rd.id, path, AccessQuery::All, None, None)?;
-            let mut cells = BTreeMap::new();
-            while let Some(item) = db.scan_next(txn, scan)? {
-                let v = item.values.unwrap();
-                cells.insert(v[0].as_int()?, (v[1].as_int()?, v[2].as_float()?));
-            }
-            Ok(cells)
+    let cells: BTreeMap<i64, (i64, f64)> = support::attachment_items(&db, "tch", "tch_sums")
+        .iter()
+        .map(|v| {
+            (
+                v[0].as_int().unwrap(),
+                (v[1].as_int().unwrap(), v[2].as_float().unwrap()),
+            )
         })
-        .unwrap();
+        .collect();
     assert_eq!(cells, groups, "tch's group cells diverged from its rows");
     let stat_rows = db
         .query_sql("SELECT rows FROM sys.statistics WHERE relation = 'tch' AND field = '*'")

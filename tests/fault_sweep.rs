@@ -1,22 +1,23 @@
-//! Deterministic crash-point sweep and end-to-end corruption handling.
+//! Deterministic crash-point sweeps and end-to-end corruption handling.
 //!
-//! The sweep first runs a mixed DDL/DML workload against a pass-through
-//! fault plan to count its I/O operations (one shared index spans disk
-//! *and* log), then replays the same workload once per crash point k:
-//! I/O index k (0-based) fails as a simulated crash, every volatile structure is
-//! dropped, the injector is cleared (healthy I/O again) and the database
-//! is reopened so restart recovery runs. After every crash point the
-//! recovered state must be *some* transaction-consistent prefix of the
-//! workload: each autocommitted statement either happened entirely or
-//! not at all, reopening is idempotent, and secondary structures agree
-//! with base relations.
+//! Each sweep runs its workload once on healthy devices to count its I/O
+//! operations, then once per crash point through the shared driver
+//! (`tests/support`): the crash fires, the database is reopened so
+//! restart recovery runs, and the recovered state is checked, then
+//! checked again after a second reopen that must be a pure read. After
+//! every crash point the recovered state must be *some*
+//! transaction-consistent prefix of the workload: each autocommitted
+//! statement either happened entirely or not at all, and secondary
+//! structures agree with base relations.
 //!
-//! `FAULT_SWEEP_STRIDE` (default 1 = every point) bounds the sweep for
+//! `FAULT_SWEEP_STRIDE` (default 1 = every point) bounds the sweeps for
 //! smoke runs, e.g. `FAULT_SWEEP_STRIDE=16 cargo test --test fault_sweep`.
 
 // Examples and integration-test harnesses are exempt from the runtime
 // panic discipline: failures here should abort loudly.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
+mod support;
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -25,144 +26,84 @@ use starburst_dmx::prelude::*;
 use starburst_dmx::query::SqlExt;
 use starburst_dmx::types::fault::MAX_IO_RETRIES;
 use starburst_dmx::types::obs::name::IO_RETRIES;
+use support::{fresh, put, reopen, Rows, Script, Tables};
 
 const SEED: u64 = 0xDEC0_DE05;
 const ROWS: i64 = 12;
 
-fn reopen(env: &DatabaseEnv) -> Arc<Database> {
-    starburst_dmx::open_env(env.clone(), DatabaseConfig::default()).expect("reopen after crash")
-}
-
 /// The swept workload: DDL (heap + btree-organized tables, a unique
 /// index), inserts, updates, deletes and a drop — each statement its own
-/// transaction. Stops at the first error (the injected crash).
-fn workload(db: &Arc<Database>) -> Result<()> {
-    db.execute_sql("CREATE TABLE t (id INT NOT NULL, v STRING)")?;
-    db.execute_sql("CREATE INDEX t_id ON t USING btree (id) WITH (unique=true)")?;
+/// transaction — with the rows each leaves.
+fn workload() -> Script<Tables> {
+    let row = |i: i64, v: &str| vec![Value::Int(i), Value::from(v)];
+    let mut s = Script::new(Tables::new());
+    s.then("CREATE TABLE t (id INT NOT NULL, v STRING)", |m| {
+        m.insert("t".into(), Rows::new());
+    })
+    .then(
+        "CREATE INDEX t_id ON t USING btree (id) WITH (unique=true)",
+        |_| {},
+    );
     for i in 0..ROWS {
-        db.execute_sql(&format!("INSERT INTO t VALUES ({i}, 'v{i}')"))?;
+        s.then(format!("INSERT INTO t VALUES ({i}, 'v{i}')"), |m| {
+            put(m, "t", row(i, &format!("v{i}")))
+        });
     }
-    db.execute_sql("CREATE TABLE u (id INT NOT NULL) USING btree WITH (key=id)")?;
+    s.then(
+        "CREATE TABLE u (id INT NOT NULL) USING btree WITH (key=id)",
+        |m| {
+            m.insert("u".into(), Rows::new());
+        },
+    );
     for i in 0..4 {
-        db.execute_sql(&format!("INSERT INTO u VALUES ({i})"))?;
+        s.then(format!("INSERT INTO u VALUES ({i})"), |m| {
+            put(m, "u", vec![Value::Int(i)])
+        });
     }
-    db.execute_sql("UPDATE t SET v = 'updated' WHERE id = 3")?;
-    db.execute_sql(&format!("DELETE FROM t WHERE id = {}", ROWS - 1))?;
-    db.execute_sql("DROP TABLE u")?;
-    Ok(())
+    s.then("UPDATE t SET v = 'updated' WHERE id = 3", |m| {
+        put(m, "t", row(3, "updated"))
+    })
+    .then(format!("DELETE FROM t WHERE id = {}", ROWS - 1), |m| {
+        m.get_mut("t").expect("t").remove(&(ROWS - 1));
+    })
+    .then("DROP TABLE u", |m| {
+        m.remove("u");
+    });
+    s
 }
 
-/// Transaction-consistency invariants that must hold after recovery at
-/// *any* crash point. Returns a state fingerprint for idempotence checks.
-fn check_invariants(db: &Arc<Database>, at: &str) -> Vec<String> {
-    let mut fingerprint = Vec::new();
-    // Table t may not exist yet (crash before its CREATE committed).
-    let rows = match db.query_sql("SELECT id, v FROM t") {
-        Ok(rows) => rows,
-        Err(DmxError::NotFound(_)) => {
-            fingerprint.push("t: absent".to_string());
-            return fingerprint;
-        }
-        Err(e) => panic!("{at}: unexpected error scanning t: {e}"),
-    };
-    // Statement atomicity: every surviving row is exactly what one
-    // committed statement wrote.
-    for row in &rows {
-        let id = row[0].as_int().expect("id is INT");
-        let v = row[1].as_str().expect("v is STRING");
-        assert!(
-            (0..ROWS).contains(&id),
-            "{at}: row id {id} out of workload range"
-        );
-        assert!(
-            v == format!("v{id}") || (id == 3 && v == "updated"),
-            "{at}: row ({id}, {v:?}) is not a committed statement's image"
-        );
-    }
-    let mut ids: Vec<i64> = rows.iter().map(|r| r[0].as_int().expect("int")).collect();
-    ids.sort_unstable();
-    let mut deduped = ids.clone();
-    deduped.dedup();
-    assert_eq!(ids, deduped, "{at}: duplicate ids after recovery");
-    // The unique index (if it committed) must agree with the base table
-    // for every surviving id.
-    for &id in &ids {
+/// What recovery must leave after `done` statements of [`workload`]
+/// completed: the rows before the statement in flight or after it, and a
+/// unique index (if it committed) that agrees with the base table for
+/// every surviving id. Returns the rows.
+fn check_invariants(db: &Arc<Database>, script: &Script<Tables>, done: usize, at: &str) -> Tables {
+    let got = support::tables(db, &["t", "u"], at);
+    script.assert_recovered(done, &got, at);
+    for id in got.get("t").into_iter().flat_map(Rows::keys) {
         let via_index = db
             .query_sql(&format!("SELECT v FROM t WHERE id = {id}"))
             .unwrap_or_else(|e| panic!("{at}: keyed lookup of id {id} failed: {e}"));
         assert_eq!(via_index.len(), 1, "{at}: index disagrees on id {id}");
     }
-    for row in &rows {
-        fingerprint.push(format!(
-            "t: {} {}",
-            row[0].as_int().expect("int"),
-            row[1].as_str().expect("str")
-        ));
-    }
-    fingerprint.sort();
-    // Table u: present (with consistent content) or fully absent.
-    match db.query_sql("SELECT id FROM u") {
-        Ok(urows) => {
-            assert!(urows.len() <= 4, "{at}: u has more rows than inserted");
-            fingerprint.push(format!("u: {} rows", urows.len()));
-        }
-        Err(DmxError::NotFound(_)) => fingerprint.push("u: absent".to_string()),
-        Err(e) => panic!("{at}: unexpected error scanning u: {e}"),
-    }
-    fingerprint
-}
-
-fn sweep_stride() -> u64 {
-    std::env::var("FAULT_SWEEP_STRIDE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&s| s > 0)
-        .unwrap_or(1)
+    got
 }
 
 /// The tentpole: crash at every Nth I/O of the workload, reopen, verify.
 #[test]
 fn crash_point_sweep_recovers_consistently() {
-    // Pass 1: count the workload's I/O operations on healthy devices.
-    let (env, injector) = DatabaseEnv::fresh_with_plan(FaultPlan::new(SEED));
-    let db = reopen(&env);
-    workload(&db).expect("workload must succeed without faults");
-    drop(db);
-    let total = injector.ops();
+    let script = workload();
+    let config = DatabaseConfig::default();
+    let (total, done) =
+        support::healthy(SEED, &config, |run| script.run(&run.open().expect("open")));
+    assert_eq!(done, (script.len(), None), "the healthy run failed");
     assert!(total > 50, "workload too small to sweep ({total} I/Os)");
-
-    let stride = sweep_stride();
-    let mut swept = 0u64;
-    let mut k = 0;
-    while k < total {
-        let at = format!("crash point {k}/{total}");
-        let (env, injector) = DatabaseEnv::fresh_with_plan(FaultPlan::new(SEED).crash_at(k));
-        // The crash can fire during initial open (catalog bootstrap) —
-        // that is a legitimate crash point too.
-        let crashed_db = starburst_dmx::open_env(env.clone(), DatabaseConfig::default())
-            .inspect(|db| {
-                let _ = workload(db);
-            })
-            .ok();
-        drop(crashed_db);
-        assert!(
-            injector.is_crashed() || injector.injected() > 0,
-            "{at}: the scheduled crash never fired"
-        );
-        // Reopen on healthy I/O; restart recovery must succeed.
-        injector.clear();
-        let db = reopen(&env);
-        let fp1 = check_invariants(&db, &at);
-        drop(db);
-        // Crashing again immediately after recovery (before any new work)
-        // must be harmless: restart is idempotent.
-        let db = reopen(&env);
-        let fp2 = check_invariants(&db, &format!("{at}, second reopen"));
-        assert_eq!(fp1, fp2, "{at}: restart is not idempotent");
-        swept += 1;
-        k += stride;
-    }
-    assert!(swept > 0, "sweep did not cover any crash point");
+    support::sweep(
+        SEED,
+        &config,
+        0..total,
+        |run| run.open().map_or(0, |db| script.run(&db).0),
+        |db, &done, at| check_invariants(db, &script, done, at),
+    );
 }
 
 /// The catalog as a model states it: table → (columns, attachment names).
@@ -180,9 +121,6 @@ fn attach(m: &mut CatalogModel, table: &str, att: &str) {
         .insert(att.to_string());
 }
 
-/// A statement and what it does to the model once it has committed.
-type DdlStep = (String, fn(&mut CatalogModel));
-
 /// Rows of `p`, the populated table an index and statistics are built
 /// over: wide enough to span more pages than [`DDL_POOL_FRAMES`].
 const P_ROWS: usize = 48;
@@ -191,53 +129,46 @@ const P_ROWS: usize = 48;
 /// steal dirty heap pages before their commit forces the new files.
 const DDL_POOL_FRAMES: usize = 6;
 
-/// The DDL mix, one statement at a time through one session. A USING
-/// memory table is temporary — no reopen finds it — and so is never in
-/// the model.
-fn ddl_mix() -> Vec<DdlStep> {
+/// The DDL mix, one statement at a time through one session; its last
+/// two statements are the builds over `p`. A USING memory table is
+/// temporary — no reopen finds it — and so is never in the model.
+fn ddl_mix() -> Script<CatalogModel> {
     let populate = (0..P_ROWS)
         .map(|i| format!("({i}, '{}')", "p".repeat(1000)))
         .collect::<Vec<_>>()
         .join(", ");
-    let steps: [DdlStep; 17] = [
-        ("CREATE TABLE a (id INT NOT NULL, v INT)".into(), |m| {
-            create(m, "a", &["id", "v"])
-        }),
-        ("CREATE INDEX a_v ON a (v)".into(), |m| {
-            attach(m, "a", "a_v")
-        }),
-        ("INSERT INTO a VALUES (1, 1), (2, 1)".into(), |_| {}),
-        // vetoed by the duplicate v: a build taken back
-        ("CREATE UNIQUE INDEX a_u ON a (v)".into(), |_| {}),
-        ("CREATE TABLE m (x INT) USING memory".into(), |_| {}),
-        ("ANALYZE TABLE a".into(), |m| attach(m, "a", "stats")),
-        ("BEGIN".into(), |_| {}),
-        ("CREATE TABLE b (x INT)".into(), |_| {}),
-        ("ROLLBACK".into(), |_| {}),
-        (
-            "CREATE TABLE c (k INT NOT NULL) USING btree WITH (key = k)".into(),
-            |m| create(m, "c", &["k"]),
-        ),
-        ("DROP INDEX a_v ON a".into(), |m| {
-            m.get_mut("a").expect("a").1.remove("a_v");
-        }),
-        ("DROP TABLE c".into(), |m| {
-            m.remove("c");
-        }),
-        ("CREATE TABLE d (id INT)".into(), |m| {
-            create(m, "d", &["id"])
-        }),
-        ("CREATE TABLE p (id INT NOT NULL, pad STRING)".into(), |m| {
-            create(m, "p", &["id", "pad"])
-        }),
-        (format!("INSERT INTO p VALUES {populate}"), |_| {}),
-        // built over the rows already there
-        ("CREATE INDEX p_id ON p (id)".into(), |m| {
-            attach(m, "p", "p_id")
-        }),
-        ("ANALYZE TABLE p".into(), |m| attach(m, "p", "stats")),
-    ];
-    steps.into()
+    let mut s = Script::new(CatalogModel::new());
+    s.then("CREATE TABLE a (id INT NOT NULL, v INT)", |m| {
+        create(m, "a", &["id", "v"])
+    })
+    .then("CREATE INDEX a_v ON a (v)", |m| attach(m, "a", "a_v"))
+    .then("INSERT INTO a VALUES (1, 1), (2, 1)", |_| {})
+    // vetoed by the duplicate v: a build taken back
+    .vetoed("CREATE UNIQUE INDEX a_u ON a (v)")
+    .then("CREATE TABLE m (x INT) USING memory", |_| {})
+    .then("ANALYZE TABLE a", |m| attach(m, "a", "stats"))
+    .then("BEGIN", |_| {})
+    .then("CREATE TABLE b (x INT)", |_| {})
+    .then("ROLLBACK", |_| {})
+    .then(
+        "CREATE TABLE c (k INT NOT NULL) USING btree WITH (key = k)",
+        |m| create(m, "c", &["k"]),
+    )
+    .then("DROP INDEX a_v ON a", |m| {
+        m.get_mut("a").expect("a").1.remove("a_v");
+    })
+    .then("DROP TABLE c", |m| {
+        m.remove("c");
+    })
+    .then("CREATE TABLE d (id INT)", |m| create(m, "d", &["id"]))
+    .then("CREATE TABLE p (id INT NOT NULL, pad STRING)", |m| {
+        create(m, "p", &["id", "pad"])
+    })
+    .then(format!("INSERT INTO p VALUES {populate}"), |_| {})
+    // built over the rows already there
+    .then("CREATE INDEX p_id ON p (id)", |m| attach(m, "p", "p_id"))
+    .then("ANALYZE TABLE p", |m| attach(m, "p", "stats"));
+    s
 }
 
 /// The catalog a database holds, stated as the model states it.
@@ -255,26 +186,6 @@ fn catalog_of(db: &Arc<Database>) -> CatalogModel {
             (rd.name.clone(), (columns, atts))
         })
         .collect()
-}
-
-/// Runs the mix until the injected crash, returning how many statements
-/// completed (the vetoed one completes by failing) and how many dirty
-/// frames the builds over `p` stole.
-fn run_ddl_mix(db: &Arc<Database>, injector: &FaultInjector, mix: &[DdlStep]) -> (usize, u64) {
-    let session = Session::new(db.clone());
-    let steals = || db.metrics_snapshot().counter("pool.steals");
-    let mut stolen = 0;
-    for (done, (sql, _)) in mix.iter().enumerate() {
-        let before = steals();
-        let res = session.execute(sql);
-        if injector.is_crashed() || (res.is_err() && !sql.contains("UNIQUE")) {
-            return (done, stolen);
-        }
-        if sql.ends_with("ON p (id)") || sql == "ANALYZE TABLE p" {
-            stolen += steals() - before;
-        }
-    }
-    (mix.len(), stolen)
 }
 
 fn ddl_pool() -> DatabaseConfig {
@@ -297,28 +208,19 @@ fn check_builds(db: &Arc<Database>, got: &CatalogModel, at: &str) {
     let Some((_, atts)) = got.get("p") else {
         return;
     };
-    let rd = db.catalog().get_by_name("p").unwrap();
-    let ids = |path| {
-        db.with_txn(|txn| {
-            let scan = db.open_scan(txn, rd.id, path, AccessQuery::All, None, None)?;
-            let mut ids = Vec::new();
-            while let Some(item) = db.scan_next(txn, scan)? {
-                ids.push(item.values.expect("fields")[0].as_int()?);
-            }
-            ids.sort_unstable();
-            Ok(ids)
-        })
-        .unwrap_or_else(|e| panic!("{at}: scanning p: {e}"))
-    };
-    let base = ids(AccessPath::StorageMethod);
+    let mut base: Vec<i64> = support::rows(db, "p", at).unwrap().into_keys().collect();
+    base.sort_unstable();
     assert!(
         base.is_empty() || base == (0..P_ROWS as i64).collect::<Vec<_>>(),
         "{at}: p holds {base:?}"
     );
     if atts.contains("p_id") {
-        let (att, inst) = rd.find_attachment("p_id").unwrap();
-        let path = AccessPath::Attachment(att, inst.instance);
-        assert_eq!(ids(path), base, "{at}: the index on p is not whole");
+        let mut ids: Vec<i64> = support::attachment_items(db, "p", "p_id")
+            .iter()
+            .map(|item| item[0].as_int().unwrap())
+            .collect();
+        ids.sort_unstable();
+        assert_eq!(ids, base, "{at}: the index on p is not whole");
     }
     if atts.contains("stats") {
         let rows = db
@@ -339,55 +241,41 @@ fn check_builds(db: &Arc<Database>, got: &CatalogModel, at: &str) {
 /// that the builds steal pages before their commit forces the new files.
 /// After recovery the catalog is the model's after the statements that
 /// completed — with the one in flight, or without it — every relation in
-/// it answers a query and checks healthy, what was built over the
-/// populated table is whole, and a second reopen appends nothing and
-/// finds the same.
+/// it answers a query and checks healthy, and what was built over the
+/// populated table is whole.
 #[test]
 fn ddl_crash_sweep_matches_the_model_catalog() {
     let mix = ddl_mix();
-    let mut states = vec![CatalogModel::new()];
-    for (_, step) in &mix {
-        let mut next = states.last().expect("a state").clone();
-        step(&mut next);
-        states.push(next);
-    }
-    let (env, injector) = DatabaseEnv::fresh_with_plan(FaultPlan::new(SEED));
-    let db = starburst_dmx::open_env(env.clone(), ddl_pool()).expect("open");
-    let (done, stolen) = run_ddl_mix(&db, &injector, &mix);
-    assert_eq!(done, mix.len());
+    let (total, stolen) = support::healthy(SEED, &ddl_pool(), |run| {
+        let db = run.open().expect("open");
+        let steals = || db.metrics_snapshot().counter("pool.steals");
+        let builds = mix.len() - 2;
+        assert_eq!(mix.run_steps(&db, 0..builds), (builds, None));
+        let before = steals();
+        let done = mix.run_steps(&db, builds..mix.len());
+        assert_eq!(done, (mix.len(), None));
+        steals() - before
+    });
     assert!(
         stolen > 0,
         "the builds stole no page: grow p or shrink the pool"
     );
-    drop(db);
-    let total = injector.ops();
-
-    let stride = sweep_stride();
-    let mut k = 0;
-    while k < total {
-        let at = format!("ddl crash point {k}/{total}");
-        let (env, injector) = DatabaseEnv::fresh_with_plan(FaultPlan::new(SEED).crash_at(k));
-        let done = starburst_dmx::open_env(env.clone(), ddl_pool())
-            .map_or(0, |db| run_ddl_mix(&db, &injector, &mix).0);
-        injector.clear();
-        let db = reopen(&env);
-        let got = catalog_of(&db);
-        assert!(
-            got == states[done] || states.get(done + 1) == Some(&got),
-            "{at}: after {done} statements the catalog is {got:?}"
-        );
-        for table in got.keys() {
-            db.query_sql(&format!("SELECT COUNT(*) FROM {table}"))
-                .unwrap_or_else(|e| panic!("{at}: {table}: {e}"));
-        }
-        check_builds(&db, &got, &at);
-        drop(db);
-        let frames = env.stable_log.len();
-        let db = reopen(&env);
-        assert_eq!(env.stable_log.len(), frames, "{at}: second reopen appended");
-        assert_eq!(catalog_of(&db), got, "{at}: second reopen");
-        k += stride;
-    }
+    support::sweep(
+        SEED,
+        &ddl_pool(),
+        0..total,
+        |run| run.open().map_or(0, |db| mix.run(&db).0),
+        |db, &done, at| {
+            let got = catalog_of(db);
+            mix.assert_recovered(done, &got, at);
+            for table in got.keys() {
+                db.query_sql(&format!("SELECT COUNT(*) FROM {table}"))
+                    .unwrap_or_else(|e| panic!("{at}: {table}: {e}"));
+            }
+            check_builds(db, &got, at);
+            got
+        },
+    );
 }
 
 /// Steal/no-force under memory pressure (DESIGN.md §6): a pool small
@@ -413,13 +301,6 @@ fn steal_eviction_sweep_reconciles_stolen_pages() {
     const SAVED_HI: i64 = 320;
     const ABORTED_LO: i64 = 400;
     const ABORTED_HI: i64 = 420;
-
-    fn tiny() -> DatabaseConfig {
-        DatabaseConfig {
-            pool_frames: POOL_FRAMES,
-            ..DatabaseConfig::default()
-        }
-    }
 
     // Wide rows so forty of them span several pages: with four frames the
     // pool cannot hold the working set and must steal dirty frames.
@@ -475,16 +356,14 @@ fn steal_eviction_sweep_reconciles_stolen_pages() {
     /// either reached the durable log or did not), and neither its
     /// rolled-back span, the aborted transaction nor the loser ever
     /// surfaces, even though their pages may have been stolen to disk.
-    fn check_steal_invariants(db: &Arc<Database>, at: &str) {
-        let rows = match db.query_sql("SELECT id FROM s") {
-            Ok(rows) => rows,
-            Err(DmxError::NotFound(_)) => return, // crashed before CREATE committed
-            Err(e) => panic!("{at}: unexpected error scanning s: {e}"),
+    /// Returns the ids `s` holds.
+    fn check_steal_invariants(db: &Arc<Database>, at: &str) -> Vec<i64> {
+        let Some(rows) = support::rows(db, "s", at) else {
+            return Vec::new(); // crashed before CREATE committed
         };
         let mut base = Vec::new();
         let mut big = Vec::new();
-        for row in &rows {
-            let id = row[0].as_int().expect("id is INT");
+        for &id in rows.keys() {
             match id {
                 0..BASE => base.push(id),
                 BIG_LO..BIG_HI => big.push(id),
@@ -493,60 +372,173 @@ fn steal_eviction_sweep_reconciles_stolen_pages() {
                 _ => panic!("{at}: id {id} is stolen loser or phantom data"),
             }
         }
-        base.sort_unstable();
         let expect_prefix: Vec<i64> = (0..base.len() as i64).collect();
         assert_eq!(
             base, expect_prefix,
             "{at}: base rows are not a statement prefix"
         );
-        big.sort_unstable();
         assert!(
             big.is_empty() || big == (BIG_LO..BIG_HI).collect::<Vec<i64>>(),
             "{at}: winner transaction torn: {} of {} rows survived",
             big.len(),
             BIG_HI - BIG_LO,
         );
+        rows.into_keys().collect()
     }
 
-    // Pass 1 on healthy devices: prove the pool actually steals (the
-    // sweep below would be vacuous otherwise) and size the I/O stream.
-    let (env, injector) = DatabaseEnv::fresh_with_plan(FaultPlan::new(SEED ^ 0x57EA));
-    let db = starburst_dmx::open_env(env.clone(), tiny()).expect("open");
-    steal_workload(&db).expect("workload must succeed without faults");
-    let steals = db.metrics_snapshot().counter("pool.steals");
+    // The healthy run proves the pool actually steals (the sweep would be
+    // vacuous otherwise) and sizes the I/O stream.
+    let tiny = DatabaseConfig {
+        pool_frames: POOL_FRAMES,
+        ..DatabaseConfig::default()
+    };
+    let (total, steals) = support::healthy(SEED ^ 0x57EA, &tiny, |run| {
+        let db = run.open().expect("open");
+        steal_workload(&db).expect("workload must succeed without faults");
+        db.metrics_snapshot().counter("pool.steals")
+    });
     assert!(
         steals > 0,
         "pool never stole a dirty frame — grow the workload"
     );
-    drop(db);
-    let total = injector.ops();
     assert!(total > 50, "workload too small to sweep ({total} I/Os)");
+    support::sweep(
+        SEED ^ 0x57EA,
+        &tiny,
+        0..total,
+        |run| {
+            if let Some(db) = run.open() {
+                let _ = steal_workload(&db);
+            }
+        },
+        |db, _, at| check_steal_invariants(db, at),
+    );
+}
 
-    let stride = sweep_stride();
-    let mut k = 0;
-    while k < total {
-        let at = format!("steal crash point {k}/{total}");
-        let (env, injector) =
-            DatabaseEnv::fresh_with_plan(FaultPlan::new(SEED ^ 0x57EA).crash_at(k));
-        let crashed_db = starburst_dmx::open_env(env.clone(), tiny())
-            .inspect(|db| {
-                let _ = steal_workload(db);
-            })
-            .ok();
-        drop(crashed_db);
-        assert!(
-            injector.is_crashed() || injector.injected() > 0,
-            "{at}: the scheduled crash never fired"
-        );
-        injector.clear();
-        let db = starburst_dmx::open_env(env.clone(), tiny()).expect("reopen after crash");
-        check_steal_invariants(&db, &at);
-        drop(db);
-        // Restart is idempotent under steal too.
-        let db = starburst_dmx::open_env(env.clone(), tiny()).expect("second reopen");
-        check_steal_invariants(&db, &format!("{at}, second reopen"));
-        k += stride;
+/// Rows of `t` in the every-type sweep.
+const T_ROWS: i64 = 12;
+
+/// The every-type workload: `u` and `t` carrying every registered
+/// attachment type — a unique B-tree index, a hash index, an R-tree, an
+/// aggregate, a join-index pair, a refint child/parent pair, a CHECK
+/// constraint, a trigger on a registered hook and, after `ANALYZE`,
+/// statistics — then autocommitted inserts, updates and deletes, one
+/// CHECK veto and one refint veto.
+fn every_type_script() -> Script<Tables> {
+    let t_row = |id: i64, v: i64| {
+        let area = Rect::new(id as f64, id as f64, id as f64 + 1.0, id as f64 + 1.0);
+        vec![Value::Int(id), Value::Int(v), Value::Rect(area)]
+    };
+    let mut s = Script::new(Tables::new());
+    s.then("CREATE TABLE u (id INT NOT NULL)", |m| {
+        m.insert("u".into(), Rows::new());
+    })
+    .then(
+        "CREATE TABLE t (id INT NOT NULL, v INT NOT NULL, area RECT)",
+        |m| {
+            m.insert("t".into(), Rows::new());
+        },
+    );
+    for ddl in [
+        "CREATE UNIQUE INDEX t_id ON t (id)",
+        "CREATE INDEX t_v ON t USING hash (v)",
+        "CREATE INDEX t_area ON t USING rtree (area)",
+        "CREATE ATTACHMENT t_sums ON t USING aggregate WITH (sum = id, group_by = v)",
+        "CREATE ATTACHMENT tu ON t USING joinindex WITH (side=left, fields=v)",
+        "CREATE ATTACHMENT tu ON u USING joinindex WITH (side=right, fields=id, other=t)",
+        "CREATE ATTACHMENT fk_c ON t USING refint \
+         WITH (role=child, fields=v, other=u, other_fields=id)",
+        "CREATE ATTACHMENT fk_p ON u USING refint \
+         WITH (role=parent, fields=id, other=t, other_fields=v)",
+        "CREATE CONSTRAINT t_pos ON t CHECK (id >= 0)",
+        "CREATE ATTACHMENT t_log ON t USING trigger WITH (on = 'insert,delete', action = 'hook:x')",
+        "ANALYZE TABLE t",
+    ] {
+        s.then(ddl, |_| {});
     }
+    s.then("INSERT INTO u VALUES (0), (1), (2), (3)", |m| {
+        (0..4).for_each(|id| put(m, "u", vec![Value::Int(id)]))
+    });
+    for id in 0..T_ROWS {
+        let sql = format!(
+            "INSERT INTO t VALUES ({id}, {}, RECT({id}, {id}, {}, {}))",
+            id % 4,
+            id + 1,
+            id + 1
+        );
+        s.then(sql, |m| put(m, "t", t_row(id, id % 4)));
+    }
+    s.then("UPDATE t SET v = 2 WHERE id = 5", |m| {
+        put(m, "t", t_row(5, 2))
+    })
+    .vetoed("INSERT INTO t VALUES (-1, 0, RECT(0, 0, 1, 1))")
+    .then("DELETE FROM t WHERE id = 7", |m| {
+        m.get_mut("t").expect("t").remove(&7);
+    })
+    .vetoed("INSERT INTO t VALUES (100, 9, RECT(0, 0, 1, 1))")
+    .then("UPDATE t SET v = 0 WHERE v = 3", |m| {
+        for row in m.get_mut("t").expect("t").values_mut() {
+            if row[1] == Value::Int(3) {
+                row[1] = Value::Int(0);
+            }
+        }
+    })
+    .then("DELETE FROM t WHERE id = 0", |m| {
+        m.get_mut("t").expect("t").remove(&0);
+    });
+    s
+}
+
+/// Every registered attachment type crashed at every I/O: after recovery
+/// both tables hold the model's rows before the statement in flight or
+/// after it, check healthy, and the aggregate's cells equal a `GROUP BY`
+/// over `t`.
+#[test]
+fn every_attachment_type_recovers_at_every_io() {
+    let script = every_type_script();
+    let config = DatabaseConfig::default();
+    let workload = |run: &support::Run| {
+        let Some(db) = run.open() else { return 0 };
+        db.register_hook("x", Arc::new(|_, _| Ok(())));
+        script.run(&db).0
+    };
+    let (total, done) = support::healthy(SEED, &config, workload);
+    assert_eq!(done, script.len(), "the healthy run failed");
+    support::sweep(SEED, &config, 0..total, workload, |db, &done, at| {
+        let got = support::tables(db, &["t", "u"], at);
+        script.assert_recovered(done, &got, at);
+        for table in got.keys() {
+            let report = db.query_sql(&format!("CHECK TABLE {table}")).unwrap();
+            assert_eq!(report[0][2], Value::from("healthy"), "{at}: {report:?}");
+        }
+        let has_sums = got.contains_key("t")
+            && db
+                .catalog()
+                .get_by_name("t")
+                .unwrap()
+                .find_attachment("t_sums")
+                .is_some();
+        if !has_sums {
+            return (got, Vec::new());
+        }
+        let num = |v: &Value| v.as_float().unwrap();
+        let cells: Vec<(i64, i64, f64)> = support::attachment_items(db, "t", "t_sums")
+            .iter()
+            .map(|c| (c[0].as_int().unwrap(), c[1].as_int().unwrap(), num(&c[2])))
+            .collect();
+        let mut groups: Vec<(i64, i64, f64)> = db
+            .query_sql("SELECT v, COUNT(*), SUM(id) FROM t GROUP BY v")
+            .unwrap()
+            .iter()
+            .map(|g| (g[0].as_int().unwrap(), g[1].as_int().unwrap(), num(&g[2])))
+            .collect();
+        groups.sort_by_key(|g| g.0);
+        assert_eq!(
+            cells, groups,
+            "{at}: the aggregate's cells are not the GROUP BY"
+        );
+        (got, cells)
+    });
 }
 
 /// A corrupted relation is quarantined with a typed error while every
@@ -637,7 +629,8 @@ fn damaged_page_quarantines_one_relation(damage: impl Fn(&mut starburst_dmx::pag
 fn durable_image(env: &DatabaseEnv) -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
     use starburst_dmx::types::{FileId, PageId};
     let mut pages = Vec::new();
-    for file in (1..64).map(FileId).filter(|&f| env.disk.file_exists(f)) {
+    let files = env.disk.stats().snapshot().files_created as u32;
+    for file in (1..=files).map(FileId).filter(|&f| env.disk.file_exists(f)) {
         for p in 0..env.disk.page_count(file).expect("page count") {
             let mut page = starburst_dmx::page::Page::new();
             env.disk
@@ -659,8 +652,7 @@ fn durable_image(env: &DatabaseEnv) -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
 /// page in place for out-of-band repair.
 #[test]
 fn catalog_rot_after_clean_shutdown_fails_reopen_loudly() {
-    let env = DatabaseEnv::fresh();
-    let db = starburst_dmx::open_env(env.clone(), DatabaseConfig::default()).expect("open");
+    let (env, db) = fresh();
     db.execute_sql("CREATE TABLE t (id INT NOT NULL)")
         .expect("ddl");
     db.execute_sql("INSERT INTO t VALUES (1)").expect("dml");
@@ -703,7 +695,12 @@ fn transient_faults_are_absorbed_by_retries() {
     }
     let (env, injector) = DatabaseEnv::fresh_with_plan(plan);
     let db = reopen(&env);
-    workload(&db).expect("transient faults must be invisible to the workload");
+    let script = workload();
+    assert_eq!(
+        script.run(&db),
+        (script.len(), None),
+        "transient faults must be invisible to the workload"
+    );
     assert!(
         injector.injected() > 0,
         "plan never fired — workload shrank below the fault window"
@@ -720,13 +717,14 @@ fn transient_faults_are_absorbed_by_retries() {
 fn permanent_fault_fails_statement_but_database_recovers() {
     let (env, injector) = DatabaseEnv::fresh_with_plan(FaultPlan::new(SEED).permanent_at(40));
     let db = reopen(&env);
-    let err = workload(&db).expect_err("permanent fault must surface");
+    let script = workload();
+    let (done, err) = script.run(&db);
     assert!(
-        matches!(err, DmxError::Io(_)),
-        "expected a hard I/O error, got {err}"
+        matches!(err, Some(DmxError::Io(_))),
+        "expected a hard I/O error, got {err:?}"
     );
     drop(db);
     injector.clear();
     let db = reopen(&env);
-    check_invariants(&db, "after permanent fault");
+    check_invariants(&db, &script, done, "after permanent fault");
 }

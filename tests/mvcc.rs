@@ -16,17 +16,13 @@ use std::sync::Arc;
 
 use starburst_dmx::prelude::*;
 
-fn open_db() -> Arc<Database> {
-    starburst_dmx::open_default().unwrap()
-}
-
 /// The documented race, forced: a covered index scan runs while an
 /// updater holds uncommitted index entries, and again after the updater
 /// rolls back. Both reads must report committed-only data — and the
 /// reader never blocks on the writer's X locks.
 #[test]
 fn covered_scan_ignores_in_flight_and_aborted_update() {
-    let db = open_db();
+    let db = starburst_dmx::open_default().unwrap();
     db.execute_sql("CREATE TABLE t (id INT NOT NULL, grp INT NOT NULL)")
         .unwrap();
     db.execute_sql("CREATE INDEX t_grp ON t USING btree (grp)")
@@ -78,7 +74,7 @@ fn covered_scan_ignores_in_flight_and_aborted_update() {
 /// costs exactly one lock acquisition (the relation IS).
 #[test]
 fn snapshot_scan_takes_zero_record_locks() {
-    let db = open_db();
+    let db = starburst_dmx::open_default().unwrap();
     db.execute_sql("CREATE TABLE t (id INT NOT NULL, v INT NOT NULL)")
         .unwrap();
     for i in 0..100 {
@@ -140,7 +136,7 @@ fn snapshot_scan_takes_zero_record_locks() {
 /// update is invisible to a snapshot captured before it.
 #[test]
 fn snapshot_reads_are_repeatable_within_a_transaction() {
-    let db = open_db();
+    let db = starburst_dmx::open_default().unwrap();
     db.execute_sql("CREATE TABLE t (id INT NOT NULL, v INT NOT NULL)")
         .unwrap();
     for i in 0..10 {
@@ -175,7 +171,7 @@ fn snapshot_reads_are_repeatable_within_a_transaction() {
 /// until the creator commits.
 #[test]
 fn uncommitted_create_table_is_invisible_to_others() {
-    let db = open_db();
+    let db = starburst_dmx::open_default().unwrap();
     let creator = Session::new(db.clone());
     creator.execute("BEGIN").unwrap();
     creator
@@ -202,7 +198,7 @@ fn uncommitted_create_table_is_invisible_to_others() {
 /// The fence lifts on abort too — and the name becomes reusable.
 #[test]
 fn aborted_create_table_lifts_the_ddl_fence() {
-    let db = open_db();
+    let db = starburst_dmx::open_default().unwrap();
     let creator = Session::new(db.clone());
     creator.execute("BEGIN").unwrap();
     creator
@@ -225,7 +221,7 @@ fn aborted_create_table_lifts_the_ddl_fence() {
 /// the fully-committed table — never a half-created one.
 #[test]
 fn concurrent_readers_never_see_half_created_table() {
-    let db = open_db();
+    let db = starburst_dmx::open_default().unwrap();
     let done = AtomicBool::new(false);
     std::thread::scope(|s| {
         for _ in 0..2 {
@@ -261,7 +257,7 @@ fn concurrent_readers_never_see_half_created_table() {
 /// scan traversed blocks until the scanner commits.
 #[test]
 fn gap_locks_block_phantom_insert_until_scanner_commits() {
-    let db = open_db();
+    let db = starburst_dmx::open_default().unwrap();
     db.execute_sql("CREATE TABLE t (id INT NOT NULL, v INT NOT NULL) USING btree WITH (key=id)")
         .unwrap();
     for i in 0..10 {
@@ -305,7 +301,7 @@ fn gap_locks_block_phantom_insert_until_scanner_commits() {
 /// uncommitted insert.
 #[test]
 fn snapshot_scan_neither_blocks_on_nor_sees_uncommitted_insert() {
-    let db = open_db();
+    let db = starburst_dmx::open_default().unwrap();
     db.execute_sql("CREATE TABLE t (id INT NOT NULL, v INT NOT NULL) USING btree WITH (key=id)")
         .unwrap();
     for i in 0..5 {
@@ -338,7 +334,7 @@ fn snapshot_scan_neither_blocks_on_nor_sees_uncommitted_insert() {
 /// snapshot image, so without key dedupe the row would come back twice.
 #[test]
 fn snapshot_scan_never_duplicates_a_relocated_record() {
-    let db = open_db();
+    let db = starburst_dmx::open_default().unwrap();
     db.execute_sql("CREATE TABLE t (id INT NOT NULL, grp INT NOT NULL)")
         .unwrap();
     db.execute_sql("CREATE INDEX t_grp ON t USING btree (grp)")
@@ -395,7 +391,7 @@ fn snapshot_scan_never_duplicates_a_relocated_record() {
 /// once, and asks for no lock beyond the relation's.
 #[test]
 fn snapshot_probe_of_a_hash_index_reads_its_bucket_as_of_the_snapshot() {
-    let db = open_db();
+    let db = starburst_dmx::open_default().unwrap();
     db.execute_sql("CREATE TABLE t (id INT NOT NULL, grp INT NOT NULL)")
         .unwrap();
     db.execute_sql("CREATE INDEX t_grp ON t USING hash (grp)")
@@ -462,7 +458,7 @@ const ROWS: i64 = 10;
 /// `t (id, grp, v)` with `grp = id`, `v = 0` and an index on `grp`; the
 /// record key of each id.
 fn lazy_set_fixture(rows: i64) -> (Arc<Database>, Vec<RecordKey>) {
-    let db = open_db();
+    let db = starburst_dmx::open_default().unwrap();
     db.execute_sql("CREATE TABLE t (id INT NOT NULL, grp INT NOT NULL, v INT NOT NULL)")
         .unwrap();
     db.execute_sql("CREATE INDEX t_grp ON t USING btree (grp)")

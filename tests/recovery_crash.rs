@@ -11,22 +11,15 @@
 // panic discipline: failures here should abort loudly.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+mod support;
+
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use starburst_dmx::attach::join_index::JoinIndex;
 use starburst_dmx::prelude::*;
 use starburst_dmx::query::SqlExt;
-
-fn reopen(env: &DatabaseEnv) -> Arc<Database> {
-    starburst_dmx::open_env(env.clone(), DatabaseConfig::default()).unwrap()
-}
-
-fn fresh() -> (DatabaseEnv, Arc<Database>) {
-    let env = DatabaseEnv::fresh();
-    let db = reopen(&env);
-    (env, db)
-}
+use support::{fresh, open, reopen};
 
 #[test]
 fn committed_ddl_and_data_survive_repeated_crashes() {
@@ -192,29 +185,14 @@ fn attachments_and_aggregates_recover_consistently() {
         .unwrap();
     assert_eq!(via_index, 20);
     // maintained aggregates agree with recomputation
-    let rd = db.catalog().get_by_name("t").unwrap();
-    let (at, inst) = rd.find_attachment("sums").unwrap();
-    let txn = db.begin();
-    let scan = db
-        .open_scan(
-            &txn,
-            rd.id,
-            AccessPath::Attachment(at, inst.instance),
-            AccessQuery::All,
-            None,
-            None,
-        )
-        .unwrap();
     let mut total_count = 0i64;
-    while let Some(item) = db.scan_next(&txn, scan).unwrap() {
-        let v = item.values.unwrap();
+    for v in support::attachment_items(&db, "t", "sums") {
         total_count += v[1].as_int().unwrap();
         assert!(
             v[2].as_float().unwrap() < 2000.0,
             "rolled-back 1000.0 deltas absent"
         );
     }
-    db.commit(&txn).unwrap();
     assert_eq!(total_count, 60);
 }
 
@@ -297,7 +275,7 @@ mod undone_under_steal {
             pool_frames: 4,
             ..DatabaseConfig::default()
         };
-        let db = starburst_dmx::open_env(env.clone(), config).unwrap();
+        let db = open(&env, config);
         db.execute_sql("CREATE TABLE s (id INT NOT NULL, v STRING)")
             .unwrap();
         for i in 0..4 {
@@ -465,19 +443,10 @@ fn rows_by_id<const N: usize>(db: &Arc<Database>, ids: [i64; N]) -> [usize; N] {
 
 /// The rows the cells of aggregate `att` on `table` count.
 fn rows_in_cells(db: &Arc<Database>, table: &str, att: &str) -> i64 {
-    let rd = db.catalog().get_by_name(table).unwrap();
-    let (at, inst) = rd.find_attachment(att).unwrap();
-    let txn = db.begin();
-    let path = AccessPath::Attachment(at, inst.instance);
-    let scan = db
-        .open_scan(&txn, rd.id, path, AccessQuery::All, None, None)
-        .unwrap();
-    let mut rows = 0;
-    while let Some(item) = db.scan_next(&txn, scan).unwrap() {
-        rows += item.values.unwrap()[1].as_int().unwrap();
-    }
-    db.commit(&txn).unwrap();
-    rows
+    support::attachment_items(db, table, att)
+        .iter()
+        .map(|cell| cell[1].as_int().unwrap())
+        .sum()
 }
 
 /// A force inside a modification — what a steal writing back a page the
@@ -576,16 +545,6 @@ fn transaction_ids_never_repeat_across_restarts() {
     db.commit(&t).unwrap();
 }
 
-/// Reopens a crashed database, then once more: the second restart finds
-/// nothing left to do and appends not one log frame.
-fn recover(env: &DatabaseEnv) -> Arc<Database> {
-    drop(reopen(env));
-    let frames = env.stable_log.len();
-    let db = reopen(env);
-    assert_eq!(env.stable_log.len(), frames, "the second reopen appended");
-    db
-}
-
 fn count(db: &Arc<Database>, table: &str) -> i64 {
     db.query_sql(&format!("SELECT COUNT(*) FROM {table}"))
         .unwrap()[0][0]
@@ -622,8 +581,12 @@ fn a_committed_create_whose_catalog_page_never_reached_disk_keeps_its_rows() {
         "the catalog page stayed in the pool"
     );
     std::mem::forget(db);
-    let db = recover(&env);
-    assert_eq!(count(&db, "t"), 20);
+    assert_eq!(
+        support::recover(&env, &DatabaseConfig::default(), "restart", |db, _| count(
+            db, "t"
+        )),
+        20
+    );
 }
 
 /// Restart order (b): a DROP that crashed before its commit point leaves
@@ -643,8 +606,12 @@ fn an_uncommitted_drop_leaves_the_relation_and_its_committed_rows() {
     db.services().log.force_all().unwrap();
     std::mem::forget(txn);
     std::mem::forget(db);
-    let db = recover(&env);
-    assert_eq!(count(&db, "r"), 20);
+    assert_eq!(
+        support::recover(&env, &DatabaseConfig::default(), "restart", |db, _| count(
+            db, "r"
+        )),
+        20
+    );
 }
 
 /// Restart order (c): a committed DROP whose release ran but whose
@@ -680,10 +647,12 @@ fn a_committed_drop_whose_release_was_not_logged_done_stays_dropped() {
     );
     assert!(files.iter().all(|&f| !env.disk.file_exists(f)), "released");
     std::mem::forget(db);
-    let db = recover(&env);
-    assert!(db.catalog().get_by_name("r").is_err());
-    assert_eq!(db.quarantined(), vec![]);
-    assert!(files.iter().all(|&f| !env.disk.file_exists(f)));
+    support::recover(&env, &DatabaseConfig::default(), "restart", |db, at| {
+        assert!(db.catalog().get_by_name("r").is_err(), "{at}");
+        assert_eq!(db.quarantined(), vec![], "{at}");
+        assert!(files.iter().all(|&f| !env.disk.file_exists(f)), "{at}");
+    });
+    let db = reopen(&env);
     db.execute_sql("CREATE TABLE r (id INT NOT NULL)").unwrap();
     assert_eq!(count(&db, "r"), 0);
 }
@@ -775,10 +744,11 @@ fn ddl_taken_back_inside_a_committed_transaction_stays_taken_back() {
     assert_eq!(state(&db), before);
     drop(s);
     std::mem::forget(db);
-    let db = recover(&env);
-    assert_eq!(state(&db), before);
-    let rows = db.query_sql("SELECT id FROM t WHERE v = 2").unwrap();
-    assert_eq!(rows, vec![vec![Value::Int(1)]]);
+    let after = support::recover(&env, &DatabaseConfig::default(), "restart", |db, _| {
+        let rows = db.query_sql("SELECT id FROM t WHERE v = 2").unwrap();
+        (state(db), rows)
+    });
+    assert_eq!(after, (before, vec![vec![Value::Int(1)]]));
 }
 
 /// A `CREATE TABLE` taken back — rolled back to a savepoint inside a
@@ -830,12 +800,13 @@ fn a_create_table_taken_back_leaves_no_file() {
     db.services().log.force_all().unwrap();
     std::mem::forget(txn);
     std::mem::forget(db);
-    let db = recover(&env);
-    assert_eq!(live(&env), before, "after the crash");
-    for name in ["g0", "g1", "g2", "aborted", "in_flight"] {
-        assert!(db.catalog().get_by_name(name).is_err(), "{name}");
-    }
-    assert_eq!(count(&db, "keep"), 1);
+    support::recover(&env, &DatabaseConfig::default(), "restart", |db, at| {
+        assert_eq!(live(&env), before, "{at}");
+        for name in ["g0", "g1", "g2", "aborted", "in_flight"] {
+            assert!(db.catalog().get_by_name(name).is_err(), "{at}: {name}");
+        }
+        assert_eq!(count(db, "keep"), 1, "{at}");
+    });
 }
 
 /// Restart repeats a dropped relation's history too: after a committed
@@ -870,15 +841,16 @@ fn a_dropped_relations_replayed_records_reach_no_later_relation() {
     let expected = rows(&db);
     assert_eq!(expected.len(), 20);
     std::mem::forget(db);
-    let db = recover(&env);
-    assert!(db.catalog().get_by_name("r").is_err());
-    assert_eq!(rows(&db), expected);
-    let by_index = db.query_sql("SELECT v FROM s WHERE id = 7").unwrap();
-    assert_eq!(by_index, vec![vec![Value::from("s7")]]);
-    let check = db.execute_sql("CHECK TABLE s").unwrap();
-    assert_eq!(check.rows[0][2], Value::from("healthy"), "{check:?}");
-    assert_eq!(live(&env), before);
-    assert_eq!(db.quarantined(), vec![]);
+    support::recover(&env, &DatabaseConfig::default(), "restart", |db, at| {
+        assert!(db.catalog().get_by_name("r").is_err(), "{at}");
+        assert_eq!(rows(db), expected, "{at}");
+        let by_index = db.query_sql("SELECT v FROM s WHERE id = 7").unwrap();
+        assert_eq!(by_index, vec![vec![Value::from("s7")]], "{at}");
+        let check = db.execute_sql("CHECK TABLE s").unwrap();
+        assert_eq!(check.rows[0][2], Value::from("healthy"), "{at}: {check:?}");
+        assert_eq!(live(&env), before, "{at}");
+        assert_eq!(db.quarantined(), vec![], "{at}");
+    });
 }
 
 /// A join index's second side adopts the trees its first side made, so
@@ -923,14 +895,11 @@ fn a_build_into_adopted_trees_is_taken_back_entry_by_entry() {
     assert_eq!(trees(&db), before);
     drop(s);
     std::mem::forget(db);
-    let db = recover(&env);
-    assert_eq!(trees(&db), before);
-    assert!(db
-        .catalog()
-        .get_by_name("dept")
-        .unwrap()
-        .find_attachment("ed")
-        .is_none());
+    support::recover(&env, &DatabaseConfig::default(), "restart", |db, at| {
+        assert_eq!(trees(db), before, "{at}");
+        let dept = db.catalog().get_by_name("dept").unwrap();
+        assert!(dept.find_attachment("ed").is_none(), "{at}");
+    });
 }
 
 /// The planner's row count survives a clean close: the close rewrites
@@ -1026,9 +995,10 @@ fn forty_check_constraints_survive_reopen_and_crash() {
     let veto = db.execute_sql("INSERT INTO t VALUES (2, -1)").unwrap_err();
     assert!(matches!(veto, DmxError::Veto { .. }), "{veto}");
     std::mem::forget(db);
-    let db = recover(&env);
-    assert_eq!(descriptor(&db), before);
-    assert_eq!(count(&db, "t"), 1);
+    let after = support::recover(&env, &DatabaseConfig::default(), "restart", |db, _| {
+        (descriptor(db), count(db, "t"))
+    });
+    assert_eq!(after, (before, 1));
 }
 
 /// The log a `CREATE TABLE` appends does not grow with the catalog: the

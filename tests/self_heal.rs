@@ -13,16 +13,15 @@
 // panic discipline: failures here should abort loudly.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+mod support;
+
 use std::sync::Arc;
 
 use starburst_dmx::prelude::*;
 use starburst_dmx::query::SqlExt;
+use support::{fresh, reopen};
 
 const SEED: u64 = 0x5E1F_4EA1;
-
-fn reopen(env: &DatabaseEnv) -> Arc<Database> {
-    starburst_dmx::open_env(env.clone(), DatabaseConfig::default()).expect("reopen")
-}
 
 /// Flips one byte of `(file, page)` under the checksum layer, as silent
 /// media rot would.
@@ -147,8 +146,7 @@ fn check_table_quarantines_proactively() {
 /// does not know the two-relation DDL — and is left as it is).
 #[test]
 fn check_and_repair_cover_aggregate_rtree_and_join_index_files() {
-    let env = DatabaseEnv::fresh();
-    let db = reopen(&env);
+    let (env, db) = fresh();
     for ddl in [
         "CREATE TABLE t (id INT NOT NULL, v INT NOT NULL, area RECT NOT NULL)",
         "CREATE TABLE u (id INT NOT NULL)",
@@ -219,7 +217,7 @@ fn check_and_repair_cover_aggregate_rtree_and_join_index_files() {
 /// new files and leaves every `params` as it was.
 #[test]
 fn repair_rebuilds_every_instance_from_its_stored_list() {
-    let db = reopen(&DatabaseEnv::fresh());
+    let db = starburst_dmx::open_default().unwrap();
     for ddl in [
         "CREATE TABLE t (id INT NOT NULL, v INT NOT NULL, area RECT NOT NULL)",
         "CREATE UNIQUE INDEX t_id ON t (id)",
@@ -288,7 +286,7 @@ fn repair_rebuilds_every_instance_from_its_stored_list() {
 /// only has to name no record the base lacks.
 #[test]
 fn check_table_accepts_an_rtree_that_skips_a_null() {
-    let db = reopen(&DatabaseEnv::fresh());
+    let db = starburst_dmx::open_default().unwrap();
     for ddl in [
         "CREATE TABLE p (id INT NOT NULL, area RECT)",
         "CREATE INDEX p_area ON p USING rtree (area)",
@@ -306,7 +304,7 @@ fn check_table_accepts_an_rtree_that_skips_a_null() {
 /// neither relation is damaged.
 #[test]
 fn check_table_accepts_a_join_index_with_an_unpartnered_row() {
-    let db = reopen(&DatabaseEnv::fresh());
+    let db = starburst_dmx::open_default().unwrap();
     for ddl in [
         "CREATE TABLE emp (id INT NOT NULL, dept INT)",
         "CREATE TABLE dept (id INT NOT NULL)",
@@ -524,96 +522,82 @@ fn out_of_space_aborts_cleanly_and_degrades_to_read_only() {
 /// Crash-at-every-Nth-I/O sweep through the *scrub and repair* paths:
 /// damage the index, then crash inside CHECK/REPAIR. After reopening on
 /// healthy devices the pipeline must still converge to a healthy,
-/// fully-served relation. `FAULT_SWEEP_STRIDE` (default 1 = every point,
-/// as in `fault_sweep.rs`) thins the sweep.
+/// fully-served relation, and a second reopen finds the same.
 #[test]
 fn crash_sweep_inside_scrub_and_repair_converges() {
-    let stride: u64 = std::env::var("FAULT_SWEEP_STRIDE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&s| s > 0)
-        .unwrap_or(1);
     const ROWS: i64 = 12;
+    let config = DatabaseConfig::default();
 
-    // Pass 1 on healthy devices: measure the I/O window of the repair
-    // scenario (everything after the byte flip).
-    let (env, injector) = DatabaseEnv::fresh_with_plan(FaultPlan::new(SEED));
-    let db = reopen(&env);
-    build_indexed_table(&db, ROWS);
-    drop(db);
-    // The flip itself flows through the fault layer (env.disk is the
-    // injected disk), so the sweep window starts after it.
-    flip_byte(&env, 3, 0);
-    let start = injector.ops();
-    injector.clear();
-    let db = reopen(&env);
-    db.execute_sql("CHECK TABLE t").expect("scrub");
-    db.execute_sql("REPAIR TABLE t").expect("repair");
-    // The window ends at the last repair I/O: the verification below and
-    // the close do a few more ops that pass 2's crashed phase never
-    // replays, so a crash scheduled there would never fire.
-    let total = injector.ops();
-    assert_eq!(
-        db.query_sql("SELECT COUNT(*) FROM t").unwrap()[0][0],
-        Value::Int(ROWS)
-    );
-    drop(db);
+    // On healthy devices: measure the I/O window of the repair scenario
+    // (everything after the byte flip). The setup before it is identical
+    // at every crash point (same seed, same statements), so absolute I/O
+    // indices line up run to run.
+    let (_, (start, total)) = support::healthy(SEED, &config, |run| {
+        let db = run.open().expect("open");
+        build_indexed_table(&db, ROWS);
+        drop(db);
+        // The flip itself flows through the fault layer (env.disk is the
+        // injected disk), so the sweep window starts after it.
+        flip_byte(run.env, 3, 0);
+        let start = run.injector.ops();
+        let db = run.open().expect("reopen");
+        db.execute_sql("CHECK TABLE t").expect("scrub");
+        db.execute_sql("REPAIR TABLE t").expect("repair");
+        // The window ends at the last repair I/O: the verification below
+        // and the close do a few more ops that the crashed runs never
+        // replay, so a crash scheduled there would never fire.
+        let total = run.injector.ops();
+        assert_eq!(
+            db.query_sql("SELECT COUNT(*) FROM t").unwrap()[0][0],
+            Value::Int(ROWS)
+        );
+        (start, total)
+    });
     assert!(
         total > start + 30,
         "scrub+repair window too small to sweep ({start}..{total})"
     );
 
-    // Pass 2: crash at every swept point inside that window. The setup
-    // phase is identical (same seed, same statements), so absolute I/O
-    // indices line up run to run.
-    let mut k = start;
-    let mut swept = 0u64;
-    while k < total {
-        let at = format!("repair crash point {k}/{total}");
-        let (env, injector) = DatabaseEnv::fresh_with_plan(FaultPlan::new(SEED).crash_at(k));
-        let db = reopen(&env);
-        build_indexed_table(&db, ROWS);
-        drop(db);
-        flip_byte(&env, 3, 0);
-        let crashed = starburst_dmx::open_env(env.clone(), DatabaseConfig::default())
-            .map(|db| {
+    support::sweep(
+        SEED,
+        &config,
+        start..total,
+        |run| {
+            let db = run.open().expect("the crash comes after the setup");
+            build_indexed_table(&db, ROWS);
+            drop(db);
+            flip_byte(run.env, 3, 0);
+            if let Some(db) = run.open() {
                 let _ = db
                     .execute_sql("CHECK TABLE t")
                     .and_then(|_| db.execute_sql("REPAIR TABLE t"));
-            })
-            .is_err();
-        assert!(
-            crashed || injector.is_crashed() || injector.injected() > 0,
-            "{at}: the scheduled crash never fired"
-        );
-
-        // Reopen healthy; drive the pipeline to convergence.
-        injector.clear();
-        let db = reopen(&env);
-        if !db.quarantined().is_empty() || db.execute_sql("CHECK TABLE t").map(|_| ()).is_ok() {
-            // The index may still be damaged (crash before the rebuild
-            // committed) or already healed; REPAIR is idempotent either
-            // way — run it whenever the scrub left a fence.
-            if !db.quarantined().is_empty() {
-                db.execute_sql("REPAIR TABLE t")
-                    .unwrap_or_else(|e| panic!("{at}: repair after crash failed: {e}"));
             }
-        }
-        assert!(db.quarantined().is_empty(), "{at}: fence not lifted");
-        let n = db.query_sql("SELECT COUNT(*) FROM t").expect("count")[0][0]
-            .as_int()
-            .unwrap();
-        assert_eq!(n, ROWS, "{at}: repair lost committed base records");
-        for id in 0..ROWS {
-            let keyed = db
-                .query_sql(&format!("SELECT v FROM t WHERE id = {id}"))
-                .unwrap_or_else(|e| panic!("{at}: keyed lookup failed: {e}"));
-            assert_eq!(keyed.len(), 1, "{at}: index disagrees on id {id}");
-        }
-        swept += 1;
-        k += stride;
-    }
-    assert!(swept > 0, "sweep covered no crash point");
+        },
+        |db, _, at| {
+            // Drive the pipeline to convergence.
+            if !db.quarantined().is_empty() || db.execute_sql("CHECK TABLE t").map(|_| ()).is_ok() {
+                // The index may still be damaged (crash before the rebuild
+                // committed) or already healed; REPAIR is idempotent either
+                // way — run it whenever the scrub left a fence.
+                if !db.quarantined().is_empty() {
+                    db.execute_sql("REPAIR TABLE t")
+                        .unwrap_or_else(|e| panic!("{at}: repair after crash failed: {e}"));
+                }
+            }
+            assert!(db.quarantined().is_empty(), "{at}: fence not lifted");
+            let n = db.query_sql("SELECT COUNT(*) FROM t").expect("count")[0][0]
+                .as_int()
+                .unwrap();
+            assert_eq!(n, ROWS, "{at}: repair lost committed base records");
+            for id in 0..ROWS {
+                let keyed = db
+                    .query_sql(&format!("SELECT v FROM t WHERE id = {id}"))
+                    .unwrap_or_else(|e| panic!("{at}: keyed lookup failed: {e}"));
+                assert_eq!(keyed.len(), 1, "{at}: index disagrees on id {id}");
+            }
+            support::rows(db, "t", at)
+        },
+    );
 }
 
 /// Unrepairable damage reaches the typed terminal state: repair fails

@@ -9,11 +9,14 @@
 // panic discipline: failures here should abort loudly.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+mod support;
+
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use starburst_dmx::prelude::*;
 use starburst_dmx::query::SqlExt;
+use support::{fresh, reopen};
 
 struct Shadow {
     committed: BTreeMap<i64, i64>,
@@ -66,10 +69,6 @@ impl Rng {
     }
 }
 
-fn open_env_db(env: &DatabaseEnv) -> Arc<Database> {
-    starburst_dmx::open_env(env.clone(), DatabaseConfig::default()).unwrap()
-}
-
 /// Reads the full visible state through BOTH access paths and checks they
 /// agree with each other and the expectation.
 fn verify(db: &Arc<Database>, sess: &starburst_dmx::prelude::Session, expect: &BTreeMap<i64, i64>) {
@@ -110,8 +109,7 @@ fn verify(db: &Arc<Database>, sess: &starburst_dmx::prelude::Session, expect: &B
 #[test]
 fn randomized_workload_matches_shadow_model() {
     for seed in [7u64, 99, 20260706] {
-        let env = DatabaseEnv::fresh();
-        let mut db = open_env_db(&env);
+        let (env, mut db) = fresh();
         db.execute_sql("CREATE TABLE t (id INT NOT NULL, v INT NOT NULL)")
             .unwrap();
         db.execute_sql("CREATE UNIQUE INDEX t_pk ON t (id)")
@@ -210,7 +208,7 @@ fn randomized_workload_matches_shadow_model() {
                     shadow.abort();
                     in_txn = false;
                     drop(db);
-                    db = open_env_db(&env);
+                    db = reopen(&env);
                     sess = Session::new(db.clone());
                     verify(&db, &sess, &shadow.committed);
                 }

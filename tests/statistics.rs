@@ -12,11 +12,14 @@
 // panic discipline: failures here should abort loudly.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
+mod support;
+
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use starburst_dmx::prelude::*;
 use starburst_dmx::types::testrng::TestRng;
+use support::{put, reopen, Rows, Script, Tables};
 
 const SEED: u64 = 0x57A7_57A7_57A7_57A7;
 
@@ -328,7 +331,7 @@ fn dropping_the_attachment_retracts_the_snapshot() {
 #[test]
 fn statistics_survive_reopen() {
     let (env, injector) = DatabaseEnv::fresh_with_plan(FaultPlan::new(SEED));
-    let db = starburst_dmx::open_env(env.clone(), DatabaseConfig::default()).unwrap();
+    let db = reopen(&env);
     db.execute_sql("CREATE TABLE ts (id INT NOT NULL, v INT)")
         .unwrap();
     db.execute_sql("ANALYZE TABLE ts").unwrap();
@@ -336,7 +339,7 @@ fn statistics_survive_reopen() {
     let before = format!("{:?}", stat_rows(&db, "ts"));
     drop(db);
     injector.clear();
-    let db = starburst_dmx::open_env(env, DatabaseConfig::default()).unwrap();
+    let db = reopen(&env);
     assert_eq!(
         format!("{:?}", stat_rows(&db, "ts")),
         before,
@@ -448,58 +451,41 @@ fn rolled_back_writes_leave_the_planner_row_count_alone() {
     assert_row_count_is_true(&db, "relocating heap updates, committed");
 }
 
-fn sweep_stride() -> u64 {
-    std::env::var("FAULT_SWEEP_STRIDE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&s| s > 0)
-        .unwrap_or(1)
-}
-
 /// The swept workload: registration via ANALYZE, then autocommitted
-/// inserts and deletes. Stops at the first error (the injected crash).
-fn crash_workload(db: &Arc<Database>) {
-    if db
-        .execute_sql("CREATE TABLE ts (id INT NOT NULL, v INT)")
-        .is_err()
-    {
-        return;
-    }
-    if db.execute_sql("ANALYZE TABLE ts").is_err() {
-        return;
-    }
+/// inserts and deletes, with the rows each leaves.
+fn crash_script() -> Script<Tables> {
+    let mut s = Script::new(Tables::new());
+    s.then("CREATE TABLE ts (id INT NOT NULL, v INT)", |m| {
+        m.insert("ts".into(), Rows::new());
+    })
+    .then("ANALYZE TABLE ts", |_| {});
     let mut rng = TestRng::new(CRASH_SEED);
     let mut live: Vec<i64> = Vec::new();
-    for i in 0..CRASH_OPS {
+    for i in 0..CRASH_OPS as i64 {
         if rng.below(100) < 70 || live.is_empty() {
             let v = rng.range_i64(-50, 50);
-            if db
-                .execute_sql(&format!("INSERT INTO ts VALUES ({i}, {v})"))
-                .is_err()
-            {
-                return;
-            }
-            live.push(i as i64);
+            s.then(format!("INSERT INTO ts VALUES ({i}, {v})"), |m| {
+                put(m, "ts", vec![Value::Int(i), Value::Int(v)])
+            });
+            live.push(i);
         } else {
             let id = live.remove(rng.index(live.len()));
-            if db
-                .execute_sql(&format!("DELETE FROM ts WHERE id = {id}"))
-                .is_err()
-            {
-                return;
-            }
+            s.then(format!("DELETE FROM ts WHERE id = {id}"), |m| {
+                m.get_mut("ts").expect("ts").remove(&id);
+            });
         }
     }
+    s
 }
 
 /// After recovery, the published statistics must describe exactly the
 /// rows the reopened database contains — never rows that vanished, never
-/// bounds that exclude survivors.
-fn check_stats_match_contents(db: &Arc<Database>, at: &str) {
+/// bounds that exclude survivors. Returns the statistics.
+fn check_stats_match_contents(db: &Arc<Database>, at: &str) -> Vec<StatRow> {
     let contents = match db.query_sql("SELECT id, v FROM ts") {
         Ok(rows) => rows,
         // CREATE never committed: nothing to describe.
-        Err(DmxError::NotFound(_)) => return,
+        Err(DmxError::NotFound(_)) => return Vec::new(),
         // A crash mid-registration can leave the stats tree torn and
         // the relation fenced; REPAIR rebuilds the attachment-backed
         // state like any other, after which stats must agree again.
@@ -516,7 +502,7 @@ fn check_stats_match_contents(db: &Arc<Database>, at: &str) {
     let stats = stat_rows(db, "ts");
     if stats.is_empty() {
         // The ANALYZE DDL never committed; guesses rule, nothing stale.
-        return;
+        return stats;
     }
     let actual = contents.len() as i64;
     assert_eq!(
@@ -537,36 +523,27 @@ fn check_stats_match_contents(db: &Arc<Database>, at: &str) {
             );
         }
     }
+    stats
 }
 
 #[test]
 fn crash_sweep_statistics_never_contradict_the_reopened_table() {
-    // Pass 1: healthy run to count the workload's I/O operations.
-    let (env, injector) = DatabaseEnv::fresh_with_plan(FaultPlan::new(CRASH_SEED));
-    let db = starburst_dmx::open_env(env.clone(), DatabaseConfig::default()).unwrap();
-    crash_workload(&db);
-    drop(db);
-    let total = injector.ops();
+    let script = crash_script();
+    let config = DatabaseConfig::default();
+    let (total, done) =
+        support::healthy(CRASH_SEED, &config, |run| script.run(&run.open().unwrap()));
+    assert_eq!(done, (script.len(), None), "the healthy run failed");
     assert!(total > 40, "workload too small to sweep ({total} I/Os)");
-
-    let stride = sweep_stride();
-    let mut k = 0;
-    while k < total {
-        let at = format!("crash point {k}/{total}");
-        let (env, injector) = DatabaseEnv::fresh_with_plan(FaultPlan::new(CRASH_SEED).crash_at(k));
-        // Err means the crash fired during the initial open.
-        if let Ok(db) = starburst_dmx::open_env(env.clone(), DatabaseConfig::default()) {
-            crash_workload(&db);
-            drop(db);
-        }
-        assert!(
-            injector.is_crashed() || injector.injected() > 0,
-            "{at}: the scheduled crash never fired"
-        );
-        injector.clear();
-        let db = starburst_dmx::open_env(env, DatabaseConfig::default())
-            .unwrap_or_else(|e| panic!("{at}: recovery failed: {e}"));
-        check_stats_match_contents(&db, &at);
-        k += stride;
-    }
+    support::sweep(
+        CRASH_SEED,
+        &config,
+        0..total,
+        |run| run.open().map_or(0, |db| script.run(&db).0),
+        |db, &done, at| {
+            let stats = check_stats_match_contents(db, at);
+            let got = support::tables(db, &["ts"], at);
+            script.assert_recovered(done, &got, at);
+            (got, stats)
+        },
+    );
 }
