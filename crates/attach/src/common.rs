@@ -11,6 +11,18 @@ pub fn read_u64(b: &[u8], off: usize, what: &str) -> Result<u64> {
         .ok_or_else(|| DmxError::Corrupt(format!("short {what}")))
 }
 
+/// 64-bit FNV-1a of `bytes`. What it returns is stored (a hash index
+/// files its entries under it), so it is spelled out here rather than
+/// taken from `std`, whose hashers may change between releases.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
 /// Parses a comma-separated field-name list attribute into field ids.
 pub fn parse_fields(
     params: &AttrList,

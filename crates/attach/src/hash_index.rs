@@ -8,8 +8,6 @@
 //! irrelevant to ranges (the paper: each access path "can determine the
 //! relevance of the predicates to the access path instance").
 
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use dmx_core::{
@@ -23,7 +21,7 @@ use dmx_types::{
     AttrList, DmxError, FieldId, Record, RecordKey, Result, Value,
 };
 
-use crate::common::{field_values, parse_fields};
+use crate::common::{field_values, fnv1a, parse_fields};
 
 /// The hash-index attachment type.
 pub struct HashIndex;
@@ -56,10 +54,9 @@ impl HashDesc {
     }
 }
 
+/// The bucket an entry is filed under; stored, so it must not change.
 fn hash_bytes(values_enc: &[u8]) -> [u8; 8] {
-    let mut h = DefaultHasher::new();
-    values_enc.hash(&mut h);
-    h.finish().to_be_bytes()
+    fnv1a(values_enc).to_be_bytes()
 }
 
 /// `hash ∥ enc(values)` — the probe prefix.
@@ -223,5 +220,21 @@ impl EntryDecoder for BucketEntries {
             key: key.clone(),
             values: Some(covered),
         }))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A stored hash index is probed with the hash its entries were filed
+    /// under: a different toolchain or key layout must fail here, not
+    /// misplace every probe.
+    #[test]
+    fn the_bucket_hash_is_pinned() {
+        assert_eq!(
+            hash_bytes(&encode_values(&[Value::Int(1)])),
+            [0xA1, 0x08, 0xB7, 0x85, 0x84, 0xE9, 0x96, 0x88]
+        );
     }
 }

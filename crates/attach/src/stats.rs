@@ -45,7 +45,7 @@ use dmx_types::{
     AttrList, DataType, DmxError, Lsn, Record, RecordKey, Result, Schema, Value,
 };
 
-use crate::common::read_u64;
+use crate::common::{fnv1a, read_u64};
 
 /// The maintained-statistics attachment type.
 pub struct Stats;
@@ -99,15 +99,6 @@ impl ColCell {
 struct StatsCell {
     rows: u64,
     cols: Vec<ColCell>,
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 fn sketch_insert(sketch: &mut [u8; SKETCH_BYTES], v: &Value) {

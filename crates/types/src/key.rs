@@ -9,7 +9,40 @@
 //! [`encode_values`] provides the shared "memcomparable" encoding: the
 //! byte-wise (unsigned lexicographic) order of two encoded keys equals the
 //! [`Value::total_cmp`] order of the underlying value tuples. B-trees and
-//! other ordered structures compare keys with plain `memcmp`.
+//! other ordered structures compare keys with plain `memcmp`. No value's
+//! encoding is a proper prefix of another's, so a tuple's key is the
+//! concatenation of its fields' and a key prefix selects a field prefix.
+//!
+//! Each value is a type byte, then:
+//!
+//! | value | bytes after the type byte | total |
+//! |---|---|---|
+//! | NULL | — | 1 |
+//! | BOOL | `0`/`1` | 2 |
+//! | INT, or a FLOAT with an integral value in the i64 range | `0x80 ± L`, the low `L` big-endian bytes of `n`, `0x00` | 3–11 |
+//! | any other finite FLOAT in the i64 range | `floor(x)` as above, then `0x01` and the 8 order-flipped f64 bytes | 11–19 |
+//! | FLOAT below −2^63, −inf, NaN with the sign bit set | `0x00`, the 8 order-flipped f64 bytes | 10 |
+//! | FLOAT at or above 2^63, +inf, NaN without it | `0xFF`, the 8 order-flipped f64 bytes | 10 |
+//! | STR, BYTES | the bytes, `0x00` escaped as `0x00 0xFF`, then `0x00 0x00` | len + 3… |
+//! | RECT | `xlo ylo xhi yhi` as order-flipped f64 | 33 |
+//!
+//! `L` is the fewest bytes that hold `n`'s magnitude (`n` itself, or `!n`
+//! for a negative, then at least one), so 0 takes 3 bytes, 1 to 255 and
+//! −1 to −256 take 4, and 30,000 takes 5. The sign/length byte sorts
+//! negatives with more bytes lower and positives with more bytes higher,
+//! and within one length the low bytes of `n` in two's complement rise
+//! with it. INTs and FLOATs interleave because both start from the same
+//! integer part: an integral value ends `0x00`, below every fraction on
+//! that integer part, which ends `0x01` and the full float. `-0.0`, which
+//! `f64::total_cmp` puts below `0.0`, is a fraction on integer part −1,
+//! the largest one there. `Int(n)` and a `Float` equal to it encode to
+//! the same bytes, and decode as `Int`.
+//!
+//! An earlier layout wrote every number as 17 bytes: the order-flipped f64
+//! of its value, then the 8-byte integer as a tiebreak for INTs beyond
+//! f64 precision. Starting from the exact integer part keeps every INT
+//! exact without a tiebreak, so a small number needs no more than its
+//! magnitude.
 
 use crate::error::{DmxError, Result};
 use crate::rect::Rect;
@@ -59,6 +92,21 @@ const P_STR: u8 = 0x04;
 const P_BYTES: u8 = 0x05;
 const P_RECT: u8 = 0x06;
 
+// The byte after `P_NUM`. An integer part `n` in the i64 range is
+// `NUM_ZERO + L` (`n >= 0`, `L` in 0..=8) or `NUM_ZERO - L` (`n < 0`,
+// `L` in 1..=8); the bands hold the floats outside that range, NaN and
+// the infinities.
+const NUM_LOW: u8 = 0x00;
+const NUM_ZERO: u8 = 0x80;
+const NUM_HIGH: u8 = 0xFF;
+// The byte after an integer part: an integral value ends here, a fraction
+// goes on with its 8 order-flipped f64 bytes.
+const NUM_INTEGRAL: u8 = 0x00;
+const NUM_FRACTION: u8 = 0x01;
+
+/// 2^63, the least float above `i64::MAX` (−2^63 is `i64::MIN`).
+const TWO_POW_63: f64 = 9_223_372_036_854_775_808.0;
+
 /// Encodes one value into `out` such that byte order equals value order.
 pub fn encode_value(v: &Value, out: &mut Vec<u8>) {
     match v {
@@ -67,26 +115,14 @@ pub fn encode_value(v: &Value, out: &mut Vec<u8>) {
             out.push(P_BOOL);
             out.push(*b as u8);
         }
-        Value::Int(i) => {
+        Value::Int(n) => {
             out.push(P_NUM);
-            encode_f64_ordered(*i as f64, out);
-            // Disambiguate ints beyond f64 precision by appending the
-            // sign-flipped big-endian integer; for values within f64
-            // precision this is a consistent tiebreak that never reorders.
-            out.extend_from_slice(&((*i as u64) ^ (1u64 << 63)).to_be_bytes());
+            encode_integer_part(*n, out);
+            out.push(NUM_INTEGRAL);
         }
         Value::Float(x) => {
             out.push(P_NUM);
-            encode_f64_ordered(*x, out);
-            // Tiebreak slot, mirrors the Int arm so Int(2) == Float(2.0)
-            // compare equal on the primary 8 bytes then deterministically
-            // on the tiebreak.
-            let trunc = if x.is_finite() && x.abs() < 9.2e18 {
-                *x as i64
-            } else {
-                0
-            };
-            out.extend_from_slice(&((trunc as u64) ^ (1u64 << 63)).to_be_bytes());
+            encode_float(*x, out);
         }
         Value::Str(s) => {
             out.push(P_STR);
@@ -112,6 +148,78 @@ pub fn encode_values(values: &[Value]) -> Vec<u8> {
         encode_value(v, &mut out);
     }
     out
+}
+
+/// The sign/length byte and the low `L` big-endian bytes of `n`.
+fn encode_integer_part(n: i64, out: &mut Vec<u8>) {
+    let magnitude = if n < 0 { !n } else { n } as u64;
+    // 0 is the sign/length byte alone; -1 still needs its byte
+    let len = (8 - magnitude.leading_zeros() / 8).max((n < 0) as u32);
+    out.push(if n < 0 {
+        NUM_ZERO - len as u8
+    } else {
+        NUM_ZERO + len as u8
+    });
+    // bounds: `len` is at most 8, the width of an i64.
+    out.extend_from_slice(&n.to_be_bytes()[8 - len as usize..]);
+}
+
+/// A float equal to an i64 writes what that `Int` does; any other float
+/// in the i64 range adds its bytes to its integer part; the rest go in a
+/// band below or above every integer part.
+fn encode_float(x: f64, out: &mut Vec<u8>) {
+    // false for NaN
+    if !(-TWO_POW_63..TWO_POW_63).contains(&x) {
+        out.push(if x.is_sign_negative() {
+            NUM_LOW
+        } else {
+            NUM_HIGH
+        });
+        encode_f64_ordered(x, out);
+        return;
+    }
+    let whole = x.floor();
+    if x == whole && !(x == 0.0 && x.is_sign_negative()) {
+        encode_integer_part(whole as i64, out);
+        out.push(NUM_INTEGRAL);
+    } else {
+        // -0.0 sorts below 0.0: a fraction on the integer part -1
+        encode_integer_part(if x == 0.0 { -1 } else { whole as i64 }, out);
+        out.push(NUM_FRACTION);
+        encode_f64_ordered(x, out);
+    }
+}
+
+/// Reads one number written by [`encode_integer_part`] and
+/// [`encode_float`] from `buf` at `pos`, the `P_NUM` byte already read.
+fn decode_number(buf: &[u8], pos: &mut usize) -> Result<Value> {
+    let corrupt = || DmxError::Corrupt("truncated key".into());
+    let float = |pos: &mut usize| -> Result<Value> {
+        let bytes = crate::bytes::array::<8>(buf, *pos).ok_or_else(corrupt)?;
+        *pos += 8;
+        Ok(Value::Float(decode_f64_ordered(bytes)))
+    };
+    let head = *buf.get(*pos).ok_or_else(corrupt)?;
+    *pos += 1;
+    let (negative, len) = match head {
+        NUM_LOW | NUM_HIGH => return float(pos),
+        h if (NUM_ZERO - 8..NUM_ZERO).contains(&h) => (true, NUM_ZERO - h),
+        h if (NUM_ZERO..=NUM_ZERO + 8).contains(&h) => (false, h - NUM_ZERO),
+        other => return Err(DmxError::Corrupt(format!("bad number byte {other}"))),
+    };
+    let end = *pos + len as usize;
+    let bytes = buf.get(*pos..end).ok_or_else(corrupt)?;
+    let n = bytes
+        .iter()
+        .fold(if negative { -1i64 } else { 0 }, |n, &b| n << 8 | b as i64);
+    *pos = end;
+    let tail = *buf.get(*pos).ok_or_else(corrupt)?;
+    *pos += 1;
+    match tail {
+        NUM_INTEGRAL => Ok(Value::Int(n)),
+        NUM_FRACTION => float(pos),
+        other => Err(DmxError::Corrupt(format!("bad number tail {other}"))),
+    }
 }
 
 /// IEEE-754 total-order byte transform: flip all bits of negatives, flip
@@ -175,10 +283,9 @@ fn decode_bytes_escaped(buf: &[u8], pos: &mut usize) -> Result<Vec<u8>> {
     }
 }
 
-/// Decodes a key produced by [`encode_values`] back into values. Ints and
-/// floats both decode as their numeric value; an original `Int` is
-/// recovered as `Int` when the tiebreak matches an exact integer, otherwise
-/// as `Float`.
+/// Decodes a key produced by [`encode_values`] back into values. A number
+/// with an integral value in the i64 range decodes as `Int`, whether it
+/// was written as an `Int` or a `Float`; every other number as `Float`.
 pub fn decode_values(buf: &[u8], expect: usize) -> Result<Vec<Value>> {
     let mut pos = 0usize;
     let mut out = Vec::with_capacity(expect);
@@ -193,19 +300,7 @@ pub fn decode_values(buf: &[u8], expect: usize) -> Result<Vec<Value>> {
                 pos += 1;
                 Value::Bool(b != 0)
             }
-            P_NUM => {
-                let fb = crate::bytes::array::<8>(buf, pos).ok_or_else(corrupt)?;
-                let x = decode_f64_ordered(fb);
-                pos += 8;
-                let tb = crate::bytes::array::<8>(buf, pos).ok_or_else(corrupt)?;
-                let tie = (u64::from_be_bytes(tb) ^ (1u64 << 63)) as i64;
-                pos += 8;
-                if x.fract() == 0.0 && x.is_finite() && tie as f64 == x {
-                    Value::Int(tie)
-                } else {
-                    Value::Float(x)
-                }
-            }
+            P_NUM => decode_number(buf, &mut pos)?,
             P_STR => {
                 let raw = decode_bytes_escaped(buf, &mut pos)?;
                 Value::Str(
@@ -384,6 +479,238 @@ mod tests {
             for (x, y) in vals.iter().zip(&back) {
                 assert_eq!(x.total_cmp(y), Ordering::Equal, "x={x:?} y={y:?}");
             }
+        }
+    }
+
+    /// Field order as `total_cmp` gives it, refined where an INT beyond
+    /// f64 precision equals a FLOAT there (`Int(2^53 + 1)` and
+    /// `Float(2^53)`): the key keeps the exact integer, so it orders them.
+    fn exact_cmp(a: &Value, b: &Value) -> Ordering {
+        match (a, b) {
+            (Value::Int(n), Value::Float(x)) => {
+                a.total_cmp(b).then_with(|| (*n as i128).cmp(&(*x as i128)))
+            }
+            (Value::Float(_), Value::Int(_)) => exact_cmp(b, a).reverse(),
+            _ => a.total_cmp(b),
+        }
+    }
+
+    fn fieldwise_cmp(a: &[Value], b: &[Value]) -> Ordering {
+        a.iter()
+            .zip(b)
+            .map(|(x, y)| exact_cmp(x, y))
+            .find(|o| o.is_ne())
+            .unwrap_or_else(|| a.len().cmp(&b.len()))
+    }
+
+    /// The numbers where a layout goes wrong if it does: both NaNs, both
+    /// zeros, both infinities, the i64 ends and 2^53 (as INT and FLOAT),
+    /// the floats at and past ±2^63, and fractions on either side of an
+    /// integer.
+    fn edge_numbers() -> Vec<Value> {
+        let (two53, two63) = (1i64 << 53, TWO_POW_63);
+        let mut v = vec![
+            Value::Float(f64::NAN),
+            Value::Float(-f64::NAN),
+            Value::Float(0.0),
+            Value::Float(-0.0),
+            Value::Float(f64::INFINITY),
+            Value::Float(f64::NEG_INFINITY),
+            Value::Float(f64::MAX),
+            Value::Float(f64::MIN),
+            Value::Float(f64::MIN_POSITIVE),
+            Value::Float(-f64::MIN_POSITIVE),
+            Value::Int(i64::MIN),
+            Value::Int(i64::MIN + 1),
+            Value::Int(i64::MAX),
+            Value::Int(i64::MAX - 1),
+            Value::Float(two63),
+            Value::Float(-two63),
+            Value::Float(two63.next_up()),
+            Value::Float((-two63).next_down()),
+            Value::Float(two63.next_down()),
+            Value::Float((-two63).next_up()),
+            Value::Float(two63 * 2.0),
+            Value::Float(-two63 * 2.0),
+            Value::Float(1e300),
+            Value::Float(-1e300),
+        ];
+        for n in [0, 1, -1, 255, 256, -256, -257, two53 - 1, two53, two53 + 1] {
+            for n in [n, -n] {
+                let x = n as f64;
+                v.extend([
+                    Value::Int(n),
+                    Value::Float(x),
+                    Value::Float(x.next_up()),
+                    Value::Float(x.next_down()),
+                    Value::Float(x + 0.5),
+                    Value::Float(x - 0.5),
+                ]);
+            }
+        }
+        v
+    }
+
+    fn assert_same_order(a: &[Value], b: &[Value]) {
+        let (ka, kb) = (encode_values(a), encode_values(b));
+        assert_eq!(ka.cmp(&kb), fieldwise_cmp(a, b), "a={a:?} b={b:?}");
+    }
+
+    #[test]
+    fn edge_numbers_order_as_total_cmp() {
+        let edges = edge_numbers();
+        for a in &edges {
+            for b in &edges {
+                assert_same_order(std::slice::from_ref(a), std::slice::from_ref(b));
+            }
+        }
+        // total_cmp calls these equal; the key keeps the INT exact
+        let two53 = 1i64 << 53;
+        assert!(enc1(&Value::Float(two53 as f64)) < enc1(&Value::Int(two53 + 1)));
+        assert!(enc1(&Value::Int(i64::MAX)) < enc1(&Value::Float(i64::MAX as f64)));
+    }
+
+    #[test]
+    fn an_integral_float_is_its_int() {
+        for n in [0, 1, -1, 255, -256, 1 << 53, -(1 << 53), i64::MIN] {
+            let float = enc1(&Value::Float(n as f64));
+            assert_eq!(float, enc1(&Value::Int(n)), "{n}");
+            assert_eq!(decode_values(&float, 1).unwrap(), vec![Value::Int(n)]);
+        }
+    }
+
+    #[test]
+    fn no_encoding_is_a_proper_prefix_of_another() {
+        let mut rng = TestRng::new(0xF1E1D);
+        let mut keys: Vec<Vec<u8>> = edge_numbers().iter().map(enc1).collect();
+        keys.extend((0..400).map(|_| enc1(&gen_field(&mut rng))));
+        for a in &keys {
+            for b in &keys {
+                assert!(
+                    a.len() >= b.len() || !b.starts_with(a),
+                    "{a:x?} is a prefix of {b:x?}"
+                );
+            }
+        }
+    }
+
+    /// A number whose integer part takes 1 to 8 bytes, of either sign,
+    /// as an INT, an integral FLOAT or a fraction.
+    fn gen_number(rng: &mut TestRng) -> Value {
+        let magnitude = rng.next_u64() >> (rng.below(8) * 8 + rng.below(8));
+        let n = if rng.below(2) == 0 {
+            magnitude as i64
+        } else {
+            !(magnitude as i64)
+        };
+        match rng.below(4) {
+            0 | 1 => Value::Int(n),
+            2 => Value::Float(n as f64),
+            _ => Value::Float((n >> 12) as f64 + rng.below(1000) as f64 / 1000.0),
+        }
+    }
+
+    /// One field of a composite key: NULL, a number or a short string
+    /// (few letters, so equal prefixes are common).
+    fn gen_field(rng: &mut TestRng) -> Value {
+        match rng.below(5) {
+            0 => Value::Null,
+            1 => {
+                let len = rng.index(4);
+                Value::Str(
+                    (0..len)
+                        .map(|_| (b'a' + rng.below(3) as u8) as char)
+                        .collect(),
+                )
+            }
+            _ => gen_number(rng),
+        }
+    }
+
+    #[test]
+    fn randomized_composite_keys_order_fieldwise() {
+        let mut rng = TestRng::new(0xC0_4905);
+        let tuple = |rng: &mut TestRng| -> Vec<Value> {
+            (0..1 + rng.index(4)).map(|_| gen_field(rng)).collect()
+        };
+        for _ in 0..6000 {
+            let a = tuple(&mut rng);
+            // a shared first field half the time, so later fields decide
+            let mut b = tuple(&mut rng);
+            if rng.below(2) == 0 {
+                b[0] = a[0].clone();
+            }
+            assert_same_order(&a, &b);
+            let back = decode_values(&encode_values(&a), a.len()).unwrap();
+            assert_eq!(
+                fieldwise_cmp(&a, &back),
+                Ordering::Equal,
+                "{a:?} -> {back:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn numbers_decode_to_what_was_written() {
+        for v in edge_numbers() {
+            let back = decode_values(&enc1(&v), 1).unwrap();
+            let [back] = back.as_slice() else {
+                panic!("one value expected");
+            };
+            match (&v, back) {
+                // the bits come back: -0.0, NaN payloads and fractions alike
+                (Value::Float(x), Value::Float(y)) => assert_eq!(x.to_bits(), y.to_bits()),
+                (Value::Float(x), Value::Int(n)) => assert_eq!(*x, *n as f64),
+                _ => assert_eq!(&v, back),
+            }
+        }
+    }
+
+    /// The layout itself: a change to it fails here first.
+    #[test]
+    fn byte_literals() {
+        let cases: [(Value, &[u8]); 14] = [
+            (Value::Null, &[0x01]),
+            (Value::from("ab"), &[0x04, 0x61, 0x62, 0x00, 0x00]),
+            (Value::Int(0), &[0x03, 0x80, 0x00]),
+            (Value::Int(1), &[0x03, 0x81, 0x01, 0x00]),
+            (Value::Int(-1), &[0x03, 0x7F, 0xFF, 0x00]),
+            (Value::Int(255), &[0x03, 0x81, 0xFF, 0x00]),
+            (Value::Int(-256), &[0x03, 0x7F, 0x00, 0x00]),
+            (Value::Int(30_000), &[0x03, 0x82, 0x75, 0x30, 0x00]),
+            (
+                Value::Int(i64::MIN),
+                &[0x03, 0x78, 0x80, 0, 0, 0, 0, 0, 0, 0, 0x00],
+            ),
+            (
+                Value::Int(i64::MAX),
+                &[
+                    0x03, 0x88, 0x7F, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x00,
+                ],
+            ),
+            (
+                Value::Float(2.5),
+                &[0x03, 0x81, 0x02, 0x01, 0xC0, 0x04, 0, 0, 0, 0, 0, 0],
+            ),
+            (
+                Value::Float(-1.5),
+                &[
+                    0x03, 0x7F, 0xFE, 0x01, 0x40, 0x07, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
+                ],
+            ),
+            (
+                Value::Float(-0.0),
+                &[
+                    0x03, 0x7F, 0xFF, 0x01, 0x7F, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
+                ],
+            ),
+            (
+                Value::Float(f64::INFINITY),
+                &[0x03, 0xFF, 0xFF, 0xF0, 0, 0, 0, 0, 0, 0],
+            ),
+        ];
+        for (v, bytes) in cases {
+            assert_eq!(enc1(&v), bytes, "{v:?}");
         }
     }
 }

@@ -27,8 +27,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc -q --offline --no-deps --workspace
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test --workspace"
-cargo test -q --workspace
+# Every test binary runs, so one failing binary does not hide the
+# results of those after it; the step still fails if any test did.
+echo "==> cargo test --workspace --no-fail-fast"
+cargo test -q --workspace --no-fail-fast
 
 # The repo benchmark is a package of its own, built against the public
 # engine API; its smoke test is what notices an API break there. It is

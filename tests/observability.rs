@@ -311,9 +311,10 @@ fn wal_bytes_are_the_stable_logs_and_split_by_writer() {
 /// 9,500 B since), a frame stores no LSN and its small numbers as
 /// varints (5,656 B since), and a write's heap change and its
 /// attachments' side effects share one frame, naming their relation
-/// once (5,032 B since, in 22 frames, not 114). Lower it when the log
-/// shrinks.
-const TWENTY_WRITES_LOG_AT_MOST: u64 = 5_050;
+/// once (5,032 B since, in 22 frames, not 114), and a number in a key
+/// takes the bytes its magnitude needs, not 17 (3,829 B since). Lower it
+/// when the log shrinks.
+const TWENTY_WRITES_LOG_AT_MOST: u64 = 3_850;
 
 #[test]
 fn a_twenty_write_transaction_logs_no_more_than_its_budget() {
@@ -435,12 +436,14 @@ fn a_build_logs_the_same_over_ten_times_the_rows() {
 /// An ascending load splits its tree on the rightmost path, where the
 /// full page stays full: measured 36 pages for 5,000 rows of a `USING
 /// btree` relation (the byte-halving split left 70) and 216 for a unique
-/// index over 50,000 ids (431). Lower them when pages pack tighter.
-const ASCENDING_LOAD_PAGES_AT_MOST: [u64; 2] = [36, 216];
+/// index over 50,000 ids (431); 29 and 143 since a number in a key takes
+/// the bytes its magnitude needs, not 17. Lower them when pages pack
+/// tighter.
+const ASCENDING_LOAD_PAGES_AT_MOST: [u64; 2] = [29, 143];
 
 /// What each load logs, the same under either split rule: a split logs
 /// nothing, for the log is logical above the tree's page layout.
-const ASCENDING_LOAD_WAL_BYTES: [u64; 2] = [398_518, 3_800_016];
+const ASCENDING_LOAD_WAL_BYTES: [u64; 2] = [338_261, 3_199_759];
 
 #[test]
 fn an_ascending_load_packs_its_tree_and_logs_no_split() {

@@ -16,8 +16,12 @@ use std::sync::Arc;
 
 use starburst_dmx::prelude::*;
 use starburst_dmx::query::SqlExt;
+use starburst_dmx::types::testrng::TestRng;
 use support::{fresh, reopen};
 
+/// The expected rows of the committed state and of the open transaction,
+/// with a savepoint stack: `support::Tables` is one state of the rows
+/// and has no savepoints to roll back to, so this model stays.
 struct Shadow {
     committed: BTreeMap<i64, i64>,
     /// overlay for the open transaction
@@ -53,19 +57,6 @@ impl Shadow {
         if let Some(s) = self.saves.pop() {
             self.working = s;
         }
-    }
-}
-
-struct Rng(u64);
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        self.0
-    }
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
     }
 }
 
@@ -120,7 +111,7 @@ fn randomized_workload_matches_shadow_model() {
 
         let mut sess = Session::new(db.clone());
         let mut shadow = Shadow::new();
-        let mut rng = Rng(seed | 1);
+        let mut rng = TestRng::new(seed);
         let mut in_txn = false;
 
         for step in 0..400 {
