@@ -1,22 +1,115 @@
-//! Shared fixtures for the experiment harness.
+//! The lane registry: one barometer for the paper's claims.
 //!
-//! The paper's evaluation is architectural (its figures are diagrams);
-//! every experiment here corresponds to an explicit performance claim or
-//! design choice, catalogued in DESIGN.md §4 and measured into
-//! EXPERIMENTS.md.
+//! The paper's evaluation is architectural, so each lane measures one
+//! configuration of an explicit performance claim or design choice (E1–E12
+//! of DESIGN.md §4, each with its EXPERIMENTS.md section). A [`Lane`]'s
+//! setup returns a fixed-work [`Pass`] that counts its ops and asserts its
+//! own answer; [`run`] times the pass and reads the [`COUNTERS`] deltas
+//! around it, and [`render`] prints rows as one tab-separated table. The
+//! `harness` binary times lanes at full size; `tests/counted.rs` holds
+//! every lane's counters at a small size to the checked-in `counted.tsv`.
 //!
-//! The bench harness is exempt from the runtime panic discipline: a
-//! failed fixture should abort the experiment loudly, not thread `Result`
-//! through every scenario. It is the one crate that reads the wall clock.
+//! The crate is exempt from the runtime panic discipline (a failed fixture
+//! or lane check aborts loudly) and is the one that reads the wall clock.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_types)]
 
+mod lanes;
+
+use std::fmt::Write;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dmx_core::{Database, ExtensionRegistry};
-use dmx_page::IoSnapshot;
 use dmx_query::SqlExt;
-use dmx_types::Result;
+use dmx_types::obs::name::*;
+use dmx_types::{Record, RecordKey, Result, Value};
+
+pub use lanes::LANES;
+
+/// One measured configuration of a claim.
+pub struct Lane {
+    /// `e<n>/…`: the claim, then the configuration its setup reads. Unique.
+    pub name: &'static str,
+    /// The E-number of the claim the lane serves.
+    pub claim: u8,
+    /// False for a lane whose counters depend on thread timing: it is
+    /// timed, but stays out of `counted.tsv`.
+    pub counted: bool,
+    /// Builds the lane's state from its name at `1/scale` of full size.
+    pub setup: fn(&'static str, usize) -> Pass,
+}
+
+/// A lane's fixed work over the state its setup built.
+pub struct Pass {
+    /// The database whose counters the pass moves, if it opens one.
+    pub db: Option<Arc<Database>>,
+    /// Returns the op count; panics on a wrong answer.
+    pub work: Box<dyn FnOnce() -> u64>,
+}
+
+/// The counter columns, each the sum of its metrics' deltas over a pass.
+pub const COUNTERS: [(&str, &[&str]); 8] = [
+    (WAL_BYTES, &[WAL_BYTES]),
+    (WAL_APPENDS, &[WAL_APPENDS]),
+    (WAL_FORCES, &[WAL_FORCES]),
+    (LOCK_ACQUIRES, &[LOCK_ACQUIRES]),
+    ("pins", &[POOL_HITS, POOL_MISSES]),
+    (SCAN_ROWS, &[SCAN_ROWS]),
+    (DML_FETCHES, &[DML_FETCHES]),
+    (ATT_INVOCATIONS, &[ATT_INVOCATIONS]),
+];
+
+fn counters(db: &Option<Arc<Database>>) -> [u64; 8] {
+    let snap = db.as_ref().map(|db| db.metrics_snapshot());
+    COUNTERS.map(|(_, names)| match &snap {
+        Some(s) => names.iter().map(|n| s.counter(n)).sum(),
+        None => 0,
+    })
+}
+
+/// One lane's measurement: the pass's op count, wall time and counters.
+pub struct Row {
+    pub lane: &'static Lane,
+    pub ops: u64,
+    pub elapsed: Duration,
+    pub counters: [u64; 8],
+}
+
+/// Sets `lane` up at `scale` and runs its pass once.
+pub fn run(lane: &'static Lane, scale: usize) -> Row {
+    let Pass { db, work } = (lane.setup)(lane.name, scale);
+    let (before, start) = (counters(&db), Instant::now());
+    let ops = work();
+    let (elapsed, after) = (start.elapsed(), counters(&db));
+    let counters = std::array::from_fn(|i| after[i] - before[i]);
+    Row {
+        lane,
+        ops,
+        elapsed,
+        counters,
+    }
+}
+
+/// Rows as a tab-separated table under a header: lane, claim, ops, ns/op
+/// when `timed`, then the [`COUNTERS`].
+pub fn render(rows: &[Row], timed: bool) -> String {
+    let mut head = vec!["lane", "claim", "ops"];
+    head.extend(timed.then_some("ns/op"));
+    head.extend(COUNTERS.map(|(c, _)| c));
+    let mut out = head.join("\t");
+    for r in rows {
+        write!(out, "\n{}\tE{}\t{}", r.lane.name, r.lane.claim, r.ops).unwrap();
+        if timed {
+            let ns = r.elapsed.as_secs_f64() * 1e9 / r.ops.max(1) as f64;
+            write!(out, "\t{ns:.1}").unwrap();
+        }
+        r.counters
+            .iter()
+            .for_each(|c| write!(out, "\t{c}").unwrap());
+    }
+    out + "\n"
+}
 
 /// Builds the standard registry (all built-in extensions).
 pub fn registry() -> Arc<ExtensionRegistry> {
@@ -31,8 +124,8 @@ pub fn open_db() -> Arc<Database> {
     Database::open_fresh(registry()).expect("open")
 }
 
-/// Creates and loads the EMPLOYEE-style relation with `n` rows.
-/// Columns: `id INT, name STRING, dept INT, salary FLOAT`.
+/// Creates the EMPLOYEE-style relation `table` with `indexes` (`{t}` names
+/// it) and loads `n` rows of [`emp_row`].
 pub fn load_emp(db: &Arc<Database>, table: &str, n: usize, indexes: &[&str]) -> Result<()> {
     db.execute_sql(&format!(
         "CREATE TABLE {table} (id INT NOT NULL, name STRING NOT NULL, dept INT, salary FLOAT)"
@@ -40,64 +133,33 @@ pub fn load_emp(db: &Arc<Database>, table: &str, n: usize, indexes: &[&str]) -> 
     for spec in indexes {
         db.execute_sql(&spec.replace("{t}", table))?;
     }
-    let rd = db.catalog().get_by_name(table)?;
+    insert_rows(db, table, 0..n, emp_row).map(drop)
+}
+
+/// Row `i` of [`load_emp`]'s relation: `id, name, dept, salary`.
+pub fn emp_row(i: usize) -> Vec<Value> {
+    let (id, dept, salary) = (i as i64, (i % 10) as i64, 1000.0 + (i % 100) as f64);
+    vec![
+        Value::Int(id),
+        Value::Str(format!("emp{i}")),
+        Value::Int(dept),
+        Value::Float(salary),
+    ]
+}
+
+/// Inserts `row(i)` for each of `ids` into `table` in one transaction;
+/// their record keys.
+pub fn insert_rows(
+    db: &Arc<Database>,
+    table: &str,
+    ids: Range<usize>,
+    row: impl Fn(usize) -> Vec<Value>,
+) -> Result<Vec<RecordKey>> {
+    let rel = db.catalog().get_by_name(table)?.id;
     db.with_txn(|txn| {
-        for i in 0..n {
-            db.insert(
-                txn,
-                rd.id,
-                dmx_types::Record::new(vec![
-                    dmx_types::Value::Int(i as i64),
-                    dmx_types::Value::Str(format!("emp{i}")),
-                    dmx_types::Value::Int((i % 10) as i64),
-                    dmx_types::Value::Float(1000.0 + (i % 100) as f64),
-                ]),
-            )?;
-        }
-        Ok(())
+        ids.map(|i| db.insert(txn, rel, Record::new(row(i))))
+            .collect()
     })
-}
-
-/// Times a closure.
-pub fn time<T>(f: impl FnOnce() -> T) -> (T, Duration) {
-    let start = Instant::now();
-    let v = f();
-    (v, start.elapsed())
-}
-
-/// Times a closure and reports the disk I/O delta.
-pub fn time_io<T>(db: &Arc<Database>, f: impl FnOnce() -> T) -> (T, Duration, IoSnapshot) {
-    let before = db.services().disk.stats().snapshot();
-    let start = Instant::now();
-    let v = f();
-    let d = start.elapsed();
-    let after = db.services().disk.stats().snapshot();
-    (v, d, after.since(&before))
-}
-
-/// Pretty-prints a table row.
-pub fn row(cells: &[String], widths: &[usize]) -> String {
-    cells
-        .iter()
-        .zip(widths)
-        .map(|(c, w)| format!("{c:>w$}", w = w))
-        .collect::<Vec<_>>()
-        .join("  ")
-}
-
-/// Formats a duration as microseconds with 1 decimal.
-pub fn us(d: Duration) -> String {
-    format!("{:.1}", d.as_secs_f64() * 1e6)
-}
-
-/// Formats a duration as milliseconds with 1 decimal.
-pub fn ms(d: Duration) -> String {
-    format!("{:.1}", d.as_secs_f64() * 1e3)
-}
-
-/// Per-op nanoseconds.
-pub fn ns_per(d: Duration, ops: usize) -> String {
-    format!("{:.1}", d.as_secs_f64() * 1e9 / ops.max(1) as f64)
 }
 
 #[cfg(test)]
@@ -109,9 +171,6 @@ mod tests {
         let db = open_db();
         load_emp(&db, "e", 50, &["CREATE UNIQUE INDEX e_pk ON {t} (id)"]).unwrap();
         let rows = db.query_sql("SELECT COUNT(*) FROM e").unwrap();
-        assert_eq!(rows[0][0], dmx_types::Value::Int(50));
-        let (_, d, io) = time_io(&db, || db.query_sql("SELECT * FROM e").unwrap());
-        assert!(d.as_nanos() > 0);
-        let _ = io;
+        assert_eq!(rows[0][0], Value::Int(50));
     }
 }

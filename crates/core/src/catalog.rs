@@ -407,7 +407,7 @@ mod tests {
         assert_eq!(disk.file_ids(), vec![CATALOG_FILE]);
         let mut page = Page::new();
         disk.read_page(TREE.root(), &mut page).unwrap();
-        assert!(page.verify_crc() && page.page_type() != 0);
+        assert!(page.verify_crc(TREE.root()) && page.page_type() != 0);
         let writes = disk.stats().snapshot().writes;
         assert!(open(&disk).unwrap().is_empty());
         assert_eq!(

@@ -272,7 +272,7 @@ impl BufferPool {
         let mut attempt = 0;
         loop {
             let res = self.disk.read_page(pid, out).and_then(|()| {
-                if out.verify_crc() {
+                if out.verify_crc(pid) {
                     Ok(())
                 } else {
                     Err(DmxError::Corrupt(format!("page {pid} failed checksum")))
@@ -369,7 +369,7 @@ impl BufferPool {
                 wal.force(lsn)?;
             }
         }
-        guard.stamp_crc();
+        guard.stamp_crc(pid);
         with_io_retries(MAX_IO_RETRIES, || self.disk.write_page(pid, &guard))?;
         if frame.dirty.swap(false, Ordering::AcqRel) {
             self.stats.dirty.decr();
@@ -432,7 +432,7 @@ impl BufferPool {
             // Write access so the checksum can be stamped over the final
             // image immediately before it leaves the pool.
             let mut guard = frame.page.write();
-            guard.stamp_crc();
+            guard.stamp_crc(pid);
             with_io_retries(MAX_IO_RETRIES, || self.disk.write_page(pid, &guard))?;
             if frame.dirty.swap(false, Ordering::AcqRel) {
                 self.stats.dirty.decr();
@@ -1061,7 +1061,7 @@ mod tests {
         let mut img = Page::new();
         disk.read_page(pid, &mut img).unwrap();
         assert_ne!(img.stored_crc(), 0, "flush stamped a checksum");
-        assert!(img.verify_crc());
+        assert!(img.verify_crc(pid));
     }
 
     #[test]

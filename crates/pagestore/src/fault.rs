@@ -207,11 +207,11 @@ mod tests {
     fn flip_byte_corrupts_persisted_image() {
         let (disk, _f, pid) = setup(FaultPlan::new(5).flip_at(2));
         let mut p = Page::new();
-        p.stamp_crc();
+        p.stamp_crc(pid);
         disk.write_page(pid, &p).unwrap(); // io 2: flipped on the way down
         let mut back = Page::new();
         disk.read_page(pid, &mut back).unwrap();
-        assert!(!back.verify_crc());
+        assert!(!back.verify_crc(pid));
     }
 
     #[test]
@@ -219,11 +219,11 @@ mod tests {
         let (disk, _f, pid) = setup(FaultPlan::new(3).torn_at(3));
         let mut old = Page::new();
         old.body_mut().fill(0xAA);
-        old.stamp_crc();
+        old.stamp_crc(pid);
         disk.write_page(pid, &old).unwrap(); // io 2
         let mut new = Page::new();
         new.body_mut().fill(0xBB);
-        new.stamp_crc();
+        new.stamp_crc(pid);
         let err = disk.write_page(pid, &new).unwrap_err(); // io 3: torn
         assert!(matches!(err, DmxError::Io(_)));
         assert!(disk.injector().is_crashed());
@@ -233,7 +233,7 @@ mod tests {
         disk.injector().clear();
         disk.read_page(pid, &mut out).unwrap();
         // the image is a mix of old and new bytes and fails its CRC
-        assert!(!out.verify_crc());
+        assert!(!out.verify_crc(pid));
         let body = out.body();
         assert!(body.contains(&0xAA) || body.contains(&0xBB));
     }

@@ -5,7 +5,7 @@
 //! owns the page; the rest of the page is extension-defined.
 
 use dmx_types::crc::crc32_update;
-use dmx_types::Lsn;
+use dmx_types::{Lsn, PageId};
 
 /// Page size in bytes. 8 KiB, a common unit for slotted-page systems.
 pub const PAGE_SIZE: usize = 8192;
@@ -62,12 +62,17 @@ impl Page {
         self.data[TYPE_OFFSET] = t;
     }
 
-    /// Computes the page checksum: CRC32 over the whole image with the
-    /// stored checksum field counted as zero, mapped away from zero so
-    /// that 0 can mean "never stamped" (a freshly allocated all-zero page
-    /// verifies without a stamp).
-    pub fn compute_crc(&self) -> u32 {
+    /// Computes the checksum of this image at `pid`: CRC32 over the page's
+    /// address (file id and page number, little-endian) and then the whole
+    /// image with the stored checksum field counted as zero, mapped away
+    /// from zero so that 0 can mean "never stamped" (a freshly allocated
+    /// all-zero page verifies without a stamp). The address is not stored:
+    /// it seeds the checksum, so an image written to the wrong page fails
+    /// its check where it lands.
+    pub fn compute_crc(&self, pid: PageId) -> u32 {
         let mut state = 0xFFFF_FFFF;
+        state = crc32_update(state, &pid.file.0.to_le_bytes());
+        state = crc32_update(state, &pid.page_no.to_le_bytes());
         // bounds: CRC_OFFSET + 4 <= PAGE_HEADER_SIZE < PAGE_SIZE, all consts
         state = crc32_update(state, &self.data[..CRC_OFFSET]);
         state = crc32_update(state, &[0u8; 4]);
@@ -86,22 +91,24 @@ impl Page {
         self.get_u32(CRC_OFFSET)
     }
 
-    /// Stamps the header checksum over the current image: the buffer
-    /// pool, the one page writer, calls this on every write-back.
-    pub(crate) fn stamp_crc(&mut self) {
-        let crc = self.compute_crc();
+    /// Stamps the header checksum over the current image, bound for
+    /// `pid`: the buffer pool, the one page writer, calls this on every
+    /// write-back.
+    pub(crate) fn stamp_crc(&mut self, pid: PageId) {
+        let crc = self.compute_crc(pid);
         self.put_u32(CRC_OFFSET, crc);
     }
 
-    /// True when the stored checksum matches the image, or the page was
-    /// never stamped — which only the all-zero image of a fresh allocation
-    /// is: a zero field over any other bytes is a wiped checksum, not an
-    /// excuse from one. A `false` return means the bytes rotted between
-    /// stamp and read — torn write, bit flip, or wild write.
-    pub fn verify_crc(&self) -> bool {
+    /// True when the stored checksum matches the image read from `pid`,
+    /// or the page was never stamped — which only the all-zero image of a
+    /// fresh allocation is: a zero field over any other bytes is a wiped
+    /// checksum, not an excuse from one. A `false` return means the bytes
+    /// rotted between stamp and read — torn write, bit flip, wild write —
+    /// or were stamped for another page: a misdirected write.
+    pub fn verify_crc(&self, pid: PageId) -> bool {
         match self.stored_crc() {
             0 => self.data.iter().all(|&b| b == 0),
-            stored => stored == self.compute_crc(),
+            stored => stored == self.compute_crc(pid),
         }
     }
 
@@ -193,6 +200,7 @@ impl std::fmt::Debug for Page {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dmx_types::FileId;
 
     #[test]
     fn new_page_is_zeroed() {
@@ -221,36 +229,55 @@ mod tests {
         assert_eq!(p.lsn(), Lsn::NULL);
     }
 
+    /// The address every test image is checked at.
+    const PID: PageId = PageId {
+        file: FileId(3),
+        page_no: 5,
+    };
+
     #[test]
     fn crc_roundtrip_and_corruption() {
         let mut p = Page::new();
         // unstamped pages verify (fresh allocation)
         assert_eq!(p.stored_crc(), 0);
-        assert!(p.verify_crc());
+        assert!(p.verify_crc(PID));
 
         p.set_lsn(Lsn(12));
         p.body_mut()[100] = 0x77;
-        p.stamp_crc();
+        p.stamp_crc(PID);
         assert_ne!(p.stored_crc(), 0);
-        assert!(p.verify_crc());
+        assert!(p.verify_crc(PID));
 
         // stamping is stable: restamping an unmodified page is a no-op
         let stamped = p.stored_crc();
-        p.stamp_crc();
+        p.stamp_crc(PID);
         assert_eq!(p.stored_crc(), stamped);
 
         // any post-stamp mutation is detected, header or body
         p.body_mut()[100] ^= 0x01;
-        assert!(!p.verify_crc());
+        assert!(!p.verify_crc(PID));
         p.body_mut()[100] ^= 0x01;
-        assert!(p.verify_crc());
+        assert!(p.verify_crc(PID));
         p.set_lsn(Lsn(13));
-        assert!(!p.verify_crc());
+        assert!(!p.verify_crc(PID));
 
         // a zeroed field excuses nothing but the all-zero page
-        p.stamp_crc();
+        p.stamp_crc(PID);
         p.put_u32(CRC_OFFSET, 0);
-        assert!(!p.verify_crc());
+        assert!(!p.verify_crc(PID));
+    }
+
+    /// The address seeds the checksum: an intact image read at another
+    /// page, of the same file or another, fails its check.
+    #[test]
+    fn an_image_fails_its_check_at_any_other_address() {
+        let mut p = Page::new();
+        p.body_mut()[7] = 0x42;
+        p.stamp_crc(PID);
+        assert!(p.verify_crc(PID));
+        for (file, page_no) in [(3, 4), (3, 6), (2, 5), (4, 5), (5, 3)] {
+            assert!(!p.verify_crc(PageId::new(FileId(file), page_no)));
+        }
     }
 
     #[test]
@@ -261,14 +288,15 @@ mod tests {
         for (i, b) in p.body_mut().iter_mut().enumerate() {
             *b = (i * 31 + 7) as u8;
         }
-        // Computed by the byte-at-a-time kernel of PR 23 and checked in: a
-        // kernel that answers differently cannot read a stored page.
-        assert_eq!(p.compute_crc(), 0x3B70_6B92);
+        // CRC-32 of the address bytes `03 00 00 00 05 00 00 00` and then
+        // the image, checked in: a kernel or an address seed that answers
+        // differently cannot read a stored page.
+        assert_eq!(p.compute_crc(PID), 0x7216_3A47);
         // The field itself is skipped: stamping does not move the value.
-        p.stamp_crc();
-        assert_eq!(p.stored_crc(), 0x3B70_6B92);
-        assert_eq!(p.compute_crc(), 0x3B70_6B92);
-        assert!(p.verify_crc());
+        p.stamp_crc(PID);
+        assert_eq!(p.stored_crc(), 0x7216_3A47);
+        assert_eq!(p.compute_crc(PID), 0x7216_3A47);
+        assert!(p.verify_crc(PID));
     }
 
     #[test]

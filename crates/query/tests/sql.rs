@@ -53,6 +53,25 @@ fn quickstart_shape() {
     assert_eq!(rows, vec![vec![Value::from("ann")]]);
 }
 
+/// An INT past f64 precision and a FLOAT compare exactly on every access
+/// path: the keyed `[record]` access and a scan that evaluates `id + 0`
+/// agree that 2^53 + 1 is not 2^53.
+#[test]
+fn an_int_past_f64_precision_is_not_the_float_below_it() {
+    let db = open_db();
+    db.execute_sql("CREATE TABLE t (id INT NOT NULL) USING btree WITH (key=id)")
+        .unwrap();
+    db.execute_sql("INSERT INTO t VALUES (9007199254740992), (9007199254740993)")
+        .unwrap();
+    for q in [
+        "SELECT id FROM t WHERE id = 9007199254740992.0",
+        "SELECT id FROM t WHERE id + 0 = 9007199254740992.0",
+    ] {
+        let rows = db.query_sql(q).unwrap();
+        assert_eq!(rows, vec![vec![Value::Int(1 << 53)]], "{q}");
+    }
+}
+
 #[test]
 fn select_filters_projection_order_limit() {
     let db = open_db();

@@ -105,7 +105,7 @@ const NUM_INTEGRAL: u8 = 0x00;
 const NUM_FRACTION: u8 = 0x01;
 
 /// 2^63, the least float above `i64::MAX` (−2^63 is `i64::MIN`).
-const TWO_POW_63: f64 = 9_223_372_036_854_775_808.0;
+pub(crate) const TWO_POW_63: f64 = 9_223_372_036_854_775_808.0;
 
 /// Encodes one value into `out` such that byte order equals value order.
 pub fn encode_value(v: &Value, out: &mut Vec<u8>) {
@@ -482,23 +482,10 @@ mod tests {
         }
     }
 
-    /// Field order as `total_cmp` gives it, refined where an INT beyond
-    /// f64 precision equals a FLOAT there (`Int(2^53 + 1)` and
-    /// `Float(2^53)`): the key keeps the exact integer, so it orders them.
-    fn exact_cmp(a: &Value, b: &Value) -> Ordering {
-        match (a, b) {
-            (Value::Int(n), Value::Float(x)) => {
-                a.total_cmp(b).then_with(|| (*n as i128).cmp(&(*x as i128)))
-            }
-            (Value::Float(_), Value::Int(_)) => exact_cmp(b, a).reverse(),
-            _ => a.total_cmp(b),
-        }
-    }
-
     fn fieldwise_cmp(a: &[Value], b: &[Value]) -> Ordering {
         a.iter()
             .zip(b)
-            .map(|(x, y)| exact_cmp(x, y))
+            .map(|(x, y)| x.total_cmp(y))
             .find(|o| o.is_ne())
             .unwrap_or_else(|| a.len().cmp(&b.len()))
     }
@@ -564,7 +551,7 @@ mod tests {
                 assert_same_order(std::slice::from_ref(a), std::slice::from_ref(b));
             }
         }
-        // total_cmp calls these equal; the key keeps the INT exact
+        // beyond f64 precision: the key and total_cmp keep the INT exact
         let two53 = 1i64 << 53;
         assert!(enc1(&Value::Float(two53 as f64)) < enc1(&Value::Int(two53 + 1)));
         assert!(enc1(&Value::Int(i64::MAX)) < enc1(&Value::Float(i64::MAX as f64)));

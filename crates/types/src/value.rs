@@ -8,6 +8,7 @@ use std::cmp::Ordering;
 use std::fmt;
 
 use crate::error::{DmxError, Result};
+use crate::key::TWO_POW_63;
 use crate::rect::Rect;
 
 /// Schema-level data types.
@@ -94,7 +95,8 @@ impl Value {
     /// Total order over values, used for sorting and key comparison. The
     /// order is: `Null` first, then by type rank (Bool, Int/Float merged
     /// numerically, Str, Bytes, Rect), then by value. Ints and floats
-    /// compare numerically so mixed-type numeric keys behave sensibly.
+    /// compare exactly by numeric value, so mixed-type numeric keys behave
+    /// sensibly and a scan orders them as [`crate::key`] encodes them.
     pub fn total_cmp(&self, other: &Value) -> Ordering {
         use Value::*;
         fn rank(v: &Value) -> u8 {
@@ -112,8 +114,8 @@ impl Value {
             (Bool(a), Bool(b)) => a.cmp(b),
             (Int(a), Int(b)) => a.cmp(b),
             (Float(a), Float(b)) => a.total_cmp(b),
-            (Int(a), Float(b)) => (*a as f64).total_cmp(b),
-            (Float(a), Int(b)) => a.total_cmp(&(*b as f64)),
+            (Int(a), Float(b)) => int_float_cmp(*a, *b),
+            (Float(a), Int(b)) => int_float_cmp(*b, *a).reverse(),
             (Str(a), Str(b)) => a.cmp(b),
             (Bytes(a), Bytes(b)) => a.cmp(b),
             (Rect(a), Rect(b)) => (a.xlo, a.ylo, a.xhi, a.yhi)
@@ -248,6 +250,39 @@ impl From<Rect> for Value {
     }
 }
 
+/// `Int(n)` against `Float(x)` exactly, with no rounding of `n` to f64
+/// (which would make `Int(2^53 + 1)` equal `Float(2^53)`): the integer
+/// parts first, then a fraction above its integer part. `-0.0` and NaN sit
+/// where `f64::total_cmp` puts them: `-0.0` between −1 and 0, a NaN below
+/// or above every number by its sign. This is the order of the key
+/// encoding.
+fn int_float_cmp(n: i64, x: f64) -> Ordering {
+    if x.is_nan() {
+        return if x.is_sign_negative() {
+            Ordering::Greater
+        } else {
+            Ordering::Less
+        };
+    }
+    if x >= TWO_POW_63 {
+        return Ordering::Less;
+    }
+    if x < -TWO_POW_63 {
+        return Ordering::Greater;
+    }
+    // in the i64 range: `floor(x)` is exact
+    let (whole, fraction) = if x == 0.0 && x.is_sign_negative() {
+        (-1, true)
+    } else {
+        (x.floor() as i64, x != x.floor())
+    };
+    n.cmp(&whole).then(if fraction {
+        Ordering::Less
+    } else {
+        Ordering::Equal
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -268,6 +303,37 @@ mod tests {
             Value::Float(3.0).total_cmp(&Value::Int(2)),
             Ordering::Greater
         );
+    }
+
+    /// An INT and a FLOAT compare exactly, past f64 precision too, and
+    /// `-0.0`, the infinities and NaN sit where `f64::total_cmp` puts them.
+    #[test]
+    fn total_cmp_of_int_and_float_is_exact() {
+        let two53 = 1i64 << 53;
+        let cases = [
+            (two53 + 1, two53 as f64, Ordering::Greater),
+            (two53, two53 as f64, Ordering::Equal),
+            (-two53 - 1, -(two53 as f64), Ordering::Less),
+            (i64::MAX, 9_223_372_036_854_775_808.0, Ordering::Less),
+            (i64::MIN, -9_223_372_036_854_775_808.0, Ordering::Equal),
+            (0, -0.0, Ordering::Greater),
+            (-1, -0.0, Ordering::Less),
+            (0, 0.0, Ordering::Equal),
+            (-3, -2.5, Ordering::Less),
+            (-2, -2.5, Ordering::Greater),
+            (i64::MAX, f64::INFINITY, Ordering::Less),
+            (i64::MIN, f64::NEG_INFINITY, Ordering::Greater),
+            (i64::MAX, f64::NAN, Ordering::Less),
+            (i64::MIN, -f64::NAN, Ordering::Greater),
+        ];
+        for (n, x, want) in cases {
+            assert_eq!(
+                Value::Int(n).total_cmp(&Value::Float(x)),
+                want,
+                "{n} vs {x}"
+            );
+            assert_eq!(Value::Float(x).total_cmp(&Value::Int(n)), want.reverse());
+        }
     }
 
     #[test]

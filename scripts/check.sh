@@ -8,10 +8,12 @@
 # the four of `tests/fault_sweep.rs` (mixed DML, DDL, steal eviction,
 # every attachment type), the differential oracle's in
 # `tests/differential.rs`, the statistics sweep of `tests/statistics.rs`
-# and the scrub-and-repair window of `tests/self_heal.rs`; and the
-# architecture rules of `tests/architecture.rs`); and the repo
-# benchmark's own tests (the determinism gate). CI and pre-push hooks
-# should run exactly this.
+# and the scrub-and-repair window of `tests/self_heal.rs`; the
+# architecture rules of `tests/architecture.rs`; and the counted ratchet
+# of `crates/bench/tests/counted.rs`, which runs every E1–E12 lane twice
+# at a small size and holds its counter deltas to `crates/bench/counted.tsv`);
+# and the repo benchmark's own tests (the determinism gate). CI and
+# pre-push hooks should run exactly this.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

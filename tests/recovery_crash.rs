@@ -19,6 +19,8 @@ use std::sync::Arc;
 use starburst_dmx::attach::join_index::JoinIndex;
 use starburst_dmx::prelude::*;
 use starburst_dmx::query::SqlExt;
+use starburst_dmx::types::{FileId, Lsn, PageId};
+use starburst_dmx::wal::LogBody;
 use support::{fresh, open, reopen};
 
 #[test]
@@ -256,6 +258,40 @@ fn committed_create_of_every_tree_backed_extension_survives_a_crash() {
             .unwrap();
         assert_eq!(n, 50, "{what}");
     }
+}
+
+/// A rollback stamps the page it changes with its CLR's LSN. A heap undo
+/// that changed the page without that stamp recovers the same rows, since
+/// restart's presence checks make a repeated undo a no-op, so no crash
+/// sweep sees it; the stamp is what lets restart skip a compensation the
+/// page already holds, and it is checked here directly.
+#[test]
+fn a_rolled_back_insert_leaves_its_page_stamped_with_its_clr() {
+    let (env, db) = fresh();
+    db.execute_sql("CREATE TABLE t (id INT NOT NULL)").unwrap();
+    db.execute_sql("INSERT INTO t VALUES (1)").unwrap();
+    let rel = db.catalog().get_by_name("t").unwrap().id;
+    let txn = db.begin();
+    db.insert(&txn, rel, Record::new(vec![Value::Int(2)]))
+        .unwrap();
+    db.abort(&txn).unwrap();
+    drop(db); // a clean close writes every page back
+    let log = &env.stable_log;
+    let clr = (1..=log.len() as u64)
+        .rev()
+        .map(|i| log.record(Lsn(i)).unwrap())
+        .find(|r| matches!(r.body, LogBody::Clr { .. }))
+        .expect("the abort logged a CLR")
+        .lsn;
+    let mut page = starburst_dmx::page::Page::new();
+    env.disk
+        .read_page(PageId::new(FileId(2), 0), &mut page)
+        .unwrap();
+    assert!(
+        page.lsn() >= clr,
+        "heap page at {:?}, its CLR at {clr:?}",
+        page.lsn()
+    );
 }
 
 /// Rolled-back heap work under steal: a pool of four frames writes back

@@ -370,6 +370,45 @@ fn base_corruption_salvages_readable_records() {
     assert!(db.metrics_snapshot().counter("repair.records_lost") >= 1);
 }
 
+/// A misdirected write: page 1's intact image lands on page 2 of the heap.
+/// The checksum is seeded with the page's address, so the image fails its
+/// check where it landed and takes the corruption path: retries,
+/// quarantine, then a salvage that serves every surviving row once.
+#[test]
+fn a_misdirected_write_fails_its_checksum_where_it_lands() {
+    let (env, injector) = DatabaseEnv::fresh_with_plan(FaultPlan::new(SEED));
+    let db = reopen(&env);
+    build_indexed_table(&db, 120);
+    drop(db);
+    let heap_page = |n| starburst_dmx::types::PageId::new(starburst_dmx::types::FileId(2), n);
+    let mut image = starburst_dmx::page::Page::new();
+    env.disk
+        .read_page(heap_page(1), &mut image)
+        .expect("read page 1");
+    env.disk
+        .write_page(heap_page(2), &image)
+        .expect("write it at page 2");
+    injector.clear();
+
+    let db = reopen(&env);
+    let r = db.execute_sql("CHECK TABLE t").expect("scrub runs");
+    assert_eq!(r.rows[0][2], Value::from("quarantined"), "{r:?}");
+    assert!(
+        db.metrics_snapshot().counter("io.retries") > 0,
+        "read retried"
+    );
+    let err = db.query_sql("SELECT id FROM t").expect_err("fenced");
+    assert!(matches!(err, DmxError::RelationQuarantined { .. }));
+
+    let r = db.execute_sql("REPAIR TABLE t").expect("salvage succeeds");
+    assert_eq!(r.rows[0][1], Value::from("salvage"));
+    assert_eq!(r.rows[0][2], Value::from("healthy"));
+    let rows = db.query_sql("SELECT id FROM t").expect("healed");
+    let ids: std::collections::HashSet<i64> = rows.iter().map(|r| r[0].as_int().unwrap()).collect();
+    assert_eq!(ids.len(), rows.len(), "no row is served twice");
+    assert_eq!(r.rows[0][4], Value::Int(rows.len() as i64), "recovered");
+}
+
 /// Manual `clear_quarantine` is observable (trace event + counter), and
 /// persistent damage re-fences on the next access — the regression the
 /// automatic pipeline must never reintroduce.
