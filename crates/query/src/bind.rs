@@ -11,7 +11,6 @@
 //! re-translated automatically on its next invocation.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use dmx_types::sync::Mutex;
@@ -68,31 +67,29 @@ impl Plans {
     }
 }
 
-/// Cache statistics (experiment E4 reports these).
-#[derive(Debug, Default)]
-pub struct CacheStats {
-    pub hits: AtomicU64,
-    pub misses: AtomicU64,
-    pub retranslations: AtomicU64,
-}
-
 /// SQL-text-keyed cache of compiled SELECT plans.
 #[derive(Default)]
 pub struct PlanCache {
     plans: Mutex<Plans>,
-    pub stats: CacheStats,
-    /// Registry mirrors of hits/misses, resolved once from the first
-    /// database this cache serves (there is one cache per database).
-    registry_counters: OnceLock<(Arc<Counter>, Arc<Counter>)>,
+    /// The registry's hit, miss and retranslation counters, resolved
+    /// once from the first database this cache serves (there is one
+    /// cache per database).
+    counters: OnceLock<Counters>,
+}
+
+/// `plan.cache_hits`, `plan.cache_misses`, `plan.cache_retranslations`.
+struct Counters {
+    hits: Arc<Counter>,
+    misses: Arc<Counter>,
+    retranslations: Arc<Counter>,
 }
 
 impl PlanCache {
-    fn registry_counters(&self, db: &Arc<Database>) -> &(Arc<Counter>, Arc<Counter>) {
-        self.registry_counters.get_or_init(|| {
-            (
-                db.metrics().counter(metric::PLAN_CACHE_HITS),
-                db.metrics().counter(metric::PLAN_CACHE_MISSES),
-            )
+    fn counters(&self, db: &Arc<Database>) -> &Counters {
+        self.counters.get_or_init(|| Counters {
+            hits: db.metrics().counter(metric::PLAN_CACHE_HITS),
+            misses: db.metrics().counter(metric::PLAN_CACHE_MISSES),
+            retranslations: db.metrics().counter(metric::PLAN_CACHE_RETRANSLATIONS),
         })
     }
 
@@ -104,8 +101,7 @@ impl PlanCache {
         sql: &str,
         sel: &SelectStmt,
     ) -> Result<Arc<CompiledSelect>> {
-        let (reg_hits, reg_misses) = self.registry_counters(db);
-        let (reg_hits, reg_misses) = (reg_hits.clone(), reg_misses.clone());
+        let counters = self.counters(db);
         {
             let mut plans = self.plans.lock();
             let plans = &mut *plans;
@@ -113,8 +109,7 @@ impl PlanCache {
                 let c = &mut plans.slots[at];
                 if db.deps().is_valid(c.plan_id) {
                     c.used = true;
-                    self.stats.hits.fetch_add(1, Ordering::Relaxed);
-                    reg_hits.incr();
+                    counters.hits.incr();
                     return Ok(c.compiled.clone());
                 }
             }
@@ -132,14 +127,13 @@ impl PlanCache {
         if let Some(&at) = plans.by_sql.get(sql) {
             let old = std::mem::replace(&mut plans.slots[at], cached);
             db.deps().forget_plan(old.plan_id);
-            self.stats.retranslations.fetch_add(1, Ordering::Relaxed);
+            counters.retranslations.incr();
         } else {
             plans.add(db, cached);
-            self.stats.misses.fetch_add(1, Ordering::Relaxed);
         }
-        // Both fresh compiles and retranslations are registry misses:
-        // either way a plan was compiled at execution time.
-        reg_misses.incr();
+        // Both fresh compiles and retranslations are misses: either way
+        // a plan was compiled at execution time.
+        counters.misses.incr();
         Ok(compiled)
     }
 

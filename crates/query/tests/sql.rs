@@ -672,41 +672,33 @@ fn plan_cache_reuse_and_invalidation() {
     setup_emp(&db);
     db.execute_sql("CREATE UNIQUE INDEX emp_pk ON emp (id)")
         .unwrap();
-    let cache = db.query_state::<dmx_query::PlanCache, _>(Default::default);
     let q = "SELECT name FROM emp WHERE id = 7";
     db.query_sql(q).unwrap();
-    let misses0 = cache
-        .stats
-        .misses
-        .load(std::sync::atomic::Ordering::Relaxed);
-    let hits0 = cache.stats.hits.load(std::sync::atomic::Ordering::Relaxed);
+    let count = |name: &str| db.metrics_snapshot().counter(name);
+    let (misses0, hits0) = (count("plan.cache_misses"), count("plan.cache_hits"));
     for _ in 0..5 {
         db.query_sql(q).unwrap();
     }
     assert_eq!(
-        cache.stats.hits.load(std::sync::atomic::Ordering::Relaxed),
+        count("plan.cache_hits"),
         hits0 + 5,
         "subsequent executions reuse the bound plan"
     );
-    assert_eq!(
-        cache
-            .stats
-            .misses
-            .load(std::sync::atomic::Ordering::Relaxed),
-        misses0
-    );
+    assert_eq!(count("plan.cache_misses"), misses0);
+    assert_eq!(count("plan.cache_retranslations"), 0);
     // dropping the index invalidates; the next execution re-translates
     // automatically and still answers correctly
     db.execute_sql("DROP INDEX emp_pk ON emp").unwrap();
     let rows = db.query_sql(q).unwrap();
     assert_eq!(rows, vec![vec![Value::from("emp7")]]);
     assert!(
-        cache
-            .stats
-            .retranslations
-            .load(std::sync::atomic::Ordering::Relaxed)
-            >= 1,
+        count("plan.cache_retranslations") >= 1,
         "plan was re-translated after DDL"
+    );
+    assert_eq!(
+        count("plan.cache_misses"),
+        misses0 + 1,
+        "a re-translation is a miss"
     );
 }
 
@@ -715,13 +707,13 @@ fn plan_cache_reuse_and_invalidation() {
 /// capacity, the hot text keeps its plan, and every answer is right.
 #[test]
 fn the_plan_cache_holds_at_most_its_capacity() {
-    use std::sync::atomic::Ordering::Relaxed;
     let db = open_db();
     setup_emp(&db);
     let cache = db.query_state::<dmx_query::PlanCache, _>(Default::default);
     let sess = Session::new(db.clone());
     let cap = 1024;
     let hot = "SELECT COUNT(*) FROM emp WHERE dept = 3";
+    let hits = || db.metrics_snapshot().counter("plan.cache_hits");
     let cached = |sess: &Session| {
         sess.execute("SELECT COUNT(*) FROM sys.plan_cache")
             .unwrap()
@@ -736,14 +728,10 @@ fn the_plan_cache_holds_at_most_its_capacity() {
         };
         assert_eq!(sess.execute(&sql).unwrap().rows, want, "{sql}");
         if i % 16 == 0 {
-            let hits = cache.stats.hits.load(Relaxed);
+            let before = hits();
             assert_eq!(sess.execute(hot).unwrap().rows, vec![vec![Value::Int(20)]]);
             if i > 0 {
-                assert_eq!(
-                    cache.stats.hits.load(Relaxed),
-                    hits + 1,
-                    "the hot text at {i}"
-                );
+                assert_eq!(hits(), before + 1, "the hot text at {i}");
             }
         }
         if i % 512 == 511 {

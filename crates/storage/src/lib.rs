@@ -49,11 +49,20 @@ pub use system::SystemStorage;
 /// temporary (memory) storage method is registered first and therefore
 /// gets type id 1, matching the paper's example.
 pub fn register_builtin_storage(registry: &ExtensionRegistry) -> Result<()> {
+    register_builtin_storage_with(registry, ForeignStorage::default())
+}
+
+/// [`register_builtin_storage`] with `foreign` as the gateway, so the
+/// servers registered on it beforehand are reachable by name.
+pub fn register_builtin_storage_with(
+    registry: &ExtensionRegistry,
+    foreign: ForeignStorage,
+) -> Result<()> {
     registry.register_storage_method(Arc::new(MemoryStorage::default()))?;
     registry.register_storage_method(Arc::new(HeapStorage))?;
     registry.register_storage_method(Arc::new(BTreeStorage))?;
     registry.register_storage_method(Arc::new(ReadOnlyStorage))?;
-    registry.register_storage_method(Arc::new(ForeignStorage::default()))?;
+    registry.register_storage_method(Arc::new(foreign))?;
     registry.register_storage_method(Arc::new(SystemStorage))?;
     Ok(())
 }

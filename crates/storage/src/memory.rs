@@ -25,7 +25,7 @@ use dmx_core::{
 use dmx_expr::Expr;
 use dmx_types::{AttrList, DmxError, FieldId, Lsn, Record, RecordKey, Result, Schema, Value};
 
-use crate::util::log_change;
+use crate::util::{item_from_version, log_change};
 
 /// An ordered `record key → record` table outside the buffer pool, with
 /// its logged modifications and their undo: the store under this storage
@@ -308,6 +308,20 @@ impl<F: FnMut() + Send> ScanOps for TableScan<F> {
                 values: Some(values),
             }));
         }
+    }
+
+    fn supports_versioned_read(&self) -> bool {
+        true
+    }
+
+    fn item_from_version(
+        &self,
+        ctx: &ExecCtx<'_>,
+        key: &RecordKey,
+        values: &[Value],
+    ) -> Result<Option<ScanItem>> {
+        let (fields, pred) = (self.fields.as_deref(), self.pred.as_ref());
+        item_from_version(ctx, &self.range, fields, pred, key, values)
     }
 
     fn save_position(&self) -> Vec<u8> {

@@ -147,17 +147,9 @@ fn crud_roundtrip(sm: &str) {
 
 fn open_db_with_mars() -> (Arc<Database>, Arc<dmx_storage::RemoteServer>) {
     let reg = ExtensionRegistry::new();
-    let foreign = Arc::new(dmx_storage::ForeignStorage::default());
+    let foreign = dmx_storage::ForeignStorage::default();
     let mars = foreign.register_server("mars");
-    reg.register_storage_method(Arc::new(dmx_storage::MemoryStorage::default()))
-        .unwrap();
-    reg.register_storage_method(Arc::new(dmx_storage::HeapStorage))
-        .unwrap();
-    reg.register_storage_method(Arc::new(dmx_storage::BTreeStorage))
-        .unwrap();
-    reg.register_storage_method(Arc::new(dmx_storage::ReadOnlyStorage))
-        .unwrap();
-    reg.register_storage_method(foreign).unwrap();
+    dmx_storage::register_builtin_storage_with(&reg, foreign).unwrap();
     (Database::open_fresh(reg).unwrap(), mars)
 }
 

@@ -616,8 +616,11 @@ pub mod name {
     pub const SQL_STATEMENTS: &str = "sql.statements";
     /// Plan-cache lookups served from cache.
     pub const PLAN_CACHE_HITS: &str = "plan.cache_hits";
-    /// Plan-cache lookups that compiled a fresh plan.
+    /// Plan-cache lookups that compiled a plan: a text not cached, or a
+    /// cached plan that DDL invalidated.
     pub const PLAN_CACHE_MISSES: &str = "plan.cache_misses";
+    /// The misses that re-translated a cached plan DDL had invalidated.
+    pub const PLAN_CACHE_RETRANSLATIONS: &str = "plan.cache_retranslations";
     /// Histogram: |estimated - actual| row-count error per analyzed
     /// access node (recorded by EXPLAIN ANALYZE).
     pub const PLANNER_MISESTIMATE: &str = "planner.misestimate";

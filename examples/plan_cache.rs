@@ -10,10 +10,19 @@
 //!
 //! Run with: `cargo run --example plan_cache`
 
-use std::sync::atomic::Ordering;
-
 use starburst_dmx::prelude::*;
-use starburst_dmx::query::PlanCache;
+
+/// The plan cache's counters, as `sys.metrics` shows them.
+fn cache_counters(db: &Database) -> String {
+    let snap = db.metrics_snapshot();
+    let count = |name: &str| snap.counter(&format!("plan.cache_{name}"));
+    format!(
+        "hits={}, misses={}, retranslations={}",
+        count("hits"),
+        count("misses"),
+        count("retranslations")
+    )
+}
 
 fn main() -> Result<()> {
     let db = starburst_dmx::open_default()?;
@@ -23,7 +32,6 @@ fn main() -> Result<()> {
         db.execute_sql(&format!("INSERT INTO emp VALUES ({i}, 'emp{i}')"))?;
     }
 
-    let cache = db.query_state::<PlanCache, _>(PlanCache::default);
     let q = "SELECT name FROM emp WHERE id = 4242";
 
     // first execution compiles and binds the plan …
@@ -36,12 +44,7 @@ fn main() -> Result<()> {
     for _ in 0..10 {
         db.query_sql(q)?;
     }
-    println!(
-        "\ncache after 11 executions: hits={}, misses={}, retranslations={}",
-        cache.stats.hits.load(Ordering::Relaxed),
-        cache.stats.misses.load(Ordering::Relaxed),
-        cache.stats.retranslations.load(Ordering::Relaxed),
-    );
+    println!("\ncache after 11 executions: {}", cache_counters(&db));
 
     // Dropping the index invalidates every dependent plan …
     db.execute_sql("DROP INDEX emp_pk ON emp")?;
@@ -51,11 +54,6 @@ fn main() -> Result<()> {
     for row in db.query_sql(&format!("EXPLAIN {q}"))? {
         println!("  {}", row[0].as_str()?);
     }
-    println!(
-        "\ncache afterwards: hits={}, misses={}, retranslations={}",
-        cache.stats.hits.load(Ordering::Relaxed),
-        cache.stats.misses.load(Ordering::Relaxed),
-        cache.stats.retranslations.load(Ordering::Relaxed),
-    );
+    println!("\ncache afterwards: {}", cache_counters(&db));
     Ok(())
 }

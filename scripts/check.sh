@@ -8,7 +8,13 @@
 # the four of `tests/fault_sweep.rs` (mixed DML, DDL, steal eviction,
 # every attachment type), the differential oracle's in
 # `tests/differential.rs`, the statistics sweep of `tests/statistics.rs`
-# and the scrub-and-repair window of `tests/self_heal.rs`; the
+# and the scrub-and-repair window of `tests/self_heal.rs`; the five
+# families of the conformance kit `tests/support/kit.rs`, which run every
+# registered type's entry — scan protocol (`tests/scan_conformance.rs`),
+# replay (`tests/logged_tree_replay.rs`), update ≡ delete + insert
+# (`tests/scan_conformance.rs`), a crash at every I/O
+# (`tests/fault_sweep.rs`) and CHECK/REPAIR (`tests/self_heal.rs`) —
+# and `tests/kit.rs`, which fails on a registered type with no entry; the
 # architecture rules of `tests/architecture.rs`; and the counted ratchet
 # of `crates/bench/tests/counted.rs`, which runs every E1–E12 lane twice
 # at a small size and holds its counter deltas to `crates/bench/counted.tsv`);

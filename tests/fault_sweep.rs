@@ -26,7 +26,7 @@ use starburst_dmx::prelude::*;
 use starburst_dmx::query::SqlExt;
 use starburst_dmx::types::fault::MAX_IO_RETRIES;
 use starburst_dmx::types::obs::name::IO_RETRIES;
-use support::{fresh, put, reopen, Rows, Script, Tables};
+use support::{fresh, kit, put, reopen, Rows, Script, Tables};
 
 const SEED: u64 = 0xDEC0_DE05;
 const ROWS: i64 = 12;
@@ -418,68 +418,48 @@ fn steal_eviction_sweep_reconciles_stolen_pages() {
 /// Rows of `t` in the every-type sweep.
 const T_ROWS: i64 = 12;
 
-/// The every-type workload: `u` and `t` carrying every registered
-/// attachment type — a unique B-tree index, a hash index, an R-tree, an
-/// aggregate, a join-index pair, a refint child/parent pair, a CHECK
-/// constraint, a trigger on a registered hook and, after `ANALYZE`,
-/// statistics — then autocommitted inserts, updates and deletes, one
+/// The every-type workload: `u` and `t` carrying one instance of every
+/// attachment type the conformance kit sweeps, each put on by its kit
+/// entry's DDL — then autocommitted inserts, updates and deletes, one
 /// CHECK veto and one refint veto.
 fn every_type_script() -> Script<Tables> {
-    let t_row = |id: i64, v: i64| {
-        let area = Rect::new(id as f64, id as f64, id as f64 + 1.0, id as f64 + 1.0);
-        vec![Value::Int(id), Value::Int(v), Value::Rect(area)]
-    };
     let mut s = Script::new(Tables::new());
-    s.then("CREATE TABLE u (id INT NOT NULL)", |m| {
+    s.then(kit::U, |m| {
         m.insert("u".into(), Rows::new());
     })
-    .then(
-        "CREATE TABLE t (id INT NOT NULL, v INT NOT NULL, area RECT)",
-        |m| {
-            m.insert("t".into(), Rows::new());
-        },
-    );
-    for ddl in [
-        "CREATE UNIQUE INDEX t_id ON t (id)",
-        "CREATE INDEX t_v ON t USING hash (v)",
-        "CREATE INDEX t_area ON t USING rtree (area)",
-        "CREATE ATTACHMENT t_sums ON t USING aggregate WITH (sum = id, group_by = v)",
-        "CREATE ATTACHMENT tu ON t USING joinindex WITH (side=left, fields=v)",
-        "CREATE ATTACHMENT tu ON u USING joinindex WITH (side=right, fields=id, other=t)",
-        "CREATE ATTACHMENT fk_c ON t USING refint \
-         WITH (role=child, fields=v, other=u, other_fields=id)",
-        "CREATE ATTACHMENT fk_p ON u USING refint \
-         WITH (role=parent, fields=id, other=t, other_fields=v)",
-        "CREATE CONSTRAINT t_pos ON t CHECK (id >= 0)",
-        "CREATE ATTACHMENT t_log ON t USING trigger WITH (on = 'insert,delete', action = 'hook:x')",
-        "ANALYZE TABLE t",
-    ] {
-        s.then(ddl, |_| {});
+    .then(format!("CREATE TABLE t {}", kit::T_COLUMNS), |m| {
+        m.insert("t".into(), Rows::new());
+    });
+    for (entry, ()) in kit::running(|e| &e.crash) {
+        for ddl in entry.ddl() {
+            s.then(ddl, |_| {});
+        }
     }
     s.then("INSERT INTO u VALUES (0), (1), (2), (3)", |m| {
-        (0..4).for_each(|id| put(m, "u", vec![Value::Int(id)]))
+        (0..kit::GROUPS).for_each(|id| put(m, "u", vec![Value::Int(id)]))
     });
     for id in 0..T_ROWS {
-        let sql = format!(
-            "INSERT INTO t VALUES ({id}, {}, RECT({id}, {id}, {}, {}))",
-            id % 4,
-            id + 1,
-            id + 1
-        );
-        s.then(sql, |m| put(m, "t", t_row(id, id % 4)));
+        s.then(kit::insert_sql("t", &kit::row(id)), |m| {
+            put(m, "t", kit::row(id))
+        });
     }
+    let with_v = |id: i64, v: i64| {
+        let mut row = kit::row(id);
+        row[kit::V] = Value::Int(v);
+        row
+    };
     s.then("UPDATE t SET v = 2 WHERE id = 5", |m| {
-        put(m, "t", t_row(5, 2))
+        put(m, "t", with_v(5, 2))
     })
-    .vetoed("INSERT INTO t VALUES (-1, 0, RECT(0, 0, 1, 1))")
+    .vetoed(kit::insert_sql("t", &with_v(-1, 0)))
     .then("DELETE FROM t WHERE id = 7", |m| {
         m.get_mut("t").expect("t").remove(&7);
     })
-    .vetoed("INSERT INTO t VALUES (100, 9, RECT(0, 0, 1, 1))")
+    .vetoed(kit::insert_sql("t", &with_v(100, 9)))
     .then("UPDATE t SET v = 0 WHERE v = 3", |m| {
         for row in m.get_mut("t").expect("t").values_mut() {
-            if row[1] == Value::Int(3) {
-                row[1] = Value::Int(0);
+            if row[kit::V] == Value::Int(3) {
+                row[kit::V] = Value::Int(0);
             }
         }
     })
@@ -489,17 +469,21 @@ fn every_type_script() -> Script<Tables> {
     s
 }
 
-/// Every registered attachment type crashed at every I/O: after recovery
+/// Every attachment type of the kit crashed at every I/O: after recovery
 /// both tables hold the model's rows before the statement in flight or
-/// after it, check healthy, and the aggregate's cells equal a `GROUP BY`
-/// over `t`.
+/// after it, check healthy, and the cells of a type whose items are group
+/// summaries equal a `GROUP BY` over `t`.
 #[test]
 fn every_attachment_type_recovers_at_every_io() {
     let script = every_type_script();
     let config = DatabaseConfig::default();
+    let sums = kit::running(|e| &e.crash)
+        .find(|(e, _)| matches!(&e.scan, Ok(scan) if matches!(scan.items, kit::Items::Groups)))
+        .and_then(|(e, _)| e.instance())
+        .expect("a swept type keeps group summaries");
     let workload = |run: &support::Run| {
         let Some(db) = run.open() else { return 0 };
-        db.register_hook("x", Arc::new(|_, _| Ok(())));
+        kit::register_hooks(&db);
         script.run(&db).0
     };
     let (total, done) = support::healthy(SEED, &config, workload);
@@ -516,13 +500,13 @@ fn every_attachment_type_recovers_at_every_io() {
                 .catalog()
                 .get_by_name("t")
                 .unwrap()
-                .find_attachment("t_sums")
+                .find_attachment(sums)
                 .is_some();
         if !has_sums {
             return (got, Vec::new());
         }
         let num = |v: &Value| v.as_float().unwrap();
-        let cells: Vec<(i64, i64, f64)> = support::attachment_items(db, "t", "t_sums")
+        let cells: Vec<(i64, i64, f64)> = support::attachment_items(db, "t", sums)
             .iter()
             .map(|c| (c[0].as_int().unwrap(), c[1].as_int().unwrap(), num(&c[2])))
             .collect();

@@ -1,11 +1,13 @@
 //! Replay contract of the logged-tree primitive, for every tree-backed
-//! extension (six attachments and the B-tree storage method).
+//! extension the conformance kit (`tests/support/kit.rs`) gives replay
+//! facts: the attachments that keep trees and the B-tree storage method.
 //!
-//! Each case runs real DML so the extension logs its own records, and
-//! snapshots its trees into a `BTreeMap` model before and after every
-//! statement. The statement's records are then replayed through the
-//! extension's `replay` from both physical starting points a
-//! crash can leave behind — applied, and logged but never applied:
+//! One script of real DML runs on each kit entry's fixture, so the
+//! extension logs its own records, and its trees are snapshotted into a
+//! `BTreeMap` model before and after every statement. The statement's
+//! records are then replayed through the extension's `replay` from both
+//! physical starting points a crash can leave behind — applied, and
+//! logged but never applied:
 //!
 //! | tree starts | direction | tree must end |
 //! |---|---|---|
@@ -25,22 +27,19 @@
 // panic discipline: failures here should abort loudly.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+mod support;
+
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use starburst_dmx::attach::btree_index::IxDesc;
 use starburst_dmx::attach::rtree::RTree;
 use starburst_dmx::btree::{BTree, OnDuplicate};
-use starburst_dmx::core::{RelationDescriptor, Replay, TreeFile};
+use starburst_dmx::core::{Replay, TreeFile};
 use starburst_dmx::prelude::*;
 use starburst_dmx::storage::btree_sm::BtDesc;
 use starburst_dmx::types::{Appended, Lsn};
 use starburst_dmx::wal::{Compensation, ExtKind, ExtOp, LogRecord};
-
-const OP_INSERT: u8 = 1;
-const OP_DELETE: u8 = 2;
-const OP_IMAGES: u8 = 3;
-const OP_PATCH: u8 = 4;
+use support::kit::{self, Entry};
 
 /// `(tree number, key) → value` over every tree of the extension.
 type Model = BTreeMap<(usize, Vec<u8>), Vec<u8>>;
@@ -52,6 +51,24 @@ enum Trees {
 }
 
 impl Trees {
+    /// The trees of `entry`'s type on `t`, where the kit says they are.
+    fn of(db: &Arc<Database>, entry: &Entry, trees: kit::Trees) -> Trees {
+        let rd = db.catalog().get_by_name("t").unwrap();
+        let named = || {
+            let (_, inst) = rd.find_attachment(entry.instance().unwrap()).unwrap();
+            TreeFile::named_in(&AttrList::decode(&inst.desc).unwrap()).unwrap()
+        };
+        let s = db.services();
+        match trees {
+            kit::Trees::Storage => {
+                let file = BtDesc::decode(&rd.sm_desc).unwrap().tree_file();
+                Trees::B(vec![file.open_tree(s)])
+            }
+            kit::Trees::Named => Trees::B(named().iter().map(|f| f.open_tree(s)).collect()),
+            kit::Trees::NamedRTree => Trees::R(RTree::open(&s.pool, named()[0].root(), &s.latches)),
+        }
+    }
+
     fn dump(&self) -> Model {
         let mut out = Model::new();
         match self {
@@ -108,169 +125,44 @@ impl Trees {
     }
 }
 
-/// One statement of a case's script; `Upd`/`Del` name an earlier `Ins`
-/// by its position among the `Ins` steps.
+/// One statement of the script; `Upd`/`Del` name an earlier `Ins` by
+/// its position among the `Ins` steps.
 enum Step {
     Ins(&'static str, Vec<Value>),
-    Upd(&'static str, usize, Vec<Value>),
-    Del(&'static str, usize),
+    Upd(usize, Vec<Value>),
+    Del(usize),
 }
 
-struct Case {
-    name: &'static str,
-    ddl: &'static [&'static str],
-    /// `(relation, attachment)` under test; no attachment = the
-    /// relation's storage method.
-    target: (&'static str, Option<&'static str>),
-    trees: fn(&Arc<Database>, &RelationDescriptor, Option<&[u8]>) -> Trees,
-    script: Vec<Step>,
-    /// Every op code the script must make the extension log.
-    ops: &'static [u8],
-}
-
-fn one_btree(db: &Arc<Database>, file: starburst_dmx::core::TreeFile) -> Trees {
-    Trees::B(vec![file.open_tree(db.services())])
-}
-
-fn int(v: i64) -> Value {
-    Value::Int(v)
-}
-
-fn rect(x: f64) -> Value {
-    Value::Rect(Rect::new(x, x, x + 1.0, x + 2.0))
-}
-
-/// The trees an instance's stored attribute list names.
-fn named(desc: Option<&[u8]>) -> Vec<TreeFile> {
-    TreeFile::named_in(&AttrList::decode(desc.unwrap()).unwrap()).unwrap()
-}
-
-fn cases() -> Vec<Case> {
-    use Step::*;
-    const T: &str = "CREATE TABLE t (id INT NOT NULL, v INT NOT NULL)";
-    // Two rows, an update that moves the entry, deletes of both.
-    let entry_script = || {
-        vec![
-            Ins("t", vec![int(1), int(10)]),
-            Ins("t", vec![int(2), int(20)]),
-            Upd("t", 0, vec![int(3), int(30)]),
-            Del("t", 1),
-            Del("t", 0),
-        ]
-    };
+/// A row of `t`; `None` is NULL.
+fn t(id: i64, v: Option<i64>, at: Option<f64>, note: &str) -> Vec<Value> {
+    let area = at.map(|x| Value::Rect(Rect::new(x, x, x + 1.0, x + 2.0)));
     vec![
-        Case {
-            name: "btree_index",
-            ddl: &[T, "CREATE UNIQUE INDEX t_x ON t (id)"],
-            target: ("t", Some("t_x")),
-            trees: |db, _, d| one_btree(db, IxDesc::decode(d.unwrap()).unwrap()),
-            script: entry_script(),
-            ops: &[OP_INSERT, OP_DELETE],
-        },
-        Case {
-            name: "hash_index",
-            ddl: &[T, "CREATE INDEX t_x ON t USING hash (v)"],
-            target: ("t", Some("t_x")),
-            trees: |db, _, d| one_btree(db, named(d)[0]),
-            script: entry_script(),
-            ops: &[OP_INSERT, OP_DELETE],
-        },
-        Case {
-            name: "rtree",
-            ddl: &[
-                "CREATE TABLE t (id INT NOT NULL, area RECT)",
-                "CREATE INDEX t_x ON t USING rtree (area)",
-            ],
-            target: ("t", Some("t_x")),
-            trees: |db, _, d| {
-                let root = named(d)[0].root();
-                let s = db.services();
-                Trees::R(RTree::open(&s.pool, root, &s.latches))
-            },
-            script: vec![
-                Ins("t", vec![int(1), rect(1.0)]),
-                Ins("t", vec![int(2), rect(5.0)]),
-                Ins("t", vec![int(3), Value::Null]),
-                Upd("t", 0, vec![int(1), rect(9.0)]),
-                Upd("t", 2, vec![int(3), rect(3.0)]),
-                Del("t", 1),
-                Del("t", 0),
-            ],
-            ops: &[OP_INSERT, OP_DELETE],
-        },
-        Case {
-            name: "join_index",
-            ddl: &[
-                "CREATE TABLE emp (id INT NOT NULL, dept INT)",
-                "CREATE TABLE dept (id INT NOT NULL, name STRING)",
-                "CREATE ATTACHMENT ed ON emp USING joinindex WITH (side=left, fields=dept)",
-                "CREATE ATTACHMENT ed ON dept USING joinindex WITH (side=right, fields=id, other=emp)",
-            ],
-            target: ("emp", Some("ed")),
-            trees: |db, _, d| {
-                let files = named(d);
-                Trees::B(files.iter().map(|f| f.open_tree(db.services())).collect())
-            },
-            script: vec![
-                Ins("dept", vec![int(7), "d7".into()]),
-                Ins("emp", vec![int(1), int(7)]),
-                Ins("emp", vec![int(2), int(7)]),
-                Ins("emp", vec![int(3), Value::Null]),
-                Ins("dept", vec![int(8), "d8".into()]),
-                Upd("emp", 1, vec![int(1), int(8)]),
-                Del("dept", 0),
-                Del("emp", 2),
-                Del("emp", 1),
-            ],
-            ops: &[OP_INSERT, OP_DELETE],
-        },
-        Case {
-            name: "aggregate",
-            ddl: &[
-                T,
-                "CREATE ATTACHMENT t_x ON t USING aggregate WITH (sum = v, group_by = id)",
-            ],
-            target: ("t", Some("t_x")),
-            trees: |db, _, d| one_btree(db, named(d)[0]),
-            script: vec![
-                Ins("t", vec![int(1), int(10)]),
-                Ins("t", vec![int(1), int(5)]),
-                Upd("t", 0, vec![int(2), int(10)]),
-                Del("t", 1),
-                Del("t", 0),
-            ],
-            // a group's first row creates its cell, its last row's
-            // removal deletes it; in between, a count and a sum of fixed
-            // width change in place
-            ops: &[OP_INSERT, OP_DELETE, OP_PATCH],
-        },
-        Case {
-            name: "stats",
-            ddl: &[T, "CREATE ATTACHMENT t_x ON t USING stats"],
-            target: ("t", Some("t_x")),
-            trees: |db, _, d| one_btree(db, named(d)[0]),
-            script: entry_script(),
-            // the cell's first image, then patches of it
-            ops: &[OP_INSERT, OP_PATCH],
-        },
-        Case {
-            name: "btree_sm",
-            ddl: &["CREATE TABLE t (id INT NOT NULL, v STRING NOT NULL) USING btree WITH (key=id)"],
-            target: ("t", None),
-            trees: |db, rd, _| one_btree(db, BtDesc::decode(&rd.sm_desc).unwrap().tree_file()),
-            script: vec![
-                Ins("t", vec![int(1), "a".into()]),
-                Ins("t", vec![int(2), "bb".into()]),
-                Upd("t", 0, vec![int(1), "c".into()]),
-                Upd("t", 0, vec![int(1), "ccc".into()]),
-                Upd("t", 0, vec![int(1), "d".into()]),
-                Upd("t", 0, vec![int(3), "d".into()]),
-                Del("t", 1),
-            ],
-            // a value of one width changes in place, one of another
-            // width is replaced whole, a new key moves
-            ops: &[OP_INSERT, OP_DELETE, OP_IMAGES, OP_PATCH],
-        },
+        Value::Int(id),
+        v.map_or(Value::Null, Value::Int),
+        area.unwrap_or(Value::Null),
+        Value::from(note),
+    ]
+}
+
+/// The script every extension runs: rows of `t` and their partners in
+/// `u`, two in one group, one all NULL; updates that keep the record's
+/// width and key, that change its width, that fill its NULLs and that
+/// move its key, each also moving `v`; deletes on both sides.
+fn script() -> Vec<Step> {
+    use Step::*;
+    vec![
+        Ins("u", vec![Value::Int(7)]),
+        Ins("t", t(1, Some(7), Some(1.0), "a")),
+        Ins("t", t(2, Some(7), Some(5.0), "bb")),
+        Ins("t", t(3, None, None, "a")),
+        Ins("u", vec![Value::Int(8)]),
+        Upd(1, t(1, Some(8), Some(9.0), "c")),
+        Upd(1, t(1, Some(9), Some(9.0), "ccc")),
+        Upd(3, t(3, Some(3), Some(3.0), "a")),
+        Upd(1, t(4, Some(8), Some(9.0), "ccc")),
+        Del(0),
+        Del(2),
+        Del(1),
     ]
 }
 
@@ -340,42 +232,38 @@ fn ops_since(db: &Arc<Database>, last: Lsn, since: Lsn, ext: ExtKind) -> (Vec<Lo
     (out, records)
 }
 
-fn run(case: &Case) {
-    let name = case.name;
-    let db = starburst_dmx::open_default().unwrap();
-    for sql in case.ddl {
-        db.execute_sql(sql).unwrap();
-    }
-    let rd = db.catalog().get_by_name(case.target.0).unwrap();
-    let (ext, desc) = match case.target.1 {
-        Some(att) => {
-            let (id, inst) = rd.find_attachment(att).unwrap();
-            (ExtKind::Attachment(id), Some(&*inst.desc))
-        }
-        None => (ExtKind::Storage(rd.sm), None),
+fn run(entry: &Entry, facts: &kit::Replay) {
+    let name = entry.name;
+    let db = kit::open();
+    kit::build(&db, [entry]);
+    let rd = db.catalog().get_by_name("t").unwrap();
+    let ext = match entry.instance() {
+        Some(att) => ExtKind::Attachment(rd.find_attachment(att).unwrap().0),
+        None => ExtKind::Storage(rd.sm),
     };
-    let trees = (case.trees)(&db, &rd, desc);
+    let trees = Trees::of(&db, entry, facts.trees);
     let initial = trees.dump();
 
     let txn = db.begin();
-    let mut keys: Vec<RecordKey> = Vec::new();
+    let mut keys: Vec<(&str, RecordKey)> = Vec::new();
     let mut seen_ops = BTreeSet::new();
     // Each statement's records, in log order.
     let mut statements = Vec::new();
-    for (n, step) in case.script.iter().enumerate() {
+    for (n, step) in script().iter().enumerate() {
         let before = trees.dump();
         let since = txn.last_lsn();
         let rel = |name: &str| db.catalog().get_by_name(name).unwrap().id;
         match step {
             Step::Ins(r, row) => {
-                keys.push(db.insert(&txn, rel(r), Record::new(row.clone())).unwrap())
+                let key = db.insert(&txn, rel(r), Record::new(row.clone())).unwrap();
+                keys.push((r, key));
             }
-            Step::Upd(r, k, row) => {
-                keys[*k] = db
-                    .update(&txn, rel(r), &keys[*k], Record::new(row.clone()))
-                    .unwrap()
+            Step::Upd(k, row) => {
+                let (r, key) = &keys[*k];
+                let moved = db.update(&txn, rel(r), key, Record::new(row.clone()));
+                keys[*k].1 = moved.unwrap();
             }
-            Step::Del(r, k) => db.delete(&txn, rel(r), &keys[*k]).unwrap(),
+            Step::Del(k) => db.delete(&txn, rel(keys[*k].0), &keys[*k].1).unwrap(),
         }
         let after = trees.dump();
         let (recs, records) = ops_since(&db, txn.last_lsn(), since, ext);
@@ -430,7 +318,7 @@ fn run(case: &Case) {
     }
     assert_eq!(
         seen_ops,
-        case.ops.iter().copied().collect(),
+        facts.ops.iter().copied().collect(),
         "{name}: op kinds logged"
     );
     // The recovery driver walks the same records: rolling the whole
@@ -441,7 +329,7 @@ fn run(case: &Case) {
 
 #[test]
 fn every_tree_backed_extension_replays_idempotently_in_both_directions() {
-    for case in cases() {
-        run(&case);
+    for (entry, facts) in kit::running(|e| &e.replay) {
+        run(entry, facts);
     }
 }

@@ -1,14 +1,18 @@
-//! Scan conformance of every access path built on the two shared
-//! cursors: the slotted-file RID scan (heap, read-only storage) and the
-//! tree range cursor (B-tree storage; B-tree, hash, aggregate and
-//! join-index attachments).
+//! Scan conformance of every access path the conformance kit
+//! (`tests/support/kit.rs`) gives scan facts: the storage methods'
+//! scans, on the slotted-file RID scan, the tree range cursor or an
+//! ordered map, and the B-tree (a unique index, and one whose keys
+//! repeat), hash, R-tree, aggregate and join-index attachments'.
 //!
-//! Each case loads the same rows, states what its path should serve as a
-//! `BTreeMap` model (query key → items in scan order) and is run through
-//! the dispatcher's scans, locking and snapshot alike:
+//! Each path loads the kit's rows, states what it should serve as a
+//! `BTreeMap` model (query key → items in scan order; a path whose
+//! items come in tree order is held to the model's items in the order it
+//! serves them) and is run through the dispatcher's scans, locking and
+//! snapshot alike:
 //!
 //! * all / inclusive / exclusive / empty ranges (exact-key probes for the
-//!   hash index, the full scan for the join index);
+//!   hash index, the full scan for the join index, a window for the
+//!   R-tree);
 //! * a position saved at a savepoint is the position `ROLLBACK TO`
 //!   resumes at;
 //! * deleting the item at the current position leaves the scan just
@@ -21,15 +25,21 @@
 //! * re-bound to another query (`scan_rebind`) a scan serves what a fresh
 //!   scan of that query serves, by step and by frame; a position saved
 //!   before a re-bind is refused after it; a locking scan keeps the range
-//!   locks of its earlier bindings;
-//! * for the two gap-locking paths, the locks each step takes — read
+//!   locks of its earlier bindings; a path that cannot re-bind refuses;
+//! * for the gap-locking paths, the locks each step takes — read
 //!   back through `sys.locks` — are the record-then-gap pair of every
 //!   entry passed, the boundary pair (or the EOF gap) once, and the same
-//!   sequence again, as re-grants, after a position restore.
+//!   sequence again, as re-grants, after a position restore;
+//! * after updates, every path of the kit's update family serves what
+//!   the rows make of it whether each update ran as `update` or as
+//!   `delete` then `insert`, and an update of no indexed field logs
+//!   nothing for the indexes.
 
 // Examples and integration-test harnesses are exempt from the runtime
 // panic discipline: failures here should abort loudly.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
+mod support;
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Bound;
@@ -41,45 +51,19 @@ use starburst_dmx::prelude::*;
 use starburst_dmx::txn::Transaction;
 use starburst_dmx::types::key::encode_values;
 use starburst_dmx::types::FileId;
+use support::kit::{self, Ask, Entry, Items, Queries, Scan, AREA, ID, NOTE, V};
 
-/// One loaded row of `t`: record key, `id`, `v`.
-type Row = (RecordKey, i64, i64);
+/// One loaded row: record key, fields.
+type Row = (RecordKey, Vec<Value>);
 /// What a path serves: query key → its items, in scan order.
 type Model = BTreeMap<Vec<u8>, Vec<ScanItem>>;
 
 const ROWS: i64 = 12;
-const GROUPS: i64 = 4;
 /// `u.id` values: the rows of `t` with these `v` have a join partner.
 const PARTNERS: [i64; 2] = [1, 2];
 
-/// Which queries a path answers.
-enum Queries {
-    /// Key ranges over the model's keys.
-    Ranges,
-    /// One exact key at a time.
-    ExactKeys,
-    /// The full scan only.
-    AllOnly,
-}
-
-struct Case {
-    name: &'static str,
-    ddl: &'static [&'static str],
-    /// The attachment on `t` to scan; `None` = the storage method.
-    attachment: Option<&'static str>,
-    model: fn(&[Row], &[Row]) -> Model,
-    queries: Queries,
-    /// `None` = the path cannot delete.
-    remove: Option<Remove>,
-}
-
-/// Removes the entry behind a scan item of `t`.
-type Remove = fn(&Arc<Database>, &Arc<Transaction>, RelationId, &ScanItem, &[Row]);
-
-const HEAP_T: &str = "CREATE TABLE t (id INT NOT NULL, v INT NOT NULL)";
-
-fn enc(v: i64) -> Vec<u8> {
-    encode_values(&[Value::Int(v)])
+fn enc(v: &Value) -> Vec<u8> {
+    encode_values(std::slice::from_ref(v))
 }
 
 fn item(key: &RecordKey, values: Vec<Value>) -> ScanItem {
@@ -89,154 +73,80 @@ fn item(key: &RecordKey, values: Vec<Value>) -> ScanItem {
     }
 }
 
-/// Storage-method scans: one full record per record key.
-fn records(rows: &[Row], _: &[Row]) -> Model {
-    rows.iter()
-        .map(|(k, id, v)| {
-            let it = item(k, vec![Value::Int(*id), Value::Int(*v)]);
-            (k.as_bytes().to_vec(), vec![it])
-        })
-        .collect()
-}
-
-/// Index scans on `v`: per value, the record keys in key order, each
-/// with the covered value.
-fn index_on_v(rows: &[Row], _: &[Row]) -> Model {
+/// What a path of `items` serves over `rows` of `t` and `partners` of `u`.
+fn model(items: Items, rows: &[Row], partners: &[Row]) -> Model {
+    let mut m = Model::new();
     let mut sorted = rows.to_vec();
     sorted.sort_by(|a, b| a.0.as_bytes().cmp(b.0.as_bytes()));
-    let mut m = Model::new();
-    for (k, _, v) in &sorted {
-        m.entry(enc(*v))
-            .or_default()
-            .push(item(k, vec![Value::Int(*v)]));
-    }
-    m
-}
-
-/// Aggregate scans: one `(group, count, sum(id))` summary per `v`.
-fn groups(rows: &[Row], _: &[Row]) -> Model {
-    let mut cells: BTreeMap<i64, (i64, f64)> = BTreeMap::new();
-    for (_, id, v) in rows {
-        let c = cells.entry(*v).or_default();
-        c.0 += 1;
-        c.1 += *id as f64;
-    }
-    cells
-        .into_iter()
-        .map(|(v, (count, sum))| {
-            let values = vec![Value::Int(v), Value::Int(count), Value::Float(sum)];
-            (enc(v), vec![item(&RecordKey::new(enc(v)), values)])
-        })
-        .collect()
-}
-
-/// Join-index scans: `(t key, u key)` pairs in `(v, t key, u key)` order.
-fn pairs(rows: &[Row], partners: &[Row]) -> Model {
-    let mut m = Model::new();
-    for (lk, _, v) in rows {
-        for (rk, _, _) in partners.iter().filter(|p| p.1 == *v) {
-            let key = [enc(*v), lk.as_bytes().to_vec(), rk.as_bytes().to_vec()].concat();
-            let values = vec![Value::Bytes(rk.as_bytes().to_vec())];
-            m.insert(key, vec![item(lk, values)]);
+    match items {
+        // one item per record key: the record, or its area when it has one
+        Items::Records | Items::Areas => {
+            for (k, row) in rows {
+                let values = match items {
+                    Items::Areas if row[AREA] == Value::Null => continue,
+                    Items::Areas => vec![row[AREA].clone()],
+                    _ => row.clone(),
+                };
+                m.insert(k.as_bytes().to_vec(), vec![item(k, values)]);
+            }
+        }
+        // per value, the record keys in key order, each with the value
+        Items::Index(f) => {
+            for (k, row) in &sorted {
+                let it = item(k, vec![row[f].clone()]);
+                m.entry(enc(&row[f])).or_default().push(it);
+            }
+        }
+        // one `(group, count, sum(id))` summary per `v`, NULL a group too
+        Items::Groups => {
+            let mut cells: BTreeMap<Vec<u8>, (Value, i64, f64)> = BTreeMap::new();
+            for (_, row) in rows {
+                let c = cells
+                    .entry(enc(&row[V]))
+                    .or_insert((row[V].clone(), 0, 0.0));
+                c.1 += 1;
+                c.2 += row[ID].as_int().unwrap() as f64;
+            }
+            for (key, (v, count, sum)) in cells {
+                let values = vec![v, Value::Int(count), Value::Float(sum)];
+                m.insert(key.clone(), vec![item(&RecordKey::new(key), values)]);
+            }
+        }
+        // `(t key, u key)` pairs in `(v, t key, u key)` order
+        Items::Pairs => {
+            for (lk, row) in rows {
+                for (rk, _) in partners.iter().filter(|p| p.1[ID] == row[V]) {
+                    let key = [enc(&row[V]), lk.as_bytes().to_vec(), rk.as_bytes().to_vec()];
+                    let values = vec![Value::Bytes(rk.as_bytes().to_vec())];
+                    m.insert(key.concat(), vec![item(lk, values)]);
+                }
+            }
         }
     }
     m
 }
 
-fn delete_record(
-    db: &Arc<Database>,
-    txn: &Arc<Transaction>,
-    rel: RelationId,
-    item: &ScanItem,
-    _: &[Row],
-) {
-    db.delete(txn, rel, &item.key).unwrap();
-}
-
-/// An aggregate item goes away with the last record of its group.
-fn delete_group(
-    db: &Arc<Database>,
-    txn: &Arc<Transaction>,
-    rel: RelationId,
-    item: &ScanItem,
-    rows: &[Row],
-) {
-    for (k, _, _) in rows.iter().filter(|r| enc(r.2) == item.key.as_bytes()) {
-        db.delete(txn, rel, k).unwrap();
+/// Removes the entry behind a scan item of `t`: its record, or for an
+/// aggregate's group every record of the group.
+fn remove(fx: &Fixture, txn: &Arc<Transaction>, item: &ScanItem) {
+    let Items::Groups = fx.scan.items else {
+        return fx.db.delete(txn, fx.rel, &item.key).unwrap();
+    };
+    for (k, _) in fx
+        .rows
+        .iter()
+        .filter(|r| enc(&r.1[V]) == item.key.as_bytes())
+    {
+        fx.db.delete(txn, fx.rel, k).unwrap();
     }
 }
 
-fn cases() -> Vec<Case> {
-    vec![
-        Case {
-            name: "heap",
-            ddl: &[HEAP_T],
-            attachment: None,
-            model: records,
-            queries: Queries::Ranges,
-            remove: Some(delete_record),
-        },
-        Case {
-            name: "readonly",
-            ddl: &["CREATE TABLE t (id INT NOT NULL, v INT NOT NULL) USING readonly"],
-            attachment: None,
-            model: records,
-            queries: Queries::Ranges,
-            remove: None, // write-once
-        },
-        Case {
-            name: "btree storage",
-            ddl: &["CREATE TABLE t (id INT NOT NULL, v INT NOT NULL) USING btree WITH (key = id)"],
-            attachment: None,
-            model: records,
-            queries: Queries::Ranges,
-            remove: Some(delete_record),
-        },
-        Case {
-            name: "btree index",
-            ddl: &[HEAP_T, "CREATE INDEX t_x ON t (v)"],
-            attachment: Some("t_x"),
-            model: index_on_v,
-            queries: Queries::Ranges,
-            remove: Some(delete_record),
-        },
-        Case {
-            name: "hash index",
-            ddl: &[HEAP_T, "CREATE INDEX t_x ON t USING hash (v)"],
-            attachment: Some("t_x"),
-            model: index_on_v,
-            queries: Queries::ExactKeys,
-            remove: Some(delete_record),
-        },
-        Case {
-            name: "aggregate",
-            ddl: &[
-                HEAP_T,
-                "CREATE ATTACHMENT t_x ON t USING aggregate WITH (sum = id, group_by = v)",
-            ],
-            attachment: Some("t_x"),
-            model: groups,
-            queries: Queries::Ranges,
-            remove: Some(delete_group),
-        },
-        Case {
-            name: "join index",
-            ddl: &[
-                HEAP_T,
-                "CREATE TABLE u (id INT NOT NULL, v INT NOT NULL)",
-                "CREATE ATTACHMENT t_x ON t USING joinindex WITH (side=left, fields=v)",
-                "CREATE ATTACHMENT t_x ON u USING joinindex WITH (side=right, fields=id, other=t)",
-            ],
-            attachment: Some("t_x"),
-            model: pairs,
-            queries: Queries::AllOnly,
-            remove: Some(delete_record),
-        },
-    ]
-}
-
-/// A database with the case's DDL applied and the rows loaded.
+/// A database on the kit's fixture with rows loaded, seen through one
+/// entry's path.
+#[derive(Clone)]
 struct Fixture {
+    entry: &'static Entry,
+    scan: &'static Scan,
     db: Arc<Database>,
     rel: RelationId,
     path: AccessPath,
@@ -244,46 +154,51 @@ struct Fixture {
     partners: Vec<Row>,
 }
 
-fn load(db: &Arc<Database>, table: &str, ids: impl Iterator<Item = i64>) -> Vec<Row> {
-    let Ok(rd) = db.catalog().get_by_name(table) else {
-        return Vec::new();
-    };
-    db.with_txn(|txn| {
-        ids.map(|id| {
-            let v = id % GROUPS;
-            let rec = Record::new(vec![Value::Int(id), Value::Int(v)]);
-            Ok((db.insert(txn, rd.id, rec)?, id, v))
-        })
-        .collect()
-    })
-    .unwrap()
-}
-
-fn fixture(case: &Case) -> Fixture {
-    let db = starburst_dmx::open_default().unwrap();
-    for stmt in case.ddl {
-        db.execute_sql(stmt).unwrap();
-    }
-    let partners = load(&db, "u", PARTNERS.into_iter());
-    let rows = load(&db, "t", 0..ROWS);
-    let rd = db.catalog().get_by_name("t").unwrap();
-    let path = match case.attachment {
-        None => AccessPath::StorageMethod,
-        Some(name) => {
-            let (att, inst) = rd.find_attachment(name).unwrap();
-            AccessPath::Attachment(att, inst.instance)
-        }
-    };
+/// The kit's fixture with `entries` on it, `u` holding `partners` and
+/// `t` holding `rows`, seen through the first entry's path.
+fn fixture(entries: &[&'static Entry], partners: &[i64], rows: Vec<Vec<Value>>) -> Fixture {
+    let db = kit::open();
+    kit::build(&db, entries.iter().copied());
+    let partners = partners.iter().map(|&id| vec![Value::Int(id)]);
+    let (partners, rows) = (kit::load(&db, "u", partners), kit::load(&db, "t", rows));
+    let (rel, entry) = (db.catalog().get_by_name("t").unwrap().id, entries[0]);
+    let (scan, path) = (entry.scan.as_ref().unwrap(), entry.path(&db).0);
     Fixture {
+        entry,
+        scan,
         db,
-        rel: rd.id,
+        rel,
         path,
         rows,
         partners,
     }
 }
 
+/// Every entry the scan family runs, on its fixture: the kit's, and the
+/// B-tree index whose keys repeat.
+fn fixtures() -> impl Iterator<Item = Fixture> {
+    let rows = || (0..ROWS).map(kit::row).collect();
+    let entries = kit::running(|e| &e.scan).map(|(e, _)| e);
+    let entries = entries.chain([&kit::DUPLICATE_KEYS]);
+    entries.map(move |e| fixture(&[e], &PARTNERS, rows()))
+}
+
 impl Fixture {
+    /// The same database seen through `entry`'s path.
+    fn on(&self, entry: &'static Entry) -> Fixture {
+        let (scan, path) = (entry.scan.as_ref().unwrap(), entry.path(&self.db).0);
+        Fixture {
+            entry,
+            scan,
+            path,
+            ..self.clone()
+        }
+    }
+
+    fn model(&self) -> Model {
+        model(self.scan.items, &self.rows, &self.partners)
+    }
+
     fn begin(&self, snapshot: bool) -> Arc<Transaction> {
         let txn = self.db.begin();
         txn.set_snapshot_reads(snapshot);
@@ -298,11 +213,7 @@ impl Fixture {
 
     fn drain(&self, txn: &Arc<Transaction>, query: &AccessQuery) -> Vec<ScanItem> {
         let scan = self.open(txn, query);
-        let mut out = Vec::new();
-        while let Some(it) = self.db.scan_next(txn, scan).unwrap() {
-            out.push(it);
-        }
-        out
+        self.drain_from(txn, scan, false)
     }
 
     /// What is left of `scan`, by frame or by step.
@@ -321,11 +232,46 @@ impl Fixture {
         }
         out
     }
+
+    /// The queries to run, each with the items it must return.
+    fn queries(&self) -> Vec<(AccessQuery, Vec<ScanItem>)> {
+        let qs = queries(self.scan.queries, &self.model());
+        // Items in tree order: the model's items, as the path orders them.
+        let qs: Vec<_> = match self.scan.items {
+            Items::Areas => qs
+                .into_iter()
+                .map(|(q, expect)| {
+                    let txn = self.begin(false);
+                    let got = self.drain(&txn, &q);
+                    self.db.commit(&txn).unwrap();
+                    assert_eq!(
+                        sorted(got.clone()),
+                        sorted(expect),
+                        "{} {q:?}",
+                        self.entry.name
+                    );
+                    (q, got)
+                })
+                .collect(),
+            _ => qs,
+        };
+        qs
+    }
+}
+
+/// The query the position checks run on: the first with three items or
+/// more, with its items.
+fn long(qs: &[(AccessQuery, Vec<ScanItem>)]) -> (&AccessQuery, &Vec<ScanItem>) {
+    let (q, items) = qs
+        .iter()
+        .find(|(_, items)| items.len() >= 3)
+        .expect("a query with three items");
+    (q, items)
 }
 
 /// The queries to run against `model`, each with the items it must
 /// return.
-fn queries(kind: &Queries, model: &Model) -> Vec<(AccessQuery, Vec<ScanItem>)> {
+fn queries(kind: Queries, model: &Model) -> Vec<(AccessQuery, Vec<ScanItem>)> {
     let keys: Vec<&Vec<u8>> = model.keys().collect();
     let within = |r: &KeyRange| -> Vec<ScanItem> {
         model
@@ -337,12 +283,28 @@ fn queries(kind: &Queries, model: &Model) -> Vec<(AccessQuery, Vec<ScanItem>)> {
     let all = (AccessQuery::All, within(&KeyRange::all()));
     match kind {
         Queries::AllOnly => vec![all],
+        Queries::Spatial => {
+            let window = Rect::new(2.5, 2.5, 4.5, 4.5);
+            let hits = model
+                .values()
+                .flatten()
+                .filter(|it| {
+                    it.values.as_ref().unwrap()[0]
+                        .as_rect()
+                        .unwrap()
+                        .intersects(&window)
+                })
+                .cloned()
+                .collect();
+            let search = AccessQuery::Spatial(SpatialOp::Intersects, window);
+            vec![all, (search, hits)]
+        }
         Queries::ExactKeys => {
             let mut qs: Vec<_> = keys
                 .iter()
                 .map(|k| (AccessQuery::KeyEquals((*k).clone()), model[*k].clone()))
                 .collect();
-            qs.push((AccessQuery::KeyEquals(enc(99)), Vec::new()));
+            qs.push((AccessQuery::KeyEquals(enc(&Value::Int(99))), Vec::new()));
             qs
         }
         Queries::Ranges => {
@@ -380,21 +342,15 @@ fn queries(kind: &Queries, model: &Model) -> Vec<(AccessQuery, Vec<ScanItem>)> {
 
 #[test]
 fn every_path_serves_its_ranges_positions_and_deletes() {
-    for case in cases() {
-        let fx = fixture(&case);
-        let model = (case.model)(&fx.rows, &fx.partners);
-        let qs = queries(&case.queries, &model);
-        // the query the position checks run on: the first with 3+ items
-        let (long_q, stream) = qs
-            .iter()
-            .find(|(_, items)| items.len() >= 3)
-            .expect("a query with three items");
+    for fx in fixtures() {
+        let qs = fx.queries();
+        let (long_q, stream) = long(&qs);
 
         for snapshot in [false, true] {
             let mode = if snapshot { "snapshot" } else { "locking" };
             let txn = fx.begin(snapshot);
             for (q, expect) in &qs {
-                assert_eq!(&fx.drain(&txn, q), expect, "{} {mode} {q:?}", case.name);
+                assert_eq!(&fx.drain(&txn, q), expect, "{} {mode} {q:?}", fx.entry.name);
             }
 
             // savepoint → advance → ROLLBACK TO resumes at the saved item
@@ -406,29 +362,23 @@ fn every_path_serves_its_ranges_positions_and_deletes() {
             fx.db.savepoint(&txn, "sp").unwrap();
             while fx.db.scan_next(&txn, scan).unwrap().is_some() {}
             fx.db.rollback_to_savepoint(&txn, "sp").unwrap();
-            let mut resumed = Vec::new();
-            while let Some(it) = fx.db.scan_next(&txn, scan).unwrap() {
-                resumed.push(it);
-            }
-            assert_eq!(resumed, stream[1..], "{} {mode} resume", case.name);
+            let resumed = fx.drain_from(&txn, scan, false);
+            assert_eq!(resumed, stream[1..], "{} {mode} resume", fx.entry.name);
             fx.db.commit(&txn).unwrap();
         }
 
         // deleting the item at the current position leaves the scan just
         // after it
-        if let Some(remove) = case.remove {
+        if fx.scan.deletes {
             let txn = fx.begin(false);
             let scan = fx.open(&txn, long_q);
             fx.db.scan_next(&txn, scan).unwrap().unwrap();
             let on = fx.db.scan_next(&txn, scan).unwrap().unwrap();
             assert_eq!(on, stream[1]);
-            remove(&fx.db, &txn, fx.rel, &on, &fx.rows);
-            let mut rest = Vec::new();
-            while let Some(it) = fx.db.scan_next(&txn, scan).unwrap() {
-                rest.push(it);
-            }
-            assert_eq!(rest, stream[2..], "{} after delete", case.name);
-            assert!(!fx.drain(&txn, long_q).contains(&on), "{}", case.name);
+            remove(&fx, &txn, &on);
+            let rest = fx.drain_from(&txn, scan, false);
+            assert_eq!(rest, stream[2..], "{} after delete", fx.entry.name);
+            assert!(!fx.drain(&txn, long_q).contains(&on), "{}", fx.entry.name);
             fx.db.abort(&txn).unwrap();
         }
     }
@@ -437,16 +387,6 @@ fn every_path_serves_its_ranges_positions_and_deletes() {
 // ---------------------------------------------------------------------
 // frames: the same items, positions and deletes as stepping
 // ---------------------------------------------------------------------
-
-/// The paths whose scans read a snapshot without locks; the others run
-/// the locking protocol in a snapshot transaction too.
-const VERSIONED: [&str; 5] = [
-    "heap",
-    "readonly",
-    "btree storage",
-    "btree index",
-    "hash index",
-];
 
 /// Drains what is left of `scan` a frame at a time.
 fn drain_frames(
@@ -472,19 +412,14 @@ fn sorted(mut items: Vec<ScanItem>) -> Vec<ScanItem> {
 
 #[test]
 fn frames_change_nothing_observable() {
-    for case in cases() {
-        let fx = fixture(&case);
-        let model = (case.model)(&fx.rows, &fx.partners);
-        let qs = queries(&case.queries, &model);
-        let (long_q, stream) = qs
-            .iter()
-            .find(|(_, items)| items.len() >= 3)
-            .expect("a query with three items");
+    for fx in fixtures() {
+        let qs = fx.queries();
+        let (long_q, stream) = long(&qs);
         let last = stream.len() - 1;
 
         for snapshot in [false, true] {
             let mode = if snapshot { "snapshot" } else { "locking" };
-            let what = format!("{} {mode}", case.name);
+            let what = format!("{} {mode}", fx.entry.name);
             let txn = fx.begin(snapshot);
             // frame by frame, item by item: the same items in the same
             // order, and every frame but the end of the scan has some
@@ -503,9 +438,7 @@ fn frames_change_nothing_observable() {
                 let mut frame = Frame::new();
                 fx.db.scan_next_frame(&txn, scan, &mut frame).unwrap();
                 let mut mixed: Vec<_> = frame.drain(..).collect();
-                while let Some(it) = fx.db.scan_next(&txn, scan).unwrap() {
-                    mixed.push(it);
-                }
+                mixed.extend(fx.drain_from(&txn, scan, false));
                 assert_eq!(&mixed, expect, "{what} frame then steps {q:?}");
             }
 
@@ -526,9 +459,9 @@ fn frames_change_nothing_observable() {
             fx.db.commit(&txn).unwrap();
         }
 
-        let Some(remove) = case.remove else {
+        if !fx.scan.deletes {
             continue;
-        };
+        }
         // Locking: the item at the position and one later in the same
         // page are deleted (by the scanning transaction: its own S locks
         // would stop anybody else). The scan is just after the first and
@@ -538,13 +471,13 @@ fn frames_change_nothing_observable() {
         fx.db.scan_next(&txn, scan).unwrap().unwrap();
         let on = fx.db.scan_next(&txn, scan).unwrap().unwrap();
         assert_eq!(on, stream[1]);
-        remove(&fx.db, &txn, fx.rel, &on, &fx.rows);
-        remove(&fx.db, &txn, fx.rel, &stream[last], &fx.rows);
+        remove(&fx, &txn, &on);
+        remove(&fx, &txn, &stream[last]);
         assert_eq!(
             drain_frames(&fx, &txn, scan),
             stream[2..last],
             "{} locking after deletes",
-            case.name
+            fx.entry.name
         );
         fx.db.abort(&txn).unwrap();
 
@@ -552,7 +485,7 @@ fn frames_change_nothing_observable() {
         // scan goes on reading its snapshot — the rest of the stream,
         // the deleted later item included (re-derived from its version,
         // so possibly out of key order).
-        if VERSIONED.contains(&case.name) {
+        if fx.scan.versioned {
             let txn = fx.begin(true);
             let scan = fx.open(&txn, long_q);
             fx.db.scan_next(&txn, scan).unwrap().unwrap();
@@ -561,8 +494,8 @@ fn frames_change_nothing_observable() {
             let locks = fx.db.metrics_snapshot().counter("lock.acquires");
             fx.db
                 .with_txn(|other| {
-                    remove(&fx.db, other, fx.rel, &on, &fx.rows);
-                    remove(&fx.db, other, fx.rel, &stream[last], &fx.rows);
+                    remove(&fx, other, &on);
+                    remove(&fx, other, &stream[last]);
                     Ok(())
                 })
                 .unwrap();
@@ -572,14 +505,14 @@ fn frames_change_nothing_observable() {
                 sorted(drain_frames(&fx, &txn, scan)),
                 sorted(stream[2..].to_vec()),
                 "{} snapshot after deletes",
-                case.name
+                fx.entry.name
             );
             // a new snapshot sees them gone
             fx.db.commit(&txn).unwrap();
             let txn = fx.begin(true);
             let left = fx.drain(&txn, long_q);
             assert!(!left.contains(&on) && !left.contains(&stream[last]));
-            assert_eq!(left.len(), stream.len() - 2, "{}", case.name);
+            assert_eq!(left.len(), stream.len() - 2, "{}", fx.entry.name);
             fx.db.commit(&txn).unwrap();
         }
     }
@@ -591,22 +524,25 @@ fn frames_change_nothing_observable() {
 
 #[test]
 fn a_rebound_scan_is_a_fresh_scan_of_the_other_query() {
-    for case in cases() {
-        let fx = fixture(&case);
-        let model = (case.model)(&fx.rows, &fx.partners);
-        let qs = queries(&case.queries, &model);
-        let (long_q, stream) = qs
-            .iter()
-            .find(|(_, items)| items.len() >= 3)
-            .expect("a query with three items");
+    for fx in fixtures() {
+        let qs = fx.queries();
+        let (long_q, stream) = long(&qs);
 
         for snapshot in [false, true] {
             let mode = if snapshot { "snapshot" } else { "locking" };
             let txn = fx.begin(snapshot);
+            if !fx.scan.rebinds {
+                // refused: the caller opens a new scan instead
+                let scan = fx.open(&txn, long_q);
+                let rebound = fx.db.scan_rebind(&txn, scan, &qs[0].0, None).unwrap();
+                assert!(!rebound, "{} {mode}", fx.entry.name);
+                fx.db.commit(&txn).unwrap();
+                continue;
+            }
             for (from, _) in &qs {
                 for (to, expect) in &qs {
                     for frames in [false, true] {
-                        let what = format!("{} {mode} {from:?} -> {to:?}", case.name);
+                        let what = format!("{} {mode} {from:?} -> {to:?}", fx.entry.name);
                         // part of the first query drained, then the other
                         let scan = fx.open(&txn, from);
                         fx.db.scan_next(&txn, scan).unwrap();
@@ -641,28 +577,32 @@ fn a_rebound_scan_is_a_fresh_scan_of_the_other_query() {
                 fx.drain_from(&txn, scan, false),
                 qs[0].1,
                 "{} {mode}",
-                case.name
+                fx.entry.name
             );
             let err = fx.db.rollback_to_savepoint(&txn, "before").unwrap_err();
             assert!(
                 matches!(err, DmxError::InvalidArg(_)),
                 "{} {mode}: {err}",
-                case.name
+                fx.entry.name
             );
             fx.db.abort(&txn).unwrap();
         }
     }
 }
 
+/// The fixtures of the paths that take next-key gap locks, each with its
+/// tree-entry fact.
+fn gap_locking() -> impl Iterator<Item = (kit::TreeEntry, Fixture)> {
+    fixtures().filter_map(|fx| Some((fx.scan.tree_entry?, fx)))
+}
+
 /// Under locking, what the first binding's range fenced stays fenced: the
 /// re-bound scan holds its earlier record and gap locks to commit.
 #[test]
 fn a_rebound_locking_scan_keeps_the_range_locks_it_took() {
-    for name in ["btree storage", "btree index"] {
-        let all = cases();
-        let case = all.iter().find(|c| c.name == name).unwrap();
-        let fx = fixture(case);
-        let model = (case.model)(&fx.rows, &fx.partners);
+    for (_, fx) in gap_locking() {
+        let name = fx.entry.name;
+        let model = fx.model();
         let keys: Vec<&Vec<u8>> = model.keys().collect();
         let range = |lo: &Vec<u8>, hi: &Vec<u8>| {
             AccessQuery::Range(KeyRange {
@@ -697,6 +637,144 @@ fn a_rebound_locking_scan_keeps_the_range_locks_it_took() {
         );
         fx.db.commit(&txn).unwrap();
     }
+}
+
+// ---------------------------------------------------------------------
+// update ≡ delete + insert
+// ---------------------------------------------------------------------
+
+/// An update is its delete followed by its insert, to every attachment:
+/// twin databases carrying every entry the update family runs, one taking
+/// `update(k, r')` and the other `delete(k); insert(r')`, each serve from
+/// every such entry's path what their rows make of it — every query of
+/// the scan family — and publish their row count as statistics.
+#[test]
+fn update_equals_delete_then_insert_for_every_access_path() {
+    let square = |at: f64| Value::Rect(Rect::new(at, at, at + 2.0, at + 2.0));
+    let start = |i: i64| {
+        let mut r = kit::row(i);
+        r[AREA] = square(i as f64);
+        r[NOTE] = Value::from("v0");
+        r
+    };
+    let change = |i: usize, edits: &[(usize, Value)]| {
+        let mut r = start(i as i64);
+        for (field, v) in edits {
+            r[*field] = v.clone();
+        }
+        (i, r)
+    };
+    let changes = [
+        change(0, &[(NOTE, "only the note".into())]),
+        change(1, &[(ID, Value::Int(101))]),
+        // a value no `u` row has: hash, join and aggregate move
+        change(2, &[(V, Value::Int(7))]),
+        change(3, &[(AREA, Value::Null), (NOTE, "area to NULL".into())]),
+        change(4, &[(V, Value::Null), (NOTE, "v to NULL".into())]),
+        change(
+            5,
+            &[
+                (ID, Value::Int(105)),
+                (V, Value::Int(7)),
+                (AREA, square(50.0)),
+                (NOTE, "everything".into()),
+            ],
+        ),
+        // outgrows its page: the update relocates, like a re-insert
+        change(6, &[(NOTE, "wide".repeat(2000).as_str().into())]),
+    ];
+    let entries: Vec<&Entry> = kit::running(|e| &e.update).map(|(e, _)| e).collect();
+    let partners: Vec<i64> = (0..kit::GROUPS).collect();
+    for reinsert in [false, true] {
+        let mut fx = fixture(&entries, &partners, (0..8).map(start).collect());
+        fx.db
+            .with_txn(|txn| {
+                for (i, to) in &changes {
+                    let (key, rec) = (&fx.rows[*i].0, Record::new(to.clone()));
+                    fx.rows[*i] = match reinsert {
+                        false => (fx.db.update(txn, fx.rel, key, rec)?, to.clone()),
+                        true => {
+                            fx.db.delete(txn, fx.rel, key)?;
+                            (fx.db.insert(txn, fx.rel, rec)?, to.clone())
+                        }
+                    };
+                }
+                Ok(())
+            })
+            .unwrap();
+        for (entry, ask) in kit::running(|e| &e.update) {
+            let what = format!("{} (reinserted: {reinsert})", entry.name);
+            let Ask::Scan = ask else {
+                let rd = fx.db.catalog().get(fx.rel).unwrap();
+                let rows = rd.stats.table_stats().unwrap().rows as usize;
+                assert_eq!(rows, fx.rows.len(), "{what}");
+                continue;
+            };
+            let fx = fx.on(entry);
+            let txn = fx.begin(false);
+            for (q, expect) in fx.queries() {
+                assert_eq!(fx.drain(&txn, &q), expect, "{what} {q:?}");
+            }
+            fx.db.commit(&txn).unwrap();
+        }
+    }
+}
+
+/// "The B-tree update operation should be able to detect when no indexed
+/// fields for a given index are modified": an update no access path
+/// cares about logs the heap's operation and nothing else. Whatever the
+/// indexes log, the update is one log frame: their operations join the
+/// heap's record.
+#[test]
+fn update_of_an_unindexed_field_logs_nothing_for_the_indexes() {
+    // the access paths: the update family's entries whose items name
+    // records
+    let paths: Vec<&Entry> = kit::running(|e| &e.update)
+        .filter(|(e, _)| {
+            e.scan
+                .as_ref()
+                .is_ok_and(|s| !matches!(s.items, Items::Groups))
+        })
+        .map(|(e, _)| e)
+        .collect();
+    let twins = [paths.clone(), vec![]].map(|entries| {
+        let db = kit::open();
+        kit::build(&db, entries);
+        kit::load(&db, "u", (0..kit::GROUPS).map(|id| vec![Value::Int(id)]));
+        let key = kit::load(&db, "t", [kit::row(2)]).remove(0).0;
+        (db, key)
+    });
+    // Operations and records each twin logs for the same update of its
+    // one record.
+    let logged = |to: Vec<Value>| {
+        twins.each_ref().map(|(db, key)| {
+            let rel = db.catalog().get_by_name("t").unwrap().id;
+            db.with_txn(|txn| {
+                let count = || {
+                    let snap = db.metrics_snapshot();
+                    (snap.counter("wal.ext_ops"), snap.counter("wal.appends"))
+                };
+                let (ops, frames) = count();
+                assert_eq!(&db.update(txn, rel, key, Record::new(to.clone()))?, key);
+                let (ops_after, frames_after) = count();
+                Ok((ops_after - ops, frames_after - frames))
+            })
+            .unwrap()
+        })
+    };
+    let mut to = kit::row(2);
+    to[NOTE] = Value::from("new note");
+    let [indexed, bare] = logged(to.clone());
+    assert_eq!(indexed, bare, "no entry changed, so no index may log");
+    assert!(bare.0 > 0);
+    // Every indexed field changes: each path takes its old entry out and
+    // puts the new one in — inside the heap's frame.
+    let mut moved = kit::row(7);
+    moved[NOTE] = to[NOTE].clone();
+    let [indexed, bare] = logged(moved);
+    let min = bare.0 + 2 * paths.len() as u64;
+    assert!(indexed.0 >= min, "{indexed:?} vs {bare:?}");
+    assert_eq!(indexed.1, bare.1, "one frame per update");
 }
 
 // ---------------------------------------------------------------------
@@ -790,67 +868,46 @@ fn assert_lock_sequence(
 
 #[test]
 fn gap_locking_scans_take_the_next_key_lock_sequence() {
-    use starburst_dmx::attach::btree_index::IxDesc;
-    use starburst_dmx::storage::btree_sm::BtDesc;
-    let all = cases();
-    let range = |lo: i64, hi: Bound<Vec<u8>>| {
-        AccessQuery::Range(KeyRange {
-            lo: Bound::Included(enc(lo)),
-            hi,
-        })
-    };
-
-    // B-tree storage: entries are `enc(id) → record`, the record key is
-    // the tree key.
-    let fx = fixture(all.iter().find(|c| c.name == "btree storage").unwrap());
-    let rd = fx.db.catalog().get(fx.rel).unwrap();
-    let file = BtDesc::decode(&rd.sm_desc).unwrap().file;
-    let entry = |id: i64| (enc(id), enc(id));
-    let (b_rec, b_key) = entry(6);
-    assert_lock_sequence(
-        &fx,
-        file,
-        range(3, Bound::Included(enc(5))),
-        &[entry(3), entry(4), entry(5)],
-        lock_pair(fx.rel, file, &b_rec, &b_key),
-    );
-    assert_lock_sequence(
-        &fx,
-        file,
-        range(ROWS - 2, Bound::Unbounded),
-        &[entry(ROWS - 2), entry(ROWS - 1)],
-        eof_gap(fx.rel, file),
-    );
-
-    // B-tree index on `v`: entries are `enc(v) ∥ record key → record
-    // key`, the record key is the value.
-    let fx = fixture(all.iter().find(|c| c.name == "btree index").unwrap());
-    let rd = fx.db.catalog().get(fx.rel).unwrap();
-    let file = IxDesc::decode(&rd.find_attachment("t_x").unwrap().1.desc)
-        .unwrap()
-        .file;
-    let entries = |v: i64| -> Vec<(Vec<u8>, Vec<u8>)> {
-        index_on_v(&fx.rows, &[])[&enc(v)]
-            .iter()
-            .map(|it| {
-                let rk = it.key.as_bytes().to_vec();
-                (rk.clone(), [enc(v), rk].concat())
+    for (tree_entry, fx) in gap_locking() {
+        let file = fx.entry.path(&fx.db).1[0];
+        let model = fx.model();
+        let keys: Vec<&Vec<u8>> = model.keys().collect();
+        // `(record key, tree entry)` of every item under `keys[n]`
+        let entries = |n: usize| -> Vec<(Vec<u8>, Vec<u8>)> {
+            model[keys[n]]
+                .iter()
+                .map(|it| {
+                    let rk = it.key.as_bytes().to_vec();
+                    (rk.clone(), tree_entry(keys[n], &rk))
+                })
+                .collect()
+        };
+        let range = |lo: usize, hi: Bound<Vec<u8>>| {
+            AccessQuery::Range(KeyRange {
+                lo: Bound::Included(keys[lo].clone()),
+                hi,
             })
-            .collect()
-    };
-    let (b_rec, b_key) = entries(2)[0].clone();
-    assert_lock_sequence(
-        &fx,
-        file,
-        range(1, Bound::Included(enc(1))),
-        &entries(1),
-        lock_pair(fx.rel, file, &b_rec, &b_key),
-    );
-    assert_lock_sequence(
-        &fx,
-        file,
-        range(GROUPS - 1, Bound::Unbounded),
-        &entries(GROUPS - 1),
-        eof_gap(fx.rel, file),
-    );
+        };
+        // A range that ends before a boundary entry, and one that runs to
+        // the end of the tree: over three keys of one entry each, or over
+        // one key of a run of entries (the boundary is then the first
+        // entry of the next key).
+        let (last, run) = (keys.len() - 1, model[keys[1]].len() > 1);
+        let (lo, hi, tail) = if run { (1, 1, last) } else { (3, 5, last - 1) };
+        let (b_rec, b_key) = entries(hi + 1)[0].clone();
+        assert_lock_sequence(
+            &fx,
+            file,
+            range(lo, Bound::Included(keys[hi].clone())),
+            &(lo..=hi).flat_map(entries).collect::<Vec<_>>(),
+            lock_pair(fx.rel, file, &b_rec, &b_key),
+        );
+        assert_lock_sequence(
+            &fx,
+            file,
+            range(tail, Bound::Unbounded),
+            &(tail..=last).flat_map(entries).collect::<Vec<_>>(),
+            eof_gap(fx.rel, file),
+        );
+    }
 }

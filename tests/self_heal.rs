@@ -19,7 +19,8 @@ use std::sync::Arc;
 
 use starburst_dmx::prelude::*;
 use starburst_dmx::query::SqlExt;
-use support::{fresh, reopen};
+use starburst_dmx::types::FileId;
+use support::{kit, reopen};
 
 const SEED: u64 = 0x5E1F_4EA1;
 
@@ -140,50 +141,41 @@ fn check_table_quarantines_proactively() {
     assert_eq!(db.quarantined().len(), 1);
 }
 
-/// `CHECK TABLE` walks the files of every tree-backed attachment, and a
+/// A database with every kit entry the CHECK/REPAIR family runs on `t`,
+/// `u` holding `0..GROUPS` and `t` the kit's first `rows` rows, inserted
+/// one statement each: every row of `t` has its partner in `u`.
+fn repaired(env: &DatabaseEnv, rows: i64) -> Arc<Database> {
+    let db = reopen(env);
+    kit::register_hooks(&db);
+    kit::build(&db, kit::running(|e| &e.repair).map(|(e, _)| e));
+    db.execute_sql("INSERT INTO u VALUES (0), (1), (2), (3)")
+        .expect("dml");
+    for i in 0..rows {
+        db.execute_sql(&kit::insert_sql("t", &kit::row(i)))
+            .expect("dml");
+    }
+    db
+}
+
+/// The files of every repaired entry's instance on `t`.
+fn instance_files(db: &Arc<Database>) -> Vec<Vec<FileId>> {
+    kit::running(|e| &e.repair)
+        .map(|(e, _)| e.path(db).1)
+        .collect()
+}
+
+/// `CHECK TABLE` walks the files of every attachment instance, and a
 /// preventive `REPAIR TABLE` rebuilds the ones that can restate their
 /// DDL (aggregate and R-tree among them; a join index cannot — one side
 /// does not know the two-relation DDL — and is left as it is).
 #[test]
 fn check_and_repair_cover_aggregate_rtree_and_join_index_files() {
-    let (env, db) = fresh();
-    for ddl in [
-        "CREATE TABLE t (id INT NOT NULL, v INT NOT NULL, area RECT NOT NULL)",
-        "CREATE TABLE u (id INT NOT NULL)",
-        "CREATE ATTACHMENT sums ON t USING aggregate WITH (sum = id, group_by = v)",
-        "CREATE INDEX t_area ON t USING rtree (area)",
-        "CREATE ATTACHMENT tu ON t USING joinindex WITH (side=left, fields=v)",
-        "CREATE ATTACHMENT tu ON u USING joinindex WITH (side=right, fields=id, other=t)",
-        "INSERT INTO u VALUES (0), (1), (2), (3), (4)",
-    ] {
-        db.execute_sql(ddl).expect("ddl");
+    let env = DatabaseEnv::fresh();
+    let db = repaired(&env, 200);
+    let files = instance_files(&db);
+    for ((entry, facts), files) in kit::running(|e| &e.repair).zip(&files) {
+        assert_eq!(files.len(), facts.files, "{}", entry.name);
     }
-    for i in 0..200 {
-        let v = i % 5; // every row of t has its partner in u
-        db.execute_sql(&format!(
-            "INSERT INTO t VALUES ({i}, {v}, RECT({i}, {i}, {}, {}))",
-            i + 1,
-            i + 2
-        ))
-        .expect("dml");
-    }
-    // (aggregate file, R-tree file, the join index's three tree files)
-    let files = || {
-        let rd = db.catalog().get_by_name("t").unwrap();
-        let files = |name: &str| {
-            let (att, inst) = rd.find_attachment(name).unwrap();
-            db.registry()
-                .attachment(att)
-                .unwrap()
-                .storage_files(&inst.desc)
-        };
-        (
-            files("sums")[0],
-            files("t_area")[0],
-            <[_; 3]>::try_from(files("tu")).unwrap(),
-        )
-    };
-    let (agg, rt, ji) = files();
     let rd = db.catalog().get_by_name("t").unwrap();
     let base = db
         .registry()
@@ -192,93 +184,93 @@ fn check_and_repair_cover_aggregate_rtree_and_join_index_files() {
         .storage_files(&rd.sm_desc);
     let pages: i64 = base
         .iter()
-        .chain([agg, rt].iter())
-        .chain(ji.iter())
+        .chain(files.iter().flatten())
         .map(|&f| env.disk.page_count(f).unwrap() as i64)
         .sum();
     let r = db.execute_sql("CHECK TABLE t").expect("check");
     assert_eq!(r.rows[0][2], Value::from("healthy"), "{r:?}");
-    assert_eq!(r.rows[0][1], Value::Int(pages), "base + five tree files");
+    assert_eq!(r.rows[0][1], Value::Int(pages), "base + every tree file");
 
     let window = "SELECT COUNT(*) FROM t WHERE area ENCLOSES RECT(50.2, 50.2, 50.8, 50.8)";
     let before = db.query_sql(window).unwrap();
     let r = db.execute_sql("REPAIR TABLE t").expect("repair");
     assert_eq!(r.rows[0][1], Value::from("rebuild"));
     assert_eq!(r.rows[0][2], Value::from("healthy"));
-    let (agg2, rt2, ji2) = files();
-    assert!(agg2 != agg && rt2 != rt, "aggregate and R-tree rebuilt");
-    assert_eq!(ji2, ji, "join index left in place");
+    let rebuilt = instance_files(&db);
+    for (((entry, facts), old), new) in kit::running(|e| &e.repair).zip(&files).zip(&rebuilt) {
+        let moved = !old.is_empty() && old != new;
+        assert_eq!(moved, facts.rebuilt && facts.files > 0, "{}", entry.name);
+    }
     assert_eq!(db.query_sql(window).unwrap(), before);
 }
 
 /// `sys.attachments` shows each instance's DDL list (`params`) without
 /// the keys the engine assigned. A rebuild hands that list back to the
 /// instance's type, so `REPAIR TABLE` gives every page-backed instance
-/// new files and leaves every `params` as it was.
+/// it can rebuild new files and leaves every `params` as it was.
 #[test]
 fn repair_rebuilds_every_instance_from_its_stored_list() {
-    let db = starburst_dmx::open_default().unwrap();
-    for ddl in [
-        "CREATE TABLE t (id INT NOT NULL, v INT NOT NULL, area RECT NOT NULL)",
-        "CREATE UNIQUE INDEX t_id ON t (id)",
-        "CREATE INDEX t_v ON t USING hash (v)",
-        "CREATE INDEX t_area ON t USING rtree (area)",
-        "CREATE ATTACHMENT sums ON t USING aggregate WITH (sum = id, group_by = v)",
-        "CREATE ATTACHMENT t_stats ON t USING stats",
-        "CREATE ATTACHMENT t_log ON t USING trigger WITH (on = 'insert,delete', action = 'hook:x')",
-    ] {
-        db.execute_sql(ddl).expect(ddl);
-    }
-    db.register_hook("x", Arc::new(|_, _| Ok(())));
-    for i in 0..50 {
-        db.execute_sql(&format!(
-            "INSERT INTO t VALUES ({i}, {}, RECT({i}, {i}, {}, {}))",
-            i % 4,
-            i + 1,
-            i + 1
-        ))
-        .expect("dml");
-    }
+    let db = repaired(&DatabaseEnv::fresh(), 50);
     let params = || {
         db.query_sql("SELECT name, params FROM sys.attachments WHERE relation = 't' ORDER BY 1")
             .unwrap()
     };
     let before = params();
-    let row = |name: &str, params: &str| vec![Value::from(name), Value::from(params)];
-    assert_eq!(
-        before,
-        vec![
-            row("sums", "sum = id, group_by = v"),
-            row("t_area", "fields = area"),
-            row("t_id", "fields = id, unique = true"),
-            row("t_log", "on = 'insert,delete', action = 'hook:x'"),
-            row("t_stats", ""),
-            row("t_v", "fields = v"),
-        ]
-    );
-    let files = || {
-        let rd = db.catalog().get_by_name("t").unwrap();
-        let mut files = Vec::new();
-        for (att, insts) in rd.attached_types() {
-            let att = db.registry().attachment(att).unwrap();
-            files.extend(insts.iter().map(|i| att.storage_files(&i.desc)));
-        }
-        files
-    };
-    let old = files();
+    assert_eq!(before.len(), kit::running(|e| &e.repair).count());
+    // each instance's list, but one the kit knows to read back otherwise
+    let mut stated: Vec<Vec<Value>> = kit::running(|e| &e.repair)
+        .filter_map(|(e, _)| match e.on {
+            kit::On::Attachment {
+                instance, params, ..
+            } => Some(vec![Value::from(instance), Value::from(params.ok()?)]),
+            kit::On::Storage(_) => unreachable!("REPAIR runs on attachments"),
+        })
+        .collect();
+    stated.sort_by_key(|row| format!("{row:?}"));
+    let shown = before
+        .iter()
+        .filter(|row| stated.iter().any(|s| s[0] == row[0]));
+    assert_eq!(shown.cloned().collect::<Vec<_>>(), stated);
+    let old = instance_files(&db);
     let r = db.execute_sql("REPAIR TABLE t").expect("repair");
     assert_eq!(r.rows[0][1], Value::from("rebuild"));
     assert_eq!(r.rows[0][2], Value::from("healthy"));
     assert_eq!(params(), before);
-    let new = files();
-    assert_eq!(old.iter().filter(|f| !f.is_empty()).count(), 5);
-    for (old, new) in old.iter().zip(&new) {
+    let new = instance_files(&db);
+    let with_files = kit::running(|e| &e.repair).filter(|(_, f)| f.files > 0);
+    assert_eq!(
+        old.iter().filter(|f| !f.is_empty()).count(),
+        with_files.count()
+    );
+    for (((entry, facts), old), new) in kit::running(|e| &e.repair).zip(&old).zip(&new) {
         assert_eq!(old.len(), new.len());
         assert!(
-            old.is_empty() || old != new,
-            "{old:?} rebuilt into new files"
+            old.is_empty() || (old != new) == facts.rebuilt,
+            "{}: {old:?} rebuilt into new files",
+            entry.name
         );
     }
+}
+
+/// `CHECK TABLE` of `t` and `u` with the kit's attachment `name` on them,
+/// `u` holding 1 and 2 and `t` a row with a partner, one without and one
+/// with a NULL area: both healthy, nothing fenced.
+fn checks_healthy_with_edge_rows(name: &str) {
+    let db = kit::open();
+    let entry = kit::ENTRIES
+        .iter()
+        .find(|e| !e.is_storage() && e.name == name)
+        .expect(name);
+    kit::build(&db, [entry]);
+    kit::load(&db, "u", [1, 2].map(|id| vec![Value::Int(id)]));
+    let mut rows = [kit::row(1), kit::row(2), kit::row(7)];
+    rows[1][kit::AREA] = Value::Null;
+    kit::load(&db, "t", rows);
+    for t in ["t", "u"] {
+        let r = db.execute_sql(&format!("CHECK TABLE {t}")).expect("check");
+        assert_eq!(r.rows[0][2], Value::from("healthy"), "{t}: {r:?}");
+    }
+    assert!(db.quarantined().is_empty());
 }
 
 /// `CHECK TABLE` demands the base's exact key set only from a path that
@@ -286,40 +278,15 @@ fn repair_rebuilds_every_instance_from_its_stored_list() {
 /// only has to name no record the base lacks.
 #[test]
 fn check_table_accepts_an_rtree_that_skips_a_null() {
-    let db = starburst_dmx::open_default().unwrap();
-    for ddl in [
-        "CREATE TABLE p (id INT NOT NULL, area RECT)",
-        "CREATE INDEX p_area ON p USING rtree (area)",
-        "INSERT INTO p VALUES (1, RECT(0, 0, 1, 1)), (2, NULL)",
-    ] {
-        db.execute_sql(ddl).expect(ddl);
-    }
-    let r = db.execute_sql("CHECK TABLE p").expect("check");
-    assert_eq!(r.rows[0][2], Value::from("healthy"), "{r:?}");
-    assert!(db.quarantined().is_empty());
+    checks_healthy_with_edge_rows("rtree");
 }
 
-/// Likewise a join index: an `emp` row with no `dept` partner is in no
-/// pair, and the right side's items are `emp`'s keys, not `dept`'s —
-/// neither relation is damaged.
+/// Likewise a join index: a `t` row with no `u` partner is in no pair,
+/// and the right side's items are `t`'s keys, not `u`'s — neither
+/// relation is damaged.
 #[test]
 fn check_table_accepts_a_join_index_with_an_unpartnered_row() {
-    let db = starburst_dmx::open_default().unwrap();
-    for ddl in [
-        "CREATE TABLE emp (id INT NOT NULL, dept INT)",
-        "CREATE TABLE dept (id INT NOT NULL)",
-        "CREATE ATTACHMENT ed ON emp USING joinindex WITH (side=left, fields=dept)",
-        "CREATE ATTACHMENT ed ON dept USING joinindex WITH (side=right, fields=id, other=emp)",
-        "INSERT INTO dept VALUES (1), (2)",
-        "INSERT INTO emp VALUES (10, 1), (11, 2), (12, 7)",
-    ] {
-        db.execute_sql(ddl).expect(ddl);
-    }
-    for t in ["emp", "dept"] {
-        let r = db.execute_sql(&format!("CHECK TABLE {t}")).expect("check");
-        assert_eq!(r.rows[0][2], Value::from("healthy"), "{t}: {r:?}");
-    }
-    assert!(db.quarantined().is_empty());
+    checks_healthy_with_edge_rows("joinindex");
 }
 
 /// A damaged *base* is salvaged: every record on readable pages is

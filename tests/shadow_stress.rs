@@ -11,66 +11,27 @@
 
 mod support;
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use starburst_dmx::prelude::*;
 use starburst_dmx::query::SqlExt;
 use starburst_dmx::types::testrng::TestRng;
-use support::{fresh, reopen};
-
-/// The expected rows of the committed state and of the open transaction,
-/// with a savepoint stack: `support::Tables` is one state of the rows
-/// and has no savepoints to roll back to, so this model stays.
-struct Shadow {
-    committed: BTreeMap<i64, i64>,
-    /// overlay for the open transaction
-    working: BTreeMap<i64, i64>,
-    /// savepoint stack of overlays
-    saves: Vec<BTreeMap<i64, i64>>,
-}
-
-impl Shadow {
-    fn new() -> Shadow {
-        Shadow {
-            committed: BTreeMap::new(),
-            working: BTreeMap::new(),
-            saves: Vec::new(),
-        }
-    }
-    fn begin(&mut self) {
-        self.working = self.committed.clone();
-        self.saves.clear();
-    }
-    fn commit(&mut self) {
-        self.committed = self.working.clone();
-        self.saves.clear();
-    }
-    fn abort(&mut self) {
-        self.working = self.committed.clone();
-        self.saves.clear();
-    }
-    fn savepoint(&mut self) {
-        self.saves.push(self.working.clone());
-    }
-    fn rollback_to_savepoint(&mut self) {
-        if let Some(s) = self.saves.pop() {
-            self.working = s;
-        }
-    }
-}
+use support::{fresh, put, reopen, Rows, Savepoints, Tables};
 
 /// Reads the full visible state through BOTH access paths and checks they
 /// agree with each other and the expectation.
-fn verify(db: &Arc<Database>, sess: &starburst_dmx::prelude::Session, expect: &BTreeMap<i64, i64>) {
-    let via_scan: BTreeMap<i64, i64> = sess
+fn verify(db: &Arc<Database>, sess: &starburst_dmx::prelude::Session, expect: &Tables) {
+    let via_scan: Rows = sess
         .execute("SELECT id, v FROM t")
         .unwrap()
         .rows
         .into_iter()
-        .map(|r| (r[0].as_int().unwrap(), r[1].as_int().unwrap()))
+        .map(|r| (r[0].as_int().unwrap(), r))
         .collect();
-    assert_eq!(&via_scan, expect, "storage-method scan state diverged");
+    assert_eq!(
+        &via_scan, &expect["t"],
+        "storage-method scan state diverged"
+    );
     // through the index path (ordered by id)
     let rd = db.catalog().get_by_name("t").unwrap();
     let (t, inst) = rd.find_attachment("t_pk").unwrap();
@@ -85,16 +46,16 @@ fn verify(db: &Arc<Database>, sess: &starburst_dmx::prelude::Session, expect: &B
             None,
         )
         .unwrap();
-    let mut via_index = BTreeMap::new();
+    let mut via_index = Rows::new();
     while let Some(item) = db.scan_next(&txn, scan).unwrap() {
         let row = db
             .fetch(&txn, rd.id, &item.key, None, None)
             .unwrap()
             .unwrap();
-        via_index.insert(row[0].as_int().unwrap(), row[1].as_int().unwrap());
+        via_index.insert(row[0].as_int().unwrap(), row);
     }
     db.commit(&txn).unwrap();
-    assert_eq!(&via_index, expect, "index state diverged");
+    assert_eq!(&via_index, &expect["t"], "index state diverged");
 }
 
 #[test]
@@ -110,7 +71,7 @@ fn randomized_workload_matches_shadow_model() {
             .unwrap();
 
         let mut sess = Session::new(db.clone());
-        let mut shadow = Shadow::new();
+        let mut shadow = Savepoints::new(Tables::from([("t".into(), Rows::new())]));
         let mut rng = TestRng::new(seed);
         let mut in_txn = false;
 
@@ -126,7 +87,7 @@ fn randomized_workload_matches_shadow_model() {
                     let id = rng.below(60) as i64 + if rng.below(20) == 0 { 1000 } else { 0 };
                     let v = rng.below(1_000_000) as i64;
                     let r = sess.execute(&format!("INSERT INTO t VALUES ({id}, {v})"));
-                    let dup = shadow.working.contains_key(&id);
+                    let dup = shadow.working["t"].contains_key(&id);
                     if id >= 1000 || dup {
                         assert!(
                             matches!(r, Err(DmxError::Veto { .. })),
@@ -134,7 +95,11 @@ fn randomized_workload_matches_shadow_model() {
                         );
                     } else {
                         r.unwrap();
-                        shadow.working.insert(id, v);
+                        put(
+                            &mut shadow.working,
+                            "t",
+                            vec![Value::Int(id), Value::Int(v)],
+                        );
                     }
                 }
                 // update
@@ -145,13 +110,10 @@ fn randomized_workload_matches_shadow_model() {
                         .execute(&format!("UPDATE t SET v = {v} WHERE id = {id}"))
                         .unwrap();
                     let n = res.rows[0][0].as_int().unwrap();
-                    if let std::collections::btree_map::Entry::Occupied(mut e) =
-                        shadow.working.entry(id)
-                    {
-                        assert_eq!(n, 1, "step {step}");
-                        e.insert(v);
-                    } else {
-                        assert_eq!(n, 0, "step {step}");
+                    let row = shadow.working.get_mut("t").unwrap().get_mut(&id);
+                    assert_eq!(n, i64::from(row.is_some()), "step {step}");
+                    if let Some(row) = row {
+                        row[1] = Value::Int(v);
                     }
                 }
                 // delete
@@ -161,11 +123,8 @@ fn randomized_workload_matches_shadow_model() {
                         .execute(&format!("DELETE FROM t WHERE id = {id}"))
                         .unwrap();
                     let n = res.rows[0][0].as_int().unwrap();
-                    assert_eq!(
-                        n,
-                        shadow.working.remove(&id).map(|_| 1).unwrap_or(0),
-                        "step {step}"
-                    );
+                    let gone = shadow.working.get_mut("t").unwrap().remove(&id);
+                    assert_eq!(n, i64::from(gone.is_some()), "step {step}");
                 }
                 // savepoint / partial rollback
                 75..=79 => {
@@ -173,16 +132,14 @@ fn randomized_workload_matches_shadow_model() {
                     shadow.savepoint();
                 }
                 80..=84 => {
-                    if shadow.saves.is_empty() {
-                        continue;
+                    if shadow.rollback_to_savepoint() {
+                        sess.execute("ROLLBACK TO SAVEPOINT sp").unwrap();
                     }
-                    sess.execute("ROLLBACK TO SAVEPOINT sp").unwrap();
-                    shadow.rollback_to_savepoint();
                 }
                 // abort
                 85..=89 => {
                     sess.execute("ROLLBACK").unwrap();
-                    shadow.abort();
+                    shadow.begin();
                     in_txn = false;
                     verify(&db, &sess, &shadow.committed);
                 }
@@ -196,7 +153,7 @@ fn randomized_workload_matches_shadow_model() {
                 // crash + restart (uncommitted work is lost)
                 _ => {
                     drop(sess);
-                    shadow.abort();
+                    shadow.begin();
                     in_txn = false;
                     drop(db);
                     db = reopen(&env);

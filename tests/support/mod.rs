@@ -17,6 +17,8 @@
 // Each test binary uses only part of this module.
 #![allow(dead_code)]
 
+pub mod kit;
+
 use std::collections::BTreeMap;
 use std::fmt::Debug;
 use std::ops::Range;
@@ -309,6 +311,49 @@ pub type Rows = BTreeMap<i64, Vec<Value>>;
 /// Relations by name, as a model holds them: a relation missing from the
 /// map does not exist.
 pub type Tables = BTreeMap<String, Rows>;
+
+/// A [`Tables`] model of one session: the committed state, the open
+/// transaction's, and the states its savepoints saved.
+pub struct Savepoints {
+    pub committed: Tables,
+    pub working: Tables,
+    saves: Vec<Tables>,
+}
+
+impl Savepoints {
+    pub fn new(tables: Tables) -> Self {
+        Savepoints {
+            committed: tables.clone(),
+            working: tables,
+            saves: Vec::new(),
+        }
+    }
+
+    /// `BEGIN`, `ROLLBACK` and a crash: the committed state, no savepoint.
+    pub fn begin(&mut self) {
+        self.working = self.committed.clone();
+        self.saves.clear();
+    }
+
+    pub fn commit(&mut self) {
+        self.committed = self.working.clone();
+        self.saves.clear();
+    }
+
+    pub fn savepoint(&mut self) {
+        self.saves.push(self.working.clone());
+    }
+
+    /// `ROLLBACK TO` the latest savepoint, which goes; false when there
+    /// is none.
+    pub fn rollback_to_savepoint(&mut self) -> bool {
+        let Some(saved) = self.saves.pop() else {
+            return false;
+        };
+        self.working = saved;
+        true
+    }
+}
 
 /// Puts `row` into `table` of the model, under its first column.
 pub fn put(m: &mut Tables, table: &str, row: Vec<Value>) {
